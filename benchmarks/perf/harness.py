@@ -15,13 +15,7 @@ Usage::
         --check-trace-overhead                       # CI tracing-overhead gate
     PYTHONPATH=src python benchmarks/perf/harness.py \
         --check-memory-budget      # SF0.2 out-of-core gate (DESIGN.md §13)
-    PYTHONPATH=src python benchmarks/perf/harness.py \
-        --check-sharing-speedup    # >2x effective-QPS gate (DESIGN.md §14)
     PYTHONPATH=src python benchmarks/perf/harness.py --workers 4   # + parallel columns
-    PYTHONPATH=src python benchmarks/perf/harness.py \
-        --check-parallel           # worker-pool gate (DESIGN.md §15)
-    PYTHONPATH=src python benchmarks/perf/harness.py \
-        --check-predictive         # learned demand-profile gate (DESIGN.md §16)
 
 Determinism: the catalog seed, scale factor, query set, and repetition
 count are pinned; the only nondeterminism left is the host itself, which
@@ -43,7 +37,6 @@ import cProfile
 import gc
 import io
 import json
-import math
 import os
 import platform
 import pstats
@@ -89,54 +82,6 @@ MEMORY_BUDGET_FRACTION = 0.25
 #: only detects the overage *after* the growth that caused it, so peak
 #: tracked bytes overshoot the budget by up to one build increment.
 MEMORY_BUDGET_HEADROOM = 0.8
-#: Sharing gate (DESIGN.md §14): a bursty overlapping workload must gain
-#: this factor of effective QPS from folding + result caching, with
-#: bit-identical per-query answers.
-SHARING_SCALE = 0.01
-SHARING_MIN_SPEEDUP = 2.0
-SHARING_QUERY_MIX = (
-    "select count(*) from lineitem",
-    "select l_returnflag, count(*), min(l_quantity) from lineitem "
-    "where l_quantity < 30 group by l_returnflag",
-    "select l_orderkey, l_quantity from lineitem where l_quantity < 10",
-    "select l_orderkey from lineitem "
-    "where l_quantity < 10 and l_orderkey < 1000",
-    "select o_orderstatus, count(*) from orders group by o_orderstatus",
-)
-#: Worker-pool gate (DESIGN.md §15): at 4 workers the join/agg-heavy
-#: queries must return bit-identical rows always, and on hosts with at
-#: least ``PARALLEL_MIN_CORES`` cores at least two of them must beat
-#: serial by ``PARALLEL_MIN_SPEEDUP``.  Larger pages give the chunker
-#: headroom (a 4096-row default page splits into at most two 2048-row
-#: chunks); both sides of the comparison use the same page size.
-PARALLEL_WORKERS = 4
-PARALLEL_QUERIES = ("Q5", "Q9", "Q18")
-PARALLEL_MIN_SPEEDUP = 1.8
-PARALLEL_MIN_WINS = 2
-PARALLEL_MIN_CORES = 4
-PARALLEL_PAGE_ROWS = 65536
-#: Predictive gate (DESIGN.md §16): after a warmup window accumulates
-#: per-template demand history, the predictive measured window of a
-#: seeded bursty workload must beat the reactive one on *both* makespan
-#: and overall p99 with identical answers.  CPU costs are scaled so the
-#: burst is execution-bound (virtual seconds are free; wall clock is
-#: unchanged), and the arrival rate is far above the service rate so
-#: the horizon measures execution under contention, not arrivals.
-PREDICT_SCALE = 0.01
-PREDICT_COST_SCALE = 300.0
-PREDICT_RATE = 50.0
-PREDICT_COUNT = 6
-PREDICT_QUERY_MIX = (
-    "select l_returnflag, l_linestatus, count(*), sum(l_quantity) "
-    "from lineitem where l_quantity > {lit} "
-    "group by l_returnflag, l_linestatus "
-    "order by l_returnflag, l_linestatus",
-    "select l_orderkey, sum(l_extendedprice), count(*) from lineitem "
-    "where l_quantity > {lit} group by l_orderkey order by l_orderkey",
-    "select o_orderstatus, count(*), sum(o_totalprice) from orders "
-    "where o_totalprice > {lit} group by o_orderstatus "
-    "order by o_orderstatus",
-)
 
 
 def time_query(catalog: Catalog, sql: str, config: EngineConfig | None = None) -> dict:
@@ -375,224 +320,6 @@ def check_memory_budget() -> int:
     return 0
 
 
-def check_sharing_speedup() -> int:
-    """Gate for concurrent-query folding + result caching (DESIGN.md §14).
-
-    Runs one seeded bursty two-tenant workload with sharing off and on:
-    the shared run must improve effective QPS (completed queries per
-    virtual second) by more than ``SHARING_MIN_SPEEDUP`` while returning
-    bit-identical rows for every submission.
-    """
-    from repro import PoissonArrivals, Workload
-
-    catalog = Catalog.tpch(SHARING_SCALE, SEED)
-
-    def run(sharing: bool):
-        config = EngineConfig().with_workload(max_concurrent_queries=2)
-        if sharing:
-            config = config.with_sharing(fold_window=0.05)
-        engine = AccordionEngine(catalog, config=config)
-        workload = Workload(engine, seed=SEED)
-        for tenant in ("bi", "dashboards"):
-            workload.add_tenant(
-                tenant, list(SHARING_QUERY_MIX),
-                PoissonArrivals(rate=100.0, count=20),
-            )
-        report = workload.run()
-        return report, [h.result().rows for h in workload.handles]
-
-    base_report, base_rows = run(sharing=False)
-    shared_report, shared_rows = run(sharing=True)
-    speedup = shared_report.effective_qps / max(base_report.effective_qps, 1e-12)
-    stats = shared_report.sharing
-    print(
-        f"sharing @ SF{SHARING_SCALE}: folds={stats.get('folds', 0)} "
-        f"cache_hits={stats.get('cache_hits', 0)} "
-        f"effective QPS {base_report.effective_qps:.2f} -> "
-        f"{shared_report.effective_qps:.2f} ({speedup:.2f}x, "
-        f"limit >{SHARING_MIN_SPEEDUP}x)"
-    )
-    failures = []
-    if base_rows != shared_rows:
-        failures.append("shared answers differ from unshared answers")
-    if stats.get("folds", 0) < 1 or stats.get("cache_hits", 0) < 1:
-        failures.append(f"workload exercised no folds or no cache hits: {stats}")
-    if speedup <= SHARING_MIN_SPEEDUP:
-        failures.append(
-            f"effective QPS speedup {speedup:.2f}x <= {SHARING_MIN_SPEEDUP}x"
-        )
-    if failures:
-        print("SHARING SPEEDUP CHECK FAILED:")
-        for failure in failures:
-            print("  " + failure)
-        return 1
-    print("sharing speedup ok")
-    return 0
-
-
-def check_parallel() -> int:
-    """Gate for the worker-pool offload backend (DESIGN.md §15).
-
-    Bit-identical rows between serial and 4-worker runs are required
-    unconditionally.  The speedup criterion (>= ``PARALLEL_MIN_SPEEDUP``
-    on at least ``PARALLEL_MIN_WINS`` of the gate queries) only applies
-    on hosts with ``PARALLEL_MIN_CORES``+ cores — forked workers cannot
-    beat serial while time-slicing one core, and the determinism
-    contract is the part that must hold everywhere.
-    """
-    cores = os.cpu_count() or 1
-    catalog = Catalog.tpch(SCALE, SEED)
-    serial_config = EngineConfig(page_row_limit=PARALLEL_PAGE_ROWS)
-    parallel_config = serial_config.with_parallelism(workers=PARALLEL_WORKERS)
-    failures = []
-    wins = 0
-    for name in PARALLEL_QUERIES:
-        sql = QUERIES[name]
-        serial_samples, parallel_samples = [], []
-        serial_rows = parallel_rows = None
-        # Interleaved so host-load drift hits both modes equally.
-        for _ in range(REPEATS):
-            gc.collect()
-            start = time.perf_counter()
-            result = AccordionEngine(catalog, config=serial_config).execute(sql)
-            serial_samples.append(time.perf_counter() - start)
-            serial_rows = sorted(result.rows)
-            gc.collect()
-            start = time.perf_counter()
-            result = AccordionEngine(catalog, config=parallel_config).execute(sql)
-            parallel_samples.append(time.perf_counter() - start)
-            parallel_rows = sorted(result.rows)
-        if serial_rows != parallel_rows:
-            failures.append(f"{name}: parallel rows differ from serial rows")
-        best_serial = min(serial_samples)
-        best_parallel = min(parallel_samples)
-        speedup = best_serial / max(best_parallel, 1e-9)
-        wins += speedup >= PARALLEL_MIN_SPEEDUP
-        print(
-            f"{name}: serial {best_serial:.3f}s / "
-            f"parallel({PARALLEL_WORKERS}) {best_parallel:.3f}s -> "
-            f"{speedup:.2f}x (rows identical: {serial_rows == parallel_rows})"
-        )
-    if cores < PARALLEL_MIN_CORES:
-        print(
-            f"parallel speedup gate skipped: {cores} core(s) < "
-            f"{PARALLEL_MIN_CORES} (bit-identity still enforced)"
-        )
-    elif wins < PARALLEL_MIN_WINS:
-        failures.append(
-            f"only {wins}/{len(PARALLEL_QUERIES)} queries reached "
-            f"{PARALLEL_MIN_SPEEDUP}x at {PARALLEL_WORKERS} workers "
-            f"(need {PARALLEL_MIN_WINS})"
-        )
-    if failures:
-        print("PARALLEL CHECK FAILED:")
-        for failure in failures:
-            print("  " + failure)
-        return 1
-    print("parallel offload ok")
-    return 0
-
-
-def check_predictive() -> int:
-    """Gate for learned demand profiles (DESIGN.md §16).
-
-    Reactive and predictive engines each run a warmup window followed by
-    a measured window of the same seeded two-tenant burst, so plan
-    caches are warm in both and only the predictive engine carries
-    demand history.  The measured predictive window must apply at least
-    one pre-grant and one demand-aware placement, return the reactive
-    answers (float aggregates to accumulation-order tolerance, since
-    pre-granted DOPs reorder partial sums), and beat the reactive window
-    on both makespan and overall p99.
-    """
-    from repro import CostModel, PoissonArrivals, Workload
-
-    catalog = Catalog.tpch(PREDICT_SCALE, SEED)
-
-    def run(mode: str):
-        config = EngineConfig(
-            cost=CostModel().scaled(PREDICT_COST_SCALE)
-        ).with_workload(arbitration="deadline")
-        if mode == "predictive":
-            config = config.with_prediction()
-        engine = AccordionEngine(catalog, config=config)
-
-        def window():
-            workload = Workload(engine, seed=SEED)
-            for index, tenant in enumerate(("bi", "analysts")):
-                queries = [
-                    q.format(lit=3 * index + i)
-                    for i, q in enumerate(PREDICT_QUERY_MIX)
-                ]
-                workload.add_tenant(
-                    tenant, queries,
-                    PoissonArrivals(rate=PREDICT_RATE, count=PREDICT_COUNT),
-                    deadline=60.0,
-                )
-            report = workload.run()
-            return report, [h.result().rows for h in workload.handles]
-
-        window()
-        report, rows = window()
-        return engine, report, rows
-
-    def p99(report) -> float:
-        latencies = sorted(
-            lat for s in report.tenants.values() for lat in s.latencies
-        )
-        if not latencies:
-            return 0.0
-        return latencies[
-            min(len(latencies) - 1, round(0.99 * (len(latencies) - 1)))
-        ]
-
-    def rows_equal(left, right) -> bool:
-        if len(left) != len(right):
-            return False
-        for row_a, row_b in zip(left, right):
-            if len(row_a) != len(row_b):
-                return False
-            for a, b in zip(row_a, row_b):
-                if isinstance(a, float) and isinstance(b, float):
-                    if not math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9):
-                        return False
-                elif a != b:
-                    return False
-        return True
-
-    _, base_report, base_rows = run("reactive")
-    engine, pred_report, pred_rows = run("predictive")
-    stats = engine.predict_service.stats()
-    makespan_gain = base_report.horizon / max(pred_report.horizon, 1e-12)
-    base_p99, pred_p99 = p99(base_report), p99(pred_report)
-    p99_gain = base_p99 / max(pred_p99, 1e-12)
-    print(
-        f"predictive @ SF{PREDICT_SCALE}: pregrants={stats['pregrants']} "
-        f"drr={stats['drr_placements']} reprovisions={stats['reprovisions']} "
-        f"makespan {base_report.horizon:.3f}s -> {pred_report.horizon:.3f}s "
-        f"({makespan_gain:.2f}x), p99 {base_p99:.3f}s -> {pred_p99:.3f}s "
-        f"({p99_gain:.2f}x)"
-    )
-    failures = []
-    if stats["pregrants"] < 1 or stats["drr_placements"] < 1:
-        failures.append(f"prediction did not engage: {stats}")
-    if len(base_rows) != len(pred_rows) or not all(
-        rows_equal(a, b) for a, b in zip(base_rows, pred_rows)
-    ):
-        failures.append("predictive answers differ from reactive answers")
-    if makespan_gain <= 1.0:
-        failures.append(f"makespan gain {makespan_gain:.2f}x <= 1.0x")
-    if p99_gain <= 1.0:
-        failures.append(f"p99 gain {p99_gain:.2f}x <= 1.0x")
-    if failures:
-        print("PREDICTIVE CHECK FAILED:")
-        for failure in failures:
-            print("  " + failure)
-        return 1
-    print("predictive resource management ok")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -629,37 +356,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--check-sharing-speedup",
-        action="store_true",
-        help=(
-            "exit nonzero unless folding + result caching improve a bursty "
-            f"overlapping workload's effective QPS by more than "
-            f"{SHARING_MIN_SPEEDUP}x with bit-identical answers "
-            "(skips the normal report)"
-        ),
-    )
-    parser.add_argument(
-        "--check-parallel",
-        action="store_true",
-        help=(
-            f"exit nonzero unless {PARALLEL_WORKERS}-worker runs of "
-            f"{'/'.join(PARALLEL_QUERIES)} return bit-identical rows (and, "
-            f"on {PARALLEL_MIN_CORES}+-core hosts, beat serial by "
-            f"{PARALLEL_MIN_SPEEDUP}x on {PARALLEL_MIN_WINS}+ of them; "
-            "skips the normal report)"
-        ),
-    )
-    parser.add_argument(
-        "--check-predictive",
-        action="store_true",
-        help=(
-            "exit nonzero unless a warm demand history beats the reactive "
-            "baseline on both makespan and overall p99 for the seeded "
-            "bursty workload, with identical answers "
-            "(skips the normal report)"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -679,12 +375,6 @@ def main(argv: list[str] | None = None) -> int:
         return check_trace_overhead()
     if args.check_memory_budget:
         return check_memory_budget()
-    if args.check_sharing_speedup:
-        return check_sharing_speedup()
-    if args.check_parallel:
-        return check_parallel()
-    if args.check_predictive:
-        return check_predictive()
 
     report = run_benchmarks(workers=args.workers)
     if args.output.exists():

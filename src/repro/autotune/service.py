@@ -56,8 +56,6 @@ class ElasticQuery:
             max_stage_dop=max(8, 2 * len(cluster.compute)),
             arbiter=arbiter,
         )
-        if arbiter is not None:
-            arbiter.attach_elastic(query.id, self)
 
     # -- paper-notation direct tuning ------------------------------------
     def ac(self, stage: int, to: int) -> TuningResult:

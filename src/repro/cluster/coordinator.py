@@ -8,7 +8,6 @@ runtime DOP tuning module and the auto-tuner (``repro.elastic``,
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 
@@ -18,13 +17,10 @@ from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
 from ..exec.spill import QueryMemory
 from ..metrics.throughput import ThroughputTracker
 from ..pages import Page, concat_pages
-from ..plan.cache import PLAN_CACHE
-from ..plan.logical_planner import LogicalPlanner
-from ..plan.optimizer import prune_columns
+from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan
 from ..plan.physical_planner import PhysicalPlanner, PlannerOptions
 from ..sim import SimKernel
-from ..sql.parser import parse
 from .cluster import Cluster
 from .rpc import RpcTracker
 from .scheduler import Scheduler
@@ -68,15 +64,72 @@ class QueryOptions:
         return config_fingerprint(self)
 
 
-class QueryState(enum.Enum):
-    RUNNING = "running"
-    FINISHED = "finished"
-    FAILED = "failed"
-    CANCELLED = "cancelled"
+class QueryLifecycle:
+    """The query state machine: ``state``, ``error``, timestamps, and the
+    completion callbacks.  Physical executions and user-visible
+    submissions (:class:`repro.handle.Submission`) both are one, so the
+    terminal transition and ``on_done`` exist exactly once.
+
+    ``state`` is one of ``queued`` / ``rejected`` (submissions only),
+    ``running``, ``finished``, ``failed``, ``cancelled``.
+    """
+
+    def __init__(self, kernel: SimKernel, state: str):
+        self.kernel = kernel
+        self.state = state
+        self.error: Exception | None = None
+        self.submitted_at = kernel.now
+        self.finished_at: float | None = None
+        self.failed_at: float | None = None
+        self._done_callbacks: list = []
+
+    @property
+    def finished(self) -> bool:
+        """Terminal (finished, failed, cancelled *or* rejected) — periodic
+        samplers key off this."""
+        return self.finished_at is not None
+
+    @property
+    def succeeded(self) -> bool:
+        return self.state == "finished"
+
+    @property
+    def failed(self) -> bool:
+        return self.state in ("failed", "rejected")
+
+    @property
+    def cancelled(self) -> bool:
+        return self.state == "cancelled"
+
+    def on_done(self, fn) -> None:
+        """Call ``fn(self)`` once terminal; immediately if already so."""
+        if self.finished:
+            fn(self)
+        else:
+            self._done_callbacks.append(fn)
+
+    def _enter(self, state: str, error: Exception | None = None) -> None:
+        """Record a terminal state; :meth:`_fire_done` must follow."""
+        self.state = state
+        self.error = error
+        self.finished_at = self.kernel.now
+        if state == "failed":
+            self.failed_at = self.kernel.now
+
+    def _fire_done(self) -> None:
+        callbacks, self._done_callbacks = self._done_callbacks, []
+        for fn in callbacks:
+            fn(self)
+
+    def _finish(self, state: str, error: Exception | None = None) -> None:
+        """Terminal transition without teardown; no-op once terminal."""
+        if not self.finished:
+            self._enter(state, error)
+            self._fire_done()
 
 
-class QueryExecution:
-    """All runtime state of one query."""
+class QueryExecution(QueryLifecycle):
+    """All runtime state of one physical query execution."""
 
     def __init__(
         self,
@@ -88,8 +141,8 @@ class QueryExecution:
         options: QueryOptions,
         metrics=None,
     ):
+        super().__init__(kernel, "running")
         self.id = query_id
-        self.kernel = kernel
         self.sql = sql
         self.plan = plan
         self.config = config
@@ -101,17 +154,9 @@ class QueryExecution:
         self.stages: dict[int, StageExecution] = {}
         self.result_pages: list[Page] = []
         self.result_rows = 0
-        self.submitted_at = kernel.now
         self.started_at: float | None = None
-        self.finished_at: float | None = None
         self.init_requests = 0
         self.tracker: ThroughputTracker | None = None
-        self._done_callbacks: list = []
-        self.state = QueryState.RUNNING
-        self.error: QueryFailedError | None = None
-        self.failed_at: float | None = None
-        #: Set by the workload layer when the query came through a session.
-        self.tenant: str | None = None
         #: Timeline of faults and recovery actions that touched this query
         #: (carried into ``QueryFailedError.fault_history`` on failure).
         self.fault_events: list[dict] = []
@@ -122,6 +167,12 @@ class QueryExecution:
         self.prediction_template: str | None = None
         #: Relative |observed - predicted| runtime error, set on finish.
         self.prediction_error: float | None = None
+        #: Predicted bytes reserved on nodes by this query's placed tasks,
+        #: as (node, bytes); released when the query retires.
+        self.reservations: list[tuple] = []
+        #: Runtime DOP tuning controls (``repro.autotune.ElasticQuery``),
+        #: created on first use by ``engine._elastic_for``.
+        self.elastic = None
         #: Root of this query's trace span tree (-1 when tracing is off).
         self.trace_span = kernel.tracer.begin(
             "query", f"Q{query_id}", node="coordinator", query_id=query_id, sql=sql
@@ -141,23 +192,6 @@ class QueryExecution:
 
     # -- lifecycle ----------------------------------------------------------
     @property
-    def finished(self) -> bool:
-        """Terminal (finished *or* failed) — periodic samplers key off this."""
-        return self.finished_at is not None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.state is QueryState.FINISHED
-
-    @property
-    def failed(self) -> bool:
-        return self.state is QueryState.FAILED
-
-    @property
-    def cancelled(self) -> bool:
-        return self.state is QueryState.CANCELLED
-
-    @property
     def elapsed(self) -> float:
         end = self.finished_at if self.finished_at is not None else self.kernel.now
         return end - self.submitted_at
@@ -168,28 +202,13 @@ class QueryExecution:
             return 0.0
         return self.started_at - self.submitted_at
 
-    def on_done(self, fn) -> None:
-        if self.finished:
-            fn(self)
-        else:
-            self._done_callbacks.append(fn)
-
     def task_finished(self, stage: StageExecution, task) -> None:
-        if self.state is not QueryState.RUNNING:
+        if self.state != "running":
             return
         if stage.finished:
             self.kernel.tracer.end(stage.trace_span)
-        if stage.id == 0 and stage.finished and not self.finished:
-            self.state = QueryState.FINISHED
-            self.finished_at = self.kernel.now
-            tracer = self.kernel.tracer
-            if tracer.enabled:
-                for other in self.stages.values():
-                    tracer.end(other.trace_span)
-                tracer.end(self.trace_span, rows=self.result_rows)
-            callbacks, self._done_callbacks = self._done_callbacks, []
-            for fn in callbacks:
-                fn(self)
+        if stage.id == 0 and stage.finished:
+            self._terminate("finished", None, rows=self.result_rows)
 
     def task_errored(self, stage: StageExecution, task, exc: Exception) -> None:
         """An operator raised inside a driver quantum: fail the query,
@@ -220,7 +239,7 @@ class QueryExecution:
         """Terminal failure: record a structured error, fire completion
         callbacks, and quiesce every running task so the event loop drains
         (a failed query must never hang the simulation)."""
-        if self.state is not QueryState.RUNNING:
+        if self.state != "running":
             return
         if isinstance(exc, QueryFailedError):
             error = exc
@@ -235,22 +254,7 @@ class QueryExecution:
                 fault_history=self.fault_events,
                 cause=exc,
             )
-        self.state = QueryState.FAILED
-        self.error = error
-        self.failed_at = self.kernel.now
-        self.finished_at = self.kernel.now
-        for stage in self.stages.values():
-            for task in stage.tasks:
-                if not task.finished:
-                    task.crash(reason="query failed")
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            for stage in self.stages.values():
-                tracer.end(stage.trace_span)
-            tracer.end(self.trace_span, failed=True, error=str(error))
-        callbacks, self._done_callbacks = self._done_callbacks, []
-        for fn in callbacks:
-            fn(self)
+        self._terminate("failed", error, failed=True, error=str(error))
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Terminal cancellation with *clean* task teardown.
@@ -262,34 +266,36 @@ class QueryExecution:
         scheduled but have no drivers yet are torn down directly —
         there is nothing to flush.
         """
-        if self.state is not QueryState.RUNNING:
+        if self.state != "running":
             return
         self.record_fault("cancelled", reason)
-        self.state = QueryState.CANCELLED
         error = QueryCancelledError(
             f"query {self.id} cancelled: {reason}", query_id=self.id, reason=reason
         )
         error.fault_history = list(self.fault_events)
-        self.error = error
-        self.finished_at = self.kernel.now
+        self._terminate("cancelled", error, cancelled=True, reason=reason)
+
+    def _terminate(self, state: str, exc, /, **trace_meta) -> None:
+        """The one terminal transition: record the state, quiesce the
+        tasks still running, close the trace spans, fire callbacks."""
+        self._enter(state, exc)
         for stage in self.stages.values():
             for task in stage.tasks:
-                if task.finished or task.crashed:
-                    continue
-                drivers = [d for p in task.pipelines for d in p.drivers]
-                if drivers:
+                if state == "failed":
+                    if not task.finished:
+                        task.crash(reason="query failed")
+                elif state == "cancelled" and not (task.finished or task.crashed):
+                    drivers = [d for p in task.pipelines for d in p.drivers]
                     for driver in drivers:
                         driver.request_end()
-                else:
-                    task.crash(reason="cancelled before start")
+                    if not drivers:
+                        task.crash(reason="cancelled before start")
         tracer = self.kernel.tracer
         if tracer.enabled:
             for stage in self.stages.values():
                 tracer.end(stage.trace_span)
-            tracer.end(self.trace_span, cancelled=True, reason=reason)
-        callbacks, self._done_callbacks = self._done_callbacks, []
-        for fn in callbacks:
-            fn(self)
+            tracer.end(self.trace_span, **trace_meta)
+        self._fire_done()
 
     # -- introspection -----------------------------------------------------
     def progress(self) -> dict[int, float]:
@@ -325,7 +331,7 @@ class QueryExecution:
             raise ExecutionError(f"query {self.id} has no stage {stage_id}") from None
 
     def describe(self) -> str:
-        lines = [f"query {self.id}: {self.state.value}"]
+        lines = [f"query {self.id}: {self.state}"]
         for stage_id in sorted(self.stages):
             lines.append("  " + self.stages[stage_id].describe())
         return "\n".join(lines)
@@ -349,7 +355,11 @@ class Coordinator:
         self.rpc = RpcTracker(kernel, config.cost, faults=config.faults)
         self.rpc.on_action_failed = self._action_failed
         self.scheduler = Scheduler(kernel, cluster, config, self.rpc, split_layout)
+        #: Every physical execution ever started, in submission order.
         self.queries: dict[int, QueryExecution] = {}
+        #: The unfinished subset of ``queries`` (insertion = id order);
+        #: usage accounting iterates this, not the full history.
+        self.running: dict[int, QueryExecution] = {}
         self._ids = itertools.count(1)
         # Plan-cache traffic from *this* coordinator.  The cache itself is
         # process-wide, but the counters live in the per-engine registry so
@@ -368,10 +378,6 @@ class Coordinator:
 
         self.recovery = RecoveryManager(self)
         self.scheduler.recovery = self.recovery
-        #: Hook called with each new QueryExecution *before* scheduling
-        #: (``repro.predict`` attaches demand predictions here so initial
-        #: placement can see them); None when prediction is off.
-        self.on_created = None
 
     @property
     def plan_cache_hits(self) -> int:
@@ -386,14 +392,25 @@ class Coordinator:
         targets = (
             [self.queries[query_id]]
             if query_id is not None and query_id in self.queries
-            else [q for q in self.queries.values() if not q.finished]
+            else list(self.running.values())
         )
         for query in targets:
             query.record_fault("rpc_gave_up", message)
             query.fail(QueryFailedError(message, query_id=query.id))
 
     # ------------------------------------------------------------------
-    def plan_sql(self, sql: str, options: QueryOptions) -> PhysicalPlan:
+    def prepare(self, sql: str) -> PreparedQuery:
+        """The front end for ``sql`` (memoized unless ``plan_cache`` is off)."""
+        return prepare(self.catalog, sql, memo=self.config.plan_cache)
+
+    def plan_sql(
+        self,
+        sql: str,
+        options: QueryOptions,
+        prepared: PreparedQuery | None = None,
+    ) -> PhysicalPlan:
+        """Physical plan for ``sql``; ``prepared`` is its front-end output
+        when the caller already holds it."""
         planner_options = options.planner_options(self.config)
         # The schedulable topology is part of the key: a plan cached at N
         # nodes is not reused once membership changes the cluster to M
@@ -410,9 +427,9 @@ class Coordinator:
                 self._plan_cache_hits.add()
                 return plan
             self._plan_cache_misses.add()
-        stmt = parse(sql)
-        logical = prune_columns(LogicalPlanner(self.catalog).plan(stmt))
-        plan = PhysicalPlanner(self.catalog, planner_options).plan(logical)
+        if prepared is None:
+            prepared = self.prepare(sql)
+        plan = PhysicalPlanner(self.catalog, planner_options).plan(prepared.logical)
         if self.config.plan_cache:
             PLAN_CACHE.put(self.catalog, key, plan)
         return plan
@@ -420,25 +437,33 @@ class Coordinator:
     def next_query_id(self) -> int:
         """Allocate a query id from the engine-wide sequence.
 
-        Shared-execution consumers (``repro.sharing``) draw their ids
-        here so every user-visible query — physical or folded — has a
-        unique id, while only physical executions live in ``queries``
-        (arbiter usage accounting and fault targeting iterate that)."""
+        Submissions served by a shared execution (``repro.sharing``) draw
+        their ids here so every user-visible query — physical or folded —
+        has a unique id, while only physical executions live in
+        ``queries`` (usage accounting and fault targeting iterate those)."""
         return next(self._ids)
 
-    def submit(self, sql: str, options: QueryOptions | None = None) -> QueryExecution:
-        options = options or QueryOptions()
-        plan = self.plan_sql(sql, options)
+    def create(
+        self, sql: str, plan: PhysicalPlan, options: QueryOptions
+    ) -> QueryExecution:
+        """A new physical execution of ``plan``, not yet scheduled — the
+        caller may still attach what placement reads (its prediction)."""
         query = QueryExecution(
             next(self._ids), self.kernel, sql, plan, self.config, options,
             metrics=self.metrics,
         )
+        self.queries[query.id] = self.running[query.id] = query
+        query.on_done(self._retire)
+        return query
+
+    def _retire(self, query: QueryExecution) -> None:
+        del self.running[query.id]
         # Spill files live only as long as the query: success, failure,
         # and cancellation all clean up the per-query spill directory.
-        query.on_done(lambda q: q.memory.cleanup())
-        self.queries[query.id] = query
-        if self.on_created is not None:
-            self.on_created(query)
+        query.memory.cleanup()
+        self.scheduler.release(query)
+
+    def schedule(self, query: QueryExecution) -> None:
+        """Place and start ``query``'s initial tasks."""
         self.scheduler.schedule(query)
         query.tracker = ThroughputTracker(self.kernel, query)
-        return query

@@ -38,6 +38,9 @@ class Node:
             kernel, spec.nic_bytes_per_second, name=f"{role}{node_id}.nic"
         )
         self.task_count = 0
+        #: Predicted bytes reserved by tasks the scheduler placed here by
+        #: demand (``Scheduler._place_predicted``).
+        self.reserved_bytes = 0
         #: active | draining | dead | left
         self.state = "active"
         #: Spot (preemptible) capacity — cheaper in the cost model.

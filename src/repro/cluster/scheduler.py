@@ -43,9 +43,8 @@ class Scheduler:
         self.config = config
         self.rpc = rpc
         self.split_layout = split_layout
-        #: Demand predictor (repro.predict), set by the engine when
-        #: prediction is enabled; None keeps least-loaded placement.
-        self.predictor = None
+        #: Tasks placed by predicted demand rather than least-loaded.
+        self.drr_placements = 0
 
     # ------------------------------------------------------------------
     def schedule(self, query: "QueryExecution") -> None:
@@ -144,14 +143,47 @@ class Scheduler:
             if candidates:
                 index = len(stage.tasks) % len(candidates)
                 return self.cluster.storage_map[candidates[index]]
-        if self.predictor is not None:
-            # Dominant-remaining-resource packing under predicted demand
-            # (DESIGN.md §16); returns None for stages without a
-            # prediction, which keep today's least-loaded placement.
-            node = self.predictor.place(stage)
-            if node is not None:
-                return node
-        return self.cluster.least_loaded_compute()
+        return self._place_predicted(stage) or self.cluster.least_loaded_compute()
+
+    def _place_predicted(self, stage: StageExecution):
+        """Dominant-remaining-resource packing under the query's predicted
+        demand (DESIGN.md §16): the node minimizing max(core fraction,
+        memory fraction) after placement.  Reserves the predicted
+        per-task memory on the chosen node until the query retires;
+        returns None (least-loaded placement) for stages without a
+        prediction."""
+        prediction = stage.query.prediction
+        if prediction is None or not self.config.prediction.placement:
+            return None
+        demand = prediction.demand(stage.id)
+        if demand is None:
+            return None
+        per_task_bytes = demand.peak_memory_bytes // max(1, demand.tasks)
+        best = None
+        best_score = None
+        for node in sorted(self.cluster.schedulable_compute, key=lambda n: n.id):
+            cpu_frac = (node.task_count + 1) / max(1, node.spec.cores)
+            mem_frac = (
+                (node.reserved_bytes + per_task_bytes)
+                / max(1, node.spec.memory_bytes)
+            )
+            if mem_frac > 1.0:
+                continue
+            score = max(cpu_frac, mem_frac)
+            if best_score is None or score < best_score:
+                best, best_score = node, score
+        if best is None:
+            return None
+        self.drr_placements += 1
+        best.reserved_bytes += per_task_bytes
+        stage.query.reservations.append((best, per_task_bytes))
+        return best
+
+    def release(self, query: "QueryExecution") -> None:
+        """Return a retired query's placement reservations."""
+        for node, nbytes in query.reservations:
+            node.reserved_bytes -= nbytes
+        query.reservations = []
 
     # ------------------------------------------------------------------
     def wire_initial(self, query: "QueryExecution") -> int:

@@ -95,8 +95,6 @@ class CostModel(_Fingerprinted):
     quantum_overhead: float = 1.0e-5
     #: One RESTful request between coordinator and workers (paper: 1-10 ms).
     rpc_request_cost: float = 4.8e-3
-    #: Network seconds per byte over a node's NIC (10 Gbps default).
-    nic_seconds_per_byte: float = 8.0e-10
     #: Fixed network latency per page transfer.
     network_latency: float = 2.0e-4
     #: Multiplier applied to all CPU costs (baselines override this).
@@ -226,8 +224,6 @@ class ClusterConfig(_Fingerprinted):
     compute_nodes: int = 10
     storage_nodes: int = 10
     node: NodeSpec = field(default_factory=NodeSpec)
-    #: Whether table-scan tasks must be colocated with their splits.
-    colocate_scans: bool = True
     #: Run storage and compute on the same nodes (standalone deployments).
     combined: bool = False
     #: Optional per-table split counts, e.g. ``{"orders": 20}``.
@@ -416,11 +412,6 @@ class ParallelConfig(_Fingerprinted):
     #: Wall-clock seconds before an unresponsive job's worker is killed
     #: (the hang backstop; generous because it is per job, not per page).
     job_timeout_s: float = 120.0
-    #: Per-kind offload switches (all on; useful for bisecting).
-    offload_join: bool = True
-    offload_agg: bool = True
-    offload_exprs: bool = True
-    offload_radix: bool = True
 
 
 @dataclass(frozen=True)

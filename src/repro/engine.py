@@ -27,7 +27,7 @@ from .cluster import Cluster, Coordinator, QueryExecution, QueryOptions
 from .config import EngineConfig, presto_config, prestissimo_config
 from .data import Catalog, SplitLayout
 from .errors import ExecutionError
-from .handle import QueryHandle, QueryResult
+from .handle import QueryHandle, QueryResult, Submission
 from .obs import MetricsRegistry, NULL_TRACER, Tracer
 from .sim import SimKernel
 
@@ -35,13 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .workload import Session, WorkloadManager
 
 __all__ = ["AccordionEngine", "QueryHandle", "QueryResult"]
-
-
-def _unwrap(query: "QueryHandle | QueryExecution") -> QueryExecution:
-    """Engine methods accept either a handle or a raw execution."""
-    if isinstance(query, QueryHandle):
-        return query.execution
-    return query
 
 
 class AccordionEngine:
@@ -87,7 +80,6 @@ class AccordionEngine:
 
         #: Runtime node join/leave/preemption (DESIGN.md §12).
         self.membership = ClusterMembership(self.kernel, self.coordinator)
-        self._elastic: dict[int, ElasticQuery] = {}
         self._workload: "WorkloadManager | None" = None
         #: Fold detector + result cache (DESIGN.md §14); None when off.
         self.sharing = None
@@ -102,11 +94,6 @@ class AccordionEngine:
             from .predict import DemandPredictor
 
             self.predict_service = DemandPredictor(self)
-            # Predictions must exist before initial placement runs, so
-            # the predictor hooks query creation inside the coordinator
-            # and the scheduler consults it for every task placement.
-            self.coordinator.on_created = self.predict_service.on_query_created
-            self.coordinator.scheduler.predictor = self.predict_service
             self.metrics.gauge("predict", self.predict_service.stats)
         rpc = self.coordinator.rpc
         self.metrics.gauge(
@@ -156,18 +143,7 @@ class AccordionEngine:
     def prestissimo_baseline(cls, catalog: Catalog) -> "AccordionEngine":
         return cls(catalog, config=prestissimo_config())
 
-    # -- query execution ----------------------------------------------------
-    def _dispatch(self, sql: str, options: QueryOptions | None = None):
-        """Route a submission through the sharing layer when enabled.
-
-        Returns an execution-like object: a raw ``QueryExecution``, or a
-        :class:`~repro.sharing.fold.SharedConsumer` facade when the query
-        was folded onto a shared execution or served from the result
-        cache.  Both bind to :class:`QueryHandle` unchanged."""
-        if self.sharing is not None:
-            return self.sharing.submit(sql, options)
-        return self.coordinator.submit(sql, options)
-
+    # -- query lifecycle ------------------------------------------------------
     def submit(self, sql: str, options: QueryOptions | None = None) -> QueryHandle:
         """Submit a query; advance the simulation to make it progress.
 
@@ -177,7 +153,78 @@ class AccordionEngine:
         the submission may fold onto a concurrent compatible query or be
         answered from the result cache — ``handle.sharing`` says which.
         """
-        return QueryHandle(self, self._dispatch(sql, options))
+        return self._submit(Submission(self.kernel, sql, options))
+
+    def _submit(self, sub: Submission) -> QueryHandle:
+        """The query lifecycle, first half: prepare -> predict -> admit.
+
+        This function and :meth:`_launch` are the only place that orders
+        the lifecycle steps (DESIGN.md "Query lifecycle"); every optional
+        subsystem acts on ``sub`` at its step and nowhere else.
+        """
+        handle = QueryHandle(self, sub)
+        # prepare: the front end runs once; later steps read sub.prepared.
+        sub.prepared = self.coordinator.prepare(sub.sql)
+        predictor = self.predict_service
+        if predictor is not None:
+            sub.template = predictor.template_of(sub.prepared, sub.options)
+        if sub.tenant is None:
+            # No session: admitted at once, outside every limit.
+            self._launch(sub)
+            return handle
+        admission = self.workload.admission
+        # predict: pre-grant stage DOPs and memory from the template's
+        # history, or reject on P(deadline miss) before queueing.
+        if predictor is not None:
+            miss = predictor.pregrant(sub)
+            if miss is not None:
+                admission.reject_predicted_miss(sub, miss)
+                return handle
+        # admit: queue until the query fits the limits or the sharing
+        # layer would serve it without new resources; then _launch.
+        sub.plan = self.coordinator.plan_sql(sub.sql, sub.options, sub.prepared)
+        admission.enqueue(sub)
+        return handle
+
+    def _launch(self, sub: Submission) -> None:
+        """The query lifecycle, second half: route -> start -> record."""
+        sub.state = "running"
+        sub.admitted_at = self.kernel.now
+        # route: cached / folded / carrier are served by the sharing layer
+        # (a carrier's group calls _start and _record at dispatch).
+        if self.sharing is not None and self.sharing.serve(sub):
+            return
+        sub.execution = self._start(sub)
+        sub.query_id = sub.execution.id
+        sub.execution.on_done(sub.mirror)
+        self._record(sub)
+
+    def _start(self, sub: Submission) -> QueryExecution:
+        """start: create the physical execution of ``sub``'s plan, attach
+        its prediction (placement reads it), then schedule it."""
+        if sub.plan is None:
+            sub.plan = self.coordinator.plan_sql(sub.sql, sub.options, sub.prepared)
+        execution = self.coordinator.create(sub.sql, sub.plan, sub.options)
+        if self.predict_service is not None:
+            self.predict_service.attach(execution, sub.template)
+        self.coordinator.schedule(execution)
+        return execution
+
+    def _record(self, sub: Submission) -> None:
+        """record: ``sub.execution`` now serves a session query — account
+        it with the arbiter.  Deadline-constrained queries also need a
+        collector/what-if service from the start, so the arbiter's
+        rebalance pass can estimate T_remain."""
+        if sub.tenant is None:
+            return
+        workload = self.workload
+        workload.arbiter.adopt(sub)
+        if (
+            sub.deadline_at is not None
+            and self.config.elasticity_enabled
+            and workload.config.arbitration == "deadline"
+        ):
+            self._elastic_for(sub.execution)
 
     def submit_many(
         self, sqls: list[str], options: QueryOptions | None = None
@@ -250,36 +297,19 @@ class AccordionEngine:
             raise ExecutionError(
                 f"engine mode {self.config.engine_name!r} does not support IQRE"
             )
-        if self.sharing is not None:
-            from .sharing import SharedConsumer
-
-            if isinstance(execution, SharedConsumer):
-                # Tuning a folded/carrier consumer tunes the shared
-                # physical execution; there is nothing to tune for a
-                # cached answer or a carrier still in its fold window.
-                if execution.carrier is None:
-                    raise ExecutionError(
-                        f"query {execution.id} has no live execution to "
-                        f"tune ({execution.role}: "
-                        + ("served from the result cache"
-                           if execution.role == "cached"
-                           else "carrier not yet dispatched")
-                        + ")"
-                    )
-                execution = execution.carrier
-        if execution.id not in self._elastic:
+        if execution.elastic is None:
             # Once a workload manager exists, every tuner bids through the
             # cluster-wide arbiter — including queries submitted outside a
             # session (they count as the anonymous tenant).
             arbiter = self._workload.arbiter if self._workload is not None else None
-            self._elastic[execution.id] = ElasticQuery(
+            execution.elastic = ElasticQuery(
                 execution,
                 self.cluster,
                 self.coordinator.scheduler,
                 collector_period=self.config.collector_period,
                 arbiter=arbiter,
             )
-        return self._elastic[execution.id]
+        return execution.elastic
 
     # -- fault injection ----------------------------------------------------
     def inject_faults(self, plan) -> "object":
@@ -326,29 +356,18 @@ class AccordionEngine:
         no progress raises within ``max_virtual_seconds`` / ``max_events``
         instead of hanging.
         """
-        if isinstance(query, QueryHandle):
-            handle = query
-        else:
-            handle = QueryHandle(self, query)
         deadline = self.kernel.now + max_virtual_seconds
         self.kernel.run(
             until=deadline,
-            stop_when=lambda: handle.finished,
+            stop_when=lambda: query.finished,
             max_events=max_events,
         )
-        if handle.failed:
-            raise handle.error
-        if not handle.finished:
-            label = (
-                f"query {handle.id}" if handle.id is not None
-                else f"queued submission ({handle.state})"
-            )
-            detail = (
-                handle.execution.describe() if handle.execution is not None else ""
-            )
+        if query.failed:
+            raise query.error
+        if not query.finished:
             raise ExecutionError(
-                f"{label} did not finish within {max_virtual_seconds} "
-                f"virtual seconds\n{detail}"
+                f"{query!r} did not finish within {max_virtual_seconds} "
+                f"virtual seconds\n{query.describe()}"
             )
 
     def run_for(self, virtual_seconds: float) -> None:

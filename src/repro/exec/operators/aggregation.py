@@ -382,7 +382,7 @@ def _agg_offload_ok(offload, memory: OperatorMemory | None, key_cols) -> bool:
     decisions compare per-page state sizes, which deferral would skew).
     Checked per page because the arbiter can set a budget mid-query.
     """
-    if offload is None or not offload.config.offload_agg:
+    if offload is None:
         return False
     if any(col.dtype == object for col in key_cols):
         return False
@@ -431,7 +431,7 @@ class PartialAggOperator(TransformOperator):
         key_cols = [page.columns[k] for k in self.group_keys]
         if self.offload is not None and _agg_offload_ok(
             self.offload, self.memory, key_cols
-        ) and self.offload.want(True, page.num_rows):
+        ) and self.offload.want(page.num_rows):
             arg_values = self._eval_args(page)
             values = [
                 v for a, v in zip(self.state.aggregates, arg_values)
@@ -541,7 +541,7 @@ class FinalAggOperator(TransformOperator):
         key_cols = list(page.columns[: self.num_keys])
         if self.offload is not None and _agg_offload_ok(
             self.offload, self.memory, key_cols
-        ) and self.offload.want(True, page.num_rows):
+        ) and self.offload.want(page.num_rows):
             # Partial-format pages merge field-by-field; the per-field
             # reduce kind comes straight from the state's merge spec.
             ops = [

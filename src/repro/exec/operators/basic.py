@@ -68,9 +68,7 @@ class FilterOperator(TransformOperator):
             self.finished = True
             return [page], 0.0
         self.rows_in += page.num_rows
-        if self.offload is not None and self.offload.want(
-            self.offload.config.offload_exprs, page.num_rows
-        ):
+        if self.offload is not None and self.offload.want(page.num_rows):
             mask = self._offload_mask(page)
         else:
             mask = self._evaluate(page).astype(bool, copy=False)
@@ -123,9 +121,7 @@ class ProjectOperator(TransformOperator):
         if page.is_end:
             self.finished = True
             return [page], 0.0
-        if self.offload is not None and self.offload.want(
-            self.offload.config.offload_exprs, page.num_rows
-        ):
+        if self.offload is not None and self.offload.want(page.num_rows):
             columns = self._offload_columns(page)
         else:
             columns = self._evaluate(page)

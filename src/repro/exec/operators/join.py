@@ -394,7 +394,6 @@ class JoinBridge:
                 self.memory.update(self._tracked)
             if (
                 self.offload is not None
-                and self.offload.config.offload_join
                 and self.build_keys
                 and self._build_page.num_rows
             ):
@@ -519,7 +518,7 @@ class HashJoinProbeOperator(TransformOperator):
 
         bridge = self.bridge
         if bridge.offload_index_id is not None and bridge.offload.want(
-            True, page.num_rows
+            page.num_rows
         ):
             pages, extra = self._probe_offload(page)
         else:

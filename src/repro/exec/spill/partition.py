@@ -59,9 +59,7 @@ class SpillPartitions:
         if page.num_rows == 0:
             return 0
         key_cols = [page.columns[k] for k in self.key_positions]
-        if self.offload is not None and self.offload.want(
-            self.offload.config.offload_radix, page.num_rows
-        ):
+        if self.offload is not None and self.offload.want(page.num_rows):
             # hash_columns is deterministic across processes, so chunked
             # worker assignments concatenate to the host's exact result.
             parts = self.offload.radix_page(

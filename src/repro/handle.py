@@ -1,11 +1,14 @@
-"""QueryHandle: the single user-facing object for a submitted query.
+"""Submission and QueryHandle: one user-visible query, and its public face.
 
-``engine.submit(sql)`` returns a :class:`QueryHandle`.  Everything a user
-does with a running or finished query hangs off it — materialising the
-result, runtime DOP tuning (``.tuning``, absorbing the old standalone
-``ElasticQuery`` entry point), structured traces and profiles from the
-obs layer (``.trace()`` / ``.profile()``), progress introspection, and
-fault reporting.  The raw :class:`~repro.cluster.coordinator.QueryExecution`
+Every ``engine.submit(sql)`` / ``Session.submit(sql)`` creates one
+:class:`Submission` — the single per-query object the lifecycle steps in
+``engine.py`` act on (DESIGN.md "Query lifecycle") — and returns the
+:class:`QueryHandle` bound to it.  Everything a user does with a queued,
+running or finished query hangs off the handle: materialising the
+result, runtime DOP tuning (``.tuning``), structured traces and profiles
+from the obs layer (``.trace()`` / ``.profile()``), progress
+introspection, and fault reporting.  The physical
+:class:`~repro.cluster.coordinator.QueryExecution` serving the query
 stays reachable via ``.execution`` (and attribute delegation) for code
 that pokes at engine internals.
 """
@@ -15,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cluster import QueryExecution
-from .errors import ExecutionError, QueryCancelledError
+from .cluster import QueryExecution, QueryOptions
+from .cluster.coordinator import QueryLifecycle
+from .errors import ExecutionError, QueryCancelledError, QueryFailedError
 from .pages import Page
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import AccordionEngine
     from .obs import ProfileReport, QueryTrace
     from .sharing import SharingInfo
+    from .sim import SimKernel
+    from .workload import Session
 
 
 @dataclass
@@ -34,60 +40,160 @@ class QueryResult:
     columns: list[str]
     elapsed_seconds: float
     initialization_seconds: float
-    query: QueryExecution
+    #: The physical execution that served the query (``None`` for a
+    #: result-cache hit).
+    query: QueryExecution | None
 
     @property
     def num_rows(self) -> int:
         return len(self.rows)
 
 
-class QueryHandle:
-    """Live handle to one submitted query (see module docstring).
+class Submission(QueryLifecycle):
+    """One user-visible query, from submit to its terminal state.
 
-    A handle is *pending* while the workload layer's admission controller
-    holds the submission in its queue: ``execution`` is ``None`` and
-    ``state`` is ``"queued"``.  Admission binds the handle to a live
-    :class:`QueryExecution`; a queue timeout / policy rejection moves it
-    to the terminal ``"rejected"`` state instead.  Handles returned by
-    ``engine.submit()`` are always bound immediately.
+    ``state`` starts ``queued``; admission moves it to ``running`` (or
+    ``rejected`` / ``cancelled`` straight from the queue), and the route
+    that serves it moves it to ``finished`` / ``failed`` / ``cancelled``.
+    ``route`` says how it is served once running: ``unshared`` (its own
+    physical execution), ``carrier`` (its execution also serves others),
+    ``folded`` (rides a carrier's execution) or ``cached`` (answered from
+    the result cache).  Session submissions double as the workload
+    layer's per-query records (``engine.workload.records``).
     """
 
     def __init__(
-        self, engine: "AccordionEngine", execution: QueryExecution | None = None,
-        sql: str | None = None,
+        self,
+        kernel: "SimKernel",
+        sql: str,
+        options: QueryOptions | None = None,
+        session: "Session | None" = None,
+        deadline: float | None = None,
+        memory_bytes: int | None = None,
     ):
-        self._execution = execution
+        super().__init__(kernel, "queued")
+        self.sql = sql
+        self.options = options or QueryOptions()
+        #: ``None`` for submissions made outside any session.
+        self.tenant = session.tenant if session is not None else None
+        self.priority = session.priority if session is not None else 0.0
+        #: Virtual seconds from submission, and the absolute instant.
+        self.deadline = deadline
+        self.deadline_at = kernel.now + deadline if deadline is not None else None
+        #: Memory grant: declared, pre-granted from a prediction, or the
+        #: workload default.
+        self.memory_bytes = memory_bytes
+        self.admitted_at: float | None = None
+        #: Allocated when the query is routed; ``None`` while queued.
+        self.query_id: int | None = None
+        self.route = "unshared"
+        #: Front-end output (``plan.cache.PreparedQuery``), the physical
+        #: plan, and the demand-history template, each computed once.
+        self.prepared = None
+        self.plan = None
+        self.template: str | None = None
+        #: The predict step's ``repro.Prediction`` (``None`` without
+        #: history); the execution carries the one refreshed at start.
+        self.prediction = None
+        #: The physical execution serving this query; ``None`` while
+        #: queued, when rejected or cached, and for a carrier still
+        #: inside its fold window.
+        self.execution: QueryExecution | None = None
+        #: Sharing-specific state (``sharing.SharedConsumer``) for the
+        #: carrier / folded / cached routes.
+        self.shared = None
+        #: The answer, for routes that do not own ``execution``'s output.
+        self.page: Page | None = None
+        self.rows: int | None = None
+        #: Admission queue bookkeeping.
+        self.seq = 0
+        self.cores = 0
+        self.timeout_event = None
+
+    # -- derived timing ----------------------------------------------------
+    @property
+    def elapsed(self) -> float:
+        """Virtual seconds since admission (0.0 if never admitted)."""
+        if self.admitted_at is None:
+            return 0.0
+        end = self.finished_at if self.finished_at is not None else self.kernel.now
+        return end - self.admitted_at
+
+    @property
+    def initialization_seconds(self) -> float:
+        execution = self.execution
+        if execution is None or execution.started_at is None:
+            return 0.0
+        return max(0.0, execution.started_at - self.admitted_at)
+
+    @property
+    def queue_seconds(self) -> float | None:
+        if self.admitted_at is None:
+            return None
+        return self.admitted_at - self.submitted_at
+
+    @property
+    def latency(self) -> float | None:
+        """Submission-to-completion, including queueing (None until done)."""
+        if self.finished_at is None:
+            return None
+        return self.finished_at - self.submitted_at
+
+    @property
+    def deadline_met(self) -> bool | None:
+        if self.deadline_at is None:
+            return None
+        return self.succeeded and self.finished_at <= self.deadline_at
+
+    @property
+    def billed(self) -> bool:
+        """Whether this query occupies resources of its own: folded and
+        cached submissions ride along and count against no admission cap
+        (the carrier already pays for the cores and memory)."""
+        return self.route in ("unshared", "carrier")
+
+    # -- terminal transitions ----------------------------------------------
+    def complete(self, page: Page) -> None:
+        """Finished with an answer derived outside ``execution``'s output."""
+        if not self.finished:
+            self.page = page
+            self.rows = page.num_rows
+            self._finish("finished")
+
+    def fail(self, exc: Exception) -> None:
+        if not isinstance(exc, QueryFailedError):
+            exc = QueryFailedError(str(exc), query_id=self.query_id, cause=exc)
+        self._finish("failed", exc)
+
+    def cancelled_by(self, reason: str) -> None:
+        self._finish(
+            "cancelled",
+            QueryCancelledError(
+                f"query {self.query_id} cancelled: {reason}",
+                query_id=self.query_id,
+                reason=reason,
+            ),
+        )
+
+    def mirror(self, execution: QueryExecution) -> None:
+        """The unshared route: this query *is* its execution."""
+        if execution.succeeded:
+            self.rows = execution.result_rows
+        self._finish(execution.state, execution.error)
+
+
+class QueryHandle:
+    """Live handle to one submitted query (see module docstring).
+
+    ``state`` is ``"queued"`` while the workload layer's admission
+    controller holds the submission; admission moves it to ``"running"``,
+    a queue timeout / policy rejection to the terminal ``"rejected"``.
+    Handles returned by ``engine.submit()`` are admitted immediately.
+    """
+
+    def __init__(self, engine: "AccordionEngine", submission: Submission):
         self._engine = engine
-        self._sql = sql if sql is not None else (
-            execution.sql if execution is not None else None
-        )
-        #: "queued" | "rejected" | "cancelled" while unbound, else None.
-        self._queue_state: str | None = None if execution is not None else "queued"
-        self._queue_error = None
-        self._pending_callbacks: list = []
-        #: Hook installed by the admission controller to dequeue on cancel.
-        self._on_cancel_queued = None
-
-    # -- workload-layer transitions (internal) -----------------------------
-    def _bind(self, execution: QueryExecution) -> None:
-        """Admission: attach the live execution and replay callbacks."""
-        self._execution = execution
-        self._queue_state = None
-        self._on_cancel_queued = None
-        callbacks, self._pending_callbacks = self._pending_callbacks, []
-        for fn in callbacks:
-            execution.on_done(lambda _exec, fn=fn: fn(self))
-
-    def _reject(self, error) -> None:
-        """Rejection / queued-cancellation: terminal without an execution."""
-        self._queue_state = (
-            "cancelled" if isinstance(error, QueryCancelledError) else "rejected"
-        )
-        self._queue_error = error
-        self._on_cancel_queued = None
-        callbacks, self._pending_callbacks = self._pending_callbacks, []
-        for fn in callbacks:
-            fn(self)
+        self._submission = submission
 
     # -- identity / state --------------------------------------------------
     @property
@@ -96,64 +202,54 @@ class QueryHandle:
 
     @property
     def execution(self) -> QueryExecution | None:
-        """The underlying runtime state (``None`` while queued/rejected)."""
-        return self._execution
+        """The physical execution serving this query (``None`` while
+        queued, when rejected or cached, or inside a fold window)."""
+        return self._submission.execution
 
     @property
     def id(self) -> int | None:
-        return self._execution.id if self._execution is not None else None
+        return self._submission.query_id
 
     @property
-    def sql(self) -> str | None:
-        return self._sql
+    def sql(self) -> str:
+        return self._submission.sql
 
     @property
     def state(self) -> str:
         """One of ``queued``, ``rejected``, ``running``, ``finished``,
         ``failed``, ``cancelled``."""
-        if self._execution is None:
-            return self._queue_state
-        return self._execution.state.value
+        return self._submission.state
 
     @property
     def finished(self) -> bool:
         """Terminal: finished, failed, cancelled, or rejected."""
-        if self._execution is None:
-            return self._queue_state in ("rejected", "cancelled")
-        return self._execution.finished
+        return self._submission.finished
 
     @property
     def succeeded(self) -> bool:
-        return self._execution is not None and self._execution.succeeded
+        return self._submission.succeeded
 
     @property
     def failed(self) -> bool:
-        if self._execution is None:
-            return self._queue_state in ("rejected", "cancelled")
-        return self._execution.failed
+        """Failed or rejected (cancellation is reported separately)."""
+        return self._submission.failed
 
     @property
     def cancelled(self) -> bool:
-        if self._execution is None:
-            return self._queue_state == "cancelled"
-        return self._execution.cancelled
+        return self._submission.cancelled
 
     @property
     def error(self):
         """The structured error for a rejected/failed/cancelled query."""
-        if self._execution is None:
-            return self._queue_error
-        return self._execution.error
+        return self._submission.error
 
     @property
     def elapsed(self) -> float:
-        return self._execution.elapsed if self._execution is not None else 0.0
+        return self._submission.elapsed
 
     @property
     def initialization_seconds(self) -> float:
-        if self._execution is None:
-            return 0.0
-        return self._execution.initialization_seconds
+        return self._submission.initialization_seconds
 
     # -- lifecycle ---------------------------------------------------------
     def cancel(self, reason: str = "cancelled by user") -> None:
@@ -161,15 +257,21 @@ class QueryHandle:
 
         Running queries receive end signals (Section 4.3/4.4) so stateful
         operators flush and pipelines drain; queued submissions are
-        removed from the admission queue.  Subsequent ``result()`` /
-        ``wait()`` raise / report the structured
-        :class:`~repro.errors.QueryCancelledError`.  Cancelling a
-        terminal query is a no-op.
+        removed from the admission queue; a query riding a shared
+        execution detaches from it, and only the last detach cancels the
+        execution.  Subsequent ``result()`` / ``wait()`` raise / report
+        the structured :class:`~repro.errors.QueryCancelledError`.
+        Cancelling a terminal query is a no-op.
         """
-        if self._execution is not None:
-            self._execution.cancel(reason)
-        elif self._queue_state == "queued" and self._on_cancel_queued is not None:
-            self._on_cancel_queued(self, reason)
+        sub = self._submission
+        if sub.finished:
+            return
+        if sub.state == "queued":
+            self._engine.workload.admission.cancel_queued(sub, reason)
+        elif sub.shared is not None:
+            sub.shared.group.detach(sub.shared, reason)
+        else:
+            sub.execution.cancel(reason)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Advance the simulation until this query is terminal.
@@ -188,12 +290,7 @@ class QueryHandle:
     def on_done(self, fn) -> None:
         """Call ``fn(handle)`` once this query is terminal (admitted or
         not); fires immediately if it already is."""
-        if self._execution is not None:
-            self._execution.on_done(lambda _exec: fn(self))
-        elif self.finished:
-            fn(self)
-        else:
-            self._pending_callbacks.append(fn)
+        self._submission.on_done(lambda _sub: fn(self))
 
     # -- results -----------------------------------------------------------
     def result(self, max_virtual_seconds: float = 1e7) -> QueryResult:
@@ -208,56 +305,54 @@ class QueryHandle:
         return self._materialize()
 
     def _materialize(self) -> QueryResult:
-        if self._execution is None:
-            if self._queue_error is not None:
-                raise self._queue_error
-            raise ExecutionError("query is still queued for admission")
-        execution = self._execution
-        if execution.failed or execution.cancelled:
-            raise execution.error
-        if not execution.finished:
-            raise ExecutionError(f"query {execution.id} has not finished")
-        page: Page = execution.result()
+        sub = self._submission
+        if sub.error is not None:
+            raise sub.error
+        if not sub.finished:
+            raise ExecutionError(f"{self!r} has not finished")
+        page = sub.page if sub.page is not None else sub.execution.result()
         return QueryResult(
             rows=page.rows(),
             columns=page.schema.names(),
-            elapsed_seconds=execution.elapsed,
-            initialization_seconds=execution.initialization_seconds,
-            query=execution,
+            elapsed_seconds=sub.elapsed,
+            initialization_seconds=sub.initialization_seconds,
+            query=sub.execution,
         )
 
     # -- runtime elasticity ------------------------------------------------
     @property
     def tuning(self) -> "ElasticQuery":
-        """Runtime DOP tuning interface (paper Sections 4-5).
+        """Runtime DOP tuning interface (paper Sections 4-5); tuning a
+        carrier or folded query tunes the shared physical execution.
 
         Only available in Accordion mode — baseline engines (Presto /
-        Prestissimo) have elasticity disabled and raise here."""
-        if self._execution is None:
-            raise ExecutionError(
-                f"query is {self._queue_state}; tuning requires an admitted query"
-            )
-        return self._engine._elastic_for(self._execution)
+        Prestissimo) have elasticity disabled and raise here — and only
+        for a query with a live execution: not while queued, for a cached
+        answer, or for a carrier still inside its fold window."""
+        execution = self._submission.execution
+        if execution is None:
+            raise ExecutionError(f"{self!r} has no live execution to tune")
+        return self._engine._elastic_for(execution)
 
     # -- prediction --------------------------------------------------------
     @property
     def prediction(self):
-        """The :class:`repro.Prediction` attached at submission, or
-        ``None`` when prediction is off, the query's template had no
-        history yet, or the submission was served by the sharing layer
-        without a new physical execution."""
-        if self._execution is None:
-            return None
-        return getattr(self._execution, "prediction", None)
+        """The :class:`repro.Prediction` attached to the execution
+        serving this query — or, before/without one, the prediction the
+        admission gate made.  ``None`` when prediction is off or the
+        query's template had no history yet."""
+        sub = self._submission
+        if sub.execution is not None:
+            return sub.execution.prediction
+        return sub.prediction
 
     @property
     def prediction_error(self) -> float | None:
         """Relative runtime prediction error ``|observed - predicted| /
         predicted``, populated when the query finishes; ``None`` without
         a prediction or before completion."""
-        if self._execution is None:
-            return None
-        return getattr(self._execution, "prediction_error", None)
+        execution = self._submission.execution
+        return execution.prediction_error if execution is not None else None
 
     # -- sharing -----------------------------------------------------------
     @property
@@ -268,11 +363,9 @@ class QueryHandle:
         whether it was a result-cache hit, and the base-table pages it
         avoided re-reading.  Always available; reports ``unshared`` when
         sharing is disabled or the plan was not shareable."""
-        from .sharing import SharingInfo, sharing_info
+        from .sharing import sharing_info
 
-        if self._execution is None:
-            return SharingInfo()
-        return sharing_info(self._execution)
+        return sharing_info(self._submission)
 
     # -- observability -----------------------------------------------------
     def trace(self) -> "QueryTrace":
@@ -288,10 +381,11 @@ class QueryHandle:
             )
         from .obs import QueryTrace, throughput_counters
 
-        trace = QueryTrace(
-            tracer, self.id, finished_at=self._execution.finished_at
+        sub = self._submission
+        trace = QueryTrace(tracer, sub.query_id, finished_at=sub.finished_at)
+        trace.counters = throughput_counters(
+            sub.execution.tracker if sub.execution is not None else None
         )
-        trace.counters = throughput_counters(self._execution.tracker)
         return trace
 
     def profile(self) -> "ProfileReport":
@@ -307,10 +401,14 @@ class QueryHandle:
 
     # -- introspection -----------------------------------------------------
     def progress(self) -> dict[int, float]:
-        return self._execution.progress()
+        """Scan progress per table-scan stage of the serving execution
+        (empty while there is none)."""
+        execution = self._submission.execution
+        return execution.progress() if execution is not None else {}
 
     def progress_bars(self, width: int = 30) -> str:
-        return self._execution.progress_bars(width)
+        execution = self._submission.execution
+        return execution.progress_bars(width) if execution is not None else ""
 
     def fault_report(self) -> str:
         """Failure/recovery counters and fault timeline for this query."""
@@ -319,20 +417,24 @@ class QueryHandle:
         return render_fault_report(self)
 
     def describe(self) -> str:
-        return self._execution.describe()
+        sub = self._submission
+        if sub.shared is not None:
+            return sub.shared.describe()
+        if sub.execution is not None:
+            return sub.execution.describe()
+        return f"query {sub.query_id}: {sub.state}"
 
     def __repr__(self) -> str:
-        return (
-            f"QueryHandle(id={self.id}, state={self._execution.state.value})"
-        )
+        return f"QueryHandle(id={self.id}, state={self.state})"
 
     # Engine-internal code and existing tests address QueryExecution fields
     # (``.stages``, ``.tracker``, ``.fault_events``, ...) directly; delegate
     # anything QueryHandle does not define itself.
     def __getattr__(self, name: str):
-        if self._execution is None:
+        execution = self._submission.execution
+        if execution is None:
             raise AttributeError(
                 f"QueryHandle has no attribute {name!r} (query is "
-                f"{self._queue_state}; no execution is bound)"
+                f"{self._submission.state}; no execution is bound)"
             )
-        return getattr(self._execution, name)
+        return getattr(execution, name)

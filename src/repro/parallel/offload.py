@@ -230,8 +230,8 @@ class OffloadClient:
                 info.seg = None
 
     # -- chunking ----------------------------------------------------------
-    def want(self, enabled: bool, num_rows: int) -> bool:
-        return enabled and num_rows >= self.config.min_offload_rows
+    def want(self, num_rows: int) -> bool:
+        return num_rows >= self.config.min_offload_rows
 
     def chunk_bounds(self, num_rows: int) -> list[tuple[int, int]]:
         """Deterministic near-even row ranges, at most one per worker and

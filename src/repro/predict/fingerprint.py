@@ -19,13 +19,14 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
+from ..plan.cache import PreparedQuery, prepare
 from ..sharing.normalize import NORMALIZE_VERSION, plan_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
     from ..data import Catalog
 
-__all__ = ["options_template", "template_fingerprint"]
+__all__ = ["options_template", "prepared_fingerprint", "template_fingerprint"]
 
 
 def options_template(options: "QueryOptions") -> tuple:
@@ -49,15 +50,23 @@ def template_fingerprint(
     catalog: "Catalog", sql: str, options: "QueryOptions"
 ) -> str:
     """Stable hex template id for ``sql`` under ``options``."""
-    from ..plan.logical_planner import LogicalPlanner
-    from ..plan.optimizer import prune_columns
-    from ..sql.parser import parse
+    return prepared_fingerprint(catalog, prepare(catalog, sql), options)
 
-    logical = prune_columns(LogicalPlanner(catalog).plan(parse(sql)))
-    identity = (
-        catalog.version,
-        NORMALIZE_VERSION,
-        plan_key(logical, literals=False),
-        options_template(options),
-    )
-    return hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
+
+def prepared_fingerprint(
+    catalog: "Catalog", prepared: PreparedQuery, options: "QueryOptions"
+) -> str:
+    """:func:`template_fingerprint` of an already-prepared query; derived
+    once per (prepared entry, options template)."""
+    template = options_template(options)
+    fingerprint = prepared.templates.get(template)
+    if fingerprint is None:
+        identity = (
+            catalog.version,
+            NORMALIZE_VERSION,
+            plan_key(prepared.logical, literals=False),
+            template,
+        )
+        fingerprint = hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
+        prepared.templates[template] = fingerprint
+    return fingerprint

@@ -1,22 +1,19 @@
 """DemandPredictor: the engine-side prediction service (DESIGN.md §16).
 
-Sits on three hook points, all inert when prediction is off or the
-template has no history:
+Acts at two steps of the query lifecycle (``AccordionEngine._submit`` /
+``_start``), both inert when the template has no history:
 
-1. **Submission** (``Coordinator.on_created``): attach the template's
+1. **predict** (:meth:`DemandPredictor.pregrant`, session submissions):
+   rewrite the query's options with pre-granted per-stage DOPs sized so
+   predicted CPU work finishes within half the deadline (or half the
+   predicted runtime), pre-size the memory budget from predicted peak,
+   or report the P(deadline miss) that makes admission reject it.
+2. **start** (:meth:`DemandPredictor.attach`): attach the template's
    :class:`Prediction` to the new ``QueryExecution`` *before* initial
-   placement, register the completion observer that records the run into
-   the history store, and arm the reprovision trigger.
-2. **Placement** (``Scheduler.predictor``): score schedulable compute
-   nodes by dominant-remaining-resource (max of core and memory fraction
-   after placement) under the predicted per-task demand, minimizing
-   fragmentation; memory reservations live in a predictor-owned ledger
-   and are released when the query finishes.
-3. **Admission** (``AdmissionController.submit``): rewrite the query's
-   options with pre-granted per-stage DOPs sized so predicted CPU work
-   finishes within half the deadline (or half the predicted runtime),
-   pre-size the memory budget from predicted peak, and reject queries
-   whose P(deadline miss) exceeds the configured bound.
+   placement — the scheduler packs predicted stages by
+   dominant-remaining-resource from it — register the completion
+   observer that records the run into the history store, and arm the
+   reprovision trigger.
 
 The reprovision trigger is one cancellable event per predicted query at
 ``submitted_at + runtime * (1 + error_bound)``: if the query is still
@@ -32,14 +29,15 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError, TuningRejected
-from .fingerprint import options_template, template_fingerprint
+from .fingerprint import prepared_fingerprint
 from .history import HistoryStore
 from .profile import Prediction
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution, QueryOptions
-    from ..cluster.stage import StageExecution
     from ..engine import AccordionEngine
+    from ..handle import Submission
+    from ..plan.cache import PreparedQuery
 
 __all__ = ["DemandPredictor"]
 
@@ -54,28 +52,23 @@ class DemandPredictor:
         self.kernel = engine.kernel
         self.config = engine.config.prediction
         self.store = HistoryStore(self.config.history_dir)
-        #: (catalog version, sql, options template) -> fingerprint.
-        self._templates: dict[tuple, str] = {}
-        #: node id -> predicted bytes reserved by placed tasks.
-        self._node_reserved: dict[int, int] = {}
-        #: query id -> [(node id, bytes)] to release on completion.
-        self._query_reservations: dict[int, list[tuple[int, int]]] = {}
         self.recorded = 0
         self.predictions_served = 0
         self.pregrants = 0
-        self.drr_placements = 0
         self.reprovisions = 0
         self.slo_rejections = 0
 
     # -- templates ----------------------------------------------------------
-    def template_for(self, sql: str, options: "QueryOptions") -> str:
-        catalog = self.engine.catalog
-        key = (catalog.version, sql, options_template(options))
-        template = self._templates.get(key)
-        if template is None:
-            template = template_fingerprint(catalog, sql, options)
-            self._templates[key] = template
-        return template
+    def template_of(
+        self, prepared: "PreparedQuery", options: "QueryOptions"
+    ) -> str:
+        return prepared_fingerprint(self.engine.catalog, prepared, options)
+
+    def _predict(self, template: str) -> Prediction | None:
+        prediction = self.store.predict(template, self.config.min_samples)
+        if prediction is not None:
+            self.predictions_served += 1
+        return prediction
 
     def predict_sql(
         self, sql: str, options: "QueryOptions | None" = None
@@ -83,18 +76,14 @@ class DemandPredictor:
         """Prediction for ``sql`` from accumulated history, or None."""
         from ..cluster.coordinator import QueryOptions
 
-        options = options or QueryOptions()
-        prediction = self.store.predict(
-            self.template_for(sql, options), self.config.min_samples
-        )
-        if prediction is not None:
-            self.predictions_served += 1
-        return prediction
+        prepared = self.engine.coordinator.prepare(sql)
+        return self._predict(self.template_of(prepared, options or QueryOptions()))
 
-    # -- submission hook ----------------------------------------------------
-    def on_query_created(self, query: "QueryExecution") -> None:
-        """Coordinator hook: runs before the query's initial placement."""
-        template = self.template_for(query.sql, query.options)
+    # -- the start step -----------------------------------------------------
+    def attach(self, query: "QueryExecution", template: str) -> None:
+        """Runs before the query's initial placement.  The history is
+        read as of now: a query that waited in the admission queue (or a
+        fold window) sees the runs recorded meanwhile."""
         query.prediction_template = template
         prediction = self.store.predict(template, self.config.min_samples)
         if prediction is not None:
@@ -103,10 +92,6 @@ class DemandPredictor:
         query.on_done(self._observe)
 
     def _observe(self, query: "QueryExecution") -> None:
-        for node_id, nbytes in self._query_reservations.pop(query.id, ()):
-            self._node_reserved[node_id] = max(
-                0, self._node_reserved.get(node_id, 0) - nbytes
-            )
         if not query.succeeded:
             return
         runtime = query.finished_at - query.submitted_at
@@ -180,29 +165,32 @@ class DemandPredictor:
             except TuningRejected:
                 continue
 
-    # -- admission hooks ----------------------------------------------------
-    def admission_plan(
-        self,
-        sql: str,
-        options: "QueryOptions",
-        deadline: float | None,
-    ) -> tuple["QueryOptions", Prediction | None, float | None]:
-        """Admission-time decision: returns ``(options', prediction,
-        miss)`` where a non-None ``miss`` means "reject: P(deadline
-        miss) exceeds the configured bound" and ``options'`` carries any
-        pre-granted per-stage DOPs."""
-        prediction = self.predict_sql(sql, options)
+    # -- the predict step ---------------------------------------------------
+    def pregrant(self, sub: "Submission") -> float | None:
+        """Admission-time decision for a session submission.  Returns the
+        deadline-miss probability when it exceeds the configured bound
+        (the caller rejects); otherwise rewrites ``sub.options`` with any
+        pre-granted per-stage DOPs, pre-sizes an undeclared memory grant
+        from the predicted peak, and returns None."""
+        prediction = sub.prediction = self._predict(sub.template)
         if prediction is None:
-            return options, None, None
+            return None
         cfg = self.config
-        if deadline is not None and cfg.max_miss_probability is not None:
-            miss = prediction.miss_probability(deadline)
+        if sub.deadline is not None and cfg.max_miss_probability is not None:
+            miss = prediction.miss_probability(sub.deadline)
             if miss > cfg.max_miss_probability:
                 self.slo_rejections += 1
-                return options, prediction, miss
+                return miss
         if cfg.pregrant:
-            options = self.pregrant_options(options, prediction, deadline)
-        return options, prediction, None
+            sub.options = self.pregrant_options(
+                sub.options, prediction, sub.deadline
+            )
+            if sub.memory_bytes is None:
+                sub.memory_bytes = max(
+                    MIN_MEMORY_PREGRANT,
+                    int(prediction.peak_memory_bytes * cfg.memory_headroom),
+                )
+        return None
 
     def pregrant_options(
         self,
@@ -242,56 +230,6 @@ class DemandPredictor:
         merged.update(dops)
         return replace(options, stage_dops=merged)
 
-    def pregrant_memory(self, prediction: Prediction) -> int | None:
-        """Predicted memory budget, or None when pre-granting is off."""
-        if not self.config.pregrant:
-            return None
-        return max(
-            MIN_MEMORY_PREGRANT,
-            int(prediction.peak_memory_bytes * self.config.memory_headroom),
-        )
-
-    # -- placement hook -----------------------------------------------------
-    def place(self, stage: "StageExecution"):
-        """Dominant-remaining-resource placement for a predicted stage.
-
-        Returns the chosen node and reserves its predicted per-task
-        memory in the ledger, or None to fall back to least-loaded."""
-        if not self.config.placement:
-            return None
-        prediction = stage.query.prediction
-        if prediction is None:
-            return None
-        demand = prediction.demand(stage.id)
-        if demand is None:
-            return None
-        per_task_bytes = demand.peak_memory_bytes // max(1, demand.tasks)
-        best = None
-        best_score = None
-        for node in sorted(
-            self.engine.cluster.schedulable_compute, key=lambda n: n.id
-        ):
-            reserved = self._node_reserved.get(node.id, 0)
-            cpu_frac = (node.task_count + 1) / max(1, node.spec.cores)
-            mem_frac = (
-                (reserved + per_task_bytes) / max(1, node.spec.memory_bytes)
-            )
-            if mem_frac > 1.0:
-                continue
-            score = max(cpu_frac, mem_frac)
-            if best_score is None or score < best_score:
-                best, best_score = node, score
-        if best is None:
-            return None
-        self.drr_placements += 1
-        self._node_reserved[best.id] = (
-            self._node_reserved.get(best.id, 0) + per_task_bytes
-        )
-        self._query_reservations.setdefault(stage.query.id, []).append(
-            (best.id, per_task_bytes)
-        )
-        return best
-
     # -- observability ------------------------------------------------------
     def stats(self) -> dict:
         out = self.store.stats()
@@ -299,7 +237,7 @@ class DemandPredictor:
             "recorded": self.recorded,
             "predictions": self.predictions_served,
             "pregrants": self.pregrants,
-            "drr_placements": self.drr_placements,
+            "drr_placements": self.engine.coordinator.scheduler.drr_placements,
             "reprovisions": self.reprovisions,
             "slo_rejections": self.slo_rejections,
         })

@@ -60,18 +60,15 @@ class SharingInfo:
         return self.role
 
 
-def sharing_info(execution) -> SharingInfo:
-    """Build a :class:`SharingInfo` for any execution-like object."""
-    role = getattr(execution, "role", None)
-    if not isinstance(execution, SharedConsumer) or role is None:
+def sharing_info(submission) -> SharingInfo:
+    """The :class:`SharingInfo` of one :class:`~repro.handle.Submission`."""
+    shared = submission.shared
+    if shared is None:
         return SharingInfo()
-    carrier = execution.carrier
-    folded_into = None
-    if role in ("carrier", "folded") and carrier is not None:
-        folded_into = carrier.id
+    carrier = submission.execution
     return SharingInfo(
-        role=role,
-        folded_into=folded_into,
-        cache_hit=execution.cache_hit,
-        pages_saved=execution.pages_saved,
+        role=submission.route,
+        folded_into=carrier.id if carrier is not None else None,
+        cache_hit=submission.route == "cached",
+        pages_saved=shared.pages_saved,
     )

@@ -63,7 +63,7 @@ class ResultCache:
 
     def peek(self, key: tuple) -> bool:
         """Whether ``get(key)`` would hit — without touching LRU order,
-        hit/miss counters, or TTL expiry (admission-probe use)."""
+        hit/miss counters, or TTL expiry (``SharingManager.decide``)."""
         entry = self._entries.get(key)
         if entry is None:
             return False

@@ -1,11 +1,13 @@
-"""Shared executions: fold groups and their per-consumer facades.
+"""Shared executions: fold groups and the consumers riding them.
 
 A :class:`FoldGroup` owns one *carrier* :class:`QueryExecution` (the
 physical plan that actually runs) and a list of :class:`SharedConsumer`
-facades, one per submitted query — including the query that created the
-group.  Each consumer quacks like a ``QueryExecution`` (``QueryHandle``
-binds to it unchanged) but derives its result from the carrier's output
-page through its :class:`~repro.sharing.residual.Residual`.
+records, one per submitted query — including the query that created the
+group.  A consumer holds only what is sharing-specific about its
+:class:`~repro.handle.Submission` (group, residual, pages saved); the
+query's state, callbacks and answer live on the submission, which
+derives its result from the carrier's output page through the
+consumer's :class:`~repro.sharing.residual.Residual`.
 
 Lifecycle rules (the tentpole's cancellation semantics):
 
@@ -27,194 +29,49 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..cluster.coordinator import QueryState
-from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
+from ..errors import QueryFailedError
 from .residual import Residual, apply_residual
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..cluster.coordinator import QueryExecution, QueryOptions
-    from ..pages import Page
+    from ..cluster.coordinator import QueryExecution
+    from ..handle import Submission
     from .manager import SharingManager
 
 
 class SharedConsumer:
-    """Execution-like facade for one query riding a shared execution.
-
-    ``role`` is ``"carrier"`` (created the group), ``"folded"`` (grafted
-    onto an existing group), or ``"cached"`` (answered synchronously from
-    the result cache, never touching a physical execution).  Unknown
-    attributes delegate to the carrier execution, mirroring how
-    ``QueryHandle`` delegates to its execution."""
+    """The sharing-specific side of one submission served by the sharing
+    layer: a carrier (created the group), a folded query (grafted onto an
+    existing group), or a cached one (answered from the result cache,
+    never in a group)."""
 
     def __init__(
         self,
-        manager: "SharingManager",
-        query_id: int,
-        sql: str,
-        options: "QueryOptions",
-        role: str,
-        cache_key: tuple | None = None,
+        submission: "Submission",
+        cache_key: tuple,
+        scan_pages: int,
         residual: Residual | None = None,
-        scan_pages: int = 0,
     ):
-        # ``carrier`` first: __getattr__ consults it via __dict__.
-        self.carrier: "QueryExecution | None" = None
-        self.manager = manager
-        self.kernel = manager.kernel
-        self.id = query_id
-        self.sql = sql
-        self.options = options
-        self.role = role
+        self.submission = submission
+        submission.shared = self
         self.cache_key = cache_key
         self.residual = residual if residual is not None else Residual()
-        self.group = None  # set by FoldGroup.add
-        self.state = QueryState.RUNNING
-        self.error = None
-        self.submitted_at = self.kernel.now
-        self.finished_at: float | None = None
-        self.failed_at: float | None = None
-        self.tenant: str | None = None
-        #: Base-table pages this consumer did *not* re-read (fold/cache).
-        self.pages_saved = scan_pages if role in ("folded", "cached") else 0
+        self.group: "FoldGroup | None" = None  # set by FoldGroup.add
         #: Scan pages a future cache hit on this answer would save.
         self.scan_pages = scan_pages
-        self.cache_hit = role == "cached"
-        self.result_rows = 0
-        self._result_page: "Page | None" = None
-        self._done_callbacks: list = []
-
-    # -- lifecycle ---------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self.finished_at is not None
-
-    @property
-    def succeeded(self) -> bool:
-        return self.state is QueryState.FINISHED
-
-    @property
-    def failed(self) -> bool:
-        return self.state is QueryState.FAILED
-
-    @property
-    def cancelled(self) -> bool:
-        return self.state is QueryState.CANCELLED
-
-    @property
-    def elapsed(self) -> float:
-        end = self.finished_at if self.finished_at is not None else self.kernel.now
-        return end - self.submitted_at
-
-    @property
-    def initialization_seconds(self) -> float:
-        carrier = self.carrier
-        if carrier is None or carrier.started_at is None:
-            return 0.0
-        return max(0.0, carrier.started_at - self.submitted_at)
-
-    def on_done(self, fn) -> None:
-        if self.finished:
-            fn(self)
-        else:
-            self._done_callbacks.append(fn)
-
-    def _fire_done(self) -> None:
-        callbacks, self._done_callbacks = self._done_callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-    def _complete(self, page: "Page") -> None:
-        if self.finished:
-            return
-        self.state = QueryState.FINISHED
-        self.finished_at = self.kernel.now
-        self._result_page = page
-        self.result_rows = page.num_rows
-        self._fire_done()
-
-    def _fail(self, error: Exception) -> None:
-        if self.finished:
-            return
-        if not isinstance(error, QueryFailedError):
-            error = QueryFailedError(str(error), query_id=self.id, cause=error)
-        self.state = QueryState.FAILED
-        self.error = error
-        self.failed_at = self.kernel.now
-        self.finished_at = self.kernel.now
-        self._fire_done()
-
-    def _cancel(self, reason: str) -> None:
-        if self.finished:
-            return
-        self.state = QueryState.CANCELLED
-        self.error = QueryCancelledError(
-            f"query {self.id} cancelled: {reason}",
-            query_id=self.id,
-            reason=reason,
+        #: Base-table pages this consumer did *not* re-read (fold/cache).
+        self.pages_saved = (
+            scan_pages if submission.route in ("folded", "cached") else 0
         )
-        self.finished_at = self.kernel.now
-        self._fire_done()
-
-    def cancel(self, reason: str = "cancelled") -> None:
-        """Cancel *this consumer only*: detach from the shared execution.
-
-        The carrier keeps running while other consumers remain; the last
-        detach cancels it (or the pending dispatch)."""
-        if self.finished:
-            return
-        if self.group is not None:
-            self.group.detach(self, reason)
-        else:
-            self._cancel(reason)
-
-    # -- results -----------------------------------------------------------
-    def result(self) -> "Page":
-        if self.failed or self.cancelled:
-            raise self.error
-        if not self.succeeded or self._result_page is None:
-            raise ExecutionError(f"query {self.id} has not finished")
-        return self._result_page
-
-    def result_rows_list(self) -> list[tuple]:
-        return self.result().rows()
-
-    # -- introspection -----------------------------------------------------
-    def progress(self) -> dict[int, float]:
-        carrier = self.carrier
-        return carrier.progress() if carrier is not None else {}
-
-    def progress_bars(self, width: int = 30) -> str:
-        carrier = self.carrier
-        return carrier.progress_bars(width) if carrier is not None else ""
 
     def describe(self) -> str:
+        sub = self.submission
         via = (
-            f" via Q{self.carrier.id}" if self.carrier is not None
-            else " (awaiting dispatch)" if self.role != "cached" else ""
+            f" via Q{sub.execution.id}" if sub.execution is not None
+            else " (awaiting dispatch)" if sub.route != "cached" else ""
         )
         return (
-            f"query {self.id}: {self.state.value} "
-            f"[{self.role}{via}, residual: {self.residual.describe()}]"
-        )
-
-    @property
-    def tracker(self):
-        carrier = self.carrier
-        return carrier.tracker if carrier is not None else None
-
-    def __getattr__(self, name: str):
-        carrier = self.__dict__.get("carrier")
-        if carrier is None:
-            raise AttributeError(
-                f"SharedConsumer has no attribute {name!r} (no carrier "
-                f"execution is bound)"
-            )
-        return getattr(carrier, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"SharedConsumer(id={self.id}, role={self.role!r}, "
-            f"state={self.state.value})"
+            f"query {sub.query_id}: {sub.state} "
+            f"[{sub.route}{via}, residual: {self.residual.describe()}]"
         )
 
 
@@ -226,28 +83,24 @@ class FoldGroup:
         manager: "SharingManager",
         key: tuple,
         normalized,
-        carrier_sql: str,
-        carrier_options: "QueryOptions",
+        lead: "Submission",
     ):
         self.manager = manager
         self.kernel = manager.kernel
         self.key = key
         self.normalized = normalized
-        #: The plan the carrier runs.  Kept on the group (not the first
-        #: consumer): residuals of later grafts reference *this* plan's
-        #: output, which stays valid even if the creating consumer
-        #: detaches before dispatch.
-        self.carrier_sql = carrier_sql
-        self.carrier_options = carrier_options
+        #: The submission whose plan the carrier runs.  Kept on the group:
+        #: residuals of later grafts reference *this* plan's output, which
+        #: stays valid even if the lead detaches before dispatch.
+        self.lead = lead
         self.consumers: list[SharedConsumer] = []
         self.carrier: "QueryExecution | None" = None
         self.done = False
         self._dispatch_event = None
-        self._dispatch_hooks: list = []
 
     @property
     def active_consumers(self) -> list[SharedConsumer]:
-        return [c for c in self.consumers if not c.finished]
+        return [c for c in self.consumers if not c.submission.finished]
 
     @property
     def accepts(self) -> bool:
@@ -259,17 +112,6 @@ class FoldGroup:
     def add(self, consumer: SharedConsumer) -> None:
         consumer.group = self
         self.consumers.append(consumer)
-        if self.carrier is not None:
-            consumer.carrier = self.carrier
-
-    def when_dispatched(self, fn) -> None:
-        """Call ``fn(group)`` once the carrier execution exists (now, if
-        it already does) — used to defer arbiter registration across a
-        fold window."""
-        if self.carrier is not None:
-            fn(self)
-        else:
-            self._dispatch_hooks.append(fn)
 
     def schedule_dispatch(self, delay: float) -> None:
         if delay > 0:
@@ -278,7 +120,8 @@ class FoldGroup:
             self.dispatch()
 
     def dispatch(self) -> None:
-        """Submit the carrier's physical execution to the coordinator."""
+        """Start the carrier's physical execution (the lifecycle's start
+        and record steps, for every consumer still live)."""
         self._dispatch_event = None
         if self.done or self.carrier is not None:
             return
@@ -286,20 +129,15 @@ class FoldGroup:
         if not live:
             self.manager._group_done(self)
             return
-        execution = self.manager.coordinator.submit(
-            self.carrier_sql, self.carrier_options
-        )
-        execution.tenant = live[0].tenant
-        self.carrier = execution
+        engine = self.manager.engine
+        self.carrier = execution = engine._start(self.lead)
         for consumer in live:
-            consumer.carrier = execution
-        hooks, self._dispatch_hooks = self._dispatch_hooks, []
-        for fn in hooks:
-            fn(self)
+            consumer.submission.execution = execution
+            engine._record(consumer.submission)
         execution.on_done(self._carrier_done)
 
     def detach(self, consumer: SharedConsumer, reason: str) -> None:
-        consumer._cancel(reason)
+        consumer.submission.cancelled_by(reason)
         self.manager._on_detach(self, consumer)
         if self.active_consumers:
             return
@@ -313,26 +151,27 @@ class FoldGroup:
             self.manager._group_done(self)
 
     def _carrier_done(self, execution: "QueryExecution") -> None:
-        if execution.succeeded:
-            page = execution.result()
-            for consumer in self.active_consumers:
+        answer = execution.result() if execution.succeeded else None
+        for consumer in self.active_consumers:
+            sub = consumer.submission
+            if execution.succeeded:
                 try:
-                    consumer._complete(apply_residual(page, consumer.residual))
+                    page = apply_residual(answer, consumer.residual)
                 except Exception as exc:  # residual bug: fail, don't hang
-                    consumer._fail(exc)
-        elif execution.cancelled:
-            for consumer in self.active_consumers:
-                consumer._cancel(
+                    sub.fail(exc)
+                else:
+                    sub.complete(page)
+            elif execution.cancelled:
+                sub.cancelled_by(
                     f"shared execution Q{execution.id} cancelled: "
                     f"{execution.error.reason}"
                 )
-        else:
-            for consumer in self.active_consumers:
-                consumer._fail(
+            else:
+                sub.fail(
                     QueryFailedError(
                         f"shared execution Q{execution.id} failed: "
                         f"{execution.error}",
-                        query_id=consumer.id,
+                        query_id=sub.query_id,
                         cause=execution.error,
                     )
                 )

@@ -1,13 +1,16 @@
-"""SharingManager: the fold detector + result cache behind submission.
+"""SharingManager: the fold detector + result cache behind the route step.
 
-Sits between :meth:`AccordionEngine.submit` (via ``engine._dispatch``)
-and the coordinator when ``EngineConfig.sharing.enabled``.  Every
-submission is normalized (:mod:`repro.sharing.normalize`) and routed:
+With ``EngineConfig.sharing.enabled`` the engine's submission sequence
+(``AccordionEngine._launch``) hands every admitted query to
+:meth:`SharingManager.serve`.  :meth:`SharingManager.decide` — the one
+routing decision, also consulted by admission to let queries that need
+no new resources past the caps — picks, from the query's normalized
+plan (:mod:`repro.sharing.normalize`):
 
-1. **cache** — the result cache holds a live entry for (catalog version,
+1. **cached** — the result cache holds a live entry for (catalog version,
    plan fingerprint, options fingerprint): answer synchronously, no
    physical execution at all;
-2. **fold** — a live :class:`FoldGroup` has an exactly-equal fingerprint,
+2. **folded** — a live :class:`FoldGroup` has an exactly-equal fingerprint,
    or one of the live groups' carriers *subsumes* this plan
    (:func:`plan_residual`): graft a consumer onto it — base-table pages
    are read once for the whole group (scan sharing falls out of running
@@ -16,22 +19,33 @@ submission is normalized (:mod:`repro.sharing.normalize`) and routed:
    immediately (or after ``fold_window`` virtual seconds, giving
    closely-spaced lookalikes a chance to pile on).
 
-Unshareable plans (Limit/TopN, unparseable decompositions) bypass
-sharing entirely and return the coordinator's raw ``QueryExecution``.
+Unshareable plans (Limit/TopN, unparseable decompositions) are
+**unshared**: the engine starts their own physical execution.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from ..cluster.coordinator import QueryOptions
 from .cache import ResultCache
 from .fold import FoldGroup, SharedConsumer
-from .normalize import NormalizedQuery, normalize_logical, plan_residual
+from .normalize import NormalizedQuery, plan_residual
+from .residual import Residual
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import AccordionEngine
+    from ..handle import Submission
+
+
+class Routing(NamedTuple):
+    """One routing decision (see :meth:`SharingManager.decide`)."""
+
+    route: str
+    key: tuple | None = None
+    #: The group to graft onto, and the residual, for ``folded``.
+    group: FoldGroup | None = None
+    residual: Residual | None = None
 
 
 class SharingManager:
@@ -50,8 +64,6 @@ class SharingManager:
             )
         #: Live fold groups by (catalog version, plan key, options key).
         self.groups: dict[tuple, FoldGroup] = {}
-        self._normalized: dict[tuple, NormalizedQuery] = {}
-        self._scan_pages: dict[tuple, int] = {}
         self._catalog_version = engine.catalog.version
         metrics = engine.metrics
         self._folds = metrics.counter("sharing.folds")
@@ -80,34 +92,13 @@ class SharingManager:
     def pages_saved(self) -> int:
         return self._pages_saved.value
 
-    # -- normalization (memoized per catalog version) -----------------------
-    def _normalize(self, sql: str) -> NormalizedQuery:
-        memo_key = (self._catalog_version, sql)
-        normalized = self._normalized.get(memo_key)
-        if normalized is None:
-            from ..plan.logical_planner import LogicalPlanner
-            from ..plan.optimizer import prune_columns
-            from ..sql.parser import parse
-
-            logical = prune_columns(
-                LogicalPlanner(self.catalog).plan(parse(sql))
-            )
-            normalized = normalize_logical(logical)
-            self._normalized[memo_key] = normalized
-        return normalized
-
     def _scan_page_estimate(self, normalized: NormalizedQuery) -> int:
         """Base-table pages one physical run of this plan reads."""
-        key = (self._catalog_version, normalized.key)
-        cached = self._scan_pages.get(key)
-        if cached is None:
-            page_rows = self.engine.config.page_row_limit
-            cached = sum(
-                math.ceil(self.catalog.table(t).num_rows / page_rows)
-                for t in normalized.scan_tables
-            )
-            self._scan_pages[key] = cached
-        return cached
+        page_rows = self.engine.config.page_row_limit
+        return sum(
+            math.ceil(self.catalog.table(t).num_rows / page_rows)
+            for t in normalized.scan_tables
+        )
 
     def _observe_catalog(self) -> None:
         version = self.catalog.version
@@ -116,90 +107,71 @@ class SharingManager:
             if self.cache is not None:
                 self.cache.purge_versions_before(version)
 
-    # -- submission routing --------------------------------------------------
-    def submit(self, sql: str, options: QueryOptions | None = None):
-        """Route one submission; returns a ``SharedConsumer`` or (for
-        unshareable plans) a raw ``QueryExecution``."""
-        options = options or QueryOptions()
+    # -- the route step ------------------------------------------------------
+    def decide(self, sub: "Submission") -> Routing:
+        """How ``sub`` would be served right now.  Changes nothing the
+        routing itself depends on, so admission may ask before the
+        engine acts on the same answer."""
         self._observe_catalog()
-        normalized = self._normalize(sql)
+        normalized = sub.prepared.normalized
         if not normalized.shareable:
-            self.unshared += 1
-            return self.coordinator.submit(sql, options)
-        key = (self._catalog_version, normalized.key, options.fingerprint())
-        scan_pages = self._scan_page_estimate(normalized)
-        self.consumers += 1
-
-        if self.cache is not None:
-            entry = self.cache.get(key)
-            if entry is not None:
-                self._cache_hits.add()
-                self._pages_saved.add(entry.scan_pages)
-                consumer = SharedConsumer(
-                    self, self.coordinator.next_query_id(), sql, options,
-                    role="cached", cache_key=key,
-                    scan_pages=entry.scan_pages,
-                )
-                self._trace("cache-hit", consumer)
-                consumer._complete(entry.page)
-                return consumer
-            self._cache_misses.add()
-
+            return Routing("unshared")
+        key = (self._catalog_version, normalized.key, sub.options.fingerprint())
+        if self.cache is not None and self.cache.peek(key):
+            return Routing("cached", key)
         if self.config.fold:
-            group, residual = self._find_group(key, normalized, options)
+            group, residual = self._find_group(key, normalized)
             if group is not None:
-                consumer = SharedConsumer(
-                    self, self.coordinator.next_query_id(), sql, options,
-                    role="folded", cache_key=key, residual=residual,
-                    scan_pages=scan_pages,
-                )
-                group.add(consumer)
-                self._folds.add()
-                self._pages_saved.add(scan_pages)
-                self._trace("fold", consumer, group=group)
-                return consumer
+                return Routing("folded", key, group, residual)
+        return Routing("carrier", key)
 
-        group = FoldGroup(self, key, normalized, sql, options)
-        self.groups[key] = group
-        consumer = SharedConsumer(
-            self, self.coordinator.next_query_id(), sql, options,
-            role="carrier", cache_key=key, scan_pages=scan_pages,
-        )
+    def serve(self, sub: "Submission") -> bool:
+        """Route ``sub`` and act on it: answer from the cache, graft onto
+        a live group, or open a new group.  Returns False for unshared
+        plans, which the caller starts itself."""
+        routing = self.decide(sub)
+        sub.route = routing.route
+        if routing.route == "unshared":
+            self.unshared += 1
+            return False
+        self.consumers += 1
+        sub.query_id = self.coordinator.next_query_id()
+        key = routing.key
+        entry = self.cache.get(key) if self.cache is not None else None
+        if entry is not None:
+            self._cache_hits.add()
+            self._pages_saved.add(entry.scan_pages)
+            consumer = SharedConsumer(sub, key, entry.scan_pages)
+            self._trace("cache-hit", consumer)
+            sub.complete(entry.page)
+            return True
+        if self.cache is not None:
+            self._cache_misses.add()
+        normalized = sub.prepared.normalized
+        scan_pages = self._scan_page_estimate(normalized)
+        consumer = SharedConsumer(sub, key, scan_pages, routing.residual)
+        group = routing.group
+        if group is not None:
+            group.add(consumer)
+            self._folds.add()
+            self._pages_saved.add(scan_pages)
+            self._trace("fold", consumer)
+            if group.carrier is not None:
+                sub.execution = group.carrier
+                self.engine._record(sub)
+            return True
+        group = self.groups[key] = FoldGroup(self, key, normalized, sub)
         group.add(consumer)
         self.carriers += 1
-        window = self.config.fold_window if self.config.fold else 0.0
-        group.schedule_dispatch(window)
-        self._trace("carrier", consumer, group=group)
-        return consumer
+        group.schedule_dispatch(self.config.fold_window if self.config.fold else 0.0)
+        self._trace("carrier", consumer)
+        return True
 
-    def probe(self, sql: str, options: QueryOptions | None = None) -> str | None:
-        """Side-effect-free routing preview: ``"cache"``, ``"fold"``, or
-        ``None`` (would dispatch a new physical execution).  The admission
-        controller uses this to admit head-of-line submissions that will
-        not occupy new resources."""
-        options = options or QueryOptions()
-        self._observe_catalog()
-        normalized = self._normalize(sql)
-        if not normalized.shareable:
-            return None
-        key = (self._catalog_version, normalized.key, options.fingerprint())
-        if self.cache is not None and self.cache.peek(key):
-            return "cache"
-        if self.config.fold:
-            group, _residual = self._find_group(key, normalized, options)
-            if group is not None:
-                return "fold"
-        return None
-
-    def _find_group(
-        self, key: tuple, normalized: NormalizedQuery, options: QueryOptions
-    ):
+    def _find_group(self, key: tuple, normalized: NormalizedQuery):
         """An accepting group this plan can ride: exact fingerprint first,
         then carrier-output subsumption (conjunct-subset + rebase)."""
         group = self.groups.get(key)
         if group is not None and group.accepts:
-            from .residual import Residual
-
             return group, Residual()
         options_key = key[2]
         for group_key in sorted(self.groups, key=repr):
@@ -222,10 +194,10 @@ class SharingManager:
             del self.groups[group.key]
         if self.cache is not None:
             for consumer in group.consumers:
-                if consumer.succeeded:
+                if consumer.submission.succeeded:
                     self.cache.put(
                         consumer.cache_key,
-                        consumer._result_page,
+                        consumer.submission.page,
                         scan_pages=consumer.scan_pages,
                     )
 
@@ -233,8 +205,10 @@ class SharingManager:
         self.detaches += 1
         workload = self.engine._workload
         if workload is not None and group.carrier is not None:
-            workload.arbiter.unfold_consumer(group.carrier.id, consumer.id)
-        self._trace("detach", consumer, group=group)
+            workload.arbiter.unfold_consumer(
+                group.carrier.id, consumer.submission.query_id
+            )
+        self._trace("detach", consumer)
 
     # -- observability -------------------------------------------------------
     def stats(self) -> dict:
@@ -267,20 +241,22 @@ class SharingManager:
             "unshared": self.unshared,
         }
 
-    def _trace(self, event: str, consumer: SharedConsumer, group=None) -> None:
+    def _trace(self, event: str, consumer: SharedConsumer) -> None:
         tracer = self.kernel.tracer
         if not tracer.enabled:
             return
+        sub = consumer.submission
         meta = {
-            "query_id": consumer.id,
-            "role": consumer.role,
+            "query_id": sub.query_id,
+            "role": sub.route,
             "pages_saved": consumer.pages_saved,
         }
         parent = None
+        group = consumer.group
         if group is not None and group.carrier is not None:
             meta["carrier_id"] = group.carrier.id
             parent = tracer.root_for_query(group.carrier.id)
         tracer.instant(
-            "sharing", f"{event} Q{consumer.id}", parent=parent,
+            "sharing", f"{event} Q{sub.query_id}", parent=parent,
             node="coordinator", **meta,
         )

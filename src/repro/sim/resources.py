@@ -106,7 +106,7 @@ class CpuPool:
                 fn()
             return
         heapq.heappush(self._queue, (priority, next(self._seq), item))
-        self._dispatch()
+        self._grant()
 
     def halt(self) -> None:
         """Revoke all cores (node crash).  Crashes are quantum-atomic:
@@ -121,7 +121,7 @@ class CpuPool:
             if kind == "submit":
                 fn()
 
-    def _dispatch(self) -> None:
+    def _grant(self) -> None:
         if self.halted:
             return
         while self.busy < self.cores and self._queue:
@@ -140,7 +140,7 @@ class CpuPool:
         try:
             fn()
         finally:
-            self._dispatch()
+            self._grant()
 
 
 class NicQueue:

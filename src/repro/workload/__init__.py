@@ -6,7 +6,7 @@ revoke), and workload drivers with per-tenant metrics.  See DESIGN.md
 §11 for the policies and the determinism contract.
 """
 
-from .admission import AdmissionController, PendingQuery, planned_cores
+from .admission import AdmissionController, planned_cores
 from .arbiter import ANONYMOUS, ArbiterEntry, Bid, ResourceArbiter
 from .autoscaler import Autoscaler
 from .policies import (
@@ -28,7 +28,7 @@ from .runner import (
     Workload,
     WorkloadReport,
 )
-from .session import QueryRecord, Session, WorkloadManager
+from .session import Session, WorkloadManager
 
 __all__ = [
     "ANONYMOUS",
@@ -38,10 +38,8 @@ __all__ = [
     "Autoscaler",
     "Bid",
     "ClosedLoop",
-    "PendingQuery",
     "PoissonArrivals",
     "QUEUE_POLICIES",
-    "QueryRecord",
     "ResourceArbiter",
     "Session",
     "TenantSpec",

@@ -1,13 +1,14 @@
-"""Admission controller: the gate between ``Session.submit`` and the
-coordinator.
+"""Admission controller: the admit step of the query lifecycle.
 
-Submissions join a queue; the controller admits the head whenever the
-configured limits (concurrent queries, summed planned cores, summed
-declared memory) allow it.  Queue order is FIFO or aged priority
-(:mod:`repro.workload.policies`); a queue timeout rejects the submission
-with a structured :class:`~repro.errors.QueryRejectedError` instead of
-holding it forever.  Every decision happens at a deterministic point in
-virtual time, so a workload replays identically from (seed, trace).
+Session submissions join a queue; the controller admits the head — hands
+it back to ``AccordionEngine._launch`` — whenever the configured limits
+(concurrent queries, summed planned cores, summed declared memory) allow
+it, or the sharing layer would serve it without new resources.  Queue
+order is FIFO or aged priority (:mod:`repro.workload.policies`); a queue
+timeout rejects the submission with a structured
+:class:`~repro.errors.QueryRejectedError` instead of holding it forever.
+Every decision happens at a deterministic point in virtual time, so a
+workload replays identically from (seed, trace).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import math
 from typing import TYPE_CHECKING
 
 from ..errors import QueryCancelledError, QueryRejectedError
-from ..handle import QueryHandle
 from .policies import pick_next
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
+    from ..handle import Submission
     from ..plan.physical import PhysicalPlan
-    from .session import Session, WorkloadManager
+    from .session import WorkloadManager
 
 
 def planned_cores(plan: "PhysicalPlan", options: "QueryOptions", config) -> int:
@@ -47,48 +48,15 @@ def planned_cores(plan: "PhysicalPlan", options: "QueryOptions", config) -> int:
     return total
 
 
-class PendingQuery:
-    """One queued submission, from ``Session.submit`` until admission,
-    rejection, or queued-cancellation."""
-
-    __slots__ = (
-        "handle", "session", "sql", "options", "seq", "priority",
-        "submitted_at", "deadline", "cores", "memory_bytes",
-        "timeout_event", "record", "billed",
-    )
-
-    def __init__(self, handle, session, sql, options, seq, priority,
-                 submitted_at, deadline, cores, memory_bytes, record):
-        self.handle = handle
-        self.session = session
-        self.sql = sql
-        self.options = options
-        self.seq = seq
-        self.priority = priority
-        self.submitted_at = submitted_at
-        self.deadline = deadline
-        self.cores = cores
-        self.memory_bytes = memory_bytes
-        self.timeout_event = None
-        self.record = record
-        #: False for submissions served by the sharing layer without a
-        #: new physical execution (fold/cache): they count against no
-        #: admission cap — a grafted consumer must not double-bill its
-        #: tenant for cores/memory the carrier already pays for.
-        self.billed = True
-
-
 class AdmissionController:
     def __init__(self, manager: "WorkloadManager"):
         self.manager = manager
         self.engine = manager.engine
         self.kernel = manager.engine.kernel
         self.config = manager.config
-        self.queue: list[PendingQuery] = []
-        #: query id -> PendingQuery, for every admitted, still-running query.
-        self.running: dict[int, PendingQuery] = {}
-        self.admitted_cores = 0
-        self.admitted_memory = 0
+        self.queue: list["Submission"] = []
+        #: Every admitted, still-running session submission.
+        self.running: set["Submission"] = set()
         #: Policy-violation log: must stay empty; every entry is a bug.
         self.violations: list[str] = []
         self._seq = itertools.count(1)
@@ -101,91 +69,55 @@ class AdmissionController:
         self._pump_scheduled = False
 
     # -- submission ---------------------------------------------------------
-    def submit(
-        self,
-        session: "Session",
-        sql: str,
-        options: "QueryOptions | None" = None,
-        deadline: float | None = None,
-        memory_bytes: int | None = None,
-    ) -> QueryHandle:
-        from ..cluster.coordinator import QueryOptions
-
-        options = options or QueryOptions()
-        predictor = self.engine.predict_service
-        prediction = None
-        if predictor is not None:
-            # Demand prediction at the admission gate (DESIGN.md §16):
-            # possibly rewrite the options with pre-granted stage DOPs,
-            # pre-size the memory budget, or reject on P(deadline miss).
-            options, prediction, miss = predictor.admission_plan(
-                sql, options, deadline
-            )
-            if miss is not None:
-                return self._reject_predicted_miss(
-                    session, sql, deadline, prediction, miss
-                )
-            if prediction is not None and memory_bytes is None:
-                memory_bytes = predictor.pregrant_memory(prediction)
-        plan = self.engine.coordinator.plan_sql(sql, options)
-        cores = planned_cores(plan, options, self.engine.config)
-        memory = (
-            memory_bytes
-            if memory_bytes is not None
-            else self.config.default_query_memory_bytes
-        )
-        handle = QueryHandle(self.engine, sql=sql)
-        record = self.manager.new_record(session.tenant, sql, deadline)
-        pending = PendingQuery(
-            handle, session, sql, options, next(self._seq), session.priority,
-            self.kernel.now, deadline, cores, memory, record,
-        )
-        handle._on_cancel_queued = self._cancel_queued
+    def enqueue(self, sub: "Submission") -> None:
+        """Queue ``sub`` (prepared, planned, possibly pre-granted) and
+        admit whatever now fits — possibly ``sub`` itself, synchronously."""
+        sub.seq = next(self._seq)
+        sub.cores = planned_cores(sub.plan, sub.options, self.engine.config)
+        if sub.memory_bytes is None:
+            sub.memory_bytes = self.config.default_query_memory_bytes
+        self.manager.records.append(sub)
         self.submitted += 1
-        self.queue.append(pending)
+        self.queue.append(sub)
         self.max_queue_depth = max(self.max_queue_depth, len(self.queue))
         if self.config.queue_timeout is not None:
-            pending.timeout_event = self.kernel.schedule(
-                self.config.queue_timeout, lambda p=pending: self._timeout(p)
+            sub.timeout_event = self.kernel.schedule(
+                self.config.queue_timeout, lambda: self._timeout(sub)
             )
-        self._trace("queued", pending)
+        self._trace("queued", sub)
         self._pump()
         if self.manager.autoscaler is not None:
             self.manager.autoscaler.ensure_tick()
-        return handle
 
-    def _reject_predicted_miss(
-        self, session, sql, deadline, prediction, miss
-    ) -> QueryHandle:
+    def reject_predicted_miss(self, sub: "Submission", miss: float) -> None:
         """SLO rejection before queueing: the runtime estimate + variance
-        says this query cannot plausibly meet its deadline.  The handle
-        is terminal immediately; the structured error carries the
-        prediction so the caller can renegotiate (retry with a looser
+        says this query cannot plausibly meet its deadline.  The
+        submission is terminal immediately; the structured error carries
+        the prediction so the caller can renegotiate (retry with a looser
         deadline or after warming more history)."""
-        handle = QueryHandle(self.engine, sql=sql)
-        record = self.manager.new_record(session.tenant, sql, deadline)
-        record.state = "rejected"
-        record.finished_at = self.kernel.now
+        prediction = sub.prediction
+        self.manager.records.append(sub)
         self.submitted += 1
         self.rejected += 1
-        error = QueryRejectedError(
-            f"tenant {session.tenant!r}: predicted deadline-miss "
-            f"probability {miss:.3f} exceeds "
-            f"{self.engine.config.prediction.max_miss_probability} "
-            f"(predicted runtime {prediction.runtime:.2f}s +- "
-            f"{prediction.std:.2f}s vs deadline {deadline:.2f}s)",
-            tenant=session.tenant,
-            reason="predicted-miss",
-            prediction=prediction,
+        sub._finish(
+            "rejected",
+            QueryRejectedError(
+                f"tenant {sub.tenant!r}: predicted deadline-miss "
+                f"probability {miss:.3f} exceeds "
+                f"{self.engine.config.prediction.max_miss_probability} "
+                f"(predicted runtime {prediction.runtime:.2f}s +- "
+                f"{prediction.std:.2f}s vs deadline {sub.deadline:.2f}s)",
+                tenant=sub.tenant,
+                reason="predicted-miss",
+                prediction=prediction,
+            ),
         )
-        handle._reject(error)
         tracer = self.kernel.tracer
         if tracer.enabled:
             tracer.instant(
                 "workload", "admission:rejected", node="coordinator",
-                tenant=session.tenant, reason="predicted-miss",
+                tenant=sub.tenant, reason="predicted-miss",
             )
-        return handle
 
     # -- queue dynamics -----------------------------------------------------
     def _pump(self) -> None:
@@ -198,7 +130,7 @@ class AdmissionController:
                 self.config.priority_aging_rate,
                 self.kernel.now,
             )
-            if head is None or not (self._fits(head) or self._share_bypass(head)):
+            if not (self._fits(head) or self._needs_no_resources(head)):
                 break
             self.queue.remove(head)
             self._admit(head)
@@ -213,19 +145,27 @@ class AdmissionController:
     def _billed_running(self) -> int:
         """Physical executions currently admitted.  Folded/cached
         submissions ride along unbilled and never count against caps."""
-        return sum(1 for p in self.running.values() if p.billed)
+        return sum(1 for sub in self.running if sub.billed)
 
-    def _share_bypass(self, pending: PendingQuery) -> bool:
+    @property
+    def admitted_cores(self) -> int:
+        return sum(sub.cores for sub in self.running if sub.billed)
+
+    @property
+    def admitted_memory(self) -> int:
+        return sum(sub.memory_bytes for sub in self.running if sub.billed)
+
+    def _needs_no_resources(self, sub: "Submission") -> bool:
         """True when the sharing layer would serve this submission without
         a new physical execution (fold onto a live carrier, or a result
         cache hit) — such submissions are admitted past the caps because
-        they consume no new cores or memory.  Side-effect-free probe."""
+        they consume no new cores or memory."""
         sharing = self.engine.sharing
-        if sharing is None:
-            return False
-        return sharing.probe(pending.sql, pending.options) is not None
+        return sharing is not None and sharing.decide(sub).route in (
+            "folded", "cached",
+        )
 
-    def _fits(self, pending: PendingQuery) -> bool:
+    def _fits(self, sub: "Submission") -> bool:
         cfg = self.config
         if (
             cfg.max_concurrent_queries is not None
@@ -242,102 +182,70 @@ class AdmissionController:
             limit = max(1, math.ceil(cfg.max_queries_per_node * nodes))
             if self._billed_running() >= limit:
                 return False
+        admitted_cores = self.admitted_cores
         if (
             cfg.max_admitted_cores is not None
-            and self.admitted_cores + pending.cores > cfg.max_admitted_cores
+            and admitted_cores + sub.cores > cfg.max_admitted_cores
             # A query wider than the whole budget could never run at all;
             # admit it alone rather than deadlocking the queue.
-            and self.admitted_cores > 0
+            and admitted_cores > 0
         ):
             return False
+        admitted_memory = self.admitted_memory
         if (
             cfg.max_admitted_memory_bytes is not None
-            and self.admitted_memory + pending.memory_bytes
-            > cfg.max_admitted_memory_bytes
-            and self.admitted_memory > 0
+            and admitted_memory + sub.memory_bytes > cfg.max_admitted_memory_bytes
+            and admitted_memory > 0
         ):
             return False
         return True
 
-    def _admit(self, pending: PendingQuery) -> None:
-        if pending.timeout_event is not None:
-            pending.timeout_event.cancel()
-            pending.timeout_event = None
-        execution = self.engine._dispatch(pending.sql, pending.options)
-        execution.tenant = pending.session.tenant
-        pending.billed = getattr(execution, "role", None) not in (
-            "folded", "cached",
-        )
-        # A carrier's physical execution may already exist (dispatched
-        # synchronously, before this assignment); tag it for per-tenant
-        # accounting too.
-        carrier = getattr(execution, "carrier", None)
-        if carrier is not None and carrier.tenant is None:
-            carrier.tenant = pending.session.tenant
-        pending.handle._bind(execution)
-        self.running[execution.id] = pending
-        if pending.billed:
-            self.admitted_cores += pending.cores
-            self.admitted_memory += pending.memory_bytes
+    def _admit(self, sub: "Submission") -> None:
+        if sub.timeout_event is not None:
+            sub.timeout_event.cancel()
+            sub.timeout_event = None
+        self.running.add(sub)
         self.admitted += 1
-        self.manager.on_admitted(pending, execution)
-        execution.on_done(lambda _exec, p=pending: self._released(p, _exec))
-        self._trace("admitted", pending, query_id=execution.id)
+        sub.on_done(self._released)
+        self.engine._launch(sub)
+        self._trace("admitted", sub, query_id=sub.query_id)
 
-    def _released(self, pending: PendingQuery, execution) -> None:
-        if self.running.pop(execution.id, None) is None:
-            return
-        if pending.billed:
-            self.admitted_cores -= pending.cores
-            self.admitted_memory -= pending.memory_bytes
-        self.manager.on_finished(pending, execution)
+    def _released(self, sub: "Submission") -> None:
+        self.running.discard(sub)
         if self.queue:
             self._schedule_pump()
 
-    def _timeout(self, pending: PendingQuery) -> None:
-        if pending not in self.queue:
+    def _timeout(self, sub: "Submission") -> None:
+        if sub not in self.queue:
             return
-        self.queue.remove(pending)
+        self.queue.remove(sub)
         self.timeouts += 1
-        queued = self.kernel.now - pending.submitted_at
-        self._finish_queued(
-            pending,
+        queued = self.kernel.now - sub.submitted_at
+        sub._finish(
+            "rejected",
             QueryRejectedError(
-                f"tenant {pending.session.tenant!r}: queue timeout after "
+                f"tenant {sub.tenant!r}: queue timeout after "
                 f"{queued:.2f} virtual seconds",
-                tenant=pending.session.tenant,
+                tenant=sub.tenant,
                 reason="queue-timeout",
                 queued_seconds=queued,
             ),
-            "rejected",
         )
         self.rejected += 1
-        self._trace("rejected", pending, reason="queue-timeout")
+        self._trace("rejected", sub, reason="queue-timeout")
         self._check_invariants()
 
-    def _cancel_queued(self, handle: QueryHandle, reason: str) -> None:
-        for pending in self.queue:
-            if pending.handle is handle:
-                break
-        else:
-            return
-        self.queue.remove(pending)
-        if pending.timeout_event is not None:
-            pending.timeout_event.cancel()
-            pending.timeout_event = None
+    def cancel_queued(self, sub: "Submission", reason: str) -> None:
+        self.queue.remove(sub)
+        if sub.timeout_event is not None:
+            sub.timeout_event.cancel()
+            sub.timeout_event = None
         self.cancelled_queued += 1
-        self._finish_queued(
-            pending,
-            QueryCancelledError(f"cancelled while queued: {reason}",
-                                reason=reason),
+        sub._finish(
             "cancelled",
+            QueryCancelledError(f"cancelled while queued: {reason}", reason=reason),
         )
-        self._trace("cancelled_queued", pending, reason=reason)
-
-    def _finish_queued(self, pending: PendingQuery, error, state: str) -> None:
-        pending.record.state = state
-        pending.record.finished_at = self.kernel.now
-        pending.handle._reject(error)
+        self._trace("cancelled_queued", sub, reason=reason)
 
     # -- policy invariants --------------------------------------------------
     def _check_invariants(self) -> None:
@@ -387,10 +295,10 @@ class AdmissionController:
             "violations": len(self.violations),
         }
 
-    def _trace(self, event: str, pending: PendingQuery, **meta) -> None:
+    def _trace(self, event: str, sub: "Submission", **meta) -> None:
         tracer = self.kernel.tracer
         if tracer.enabled:
             tracer.instant(
                 "workload", f"admission:{event}", node="coordinator",
-                tenant=pending.session.tenant, seq=pending.seq, **meta,
+                tenant=sub.tenant, seq=sub.seq, **meta,
             )

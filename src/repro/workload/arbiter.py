@@ -86,7 +86,6 @@ class ResourceArbiter:
         self.config = manager.config
         self.cluster = manager.engine.cluster
         self.entries: dict[int, ArbiterEntry] = {}
-        self._elastic: dict[int, object] = {}
         self.grants = 0
         self.trims = 0
         self.deferrals = 0
@@ -137,7 +136,28 @@ class ResourceArbiter:
 
     def _unregister(self, query_id: int) -> None:
         self.entries.pop(query_id, None)
-        self._elastic.pop(query_id, None)
+
+    def adopt(self, sub) -> None:
+        """Account session submission ``sub`` against the execution
+        serving it.  The execution is registered once, under the first
+        session query it serves; every query riding a *shared* execution
+        then folds its own priority / deadline onto the entry, so the
+        execution is arbitrated at the effective values of its most
+        important live consumer and a detach drops only its own claim."""
+        execution = sub.execution
+        if execution.id not in self.entries:
+            self.register(
+                execution,
+                tenant=sub.tenant,
+                priority=sub.priority,
+                deadline_at=sub.deadline_at,
+                memory_bytes=sub.memory_bytes,
+            )
+        if sub.shared is not None:
+            self.fold_consumer(
+                execution.id, sub.query_id,
+                priority=sub.priority, deadline_at=sub.deadline_at,
+            )
 
     # -- shared-execution adoption (DESIGN.md §14) --------------------------
     def fold_consumer(
@@ -178,11 +198,6 @@ class ResourceArbiter:
         if entry.deadline_at is not None and self.config.arbitration == "deadline":
             self._ensure_tick()
 
-    def attach_elastic(self, query_id: int, elastic) -> None:
-        """Called by :class:`ElasticQuery` so rebalancing can reach the
-        query's what-if service, filter, and tuner."""
-        self._elastic[query_id] = elastic
-
     # -- usage accounting (dynamic, from live structures) -------------------
     def query_cores(self, execution: "QueryExecution") -> int:
         """Cores a query currently occupies: one per active driver slot."""
@@ -198,11 +213,9 @@ class ResourceArbiter:
         return total
 
     def cluster_usage(self) -> int:
-        coordinator = self.engine.coordinator
         return sum(
             self.query_cores(q)
-            for qid, q in sorted(coordinator.queries.items())
-            if not q.finished
+            for q in self.engine.coordinator.running.values()
         )
 
     def tenant_of(self, query_id: int) -> str:
@@ -210,21 +223,16 @@ class ResourceArbiter:
         return entry.tenant if entry is not None else ANONYMOUS
 
     def tenant_usage(self, tenant: str) -> int:
-        coordinator = self.engine.coordinator
         return sum(
             self.query_cores(q)
-            for qid, q in sorted(coordinator.queries.items())
-            if not q.finished and self.tenant_of(qid) == tenant
+            for qid, q in self.engine.coordinator.running.items()
+            if self.tenant_of(qid) == tenant
         )
 
     def active_tenants(self) -> list[str]:
-        coordinator = self.engine.coordinator
-        names = {
-            self.tenant_of(qid)
-            for qid, q in coordinator.queries.items()
-            if not q.finished
-        }
-        return sorted(names)
+        return sorted(
+            {self.tenant_of(qid) for qid in self.engine.coordinator.running}
+        )
 
     # -- bidding ------------------------------------------------------------
     def arbitrate(
@@ -331,10 +339,9 @@ class ResourceArbiter:
         """Cores held by queries with strictly higher priority than
         ``query_id`` (anonymous queries have priority 0)."""
         mine = self.entries[query_id].priority if query_id in self.entries else 0.0
-        coordinator = self.engine.coordinator
         total = 0
-        for qid, q in sorted(coordinator.queries.items()):
-            if q.finished or qid == query_id:
+        for qid, q in self.engine.coordinator.running.items():
+            if qid == query_id:
                 continue
             theirs = self.entries[qid].priority if qid in self.entries else 0.0
             if theirs > mine:
@@ -392,7 +399,7 @@ class ResourceArbiter:
         for entry in live:
             if entry.deadline_at is None:
                 continue
-            elastic = self._elastic.get(entry.execution.id)
+            elastic = entry.execution.elastic
             if elastic is None:
                 continue
             plan = self._endangered_plan(entry, elastic)
@@ -448,7 +455,7 @@ class ResourceArbiter:
                 continue
             if entry.deadline_at is not None and qid != exempt:
                 endangered = False
-                elastic = self._elastic.get(qid)
+                elastic = entry.execution.elastic
                 if elastic is not None:
                     endangered = self._endangered_plan(entry, elastic) is not None
                 if endangered:
@@ -465,7 +472,7 @@ class ResourceArbiter:
             if reclaimed >= cores_needed:
                 break
             entry = self.entries[qid]
-            elastic = self._elastic.get(qid)
+            elastic = entry.execution.elastic
             if elastic is None:
                 continue
             if elastic.filter.pins.get(sid, 0.0) > self.kernel.now:

@@ -131,7 +131,7 @@ class Autoscaler:
             return True
         slack = self.config.autoscale_deadline_slack
         for pending in admission.queue:
-            deadline_at = pending.record.deadline_at
+            deadline_at = pending.deadline_at
             if deadline_at is not None and deadline_at - self.kernel.now < slack:
                 return True
         return False

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .policies import jain_fairness
-from .session import QueryRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
     from ..engine import AccordionEngine
-    from ..handle import QueryHandle
+    from ..handle import QueryHandle, Submission
 
 
 # -- arrival processes ------------------------------------------------------
@@ -393,7 +392,7 @@ class Workload:
 
     # ------------------------------------------------------------------
     def _report(
-        self, records: list[QueryRecord], horizon: float, manager,
+        self, records: list["Submission"], horizon: float, manager,
         start: float = 0.0, sharing: dict | None = None,
         predict: dict | None = None,
     ) -> WorkloadReport:

@@ -1,63 +1,27 @@
 """Sessions and the per-engine WorkloadManager.
 
 ``engine.session(tenant, priority, deadline)`` opens a :class:`Session`;
-its ``submit()`` goes through the admission controller instead of
-straight to the coordinator, and the queries it admits are registered
-with the cluster-wide resource arbiter.  The manager also keeps one
-:class:`QueryRecord` per submission — the raw material for the workload
-report and the per-tenant metrics gauges.
+its ``submit()`` enters the engine's query lifecycle as a *session*
+submission: it is admitted by the admission controller instead of at
+once, and the execution serving it is registered with the cluster-wide
+resource arbiter.  The manager keeps every session
+:class:`~repro.handle.Submission` in ``records`` — the raw material for
+the workload report and the per-tenant metrics gauges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..handle import Submission
 from .admission import AdmissionController
 from .arbiter import ResourceArbiter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..cluster.coordinator import QueryExecution, QueryOptions
+    from ..cluster.coordinator import QueryOptions
     from ..engine import AccordionEngine
     from ..handle import QueryHandle, QueryResult
     from .autoscaler import Autoscaler
-
-
-@dataclass
-class QueryRecord:
-    """Lifecycle of one session submission, in virtual time."""
-
-    tenant: str
-    sql: str
-    submitted_at: float
-    deadline_at: float | None = None
-    admitted_at: float | None = None
-    finished_at: float | None = None
-    #: queued | rejected | cancelled | running | finished | failed
-    state: str = "queued"
-    query_id: int | None = None
-    rows: int | None = None
-
-    @property
-    def queue_seconds(self) -> float | None:
-        if self.admitted_at is None:
-            return None
-        return self.admitted_at - self.submitted_at
-
-    @property
-    def latency(self) -> float | None:
-        """Submission-to-completion, including queueing (None until done)."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-    @property
-    def deadline_met(self) -> bool | None:
-        if self.deadline_at is None:
-            return None
-        if self.finished_at is None or self.state != "finished":
-            return False
-        return self.finished_at <= self.deadline_at
 
 
 class Session:
@@ -88,10 +52,13 @@ class Session:
         The handle starts in the ``"queued"`` state (possibly admitted
         synchronously if capacity allows); ``deadline`` overrides the
         session default for this query."""
-        effective_deadline = deadline if deadline is not None else self.deadline
-        return self.manager.admission.submit(
-            self, sql, options=options, deadline=effective_deadline,
-            memory_bytes=memory_bytes,
+        engine = self.manager.engine
+        return engine._submit(
+            Submission(
+                engine.kernel, sql, options, session=self,
+                deadline=deadline if deadline is not None else self.deadline,
+                memory_bytes=memory_bytes,
+            )
         )
 
     def execute(
@@ -120,7 +87,8 @@ class WorkloadManager:
         self.config = engine.config.workload
         self.arbiter = ResourceArbiter(self)
         self.admission = AdmissionController(self)
-        self.records: list[QueryRecord] = []
+        #: Every session submission, in submission order.
+        self.records: list[Submission] = []
         #: Queue/deadline-driven fleet sizing (ClusterConfig.autoscale).
         self.autoscaler: "Autoscaler | None" = None
         if engine.config.cluster.autoscale:
@@ -139,96 +107,3 @@ class WorkloadManager:
         self, tenant: str, priority: float = 0.0, deadline: float | None = None
     ) -> Session:
         return Session(self, tenant, priority=priority, deadline=deadline)
-
-    # -- admission callbacks ------------------------------------------------
-    def new_record(
-        self, tenant: str, sql: str, deadline: float | None
-    ) -> QueryRecord:
-        record = QueryRecord(
-            tenant=tenant,
-            sql=sql,
-            submitted_at=self.kernel.now,
-            deadline_at=(
-                self.kernel.now + deadline if deadline is not None else None
-            ),
-        )
-        self.records.append(record)
-        return record
-
-    def on_admitted(self, pending, execution: "QueryExecution") -> None:
-        record = pending.record
-        record.admitted_at = self.kernel.now
-        record.state = "running"
-        record.query_id = execution.id
-        role = getattr(execution, "role", None)
-        if role == "cached":
-            # Served synchronously from the result cache: there is no
-            # physical execution for the arbiter to manage.
-            return
-        if role in ("carrier", "folded"):
-            self._register_shared(pending, execution, record)
-            return
-        self.arbiter.register(
-            execution,
-            tenant=pending.session.tenant,
-            priority=pending.priority,
-            deadline_at=record.deadline_at,
-            memory_bytes=pending.memory_bytes,
-        )
-        self._maybe_eager_elastic(record, execution)
-
-    def _register_shared(self, pending, consumer, record: QueryRecord) -> None:
-        """Arbiter accounting for a consumer riding a shared execution.
-
-        Registration is deferred until the group's carrier execution is
-        dispatched (it may be sitting in a fold window).  The carrier is
-        registered once; every consumer then folds its own priority /
-        deadline onto the entry, so the shared execution is arbitrated at
-        the effective values of its *most important* live consumer and a
-        consumer's detach drops only its own claim."""
-        tenant = pending.session.tenant
-
-        def _on_dispatch(group) -> None:
-            if consumer.finished:  # detached inside the fold window
-                return
-            carrier = group.carrier
-            if carrier.id not in self.arbiter.entries:
-                self.arbiter.register(
-                    carrier,
-                    tenant=tenant,
-                    priority=pending.priority,
-                    deadline_at=record.deadline_at,
-                    memory_bytes=pending.memory_bytes,
-                )
-            self.arbiter.fold_consumer(
-                carrier.id, consumer.id,
-                priority=pending.priority, deadline_at=record.deadline_at,
-            )
-            self._maybe_eager_elastic(record, carrier)
-
-        consumer.group.when_dispatched(_on_dispatch)
-
-    def _maybe_eager_elastic(self, record: QueryRecord, execution) -> None:
-        # Deadline-constrained queries need a collector/what-if service
-        # from the start so the arbiter's rebalance pass can estimate
-        # T_remain; create the elastic handle eagerly.
-        if (
-            record.deadline_at is not None
-            and self.engine.config.elasticity_enabled
-            and self.config.arbitration == "deadline"
-        ):
-            self.engine._elastic_for(execution)
-
-    def on_finished(self, pending, execution: "QueryExecution") -> None:
-        record = pending.record
-        record.finished_at = self.kernel.now
-        record.state = execution.state.value
-        if execution.succeeded:
-            record.rows = execution.result_rows
-
-    # -- aggregation --------------------------------------------------------
-    def tenant_records(self) -> dict[str, list[QueryRecord]]:
-        out: dict[str, list[QueryRecord]] = {}
-        for record in self.records:
-            out.setdefault(record.tenant, []).append(record)
-        return out

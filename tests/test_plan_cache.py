@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from conftest import TEST_SEED, make_engine, norm_rows
 
-from repro import EngineConfig, QueryOptions
+from repro import AccordionEngine, EngineConfig, QueryOptions
 from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
 from repro.plan.cache import PLAN_CACHE
@@ -99,3 +99,60 @@ def test_cached_plan_gives_identical_answers():
 
 def test_engine_config_defaults_enable_cache():
     assert EngineConfig().plan_cache is True
+
+
+# -- the front end runs once per submission ----------------------------------
+def full_stack_engine(catalog):
+    config = EngineConfig().with_workload().with_sharing().with_prediction()
+    return AccordionEngine(catalog, config=config)
+
+
+def count_parse(monkeypatch) -> list[str]:
+    """Count front-end runs: wrap ``parse`` under every name it is bound
+    to inside ``repro`` (modules import it both lazily and at load)."""
+    import sys
+
+    from repro.sql import parser
+
+    original = parser.parse
+    parsed: list[str] = []
+
+    def counting(sql):
+        parsed.append(sql)
+        return original(sql)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "parse", None) is original:
+            monkeypatch.setattr(module, "parse", counting)
+    return parsed
+
+
+def test_fresh_literal_submission_runs_front_end_once(monkeypatch):
+    engine = full_stack_engine(fresh_catalog())
+    session = engine.session("bi", deadline=1e6)
+    template = "select count(*) from lineitem where l_quantity < {}"
+    session.submit(template.format(10)).result()  # warm the template's history
+    parsed = count_parse(monkeypatch)
+    handle = session.submit(template.format(11))
+    assert handle.result().num_rows == 1
+    assert parsed == [template.format(11)]
+
+
+def test_text_keyed_memos_stay_bounded():
+    from repro.plan.cache import FRONT_END
+
+    catalog = fresh_catalog()
+    engine = full_stack_engine(catalog)
+    session = engine.session("adhoc")
+    for literal in range(600):
+        session.submit(
+            f"select count(*) from nation where n_nationkey < {literal}"
+        ).result()
+    assert 0 < FRONT_END.entries(catalog) <= FRONT_END.limit
+    assert 0 < PLAN_CACHE.entries(catalog) <= PLAN_CACHE.limit
+    # Nothing per-engine remembers one entry per distinct text either.
+    for owner in (engine, engine.sharing, engine.predict_service,
+                  engine.workload.admission, engine.workload.arbiter):
+        for name, value in vars(owner).items():
+            if isinstance(value, (dict, set)):
+                assert len(value) <= FRONT_END.limit, (type(owner).__name__, name)

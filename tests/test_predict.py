@@ -262,10 +262,9 @@ class TestPregrant:
         engine = predict_engine(catalog)
         engine.submit(AGG_SQL.format(lit=10)).result()
         engine.submit(AGG_SQL.format(lit=20)).result()
-        predictor = engine.predict_service
-        assert predictor.drr_placements >= 1
-        assert not predictor._query_reservations
-        assert all(v == 0 for v in predictor._node_reserved.values())
+        assert engine.predict_service.stats()["drr_placements"] >= 1
+        assert all(q.reservations == [] for q in engine.coordinator.queries.values())
+        assert all(node.reserved_bytes == 0 for node in engine.cluster.compute)
 
 
 # -- reprovision trigger ----------------------------------------------------

@@ -7,13 +7,15 @@ from repro import (
     AccordionEngine,
     EngineConfig,
     QueryCancelledError,
+    QueryFailedError,
     QueryHandle,
+    QueryRejectedError,
     QueryResult,
     TPCH_QUERIES,
 )
 from repro.metrics import render_fault_report
 
-from conftest import slow_engine
+from conftest import make_engine, slow_engine
 
 COUNT_SQL = "select count(*) from lineitem"
 
@@ -121,6 +123,97 @@ def test_cancel_is_clean_teardown(catalog):
     victim.cancel()
     survivor = engine.submit(COUNT_SQL)
     assert survivor.result().num_rows == 1
+
+
+# -- one lifecycle, whichever way the query is served -------------------------
+def _unshared(catalog):
+    return make_engine(catalog).submit(COUNT_SQL)
+
+
+def _sharing_engine(catalog):
+    return AccordionEngine(catalog, config=EngineConfig().with_sharing())
+
+
+def _shared(catalog, index):
+    return _sharing_engine(catalog).submit_many([COUNT_SQL, COUNT_SQL])[index]
+
+
+def _cached(catalog):
+    engine = _sharing_engine(catalog)
+    engine.execute(COUNT_SQL)
+    return engine.submit(COUNT_SQL)
+
+
+def _queued(catalog, **workload):
+    config = EngineConfig().with_workload(max_concurrent_queries=1, **workload)
+    session = slow_engine(catalog, workload=config.workload).session("bi")
+    session.submit(TPCH_QUERIES["Q3"])
+    return session.submit(COUNT_SQL)
+
+
+def _queued_then_cancelled(catalog):
+    handle = _queued(catalog)
+    handle.cancel("user closed the tab")
+    return handle
+
+
+def _failed(catalog):
+    handle = slow_engine(catalog).submit(TPCH_QUERIES["Q3"])
+    handle.engine.run_until(1.0)
+    handle.execution.fail(QueryFailedError("node exploded"))
+    return handle
+
+
+LIFECYCLES = {
+    # case: (submit, route, terminal state, error type)
+    "unshared": (_unshared, "unshared", "finished", None),
+    "carrier": (lambda c: _shared(c, 0), "carrier", "finished", None),
+    "folded": (lambda c: _shared(c, 1), "folded", "finished", None),
+    "cached": (_cached, "cached", "finished", None),
+    "queued-then-cancelled": (
+        _queued_then_cancelled, "unshared", "cancelled", QueryCancelledError,
+    ),
+    "rejected": (
+        lambda c: _queued(c, queue_timeout=0.001),
+        "unshared", "rejected", QueryRejectedError,
+    ),
+    "failed": (_failed, "unshared", "failed", QueryFailedError),
+}
+
+
+@pytest.mark.parametrize("case", LIFECYCLES)
+def test_lifecycle_parity(catalog, case):
+    """Every route ends in the same handle contract."""
+    submit, route, state, error_type = LIFECYCLES[case]
+    handle = submit(catalog)
+    fired = []
+    handle.on_done(fired.append)
+    assert handle.wait() is True
+    assert fired == [handle]
+    handle.on_done(fired.append)  # already terminal: fires at once
+    assert fired == [handle, handle]
+
+    assert handle.state == state and state in repr(handle)
+    assert handle.sharing.role == route
+    assert handle.finished
+    assert handle.succeeded == (state == "finished")
+    assert handle.cancelled == (state == "cancelled")
+    assert handle.failed == (state in ("failed", "rejected"))
+    if error_type is None:
+        assert handle.error is None
+        result = handle.result()
+        assert result.num_rows == 1
+        assert result.elapsed_seconds == handle.elapsed >= 0
+    else:
+        assert type(handle.error) is error_type
+        with pytest.raises(error_type):
+            handle.result()
+    # Never-admitted queries have no elapsed time; the clock of every
+    # terminal query has stopped.
+    elapsed = handle.elapsed
+    assert (elapsed == 0.0) == (handle.id is None or route == "cached")
+    handle.engine.run_for(1.0)
+    assert handle.elapsed == elapsed and fired == [handle, handle]
 
 
 # -- removed pre-handle entry points -----------------------------------------

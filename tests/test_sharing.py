@@ -102,7 +102,7 @@ class TestFolding:
         rows = isolated_rows(catalog, sql)
         assert h1.result().rows == rows
         assert h2.result().rows == rows
-        assert h2.sharing.folded_into == h1.execution.carrier.id
+        assert h2.sharing.folded_into == h1.execution.id
         assert h2.sharing.pages_saved > 0
 
     def test_residual_filter_fold_bit_identical(self, catalog):
@@ -144,11 +144,11 @@ class TestFolding:
     def test_fold_window_batches_lookalikes(self, catalog):
         engine = sharing_engine(catalog, fold_window=0.5)
         h1 = engine.submit("select count(*) from orders")
-        assert h1.execution.carrier is None  # still inside the window
+        assert h1.execution is None  # still inside the window
         h2 = engine.submit("select count(*) from orders")
         assert h2.sharing.role == "folded"
         engine.run_for(1.0)
-        assert h1.execution.carrier is not None
+        assert h1.execution is not None
         rows = isolated_rows(catalog, "select count(*) from orders")
         assert h1.result().rows == rows
         assert h2.result().rows == rows
@@ -185,7 +185,7 @@ class TestCancellation:
         engine = sharing_engine(catalog)
         sql = "select count(*) from lineitem"
         h1, h2 = engine.submit_many([sql, sql])
-        carrier = h1.execution.carrier
+        carrier = h1.execution
         h1.cancel("creator bailed")
         assert h1.state == "cancelled"
         assert not carrier.finished
@@ -196,7 +196,7 @@ class TestCancellation:
         engine = sharing_engine(catalog)
         sql = "select count(*) from lineitem"
         h1, h2 = engine.submit_many([sql, sql])
-        carrier = h1.execution.carrier
+        carrier = h1.execution
         h1.cancel()
         h2.cancel()
         engine.run_for(10.0)
@@ -208,7 +208,7 @@ class TestCancellation:
         h.cancel("never mind")
         engine.run_for(5.0)
         # No physical execution was ever dispatched.
-        assert h.execution.carrier is None
+        assert h.execution is None
         assert h.state == "cancelled"
         assert len(engine.coordinator.queries) == 0
 
@@ -216,7 +216,7 @@ class TestCancellation:
         engine = sharing_engine(catalog)
         sql = "select count(*) from lineitem"
         h1, h2 = engine.submit_many([sql, sql])
-        h1.execution.carrier.cancel("admin killed it")
+        h1.execution.cancel("admin killed it")
         engine.run_for(10.0)
         assert h1.state == "cancelled"
         assert h2.state == "cancelled"
@@ -282,7 +282,7 @@ class TestFailurePropagation:
         engine = sharing_engine(catalog)
         sql = "select count(*) from lineitem"
         h1, h2 = engine.submit_many([sql, sql])
-        carrier = h1.execution.carrier
+        carrier = h1.execution
         carrier.fail(QueryFailedError("node exploded", query_id=carrier.id))
         engine.run_for(1.0)
         assert h1.state == "failed"
@@ -323,7 +323,7 @@ class TestWorkloadIntegration:
         h2 = high.submit("select sum(l_quantity) from lineitem "
                          "group by l_orderkey")
         engine.run_for(0.5001)  # just past the fold window
-        carrier = h1.execution.carrier
+        carrier = h1.execution
         entry = engine.workload.arbiter.entries[carrier.id]
         assert entry.priority == 5.0
         assert entry.deadline_at == 100.0

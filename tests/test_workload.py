@@ -158,6 +158,9 @@ def test_admission_caps_concurrency(catalog):
     handles = [session.submit(COUNT_SQL) for _ in range(3)]
     assert [h.state for h in handles] == ["running", "queued", "queued"]
     assert session.queue_depth == 2
+    # A queued handle is inspectable, not a trap: no execution yet.
+    assert repr(handles[1]) == "QueryHandle(id=None, state=queued)"
+    assert handles[1].progress() == {} and handles[1].execution is None
     rows = [h.result().rows for h in handles]
     assert rows[0] == rows[1] == rows[2]
     admission = engine.workload.admission
