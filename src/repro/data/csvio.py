@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..pages import ColumnType, Schema
+from ..pages import ColumnType, DictColumn, Schema
 from ..util import date_to_days, days_to_str
 from .table import Table
 
@@ -54,7 +54,7 @@ def read_csv(
             for cell, bucket in zip(row, raw_columns):
                 bucket.append(cell)
 
-    columns: list[np.ndarray] = []
+    columns: list = []
     for field, values in zip(schema, raw_columns):
         typ = field.type
         if typ is ColumnType.DATE:
@@ -66,5 +66,5 @@ def read_csv(
         elif typ is ColumnType.BOOL:
             columns.append(np.array([v in ("1", "true", "True") for v in values], dtype=np.bool_))
         else:
-            columns.append(np.array(values, dtype=object))
+            columns.append(DictColumn.from_values(values))
     return Table(name, schema, columns)

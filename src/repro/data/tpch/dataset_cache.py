@@ -10,13 +10,18 @@ single query executes.  Generated data is fully determined by
   parameters) share the same immutable column arrays.
 * **On-disk ``.npz``** — when the ``REPRO_CACHE_DIR`` environment
   variable names a directory, tables are spilled to
-  ``tpch-sf<scale>-seed<seed>-v<version>.npz`` and later processes load
-  instead of generating.  Unset, nothing touches disk.
+  ``tpch-sf<scale>-seed<seed>-f<format>-v<version>.npz`` and later
+  processes load instead of generating.  Unset, nothing touches disk.
 
 ``GENERATOR_VERSION`` is part of both keys: bump it whenever
 :class:`~repro.data.tpch.generator.TpchGenerator` changes its output, and
-stale caches miss instead of serving old bits.  Cache consumers must not
-mutate the returned arrays (the engine never does — pages slice and copy).
+stale caches miss instead of serving old bits.  ``CACHE_FORMAT`` versions
+the archive layout the same way: a string column is stored as its
+``int32`` codes plus a fixed-width unicode array of dictionary entries,
+so the archive holds plain arrays only and loads with
+``allow_pickle=False`` (format 1 pickled one python object per cell).
+Cache consumers must not mutate the returned arrays (the engine never
+does — pages slice and copy).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ...pages import DictColumn
 from .generator import GENERATOR_VERSION, TpchGenerator
 from .schema import TPCH_SCHEMAS
 from ..table import Table
@@ -37,6 +43,9 @@ _MEMO: dict[tuple, dict[str, Table]] = {}
 
 #: Environment variable naming the on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+#: Version of the archive layout; part of the file name, so archives in
+#: another layout are never opened.
+CACHE_FORMAT = 2
 
 
 def clear_dataset_cache() -> None:
@@ -50,7 +59,7 @@ def cache_file_path(scale: float, seed: int) -> Path | None:
     if not cache_dir:
         return None
     return Path(cache_dir) / (
-        f"tpch-sf{scale!r}-seed{seed}-v{GENERATOR_VERSION}.npz"
+        f"tpch-sf{scale!r}-seed{seed}-f{CACHE_FORMAT}-v{GENERATOR_VERSION}.npz"
     )
 
 
@@ -58,7 +67,12 @@ def _save(path: Path, tables: dict[str, Table]) -> None:
     arrays: dict[str, np.ndarray] = {}
     for name, table in tables.items():
         for field, column in zip(table.schema, table.columns):
-            arrays[f"{name}::{field.name}"] = column
+            key = f"{name}::{field.name}"
+            if isinstance(column, DictColumn):
+                arrays[key] = column.codes
+                arrays[f"{key}::dictionary"] = column.dictionary.values.astype(str)
+            else:
+                arrays[key] = column
     path.parent.mkdir(parents=True, exist_ok=True)
     # Write-then-rename so a crashed writer never leaves a torn file for
     # a concurrent reader (np.load would fail on a partial archive).
@@ -73,19 +87,27 @@ def _save(path: Path, tables: dict[str, Table]) -> None:
 
 def _load(path: Path) -> dict[str, Table] | None:
     try:
-        with np.load(path, allow_pickle=True) as archive:
+        with np.load(path, allow_pickle=False) as archive:
             tables: dict[str, Table] = {}
             for name, schema in TPCH_SCHEMAS.items():
                 columns = []
                 for field in schema:
-                    arr = archive[f"{name}::{field.name}"]
+                    key = f"{name}::{field.name}"
+                    arr = archive[key]
+                    if field.type.fixed_width is None:
+                        arr = DictColumn(arr, archive[f"{key}::dictionary"].tolist())
+                        if len(arr) and not (
+                            0 <= arr.codes.min() and arr.codes.max() < len(arr.dictionary)
+                        ):
+                            raise ValueError(f"{key}: codes outside the dictionary")
                     columns.append(arr)
                 tables[name] = Table(name, schema, columns)
             return tables
     except Exception:
-        # Missing, torn, or stale-format archive (np.load raises anything
-        # from OSError to UnpicklingError depending on how the file is
-        # broken): regenerate instead of failing the caller.
+        # Any load failure is a cache miss (missing or torn archive,
+        # members that are not the arrays this format stores, codes that
+        # do not index their dictionary): regenerate instead of failing
+        # the caller now or an operator later.
         return None
 
 

@@ -17,6 +17,7 @@ import zlib
 
 import numpy as np
 
+from ...pages import DictColumn
 from ...util import date_to_days
 from ..table import Table
 from . import text
@@ -63,27 +64,48 @@ class TpchGenerator:
         digest = zlib.crc32(table.encode("utf-8"))
         return np.random.default_rng([self.seed, digest])
 
+    # String columns are emitted dictionary-encoded (DESIGN.md §18):
+    # pool draws *are* codes, and formatted text is rendered once per
+    # distinct combination instead of once per row.
     @staticmethod
-    def _pick(rng: np.random.Generator, pool: list[str], n: int) -> np.ndarray:
-        idx = rng.integers(0, len(pool), n)
-        return np.array(pool, dtype=object)[idx]
+    def _pick(rng: np.random.Generator, pool: list[str], n: int) -> DictColumn:
+        return DictColumn(rng.integers(0, len(pool), n), pool)
 
     @staticmethod
-    def _comments(rng: np.random.Generator, n: int) -> np.ndarray:
+    def _rendered(codes: np.ndarray, render) -> DictColumn:
+        """Column of ``render(code)`` per row; distinct codes must render
+        to distinct text."""
+        used, inverse = np.unique(codes, return_inverse=True)
+        return DictColumn(inverse, [render(c) for c in used.tolist()])
+
+    @classmethod
+    def _joined(cls, rng: np.random.Generator, n: int, *pools: list[str]) -> DictColumn:
+        """One draw per pool (in pool order), joined with spaces."""
+        sizes = [len(pool) for pool in pools]
+        draws = [rng.integers(0, size, n) for size in sizes]
+        return cls._rendered(
+            np.ravel_multi_index(draws, sizes),
+            lambda code: " ".join(
+                pool[i] for pool, i in zip(pools, np.unravel_index(code, sizes))
+            ),
+        )
+
+    @classmethod
+    def _comments(cls, rng: np.random.Generator, n: int) -> DictColumn:
         words = text.PART_NAME_WORDS
         a = rng.integers(0, len(words), n)
         b = rng.integers(0, len(words), n)
-        return np.array([f"{words[x]} {words[y]} requests" for x, y in zip(a, b)], dtype=object)
+        return cls._rendered(
+            a * len(words) + b,
+            lambda c: f"{words[c // len(words)]} {words[c % len(words)]} requests",
+        )
 
     @staticmethod
-    def _phones(rng: np.random.Generator, nation_keys: np.ndarray) -> np.ndarray:
+    def _phones(rng: np.random.Generator, nation_keys: np.ndarray) -> DictColumn:
         local = rng.integers(100, 999, (len(nation_keys), 3))
-        return np.array(
-            [
-                f"{10 + nk}-{a}-{b}-{c}"
-                for nk, (a, b, c) in zip(nation_keys.tolist(), local.tolist())
-            ],
-            dtype=object,
+        return DictColumn.from_values(
+            f"{10 + nk}-{a}-{b}-{c}"
+            for nk, (a, b, c) in zip(nation_keys.tolist(), local.tolist())
         )
 
     @staticmethod
@@ -102,7 +124,7 @@ class TpchGenerator:
             schema,
             [
                 np.arange(n, dtype=np.int64),
-                np.array(text.REGIONS, dtype=object),
+                DictColumn(np.arange(n), text.REGIONS),
                 self._comments(rng, n),
             ],
         )
@@ -110,9 +132,9 @@ class TpchGenerator:
     def _gen_nation(self) -> Table:
         rng = self._rng("nation")
         schema = TPCH_SCHEMAS["nation"]
-        names = np.array([n for n, _ in text.NATIONS], dtype=object)
-        regions = np.array([r for _, r in text.NATIONS], dtype=np.int64)
         n = len(text.NATIONS)
+        names = DictColumn(np.arange(n), [name for name, _ in text.NATIONS])
+        regions = np.array([r for _, r in text.NATIONS], dtype=np.int64)
         return Table(
             "nation",
             schema,
@@ -131,8 +153,8 @@ class TpchGenerator:
             schema,
             [
                 keys,
-                np.array([f"Supplier#{k:09d}" for k in keys], dtype=object),
-                np.array([f"addr sup {k}" for k in keys], dtype=object),
+                DictColumn(np.arange(n), [f"Supplier#{k:09d}" for k in keys]),
+                DictColumn(np.arange(n), [f"addr sup {k}" for k in keys]),
                 nations.astype(np.int64),
                 self._phones(rng, nations),
                 np.round(rng.uniform(-999.99, 9999.99, n), 2),
@@ -147,31 +169,16 @@ class TpchGenerator:
         keys = np.arange(1, n + 1, dtype=np.int64)
         words = text.PART_NAME_WORDS
         widx = rng.integers(0, len(words), (n, 5))
-        names = np.array(
-            [" ".join(words[j] for j in row) for row in widx.tolist()], dtype=object
+        names = DictColumn.from_values(
+            " ".join(words[j] for j in row) for row in widx.tolist()
         )
         mfgr = rng.integers(1, 6, n)
         brand = mfgr * 10 + rng.integers(1, 6, n)
-        types = np.array(
-            [
-                f"{a} {b} {c}"
-                for a, b, c in zip(
-                    self._pick(rng, text.TYPE_SYLLABLE_1, n),
-                    self._pick(rng, text.TYPE_SYLLABLE_2, n),
-                    self._pick(rng, text.TYPE_SYLLABLE_3, n),
-                )
-            ],
-            dtype=object,
+        types = self._joined(
+            rng, n, text.TYPE_SYLLABLE_1, text.TYPE_SYLLABLE_2, text.TYPE_SYLLABLE_3
         )
-        containers = np.array(
-            [
-                f"{a} {b}"
-                for a, b in zip(
-                    self._pick(rng, text.CONTAINER_SYLLABLE_1, n),
-                    self._pick(rng, text.CONTAINER_SYLLABLE_2, n),
-                )
-            ],
-            dtype=object,
+        containers = self._joined(
+            rng, n, text.CONTAINER_SYLLABLE_1, text.CONTAINER_SYLLABLE_2
         )
         return Table(
             "part",
@@ -179,8 +186,8 @@ class TpchGenerator:
             [
                 keys,
                 names,
-                np.array([f"Manufacturer#{m}" for m in mfgr], dtype=object),
-                np.array([f"Brand#{b}" for b in brand], dtype=object),
+                self._rendered(mfgr, lambda m: f"Manufacturer#{m}"),
+                self._rendered(brand, lambda b: f"Brand#{b}"),
                 types,
                 rng.integers(1, 51, n).astype(np.int64),
                 containers,
@@ -237,8 +244,8 @@ class TpchGenerator:
             schema,
             [
                 keys,
-                np.array([f"Customer#{k:09d}" for k in keys], dtype=object),
-                np.array([f"addr cust {k}" for k in keys], dtype=object),
+                DictColumn(np.arange(n), [f"Customer#{k:09d}" for k in keys]),
+                DictColumn(np.arange(n), [f"addr cust {k}" for k in keys]),
                 nations.astype(np.int64),
                 self._phones(rng, nations),
                 np.round(rng.uniform(-999.99, 9999.99, n), 2),
@@ -265,7 +272,7 @@ class TpchGenerator:
                 np.round(rng.uniform(850.0, 560000.0, n), 2),
                 dates,
                 self._pick(rng, text.PRIORITIES, n),
-                np.array([f"Clerk#{c:09d}" for c in rng.integers(1, 1001, n)], dtype=object),
+                self._rendered(rng.integers(1, 1001, n), lambda c: f"Clerk#{c:09d}"),
                 np.zeros(n, dtype=np.int64),
                 self._comments(rng, n),
             ],
@@ -304,16 +311,10 @@ class TpchGenerator:
         receiptdate = shipdate + rng.integers(1, 31, n)
 
         today = date_to_days("1995-06-17")
-        returnflag = np.where(
-            receiptdate <= today,
-            self._pick(rng, ["R", "A"], n),
-            np.array(["N"] * n, dtype=object),
+        returnflag = DictColumn(
+            np.where(receiptdate <= today, rng.integers(0, 2, n), 2), ["R", "A", "N"]
         )
-        linestatus = np.where(
-            shipdate > today,
-            np.array(["O"] * n, dtype=object),
-            np.array(["F"] * n, dtype=object),
-        )
+        linestatus = DictColumn(np.where(shipdate > today, 0, 1), ["O", "F"])
         return Table(
             "lineitem",
             schema,
@@ -326,8 +327,8 @@ class TpchGenerator:
                 extendedprice,
                 discount,
                 tax,
-                returnflag.astype(object),
-                linestatus.astype(object),
+                returnflag,
+                linestatus,
                 shipdate.astype(np.int64),
                 commitdate.astype(np.int64),
                 receiptdate.astype(np.int64),

@@ -22,11 +22,12 @@ import numpy as np
 
 from ...config import CostModel
 from ...errors import ExecutionError
-from ...pages import ColumnType, Page, PageBuilder, Schema
+from ...pages import ColumnType, DictColumn, Page, PageBuilder, Schema
+from ...pages.dictcolumn import concat_columns
 from ...sql.compiler import compile_expressions
 from ...sql.expressions import AggregateCall, BoundExpr
 from ...sql.functions import (
-    ObjectDictEncoder,
+    GroupKeyEncoder,
     group_codes,
     grouped_count,
     grouped_max,
@@ -37,8 +38,8 @@ from ...sql.functions import (
 from ..spill import OperatorMemory, SpillPartitions
 from .base import TransformOperator
 
-#: Estimated bytes per object cell in state accounting (mirrors the page
-#: size estimate in repro.pages.page).
+#: Accounted bytes per string key cell in state accounting (a flat
+#: estimate; part of the memory model, not of the representation).
 _OBJECT_CELL_BYTES = 24
 #: Estimated dict/bookkeeping overhead per aggregation slot.
 _SLOT_OVERHEAD_BYTES = 64
@@ -169,8 +170,8 @@ class _HashAggState:
             self._key_chunks.append(chunk)
             for col in chunk:
                 self._key_bytes += (
-                    col.size * _OBJECT_CELL_BYTES
-                    if col.dtype == object
+                    len(col) * _OBJECT_CELL_BYTES
+                    if isinstance(col, DictColumn)
                     else col.nbytes
                 )
             self._grow_to(len(slots))
@@ -180,6 +181,8 @@ class _HashAggState:
             if kind == _SUM:
                 arr[ids] += values
             elif dtype == object:
+                # String min/max state holds one python value per group.
+                values = values.decode()
                 current = arr[ids]
                 if kind == _MIN:
                     take = np.fromiter(
@@ -206,7 +209,7 @@ class _HashAggState:
         if self._key_chunks and len(self._key_chunks[0]):
             ncols = len(self._key_chunks[0])
             keys = [
-                np.concatenate([chunk[c] for chunk in self._key_chunks])
+                concat_columns([chunk[c] for chunk in self._key_chunks])
                 for c in range(ncols)
             ]
         else:
@@ -278,32 +281,36 @@ def _group_key_tuples(uniques: list[np.ndarray], ngroups: int) -> list[tuple]:
 
 
 class _GroupKeyFactorizer:
-    """Per-operator ``group_codes`` wrapper with dictionary-encoded strings.
+    """Per-operator ``group_codes`` wrapper for string group keys.
 
-    Object key columns are dictionary-encoded against an operator-lifetime
-    :class:`ObjectDictEncoder` first, so the per-page factorization only
-    ever sorts machine ints; the representative unique values are decoded
-    back to the original objects afterwards.
+    String key columns are mapped to operator-lifetime integer codes by a
+    :class:`GroupKeyEncoder` first, so the per-page factorization only
+    ever sorts machine ints and groups are numbered in first-seen order
+    across pages; the representative unique keys come back as columns
+    over the page's own dictionary.
     """
 
     def __init__(self):
-        self._encoders: dict[int, ObjectDictEncoder] = {}
+        self._encoders: dict[int, GroupKeyEncoder] = {}
 
     def factorize(
         self, key_cols: list[np.ndarray]
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        encoded: list[np.ndarray] = []
+        encoded = list(key_cols)
         for j, col in enumerate(key_cols):
-            if col.dtype == object:
+            if isinstance(col, DictColumn):
                 encoder = self._encoders.get(j)
                 if encoder is None:
-                    encoder = self._encoders[j] = ObjectDictEncoder()
-                encoded.append(encoder.encode(col))
-            else:
-                encoded.append(col)
+                    encoder = self._encoders[j] = GroupKeyEncoder()
+                encoded[j] = encoder.encode(col)
         codes, uniques = group_codes(encoded)
-        for j, encoder in self._encoders.items():
-            uniques[j] = encoder.value_array()[uniques[j]]
+        for j in self._encoders:
+            # Operator code -> a dictionary code of this page carrying it
+            # (entries are distinct, so any row of the group will do).
+            col = key_cols[j]
+            entry_of = np.empty(len(self._encoders[j].values), dtype=np.int32)
+            entry_of[encoded[j]] = col.codes
+            uniques[j] = DictColumn(entry_of[uniques[j]], col.dictionary)
         return codes, uniques
 
 
@@ -375,8 +382,8 @@ def _agg_offload_ok(offload, memory: OperatorMemory | None, key_cols) -> bool:
     """Whether this page's grouped reduction may be deferred to the pool.
 
     Three gates keep deferred merging bit-identical to serial:
-    object group keys are excluded (the serial path factorizes them
-    through a stateful operator-lifetime :class:`ObjectDictEncoder`,
+    string group keys are excluded (the serial path factorizes them
+    through a stateful operator-lifetime :class:`GroupKeyEncoder`,
     whose first-seen code order a worker cannot reproduce), and an
     *active* memory budget forces the serial path (budgeted spill/flush
     decisions compare per-page state sizes, which deferral would skew).
@@ -384,7 +391,7 @@ def _agg_offload_ok(offload, memory: OperatorMemory | None, key_cols) -> bool:
     """
     if offload is None:
         return False
-    if any(col.dtype == object for col in key_cols):
+    if any(isinstance(col, DictColumn) for col in key_cols):
         return False
     return memory is None or memory.query.budget_bytes is None
 

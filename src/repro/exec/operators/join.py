@@ -11,8 +11,8 @@ keys are factorized to dense int64 group codes, build rows are argsorted
 by code, and the bridge stores ``(sorted_rows, group_starts, group
 dictionaries)``.  Probing maps a whole page of probe keys onto build
 group ids in one vectorized pass — ``searchsorted`` against the sorted
-per-column uniques for numeric keys, one dict lookup per *distinct* value
-(not per row) for object keys — then expands matches with ``np.repeat``
+per-column uniques for numeric keys, one dict lookup per *dictionary
+entry* (not per row) for string keys — then expands matches with ``np.repeat``
 and fancy indexing.  No per-row python loop survives on the numeric path.
 
 Out-of-core mode (DESIGN.md §13): when the query's memory budget is
@@ -37,7 +37,8 @@ import numpy as np
 from ...buffers.elastic import WaiterList
 from ...config import CostModel
 from ...errors import ExecutionError
-from ...pages import Page, Schema, concat_pages
+from ...pages import DictColumn, Page, Schema, concat_pages
+from ...pages.dictcolumn import EntryLookup
 from ...plan.logical import JoinType
 from ...sql.compiler import compile_expression
 from ...sql.expressions import BoundExpr
@@ -105,7 +106,9 @@ class _BuildIndex:
         self.group_starts = np.zeros(1, dtype=np.int64)
         self.group_counts = np.zeros(0, dtype=np.int64)
         self._col_uniques: list[np.ndarray] = []
-        self._col_dicts: list[dict | None] = []
+        #: Per string key column: probe value -> build column code (-1
+        #: for no match), looked up once per probe dictionary entry.
+        self._col_lookups: list[EntryLookup | None] = []
         self._col_luts: list[tuple[np.ndarray, int] | None] = []
         self._radices: list[int] = []
         self._ucomb = np.zeros(0, dtype=np.int64)
@@ -126,14 +129,26 @@ class _BuildIndex:
         """Factorize build keys; returns a dense group code per build row."""
         per_col_codes: list[np.ndarray] = []
         for col in key_cols:
-            uniq, inv = np.unique(col, return_inverse=True)
+            lookup = None
+            if isinstance(col, DictColumn):
+                # Factorize the value ranks: same order as the values.
+                ranks, dictionary = col.rank_codes()
+                uniq, inv = np.unique(ranks, return_inverse=True)
+                uniq = dictionary.values[dictionary.order[uniq]]
+                code_of = {v: i for i, v in enumerate(uniq.tolist())}
+                lookup = EntryLookup(
+                    lambda values, _get=code_of.get: np.fromiter(
+                        (_get(v, -1) for v in values),
+                        dtype=np.int64,
+                        count=len(values),
+                    ),
+                    unset=-2,
+                )
+            else:
+                uniq, inv = np.unique(col, return_inverse=True)
             self._col_uniques.append(uniq)
             self._radices.append(max(1, len(uniq)))
-            self._col_dicts.append(
-                {v: i for i, v in enumerate(uniq.tolist())}
-                if col.dtype == object
-                else None
-            )
+            self._col_lookups.append(lookup)
             self._col_luts.append(_dense_int_lut(uniq))
             per_col_codes.append(inv.astype(np.int64))
         radix_product = 1
@@ -199,22 +214,15 @@ class _BuildIndex:
             )
         valid: np.ndarray | None = None
         combined = None
-        for col, uniq, vdict, lut, radix in zip(
+        for col, uniq, lookup, lut, radix in zip(
             key_cols,
             self._col_uniques,
-            self._col_dicts,
+            self._col_lookups,
             self._col_luts,
             self._radices,
         ):
-            if vdict is not None:
-                # Object keys: one dict lookup per *distinct* probe value.
-                uvals, inv = np.unique(col, return_inverse=True)
-                code_of = np.fromiter(
-                    (vdict.get(v, -1) for v in uvals.tolist()),
-                    dtype=np.int64,
-                    count=len(uvals),
-                )
-                code = code_of[inv]
+            if lookup is not None:
+                code = lookup(col)
                 ok = code >= 0
                 code = np.where(ok, code, 0)
             elif lut is not None and np.issubdtype(col.dtype, np.integer):

@@ -3,9 +3,16 @@
 A spill file is a sequence of page records.  Each record is a small
 ``int64`` header — row count, buffer count, and the byte length of every
 buffer — followed by the raw buffers from :meth:`Page.column_buffers`.
-Fixed-width columns go to disk as one ``write()`` of the array's own
-memoryview (no intermediate copy) and come back as ``np.frombuffer``
-views over the read buffer; only string columns pay an encode/decode.
+Fixed-width columns and string codes go to disk as one ``write()`` of
+the array's own memoryview (no intermediate copy) and come back as
+``np.frombuffer`` views over the read buffer; a string column's
+dictionary travels with each record (only the entries in use when it
+outsizes the page) and is decoded once per entry.
+
+What a record is *charged* — against memory budgets and as virtual spill
+I/O — is its accounted size (:func:`accounted_record_bytes`), a function
+of the page's accounted size alone, so elasticity decisions do not
+depend on how compactly the dictionary encoding lays bytes out on disk.
 
 Writers are append-only and cheap to keep open (one buffered file handle
 per partition); readers stream the file page by page so a partition is
@@ -20,8 +27,23 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...pages import Page, Schema
+from ...pages.page import PAGE_OVERHEAD_BYTES
 
 _HEADER_DTYPE = np.dtype(np.int64)
+
+
+def accounted_record_bytes(page: Page) -> int:
+    """Size of ``page`` as a record in the cost model's row-wise layout:
+    a header of row count, buffer count and one length per buffer (two
+    buffers per string column: cell lengths, payload) plus the page's
+    accounted payload bytes."""
+    schema = page.schema
+    buffers = len(schema) + len(schema.string_positions)
+    return (
+        _HEADER_DTYPE.itemsize * (2 + buffers)
+        + page.size_bytes
+        - PAGE_OVERHEAD_BYTES
+    )
 
 
 class SpillWriter:
@@ -32,11 +54,13 @@ class SpillWriter:
         self.schema = schema
         self.pages = 0
         self.rows = 0
+        #: Physical file size / accounted (charged) size so far.
         self.bytes_written = 0
+        self.accounted_bytes = 0
         self._file = open(self.path, "wb", buffering=1 << 16)
 
     def write_page(self, page: Page) -> int:
-        """Serialise one data page; returns the bytes appended."""
+        """Serialise one data page; returns the bytes to charge for it."""
         if self._file is None:
             raise ExecutionError(f"spill file {self.path.name} already closed")
         buffers = page.column_buffers()
@@ -53,7 +77,9 @@ class SpillWriter:
         self.pages += 1
         self.rows += page.num_rows
         self.bytes_written += written
-        return written
+        accounted = accounted_record_bytes(page)
+        self.accounted_bytes += accounted
+        return accounted
 
     def close(self) -> None:
         if self._file is not None:

@@ -55,7 +55,8 @@ class SpillPartitions:
 
     # -- write side -------------------------------------------------------
     def write_page(self, page: Page) -> int:
-        """Split one page across the partitions; returns bytes written."""
+        """Split one page across the partitions; returns the accounted
+        bytes written."""
         if page.num_rows == 0:
             return 0
         key_cols = [page.columns[k] for k in self.key_positions]
@@ -93,7 +94,7 @@ class SpillPartitions:
 
     def partition_bytes(self, p: int) -> int:
         writer = self._writers.get(p)
-        return writer.bytes_written if writer is not None else 0
+        return writer.accounted_bytes if writer is not None else 0
 
     @property
     def partitions_written(self) -> int:
@@ -101,7 +102,7 @@ class SpillPartitions:
 
     @property
     def total_bytes(self) -> int:
-        return sum(w.bytes_written for w in self._writers.values())
+        return sum(w.accounted_bytes for w in self._writers.values())
 
     def read_pages(self, p: int):
         """Iterate the pages of partition ``p`` (empty if never written)."""

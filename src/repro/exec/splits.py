@@ -42,10 +42,15 @@ class SystemSplit:
     def read(self, offset: int, rows: int, columns: tuple[int, ...] | None = None) -> Page:
         start = self.info.row_start + offset
         stop = min(start + rows, self.info.row_stop)
-        page = self.table.page(start, stop)
-        if columns is not None:
-            page = page.select(list(columns))
-        return page
+        if columns is None:
+            return self.table.page(start, stop)
+        # Slice only the columns the scan reads (each slice of a string
+        # column is a new DictColumn; unread ones should cost nothing).
+        table = self.table
+        return Page(
+            table.schema.select(columns),
+            [table.columns[i][start:stop] for i in columns],
+        )
 
 
 @dataclass(frozen=True)

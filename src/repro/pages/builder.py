@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dictcolumn import concat_columns
 from .page import Page
 from .schema import Schema
 
@@ -66,7 +67,7 @@ class PageBuilder:
         if len(self._chunks) == 1:
             return self._chunks[0]
         return [
-            np.concatenate([chunk[i] for chunk in self._chunks])
+            concat_columns([chunk[i] for chunk in self._chunks])
             for i in range(len(self.schema))
         ]
 

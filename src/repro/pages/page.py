@@ -1,6 +1,7 @@
 """Columnar pages — the unit of data flow between operators and tasks.
 
-A page holds a batch of rows as parallel numpy column arrays.  Besides
+A page holds a batch of rows as parallel columns: numpy arrays for the
+fixed-width types, :class:`~repro.pages.DictColumn` for STRING.  Besides
 ordinary data pages the engine uses *end pages* (paper Section 4.3):
 
 * ``PageKind.END`` — "no more data will follow"; relayed operator-to-
@@ -17,12 +18,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .schema import ColumnType, Schema
+from .dictcolumn import DictColumn, concat_columns
+from .schema import Schema
 
 #: Fixed per-page metadata overhead in bytes.
-_PAGE_OVERHEAD_BYTES = 64
-#: Per-cell length-prefix bytes for string columns (int32, matching the
-#: ``column_buffers`` wire layout).
+PAGE_OVERHEAD_BYTES = 64
+#: Accounted per-cell length-prefix bytes for string columns (int32).
 _STRING_LENGTH_BYTES = 4
 
 
@@ -48,7 +49,15 @@ class Page:
                 f"page has {len(columns)} columns but schema has {len(schema)}"
             )
         self.schema = schema
-        self.columns = tuple(columns)
+        columns = tuple(columns)
+        if kind is PageKind.DATA:
+            # Invariant: STRING columns are dictionary-encoded.  Operators
+            # hand over DictColumns; python values are ingested here.
+            for i in schema.string_positions:
+                if type(columns[i]) is not DictColumn:
+                    encoded = DictColumn.from_values(columns[i])
+                    columns = columns[:i] + (encoded,) + columns[i + 1 :]
+        self.columns = columns
         self.kind = kind
         self.signal = signal
         self._size: int | None = None
@@ -91,30 +100,19 @@ class Page:
 
     @property
     def size_bytes(self) -> int:
-        """Measured wire size of the page (used by buffers and the NIC).
+        """Accounted size of the page (used by buffers, budgets, the NIC).
 
-        Matches the :meth:`column_buffers` layout exactly: fixed-width
-        columns cost ``rows * width``; string columns cost an ``int32``
-        length prefix per cell plus their actual UTF-8 payload bytes
-        (measured once and cached — pages are immutable).  Spill-budget
-        decisions and buffer accounting therefore see honest sizes
-        instead of a flat per-cell estimate.
+        The cost model's row-wise layout, independent of how compactly
+        the dictionary encoding holds the strings: fixed-width columns
+        cost ``rows * width``; string columns cost an ``int32`` length
+        prefix per cell plus the UTF-8 bytes of each cell's text — one
+        gather over the dictionary's per-entry byte lengths.
         """
         if self._size is None:
-            total = _PAGE_OVERHEAD_BYTES
             n = self.num_rows
-            for field, col in zip(self.schema, self.columns):
-                width = field.type.fixed_width
-                if width is None:
-                    # One bulk join+encode stays in C; a per-cell encode
-                    # loop here is 10-50x slower and shows up in every
-                    # page-producing operator.
-                    payload = "".join(map(str, col.tolist()))
-                    total += n * _STRING_LENGTH_BYTES + len(
-                        payload.encode("utf-8")
-                    )
-                else:
-                    total += n * width
+            total = PAGE_OVERHEAD_BYTES + n * self.schema.fixed_row_bytes
+            for i in self.schema.string_positions:
+                total += n * _STRING_LENGTH_BYTES + self.columns[i].payload_bytes()
             self._size = total
         return self._size
 
@@ -125,21 +123,16 @@ class Page:
 
         Fixed-width columns contribute one ``memoryview`` over the numpy
         array's own buffer (no bytes are copied until a consumer writes
-        them somewhere).  String columns are not stored contiguously, so
-        each contributes two materialised buffers: an ``int32`` length
-        array (as a memoryview) and the concatenated UTF-8 payload.  The
-        spill files and a future shared-memory executor both consume this
-        layout; :meth:`from_column_buffers` is the inverse.
+        them somewhere).  String columns contribute three
+        (:meth:`DictColumn.to_buffers`): the ``int32`` codes, and the
+        dictionary as entry lengths + concatenated UTF-8 payload — cached
+        on the dictionary, so a page costs no per-cell work.  Spill files
+        consume this layout; :meth:`from_column_buffers` is the inverse.
         """
         buffers: list = []
-        for fld, col in zip(self.schema, self.columns):
-            if fld.type.fixed_width is None:
-                encoded = [str(v).encode("utf-8") for v in col.tolist()]
-                lengths = np.fromiter(
-                    (len(e) for e in encoded), dtype=np.int32, count=len(encoded)
-                )
-                buffers.append(memoryview(lengths).cast("B"))
-                buffers.append(b"".join(encoded))
+        for col in self.columns:
+            if isinstance(col, DictColumn):
+                buffers.extend(col.to_buffers())
             else:
                 arr = np.ascontiguousarray(col)
                 buffers.append(memoryview(arr).cast("B"))
@@ -151,23 +144,17 @@ class Page:
     ) -> "Page":
         """Rebuild a page from :meth:`column_buffers` output.
 
-        Fixed-width columns come back as ``np.frombuffer`` views over the
-        provided buffers (zero-copy; the arrays are read-only, which every
-        operator honours — transformations allocate fresh arrays).
+        Fixed-width columns and string codes come back as
+        ``np.frombuffer`` views over the provided buffers (zero-copy; the
+        arrays are read-only, which every operator honours —
+        transformations allocate fresh arrays).
         """
-        columns: list[np.ndarray] = []
+        columns: list = []
         cursor = 0
         for fld in schema:
             if fld.type.fixed_width is None:
-                lengths = np.frombuffer(buffers[cursor], dtype=np.int32)
-                payload = bytes(buffers[cursor + 1])
-                cursor += 2
-                values = np.empty(num_rows, dtype=object)
-                offset = 0
-                for i, n in enumerate(lengths.tolist()):
-                    values[i] = payload[offset : offset + n].decode("utf-8")
-                    offset += n
-                columns.append(values)
+                columns.append(DictColumn.from_buffers(*buffers[cursor : cursor + 3]))
+                cursor += 3
             else:
                 columns.append(
                     np.frombuffer(buffers[cursor], dtype=fld.type.numpy_dtype)
@@ -217,5 +204,5 @@ def concat_pages(schema: Schema, pages: Sequence[Page]) -> Page:
         return Page(schema, [f.type.coerce([]) for f in schema])
     cols = []
     for i in range(len(schema)):
-        cols.append(np.concatenate([p.columns[i] for p in data_pages]))
+        cols.append(concat_columns([p.columns[i] for p in data_pages]))
     return Page(schema, cols)

@@ -13,6 +13,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .dictcolumn import DictColumn
+
 
 class ColumnType(enum.Enum):
     """Logical column types supported by the engine."""
@@ -34,10 +36,12 @@ class ColumnType(enum.Enum):
         """Bytes per value for fixed-width types, ``None`` for strings."""
         return _FIXED_WIDTHS[self]
 
-    def coerce(self, values: Iterable) -> np.ndarray:
-        """Build a column array of this type from arbitrary values."""
+    def coerce(self, values: Iterable) -> "np.ndarray | DictColumn":
+        """Build a column of this type from arbitrary values."""
         if self is ColumnType.STRING:
-            return np.array(list(values), dtype=object)
+            if isinstance(values, DictColumn):
+                return values
+            return DictColumn.from_values(values)
         return np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=self.numpy_dtype)
 
     @property
@@ -76,15 +80,26 @@ class Schema:
     Schemas are immutable; transformations return new schemas.
     """
 
-    __slots__ = ("fields", "_index")
+    __slots__ = ("fields", "_index", "string_positions", "fixed_row_bytes")
 
     def __init__(self, fields: Iterable[Field]):
         self.fields: tuple[Field, ...] = tuple(fields)
         self._index: dict[str, int] = {}
+        strings = []
+        fixed = 0
         for i, f in enumerate(self.fields):
             # Keep the first occurrence on duplicate names (joins may
             # produce duplicates; positional access remains unambiguous).
             self._index.setdefault(f.name, i)
+            width = _FIXED_WIDTHS[f.type]
+            if width is None:
+                strings.append(i)
+            else:
+                fixed += width
+        #: Positions of the STRING (dictionary-encoded) columns, and the
+        #: bytes per row of all the others (what sizing a page needs).
+        self.string_positions: tuple[int, ...] = tuple(strings)
+        self.fixed_row_bytes = fixed
 
     @classmethod
     def of(cls, *pairs: tuple[str, ColumnType]) -> "Schema":

@@ -28,6 +28,7 @@ import time
 import numpy as np
 
 from ..errors import WorkerCrashedError, WorkerJobError
+from ..pages.dictcolumn import concat_columns
 from .pagebuf import decode_arrays, encode_arrays, write_buffers
 from .pool import get_pool
 from .shm import attach_segment, create_segment, unlink_segment
@@ -314,7 +315,7 @@ class OffloadClient:
         parts = [self.wait(h)[0] for h in handles]
         if len(parts) == 1:
             return parts[0]
-        return [np.concatenate(cols) for cols in zip(*parts)]
+        return [concat_columns(cols) for cols in zip(*parts)]
 
     def radix_page(self, key_cols, fanout: int, level: int, num_rows: int):
         """Radix partition assignments for one page's key columns."""

@@ -5,22 +5,23 @@ them into one contiguous byte region (a ``multiprocessing.shared_memory``
 segment) and describes the layout with a small picklable *meta* list —
 dtype strings, lengths, and offsets, never array data.  Fixed-width
 arrays are written as their raw little-endian buffers and come back as
-``np.frombuffer`` views (zero-copy on the worker side).  Object (string)
-columns are not contiguous in memory, so they get an explicit packed
-encoding — an ``int32`` length array followed by the concatenated UTF-8
-payload — mirroring ``Page.column_buffers()`` so the two layouts stay
-interchangeable.
+``np.frombuffer`` views (zero-copy on the worker side).  String columns
+travel as :meth:`DictColumn.to_buffers` — ``int32`` codes plus the
+dictionary entries in use — the same three buffers
+``Page.column_buffers()`` emits, so the two layouts stay interchangeable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..pages import DictColumn
+
 __all__ = ["encode_arrays", "write_buffers", "decode_arrays"]
 
 #: Meta entry tags.
 _FIXED = "a"
-_OBJECT = "o"
+_STRINGS = "d"
 
 
 def encode_arrays(arrays) -> tuple[list, list, int]:
@@ -34,21 +35,12 @@ def encode_arrays(arrays) -> tuple[list, list, int]:
     buffers: list = []
     offset = 0
     for arr in arrays:
-        arr = np.asarray(arr)
-        if arr.dtype == object:
-            encoded = [
-                b"" if v is None else str(v).encode("utf-8")
-                for v in arr.tolist()
-            ]
-            lengths = np.fromiter(
-                (len(e) for e in encoded), dtype=np.int32, count=len(encoded)
-            )
-            payload = b"".join(encoded)
-            lengths_buf = memoryview(lengths).cast("B")
-            meta.append((_OBJECT, len(arr), offset, len(lengths_buf), len(payload)))
-            buffers.append(lengths_buf)
-            buffers.append(payload)
-            offset += len(lengths_buf) + len(payload)
+        if isinstance(arr, DictColumn):
+            parts = arr.to_buffers()
+            sizes = [len(part) for part in parts]
+            meta.append((_STRINGS, offset, *sizes))
+            buffers.extend(parts)
+            offset += sum(sizes)
         else:
             contiguous = np.ascontiguousarray(arr)
             buf = memoryview(contiguous).cast("B")
@@ -73,23 +65,19 @@ def decode_arrays(buf, meta, copy: bool = False) -> list[np.ndarray]:
     With ``copy=False`` fixed-width arrays are read-only views into
     ``buf`` (the caller must keep the backing segment alive while they
     are in use); ``copy=True`` detaches them, which the host side uses
-    before unlinking a result segment.  Object columns are always
-    materialised (per-row decode).
+    before unlinking a result segment.  A string column's dictionary is
+    always materialised (per-entry decode); its codes follow ``copy``.
     """
     out: list[np.ndarray] = []
     for entry in meta:
-        if entry[0] == _OBJECT:
-            _, count, offset, lengths_bytes, payload_bytes = entry
-            lengths = np.frombuffer(buf, dtype=np.int32, count=count, offset=offset)
-            payload = bytes(
-                buf[offset + lengths_bytes : offset + lengths_bytes + payload_bytes]
-            )
-            values = np.empty(count, dtype=object)
-            at = 0
-            for i, n in enumerate(lengths.tolist()):
-                values[i] = payload[at : at + n].decode("utf-8")
-                at += n
-            out.append(values)
+        if entry[0] == _STRINGS:
+            _, offset, *sizes = entry
+            parts = []
+            for size in sizes:
+                parts.append(buf[offset : offset + size])
+                offset += size
+            col = DictColumn.from_buffers(*parts)
+            out.append(DictColumn(col.codes.copy(), col.dictionary) if copy else col)
         else:
             _, dtype, count, offset, _ = entry
             arr = np.frombuffer(buf, dtype=np.dtype(dtype), count=count, offset=offset)

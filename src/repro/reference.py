@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import Catalog
 from .errors import ExecutionError
-from .pages import ColumnType, Page, Schema
+from .pages import ColumnType, DictColumn, Page, Schema
 from .plan.logical import (
     JoinType,
     LogicalAggregate,
@@ -182,6 +182,8 @@ def _global_aggregate(agg: AggregateCall, page: Page):
     if agg.function == "count":
         return page.num_rows
     values = agg.arg.evaluate(page)
+    if isinstance(values, DictColumn):
+        values = values.decode()
     if agg.function == "sum":
         total = values.sum()
         return int(total) if agg.result_type is ColumnType.INT64 else float(total)
@@ -221,10 +223,8 @@ def sort_indices(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
     # Apply keys from least to most significant; each pass is stable.
     for index, ascending in reversed(sort_keys):
         column = page.columns[index][order]
-        if column.dtype == object:
-            inner = sorted(range(len(order)), key=lambda i: column[i], reverse=not ascending)
-            order = order[np.asarray(inner, dtype=np.int64)]
-        else:
-            key = column if ascending else -column
-            order = order[np.argsort(key, kind="stable")]
+        if isinstance(column, DictColumn):
+            column = column.rank_codes()[0]  # integers ordered like the text
+        key = column if ascending else -column
+        order = order[np.argsort(key, kind="stable")]
     return order

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pages import ColumnType, Page, Schema
+from ..pages import ColumnType, DictColumn, Page, Schema
 from ..sql.expressions import AggregateCall, BoundExpr
+from ..sql.functions import grouped_max, grouped_min
 
 
 @dataclass
@@ -166,20 +167,9 @@ def _min_max(
     ngroups: int,
     out_type: ColumnType,
 ) -> np.ndarray:
-    if arg.dtype == object:
-        best: list = [None] * ngroups
-        gids = gid.tolist()
-        if function == "min":
-            for g, value in zip(gids, arg.tolist()):
-                current = best[g]
-                if current is None or value < current:
-                    best[g] = value
-        else:
-            for g, value in zip(gids, arg.tolist()):
-                current = best[g]
-                if current is None or value > current:
-                    best[g] = value
-        return out_type.coerce(best)
+    if isinstance(arg, DictColumn):
+        reduce = grouped_min if function == "min" else grouped_max
+        return reduce(gid, arg, ngroups)
     # Seed each group with its first value, then reduce in place; groups
     # are non-empty by construction (ids come from the rows themselves).
     first_index = np.full(ngroups, len(gid), dtype=np.int64)

@@ -18,9 +18,11 @@ expressions **once** into a closure over the page:
   memo slot; a list of expressions (projection lists, aggregate argument
   lists) is compiled jointly so sharing crosses expression boundaries.
 * **Dtype-specialised paths** — comparison/arithmetic operator dispatch,
-  the object-vs-numeric comparison split, ``IN``-list preparation, and
-  LIKE pattern compilation all happen at compile time, leaving only the
-  numpy kernel calls in the per-page closure.
+  ``IN``-list preparation, and LIKE pattern compilation all happen at
+  compile time, leaving only the numpy kernel calls in the per-page
+  closure.  String predicates against constants run per dictionary
+  entry, memoised on the dictionary (:meth:`DictColumn.test`), and are
+  gathered through the codes.
 
 Compiled evaluators are cached globally, keyed by the (hashable)
 expression trees themselves, so respawned drivers and repeated queries
@@ -44,15 +46,15 @@ resubmitted as-is and chunk results concatenate bit-identically.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pages import ColumnType, Page
+from ..pages import ColumnType, DictColumn, Page
 from .expressions import (
+    COMPARISON_FNS,
     Arithmetic,
     BoolAnd,
     BoolNot,
@@ -68,6 +70,8 @@ from .expressions import (
     IsNull,
     LikeMatch,
     Negate,
+    assign_where,
+    cast_column,
 )
 
 __all__ = ["compile_expression", "compile_expressions", "clear_compile_cache"]
@@ -78,15 +82,6 @@ _ARITH_FNS = {
     "*": np.multiply,
     "/": np.divide,
     "%": np.mod,
-}
-
-_CMP_FNS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
 }
 
 
@@ -104,7 +99,7 @@ _ONE_ROW = _OneRowPage()
 def _fold(expr: BoundExpr):
     """Evaluate a constant subtree once via the *interpreter* and return
     the single value — a numpy scalar carrying the interpreter's result
-    dtype (or a plain python object for object columns), so downstream
+    dtype (or a plain python string for string columns), so downstream
     ufuncs see exactly the operand the interpreter would give them."""
     return expr.evaluate(_ONE_ROW)[0]
 
@@ -112,12 +107,7 @@ def _fold(expr: BoundExpr):
 def _const_array_fn(value, ctype: ColumnType):
     """Array form of a folded constant (semantics of Constant.evaluate)."""
     if ctype is ColumnType.STRING:
-        def fill_object(page: Page, memo) -> np.ndarray:
-            out = np.empty(page.num_rows, dtype=object)
-            out[:] = value
-            return out
-
-        return fill_object
+        return lambda page, memo: DictColumn.constant(value, page.num_rows)
     dtype = ctype.numpy_dtype
 
     def fill(page: Page, memo) -> np.ndarray:
@@ -211,12 +201,12 @@ class _Compiler:
             left = self.array_fn(expr.left)
             right = self.array_fn(expr.right)
 
-            def concat(page: Page, memo) -> np.ndarray:
+            def concat(page: Page, memo) -> DictColumn:
                 lhs = left(page, memo)
                 rhs = right(page, memo)
-                out = np.empty(len(lhs), dtype=object)
-                out[:] = [f"{a}{b}" for a, b in zip(lhs.tolist(), rhs.tolist())]
-                return out
+                return DictColumn.from_values(
+                    f"{a}{b}" for a, b in zip(lhs.tolist(), rhs.tolist())
+                )
 
             return ("fn", concat)
         fn = _ARITH_FNS.get(expr.op)
@@ -259,24 +249,14 @@ class _Compiler:
         return ("fn", arith)
 
     def _build_comparison(self, expr: Comparison) -> tuple:
-        fn = _CMP_FNS.get(expr.op)
+        fn = COMPARISON_FNS.get(expr.op)
         if fn is None:
             raise ExecutionError(f"unsupported comparison {expr.op}")
+        # String operands need no branch: a DictColumn compares against a
+        # constant once per dictionary entry (from either side — python
+        # reflects ``const < col`` to ``col > const``).
         lconst, lfn = self._operand(expr.left)
         rconst, rfn = self._operand(expr.right)
-        objects = (
-            expr.left.type is ColumnType.STRING
-            or expr.right.type is ColumnType.STRING
-        )
-        if objects:
-            # Object comparison: numpy dispatches to rich-compare from a C
-            # loop; normalise to a bool array like the interpreter.
-            def compare_objects(page: Page, memo) -> np.ndarray:
-                lhs = lconst if lfn is None else lfn(page, memo)
-                rhs = rconst if rfn is None else rfn(page, memo)
-                return np.asarray(fn(lhs, rhs), dtype=bool)
-
-            return ("fn", compare_objects)
         if lfn is None:
 
             def compare_lconst(page: Page, memo) -> np.ndarray:
@@ -333,17 +313,9 @@ class _Compiler:
     def _build_inset(self, expr: InSet) -> tuple:
         inner = self.array_fn(expr.value)
         if expr.value.type is ColumnType.STRING:
-            options = expr.options
-
-            def in_object_set(page: Page, memo) -> np.ndarray:
-                arr = inner(page, memo)
-                return np.fromiter(
-                    (v in options for v in arr.tolist()),
-                    dtype=bool,
-                    count=len(arr),
-                )
-
-            return ("fn", in_object_set)
+            key = ("in", expr.options)
+            contains = expr.options.__contains__
+            return ("fn", lambda page, memo: inner(page, memo).test(key, contains))
         # Hoist the sorted option array out of the per-page path.
         sorted_options = np.array(sorted(expr.options))
         return ("fn", lambda page, memo: np.isin(inner(page, memo), sorted_options))
@@ -352,14 +324,12 @@ class _Compiler:
         from .functions import like_matcher
 
         match = like_matcher(expr.pattern)
+        key = ("like", expr.pattern)
         inner = self.array_fn(expr.value)
         negated = expr.negated
 
         def like(page: Page, memo) -> np.ndarray:
-            arr = inner(page, memo)
-            result = np.fromiter(
-                (match(v) for v in arr.tolist()), dtype=bool, count=len(arr)
-            )
+            result = inner(page, memo).test(key, match)
             return ~result if negated else result
 
         return ("fn", like)
@@ -367,14 +337,12 @@ class _Compiler:
     def _build_isnull(self, expr: IsNull) -> tuple:
         inner = self.array_fn(expr.value)
         negated = expr.negated
-        is_object = expr.value.type is ColumnType.STRING
+        strings = expr.value.type is ColumnType.STRING
 
         def isnull(page: Page, memo) -> np.ndarray:
             arr = inner(page, memo)
-            if is_object:
-                result = np.fromiter(
-                    (v is None for v in arr.tolist()), dtype=bool, count=len(arr)
-                )
+            if strings:
+                result = arr.is_null()
             else:
                 result = np.zeros(len(arr), dtype=bool)
             return ~result if negated else result
@@ -394,20 +362,19 @@ class _Compiler:
         def casewhen(page: Page, memo) -> np.ndarray:
             n = page.num_rows
             if ctype is ColumnType.STRING:
-                result = np.empty(n, dtype=object)
-                result[:] = None
+                result = DictColumn.constant(None, n)
             else:
                 result = np.zeros(n, dtype=dtype)
             decided = np.zeros(n, dtype=bool)
             for cond, value in whens:
                 mask = cond(page, memo).astype(bool, copy=False) & ~decided
                 if mask.any():
-                    result[mask] = value(page, memo)[mask]
+                    result = assign_where(result, mask, value(page, memo))
                 decided |= mask
             if default is not None:
                 rest = ~decided
                 if rest.any():
-                    result[rest] = default(page, memo)[rest]
+                    result = assign_where(result, rest, default(page, memo))
             return result
 
         return ("fn", casewhen)
@@ -433,17 +400,7 @@ class _Compiler:
     def _build_cast(self, expr: Cast) -> tuple:
         inner = self.array_fn(expr.value)
         ctype = expr.type
-        if ctype is ColumnType.STRING:
-
-            def cast_str(page: Page, memo) -> np.ndarray:
-                arr = inner(page, memo)
-                out = np.empty(len(arr), dtype=object)
-                out[:] = [str(v) for v in arr.tolist()]
-                return out
-
-            return ("fn", cast_str)
-        dtype = ctype.numpy_dtype
-        return ("fn", lambda page, memo: inner(page, memo).astype(dtype))
+        return ("fn", lambda page, memo: cast_column(inner(page, memo), ctype))
 
 
 #: Global compile caches; expression trees are frozen/hashable, so they

@@ -2,20 +2,26 @@
 
 The analyzer lowers AST expressions to this IR.  Every node knows its
 :class:`~repro.pages.ColumnType` and evaluates against a page to a numpy
-array of ``page.num_rows`` values.  The engine's data contains no NULLs
-(TPC-H), so evaluation uses two-valued logic; ``IsNull`` exists for
-completeness and checks for ``None`` cells in object columns.
+array of ``page.num_rows`` values (a :class:`~repro.pages.DictColumn`
+for STRING).  The engine's data contains no NULLs (TPC-H), so evaluation
+uses two-valued logic; ``IsNull`` exists for completeness and checks for
+``None`` cells in string columns.
+
+String predicates against constants (comparison, ``IN``, ``LIKE``,
+``IS NULL``) run once per dictionary entry and are memoised on the
+dictionary (:meth:`DictColumn.test`); rows only gather the result.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pages import ColumnType, Page
+from ..pages import ColumnType, DictColumn, Page
 
 
 class BoundExpr:
@@ -37,10 +43,13 @@ class BoundExpr:
             yield from child.walk()
 
 
-def _object_array(values: list) -> np.ndarray:
-    arr = np.empty(len(values), dtype=object)
-    arr[:] = values
-    return arr
+def assign_where(result, mask: np.ndarray, values):
+    """``result[mask] = values[mask]`` for CASE branches; string columns
+    are immutable, so the merged column is returned instead."""
+    if isinstance(result, DictColumn):
+        return result.where(mask, values)
+    result[mask] = values[mask]
+    return result
 
 
 @dataclass(frozen=True)
@@ -66,9 +75,7 @@ class Constant(BoundExpr):
     def evaluate(self, page: Page) -> np.ndarray:
         n = page.num_rows
         if self.type is ColumnType.STRING:
-            out = np.empty(n, dtype=object)
-            out[:] = self.value
-            return out
+            return DictColumn.constant(self.value, n)
         return np.full(n, self.value, dtype=self.type.numpy_dtype)
 
     def __str__(self) -> str:
@@ -98,7 +105,9 @@ class Arithmetic(BoundExpr):
         lhs = self.left.evaluate(page)
         rhs = self.right.evaluate(page)
         if self.op == "||":
-            return _object_array([f"{a}{b}" for a, b in zip(lhs.tolist(), rhs.tolist())])
+            return DictColumn.from_values(
+                f"{a}{b}" for a, b in zip(lhs.tolist(), rhs.tolist())
+            )
         fn = _ARITH_FNS.get(self.op)
         if fn is None:
             raise ExecutionError(f"unsupported arithmetic operator {self.op}")
@@ -123,6 +132,16 @@ class Negate(BoundExpr):
         return -self.operand.evaluate(page)
 
 
+COMPARISON_FNS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 @dataclass(frozen=True)
 class Comparison(BoundExpr):
     op: str  # = <> < <= > >=
@@ -134,42 +153,10 @@ class Comparison(BoundExpr):
         return (self.left, self.right)
 
     def evaluate(self, page: Page) -> np.ndarray:
-        lhs = self.left.evaluate(page)
-        rhs = self.right.evaluate(page)
-        if lhs.dtype == object or rhs.dtype == object:
-            return self._compare_objects(lhs, rhs)
-        if self.op == "=":
-            return lhs == rhs
-        if self.op == "<>":
-            return lhs != rhs
-        if self.op == "<":
-            return lhs < rhs
-        if self.op == "<=":
-            return lhs <= rhs
-        if self.op == ">":
-            return lhs > rhs
-        if self.op == ">=":
-            return lhs >= rhs
-        raise ExecutionError(f"unsupported comparison {self.op}")
-
-    def _compare_objects(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # numpy's object-dtype comparison ufuncs dispatch to the python
-        # rich-compare protocol from a C loop — same semantics as a
-        # row-at-a-time loop, without the interpreter in the inner loop.
-        op = self.op
-        if op == "=":
-            out = lhs == rhs
-        elif op == "<>":
-            out = lhs != rhs
-        elif op == "<":
-            out = lhs < rhs
-        elif op == "<=":
-            out = lhs <= rhs
-        elif op == ">":
-            out = lhs > rhs
-        else:
-            out = lhs >= rhs
-        return np.asarray(out, dtype=bool)
+        fn = COMPARISON_FNS.get(self.op)
+        if fn is None:
+            raise ExecutionError(f"unsupported comparison {self.op}")
+        return fn(self.left.evaluate(page), self.right.evaluate(page))
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -234,11 +221,8 @@ class InSet(BoundExpr):
 
     def evaluate(self, page: Page) -> np.ndarray:
         arr = self.value.evaluate(page)
-        if arr.dtype == object:
-            opts = self.options
-            return np.fromiter(
-                (v in opts for v in arr.tolist()), dtype=bool, count=len(arr)
-            )
+        if isinstance(arr, DictColumn):
+            return arr.test(("in", self.options), self.options.__contains__)
         return np.isin(arr, np.array(sorted(self.options)))
 
 
@@ -255,10 +239,8 @@ class LikeMatch(BoundExpr):
     def evaluate(self, page: Page) -> np.ndarray:
         from .functions import like_matcher
 
-        match = like_matcher(self.pattern)
-        arr = self.value.evaluate(page)
-        result = np.fromiter(
-            (match(v) for v in arr.tolist()), dtype=bool, count=len(arr)
+        result = self.value.evaluate(page).test(
+            ("like", self.pattern), like_matcher(self.pattern)
         )
         return ~result if self.negated else result
 
@@ -277,10 +259,8 @@ class IsNull(BoundExpr):
 
     def evaluate(self, page: Page) -> np.ndarray:
         arr = self.value.evaluate(page)
-        if arr.dtype == object:
-            result = np.fromiter(
-                (v is None for v in arr.tolist()), dtype=bool, count=len(arr)
-            )
+        if isinstance(arr, DictColumn):
+            result = arr.is_null()
         else:
             result = np.zeros(len(arr), dtype=bool)
         return ~result if self.negated else result
@@ -302,22 +282,20 @@ class CaseWhen(BoundExpr):
 
     def evaluate(self, page: Page) -> np.ndarray:
         n = page.num_rows
-        dtype = self.type.numpy_dtype
         if self.type is ColumnType.STRING:
-            result = np.empty(n, dtype=object)
-            result[:] = None
+            result = DictColumn.constant(None, n)
         else:
-            result = np.zeros(n, dtype=dtype)
+            result = np.zeros(n, dtype=self.type.numpy_dtype)
         decided = np.zeros(n, dtype=bool)
         for cond, value in self.whens:
             mask = cond.evaluate(page).astype(bool, copy=False) & ~decided
             if mask.any():
-                result[mask] = value.evaluate(page)[mask]
+                result = assign_where(result, mask, value.evaluate(page))
             decided |= mask
         if self.default is not None:
             rest = ~decided
             if rest.any():
-                result[rest] = self.default.evaluate(page)[rest]
+                result = assign_where(result, rest, self.default.evaluate(page))
         return result
 
 
@@ -346,6 +324,15 @@ class ExtractDatePart(BoundExpr):
         return f"EXTRACT({self.unit} FROM {self.source})"
 
 
+def cast_column(arr, ctype: ColumnType):
+    """CAST semantics; text is produced and parsed per cell."""
+    if ctype is ColumnType.STRING:
+        return DictColumn.from_values(str(v) for v in arr.tolist())
+    if isinstance(arr, DictColumn):
+        arr = arr.decode()
+    return arr.astype(ctype.numpy_dtype)
+
+
 @dataclass(frozen=True)
 class Cast(BoundExpr):
     value: BoundExpr
@@ -355,10 +342,7 @@ class Cast(BoundExpr):
         return (self.value,)
 
     def evaluate(self, page: Page) -> np.ndarray:
-        arr = self.value.evaluate(page)
-        if self.type is ColumnType.STRING:
-            return _object_array([str(v) for v in arr.tolist()])
-        return arr.astype(self.type.numpy_dtype)
+        return cast_column(self.value.evaluate(page), self.type)
 
 
 # ---------------------------------------------------------------------------

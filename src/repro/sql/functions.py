@@ -14,14 +14,14 @@ This module centralises:
 from __future__ import annotations
 
 import re
-import zlib
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from ..errors import AnalysisError
-from ..pages import ColumnType
+from ..pages import ColumnType, DictColumn
+from ..pages.dictcolumn import EntryLookup
 
 AGGREGATE_FUNCTIONS = frozenset({"sum", "count", "avg", "min", "max"})
 
@@ -123,37 +123,27 @@ def grouped_count(codes: np.ndarray, ngroups: int) -> np.ndarray:
     return np.bincount(codes, minlength=ngroups).astype(np.int64)
 
 
-def _grouped_extreme_object(
-    codes: np.ndarray, values: np.ndarray, ngroups: int, want_max: bool
-) -> np.ndarray:
-    """Sort-based per-group min/max for object (string) columns.
-
-    Rows are stably sorted by value then by group code, so within each
-    group values appear in ascending order; the group's first (min) or
-    last (max) sorted row is the answer.  Only the argsort compares
-    python objects — no per-row python loop.
-    """
-    vorder = np.argsort(values, kind="stable")
-    order = vorder[np.argsort(codes[vorder], kind="stable")]
-    sorted_codes = codes[order]
-    side = "right" if want_max else "left"
-    pos = np.searchsorted(sorted_codes, np.arange(ngroups), side=side)
-    if want_max:
-        pos = pos - 1
-    return values[order[pos]]
+def _grouped_extreme_strings(
+    codes: np.ndarray, values: DictColumn, ngroups: int, want_max: bool
+) -> DictColumn:
+    """Per-group min/max of a string column: reduce the value *ranks*
+    (integers ordered like the text) and map the winners back."""
+    ranks, dictionary = values.rank_codes()
+    reduce = grouped_max if want_max else grouped_min
+    return DictColumn(dictionary.order[reduce(codes, ranks, ngroups)], dictionary)
 
 
 def grouped_min(codes: np.ndarray, values: np.ndarray, ngroups: int) -> np.ndarray:
-    if values.dtype == object:
-        return _grouped_extreme_object(codes, values, ngroups, want_max=False)
+    if isinstance(values, DictColumn):
+        return _grouped_extreme_strings(codes, values, ngroups, want_max=False)
     out_arr = np.full(ngroups, _max_init(values.dtype), dtype=values.dtype)
     np.minimum.at(out_arr, codes, values)
     return out_arr
 
 
 def grouped_max(codes: np.ndarray, values: np.ndarray, ngroups: int) -> np.ndarray:
-    if values.dtype == object:
-        return _grouped_extreme_object(codes, values, ngroups, want_max=True)
+    if isinstance(values, DictColumn):
+        return _grouped_extreme_strings(codes, values, ngroups, want_max=True)
     out_arr = np.full(ngroups, _min_init(values.dtype), dtype=values.dtype)
     np.maximum.at(out_arr, codes, values)
     return out_arr
@@ -175,11 +165,25 @@ def group_codes(key_columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndar
     """Assign a dense group code to each row given its key columns.
 
     Returns ``(codes, unique_key_columns)`` where ``codes[i]`` indexes into
-    the unique key arrays.  Works for any mix of numeric and object columns.
+    the unique key arrays.  Works for any mix of numeric and string
+    columns: a string column is grouped by its value ranks, so groups are
+    numbered in value order like every other type.
     """
     if not key_columns:
         n = 0
         return np.zeros(n, dtype=np.int64), []
+    ranked = {
+        j: col.rank_codes()
+        for j, col in enumerate(key_columns)
+        if isinstance(col, DictColumn)
+    }
+    if ranked:
+        codes, uniques = group_codes(
+            [ranked[j][0] if j in ranked else col for j, col in enumerate(key_columns)]
+        )
+        for j, (_, dictionary) in ranked.items():
+            uniques[j] = DictColumn(dictionary.order[uniques[j]], dictionary)
+        return codes, uniques
     if len(key_columns) == 1:
         col = key_columns[0]
         fast = _int_factorize(col)
@@ -304,59 +308,32 @@ def _lexsort_codes(per_col_codes: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return codes, int(gids_sorted[-1]) + 1
 
 
-class ObjectDictEncoder:
-    """Incremental dictionary encoder for object (string) key columns.
+class GroupKeyEncoder:
+    """Operator-lifetime code assignment for one string group-key column.
 
-    Aggregation group keys are typically low-cardinality; once the
-    dictionary has seen every distinct value of a column, encoding a page
-    is one ``np.fromiter`` over a C-level ``map(dict.__getitem__, ...)`` —
-    flat in the dictionary size, no python-object argsort inside
-    ``np.unique``, no per-known-value equality scan.  A ``KeyError``
-    signals an unseen value, and the page falls back to the learning path
-    (one dict lookup per *distinct* unseen value).
+    Values get dense ``int64`` codes that are stable across pages: unseen
+    values of a page are numbered in ascending value order after every
+    value seen before.  Encoding a page is one gather through a
+    per-dictionary table (:class:`EntryLookup`), so python touches each
+    dictionary entry once — never rows.
     """
 
-    __slots__ = ("values", "code_of")
+    __slots__ = ("values", "code_of", "encode")
 
     def __init__(self):
         self.values: list = []
         self.code_of: dict = {}
+        #: ``encode(col) -> int64 code per row``.
+        self.encode = EntryLookup(self._learn)
 
-    def value_array(self) -> np.ndarray:
-        arr = np.empty(len(self.values), dtype=object)
-        arr[:] = self.values
-        return arr
-
-    def encode(self, col: np.ndarray) -> np.ndarray:
-        """Dense int64 code per value; codes are stable across pages."""
-        n = len(col)
-        if n == 0:
-            return np.full(n, -1, dtype=np.int64)
-        if self.code_of:
-            try:
-                return np.fromiter(
-                    map(self.code_of.__getitem__, col.tolist()),
-                    dtype=np.int64,
-                    count=n,
-                )
-            except KeyError:
-                pass
-        out = np.full(n, -1, dtype=np.int64)
-        self._learn(col, out, np.ones(n, dtype=bool))
-        return out
-
-    def _learn(self, col: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
-        uvals, inv = np.unique(col[mask], return_inverse=True)
-        lut = np.empty(len(uvals), dtype=np.int64)
+    def _learn(self, entries: list) -> np.ndarray:
         code_of = self.code_of
-        for i, value in enumerate(uvals.tolist()):
-            code = code_of.get(value)
-            if code is None:
-                code = len(self.values)
-                code_of[value] = code
-                self.values.append(value)
-            lut[i] = code
-        out[mask] = lut[inv]
+        for value in sorted(v for v in entries if v not in code_of):
+            code_of[value] = len(self.values)
+            self.values.append(value)
+        return np.fromiter(
+            map(code_of.__getitem__, entries), dtype=np.int64, count=len(entries)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +349,8 @@ def hash_columns(columns: list[np.ndarray]) -> np.ndarray:
     n = len(columns[0])
     acc = np.zeros(n, dtype=np.uint64)
     for col in columns:
-        if col.dtype == object:
-            # crc32 keeps shuffle partitioning deterministic across
-            # processes (hash() is randomized per interpreter run).
-            h = np.fromiter(
-                (zlib.crc32(str(v).encode("utf-8")) for v in col.tolist()),
-                dtype=np.uint64,
-                count=n,
-            )
+        if isinstance(col, DictColumn):
+            h = col.hash64()
         else:
             h = col.view(np.uint64) if col.dtype == np.int64 else col.astype(np.float64).view(np.uint64)
         with np.errstate(over="ignore"):

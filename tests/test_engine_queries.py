@@ -147,3 +147,49 @@ def test_rpc_requests_counted(catalog):
     assert query.initialization_seconds == pytest.approx(
         query.init_requests * engine.config.cost.rpc_request_cost, rel=0.01
     )
+
+
+def _size_of(quantity) -> str:
+    return "big" if quantity > 25 else "small"
+
+
+_SIZE = "CASE WHEN l_quantity > 25 THEN 'big' ELSE 'small' END"
+
+
+def test_string_case_result_sorts_reduces_and_compares(tiny_catalog):
+    """A CASE that yields strings is a column like any other: ORDER BY,
+    MIN/MAX and column-vs-column comparison work on it (its undecided-row
+    NULL never materialises once an ELSE covers every row)."""
+    lineitem = tiny_catalog.table("lineitem")
+    rows = list(
+        zip(
+            lineitem.column("l_quantity").tolist(),
+            lineitem.column("l_orderkey").tolist(),
+            lineitem.column("l_returnflag").tolist(),
+            lineitem.column("l_shipmode").tolist(),
+        )
+    )
+    engine = AccordionEngine(tiny_catalog)
+
+    def run(sql: str) -> list[tuple]:
+        return engine.execute(sql, max_virtual_seconds=1e5).rows
+
+    assert run(
+        f"SELECT {_SIZE} AS sz, l_orderkey FROM lineitem ORDER BY sz, l_orderkey LIMIT 3"
+    ) == sorted((_size_of(q), key) for q, key, _, _ in rows)[:3]
+    assert run(f"SELECT max({_SIZE}) AS m FROM lineitem") == [
+        (max(_size_of(q) for q, *_ in rows),)
+    ]
+    flags = sorted({flag for _, _, flag, _ in rows})
+    assert run(
+        f"SELECT l_returnflag, min({_SIZE}) AS m FROM lineitem "
+        "GROUP BY l_returnflag ORDER BY l_returnflag"
+    ) == [
+        (flag, min(_size_of(q) for q, _, f, _ in rows if f == flag)) for flag in flags
+    ]
+    assert run(f"SELECT count(*) AS c FROM lineitem WHERE {_SIZE} < l_shipmode") == [
+        (sum(_size_of(q) < mode for q, _, _, mode in rows),)
+    ]
+    assert run(f"SELECT count(*) AS c FROM lineitem WHERE {_SIZE} >= l_shipmode") == [
+        (sum(_size_of(q) >= mode for q, _, _, mode in rows),)
+    ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.pages import ColumnType, Field, Page, Schema
+from repro.pages import ColumnType, DictColumn, Field, Page, Schema
 from repro.sql.compiler import (
     clear_compile_cache,
     compile_expression,
@@ -193,12 +193,14 @@ def gen_expression(rng, depth: int) -> BoundExpr:
     return [gen_numeric, gen_bool, gen_string][int(rng.integers(0, 3))](rng, depth)
 
 
-def assert_bit_identical(expected: np.ndarray, got: np.ndarray) -> None:
+def assert_bit_identical(expected, got) -> None:
+    assert type(got) is type(expected)
     assert got.dtype == expected.dtype
-    assert got.shape == expected.shape
-    if expected.dtype == object:
+    assert len(got) == len(expected)
+    if isinstance(expected, DictColumn):
         assert got.tolist() == expected.tolist()
     else:
+        assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
 

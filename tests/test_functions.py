@@ -1,11 +1,13 @@
 """Tests for scalar/aggregate helpers: LIKE, grouped reductions, hashing."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import AnalysisError
-from repro.pages import ColumnType
+from repro.pages import ColumnType, DictColumn
 from repro.sql.functions import (
     aggregate_result_type,
     arithmetic_result_type,
@@ -104,9 +106,9 @@ def test_grouped_sum_int_stays_int():
     assert out[0] == 5
 
 
-def test_grouped_min_max_object_strings():
+def test_grouped_min_max_strings():
     codes = np.array([0, 0, 1])
-    values = np.array(["b", "a", "z"], dtype=object)
+    values = DictColumn.from_values(["b", "a", "z"])
     assert list(grouped_min(codes, values, 2)) == ["a", "z"]
     assert list(grouped_max(codes, values, 2)) == ["b", "z"]
 
@@ -120,7 +122,7 @@ def test_group_codes_single_column():
 
 def test_group_codes_multi_column():
     a = np.array([1, 1, 2, 2, 1])
-    b = np.array(["x", "y", "x", "x", "x"], dtype=object)
+    b = DictColumn.from_values(["x", "y", "x", "x", "x"])
     codes, uniques = group_codes([a, b])
     keys = list(zip(uniques[0][codes].tolist(), uniques[1][codes].tolist()))
     assert keys == list(zip(a.tolist(), b.tolist()))
@@ -171,8 +173,17 @@ def test_partition_assignments_balance():
 
 
 def test_partition_strings_deterministic():
-    col = np.array([f"cust{i}" for i in range(50)], dtype=object)
-    assert list(partition_assignments([col], 4)) == list(partition_assignments([col], 4))
+    col = DictColumn.from_values(f"cust{i}" for i in range(50))
+    parts = partition_assignments([col], 4)
+    assert list(parts) == list(partition_assignments([col], 4))
+    # The hash is a function of the text (crc32 of its UTF-8 bytes), not
+    # of how the dictionary numbers it: shuffles agree across dictionaries.
+    reordered = DictColumn.from_values(col.tolist()[::-1])[::-1]
+    assert list(partition_assignments([reordered], 4)) == list(parts)
+    expected = [zlib.crc32(v.encode("utf-8")) for v in col.tolist()]
+    assert hash_columns([col]).tolist() == hash_columns(
+        [np.array(expected, dtype=np.uint64).view(np.int64)]
+    ).tolist()
 
 
 def test_partition_requires_positive():

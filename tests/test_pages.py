@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.pages import ColumnType, Field, Page, PageBuilder, Schema, concat_pages
+from repro.pages import (
+    ColumnType,
+    DictColumn,
+    Field,
+    Page,
+    PageBuilder,
+    Schema,
+    concat_pages,
+)
 
 INT = ColumnType.INT64
 STR = ColumnType.STRING
@@ -58,9 +66,21 @@ def test_schema_equality_and_hash():
 
 
 def test_column_type_coerce_string():
-    col = STR.coerce(["a", "b"])
-    assert col.dtype == object
-    assert list(col) == ["a", "b"]
+    # Python values come in as a dictionary-encoded column that reads
+    # back as the same values, cell by cell and as a list.
+    col = STR.coerce(["a", "b", "a", None])
+    assert isinstance(col, DictColumn)
+    assert list(col) == ["a", "b", "a", None]
+    assert [col[i] for i in range(len(col))] == ["a", "b", "a", None]
+    assert len(col.dictionary) == 3
+    assert STR.coerce(col) is col
+
+
+def test_page_encodes_string_columns_on_construction():
+    raw = np.array(["x", "y", "x"], dtype=object)
+    page = Page(Schema.of(("k", INT), ("name", STR)), [np.arange(3), raw])
+    assert isinstance(page.columns[1], DictColumn)
+    assert page.rows() == [(0, "x"), (1, "y"), (2, "x")]
 
 
 def test_column_type_fixed_width():

@@ -17,6 +17,7 @@ from repro import AccordionEngine, EngineConfig
 from repro.config import ParallelConfig
 from repro.data.tpch.queries import QUERIES
 from repro.errors import WorkerCrashedError, WorkerJobError
+from repro.pages import DictColumn
 from repro.parallel import OffloadClient
 from repro.parallel.pagebuf import decode_arrays, encode_arrays, write_buffers
 
@@ -44,26 +45,24 @@ def test_codec_fixed_width_roundtrip():
 
 
 def test_codec_string_roundtrip():
-    strings = np.array(
-        ["", "plain", "héllo → wørld", "x" * 1000], dtype=object
-    )
-    mixed = [strings, np.arange(4, dtype=np.int64), strings[::-1].copy()]
+    strings = DictColumn.from_values(["", "plain", "héllo → wørld", "x" * 1000])
+    mixed = [strings, np.arange(4, dtype=np.int64), strings[::-1]]
     out = roundtrip(mixed)
     assert out[0].tolist() == strings.tolist()
     np.testing.assert_array_equal(out[1], mixed[1])
     assert out[2].tolist() == strings[::-1].tolist()
 
 
-def test_codec_none_becomes_empty_string():
-    # The documented lossy mapping: engine string columns never carry
-    # None, so the codec flattens it to "" rather than tagging nulls.
-    out = roundtrip([np.array([None, "a", None], dtype=object)])
-    assert out[0].tolist() == ["", "a", ""]
+def test_codec_none_round_trips():
+    # NULL strings (CASE without ELSE) are tagged in the dictionary's
+    # length array, so offloaded jobs see and return them unchanged.
+    out = roundtrip([DictColumn.from_values([None, "a", None, ""])])
+    assert out[0].tolist() == [None, "a", None, ""]
 
 
 def test_codec_empty_arrays():
-    out = roundtrip([np.array([], dtype=np.float64), np.array([], dtype=object)])
-    assert out[0].size == 0 and out[1].size == 0
+    out = roundtrip([np.array([], dtype=np.float64), DictColumn.from_values([])])
+    assert out[0].size == 0 and len(out[1]) == 0
 
 
 def test_codec_views_without_copy():
@@ -83,7 +82,7 @@ def make_client(**kwargs):
 
 def test_echo_job_roundtrip():
     client = make_client()
-    arrays = [np.arange(50, dtype=np.int64), np.array(["a", "b"], dtype=object)]
+    arrays = [np.arange(50, dtype=np.int64), DictColumn.from_values(["a", "b"])]
     handle = client.submit("_test_echo", arrays, {"values": {"answer": 42}})
     out, values = client.wait(handle)
     assert values == {"answer": 42}

@@ -1,6 +1,6 @@
 """Property tests for the vectorized join/aggregation kernels (DESIGN.md §8).
 
-Randomized pages — numeric, DATE, and object/string keys, empty pages,
+Randomized pages — numeric, DATE, and string keys, empty pages,
 NaN floats, composite keys — are pushed through the CSR join index and
 the columnar two-stage aggregation, and the results are compared against
 naive dict-based oracles with the same semantics as ``repro.reference``.
@@ -17,12 +17,12 @@ from repro.exec.operators.join import (
     JoinBuildSink,
     _dense_int_lut,
 )
-from repro.pages import ColumnType, Page, Schema
+from repro.pages import ColumnType, DictColumn, Page, Schema
 from repro.plan.logical import JoinType
 from repro.plan.physical import partial_agg_schema
 from repro.sim import SimKernel
 from repro.sql.expressions import AggregateCall, InputRef
-from repro.sql.functions import ObjectDictEncoder, group_codes
+from repro.sql.functions import GroupKeyEncoder, group_codes
 
 INT = ColumnType.INT64
 FLT = ColumnType.FLOAT64
@@ -288,9 +288,9 @@ def test_group_codes_overflow_with_wide_value_spans():
         np.testing.assert_array_equal(uniq[codes], key_cols[j])
 
 
-def test_group_codes_mixed_object_and_numeric_columns():
+def test_group_codes_mixed_string_and_numeric_columns():
     key_cols = [
-        np.array(["b", "a", "b", "a"], dtype=object),
+        DictColumn.from_values(["b", "a", "b", "a"]),
         np.array([2, 1, 2, 2]),
     ]
     codes, uniques = group_codes(key_cols)
@@ -302,13 +302,20 @@ def test_group_codes_mixed_object_and_numeric_columns():
 # ---------------------------------------------------------------------------
 # supporting structures
 # ---------------------------------------------------------------------------
-def test_object_dict_encoder_codes_are_stable_across_batches():
-    enc = ObjectDictEncoder()
-    a = enc.encode(np.array(["x", "y", "x"], dtype=object))
-    b = enc.encode(np.array(["z", "y", "x"], dtype=object))
+def test_group_key_encoder_codes_are_stable_across_batches():
+    enc = GroupKeyEncoder()
+    a = enc.encode(DictColumn.from_values(["x", "y", "x"]))
+    # A second page over another dictionary (other entry order, a new
+    # value): known values keep their codes, the new one gets the next.
+    b = enc.encode(DictColumn.from_values(["z", "y", "x"]))
     assert a.tolist() == [0, 1, 0]
     assert b.tolist() == [2, 1, 0]
-    assert enc.value_array().tolist() == ["x", "y", "z"]
+    assert enc.values == ["x", "y", "z"]
+    # Unseen values of one page are numbered in value order, whatever
+    # their row or dictionary order.
+    c = enc.encode(DictColumn([2, 0, 1], ["q", "b", "m"]))
+    assert c.tolist() == [4, 5, 3]
+    assert enc.values == ["x", "y", "z", "b", "m", "q"]
 
 
 def test_page_num_rows_is_cached():
