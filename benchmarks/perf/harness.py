@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             f"exit nonzero unless {'/'.join(MEMORY_QUERIES)} at "
             f"SF{MEMORY_SCALE} complete value-identically under "
-            f"{MEMORY_BUDGET_FRACTION:.0%} of their unbudgeted peak bytes "
+            f"{MEMORY_BUDGET_FRACTION:.0%}% of their unbudgeted peak bytes "
             "(skips the normal report)"
         ),
     )

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from ..cluster.cluster import Cluster
 from ..cluster.scheduler import Scheduler
-from ..elastic import DynamicOptimizer, DynamicScheduler, TuningKind, TuningRequest, TuningResult
+from ..elastic import DynamicOptimizer, TuningKind, TuningRequest, TuningResult
 from .bottleneck import Bottleneck, find_bottlenecks
 from .collector import RuntimeInfoCollector
 from .filter import TuningRequestFilter
@@ -44,8 +44,7 @@ class ElasticQuery:
         )
         self.whatif = WhatIfService(self.collector, query)
         self.filter = TuningRequestFilter(self.whatif)
-        self.dynamic_scheduler = DynamicScheduler(self.kernel, scheduler)
-        self.optimizer = DynamicOptimizer(self.dynamic_scheduler)
+        self.optimizer = DynamicOptimizer(scheduler)
         self.arbiter = arbiter
         self.tuner = DopAutoTuner(
             query,

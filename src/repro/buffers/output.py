@@ -458,8 +458,9 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         Future pages are partitioned across the new group.  When
         ``replay_cache`` is set, all cached pages are reshuffled to the new
         group (hash-table rebuild from the intermediate data cache).  The
-        old group's queues are *not* ended here — the dynamic scheduler
-        closes them once the new task group is ready (probe-side switch).
+        old group's queues are *not* ended here — ``end_group`` closes
+        them once the new task group is ready (probe-side switch; see
+        ``repro.cluster.topology.regroup``).
         """
         self._switching = True
         try:

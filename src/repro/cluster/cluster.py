@@ -40,12 +40,6 @@ class Cluster:
             raise SchedulingError("no schedulable compute nodes left in the cluster")
         return min(candidates, key=lambda n: (n.task_count, n.id))
 
-    def compute_node(self, index: int) -> Node:
-        return self.compute[index % len(self.compute)]
-
-    def total_compute_cores(self) -> int:
-        return sum(n.spec.cores for n in self.compute)
-
     # -- membership ----------------------------------------------------------
     def add_compute(self, spec=None, spot: bool = False) -> Node:
         """Register a new compute node at runtime (cluster membership).

@@ -187,9 +187,6 @@ class QueryExecution(QueryLifecycle):
         schema = self.plan.root.schema
         return concat_pages(schema, self.result_pages)
 
-    def result_rows_list(self) -> list[tuple]:
-        return self.result().rows()
-
     # -- lifecycle ----------------------------------------------------------
     @property
     def elapsed(self) -> float:
@@ -281,15 +278,20 @@ class QueryExecution(QueryLifecycle):
         self._enter(state, exc)
         for stage in self.stages.values():
             for task in stage.tasks:
+                if task.finished:
+                    continue
+                started = any(p.drivers for p in task.pipelines)
                 if state == "failed":
-                    if not task.finished:
-                        task.crash(reason="query failed")
-                elif state == "cancelled" and not (task.finished or task.crashed):
-                    drivers = [d for p in task.pipelines for d in p.drivers]
-                    for driver in drivers:
-                        driver.request_end()
-                    if not drivers:
+                    task.crash(reason="query failed")
+                elif state == "cancelled":
+                    task.request_end()
+                    if not started:
                         task.crash(reason="cancelled before start")
+                elif not started:
+                    # Attached while the query was finishing; its start
+                    # is still behind the control-plane RPCs and will be
+                    # skipped (topology.start_after).
+                    task.crash(reason="query finished before start")
         tracer = self.kernel.tracer
         if tracer.enabled:
             for stage in self.stages.values():
@@ -377,7 +379,6 @@ class Coordinator:
         from ..faults.recovery import RecoveryManager
 
         self.recovery = RecoveryManager(self)
-        self.scheduler.recovery = self.recovery
 
     @property
     def plan_cache_hits(self) -> int:

@@ -45,10 +45,10 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from ..buffers import OutputMode
 from ..config import ClusterConfig, NodeSpec
 from ..errors import SchedulingError, TuningRejected
 from ..sim import SimKernel
+from .topology import attach_tasks, detach_tasks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coordinator import Coordinator
@@ -58,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover
 RPC_NODE_JOIN = 2
 #: Control-plane request announcing a drain (stop-placement broadcast).
 RPC_NODE_DRAIN = 1
+#: Virtual seconds a graceful drain may take, unless ``drain(timeout=)``
+#: says otherwise, before it escalates to the crash/recovery path.
+DRAIN_TIMEOUT = 10.0
+#: Virtual seconds between drain-completion checks.
+DRAIN_POLL = 0.05
 
 
 # -- membership plans (data, mirroring repro.faults.plan) -------------------
@@ -189,9 +194,6 @@ class ClusterMembership:
         self.joined_nodes: list["Node"] = []
         #: Highest concurrent alive-compute count ever observed.
         self.nodes_peak = len(self.cluster.compute)
-        #: seqs already end-signalled per (query, stage), so repeated
-        #: drain passes stay idempotent.
-        self._signalled: dict[tuple[int, int], set[int]] = {}
 
     # ------------------------------------------------------------------
     # join
@@ -239,7 +241,7 @@ class ClusterMembership:
     def drain(self, node: "Node", timeout: float | None = None) -> None:
         """Begin a graceful leave; escalates to the crash path on timeout."""
         deadline = self.kernel.now + (
-            timeout if timeout is not None else self.config.drain_timeout
+            timeout if timeout is not None else DRAIN_TIMEOUT
         )
         self._begin_drain(node, deadline, escalation="drain_escalated")
 
@@ -275,7 +277,7 @@ class ClusterMembership:
         self._teardown_pass(node)
         self._changed()
         self.kernel.schedule(
-            self.config.drain_poll,
+            DRAIN_POLL,
             lambda: self._poll(node, deadline, escalation, span),
         )
 
@@ -309,7 +311,7 @@ class ClusterMembership:
         # placement cutoff; re-run the (idempotent) end-signal pass.
         self._teardown_pass(node)
         self.kernel.schedule(
-            self.config.drain_poll,
+            DRAIN_POLL,
             lambda: self._poll(node, deadline, escalation, span),
         )
 
@@ -327,65 +329,31 @@ class ClusterMembership:
                 query.record_fault("drain", node.name)
 
     def _drain_stage(self, query, stage, node: "Node") -> bool:
-        signalled = self._signalled.setdefault((query.id, stage.id), set())
         active = stage.active_group
         victims = [
             t
             for t in active
             if t.node is node
-            and not t.finished
-            and t.task_id.seq not in signalled
+            and not t.end_signalled
             and any(d for p in t.pipelines for d in p.drivers)
         ]
         if not victims:
             return False
-        survivors = [t for t in active if t.node is not node]
-        if stage.fragment.is_source:
-            # End-signal the scan drivers; unread splits return to the
-            # feed.  If the draining node held the whole scan, spawn
-            # replacements on schedulable nodes first so the returned
-            # splits have consumers.
-            if not survivors:
-                try:
-                    self._dynamic().add_stage_tasks(
-                        query, stage, len(victims)
-                    )
-                except (TuningRejected, SchedulingError):
-                    return False  # leave to timeout escalation
-            for task in victims:
-                for runtime in task.pipelines:
-                    for driver in runtime.drivers:
-                        driver.request_end()
-                signalled.add(task.task_id.seq)
-            self.coordinator.rpc.charge(len(victims))
-            return True
-        # Non-source: removal via child end signals is only safe when no
-        # child exchange is hash-partitioned (the partition map would
-        # break) and a survivor remains to absorb the work.
-        if not survivors or stage.id == 0:
+        scheduler = self.coordinator.scheduler
+        try:
+            if all(t.node is node for t in active):
+                if not stage.fragment.is_source:
+                    return False  # nobody to absorb the work
+                # The draining node holds the whole scan: attach
+                # replacements on schedulable nodes first, so the
+                # returned splits have consumers.
+                attach_tasks(scheduler, query, stage, len(victims))
+            detach_tasks(scheduler, query, stage, victims)
+        except (TuningRejected, SchedulingError):
+            # Root tasks and members of a hash buffer-ID group run to
+            # completion here; the deadline escalates what is left.
             return False
-        for child_id in stage.fragment.children:
-            child = query.stages[child_id]
-            if (
-                child.fragment.output.mode is OutputMode.HASH
-                and not stage.is_partitioned_join
-            ):
-                return False
-        requests = 0
-        for task in victims:
-            for child_id in stage.fragment.children:
-                child = query.stages[child_id]
-                for upstream in child.tasks:
-                    upstream.output_buffer.end_consumer(task.task_id.seq)
-                    requests += 1
-            signalled.add(task.task_id.seq)
-        self.coordinator.rpc.charge(requests)
         return True
-
-    def _dynamic(self):
-        from ..elastic.dynamic_scheduler import DynamicScheduler
-
-        return DynamicScheduler(self.kernel, self.coordinator.scheduler)
 
     # ------------------------------------------------------------------
     # plans

@@ -70,9 +70,13 @@ class RpcTracker:
 
     # -- request accounting ------------------------------------------------
     def after_requests(
-        self, count: int, fn: Callable[[], None], query_id: int | None = None
+        self,
+        count: int,
+        fn: Callable[[], None] | None,
+        query_id: int | None = None,
     ) -> float:
-        """Charge ``count`` requests and run ``fn`` when they complete.
+        """Charge ``count`` requests and run ``fn`` (if any) when they
+        complete.
 
         Returns the absolute virtual time at which ``fn`` fires (or, under
         fault injection, at which the action gave up; ``fn`` is then never
@@ -91,13 +95,7 @@ class RpcTracker:
 
     def charge(self, count: int, query_id: int | None = None) -> float:
         """Charge requests without a completion callback."""
-        self._count(count, query_id)
-        start = max(self.kernel.now, self._clock)
-        if self._fault_hook is None:
-            self._clock = start + count * self.cost.rpc_request_cost
-            self._trace(start, self._clock, count, query_id)
-            return self._clock
-        return self._faulty_sequence(start, count, None, query_id)
+        return self.after_requests(count, None, query_id)
 
     def _count(self, count: int, query_id: int | None) -> None:
         self.total_requests += count

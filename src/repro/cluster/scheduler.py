@@ -10,23 +10,37 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..buffers import OutputMode
 from ..config import EngineConfig
 from ..data import SplitLayout
-from ..errors import SchedulingError
-from ..exec.splits import RemoteSplit, SplitFeed, SystemSplit
+from ..exec.splits import SplitFeed, SystemSplit
 from ..exec.task import Task
 from ..sim import SimKernel
 from .cluster import Cluster
 from .rpc import RpcTracker
 from .stage import StageExecution
+from .topology import RPC_CREATE_TASK, connect_stages, start_after
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .coordinator import QueryExecution
+    from ..plan.physical import PlanFragment
+    from .coordinator import QueryExecution, QueryOptions
 
-#: Control-plane request counts for scheduling actions.
-RPC_CREATE_TASK = 3
-RPC_UPDATE_LINK = 1
+#: Tasks per stage / drivers per pipeline at query start, unless the
+#: query's options say otherwise.
+DEFAULT_STAGE_DOP = 1
+DEFAULT_TASK_DOP = 1
+
+
+def initial_stage_dop(fragment: "PlanFragment", options: "QueryOptions") -> int:
+    """Tasks a stage starts with (admission sizes a query by the sum)."""
+    if fragment.dop_fixed:
+        return 1
+    if fragment.id in options.stage_dops:
+        return max(1, options.stage_dops[fragment.id])
+    if fragment.is_source and options.scan_stage_dop is not None:
+        return max(1, options.scan_stage_dop)
+    if options.initial_stage_dop is not None:
+        return max(1, options.initial_stage_dop)
+    return DEFAULT_STAGE_DOP
 
 
 class Scheduler:
@@ -54,24 +68,19 @@ class Scheduler:
             query.stages[fragment.id] = stage
             if fragment.is_source:
                 stage.split_feed = self._make_feed(query, fragment.source_table)
-            for _ in range(self._initial_dop(query, stage)):
+            for _ in range(initial_stage_dop(fragment, query.options)):
                 self.create_task(query, stage)
                 requests += RPC_CREATE_TASK
-        requests += self.wire_initial(query)
+        requests += connect_stages(query)
         query.init_requests = requests
 
         def start_all() -> None:
-            # The query may have been cancelled/failed while its control
-            # plane RPCs were in flight; starting drivers for it would run
-            # the whole query with nobody collecting the result.
-            if query.finished:
-                return
             query.started_at = self.kernel.now
             for stage in query.stages.values():
                 for task in stage.tasks:
                     task.start(self._initial_task_dop(query, stage))
 
-        self.rpc.after_requests(requests, start_all, query_id=query.id)
+        start_after(self, query, requests, start_all)
 
     # ------------------------------------------------------------------
     def _make_feed(self, query: "QueryExecution", table: str) -> SplitFeed:
@@ -81,24 +90,12 @@ class Scheduler:
         ]
         return SplitFeed(splits)
 
-    def _initial_dop(self, query: "QueryExecution", stage: StageExecution) -> int:
-        if stage.fragment.dop_fixed:
-            return 1
-        options = query.options
-        if stage.id in options.stage_dops:
-            return max(1, options.stage_dops[stage.id])
-        if stage.fragment.is_source and options.scan_stage_dop is not None:
-            return max(1, options.scan_stage_dop)
-        if options.initial_stage_dop is not None:
-            return max(1, options.initial_stage_dop)
-        return max(1, self.config.default_stage_dop)
-
     def _initial_task_dop(self, query: "QueryExecution", stage: StageExecution) -> int:
         if stage.fragment.dop_fixed:
             return 1
         if query.options.initial_task_dop is not None:
             return max(1, query.options.initial_task_dop)
-        return max(1, self.config.default_task_dop)
+        return DEFAULT_TASK_DOP
 
     # ------------------------------------------------------------------
     def create_task(self, query: "QueryExecution", stage: StageExecution) -> Task:
@@ -120,8 +117,6 @@ class Scheduler:
             memory=query.memory,
         )
         stage.tasks.append(task)
-        if not stage.task_groups:
-            stage.task_groups.append([])
         stage.task_groups[-1].append(task)
         return task
 
@@ -184,35 +179,3 @@ class Scheduler:
         for node, nbytes in query.reservations:
             node.reserved_bytes -= nbytes
         query.reservations = []
-
-    # ------------------------------------------------------------------
-    def wire_initial(self, query: "QueryExecution") -> int:
-        """Establish all initial communication links. Returns RPC count."""
-        requests = 0
-        for stage in query.stages.values():
-            for child_id in stage.fragment.children:
-                child = query.stages[child_id]
-                requests += self.connect_stages(child, stage)
-        return requests
-
-    def connect_stages(self, child: StageExecution, parent: StageExecution) -> int:
-        """Wire every active child task to every active parent task."""
-        requests = 0
-        parent_tasks = parent.active_group
-        if child.fragment.output.mode is OutputMode.HASH:
-            group_ids = [t.task_id.seq for t in parent_tasks]
-            for upstream in child.active_tasks:
-                upstream.output_buffer.set_group(group_ids)
-                requests += RPC_UPDATE_LINK
-        else:
-            for upstream in child.active_tasks:
-                for task in parent_tasks:
-                    upstream.output_buffer.add_consumer(task.task_id.seq)
-                requests += RPC_UPDATE_LINK
-        for upstream in child.active_tasks:
-            for task in parent_tasks:
-                task.add_upstream(
-                    child.id, RemoteSplit(upstream, task.task_id.seq)
-                )
-                requests += RPC_UPDATE_LINK
-        return requests

@@ -23,7 +23,7 @@ class StageExecution:
         self.tasks: list[Task] = []
         #: Task groups for DOP switching (Section 4.5): the last group is
         #: the active one; earlier groups are draining/closed.
-        self.task_groups: list[list[Task]] = []
+        self.task_groups: list[list[Task]] = [[]]
         self.split_feed: SplitFeed | None = None
         self._next_seq = 0
         #: Failure recovery: how many times tasks of this stage have been
@@ -59,9 +59,7 @@ class StageExecution:
 
     @property
     def active_group(self) -> list[Task]:
-        if self.task_groups:
-            return [t for t in self.task_groups[-1] if not t.finished]
-        return self.active_tasks
+        return [t for t in self.task_groups[-1] if not t.finished]
 
     @property
     def stage_dop(self) -> int:

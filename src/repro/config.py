@@ -238,29 +238,16 @@ class ClusterConfig(_Fingerprinted):
     #: Autoscaler fleet bounds; ``None`` max means "no upper bound".
     autoscale_min_nodes: int | None = None
     autoscale_max_nodes: int | None = None
-    #: Virtual seconds between autoscaler policy evaluations.
-    autoscale_period: float = 0.5
     #: Scale out when the admission queue depth reaches this.
     autoscale_queue_high: int = 1
-    #: Scale in when cluster usage / capacity stays below this fraction.
-    autoscale_usage_low: float = 0.5
-    #: Consecutive low-usage ticks required before a scale-in.
-    autoscale_idle_ticks: int = 2
     #: Virtual seconds between two autoscaler actions (join or drain).
     autoscale_cooldown: float = 1.0
     #: Scale out when a queued query's deadline is closer than this.
     autoscale_deadline_slack: float = 5.0
-    #: Max nodes joined per policy tick.
-    autoscale_max_join_per_tick: int = 2
     #: Request spot (preemptible, cheaper) capacity when scaling out.
     autoscale_spot: bool = False
 
-    # -- drain / provisioning timing ----------------------------------------
-    #: Virtual seconds a graceful drain may take before it escalates to
-    #: the crash/recovery path.
-    drain_timeout: float = 10.0
-    #: Virtual seconds between drain-completion checks.
-    drain_poll: float = 0.05
+    # -- provisioning timing ------------------------------------------------
     #: Virtual seconds between a join request and the node being usable.
     node_join_delay: float = 0.5
 
@@ -340,11 +327,6 @@ class MemoryConfig(_Fingerprinted):
     #: :class:`~repro.errors.MemoryBudgetExceededError` instead of
     #: spilling (strict-reservation deployments).
     spill_enabled: bool = True
-    #: Radix fan-out per spill level (partition count).
-    spill_fanout: int = 8
-    #: Max recursive repartition depth; past it an oversized partition is
-    #: processed in memory anyway (fallback guard against key skew).
-    spill_max_depth: int = 4
     #: Directory for spill files.  ``None`` resolves to
     #: ``$REPRO_CACHE_DIR/spill`` when the cache dir env var is set, else
     #: a ``repro-spill`` directory under the system temp dir.  Each query
@@ -409,9 +391,6 @@ class ParallelConfig(_Fingerprinted):
     #: Crashed (not erroring) jobs are retried this many times on a
     #: respawned worker before :class:`WorkerCrashedError` surfaces.
     max_retries: int = 2
-    #: Wall-clock seconds before an unresponsive job's worker is killed
-    #: (the hang backstop; generous because it is per job, not per page).
-    job_timeout_s: float = 120.0
 
 
 @dataclass(frozen=True)
@@ -439,22 +418,13 @@ class PredictionConfig(_Fingerprinted):
     #: reprovision trigger fires (0.5 = fire once the query has run 50%
     #: past its predicted runtime without finishing).
     error_bound: float = 0.5
-    #: Minimum recorded runs of a template before predictions are served.
-    min_samples: int = 1
     #: Reject at admission when P(deadline miss) from the runtime
     #: estimate + variance exceeds this; ``None`` disables SLO rejection.
     max_miss_probability: float | None = None
     #: Pre-grant stage DOPs / memory budget from predicted demand.
     pregrant: bool = True
-    #: Pre-grant sizing target: each stage gets enough DOP to finish its
-    #: predicted CPU work within this fraction of the predicted runtime
-    #: (or of the deadline, when the deadline is tighter).
-    pregrant_target_fraction: float = 0.25
     #: Score placement by dominant-remaining-resource under predictions.
     placement: bool = True
-    #: Memory pre-grant = ``memory_headroom`` x predicted peak (with a
-    #: 64 MB floor), used only when the session declares no budget.
-    memory_headroom: float = 2.0
     #: Cap on any pre-granted per-stage DOP.
     max_stage_dop: int = 16
 
@@ -479,8 +449,6 @@ class TraceConfig(_Fingerprinted):
     buffer_events: bool = True
     #: Attribute wall-clock (host) time to operators via perf_counter.
     profiling: bool = False
-    #: Hard cap on recorded spans; past it the tracer counts drops.
-    max_spans: int = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -514,13 +482,8 @@ class WorkloadConfig(_Fingerprinted):
     arbitration: str = "fair_share"
     #: Virtual seconds between arbiter rebalance passes.
     arbiter_period: float = 1.0
-    #: Allow the arbiter to revoke granted cores (end-signal task removal
-    #: on the victim, Section 4.4) for deadline-endangered queries.
-    revocation_enabled: bool = True
     #: Virtual seconds a revoked stage stays pinned against re-tuning.
     revocation_pin_seconds: float = 5.0
-    #: Memory charged per query when the session does not declare one.
-    default_query_memory_bytes: int = 1 * 1024**3
     #: Dynamic concurrency cap: at most ``ceil(this * schedulable compute
     #: nodes)`` queries run at once, so admission tracks the live cluster
     #: size under autoscaling.  ``None`` disables the dynamic cap.
@@ -555,18 +518,12 @@ class EngineConfig(_Fingerprinted):
     faults: FaultConfig = field(default_factory=FaultConfig)
     #: Rows per page produced by scans and operators.
     page_row_limit: int = 4096
-    #: Default number of tasks per intermediate stage at query start.
-    default_stage_dop: int = 1
-    #: Default number of drivers per pipeline at task start.
-    default_task_dop: int = 1
     #: Enable intra-query runtime elasticity (the paper's contribution).
     elasticity_enabled: bool = True
     #: Keep build-side intermediate results cached for DOP switching (4.5).
     intermediate_data_cache: bool = True
     #: Collector sampling period for runtime info (Section 5.1), seconds.
     collector_period: float = 0.5
-    #: Partial aggregation flush threshold (distinct groups held per driver).
-    partial_agg_group_limit: int = 100_000
     #: Host-performance switches (DESIGN.md §10).  Both caches are
     #: **bit-inert**: answers, virtual timings, and event counts are
     #: identical with them on or off — the flags exist for the identity

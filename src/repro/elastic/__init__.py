@@ -1,19 +1,19 @@
 """Intra-query runtime elasticity: the paper's core contribution.
 
-* :mod:`.intra_task` — driver-level DOP tuning (Section 4.3)
-* :mod:`.intra_stage` — task-level DOP tuning (Section 4.4)
+* :mod:`.dynamic_optimizer` — the runtime DOP tuning module of Figure 8:
+  classifies a request, and applies driver-level (Section 4.3) and
+  task-level (Section 4.4) tuning
 * :mod:`.dop_switching` — partitioned-join task-group switching (4.5)
-* :mod:`.dynamic_scheduler` / :mod:`.dynamic_optimizer` — the runtime DOP
-  tuning module of Figure 8
+* :mod:`.tuning` — request/result types
+
+The task-graph edits all three rest on are in :mod:`repro.cluster.topology`.
 """
 
 from .dynamic_optimizer import DynamicOptimizer
-from .dynamic_scheduler import DynamicScheduler
 from .tuning import TuningKind, TuningRequest, TuningResult
 
 __all__ = [
     "DynamicOptimizer",
-    "DynamicScheduler",
     "TuningKind",
     "TuningRequest",
     "TuningResult",

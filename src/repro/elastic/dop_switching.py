@@ -5,34 +5,42 @@ the distributed hash table.  Rather than re-balancing the existing one
 (which would disrupt in-flight probes), the build side *rebuilds from the
 upstream stage's intermediate data cache* into a brand-new task group:
 
-1. a new task group of the target size is created,
+1. a new task group of the target size is created and linked to the
+   parent-stage tasks,
 2. the build-side child stage's shuffle buffers switch to the new
    buffer-ID group and replay their page caches (the *shuffle* phase of
    Table 2), feeding the new hash tables (the *build* phase),
 3. once every new hash table is ready, the probe-side child's shuffle
    buffers switch to the new group and the old group is closed with end
    signals — the probe continues on the new group without interruption.
+
+The edges themselves are made by :mod:`repro.cluster.topology`; this
+module orders the three steps and times them.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..buffers import ShuffleOutputBuffer
-from ..cluster.scheduler import RPC_CREATE_TASK, RPC_UPDATE_LINK
+from ..cluster.scheduler import Scheduler
 from ..cluster.stage import StageExecution
+from ..cluster.topology import (
+    RPC_CREATE_TASK,
+    RPC_UPDATE_LINK,
+    link,
+    regroup,
+    start_after,
+)
 from ..errors import TuningRejected
-from ..exec.splits import RemoteSplit
 from ..exec.task import Task
 from .tuning import TuningResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
-    from .dynamic_scheduler import DynamicScheduler
 
 
 def switch_dop(
-    ds: "DynamicScheduler",
+    scheduler: Scheduler,
     query: "QueryExecution",
     stage: StageExecution,
     target: int,
@@ -51,10 +59,6 @@ def switch_dop(
         if c not in fragment.build_children
     ]
     for child in build_children:
-        if not all(
-            isinstance(t.output_buffer, ShuffleOutputBuffer) for t in child.tasks
-        ):
-            raise TuningRejected("build child is not hash-partitioned", reason="shape")
         if not all(t.output_buffer.cache_enabled for t in child.tasks):
             raise TuningRejected(
                 "DOP switching needs the intermediate data cache (Section 4.5); "
@@ -63,28 +67,22 @@ def switch_dop(
             )
 
     old_group = list(stage.active_group)
-    kernel = ds.kernel
+    kernel = query.kernel
     issued_at = kernel.now
 
-    # 1. Create the new task group.
+    # 1. Create the new task group, linked to the parents (downstream).
     stage.task_groups.append([])
-    new_tasks = [ds.scheduler.create_task(query, stage) for _ in range(target)]
-    new_ids = [t.task_id.seq for t in new_tasks]
+    new_tasks = [scheduler.create_task(query, stage) for _ in range(target)]
     requests = target * RPC_CREATE_TASK
+    # Read off the new group, which has no drivers yet: it starts at 1.
     task_dop = max(1, stage.task_dop)
-
-    # 2. Wire parents (downstream) for the new group.
     for parent_id in query.plan.parents_of(stage.id):
-        parent = query.stages[parent_id]
-        for parent_task in parent.active_group:
+        for parent_task in query.stages[parent_id].active_group:
             for task in new_tasks:
-                task.output_buffer.add_consumer(parent_task.task_id.seq)
-                parent_task.add_upstream(
-                    stage.id, RemoteSplit(task, parent_task.task_id.seq)
-                )
+                link(task, parent_task)
                 requests += RPC_UPDATE_LINK
 
-    # 3. Build side: switch the shuffle buffers to the new group and
+    # 2. Build side: switch the shuffle buffers to the new group and
     #    replay the intermediate data cache into the new hash tables.
     shuffle_pending = 0
     shuffle_done_at = [issued_at]
@@ -100,11 +98,9 @@ def switch_dop(
         nonlocal shuffle_pending
         for child in build_children:
             for upstream in child.tasks:
-                buffer: ShuffleOutputBuffer = upstream.output_buffer
-                buffer.switch_group(new_ids, replay_cache=True)
-                for task in new_tasks:
-                    task.add_upstream(child.id, RemoteSplit(upstream, task.task_id.seq))
+                regroup(upstream, new_tasks, replay_cache=True)
                 shuffle_pending += 1
+                buffer = upstream.output_buffer
                 if buffer._pending_shuffles == 0:
                     one_shuffle_drained()
                 else:
@@ -112,8 +108,8 @@ def switch_dop(
         for task in new_tasks:
             task.start(task_dop)
 
-    # 4. When every new hash table is ready, switch the probe side.
-    bridges = []
+    # 3. When every new hash table is ready, switch the probe side.
+    bridges = [b for t in new_tasks for b in t.bridges]
 
     def maybe_finish() -> None:
         if not all(b.ready for b in bridges):
@@ -122,37 +118,57 @@ def switch_dop(
         result.build_seconds = max(0.0, ready_at - issued_at - result.shuffle_seconds)
         for child in probe_children:
             for upstream in child.tasks:
-                buffer = upstream.output_buffer
-                if isinstance(buffer, ShuffleOutputBuffer):
-                    buffer.switch_group(new_ids, replay_cache=False)
-                    buffer.end_group([t.task_id.seq for t in old_group])
-                else:  # arbitrary probe distribution: just retire old readers
-                    for task in new_tasks:
-                        buffer.add_consumer(task.task_id.seq)
-                    for old in old_group:
-                        buffer.end_consumer(old.task_id.seq)
-                for task in new_tasks:
-                    task.add_upstream(child.id, RemoteSplit(upstream, task.task_id.seq))
-        ds.rpc.charge(RPC_UPDATE_LINK * max(1, len(probe_children)))
+                regroup(upstream, new_tasks, retire=old_group)
+        scheduler.rpc.charge(
+            RPC_UPDATE_LINK * max(1, len(probe_children)), query_id=query.id
+        )
         result.completed_at = kernel.now
         if on_complete is not None:
             on_complete(result)
 
-    def watch_bridges() -> None:
-        for task in new_tasks:
-            for bridge in task.bridges:
-                bridges.append(bridge)
-                if not bridge.ready:
-                    bridge.on_ready.add(
-                        lambda: (ds.mark_build_ready(query, stage), maybe_finish())
-                    )
-                else:
-                    ds.mark_build_ready(query, stage)
-        maybe_finish()
-
     def begin() -> None:
         start_build_switch()
-        watch_bridges()
+        watch_builds(query, stage, new_tasks, then=maybe_finish)
+        maybe_finish()
 
-    ds.rpc.after_requests(requests, begin)
+    start_after(scheduler, query, requests, begin)
     return new_tasks
+
+
+# -- build-ready markers (the yellow dashed lines of Figures 24-26) ----------
+def watch_builds(
+    query: "QueryExecution",
+    stage: StageExecution,
+    tasks: list[Task],
+    then: Callable[[], None] | None = None,
+) -> None:
+    """Record a build-ready marker as each new task's hash table is
+    (re)built, then call ``then``."""
+
+    def ready() -> None:
+        _mark_build_ready(query, stage)
+        if then is not None:
+            then()
+
+    for task in tasks:
+        for bridge in task.bridges:
+            if bridge.ready:
+                _mark_build_ready(query, stage)
+            else:
+                bridge.on_ready.add(ready)
+
+
+def _mark_build_ready(query: "QueryExecution", stage: StageExecution) -> None:
+    # Bridge on_ready callbacks can fire after the query was cancelled
+    # (the rebuild drains cleanly); a terminal query records nothing.
+    if query.finished:
+        return
+    stage.build_ready_times.append(query.kernel.now)
+    if query.tracker is not None:
+        query.tracker.mark("build_ready", stage.id)
+    tracer = query.kernel.tracer
+    if tracer.enabled:
+        tracer.instant(
+            "tuning", "build_ready", parent=stage.trace_span,
+            node="coordinator", query_id=query.id, stage=stage.id,
+        )

@@ -59,8 +59,9 @@ class Driver:
         self.state = DriverState.CREATED
         self.cpu_time = 0.0
         self.quanta = 0
-        #: Set by the dynamic scheduler to shut this driver down (end
-        #: signal, Section 4.3); the next quantum injects an end page.
+        #: Set through ``Task.remove_drivers`` / ``Task.request_end`` to
+        #: shut this driver down (end signal, Section 4.3); the next
+        #: quantum injects an end page.
         self.end_requested = False
         self._end_seen = False
         # Hot-path caches: the tracer, its flags, and the per-quantum

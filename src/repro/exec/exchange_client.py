@@ -69,16 +69,13 @@ class ExchangeClient:
     def close(self) -> None:
         self.closed = True
 
-    # -- split set management (dynamic scheduler hooks) -------------------
+    # -- split set management (repro.cluster.topology) ----------------------
     def add_split(self, split: RemoteSplit) -> None:
         if split.key in self.splits:
             return
         state = _SplitState(split)
         self.splits[split.key] = state
         self._try_fetch(state)
-
-    def live_upstreams(self) -> list[RemoteSplit]:
-        return [s.split for s in self.splits.values() if not s.ended]
 
     @property
     def finished(self) -> bool:

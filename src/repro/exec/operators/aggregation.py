@@ -624,7 +624,6 @@ class FinalAggOperator(TransformOperator):
                 memory.name,
                 self._input_schema,
                 list(range(self.num_keys)),
-                query.config.spill_fanout,
                 offload=self.offload,
             )
         nbytes = 0
@@ -641,7 +640,7 @@ class FinalAggOperator(TransformOperator):
         self.spill.finish()
         memory = self.memory
         out: list[Page] = []
-        for p in range(memory.query.config.spill_fanout):
+        for p in range(self.spill.fanout):
             nbytes = self.spill.partition_bytes(p)
             if nbytes == 0:
                 continue

@@ -47,6 +47,10 @@ from .base import SinkOperator, TransformOperator
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+#: Max recursive repartition depth; past it an oversized partition is
+#: processed in memory anyway (fallback guard against key skew).
+SPILL_MAX_DEPTH = 4
+
 
 def _dense_int_lut(uniq: np.ndarray) -> tuple[np.ndarray, int] | None:
     """(value - base) -> column code table for densely packed int keys.
@@ -370,7 +374,6 @@ class JoinBridge:
             f"{self.name}.build",
             self.build_schema,
             self.build_keys,
-            query.config.spill_fanout,
             offload=self.offload,
         )
         nbytes = 0
@@ -631,7 +634,6 @@ class HashJoinProbeOperator(TransformOperator):
                 f"{bridge.name}.probe",
                 page.schema,
                 self.probe_keys,
-                query.config.spill_fanout,
                 offload=bridge.offload,
             )
         nbytes = bridge.probe_spill.write_page(page)
@@ -649,7 +651,7 @@ class HashJoinProbeOperator(TransformOperator):
             return out, cost  # probe side produced no rows at all
         bridge.probe_spill.finish()  # flush buffered writers before reading
         memory = bridge.memory
-        for p in range(bridge.memory.query.config.spill_fanout):
+        for p in range(bridge.probe_spill.fanout):
             probe_bytes = bridge.probe_spill.partition_bytes(p)
             if probe_bytes == 0:
                 continue  # no probe rows → no output, even for ANTI
@@ -687,13 +689,12 @@ class HashJoinProbeOperator(TransformOperator):
         """
         bridge = self.bridge
         memory = bridge.memory
-        config = memory.query.config
         budget = memory.query.budget_bytes
         cost = 0.0
         if (
             budget is not None
             and build_bytes > budget
-            and level + 1 < config.spill_max_depth
+            and level + 1 < SPILL_MAX_DEPTH
             and build_bytes < parent_bytes
         ):
             directory = memory.query.spill_directory()
@@ -703,7 +704,6 @@ class HashJoinProbeOperator(TransformOperator):
                 f"{bridge.name}.g{seq}.build",
                 bridge.build_schema,
                 bridge.build_keys,
-                config.spill_fanout,
                 level=level + 1,
                 offload=bridge.offload,
             )
@@ -720,7 +720,6 @@ class HashJoinProbeOperator(TransformOperator):
                         f"{bridge.name}.g{seq}.probe",
                         pg.schema,
                         self.probe_keys,
-                        config.spill_fanout,
                         level=level + 1,
                         offload=bridge.offload,
                     )
@@ -734,7 +733,7 @@ class HashJoinProbeOperator(TransformOperator):
                 f"repartition l{level + 1}",
             )
             if sub_probe is not None:
-                for q in range(config.spill_fanout):
+                for q in range(sub_probe.fanout):
                     sub_probe_bytes = sub_probe.partition_bytes(q)
                     if sub_probe_bytes == 0:
                         continue

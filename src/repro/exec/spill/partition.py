@@ -31,6 +31,10 @@ def radix_assignments(
     )
 
 
+#: Radix fan-out per spill level (partition count).
+FANOUT = 8
+
+
 class SpillPartitions:
     """``fanout`` append-only spill files for one operator side/level."""
 
@@ -40,7 +44,7 @@ class SpillPartitions:
         name: str,
         schema: Schema,
         key_positions: list[int],
-        fanout: int,
+        fanout: int = FANOUT,
         level: int = 0,
         offload=None,
     ):

@@ -115,6 +115,12 @@ class Task:
         self.error: Exception | None = None
         #: Set once the recovery manager has dealt with this crashed task.
         self.recovered = False
+        #: The task respawned in this crashed task's place; buffer-ID
+        #: groups that still name the dead seq resolve through the chain.
+        self.replaced_by: "Task | None" = None
+        #: An elastic shutdown (Section 4.4 end signals) is already on its
+        #: way to this task, so repeated drain passes skip it.
+        self.end_signalled = False
         #: Driver quanta currently holding a core (their commits are
         #: quantum-atomic: they deliver even across a crash, so recovery
         #: waits for them before sealing the old output spool).
@@ -203,7 +209,7 @@ class Task:
         )
 
     # ------------------------------------------------------------------
-    # wiring (called by the scheduler / dynamic scheduler)
+    # wiring (called by repro.cluster.topology)
     # ------------------------------------------------------------------
     def add_upstream(self, child_fragment: int, split: RemoteSplit) -> None:
         """Register an upstream task in the global remote split set."""
@@ -243,6 +249,13 @@ class Task:
         for driver in candidates[:removable]:
             driver.request_end()
         return removable
+
+    def request_end(self) -> None:
+        """End-signal every driver: a scan returns its unread splits to
+        the feed, stateful operators flush, and the pipelines drain."""
+        for runtime in self.pipelines:
+            for driver in runtime.drivers:
+                driver.request_end()
 
     def driver_count(self, pipeline_id: int | None = None) -> int:
         if pipeline_id is not None:
@@ -329,7 +342,6 @@ class Task:
                 node.aggregates,
                 node.schema,
                 row_limit=self.config.page_row_limit,
-                group_limit=self.config.partial_agg_group_limit,
                 compiled=compiled,
                 memory=self._op_memory("partial_agg"),
                 offload=offload,
@@ -428,6 +440,24 @@ class Task:
         self.kernel.tracer.end(self.trace_span, crashed=True, reason=reason)
         for client in self.exchange_clients.values():
             client.close()
+
+    @property
+    def stateless_scan(self) -> bool:
+        """Pure filter/project over a split feed, spooling straight to the
+        task output buffer: after a crash its spool stays valid and a
+        fresh task continues the scan (recovery class R3)."""
+        if not self.fragment.is_source or self.split_feed is None:
+            return False
+        if self.exchange_clients or self.bridges or self.local_exchanges:
+            return False
+        return all(
+            runtime.spec.sink.kind == "task_output"
+            and all(
+                isinstance(node, (PFilterNode, PProjectNode))
+                for node in runtime.spec.transforms
+            )
+            for runtime in self.pipelines
+        )
 
     def report_error(self, exc: Exception) -> None:
         """A driver quantum raised: record it and escalate to the query."""

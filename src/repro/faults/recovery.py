@@ -29,21 +29,20 @@ Recovery model (DESIGN.md, "Fault model & recovery"):
   the dead task's exact hash-partition position; broadcast replays its
   page cache.
 
-* **Respawn wiring** reuses the intra-stage 3-step task-addition path
-  (paper Section 4.4, Figure 14): create the task, hand its address to
-  the parent-stage tasks, set the child-stage addresses on it — all
-  charged to the RPC tracker.
+* **Respawn wiring** is the intra-stage 3-step task-addition path
+  (paper Section 4.4, Figure 14) itself —
+  :func:`repro.cluster.topology.attach_tasks` with ``replaces=`` the dead
+  task: create the task, hand its address to the parent-stage tasks, set
+  the child-stage addresses on it, all charged to the query.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..buffers import ShuffleOutputBuffer
+from ..cluster.topology import attach_tasks
 from ..errors import QueryFailedError, SchedulingError
 from ..exec.operators.sources import ScanSource
-from ..exec.splits import RemoteSplit
-from ..plan.physical import PFilterNode, PProjectNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import Coordinator, QueryExecution
@@ -57,9 +56,6 @@ class RecoveryManager:
         self.coordinator = coordinator
         self.kernel = coordinator.kernel
         self.config = coordinator.config.faults
-        #: (query id, stage id, dead seq) -> replacement seq, so a late
-        #: recovery can resolve buffer-ID groups that still name dead tasks.
-        self._replaced: dict[tuple[int, int, int], int] = {}
         # -- counters surfaced via metrics.report ------------------------
         self.node_failures = 0
         self.tasks_crashed = 0
@@ -116,7 +112,7 @@ class RecoveryManager:
 
         Recovery runs top-down (consumers before producers) in the common
         immediate case; the wiring is order-independent regardless, thanks
-        to shuffle redirects and the replacement map."""
+        to shuffle redirects and ``Task.replaced_by``."""
         for query in list(self.coordinator.queries.values()):
             if query.finished:
                 continue
@@ -142,10 +138,10 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def recover_task(
         self, query: "QueryExecution", stage: "StageExecution", task: "Task"
-    ) -> "Task | None":
+    ) -> None:
         """Classify a crashed task and respawn it (or fail the query)."""
         if query.finished or task.recovered or not task.crashed:
-            return None
+            return
         task.recovered = True
         verdict, reason = self._classify(query, stage, task)
         if verdict == "unrecoverable":
@@ -153,13 +149,12 @@ class RecoveryManager:
             self._fail(
                 query, f"task {task.task_id} is unrecoverable: {reason}"
             )
-            return None
+            return
         try:
-            return self._respawn(query, stage, task, verdict)
+            self._respawn(query, stage, task, verdict)
         except SchedulingError as exc:
             query.record_fault("respawn_failed", str(exc))
             self._fail(query, f"cannot respawn {task.task_id}: {exc}")
-            return None
 
     def _classify(
         self, query: "QueryExecution", stage: "StageExecution", task: "Task"
@@ -171,7 +166,7 @@ class RecoveryManager:
                 "unrecoverable",
                 f"stage {stage.id} retry budget ({self.config.task_retry_budget}) exhausted",
             )
-        if self._stateless_scan(stage, task):
+        if task.stateless_scan:
             return "resume", "stateless scan"
         externalized = (
             bool(query.result_pages)
@@ -182,22 +177,6 @@ class RecoveryManager:
             return "unrecoverable", "output already externalized"
         return "restart", "output never externalized"
 
-    def _stateless_scan(self, stage: "StageExecution", task: "Task") -> bool:
-        """R3: pure filter/project over a split feed, spooling straight to
-        the task output buffer — resumable without any replay."""
-        if not stage.fragment.is_source or stage.split_feed is None:
-            return False
-        if task.exchange_clients or task.bridges or task.local_exchanges:
-            return False
-        for runtime in task.pipelines:
-            spec = runtime.spec
-            if spec.sink.kind != "task_output":
-                return False
-            for node in spec.transforms:
-                if not isinstance(node, (PFilterNode, PProjectNode)):
-                    return False
-        return True
-
     # ------------------------------------------------------------------
     def _respawn(
         self,
@@ -205,12 +184,7 @@ class RecoveryManager:
         stage: "StageExecution",
         old: "Task",
         mode: str,
-    ) -> "Task":
-        from ..cluster.scheduler import RPC_CREATE_TASK, RPC_UPDATE_LINK
-
-        old_seq = old.task_id.seq
-        old_group = list(getattr(old.output_buffer, "group", []) or [])
-
+    ) -> None:
         # Return split-feed work held by the dead task.
         for runtime in old.pipelines:
             for driver in runtime.drivers:
@@ -230,69 +204,14 @@ class RecoveryManager:
             self.tasks_restarted += 1
         stage.retries += 1
 
-        new = self.coordinator.scheduler.create_task(query, stage)
+        (new,) = attach_tasks(
+            self.coordinator.scheduler, query, stage, replaces=old
+        )
         self.tasks_respawned += 1
-        self._replaced[(query.id, stage.id, old_seq)] = new.task_id.seq
-        seq = new.task_id.seq
-        requests = RPC_CREATE_TASK
-
-        # Step 2 (Figure 14): hand the new task's address to the parents.
-        parents = [
-            query.stages[p] for p in query.plan.parents_of(stage.id)
-        ]
-        if isinstance(new.output_buffer, ShuffleOutputBuffer) and parents:
-            # Preserve the dead task's exact group *order*: hash-partition
-            # index -> consumer mapping must match what the sibling
-            # producers (and any already-shuffled build side) used.
-            group = [
-                self._resolve(query.id, parents[0].id, g) for g in old_group
-            ] or [t.task_id.seq for t in parents[0].active_group]
-            new.output_buffer.set_group(group)
-            requests += RPC_UPDATE_LINK
-        for parent in parents:
-            for parent_task in parent.active_group:
-                new.output_buffer.add_consumer(parent_task.task_id.seq)
-                parent_task.add_upstream(
-                    stage.id, RemoteSplit(new, parent_task.task_id.seq)
-                )
-                requests += RPC_UPDATE_LINK
-
-        # Step 3: set the child-stage addresses on the new task, replaying
-        # the dead task's share of each upstream's output.
-        for child_id in stage.fragment.children:
-            child = query.stages[child_id]
-            for upstream in child.tasks:
-                buffer = upstream.output_buffer
-                if buffer.aborted:
-                    continue  # being restarted; its own recovery wires us
-                if (
-                    upstream.crashed
-                    and not upstream.recovered
-                    and not self._stateless_scan(child, upstream)
-                ):
-                    continue  # doomed: will restart (or fail the query)
-                buffer.requeue_for_retry(old_seq, seq)
-                new.add_upstream(child_id, RemoteSplit(upstream, seq))
-                requests += RPC_UPDATE_LINK
-
-        task_dop = max(1, stage.task_dop)
         query.record_fault(
             "respawn",
             f"{old.task_id} -> {new.task_id} on {new.node.name} ({mode})",
         )
-
-        def start() -> None:
-            if query.finished:
-                return
-            new.start(task_dop)
-
-        self.coordinator.rpc.after_requests(requests, start, query_id=query.id)
-        return new
-
-    def _resolve(self, query_id: int, stage_id: int, seq: int) -> int:
-        while (query_id, stage_id, seq) in self._replaced:
-            seq = self._replaced[(query_id, stage_id, seq)]
-        return seq
 
     # ------------------------------------------------------------------
     def _fail(self, query: "QueryExecution", message: str) -> None:

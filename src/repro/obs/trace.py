@@ -18,7 +18,7 @@ Design contract — **tracing is provably inert**:
   ``tracer.quantum_spans`` / ``tracer.buffer_events``) when tracing is
   off — the engine installs the shared :data:`NULL_TRACER` singleton,
   whose flags are all ``False``;
-* span volume is bounded by ``TraceConfig.max_spans``; past the cap the
+* span volume is bounded by ``MAX_SPANS``; past the cap the
   tracer counts drops instead of growing without bound.
 
 All timestamps are *virtual* seconds from the owning :class:`SimKernel`.
@@ -34,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..config import TraceConfig
     from ..sim import SimKernel
     from .profile import Profiler
+
+#: Hard cap on recorded spans; past it the tracer counts drops.
+MAX_SPANS = 2_000_000
 
 
 @dataclass
@@ -139,7 +142,7 @@ class Tracer:
         A negative id (over the cap, or from a :class:`NullTracer`) is a
         valid argument to :meth:`end` and as a ``parent`` — both treat it
         as "no span"."""
-        if len(self.spans) >= self.config.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped += 1
             return -1
         span = Span(
@@ -178,7 +181,7 @@ class Tracer:
     ) -> int:
         """Record a closed span with explicit times (e.g. a driver quantum
         whose duration is known the moment it is granted a core)."""
-        if len(self.spans) >= self.config.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped += 1
             return -1
         span = Span(

@@ -7,8 +7,8 @@ ordinary data pages the engine uses *end pages* (paper Section 4.3):
 * ``PageKind.END`` — "no more data will follow"; relayed operator-to-
   operator to close drivers gracefully (the "end page relay game").
 * An end page carries an optional ``signal`` tag so components can tell a
-  normal bottom-up completion apart from an elastic shutdown requested by
-  the dynamic scheduler; both are handled identically by operators.
+  normal bottom-up completion apart from an elastic shutdown requested at
+  runtime (a DOP decrease); both are handled identically by operators.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ class OffloadClient:
     def __init__(self, config):
         self.config = config
         self.workers = config.workers
-        self.pool = get_pool(config.workers, config.job_timeout_s)
+        self.pool = get_pool(config.workers)
         self.stats = OffloadStats()
         self._inflight: dict[int, _Inflight] = {}
         self._next_handle = 0

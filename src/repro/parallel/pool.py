@@ -39,14 +39,18 @@ class _Worker:
         self.conn = conn
 
 
+#: Wall-clock seconds before an unresponsive job's worker is killed
+#: (the hang backstop; generous because it is per job, not per page).
+JOB_TIMEOUT_S = 120.0
+
+
 class WorkerPool:
     """A fixed-size pool of forked worker processes."""
 
-    def __init__(self, workers: int, job_timeout_s: float = 120.0):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.size = workers
-        self.job_timeout_s = job_timeout_s
         # One tracker for host + workers: start it before the first fork.
         ensure_tracker_running()
         self._ctx = mp.get_context("fork")
@@ -195,7 +199,7 @@ class WorkerPool:
         ``("err", exc_type, message, traceback)`` or ``("crash",)``.
         """
         deadline = time.monotonic() + (
-            self.job_timeout_s if timeout_s is None else timeout_s
+            JOB_TIMEOUT_S if timeout_s is None else timeout_s
         )
         while True:
             result = self._done.pop(ticket, None)
@@ -223,12 +227,12 @@ class WorkerPool:
 _POOLS: dict[int, WorkerPool] = {}
 
 
-def get_pool(workers: int, job_timeout_s: float = 120.0) -> WorkerPool:
+def get_pool(workers: int) -> WorkerPool:
     """Process-wide pool singleton per worker count (engines are cheap and
     plentiful in the harness; forked workers are not)."""
     pool = _POOLS.get(workers)
     if pool is None or pool._closed:
-        pool = _POOLS[workers] = WorkerPool(workers, job_timeout_s)
+        pool = _POOLS[workers] = WorkerPool(workers)
     return pool
 
 

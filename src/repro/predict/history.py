@@ -41,9 +41,10 @@ class HistoryStore:
         return list(self._runs.get(template, ()))
 
     # -- prediction ---------------------------------------------------------
-    def predict(self, template: str, min_samples: int = 1) -> Prediction | None:
+    def predict(self, template: str) -> Prediction | None:
+        """Served from the first recorded run of a template on."""
         runs = self._runs.get(template)
-        if not runs or len(runs) < max(1, min_samples):
+        if not runs:
             return None
         n = len(runs)
         runtimes = [r["runtime"] for r in runs]

@@ -44,6 +44,13 @@ __all__ = ["DemandPredictor"]
 #: Memory pre-grants never go below this (tiny queries still need room
 #: for pages in flight and accounting slack).
 MIN_MEMORY_PREGRANT = 64 * 1024 * 1024
+#: Memory pre-grant = this x predicted peak, used only when the session
+#: declares no budget.
+MEMORY_HEADROOM = 2.0
+#: Pre-grant sizing target: each stage gets enough DOP to finish its
+#: predicted CPU work within this fraction of the predicted runtime (or
+#: of the deadline, when the deadline is tighter).
+PREGRANT_TARGET_FRACTION = 0.25
 
 
 class DemandPredictor:
@@ -65,7 +72,7 @@ class DemandPredictor:
         return prepared_fingerprint(self.engine.catalog, prepared, options)
 
     def _predict(self, template: str) -> Prediction | None:
-        prediction = self.store.predict(template, self.config.min_samples)
+        prediction = self.store.predict(template)
         if prediction is not None:
             self.predictions_served += 1
         return prediction
@@ -85,7 +92,7 @@ class DemandPredictor:
         read as of now: a query that waited in the admission queue (or a
         fold window) sees the runs recorded meanwhile."""
         query.prediction_template = template
-        prediction = self.store.predict(template, self.config.min_samples)
+        prediction = self.store.predict(template)
         if prediction is not None:
             query.prediction = prediction
             self._arm_reprovision(query, prediction)
@@ -188,7 +195,7 @@ class DemandPredictor:
             if sub.memory_bytes is None:
                 sub.memory_bytes = max(
                     MIN_MEMORY_PREGRANT,
-                    int(prediction.peak_memory_bytes * cfg.memory_headroom),
+                    int(prediction.peak_memory_bytes * MEMORY_HEADROOM),
                 )
         return None
 
@@ -199,14 +206,14 @@ class DemandPredictor:
         deadline: float | None,
     ) -> "QueryOptions":
         """Pre-granted per-stage DOPs: each stage wide enough to finish
-        its predicted CPU work within ``pregrant_target_fraction`` of the
+        its predicted CPU work within ``PREGRANT_TARGET_FRACTION`` of the
         predicted runtime (or of the deadline, when that is tighter),
         clamped to the fleet's free cores by a deterministic widest-first
         decrement."""
         base = prediction.runtime
         if deadline is not None and 0 < deadline < base:
             base = deadline
-        target = max(base * self.config.pregrant_target_fraction, 1e-6)
+        target = max(base * PREGRANT_TARGET_FRACTION, 1e-6)
         dops: dict[int, int] = {}
         for demand in prediction.stages:
             want = (

@@ -17,6 +17,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
+from ..cluster.scheduler import initial_stage_dop
 from ..errors import QueryCancelledError, QueryRejectedError
 from .policies import pick_next
 
@@ -27,25 +28,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .session import WorkloadManager
 
 
-def planned_cores(plan: "PhysicalPlan", options: "QueryOptions", config) -> int:
-    """Cores a query will occupy at its *initial* DOPs.
+#: Memory charged per query when the session does not declare one.
+DEFAULT_QUERY_MEMORY_BYTES = 1 * 1024**3
 
-    Mirrors :meth:`Scheduler._initial_dop` over the plan's fragments —
-    one core per initial task.  Runtime tuning beyond this goes through
-    the resource arbiter, not admission."""
-    total = 0
-    for fragment in plan.bottom_up():
-        if fragment.dop_fixed:
-            total += 1
-        elif fragment.id in options.stage_dops:
-            total += max(1, options.stage_dops[fragment.id])
-        elif fragment.is_source and options.scan_stage_dop is not None:
-            total += max(1, options.scan_stage_dop)
-        elif options.initial_stage_dop is not None:
-            total += max(1, options.initial_stage_dop)
-        else:
-            total += max(1, config.default_stage_dop)
-    return total
+
+def planned_cores(plan: "PhysicalPlan", options: "QueryOptions") -> int:
+    """Cores a query will occupy at its *initial* DOPs: one per task the
+    scheduler will create.  Runtime tuning beyond this goes through the
+    resource arbiter, not admission."""
+    return sum(initial_stage_dop(f, options) for f in plan.bottom_up())
 
 
 class AdmissionController:
@@ -73,9 +64,9 @@ class AdmissionController:
         """Queue ``sub`` (prepared, planned, possibly pre-granted) and
         admit whatever now fits — possibly ``sub`` itself, synchronously."""
         sub.seq = next(self._seq)
-        sub.cores = planned_cores(sub.plan, sub.options, self.engine.config)
+        sub.cores = planned_cores(sub.plan, sub.options)
         if sub.memory_bytes is None:
-            sub.memory_bytes = self.config.default_query_memory_bytes
+            sub.memory_bytes = DEFAULT_QUERY_MEMORY_BYTES
         self.manager.records.append(sub)
         self.submitted += 1
         self.queue.append(sub)

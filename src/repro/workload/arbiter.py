@@ -409,7 +409,7 @@ class ResourceArbiter:
             per_unit = max(1, entry.execution.stage(stage_id).task_dop)
             need = (target - current) * per_unit
             free = self.capacity - self.cluster_usage()
-            if free < need and self.config.revocation_enabled:
+            if free < need:
                 self._revoke(need - free, exempt=entry.execution.id)
                 free = self.capacity - self.cluster_usage()
             granted_units = grantable_units(target - current, per_unit, free, None)
@@ -486,14 +486,8 @@ class ResourceArbiter:
                 max(1, math.ceil((cores_needed - reclaimed)
                                  / max(1, stage.task_dop))),
             )
-            target = stage.stage_dop - take_units
-            self._bypass = True
-            try:
-                elastic.rp(sid, target)
-            except TuningRejected:
+            if not self._direct(elastic.rp, sid, stage.stage_dop - take_units):
                 continue
-            finally:
-                self._bypass = False
             self.revocations += 1
             reclaimed += take_units * max(1, stage.task_dop)
             entry.revoked += take_units
@@ -510,13 +504,8 @@ class ResourceArbiter:
                 )
 
     def _apply_grant(self, entry, elastic, stage_id: int, target: int) -> None:
-        self._bypass = True
-        try:
-            elastic.ap(stage_id, target)
-        except TuningRejected:
+        if not self._direct(elastic.ap, stage_id, target):
             return
-        finally:
-            self._bypass = False
         self.grants += 1
         tracer = self.kernel.tracer
         if tracer.enabled:
@@ -526,6 +515,17 @@ class ResourceArbiter:
                 node="coordinator", query_id=entry.execution.id,
                 stage=stage_id, tenant=entry.tenant, target=target,
             )
+
+    def _direct(self, tune, stage_id: int, target: int) -> bool:
+        """Apply the arbiter's own AP/RP without bidding against itself."""
+        self._bypass = True
+        try:
+            tune(stage_id, target)
+        except TuningRejected:
+            return False
+        finally:
+            self._bypass = False
+        return True
 
     # -- observability ------------------------------------------------------
     def stats(self) -> dict:

@@ -1,16 +1,16 @@
 """Autoscaler: queue-depth and deadline-pressure driven fleet sizing.
 
 Sits between the admission controller and :mod:`repro.cluster.membership`.
-Policy, evaluated every ``autoscale_period`` virtual seconds:
+Policy, evaluated every ``PERIOD`` virtual seconds:
 
 * **Scale out** when the admission queue is at least
   ``autoscale_queue_high`` deep, or any queued query's deadline is closer
   than ``autoscale_deadline_slack`` — joining up to
-  ``autoscale_max_join_per_tick`` nodes (spot when ``autoscale_spot``),
+  ``MAX_JOIN_PER_TICK`` nodes (spot when ``autoscale_spot``),
   bounded by ``autoscale_max_nodes`` counting pending joins.
 
-* **Scale in** after ``autoscale_idle_ticks`` consecutive ticks with an
-  empty queue and cluster usage below ``autoscale_usage_low`` of
+* **Scale in** after ``IDLE_TICKS`` consecutive ticks with an
+  empty queue and cluster usage below ``USAGE_LOW`` of
   capacity — gracefully draining the most recently *joined* node (base
   capacity is never drained), down to ``autoscale_min_nodes``.
 
@@ -27,6 +27,15 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import WorkloadManager
+
+#: Virtual seconds between policy evaluations.
+PERIOD = 0.5
+#: Scale in when cluster usage / capacity stays below this fraction ...
+USAGE_LOW = 0.5
+#: ... for this many consecutive ticks.
+IDLE_TICKS = 2
+#: Max nodes joined per policy tick.
+MAX_JOIN_PER_TICK = 2
 
 
 class Autoscaler:
@@ -60,7 +69,7 @@ class Autoscaler:
     def ensure_tick(self) -> None:
         if not self._tick_running:
             self._tick_running = True
-            self.kernel.schedule(self.config.autoscale_period, self._tick)
+            self.kernel.schedule(PERIOD, self._tick)
 
     def _on_membership_change(self) -> None:
         # New capacity (or a finished drain) may unblock queued work.
@@ -108,20 +117,18 @@ class Autoscaler:
             >= self.config.autoscale_cooldown
         )
         if cooled and self._wants_out(admission, live):
-            join = min(
-                self.config.autoscale_max_join_per_tick,
-                (self.max_nodes - live) if self.max_nodes is not None else
-                self.config.autoscale_max_join_per_tick,
-            )
+            join = MAX_JOIN_PER_TICK
+            if self.max_nodes is not None:
+                join = min(join, self.max_nodes - live)
             if join > 0:
                 self._scale_out(join)
         elif cooled and self._wants_in(queue_depth, arbiter):
             self._idle_ticks += 1
-            if self._idle_ticks >= self.config.autoscale_idle_ticks:
+            if self._idle_ticks >= IDLE_TICKS:
                 self._scale_in()
         else:
             self._idle_ticks = 0
-        self.kernel.schedule(self.config.autoscale_period, self._tick)
+        self.kernel.schedule(PERIOD, self._tick)
 
     # -- policy --------------------------------------------------------
     def _wants_out(self, admission, live: int) -> bool:
@@ -156,7 +163,7 @@ class Autoscaler:
         capacity = arbiter.capacity
         if capacity <= 0:
             return False
-        return arbiter.cluster_usage() / capacity < self.config.autoscale_usage_low
+        return arbiter.cluster_usage() / capacity < USAGE_LOW
 
     # -- actions -------------------------------------------------------
     def _scale_out(self, count: int) -> None:

@@ -18,6 +18,7 @@ from repro import (
     MembershipPlan,
     NodeDrain,
     NodeJoin,
+    QueryOptions,
     SpotPreemption,
     TPCH_QUERIES as QUERIES,
 )
@@ -162,6 +163,34 @@ def test_drain_loaded_node_escalates_and_answers_stay_exact(catalog):
     assert engine.membership.drains_escalated == 1
     assert norm_rows(query.result().rows) == reference_rows(catalog, Q_AGG)
     assert query.fault_events  # the drain was recorded on the query
+
+
+@pytest.mark.parametrize("timeout, outcome", [(50.0, "left"), (10.0, "dead")])
+def test_drain_partitioned_join_node_keeps_answers(catalog, timeout, outcome):
+    """The tasks of a partitioned-join stage are a hash buffer-ID group:
+    end-signalling the one on the draining node made its producers drop
+    that partition's rows (a third of every group, with the drain reported
+    clean).  It runs to completion there instead, or, past the deadline,
+    is respawned into the same partition slot."""
+    sql = (
+        "select o_orderpriority, count(*), sum(l_quantity) from orders, lineitem "
+        "where o_orderkey = l_orderkey group by o_orderpriority"
+    )
+    engine = slow_engine(
+        catalog, cluster=ClusterConfig(compute_nodes=3, storage_nodes=2)
+    )
+    options = QueryOptions(join_distribution="partitioned", initial_stage_dop=3)
+    query = engine.submit(sql, options)
+    run_until_cond(engine, lambda: query.started_at is not None)
+    settle(engine, 3.0)
+    node = engine.cluster.node_by_name("compute1")
+    join_task = next(t for t in query.stages[1].tasks if t.node is node)
+    engine.membership.drain(node, timeout=timeout)
+    engine.run_until_done(query, max_events=MAX_EVENTS)
+    assert norm_rows(query.result().rows) == reference_rows(catalog, sql)
+    assert not join_task.end_signalled
+    settle(engine, 60.0)
+    assert node.state == outcome
 
 
 # -- spot preemption --------------------------------------------------------

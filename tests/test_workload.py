@@ -43,8 +43,12 @@ class Entry:
         return f"Entry(seq={self.seq}, p={self.priority}, t={self.submitted_at})"
 
 
-def workload_engine(catalog, multiplier=1.0, cluster=None, **workload_kwargs):
+def workload_engine(
+    catalog, multiplier=1.0, cluster=None, tracing=False, **workload_kwargs
+):
     config = EngineConfig(cost=CostModel().scaled(multiplier), page_row_limit=256)
+    if tracing:
+        config = config.with_tracing()
     if cluster:
         config = config.with_cluster(**cluster)
     if workload_kwargs:
@@ -351,6 +355,7 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
         catalog,
         multiplier=1000.0,
         cluster={"compute_nodes": 2},  # 16 cores
+        tracing=True,  # inert: only records the arbiter's instants
         arbitration="deadline",
         arbiter_period=1.0,
         revocation_pin_seconds=5.0,
@@ -369,6 +374,16 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
     arbiter = engine.workload.arbiter
     assert arbiter.revocations >= 1, "deadline rebalance never revoked"
     assert engine.workload.records[0].tenant == "batch"
+    # Every revocation and deadline grant leaves its trace instant
+    # (DESIGN "Observability"), attributed to the query it acted on.
+    instants = engine.kernel.tracer.spans_of("workload")
+    revokes = [s for s in instants if s.name.startswith("revoke S")]
+    grants = [s for s in instants if s.name.startswith("deadline-grant S")]
+    assert len(revokes) == arbiter.revocations
+    assert {s.meta["query_id"] for s in revokes} == {batch.id}
+    assert grants and {s.meta["query_id"] for s in grants} == {rush.id}
+    bids = [s for s in instants if s.name == "bid:grant"]
+    assert len(grants) + len(bids) == arbiter.grants
 
     isolated = AccordionEngine(
         catalog, config=EngineConfig(page_row_limit=256)
