@@ -25,8 +25,7 @@ from repro import (
 )
 
 
-def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="accordion_tpch_"))
+def run(workdir: Path) -> None:
     print(f"Writing TPC-H CSV files to {workdir}")
 
     generator = TpchGenerator(scale=0.005)
@@ -65,6 +64,11 @@ def main() -> None:
     splits = engine.split_layout.splits("orders")
     print(f"\norders splits live on storage nodes "
           f"{sorted({s.storage_node for s in splits})} (pinned)")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="accordion_tpch_") as workdir:
+        run(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -128,13 +128,15 @@ class Scheduler:
                     for s in self.split_layout.splits(stage.fragment.source_table)
                 }
             )
-            # Dead storage nodes are blacklisted; their splits stay readable
-            # through durable disaggregated storage from any survivor.
-            # Draining (combined) nodes are likewise skipped for *new*
-            # placements while keeping their running scans.
+            # Dead storage nodes are blacklisted, and draining (combined)
+            # nodes are skipped for *new* placements while keeping their
+            # running scans.  With no schedulable split holder left the
+            # scan goes to a compute node below and reads its splits
+            # remotely (durable disaggregated storage) -- never back onto
+            # the node being drained.
             candidates = [
                 n for n in nodes if self.cluster.storage_map[n].schedulable
-            ] or [n for n in nodes if self.cluster.storage_map[n].alive]
+            ]
             if candidates:
                 index = len(stage.tasks) % len(candidates)
                 return self.cluster.storage_map[candidates[index]]

@@ -1,8 +1,8 @@
 """Dataset cache for generated TPC-H tables (memo + on-disk ``.npz``).
 
-The perf harness, the benchmark suite, and every test session used to pay
-dbgen on each run — at SF 0.05 that is ~0.4 s of pure generation before a
-single query executes.  Generated data is fully determined by
+The benchmarks and every test session used to pay dbgen on each run —
+at SF 0.05 that is ~0.4 s of pure generation before a single query
+executes.  Generated data is fully determined by
 ``(scale, seed, GENERATOR_VERSION)``, so it is cached at two levels:
 
 * **In-process memo** — repeated ``Catalog.tpch(scale, seed)`` calls in

@@ -1,4 +1,4 @@
-"""Experiment presets shared by the benchmark harness and tests.
+"""Experiment presets shared by the figure suite (``benchmarks/``) and tests.
 
 The paper's evaluation runs TPC-H SF100 on a 21-node cluster; the
 simulator reproduces the *shapes* at reduced scale.  Two calibration

@@ -229,7 +229,7 @@ _POOLS: dict[int, WorkerPool] = {}
 
 def get_pool(workers: int) -> WorkerPool:
     """Process-wide pool singleton per worker count (engines are cheap and
-    plentiful in the harness; forked workers are not)."""
+    plentiful in tests and benchmarks; forked workers are not)."""
     pool = _POOLS.get(workers)
     if pool is None or pool._closed:
         pool = _POOLS[workers] = WorkerPool(workers)

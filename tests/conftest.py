@@ -7,16 +7,31 @@ engines are cheap to build on top of a shared catalog.
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import pytest
 
-from repro import AccordionEngine, EngineConfig
+from repro import AccordionEngine, EngineConfig, MemoryConfig
 from repro.config import CostModel
 from repro.data import Catalog
+from repro.exec.spill import default_spill_root
+from repro.parallel import shutdown_pools
 
 
 TEST_SCALE = 0.005
 TEST_SEED = 777
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_litter():
+    """Whatever ran, the session leaves behind no worker process and no
+    query spill directory under the default spill root."""
+    spill_root = default_spill_root(MemoryConfig())
+    before = set(spill_root.glob("q*"))
+    yield
+    shutdown_pools()
+    assert multiprocessing.active_children() == []
+    assert set(spill_root.glob("q*")) <= before
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,15 @@ from repro import (
     AccordionEngine,
     ClusterConfig,
     EngineConfig,
+    MembershipPlan,
+    SpotPreemption,
     TraceArrivals,
     Workload,
 )
 from repro.config import CostModel
 
-from conftest import make_engine
+from conftest import make_engine, norm_rows
+from test_faults import reference_rows
 
 Q_AGG = "select l_returnflag, count(*), sum(l_quantity) from lineitem group by l_returnflag"
 
@@ -153,3 +156,46 @@ def test_elastic_runs_are_byte_identical_per_seed(catalog):
     report_b, _ = run_burst(elastic_engine(catalog), seed=11)
     assert report_a.render() == report_b.render()
     assert report_a.to_dict() == report_b.to_dict()
+
+
+# -- chaos: autoscaling + seeded churn + spot preemption at once ------------
+Q_FILTERED = "select count(*), sum(l_extendedprice) from lineitem where l_quantity < 30"
+
+
+def run_chaos(catalog, seed: int = 20250807):
+    """Two tenants on an autoscaled spot fleet under a seeded churn plan,
+    plus one preemption pinned late enough that burst capacity is up."""
+    engine = elastic_engine(
+        catalog, max_nodes=3, spot=True, autoscale_kwargs={"autoscale_cooldown": 0.5}
+    )
+    churn = MembershipPlan.random(
+        seed=seed, horizon=8.0, joins=1, preemptions=2, notice=0.3
+    )
+    engine.membership.apply_plan(
+        MembershipPlan(
+            seed=seed, events=churn.events + (SpotPreemption(at=6.0, notice=0.3),)
+        )
+    )
+    workload = Workload(engine, seed=seed)
+    workload.add_tenant("a", [Q_AGG, Q_FILTERED], TraceArrivals(times=(0.0,) * 6))
+    workload.add_tenant("b", [Q_FILTERED, Q_AGG], TraceArrivals(times=(2.0,) * 4))
+    report = workload.run()
+    answers = [(h.sql, tuple(map(tuple, h.result().rows))) for h in workload.handles]
+    return report, answers, engine.membership.history
+
+
+def test_chaos_churn_keeps_one_exact_answer_per_query_and_repeats_per_seed(catalog):
+    report, answers, history = run_chaos(catalog)
+    assert report.cluster["joins"] > 0, "chaos plan produced no membership churn"
+    # However many nodes died under them, all copies of a query agree
+    # bit for bit, and with the oracle.
+    distinct = set(answers)
+    assert len(answers) == 10
+    assert sorted(sql for sql, _ in distinct) == sorted([Q_AGG, Q_FILTERED])
+    for sql, rows in distinct:
+        assert norm_rows(rows) == reference_rows(catalog, sql)
+    again, answers_again, history_again = run_chaos(catalog)
+    assert answers_again == answers
+    assert again.render() == report.render()
+    assert again.to_dict() == report.to_dict()
+    assert history_again == history

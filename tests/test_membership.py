@@ -193,6 +193,28 @@ def test_drain_partitioned_join_node_keeps_answers(catalog, timeout, outcome):
     assert node.state == outcome
 
 
+def test_drain_only_storage_node_of_combined_cluster_keeps_answers(catalog):
+    """With one storage node on a combined cluster the draining node is
+    the only split holder: the replacement scan must go to a surviving
+    compute node and read the splits remotely.  Placed back on the
+    draining node it was end-signalled again on every poll and the query
+    finished on 3840 of 30258 rows, with nothing escalating."""
+    sql = "select count(*), sum(l_quantity) from lineitem"
+    engine = slow_engine(
+        catalog,
+        cluster=ClusterConfig(compute_nodes=3, storage_nodes=1, combined=True),
+    )
+    query = engine.submit(sql, QueryOptions(scan_stage_dop=1))
+    engine.run_until(3.0)
+    node = engine.cluster.node_by_name("compute0")
+    engine.membership.drain(node, timeout=200.0)
+    engine.run_until_done(query, max_events=MAX_EVENTS)
+    assert norm_rows(query.result().rows) == reference_rows(catalog, sql)
+    assert node.state == "left"
+    assert engine.membership.drains_clean == 1
+    assert engine.membership.drains_escalated == 0
+
+
 # -- spot preemption --------------------------------------------------------
 def test_preempt_idle_spot_node_inside_notice(catalog):
     engine = make_engine(catalog, cluster=SMALL)

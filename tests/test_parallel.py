@@ -173,6 +173,15 @@ def test_single_worker_pool_matches_inline(catalog):
     assert pooled == serial
 
 
+def test_q9_two_worker_pool_matches_inline(catalog):
+    """Q9 (string LIKE filter, five joins) is unrecoverable under the
+    crash schedule of test_parallel_identity, so it is pinned fault-free."""
+    serial, _ = run_query(catalog, QUERIES["Q9"], workers=0)
+    pooled, pooled_jobs = run_query(catalog, QUERIES["Q9"], workers=2)
+    assert pooled_jobs > 0, "offload must actually engage"
+    assert pooled == serial
+
+
 # -- side-band telemetry ----------------------------------------------------
 def test_offload_counters_are_opt_in_side_band(catalog):
     from repro.obs import offload_counters

@@ -87,7 +87,7 @@ def run_instrumented(sql: str, workers: int):
     }, jobs
 
 
-@pytest.mark.parametrize("name", ["Q3", "Q5"])
+@pytest.mark.parametrize("name", ["Q3", "Q5", "Q18"])
 def test_parallel_is_bit_inert_under_faults_and_tuning(name):
     serial, serial_jobs = run_instrumented(QUERIES[name], workers=0)
     parallel, parallel_jobs = run_instrumented(QUERIES[name], workers=2)

@@ -1,16 +1,12 @@
 """The public-API import lint (tools/api_lint.py) as a tier-1 test:
 examples/ and benchmarks/ must only import from the top-level ``repro``
-package, and the linter must actually catch violations.  Also: every
-argparse script answers ``--help``."""
+package, and the linter must actually catch violations."""
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 LINTER = REPO / "tools" / "api_lint.py"
@@ -62,24 +58,3 @@ def test_public_surface_is_importable():
 
     missing = [name for name in repro.__all__ if not hasattr(repro, name)]
     assert missing == []
-
-
-ARGPARSE_SCRIPTS = [
-    "benchmarks/perf/harness.py",
-    *sorted(p.relative_to(REPO).as_posix() for p in (REPO / "tools").glob("*_smoke.py")),
-]
-
-
-@pytest.mark.parametrize("script", ARGPARSE_SCRIPTS)
-def test_script_help_exits_zero(script):
-    """argparse renders help strings with ``%``-formatting, so a bare
-    ``%`` in one crashes ``--help`` only when somebody asks for it."""
-    result = subprocess.run(
-        [sys.executable, str(REPO / script), "--help"],
-        cwd=REPO,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "usage:" in result.stdout

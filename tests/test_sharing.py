@@ -349,6 +349,39 @@ class TestWorkloadIntegration:
 
         assert run() == run()
 
+    def test_overlapping_burst_folds_caches_and_doubles_effective_qps(self, catalog):
+        """A seeded two-tenant dashboard burst far above the unshared
+        service rate (so the horizon measures execution, not arrivals):
+        exact repeats, a broad detail query, and narrower / aggregating
+        variants that fold onto it through residual operators."""
+        mix = [
+            "select count(*) from lineitem",
+            "select l_returnflag, count(*), min(l_quantity) from lineitem "
+            "where l_quantity < 30 group by l_returnflag",
+            "select l_orderkey, l_quantity from lineitem where l_quantity < 10",
+            "select l_orderkey from lineitem "
+            "where l_quantity < 10 and l_orderkey < 1000",
+            "select o_orderstatus, count(*) from orders group by o_orderstatus",
+        ]
+
+        def run(sharing: bool):
+            config = EngineConfig().with_workload(max_concurrent_queries=2)
+            if sharing:
+                config = config.with_sharing(fold_window=0.05)
+            workload = Workload(AccordionEngine(catalog, config=config), seed=20250807)
+            for tenant in ("bi", "dashboards"):
+                workload.add_tenant(tenant, mix, PoissonArrivals(rate=100.0, count=20))
+            report = workload.run()
+            return report, [h.result().rows for h in workload.handles]
+
+        unshared, unshared_rows = run(sharing=False)
+        shared, shared_rows = run(sharing=True)
+        assert shared.sharing["folds"] >= 1
+        assert shared.sharing["cache_hits"] >= 1
+        assert len(shared_rows) == 40 and shared_rows == unshared_rows
+        # 5.9x measured on this catalog.
+        assert shared.effective_qps > 2.0 * unshared.effective_qps
+
     def test_report_includes_sharing_section(self, catalog):
         config = EngineConfig().with_workload().with_sharing(fold_window=0.1)
         engine = AccordionEngine(catalog, config=config)
