@@ -14,23 +14,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..cluster.cluster import Cluster
+from ..cluster.stage import StageSample
 from ..sim import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
-
-
-@dataclass
-class StageSample:
-    rows_out: int
-    rows_received: int
-    exchange_turn_up: int
-    stage_dop: int
-    task_dop: int
-    finished: bool
-    scan_rows_remaining: int | None
-    scan_rows_total: int | None
-    max_build_seconds: float
 
 
 @dataclass
@@ -57,17 +45,22 @@ class RuntimeInfoCollector:
         self.cluster = cluster
         self.period = period
         self.samples: deque[Snapshot] = deque(maxlen=window)
-        self._cpu_marks: dict[str, tuple[float, float]] = {}
-        self._nic_marks: dict[str, float] = {}
+        #: node key -> [node, mark time, busy-core-seconds mark, NIC-busy
+        #: mark]; rebuilt (marks kept) only when a node joined the cluster.
+        self._nodes: dict[str, list] = {}
+        self._compute_count = -1
         self._stopped = False
         self._sample()
 
     # ------------------------------------------------------------------
-    def _nodes(self):
-        seen = {}
+    def _refresh_nodes(self) -> None:
+        """Membership is append-only (``Cluster.add_compute``), so the
+        compute count is its version.  Compute first, then storage: the
+        order of every snapshot's utilization dicts."""
+        known, self._nodes = self._nodes, {}
         for node in self.cluster.compute + self.cluster.storage:
-            seen[f"{node.role}{node.id}"] = node
-        return seen
+            self._nodes[node.name] = known.get(node.name) or [node, None, 0.0, 0.0]
+        self._compute_count = len(self.cluster.compute)
 
     def _sample(self) -> None:
         if self._stopped:
@@ -75,33 +68,21 @@ class RuntimeInfoCollector:
         now = self.kernel.now
         snap = Snapshot(now)
         for stage_id, stage in self.query.stages.items():
-            feed = stage.split_feed
-            snap.stages[stage_id] = StageSample(
-                rows_out=stage.rows_out(),
-                rows_received=stage.rows_received(),
-                exchange_turn_up=stage.exchange_turn_up(),
-                stage_dop=stage.stage_dop,
-                task_dop=stage.task_dop,
-                finished=stage.finished,
-                scan_rows_remaining=feed.rows_remaining if feed else None,
-                scan_rows_total=feed.total_rows if feed else None,
-                max_build_seconds=stage.max_build_seconds(),
-            )
-        for key, node in self._nodes().items():
+            snap.stages[stage_id] = stage.sample()
+        if len(self.cluster.compute) != self._compute_count:
+            self._refresh_nodes()
+        for key, mark in self._nodes.items():
+            node, prev_time, prev_busy, prev_nic = mark
             busy = node.cpu.busy_core_seconds()
             nic_busy = node.nic.busy_seconds()
-            prev = self._cpu_marks.get(key)
-            if prev is not None:
-                prev_busy, prev_time = prev
+            if prev_time is not None:
                 dt = now - prev_time
                 if dt > 0:
                     snap.cpu_utilization[key] = (busy - prev_busy) / (
                         dt * node.cpu.cores
                     )
-                    prev_nic = self._nic_marks.get(key, 0.0)
                     snap.nic_utilization[key] = min(1.0, (nic_busy - prev_nic) / dt)
-            self._cpu_marks[key] = (busy, now)
-            self._nic_marks[key] = nic_busy
+            mark[1:] = now, busy, nic_busy
         self.samples.append(snap)
         if self.query.finished:
             self._stopped = True
@@ -122,19 +103,6 @@ class RuntimeInfoCollector:
             return []
         cutoff = self.samples[-1].time - seconds
         return [s for s in self.samples if s.time >= cutoff]
-
-    def stage_rate(self, stage_id: int, seconds: float = 3.0) -> float:
-        """Stage output rows/second over the recent window."""
-        window = self.window_samples(seconds)
-        if len(window) < 2:
-            return 0.0
-        first, last = window[0], window[-1]
-        dt = last.time - first.time
-        if dt <= 0 or stage_id not in first.stages:
-            return 0.0
-        return (
-            last.stages[stage_id].rows_out - first.stages[stage_id].rows_out
-        ) / dt
 
     def scan_consume_rate(self, stage_id: int, seconds: float = 3.0) -> float:
         """R_consume: rows/second leaving the scan stage's split feed."""

@@ -38,9 +38,11 @@ class WaiterList:
         self._waiters.append(fn)
 
     def notify_all(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for fn in waiters:
-            fn()
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for fn in waiters:
+                fn()
 
     def __len__(self) -> int:
         return len(self._waiters)

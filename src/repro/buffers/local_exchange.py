@@ -73,9 +73,5 @@ class LocalExchange:
             return Page.end()
         return None
 
-    @property
-    def has_output(self) -> bool:
-        return bool(self._queue) or self._injected_ends > 0 or self.upstream_done
-
     def __len__(self) -> int:
         return len(self._queue)

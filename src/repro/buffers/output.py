@@ -197,9 +197,11 @@ class TaskOutputBuffer:
         return self._queued_pages() >= self.capacity.capacity
 
     def _queued_pages(self) -> int:
-        if not self.consumers:
-            return 0
-        return max(len(q.pages) for q in self.consumers.values())
+        longest = 0
+        for queue in self.consumers.values():
+            if len(queue.pages) > longest:
+                longest = len(queue.pages)
+        return longest
 
     def put(self, page: Page) -> None:
         raise NotImplementedError
@@ -207,12 +209,8 @@ class TaskOutputBuffer:
     def task_finished(self) -> None:
         """All drivers of the owning task are done: end every consumer."""
         self.finished = True
-        self._flush_before_finish()
         for queue in self.consumers.values():
             queue.end()
-
-    def _flush_before_finish(self) -> None:
-        """Hook for buffers with internal pending work (shuffle)."""
 
     def abort(self) -> None:
         """Discard this buffer (crashed task being restarted, Section 4.4
@@ -516,17 +514,20 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         n = len(group)
         self.shuffled_rows += page.num_rows
         if n == 1:
-            parts: list[Page | None] = [page]
+            parts: list[Page] = [page]
         else:
+            # One stable grouping by partition id: a single gather per
+            # column, then each partition is a slice of it, its rows in
+            # page order.  (16-bit keys take numpy's radix sort.)
             assignments = partition_assignments(
                 [page.columns[k] for k in self.key_positions], n
             )
-            parts = []
-            for i in range(n):
-                mask = assignments == i
-                parts.append(page.mask(mask) if mask.any() else None)
+            keys = assignments.astype(np.uint16) if n <= 0x10000 else assignments
+            grouped = page.take(np.argsort(keys, kind="stable"))
+            stops = np.cumsum(np.bincount(assignments, minlength=n)).tolist()
+            parts = [grouped.slice(a, b) for a, b in zip([0] + stops, stops)]
         for buffer_id, part in zip(group, parts):
-            if part is None or part.num_rows == 0:
+            if part.num_rows == 0:
                 continue
             # Follow retry redirects to a fixed point: work submitted for a
             # buffer-ID group before a consumer crash must land at the
@@ -549,10 +550,6 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
     def _queued_pages(self) -> int:
         base = super()._queued_pages()
         return base + self._pending_shuffles
-
-    def _flush_before_finish(self) -> None:
-        # Ends are delivered after in-flight shuffle work drains.
-        pass
 
     def _defer_end_on_add(self) -> bool:
         return self._switching or self._restoring

@@ -3,6 +3,7 @@ for partitioned-join DOP switching."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..buffers import OutputMode
@@ -13,6 +14,21 @@ from ..exec.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coordinator import QueryExecution
+
+
+@dataclass
+class StageSample:
+    """One reading of a stage's runtime counters (``StageExecution.sample``)."""
+
+    rows_out: int
+    rows_received: int
+    exchange_turn_up: int
+    stage_dop: int
+    task_dop: int
+    finished: bool
+    scan_rows_remaining: int | None
+    scan_rows_total: int | None
+    max_build_seconds: float
 
 
 class StageExecution:
@@ -82,25 +98,54 @@ class StageExecution:
 
     # -- runtime metrics -----------------------------------------------------
     def rows_out(self) -> int:
-        if self.fragment.id == 0:
-            return self.query.result_rows
-        return sum(t.output_buffer.rows_out for t in self.tasks)
+        return self.sample().rows_out
 
     def bytes_out(self) -> int:
         return sum(t.output_buffer.bytes_out for t in self.tasks)
 
-    def exchange_turn_up(self) -> int:
-        return sum(t.info()["exchange_turn_up"] for t in self.tasks)
-
-    def rows_received(self) -> int:
-        return sum(
-            c.rows_received for t in self.tasks for c in t.exchange_clients.values()
+    def sample(self) -> StageSample:
+        """Everything a periodic reader (collector, throughput tracker)
+        needs, from one pass over the tasks and no per-task allocation."""
+        tasks = self.tasks
+        # ``active_group`` without building it: a task joins ``tasks`` and
+        # the newest group together (``Scheduler.create_task``), so that
+        # group is a suffix of ``tasks``.
+        group_start = len(tasks) - len(self.task_groups[-1])
+        rows_out = rows_received = turn_up = stage_dop = task_dop = 0
+        build_seconds = 0.0
+        finished = bool(tasks)
+        for index, task in enumerate(tasks):
+            rows_out += task.output_buffer.rows_out
+            for client in task.exchange_clients.values():
+                rows_received += client.rows_received
+                turn_up += client.buffer.turn_up_counter
+            for bridge in task.bridges:
+                seconds = bridge.build_seconds
+                if seconds > build_seconds:
+                    build_seconds = seconds
+            if not task.finished:
+                finished = False
+                if index >= group_start:
+                    stage_dop += 1
+                    drivers = task.tunable_pipeline.active_drivers
+                    if drivers > task_dop:
+                        task_dop = drivers
+        feed = self.split_feed
+        return StageSample(
+            rows_out=self.query.result_rows if self.fragment.id == 0 else rows_out,
+            rows_received=rows_received,
+            exchange_turn_up=turn_up,
+            stage_dop=stage_dop,
+            task_dop=task_dop,
+            finished=finished,
+            scan_rows_remaining=feed.rows_remaining if feed else None,
+            scan_rows_total=feed.total_rows if feed else None,
+            max_build_seconds=build_seconds,
         )
 
     def max_build_seconds(self) -> float:
         """Stage T_build = max over its tasks (paper Section 5.2)."""
-        seconds = [b.build_seconds for t in self.tasks for b in t.bridges]
-        return max(seconds, default=0.0)
+        return self.sample().max_build_seconds
 
     def cpu_seconds(self) -> float:
         """Virtual CPU seconds burnt by this stage across all tasks."""

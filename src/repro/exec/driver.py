@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_right
+from collections import deque
 from typing import TYPE_CHECKING
 
 from ..pages import Page
@@ -29,7 +31,7 @@ _MLFQ_LEVELS = (0.1, 1.0, 10.0)
 
 
 def _noop() -> None:
-    """Shared no-op commit (blocked/trapped quanta deliver nothing)."""
+    """Shared no-op commit (a trapped or crashed quantum parks nothing)."""
 
 
 class DriverState(enum.Enum):
@@ -72,6 +74,20 @@ class Driver:
         self._op_spans = self._quantum_spans and self._tracer.operator_spans
         self._profiler = self._tracer.profiler if self._tracer.profiling else None
         self._quantum_overhead = task.cost.quantum_overhead
+        # What every traced quantum would otherwise format or chase again.
+        self._span_name = f"p{pipeline_id}.d{driver_id}"
+        self._node_name = task.node.name
+        self._op_names = [type(op).__name__ for op in transforms]
+        # No closure per quantum: the pool gets these two bound methods,
+        # and what a quantum's commit needs parks in ``_parked``.  A FIFO,
+        # not a slot: a blocked quantum still holds its core for the
+        # quantum overhead while a wake-up has already been granted the
+        # next one, so one driver can have several quanta in flight.  They
+        # complete in grant order (only blocked quanta overlap a successor,
+        # and no quantum costs less than theirs).
+        self._run = self._run_quantum
+        self._commit = self._commit_quantum
+        self._parked: deque[tuple[list[Page], bool] | None] = deque()
         # Only operators that can ever block (join probes) are polled for
         # readiness each quantum; for most pipelines this list is empty.
         self._waitable = [op for op in transforms if op.may_wait]
@@ -90,21 +106,20 @@ class Driver:
         return self.state is DriverState.FINISHED
 
     def _priority(self) -> float:
-        for level, threshold in enumerate(_MLFQ_LEVELS):
-            if self.cpu_time < threshold:
-                return float(level)
-        return float(len(_MLFQ_LEVELS))
+        return float(bisect_right(_MLFQ_LEVELS, self.cpu_time))
 
     def _enqueue(self) -> None:
         if self.state in (DriverState.QUEUED, DriverState.FINISHED):
             return
         self.state = DriverState.QUEUED
-        self.task.node.cpu.acquire(self._run_quantum, priority=self._priority())
+        self.task.node.cpu.acquire(self._run, priority=self._priority())
 
-    def _block_on(self, waiters) -> tuple[float, callable]:
+    def _block_on(self, waiters) -> tuple[float, None]:
+        """A blocked quantum holds its core for the overhead and commits
+        nothing."""
         self.state = DriverState.BLOCKED
         waiters.add(self._wake)
-        return self._quantum_overhead, _noop
+        return self._quantum_overhead, None
 
     def _wake(self) -> None:
         if self.state is DriverState.BLOCKED:
@@ -117,31 +132,42 @@ class Driver:
         Crashed tasks (fault injection) never execute another quantum; an
         operator exception is trapped and escalated to the task instead of
         unwinding the event loop."""
-        if self.task.crashed:
+        task = self.task
+        if task.crashed:
             self.state = DriverState.FINISHED
             return 0.0, _noop
         try:
-            cost, commit = self._quantum()
+            cost, parked = self._quantum()
         except Exception as exc:  # noqa: BLE001 - escalate to the query
             return self._trap(exc)
-        self.task.inflight_quanta += 1
+        task.inflight_quanta += 1
+        self._parked.append(parked)
+        return cost, self._commit
 
-        def safe_commit() -> None:
-            try:
-                commit()
-            except Exception as exc:  # noqa: BLE001
-                self._trap(exc)
-            finally:
-                self.task.quantum_done()
-
-        return cost, safe_commit
+    def _commit_quantum(self) -> None:
+        """Fires when the oldest in-flight quantum releases its core."""
+        parked = self._parked.popleft()
+        try:
+            if parked is not None:
+                outputs, finished = parked
+                if outputs:
+                    self.sink.deliver(outputs)
+                if finished:
+                    self._finish()
+                else:
+                    self._enqueue()
+        except Exception as exc:  # noqa: BLE001
+            self._trap(exc)
+        finally:
+            self.task.quantum_done()
 
     def _trap(self, exc: Exception) -> tuple[float, callable]:
         self.state = DriverState.FINISHED
         self.task.report_error(exc)
         return 0.0, _noop
 
-    def _quantum(self) -> tuple[float, callable]:
+    def _quantum(self) -> tuple[float, tuple[list[Page], bool] | None]:
+        """One quantum: (cost, what its commit delivers; None if blocked)."""
         self.state = DriverState.RUNNING
         self.quanta += 1
 
@@ -174,11 +200,11 @@ class Driver:
             now = self.task.kernel.now
             quantum_span = tracer.complete(
                 "quantum",
-                f"p{self.pipeline_id}.d{self.driver_id}",
+                self._span_name,
                 now,
                 now + cost,
                 parent=self.task.trace_span,
-                node=self.task.node.name,
+                node=self._node_name,
                 rows=sum(p.num_rows for p in outputs),
             )
             if op_costs:
@@ -186,19 +212,11 @@ class Driver:
                 for op_name, op_cost in op_costs:
                     tracer.complete(
                         "operator", op_name, at, at + op_cost,
-                        parent=quantum_span, node=self.task.node.name,
+                        parent=quantum_span, node=self._node_name,
                     )
                     at += op_cost
 
-        def commit() -> None:
-            if outputs:
-                self.sink.deliver(outputs)
-            if finished:
-                self._finish()
-            else:
-                self._enqueue()
-
-        return cost, commit
+        return cost, (outputs, finished)
 
     def _run_chain(
         self, page: Page, op_costs: list | None = None
@@ -227,7 +245,7 @@ class Driver:
                     profiler.record(
                         self.task.query_id,
                         self.task.task_id.stage,
-                        type(op).__name__,
+                        self._op_names[index],
                         time.perf_counter_ns() - wall_start,
                         p.num_rows,
                         peak_bytes=handle.peak_bytes if handle is not None else 0,
@@ -238,7 +256,7 @@ class Driver:
                 op_cost += c
                 next_pages.extend(outs)
             if op_costs is not None:
-                op_costs.append((type(op).__name__, op_cost))
+                op_costs.append((self._op_names[index], op_cost))
             pages = next_pages
             if op.done_early and not self._end_seen:
                 # LIMIT satisfied: start the end relay from here without

@@ -13,7 +13,7 @@ pages and the relay game begins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..buffers import ElasticPageBuffer
@@ -31,12 +31,26 @@ if TYPE_CHECKING:  # pragma: no cover
 _FETCH_BATCH = 8
 
 
-@dataclass
 class _SplitState:
-    split: RemoteSplit
-    fetching: bool = False
-    waiting: bool = False
-    ended: bool = False
+    """One upstream split: idle, or exactly one of fetching / waiting /
+    ended.  At most one fetch is in flight per split, so its batch parks
+    here and ``wake`` / ``commit`` are bound once, not per fetch."""
+
+    __slots__ = ("split", "fetching", "waiting", "ended", "batch", "nbytes",
+                 "wake", "commit")
+
+    def __init__(self, client: "ExchangeClient", split: RemoteSplit):
+        self.split = split
+        self.fetching = False
+        #: Registered on the upstream queue.  Invariant: a waiting split's
+        #: upstream queue has no data, because every mutation of a consumer
+        #: queue notifies ``on_update`` / ``on_consumer_added``.
+        self.waiting = False
+        self.ended = False
+        self.batch: list[Page] | None = None
+        self.nbytes = 0
+        self.wake = partial(client._wake, self)
+        self.commit = partial(client._commit_fetch, self)
 
 
 class ExchangeClient:
@@ -53,14 +67,15 @@ class ExchangeClient:
         self.node = node
         self.name = name
         self.buffer = ElasticPageBuffer(kernel, buffer_config, name=f"{name}.recv")
+        #: Insertion-ordered: the order decides who gets scarce receive slots.
         self.splits: dict[tuple, _SplitState] = {}
+        self._open_splits = 0
         self.rows_received = 0
         self.bytes_received = 0
-        #: Signalled when the finished state may have changed or new pages
-        #: arrived; exchange source operators wait here.
-        self.on_output = self.buffer.not_empty
-        self.buffer.not_full.add(self._resume_all)
-        self._no_more_splits = False
+        # The one space subscription: ``_on_space`` alone re-arms it, so
+        # ``not_full`` never holds more than one entry of this client.
+        self._space_waiter = self._on_space
+        self.buffer.not_full.add(self._space_waiter)
         #: Set when the owning task crashes: a dead client must never take
         #: pages from upstream buffers again (they belong to the
         #: replacement task after requeue).
@@ -73,106 +88,105 @@ class ExchangeClient:
     def add_split(self, split: RemoteSplit) -> None:
         if split.key in self.splits:
             return
-        state = _SplitState(split)
+        state = _SplitState(self, split)
         self.splits[split.key] = state
+        self._open_splits += 1
         self._try_fetch(state)
 
     @property
     def finished(self) -> bool:
-        return (
-            bool(self.splits)
-            and all(s.ended for s in self.splits.values())
-            and self.buffer.is_empty
-        )
+        return bool(self.splits) and not self._open_splits and self.buffer.is_empty
 
     # -- consumer side (exchange source operators) ----------------------
     def poll(self) -> Page | None:
-        """Next data page, an end page when finished, or ``None`` to block."""
-        page = self.buffer.poll()
-        if page is not None:
-            return page
-        if self.finished:
-            return Page.end()
-        # A poll on empty may have grown the buffer: resume paused fetches.
-        self._resume_all()
-        return None
+        """Next data page, an end page when finished, or ``None`` to block.
 
-    @property
-    def has_output(self) -> bool:
-        return not self.buffer.is_empty or self.finished
+        A poll that frees or grows the receive buffer resumes paused
+        fetches through the space subscription."""
+        page = self.buffer.poll()
+        if page is None and self.finished:
+            return Page.end()
+        return page
 
     def waiters(self) -> WaiterList:
         return self.buffer.not_empty
 
     # -- fetch machinery ----------------------------------------------------
+    def _on_space(self) -> None:
+        self.buffer.not_full.add(self._space_waiter)  # WaiterList is one-shot
+        self._resume_all()
+
     def _resume_all(self) -> None:
-        # Re-arm the persistent not_full subscription (WaiterList is
-        # one-shot) and kick every idle split.
-        self.buffer.not_full.add(self._resume_all)
-        for state in list(self.splits.values()):
-            self._try_fetch(state)
+        """Kick the idle splits, in insertion order, while slots remain."""
+        buffer = self.buffer
+        if buffer.free_slots <= 0:
+            return
+        for state in tuple(self.splits.values()):
+            if not (state.fetching or state.waiting or state.ended):
+                self._try_fetch(state)
+                if buffer.free_slots <= 0:
+                    return
+
+    def _wake(self, state: _SplitState) -> None:
+        state.waiting = False
+        self._try_fetch(state)
 
     def _try_fetch(self, state: _SplitState) -> None:
         if self.closed:
             return
         if state.fetching or state.ended:
             return
-        if self.buffer.free_slots <= 0:
+        free_slots = self.buffer.free_slots
+        if free_slots <= 0:
             return
-        upstream_buffer = state.split.upstream.output_buffer
-        if not upstream_buffer.has_data(state.split.buffer_id):
-            queue = upstream_buffer.consumers.get(state.split.buffer_id)
+        split = state.split
+        upstream_buffer = split.upstream.output_buffer
+        if not upstream_buffer.has_data(split.buffer_id):
+            queue = upstream_buffer.consumers.get(split.buffer_id)
             if queue is not None and queue.ended and not queue.pages:
                 # Ended and fully drained by us earlier.
                 return
             if not state.waiting:
                 state.waiting = True
-
-                def wake(state=state) -> None:
-                    state.waiting = False
-                    self._try_fetch(state)
-
                 if queue is not None:
-                    queue.on_update.add(wake)
+                    queue.on_update.add(state.wake)
                 else:
                     # Our buffer id does not exist yet (e.g. a task group
                     # being wired during DOP switching): wait for it.
-                    upstream_buffer.on_consumer_added.add(wake)
+                    upstream_buffer.on_consumer_added.add(state.wake)
             return
-        batch = upstream_buffer.take(
-            state.split.buffer_id, min(_FETCH_BATCH, self.buffer.free_slots)
-        )
+        batch = upstream_buffer.take(split.buffer_id, min(_FETCH_BATCH, free_slots))
         if not batch:
             self._try_fetch(state)  # re-register waiter
             return
         state.fetching = True
-        nbytes = sum(p.size_bytes for p in batch)
+        state.batch = batch
+        state.nbytes = nbytes = sum(p.size_bytes for p in batch)
         # A dead upstream node's spooled output stays readable via durable
         # disaggregated storage — only our own NIC is occupied then.
-        upstream_node = state.split.upstream.node
+        upstream_node = split.upstream.node
         src_nic = upstream_node.nic if upstream_node.alive else None
-        dst_nic = self.node.nic
-
-        def commit(state=state, batch=batch, nbytes=nbytes) -> None:
-            self._commit_fetch(state, batch, nbytes)
-
         transfer(
-            self.kernel, src_nic, dst_nic, nbytes, self.cost.network_latency, commit
+            self.kernel, src_nic, self.node.nic, nbytes,
+            self.cost.network_latency, state.commit,
         )
 
-    def _commit_fetch(self, state: _SplitState, batch: list[Page], nbytes: int) -> None:
+    def _commit_fetch(self, state: _SplitState) -> None:
+        batch, state.batch = state.batch, None
         state.fetching = False
-        self.bytes_received += nbytes
+        self.bytes_received += state.nbytes
         for page in batch:
             if page.is_end:
                 if state.ended:
                     raise InvariantViolation(f"{self.name}: duplicate end page")
                 state.ended = True
+                self._open_splits -= 1
                 continue
             self.rows_received += page.num_rows
             self.buffer.put(page)
-        if state.ended and self.finished:
-            # Wake blocked source drivers so they can observe the end.
-            self.buffer.not_empty.notify_all()
-        if not state.ended:
+        if state.ended:
+            if self.finished:
+                # Wake blocked source drivers so they can observe the end.
+                self.buffer.not_empty.notify_all()
+        else:
             self._try_fetch(state)

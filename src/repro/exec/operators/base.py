@@ -62,10 +62,6 @@ class SourceOperator:
         """
         raise NotImplementedError
 
-    @property
-    def has_output(self) -> bool:
-        raise NotImplementedError
-
     def waiters(self) -> WaiterList:
         """Where to register for a wake-up when output may be available."""
         raise NotImplementedError
@@ -78,17 +74,20 @@ class SinkOperator:
     #: CPU cost per row absorbed (drivers charge it into the quantum).
     row_cost_attr = "task_output_row_cost"
 
+    def __init__(self, cost: CostModel):
+        self.cost = cost
+        self._row_cost = getattr(cost, self.row_cost_attr)
+
     def cost_of(self, pages: list[Page]) -> float:
         """CPU cost of absorbing ``pages`` (charged before delivery)."""
-        cost_model = getattr(self, "cost", None)
-        if cost_model is None:
-            return 0.0
-        rows = sum(p.num_rows for p in pages)
-        per_row = getattr(cost_model, self.row_cost_attr)
-        return rows * per_row * cost_model.cpu_multiplier
+        rows = 0
+        for page in pages:
+            rows += page.num_rows
+        return rows * self._row_cost * self.cost.cpu_multiplier
 
-    def deliver(self, pages: list[Page]) -> float:
-        """Absorb pages (end pages excluded); returns cpu cost."""
+    def deliver(self, pages: list[Page]) -> None:
+        """Absorb pages (end pages excluded).  Their row cost is already
+        charged (:meth:`cost_of`); the driver ignores any return value."""
         raise NotImplementedError
 
     @property

@@ -452,11 +452,14 @@ class JoinBuildSink(SinkOperator):
     row_cost_attr = "join_build_row_cost"
 
     def __init__(self, cost: CostModel, bridge: JoinBridge):
-        self.cost = cost
+        super().__init__(cost)
         self.bridge = bridge
         bridge.register_producer()
 
     def deliver(self, pages: list[Page]) -> float:
+        # The return carries the build-side spill-write cost, which the
+        # driver drops: a known uncharged cost (ROADMAP, correctness item;
+        # tests/test_spill.py has the strict xfail).
         rows = 0
         spill_cost = 0.0
         for page in pages:

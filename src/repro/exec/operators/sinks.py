@@ -18,15 +18,12 @@ class TaskOutputSink(SinkOperator):
     name = "task_output"
 
     def __init__(self, cost: CostModel, buffer: TaskOutputBuffer):
-        self.cost = cost
+        super().__init__(cost)
         self.buffer = buffer
 
-    def deliver(self, pages: list[Page]) -> float:
-        rows = 0
+    def deliver(self, pages: list[Page]) -> None:
         for page in pages:
             self.buffer.put(page)
-            rows += page.num_rows
-        return rows * self.cost.task_output_row_cost * self.cost.cpu_multiplier
 
     @property
     def is_full(self) -> bool:
@@ -41,16 +38,13 @@ class LocalExchangeSink(SinkOperator):
     row_cost_attr = "local_exchange_row_cost"
 
     def __init__(self, cost: CostModel, exchange: LocalExchange):
-        self.cost = cost
+        super().__init__(cost)
         self.exchange = exchange
         exchange.register_producer()
 
-    def deliver(self, pages: list[Page]) -> float:
-        rows = 0
+    def deliver(self, pages: list[Page]) -> None:
         for page in pages:
             self.exchange.put(page)
-            rows += page.num_rows
-        return rows * self.cost.local_exchange_row_cost * self.cost.cpu_multiplier
 
     def driver_finished(self) -> None:
         self.exchange.producer_finished()
@@ -62,12 +56,9 @@ class CoordinatorSink(SinkOperator):
     name = "output"
 
     def __init__(self, cost: CostModel, collect: Callable[[Page], None]):
-        self.cost = cost
+        super().__init__(cost)
         self.collect = collect
 
-    def deliver(self, pages: list[Page]) -> float:
-        rows = 0
+    def deliver(self, pages: list[Page]) -> None:
         for page in pages:
             self.collect(page)
-            rows += page.num_rows
-        return rows * self.cost.task_output_row_cost * self.cost.cpu_multiplier

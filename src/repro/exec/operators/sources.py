@@ -117,10 +117,6 @@ class ScanSource(SourceOperator):
             commit,
         )
 
-    @property
-    def has_output(self) -> bool:
-        return not self._transferring
-
     def waiters(self) -> WaiterList:
         return self._transfer_waiters
 
@@ -192,10 +188,6 @@ class ExchangeSource(SourceOperator):
         cpu = page.num_rows * self.cost.exchange_row_cost * self.cost.cpu_multiplier
         return page, cpu
 
-    @property
-    def has_output(self) -> bool:
-        return self.client.has_output
-
     def waiters(self) -> WaiterList:
         return self.client.waiters()
 
@@ -213,10 +205,6 @@ class LocalExchangeSource(SourceOperator):
             return None, 0.0
         cpu = page.num_rows * self.cost.local_exchange_row_cost * self.cost.cpu_multiplier
         return page, cpu
-
-    @property
-    def has_output(self) -> bool:
-        return self.exchange.has_output
 
     def waiters(self) -> WaiterList:
         return self.exchange.not_empty

@@ -486,28 +486,6 @@ class Task:
     # ------------------------------------------------------------------
     # runtime information (task context, Figure 18)
     # ------------------------------------------------------------------
-    def info(self) -> dict:
-        exchange_turnups = sum(
-            c.buffer.turn_up_counter for c in self.exchange_clients.values()
-        )
-        return {
-            "task": str(self.task_id),
-            "node": self.node.id,
-            "rows_out": self.output_buffer.rows_out,
-            "bytes_out": self.output_buffer.bytes_out,
-            "rows_received": sum(
-                c.rows_received for c in self.exchange_clients.values()
-            ),
-            "exchange_turn_up": exchange_turnups,
-            "output_turn_up": self.output_buffer.capacity.turn_up_counter,
-            "drivers": self.driver_count(),
-            "finished": self.finished,
-            "build_seconds": max(
-                (b.build_seconds for b in self.bridges), default=0.0
-            ),
-            "builds_ready": all(b.ready for b in self.bridges),
-        }
-
     def cpu_seconds(self) -> float:
         """Total virtual CPU time consumed by this task's drivers."""
         return sum(

@@ -281,11 +281,13 @@ class QueryHandle:
         does not raise on failure/rejection — inspect ``state`` /
         ``error``.
         """
-        if not self.finished:
+        sub = self._submission
+        if not sub.finished:
             kernel = self._engine.kernel
             until = None if timeout is None else kernel.now + timeout
-            kernel.run(until=until, stop_when=lambda: self.finished)
-        return self.finished
+            # Checked between every two events: read the field itself.
+            kernel.run(until=until, stop_when=lambda: sub.finished_at is not None)
+        return sub.finished
 
     def on_done(self, fn) -> None:
         """Call ``fn(handle)`` once this query is terminal (admitted or

@@ -57,11 +57,11 @@ class ThroughputTracker:
             return
         now = self.kernel.now
         for stage_id, series in self.stages.items():
-            stage = self.query.stages[stage_id]
-            series.rows.append(now, stage.rows_out())
-            series.received.append(now, stage.rows_received())
-            series.dop.append(now, stage.stage_dop)
-            series.task_dop.append(now, stage.task_dop)
+            sample = self.query.stages[stage_id].sample()
+            series.rows.append(now, sample.rows_out)
+            series.received.append(now, sample.rows_received)
+            series.dop.append(now, sample.stage_dop)
+            series.task_dop.append(now, sample.task_dop)
         if self.query.finished:
             self._stopped = True
             return

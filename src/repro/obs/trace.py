@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_SPANS = 2_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One node of the trace: an interval (or instant) on the virtual clock.
 
@@ -181,21 +181,20 @@ class Tracer:
     ) -> int:
         """Record a closed span with explicit times (e.g. a driver quantum
         whose duration is known the moment it is granted a core)."""
-        if len(self.spans) >= MAX_SPANS:
+        spans = self.spans
+        if len(spans) >= MAX_SPANS:
             self.dropped += 1
             return -1
-        span = Span(
-            id=next(self._ids),
-            parent=parent if (parent is not None and parent > 0) else None,
-            kind=kind,
-            name=name,
-            start=start,
-            end=end,
-            node=node,
-            meta=meta,
+        span_id = next(self._ids)
+        # Positional: this runs once per traced quantum and operator.
+        spans.append(
+            Span(
+                span_id,
+                parent if (parent is not None and parent > 0) else None,
+                kind, name, start, end, node, meta,
+            )
         )
-        self.spans.append(span)
-        return span.id
+        return span_id
 
     def instant(
         self,

@@ -25,6 +25,8 @@ from .schema import Schema
 PAGE_OVERHEAD_BYTES = 64
 #: Accounted per-cell length-prefix bytes for string columns (int32).
 _STRING_LENGTH_BYTES = 4
+#: Schema of every end page that does not name one (schemas are immutable).
+_NO_COLUMNS = Schema(())
 
 
 class PageKind(enum.Enum):
@@ -35,7 +37,7 @@ class PageKind(enum.Enum):
 class Page:
     """An immutable batch of rows in columnar layout."""
 
-    __slots__ = ("schema", "columns", "kind", "signal", "_size", "num_rows")
+    __slots__ = ("schema", "columns", "kind", "is_end", "signal", "_size", "num_rows")
 
     def __init__(
         self,
@@ -61,18 +63,19 @@ class Page:
         self.kind = kind
         self.signal = signal
         self._size: int | None = None
-        # A plain attribute, not a lazy property: buffers, cost accounting,
-        # and the NIC model read this several times per page, so the
-        # attribute lookup must not pay a function call.
+        # Plain attributes, not properties: drivers, buffers, cost
+        # accounting and the NIC model read these several times per page,
+        # so the lookup must not pay a function call.
+        self.is_end = kind is PageKind.END
         self.num_rows = (
-            0 if kind is PageKind.END or not self.columns else len(self.columns[0])
+            0 if self.is_end or not self.columns else len(self.columns[0])
         )
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def end(cls, schema: Schema | None = None, signal: str | None = None) -> "Page":
         """An end page (optionally tagged with the elastic shutdown signal)."""
-        return cls(schema or Schema(()), (), kind=PageKind.END, signal=signal)
+        return cls(schema or _NO_COLUMNS, (), kind=PageKind.END, signal=signal)
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Iterable[Sequence]) -> "Page":
@@ -89,10 +92,6 @@ class Page:
         return cls(schema, cols)
 
     # -- basic accessors ------------------------------------------------
-    @property
-    def is_end(self) -> bool:
-        return self.kind is PageKind.END
-
     def column(self, ref: int | str) -> np.ndarray:
         if isinstance(ref, str):
             ref = self.schema.index_of(ref)

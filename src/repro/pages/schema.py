@@ -80,7 +80,8 @@ class Schema:
     Schemas are immutable; transformations return new schemas.
     """
 
-    __slots__ = ("fields", "_index", "string_positions", "fixed_row_bytes")
+    __slots__ = ("fields", "_index", "string_positions", "fixed_row_bytes",
+                 "_selected")
 
     def __init__(self, fields: Iterable[Field]):
         self.fields: tuple[Field, ...] = tuple(fields)
@@ -100,6 +101,9 @@ class Schema:
         #: bytes per row of all the others (what sizing a page needs).
         self.string_positions: tuple[int, ...] = tuple(strings)
         self.fixed_row_bytes = fixed
+        #: Projections already built by :meth:`select` (schemas are
+        #: immutable, and a scan asks for the same one with every page).
+        self._selected: dict[tuple[int, ...], Schema] = {}
 
     @classmethod
     def of(cls, *pairs: tuple[str, ColumnType]) -> "Schema":
@@ -140,8 +144,12 @@ class Schema:
         return name in self._index
 
     def select(self, indexes: Iterable[int]) -> "Schema":
-        """Schema of a positional projection."""
-        return Schema(self.fields[i] for i in indexes)
+        """Schema of a positional projection (memoised per index tuple)."""
+        key = tuple(indexes)
+        schema = self._selected.get(key)
+        if schema is None:
+            schema = self._selected[key] = Schema(self.fields[i] for i in key)
+        return schema
 
     def concat(self, other: "Schema") -> "Schema":
         """Schema of a row-wise concatenation (join output)."""

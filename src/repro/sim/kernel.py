@@ -20,7 +20,7 @@ Internally the queue holds plain ``(time, seq, event, fn, arg)`` tuples —
 and ordering is resolved entirely in C.  Entries scheduled *at the current
 virtual time* bypass the heap into a FIFO deque (same-time events are FIFO
 by construction), which turns the extremely common "run this next" pattern
-from O(log n) heap traffic into O(1) deque ops.  ``step`` merges the two
+from O(log n) heap traffic into O(1) deque ops.  ``run`` merges the two
 structures by comparing their heads, preserving the exact global order.
 
 Cancelled events are removed lazily on pop, but the kernel tracks the
@@ -161,28 +161,17 @@ class SimKernel:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (heap order is total, so
         the rebuilt heap pops in exactly the same order)."""
-        for entry in self._heap:
-            if self._dead(entry):
-                entry[2].in_heap = False
-        self._heap = [e for e in self._heap if not self._dead(e)]
+        for queue in (self._heap, self._soon):
+            live = []
+            for entry in queue:
+                if self._dead(entry):
+                    entry[2].in_heap = False
+                else:
+                    live.append(entry)
+            queue.clear()
+            queue.extend(live)
         heapq.heapify(self._heap)
-        for entry in self._soon:
-            if self._dead(entry):
-                entry[2].in_heap = False
-        self._soon = deque(e for e in self._soon if not self._dead(e))
         self._cancelled_in_heap = 0
-
-    def _pop_next(self) -> tuple | None:
-        """Remove and return the globally next entry (heap/deque merge)."""
-        heap = self._heap
-        soon = self._soon
-        if heap:
-            if soon and soon[0] < heap[0]:
-                return soon.popleft()
-            return heapq.heappop(heap)
-        if soon:
-            return soon.popleft()
-        return None
 
     # -- execution ----------------------------------------------------------
     @property
@@ -199,26 +188,6 @@ class SimKernel:
     def events_processed(self) -> int:
         return self._events_processed
 
-    def step(self) -> bool:
-        """Process the next event.  Returns False when the queue is empty."""
-        while True:
-            entry = self._pop_next()
-            if entry is None:
-                return False
-            time, _seq, event, fn, arg = entry
-            if event is not None:
-                event.in_heap = False
-                if event.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-            self.now = time
-            self._events_processed += 1
-            if arg is _NO_ARG:
-                fn()
-            else:
-                fn(arg)
-            return True
-
     def run(
         self,
         until: float | None = None,
@@ -232,7 +201,15 @@ class SimKernel:
         advanced to ``until`` so periodic wall-clock measurements stay
         consistent.  ``max_events`` guards against livelock: exceeding it
         raises :class:`SimulationLivelockError`.
+
+        This is the kernel's only dispatch loop: per event the heads of
+        the heap and the same-time deque are compared once and the earlier
+        entry is popped (``_compact`` rebuilds both queues in place, so the
+        local names stay valid across callbacks).
         """
+        heap = self._heap
+        soon = self._soon
+        heappop = heapq.heappop
         processed = 0
         while True:
             if stop_when is not None and stop_when():
@@ -243,32 +220,34 @@ class SimKernel:
                     now=self.now,
                     events_processed=self._events_processed,
                 )
-            next_time = self._next_time()
-            if next_time is None:
+            if heap:
+                from_soon = bool(soon) and soon[0] < heap[0]
+                entry = soon[0] if from_soon else heap[0]
+            elif soon:
+                from_soon = True
+                entry = soon[0]
+            else:
                 if until is not None and self.now < until:
                     self.now = until
                 return
-            if until is not None and next_time > until:
+            time, _seq, event, fn, arg = entry
+            dead = event is not None and event.cancelled
+            if not dead and until is not None and time > until:
                 self.now = until
                 return
-            self.step()
-            processed += 1
-
-    def _next_time(self) -> float | None:
-        """Virtual time of the next live event, discarding dead heads."""
-        while True:
-            heap = self._heap
-            soon = self._soon
-            if heap:
-                entry = soon[0] if (soon and soon[0] < heap[0]) else heap[0]
-            elif soon:
-                entry = soon[0]
+            if from_soon:
+                soon.popleft()
             else:
-                return None
-            event = entry[2]
-            if event is not None and event.cancelled:
-                self._pop_next()
+                heappop(heap)
+            if event is not None:
                 event.in_heap = False
-                self._cancelled_in_heap -= 1
-                continue
-            return entry[0]
+                if dead:
+                    self._cancelled_in_heap -= 1
+                    continue
+            self.now = time
+            self._events_processed += 1
+            if arg is _NO_ARG:
+                fn()
+            else:
+                fn(arg)
+            processed += 1

@@ -216,10 +216,10 @@ def transfer(
     its spooled data survives): only the destination NIC is occupied.
     """
     if src is None:
-        dst.occupy(nbytes, lambda: kernel.schedule(latency, fn))
+        dst.occupy(nbytes, lambda: kernel.post(latency, fn))
         return
     if src is dst:
-        kernel.schedule(latency, fn)
+        kernel.post(latency, fn)
         return
 
     remaining = 2
@@ -228,7 +228,7 @@ def transfer(
         nonlocal remaining
         remaining -= 1
         if remaining == 0:
-            kernel.schedule(latency, fn)
+            kernel.post(latency, fn)
 
     src.occupy(nbytes, one_side_done)
     dst.occupy(nbytes, one_side_done)

@@ -3,14 +3,18 @@ what-if predictor, request filter, auto-tuner, DOP planner."""
 
 import pytest
 
-from repro import QueryOptions
+from repro import ClusterConfig, FaultPlan, NodeCrash, QueryOptions
 from repro.autotune import (
     DopPlanner,
+    RuntimeInfoCollector,
+    Snapshot,
+    StageSample,
     probe_scan_stage,
     tuning_units,
 )
 from repro.data.tpch.queries import QUERIES
 from repro.errors import TuningRejected
+from repro.metrics.throughput import ThroughputTracker
 
 from conftest import builds_ready, norm_rows, run_until_cond, slow_engine
 
@@ -59,6 +63,154 @@ def test_cpu_headroom_bounds(catalog):
     assert 0.0 <= idle <= 1.0
     assert used + idle == pytest.approx(1.0)
     engine.run_until_done(query, 1e6)
+
+
+# -- sampling oracle ---------------------------------------------------------
+# ``StageExecution.sample`` reads a stage in one pass and the collector keeps
+# its node list between samples.  The recount below is the reference: one
+# plain expression per field over ``stage.tasks``, and the node dict rebuilt
+# per sample.  It stays in the test; ``src/`` has only the one-pass read.
+def recount_stage(stage) -> StageSample:
+    tasks = stage.tasks
+    active = [t for t in stage.task_groups[-1] if not t.finished]
+    clients = [c for t in tasks for c in t.exchange_clients.values()]
+    feed = stage.split_feed
+    return StageSample(
+        rows_out=(
+            stage.query.result_rows
+            if stage.id == 0
+            else sum(t.output_buffer.rows_out for t in tasks)
+        ),
+        rows_received=sum(c.rows_received for c in clients),
+        exchange_turn_up=sum(c.buffer.turn_up_counter for c in clients),
+        stage_dop=len(active) if tasks else 0,
+        task_dop=max((t.tunable_pipeline.active_drivers for t in active), default=0),
+        finished=bool(tasks) and all(t.finished for t in tasks),
+        scan_rows_remaining=feed.rows_remaining if feed else None,
+        scan_rows_total=feed.total_rows if feed else None,
+        max_build_seconds=max(
+            (b.build_seconds for t in tasks for b in t.bridges), default=0.0
+        ),
+    )
+
+
+class SamplingOracle:
+    """Checks every collector snapshot and every throughput-tracker point
+    against the recount, at the instant it is taken."""
+
+    def __init__(self, monkeypatch):
+        self.snapshots = self.points = 0
+        self.marks: dict[str, tuple[float, float, float]] = {}
+        collect, track = RuntimeInfoCollector._sample, ThroughputTracker._sample
+        oracle = self
+
+        def checked_collect(collector):
+            sampling = not collector._stopped
+            collect(collector)
+            if sampling:
+                oracle.check_snapshot(collector)
+
+        def checked_track(tracker):
+            sampling = not tracker._stopped
+            track(tracker)
+            if sampling:
+                oracle.check_series(tracker)
+
+        monkeypatch.setattr(RuntimeInfoCollector, "_sample", checked_collect)
+        monkeypatch.setattr(ThroughputTracker, "_sample", checked_track)
+
+    def check_snapshot(self, collector) -> None:
+        snap, now = collector.samples[-1], collector.kernel.now
+        expected = Snapshot(now)
+        for stage_id, stage in collector.query.stages.items():
+            expected.stages[stage_id] = recount_stage(stage)
+        nodes = {}
+        for node in collector.cluster.compute + collector.cluster.storage:
+            nodes[f"{node.role}{node.id}"] = node
+        for key, node in nodes.items():
+            busy, nic_busy = node.cpu.busy_core_seconds(), node.nic.busy_seconds()
+            if key in self.marks:
+                prev_busy, prev_time, prev_nic = self.marks[key]
+                if now > prev_time:
+                    dt = now - prev_time
+                    expected.cpu_utilization[key] = (busy - prev_busy) / (
+                        dt * node.cpu.cores
+                    )
+                    expected.nic_utilization[key] = min(1.0, (nic_busy - prev_nic) / dt)
+            self.marks[key] = (busy, now, nic_busy)
+        assert snap == expected
+        # Same node order too: the headroom is a float sum over it.
+        assert list(snap.cpu_utilization) == list(expected.cpu_utilization)
+        self.snapshots += 1
+
+    def check_series(self, tracker) -> None:
+        now = tracker.kernel.now
+        for stage_id, series in tracker.stages.items():
+            expected = recount_stage(tracker.query.stages[stage_id])
+            assert [
+                (s.times[-1], s.values[-1])
+                for s in (series.rows, series.received, series.dop, series.task_dop)
+            ] == [
+                (now, expected.rows_out),
+                (now, expected.rows_received),
+                (now, expected.stage_dop),
+                (now, expected.task_dop),
+            ]
+        self.points += 1
+
+
+def test_samples_equal_a_recount_through_ac_ap_rp(catalog, monkeypatch):
+    oracle = SamplingOracle(monkeypatch)
+    engine, query, elastic = start_q3(catalog)
+    engine.run_until(2.0)
+    elastic.ac(1, 3)
+    engine.run_until(5.0)
+    elastic.ap(1, 3)
+    engine.run_until(9.0)
+    elastic.rp(1, 1)
+    engine.run_until_done(query, 1e6)
+    stage = query.stages[1]
+    assert len(stage.tasks) == 3 and len(elastic.collector.samples) > 10
+    assert oracle.snapshots > 20 and oracle.points > 10
+
+
+def test_samples_equal_a_recount_through_a_group_switch(catalog, monkeypatch):
+    """Two task groups: the DOPs count the newest one only, which the
+    one-pass read takes to be the tail of ``stage.tasks``."""
+    oracle = SamplingOracle(monkeypatch)
+    engine = slow_engine(catalog)
+    query = engine.submit(
+        QUERIES["Q2J"], QueryOptions(join_distribution="partitioned", initial_stage_dop=2)
+    )
+    run_until_cond(engine, builds_ready(query, 1))
+    query.tuning.ap(1, 4)
+    engine.run_until_done(query, 1e6)
+    assert [len(group) for group in query.stages[1].task_groups] == [2, 4]
+    assert oracle.snapshots > 20 and oracle.points > 10
+
+
+def test_samples_equal_a_recount_through_crash_join_and_drain(catalog, monkeypatch):
+    """Where a one-pass or cached read goes stale: crashed tasks stay in
+    ``stage.tasks`` next to their respawns, a joining node must appear in
+    the utilization dicts, a draining one must stay."""
+    oracle = SamplingOracle(monkeypatch)
+    engine = slow_engine(
+        catalog, cluster=ClusterConfig(compute_nodes=3, storage_nodes=2, combined=True)
+    )
+    engine.inject_faults(FaultPlan(events=(NodeCrash(at=4.0, node="compute2"),)))
+    query = engine.submit(QUERIES["Q3"], QueryOptions(initial_stage_dop=3))
+    collector = query.tuning.collector
+    engine.membership.join(1)
+    engine.run_until(8.0)
+    assert engine.coordinator.recovery.tasks_respawned > 0
+    assert "compute3" in collector.latest().cpu_utilization
+    engine.membership.drain(engine.cluster.node_by_name("compute1"), timeout=200.0)
+    engine.run_until_done(query, 1e6)
+    assert any(t.crashed for s in query.stages.values() for t in s.tasks)
+    assert list(collector.latest().cpu_utilization) == [
+        "compute0", "compute1", "compute2", "compute3",
+    ]
+    assert oracle.snapshots > 20 and oracle.points > 10
 
 
 # -- progress -----------------------------------------------------------------

@@ -37,11 +37,21 @@ def test_task_pipelines_match_layout(running_q3):
 
 
 def test_task_info_contents(running_q3):
+    """The task context (Figure 18) is plain attributes: samplers read
+    them in place (``StageExecution.sample``), nothing builds a dict."""
     engine, query = running_q3
-    info = query.stages[2].tasks[0].info()
-    assert info["task"] == "task2_0"
-    assert info["rows_out"] >= 0
-    assert "exchange_turn_up" in info and "drivers" in info
+    scan_task = query.stages[2].tasks[0]
+    assert str(scan_task.task_id) == "task2_0"
+    assert scan_task.output_buffer.rows_out > 0
+    assert scan_task.driver_count() >= 1 and not scan_task.exchange_clients
+    join_task = query.stages[1].tasks[0]
+    client = join_task.exchange_clients[2]
+    assert client.rows_received > 0 and client.buffer.turn_up_counter >= 0
+    sample = query.stages[1].sample()
+    assert sample.rows_received >= client.rows_received
+    assert sample.stage_dop == 1 and sample.task_dop == join_task.driver_count(
+        join_task.tunable_pipeline.spec.id
+    )
     engine.run_until_done(query, 1e6)
 
 

@@ -14,9 +14,12 @@ and join/shuffle benchmark templates decode and re-encode nothing.
 import numpy as np
 import pytest
 
-from conftest import make_engine
+from conftest import TEST_SCALE, TEST_SEED, make_engine, slow_engine
 
-from repro import TPCH_QUERIES
+from repro import QueryOptions, TPCH_QUERIES
+from repro.data import Catalog
+from repro.exec.exchange_client import ExchangeClient
+from repro.exec.splits import SystemSplit
 from repro.pages import DictColumn
 
 
@@ -47,3 +50,94 @@ def test_benchmark_queries_never_decode_or_reencode(catalog, monkeypatch, name):
     monkeypatch.setattr(DictColumn, "from_values", classmethod(counting_from_values))
     np.asarray(DictColumn.from_values(["a"]))
     assert calls == {"decode": 1, "from_values": 1}
+
+
+# -- the data plane between operators: O(1) host work per sim event ---------
+#
+# Counts, not timings: the exchange client's wake-up path once cost
+# O(upstream splits x accumulated waiters) per event (every empty poll left
+# one more ``_resume_all`` on ``buffer.not_full``, and each copy walked
+# every split), which no virtual-clock test can see.  The counters below
+# are installed with ``monkeypatch`` on the methods every fetch goes
+# through, under the elastic benchmark's config (1000x costs, 256-row
+# pages), where receive buffers fill and drain thousands of times.
+ELASTIC_QUERIES = {
+    "Q5": None,
+    "Q2J": QueryOptions(join_distribution="partitioned", initial_stage_dop=4),
+}
+
+
+@pytest.fixture(scope="module")
+def double_catalog():
+    """Twice the tier-1 scale factor, for the scaling rows."""
+    return Catalog.tpch(scale=2 * TEST_SCALE, seed=TEST_SEED)
+
+
+def exchange_work(monkeypatch, catalog, name):
+    """Run one query to completion; returns the work it made the exchange
+    clients do, having checked the wake-up invariants on the way."""
+    work = {"attempts": 0, "fetches": 0, "pages": 0, "subscriptions": 0}
+    try_fetch, commit_fetch = ExchangeClient._try_fetch, ExchangeClient._commit_fetch
+    resume_all, read = ExchangeClient._resume_all, SystemSplit.read
+
+    def own_subscriptions(client):
+        return sum(
+            getattr(waiter, "__self__", None) is client
+            for waiter in client.buffer.not_full._waiters
+        )
+
+    def counting_try_fetch(self, state):
+        work["attempts"] += 1
+        try_fetch(self, state)
+        work["subscriptions"] = max(work["subscriptions"], own_subscriptions(self))
+
+    def counting_commit_fetch(self, *args):
+        work["fetches"] += 1
+        commit_fetch(self, *args)
+
+    def checking_resume_all(self):
+        work["subscriptions"] = max(work["subscriptions"], own_subscriptions(self))
+        # What lets ``_resume_all`` skip waiting splits: every mutation of
+        # a consumer queue notifies, so a registered waiter has no data.
+        for state in self.splits.values():
+            split = state.split
+            assert not (
+                state.waiting and split.upstream.output_buffer.has_data(split.buffer_id)
+            ), f"{self.name}: waiting on {split.key} although it has data"
+        resume_all(self)
+
+    def counting_read(self, *args):
+        page = read(self, *args)
+        work["pages"] += page.num_rows > 0
+        return page
+
+    monkeypatch.setattr(ExchangeClient, "_try_fetch", counting_try_fetch)
+    monkeypatch.setattr(ExchangeClient, "_commit_fetch", counting_commit_fetch)
+    monkeypatch.setattr(ExchangeClient, "_resume_all", checking_resume_all)
+    monkeypatch.setattr(SystemSplit, "read", counting_read)
+    engine = slow_engine(catalog)
+    handle = engine.submit(TPCH_QUERIES[name], ELASTIC_QUERIES[name])
+    assert handle.result().rows
+    monkeypatch.undo()
+    work["events"] = engine.kernel.events_processed
+    return work
+
+
+@pytest.mark.parametrize("name", list(ELASTIC_QUERIES))
+def test_exchange_wakeups_do_bounded_work_per_fetch(
+    catalog, double_catalog, monkeypatch, name
+):
+    small = exchange_work(monkeypatch, catalog, name)
+    large = exchange_work(monkeypatch, double_catalog, name)
+    for work in (small, large):
+        assert work["fetches"] > 100, "the query must exercise the exchange"
+        # One persistent space subscription per client, never a pile of them.
+        assert work["subscriptions"] == 1
+        assert work["attempts"] <= 3 * work["fetches"]
+    # The scaling rows: twice the data is (nearly) twice the pages, and
+    # neither the wake-up work per fetch nor the kernel events per page
+    # may move with it.
+    assert large["pages"] > 1.8 * small["pages"]
+    for top, bottom in (("attempts", "fetches"), ("events", "pages")):
+        a, b = small[top] / small[bottom], large[top] / large[bottom]
+        assert abs(a - b) < 0.10 * max(a, b), (top, bottom, small, large)
