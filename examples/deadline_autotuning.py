@@ -57,7 +57,7 @@ def main() -> None:
         print(f"  t={result.issued_at:6.1f}s  {direction}  {result.request.describe()}")
     if not elastic.tuner.applied:
         print("  (none needed)")
-    print("Rejected requests:", len(elastic.filter.rejections))
+    print("Rejected requests:", len(query.tracker.markers_of("rejected")))
 
 
 if __name__ == "__main__":

@@ -75,8 +75,11 @@ def main() -> None:
     print(report.render())
     print()
     print("membership timeline:")
-    for event in engine.membership.history:
-        print(f"  {event['t']:8.3f}  {event['kind']:<18} {event['detail']}")
+    for decision in engine.decisions.of(kind="membership"):
+        print(
+            f"  {decision.time:8.3f}  {decision.outcome:<18} "
+            f"{decision.node or ''} {decision.inputs}"
+        )
 
     # Every burst query returns the same rows, churn or no churn.
     answers = {tuple(map(tuple, h.result().rows)) for h in workload.handles}
@@ -85,10 +88,10 @@ def main() -> None:
     # The fleet is back at its base size and the joined nodes are gone.
     assert report.cluster["nodes_final"] == 1
     print()
-    scaler = engine.workload.autoscaler
+    count = engine.decisions.count
     print(
-        f"autoscaler: {scaler.scale_outs} scale-outs, "
-        f"{scaler.scale_ins} scale-ins; "
+        f"autoscaler: {count('membership', 'autoscale_out')} scale-outs, "
+        f"{count('membership', 'autoscale_in')} scale-ins; "
         f"bill ${report.cluster['cost_dollars']:.2f} "
         f"for {report.cluster['node_seconds']:.1f} node-seconds"
     )

@@ -99,17 +99,19 @@ def main() -> None:
     print()
     print(report.render())
 
-    arbiter = engine.workload.arbiter
-    revokes = [
-        s for s in engine.tracer.spans if s.name.startswith("revoke")
-    ]
+    revokes = engine.decisions.of(kind="revoke")
     print()
-    print(f"arbiter bids logged: {len(arbiter.log)}")
-    print(f"revocations (in trace): {len(revokes)}")
-    for span in revokes:
-        print(f"  t={span.start:7.3f}s  {span.name}  ({span.meta.get('tenant')})")
-    assert arbiter.revocations >= 1, "expected the deadline tenant to trigger a revocation"
-    assert len(revokes) == arbiter.revocations
+    print(f"arbiter bids logged: {len(engine.decisions.of(kind='bid'))}")
+    print(f"revocations: {len(revokes)}")
+    for revoke in revokes:
+        print(
+            f"  t={revoke.time:7.3f}s  Q{revoke.query_id} S{revoke.stage} "
+            f"-{revoke.inputs['cores']} cores  ({revoke.tenant})"
+        )
+    assert len(revokes) >= 1, "expected the deadline tenant to trigger a revocation"
+    # The trace shows the same decisions, one instant each.
+    in_trace = [s for s in engine.tracer.spans if s.name.startswith("revoke:")]
+    assert len(in_trace) == len(revokes)
     assert engine.workload.admission.violations == [], "admission policy violated"
 
     # Bit-identity: each answer equals an isolated, single-tenant run.

@@ -44,9 +44,9 @@ def main() -> None:
     print("1) Warm the template's demand history")
     for lit in (10, 20, 30):
         engine.submit(TEMPLATE.format(lit=lit)).result()
-    stats = engine.predict_service.stats()
-    print(f"   recorded {stats['recorded']} runs across "
-          f"{stats['templates']} template(s)\n")
+    recorded = engine.decisions.of(kind="history")
+    print(f"   recorded {len(recorded)} runs across "
+          f"{len({d.inputs['template'] for d in recorded})} template(s)\n")
 
     print("2) Predict an unseen literal variant of the same template")
     prediction = engine.predict(TEMPLATE.format(lit=42))

@@ -70,7 +70,7 @@ def main() -> None:
         print(" ", render_series(series, label=f"S{stage_id}"))
     print("\nTuning timeline:")
     for marker in query.tracker.markers:
-        print(f"  t={marker.time:6.1f}s  {marker.kind:<12} stage {marker.stage} {marker.label}")
+        print(f"  t={marker.time:6.1f}s  {marker.kind:<12} stage {marker.stage} {marker.reason}")
 
 
 if __name__ == "__main__":

@@ -57,9 +57,10 @@ def main() -> None:
         rows = handle.result().rows
         assert rows == isolated.execute(handle.sql).rows, "answer diverged"
         print(f"  Q{handle.id} {str(handle.sharing):<42} {handle.sql[:48]}")
-    stats = engine.sharing.stats()
-    assert stats["folds"] >= 3, stats  # one repeat + NARROW + one AGG repeat
-    print(f"  -> {stats['folds']} folds, {stats['pages_saved']} scan pages saved")
+    folds = engine.decisions.of(kind="sharing", outcome="fold")
+    assert len(folds) >= 3, folds  # one repeat + NARROW + one AGG repeat
+    saved = sum(d.inputs["pages_saved"] for d in folds)
+    print(f"  -> {len(folds)} folds, {saved} scan pages saved")
 
     # -- 3. result cache ------------------------------------------------------
     print("\nRepeating a query after the batch finished...")

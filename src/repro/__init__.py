@@ -64,7 +64,7 @@ from .experiments import (
 from .faults import FaultInjector, FaultPlan, NodeCrash, RpcOutage, RpcStorm, TaskCrash
 from .handle import QueryHandle, QueryResult
 from .metrics import render_curve_points, render_series, render_table
-from .obs import MetricsRegistry, ProfileReport, QueryTrace, Tracer
+from .obs import Decision, MetricsRegistry, ProfileReport, QueryTrace, Tracer
 from .predict import Prediction, StageDemand
 from .script import ScriptResult, run_script
 from .sharing import SharingInfo
@@ -90,6 +90,7 @@ __all__ = [
     "ClusterConfig",
     "ClusterMembership",
     "CostModel",
+    "Decision",
     "DopPlanner",
     "EVAL_SCALE",
     "EVAL_SEED",

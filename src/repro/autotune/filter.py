@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class TuningRequestFilter:
     def __init__(self, whatif: WhatIfService):
         self.whatif = whatif
-        self.rejections: list[tuple[float, TuningRequest, str]] = []
         #: Stage id -> virtual time until which scale-ups are pinned.  Set
         #: by the resource arbiter after revoking cores from a stage so
         #: the victim's own monitor does not immediately re-grab them.
@@ -40,16 +39,10 @@ class TuningRequestFilter:
         try:
             self._check(query, request)
         except TuningRejected as exc:
-            self.rejections.append((query.kernel.now, request, exc.reason))
-            if query.tracker is not None:
-                query.tracker.mark("rejected", request.stage, str(exc))
-            tracer = query.kernel.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "tuning", f"rejected: {exc.reason}",
-                    parent=tracer.root_for_query(query.id),
-                    node="coordinator", query_id=query.id, stage=request.stage,
-                )
+            query.kernel.decisions.record(
+                "rejected", exc.reason, query_id=query.id, stage=request.stage,
+                reason=str(exc), request=request.kind.value, target=request.target,
+            )
             raise
 
     def _check(self, query: "QueryExecution", request: TuningRequest) -> None:

@@ -140,10 +140,11 @@ class DopAutoTuner:
         if indicator is None:
             raise TuningRejected(f"stage {stage_id} has no scan indicator")
         self.constraints[indicator] = self.kernel.now + seconds_from_now
-        if self.query.tracker is not None:
-            self.query.tracker.mark(
-                "constraint", stage_id, f"finish in {seconds_from_now:.0f}s"
-            )
+        self.kernel.decisions.record(
+            "constraint", "set", query_id=self.query.id, stage=stage_id,
+            reason=f"finish in {seconds_from_now:.0f}s", indicator=indicator,
+            deadline=self.constraints[indicator],
+        )
 
     def start_monitor(self, period: float = 2.0) -> None:
         if self._monitor_running:

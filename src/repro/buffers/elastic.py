@@ -133,7 +133,7 @@ class ElasticPageBuffer:
             self.capacity = new_capacity
             self.turn_up_counter += 1
             tracer = self.kernel.tracer
-            if tracer.buffer_events:
+            if tracer.enabled:
                 tracer.instant(
                     "buffer", "turn_up", parent=self.trace_parent,
                     buffer=self.name, capacity=new_capacity,
@@ -157,7 +157,7 @@ class ElasticPageBuffer:
         self.capacity = target
         if changed:
             tracer = self.kernel.tracer
-            if tracer.buffer_events:
+            if tracer.enabled:
                 tracer.instant(
                     "buffer", "resize", parent=self.trace_parent,
                     buffer=self.name, capacity=target,

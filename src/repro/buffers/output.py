@@ -273,7 +273,7 @@ class TaskOutputBuffer:
         if not self.capacity.turn_up():
             return False
         tracer = self.kernel.tracer
-        if tracer.buffer_events:
+        if tracer.enabled:
             tracer.instant(
                 "buffer", "turn_up", parent=self.trace_parent,
                 buffer=self.name, capacity=self.capacity.capacity,
@@ -285,7 +285,7 @@ class TaskOutputBuffer:
         self.capacity.consumed(pages)
         if self.capacity.capacity != before:
             tracer = self.kernel.tracer
-            if tracer.buffer_events:
+            if tracer.enabled:
                 tracer.instant(
                     "buffer", "resize", parent=self.trace_parent,
                     buffer=self.name, capacity=self.capacity.capacity,

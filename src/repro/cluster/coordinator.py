@@ -16,6 +16,7 @@ from ..data import Catalog, SplitLayout
 from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
 from ..exec.spill import QueryMemory
 from ..metrics.throughput import ThroughputTracker
+from ..obs.decisions import fault_timeline
 from ..pages import Page, concat_pages
 from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan
@@ -157,9 +158,6 @@ class QueryExecution(QueryLifecycle):
         self.started_at: float | None = None
         self.init_requests = 0
         self.tracker: ThroughputTracker | None = None
-        #: Timeline of faults and recovery actions that touched this query
-        #: (carried into ``QueryFailedError.fault_history`` on failure).
-        self.fault_events: list[dict] = []
         #: Demand prediction attached at submission (``repro.predict``);
         #: None when prediction is off or the template has no history.
         self.prediction = None
@@ -210,8 +208,9 @@ class QueryExecution(QueryLifecycle):
     def task_errored(self, stage: StageExecution, task, exc: Exception) -> None:
         """An operator raised inside a driver quantum: fail the query,
         propagating the error task -> coordinator with full context."""
-        self.record_fault(
-            "task_error", f"{task.task_id} on {task.node.name}: {exc}"
+        self.kernel.decisions.record(
+            "fault", "task_error", query_id=self.id, stage=stage.id,
+            node=task.node.name, reason=f"{task.task_id} on {task.node.name}: {exc}",
         )
         self.fail(
             QueryFailedError(
@@ -221,16 +220,10 @@ class QueryExecution(QueryLifecycle):
             )
         )
 
-    def record_fault(self, kind: str, detail: str) -> None:
-        self.fault_events.append(
-            {"t": self.kernel.now, "kind": kind, "detail": detail}
-        )
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "fault", kind, parent=self.trace_span, node="coordinator",
-                detail=detail,
-            )
+    def fault_history(self) -> list[dict]:
+        """Faults and recovery actions that touched this query, as
+        ``[{"t", "kind", "detail"}]`` (a view of the decision log)."""
+        return fault_timeline(self.kernel.decisions.of(query_id=self.id))
 
     def fail(self, exc: Exception) -> None:
         """Terminal failure: record a structured error, fire completion
@@ -243,12 +236,12 @@ class QueryExecution(QueryLifecycle):
             if error.query_id is None:
                 error.query_id = self.id
             if not error.fault_history:
-                error.fault_history = list(self.fault_events)
+                error.fault_history = self.fault_history()
         else:
             error = QueryFailedError(
                 str(exc),
                 query_id=self.id,
-                fault_history=self.fault_events,
+                fault_history=self.fault_history(),
                 cause=exc,
             )
         self._terminate("failed", error, failed=True, error=str(error))
@@ -265,11 +258,13 @@ class QueryExecution(QueryLifecycle):
         """
         if self.state != "running":
             return
-        self.record_fault("cancelled", reason)
+        self.kernel.decisions.record(
+            "fault", "cancelled", query_id=self.id, reason=reason
+        )
         error = QueryCancelledError(
             f"query {self.id} cancelled: {reason}", query_id=self.id, reason=reason
         )
-        error.fault_history = list(self.fault_events)
+        error.fault_history = self.fault_history()
         self._terminate("cancelled", error, cancelled=True, reason=reason)
 
     def _terminate(self, state: str, exc, /, **trace_meta) -> None:
@@ -396,7 +391,9 @@ class Coordinator:
             else list(self.running.values())
         )
         for query in targets:
-            query.record_fault("rpc_gave_up", message)
+            self.kernel.decisions.record(
+                "fault", "rpc_gave_up", query_id=query.id, reason=message
+            )
             query.fail(QueryFailedError(message, query_id=query.id))
 
     # ------------------------------------------------------------------

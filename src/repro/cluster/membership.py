@@ -35,8 +35,8 @@ reproducible.  Three operations, all in virtual time:
 
 Determinism: membership actions are scheduled on the virtual clock, the
 only randomness in a :class:`MembershipPlan` comes from its seed, and
-the history (like ``FaultInjector.history``) is bit-identical across
-same-seed runs.
+the ``membership`` decisions recorded in ``engine.decisions`` are
+bit-identical across same-seed runs.
 """
 
 from __future__ import annotations
@@ -172,19 +172,9 @@ class ClusterMembership:
         self.coordinator = coordinator
         self.cluster = coordinator.cluster
         self.config: ClusterConfig = coordinator.config.cluster
-        #: Membership timeline: dicts of ``{"t", "kind", "detail"}`` —
-        #: bit-identical across same-seed runs.
-        self.history: list[dict] = []
         #: Fired (no args) after every membership change; the workload
         #: layer subscribes to re-pump admission when capacity grows.
         self.on_change: list[Callable[[], None]] = []
-        # -- counters surfaced via metrics ------------------------------
-        self.joins = 0
-        self.drains_started = 0
-        self.drains_clean = 0
-        self.drains_escalated = 0
-        self.preemption_notices = 0
-        self.preemptions = 0
         #: Nodes with a join scheduled but not yet active (so autoscaler
         #: policy can count capacity already on the way).
         self.pending_joins = 0
@@ -225,11 +215,10 @@ class ClusterMembership:
     ) -> None:
         node = self.cluster.add_compute(spec=spec, spot=spot)
         self.pending_joins -= 1
-        self.joins += 1
         self.joined_nodes.append(node)
         self.nodes_peak = max(self.nodes_peak, len(self.cluster.alive_compute))
-        self._record(
-            "node_join", f"{node.name}{' (spot)' if spot else ''}"
+        self.kernel.decisions.record(
+            "membership", "node_join", node=node.name, spot=spot
         )
         if on_active is not None:
             on_active(node)
@@ -249,8 +238,9 @@ class ClusterMembership:
         """Spot preemption: a drain whose deadline is the provider notice;
         at expiry the node dies and lineage replay recovers its work."""
         window = notice if notice is not None else 0.5
-        self.preemption_notices += 1
-        self._record("preemption_notice", f"{node.name} ({window:.3f}s)")
+        self.kernel.decisions.record(
+            "membership", "preemption_notice", node=node.name, notice=window
+        )
         self._begin_drain(
             node, self.kernel.now + window, escalation="preempted"
         )
@@ -267,9 +257,10 @@ class ClusterMembership:
                 f"cannot drain {node.name}: it is the last schedulable node"
             )
         node.start_drain()
-        self.drains_started += 1
         self.coordinator.rpc.charge(RPC_NODE_DRAIN)
-        self._record("drain_start", node.name)
+        self.kernel.decisions.record(
+            "membership", "drain_start", node=node.name, deadline=deadline
+        )
         tracer = self.kernel.tracer
         span = tracer.begin(
             "membership", f"drain {node.name}", node=node.name
@@ -291,17 +282,14 @@ class ClusterMembership:
             return
         if node.task_count == 0:
             node.leave()
-            self.drains_clean += 1
-            self._record("node_left", node.name)
+            self.kernel.decisions.record("membership", "node_left", node=node.name)
             self.kernel.tracer.end(span, outcome="left")
             self._changed()
             return
         if self.kernel.now >= deadline:
-            self.drains_escalated += 1
-            if escalation == "preempted":
-                self.preemptions += 1
-            self._record(
-                escalation, f"{node.name} ({node.task_count} tasks undrained)"
+            self.kernel.decisions.record(
+                "membership", escalation, node=node.name,
+                tasks_undrained=node.task_count,
             )
             self.kernel.tracer.end(span, outcome=escalation)
             self.coordinator.recovery.node_down(node)
@@ -326,7 +314,10 @@ class ClusterMembership:
             for stage in query.stages.values():
                 touched |= self._drain_stage(query, stage, node)
             if touched:
-                query.record_fault("drain", node.name)
+                self.kernel.decisions.record(
+                    "fault", "drain", query_id=query.id, node=node.name,
+                    reason=node.name,
+                )
 
     def _drain_stage(self, query, stage, node: "Node") -> bool:
         active = stage.active_group
@@ -421,27 +412,23 @@ class ClusterMembership:
         return total
 
     # ------------------------------------------------------------------
-    def _record(self, kind: str, detail: str) -> None:
-        self.history.append(
-            {"t": self.kernel.now, "kind": kind, "detail": detail}
-        )
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant("membership", kind, node="coordinator", detail=detail)
-
     def _changed(self) -> None:
         for fn in list(self.on_change):
             fn()
 
-    def stats(self) -> dict:
+    def gauges(self, since: int = 0) -> dict:
+        """Fleet state, plus the membership decisions counted from log
+        mark ``since`` (``cluster.*`` in ``engine.metrics``)."""
+        counts = self.kernel.decisions.counts(since)
         cluster = self.cluster
         return {
-            "joins": self.joins,
-            "drains_started": self.drains_started,
-            "drains_clean": self.drains_clean,
-            "drains_escalated": self.drains_escalated,
-            "preemption_notices": self.preemption_notices,
-            "preemptions": self.preemptions,
+            "joins": counts["membership", "node_join"],
+            "drains_started": counts["membership", "drain_start"],
+            "drains_clean": counts["membership", "node_left"],
+            "drains_escalated": counts["membership", "drain_escalated"]
+            + counts["membership", "preempted"],
+            "preemption_notices": counts["membership", "preemption_notice"],
+            "preemptions": counts["membership", "preempted"],
             "nodes_total": len(cluster.compute),
             "nodes_schedulable": len(cluster.schedulable_compute),
             "nodes_peak": self.nodes_peak,

@@ -57,8 +57,6 @@ class Scheduler:
         self.config = config
         self.rpc = rpc
         self.split_layout = split_layout
-        #: Tasks placed by predicted demand rather than least-loaded.
-        self.drr_placements = 0
 
     # ------------------------------------------------------------------
     def schedule(self, query: "QueryExecution") -> None:
@@ -171,7 +169,10 @@ class Scheduler:
                 best, best_score = node, score
         if best is None:
             return None
-        self.drr_placements += 1
+        self.kernel.decisions.record(
+            "placement", "drr", query_id=stage.query.id, stage=stage.id,
+            node=best.name, score=best_score, reserved_bytes=per_task_bytes,
+        )
         best.reserved_bytes += per_task_bytes
         stage.query.reservations.append((best, per_task_bytes))
         return best

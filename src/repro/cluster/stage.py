@@ -45,9 +45,6 @@ class StageExecution:
         #: Failure recovery: how many times tasks of this stage have been
         #: respawned after a crash (bounded by ``FaultConfig.task_retry_budget``).
         self.retries = 0
-        #: Virtual times of hash-table-ready events (the yellow dashed
-        #: lines of Figures 24-26).
-        self.build_ready_times: list[float] = []
         kind = "scan" if fragment.is_source else "intermediate"
         self.trace_span = query.kernel.tracer.begin(
             "stage",

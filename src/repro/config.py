@@ -435,18 +435,12 @@ class TraceConfig(_Fingerprinted):
 
     Tracing is **inert**: turning it on changes no virtual timing, answer,
     or fault schedule — it only records.  ``enabled`` gates span
-    recording; the sub-flags prune the most voluminous span kinds when a
-    coarser trace is enough.  ``profiling`` independently turns on
-    wall-clock attribution of real Python time to operators.
+    recording (every span kind, down to operator sub-spans and buffer
+    instants); ``profiling`` independently turns on wall-clock
+    attribution of real Python time to operators.
     """
 
     enabled: bool = False
-    #: Record one span per driver quantum (the most voluminous kind).
-    quantum_spans: bool = True
-    #: Record per-operator sub-spans inside each quantum.
-    operator_spans: bool = True
-    #: Record buffer turn-up / resize instants.
-    buffer_events: bool = True
     #: Attribute wall-clock (host) time to operators via perf_counter.
     profiling: bool = False
 

@@ -163,12 +163,7 @@ def _mark_build_ready(query: "QueryExecution", stage: StageExecution) -> None:
     # (the rebuild drains cleanly); a terminal query records nothing.
     if query.finished:
         return
-    stage.build_ready_times.append(query.kernel.now)
-    if query.tracker is not None:
-        query.tracker.mark("build_ready", stage.id)
-    tracer = query.kernel.tracer
-    if tracer.enabled:
-        tracer.instant(
-            "tuning", "build_ready", parent=stage.trace_span,
-            node="coordinator", query_id=query.id, stage=stage.id,
-        )
+    query.kernel.decisions.record(
+        "build_ready", "ready", query_id=query.id, stage=stage.id,
+        span=stage.trace_span,
+    )

@@ -45,14 +45,10 @@ class DynamicOptimizer:
     ) -> TuningResult:
         stage = query.stage(request.stage)
         result = TuningResult(request, accepted=True, issued_at=self.kernel.now)
-        if query.tracker is not None:
-            query.tracker.mark("tuning", stage.id, request.describe())
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "tuning", request.describe(), parent=stage.trace_span,
-                node="coordinator", query_id=query.id, stage=stage.id,
-            )
+        self.kernel.decisions.record(
+            "tuning", request.kind.value, query_id=query.id, stage=stage.id,
+            span=stage.trace_span, reason=request.describe(), target=request.target,
+        )
 
         if request.kind is TuningKind.TASK_DOP:
             result.details["drivers"] = set_task_dop(stage, request.target)

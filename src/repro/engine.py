@@ -12,8 +12,10 @@ DOP tuning module, auto-tuner, and observability layer behind a small API:
 ``submit()`` returns a :class:`QueryHandle` — the single user-facing
 query object: ``.result()`` materialises, ``.tuning`` tunes DOPs while
 the simulation advances (``engine.run_for`` / ``engine.run_until_done``),
-``.trace()`` / ``.profile()`` expose the obs layer, and
-``.fault_report()`` summarises failure recovery.  One
+``.trace()`` / ``.profile()`` expose the obs layer, ``.decisions()``
+lists every control decision taken about the query
+(``engine.decisions`` is the whole stream), and ``.fault_report()``
+summarises failure recovery.  One
 :class:`~repro.config.EngineConfig` fully describes a deployment,
 including cluster topology, split placement, and tracing.
 """
@@ -32,6 +34,7 @@ from .obs import MetricsRegistry, NULL_TRACER, Tracer
 from .sim import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .obs import DecisionLog
     from .workload import Session, WorkloadManager
 
 __all__ = ["AccordionEngine", "QueryHandle", "QueryResult"]
@@ -87,14 +90,14 @@ class AccordionEngine:
             from .sharing import SharingManager
 
             self.sharing = SharingManager(self)
-            self.metrics.gauge("sharing", self.sharing.stats)
+            self.metrics.gauge("sharing", self.sharing.gauges)
         #: Learned demand predictor (repro.predict); None when off.
         self.predict_service = None
         if config.prediction.enabled:
             from .predict import DemandPredictor
 
             self.predict_service = DemandPredictor(self)
-            self.metrics.gauge("predict", self.predict_service.stats)
+            self.metrics.gauge("predict", self.predict_service.gauges)
         rpc = self.coordinator.rpc
         self.metrics.gauge(
             "rpc",
@@ -104,8 +107,8 @@ class AccordionEngine:
                 "failed_requests": rpc.failed_requests,
             },
         )
-        self.metrics.gauge("recovery", self.coordinator.recovery.stats)
-        self.metrics.gauge("cluster", self.membership.stats)
+        self.metrics.gauge("recovery", self.coordinator.recovery.gauges)
+        self.metrics.gauge("cluster", self.membership.gauges)
         self.metrics.gauge(
             "sim",
             lambda: {
@@ -173,6 +176,7 @@ class AccordionEngine:
             self._launch(sub)
             return handle
         admission = self.workload.admission
+        sub.seq = next(admission.seq)
         # predict: pre-grant stage DOPs and memory from the template's
         # history, or reject on P(deadline miss) before queueing.
         if predictor is not None:
@@ -315,15 +319,17 @@ class AccordionEngine:
     def inject_faults(self, plan) -> "object":
         """Arm a :class:`~repro.faults.FaultPlan` against this engine.
 
-        Returns the :class:`~repro.faults.FaultInjector` (its ``history``
-        records the fault timeline).  Must be called before the affected
-        virtual times are reached.
+        Returns the :class:`~repro.faults.FaultInjector`; the faults it
+        fires are the ``inject`` decisions of :attr:`decisions`.  Must be
+        called before the affected virtual times are reached.
         """
         from .faults import FaultInjector
 
         self.fault_injector = FaultInjector(self.kernel, self.coordinator, plan)
+        count = self.kernel.decisions.count
         self.metrics.gauge(
-            "faults", lambda: {"injected": len(self.fault_injector.history)}
+            "faults.injected",
+            lambda: count("inject", "node_crash") + count("inject", "task_crash"),
         )
         return self.fault_injector
 
@@ -331,6 +337,13 @@ class AccordionEngine:
     @property
     def now(self) -> float:
         return self.kernel.now
+
+    @property
+    def decisions(self) -> "DecisionLog":
+        """Every control decision this engine has taken, in order
+        (DESIGN.md §9 "Decision log"); ``QueryHandle.decisions()`` is the
+        per-query filter."""
+        return self.kernel.decisions
 
     def run_until_done(
         self,

@@ -70,8 +70,7 @@ class Driver:
         # overhead are fixed for the engine's lifetime, so look them up
         # once per driver instead of once per quantum/page.
         self._tracer = task.kernel.tracer
-        self._quantum_spans = self._tracer.quantum_spans
-        self._op_spans = self._quantum_spans and self._tracer.operator_spans
+        self._traced = self._tracer.enabled
         self._profiler = self._tracer.profiler if self._tracer.profiling else None
         self._quantum_overhead = task.cost.quantum_overhead
         # What every traced quantum would otherwise format or chase again.
@@ -186,13 +185,13 @@ class Driver:
             if page is None:
                 return self._block_on(self.source.waiters())
 
-        op_costs = [] if self._op_spans else None
+        op_costs = [] if self._traced else None
         outputs, chain_cost, finished = self._run_chain(page, op_costs)
         cost += chain_cost + self._quantum_overhead
         cost += self.sink.cost_of(outputs)
         self.cpu_time += cost
 
-        if self._quantum_spans:
+        if self._traced:
             tracer = self._tracer
             # The quantum occupies a core for [now, now + cost]; record it
             # as a closed span now that the cost is known.  Operator

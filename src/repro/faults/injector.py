@@ -3,9 +3,9 @@
 Node and task crashes are scheduled as kernel events; RPC faults install a
 per-request outcome hook on the coordinator's :class:`RpcTracker`.  The
 only randomness is ``random.Random(plan.seed)``, consumed exclusively for
-storm outcomes inside their windows, so the full fault timeline (recorded
-in :attr:`FaultInjector.history`) is bit-identical across runs with the
-same seed.
+storm outcomes inside their windows, so the full fault timeline (the
+``inject`` decisions in ``engine.decisions``) is bit-identical across
+runs with the same seed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class FaultInjector:
         self.coordinator = coordinator
         self.plan = plan
         self.rng = random.Random(plan.seed)
-        #: The injected fault timeline: dicts of ``{"t", "kind", "detail"}``.
-        self.history: list[dict] = []
         self._rpc_events = plan.rpc_events
         if self._rpc_events:
             coordinator.rpc.set_fault_hook(self._rpc_outcome)
@@ -42,17 +40,13 @@ class FaultInjector:
                 )
 
     # ------------------------------------------------------------------
-    def _record(self, kind: str, detail: str) -> None:
-        self.history.append({"t": self.kernel.now, "kind": kind, "detail": detail})
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant("fault", kind, node="coordinator", detail=detail)
-
     def _crash_node(self, event: NodeCrash) -> None:
         node = self.coordinator.cluster.node_by_name(event.node)
         if not node.alive:
             return
-        self._record("node_crash", node.name)
+        self.kernel.decisions.record(
+            "inject", "node_crash", node=node.name, reason=node.name
+        )
         self.coordinator.recovery.node_down(node)
 
     def _crash_task(self, event: TaskCrash) -> None:
@@ -68,7 +62,10 @@ class FaultInjector:
             if not candidates:
                 continue
             task = candidates[event.index % len(candidates)]
-            self._record("task_crash", f"{task.task_id} on {task.node.name}")
+            self.kernel.decisions.record(
+                "inject", "task_crash", query_id=query.id, stage=stage.id,
+                node=task.node.name, reason=f"{task.task_id} on {task.node.name}",
+            )
             self.coordinator.recovery.task_down(query, stage, task)
 
     # ------------------------------------------------------------------

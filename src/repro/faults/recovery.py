@@ -56,13 +56,7 @@ class RecoveryManager:
         self.coordinator = coordinator
         self.kernel = coordinator.kernel
         self.config = coordinator.config.faults
-        # -- counters surfaced via metrics.report ------------------------
-        self.node_failures = 0
-        self.tasks_crashed = 0
-        self.tasks_respawned = 0
-        self.tasks_resumed = 0
-        self.tasks_restarted = 0
-        self.queries_failed = 0
+        self.decisions = self.kernel.decisions
 
     # ------------------------------------------------------------------
     # entry points
@@ -72,7 +66,7 @@ class RecoveryManager:
         if not node.alive:
             return
         node.fail()
-        self.node_failures += 1
+        self.decisions.record("fault", "node_failed", node=node.name)
         if node.role == "coordinator":
             self.kernel.schedule(
                 self.config.detection_delay, lambda: self._coordinator_down()
@@ -85,12 +79,11 @@ class RecoveryManager:
     def task_down(
         self, query: "QueryExecution", stage: "StageExecution", task: "Task"
     ) -> None:
-        """Crash one task (fault injection) without killing its node."""
+        """Crash one task (fault injection, which records it) without
+        killing its node."""
         if task.finished or task.crashed:
             return
         task.crash(reason="injected task crash")
-        self.tasks_crashed += 1
-        query.record_fault("task_crash", f"{task.task_id} on {task.node.name}")
         self.kernel.schedule(
             self.config.detection_delay,
             lambda: task.when_quanta_drained(
@@ -103,7 +96,10 @@ class RecoveryManager:
         for query in list(self.coordinator.queries.values()):
             if query.finished:
                 continue
-            query.record_fault("node_crash", "coordinator")
+            self.decisions.record(
+                "fault", "node_crash", query_id=query.id, node="coordinator",
+                reason="coordinator",
+            )
             self._fail(query, "coordinator node crashed")
 
     def _handle_node_down(self, node: "Node") -> None:
@@ -121,12 +117,12 @@ class RecoveryManager:
                 for task in stage.tasks:
                     if task.node is node and not task.finished:
                         task.crash(reason=f"{node.name} down")
-                        self.tasks_crashed += 1
                         dead.append((stage, task))
             if not dead:
                 continue
-            query.record_fault(
-                "node_down", f"{node.name} ({len(dead)} tasks lost)"
+            self.decisions.record(
+                "fault", "node_down", query_id=query.id, node=node.name,
+                reason=f"{node.name} ({len(dead)} tasks lost)", tasks_lost=len(dead),
             )
             for stage, task in reversed(dead):
                 task.when_quanta_drained(
@@ -145,7 +141,10 @@ class RecoveryManager:
         task.recovered = True
         verdict, reason = self._classify(query, stage, task)
         if verdict == "unrecoverable":
-            query.record_fault("unrecoverable", f"{task.task_id}: {reason}")
+            self.decisions.record(
+                "recovery", "unrecoverable", query_id=query.id, stage=stage.id,
+                reason=f"{task.task_id}: {reason}",
+            )
             self._fail(
                 query, f"task {task.task_id} is unrecoverable: {reason}"
             )
@@ -153,7 +152,10 @@ class RecoveryManager:
         try:
             self._respawn(query, stage, task, verdict)
         except SchedulingError as exc:
-            query.record_fault("respawn_failed", str(exc))
+            self.decisions.record(
+                "recovery", "respawn_failed", query_id=query.id, stage=stage.id,
+                reason=str(exc),
+            )
             self._fail(query, f"cannot respawn {task.task_id}: {exc}")
 
     def _classify(
@@ -198,33 +200,40 @@ class RecoveryManager:
         # Seal or discard the dead task's spool.
         if mode == "resume":
             old.output_buffer.task_finished()
-            self.tasks_resumed += 1
         else:
             old.output_buffer.abort()
-            self.tasks_restarted += 1
         stage.retries += 1
 
         (new,) = attach_tasks(
             self.coordinator.scheduler, query, stage, replaces=old
         )
-        self.tasks_respawned += 1
-        query.record_fault(
-            "respawn",
-            f"{old.task_id} -> {new.task_id} on {new.node.name} ({mode})",
+        self.decisions.record(
+            "recovery", "respawn", query_id=query.id, stage=stage.id,
+            node=new.node.name, mode=mode, retries=stage.retries,
+            reason=f"{old.task_id} -> {new.task_id} on {new.node.name} ({mode})",
         )
 
     # ------------------------------------------------------------------
     def _fail(self, query: "QueryExecution", message: str) -> None:
-        self.queries_failed += 1
         query.fail(QueryFailedError(message, query_id=query.id))
 
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
+    def gauges(self) -> dict:
+        """``recovery.*`` in ``engine.metrics`` and the counter table of
+        ``fault_report()``, counted from the decision log."""
+        log = self.decisions
+        respawns = log.of(kind="recovery", outcome="respawn")
+        resumed = sum(d.inputs["mode"] == "resume" for d in respawns)
         return {
-            "node_failures": self.node_failures,
-            "tasks_crashed": self.tasks_crashed,
-            "tasks_respawned": self.tasks_respawned,
-            "tasks_resumed": self.tasks_resumed,
-            "tasks_restarted": self.tasks_restarted,
-            "queries_failed": self.queries_failed,
+            "node_failures": log.count("fault", "node_failed"),
+            "tasks_crashed": log.count("inject", "task_crash") + sum(
+                d.inputs["tasks_lost"] for d in log.of(kind="fault", outcome="node_down")
+            ),
+            "tasks_respawned": len(respawns),
+            "tasks_resumed": resumed,
+            "tasks_restarted": len(respawns) - resumed,
+            # Recovery fails a query right after recording one of these.
+            "queries_failed": log.count("recovery", "unrecoverable")
+            + log.count("recovery", "respawn_failed")
+            + log.count("fault", "node_crash"),
         }

@@ -26,7 +26,7 @@ from .pages import Page
 if TYPE_CHECKING:  # pragma: no cover
     from .autotune import ElasticQuery
     from .engine import AccordionEngine
-    from .obs import ProfileReport, QueryTrace
+    from .obs import Decision, ProfileReport, QueryTrace
     from .sharing import SharingInfo
     from .sim import SimKernel
     from .workload import Session
@@ -105,7 +105,8 @@ class Submission(QueryLifecycle):
         #: The answer, for routes that do not own ``execution``'s output.
         self.page: Page | None = None
         self.rows: int | None = None
-        #: Admission queue bookkeeping.
+        #: Admission bookkeeping; ``seq`` numbers session submissions in
+        #: arrival order (0 outside a session).
         self.seq = 0
         self.cores = 0
         self.timeout_event = None
@@ -412,6 +413,23 @@ class QueryHandle:
         execution = self._submission.execution
         return execution.progress_bars(width) if execution is not None else ""
 
+    def decisions(self) -> "list[Decision]":
+        """Every control decision taken about this query, in order, until
+        it ended: admission, routing, pre-grants, bids, revocations,
+        tuning, faults and recovery — recorded under its own id, under
+        the id of the execution serving it, or (before routing gave it an
+        id) under its admission sequence number."""
+        sub = self._submission
+        ids = {sub.query_id, sub.execution.id if sub.execution else None}
+        end = sub.finished_at if sub.finished else float("inf")
+        return [
+            d for d in self._engine.decisions
+            if d.time <= end and (
+                d.query_id in ids if d.query_id is not None
+                else sub.seq and d.inputs.get("seq") == sub.seq
+            )
+        ]
+
     def fault_report(self) -> str:
         """Failure/recovery counters and fault timeline for this query."""
         from .metrics.report import render_fault_report
@@ -430,7 +448,7 @@ class QueryHandle:
         return f"QueryHandle(id={self.id}, state={self.state})"
 
     # Engine-internal code and existing tests address QueryExecution fields
-    # (``.stages``, ``.tracker``, ``.fault_events``, ...) directly; delegate
+    # (``.stages``, ``.tracker``, ``.memory``, ...) directly; delegate
     # anything QueryHandle does not define itself.
     def __getattr__(self, name: str):
         execution = self._submission.execution

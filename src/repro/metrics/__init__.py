@@ -6,11 +6,10 @@ from .report import (
     render_series,
     render_table,
 )
-from .throughput import Marker, StageSeries, ThroughputTracker
+from .throughput import StageSeries, ThroughputTracker
 from .timeseries import TimeSeries
 
 __all__ = [
-    "Marker",
     "StageSeries",
     "ThroughputTracker",
     "TimeSeries",

@@ -34,12 +34,13 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def render_fault_report(target) -> str:
     """Failure/retry counters for one query (pass its ``QueryHandle``).
 
-    Combines the recovery manager's counters, the RPC tracker's
-    retry/failure totals (engine-wide plus this query's share), the
-    query's own fault-event timeline, and — when faults were injected —
-    the injector's recorded timeline.
+    Combines the recovery counters, the RPC tracker's retry/failure
+    totals (engine-wide plus this query's share), the query's own fault
+    timeline, and — when faults were injected — the injected timeline:
+    three views of the engine's decision log.
     """
     from ..handle import QueryHandle
+    from ..obs.decisions import fault_timeline
 
     if not isinstance(target, QueryHandle):
         raise TypeError(
@@ -49,28 +50,27 @@ def render_fault_report(target) -> str:
     execution = target.execution
     recovery = engine.coordinator.recovery
     rpc = engine.coordinator.rpc
-    rows = list(recovery.stats().items())
+    rows = list(recovery.gauges().items())
     rows.append(("rpc_requests", rpc.total_requests))
     rows.append(("rpc_retried", rpc.retried_requests))
     rows.append(("rpc_failed", rpc.failed_requests))
     if execution is not None:
         rows.append((f"rpc_requests_q{execution.id}", rpc.requests_for(execution.id)))
     lines = [render_table(["counter", "value"], rows)]
-    if execution is not None and execution.fault_events:
-        lines.append("")
-        lines.append(f"query {execution.id} fault timeline:")
-        for entry in execution.fault_events:
-            lines.append(
-                f"  t={entry['t']:.3f}s  {entry['kind']}: {entry['detail']}"
-            )
-    injector = getattr(engine, "fault_injector", None)
-    if injector is not None and injector.history:
-        lines.append("")
-        lines.append("injected fault timeline:")
-        for entry in injector.history:
-            lines.append(
-                f"  t={entry['t']:.3f}s  {entry['kind']}: {entry['detail']}"
-            )
+    timelines = []
+    if execution is not None:
+        timelines.append(
+            (f"query {execution.id} fault timeline:", execution.fault_history())
+        )
+    if engine.fault_injector is not None:
+        injected = fault_timeline(engine.decisions.of(kind="inject"))
+        timelines.append(("injected fault timeline:", injected))
+    for title, entries in timelines:
+        if entries:
+            lines += ["", title]
+            lines += [
+                f"  t={e['t']:.3f}s  {e['kind']}: {e['detail']}" for e in entries
+            ]
     return "\n".join(lines)
 
 

@@ -1,15 +1,17 @@
 """Per-stage throughput tracking (the curves of Figures 23-30).
 
 Samples each stage's cumulative output rows on a fixed virtual-time period
-while the query runs, and records event markers:
+while the query runs.  The event markers drawn over the curves are the
+query's decisions of four kinds in the decision log:
 
-* ``tuning`` markers — the red dashed lines (a DOP adjustment request),
-* ``build_ready`` markers — the yellow dashed lines (hash table rebuilt).
+* ``tuning`` — the red dashed lines (a DOP adjustment request),
+* ``build_ready`` — the yellow dashed lines (hash table rebuilt),
+* ``rejected`` and ``constraint`` — filtered requests, monitor deadlines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..sim import SimKernel
@@ -17,14 +19,11 @@ from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
+    from ..obs.decisions import Decision
 
 
-@dataclass
-class Marker:
-    time: float
-    kind: str  # "tuning" | "build_ready" | "rejected" | "constraint"
-    stage: int
-    label: str = ""
+#: Decision kinds drawn as markers on the throughput curves.
+MARKER_KINDS = ("tuning", "build_ready", "rejected", "constraint")
 
 
 @dataclass
@@ -41,7 +40,6 @@ class ThroughputTracker:
         self.query = query
         self.period = period
         self.stages: dict[int, StageSeries] = {}
-        self.markers: list[Marker] = []
         self._stopped = False
         for stage_id in query.stages:
             self.stages[stage_id] = StageSeries(
@@ -70,10 +68,6 @@ class ThroughputTracker:
     def stop(self) -> None:
         self._stopped = True
 
-    # -- markers ----------------------------------------------------------
-    def mark(self, kind: str, stage: int, label: str = "") -> None:
-        self.markers.append(Marker(self.kernel.now, kind, stage, label))
-
     def throughput(self, stage_id: int) -> TimeSeries:
         """Output rows/second series for one stage."""
         return self.stages[stage_id].rows.rates()
@@ -88,5 +82,13 @@ class ThroughputTracker:
             return self.stages[stage_id].rows.rates()
         return self.stages[stage_id].received.rates()
 
-    def markers_of(self, kind: str) -> list[Marker]:
-        return [m for m in self.markers if m.kind == kind]
+    # -- markers ----------------------------------------------------------
+    @property
+    def markers(self) -> "list[Decision]":
+        """This query's marker decisions (``.time``, ``.kind``, ``.stage``,
+        ``.reason``), in order."""
+        decisions = self.kernel.decisions.of(query_id=self.query.id)
+        return [d for d in decisions if d.kind in MARKER_KINDS]
+
+    def markers_of(self, kind: str) -> "list[Decision]":
+        return self.kernel.decisions.of(kind=kind, query_id=self.query.id)

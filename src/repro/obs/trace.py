@@ -14,10 +14,9 @@ Design contract — **tracing is provably inert**:
   and nothing else.  Virtual timings, query answers, RPC totals, and
   fault schedules are bit-identical with tracing on or off (enforced by
   ``tests/test_obs.py``);
-* hot paths pay a single attribute check (``tracer.enabled`` /
-  ``tracer.quantum_spans`` / ``tracer.buffer_events``) when tracing is
-  off — the engine installs the shared :data:`NULL_TRACER` singleton,
-  whose flags are all ``False``;
+* hot paths pay a single attribute check (``tracer.enabled``) when
+  tracing is off — the engine installs the shared :data:`NULL_TRACER`
+  singleton, whose flags are all ``False``;
 * span volume is bounded by ``MAX_SPANS``; past the cap the
   tracer counts drops instead of growing without bound.
 
@@ -75,9 +74,6 @@ class NullTracer:
     """
 
     enabled = False
-    quantum_spans = False
-    operator_spans = False
-    buffer_events = False
     profiling = False
     profiler: "Profiler | None" = None
     spans: list = []
@@ -112,9 +108,6 @@ class Tracer:
         # Flags are flattened to plain attributes so instrumentation sites
         # pay one attribute check, mirroring NullTracer's interface.
         self.enabled = config.enabled
-        self.quantum_spans = config.enabled and config.quantum_spans
-        self.operator_spans = config.enabled and config.operator_spans
-        self.buffer_events = config.enabled and config.buffer_events
         self.profiling = config.profiling
         if config.profiling:
             from .profile import Profiler

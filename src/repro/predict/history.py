@@ -32,10 +32,20 @@ class HistoryStore:
             self._load()
 
     # -- recording ----------------------------------------------------------
-    def record(self, template: str, run: dict) -> None:
-        self._runs.setdefault(template, []).append(run)
+    def record(self, template: str, run: dict) -> int:
+        """Append one run; returns how many the template now has."""
+        runs = self._runs.setdefault(template, [])
+        runs.append(run)
         if self.history_dir is not None:
             self.save()
+        return len(runs)
+
+    def __len__(self) -> int:
+        """Templates with at least one recorded run."""
+        return len(self._runs)
+
+    def total_runs(self) -> int:
+        return sum(len(v) for v in self._runs.values())
 
     def runs(self, template: str) -> list[dict]:
         return list(self._runs.get(template, ()))
@@ -114,10 +124,3 @@ class HistoryStore:
         templates = data.get("templates")
         if isinstance(templates, dict):
             self._runs = {str(k): list(v) for k, v in templates.items()}
-
-    # -- observability ------------------------------------------------------
-    def stats(self) -> dict:
-        return {
-            "templates": len(self._runs),
-            "runs": sum(len(v) for v in self._runs.values()),
-        }

@@ -59,11 +59,7 @@ class DemandPredictor:
         self.kernel = engine.kernel
         self.config = engine.config.prediction
         self.store = HistoryStore(self.config.history_dir)
-        self.recorded = 0
-        self.predictions_served = 0
-        self.pregrants = 0
-        self.reprovisions = 0
-        self.slo_rejections = 0
+        self.decisions = self.kernel.decisions
 
     # -- templates ----------------------------------------------------------
     def template_of(
@@ -71,10 +67,14 @@ class DemandPredictor:
     ) -> str:
         return prepared_fingerprint(self.engine.catalog, prepared, options)
 
-    def _predict(self, template: str) -> Prediction | None:
+    def _predict(self, template: str, sub=None) -> Prediction | None:
         prediction = self.store.predict(template)
         if prediction is not None:
-            self.predictions_served += 1
+            self.decisions.record(
+                "predict", "served", tenant=sub and sub.tenant, seq=sub and sub.seq,
+                template=template, samples=prediction.samples,
+                runtime=prediction.runtime,
+            )
         return prediction
 
     def predict_sql(
@@ -122,12 +122,16 @@ class DemandPredictor:
                 "start": window[0],
                 "end": window[1],
             })
-        self.store.record(query.prediction_template, {
+        runs = self.store.record(query.prediction_template, {
             "runtime": runtime,
             "peak_query_bytes": query.memory.peak_bytes,
             "stages": stages,
         })
-        self.recorded += 1
+        self.decisions.record(
+            "history", "recorded", query_id=query.id,
+            template=query.prediction_template, runs=runs, runtime=runtime,
+            error=query.prediction_error,
+        )
 
     # -- reprovision trigger ------------------------------------------------
     def _arm_reprovision(
@@ -146,13 +150,10 @@ class DemandPredictor:
         hand control back to the reactive tuner with a DOP escalation."""
         if query.finished:
             return
-        self.reprovisions += 1
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "predict", "reprovision", parent=query.trace_span,
-                node="coordinator", query_id=query.id,
-            )
+        self.decisions.record(
+            "predict", "reprovision", query_id=query.id,
+            predicted=query.prediction.runtime, error_bound=self.config.error_bound,
+        )
         try:
             elastic = self.engine._elastic_for(query)
         except ExecutionError:
@@ -179,19 +180,27 @@ class DemandPredictor:
         (the caller rejects); otherwise rewrites ``sub.options`` with any
         pre-granted per-stage DOPs, pre-sizes an undeclared memory grant
         from the predicted peak, and returns None."""
-        prediction = sub.prediction = self._predict(sub.template)
+        prediction = sub.prediction = self._predict(sub.template, sub)
         if prediction is None:
             return None
         cfg = self.config
         if sub.deadline is not None and cfg.max_miss_probability is not None:
             miss = prediction.miss_probability(sub.deadline)
             if miss > cfg.max_miss_probability:
-                self.slo_rejections += 1
+                self.decisions.record(
+                    "predict", "slo_reject", tenant=sub.tenant, seq=sub.seq,
+                    miss_probability=miss, deadline=sub.deadline,
+                    runtime=prediction.runtime, std=prediction.std,
+                )
                 return miss
         if cfg.pregrant:
-            sub.options = self.pregrant_options(
-                sub.options, prediction, sub.deadline
-            )
+            options = self.pregrant_options(sub.options, prediction, sub.deadline)
+            if options is not sub.options:
+                sub.options = options
+                self.decisions.record(
+                    "predict", "pregrant", tenant=sub.tenant, seq=sub.seq,
+                    stage_dops=options.stage_dops,
+                )
             if sub.memory_bytes is None:
                 sub.memory_bytes = max(
                     MIN_MEMORY_PREGRANT,
@@ -232,20 +241,28 @@ class DemandPredictor:
             # Nothing beyond the reactive defaults: leave options alone
             # so admission's planned-cores accounting is unchanged.
             return options
-        self.pregrants += 1
         merged = dict(options.stage_dops)
         merged.update(dops)
         return replace(options, stage_dops=merged)
 
     # -- observability ------------------------------------------------------
-    def stats(self) -> dict:
-        out = self.store.stats()
-        out.update({
-            "recorded": self.recorded,
-            "predictions": self.predictions_served,
-            "pregrants": self.pregrants,
-            "drr_placements": self.engine.coordinator.scheduler.drr_placements,
-            "reprovisions": self.reprovisions,
-            "slo_rejections": self.slo_rejections,
-        })
-        return out
+    def gauges(self, since: int | None = None) -> dict:
+        """Prediction decisions counted from log mark ``since``
+        (``WorkloadReport.predict``), or over the engine's life
+        (``predict.*`` in ``engine.metrics``).  ``templates`` / ``runs``
+        are the history a window added; the lifetime read is the store
+        itself, which may have been loaded from ``history_dir``."""
+        lifetime = since is None
+        counts = self.decisions.counts(since or 0)
+        recorded = self.decisions.of(since or 0, kind="history")
+        return {
+            "templates": len(self.store) if lifetime
+            else sum(d.inputs["runs"] == 1 for d in recorded),
+            "runs": self.store.total_runs() if lifetime else len(recorded),
+            "recorded": len(recorded),
+            "predictions": counts["predict", "served"],
+            "pregrants": counts["predict", "pregrant"],
+            "drr_placements": counts["placement", "drr"],
+            "reprovisions": counts["predict", "reprovision"],
+            "slo_rejections": counts["predict", "slo_reject"],
+        }

@@ -37,12 +37,6 @@ class ResultCache:
         self.ttl = ttl
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.expirations = 0
-        self.invalidations = 0
-        self.skipped_oversize = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -50,20 +44,16 @@ class ResultCache:
     def get(self, key: tuple) -> CacheEntry | None:
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
             return None
         if self.ttl is not None and self.kernel.now - entry.cached_at > self.ttl:
-            self._drop(key, entry)
-            self.expirations += 1
-            self.misses += 1
+            self._drop("expire", key, entry)
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return entry
 
     def peek(self, key: tuple) -> bool:
-        """Whether ``get(key)`` would hit — without touching LRU order,
-        hit/miss counters, or TTL expiry (``SharingManager.decide``)."""
+        """Whether ``get(key)`` would hit — without touching LRU order
+        or TTL expiry (``SharingManager.decide``)."""
         entry = self._entries.get(key)
         if entry is None:
             return False
@@ -74,15 +64,17 @@ class ResultCache:
     def put(self, key: tuple, page: Page, scan_pages: int = 0) -> None:
         size = page.size_bytes
         if size > self.capacity_bytes:
-            self.skipped_oversize += 1
+            self.kernel.decisions.record(
+                "cache", "skip_oversize", size_bytes=size,
+                capacity_bytes=self.capacity_bytes,
+            )
             return
         old = self._entries.pop(key, None)
         if old is not None:
             self.bytes -= old.size_bytes
         while self._entries and self.bytes + size > self.capacity_bytes:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self.bytes -= evicted.size_bytes
-            self.evictions += 1
+            evicted_key = next(iter(self._entries))
+            self._drop("evict", evicted_key, self._entries[evicted_key])
         self._entries[key] = CacheEntry(
             page=page,
             cached_at=self.kernel.now,
@@ -95,24 +87,17 @@ class ResultCache:
         """Drop entries keyed under an older catalog version."""
         stale = [k for k in self._entries if k[0] != version]
         for key in stale:
-            self._drop(key, self._entries[key])
-            self.invalidations += 1
+            self._drop("invalidate", key, self._entries[key])
 
     def clear(self) -> None:
         self._entries.clear()
         self.bytes = 0
 
-    def _drop(self, key: tuple, entry: CacheEntry) -> None:
+    def _drop(self, why: str, key: tuple, entry: CacheEntry) -> None:
+        """Remove one entry; ``why`` (evict / expire / invalidate) is the
+        outcome of the ``cache`` decision recorded for it."""
         del self._entries[key]
         self.bytes -= entry.size_bytes
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "bytes": self.bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "invalidations": self.invalidations,
-        }
+        self.kernel.decisions.record(
+            "cache", why, size_bytes=entry.size_bytes, cached_at=entry.cached_at
+        )

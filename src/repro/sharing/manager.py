@@ -65,32 +65,7 @@ class SharingManager:
         #: Live fold groups by (catalog version, plan key, options key).
         self.groups: dict[tuple, FoldGroup] = {}
         self._catalog_version = engine.catalog.version
-        metrics = engine.metrics
-        self._folds = metrics.counter("sharing.folds")
-        self._cache_hits = metrics.counter("sharing.cache_hits")
-        self._cache_misses = metrics.counter("sharing.cache_misses")
-        self._pages_saved = metrics.counter("sharing.pages_saved")
-        self.carriers = 0
-        self.unshared = 0
-        self.consumers = 0
-        self.detaches = 0
-
-    # -- counters (read by reports/tests) -----------------------------------
-    @property
-    def folds(self) -> int:
-        return self._folds.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache_misses.value
-
-    @property
-    def pages_saved(self) -> int:
-        return self._pages_saved.value
+        self.decisions = self.kernel.decisions
 
     def _scan_page_estimate(self, normalized: NormalizedQuery) -> int:
         """Base-table pages one physical run of this plan reads."""
@@ -132,39 +107,46 @@ class SharingManager:
         routing = self.decide(sub)
         sub.route = routing.route
         if routing.route == "unshared":
-            self.unshared += 1
+            self.decisions.record(
+                "sharing", "unshared", tenant=sub.tenant, seq=sub.seq
+            )
             return False
-        self.consumers += 1
         sub.query_id = self.coordinator.next_query_id()
         key = routing.key
         entry = self.cache.get(key) if self.cache is not None else None
         if entry is not None:
-            self._cache_hits.add()
-            self._pages_saved.add(entry.scan_pages)
-            consumer = SharedConsumer(sub, key, entry.scan_pages)
-            self._trace("cache-hit", consumer)
+            SharedConsumer(sub, key, entry.scan_pages)
+            self.decisions.record(
+                "sharing", "cache_hit", query_id=sub.query_id, tenant=sub.tenant,
+                pages_saved=entry.scan_pages, cached_at=entry.cached_at,
+            )
             sub.complete(entry.page)
             return True
-        if self.cache is not None:
-            self._cache_misses.add()
         normalized = sub.prepared.normalized
         scan_pages = self._scan_page_estimate(normalized)
         consumer = SharedConsumer(sub, key, scan_pages, routing.residual)
         group = routing.group
         if group is not None:
             group.add(consumer)
-            self._folds.add()
-            self._pages_saved.add(scan_pages)
-            self._trace("fold", consumer)
-            if group.carrier is not None:
-                sub.execution = group.carrier
+            carrier = group.carrier
+            self.decisions.record(
+                "sharing", "fold", query_id=sub.query_id, tenant=sub.tenant,
+                span=carrier and carrier.trace_span, lead=group.lead.query_id,
+                pages_saved=scan_pages,
+            )
+            if carrier is not None:
+                sub.execution = carrier
                 self.engine._record(sub)
             return True
         group = self.groups[key] = FoldGroup(self, key, normalized, sub)
         group.add(consumer)
-        self.carriers += 1
         group.schedule_dispatch(self.config.fold_window if self.config.fold else 0.0)
-        self._trace("carrier", consumer)
+        carrier = group.carrier
+        self.decisions.record(
+            "sharing", "carrier", query_id=sub.query_id, tenant=sub.tenant,
+            span=carrier and carrier.trace_span,
+            execution=carrier and carrier.id,
+        )
         return True
 
     def _find_group(self, key: tuple, normalized: NormalizedQuery):
@@ -202,61 +184,44 @@ class SharingManager:
                     )
 
     def _on_detach(self, group: FoldGroup, consumer: SharedConsumer) -> None:
-        self.detaches += 1
+        sub = consumer.submission
+        carrier = group.carrier
         workload = self.engine._workload
-        if workload is not None and group.carrier is not None:
-            workload.arbiter.unfold_consumer(
-                group.carrier.id, consumer.submission.query_id
-            )
-        self._trace("detach", consumer)
+        if workload is not None and carrier is not None:
+            workload.arbiter.unfold_consumer(carrier.id, sub.query_id)
+        self.decisions.record(
+            "sharing", "detach", query_id=sub.query_id, tenant=sub.tenant,
+            span=carrier and carrier.trace_span, lead=group.lead.query_id,
+            left=len(group.active_consumers),
+        )
 
     # -- observability -------------------------------------------------------
-    def stats(self) -> dict:
+    def gauges(self, since: int = 0) -> dict:
+        """Live group/cache state, plus the routing decisions counted
+        from log mark ``since`` (``sharing.*`` in ``engine.metrics``;
+        ``WorkloadReport.sharing`` takes its keys from here)."""
+        log = self.decisions
+        counts = log.counts(since)
+        folds = counts["sharing", "fold"]
+        carriers = counts["sharing", "carrier"]
+        hits = counts["sharing", "cache_hit"]
         out = {
-            "consumers": self.consumers,
-            "carriers": self.carriers,
-            "folds": self.folds,
-            "unshared": self.unshared,
-            "detaches": self.detaches,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "pages_saved": self.pages_saved,
+            "consumers": carriers + folds + hits,
+            "carriers": carriers,
+            "folds": folds,
+            "unshared": counts["sharing", "unshared"],
+            "detaches": counts["sharing", "detach"],
+            "cache_hits": hits,
+            # With a cache, every query it did not answer missed it.
+            "cache_misses": carriers + folds if self.cache is not None else 0,
+            "pages_saved": sum(
+                d.inputs.get("pages_saved", 0) for d in log.of(since, kind="sharing")
+            ),
             "active_groups": len(self.groups),
         }
         if self.cache is not None:
             out["cache_entries"] = len(self.cache)
             out["cache_bytes"] = self.cache.bytes
-            out["cache_evictions"] = self.cache.evictions
-            out["cache_invalidations"] = self.cache.invalidations
+            out["cache_evictions"] = counts["cache", "evict"]
+            out["cache_invalidations"] = counts["cache", "invalidate"]
         return out
-
-    def snapshot(self) -> dict:
-        """Counter snapshot for delta-based workload reporting."""
-        return {
-            "folds": self.folds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "pages_saved": self.pages_saved,
-            "carriers": self.carriers,
-            "unshared": self.unshared,
-        }
-
-    def _trace(self, event: str, consumer: SharedConsumer) -> None:
-        tracer = self.kernel.tracer
-        if not tracer.enabled:
-            return
-        sub = consumer.submission
-        meta = {
-            "query_id": sub.query_id,
-            "role": sub.route,
-            "pages_saved": consumer.pages_saved,
-        }
-        parent = None
-        group = consumer.group
-        if group is not None and group.carrier is not None:
-            meta["carrier_id"] = group.carrier.id
-            parent = tracer.root_for_query(group.carrier.id)
-        tracer.instant(
-            "sharing", f"{event} Q{sub.query_id}", parent=parent,
-            node="coordinator", **meta,
-        )

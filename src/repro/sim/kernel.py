@@ -37,6 +37,7 @@ from collections import deque
 from typing import Callable
 
 from ..errors import SimulationLivelockError
+from ..obs.decisions import DecisionLog
 from ..obs.trace import NULL_TRACER
 
 #: Sentinel distinguishing "no argument" from "argument is None" on the
@@ -96,6 +97,9 @@ class SimKernel:
         #: tracer is read-only w.r.t. simulation state — it never schedules
         #: events or consumes randomness.
         self.tracer = NULL_TRACER
+        #: The engine's decision log (``repro.obs.decisions``), reached the
+        #: same way and inert in the same sense.
+        self.decisions = DecisionLog(self)
         #: Offload client (repro.parallel) reachable from every component
         #: that holds the kernel, mirroring ``tracer``.  ``None`` keeps
         #: everything inline; the engine assigns a client when

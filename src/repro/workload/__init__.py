@@ -7,7 +7,7 @@ revoke), and workload drivers with per-tenant metrics.  See DESIGN.md
 """
 
 from .admission import AdmissionController, planned_cores
-from .arbiter import ANONYMOUS, ArbiterEntry, Bid, ResourceArbiter
+from .arbiter import ANONYMOUS, ArbiterEntry, ResourceArbiter
 from .autoscaler import Autoscaler
 from .policies import (
     ARBITRATION_POLICIES,
@@ -36,7 +36,6 @@ __all__ = [
     "AdmissionController",
     "ArbiterEntry",
     "Autoscaler",
-    "Bid",
     "ClosedLoop",
     "PoissonArrivals",
     "QUEUE_POLICIES",

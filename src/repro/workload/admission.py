@@ -50,12 +50,11 @@ class AdmissionController:
         self.running: set["Submission"] = set()
         #: Policy-violation log: must stay empty; every entry is a bug.
         self.violations: list[str] = []
-        self._seq = itertools.count(1)
-        self.submitted = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.timeouts = 0
-        self.cancelled_queued = 0
+        self.decisions = self.kernel.decisions
+        #: Numbers session submissions in arrival order: the FIFO rank,
+        #: and the name (``inputs["seq"]``) of a submission's decisions
+        #: until routing gives it a query id.
+        self.seq = itertools.count(1)
         self.max_queue_depth = 0
         self._pump_scheduled = False
 
@@ -63,19 +62,19 @@ class AdmissionController:
     def enqueue(self, sub: "Submission") -> None:
         """Queue ``sub`` (prepared, planned, possibly pre-granted) and
         admit whatever now fits — possibly ``sub`` itself, synchronously."""
-        sub.seq = next(self._seq)
         sub.cores = planned_cores(sub.plan, sub.options)
         if sub.memory_bytes is None:
             sub.memory_bytes = DEFAULT_QUERY_MEMORY_BYTES
         self.manager.records.append(sub)
-        self.submitted += 1
         self.queue.append(sub)
         self.max_queue_depth = max(self.max_queue_depth, len(self.queue))
         if self.config.queue_timeout is not None:
             sub.timeout_event = self.kernel.schedule(
                 self.config.queue_timeout, lambda: self._timeout(sub)
             )
-        self._trace("queued", sub)
+        self.decisions.record(
+            "admission", "queued", tenant=sub.tenant, seq=sub.seq, cores=sub.cores
+        )
         self._pump()
         if self.manager.autoscaler is not None:
             self.manager.autoscaler.ensure_tick()
@@ -88,8 +87,6 @@ class AdmissionController:
         deadline or after warming more history)."""
         prediction = sub.prediction
         self.manager.records.append(sub)
-        self.submitted += 1
-        self.rejected += 1
         sub._finish(
             "rejected",
             QueryRejectedError(
@@ -103,12 +100,10 @@ class AdmissionController:
                 prediction=prediction,
             ),
         )
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "workload", "admission:rejected", node="coordinator",
-                tenant=sub.tenant, reason="predicted-miss",
-            )
+        self.decisions.record(
+            "admission", "rejected", tenant=sub.tenant, reason="predicted-miss",
+            seq=sub.seq,
+        )
 
     # -- queue dynamics -----------------------------------------------------
     def _pump(self) -> None:
@@ -196,10 +191,12 @@ class AdmissionController:
             sub.timeout_event.cancel()
             sub.timeout_event = None
         self.running.add(sub)
-        self.admitted += 1
+        self.decisions.record(
+            "admission", "admitted", tenant=sub.tenant, seq=sub.seq,
+            queued_seconds=self.kernel.now - sub.submitted_at,
+        )
         sub.on_done(self._released)
         self.engine._launch(sub)
-        self._trace("admitted", sub, query_id=sub.query_id)
 
     def _released(self, sub: "Submission") -> None:
         self.running.discard(sub)
@@ -210,7 +207,6 @@ class AdmissionController:
         if sub not in self.queue:
             return
         self.queue.remove(sub)
-        self.timeouts += 1
         queued = self.kernel.now - sub.submitted_at
         sub._finish(
             "rejected",
@@ -222,8 +218,10 @@ class AdmissionController:
                 queued_seconds=queued,
             ),
         )
-        self.rejected += 1
-        self._trace("rejected", sub, reason="queue-timeout")
+        self.decisions.record(
+            "admission", "rejected", tenant=sub.tenant, reason="queue-timeout",
+            seq=sub.seq, queued_seconds=queued,
+        )
         self._check_invariants()
 
     def cancel_queued(self, sub: "Submission", reason: str) -> None:
@@ -231,12 +229,14 @@ class AdmissionController:
         if sub.timeout_event is not None:
             sub.timeout_event.cancel()
             sub.timeout_event = None
-        self.cancelled_queued += 1
         sub._finish(
             "cancelled",
             QueryCancelledError(f"cancelled while queued: {reason}", reason=reason),
         )
-        self._trace("cancelled_queued", sub, reason=reason)
+        self.decisions.record(
+            "admission", "cancelled_queued", tenant=sub.tenant, reason=reason,
+            seq=sub.seq,
+        )
 
     # -- policy invariants --------------------------------------------------
     def _check_invariants(self) -> None:
@@ -271,25 +271,23 @@ class AdmissionController:
             )
 
     # -- observability ------------------------------------------------------
-    def stats(self) -> dict:
+    def gauges(self, since: int = 0) -> dict:
+        """Live queue state, plus this controller's decisions counted
+        from log mark ``since`` (``workload.*`` in ``engine.metrics``,
+        ``WorkloadReport.admission``)."""
+        counts = self.decisions.counts(since)
+        rejected = self.decisions.of(since, kind="admission", outcome="rejected")
+        timeouts = sum(d.reason == "queue-timeout" for d in rejected)
         return {
             "queue_depth": len(self.queue),
             "max_queue_depth": self.max_queue_depth,
             "running": len(self.running),
             "running_billed": self._billed_running(),
             "admitted_cores": self.admitted_cores,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "timeouts": self.timeouts,
-            "cancelled_queued": self.cancelled_queued,
+            "submitted": counts["admission", "queued"] + len(rejected) - timeouts,
+            "admitted": counts["admission", "admitted"],
+            "rejected": len(rejected),
+            "timeouts": timeouts,
+            "cancelled_queued": counts["admission", "cancelled_queued"],
             "violations": len(self.violations),
         }
-
-    def _trace(self, event: str, sub: "Submission", **meta) -> None:
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "workload", f"admission:{event}", node="coordinator",
-                tenant=sub.tenant, seq=sub.seq, **meta,
-            )

@@ -38,23 +38,6 @@ ANONYMOUS = "(anonymous)"
 
 
 @dataclass
-class Bid:
-    """One arbitrated tuning request (kept in ``ResourceArbiter.log``)."""
-
-    time: float
-    query_id: int
-    tenant: str
-    stage: int
-    kind: str
-    current: int
-    requested: int
-    granted: int
-    decision: str  # "grant" | "trim" | "defer" | "release"
-    free_cores: int
-    predicted_seconds: float | None = None
-
-
-@dataclass
 class ArbiterEntry:
     """Arbiter-side metadata for one registered (session) query."""
 
@@ -86,11 +69,7 @@ class ResourceArbiter:
         self.config = manager.config
         self.cluster = manager.engine.cluster
         self.entries: dict[int, ArbiterEntry] = {}
-        self.grants = 0
-        self.trims = 0
-        self.deferrals = 0
-        self.revocations = 0
-        self.log: list[Bid] = []
+        self.decisions = self.kernel.decisions
         #: Re-entrancy flag: the arbiter's own grant/revoke applications
         #: must not be re-arbitrated.
         self._bypass = False
@@ -253,46 +232,47 @@ class ResourceArbiter:
             current = stage.stage_dop
             per_unit = max(1, stage.task_dop)
         delta_units = request.target - current
+        tenant = self.tenant_of(query.id)
+        free, headroom, prediction = 0, None, None
         if delta_units <= 0:
             # Releases always pass; the freed cores show up in usage.
-            self._record(query, request, current, request.target, "release", 0)
-            return request
-
-        free = self.capacity - self.cluster_usage()
-        tenant = self.tenant_of(query.id)
-        headroom: int | None = None
-        if self.config.arbitration == "fair_share":
-            budget = fair_share_budget(self.capacity, len(self.active_tenants()))
-            headroom = budget - self.tenant_usage(tenant)
-        elif self.config.arbitration == "strict_priority":
-            # Cores already held by strictly higher-priority tenants are
-            # untouchable; lower-priority usage is (only) reclaimable via
-            # rebalance revocation, not at bid time.
-            free = min(free, self.capacity - self._usage_at_or_above(query.id))
-        granted_units = grantable_units(delta_units, per_unit, free, headroom)
-        prediction = None
-        if granted_units > 0 and request.kind is not TuningKind.TASK_DOP:
-            prediction = whatif.predict(request.stage, current + granted_units)
-
-        if granted_units <= 0:
-            self.deferrals += 1
-            self._record(query, request, current, current, "defer", free)
+            outcome, granted = "release", request.target
+        else:
+            free = self.capacity - self.cluster_usage()
+            if self.config.arbitration == "fair_share":
+                budget = fair_share_budget(
+                    self.capacity, len(self.active_tenants())
+                )
+                headroom = budget - self.tenant_usage(tenant)
+            elif self.config.arbitration == "strict_priority":
+                # Cores already held by strictly higher-priority tenants are
+                # untouchable; lower-priority usage is (only) reclaimable via
+                # rebalance revocation, not at bid time.
+                free = min(free, self.capacity - self._usage_at_or_above(query.id))
+            granted = current + grantable_units(delta_units, per_unit, free, headroom)
+            outcome = (
+                "defer" if granted == current
+                else "grant" if granted == request.target
+                else "trim"
+            )
+            if granted > current and request.kind is not TuningKind.TASK_DOP:
+                prediction = whatif.predict(request.stage, granted)
+        self.decisions.record(
+            "bid", outcome, query_id=query.id, stage=request.stage, tenant=tenant,
+            request=request.kind.value, current=current, requested=request.target,
+            granted=granted, free_cores=max(0, free),
+            predicted_seconds=prediction and prediction.t_predicted,
+        )
+        if outcome == "defer":
             raise TuningRejected(
                 f"arbiter deferred: {delta_units * per_unit} cores requested, "
                 f"{max(0, free)} free"
                 + (f", tenant headroom {headroom}" if headroom is not None else ""),
                 reason="arbiter-deferred",
             )
-        target = current + granted_units
-        if target >= request.target:
-            self.grants += 1
-            self._record(
-                query, request, current, request.target, "grant", free, prediction
-            )
-            return request
-        self.trims += 1
-        self._record(query, request, current, target, "trim", free, prediction)
-        return TuningRequest(request.stage, request.kind, target)
+        if outcome == "trim":
+            return TuningRequest(request.stage, request.kind, granted)
+        return request
 
     def resize_memory(self, query_id: int, memory_bytes: int | None) -> None:
         """Runtime memory re-grant — the budget's second elastic knob.
@@ -315,23 +295,10 @@ class ResourceArbiter:
         shrinking = (
             memory_bytes is not None and (old is None or memory_bytes < old)
         )
-        if shrinking:
-            self.trims += 1
-        else:
-            self.grants += 1
-        self.log.append(
-            Bid(
-                time=self.kernel.now,
-                query_id=query_id,
-                tenant=entry.tenant,
-                stage=-1,
-                kind="memory",
-                current=old if old is not None else -1,
-                requested=memory_bytes if memory_bytes is not None else -1,
-                granted=memory_bytes if memory_bytes is not None else -1,
-                decision="trim" if shrinking else "grant",
-                free_cores=max(0, self.capacity - self.cluster_usage()),
-            )
+        self.decisions.record(
+            "memory", "trim" if shrinking else "grant", query_id=query_id,
+            tenant=entry.tenant, current=old, granted=memory_bytes,
+            free_cores=max(0, self.capacity - self.cluster_usage()),
         )
         entry.memory_bytes = memory_bytes
 
@@ -347,34 +314,6 @@ class ResourceArbiter:
             if theirs > mine:
                 total += self.query_cores(q)
         return total
-
-    def _record(
-        self, query, request, current, granted, decision, free, prediction=None
-    ) -> None:
-        bid = Bid(
-            time=self.kernel.now,
-            query_id=query.id,
-            tenant=self.tenant_of(query.id),
-            stage=request.stage,
-            kind=request.kind.name.lower(),
-            current=current,
-            requested=request.target,
-            granted=granted,
-            decision=decision,
-            free_cores=max(0, free),
-            predicted_seconds=(
-                prediction.t_predicted if prediction is not None else None
-            ),
-        )
-        self.log.append(bid)
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "workload", f"bid:{decision}",
-                parent=tracer.root_for_query(query.id), node="coordinator",
-                query_id=query.id, stage=request.stage, tenant=bid.tenant,
-                requested=request.target, granted=granted,
-            )
 
     # -- deadline-aware rebalancing -----------------------------------------
     def _ensure_tick(self) -> None:
@@ -488,32 +427,23 @@ class ResourceArbiter:
             )
             if not self._direct(elastic.rp, sid, stage.stage_dop - take_units):
                 continue
-            self.revocations += 1
-            reclaimed += take_units * max(1, stage.task_dop)
+            cores = take_units * max(1, stage.task_dop)
+            reclaimed += cores
             entry.revoked += take_units
             elastic.filter.pin(
                 sid, self.kernel.now + self.config.revocation_pin_seconds
             )
-            tracer = self.kernel.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "workload", f"revoke S{sid} -{take_units}",
-                    parent=tracer.root_for_query(qid), node="coordinator",
-                    query_id=qid, stage=sid, tenant=entry.tenant,
-                    cores=take_units * max(1, stage.task_dop),
-                )
+            self.decisions.record(
+                "revoke", "applied", query_id=qid, stage=sid, tenant=entry.tenant,
+                units=take_units, cores=cores, needed=cores_needed, for_query=exempt,
+            )
 
     def _apply_grant(self, entry, elastic, stage_id: int, target: int) -> None:
-        if not self._direct(elastic.ap, stage_id, target):
-            return
-        self.grants += 1
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "workload", f"deadline-grant S{stage_id} ->{target}",
-                parent=tracer.root_for_query(entry.execution.id),
-                node="coordinator", query_id=entry.execution.id,
+        if self._direct(elastic.ap, stage_id, target):
+            self.decisions.record(
+                "deadline_grant", "applied", query_id=entry.execution.id,
                 stage=stage_id, tenant=entry.tenant, target=target,
+                deadline_at=entry.deadline_at,
             )
 
     def _direct(self, tune, stage_id: int, target: int) -> bool:
@@ -528,15 +458,20 @@ class ResourceArbiter:
         return True
 
     # -- observability ------------------------------------------------------
-    def stats(self) -> dict:
+    def gauges(self, since: int = 0) -> dict:
+        """Live inventory and memory sums, plus this arbiter's decisions
+        counted from log mark ``since`` (``arbiter.*`` in
+        ``engine.metrics``, ``WorkloadReport.arbiter``)."""
+        counts = self.decisions.counts(since)
         live = [e for e in self._sorted_entries() if not e.execution.finished]
         return {
             "capacity_cores": self.capacity,
             "usage_cores": self.cluster_usage(),
-            "grants": self.grants,
-            "trims": self.trims,
-            "deferrals": self.deferrals,
-            "revocations": self.revocations,
+            "grants": counts["bid", "grant"] + counts["memory", "grant"]
+            + counts["deadline_grant", "applied"],
+            "trims": counts["bid", "trim"] + counts["memory", "trim"],
+            "deferrals": counts["bid", "defer"],
+            "revocations": counts["revoke", "applied"],
             "memory_granted_bytes": sum(
                 e.memory_bytes for e in live if e.memory_bytes is not None
             ),

@@ -48,8 +48,6 @@ class Autoscaler:
         self.cluster = manager.engine.cluster
         #: Node ids this autoscaler joined; only these are drain victims.
         self.owned: set[int] = set()
-        self.scale_outs = 0
-        self.scale_ins = 0
         self._idle_ticks = 0
         self._last_action = -1e18
         self._tick_running = False
@@ -172,10 +170,12 @@ class Autoscaler:
             spot=self.config.autoscale_spot,
             on_active=lambda node: self.owned.add(node.id),
         )
-        self.scale_outs += 1
         self._last_action = self.kernel.now
         self._idle_ticks = 0
-        self.membership._record("autoscale_out", f"+{count}")
+        self.kernel.decisions.record(
+            "membership", "autoscale_out", count=count,
+            queue_depth=len(self.manager.admission.queue),
+        )
 
     def _scale_in(self) -> None:
         victims = [
@@ -190,10 +190,9 @@ class Autoscaler:
             return
         victim = max(victims, key=lambda n: (n.provisioned_at, n.id))
         self.membership.drain(victim)
-        self.scale_ins += 1
         self._last_action = self.kernel.now
         self._idle_ticks = 0
-        self.membership._record("autoscale_in", victim.name)
+        self.kernel.decisions.record("membership", "autoscale_in", node=victim.name)
 
     # ------------------------------------------------------------------
     @property
@@ -202,9 +201,10 @@ class Autoscaler:
         nothing running or draining, fleet back at the minimum size."""
         return not self._tick_running
 
-    def stats(self) -> dict:
+    def gauges(self) -> dict:
+        count = self.kernel.decisions.count
         return {
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
+            "scale_outs": count("membership", "autoscale_out"),
+            "scale_ins": count("membership", "autoscale_in"),
             "owned_nodes": len(self.owned),
         }

@@ -61,6 +61,12 @@ class TenantSpec:
 
 
 # -- report -----------------------------------------------------------------
+#: The ``sharing.*`` counts a workload report carries.
+SHARING_KEYS = (
+    "cache_hits", "cache_misses", "carriers", "folds", "pages_saved", "unshared"
+)
+
+
 def _percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile on pre-sorted data (deterministic)."""
     if not sorted_values:
@@ -121,12 +127,12 @@ class WorkloadReport:
     #: spot discount).  Empty dict for engines without membership churn
     #: history is still rendered — byte-identical per seed either way.
     cluster: dict = field(default_factory=dict)
-    #: Sharing-layer deltas for the run window (folds, cache hits/misses,
+    #: Sharing decisions of the run window (folds, cache hits/misses,
     #: pages saved, carriers, unshared) — empty when sharing is disabled.
     sharing: dict = field(default_factory=dict)
-    #: Prediction-layer deltas for the run window (runs recorded,
-    #: predictions served, pre-grants, DRR placements, reprovisions,
-    #: SLO rejections) — empty when prediction is disabled.
+    #: Prediction decisions of the run window (runs recorded, predictions
+    #: served, pre-grants, DRR placements, reprovisions, SLO rejections)
+    #: — empty when prediction is disabled.
     predict: dict = field(default_factory=dict)
 
     def throughput(self, tenant: str) -> float:
@@ -287,14 +293,8 @@ class Workload:
         start = self.kernel.now
         manager = self.engine.workload
         baseline_records = len(manager.records)
-        sharing_baseline = (
-            self.engine.sharing.snapshot()
-            if self.engine.sharing is not None else None
-        )
-        predict_baseline = (
-            self.engine.predict_service.stats()
-            if self.engine.predict_service is not None else None
-        )
+        #: Every count in the report is taken from this log mark on.
+        mark = len(self.engine.decisions)
         for index, spec in enumerate(self.specs):
             session = manager.session(
                 spec.name, priority=spec.priority, deadline=spec.deadline
@@ -316,21 +316,8 @@ class Workload:
             self.kernel.run(
                 until=deadline, stop_when=lambda: manager.autoscaler.settled
             )
-        sharing = {}
-        if sharing_baseline is not None:
-            current = self.engine.sharing.snapshot()
-            sharing = {
-                k: current[k] - sharing_baseline[k] for k in sorted(current)
-            }
-        predict = {}
-        if predict_baseline is not None:
-            current = self.engine.predict_service.stats()
-            predict = {
-                k: current[k] - predict_baseline[k] for k in sorted(current)
-            }
         return self._report(
-            manager.records[baseline_records:], horizon, manager, start,
-            sharing=sharing, predict=predict,
+            manager.records[baseline_records:], horizon, manager, start, mark
         )
 
     # ------------------------------------------------------------------
@@ -393,8 +380,7 @@ class Workload:
     # ------------------------------------------------------------------
     def _report(
         self, records: list["Submission"], horizon: float, manager,
-        start: float = 0.0, sharing: dict | None = None,
-        predict: dict | None = None,
+        start: float, mark: int,
     ) -> WorkloadReport:
         tenants: dict[str, TenantStats] = {}
         for spec in self.specs:
@@ -424,26 +410,33 @@ class Workload:
         fairness = jain_fairness(
             [tenants[name].service_seconds for name in sorted(tenants)]
         )
-        membership = self.engine.membership
-        stats = membership.stats()
+        engine = self.engine
+        membership = engine.membership
+        fleet = membership.gauges(mark)
         cluster = {
-            "joins": stats["joins"],
-            "drains_clean": stats["drains_clean"],
-            "drains_escalated": stats["drains_escalated"],
-            "preemptions": stats["preemptions"],
-            "nodes_final": stats["nodes_schedulable"],
-            "nodes_peak": stats["nodes_peak"],
+            "joins": fleet["joins"],
+            "drains_clean": fleet["drains_clean"],
+            "drains_escalated": fleet["drains_escalated"],
+            "preemptions": fleet["preemptions"],
+            "nodes_final": fleet["nodes_schedulable"],
+            "nodes_peak": fleet["nodes_peak"],
             "node_seconds": membership.node_seconds(),
             "cost_dollars": membership.cost_between(start),
         }
+        sharing, predict = {}, {}
+        if engine.sharing is not None:
+            counts = engine.sharing.gauges(mark)
+            sharing = {k: counts[k] for k in SHARING_KEYS}
+        if engine.predict_service is not None:
+            predict = dict(sorted(engine.predict_service.gauges(mark).items()))
         return WorkloadReport(
             horizon=horizon,
             tenants=tenants,
             fairness=fairness,
-            admission=manager.admission.stats(),
-            arbiter=manager.arbiter.stats(),
+            admission=manager.admission.gauges(mark),
+            arbiter=manager.arbiter.gauges(mark),
             violations=list(manager.admission.violations),
             cluster=cluster,
-            sharing=dict(sharing) if sharing else {},
-            predict=dict(predict) if predict else {},
+            sharing=sharing,
+            predict=predict,
         )

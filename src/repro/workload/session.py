@@ -95,13 +95,13 @@ class WorkloadManager:
             from .autoscaler import Autoscaler
 
             self.autoscaler = Autoscaler(self)
-            engine.metrics.gauge("autoscaler", self.autoscaler.stats)
+            engine.metrics.gauge("autoscaler", self.autoscaler.gauges)
         else:
             # Capacity changes (manual joins/drains) still unblock queued
             # admissions even without the autoscaler.
             engine.membership.on_change.append(self.admission._schedule_pump)
-        engine.metrics.gauge("workload", self.admission.stats)
-        engine.metrics.gauge("arbiter", self.arbiter.stats)
+        engine.metrics.gauge("workload", self.admission.gauges)
+        engine.metrics.gauge("arbiter", self.arbiter.gauges)
 
     def session(
         self, tenant: str, priority: float = 0.0, deadline: float | None = None

@@ -73,9 +73,8 @@ def test_autoscaler_present_with_autoscale_flag(catalog):
 def test_burst_scales_out_then_back_to_min(catalog):
     engine = elastic_engine(catalog)
     report, _ = run_burst(engine)
-    scaler = engine.workload.autoscaler
     assert report.tenants["burst"].completed == 6
-    assert scaler.scale_outs >= 1
+    assert engine.metrics.snapshot()["autoscaler.scale_outs"] >= 1
     assert report.cluster["joins"] >= 1
     # Every burst-time join was drained away once the queue emptied.
     assert report.cluster["drains_clean"] == report.cluster["joins"]
@@ -111,7 +110,7 @@ def test_deadline_pressure_triggers_scale_out(catalog):
         max_queries_per_node=1.0,
     )
     report, _ = run_burst(engine, jobs=4, deadline=30.0)
-    assert engine.workload.autoscaler.scale_outs >= 1
+    assert engine.metrics.snapshot()["autoscaler.scale_outs"] >= 1
     assert report.cluster["joins"] >= 1
 
 
@@ -181,7 +180,7 @@ def run_chaos(catalog, seed: int = 20250807):
     workload.add_tenant("b", [Q_FILTERED, Q_AGG], TraceArrivals(times=(2.0,) * 4))
     report = workload.run()
     answers = [(h.sql, tuple(map(tuple, h.result().rows))) for h in workload.handles]
-    return report, answers, engine.membership.history
+    return report, answers, engine.decisions.of(kind="membership")
 
 
 def test_chaos_churn_keeps_one_exact_answer_per_query_and_repeats_per_seed(catalog):

@@ -202,7 +202,7 @@ def test_samples_equal_a_recount_through_crash_join_and_drain(catalog, monkeypat
     collector = query.tuning.collector
     engine.membership.join(1)
     engine.run_until(8.0)
-    assert engine.coordinator.recovery.tasks_respawned > 0
+    assert engine.decisions.count("recovery", "respawn") > 0
     assert "compute3" in collector.latest().cpu_utilization
     engine.membership.drain(engine.cluster.node_by_name("compute1"), timeout=200.0)
     engine.run_until_done(query, 1e6)

@@ -55,7 +55,7 @@ def run_instrumented(sql: str, caches: bool):
         "virtual_time": engine.now,
         "events": engine.kernel.events_processed,
         "actions": actions,
-        "faults": len(engine.fault_injector.history),
+        "faults": len(engine.decisions.of(kind="inject")),
     }
 
 

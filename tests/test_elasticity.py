@@ -148,7 +148,7 @@ def test_tuning_finished_stage_rejected(catalog):
     engine.run_until_done(query, 1e6)
     with pytest.raises(TuningRejected):
         elastic.ap(1, 4)
-    assert elastic.filter.rejections
+    assert query.tracker.markers_of("rejected")
 
 
 def test_tuning_fixed_stage_rejected(catalog):

@@ -159,9 +159,8 @@ def test_node_crash_mid_q3_recovers_bit_identical(tiny_catalog):
     plan = FaultPlan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
     engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
     assert rows == expected
-    stats = engine.coordinator.recovery.stats()
-    assert stats["node_failures"] == 1
-    assert query.fault_events, "fault history must be recorded on the query"
+    assert engine.metrics.snapshot()["recovery.node_failures"] == 1
+    assert query.fault_history(), "fault history must be recorded on the query"
 
 
 def test_scan_task_crash_resumes_without_replay(tiny_catalog):
@@ -173,10 +172,10 @@ def test_scan_task_crash_resumes_without_replay(tiny_catalog):
     plan = FaultPlan(events=(TaskCrash(at=horizon * 0.2, stage=2),))
     engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
     assert rows == expected
-    stats = engine.coordinator.recovery.stats()
-    assert stats["tasks_crashed"] == 1
-    assert stats["tasks_resumed"] == 1
-    assert stats["tasks_restarted"] == 0
+    stats = engine.metrics.snapshot()
+    assert stats["recovery.tasks_crashed"] == 1
+    assert stats["recovery.tasks_resumed"] == 1
+    assert stats["recovery.tasks_restarted"] == 0
 
 
 def test_storage_node_crash_reads_through_durable_storage(tiny_catalog):
@@ -253,7 +252,7 @@ def test_retry_budget_exhaustion_fails_query(tiny_catalog):
         engine.run_until_done(query, max_events=MAX_EVENTS)
     except QueryFailedError as exc:
         assert "retry budget" in str(exc)
-        kinds = [e["kind"] for e in query.fault_events]
+        kinds = [e["kind"] for e in query.fault_history()]
         assert "unrecoverable" in kinds
     else:
         # The scan may outrun the crash schedule; then answers must be exact.
@@ -285,10 +284,8 @@ def test_same_seed_same_fault_timeline_and_result(tiny_catalog):
             ),
         )
         engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
-        timeline = tuple(
-            (h["t"], h["kind"], h["detail"]) for h in engine.fault_injector.history
-        )
-        faults = tuple(tuple(e.items()) for e in query.fault_events)
+        timeline = tuple(engine.decisions.of(kind="inject"))
+        faults = tuple(tuple(e.items()) for e in query.fault_history())
         return timeline, faults, query.elapsed, rows
 
     assert run() == run()
@@ -320,6 +317,6 @@ def test_random_faults_exact_answers_or_clean_failure(tiny_catalog, seed):
     except QueryFailedError as exc:
         assert query.failed and query.finished
         assert exc.query_id == query.id
-        assert query.fault_events
+        assert query.fault_history()
     else:
         assert norm_rows(query.result().rows) == expected

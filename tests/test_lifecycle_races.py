@@ -69,7 +69,7 @@ def test_cancel_during_drain_teardown(catalog):
     assert query.state == "cancelled"
     # With its tasks gone the draining node is idle, so the drain is clean.
     assert victim.state in ("left", "dead")
-    assert engine.membership.drains_clean + engine.membership.drains_escalated == 1
+    assert engine.metrics.snapshot()["cluster.drains_clean"] + engine.metrics.snapshot()["cluster.drains_escalated"] == 1
 
 
 # -- crash during drain -----------------------------------------------------
@@ -91,8 +91,8 @@ def test_node_crash_mid_drain(catalog):
     engine.run_until_done(query, max_events=MAX_EVENTS)
     assert victim.state == "dead"
     # The drain neither completed nor escalated: recovery owns the node.
-    assert engine.membership.drains_clean == 0
-    assert engine.membership.drains_escalated == 0
+    assert engine.metrics.snapshot()["cluster.drains_clean"] == 0
+    assert engine.metrics.snapshot()["cluster.drains_escalated"] == 0
     assert norm_rows(query.result().rows) == reference_rows(catalog, Q_AGG)
 
 
@@ -107,8 +107,8 @@ def test_preemption_of_already_draining_node_is_noop(catalog):
     engine.membership.preempt(node, notice=0.1)
     settle(engine)
     assert node.state == "left"
-    assert engine.membership.drains_started == 1
-    assert engine.membership.preemptions == 0
+    assert engine.metrics.snapshot()["cluster.drains_started"] == 1
+    assert engine.metrics.snapshot()["cluster.preemptions"] == 0
 
 
 # -- admission while scaling down -------------------------------------------

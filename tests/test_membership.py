@@ -52,11 +52,10 @@ def test_join_grows_schedulable_capacity(catalog):
     assert engine.membership.pending_joins == 0
     assert len(engine.cluster.schedulable_compute) == before_nodes + 2
     assert engine.cluster.schedulable_cores() > before_cores
-    stats = engine.membership.stats()
-    assert stats["joins"] == 2
-    assert stats["nodes_peak"] == before_nodes + 2
-    kinds = [h["kind"] for h in engine.membership.history]
-    assert kinds.count("node_join") == 2
+    stats = engine.metrics.snapshot()
+    assert stats["cluster.joins"] == 2
+    assert stats["cluster.nodes_peak"] == before_nodes + 2
+    assert engine.decisions.count("membership", "node_join") == 2
 
 
 def test_joined_node_ids_are_monotonic(catalog):
@@ -79,11 +78,11 @@ def test_join_takes_provisioning_delay_and_rpc(catalog):
     engine.membership.join(1)
     # Before the provisioning delay elapses nothing is active yet.
     engine.kernel.run(until=engine.now + engine.config.cluster.node_join_delay / 2)
-    assert engine.membership.joins == 0
+    assert engine.metrics.snapshot()["cluster.joins"] == 0
     settle(engine)
-    assert engine.membership.joins == 1
-    join_events = [h for h in engine.membership.history if h["kind"] == "node_join"]
-    assert join_events[0]["t"] >= engine.config.cluster.node_join_delay
+    assert engine.metrics.snapshot()["cluster.joins"] == 1
+    join_events = engine.decisions.of(kind="membership", outcome="node_join")
+    assert join_events[0].time >= engine.config.cluster.node_join_delay
 
 
 def test_new_node_is_used_by_later_queries(catalog):
@@ -105,9 +104,9 @@ def test_drain_idle_node_leaves_cleanly(catalog):
     settle(engine)
     assert node.state == "left"
     assert node.released_at is not None
-    assert engine.membership.drains_clean == 1
-    assert engine.membership.drains_escalated == 0
-    kinds = [h["kind"] for h in engine.membership.history]
+    assert engine.metrics.snapshot()["cluster.drains_clean"] == 1
+    assert engine.metrics.snapshot()["cluster.drains_escalated"] == 0
+    kinds = [d.outcome for d in engine.decisions.of(kind="membership")]
     assert "drain_start" in kinds and "node_left" in kinds
 
 
@@ -119,8 +118,8 @@ def test_drain_is_idempotent(catalog):
     engine.membership.drain(node)
     engine.membership.drain(node)  # second call is a no-op
     settle(engine)
-    assert engine.membership.drains_started == 1
-    assert engine.membership.drains_clean == 1
+    assert engine.metrics.snapshot()["cluster.drains_started"] == 1
+    assert engine.metrics.snapshot()["cluster.drains_clean"] == 1
 
 
 def test_cannot_drain_last_schedulable_node(catalog):
@@ -160,9 +159,10 @@ def test_drain_loaded_node_escalates_and_answers_stay_exact(catalog):
     assert loaded, "expected the root stage to occupy a compute node"
     engine.membership.drain(loaded[0], timeout=0.5)
     engine.run_until_done(query, max_events=MAX_EVENTS)
-    assert engine.membership.drains_escalated == 1
+    assert engine.metrics.snapshot()["cluster.drains_escalated"] == 1
     assert norm_rows(query.result().rows) == reference_rows(catalog, Q_AGG)
-    assert query.fault_events  # the drain was recorded on the query
+    # The drain was recorded on the query.
+    assert any(d.kind == "fault" for d in query.decisions())
 
 
 @pytest.mark.parametrize("timeout, outcome", [(50.0, "left"), (10.0, "dead")])
@@ -211,8 +211,8 @@ def test_drain_only_storage_node_of_combined_cluster_keeps_answers(catalog):
     engine.run_until_done(query, max_events=MAX_EVENTS)
     assert norm_rows(query.result().rows) == reference_rows(catalog, sql)
     assert node.state == "left"
-    assert engine.membership.drains_clean == 1
-    assert engine.membership.drains_escalated == 0
+    assert engine.metrics.snapshot()["cluster.drains_clean"] == 1
+    assert engine.metrics.snapshot()["cluster.drains_escalated"] == 0
 
 
 # -- spot preemption --------------------------------------------------------
@@ -226,8 +226,8 @@ def test_preempt_idle_spot_node_inside_notice(catalog):
     settle(engine)
     # Idle node drains within the notice window: a clean leave, not a kill.
     assert node.state == "left"
-    assert engine.membership.preemption_notices == 1
-    assert engine.membership.preemptions == 0
+    assert engine.metrics.snapshot()["cluster.preemption_notices"] == 1
+    assert engine.metrics.snapshot()["cluster.preemptions"] == 0
 
 
 def test_preempt_loaded_node_kills_and_recovers(catalog):
@@ -239,7 +239,7 @@ def test_preempt_loaded_node_kills_and_recovers(catalog):
     assert loaded
     engine.membership.preempt(loaded[0], notice=0.2)
     engine.run_until_done(query, max_events=MAX_EVENTS)
-    assert engine.membership.preemptions == 1
+    assert engine.metrics.snapshot()["cluster.preemptions"] == 1
     assert loaded[0].state == "dead"
     assert norm_rows(query.result().rows) == reference_rows(catalog, Q_AGG)
 
@@ -267,8 +267,8 @@ def test_apply_plan_runs_scheduled_churn(catalog):
     )
     engine.membership.apply_plan(plan)
     settle(engine, 10.0)
-    assert engine.membership.joins == 1
-    assert engine.membership.drains_clean == 1
+    assert engine.metrics.snapshot()["cluster.joins"] == 1
+    assert engine.metrics.snapshot()["cluster.drains_clean"] == 1
     # Base capacity survived; the churned node is gone.
     assert len(engine.cluster.schedulable_compute) == 2
 
@@ -281,7 +281,7 @@ def test_plan_drain_of_newest_never_targets_base_capacity(catalog):
         MembershipPlan(seed=2, events=(NodeDrain(at=0.5, node="newest"),))
     )
     settle(engine)
-    assert engine.membership.drains_started == 0
+    assert engine.metrics.snapshot()["cluster.drains_started"] == 0
     assert len(engine.cluster.schedulable_compute) == 2
 
 
@@ -295,7 +295,8 @@ def test_plan_churn_history_is_bit_identical_per_seed(catalog):
         query = engine.submit(Q_AGG)
         engine.run_until_done(query, max_events=MAX_EVENTS)
         settle(engine, 30.0)
-        return engine.membership.history, norm_rows(query.result().rows)
+        history = engine.decisions.of(kind="membership")
+        return history, norm_rows(query.result().rows)
 
     history_a, rows_a = run(5)
     history_b, rows_b = run(5)

@@ -79,10 +79,13 @@ def test_processing_rate_uses_received_for_joins(catalog):
 def test_markers(catalog):
     engine = slow_engine(catalog)
     query = engine.submit(QUERIES["Q3"])
-    query.tracker.mark("tuning", 1, "AP S1")
-    query.tracker.mark("build_ready", 1)
+    engine.decisions.record(
+        "tuning", "stage_dop", query_id=query.id, stage=1, reason="AP S1"
+    )
+    engine.decisions.record("build_ready", "ready", query_id=query.id, stage=1)
+    engine.decisions.record("bid", "grant", query_id=query.id, stage=1)
     assert [m.kind for m in query.tracker.markers] == ["tuning", "build_ready"]
-    assert query.tracker.markers_of("tuning")[0].label == "AP S1"
+    assert query.tracker.markers_of("tuning")[0].reason == "AP S1"
     engine.run_until_done(query, 1e6)
 
 

@@ -73,8 +73,8 @@ def test_trace_records_rpc_buffer_and_tuning(traced_q3):
     assert {"turn_up", "resize"} <= buffer_names
 
     tuning_names = {span.name for span in trace.spans_of("tuning")}
-    assert "stage_dop S1 -> 3" in tuning_names  # the applied action
-    assert "build_ready" in tuning_names  # hash-table rebuild markers
+    assert "tuning:stage_dop S1" in tuning_names  # the applied action
+    assert "build_ready:ready S1" in tuning_names  # hash-table rebuild markers
 
 
 def test_trace_tree_nesting(traced_q3):
@@ -203,7 +203,7 @@ def _fingerprint(catalog, seed: int, tracing: bool):
         engine.coordinator.rpc.total_requests,
         engine.coordinator.rpc.retried_requests,
         engine.coordinator.rpc.failed_requests,
-        tuple(tuple(sorted(e.items())) for e in handle.fault_events),
+        tuple(tuple(sorted(e.items())) for e in handle.fault_history()),
     )
     return fingerprint, engine
 

@@ -80,7 +80,7 @@ def run_instrumented(sql: str, workers: int):
         "virtual_time": engine.now,
         "events": engine.kernel.events_processed,
         "actions": actions,
-        "faults": len(engine.fault_injector.history),
+        "faults": len(engine.decisions.of(kind="inject")),
         "trace": json.dumps(
             handle.trace().to_chrome_json(), sort_keys=True, default=str
         ),

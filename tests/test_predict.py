@@ -212,7 +212,7 @@ def run_instrumented(catalog, predictive: bool):
         "virtual_time": engine.now,
         "events": engine.kernel.events_processed,
         "actions": actions,
-        "faults": len(engine.fault_injector.history),
+        "faults": len(engine.decisions.of(kind="inject")),
         "trace": json.dumps(
             handle.trace().to_chrome_json(), sort_keys=True, default=str
         ),
@@ -245,9 +245,9 @@ class TestPregrant:
         result = handle.result()
         assert result.rows
         assert handle.prediction_error is not None
-        stats = engine.predict_service.stats()
-        assert stats["drr_placements"] >= 1
-        assert stats["recorded"] == 2
+        stats = engine.metrics.snapshot()
+        assert stats["predict.drr_placements"] >= 1
+        assert stats["predict.recorded"] == 2
 
     def test_memory_pregrant_sets_budget_from_prediction(self, catalog):
         engine = predict_engine(catalog)
@@ -264,7 +264,7 @@ class TestPregrant:
         engine = predict_engine(catalog)
         engine.submit(AGG_SQL.format(lit=10)).result()
         engine.submit(AGG_SQL.format(lit=20)).result()
-        assert engine.predict_service.stats()["drr_placements"] >= 1
+        assert engine.metrics.snapshot()["predict.drr_placements"] >= 1
         assert all(q.reservations == [] for q in engine.coordinator.queries.values())
         assert all(node.reserved_bytes == 0 for node in engine.cluster.compute)
 
@@ -285,14 +285,14 @@ def test_reprovision_fires_exactly_once_per_breach(catalog):
     assert handle.prediction is not None
     assert handle.prediction_error is not None
     assert handle.prediction_error > 0.01
-    assert engine.predict_service.reprovisions == 1
+    assert engine.decisions.count("predict", "reprovision") == 1
 
     # The fast variant finishes well inside the now-averaged estimate's
     # bound, so its armed trigger is cancelled without firing.
-    before = engine.predict_service.reprovisions
+    before = engine.decisions.count("predict", "reprovision")
     fast = engine.submit(sql.format(lit=49))
     fast.result()
-    assert engine.predict_service.reprovisions == before
+    assert engine.decisions.count("predict", "reprovision") == before
 
 
 # -- SLO admission ----------------------------------------------------------
@@ -314,8 +314,8 @@ def test_admission_rejects_guaranteed_miss_with_prediction(catalog):
     assert error.prediction.runtime == predicted.runtime
     assert "deadline-miss" in str(error)
     # The rejection shows up in admission + predictor accounting.
-    assert engine.workload.admission.stats()["rejected"] == 1
-    assert engine.predict_service.slo_rejections == 1
+    assert engine.metrics.snapshot()["workload.rejected"] == 1
+    assert engine.decisions.count("predict", "slo_reject") == 1
 
     # A feasible deadline sails through the same gate.
     relaxed = engine.session("bi", deadline=predicted.runtime * 10)
@@ -327,7 +327,7 @@ def test_history_persists_across_engines(tmp_path, catalog):
     history_dir = str(tmp_path / "history")
     first = predict_engine(catalog, history_dir=history_dir)
     first.submit(AGG_SQL.format(lit=10)).result()
-    assert first.predict_service.store.stats()["runs"] == 1
+    assert first.predict_service.store.total_runs() == 1
 
     second = predict_engine(catalog, history_dir=history_dir)
     prediction = second.predict(AGG_SQL.format(lit=20))
@@ -386,9 +386,9 @@ def test_warm_history_beats_reactive_on_makespan_and_p99(catalog):
         catalog, reactive_config.with_prediction()
     )
     assert disabled.render() == reactive.render()
-    stats = engine.predict_service.stats()
-    assert stats["pregrants"] >= 1
-    assert stats["drr_placements"] >= 1
+    stats = engine.metrics.snapshot()
+    assert stats["predict.pregrants"] >= 1
+    assert stats["predict.drr_placements"] >= 1
     # Pre-granted DOPs reorder partial sums: floats to accumulation-order
     # tolerance, everything else exact.
     assert len(predictive_rows) == 12

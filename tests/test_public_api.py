@@ -58,3 +58,7 @@ def test_public_surface_is_importable():
 
     missing = [name for name in repro.__all__ if not hasattr(repro, name)]
     assert missing == []
+    # What a user meets through a QueryHandle is importable from the top.
+    assert {"Decision", "ProfileReport", "QueryTrace", "SharingInfo"} <= set(
+        repro.__all__
+    )

@@ -52,7 +52,7 @@ def test_handle_delegates_execution_internals(engine):
     # Attribute delegation keeps the runtime internals reachable.
     assert handle.stages is handle.execution.stages
     assert handle.tracker is handle.execution.tracker
-    assert handle.fault_events == []
+    assert handle.fault_history() == []
 
 
 def test_handle_progress_and_describe(engine):

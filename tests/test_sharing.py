@@ -158,7 +158,7 @@ class TestFolding:
         h = engine.submit("select l_orderkey from lineitem "
                           "order by l_orderkey limit 5")
         assert h.sharing.role == "unshared"
-        assert engine.sharing.stats()["unshared"] == 1
+        assert engine.metrics.snapshot()["sharing.unshared"] == 1
 
     def test_sharing_disabled_is_inert(self, catalog):
         engine = AccordionEngine(catalog)
@@ -235,7 +235,7 @@ class TestResultCache:
         assert h.sharing.cache_hit
         assert h.finished  # served synchronously, zero virtual time
         assert h.result().rows == rows
-        assert engine.sharing.cache_hits == 1
+        assert engine.metrics.snapshot()["sharing.cache_hits"] == 1
 
     def test_cache_ttl_expiry(self, catalog):
         engine = sharing_engine(catalog, cache_ttl=5.0)
@@ -244,7 +244,7 @@ class TestResultCache:
         engine.run_for(10.0)
         h = engine.submit(sql)
         assert h.sharing.role == "carrier"  # entry expired, re-executes
-        assert engine.sharing.cache.expirations == 1
+        assert engine.decisions.count("cache", "expire") == 1
 
     def test_catalog_register_invalidates_cache(self):
         catalog = Catalog.tpch(scale=0.001, seed=11)
@@ -255,7 +255,7 @@ class TestResultCache:
         h = engine.submit(sql)
         assert h.sharing.role == "carrier"  # stale entry was purged
         assert h.result().rows == rows
-        assert engine.sharing.cache.invalidations >= 1
+        assert engine.metrics.snapshot()["sharing.cache_invalidations"] >= 1
 
     def test_capacity_eviction_is_lru(self, catalog):
         engine = sharing_engine(catalog, result_cache_bytes=100)
@@ -263,7 +263,7 @@ class TestResultCache:
         b = "select count(*) from orders"
         engine.execute(a)
         engine.execute(b)  # evicts a (capacity fits one small page)
-        assert engine.sharing.cache.evictions >= 1
+        assert engine.metrics.snapshot()["sharing.cache_evictions"] >= 1
         h = engine.submit(a)
         assert h.sharing.role == "carrier"
 
@@ -305,13 +305,13 @@ class TestWorkloadIntegration:
             h.result()
         admission = engine.workload.admission
         assert admission.violations == []
-        stats = admission.stats()
-        assert stats["admitted"] == 4
-        assert stats["running"] == 0
-        assert stats["admitted_cores"] == 0
+        stats = engine.metrics.snapshot()
+        assert stats["workload.admitted"] == 4
+        assert stats["workload.running"] == 0
+        assert stats["workload.admitted_cores"] == 0
         # One physical execution served all four submissions.
-        assert engine.sharing.stats()["carriers"] == 1
-        assert engine.sharing.folds >= 2
+        assert stats["sharing.carriers"] == 1
+        assert stats["sharing.folds"] >= 2
 
     def test_shared_execution_adopts_max_priority_min_deadline(self, catalog):
         config = EngineConfig().with_workload().with_sharing(fold_window=0.5)

@@ -451,7 +451,7 @@ def test_spill_survives_node_crash_recovery(tiny_catalog, tmp_path):
     handle = engine.submit(QUERIES["Q3"])
     engine.run_until_done(handle, max_events=5_000_000)
     assert norm_rows(handle.result().rows) == norm_rows(reference.rows)
-    assert engine.coordinator.recovery.stats()["node_failures"] == 1
+    assert engine.metrics.snapshot()["recovery.node_failures"] == 1
     assert handle.execution.memory.spills > 0
     assert list(tmp_path.iterdir()) == []  # recovery leaves no orphan files
 
@@ -465,8 +465,11 @@ def test_session_memory_grant_sets_budget(catalog, tmp_path):
     entry = engine.workload.arbiter.entries[handle.id]
     assert entry.memory_bytes == 1 << 20
     handle.result()
-    stats = engine.workload.arbiter.stats()
-    assert {"memory_granted_bytes", "memory_tracked_bytes", "memory_spilled_bytes"} <= set(stats)
+    stats = engine.metrics.snapshot()
+    assert {
+        "arbiter.memory_granted_bytes", "arbiter.memory_tracked_bytes",
+        "arbiter.memory_spilled_bytes",
+    } <= set(stats)
 
 
 def test_arbiter_resize_memory_trims_and_grants(catalog, tmp_path):
@@ -480,13 +483,14 @@ def test_arbiter_resize_memory_trims_and_grants(catalog, tmp_path):
 
     arbiter.resize_memory(handle.id, TINY_BUDGET)  # trim: starts spilling
     assert handle.execution.memory.budget_bytes == TINY_BUDGET
-    assert arbiter.trims >= 1
+    assert engine.metrics.snapshot()["arbiter.trims"] >= 1
     arbiter.resize_memory(handle.id, 1 << 30)  # re-grant: stops spilling
-    assert arbiter.grants >= 1
-    memory_bids = [b for b in arbiter.log if b.kind == "memory"]
-    assert len(memory_bids) == 2
-    assert memory_bids[0].decision == "trim"
-    assert memory_bids[1].decision == "grant"
+    assert engine.metrics.snapshot()["arbiter.grants"] >= 1
+    memory_bids = handle.decisions()[-2:]
+    assert [b.kind for b in memory_bids] == ["memory", "memory"]
+    assert engine.decisions.of(kind="memory") == memory_bids
+    assert memory_bids[0].outcome == "trim"
+    assert memory_bids[1].outcome == "grant"
 
     handle.result()
     with pytest.raises(TuningRejected, match="not registered or already finished"):

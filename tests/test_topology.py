@@ -95,8 +95,8 @@ def crash(catalog, stage):
     engine.inject_faults(FaultPlan(events=(TaskCrash(at=5.0, stage=stage),)))
     query = engine.submit(QUERIES["Q3"])
     out = measure(engine, query)
-    stats = engine.coordinator.recovery.stats()
-    return (*out, stats["tasks_resumed"], stats["tasks_restarted"])
+    stats = engine.metrics.snapshot()
+    return (*out, stats["recovery.tasks_resumed"], stats["recovery.tasks_restarted"])
 
 
 def crash_resume(catalog):
@@ -120,7 +120,7 @@ def ap_while_producer_crashed(catalog):
     query.tuning.ap(1, 3)
     out = measure(engine, query)
     assert norm_rows(query.result().rows) == reference_rows(catalog, QUERIES["Q5"])
-    return (*out, engine.coordinator.recovery.tasks_restarted)
+    return (*out, engine.metrics.snapshot()["recovery.tasks_restarted"])
 
 
 def crash_hash_node(catalog, node_name):
@@ -136,7 +136,7 @@ def crash_hash_node(catalog, node_name):
     query = engine.submit(QUERIES["Q2J"], options)
     out = measure(engine, query)
     assert norm_rows(query.result().rows) == reference_rows(catalog, QUERIES["Q2J"])
-    return (*out, engine.coordinator.recovery.tasks_respawned)
+    return (*out, engine.metrics.snapshot()["recovery.tasks_respawned"])
 
 
 def crash_hash_producers(catalog):
@@ -161,8 +161,8 @@ def drain(catalog, scan_dop, node_name):
     out = measure(engine, query)
     engine.kernel.run(until=engine.now + 5.0)
     assert norm_rows(query.result().rows) == reference_rows(catalog, QUERIES["Q3"])
-    membership = engine.membership
-    return (*out, membership.drains_clean, membership.drains_escalated)
+    stats = engine.metrics.snapshot()
+    return (*out, stats["cluster.drains_clean"], stats["cluster.drains_escalated"])
 
 
 def drain_scan_node(catalog):
@@ -251,8 +251,8 @@ def test_rpc_give_up_during_ap_fails_only_that_query(catalog):
     victim.tuning.ap(1, 2)
     engine.run_until_done(bystander, max_events=MAX_EVENTS)
     assert victim.failed
-    assert [e["kind"] for e in victim.fault_events] == ["rpc_gave_up"]
-    assert bystander.succeeded and not bystander.fault_events
+    assert [e["kind"] for e in victim.fault_history()] == ["rpc_gave_up"]
+    assert bystander.succeeded and not bystander.fault_history()
     assert norm_rows(bystander.result().rows) == reference_rows(catalog, QUERIES["Q3"])
     # Nothing attached for the failed AP keeps a placement slot.
     assert all(n.task_count == 0 for n in engine.cluster.compute)

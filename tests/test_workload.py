@@ -169,8 +169,8 @@ def test_admission_caps_concurrency(catalog):
     assert rows[0] == rows[1] == rows[2]
     admission = engine.workload.admission
     assert admission.violations == []
-    assert admission.stats()["admitted"] == 3
-    assert admission.stats()["queue_depth"] == 0
+    assert engine.metrics.snapshot()["workload.admitted"] == 3
+    assert engine.metrics.snapshot()["workload.queue_depth"] == 0
     # FIFO: records were admitted in submission order.
     ids = [r.query_id for r in engine.workload.records]
     assert ids == sorted(ids)
@@ -211,7 +211,7 @@ def test_queue_timeout_rejects_with_structured_error(catalog):
     assert info.value.tenant == "etl"
     assert info.value.reason == "queue-timeout"
     assert info.value.queued_seconds >= 0.001
-    assert engine.workload.admission.stats()["timeouts"] == 1
+    assert engine.metrics.snapshot()["workload.timeouts"] == 1
 
 
 def test_cancel_queued_submission(catalog):
@@ -223,8 +223,8 @@ def test_cancel_queued_submission(catalog):
     assert queued.state == "cancelled"
     assert queued.finished and queued.execution is None
     assert running.result().num_rows == 1
-    stats = engine.workload.admission.stats()
-    assert stats["cancelled_queued"] == 1 and stats["admitted"] == 1
+    stats = engine.metrics.snapshot()
+    assert stats["workload.cancelled_queued"] == 1 and stats["workload.admitted"] == 1
 
 
 def test_session_execute_and_records(catalog):
@@ -293,6 +293,48 @@ def test_report_byte_identical_across_same_seed_runs(catalog):
     assert third.to_dict()["horizon"] != first.to_dict()["horizon"]
 
 
+def test_second_window_report_counts_only_its_own_window(catalog):
+    """A long-lived engine serving window after window: every count in a
+    report is that window's, so the sections agree with each other.  (The
+    admission and arbiter sections used to be engine-lifetime totals
+    beside per-window tenant rows: 14 submitted next to a table of 7.)"""
+    engine = workload_engine(
+        catalog, multiplier=1000.0, cluster={"compute_nodes": 2},
+        max_concurrent_queries=3, arbitration="fair_share",
+    )
+    windows = []
+    for _ in range(2):
+        workload = Workload(engine, seed=5)
+        workload.add_tenant("etl", [JOIN_COUNT_SQL], TraceArrivals(times=(0.0,)))
+        workload.add_tenant(
+            "bi", [QUERIES["Q6"], COUNT_SQL], PoissonArrivals(rate=0.5, count=6)
+        )
+
+        def widen(w=workload):
+            tuning = w.handles[0].tuning
+            tuning.ap(tuning.units()[0].knob_stage, 16)  # trimmed to fair share
+
+        start = engine.now
+        engine.kernel.schedule_at(start + 2.0, widen)
+        windows.append((start, workload.run()))
+    for _, report in windows:
+        submitted = sum(t.submitted for t in report.tenants.values())
+        assert submitted == 7 == report.admission["submitted"]
+        assert report.admission["admitted"] == 7
+        assert report.admission["queue_depth"] == 0  # a point-in-time read
+        assert report.arbiter["trims"] == 1
+        assert "admitted=7 rejected=0" in report.render()
+    # The arbiter section counts exactly the bids recorded in its window ...
+    for (start, report), end in zip(windows, (windows[1][0], engine.now)):
+        bids = [d.outcome for d in engine.decisions.of(kind="bid") if start <= d.time < end]
+        assert report.arbiter["grants"] == bids.count("grant")
+        assert report.arbiter["trims"] == bids.count("trim")
+        assert report.arbiter["deferrals"] == bids.count("defer")
+    # ... and the engine-lifetime totals are still in the metrics registry.
+    assert engine.metrics.snapshot()["workload.submitted"] == 14
+    assert engine.metrics.snapshot()["arbiter.trims"] == 2
+
+
 # -- resource arbitration -----------------------------------------------------
 JOIN_COUNT_SQL = (
     "select o_orderdate, count(*) as n from orders, lineitem "
@@ -316,10 +358,10 @@ def test_arbiter_trims_bid_to_fair_share(catalog):
     # Ask for far more than one tenant's fair share; the arbiter trims.
     a.tuning.ap(knob, 16)
     assert a.execution.stage(knob).stage_dop < 16
-    decisions = [bid.decision for bid in arbiter.log]
-    assert "trim" in decisions or "defer" in decisions
-    for bid in arbiter.log:
-        assert bid.granted <= bid.requested
+    bids = engine.decisions.of(kind="bid")
+    assert {bid.outcome for bid in bids} & {"trim", "defer"}
+    for bid in bids:
+        assert bid.inputs["granted"] <= bid.inputs["requested"]
     a.result()
     b.result()
 
@@ -341,7 +383,7 @@ def test_arbiter_defers_when_cluster_is_full(catalog):
 
     with pytest.raises(TuningRejected, match="arbiter"):
         a.tuning.ap(knob, 8)
-    assert arbiter.deferrals >= 1
+    assert engine.decisions.count("bid", "defer") >= 1
     a.result()
     b.result()
 
@@ -371,19 +413,19 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
     rush_rows = rush.result().rows
     batch_rows = batch.result().rows
 
-    arbiter = engine.workload.arbiter
-    assert arbiter.revocations >= 1, "deadline rebalance never revoked"
+    stats = engine.metrics.snapshot()
+    assert stats["arbiter.revocations"] >= 1, "deadline rebalance never revoked"
     assert engine.workload.records[0].tenant == "batch"
     # Every revocation and deadline grant leaves its trace instant
     # (DESIGN "Observability"), attributed to the query it acted on.
     instants = engine.kernel.tracer.spans_of("workload")
-    revokes = [s for s in instants if s.name.startswith("revoke S")]
-    grants = [s for s in instants if s.name.startswith("deadline-grant S")]
-    assert len(revokes) == arbiter.revocations
+    revokes = [s for s in instants if s.name.startswith("revoke:applied S")]
+    grants = [s for s in instants if s.name.startswith("deadline_grant:applied S")]
+    assert len(revokes) == stats["arbiter.revocations"]
     assert {s.meta["query_id"] for s in revokes} == {batch.id}
     assert grants and {s.meta["query_id"] for s in grants} == {rush.id}
-    bids = [s for s in instants if s.name == "bid:grant"]
-    assert len(grants) + len(bids) == arbiter.grants
+    bids = [s for s in instants if s.name.startswith("bid:grant S")]
+    assert len(grants) + len(bids) == stats["arbiter.grants"]
 
     isolated = AccordionEngine(
         catalog, config=EngineConfig(page_row_limit=256)
