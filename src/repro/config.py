@@ -366,28 +366,19 @@ class SharingConfig(_Fingerprinted):
 
 @dataclass(frozen=True)
 class ParallelConfig(_Fingerprinted):
-    """Shared-memory worker-pool offload (``repro.parallel``).
+    """Worker-pool transport settings (``repro.parallel``).
 
-    Off by default (``workers=0``): everything executes inline on the
-    host process, bit-identical to earlier releases.  With ``workers=N``
-    the engine offloads CPU-heavy kernel work — join probe expansion,
-    aggregation partials, compiled filter/project batches, radix spill
-    partitioning — to a pool of N forked worker processes over
-    ``multiprocessing.shared_memory``.  The deterministic SimKernel
-    remains the control plane: offload results are applied in
-    deterministic submission order, so answers, virtual-time accounting,
-    traces, and same-seed reports stay bit-identical to ``workers=0``
-    (DESIGN.md §15).
+    No engine component reads this: the per-kernel offload it used to
+    switch on lost to serial on every workload and was deleted (DESIGN.md
+    §15), so an engine starts no pool whatever ``workers`` says.  The
+    class stays, with :meth:`EngineConfig.with_parallelism`, only because
+    ``bench/`` constructs it; the ``benchmark`` PR of ROADMAP item 2
+    removes both together with ``offload_2w``, ``probe.parallel.*`` and
+    the two ``repro.parallel`` import lines.
     """
 
-    #: Number of worker processes; 0 disables offloading entirely.
+    #: Worker processes of the pool an :class:`OffloadClient` attaches to.
     workers: int = 0
-    #: Pages below this many rows are not worth a job round-trip and
-    #: evaluate inline.
-    min_offload_rows: int = 2048
-    #: Smallest per-worker chunk when splitting one page's rows across
-    #: workers; fewer chunks are used for smaller pages.
-    min_chunk_rows: int = 2048
     #: Crashed (not erroring) jobs are retried this many times on a
     #: respawned worker before :class:`WorkerCrashedError` surfaces.
     max_retries: int = 2
@@ -499,7 +490,7 @@ class EngineConfig(_Fingerprinted):
         ├── tracing:  TraceConfig   (observability switches)
         ├── workload: WorkloadConfig (admission + arbitration)
         ├── sharing:  SharingConfig (query folding + result cache)
-        ├── parallel: ParallelConfig (worker-pool offload backend)
+        ├── parallel: ParallelConfig (accepted, read by no component)
         └── prediction: PredictionConfig (learned demand profiles)
 
     Every node is a frozen dataclass with a stable ``fingerprint()`` and
@@ -538,7 +529,7 @@ class EngineConfig(_Fingerprinted):
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     #: Concurrent-query folding + shared result cache; off by default.
     sharing: SharingConfig = field(default_factory=SharingConfig)
-    #: Worker-pool offload backend (real multi-core); off by default.
+    #: Accepted for ``bench/``; no engine component reads it.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     #: Learned per-stage demand prediction; off by default.
     prediction: PredictionConfig = field(default_factory=PredictionConfig)
@@ -581,12 +572,9 @@ class EngineConfig(_Fingerprinted):
         return replace(self, sharing=replace(self.sharing, **kwargs))
 
     def with_parallelism(self, workers: int = 4, **kwargs) -> "EngineConfig":
-        """Return a copy with the worker-pool offload backend enabled.
-
-        ``EngineConfig().with_parallelism(workers=4)`` offloads kernel
-        work to 4 forked worker processes over shared memory; results
-        stay bit-identical to the serial engine (DESIGN.md §15).
-        """
+        """Return a copy with ``parallel.workers`` set.  Accepted and
+        ignored: the engine runs every operator inline and starts no
+        pool (see :class:`ParallelConfig`)."""
         kwargs["workers"] = workers
         return replace(self, parallel=replace(self.parallel, **kwargs))
 

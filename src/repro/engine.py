@@ -64,16 +64,6 @@ class AccordionEngine:
             node_overrides=config.cluster.node_overrides_dict,
         )
         self.metrics = MetricsRegistry()
-        #: Worker-pool offload client (repro.parallel); None keeps every
-        #: kernel inline.  Pools are process-wide singletons, so building
-        #: many engines with the same worker count reuses one pool.
-        self.offload = None
-        if config.parallel.workers > 0:
-            from .parallel import OffloadClient
-
-            self.offload = OffloadClient(config.parallel)
-            self.kernel.offload = self.offload
-            self.metrics.gauge("parallel", self.offload.stats.snapshot)
         self.coordinator = Coordinator(
             self.kernel, self.cluster, catalog, self.split_layout, config,
             metrics=self.metrics,

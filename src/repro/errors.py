@@ -87,17 +87,17 @@ class MemoryBudgetExceededError(ExecutionError):
 
 
 class OffloadError(ExecutionError):
-    """Base class for failures in the parallel offload backend."""
+    """Base class for failures of the ``repro.parallel`` pool transport."""
 
 
 class WorkerCrashedError(OffloadError):
     """A pool worker died (or overran its job deadline and was killed)
     and the job's bounded retry budget is exhausted.
 
-    The offload layer never hangs on a dead worker: every in-flight job
+    The client never hangs on a dead worker: every in-flight job
     on the crashed process resolves immediately, pure jobs are retried
     up to ``ParallelConfig.max_retries`` times on surviving workers, and
-    only then does this structured error reach the query.
+    only then does this structured error reach the caller.
     """
 
     def __init__(self, message: str, kind: str | None = None, retries: int = 0):

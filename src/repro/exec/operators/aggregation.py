@@ -314,88 +314,6 @@ class _GroupKeyFactorizer:
         return codes, uniques
 
 
-def _partial_ops(aggregates: list[AggregateCall], num_keys: int):
-    """Offload plan for :func:`_page_partials`: per-field ``(op, index)``
-    pairs into the shipped array list (keys first, then one value array
-    per non-count aggregate, in aggregate order)."""
-    ops: list[tuple[str, int]] = []
-    idx = num_keys
-    for agg in aggregates:
-        if agg.function == "count":
-            ops.append(("count", -1))
-            continue
-        if agg.function == "sum":
-            ops.append(("sum", idx))
-        elif agg.function == "avg":
-            ops.append(("sumf", idx))
-            ops.append(("count", -1))
-        elif agg.function == "min":
-            ops.append(("min", idx))
-        elif agg.function == "max":
-            ops.append(("max", idx))
-        else:  # pragma: no cover - analyzer rejects unknown aggregates
-            raise ExecutionError(f"unknown aggregate {agg.function}")
-        idx += 1
-    return ops
-
-
-class _DeferredMerges:
-    """Per-operator queue of in-flight ``grouped_reduce`` tickets.
-
-    Jobs are submitted fire-and-stash as pages arrive and *applied* —
-    waited and merged into the aggregation state — in submission order
-    at sync points, so the state always equals what serial page-order
-    merging would have produced.  ``pending_rows`` upper-bounds how many
-    groups the un-applied jobs can still add (each page contributes at
-    most one group per row), which is what lets the group-limit check
-    skip syncing while the bound stays under the limit.
-    """
-
-    __slots__ = ("offload", "handles", "pending_rows")
-
-    def __init__(self, offload):
-        self.offload = offload
-        self.handles: list[int] = []
-        self.pending_rows = 0
-
-    def __bool__(self) -> bool:
-        return bool(self.handles)
-
-    def submit(self, key_cols, value_arrays, ops, num_rows: int) -> None:
-        self.handles.append(
-            self.offload.submit_grouped(key_cols, value_arrays, ops, num_rows)
-        )
-        self.pending_rows += num_rows
-
-    def sync(self, state: _HashAggState) -> None:
-        """Apply every pending job, in submission order."""
-        for handle in self.handles:
-            uniques, fields, ngroups = self.offload.wait_grouped(handle)
-            state.merge_groups(
-                _group_key_tuples(uniques, ngroups), uniques, fields
-            )
-        self.handles.clear()
-        self.pending_rows = 0
-
-
-def _agg_offload_ok(offload, memory: OperatorMemory | None, key_cols) -> bool:
-    """Whether this page's grouped reduction may be deferred to the pool.
-
-    Three gates keep deferred merging bit-identical to serial:
-    string group keys are excluded (the serial path factorizes them
-    through a stateful operator-lifetime :class:`GroupKeyEncoder`,
-    whose first-seen code order a worker cannot reproduce), and an
-    *active* memory budget forces the serial path (budgeted spill/flush
-    decisions compare per-page state sizes, which deferral would skew).
-    Checked per page because the arbiter can set a budget mid-query.
-    """
-    if offload is None:
-        return False
-    if any(isinstance(col, DictColumn) for col in key_cols):
-        return False
-    return memory is None or memory.query.budget_bytes is None
-
-
 class PartialAggOperator(TransformOperator):
     name = "partial_aggregation"
 
@@ -409,7 +327,6 @@ class PartialAggOperator(TransformOperator):
         group_limit: int = 100_000,
         compiled: bool = True,
         memory: OperatorMemory | None = None,
-        offload=None,
     ):
         super().__init__(cost)
         self.group_keys = group_keys
@@ -421,14 +338,9 @@ class PartialAggOperator(TransformOperator):
         self._eval_args = _aggregate_arg_evaluator(aggregates, compiled)
         self.rows_in = 0
         self.memory = memory
-        self.offload = offload
-        self._deferred = None if offload is None else _DeferredMerges(offload)
-        self._ops = _partial_ops(aggregates, len(group_keys))
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
-            if self._deferred:
-                self._deferred.sync(self.state)
             pages = self._flush()
             self.finished = True
             cpu = self.cpu(sum(p.num_rows for p in pages), self.cost.partial_agg_row_cost)
@@ -436,35 +348,17 @@ class PartialAggOperator(TransformOperator):
         self.rows_in += page.num_rows
         cpu = self.cpu(page.num_rows, self.cost.partial_agg_row_cost)
         key_cols = [page.columns[k] for k in self.group_keys]
-        if self.offload is not None and _agg_offload_ok(
-            self.offload, self.memory, key_cols
-        ) and self.offload.want(page.num_rows):
-            arg_values = self._eval_args(page)
-            values = [
-                v for a, v in zip(self.state.aggregates, arg_values)
-                if a.function != "count"
-            ]
-            self._deferred.submit(key_cols, values, self._ops, page.num_rows)
-            # Group-limit check against the reachable upper bound: while
-            # state-so-far plus every pending row stays under the limit,
-            # serial merging could not have flushed here either.
-            if len(self.state) + self._deferred.pending_rows <= self.group_limit:
-                return [], cpu
-            self._deferred.sync(self.state)
+        if key_cols:
+            codes, uniques = self._factorizer.factorize(key_cols)
+            ngroups = len(uniques[0])
         else:
-            if self._deferred:
-                self._deferred.sync(self.state)
-            if key_cols:
-                codes, uniques = self._factorizer.factorize(key_cols)
-                ngroups = len(uniques[0])
-            else:
-                codes = np.zeros(page.num_rows, dtype=np.int64)
-                ngroups = 1
-                uniques = []
-            partials = _page_partials(self.state, self._eval_args(page), codes, ngroups)
-            self.state.merge_groups(
-                _group_key_tuples(uniques, ngroups), uniques, partials
-            )
+            codes = np.zeros(page.num_rows, dtype=np.int64)
+            ngroups = 1
+            uniques = []
+        partials = _page_partials(self.state, self._eval_args(page), codes, ngroups)
+        self.state.merge_groups(
+            _group_key_tuples(uniques, ngroups), uniques, partials
+        )
         out: list[Page] = []
         # Partial state is destructible by design: memory pressure is
         # relieved by flushing downstream early, never by spilling.
@@ -514,7 +408,6 @@ class FinalAggOperator(TransformOperator):
         output_schema: Schema,
         row_limit: int = 4096,
         memory: OperatorMemory | None = None,
-        offload=None,
     ):
         super().__init__(cost)
         self.num_keys = num_keys
@@ -524,16 +417,12 @@ class FinalAggOperator(TransformOperator):
         self._factorizer = _GroupKeyFactorizer()
         self.rows_in = 0
         self.memory = memory
-        self.offload = offload
-        self._deferred = None if offload is None else _DeferredMerges(offload)
         self.spill: SpillPartitions | None = None
         self._input_schema: Schema | None = None
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
             self.finished = True
-            if self._deferred:
-                self._deferred.sync(self.state)
             if self.spill is not None:
                 return self._grace_finalize(page)
             pages = self._final_pages_from_state(self.state)
@@ -545,23 +434,6 @@ class FinalAggOperator(TransformOperator):
         cpu = self.cpu(page.num_rows, self.cost.final_agg_row_cost)
         if self._input_schema is None:
             self._input_schema = page.schema
-        key_cols = list(page.columns[: self.num_keys])
-        if self.offload is not None and _agg_offload_ok(
-            self.offload, self.memory, key_cols
-        ) and self.offload.want(page.num_rows):
-            # Partial-format pages merge field-by-field; the per-field
-            # reduce kind comes straight from the state's merge spec.
-            ops = [
-                (kind, self.num_keys + i)
-                for i, (kind, _) in enumerate(self.state.field_specs)
-            ]
-            fields = list(
-                page.columns[self.num_keys : self.num_keys + len(ops)]
-            )
-            self._deferred.submit(key_cols, fields, ops, page.num_rows)
-            return [], cpu
-        if self._deferred:
-            self._deferred.sync(self.state)
         self._merge_partial_page(self.state, page)
         if self.memory is not None:
             if self.num_keys:
@@ -624,7 +496,6 @@ class FinalAggOperator(TransformOperator):
                 memory.name,
                 self._input_schema,
                 list(range(self.num_keys)),
-                offload=self.offload,
             )
         nbytes = 0
         for pg in self._state_pages():

@@ -81,30 +81,6 @@ class _BuildIndex:
 
     def __init__(self, build_page: Page, build_keys: list[int]):
         self.build_page = build_page
-        self._reset()
-        key_cols = [build_page.columns[k] for k in build_keys]
-        if key_cols and build_page.num_rows:
-            self._init_from_keys(key_cols)
-
-    @classmethod
-    def from_key_columns(cls, key_cols: list[np.ndarray]) -> "_BuildIndex":
-        """Index over bare key columns, without a build page.
-
-        This is how pool workers derive the probe index from a pinned
-        shared-memory segment: construction is deterministic given the
-        key arrays, so every worker — and the host fallback indexing the
-        same columns — produces the identical CSR structure.  Combining
-        matched rows into output pages stays host-side, so the missing
-        ``build_page`` is never touched on this path.
-        """
-        index = cls.__new__(cls)
-        index.build_page = None
-        index._reset()
-        if key_cols and len(key_cols[0]):
-            index._init_from_keys(list(key_cols))
-        return index
-
-    def _reset(self) -> None:
         self.num_groups = 0
         self.sorted_rows = np.zeros(0, dtype=np.int64)
         self.group_starts = np.zeros(1, dtype=np.int64)
@@ -118,16 +94,16 @@ class _BuildIndex:
         self._ucomb = np.zeros(0, dtype=np.int64)
         self._identity_comb = False
         self._fallback_table: dict[tuple, int] | None = None
-
-    def _init_from_keys(self, key_cols: list[np.ndarray]) -> None:
-        codes = self._factorize(key_cols)
-        order = np.argsort(codes, kind="stable")
-        counts = np.bincount(codes, minlength=self.num_groups).astype(np.int64)
-        starts = np.zeros(self.num_groups + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        self.sorted_rows = order.astype(np.int64, copy=False)
-        self.group_starts = starts
-        self.group_counts = counts
+        key_cols = [build_page.columns[k] for k in build_keys]
+        if key_cols and build_page.num_rows:
+            codes = self._factorize(key_cols)
+            order = np.argsort(codes, kind="stable")
+            counts = np.bincount(codes, minlength=self.num_groups).astype(np.int64)
+            starts = np.zeros(self.num_groups + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            self.sorted_rows = order.astype(np.int64, copy=False)
+            self.group_starts = starts
+            self.group_counts = counts
 
     def _factorize(self, key_cols: list[np.ndarray]) -> np.ndarray:
         """Factorize build keys; returns a dense group code per build row."""
@@ -280,18 +256,12 @@ class JoinBridge:
         build_keys: list[int],
         name: str = "bridge",
         memory: OperatorMemory | None = None,
-        offload=None,
     ):
         self.kernel = kernel
         self.build_schema = build_schema
         self.build_keys = build_keys
         self.name = name
         self.memory = memory
-        self.offload = offload
-        #: Set when the build keys are pinned to the worker pool; probe
-        #: pages then ship to workers instead of the host index.
-        self.offload_index_id: int | None = None
-        self._build_page: Page | None = None
         self.pages: list[Page] = []
         self.build_rows = 0
         self.ready = False
@@ -314,30 +284,17 @@ class JoinBridge:
     # -- index delegation (stable surface for probe operators and tests) --
     @property
     def build_page(self) -> Page | None:
-        return self._build_page
-
-    def ensure_index(self) -> _BuildIndex:
-        """The host-side index, built lazily.
-
-        When the build keys are pinned to the worker pool the host never
-        pays for index construction unless some path actually needs it
-        (sub-threshold probe pages, tests poking at the index surface).
-        """
-        if self.index is None:
-            self.index = _BuildIndex(self._build_page, self.build_keys)
-        return self.index
+        return self.index.build_page if self.index is not None else None
 
     @property
     def num_groups(self) -> int:
-        if self._build_page is None:
-            return 0
-        return self.ensure_index().num_groups
+        return self.index.num_groups if self.index is not None else 0
 
     def probe_group_ids(self, key_cols: list[np.ndarray]) -> np.ndarray:
-        return self.ensure_index().probe_group_ids(key_cols)
+        return self.index.probe_group_ids(key_cols)
 
     def expand_matches(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.ensure_index().expand_matches(gids)
+        return self.index.expand_matches(gids)
 
     # -- build side -------------------------------------------------------
     def register_producer(self) -> None:
@@ -374,7 +331,6 @@ class JoinBridge:
             f"{self.name}.build",
             self.build_schema,
             self.build_keys,
-            offload=self.offload,
         )
         nbytes = 0
         for page in self.pages:
@@ -398,24 +354,13 @@ class JoinBridge:
             # partition at a time (HashJoinProbeOperator._grace_join).
             self.build_spill.finish()
         else:
-            self._build_page = concat_pages(self.build_schema, self.pages)
+            self.index = _BuildIndex(
+                concat_pages(self.build_schema, self.pages), self.build_keys
+            )
             self.pages = []
             if self.memory is not None:
-                self._tracked = self._build_page.size_bytes
+                self._tracked = self.index.build_page.size_bytes
                 self.memory.update(self._tracked)
-            if (
-                self.offload is not None
-                and self.build_keys
-                and self._build_page.num_rows
-            ):
-                # Ship the build keys to the pool once; workers derive
-                # the identical index lazily.  The host index stays lazy
-                # too (ensure_index) for sub-threshold probe pages.
-                self.offload_index_id = self.offload.pin_index(
-                    [self._build_page.columns[k] for k in self.build_keys]
-                )
-            else:
-                self.index = _BuildIndex(self._build_page, self.build_keys)
         self.ready = True
         self.ready_at = self.kernel.now
         self.on_ready.notify_all()
@@ -426,12 +371,6 @@ class JoinBridge:
             self.build_spill.delete()
         if self.probe_spill is not None:
             self.probe_spill.delete()
-
-    def release_offload(self) -> None:
-        """Unpin the build keys from the worker pool (task end/crash)."""
-        if self.offload_index_id is not None:
-            self.offload.release_index(self.offload_index_id)
-            self.offload_index_id = None
 
     @property
     def build_seconds(self) -> float:
@@ -530,47 +469,8 @@ class HashJoinProbeOperator(TransformOperator):
         if self.join_type is JoinType.CROSS:
             return self._cross(page, cpu)
 
-        bridge = self.bridge
-        if bridge.offload_index_id is not None and bridge.offload.want(
-            page.num_rows
-        ):
-            pages, extra = self._probe_offload(page)
-        else:
-            pages, extra = self._probe_with(bridge.ensure_index(), page)
+        pages, extra = self._probe_with(self.bridge.index, page)
         return pages, cpu + extra
-
-    def _probe_offload(self, page: Page) -> tuple[list[Page], float]:
-        """Probe one page on the worker pool against the pinned index.
-
-        Mirrors :meth:`_probe_with` decision for decision: the pool
-        chunks the probe keys by row range and concatenates per-chunk
-        results in chunk order, which is bit-identical to the host's
-        whole-page ``probe_group_ids`` + ``expand_matches`` (both are
-        probe-row-ordered).  Residual evaluation and page combination
-        stay on the host, so virtual costs accrue identically.
-        """
-        bridge = self.bridge
-        offload = bridge.offload
-        key_cols = [page.columns[k] for k in self.probe_keys]
-        if self.join_type in (JoinType.SEMI, JoinType.ANTI):
-            join = "semi" if self.join_type is JoinType.SEMI else "anti"
-            mask = offload.probe_mask(bridge.offload_index_id, key_cols, join)
-            if not mask.any():
-                return [], 0.0
-            return [page.mask(mask)], 0.0
-        probe_rows, build_rows, _ = offload.probe_expand(
-            bridge.offload_index_id, key_cols, need_mask=False
-        )
-        if len(probe_rows) == 0:
-            return [], 0.0
-        cpu = self.cpu(len(probe_rows), self.cost.join_probe_row_cost)
-        out = self._combine(bridge.build_page, page, probe_rows, build_rows)
-        if self._residual_evaluate is not None:
-            mask = self._residual_evaluate(out).astype(bool, copy=False)
-            if not mask.any():
-                return [], cpu
-            out = out.mask(mask)
-        return [out], cpu
 
     def _probe_with(
         self, index: _BuildIndex, page: Page
@@ -637,7 +537,6 @@ class HashJoinProbeOperator(TransformOperator):
                 f"{bridge.name}.probe",
                 page.schema,
                 self.probe_keys,
-                offload=bridge.offload,
             )
         nbytes = bridge.probe_spill.write_page(page)
         cpu += bridge.memory.spill_written(
@@ -708,7 +607,6 @@ class HashJoinProbeOperator(TransformOperator):
                 bridge.build_schema,
                 bridge.build_keys,
                 level=level + 1,
-                offload=bridge.offload,
             )
             written = 0
             for pg in build_pages:
@@ -724,7 +622,6 @@ class HashJoinProbeOperator(TransformOperator):
                         pg.schema,
                         self.probe_keys,
                         level=level + 1,
-                        offload=bridge.offload,
                     )
                 written += sub_probe.write_page(pg)
             if sub_probe is not None:

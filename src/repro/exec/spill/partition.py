@@ -46,7 +46,6 @@ class SpillPartitions:
         key_positions: list[int],
         fanout: int = FANOUT,
         level: int = 0,
-        offload=None,
     ):
         self.directory = Path(directory)
         self.name = name
@@ -54,7 +53,6 @@ class SpillPartitions:
         self.key_positions = key_positions
         self.fanout = fanout
         self.level = level
-        self.offload = offload
         self._writers: dict[int, SpillWriter] = {}
 
     # -- write side -------------------------------------------------------
@@ -64,14 +62,7 @@ class SpillPartitions:
         if page.num_rows == 0:
             return 0
         key_cols = [page.columns[k] for k in self.key_positions]
-        if self.offload is not None and self.offload.want(page.num_rows):
-            # hash_columns is deterministic across processes, so chunked
-            # worker assignments concatenate to the host's exact result.
-            parts = self.offload.radix_page(
-                key_cols, self.fanout, self.level, page.num_rows
-            )
-        else:
-            parts = radix_assignments(key_cols, self.fanout, self.level)
+        parts = radix_assignments(key_cols, self.fanout, self.level)
         written = 0
         for p in np.unique(parts).tolist():
             sub = page.mask(parts == p)

@@ -161,7 +161,6 @@ class Task:
                 list(b.build_keys),
                 f"{self.task_id}.b{b.id}",
                 memory=self._op_memory(f"b{b.id}"),
-                offload=kernel.offload,
             )
             for b in layout.bridges
         ]
@@ -325,15 +324,11 @@ class Task:
 
     def _make_transform(self, node: PNode) -> TransformOperator:
         compiled = self.config.compiled_expressions
-        offload = self.kernel.offload
         if isinstance(node, PFilterNode):
-            return FilterOperator(
-                self.cost, node.predicate, compiled=compiled, offload=offload
-            )
+            return FilterOperator(self.cost, node.predicate, compiled=compiled)
         if isinstance(node, PProjectNode):
             return ProjectOperator(
-                self.cost, node.exprs, node.schema, compiled=compiled,
-                offload=offload,
+                self.cost, node.exprs, node.schema, compiled=compiled
             )
         if isinstance(node, PPartialAggNode):
             return PartialAggOperator(
@@ -344,7 +339,6 @@ class Task:
                 row_limit=self.config.page_row_limit,
                 compiled=compiled,
                 memory=self._op_memory("partial_agg"),
-                offload=offload,
             )
         if isinstance(node, PFinalAggNode):
             return FinalAggOperator(
@@ -354,7 +348,6 @@ class Task:
                 node.schema,
                 row_limit=self.config.page_row_limit,
                 memory=self._op_memory("final_agg"),
-                offload=offload,
             )
         if isinstance(node, PJoinNode):
             bridge = self.bridges[self._bridge_by_join[id(node)]]
@@ -402,7 +395,6 @@ class Task:
         self.finished_at = self.kernel.now
         self.node.task_count -= 1
         self._release_memory()
-        self._release_offload()
         self.output_buffer.task_finished()
         self.kernel.tracer.end(self.trace_span)
         if self.on_finished is not None:
@@ -413,11 +405,6 @@ class Task:
         or crashed tasks no longer hold operator state)."""
         for handle in self._memory_handles:
             handle.report(0)
-
-    def _release_offload(self) -> None:
-        """Unpin this task's build indexes from the worker pool."""
-        for bridge in self.bridges:
-            bridge.release_offload()
 
     def crash(self, reason: str = "node down") -> None:
         """Kill this task mid-execution (fault injection).
@@ -435,7 +422,6 @@ class Task:
         self.finished_at = self.kernel.now
         self.node.task_count -= 1
         self._release_memory()
-        self._release_offload()
         self.crash_reason = reason
         self.kernel.tracer.end(self.trace_span, crashed=True, reason=reason)
         for client in self.exchange_clients.values():

@@ -9,7 +9,7 @@ decision is recorded in (:mod:`~repro.obs.decisions`).  See DESIGN.md §9.
 """
 
 from .decisions import Decision, DecisionLog
-from .export import QueryTrace, offload_counters, throughput_counters
+from .export import QueryTrace, throughput_counters
 from .metrics import Counter, MetricsRegistry
 from .profile import OpProfile, Profiler, ProfileReport
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
@@ -21,7 +21,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "NULL_TRACER",
-    "offload_counters",
     "OpProfile",
     "Profiler",
     "ProfileReport",

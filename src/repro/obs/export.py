@@ -205,36 +205,6 @@ class QueryTrace:
         return doc
 
 
-def offload_counters(engine, at: float | None = None) -> list[dict]:
-    """Chrome ``C`` events for the worker-pool offload backend (§15).
-
-    Offload telemetry is wall-clock (job/queue-wait/exec times vary run
-    to run), so it is **never** part of the default trace — the
-    serial-vs-parallel trace bit-identity contract depends on that.
-    This helper is the explicit opt-in: pass its result to
-    ``QueryTrace.to_chrome_json(counters=offload_counters(engine))`` to
-    see pool jobs, bytes each way, and exec/wait milliseconds as
-    counter tracks next to the virtual-time spans.  Returns ``[]`` on a
-    serial engine.
-    """
-    offload = getattr(engine, "offload", None)
-    if offload is None:
-        return []
-    snapshot = offload.stats.snapshot()
-    ts = (engine.now if at is None else at) * 1e6
-    return [
-        {
-            "name": f"offload {key}",
-            "ph": "C",
-            "ts": ts,
-            "tid": 0,
-            "args": {key: value},
-        }
-        for key, value in snapshot.items()
-        if isinstance(value, (int, float))
-    ]
-
-
 def throughput_counters(tracker) -> list[dict]:
     """Chrome ``C`` events from a ThroughputTracker's per-stage samples.
 

@@ -384,7 +384,7 @@ class EntryLookup:
     __slots__ = ("_compute", "_unset", "_tables")
 
     #: Dictionaries whose tables are kept (pages of one operator share a
-    #: handful; spill/offload round trips bring a fresh one per page).
+    #: handful; a spill round trip brings a fresh one per page).
     _LIMIT = 8
 
     def __init__(self, compute: Callable[[list], np.ndarray], unset: int = -1):

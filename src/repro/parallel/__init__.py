@@ -1,12 +1,14 @@
-"""``repro.parallel``: the shared-memory worker-pool offload backend.
+"""``repro.parallel``: a shared-memory worker-pool transport, and nothing
+the engine uses.
 
-Off by default; enabled with ``EngineConfig.with_parallelism(workers=N)``.
-The deterministic SimKernel stays the single-threaded control plane —
-workers only execute *pure kernel work* (join probe expansion,
-aggregation partials, compiled filter/project batches, radix spill
-partitioning) over arrays shipped through ``multiprocessing.shared_memory``
-with zero data-array pickling.  See DESIGN.md §15 for the job API,
-page layout, ordering, and crash semantics.
+What is left of the per-kernel offload backend after its five job kinds
+were deleted (DESIGN.md §15): a fork pool with death detection and
+respawn (:mod:`pool`), the array codec over
+``multiprocessing.shared_memory`` (:mod:`pagebuf`, :mod:`shm`), and a
+client that ships one job and waits for it with bounded crash retry
+(:mod:`offload`).  Only ``bench/`` and the transport's own tests import
+it; the ``benchmark`` PR of ROADMAP item 2 detaches ``bench/``, after
+which the package is deleted or carries the one leaf-fragment attempt.
 """
 
 from .offload import OffloadClient, OffloadStats

@@ -1,28 +1,10 @@
-"""The offload job registry: pure functions over buffer-described inputs.
+"""The job registry: pure functions over buffer-described inputs.
 
-Every job is ``f(arrays, params, ctx) -> (arrays_out, values_out)`` where
-``arrays`` came out of the shared-memory codec, ``params`` is a small
-picklable dict, and ``ctx`` gives access to worker-resident caches
-(pinned join indexes, registered operator specs).  Jobs are **pure**
-given their inputs plus the referenced immutable cache entries: the same
-job always returns bit-identical arrays, which is what lets the host
-apply results in deterministic submission order and retry after a worker
-crash.  This module is the job-boundary API a future distributed or
-multi-backend executor would implement against.
-
-Job kinds
----------
-``probe``           chunk of hash-join probe: key columns -> match pairs
-                    (inner) or a keep mask (semi/anti) against a pinned
-                    build index.
-``grouped_reduce``  one page's aggregation partials: key columns + value
-                    columns -> per-group unique keys and reduced fields.
-``filter``          chunk of a compiled filter: referenced columns ->
-                    boolean keep mask.
-``project``         chunk of a compiled projection: referenced columns ->
-                    output columns.
-``radix``           chunk of spill partitioning: key columns -> partition
-                    assignment per row.
+Every job is ``f(arrays, params) -> (arrays_out, values_out)`` where
+``arrays`` came out of the shared-memory codec and ``params`` is a small
+picklable dict.  Jobs are **pure**: the same job always returns
+bit-identical arrays, which is what lets the client resubmit one whose
+worker died.  Only the transport's own test jobs are registered.
 """
 
 from __future__ import annotations
@@ -30,145 +12,27 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
-__all__ = ["run_job", "build_spec", "build_index_from_arrays"]
+__all__ = ["run_job"]
 
 
-class _StubPage:
-    """Just enough page surface for compiled expression closures
-    (``page.columns[i]`` and ``page.num_rows``)."""
-
-    __slots__ = ("columns", "num_rows")
-
-    def __init__(self, columns, num_rows):
-        self.columns = columns
-        self.num_rows = num_rows
-
-
-def _stub_page(arrays, params):
-    positions = params["positions"]
-    columns = [None] * (max(positions) + 1 if positions else 0)
-    for pos, arr in zip(positions, arrays):
-        columns[pos] = arr
-    return _StubPage(columns, params["num_rows"])
-
-
-def build_spec(payload: dict):
-    """Compile a registered operator spec once per worker process."""
-    from ..sql.compiler import compile_expression, compile_expressions
-
-    kind = payload["kind"]
-    if kind == "filter":
-        return ("filter", compile_expression(payload["expr"]))
-    if kind == "project":
-        return ("project", compile_expressions(payload["exprs"]))
-    raise ValueError(f"unknown spec kind {kind!r}")
-
-
-def build_index_from_arrays(key_cols):
-    """Reconstruct the CSR join index from pinned build key columns.
-
-    ``_BuildIndex`` construction is deterministic given the key arrays,
-    so every worker (and the host fallback) derives the same index.
-    """
-    from ..exec.operators.join import _BuildIndex
-
-    return _BuildIndex.from_key_columns(key_cols)
-
-
-def _job_probe(arrays, params, ctx):
-    index = ctx.get_index(params["index"])
-    join = params["join"]
-    gids = index.probe_group_ids(list(arrays))
-    if join in ("semi", "anti"):
-        mask = (gids >= 0) == (join == "semi")
-        return [mask], {}
-    probe_rows, build_rows = index.expand_matches(gids)
-    if params.get("need_mask"):
-        return [probe_rows, build_rows, gids >= 0], {}
-    return [probe_rows, build_rows], {}
-
-
-def _job_grouped_reduce(arrays, params, ctx):
-    from ..sql.functions import (
-        group_codes,
-        grouped_count,
-        grouped_max,
-        grouped_min,
-        grouped_sum,
-    )
-
-    num_keys = params["num_keys"]
-    num_rows = params["num_rows"]
-    keys = list(arrays[:num_keys])
-    if keys:
-        codes, uniques = group_codes(keys)
-        ngroups = len(uniques[0])
-    else:
-        codes = np.zeros(num_rows, dtype=np.int64)
-        ngroups = 1
-        uniques = []
-    out: list[np.ndarray] = []
-    for op, src in params["ops"]:
-        if op == "count":
-            out.append(grouped_count(codes, ngroups))
-            continue
-        values = arrays[src]
-        if op == "sumf":
-            out.append(
-                grouped_sum(codes, values.astype(np.float64, copy=False), ngroups)
-            )
-        elif op == "sum":
-            out.append(grouped_sum(codes, values, ngroups))
-        elif op == "min":
-            out.append(grouped_min(codes, values, ngroups))
-        else:
-            out.append(grouped_max(codes, values, ngroups))
-    return list(uniques) + out, {"ngroups": ngroups, "nkeys": len(uniques)}
-
-
-def _job_filter(arrays, params, ctx):
-    _, evaluate = ctx.get_spec(params["spec"])
-    mask = evaluate(_stub_page(arrays, params)).astype(bool, copy=False)
-    return [mask], {}
-
-
-def _job_project(arrays, params, ctx):
-    _, evaluate = ctx.get_spec(params["spec"])
-    return list(evaluate(_stub_page(arrays, params))), {}
-
-
-def _job_radix(arrays, params, ctx):
-    from ..exec.spill.partition import radix_assignments
-
-    return [radix_assignments(list(arrays), params["fanout"], params["level"])], {}
-
-
-# -- test-support jobs (exercised by the pool's own test suite) ------------
-def _job_echo(arrays, params, ctx):
+def _job_echo(arrays, params):
     return list(arrays), dict(params.get("values", {}))
 
 
-def _job_crash(arrays, params, ctx):  # pragma: no cover - kills the process
+def _job_crash(arrays, params):  # pragma: no cover - kills the process
     os._exit(17)
 
 
-def _job_sleep(arrays, params, ctx):
+def _job_sleep(arrays, params):
     time.sleep(params.get("seconds", 0.05))
     return [], {}
 
 
-def _job_raise(arrays, params, ctx):
+def _job_raise(arrays, params):
     raise ValueError(params.get("message", "offload job failed"))
 
 
 _JOBS = {
-    "probe": _job_probe,
-    "grouped_reduce": _job_grouped_reduce,
-    "filter": _job_filter,
-    "project": _job_project,
-    "radix": _job_radix,
     "_test_echo": _job_echo,
     "_test_crash": _job_crash,
     "_test_sleep": _job_sleep,
@@ -176,8 +40,8 @@ _JOBS = {
 }
 
 
-def run_job(kind: str, arrays, params, ctx):
+def run_job(kind: str, arrays, params):
     fn = _JOBS.get(kind)
     if fn is None:
         raise ValueError(f"unknown job kind {kind!r}")
-    return fn(arrays, params, ctx)
+    return fn(arrays, params)

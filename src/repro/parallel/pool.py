@@ -6,16 +6,11 @@ status tuples (``("ok", ...)``, ``("err", ...)``, ``("crash",)``).
 Policy — retries, structured exceptions, result decoding — lives in
 :class:`repro.parallel.offload.OffloadClient`.
 
-Determinism note: ticket ids increase in submission order and the host
-waits for tickets in an order chosen by the (deterministic) simulation
-control plane, so wall-clock completion order never leaks into results.
-
 Crash handling: every in-flight ticket is tagged with the worker it was
 sent to.  When a worker dies (pipe EOF / dead process / job-deadline
 overrun, in which case it is killed), all of its in-flight tickets
-resolve to ``("crash",)``, the worker is respawned, and broadcast state
-(operator specs, pinned indexes) is replayed to the replacement — so a
-crash can never strand a waiter or hang the engine.
+resolve to ``("crash",)`` and the worker is respawned — so a crash can
+never strand a waiter.
 """
 
 from __future__ import annotations
@@ -61,8 +56,6 @@ class WorkerPool:
         self._pending: dict[int, int] = {}
         #: ticket -> status tuple, drained by :meth:`wait`
         self._done: dict[int, tuple] = {}
-        #: broadcast log replayed to respawned workers, keyed for removal
-        self._broadcasts: dict[tuple, tuple] = {}
         self.respawns = 0
         self._closed = False
         for slot in range(workers):
@@ -80,8 +73,6 @@ class WorkerPool:
         proc.start()
         child_conn.close()
         self._workers[slot] = _Worker(proc, parent_conn)
-        for msg in self._broadcasts.values():
-            parent_conn.send(msg)
 
     def _bury(self, slot: int) -> None:
         """Resolve every in-flight ticket on a dead worker and respawn it."""
@@ -131,34 +122,14 @@ class WorkerPool:
         self._pending.clear()
 
     # -- dispatch ----------------------------------------------------------
-    def broadcast(self, msg: tuple, replay_key: tuple | None = None) -> None:
-        """Send ``msg`` to every worker; ``replay_key`` keeps it in the
-        respawn log until :meth:`unbroadcast` removes it."""
-        if replay_key is not None:
-            self._broadcasts[replay_key] = msg
-        for slot, worker in enumerate(self._workers):
-            if worker is None:
-                continue
-            try:
-                worker.conn.send(msg)
-            except (BrokenPipeError, OSError):
-                self._bury(slot)
-
-    def unbroadcast(self, replay_key: tuple, msg: tuple | None = None) -> None:
-        """Drop a replayed broadcast, optionally sending a tombstone."""
-        self._broadcasts.pop(replay_key, None)
-        if msg is not None:
-            self.broadcast(msg)
-
-    def submit(self, kind, seg_name, meta, params, worker: int | None = None) -> int:
-        """Dispatch one job; returns its ticket id."""
+    def submit(self, kind, seg_name, meta, params) -> int:
+        """Dispatch one job round-robin; returns its ticket id."""
         if self._closed:
             raise RuntimeError("pool is shut down")
         ticket = self._next_ticket
         self._next_ticket += 1
-        slot = self._rr if worker is None else worker % self.size
-        if worker is None:
-            self._rr = (self._rr + 1) % self.size
+        slot = self._rr
+        self._rr = (self._rr + 1) % self.size
         target = self._workers[slot]
         try:
             target.conn.send(("job", ticket, kind, seg_name, meta, params))
@@ -192,15 +163,13 @@ class WorkerPool:
             else:
                 self._done[ticket] = ("err", reply[2], reply[3], reply[4])
 
-    def wait(self, ticket: int, timeout_s: float | None = None) -> tuple:
+    def wait(self, ticket: int) -> tuple:
         """Block until ``ticket`` resolves; kills its worker on deadline.
 
         Returns ``("ok", seg_name, meta, values, exec_ns)``,
         ``("err", exc_type, message, traceback)`` or ``("crash",)``.
         """
-        deadline = time.monotonic() + (
-            JOB_TIMEOUT_S if timeout_s is None else timeout_s
-        )
+        deadline = time.monotonic() + JOB_TIMEOUT_S
         while True:
             result = self._done.pop(ticket, None)
             if result is not None:
@@ -218,18 +187,14 @@ class WorkerPool:
                 return self._done.pop(ticket, ("crash",))
             self._drain_ready(min(remaining, 0.1))
 
-    def poll(self) -> None:
-        """Opportunistically drain finished replies without blocking."""
-        self._drain_ready(0)
-
 
 # -- process-wide pool registry -------------------------------------------
 _POOLS: dict[int, WorkerPool] = {}
 
 
 def get_pool(workers: int) -> WorkerPool:
-    """Process-wide pool singleton per worker count (engines are cheap and
-    plentiful in tests and benchmarks; forked workers are not)."""
+    """Process-wide pool singleton per worker count (clients are cheap
+    and plentiful in tests and benchmarks; forked workers are not)."""
     pool = _POOLS.get(workers)
     if pool is None or pool._closed:
         pool = _POOLS[workers] = WorkerPool(workers)

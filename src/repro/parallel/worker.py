@@ -1,17 +1,12 @@
 """Worker-process entry point: a blocking job loop over one duplex pipe.
 
-Each worker owns caches of *broadcast* state — compiled operator specs
-and pinned join-build indexes — both materialised lazily so a worker
-that never probes a given join never pays for its index.  Array data
-always travels through shared memory (see :mod:`pagebuf`); the pipe
-carries only control messages, layout metadata, and small params dicts.
+Array data always travels through shared memory (see :mod:`pagebuf`);
+the pipe carries only control messages, layout metadata, and small
+params dicts.
 
 Messages host -> worker::
 
     ("job", ticket, kind, seg_name | None, meta, params)
-    ("spec", spec_id, payload)          # broadcast, compiled on first use
-    ("pin", index_id, seg_name, meta)   # broadcast build-key segment
-    ("release", index_id)
     ("stop",)
 
 Replies worker -> host::
@@ -25,58 +20,14 @@ from __future__ import annotations
 import time
 import traceback
 
-from .jobs import build_index_from_arrays, build_spec, run_job
+from .jobs import run_job
 from .pagebuf import decode_arrays, encode_arrays, write_buffers
 from .shm import attach_segment, create_segment
 
-__all__ = ["worker_main", "WorkerContext"]
+__all__ = ["worker_main"]
 
 
-class WorkerContext:
-    """Worker-resident caches handed to every job invocation."""
-
-    def __init__(self):
-        self._spec_payloads: dict[int, object] = {}
-        self._specs: dict[int, object] = {}
-        self._pins: dict[int, tuple[str, list]] = {}
-        self._indexes: dict[int, object] = {}
-        self._pin_segments: dict[int, object] = {}
-
-    def add_spec(self, spec_id: int, payload) -> None:
-        self._spec_payloads[spec_id] = payload
-        # Ids are process-unique on the host side, but drop any compiled
-        # form anyway: a re-broadcast must never serve a stale closure.
-        self._specs.pop(spec_id, None)
-
-    def get_spec(self, spec_id: int):
-        spec = self._specs.get(spec_id)
-        if spec is None:
-            spec = self._specs[spec_id] = build_spec(self._spec_payloads[spec_id])
-        return spec
-
-    def add_index(self, index_id: int, seg_name: str, meta) -> None:
-        self._pins[index_id] = (seg_name, meta)
-        self._indexes.pop(index_id, None)
-
-    def get_index(self, index_id: int):
-        index = self._indexes.get(index_id)
-        if index is None:
-            seg_name, meta = self._pins[index_id]
-            seg = attach_segment(seg_name)
-            # Copy the key columns out so the index owns its arrays and
-            # the segment can be released independently of index life.
-            key_cols = decode_arrays(seg.buf, meta, copy=True)
-            seg.close()
-            index = self._indexes[index_id] = build_index_from_arrays(key_cols)
-            del self._pins[index_id]
-        return index
-
-    def release_index(self, index_id: int) -> None:
-        self._pins.pop(index_id, None)
-        self._indexes.pop(index_id, None)
-
-
-def _run_one(ctx: WorkerContext, kind: str, seg_name, meta, params):
+def _run_one(kind: str, seg_name, meta, params):
     """Attach -> decode -> run -> encode; returns the reply payload."""
     seg = None
     arrays: list = []
@@ -84,7 +35,7 @@ def _run_one(ctx: WorkerContext, kind: str, seg_name, meta, params):
         if seg_name is not None:
             seg = attach_segment(seg_name)
             arrays = decode_arrays(seg.buf, meta)
-        out_arrays, values = run_job(kind, arrays, params, ctx)
+        out_arrays, values = run_job(kind, arrays, params)
         out_name = None
         out_meta: list = []
         if out_arrays:
@@ -95,8 +46,8 @@ def _run_one(ctx: WorkerContext, kind: str, seg_name, meta, params):
             out_name = out_seg.name
             # Close our mapping; the host attaches by name and unlinks.
             out_seg.close()
-        # Result arrays may be views into the input segment (e.g. a bare
-        # column projection); drop them before the segment is closed.
+        # Result arrays may be views into the input segment (the echo
+        # job returns its inputs); drop them before the segment is closed.
         del out_arrays
         return out_name, out_meta, values
     finally:
@@ -112,44 +63,28 @@ def worker_main(conn, parent_conn=None) -> None:
     """Blocking worker loop; returns when told to stop or the pipe dies."""
     if parent_conn is not None:
         parent_conn.close()
-    ctx = WorkerContext()
     while True:
         try:
             msg = conn.recv()
         except (EOFError, OSError):  # pragma: no cover - host went away
             return
-        tag = msg[0]
-        if tag == "stop":
+        if msg[0] == "stop":
             return
-        if tag == "spec":
-            ctx.add_spec(msg[1], msg[2])
-            continue
-        if tag == "pin":
-            ctx.add_index(msg[1], msg[2], msg[3])
-            continue
-        if tag == "release":
-            ctx.release_index(msg[1])
-            continue
         _, ticket, kind, seg_name, meta, params = msg
         started = time.perf_counter_ns()
         try:
-            out_name, out_meta, values = _run_one(ctx, kind, seg_name, meta, params)
+            out_name, out_meta, values = _run_one(kind, seg_name, meta, params)
+            exec_ns = time.perf_counter_ns() - started
+            reply = ("ok", ticket, out_name, out_meta, values, exec_ns)
         except BaseException as exc:  # noqa: BLE001 - reported, not rethrown
-            try:
-                conn.send(
-                    (
-                        "err",
-                        ticket,
-                        type(exc).__name__,
-                        str(exc),
-                        traceback.format_exc(),
-                    )
-                )
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                return
-            continue
-        exec_ns = time.perf_counter_ns() - started
+            reply = (
+                "err",
+                ticket,
+                type(exc).__name__,
+                str(exc),
+                traceback.format_exc(),
+            )
         try:
-            conn.send(("ok", ticket, out_name, out_meta, values, exec_ns))
+            conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover
             return

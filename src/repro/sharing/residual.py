@@ -26,9 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pages import ColumnType, DictColumn, Page, Schema
+from ..pages import Page, Schema
 from ..sql.expressions import AggregateCall, BoundExpr
-from ..sql.functions import grouped_max, grouped_min
+from ..sql.functions import (
+    group_codes,
+    grouped_count,
+    grouped_max,
+    grouped_min,
+    grouped_sum,
+)
 
 
 @dataclass
@@ -84,25 +90,6 @@ def apply_residual(page: Page, residual: Residual) -> Page:
 
 
 # -- grouped aggregation over one page ---------------------------------------
-def _group_ids(page: Page, group_keys: list[int]) -> tuple[np.ndarray, list]:
-    """Sorted-key-order group ids (the engine's factorizer order)."""
-    n = page.num_rows
-    key_columns = [page.columns[k].tolist() for k in group_keys]
-    seen: dict = {}
-    raw = np.empty(n, dtype=np.int64)
-    for i, key_row in enumerate(zip(*key_columns)):
-        g = seen.get(key_row)
-        if g is None:
-            g = seen[key_row] = len(seen)
-        raw[i] = g
-    order = sorted(seen)
-    remap = np.empty(len(seen), dtype=np.int64)
-    for rank, key_row in enumerate(order):
-        remap[seen[key_row]] = rank
-    gid = remap[raw] if n else raw
-    return gid, order
-
-
 def _aggregate_page(
     page: Page,
     group_keys: list[int],
@@ -114,69 +101,29 @@ def _aggregate_page(
             "residual aggregation requires group keys (global aggregates "
             "fold only on exact fingerprint match)"
         )
-    gid, order = _group_ids(page, group_keys)
-    ngroups = len(order)
-    counts = (
-        np.bincount(gid, minlength=ngroups).astype(np.int64)
-        if page.num_rows
-        else np.zeros(ngroups, dtype=np.int64)
+    # group_codes numbers groups in sorted-key order (see module docstring).
+    codes, uniques = group_codes([page.columns[k] for k in group_keys])
+    ngroups = len(uniques[0])
+    columns = list(uniques)
+    for call in aggregates:
+        if call.function == "count":
+            # No NULLs in the engine's data model: count(x) == count(*).
+            columns.append(grouped_count(codes, ngroups))
+            continue
+        arg = call.arg.evaluate(page)
+        if call.function in ("sum", "avg"):
+            sums = grouped_sum(codes, arg.astype(np.int64, copy=False), ngroups)
+            if call.function == "avg":
+                # Exact integer sum / exact count in float64: the same
+                # division the engine's final aggregation performs.
+                sums = sums.astype(np.float64) / grouped_count(codes, ngroups)
+            columns.append(sums)
+        elif call.function == "min":
+            columns.append(grouped_min(codes, arg, ngroups))
+        elif call.function == "max":
+            columns.append(grouped_max(codes, arg, ngroups))
+        else:
+            raise ExecutionError(f"unsupported residual aggregate {call.function}")
+    return Page(
+        schema, [f.type.coerce(col) for f, col in zip(schema.fields, columns)]
     )
-    columns: list[np.ndarray] = []
-    for pos in range(len(group_keys)):
-        field = schema.fields[pos]
-        columns.append(field.type.coerce([key_row[pos] for key_row in order]))
-    for j, call in enumerate(aggregates):
-        field = schema.fields[len(group_keys) + j]
-        columns.append(
-            _evaluate_agg(call, page, gid, ngroups, counts, field.type)
-        )
-    return Page(schema, columns)
-
-
-def _evaluate_agg(
-    call: AggregateCall,
-    page: Page,
-    gid: np.ndarray,
-    ngroups: int,
-    counts: np.ndarray,
-    out_type: ColumnType,
-) -> np.ndarray:
-    if call.function == "count":
-        # No NULLs in the engine's data model: count(x) == count(*).
-        return counts.astype(out_type.numpy_dtype, copy=False)
-    arg = call.arg.evaluate(page)
-    if call.function == "sum":
-        out = np.zeros(ngroups, dtype=np.int64)
-        np.add.at(out, gid, arg.astype(np.int64, copy=False))
-        return out.astype(out_type.numpy_dtype, copy=False)
-    if call.function == "avg":
-        sums = np.zeros(ngroups, dtype=np.int64)
-        np.add.at(sums, gid, arg.astype(np.int64, copy=False))
-        # Exact integer sum / exact count in float64: the same division
-        # the engine's final aggregation performs.
-        return sums.astype(np.float64) / counts
-    if call.function in ("min", "max"):
-        return _min_max(call.function, arg, gid, ngroups, out_type)
-    raise ExecutionError(f"unsupported residual aggregate {call.function}")
-
-
-def _min_max(
-    function: str,
-    arg: np.ndarray,
-    gid: np.ndarray,
-    ngroups: int,
-    out_type: ColumnType,
-) -> np.ndarray:
-    if isinstance(arg, DictColumn):
-        reduce = grouped_min if function == "min" else grouped_max
-        return reduce(gid, arg, ngroups)
-    # Seed each group with its first value, then reduce in place; groups
-    # are non-empty by construction (ids come from the rows themselves).
-    first_index = np.full(ngroups, len(gid), dtype=np.int64)
-    np.minimum.at(first_index, gid, np.arange(len(gid), dtype=np.int64))
-    out = arg[first_index].copy()
-    if function == "min":
-        np.minimum.at(out, gid, arg)
-    else:
-        np.maximum.at(out, gid, arg)
-    return out.astype(out_type.numpy_dtype, copy=False)

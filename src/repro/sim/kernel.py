@@ -100,13 +100,6 @@ class SimKernel:
         #: The engine's decision log (``repro.obs.decisions``), reached the
         #: same way and inert in the same sense.
         self.decisions = DecisionLog(self)
-        #: Offload client (repro.parallel) reachable from every component
-        #: that holds the kernel, mirroring ``tracer``.  ``None`` keeps
-        #: everything inline; the engine assigns a client when
-        #: ``EngineConfig.parallel.workers > 0``.  Like the tracer it is
-        #: read-only w.r.t. simulation state: offloaded work returns
-        #: bit-identical arrays, so no event order or timing can change.
-        self.offload = None
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[[], None]) -> Event:

@@ -126,12 +126,16 @@ class CpuPool:
             return
         while self.busy < self.cores and self._queue:
             _, _, (kind, cost, fn) = heapq.heappop(self._queue)
+            # The core is taken before an 'acquire' callback runs: a
+            # wake-up inside it re-enters _grant (driver quantum -> buffer
+            # space -> co-located driver -> acquire) and must not be
+            # handed this same core (DESIGN.md §10.1).
+            self._account()
+            self.busy += 1
             if kind == "acquire":
                 cost, fn = fn()
                 if cost < 0:
                     raise ValueError("cost must be >= 0")
-            self._account()
-            self.busy += 1
             self.kernel.post(cost, self._complete, fn)
 
     def _complete(self, fn: Callable[[], None]) -> None:

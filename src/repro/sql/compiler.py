@@ -31,17 +31,6 @@ property test in ``tests/test_expression_compiler.py`` pits both paths
 against each other on randomized trees and pages, and
 ``EngineConfig.compiled_expressions=False`` switches every operator back
 to the interpreted path.
-
-Compiled closures are additionally the unit the worker-pool offload
-backend ships (DESIGN.md §15): an operator broadcasts its expression
-tree once, and each worker compiles it lazily through this module —
-through the same global cache, which forked workers inherit pre-warmed.
-Two properties of the closures make that safe, and must be preserved:
-they read **only** ``page.columns[i]`` and ``page.num_rows`` (workers
-evaluate them against a schema-less stub over shared-memory views —
-see ``repro.parallel.jobs``), and they are **pure** per page (no
-closure-held mutable state), which is what lets a crashed job be
-resubmitted as-is and chunk results concatenate bit-identically.
 """
 
 from __future__ import annotations

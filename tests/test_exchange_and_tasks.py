@@ -3,7 +3,12 @@ exercised through a minimal two-stage query."""
 
 import pytest
 
-from repro import AccordionEngine, EngineConfig, QueryOptions
+from repro import (
+    AccordionEngine,
+    EngineConfig,
+    QueryOptions,
+    shuffle_experiment_engine,
+)
 from repro.config import CostModel
 from repro.data.tpch.queries import QUERIES
 from repro.errors import SchedulingError
@@ -168,6 +173,43 @@ def test_cpu_work_happened_on_multiple_nodes(catalog):
         if n.cpu.busy_core_seconds() > 0
     ]
     assert len(busy_nodes) >= 3
+
+
+def test_shuffle_stage_query_never_over_grants_a_core():
+    """QSHUFFLE in the Figure 28 setup.  A driver quantum that frees
+    buffer space wakes a co-located driver from inside ``CpuPool._grant``;
+    when the core being granted was not yet counted, the nested grant
+    handed it out twice, a second driver of the same task ran inside the
+    first one's quantum, and one split was fetched twice (the second
+    commit found no batch)."""
+
+    def run(**shuffle_stage):
+        engine = shuffle_experiment_engine()
+        query = engine.submit(
+            QUERIES["QSHUFFLE"],
+            QueryOptions(
+                join_distribution="partitioned",
+                scan_stage_dop=2,
+                initial_task_dop=6,
+                **shuffle_stage,
+            ),
+        )
+        pools = [node.cpu for node in engine.cluster.all_nodes()]
+        over = set()
+
+        def check() -> bool:
+            over.update(p.name for p in pools if p.busy > p.cores)
+            return query.finished
+
+        engine.kernel.run(stop_when=check, max_events=2_000_000)
+        return query.result().rows, over
+
+    rows, over = run(
+        shuffle_stage_tables=frozenset({"orders"}), stage_dops={1: 10, 2: 1}
+    )
+    plain_rows, plain_over = run(stage_dops={1: 10})
+    assert rows == plain_rows
+    assert not over and not plain_over
 
 
 # -- scheduler placement ------------------------------------------------------

@@ -11,14 +11,20 @@ speed-up back without failing anything.  This test makes it fail: from
 and join/shuffle benchmark templates decode and re-encode nothing.
 """
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import TEST_SCALE, TEST_SEED, make_engine, slow_engine
 
+import repro
 from repro import QueryOptions, TPCH_QUERIES
 from repro.data import Catalog
+from repro.exec import operators
 from repro.exec.exchange_client import ExchangeClient
+from repro.exec.spill import SpillPartitions
 from repro.exec.splits import SystemSplit
 from repro.pages import DictColumn
 
@@ -141,3 +147,23 @@ def test_exchange_wakeups_do_bounded_work_per_fetch(
     for top, bottom in (("attempts", "fetches"), ("events", "pages")):
         a, b = small[top] / small[bottom], large[top] / large[bottom]
         assert abs(a - b) < 0.10 * max(a, b), (top, bottom, small, large)
+
+
+# -- one execution path per operator ------------------------------------------
+def test_no_offload_fork_in_the_engine_or_its_operators():
+    """Every operator has one ``process()`` body: the per-kernel worker
+    offload is gone (DESIGN.md §15), and nothing on the engine side of
+    ``repro.parallel`` may mention it again without this failing."""
+    src = Path(repro.__file__).parent
+    packages = ("exec", "sql", "sim", "obs", "pages", "buffers", "cluster")
+    files = [src / "engine.py"]
+    for package in packages:
+        files += sorted((src / package).rglob("*.py"))
+    assert [
+        str(path.relative_to(src))
+        for path in files
+        if "offload" in path.read_text(encoding="utf-8").lower()
+    ] == []
+    constructors = [getattr(operators, name) for name in operators.__all__]
+    for cls in constructors + [SpillPartitions]:
+        assert "offload" not in inspect.signature(cls.__init__).parameters, cls

@@ -1,24 +1,23 @@
-"""Unit tests for the worker-pool offload backend (``repro.parallel``).
+"""Unit tests for the worker-pool transport (``repro.parallel``).
 
-Covers the layers below the operators: the shared-memory array codec,
-job dispatch and result decoding, structured failure semantics (remote
-exceptions vs worker death vs retry exhaustion), and the workers=1
-pool-vs-inline equivalence the determinism story rests on.
+Covers the shared-memory array codec, job dispatch and result decoding,
+and structured failure semantics (remote exceptions vs worker death vs
+retry exhaustion).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
-
-from conftest import norm_rows
 
 from repro import AccordionEngine, EngineConfig
 from repro.config import ParallelConfig
 from repro.data.tpch.queries import QUERIES
 from repro.errors import WorkerCrashedError, WorkerJobError
 from repro.pages import DictColumn
-from repro.parallel import OffloadClient
+from repro.parallel import OffloadClient, shutdown_pools
 from repro.parallel.pagebuf import decode_arrays, encode_arrays, write_buffers
 
 
@@ -132,78 +131,14 @@ def test_crash_retry_budget_is_bounded():
     assert client.stats.crashes == 3  # initial attempt + 2 retries
 
 
-def test_chunk_bounds_cover_rows_exactly():
-    client = make_client(workers=4, min_chunk_rows=10)
-    for rows in (1, 9, 10, 11, 39, 40, 41, 1000):
-        bounds = client.chunk_bounds(rows)
-        assert bounds[0][0] == 0 and bounds[-1][1] == rows
-        assert all(a2 == b1 for (_, b1), (a2, _) in zip(bounds, bounds[1:]))
-        assert len(bounds) <= client.workers
-        if len(bounds) > 1:
-            assert all(end - start >= 10 for start, end in bounds)
-
-
-def test_chunk_bounds_are_deterministic():
-    client = make_client(workers=3)
-    assert client.chunk_bounds(10_000) == client.chunk_bounds(10_000)
-
-
-# -- workers=1 pool-vs-inline equivalence ----------------------------------
-def run_query(catalog, sql, workers):
-    config = EngineConfig(page_row_limit=256)
-    if workers:
-        config = config.with_parallelism(
-            workers=workers, min_offload_rows=1, min_chunk_rows=1
-        )
-    engine = AccordionEngine(catalog, config=config)
-    result = engine.execute(sql, max_virtual_seconds=1e6)
-    jobs = engine.offload.stats.jobs if engine.offload is not None else 0
-    return {
-        "rows": norm_rows(result.rows),
-        "virtual_time": engine.now,
-        "events": engine.kernel.events_processed,
-    }, jobs
-
-
-def test_single_worker_pool_matches_inline(catalog):
-    serial, serial_jobs = run_query(catalog, QUERIES["Q3"], workers=0)
-    pooled, pooled_jobs = run_query(catalog, QUERIES["Q3"], workers=1)
-    assert serial_jobs == 0
-    assert pooled_jobs > 0, "offload must actually engage at workers=1"
-    assert pooled == serial
-
-
-def test_q9_two_worker_pool_matches_inline(catalog):
-    """Q9 (string LIKE filter, five joins) is unrecoverable under the
-    crash schedule of test_parallel_identity, so it is pinned fault-free."""
-    serial, _ = run_query(catalog, QUERIES["Q9"], workers=0)
-    pooled, pooled_jobs = run_query(catalog, QUERIES["Q9"], workers=2)
-    assert pooled_jobs > 0, "offload must actually engage"
-    assert pooled == serial
-
-
-# -- side-band telemetry ----------------------------------------------------
-def test_offload_counters_are_opt_in_side_band(catalog):
-    from repro.obs import offload_counters
-
-    serial = AccordionEngine(catalog, config=EngineConfig(page_row_limit=256))
-    serial.execute(QUERIES["Q3"], max_virtual_seconds=1e6)
-    assert offload_counters(serial) == []
-
-    config = EngineConfig(page_row_limit=256).with_parallelism(
-        workers=2, min_offload_rows=1, min_chunk_rows=1
+# -- the engine does not use the transport ----------------------------------
+def test_engine_accepts_parallel_config_and_starts_no_pool(catalog):
+    shutdown_pools()  # the pools the tests above left running
+    plain = AccordionEngine(catalog)
+    rows = plain.execute(QUERIES["Q18"]).rows
+    engine = AccordionEngine(
+        catalog, config=EngineConfig().with_parallelism(workers=2)
     )
-    engine = AccordionEngine(catalog, config=config)
-    engine.execute(QUERIES["Q3"], max_virtual_seconds=1e6)
-    events = offload_counters(engine)
-    assert events, "parallel engine must expose counter events"
-    names = {e["name"] for e in events}
-    assert "offload jobs" in names
-    for event in events:
-        assert event["ph"] == "C"
-        assert event["ts"] == engine.now * 1e6
-        (value,) = event["args"].values()
-        assert isinstance(value, (int, float))
-    # Snapshot exposes the derived queue-wait/utilization metrics too.
-    snapshot = engine.offload.stats.snapshot()
-    assert "wait_ms_per_job" in snapshot and "utilization" in snapshot
+    assert engine.execute(QUERIES["Q18"]).rows == rows
+    assert engine.kernel.events_processed == plain.kernel.events_processed
+    assert multiprocessing.active_children() == []

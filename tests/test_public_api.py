@@ -4,9 +4,13 @@ package, and the linter must actually catch violations."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 LINTER = REPO / "tools" / "api_lint.py"
@@ -62,3 +66,34 @@ def test_public_surface_is_importable():
     assert {"Decision", "ProfileReport", "QueryTrace", "SharingInfo"} <= set(
         repro.__all__
     )
+
+
+def test_bench_layer_modules_import_only_exported_names():
+    """Tier-1 mirror of ``bench/test_bench.py::
+    test_layer_modules_import_only_exported_names``: a name ``bench/``
+    imports from a ``repro.*`` sub-package is part of that package's
+    ``__all__``, so deleting or renaming it fails here, not only under
+    ``pytest bench``."""
+    unlisted_ok = {("repro.reference", "execute_reference")}  # no __all__
+    for name in ("layers.py", "probes.py"):
+        tree = ast.parse((REPO / "bench" / name).read_text())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0):
+                continue
+            if not (node.module or "").startswith("repro."):
+                continue
+            exported = getattr(importlib.import_module(node.module), "__all__", ())
+            for alias in node.names:
+                assert alias.name in exported or (node.module, alias.name) in unlisted_ok, (
+                    f"bench/{name}: {node.module}.{alias.name} is not in __all__"
+                )
+
+
+def test_pool_transport_bench_probes_round_trips_an_echo_job():
+    """``bench/probes.py::_probe_parallel``'s exact call shape."""
+    from repro import ParallelConfig
+    from repro.parallel import OffloadClient
+
+    client = OffloadClient(ParallelConfig(workers=2))
+    arrays, values = client.wait(client.submit("_test_echo", [np.arange(8)], {}))
+    assert values == {} and arrays[0].tolist() == list(range(8))
