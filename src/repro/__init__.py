@@ -63,8 +63,16 @@ from .experiments import (
 )
 from .faults import FaultInjector, FaultPlan, NodeCrash, RpcOutage, RpcStorm, TaskCrash
 from .handle import QueryHandle, QueryResult
-from .metrics import render_curve_points, render_series, render_table
-from .obs import Decision, MetricsRegistry, ProfileReport, QueryTrace, Tracer
+from .obs import (
+    Decision,
+    MetricsRegistry,
+    ProfileReport,
+    QueryTrace,
+    Tracer,
+    render_curve_points,
+    render_series,
+    render_table,
+)
 from .predict import Prediction, StageDemand
 from .script import ScriptResult, run_script
 from .sharing import SharingInfo

@@ -74,9 +74,3 @@ def find_bottlenecks(
         if utilization >= NIC_BOTTLENECK_THRESHOLD:
             found.append(Bottleneck(-1, "network", f"{node_key} NIC at {utilization:.0%}"))
     return found
-
-
-def stage_rows_expected(stage) -> bool:
-    """Whether the stage is expected to emit rows continuously (joins and
-    scans do; a final aggregation only emits at the end)."""
-    return not stage.fragment.dop_fixed

@@ -35,7 +35,15 @@ class DopPlanner:
         self.config = config
 
     def plan(self, plan: PhysicalPlan, deadline_seconds: float) -> DopPlan:
-        scans = self._probe_chain_scans(plan)
+        # Scan stages that act as progress indicators (probe chains).
+        scans = sorted(
+            {
+                plan.probe_scan(fragment.id)
+                for fragment in plan.fragments.values()
+                if not (fragment.dop_fixed or fragment.is_source)
+            }
+            - {None}
+        )
         weights = {}
         for stage_id in scans:
             table = plan.fragment(stage_id).source_table
@@ -61,22 +69,6 @@ class DopPlanner:
             initial_task_dop=max(1, min(2, initial_stage_dop)),
             scan_deadlines=deadlines,
         )
-
-    def _probe_chain_scans(self, plan: PhysicalPlan) -> list[int]:
-        """Scan stages that act as progress indicators (probe chains)."""
-        scans = set()
-        for fragment in plan.fragments.values():
-            if fragment.dop_fixed or fragment.is_source:
-                continue
-            current = fragment
-            seen = set()
-            while current.probe_child is not None and current.id not in seen:
-                seen.add(current.id)
-                current = plan.fragment(current.probe_child)
-                if current.is_source:
-                    scans.add(current.id)
-                    break
-        return sorted(scans)
 
     def _initial_dop(self, plan: PhysicalPlan, deadline_seconds: float) -> int:
         """Crude starting parallelism: total scan CPU-seconds at DOP 1

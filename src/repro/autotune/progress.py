@@ -20,21 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def probe_scan_stage(query: "QueryExecution", stage_id: int) -> int | None:
-    """The table-scan stage feeding ``stage_id``'s probe input chain.
-
-    Follows ``probe_child`` links down the fragment tree (e.g. Q3's S1 ->
-    S2, S3 -> S4, Figure 21).
-    """
-    current = query.plan.fragment(stage_id)
-    seen = set()
-    while current is not None and current.id not in seen:
-        seen.add(current.id)
-        if current.is_source:
-            return current.id
-        if current.probe_child is None:
-            return None
-        current = query.plan.fragment(current.probe_child)
-    return None
+    """The table-scan stage feeding ``stage_id``'s probe input chain
+    (:meth:`PhysicalPlan.probe_scan` of the query's plan)."""
+    return query.plan.probe_scan(stage_id)
 
 
 def remaining_seconds(

@@ -48,12 +48,18 @@ class WaiterList:
         return len(self._waiters)
 
 
-class ElasticPageBuffer:
-    """A page queue with consumer-driven capacity management."""
+class ElasticCapacity:
+    """The consumer-driven capacity protocol, once, for both buffer kinds.
 
-    #: Trace span this buffer's turn-up/resize instants report under (the
-    #: owning task sets it when tracing is on; class default keeps the
-    #: common untraced path allocation-free).
+    Its users differ only in call order, which is part of each one's
+    pinned virtual timing (DESIGN.md §5): a task output buffer counts
+    what a ``take`` removed and *then* resizes, an exchange buffer
+    resizes at the top of ``poll`` and counts the page afterwards.
+    """
+
+    #: Trace span the turn-up/resize instants report under (the owning
+    #: task sets it when tracing is on; the class default keeps the common
+    #: untraced path allocation-free).
     trace_parent: int | None = None
 
     def __init__(
@@ -66,7 +72,6 @@ class ElasticPageBuffer:
         self.kernel = kernel
         self.config = config
         self.name = name
-        self._queue: deque[Page] = deque()
         if config.elastic:
             self.capacity = max(1, config.initial_capacity_pages)
         else:
@@ -76,6 +81,62 @@ class ElasticPageBuffer:
         self.turn_up_counter = 0
         self._consumed_this_period = 0
         self._period_started = kernel.now
+
+    def turn_up(self) -> bool:
+        """The consumer found nothing to take: double the capacity (up to
+        the configured maximum).  True when it grew."""
+        config = self.config
+        new_capacity = min(config.max_capacity_pages, self.capacity * 2)
+        if not config.elastic or new_capacity <= self.capacity:
+            return False
+        self.capacity = new_capacity
+        self.turn_up_counter += 1
+        self._instant("turn_up")
+        return True
+
+    def consumed(self, pages: int) -> None:
+        self._consumed_this_period += pages
+
+    def resize_if_due(self) -> bool:
+        """Once per ``resize_period``: size the buffer to what was consumed
+        in the period that just ended.  True when the capacity grew."""
+        config = self.config
+        now = self.kernel.now
+        if not config.elastic or now - self._period_started < config.resize_period:
+            return False
+        before = self.capacity
+        self.capacity = max(
+            1,
+            config.initial_capacity_pages,
+            min(config.max_capacity_pages, self._consumed_this_period),
+        )
+        self._period_started = now
+        self._consumed_this_period = 0
+        if self.capacity != before:
+            self._instant("resize")
+        return self.capacity > before
+
+    def _instant(self, what: str) -> None:
+        tracer = self.kernel.tracer
+        if tracer.enabled:
+            tracer.instant(
+                "buffer", what, parent=self.trace_parent,
+                buffer=self.name, capacity=self.capacity,
+            )
+
+
+class ElasticPageBuffer(ElasticCapacity):
+    """A page queue with consumer-driven capacity management."""
+
+    def __init__(
+        self,
+        kernel: SimKernel,
+        config: BufferConfig,
+        name: str = "buffer",
+        avg_page_bytes: int = 256 * 1024,
+    ):
+        super().__init__(kernel, config, name, avg_page_bytes)
+        self._queue: deque[Page] = deque()
         self.total_pages_in = 0
         self.total_pages_out = 0
         self.total_rows_out = 0
@@ -111,61 +172,22 @@ class ElasticPageBuffer:
     # -- consumer side ----------------------------------------------------
     def poll(self) -> Page | None:
         """Dequeue one page; adjusts capacity per the elastic protocol."""
-        self._maybe_resize()
+        if self.resize_if_due():
+            self.not_full.notify_all()
         if not self._queue:
-            if self.config.elastic and not self.closed:
-                self._turn_up()
+            if not self.closed and self.turn_up():
+                self.not_full.notify_all()
             return None
         page = self._queue.popleft()
         self.total_pages_out += 1
         if not page.is_end:
             self.total_rows_out += page.num_rows
-            self._consumed_this_period += 1
+            self.consumed(1)
         self.not_full.notify_all()
         return page
 
     def peek(self) -> Page | None:
         return self._queue[0] if self._queue else None
-
-    def _turn_up(self) -> None:
-        new_capacity = min(self.config.max_capacity_pages, self.capacity * 2)
-        if new_capacity > self.capacity:
-            self.capacity = new_capacity
-            self.turn_up_counter += 1
-            tracer = self.kernel.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "buffer", "turn_up", parent=self.trace_parent,
-                    buffer=self.name, capacity=new_capacity,
-                )
-            self.not_full.notify_all()
-
-    def _maybe_resize(self) -> None:
-        if not self.config.elastic:
-            return
-        now = self.kernel.now
-        elapsed = now - self._period_started
-        if elapsed < self.config.resize_period:
-            return
-        # Size the buffer to roughly what was consumed in the last period.
-        target = max(
-            self.config.initial_capacity_pages,
-            min(self.config.max_capacity_pages, self._consumed_this_period),
-        )
-        grew = target > self.capacity
-        changed = target != self.capacity
-        self.capacity = target
-        if changed:
-            tracer = self.kernel.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "buffer", "resize", parent=self.trace_parent,
-                    buffer=self.name, capacity=target,
-                )
-        if grew:
-            self.not_full.notify_all()
-        self._period_started = now
-        self._consumed_this_period = 0
 
     def close(self) -> None:
         self.closed = True

@@ -35,7 +35,7 @@ from ..errors import InvariantViolation, SchedulingError
 from ..pages import Page
 from ..sim import CpuPool, SimKernel
 from ..sql.functions import partition_assignments
-from .elastic import WaiterList
+from .elastic import ElasticCapacity, WaiterList
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
@@ -76,51 +76,8 @@ class ConsumerQueue:
             self.on_update.notify_all()
 
 
-class _Capacity:
-    """Elastic/fixed capacity bookkeeping shared by output buffers."""
-
-    def __init__(self, kernel: SimKernel, config: BufferConfig, avg_page_bytes: int = 256 * 1024):
-        self.kernel = kernel
-        self.config = config
-        if config.elastic:
-            self.capacity = max(1, config.initial_capacity_pages)
-        else:
-            self.capacity = max(1, config.fixed_capacity_bytes // avg_page_bytes)
-        self.turn_up_counter = 0
-        self._consumed = 0
-        self._period_started = kernel.now
-
-    def turn_up(self) -> bool:
-        if not self.config.elastic:
-            return False
-        new_capacity = min(self.config.max_capacity_pages, self.capacity * 2)
-        if new_capacity > self.capacity:
-            self.capacity = new_capacity
-            self.turn_up_counter += 1
-            return True
-        return False
-
-    def consumed(self, pages: int = 1) -> None:
-        self._consumed += pages
-        if not self.config.elastic:
-            return
-        now = self.kernel.now
-        if now - self._period_started >= self.config.resize_period:
-            target = max(
-                self.config.initial_capacity_pages,
-                min(self.config.max_capacity_pages, self._consumed),
-            )
-            self.capacity = max(target, 1)
-            self._period_started = now
-            self._consumed = 0
-
-
 class TaskOutputBuffer:
     """Common machinery: consumer registry, accounting, producer gating."""
-
-    #: Trace span (the owning task's) that turn-up/resize instants report
-    #: under; set by the task when tracing is on.
-    trace_parent: int | None = None
 
     def __init__(
         self,
@@ -142,7 +99,7 @@ class TaskOutputBuffer:
         #: Fired whenever a consumer queue is created (exchange clients
         #: whose buffer id does not exist yet wait here).
         self.on_consumer_added = WaiterList()
-        self.capacity = _Capacity(kernel, config)
+        self.capacity = ElasticCapacity(kernel, config, name)
         self.rows_out = 0
         self.pages_out = 0
         self.bytes_out = 0
@@ -256,40 +213,18 @@ class TaskOutputBuffer:
         while source and len(taken) < max_pages:
             taken.append(source.popleft())
         if not taken and not queue.ended:
-            if self._capacity_turn_up():
+            if self.capacity.turn_up():
                 self.not_full.notify_all()
         if taken:
             if any(not p.is_end for p in taken):
                 self.ever_fetched = True
-            self._capacity_consumed(sum(1 for p in taken if not p.is_end))
+            self.capacity.consumed(sum(1 for p in taken if not p.is_end))
+            self.capacity.resize_if_due()
             self.not_full.notify_all()
         return taken
 
     def _source_queue(self, queue: ConsumerQueue) -> deque[Page]:
         return queue.pages
-
-    # -- elastic capacity with trace instants ------------------------------
-    def _capacity_turn_up(self) -> bool:
-        if not self.capacity.turn_up():
-            return False
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.instant(
-                "buffer", "turn_up", parent=self.trace_parent,
-                buffer=self.name, capacity=self.capacity.capacity,
-            )
-        return True
-
-    def _capacity_consumed(self, pages: int) -> None:
-        before = self.capacity.capacity
-        self.capacity.consumed(pages)
-        if self.capacity.capacity != before:
-            tracer = self.kernel.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    "buffer", "resize", parent=self.trace_parent,
-                    buffer=self.name, capacity=self.capacity.capacity,
-                )
 
     def _account(self, page: Page) -> None:
         self.rows_out += page.num_rows
@@ -364,14 +299,15 @@ class SharedOutputBuffer(TaskOutputBuffer):
                 while queue.pages:
                     taken.append(queue.pages.popleft())
         if not taken and not queue.ended:
-            if self._capacity_turn_up():
+            if self.capacity.turn_up():
                 self.not_full.notify_all()
         if taken:
             data = [p for p in taken if not p.is_end]
             if data:
                 self.ever_fetched = True
                 self._taken_log.setdefault(buffer_id, []).extend(data)
-            self._capacity_consumed(len(data))
+            self.capacity.consumed(len(data))
+            self.capacity.resize_if_due()
             self.not_full.notify_all()
         return taken
 

@@ -15,8 +15,8 @@ from ..config import EngineConfig, config_fingerprint
 from ..data import Catalog, SplitLayout
 from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
 from ..exec.spill import QueryMemory
-from ..metrics.throughput import ThroughputTracker
 from ..obs.decisions import fault_timeline
+from ..obs.throughput import ThroughputTracker
 from ..pages import Page, concat_pages
 from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan

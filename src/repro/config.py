@@ -509,13 +509,9 @@ class EngineConfig(_Fingerprinted):
     intermediate_data_cache: bool = True
     #: Collector sampling period for runtime info (Section 5.1), seconds.
     collector_period: float = 0.5
-    #: Host-performance switches (DESIGN.md §10).  Both caches are
-    #: **bit-inert**: answers, virtual timings, and event counts are
-    #: identical with them on or off — the flags exist for the identity
-    #: tests and for debugging, not for tuning results.
-    #: Lower expressions to cached vectorized closures (repro.sql.compiler)
-    #: instead of interpreting the expression tree per page.
-    compiled_expressions: bool = True
+    #: Host-performance switch (DESIGN.md §10), **bit-inert**: answers,
+    #: virtual timings and event counts are identical with it on or off —
+    #: it exists for the identity test and for debugging, not for tuning.
     #: Memoize parse -> analyze -> optimize -> physical plan per
     #: (catalog version, SQL, options) across queries and engines.
     plan_cache: bool = True

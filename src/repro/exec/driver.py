@@ -258,31 +258,17 @@ class Driver:
                 op_costs.append((self._op_names[index], op_cost))
             pages = next_pages
             if op.done_early and not self._end_seen:
-                # LIMIT satisfied: start the end relay from here without
-                # draining the source.
+                # LIMIT satisfied: the end page follows the limit's last
+                # pages down the rest of the chain like any other end; the
+                # source is not drained.
                 self._end_seen = True
-                end_outs, c = self._relay_end(index + 1)
-                cost += c
-                pages = [p for p in pages if not p.is_end] + end_outs
-                break
+                pages.append(Page.end())
         data_pages = [p for p in pages if not p.is_end]
         # An end page always traverses the whole remaining chain within one
         # quantum (stateful operators flush, then relay), so seeing the end
         # means the relay completed and the driver is done.
         finished = self._end_seen
         return data_pages, cost, finished
-
-    def _relay_end(self, start_index: int) -> tuple[list[Page], float]:
-        pages: list[Page] = [Page.end()]
-        cost = 0.0
-        for op in self.transforms[start_index:]:
-            next_pages: list[Page] = []
-            for p in pages:
-                outs, c = op.process(p)
-                cost += c
-                next_pages.extend(outs)
-            pages = next_pages
-        return [p for p in pages if not p.is_end], cost
 
     def _finish(self) -> None:
         self.state = DriverState.FINISHED

@@ -22,7 +22,7 @@ import numpy as np
 
 from ...config import CostModel
 from ...errors import ExecutionError
-from ...pages import ColumnType, DictColumn, Page, PageBuilder, Schema
+from ...pages import ColumnType, DictColumn, Page, Schema
 from ...pages.dictcolumn import concat_columns
 from ...sql.compiler import compile_expressions
 from ...sql.expressions import AggregateCall, BoundExpr
@@ -223,27 +223,23 @@ class _HashAggState:
         return keys, fields
 
 
-def _aggregate_arg_evaluator(
-    aggregates: list[AggregateCall], compiled: bool
-):
+def _aggregate_arg_evaluator(aggregates: list[AggregateCall]):
     """Build ``f(page) -> [values | None per aggregate]``.
 
-    Compiled mode jointly compiles all argument expressions, so common
+    All argument expressions are compiled jointly, so common
     subexpressions shared between aggregates evaluate once per page.
     """
     args: list[BoundExpr | None] = [a.arg for a in aggregates]
     exprs = [a for a in args if a is not None]
     if not exprs:
         return lambda page: [None] * len(args)
-    if compiled:
-        joint = compile_expressions(exprs)
+    joint = compile_expressions(exprs)
 
-        def eval_args(page: Page) -> list:
-            values = iter(joint(page))
-            return [None if a is None else next(values) for a in args]
+    def eval_args(page: Page) -> list:
+        values = iter(joint(page))
+        return [None if a is None else next(values) for a in args]
 
-        return eval_args
-    return lambda page: [None if a is None else a.evaluate(page) for a in args]
+    return eval_args
 
 
 def _page_partials(
@@ -313,6 +309,16 @@ class _GroupKeyFactorizer:
             uniques[j] = DictColumn(entry_of[uniques[j]], col.dictionary)
         return codes, uniques
 
+    def page_groups(
+        self, key_cols: list[np.ndarray], num_rows: int
+    ) -> tuple[np.ndarray, list[np.ndarray], int]:
+        """(row -> page-local group, unique key columns, group count);
+        without keys every row falls in the one global group."""
+        if not key_cols:
+            return np.zeros(num_rows, dtype=np.int64), [], 1
+        codes, uniques = self.factorize(key_cols)
+        return codes, uniques, len(uniques[0])
+
 
 class PartialAggOperator(TransformOperator):
     name = "partial_aggregation"
@@ -325,7 +331,6 @@ class PartialAggOperator(TransformOperator):
         output_schema: Schema,
         row_limit: int = 4096,
         group_limit: int = 100_000,
-        compiled: bool = True,
         memory: OperatorMemory | None = None,
     ):
         super().__init__(cost)
@@ -335,26 +340,20 @@ class PartialAggOperator(TransformOperator):
         self.group_limit = group_limit
         self.state = _HashAggState(aggregates)
         self._factorizer = _GroupKeyFactorizer()
-        self._eval_args = _aggregate_arg_evaluator(aggregates, compiled)
+        self._eval_args = _aggregate_arg_evaluator(aggregates)
         self.rows_in = 0
         self.memory = memory
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
             pages = self._flush()
-            self.finished = True
             cpu = self.cpu(sum(p.num_rows for p in pages), self.cost.partial_agg_row_cost)
             return pages + [page], cpu
         self.rows_in += page.num_rows
         cpu = self.cpu(page.num_rows, self.cost.partial_agg_row_cost)
-        key_cols = [page.columns[k] for k in self.group_keys]
-        if key_cols:
-            codes, uniques = self._factorizer.factorize(key_cols)
-            ngroups = len(uniques[0])
-        else:
-            codes = np.zeros(page.num_rows, dtype=np.int64)
-            ngroups = 1
-            uniques = []
+        codes, uniques, ngroups = self._factorizer.page_groups(
+            [page.columns[k] for k in self.group_keys], page.num_rows
+        )
         partials = _page_partials(self.state, self._eval_args(page), codes, ngroups)
         self.state.merge_groups(
             _group_key_tuples(uniques, ngroups), uniques, partials
@@ -376,13 +375,7 @@ class PartialAggOperator(TransformOperator):
         key_cols, field_cols = self.state.drain_columns()
         if self.memory is not None:
             self.memory.report(0)
-        builder = PageBuilder(self.output_schema, self.row_limit)
-        builder.append_columns(key_cols + field_cols)
-        pages = builder.build_full_pages()
-        tail = builder.flush()
-        if tail is not None:
-            pages.append(tail)
-        return pages
+        return Page(self.output_schema, key_cols + field_cols).split(self.row_limit)
 
 
 class FinalAggOperator(TransformOperator):
@@ -422,7 +415,6 @@ class FinalAggOperator(TransformOperator):
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
-            self.finished = True
             if self.spill is not None:
                 return self._grace_finalize(page)
             pages = self._final_pages_from_state(self.state)
@@ -448,14 +440,9 @@ class FinalAggOperator(TransformOperator):
         """Merge one partial-format page into ``state`` (pre-reducing the
         page's state columns per group first)."""
         k = self.num_keys
-        key_cols = list(page.columns[:k])
-        if key_cols:
-            codes, uniques = self._factorizer.factorize(key_cols)
-            ngroups = len(uniques[0])
-        else:
-            codes = np.zeros(page.num_rows, dtype=np.int64)
-            ngroups = 1
-            uniques = []
+        codes, uniques, ngroups = self._factorizer.page_groups(
+            list(page.columns[:k]), page.num_rows
+        )
         field_values: list[np.ndarray] = []
         field = 0
         for kind, _ in state.field_specs:
@@ -477,13 +464,7 @@ class FinalAggOperator(TransformOperator):
         the operator's own input format, so merging a spilled page reuses
         the ordinary merge path)."""
         key_cols, field_cols = self.state.drain_columns()
-        builder = PageBuilder(self._input_schema, self.row_limit)
-        builder.append_columns(list(key_cols) + list(field_cols))
-        pages = builder.build_full_pages()
-        tail = builder.flush()
-        if tail is not None:
-            pages.append(tail)
-        return pages
+        return Page(self._input_schema, key_cols + field_cols).split(self.row_limit)
 
     def _spill_state(self) -> float:
         """Spill the current state to the radix partitions; returns the
@@ -541,10 +522,7 @@ class FinalAggOperator(TransformOperator):
                     _empty_value(a.function, a.result_type)
                     for a in state.aggregates
                 )
-                builder = PageBuilder(self.output_schema, self.row_limit)
-                builder.append_rows([row])
-                page = builder.flush()
-                return [page] if page is not None else []
+                return [Page.from_rows(self.output_schema, [row])]
             return []
         key_cols, field_cols = state.drain_columns()
         columns = list(key_cols)
@@ -559,13 +537,4 @@ class FinalAggOperator(TransformOperator):
                 columns.append(avg)
             else:
                 columns.append(field_cols[offset])
-        builder = PageBuilder(self.output_schema, self.row_limit)
-        builder.append_columns(columns)
-        pages = builder.build_full_pages()
-        tail = builder.flush()
-        if tail is not None:
-            pages.append(tail)
-        return pages
-
-    def offsets_of(self, agg_index: int) -> int:
-        return self.state.offsets[agg_index]
+        return Page(self.output_schema, columns).split(self.row_limit)

@@ -7,8 +7,7 @@ quantum is the sum of the costs reported by each step.
 
 End pages (:meth:`Page.is_end`) travel through the chain (the paper's
 "end page relay game", Figure 13): stateless transforms relay them
-immediately and enter the finished state; stateful transforms first flush
-their results, then relay.
+immediately; stateful transforms first flush their results, then relay.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ class TransformOperator:
 
     def __init__(self, cost: CostModel):
         self.cost = cost
-        self.finished = False
         #: Set by operators that can complete early (LIMIT): the driver
-        #: starts the end-page relay from here without draining the source.
+        #: sends an end page down the chain behind this operator's output
+        #: without draining the source.
         self.done_early = False
 
     def cpu(self, rows: int, per_row: float) -> float:
@@ -39,8 +38,8 @@ class TransformOperator:
     def process(self, page: Page) -> tuple[list[Page], float]:
         """Transform ``page``; returns (output pages, cpu cost).
 
-        ``page`` may be an end page: the operator must flush any state,
-        append the end page after its outputs, and set ``finished``.
+        ``page`` may be an end page: the operator must flush any state
+        and append the end page after its outputs.
         """
         raise NotImplementedError
 

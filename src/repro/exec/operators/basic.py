@@ -12,18 +12,15 @@ from .base import TransformOperator
 class FilterOperator(TransformOperator):
     name = "filter"
 
-    def __init__(self, cost: CostModel, predicate: BoundExpr, compiled: bool = True):
+    def __init__(self, cost: CostModel, predicate: BoundExpr):
         super().__init__(cost)
         self.predicate = predicate
-        self._evaluate = (
-            compile_expression(predicate) if compiled else predicate.evaluate
-        )
+        self._evaluate = compile_expression(predicate)
         self.rows_in = 0
         self.rows_out = 0
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
-            self.finished = True
             return [page], 0.0
         self.rows_in += page.num_rows
         mask = self._evaluate(page).astype(bool, copy=False)
@@ -38,26 +35,16 @@ class FilterOperator(TransformOperator):
 class ProjectOperator(TransformOperator):
     name = "project"
 
-    def __init__(
-        self,
-        cost: CostModel,
-        exprs: list[BoundExpr],
-        schema: Schema,
-        compiled: bool = True,
-    ):
+    def __init__(self, cost: CostModel, exprs: list[BoundExpr], schema: Schema):
         super().__init__(cost)
         self.exprs = exprs
         self.schema = schema
-        if compiled:
-            # Joint compilation: subexpressions shared between projection
-            # columns are computed once per page.
-            self._evaluate = compile_expressions(exprs)
-        else:
-            self._evaluate = lambda page: [e.evaluate(page) for e in exprs]
+        # Joint compilation: subexpressions shared between projection
+        # columns are computed once per page.
+        self._evaluate = compile_expressions(exprs)
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
-            self.finished = True
             return [page], 0.0
         columns = self._evaluate(page)
         cpu = self.cpu(page.num_rows * max(1, len(self.exprs)), self.cost.project_row_cost)
@@ -81,7 +68,6 @@ class LimitOperator(TransformOperator):
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
-            self.finished = True
             return [page], 0.0
         if self.remaining <= 0:
             self.done_early = True

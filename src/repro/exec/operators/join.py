@@ -421,19 +421,15 @@ class HashJoinProbeOperator(TransformOperator):
         probe_keys: list[int],
         residual: BoundExpr | None,
         output_schema: Schema,
-        compiled: bool = True,
     ):
         super().__init__(cost)
         self.bridge = bridge
         self.join_type = join_type
         self.probe_keys = probe_keys
         self.residual = residual
-        if residual is None:
-            self._residual_evaluate = None
-        elif compiled:
-            self._residual_evaluate = compile_expression(residual)
-        else:
-            self._residual_evaluate = residual.evaluate
+        self._residual_evaluate = (
+            compile_expression(residual) if residual is not None else None
+        )
         self.output_schema = output_schema
         self.rows_probed = 0
 
@@ -446,7 +442,6 @@ class HashJoinProbeOperator(TransformOperator):
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
-            self.finished = True
             bridge = self.bridge
             if bridge.spilled and not bridge.grace_done:
                 # First probe driver to drain its input runs the grace
@@ -548,28 +543,44 @@ class HashJoinProbeOperator(TransformOperator):
         """Join the spilled build/probe partitions pairwise."""
         bridge = self.bridge
         out: list[Page] = []
-        cost = 0.0
         if bridge.probe_spill is None:
-            return out, cost  # probe side produced no rows at all
+            return out, 0.0  # probe side produced no rows at all
         bridge.probe_spill.finish()  # flush buffered writers before reading
-        memory = bridge.memory
-        for p in range(bridge.probe_spill.fanout):
-            probe_bytes = bridge.probe_spill.partition_bytes(p)
+        return out, self._join_pairs(
+            bridge.build_spill, bridge.probe_spill, _INT64_MAX, 0, out, 0.0
+        )
+
+    def _join_pairs(
+        self,
+        build: SpillPartitions,
+        probe: SpillPartitions,
+        parent_bytes: int,
+        level: int,
+        out: list[Page],
+        cost: float,
+    ) -> float:
+        """Join partition ``p`` of ``build`` with partition ``p`` of
+        ``probe`` (both split on radix digit ``level``) for every ``p``.
+        Takes the caller's running ``cost`` and adds to it term by term
+        rather than returning a subtotal: float addition is not
+        associative, and the virtual clock is pinned bit for bit."""
+        memory = self.bridge.memory
+        label = f"partition l{level}." if level else "partition "
+        for p in range(probe.fanout):
+            probe_bytes = probe.partition_bytes(p)
             if probe_bytes == 0:
                 continue  # no probe rows → no output, even for ANTI
-            build_bytes = bridge.build_spill.partition_bytes(p)
-            cost += memory.spill_read(
-                build_bytes + probe_bytes, f"partition {p}"
-            )
+            build_bytes = build.partition_bytes(p)
+            cost += memory.spill_read(build_bytes + probe_bytes, f"{label}{p}")
             cost += self._join_partition(
-                list(bridge.build_spill.read_pages(p)),
-                bridge.probe_spill.read_pages(p),
+                list(build.read_pages(p)),
+                probe.read_pages(p),
                 build_bytes,
-                parent_bytes=_INT64_MAX,
-                level=0,
-                out=out,
+                parent_bytes,
+                level,
+                out,
             )
-        return out, cost
+        return cost
 
     def _join_partition(
         self,
@@ -612,7 +623,6 @@ class HashJoinProbeOperator(TransformOperator):
             for pg in build_pages:
                 written += sub_build.write_page(pg)
             sub_build.finish()
-            probe_schema = None
             sub_probe = None
             for pg in probe_pages:
                 if sub_probe is None:
@@ -633,25 +643,11 @@ class HashJoinProbeOperator(TransformOperator):
                 f"repartition l{level + 1}",
             )
             if sub_probe is not None:
-                for q in range(sub_probe.fanout):
-                    sub_probe_bytes = sub_probe.partition_bytes(q)
-                    if sub_probe_bytes == 0:
-                        continue
-                    sub_bytes = sub_build.partition_bytes(q)
-                    cost += memory.spill_read(
-                        sub_bytes + sub_probe_bytes, f"partition l{level + 1}.{q}"
-                    )
-                    cost += self._join_partition(
-                        list(sub_build.read_pages(q)),
-                        sub_probe.read_pages(q),
-                        sub_bytes,
-                        parent_bytes=build_bytes,
-                        level=level + 1,
-                        out=out,
-                    )
-            sub_build.delete()
-            if sub_probe is not None:
+                cost = self._join_pairs(
+                    sub_build, sub_probe, build_bytes, level + 1, out, cost
+                )
                 sub_probe.delete()
+            sub_build.delete()
             return cost
 
         build_page = concat_pages(bridge.build_schema, build_pages)

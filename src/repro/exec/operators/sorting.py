@@ -4,7 +4,7 @@ partial TopN variant pushed into upstream stages)."""
 from __future__ import annotations
 
 from ...config import CostModel
-from ...pages import Page, PageBuilder, Schema, concat_pages
+from ...pages import Page, Schema, concat_pages
 from ...reference import sort_indices
 from .base import TransformOperator
 
@@ -40,7 +40,6 @@ class TopNOperator(TransformOperator):
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
             out = self._emit()
-            self.finished = True
             return out + [page], self.cpu(
                 sum(p.num_rows for p in out), self.cost.sort_row_cost
             )
@@ -83,7 +82,6 @@ class SortOperator(TransformOperator):
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
             out = self._emit()
-            self.finished = True
             return out + [page], self.cpu(
                 sum(p.num_rows for p in out), self.cost.sort_row_cost
             )
@@ -94,8 +92,4 @@ class SortOperator(TransformOperator):
         if not self._pages:
             return []
         merged = concat_pages(self.schema, self._pages)
-        ordered = merged.take(sort_indices(merged, self.sort_keys))
-        pages = []
-        for start in range(0, ordered.num_rows, self.row_limit):
-            pages.append(ordered.slice(start, start + self.row_limit))
-        return pages
+        return merged.take(sort_indices(merged, self.sort_keys)).split(self.row_limit)

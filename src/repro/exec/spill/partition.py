@@ -83,10 +83,6 @@ class SpillPartitions:
             writer.close()
 
     # -- read side --------------------------------------------------------
-    def partition_rows(self, p: int) -> int:
-        writer = self._writers.get(p)
-        return writer.rows if writer is not None else 0
-
     def partition_bytes(self, p: int) -> int:
         writer = self._writers.get(p)
         return writer.accounted_bytes if writer is not None else 0

@@ -171,7 +171,7 @@ class Task:
         node.task_count += 1
         if self.trace_span > 0:
             # Buffers report turn-up/resize instants under this task's span.
-            self.output_buffer.trace_parent = self.trace_span
+            self.output_buffer.capacity.trace_parent = self.trace_span
             for client in self.exchange_clients.values():
                 client.buffer.trace_parent = self.trace_span
 
@@ -323,13 +323,10 @@ class Task:
         raise SchedulingError(f"unknown sink kind {sink.kind}")
 
     def _make_transform(self, node: PNode) -> TransformOperator:
-        compiled = self.config.compiled_expressions
         if isinstance(node, PFilterNode):
-            return FilterOperator(self.cost, node.predicate, compiled=compiled)
+            return FilterOperator(self.cost, node.predicate)
         if isinstance(node, PProjectNode):
-            return ProjectOperator(
-                self.cost, node.exprs, node.schema, compiled=compiled
-            )
+            return ProjectOperator(self.cost, node.exprs, node.schema)
         if isinstance(node, PPartialAggNode):
             return PartialAggOperator(
                 self.cost,
@@ -337,7 +334,6 @@ class Task:
                 node.aggregates,
                 node.schema,
                 row_limit=self.config.page_row_limit,
-                compiled=compiled,
                 memory=self._op_memory("partial_agg"),
             )
         if isinstance(node, PFinalAggNode):
@@ -358,7 +354,6 @@ class Task:
                 node.probe_keys,
                 node.residual,
                 node.schema,
-                compiled=compiled,
             )
         if isinstance(node, PTopNNode):
             return TopNOperator(

@@ -432,7 +432,7 @@ class QueryHandle:
 
     def fault_report(self) -> str:
         """Failure/recovery counters and fault timeline for this query."""
-        from .metrics.report import render_fault_report
+        from .obs.report import render_fault_report
 
         return render_fault_report(self)
 

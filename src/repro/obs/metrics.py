@@ -13,6 +13,8 @@ flattened into dotted keys (``recovery.restarts``), which lets existing
 
 from __future__ import annotations
 
+from .report import render_table
+
 
 class Counter:
     """A named monotonically increasing counter."""
@@ -66,8 +68,6 @@ class MetricsRegistry:
         return out
 
     def render(self) -> str:
-        from ..metrics.report import render_table
-
         snap = self.snapshot()
         rows = [(key, snap[key]) for key in sorted(snap)]
         return render_table(["metric", "value"], rows)

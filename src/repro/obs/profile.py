@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .report import render_table
+
 
 @dataclass
 class OpProfile:
@@ -35,10 +37,6 @@ class OpProfile:
     @property
     def wall_seconds(self) -> float:
         return self.wall_ns / 1e9
-
-    @property
-    def ns_per_row(self) -> float:
-        return self.wall_ns / self.rows if self.rows else 0.0
 
 
 class Profiler:
@@ -99,8 +97,6 @@ class ProfileReport:
         return out
 
     def render(self, limit: int = 15) -> str:
-        from ..metrics.report import render_table
-
         total = self.total_wall_seconds or 1.0
         rows = [
             (

@@ -19,7 +19,7 @@ from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
-    from ..obs.decisions import Decision
+    from .decisions import Decision
 
 
 #: Decision kinds drawn as markers on the throughput curves.

@@ -210,8 +210,3 @@ class Tracer:
 
     def spans_of(self, kind: str) -> list[Span]:
         return [s for s in self.spans if s.kind == kind]
-
-    def close_open_spans(self, at: float | None = None) -> None:
-        """Close every still-open span (end-of-run cleanup for exports)."""
-        for span_id in list(self._open):
-            self.end(span_id, at=at)

@@ -1,6 +1,5 @@
-"""Columnar page format: schemas, pages, end pages, and builders."""
+"""Columnar page format: schemas, pages and end pages."""
 
-from .builder import PageBuilder
 from .dictcolumn import DictColumn
 from .page import Page, PageKind, concat_pages
 from .schema import ColumnType, Field, Schema
@@ -10,7 +9,6 @@ __all__ = [
     "DictColumn",
     "Field",
     "Page",
-    "PageBuilder",
     "PageKind",
     "Schema",
     "concat_pages",

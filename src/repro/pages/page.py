@@ -185,9 +185,17 @@ class Page:
     def slice(self, start: int, stop: int) -> "Page":
         return Page(self.schema, [c[start:stop] for c in self.columns])
 
-    def with_columns(self, schema: Schema, columns: Sequence[np.ndarray]) -> "Page":
-        """Replace schema+columns, keeping row count (projection output)."""
-        return Page(schema, columns)
+    def split(self, row_limit: int) -> list["Page"]:
+        """These rows as pages of at most ``row_limit`` rows, the paper's
+        page (sub-chunk) granularity of data flow; none when empty."""
+        if row_limit <= 0:
+            raise ValueError("row_limit must be positive")
+        if self.num_rows <= row_limit:
+            return [self] if self.num_rows else []
+        return [
+            self.slice(start, start + row_limit)
+            for start in range(0, self.num_rows, row_limit)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_end:

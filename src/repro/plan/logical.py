@@ -25,9 +25,6 @@ class LogicalNode:
     def children(self) -> list["LogicalNode"]:
         raise NotImplementedError
 
-    def with_children(self, children: list["LogicalNode"]) -> "LogicalNode":
-        raise NotImplementedError
-
     @property
     def name(self) -> str:
         return type(self).__name__.removeprefix("Logical")
@@ -53,10 +50,6 @@ class LogicalScan(LogicalNode):
     def children(self):
         return []
 
-    def with_children(self, children):
-        assert not children
-        return self
-
     def describe(self) -> str:
         return f"Scan[{self.table}]({', '.join(self.schema.names())})"
 
@@ -72,9 +65,6 @@ class LogicalFilter(LogicalNode):
 
     def children(self):
         return [self.child]
-
-    def with_children(self, children):
-        return LogicalFilter(children[0], self.predicate)
 
     def describe(self) -> str:
         return f"Filter[{self.predicate}]"
@@ -93,9 +83,6 @@ class LogicalProject(LogicalNode):
 
     def children(self):
         return [self.child]
-
-    def with_children(self, children):
-        return LogicalProject(children[0], self.exprs, self.schema)
 
     def describe(self) -> str:
         cols = ", ".join(f"{n}={e}" for n, e in zip(self.schema.names(), self.exprs))
@@ -121,12 +108,6 @@ class LogicalJoin(LogicalNode):
 
     def children(self):
         return [self.left, self.right]
-
-    def with_children(self, children):
-        return LogicalJoin(
-            children[0], children[1], self.join_type,
-            self.left_keys, self.right_keys, self.residual,
-        )
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -171,9 +152,6 @@ class LogicalAggregate(LogicalNode):
     def children(self):
         return [self.child]
 
-    def with_children(self, children):
-        return LogicalAggregate(children[0], self.group_keys, self.aggregates, self.schema)
-
     def describe(self) -> str:
         keys = ", ".join(f"${k}" for k in self.group_keys)
         aggs = ", ".join(map(str, self.aggregates))
@@ -193,9 +171,6 @@ class LogicalSort(LogicalNode):
     def children(self):
         return [self.child]
 
-    def with_children(self, children):
-        return LogicalSort(children[0], self.sort_keys)
-
     def describe(self) -> str:
         keys = ", ".join(f"${i}{'' if asc else ' desc'}" for i, asc in self.sort_keys)
         return f"Sort[{keys}]"
@@ -214,9 +189,6 @@ class LogicalTopN(LogicalNode):
     def children(self):
         return [self.child]
 
-    def with_children(self, children):
-        return LogicalTopN(children[0], self.count, self.sort_keys)
-
     def describe(self) -> str:
         keys = ", ".join(f"${i}{'' if asc else ' desc'}" for i, asc in self.sort_keys)
         return f"TopN[{self.count} by {keys}]"
@@ -233,9 +205,6 @@ class LogicalLimit(LogicalNode):
 
     def children(self):
         return [self.child]
-
-    def with_children(self, children):
-        return LogicalLimit(children[0], self.count)
 
     def describe(self) -> str:
         return f"Limit[{self.count}]"

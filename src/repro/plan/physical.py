@@ -323,6 +323,21 @@ class PhysicalPlan:
             f.id for f in self.fragments.values() if fragment_id in f.children
         ]
 
+    def probe_scan(self, fragment_id: int) -> int | None:
+        """The table-scan fragment feeding ``fragment_id``'s probe input
+        chain (itself, for a scan): follows ``probe_child`` links down the
+        fragment tree (e.g. Q3's S1 -> S2, S3 -> S4, Figure 21)."""
+        current = self.fragments[fragment_id]
+        seen = set()
+        while current.id not in seen:
+            seen.add(current.id)
+            if current.is_source:
+                return current.id
+            if current.probe_child is None:
+                return None
+            current = self.fragments[current.probe_child]
+        return None
+
     def bottom_up(self) -> list[PlanFragment]:
         """Fragments ordered children-before-parents (scheduling order)."""
         order: list[PlanFragment] = []

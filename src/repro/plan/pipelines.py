@@ -99,10 +99,6 @@ class FragmentLayout:
     #: child fragment id -> schema, for exchange client creation.
     exchange_children: dict[int, Schema] = field(default_factory=dict)
 
-    @property
-    def output_pipeline(self) -> PipelineSpec:
-        return self.pipelines[-1]
-
     def describe(self) -> str:
         return "\n".join(p.describe() for p in self.pipelines)
 

@@ -90,10 +90,6 @@ class Prediction:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def total_cpu_seconds(self) -> float:
-        return sum(d.cpu_seconds for d in self.stages)
-
     def demand(self, stage: int) -> StageDemand | None:
         for d in self.stages:
             if d.stage == stage:

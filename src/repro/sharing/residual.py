@@ -27,6 +27,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..pages import Page, Schema
+from ..sql.compiler import compile_expression, compile_expressions
 from ..sql.expressions import AggregateCall, BoundExpr
 from ..sql.functions import (
     group_codes,
@@ -75,17 +76,17 @@ class Residual:
 def apply_residual(page: Page, residual: Residual) -> Page:
     """Derive a folded consumer's result page from the carrier's page."""
     if residual.predicate is not None:
-        keep = residual.predicate.evaluate(page).astype(bool, copy=False)
+        keep = compile_expression(residual.predicate)(page).astype(bool, copy=False)
         page = page.mask(keep)
     if residual.project is not None:
         exprs, schema = residual.project
-        page = Page(schema, [e.evaluate(page) for e in exprs])
+        page = Page(schema, compile_expressions(exprs)(page))
     if residual.aggregate is not None:
         group_keys, aggregates, schema = residual.aggregate
         page = _aggregate_page(page, group_keys, aggregates, schema)
     if residual.post_project is not None:
         exprs, schema = residual.post_project
-        page = Page(schema, [e.evaluate(page) for e in exprs])
+        page = Page(schema, compile_expressions(exprs)(page))
     return page
 
 
@@ -110,7 +111,7 @@ def _aggregate_page(
             # No NULLs in the engine's data model: count(x) == count(*).
             columns.append(grouped_count(codes, ngroups))
             continue
-        arg = call.arg.evaluate(page)
+        arg = compile_expression(call.arg)(page)
         if call.function in ("sum", "avg"):
             sums = grouped_sum(codes, arg.astype(np.int64, copy=False), ngroups)
             if call.function == "avg":

@@ -53,25 +53,9 @@ class CpuPool:
         self._account()
         return self._busy_integral
 
-    def utilization_between(self, mark: float, mark_time: float) -> float:
-        """Average utilization in [0, 1] since a previous sample.
-
-        ``mark`` is a prior ``busy_core_seconds()`` reading taken at virtual
-        time ``mark_time``; the result is the mean fraction of cores busy
-        from then to now.
-        """
-        elapsed = self.kernel.now - mark_time
-        if elapsed <= 0:
-            return self.busy / self.cores
-        return (self.busy_core_seconds() - mark) / (elapsed * self.cores)
-
     @property
     def queued(self) -> int:
         return len(self._queue)
-
-    @property
-    def idle_cores(self) -> int:
-        return self.cores - self.busy
 
     # -- execution ----------------------------------------------------------
     def submit(self, cost: float, fn: Callable[[], None], priority: float = 0.0) -> None:

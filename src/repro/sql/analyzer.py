@@ -60,14 +60,6 @@ class OuterColumn(BoundExpr):
         return f"outer({self.levels}).${self.index}"
 
 
-@dataclass(frozen=True)
-class _IntervalValue:
-    """Transient binder value for INTERVAL literals (must be folded)."""
-
-    count: int
-    unit: str
-
-
 class Scope:
     """An ordered set of relations visible to name resolution.
 
@@ -89,20 +81,6 @@ class Scope:
             self.offsets.append(total)
             total += len(schema)
         self.total_columns = total
-
-    # -- structure --------------------------------------------------------
-    def global_schema(self) -> Schema:
-        fields = []
-        for _, schema in self.relations:
-            fields.extend(schema.fields)
-        return Schema(fields)
-
-    def relation_of_column(self, global_index: int) -> int:
-        """Index of the relation that owns a global column position."""
-        for i in reversed(range(len(self.relations))):
-            if global_index >= self.offsets[i]:
-                return i
-        raise IndexError(global_index)
 
     # -- resolution ----------------------------------------------------------
     def resolve(self, name: str, qualifier: str | None) -> tuple[int, int, ColumnType, str]:

@@ -1,12 +1,13 @@
 """Expression compiler: bound expression trees -> cached vectorized closures.
 
-The interpreted path (:meth:`BoundExpr.evaluate`) re-walks the expression
-tree for every page: each node re-dispatches on its operator string,
-constants re-materialise ``np.full`` arrays, ``IN`` lists re-sort, LIKE
-patterns re-compile, and common subexpressions (Q1's
+Interpreting a tree (:meth:`BoundExpr.evaluate`) re-walks it for every
+page: each node re-dispatches on its operator string, constants
+re-materialise ``np.full`` arrays, and common subexpressions (Q1's
 ``l_extendedprice * (1 - l_discount)`` appears inside the charge
 expression too) are recomputed.  Operators instead compile their
-expressions **once** into a closure over the page:
+expressions **once** into a closure over the page.  What the compiler
+owns is structure — what to fold, what to share, which kinds have a fast
+path:
 
 * **Constant pre-folding** — any subtree without an :class:`InputRef` is
   evaluated once at compile time to a dtype-typed numpy scalar.  Under
@@ -17,24 +18,26 @@ expressions **once** into a closure over the page:
   dataclasses hash/compare by value) are computed once per page through a
   memo slot; a list of expressions (projection lists, aggregate argument
   lists) is compiled jointly so sharing crosses expression boundaries.
-* **Dtype-specialised paths** — comparison/arithmetic operator dispatch,
-  ``IN``-list preparation, and LIKE pattern compilation all happen at
-  compile time, leaving only the numpy kernel calls in the per-page
-  closure.  String predicates against constants run per dictionary
-  entry, memoised on the dictionary (:meth:`DictColumn.test`), and are
-  gathered through the codes.
+* **Hot kinds by hand** — :class:`InputRef`, :class:`Arithmetic`,
+  :class:`Comparison`, :class:`BoolAnd` and :class:`BoolOr` (the measured
+  ones: every TPC-H filter and aggregate argument) get a closure with
+  operator dispatch and scalar operands resolved at compile time.
+* **Every other kind by one rule** — the node's *own* ``evaluate`` runs
+  over its compiled children (:meth:`_Compiler._build_generic`), so a
+  kind's semantics are written once, in ``sql/expressions.py``; folding
+  and sharing still apply below it, and CASE branches stay lazy.
 
 Compiled evaluators are cached globally, keyed by the (hashable)
 expression trees themselves, so respawned drivers and repeated queries
-reuse them.  The contract is **bit-identity with the interpreter**: the
-property test in ``tests/test_expression_compiler.py`` pits both paths
-against each other on randomized trees and pages, and
-``EngineConfig.compiled_expressions=False`` switches every operator back
-to the interpreted path.
+reuse them.  The contract is **bit-identity with the interpreter**, which
+stays the reference (the oracle in ``repro.reference`` interprets): the
+property test in ``tests/test_expression_compiler.py`` pits both against
+each other on randomized trees and pages.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from typing import Callable, Sequence
 
@@ -46,21 +49,10 @@ from .expressions import (
     COMPARISON_FNS,
     Arithmetic,
     BoolAnd,
-    BoolNot,
     BoolOr,
     BoundExpr,
-    CaseWhen,
-    Cast,
     Comparison,
-    Constant,
-    ExtractDatePart,
     InputRef,
-    InSet,
-    IsNull,
-    LikeMatch,
-    Negate,
-    assign_where,
-    cast_column,
 )
 
 __all__ = ["compile_expression", "compile_expressions", "clear_compile_cache"]
@@ -103,6 +95,39 @@ def _const_array_fn(value, ctype: ColumnType):
         return np.full(page.num_rows, value, dtype=dtype)
 
     return fill
+
+
+class _ChildPage:
+    """Stand-in page the generic rule hands to a node's own ``evaluate``:
+    ``columns[i]`` computes compiled child ``i`` on demand, so a CASE
+    branch no row takes is never evaluated."""
+
+    __slots__ = ("_fns", "_page", "_memo", "num_rows")
+
+    def __init__(self, fns: tuple, page: Page, memo):
+        self._fns = fns
+        self._page = page
+        self._memo = memo
+        self.num_rows = page.num_rows
+
+    @property
+    def columns(self) -> "_ChildPage":
+        return self
+
+    def __getitem__(self, index: int):
+        return self._fns[index](self._page, self._memo)
+
+
+def _positional(value, children: list[BoundExpr]):
+    """``value`` with every expression in it (tuples are descended: CASE
+    keeps its branches in one) replaced by a positional ref into
+    ``children``, to which the expression is appended."""
+    if isinstance(value, BoundExpr):
+        children.append(value)
+        return InputRef(len(children) - 1, value.type)
+    if isinstance(value, tuple):
+        return tuple(_positional(item, children) for item in value)
+    return value
 
 
 class _Compiler:
@@ -162,20 +187,34 @@ class _Compiler:
                 # interpreter's behaviour of raising only when a data page
                 # actually flows through the operator.
                 return ("fn", lambda page, memo, _e=expr: _e.evaluate(page))
-        builder = getattr(self, f"_build_{type(expr).__name__.lower()}", None)
-        if builder is None:
-            # Unknown node type: interpret it (still benefits from CSE).
-            return ("fn", lambda page, memo, _e=expr: _e.evaluate(page))
+        builder = getattr(
+            self, f"_build_{type(expr).__name__.lower()}", self._build_generic
+        )
         return builder(expr)
+
+    def _build_generic(self, expr: BoundExpr) -> tuple:
+        """Any kind without a hand-written closure below: a field-wise copy
+        of the node whose children are positional refs, evaluated by the
+        node's own ``evaluate`` against a page that computes compiled
+        child ``i`` when ``columns[i]`` is read."""
+        children: list[BoundExpr] = []
+        shell = dataclasses.replace(
+            expr,
+            **{
+                f.name: _positional(getattr(expr, f.name), children)
+                for f in dataclasses.fields(expr)
+            },
+        )
+        fns = tuple(self.array_fn(child) for child in children)
+        return (
+            "fn",
+            lambda page, memo: shell.evaluate(_ChildPage(fns, page, memo)),
+        )
 
     # -- leaves ----------------------------------------------------------
     def _build_inputref(self, expr: InputRef) -> tuple:
         index = expr.index
         return ("fn", lambda page, memo: page.columns[index])
-
-    def _build_constant(self, expr: Constant) -> tuple:  # pragma: no cover
-        # Unreachable: constants are folded by ``_build``.  Kept for safety.
-        return ("const", _fold(expr), expr.type)
 
     # -- scalar-capable binary nodes ------------------------------------
     def _operand(self, expr: BoundExpr):
@@ -286,110 +325,6 @@ class _Compiler:
             return result
 
         return ("fn", disjunction)
-
-    def _build_boolnot(self, expr: BoolNot) -> tuple:
-        inner = self.array_fn(expr.operand)
-        return (
-            "fn",
-            lambda page, memo: ~inner(page, memo).astype(bool, copy=False),
-        )
-
-    def _build_negate(self, expr: Negate) -> tuple:
-        inner = self.array_fn(expr.operand)
-        return ("fn", lambda page, memo: -inner(page, memo))
-
-    # -- predicates over one input ---------------------------------------
-    def _build_inset(self, expr: InSet) -> tuple:
-        inner = self.array_fn(expr.value)
-        if expr.value.type is ColumnType.STRING:
-            key = ("in", expr.options)
-            contains = expr.options.__contains__
-            return ("fn", lambda page, memo: inner(page, memo).test(key, contains))
-        # Hoist the sorted option array out of the per-page path.
-        sorted_options = np.array(sorted(expr.options))
-        return ("fn", lambda page, memo: np.isin(inner(page, memo), sorted_options))
-
-    def _build_likematch(self, expr: LikeMatch) -> tuple:
-        from .functions import like_matcher
-
-        match = like_matcher(expr.pattern)
-        key = ("like", expr.pattern)
-        inner = self.array_fn(expr.value)
-        negated = expr.negated
-
-        def like(page: Page, memo) -> np.ndarray:
-            result = inner(page, memo).test(key, match)
-            return ~result if negated else result
-
-        return ("fn", like)
-
-    def _build_isnull(self, expr: IsNull) -> tuple:
-        inner = self.array_fn(expr.value)
-        negated = expr.negated
-        strings = expr.value.type is ColumnType.STRING
-
-        def isnull(page: Page, memo) -> np.ndarray:
-            arr = inner(page, memo)
-            if strings:
-                result = arr.is_null()
-            else:
-                result = np.zeros(len(arr), dtype=bool)
-            return ~result if negated else result
-
-        return ("fn", isnull)
-
-    # -- structured nodes -------------------------------------------------
-    def _build_casewhen(self, expr: CaseWhen) -> tuple:
-        whens = [
-            (self.array_fn(cond), self.array_fn(value))
-            for cond, value in expr.whens
-        ]
-        default = self.array_fn(expr.default) if expr.default is not None else None
-        ctype = expr.type
-        dtype = ctype.numpy_dtype
-
-        def casewhen(page: Page, memo) -> np.ndarray:
-            n = page.num_rows
-            if ctype is ColumnType.STRING:
-                result = DictColumn.constant(None, n)
-            else:
-                result = np.zeros(n, dtype=dtype)
-            decided = np.zeros(n, dtype=bool)
-            for cond, value in whens:
-                mask = cond(page, memo).astype(bool, copy=False) & ~decided
-                if mask.any():
-                    result = assign_where(result, mask, value(page, memo))
-                decided |= mask
-            if default is not None:
-                rest = ~decided
-                if rest.any():
-                    result = assign_where(result, rest, default(page, memo))
-            return result
-
-        return ("fn", casewhen)
-
-    def _build_extractdatepart(self, expr: ExtractDatePart) -> tuple:
-        inner = self.array_fn(expr.source)
-        unit = expr.unit
-
-        def extract(page: Page, memo) -> np.ndarray:
-            days = inner(page, memo).astype("datetime64[D]")
-            if unit == "year":
-                return days.astype("datetime64[Y]").astype(np.int64) + 1970
-            if unit == "month":
-                months = days.astype("datetime64[M]").astype(np.int64)
-                return months % 12 + 1
-            if unit == "day":
-                months = days.astype("datetime64[M]")
-                return (days - months).astype(np.int64) + 1
-            raise ExecutionError(f"unsupported EXTRACT unit {unit}")
-
-        return ("fn", extract)
-
-    def _build_cast(self, expr: Cast) -> tuple:
-        inner = self.array_fn(expr.value)
-        ctype = expr.type
-        return ("fn", lambda page, memo: cast_column(inner(page, memo), ctype))
 
 
 #: Global compile caches; expression trees are frozen/hashable, so they

@@ -181,7 +181,7 @@ class WorkloadReport:
         }
 
     def render(self) -> str:
-        from ..metrics.report import render_table
+        from ..obs.report import render_table
 
         rows = []
         for name in sorted(self.tenants):

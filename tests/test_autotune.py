@@ -14,7 +14,7 @@ from repro.autotune import (
 )
 from repro.data.tpch.queries import QUERIES
 from repro.errors import TuningRejected
-from repro.metrics.throughput import ThroughputTracker
+from repro.obs.throughput import ThroughputTracker
 
 from conftest import builds_ready, norm_rows, run_until_cond, slow_engine
 

@@ -1,11 +1,11 @@
 """The host-performance contract: caches change wall clock, nothing else.
 
-Compiled expressions, the plan cache, and the dataset cache are pure
-host-side accelerations.  This test runs the same query under a node
-crash and a seeded runtime-tuning schedule with every cache enabled vs
-every cache disabled, and requires the *simulated* execution to be
-bit-identical: same answer rows, same virtual completion time, same
-number of kernel events processed.
+The plan cache and the dataset cache are pure host-side accelerations.
+This test runs the same query under a node crash and a seeded
+runtime-tuning schedule with every cache enabled vs every cache
+disabled, and requires the *simulated* execution to be bit-identical:
+same answer rows, same virtual completion time, same number of kernel
+events processed.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ TUNING_TIMES = (0.5, 1.0, 1.8)
 def run_instrumented(sql: str, caches: bool):
     """One full run; returns everything the simulation determines."""
     catalog = Catalog.tpch(scale=0.005, seed=TEST_SEED, dataset_cache=caches)
-    engine = slow_engine(
-        catalog, plan_cache=caches, compiled_expressions=caches
-    )
+    engine = slow_engine(catalog, plan_cache=caches)
     engine.inject_faults(
         FaultPlan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
     )

@@ -259,8 +259,8 @@ def test_folding_failure_defers_to_runtime():
 # -- common-subexpression sharing --------------------------------------------
 @dataclass(frozen=True)
 class _CountingExpr(BoundExpr):
-    """Unknown-to-the-compiler node: falls back to interpreted evaluation,
-    which lets the test observe how many times it actually runs."""
+    """A kind the compiler has no closure for: the generic rule runs its
+    own ``evaluate``, which lets the test observe how many times."""
 
     inner: InputRef
     type: ColumnType = INT
@@ -295,6 +295,61 @@ def test_joint_compilation_shares_common_subexpressions():
     assert len(_COUNTS) == 2
     assert_bit_identical(expected[0], a_plus)
     assert_bit_identical(expected[1], a_times)
+
+
+# -- the generic rule: a kind's own evaluate over its compiled children -------
+_COUNTED = _CountingExpr(InputRef(0, INT))
+
+#: One expression per kind without a hand-written closure, each with the
+#: counting node somewhere below it (for CASE: inside a branch).
+_GENERIC_KINDS = {
+    "boolnot": BoolNot(Comparison("<", _COUNTED, Constant(50, INT))),
+    "negate": Negate(_COUNTED, INT),
+    "inset": InSet(_COUNTED, frozenset({3, 5, 8, 13, 21})),
+    "likematch": LikeMatch(Cast(_COUNTED, STR), "%1%", negated=True),
+    "isnull": IsNull(Cast(_COUNTED, STR)),
+    "casewhen": CaseWhen(
+        ((Comparison(">", InputRef(1, INT), Constant(25, INT)), _COUNTED),),
+        Constant(0, INT),
+        INT,
+    ),
+    "extractdatepart": ExtractDatePart("month", _COUNTED),
+    "cast": Cast(_COUNTED, FLOAT),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERIC_KINDS))
+def test_generic_rule_shares_subexpressions_with_siblings(kind):
+    """A subexpression below a generic-rule node and inside a sibling
+    projection is computed once per page, and the node's result is the
+    interpreter's."""
+    clear_compile_cache()
+    exprs = [_GENERIC_KINDS[kind], Arithmetic("+", _COUNTED, Constant(1, INT), INT)]
+    joint = compile_expressions(exprs)
+    for seed in (1, 2):
+        page = random_page(np.random.default_rng(seed), 64)
+        del _COUNTS[:]
+        got = joint(page)
+        assert len(_COUNTS) == 1
+        for want, have in zip([e.evaluate(page) for e in exprs], got):
+            assert_bit_identical(want, have)
+
+
+def test_generic_rule_keeps_case_branches_lazy():
+    import warnings
+
+    page = random_page(np.random.default_rng(5), 40)
+    zero = Arithmetic("-", InputRef(0, INT), InputRef(0, INT), INT)
+    by_zero = Arithmetic("/", InputRef(2, FLOAT), zero, FLOAT)
+    with pytest.warns(RuntimeWarning):
+        compile_expression(by_zero)(page)
+    # i0 >= 1 on every row: no row reaches the ELSE, so it must not run.
+    always = Comparison(">", InputRef(0, INT), Constant(0, INT))
+    expr = CaseWhen(((always, InputRef(2, FLOAT)),), by_zero, FLOAT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compile_expression(expr)(page)
+    assert_bit_identical(page.columns[2], got)
 
 
 # -- caching ------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_rpc_storm_is_retried_through(tiny_catalog):
 
 
 def test_recovery_is_visible_in_metrics_report(tiny_catalog):
-    from repro.metrics import render_fault_report
+    from repro.obs import render_fault_report
 
     sql = QUERIES["Q3"]
     horizon = clean_runtime(tiny_catalog, sql)

@@ -11,6 +11,7 @@ speed-up back without failing anything.  This test makes it fail: from
 and join/shuffle benchmark templates decode and re-encode nothing.
 """
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -167,3 +168,37 @@ def test_no_offload_fork_in_the_engine_or_its_operators():
     constructors = [getattr(operators, name) for name in operators.__all__]
     for cls in constructors + [SpillPartitions]:
         assert "offload" not in inspect.signature(cls.__init__).parameters, cls
+
+
+def test_expressions_have_one_evaluation_path():
+    """An engine evaluates an expression one way — compiled (DESIGN.md
+    §10): no operator takes a ``compiled`` switch, no config field selects
+    one, and only the expression layer itself and the oracle may call
+    ``.evaluate(`` (the interpreter stays the reference and the folder)."""
+    for name in operators.__all__:
+        cls = getattr(operators, name)
+        assert "compiled" not in inspect.signature(cls.__init__).parameters, cls
+    assert not hasattr(repro.EngineConfig(), "compiled_expressions")
+    src = Path(repro.__file__).parent
+    callers = {
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if ".evaluate(" in path.read_text(encoding="utf-8")
+    }
+    assert callers <= {
+        "sql/expressions.py", "sql/compiler.py", "sql/analyzer.py", "reference.py"
+    }
+
+
+def test_elastic_capacity_protocol_is_written_once():
+    """The §4.2.2 doubling / periodic-resize arithmetic lives in exactly
+    one class under ``buffers/``; output and exchange buffers call it."""
+    owners = set()
+    for path in sorted((Path(repro.__file__).parent / "buffers").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                body = ast.get_source_segment(source, node)
+                if "capacity * 2" in body or "resize_period" in body:
+                    owners.add(node.name)
+    assert owners == {"ElasticCapacity"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import TimeSeries, render_curve_points, render_series, render_table
+from repro.obs import TimeSeries, render_curve_points, render_series, render_table
 from repro.data.tpch.queries import QUERIES
 
 from conftest import slow_engine

@@ -47,7 +47,7 @@ def test_filter_operator():
     op = FilterOperator(COST, pred)
     rows, end = drain(op, [kv_page([(1, 5.0), (7, 2.0)])])
     assert rows == [(7, 2.0)]
-    assert end and op.finished
+    assert end
 
 
 def test_filter_all_pass_returns_same_page():
@@ -79,6 +79,43 @@ def test_limit_across_pages():
     a, _ = op.process(kv_page([(1, 0.0), (2, 0.0)]))
     b, _ = op.process(kv_page([(3, 0.0), (4, 0.0)]))
     assert a[0].num_rows == 2 and b[0].num_rows == 1
+
+
+def test_satisfied_limit_sends_its_last_page_down_the_rest_of_the_chain():
+    """Limit -> Project -> PartialAgg in one driver: the page that
+    satisfies the limit is projected and aggregated like any other, and
+    the end page follows *behind* it (before ISSUE 20 the end relay
+    started ahead of that page, which then reached the sink unprojected
+    and unaggregated)."""
+    from types import SimpleNamespace
+
+    from repro.exec.driver import Driver
+    from repro.sql.expressions import Arithmetic, Constant
+
+    doubled = Schema.of(("dbl", INT))
+    count = [AggregateCall("count", None, INT), AggregateCall("sum", InputRef(0, INT), INT)]
+    agg_schema = partial_agg_schema(doubled, [], count)
+    task = SimpleNamespace(
+        kernel=SimKernel(), cost=COST, node=SimpleNamespace(name="n0"), query_id=None
+    )
+    driver = Driver(
+        task, 0, 0, source=None, sink=None,
+        transforms=[
+            LimitOperator(COST, 3),
+            ProjectOperator(
+                COST, [Arithmetic("*", InputRef(0, INT), Constant(2, INT), INT)], doubled
+            ),
+            PartialAggOperator(COST, [], count, agg_schema),
+        ],
+    )
+    emitted, finished = [], False
+    for page in (kv_page([(1, 0.0), (2, 0.0)]), kv_page([(3, 0.0), (4, 0.0)])):
+        assert not finished
+        pages, _cost, finished = driver._run_chain(page)
+        emitted.extend(pages)
+    assert finished  # the limit ended the driver without an end from the source
+    assert [p.schema for p in emitted] == [agg_schema]
+    assert emitted[0].rows() == [(3, 2 + 4 + 6)]
 
 
 # -- aggregation -----------------------------------------------------------------

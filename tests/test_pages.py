@@ -9,7 +9,6 @@ from repro.pages import (
     DictColumn,
     Field,
     Page,
-    PageBuilder,
     Schema,
     concat_pages,
 )
@@ -144,42 +143,64 @@ def test_concat_pages_empty_input():
     assert len(merged.columns) == 3
 
 
-# -- builder ----------------------------------------------------------------
-def test_builder_flush_roundtrip():
-    builder = PageBuilder(sample_schema(), row_limit=10)
-    builder.append_page(sample_page(4))
-    builder.append_rows([(9, 9.0, "x")])
-    page = builder.flush()
-    assert page.num_rows == 5
-    assert builder.is_empty
-    assert builder.flush() is None
+# -- splitter ---------------------------------------------------------------
+def test_split_empty_page_yields_nothing():
+    assert sample_page(0).split(4) == []
 
 
-def test_builder_full_pages_respect_limit():
-    builder = PageBuilder(sample_schema(), row_limit=4)
-    builder.append_page(sample_page(10))
-    pages = builder.build_full_pages()
-    assert [p.num_rows for p in pages] == [4, 4]
-    assert len(builder) == 2  # remainder retained
-    tail = builder.flush()
-    assert tail.num_rows == 2
+def test_split_below_and_at_limit_is_the_page_itself():
+    for n in (1, 3, 4):
+        page = sample_page(n)
+        assert page.split(4) == [page]
 
 
-def test_builder_rejects_bad_limits():
-    with pytest.raises(ValueError):
-        PageBuilder(sample_schema(), row_limit=0)
+def test_split_above_limit_respects_limit():
+    pages = sample_page(10).split(4)
+    assert [p.num_rows for p in pages] == [4, 4, 2]
+    assert all(p.schema == sample_schema() for p in pages)
+
+
+def test_split_slices_dict_columns_over_one_dictionary():
+    page = sample_page(10)
+    names = page.column("name")
+    pages = page.split(4)
+    assert all(type(p.column("name")) is DictColumn for p in pages)
+    assert all(p.column("name").dictionary is names.dictionary for p in pages)
+    assert [v for p in pages for v in p.column("name").tolist()] == names.tolist()
+
+
+def test_split_rejects_bad_limits():
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            sample_page(3).split(limit)
+
+
+def _sample_rows(start, stop):
+    return [(i, i * 1.5, f"s{i}") for i in range(start, stop)]
+
+
+#: What ``PageBuilder(schema, 4)`` — ``append_columns`` +
+#: ``build_full_pages`` + ``flush``, the sequence all four of its callers
+#: ran — emitted for ``sample_page(n)``; recorded at the commit that
+#: deleted the class (ISSUE 20).
+_PAGE_BUILDER_OUTPUT = {
+    0: [],
+    3: [_sample_rows(0, 3)],
+    4: [_sample_rows(0, 4)],
+    10: [_sample_rows(0, 4), _sample_rows(4, 8), _sample_rows(8, 10)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PAGE_BUILDER_OUTPUT))
+def test_split_emits_what_page_builder_emitted(n):
+    assert [p.rows() for p in sample_page(n).split(4)] == _PAGE_BUILDER_OUTPUT[n]
 
 
 @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=0, max_size=200),
        st.integers(min_value=1, max_value=16))
-def test_builder_preserves_rows_property(values, limit):
+def test_split_preserves_rows_property(values, limit):
     schema = Schema.of(("x", INT))
-    builder = PageBuilder(schema, row_limit=limit)
-    builder.append_columns([np.array(values, dtype=np.int64)])
-    pages = builder.build_full_pages()
-    tail = builder.flush()
-    if tail is not None:
-        pages.append(tail)
-    collected = [r[0] for p in pages for r in p.rows()]
-    assert collected == values
-    assert all(p.num_rows <= limit for p in pages[:-1] if pages)
+    pages = Page(schema, [np.array(values, dtype=np.int64)]).split(limit)
+    assert [r[0] for p in pages for r in p.rows()] == values
+    assert all(0 < p.num_rows <= limit for p in pages)
+    assert all(p.num_rows == limit for p in pages[:-1])

@@ -13,7 +13,7 @@ from repro import (
     QueryResult,
     TPCH_QUERIES,
 )
-from repro.metrics import render_fault_report
+from repro.obs import render_fault_report
 
 from conftest import make_engine, slow_engine
 
