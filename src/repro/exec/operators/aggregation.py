@@ -9,23 +9,25 @@ reconstructed, so stages containing it remain DOP-tunable.
 runs with parallelism fixed at 1.
 
 Both operators keep their running state in :class:`_HashAggState`, which
-stores one growable numpy array per state field (DESIGN.md §8).  Each
-input page is reduced to one value per *group* with the ``grouped_*``
-kernels, and those per-group arrays are merged into the state with fancy
-indexing — python touches groups (once per distinct key per page), never
-rows.
+stores one growable numpy array per state field and owns the one step
+that takes a page's rows to state slots (DESIGN.md §8): through a table
+indexed by the packed key codes while the keys stay few, through
+page-local groups and a key dict once they do not.  Python never touches
+rows, and on the table path not even groups.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from ...config import CostModel
-from ...errors import ExecutionError
 from ...pages import ColumnType, DictColumn, Page, Schema
 from ...pages.dictcolumn import concat_columns
 from ...sql.compiler import compile_expressions
-from ...sql.expressions import AggregateCall, BoundExpr
+from ...sql.expressions import AggregateCall
 from ...sql.functions import (
     GroupKeyEncoder,
     group_codes,
@@ -33,6 +35,8 @@ from ...sql.functions import (
     grouped_max,
     grouped_min,
     grouped_sum,
+    max_identity,
+    min_identity,
     partial_fields,
 )
 from ..spill import OperatorMemory, SpillPartitions
@@ -53,63 +57,58 @@ def _empty_value(function: str, result_type: ColumnType):
     return float("nan")
 
 
-def _state_width(agg: AggregateCall) -> int:
-    arg_type = agg.arg.type if agg.arg is not None else None
-    return len(partial_fields(agg.function, arg_type))
-
-
 #: How a state field combines with an incoming per-group partial array.
-_SUM, _MIN, _MAX = "sum", "min", "max"
+_SUM, _MIN, _MAX = np.add, np.minimum, np.maximum
 
 
-def _field_specs(agg: AggregateCall) -> list[tuple[str, np.dtype]]:
+def _field_specs(agg: AggregateCall) -> list[tuple[np.ufunc, np.dtype]]:
     """(merge kind, storage dtype) per state field of one aggregate call."""
     arg_type = agg.arg.type if agg.arg is not None else None
-    types = partial_fields(agg.function, arg_type)
-    if agg.function in ("sum", "count", "avg"):
-        kinds = [_SUM] * len(types)
-    elif agg.function == "min":
-        kinds = [_MIN]
-    elif agg.function == "max":
-        kinds = [_MAX]
-    else:  # pragma: no cover - analyzer rejects unknown aggregates
-        raise ExecutionError(f"unknown aggregate {agg.function}")
-    return [(kind, t.numpy_dtype) for kind, t in zip(kinds, types)]
+    kind = {"min": _MIN, "max": _MAX}.get(agg.function, _SUM)
+    return [(kind, t.numpy_dtype) for t in partial_fields(agg.function, arg_type)]
 
 
-def _merge_identity(kind: str, dtype: np.dtype):
+def _merge_identity(kind: np.ufunc, dtype: np.dtype):
     """Value that merging leaves unchanged (fills newly-grown slots)."""
-    if kind == _SUM:
+    if kind is _SUM:
         return 0
     if dtype == object:
         return None
-    if np.issubdtype(dtype, np.integer):
-        info = np.iinfo(dtype)
-        return info.max if kind == _MIN else info.min
-    return np.inf if kind == _MIN else -np.inf
+    return min_identity(dtype) if kind is _MIN else max_identity(dtype)
+
+
+def _reduce(kind: np.ufunc, dtype: np.dtype, codes: np.ndarray, values, ngroups: int):
+    """One page column reduced to one value per group (``None``: count rows)."""
+    if values is None:
+        return grouped_count(codes, ngroups)
+    if kind is _SUM:
+        return grouped_sum(codes, values.astype(dtype, copy=False), ngroups)
+    return (grouped_min if kind is _MIN else grouped_max)(codes, values, ngroups)
 
 
 class _HashAggState:
     """Columnar aggregation state: key columns + one array per state field.
 
-    Slot assignment (key tuple → dense slot id) is the only dict the
-    state keeps; it is consulted once per distinct key per page, and all
-    value merging happens on whole numpy arrays.
+    :meth:`accumulate` is rows → slots → state.  While every key column
+    encodes to a small operator-lifetime integer — a string through its
+    :class:`GroupKeyEncoder`, an integer as ``value - low`` — the
+    mixed-radix packed code indexes ``_table`` (packed code → slot, -1
+    unseen) and a page costs gathers only.  Keys that do not encode, or
+    whose table would outgrow the page that widens it, take the
+    page-local path for the rest of the operator's life: ``group_codes``
+    per page, then ``_slots`` (key tuple → slot) once per page group.
+    Either way a page's new groups get slots in ascending encoded-key
+    order, so both paths emit the same rows in the same order.
     """
 
     def __init__(self, aggregates: list[AggregateCall]):
         self.aggregates = aggregates
-        self.widths = [_state_width(a) for a in aggregates]
         self.offsets: list[int] = []
-        total = 0
-        for w in self.widths:
-            self.offsets.append(total)
-            total += w
-        self.state_width = total
-        self.field_specs: list[tuple[str, np.dtype]] = []
+        self.field_specs: list[tuple[np.ufunc, np.dtype]] = []
         for agg in aggregates:
+            self.offsets.append(len(self.field_specs))
             self.field_specs.extend(_field_specs(agg))
-        self._slots: dict[tuple, int] = {}
+        self._count = 0
         self._capacity = 0
         self._fields: list[np.ndarray] = [
             np.zeros(0, dtype=dt) for _, dt in self.field_specs
@@ -119,186 +118,157 @@ class _HashAggState:
         #: Incrementally maintained key-column byte estimate (avoids an
         #: O(#chunks) walk on every page when budgets are enabled).
         self._key_bytes = 0
+        #: String key column -> its operator-lifetime code assignment.
+        self._encoders: dict[int, GroupKeyEncoder] = {}
+        #: Table path: per key column the subtracted low value and the
+        #: radix; ``_radices`` is ``None`` once the operator left it.
+        self._lows: list[int] = []
+        self._radices: list[int] | None = []
+        self._table = np.zeros(0, dtype=np.int64)
+        self._slots: dict[tuple, int] = {}
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self._count
 
     def tracked_bytes(self) -> int:
         """Estimated resident size of the state (field arrays at their
         grown capacity, key chunks, and per-slot dict overhead)."""
-        total = self._key_bytes + _SLOT_OVERHEAD_BYTES * len(self._slots)
+        total = self._key_bytes + _SLOT_OVERHEAD_BYTES * self._count
         for arr in self._fields:
             total += arr.nbytes
         return total
 
-    def _grow_to(self, n: int) -> None:
-        if n <= self._capacity:
-            return
-        capacity = max(256, self._capacity * 2, n)
-        for i, ((kind, dtype), arr) in enumerate(zip(self.field_specs, self._fields)):
-            grown = np.full(capacity, _merge_identity(kind, dtype), dtype=dtype)
-            grown[: len(arr)] = arr
-            self._fields[i] = grown
-        self._capacity = capacity
-
-    def merge_groups(
-        self,
-        group_keys: list[tuple],
-        key_columns: list[np.ndarray],
-        field_values: list[np.ndarray],
-    ) -> None:
-        """Merge one page's per-group partials into the state.
-
-        ``group_keys[g]`` / ``key_columns[c][g]`` identify page-local group
-        ``g``; ``field_values[f][g]`` is its contribution to state field
-        ``f``.  Page-local groups are distinct, so each slot is touched at
-        most once and plain fancy indexing merges correctly.
-        """
-        slots = self._slots
-        before = len(slots)
-        ids = np.empty(len(group_keys), dtype=np.int64)
-        for g, key in enumerate(group_keys):
-            slot = slots.get(key)
-            if slot is None:
-                slot = len(slots)
-                slots[key] = slot
-
-            ids[g] = slot
-        if len(slots) > before:
-            new = ids >= before
-            chunk = [col[new] for col in key_columns]
-            self._key_chunks.append(chunk)
-            for col in chunk:
-                self._key_bytes += (
-                    len(col) * _OBJECT_CELL_BYTES
-                    if isinstance(col, DictColumn)
-                    else col.nbytes
-                )
-            self._grow_to(len(slots))
-        for arr, (kind, dtype), values in zip(
-            self._fields, self.field_specs, field_values
-        ):
-            if kind == _SUM:
-                arr[ids] += values
-            elif dtype == object:
-                # String min/max state holds one python value per group.
-                values = values.decode()
-                current = arr[ids]
-                if kind == _MIN:
-                    take = np.fromiter(
-                        (c is None or v < c for c, v in zip(current, values)),
-                        dtype=bool,
-                        count=len(ids),
-                    )
-                else:
-                    take = np.fromiter(
-                        (c is None or v > c for c, v in zip(current, values)),
-                        dtype=bool,
-                        count=len(ids),
-                    )
-                current[take] = values[take]
-                arr[ids] = current
-            elif kind == _MIN:
-                arr[ids] = np.minimum(arr[ids], values)
-            else:
-                arr[ids] = np.maximum(arr[ids], values)
-
-    def drain_columns(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(key columns, state field columns) in slot order; resets state."""
-        n = len(self._slots)
-        if self._key_chunks and len(self._key_chunks[0]):
-            ncols = len(self._key_chunks[0])
-            keys = [
-                concat_columns([chunk[c] for chunk in self._key_chunks])
-                for c in range(ncols)
-            ]
-        else:
-            keys = []
-        fields = [arr[:n] for arr in self._fields]
-        self._slots = {}
-        self._capacity = 0
-        self._fields = [np.zeros(0, dtype=dt) for _, dt in self.field_specs]
-        self._key_chunks = []
-        self._key_bytes = 0
-        return keys, fields
-
-
-def _aggregate_arg_evaluator(aggregates: list[AggregateCall]):
-    """Build ``f(page) -> [values | None per aggregate]``.
-
-    All argument expressions are compiled jointly, so common
-    subexpressions shared between aggregates evaluate once per page.
-    """
-    args: list[BoundExpr | None] = [a.arg for a in aggregates]
-    exprs = [a for a in args if a is not None]
-    if not exprs:
-        return lambda page: [None] * len(args)
-    joint = compile_expressions(exprs)
-
-    def eval_args(page: Page) -> list:
-        values = iter(joint(page))
-        return [None if a is None else next(values) for a in args]
-
-    return eval_args
-
-
-def _page_partials(
-    state: _HashAggState,
-    arg_values: list,
-    codes: np.ndarray,
-    ngroups: int,
-) -> list[np.ndarray]:
-    """Reduce one input page to per-group partial arrays (one per field)."""
-    out: list[np.ndarray] = []
-    for agg, values in zip(state.aggregates, arg_values):
-        if agg.function == "count":
-            out.append(grouped_count(codes, ngroups))
-            continue
-        if agg.function == "sum":
-            out.append(grouped_sum(codes, values, ngroups))
-        elif agg.function == "avg":
-            out.append(
-                grouped_sum(codes, values.astype(np.float64, copy=False), ngroups)
+    def _add_groups(self, key_columns: list[np.ndarray]) -> None:
+        """Append new groups (one row of ``key_columns`` each) as the
+        next slots."""
+        self._key_chunks.append(key_columns)
+        for col in key_columns:
+            self._key_bytes += (
+                len(col) * _OBJECT_CELL_BYTES
+                if isinstance(col, DictColumn)
+                else col.nbytes
             )
-            out.append(grouped_count(codes, ngroups))
-        elif agg.function == "min":
-            out.append(grouped_min(codes, values, ngroups))
-        elif agg.function == "max":
-            out.append(grouped_max(codes, values, ngroups))
-        else:  # pragma: no cover - analyzer rejects unknown aggregates
-            raise ExecutionError(f"unknown aggregate {agg.function}")
-    return out
+        if self._count > self._capacity:
+            capacity = max(256, self._capacity * 2, self._count)
+            for i, ((kind, dtype), arr) in enumerate(
+                zip(self.field_specs, self._fields)
+            ):
+                grown = np.full(capacity, _merge_identity(kind, dtype), dtype=dtype)
+                grown[: len(arr)] = arr
+                self._fields[i] = grown
+            self._capacity = capacity
 
+    def accumulate(
+        self, key_cols: list[np.ndarray], num_rows: int, inputs: list
+    ) -> None:
+        """Add one page: ``key_cols[c][r]`` is row ``r``'s group key and
+        ``inputs[f][r]`` its contribution to state field ``f`` (``None``
+        counts the row)."""
+        if not num_rows:
+            return
+        slots = None if self._radices is None else self._table_slots(key_cols, num_rows)
+        if slots is not None:
+            self._merge(slots, self._count, slice(0, self._count), inputs)
+        else:
+            codes, uniques = self._factorize(key_cols)
+            self._merge(codes, len(uniques[0]), self._dict_slots(uniques), inputs)
 
-def _group_key_tuples(uniques: list[np.ndarray], ngroups: int) -> list[tuple]:
-    if not uniques:
-        return [()] * ngroups
-    return list(zip(*[u.tolist() for u in uniques]))
+    def _key_columns(self) -> list[np.ndarray]:
+        """The key columns of the groups held, in slot order."""
+        chunks = self._key_chunks
+        return [
+            concat_columns([chunk[c] for chunk in chunks])
+            for c in range(len(chunks[0]) if chunks else 0)
+        ]
 
+    def _encode(self, j: int, col: DictColumn) -> np.ndarray:
+        """String key column ``j`` as operator-lifetime ``int64`` codes."""
+        encoder = self._encoders.get(j)
+        if encoder is None:
+            encoder = self._encoders[j] = GroupKeyEncoder()
+        return encoder.encode(col)
 
-class _GroupKeyFactorizer:
-    """Per-operator ``group_codes`` wrapper for string group keys.
-
-    String key columns are mapped to operator-lifetime integer codes by a
-    :class:`GroupKeyEncoder` first, so the per-page factorization only
-    ever sorts machine ints and groups are numbered in first-seen order
-    across pages; the representative unique keys come back as columns
-    over the page's own dictionary.
-    """
-
-    def __init__(self):
-        self._encoders: dict[int, GroupKeyEncoder] = {}
-
-    def factorize(
-        self, key_cols: list[np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        encoded = list(key_cols)
+    # -- rows -> slots: the table path ------------------------------------
+    def _table_slots(self, key_cols: list[np.ndarray], num_rows: int):
+        """Slot per row, new groups assigned; ``None`` when the keys do
+        not (or no longer) fit a table."""
+        if not key_cols:
+            # Global aggregate: every row falls in the one group.
+            if not self._count:
+                self._count = 1
+                self._add_groups([])
+            return np.zeros(num_rows, dtype=np.int64)
+        lows, radices, digits = [], [], []
         for j, col in enumerate(key_cols):
             if isinstance(col, DictColumn):
-                encoder = self._encoders.get(j)
-                if encoder is None:
-                    encoder = self._encoders[j] = GroupKeyEncoder()
-                encoded[j] = encoder.encode(col)
+                digits.append(self._encode(j, col))
+                low, high = 0, len(self._encoders[j].values) - 1
+            elif col.dtype.kind == "i":
+                digits.append(col)
+                low, high = int(col.min()), int(col.max())
+                if self._radices:
+                    low = min(low, self._lows[j])
+                    high = max(high, self._lows[j] + self._radices[j] - 1)
+            else:
+                return self._leave_table()
+            lows.append(low)
+            radices.append(high - low + 1)
+        if radices != self._radices or lows != self._lows:
+            # An encoder learned a value or an integer left its range.  A
+            # rebuild may cost what the page that forces it costs, not more.
+            if math.prod(radices) > 4 * num_rows + 1024:
+                return self._leave_table()
+            self._rebuild_table(lows, radices)
+        packed = None
+        for digit, low, radix in zip(digits, lows, radices):
+            if low:
+                digit = digit - low
+            packed = digit if packed is None else packed * radix + digit
+        table = self._table
+        slots = table.take(packed)
+        if slots.min() < 0:
+            rows = np.flatnonzero(slots < 0)
+            unseen, first = np.unique(packed[rows], return_index=True)
+            table[unseen] = np.arange(self._count, self._count + len(unseen))
+            self._count += len(unseen)
+            self._add_groups([col[rows[first]] for col in key_cols])
+            slots = table.take(packed)
+        return slots
+
+    def _rebuild_table(self, lows: list[int], radices: list[int]) -> None:
+        """Re-address the assigned slots under new lows / radices."""
+        table = np.full(math.prod(radices), -1, dtype=np.int64)
+        if self._count:
+            old = np.flatnonzero(self._table >= 0)
+            slots = self._table[old]
+            packed, weight = 0, 1
+            for j in reversed(range(len(radices))):
+                old, digit = np.divmod(old, self._radices[j])
+                packed = packed + (digit + (self._lows[j] - lows[j])) * weight
+                weight *= radices[j]
+            table[packed] = slots
+        self._table, self._lows, self._radices = table, lows, radices
+
+    def _leave_table(self) -> None:
+        """One way, at most once per operator: from here on the
+        page-local path, starting from the groups already held."""
+        if self._count:
+            keys = [col.tolist() for col in self._key_columns()]
+            self._slots = dict(zip(zip(*keys), range(self._count)))
+        self._radices = self._table = None
+
+    # -- rows -> slots: the page-local path -------------------------------
+    def _factorize(
+        self, key_cols: list[np.ndarray]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``group_codes`` over operator-lifetime codes for string keys,
+        so the per-page factorization only ever sorts machine ints; the
+        representative unique keys come back as columns over the page's
+        own dictionary."""
+        encoded = [
+            self._encode(j, col) if isinstance(col, DictColumn) else col
+            for j, col in enumerate(key_cols)
+        ]
         codes, uniques = group_codes(encoded)
         for j in self._encoders:
             # Operator code -> a dictionary code of this page carrying it
@@ -309,15 +279,102 @@ class _GroupKeyFactorizer:
             uniques[j] = DictColumn(entry_of[uniques[j]], col.dictionary)
         return codes, uniques
 
-    def page_groups(
-        self, key_cols: list[np.ndarray], num_rows: int
-    ) -> tuple[np.ndarray, list[np.ndarray], int]:
-        """(row -> page-local group, unique key columns, group count);
-        without keys every row falls in the one global group."""
-        if not key_cols:
-            return np.zeros(num_rows, dtype=np.int64), [], 1
-        codes, uniques = self.factorize(key_cols)
-        return codes, uniques, len(uniques[0])
+    def _dict_slots(self, uniques: list[np.ndarray]) -> np.ndarray:
+        """Slot per page-local group (distinct, so fancy indexing merges
+        correctly), new groups assigned."""
+        slots = self._slots
+        before = len(slots)
+        group_keys = list(zip(*[u.tolist() for u in uniques]))
+        ids = np.empty(len(group_keys), dtype=np.int64)
+        for g, key in enumerate(group_keys):
+            slot = slots.get(key)
+            if slot is None:
+                slot = len(slots)
+                slots[key] = slot
+            ids[g] = slot
+        if len(slots) > before:
+            self._count = len(slots)
+            new = ids >= before
+            self._add_groups([col[new] for col in uniques])
+        return ids
+
+    # -- slots -> state -----------------------------------------------------
+    def _merge(self, codes: np.ndarray, ngroups: int, target, inputs: list) -> None:
+        """Reduce each field's input per group — once per distinct
+        (kind, input column), in row order — and add it to the state:
+        ``codes[r]`` is row ``r``'s group, ``target`` the groups' slots."""
+        reduced: dict[tuple, np.ndarray] = {}
+        for arr, (kind, dtype), values in zip(self._fields, self.field_specs, inputs):
+            if dtype == object:
+                self._merge_strings(arr, kind, codes, target, values)
+                continue
+            key = (kind, dtype, id(values))
+            partial = reduced.get(key)
+            if partial is None:
+                partial = reduced[key] = _reduce(kind, dtype, codes, values, ngroups)
+            arr[target] = kind(arr[target], partial)
+
+    @staticmethod
+    def _merge_strings(arr, kind: np.ufunc, codes, target, values: DictColumn) -> None:
+        """String min/max state holds one python value per group; a
+        group the page does not touch has no string to offer, so slots
+        are first narrowed to the ones present."""
+        if isinstance(target, slice):
+            target, codes = np.unique(codes, return_inverse=True)
+        reduce, wins = (
+            (grouped_min, operator.lt) if kind is _MIN else (grouped_max, operator.gt)
+        )
+        values = reduce(codes, values, len(target)).decode()
+        current = arr[target]
+        take = np.fromiter(
+            (c is None or wins(v, c) for c, v in zip(current, values)),
+            dtype=bool,
+            count=len(target),
+        )
+        current[take] = values[take]
+        arr[target] = current
+
+    def drain_columns(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(key columns, state field columns) in slot order; resets state."""
+        keys = self._key_columns()
+        fields = [arr[: self._count] for arr in self._fields]
+        self._count = 0
+        self._capacity = 0
+        self._fields = [np.zeros(0, dtype=dt) for _, dt in self.field_specs]
+        self._key_chunks = []
+        self._key_bytes = 0
+        if self._radices is None:
+            self._slots = {}
+        else:
+            self._table.fill(-1)
+        return keys, fields
+
+
+def _field_input_evaluator(aggregates: list[AggregateCall]):
+    """Build ``f(page) -> [input column | None per state field]``
+    (``None``: the field counts rows).
+
+    All argument expressions are compiled jointly, so common
+    subexpressions shared between aggregates evaluate once per page, and
+    one expression feeding several fields (``sum(x)``, ``avg(x)``) is one
+    column, reduced once.
+    """
+    position: dict = {}
+    picks: list[int | None] = []
+    for agg in aggregates:
+        if agg.function != "count":
+            picks.append(position.setdefault(agg.arg, len(position)))
+        if agg.function in ("count", "avg"):
+            picks.append(None)
+    if not position:
+        return lambda page: picks
+    joint = compile_expressions(list(position))
+
+    def field_inputs(page: Page) -> list:
+        values = joint(page)
+        return [None if p is None else values[p] for p in picks]
+
+    return field_inputs
 
 
 class PartialAggOperator(TransformOperator):
@@ -339,8 +396,7 @@ class PartialAggOperator(TransformOperator):
         self.row_limit = row_limit
         self.group_limit = group_limit
         self.state = _HashAggState(aggregates)
-        self._factorizer = _GroupKeyFactorizer()
-        self._eval_args = _aggregate_arg_evaluator(aggregates)
+        self._field_inputs = _field_input_evaluator(aggregates)
         self.rows_in = 0
         self.memory = memory
 
@@ -351,12 +407,10 @@ class PartialAggOperator(TransformOperator):
             return pages + [page], cpu
         self.rows_in += page.num_rows
         cpu = self.cpu(page.num_rows, self.cost.partial_agg_row_cost)
-        codes, uniques, ngroups = self._factorizer.page_groups(
-            [page.columns[k] for k in self.group_keys], page.num_rows
-        )
-        partials = _page_partials(self.state, self._eval_args(page), codes, ngroups)
-        self.state.merge_groups(
-            _group_key_tuples(uniques, ngroups), uniques, partials
+        self.state.accumulate(
+            [page.columns[k] for k in self.group_keys],
+            page.num_rows,
+            self._field_inputs(page),
         )
         out: list[Page] = []
         # Partial state is destructible by design: memory pressure is
@@ -384,7 +438,7 @@ class FinalAggOperator(TransformOperator):
     Under a memory budget the state spills on overflow: it is drained
     back to partial-page format and radix-partitioned on the group keys
     (DESIGN.md §13).  On the end page the spilled partitions are merged
-    one at a time into a fresh state — every group lands in exactly one
+    one at a time into the emptied state — every group lands in exactly one
     partition, so partition results concatenate into the final output and
     peak memory is bounded by the largest partition's state.  Global
     aggregates (``num_keys == 0``) keep a single-slot state and never
@@ -407,7 +461,6 @@ class FinalAggOperator(TransformOperator):
         self.output_schema = output_schema
         self.row_limit = row_limit
         self.state = _HashAggState(aggregates)
-        self._factorizer = _GroupKeyFactorizer()
         self.rows_in = 0
         self.memory = memory
         self.spill: SpillPartitions | None = None
@@ -417,7 +470,7 @@ class FinalAggOperator(TransformOperator):
         if page.is_end:
             if self.spill is not None:
                 return self._grace_finalize(page)
-            pages = self._final_pages_from_state(self.state)
+            pages = self._final_pages()
             if self.memory is not None:
                 self.memory.report(0)
             cpu = self.cpu(sum(p.num_rows for p in pages), self.cost.final_agg_row_cost)
@@ -426,7 +479,7 @@ class FinalAggOperator(TransformOperator):
         cpu = self.cpu(page.num_rows, self.cost.final_agg_row_cost)
         if self._input_schema is None:
             self._input_schema = page.schema
-        self._merge_partial_page(self.state, page)
+        self._merge_partial_page(page)
         if self.memory is not None:
             if self.num_keys:
                 if self.memory.update(self.state.tracked_bytes()):
@@ -436,27 +489,11 @@ class FinalAggOperator(TransformOperator):
                 self.memory.report(self.state.tracked_bytes())
         return [], cpu
 
-    def _merge_partial_page(self, state: _HashAggState, page: Page) -> None:
-        """Merge one partial-format page into ``state`` (pre-reducing the
-        page's state columns per group first)."""
+    def _merge_partial_page(self, page: Page) -> None:
+        """Merge one partial-format page (key columns, then one column
+        per state field) into the state."""
         k = self.num_keys
-        codes, uniques, ngroups = self._factorizer.page_groups(
-            list(page.columns[:k]), page.num_rows
-        )
-        field_values: list[np.ndarray] = []
-        field = 0
-        for kind, _ in state.field_specs:
-            col = page.columns[k + field]
-            if kind == _SUM:
-                field_values.append(grouped_sum(codes, col, ngroups))
-            elif kind == _MIN:
-                field_values.append(grouped_min(codes, col, ngroups))
-            else:
-                field_values.append(grouped_max(codes, col, ngroups))
-            field += 1
-        state.merge_groups(
-            _group_key_tuples(uniques, ngroups), uniques, field_values
-        )
+        self.state.accumulate(list(page.columns[:k]), page.num_rows, page.columns[k:])
 
     # -- out-of-core path (DESIGN.md §13) ---------------------------------
     def _state_pages(self) -> list[Page]:
@@ -497,13 +534,14 @@ class FinalAggOperator(TransformOperator):
             if nbytes == 0:
                 continue
             cpu += memory.spill_read(nbytes, f"partition {p}")
-            state = _HashAggState(self.state.aggregates)
+            # The state is empty here (spilled above, drained per
+            # partition below) and keeps its operator-lifetime key codes.
             rows = 0
             for pg in self.spill.read_pages(p):
                 rows += pg.num_rows
-                self._merge_partial_page(state, pg)
-            memory.update(state.tracked_bytes())
-            pages = self._final_pages_from_state(state)
+                self._merge_partial_page(pg)
+            memory.update(self.state.tracked_bytes())
+            pages = self._final_pages()
             cpu += self.cpu(
                 rows + sum(p2.num_rows for p2 in pages),
                 self.cost.final_agg_row_cost,
@@ -514,7 +552,9 @@ class FinalAggOperator(TransformOperator):
         self.spill = None
         return out + [end_page], cpu
 
-    def _final_pages_from_state(self, state: _HashAggState) -> list[Page]:
+    def _final_pages(self) -> list[Page]:
+        """Drain the state into output-format pages."""
+        state = self.state
         if not len(state):
             if self.num_keys == 0:
                 # Global aggregate over empty input still yields one row.

@@ -37,19 +37,20 @@ def _lazy_gather(
     compute: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """``table[codes]``, first filling the referenced entries that still
-    hold ``unset`` with ``compute(entry_codes)``.
+    hold ``unset`` with ``compute(entry_codes)``; ``unset`` lies below
+    every computed result, so a filled page is told by one ``min``.
 
     This is how per-entry work stays proportional to the entries a query
     actually touches: a 40k-entry ``p_name`` dictionary pays for the
     codes present in the pages that flow, a 3-entry ``l_returnflag``
     dictionary pays once.
     """
-    out = table[codes]
-    missing = out == unset
-    if missing.any():
-        todo = np.unique(codes[missing])
+    # ``take`` gathers through int32 codes without widening them first.
+    out = table.take(codes)
+    if out.size and out.min() == unset:
+        todo = np.unique(codes[out == unset])
         table[todo] = compute(todo)
-        out = table[codes]
+        out = table.take(codes)
     return out
 
 
@@ -377,8 +378,8 @@ class EntryLookup:
     lazily filled table per dictionary (entry code -> result).
 
     ``compute(values) -> int64 array`` sees each dictionary entry at most
-    once while its table is kept; rows only gather.  ``unset`` is a
-    result ``compute`` never returns.
+    once while its table is kept; rows only gather.  ``unset`` lies
+    below every result ``compute`` returns.
     """
 
     __slots__ = ("_compute", "_unset", "_tables")

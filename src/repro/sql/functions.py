@@ -112,52 +112,62 @@ def partial_fields(function: str, arg_type: ColumnType | None) -> list[ColumnTyp
 # ---------------------------------------------------------------------------
 # Vectorized grouped reduction primitives
 # ---------------------------------------------------------------------------
+_INT64 = np.dtype(np.int64)
+_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN = np.iinfo(np.int64).min
+#: ``bincount`` accumulates in float64: exact for integers below this.
+_FLOAT_EXACT = 2**53
+
+
 def grouped_sum(codes: np.ndarray, values: np.ndarray, ngroups: int) -> np.ndarray:
-    out = np.bincount(codes, weights=values.astype(np.float64, copy=False), minlength=ngroups)
-    if values.dtype == np.int64:
-        return out.astype(np.int64)
-    return out
+    if values.dtype.kind != "i":
+        return np.bincount(codes, weights=values, minlength=ngroups)
+    if len(values):
+        peak = max(int(values.max()), -int(values.min()))
+        if peak * len(values) >= _FLOAT_EXACT:
+            # A float64 accumulator would round: add as integers.
+            out = np.zeros(ngroups, dtype=np.int64)
+            np.add.at(out, codes, values)
+            return out
+    return np.bincount(codes, weights=values, minlength=ngroups).astype(np.int64)
 
 
 def grouped_count(codes: np.ndarray, ngroups: int) -> np.ndarray:
     return np.bincount(codes, minlength=ngroups).astype(np.int64)
 
 
-def _grouped_extreme_strings(
-    codes: np.ndarray, values: DictColumn, ngroups: int, want_max: bool
-) -> DictColumn:
-    """Per-group min/max of a string column: reduce the value *ranks*
-    (integers ordered like the text) and map the winners back."""
-    ranks, dictionary = values.rank_codes()
-    reduce = grouped_max if want_max else grouped_min
-    return DictColumn(dictionary.order[reduce(codes, ranks, ngroups)], dictionary)
+def _grouped_extreme(codes, values, ngroups: int, ufunc: np.ufunc, identity):
+    """Per-group min/max: ``ufunc.at`` from ``identity(dtype)``; a string
+    column reduces its value *ranks* (integers ordered like the text) and
+    maps the winners back."""
+    if isinstance(values, DictColumn):
+        ranks, dictionary = values.rank_codes()
+        winners = _grouped_extreme(codes, ranks, ngroups, ufunc, identity)
+        return DictColumn(dictionary.order[winners], dictionary)
+    out = np.full(ngroups, identity(values.dtype), dtype=values.dtype)
+    ufunc.at(out, codes, values)
+    return out
 
 
 def grouped_min(codes: np.ndarray, values: np.ndarray, ngroups: int) -> np.ndarray:
-    if isinstance(values, DictColumn):
-        return _grouped_extreme_strings(codes, values, ngroups, want_max=False)
-    out_arr = np.full(ngroups, _max_init(values.dtype), dtype=values.dtype)
-    np.minimum.at(out_arr, codes, values)
-    return out_arr
+    return _grouped_extreme(codes, values, ngroups, np.minimum, min_identity)
 
 
 def grouped_max(codes: np.ndarray, values: np.ndarray, ngroups: int) -> np.ndarray:
-    if isinstance(values, DictColumn):
-        return _grouped_extreme_strings(codes, values, ngroups, want_max=True)
-    out_arr = np.full(ngroups, _min_init(values.dtype), dtype=values.dtype)
-    np.maximum.at(out_arr, codes, values)
-    return out_arr
+    return _grouped_extreme(codes, values, ngroups, np.maximum, max_identity)
 
 
-def _max_init(dtype: np.dtype):
-    if np.issubdtype(dtype, np.integer):
-        return np.iinfo(dtype).max
+def min_identity(dtype: np.dtype):
+    """What ``min`` starts from and leaves unchanged: the largest value
+    of ``dtype`` (every integer column of the engine is int64)."""
+    if dtype.kind in "iu":
+        return _INT64_MAX if dtype == _INT64 else np.iinfo(dtype).max
     return np.inf
 
 
-def _min_init(dtype: np.dtype):
-    if np.issubdtype(dtype, np.integer):
-        return np.iinfo(dtype).min
+def max_identity(dtype: np.dtype):
+    if dtype.kind in "iu":
+        return _INT64_MIN if dtype == _INT64 else np.iinfo(dtype).min
     return -np.inf
 
 
@@ -170,8 +180,7 @@ def group_codes(key_columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndar
     numbered in value order like every other type.
     """
     if not key_columns:
-        n = 0
-        return np.zeros(n, dtype=np.int64), []
+        return np.zeros(0, dtype=np.int64), []
     ranked = {
         j: col.rank_codes()
         for j, col in enumerate(key_columns)
@@ -215,7 +224,7 @@ def _int_factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     or ``None`` when the column is non-integer or too sparse.
     """
     n = len(col)
-    if n == 0 or not np.issubdtype(col.dtype, np.integer):
+    if n == 0 or col.dtype.kind not in "iu":
         return None
     base = int(col.min())
     span = int(col.max()) - base + 1
@@ -238,7 +247,7 @@ def _pack_int_keys(key_columns: list[np.ndarray]) -> np.ndarray | None:
     factorized path.  Returns ``None`` when a column is non-integer or
     the value spans would overflow int64.
     """
-    if not all(np.issubdtype(col.dtype, np.integer) for col in key_columns):
+    if not all(col.dtype.kind in "iu" for col in key_columns):
         return None
     n = len(key_columns[0])
     if n == 0:
@@ -248,7 +257,7 @@ def _pack_int_keys(key_columns: list[np.ndarray]) -> np.ndarray | None:
     span_product = 1
     for span in spans:
         span_product *= span
-    if span_product > np.iinfo(np.int64).max:
+    if span_product > _INT64_MAX:
         return None
     packed = key_columns[0].astype(np.int64, copy=True)
     packed -= bases[0]
@@ -277,7 +286,7 @@ def _factorized_pack(key_columns: list[np.ndarray]) -> np.ndarray:
     radix_product = 1
     for uniq in per_col_uniques:
         radix_product *= max(1, len(uniq))
-    if radix_product > np.iinfo(np.int64).max:
+    if radix_product > _INT64_MAX:
         codes, _ = _lexsort_codes(per_col_codes)
         return codes
     combined = per_col_codes[0]

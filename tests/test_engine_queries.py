@@ -162,6 +162,33 @@ def test_sql_shape_matches_reference(catalog, name):
         assert (engine.kernel.events_processed, engine.now) == LIMIT_NEIGHBOURS[name]
 
 
+def test_integer_sum_is_exact_beyond_float64(catalog):
+    """INT64 sums are integer arithmetic.  The expected value is computed
+    with python ints: the oracle imports the engine's ``grouped_sum``, so
+    it agreed with the float64-rounded answer this used to give
+    (…344798720 for …344801052 at SF0.01)."""
+    orders = catalog.table("orders")
+    cells = list(
+        zip(
+            orders.column("o_orderstatus").tolist(),
+            orders.column("o_orderkey").tolist(),
+            orders.column("o_custkey").tolist(),
+        )
+    )
+    total = sum(key * cust * 100000003 for _, key, cust in cells)
+    assert 2**53 < total < 2**63 and float(total) != total
+    expr = "sum(o_orderkey * o_custkey * 100000003)"
+    engine = AccordionEngine(catalog)
+    assert engine.execute(f"select {expr} from orders").rows == [(total,)]
+    grouped = f"select o_orderstatus, {expr} from orders group by o_orderstatus"
+    expected = sorted(
+        (status, sum(k * c * 100000003 for s, k, c in cells if s == status))
+        for status in {s for s, _, _ in cells}
+    )
+    assert sorted(engine.execute(grouped).rows) == expected
+    assert sorted(reference_result(catalog, grouped).rows()) == expected
+
+
 def test_ordered_results_preserve_order(catalog, reference_results):
     engine = AccordionEngine(catalog)
     result = engine.execute(QUERIES["Q3"], max_virtual_seconds=1e5)

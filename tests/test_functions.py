@@ -106,6 +106,24 @@ def test_grouped_sum_int_stays_int():
     assert out[0] == 5
 
 
+def test_grouped_sum_int_is_exact_where_float64_is_not():
+    # 2**53 + 1 has no float64; neither has a sum that crosses 2**53 from
+    # small addends.  Checked against python ints, per group; the last
+    # group is absent from the page.
+    values = [2**53 + 1, 1, -(2**60) - 3, 2**53, 1, 2**62 + 1]
+    codes = [0, 0, 1, 2, 2, 1]
+    out = grouped_sum(np.array(codes), np.array(values, dtype=np.int64), 4)
+    assert out.dtype == np.int64
+    assert out.tolist() == [
+        sum(v for v, c in zip(values, codes) if c == g) for g in range(4)
+    ]
+    many = np.full(3000, 2**42 + 1, dtype=np.int64)  # each fits, the sum does not
+    assert grouped_sum(np.zeros(3000, dtype=np.int64), many, 1).tolist() == [
+        3000 * (2**42 + 1)
+    ]
+    assert grouped_sum(np.zeros(0, dtype=np.int64), many[:0], 2).tolist() == [0, 0]
+
+
 def test_grouped_min_max_strings():
     codes = np.array([0, 0, 1])
     values = DictColumn.from_values(["b", "a", "z"])

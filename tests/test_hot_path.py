@@ -24,6 +24,7 @@ import repro
 from repro import QueryOptions, TPCH_QUERIES
 from repro.data import Catalog
 from repro.exec import operators
+from repro.exec.operators import aggregation
 from repro.exec.exchange_client import ExchangeClient
 from repro.exec.spill import SpillPartitions
 from repro.exec.splits import SystemSplit
@@ -148,6 +149,91 @@ def test_exchange_wakeups_do_bounded_work_per_fetch(
     for top, bottom in (("attempts", "fetches"), ("events", "pages")):
         a, b = small[top] / small[bottom], large[top] / large[bottom]
         assert abs(a - b) < 0.10 * max(a, b), (top, bottom, small, large)
+
+
+# -- partial aggregation: rows reach their slots without page-local groups ----
+#
+# Counts again: a page of Q1 used to be factorized from scratch
+# (``group_codes`` once per page for the same four groups) and reduced
+# eleven times where six inputs are distinct (``avg(x)`` recomputed
+# ``sum(x)``, four identical counts).  A reduction is one ``grouped_sum``
+# / ``grouped_count`` call or one ``np.bincount`` made outside them.
+def aggregation_work(monkeypatch, catalog, name):
+    """Run one query on 1024-row pages (so operators see several);
+    returns one record per ``PartialAggOperator`` that saw a page."""
+    records: dict[int, dict] = {}
+    current: list[dict] = []
+    inside = [0]
+
+    def count(key):
+        if current:
+            current[-1][key] += 1
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            if not inside[0]:
+                count(key)
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    process = aggregation.PartialAggOperator.process
+    accumulate = aggregation._HashAggState.accumulate
+    group_codes = aggregation.group_codes
+
+    def recording_process(self, page):
+        if page.is_end:
+            return process(self, page)
+        record = records.setdefault(
+            id(self), {"pages": 0, "learning": 0, "group_codes": 0, "reductions": 0}
+        )
+        record["pages"] += 1
+        current.append(record)
+        try:
+            return process(self, page)
+        finally:
+            current.pop()
+
+    def recording_accumulate(self, *args):
+        before = len(self)
+        accumulate(self, *args)
+        if len(self) > before:
+            count("learning")
+
+    def counting_group_codes(*args):
+        count("group_codes")
+        return group_codes(*args)
+
+    monkeypatch.setattr(aggregation.PartialAggOperator, "process", recording_process)
+    monkeypatch.setattr(aggregation._HashAggState, "accumulate", recording_accumulate)
+    monkeypatch.setattr(aggregation, "group_codes", counting_group_codes)
+    for kernel in ("grouped_sum", "grouped_count"):
+        monkeypatch.setattr(
+            aggregation, kernel, counting(getattr(aggregation, kernel), "reductions")
+        )
+    monkeypatch.setattr(np, "bincount", counting(np.bincount, "reductions"))
+    engine = make_engine(catalog, page_row_limit=1024)
+    assert engine.submit(TPCH_QUERIES[name]).result().rows
+    monkeypatch.undo()
+    return list(records.values())
+
+
+@pytest.mark.parametrize("name, distinct_inputs", [("Q1", 6), ("Q6", 1)])
+def test_partial_aggregation_groups_and_reduces_once(
+    catalog, monkeypatch, name, distinct_inputs
+):
+    records = aggregation_work(monkeypatch, catalog, name)
+    assert sum(r["pages"] for r in records) >= 25
+    for record in records:
+        assert record["group_codes"] <= record["learning"] <= record["pages"]
+        assert record["reductions"] <= distinct_inputs * record["pages"]
+    # The bound bites: most pages bring no new group.
+    assert sum(r["learning"] for r in records) < sum(r["pages"] for r in records) / 2
+    assert records == aggregation_work(monkeypatch, catalog, name)
 
 
 # -- one execution path per operator ------------------------------------------

@@ -130,6 +130,29 @@ class TestFolding:
         assert h1.result().rows == isolated_rows(catalog, detail)
         assert h2.result().rows == isolated_rows(catalog, agg)
 
+    def test_residual_integer_sum_is_exact_beyond_float64(self, catalog):
+        """The residual re-aggregation shares ``grouped_sum`` with the
+        engine; both are held to python-int arithmetic, not to each other."""
+        engine = sharing_engine(catalog)
+        detail = ("select o_orderstatus, o_orderkey, o_custkey from orders "
+                  "where o_orderkey > 0")
+        agg = ("select o_orderstatus, sum(o_orderkey * o_custkey * 100000003) "
+               "from orders where o_orderkey > 0 group by o_orderstatus")
+        engine.submit(detail)
+        folded = engine.submit(agg)
+        assert folded.sharing.role == "folded"
+        orders = catalog.table("orders")
+        expected: dict = {}
+        for status, key, cust in zip(
+            orders.column("o_orderstatus").tolist(),
+            orders.column("o_orderkey").tolist(),
+            orders.column("o_custkey").tolist(),
+        ):
+            expected[status] = expected.get(status, 0) + key * cust * 100000003
+        assert all(float(total) != total for total in expected.values())
+        assert sorted(folded.result().rows) == sorted(expected.items())
+        assert sorted(isolated_rows(catalog, agg)) == sorted(expected.items())
+
     def test_conjunct_order_regression_folds(self, catalog):
         """Two textually different but semantically identical filters must
         land in the same fold group (the normalization bugfix)."""

@@ -8,6 +8,7 @@ naive dict-based oracles with the same semantics as ``repro.reference``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CostModel
 from repro.exec.operators.aggregation import FinalAggOperator, PartialAggOperator
@@ -253,6 +254,129 @@ def test_grouped_string_min_max_through_operators():
     )
     result = _drain(final, [Page.from_rows(pschema, rows)])
     assert sorted(result) == [(1, "apple", "pear"), (2, "fig", "quince")]
+
+
+# ---------------------------------------------------------------------------
+# rows -> slots: the table path against the page-local path
+# ---------------------------------------------------------------------------
+_POOL = ["ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew", "zelkova"]
+_AGG_VALUE_TYPES = [FLT, INT, STR]  # the columns v, w, t after the keys
+
+
+def _fresh_dict_column(rng, values):
+    """``values`` over a dictionary of its own — shuffled entries, an
+    unused ``None`` among them — as a page read back from spill has."""
+    entries = list(dict.fromkeys(values)) + [None]
+    entries = [entries[i] for i in rng.permutation(len(entries))]
+    return DictColumn([entries.index(v) for v in values], entries)
+
+
+def _agg_stream(rng, key_kinds, npages, max_rows, min_rows=0):
+    """Pages ``(keys..., v FLOAT, w INT, t STRING)`` whose key domains
+    grow along the stream, so values are first seen mid-stream; three
+    such keys stay under 9 * 8 * 8 combinations, within any page's bound."""
+    key_types = [STR if kind == "dict" else INT for kind in key_kinds]
+    schema = _key_schema(key_types + _AGG_VALUE_TYPES)
+    pages = []
+    for i in range(npages):
+        n = int(rng.integers(min_rows, max_rows))
+        reach = 2 + i  # how much of each domain this page may draw from
+        columns = []
+        for kind in key_kinds:
+            if kind == "dict":
+                words = [_POOL[j] for j in rng.integers(0, min(reach, len(_POOL)), size=n)]
+                columns.append(_fresh_dict_column(rng, words))
+            elif kind == "small":
+                columns.append(rng.integers(-min(reach, 4), min(reach, 4), size=n))
+            else:  # values a table cannot span
+                columns.append(rng.integers(-(10**9), 10**9, size=4)[rng.integers(0, 4, size=n)])
+        columns.append(rng.normal(size=n) * 1e6)
+        columns.append(rng.integers(-(2**40), 2**40, size=n))
+        columns.append(_fresh_dict_column(rng, [_POOL[j] for j in rng.integers(0, len(_POOL), size=n)]))
+        pages.append(Page(schema, columns))
+    return schema, pages
+
+
+def _two_stage(schema, nkeys, pages, group_limit, page_local):
+    """Output pages (as row lists) of partial then final aggregation;
+    ``page_local`` forces both operators off the table path up front."""
+    v, w, t = (InputRef(nkeys + i, typ) for i, typ in enumerate(_AGG_VALUE_TYPES))
+    calls = [
+        AggregateCall("sum", v, FLT), AggregateCall("avg", v, FLT),
+        AggregateCall("count", None, INT), AggregateCall("min", v, FLT),
+        AggregateCall("max", v, FLT), AggregateCall("sum", w, INT),
+        AggregateCall("avg", w, FLT), AggregateCall("min", t, STR),
+        AggregateCall("max", t, STR),
+    ]
+    keys = list(range(nkeys))
+    pschema = partial_agg_schema(schema, keys, calls)
+    out_schema = Schema.of(
+        *[(f.name, f.type) for f in schema.fields[:nkeys]],
+        *[(f"a{i}", call.result_type) for i, call in enumerate(calls)],
+    )
+    partial = PartialAggOperator(
+        COST, keys, calls, pschema, row_limit=5, group_limit=group_limit
+    )
+    final = FinalAggOperator(COST, nkeys, calls, out_schema, row_limit=5)
+    if page_local:
+        partial.state._leave_table()
+        final.state._leave_table()
+    partial_pages = [
+        out for page in pages + [Page.end()] for out in partial.process(page)[0]
+    ]
+    final_pages = [out for page in partial_pages for out in final.process(page)[0]]
+    as_rows = lambda outs: [out.rows() for out in outs if not out.is_end]
+    return as_rows(partial_pages), as_rows(final_pages), (partial, final)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    key_kinds=st.lists(st.sampled_from(["dict", "small", "large"]), min_size=1, max_size=3),
+    npages=st.integers(1, 8),
+    group_limit=st.integers(2, 40),
+)
+def test_table_path_emits_what_the_page_local_path_emits(
+    seed, key_kinds, npages, group_limit
+):
+    """Same pages, same rows, same order, floats ``==``: how rows reach
+    their slots is invisible downstream (DESIGN.md §8, invariants i-ii)."""
+    schema, pages = _agg_stream(np.random.default_rng(seed), key_kinds, npages, 40)
+    nkeys = len(key_kinds)
+    direct = _two_stage(schema, nkeys, pages, group_limit, page_local=False)
+    forced = _two_stage(schema, nkeys, pages, group_limit, page_local=True)
+    assert direct[0] == forced[0]
+    assert direct[1] == forced[1]
+    if "large" not in key_kinds:
+        assert all(op.state._radices is not None for op in direct[2])
+
+
+def test_table_path_hands_over_mid_stream_when_the_table_outgrows_its_page():
+    # Words x a widening integer: the table passes 4 * rows + 1024 on the
+    # third page, with groups of the first two already in the state.
+    rng = np.random.default_rng(3)
+    schema, pages = _agg_stream(rng, ["dict", "small"], 3, 30, min_rows=25)
+    wide = pages[-1]
+    spread = np.arange(wide.num_rows) * 40  # >= 25 rows: span >= 961, x 4 words
+    pages[-1] = Page(schema, [wide.columns[0], spread] + list(wide.columns[2:]))
+    v, w, t = (InputRef(2 + i, typ) for i, typ in enumerate(_AGG_VALUE_TYPES))
+    calls = [AggregateCall("sum", v, FLT), AggregateCall("min", t, STR)]
+    pschema = partial_agg_schema(schema, [0, 1], calls)
+
+    def run(page_local):
+        op = PartialAggOperator(COST, [0, 1], calls, pschema)
+        if page_local:
+            op.state._leave_table()
+        left_at = None
+        for i, page in enumerate(pages):
+            assert op.process(page)[0] == []
+            if left_at is None and op.state._radices is None:
+                left_at = i
+        return [out.rows() for out in op.process(Page.end())[0][:-1]], left_at
+
+    direct, left_at = run(page_local=False)
+    assert left_at == 2
+    assert direct == run(page_local=True)[0]
 
 
 # ---------------------------------------------------------------------------
