@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..config import EngineConfig, config_fingerprint
+from ..config import EngineConfig
 from ..data import Catalog, SplitLayout
 from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
 from ..exec.spill import QueryMemory
@@ -22,6 +22,7 @@ from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan
 from ..plan.physical_planner import PhysicalPlanner, PlannerOptions
 from ..sim import SimKernel
+from ..tree import field_names, identity
 from .cluster import Cluster
 from .rpc import RpcTracker
 from .scheduler import Scheduler
@@ -44,13 +45,17 @@ class QueryOptions:
     #: Push partial aggregations / partial topN below the shuffle.
     partial_pushdown: bool = True
 
+    def plan_shaping(self) -> dict:
+        """The options that change *what* plan is built: the fields this
+        class shares with :class:`PlannerOptions`.  The DOP hints change
+        only how wide it runs, and the predictor rewrites them at
+        pre-grant time, so they are no part of a query's template."""
+        return {name: getattr(self, name) for name in _PLAN_SHAPING}
+
     def planner_options(self, config: EngineConfig) -> PlannerOptions:
         return PlannerOptions(
-            join_distribution=self.join_distribution,
-            broadcast_threshold_rows=self.broadcast_threshold_rows,
-            shuffle_stage_tables=self.shuffle_stage_tables,
             intermediate_data_cache=config.intermediate_data_cache,
-            partial_pushdown=self.partial_pushdown,
+            **self.plan_shaping(),
         )
 
     def fingerprint(self) -> tuple:
@@ -58,11 +63,16 @@ class QueryOptions:
 
         Options differing in *any* field miss the cache — including the
         DOP hints, which do not change the produced plan; a spurious miss
-        only costs a re-plan and never serves a wrong plan.  Uses the same
-        :func:`repro.config.config_fingerprint` walk as every config
-        class, so the plan cache does not special-case this type.
+        only costs a re-plan and never serves a wrong plan.  The same
+        :func:`repro.tree.identity` as every config class, so the plan
+        cache does not special-case this type.
         """
-        return config_fingerprint(self)
+        return identity(self)
+
+
+_PLAN_SHAPING = tuple(
+    name for name in field_names(PlannerOptions) if name in field_names(QueryOptions)
+)
 
 
 class QueryLifecycle:

@@ -307,9 +307,7 @@ class ClusterMembership:
     # end-signal teardown (Section 4.4) of a draining node's tasks
     # ------------------------------------------------------------------
     def _teardown_pass(self, node: "Node") -> None:
-        for query in list(self.coordinator.queries.values()):
-            if query.finished:
-                continue
+        for query in list(self.coordinator.running.values()):
             touched = False
             for stage in query.stages.values():
                 touched |= self._drain_stage(query, stage, node)

@@ -10,46 +10,27 @@ factors, crossovers) at reduced scale factors.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field, replace
+
+from .tree import identity
 
 
 def config_fingerprint(obj) -> tuple:
-    """Stable, hashable identity of a config object.
-
-    Walks dataclass fields recursively, freezing containers (dicts become
-    sorted item tuples, lists/sets become tuples) so the result is usable
-    as a cache key.  Every config class in the ``EngineConfig`` hierarchy
-    — and :class:`~repro.cluster.coordinator.QueryOptions` — exposes this
-    via ``.fingerprint()``; the plan cache keys on it uniformly instead of
+    """Stable, hashable identity of a config object: its
+    :func:`repro.tree.identity`.  Every config class in the
+    ``EngineConfig`` hierarchy — and
+    :class:`~repro.cluster.coordinator.QueryOptions` — exposes this via
+    ``.fingerprint()``; the plan cache keys on it uniformly instead of
     special-casing individual classes.
     """
-    return _freeze(obj)
-
-
-def _freeze(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__name__,
-            tuple(
-                (f.name, _freeze(getattr(value, f.name)))
-                for f in dataclasses.fields(value)
-            ),
-        )
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted(_freeze(v) for v in value))
-    return value
+    return identity(obj)
 
 
 class _Fingerprinted:
     """Mixin giving every config dataclass a uniform ``fingerprint()``."""
 
     def fingerprint(self) -> tuple:
-        return config_fingerprint(self)
+        return identity(self)
 
 
 @dataclass(frozen=True)
@@ -392,8 +373,8 @@ class PredictionConfig(_Fingerprinted):
     earlier releases.  With ``enabled=True`` the engine keys every
     finished query's per-stage demand (CPU seconds, quanta, peak tracked
     memory, exchange bytes, stage time windows) under its query-*template*
-    fingerprint (plan fingerprint with literals parameterized out —
-    ``repro.sharing.normalize`` with ``literals=False``), and uses the
+    fingerprint (the plan's ``repro.tree.identity`` with literals
+    parameterized out, ``literals=False``), and uses the
     accumulated history to (1) pre-grant stage DOPs and a memory budget
     at submission, (2) place tasks by dominant-remaining-resource
     scoring, and (3) estimate runtime with variance for SLO admission.

@@ -50,9 +50,7 @@ class FaultInjector:
         self.coordinator.recovery.node_down(node)
 
     def _crash_task(self, event: TaskCrash) -> None:
-        for query in list(self.coordinator.queries.values()):
-            if query.finished:
-                continue
+        for query in list(self.coordinator.running.values()):
             stage = query.stages.get(event.stage)
             if stage is None:
                 continue

@@ -93,9 +93,7 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def _coordinator_down(self) -> None:
-        for query in list(self.coordinator.queries.values()):
-            if query.finished:
-                continue
+        for query in list(self.coordinator.running.values()):
             self.decisions.record(
                 "fault", "node_crash", query_id=query.id, node="coordinator",
                 reason="coordinator",
@@ -109,9 +107,7 @@ class RecoveryManager:
         Recovery runs top-down (consumers before producers) in the common
         immediate case; the wiring is order-independent regardless, thanks
         to shuffle redirects and ``Task.replaced_by``."""
-        for query in list(self.coordinator.queries.values()):
-            if query.finished:
-                continue
+        for query in list(self.coordinator.running.values()):
             dead: list[tuple["StageExecution", "Task"]] = []
             for stage in query.stages.values():  # insertion = bottom-up
                 for task in stage.tasks:

@@ -125,6 +125,10 @@ class Schema:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Schema({', '.join(map(repr, self.fields))})"
 
+    def identity_key(self, literals: bool) -> tuple:
+        """What :func:`repro.tree.identity` sees: (name, type) pairs."""
+        return tuple([(f.name, f.type.value) for f in self.fields])
+
     def names(self) -> list[str]:
         return [f.name for f in self.fields]
 

@@ -8,7 +8,6 @@ pruning).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 from ..errors import PlanningError
@@ -21,29 +20,7 @@ def transform_expr(expr: BoundExpr, fn: Callable[[BoundExpr], BoundExpr]) -> Bou
     ``fn`` receives a node whose children have already been transformed and
     returns a (possibly new) node.
     """
-    if not dataclasses.is_dataclass(expr):
-        raise TypeError(f"not a bound expression: {expr!r}")
-
-    changes = {}
-    for field in dataclasses.fields(expr):
-        value = getattr(expr, field.name)
-        new_value = _transform_value(value, fn)
-        if new_value is not value:
-            changes[field.name] = new_value
-    if changes:
-        expr = dataclasses.replace(expr, **changes)
-    return fn(expr)
-
-
-def _transform_value(value, fn):
-    if isinstance(value, BoundExpr):
-        return transform_expr(value, fn)
-    if isinstance(value, tuple):
-        new_items = tuple(_transform_value(v, fn) for v in value)
-        if any(a is not b for a, b in zip(new_items, value)):
-            return new_items
-        return value
-    return value
+    return fn(expr.rebuild(lambda child: transform_expr(child, fn)))
 
 
 def remap_expr(expr: BoundExpr, mapping: dict[int, int]) -> BoundExpr:

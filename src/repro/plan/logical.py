@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from ..pages import ColumnType, Field, Schema
 from ..sql.expressions import AggregateCall, BoundExpr
+from ..tree import Tree, identity
 
 
 class JoinType(enum.Enum):
@@ -17,23 +18,14 @@ class JoinType(enum.Enum):
     CROSS = "cross"
 
 
-class LogicalNode:
+class LogicalNode(Tree):
     """Base class; every node exposes an output :class:`Schema`."""
 
     schema: Schema
 
-    def children(self) -> list["LogicalNode"]:
-        raise NotImplementedError
-
     @property
     def name(self) -> str:
         return type(self).__name__.removeprefix("Logical")
-
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.describe()]
-        for child in self.children():
-            lines.append(child.pretty(indent + 1))
-        return "\n".join(lines)
 
     def describe(self) -> str:
         return self.name
@@ -46,9 +38,6 @@ class LogicalScan(LogicalNode):
     #: Positions of the selected columns within the base table schema
     #: (projection pruning narrows this).
     column_indexes: tuple[int, ...]
-
-    def children(self):
-        return []
 
     def describe(self) -> str:
         return f"Scan[{self.table}]({', '.join(self.schema.names())})"
@@ -63,8 +52,15 @@ class LogicalFilter(LogicalNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
+    def identity_key(self, literals: bool) -> tuple:
+        # Consecutive filters are one conjunction, whatever order and
+        # nesting the conjuncts were written in.
+        conjuncts = identity(self.predicate, literals)
+        conjuncts = conjuncts[1:] if conjuncts[0] == "BoolAnd" else (conjuncts,)
+        child = identity(self.child, literals)
+        if child[0] == "LogicalFilter":
+            conjuncts, child = conjuncts + child[1], child[2]
+        return ("LogicalFilter", tuple(sorted(conjuncts)), child)
 
     def describe(self) -> str:
         return f"Filter[{self.predicate}]"
@@ -80,9 +76,6 @@ class LogicalProject(LogicalNode):
     def of(cls, child: LogicalNode, exprs: list[BoundExpr], names: list[str]) -> "LogicalProject":
         schema = Schema(Field(n, e.type) for n, e in zip(names, exprs))
         return cls(child, list(exprs), schema)
-
-    def children(self):
-        return [self.child]
 
     def describe(self) -> str:
         cols = ", ".join(f"{n}={e}" for n, e in zip(self.schema.names(), self.exprs))
@@ -105,9 +98,6 @@ class LogicalJoin(LogicalNode):
         if self.join_type in (JoinType.SEMI, JoinType.ANTI):
             return self.left.schema
         return self.left.schema.concat(self.right.schema)
-
-    def children(self):
-        return [self.left, self.right]
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -149,9 +139,6 @@ class LogicalAggregate(LogicalNode):
             fields.append(Field(name, agg.result_type))
         return cls(child, list(group_keys), list(aggregates), Schema(fields))
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         keys = ", ".join(f"${k}" for k in self.group_keys)
         aggs = ", ".join(map(str, self.aggregates))
@@ -168,9 +155,6 @@ class LogicalSort(LogicalNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         keys = ", ".join(f"${i}{'' if asc else ' desc'}" for i, asc in self.sort_keys)
         return f"Sort[{keys}]"
@@ -186,9 +170,6 @@ class LogicalTopN(LogicalNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         keys = ", ".join(f"${i}{'' if asc else ' desc'}" for i, asc in self.sort_keys)
         return f"TopN[{self.count} by {keys}]"
@@ -203,15 +184,9 @@ class LogicalLimit(LogicalNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         return f"Limit[{self.count}]"
 
 
-def walk(node: LogicalNode):
-    """Pre-order traversal of a logical plan."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+#: Pre-order traversal of a logical plan, as a function: ``walk(plan)``.
+walk = LogicalNode.walk

@@ -639,26 +639,16 @@ def _and_all(exprs: list[BoundExpr]) -> BoundExpr:
     return BoolAnd(tuple(flat))
 
 
+def _aggregate_calls(node: ast.ExprNode) -> list[ast.FunctionCall]:
+    """Aggregate calls in ``node`` (a subquery's are its own, not these)."""
+    return [
+        n for n in node.walk()
+        if isinstance(n, ast.FunctionCall) and n.name in AGGREGATE_FUNCTIONS
+    ]
+
+
 def _contains_aggregate(node: ast.ExprNode) -> bool:
-    if isinstance(node, ast.FunctionCall) and node.name in AGGREGATE_FUNCTIONS:
-        return True
-    for attr in getattr(node, "__dataclass_fields__", {}):
-        value = getattr(node, attr)
-        if isinstance(value, ast.ExprNode) and _contains_aggregate(value):
-            return True
-        if isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, ast.ExprNode) and _contains_aggregate(item):
-                    return True
-                if (
-                    isinstance(item, tuple)
-                    and any(
-                        isinstance(x, ast.ExprNode) and _contains_aggregate(x)
-                        for x in item
-                    )
-                ):
-                    return True
-    return False
+    return bool(_aggregate_calls(node))
 
 
 def _output_name(item: ast.SelectItem, index: int) -> str:
@@ -688,27 +678,7 @@ def _rewrite_distinct_aggregate(stmt: ast.SelectStatement) -> ast.SelectStatemen
     select list (TPC-H Q16 shape); mixing it with other aggregates would
     need per-aggregate pipelines and is reported as unsupported.
     """
-    def walk_ast(node):
-        yield node
-        for attr in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, attr)
-            if isinstance(value, ast.ExprNode):
-                yield from walk_ast(value)
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, ast.ExprNode):
-                        yield from walk_ast(item)
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, ast.ExprNode):
-                                yield from walk_ast(sub)
-
-    calls = [
-        n
-        for item in stmt.items
-        for n in walk_ast(item.expr)
-        if isinstance(n, ast.FunctionCall) and n.name in AGGREGATE_FUNCTIONS
-    ]
+    calls = [c for item in stmt.items for c in _aggregate_calls(item.expr)]
     distinct_calls = {c for c in calls if c.distinct}
     if not distinct_calls:
         return stmt
@@ -747,7 +717,7 @@ def _rewrite_distinct_aggregate(stmt: ast.SelectStatement) -> ast.SelectStatemen
             return alias_by_group[node]
         if node == call:
             return ast.FunctionCall("count", (ast.ColumnName("_dx"),))
-        return _ast_rebuild(node, remap)
+        return node.rebuild(remap)
 
     outer_items = [
         ast.SelectItem(remap(item.expr), item.alias, item.is_star)
@@ -763,32 +733,6 @@ def _rewrite_distinct_aggregate(stmt: ast.SelectStatement) -> ast.SelectStatemen
         order_by=outer_order,
         limit=stmt.limit,
     )
-
-
-def _ast_rebuild(node: ast.ExprNode, fn) -> ast.ExprNode:
-    """Rebuild an AST expression with ``fn`` applied to child expressions."""
-    import dataclasses
-
-    if not dataclasses.is_dataclass(node):
-        return node
-    changes = {}
-    for field_info in dataclasses.fields(node):
-        value = getattr(node, field_info.name)
-        if isinstance(value, ast.ExprNode):
-            new_value = fn(value)
-        elif isinstance(value, tuple) and value and isinstance(value[0], ast.ExprNode):
-            new_value = tuple(fn(v) for v in value)
-        elif (
-            isinstance(value, tuple)
-            and value
-            and isinstance(value[0], tuple)
-        ):  # CASE whens
-            new_value = tuple(tuple(fn(v) for v in pair) for pair in value)
-        else:
-            continue
-        if new_value != value:
-            changes[field_info.name] = new_value
-    return dataclasses.replace(node, **changes) if changes else node
 
 
 def _scalar_side(

@@ -18,16 +18,14 @@ from ..buffers import OutputMode
 from ..pages import ColumnType, Field, Schema
 from ..sql.expressions import AggregateCall, BoundExpr
 from ..sql.functions import partial_fields
+from ..tree import Tree
 from .logical import JoinType
 
 
-class PNode:
+class PNode(Tree):
     """Base physical node; ``schema`` is the node's output schema."""
 
     schema: Schema
-
-    def children(self) -> list["PNode"]:
-        return []
 
     @property
     def name(self) -> str:
@@ -35,12 +33,6 @@ class PNode:
 
     def describe(self) -> str:
         return self.name
-
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.describe()]
-        for child in self.children():
-            lines.append(child.pretty(indent + 1))
-        return "\n".join(lines)
 
 
 @dataclass
@@ -72,9 +64,6 @@ class PLocalExchangeNode(PNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         return "LocalExchange"
 
@@ -88,9 +77,6 @@ class PFilterNode(PNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         return f"Filter[{self.predicate}]"
 
@@ -100,9 +86,6 @@ class PProjectNode(PNode):
     child: PNode
     exprs: list[BoundExpr]
     schema: Schema
-
-    def children(self):
-        return [self.child]
 
     def describe(self) -> str:
         return f"Project[{', '.join(self.schema.names())}]"
@@ -122,9 +105,6 @@ class PPartialAggNode(PNode):
     def describe(self) -> str:
         return f"PartialAggregate[{len(self.group_keys)} keys, {len(self.aggregates)} aggs]"
 
-    def children(self):
-        return [self.child]
-
 
 @dataclass
 class PFinalAggNode(PNode):
@@ -137,9 +117,6 @@ class PFinalAggNode(PNode):
 
     def describe(self) -> str:
         return f"FinalAggregate[{len(self.group_keys)} keys, {len(self.aggregates)} aggs]"
-
-    def children(self):
-        return [self.child]
 
 
 @dataclass
@@ -158,9 +135,6 @@ class PJoinNode(PNode):
     #: (hash-table rebuild vs DOP switching, paper Sections 4.4/4.5).
     distribution: str = "broadcast"
 
-    def children(self):
-        return [self.probe, self.build]
-
     def describe(self) -> str:
         keys = ", ".join(f"p{k}=b{j}" for k, j in zip(self.probe_keys, self.build_keys))
         return f"HashJoin[{self.join_type.value}, {self.distribution}, {keys or 'TRUE'}]"
@@ -177,9 +151,6 @@ class PTopNNode(PNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         return f"TopN[{'partial ' if self.partial else ''}{self.count}]"
 
@@ -192,9 +163,6 @@ class PSortNode(PNode):
     @property
     def schema(self) -> Schema:
         return self.child.schema
-
-    def children(self):
-        return [self.child]
 
     def describe(self) -> str:
         return "Sort"
@@ -210,9 +178,6 @@ class PLimitNode(PNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         return f"Limit[{'partial ' if self.partial else ''}{self.count}]"
 
@@ -227,9 +192,6 @@ class PTaskOutputNode(PNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def children(self):
-        return [self.child]
-
     def describe(self) -> str:
         return "TaskOutput"
 
@@ -243,9 +205,6 @@ class POutputNode(PNode):
     @property
     def schema(self) -> Schema:
         return self.child.schema
-
-    def children(self):
-        return [self.child]
 
     def describe(self) -> str:
         return "Output"

@@ -13,7 +13,7 @@ Enable with ``EngineConfig().with_prediction()``; the user surface is
 ``QueryHandle.prediction`` / ``QueryHandle.prediction_error``.
 """
 
-from .fingerprint import options_template, template_fingerprint
+from .fingerprint import template_fingerprint
 from .history import HistoryStore
 from .profile import Prediction, StageDemand
 from .service import DemandPredictor
@@ -23,6 +23,5 @@ __all__ = [
     "HistoryStore",
     "Prediction",
     "StageDemand",
-    "options_template",
     "template_fingerprint",
 ]

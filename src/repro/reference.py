@@ -188,7 +188,7 @@ def _global_aggregate(agg: AggregateCall, page: Page):
         total = values.sum()
         return int(total) if agg.result_type is ColumnType.INT64 else float(total)
     if agg.function == "avg":
-        return float(values.mean())
+        return float(values.sum() / page.num_rows)
     if agg.function == "min":
         return values.min()
     if agg.function == "max":
@@ -207,7 +207,7 @@ def _grouped_aggregate(
     if agg.function == "sum":
         return grouped_sum(codes, values, ngroups)
     if agg.function == "avg":
-        sums = grouped_sum(codes, values.astype(np.float64), ngroups)
+        sums = grouped_sum(codes, values, ngroups)
         counts = grouped_count(codes, ngroups)
         return sums / counts
     if agg.function == "min":

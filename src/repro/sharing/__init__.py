@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .cache import ResultCache
 from .fold import FoldGroup, SharedConsumer
 from .manager import SharingManager
-from .normalize import NormalizedQuery, expr_key, normalize_logical, plan_key, plan_residual
+from .normalize import NormalizedQuery, normalize_logical, plan_residual
 from .residual import Residual, apply_residual
 
 __all__ = [
@@ -25,9 +25,7 @@ __all__ = [
     "SharingInfo",
     "SharingManager",
     "apply_residual",
-    "expr_key",
     "normalize_logical",
-    "plan_key",
     "plan_residual",
 ]
 

@@ -156,8 +156,8 @@ class SharingManager:
         if group is not None and group.accepts:
             return group, Residual()
         options_key = key[2]
-        for group_key in sorted(self.groups, key=repr):
-            group = self.groups[group_key]
+        # Oldest live group first (dict order is creation order).
+        for group_key, group in self.groups.items():
             if not group.accepts or group_key == key:
                 continue
             if group_key[0] != key[0] or group_key[2] != options_key:

@@ -1,17 +1,18 @@
 """Plan normalization and subplan subsumption for concurrent-query folding.
 
 The fold detector (DESIGN.md §14) never compares SQL text: it compares
-*normalized logical plans*.  :func:`expr_key` canonicalises a bound
-expression into a stable string — conjuncts/disjuncts sorted, commutative
-operands ordered, ``>``/``>=`` rewritten as flipped ``<``/``<=`` — so two
-textually different but semantically identical filters produce the same
-fingerprint across runs and processes (no ``id()``/hash-seed leakage).
-:func:`plan_key` lifts that to whole plans, flattening and sorting
-conjunctive ``Filter`` chains.
+the :func:`~repro.tree.identity` of logical plans — conjuncts/disjuncts
+sorted, ``=``/``<>`` operands ordered, ``>``/``>=`` rewritten as flipped
+``<``/``<=``, consecutive ``Filter`` nodes merged — so two textually
+different but semantically identical plans produce the same key across
+runs and processes (no ``id()``/hash-seed leakage).  Only comparisons
+and boolean connectives are reordered, which are result-exact under any
+order; arithmetic is not.  Output column *names* are part of the key:
+result schemas are user-visible.
 
-On top of the fingerprints, :func:`decompose` splits a plan into the
-shared *core* (everything below the filter/projection/aggregation crown)
-plus its crown, and :func:`plan_residual` decides whether query B can be
+On top of the keys, :func:`decompose` splits a plan into the shared
+*core* (everything below the filter/projection/aggregation crown) plus
+its crown, and :func:`plan_residual` decides whether query B can be
 grafted onto carrier A: B folds when its core matches A's and A's filter
 conjuncts are a subset of B's, in which case the returned
 :class:`~repro.sharing.residual.Residual` holds B's extra conjuncts and
@@ -25,232 +26,44 @@ Safety rules (answers must stay bit-identical to an isolated run):
   order-insensitive aggregates: ``count``/``min``/``max`` always,
   ``sum``/``avg`` only over INT64 arguments (float sums depend on
   accumulation order), and never ``distinct``;
-- everything else falls back to an exact-fingerprint fold or no fold.
+- everything else falls back to an exact-key fold or no fold.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..pages import ColumnType, Field, Schema
 from ..plan.logical import (
     LogicalAggregate,
     LogicalFilter,
-    LogicalJoin,
     LogicalLimit,
     LogicalNode,
     LogicalProject,
     LogicalScan,
-    LogicalSort,
     LogicalTopN,
-    walk,
 )
-from ..sql.expressions import (
-    AggregateCall,
-    Arithmetic,
-    BoolAnd,
-    BoolNot,
-    BoolOr,
-    BoundExpr,
-    CaseWhen,
-    Cast,
-    Comparison,
-    Constant,
-    ExtractDatePart,
-    InputRef,
-    InSet,
-    IsNull,
-    LikeMatch,
-    Negate,
-)
+from ..sql.expressions import AggregateCall, BoolAnd, BoundExpr, InputRef
+from ..tree import identity
 from .residual import Residual
 
-#: Bump when the normalization rules change: fingerprints from different
-#: rule versions must never collide in a persisted cache.
-NORMALIZE_VERSION = 1
+#: Bump when the identity rules change: keys from different rule versions
+#: must never collide in a persisted store (``history.json`` buckets
+#: written under an older version are orphaned by design).
+NORMALIZE_VERSION = 2
 
 #: Aggregate functions whose result does not depend on input row order.
 #: ``sum``/``avg`` qualify only over exact (integer) arithmetic.
 _ORDER_FREE_AGGS = ("count", "min", "max", "sum", "avg")
 
 
-# -- expression canonicalisation --------------------------------------------
-def expr_key(expr: BoundExpr, literals: bool = True) -> str:
-    """Deterministic canonical form of a bound expression.
-
-    Two expressions with equal keys are semantically equivalent (the
-    converse does not hold — this is a syntactic canonicalisation, not a
-    theorem prover).  Commutative reorderings that would change float
-    evaluation results are *not* applied to arithmetic over floats —
-    only comparisons and boolean connectives are reordered, which are
-    result-exact under any order.
-
-    ``literals=False`` parameterizes constants out (``price > 10`` and
-    ``price > 20`` share one key, with the literal's *type* kept so
-    schema changes still separate) — the query-*template* form used by
-    ``repro.predict`` to key demand history.  Exact folding and the
-    result cache always use ``literals=True``.
-    """
-    if isinstance(expr, InputRef):
-        # The name is cosmetic; position + type is the identity.
-        return f"${expr.index}"
-    if isinstance(expr, Constant):
-        if not literals:
-            return f"lit:{expr.type.value}:?"
-        return f"lit:{expr.type.value}:{expr.value!r}"
-    if isinstance(expr, Arithmetic):
-        left = expr_key(expr.left, literals)
-        right = expr_key(expr.right, literals)
-        return f"({left}{expr.op}{right})"
-    if isinstance(expr, Negate):
-        return f"(neg {expr_key(expr.operand, literals)})"
-    if isinstance(expr, Comparison):
-        op = expr.op
-        lhs = expr_key(expr.left, literals)
-        rhs = expr_key(expr.right, literals)
-        if op in (">", ">="):
-            # a > b  ==  b < a: one canonical direction.
-            op = "<" if op == ">" else "<="
-            lhs, rhs = rhs, lhs
-        elif op in ("=", "<>") and rhs < lhs:
-            lhs, rhs = rhs, lhs
-        return f"({lhs} {op} {rhs})"
-    if isinstance(expr, (BoolAnd, BoolOr)):
-        tag = "and" if isinstance(expr, BoolAnd) else "or"
-        keys = sorted(
-            expr_key(t, literals) for t in _flatten(expr, type(expr))
-        )
-        return f"({tag} {' '.join(keys)})"
-    if isinstance(expr, BoolNot):
-        return f"(not {expr_key(expr.operand, literals)})"
-    if isinstance(expr, InSet):
-        if literals:
-            options = ",".join(sorted(repr(o) for o in expr.options))
-        else:
-            # Keep the cardinality: IN over 2 vs. 200 options is a
-            # different template (very different selectivity/cost).
-            options = ",".join("?" * len(expr.options))
-        return f"(in {expr_key(expr.value, literals)} [{options}])"
-    if isinstance(expr, LikeMatch):
-        neg = "!" if expr.negated else ""
-        pattern = repr(expr.pattern) if literals else "?"
-        return f"(like{neg} {expr_key(expr.value, literals)} {pattern})"
-    if isinstance(expr, IsNull):
-        neg = "!" if expr.negated else ""
-        return f"(isnull{neg} {expr_key(expr.value, literals)})"
-    if isinstance(expr, CaseWhen):
-        whens = " ".join(
-            f"{expr_key(cond, literals)}:{expr_key(value, literals)}"
-            for cond, value in expr.whens
-        )
-        default = (
-            expr_key(expr.default, literals)
-            if expr.default is not None else "-"
-        )
-        return f"(case {whens} else {default})"
-    if isinstance(expr, ExtractDatePart):
-        return f"(extract {expr.unit} {expr_key(expr.source, literals)})"
-    if isinstance(expr, Cast):
-        return f"(cast {expr.type.value} {expr_key(expr.value, literals)})"
-    # Unknown node kinds fall back to the dataclass repr, which is
-    # deterministic (frozen dataclasses of plain values).
-    return f"?{expr!r}"
-
-
-def _flatten(expr: BoundExpr, kind) -> list[BoundExpr]:
-    """Flatten nested same-kind connectives: AND(a, AND(b, c)) -> [a,b,c]."""
-    if isinstance(expr, kind):
-        out: list[BoundExpr] = []
-        for term in expr.terms:
-            out.extend(_flatten(term, kind))
-        return out
-    return [expr]
-
-
 def split_conjuncts(predicate: BoundExpr) -> list[BoundExpr]:
     """A filter predicate as a flat list of AND-ed conjuncts."""
-    return _flatten(predicate, BoolAnd)
-
-
-def agg_key(call: AggregateCall) -> str:
-    arg = expr_key(call.arg) if call.arg is not None else "*"
-    distinct = "distinct " if call.distinct else ""
-    return f"{call.function}({distinct}{arg}):{call.result_type.value}"
-
-
-# -- plan fingerprints -------------------------------------------------------
-def plan_key(node: LogicalNode, literals: bool = True) -> tuple:
-    """Stable, hashable fingerprint of a logical plan.
-
-    Consecutive ``Filter`` nodes are flattened and their conjuncts sorted
-    by :func:`expr_key`, so predicate order (as written in SQL) does not
-    change the fingerprint.  Output column *names* are part of project /
-    aggregate keys: result schemas are user-visible.
-
-    ``literals=False`` produces the query-*template* fingerprint: filter
-    and projection literals are parameterized out (see :func:`expr_key`)
-    while every structural element — tables, column sets, join shape,
-    aggregate calls, output names, Limit/TopN counts — still
-    participates, so schema or option changes never collide.
-    """
-    if isinstance(node, LogicalScan):
-        return ("scan", node.table, tuple(node.column_indexes))
-    if isinstance(node, LogicalFilter):
-        conjuncts: list[BoundExpr] = []
-        child: LogicalNode = node
-        while isinstance(child, LogicalFilter):
-            conjuncts.extend(split_conjuncts(child.predicate))
-            child = child.child
-        return (
-            "filter",
-            tuple(sorted(expr_key(c, literals) for c in conjuncts)),
-            plan_key(child, literals),
-        )
-    if isinstance(node, LogicalProject):
-        return (
-            "project",
-            tuple(expr_key(e, literals) for e in node.exprs),
-            tuple(node.schema.names()),
-            plan_key(node.child, literals),
-        )
-    if isinstance(node, LogicalAggregate):
-        return (
-            "agg",
-            tuple(node.group_keys),
-            tuple(agg_key(a) for a in node.aggregates),
-            tuple(node.schema.names()),
-            plan_key(node.child, literals),
-        )
-    if isinstance(node, LogicalJoin):
-        return (
-            "join",
-            node.join_type.value,
-            tuple(node.left_keys),
-            tuple(node.right_keys),
-            (
-                expr_key(node.residual, literals)
-                if node.residual is not None else None
-            ),
-            plan_key(node.left, literals),
-            plan_key(node.right, literals),
-        )
-    if isinstance(node, LogicalSort):
-        return ("sort", tuple(node.sort_keys), plan_key(node.child, literals))
-    if isinstance(node, LogicalTopN):
-        return (
-            "topn", node.count, tuple(node.sort_keys),
-            plan_key(node.child, literals),
-        )
-    if isinstance(node, LogicalLimit):
-        return ("limit", node.count, plan_key(node.child, literals))
-    # Future node kinds: identity by class name + child keys (coarse but
-    # safe — at worst it prevents a fold).
-    return (
-        type(node).__name__,
-        tuple(plan_key(c, literals) for c in node.children()),
-    )
+    if isinstance(predicate, BoolAnd):
+        return [c for term in predicate.terms for c in split_conjuncts(term)]
+    return [predicate]
 
 
 # -- shape decomposition -----------------------------------------------------
@@ -260,13 +73,21 @@ class DetailShape:
     ``[Project] [Filter]* core``.  All expressions are core-relative."""
 
     core: LogicalNode
-    core_key: tuple
     conjuncts: list[BoundExpr]
     out_exprs: list[BoundExpr]
     out_names: list[str]
-    #: Precomputed ``expr_key`` of each output expression — the carrier's
-    #: output "namespace" that residual expressions are rebased into.
-    out_keys: list[str]
+
+    # The keys subsumption matches on; derived when a fold onto another
+    # group's carrier is first considered, which most queries never are.
+    @cached_property
+    def core_key(self) -> tuple:
+        return identity(self.core)
+
+    @cached_property
+    def out_keys(self) -> list[tuple]:
+        """:func:`identity` of each output expression — the carrier's
+        output "namespace" that residual expressions are rebased into."""
+        return [identity(e) for e in self.out_exprs]
 
 
 @dataclass
@@ -316,12 +137,7 @@ def _decompose_detail(node: LogicalNode) -> DetailShape:
         ]
         out_names = core.schema.names()
     return DetailShape(
-        core=core,
-        core_key=plan_key(core),
-        conjuncts=conjuncts,
-        out_exprs=out_exprs,
-        out_names=out_names,
-        out_keys=[expr_key(e) for e in out_exprs],
+        core=core, conjuncts=conjuncts, out_exprs=out_exprs, out_names=out_names
     )
 
 
@@ -349,21 +165,18 @@ def decompose(root: LogicalNode) -> tuple[DetailShape | None, AggShape | None]:
 
 
 def normalize_logical(root: LogicalNode) -> NormalizedQuery:
-    shareable = not any(
-        isinstance(n, (LogicalTopN, LogicalLimit)) for n in walk(root)
-    )
+    nodes = list(root.walk())
+    shareable = not any(isinstance(n, (LogicalTopN, LogicalLimit)) for n in nodes)
     detail, agg = (None, None)
     if shareable:
         detail, agg = decompose(root)
     return NormalizedQuery(
-        key=(NORMALIZE_VERSION, plan_key(root)),
+        key=(NORMALIZE_VERSION, identity(root)),
         root=root,
         shareable=shareable,
         detail=detail,
         agg=agg,
-        scan_tables=tuple(
-            n.table for n in walk(root) if isinstance(n, LogicalScan)
-        ),
+        scan_tables=tuple(n.table for n in nodes if isinstance(n, LogicalScan)),
     )
 
 
@@ -386,31 +199,14 @@ def rebase(expr: BoundExpr, shape: DetailShape) -> BoundExpr | None:
 
 
 def _rebase(expr: BoundExpr, shape: DetailShape) -> BoundExpr:
-    key = expr_key(expr)
+    key = identity(expr)
     for i, out_key in enumerate(shape.out_keys):
         if out_key == key:
             name = expr.name if isinstance(expr, InputRef) else shape.out_names[i]
             return InputRef(i, expr.type, name)
     if isinstance(expr, InputRef):
         raise _Unmappable(key)
-    changes = {}
-    for f in dataclasses.fields(expr):
-        value = getattr(expr, f.name)
-        new_value = _rebase_value(value, shape)
-        if new_value is not value:
-            changes[f.name] = new_value
-    return dataclasses.replace(expr, **changes) if changes else expr
-
-
-def _rebase_value(value, shape: DetailShape):
-    if isinstance(value, BoundExpr):
-        return _rebase(value, shape)
-    if isinstance(value, tuple):
-        new_items = tuple(_rebase_value(v, shape) for v in value)
-        if any(a is not b for a, b in zip(new_items, value)):
-            return new_items
-        return value
-    return value
+    return expr.rebuild(lambda child: _rebase(child, shape))
 
 
 # -- subsumption -------------------------------------------------------------
@@ -421,10 +217,10 @@ def _residual_conjuncts(
 
     Returns ``None`` if A filters on something B does not — A's stream
     would be missing rows B needs."""
-    remaining = Counter(expr_key(c) for c in a_conjuncts)
+    remaining = Counter(identity(c) for c in a_conjuncts)
     residual: list[BoundExpr] = []
     for conjunct in b_conjuncts:
-        key = expr_key(conjunct)
+        key = identity(conjunct)
         if remaining.get(key, 0) > 0:
             remaining[key] -= 1
         else:

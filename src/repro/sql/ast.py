@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from ..tree import Tree
+
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
-class ExprNode:
-    """Base class for AST expressions (unbound; names unresolved)."""
+class ExprNode(Tree):
+    """Base class for AST expressions (unbound; names unresolved).  A
+    subquery is a statement, not an expression: walks stop at it."""
 
     __slots__ = ()
 

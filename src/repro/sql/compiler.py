@@ -37,7 +37,6 @@ each other on randomized trees and pages.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from typing import Callable, Sequence
 
@@ -104,7 +103,7 @@ class _ChildPage:
 
     __slots__ = ("_fns", "_page", "_memo", "num_rows")
 
-    def __init__(self, fns: tuple, page: Page, memo):
+    def __init__(self, fns: list, page: Page, memo):
         self._fns = fns
         self._page = page
         self._memo = memo
@@ -116,18 +115,6 @@ class _ChildPage:
 
     def __getitem__(self, index: int):
         return self._fns[index](self._page, self._memo)
-
-
-def _positional(value, children: list[BoundExpr]):
-    """``value`` with every expression in it (tuples are descended: CASE
-    keeps its branches in one) replaced by a positional ref into
-    ``children``, to which the expression is appended."""
-    if isinstance(value, BoundExpr):
-        children.append(value)
-        return InputRef(len(children) - 1, value.type)
-    if isinstance(value, tuple):
-        return tuple(_positional(item, children) for item in value)
-    return value
 
 
 class _Compiler:
@@ -193,19 +180,17 @@ class _Compiler:
         return builder(expr)
 
     def _build_generic(self, expr: BoundExpr) -> tuple:
-        """Any kind without a hand-written closure below: a field-wise copy
-        of the node whose children are positional refs, evaluated by the
-        node's own ``evaluate`` against a page that computes compiled
-        child ``i`` when ``columns[i]`` is read."""
-        children: list[BoundExpr] = []
-        shell = dataclasses.replace(
-            expr,
-            **{
-                f.name: _positional(getattr(expr, f.name), children)
-                for f in dataclasses.fields(expr)
-            },
-        )
-        fns = tuple(self.array_fn(child) for child in children)
+        """Any kind without a hand-written closure below: a copy of the
+        node whose children are positional refs, evaluated by the node's
+        own ``evaluate`` against a page that computes compiled child
+        ``i`` when ``columns[i]`` is read."""
+        fns: list[Callable] = []
+
+        def positional(child: BoundExpr) -> InputRef:
+            fns.append(self.array_fn(child))
+            return InputRef(len(fns) - 1, child.type)
+
+        shell = expr.rebuild(positional)
         return (
             "fn",
             lambda page, memo: shell.evaluate(_ChildPage(fns, page, memo)),

@@ -16,31 +16,28 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ExecutionError
 from ..pages import ColumnType, DictColumn, Page
+from ..tree import Tree, identity
 
 
-class BoundExpr:
-    """Base class: a typed, vectorized expression over a page."""
+class BoundExpr(Tree):
+    """Base class: a typed, vectorized expression over a page.
+
+    Children are whatever expressions a kind's fields hold
+    (:class:`~repro.tree.Tree`); a kind whose identity is coarser than
+    its fields — a cosmetic name, a commutative operator, a literal —
+    says so in ``identity_key`` (see :func:`~repro.tree.identity`)."""
 
     __slots__ = ()
     type: ColumnType
 
     def evaluate(self, page: Page) -> np.ndarray:
         raise NotImplementedError
-
-    def children(self) -> Sequence["BoundExpr"]:
-        return ()
-
-    def walk(self):
-        """Yield this node and all descendants (pre-order)."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
 
 
 def assign_where(result, mask: np.ndarray, values):
@@ -63,6 +60,10 @@ class InputRef(BoundExpr):
     def evaluate(self, page: Page) -> np.ndarray:
         return page.columns[self.index]
 
+    def identity_key(self, literals: bool) -> tuple:
+        # The name is cosmetic; position + type is the identity.
+        return ("InputRef", self.index, self.type.value)
+
     def __str__(self) -> str:
         return f"${self.index}" + (f"[{self.name}]" if self.name else "")
 
@@ -77,6 +78,11 @@ class Constant(BoundExpr):
         if self.type is ColumnType.STRING:
             return DictColumn.constant(self.value, n)
         return np.full(n, self.value, dtype=self.type.numpy_dtype)
+
+    def identity_key(self, literals: bool) -> tuple:
+        # Type first: keys of unlike constants order without comparing
+        # their values.  A template keeps only the typed hole.
+        return ("Constant", self.type.value, *([self.value] if literals else ()))
 
     def __str__(self) -> str:
         return repr(self.value)
@@ -97,9 +103,6 @@ class Arithmetic(BoundExpr):
     left: BoundExpr
     right: BoundExpr
     type: ColumnType
-
-    def children(self):
-        return (self.left, self.right)
 
     def evaluate(self, page: Page) -> np.ndarray:
         lhs = self.left.evaluate(page)
@@ -125,9 +128,6 @@ class Negate(BoundExpr):
     operand: BoundExpr
     type: ColumnType
 
-    def children(self):
-        return (self.operand,)
-
     def evaluate(self, page: Page) -> np.ndarray:
         return -self.operand.evaluate(page)
 
@@ -149,17 +149,38 @@ class Comparison(BoundExpr):
     right: BoundExpr
     type: ColumnType = ColumnType.BOOL
 
-    def children(self):
-        return (self.left, self.right)
-
     def evaluate(self, page: Page) -> np.ndarray:
         fn = COMPARISON_FNS.get(self.op)
         if fn is None:
             raise ExecutionError(f"unsupported comparison {self.op}")
         return fn(self.left.evaluate(page), self.right.evaluate(page))
 
+    def identity_key(self, literals: bool) -> tuple:
+        op = self.op
+        lhs, rhs = identity(self.left, literals), identity(self.right, literals)
+        if op in (">", ">="):
+            # a > b  ==  b < a: one canonical direction.
+            op, lhs, rhs = "<" + op[1:], rhs, lhs
+        elif op in ("=", "<>") and rhs < lhs:
+            lhs, rhs = rhs, lhs
+        return ("Comparison", op, lhs, rhs)
+
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
+
+
+def _connective_key(expr, literals: bool) -> tuple:
+    """AND / OR: nested terms of the same connective flattened, then
+    sorted — both are result-exact under any order."""
+    tag = type(expr).__name__
+    keys: list = []
+    for term in expr.terms:
+        key = identity(term, literals)
+        if key[0] == tag:
+            keys.extend(key[1:])
+        else:
+            keys.append(key)
+    return (tag, *sorted(keys))
 
 
 @dataclass(frozen=True)
@@ -167,8 +188,7 @@ class BoolAnd(BoundExpr):
     terms: tuple[BoundExpr, ...]
     type: ColumnType = ColumnType.BOOL
 
-    def children(self):
-        return self.terms
+    identity_key = _connective_key
 
     def evaluate(self, page: Page) -> np.ndarray:
         result = self.terms[0].evaluate(page).astype(bool, copy=True)
@@ -185,8 +205,7 @@ class BoolOr(BoundExpr):
     terms: tuple[BoundExpr, ...]
     type: ColumnType = ColumnType.BOOL
 
-    def children(self):
-        return self.terms
+    identity_key = _connective_key
 
     def evaluate(self, page: Page) -> np.ndarray:
         result = self.terms[0].evaluate(page).astype(bool, copy=True)
@@ -203,9 +222,6 @@ class BoolNot(BoundExpr):
     operand: BoundExpr
     type: ColumnType = ColumnType.BOOL
 
-    def children(self):
-        return (self.operand,)
-
     def evaluate(self, page: Page) -> np.ndarray:
         return ~self.operand.evaluate(page).astype(bool, copy=False)
 
@@ -216,14 +232,17 @@ class InSet(BoundExpr):
     options: frozenset
     type: ColumnType = ColumnType.BOOL
 
-    def children(self):
-        return (self.value,)
-
     def evaluate(self, page: Page) -> np.ndarray:
         arr = self.value.evaluate(page)
         if isinstance(arr, DictColumn):
             return arr.test(("in", self.options), self.options.__contains__)
         return np.isin(arr, np.array(sorted(self.options)))
+
+    def identity_key(self, literals: bool) -> tuple:
+        # A template keeps the arity: IN over 2 vs. 200 options is a
+        # different selectivity and cost.
+        options = tuple(sorted(self.options)) if literals else len(self.options)
+        return ("InSet", identity(self.value, literals), options)
 
 
 @dataclass(frozen=True)
@@ -233,9 +252,6 @@ class LikeMatch(BoundExpr):
     negated: bool = False
     type: ColumnType = ColumnType.BOOL
 
-    def children(self):
-        return (self.value,)
-
     def evaluate(self, page: Page) -> np.ndarray:
         from .functions import like_matcher
 
@@ -243,6 +259,10 @@ class LikeMatch(BoundExpr):
             ("like", self.pattern), like_matcher(self.pattern)
         )
         return ~result if self.negated else result
+
+    def identity_key(self, literals: bool) -> tuple:
+        pattern = [self.pattern] if literals else ()
+        return ("LikeMatch", self.negated, identity(self.value, literals), *pattern)
 
     def __str__(self) -> str:
         return f"({self.value} LIKE {self.pattern!r})"
@@ -253,9 +273,6 @@ class IsNull(BoundExpr):
     value: BoundExpr
     negated: bool = False
     type: ColumnType = ColumnType.BOOL
-
-    def children(self):
-        return (self.value,)
 
     def evaluate(self, page: Page) -> np.ndarray:
         arr = self.value.evaluate(page)
@@ -271,14 +288,6 @@ class CaseWhen(BoundExpr):
     whens: tuple[tuple[BoundExpr, BoundExpr], ...]
     default: BoundExpr | None
     type: ColumnType
-
-    def children(self):
-        kids: list[BoundExpr] = []
-        for cond, value in self.whens:
-            kids.extend((cond, value))
-        if self.default is not None:
-            kids.append(self.default)
-        return tuple(kids)
 
     def evaluate(self, page: Page) -> np.ndarray:
         n = page.num_rows
@@ -304,9 +313,6 @@ class ExtractDatePart(BoundExpr):
     unit: str  # year | month | day
     source: BoundExpr
     type: ColumnType = ColumnType.INT64
-
-    def children(self):
-        return (self.source,)
 
     def evaluate(self, page: Page) -> np.ndarray:
         days = self.source.evaluate(page).astype("datetime64[D]")
@@ -337,9 +343,6 @@ def cast_column(arr, ctype: ColumnType):
 class Cast(BoundExpr):
     value: BoundExpr
     type: ColumnType
-
-    def children(self):
-        return (self.value,)
 
     def evaluate(self, page: Page) -> np.ndarray:
         return cast_column(self.value.evaluate(page), self.type)

@@ -100,12 +100,15 @@ def aggregate_result_type(function: str, arg_type: ColumnType | None) -> ColumnT
 def partial_fields(function: str, arg_type: ColumnType | None) -> list[ColumnType]:
     """State column types emitted by partial aggregation for one call.
 
-    ``avg`` carries (sum, count); everything else carries one value.
+    ``avg`` carries (sum, count) and divides once at finalisation — an
+    INT64 argument keeps an exact INT64 sum, like ``sum`` of the same
+    expression; everything else carries one value.
     """
     if function == "count":
         return [ColumnType.INT64]
     if function == "avg":
-        return [ColumnType.FLOAT64, ColumnType.INT64]
+        exact = arg_type is ColumnType.INT64
+        return [ColumnType.INT64 if exact else ColumnType.FLOAT64, ColumnType.INT64]
     return [aggregate_result_type(function, arg_type)]
 
 

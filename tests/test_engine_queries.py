@@ -1,6 +1,9 @@
 """End-to-end: every supported query through the distributed engine must
 equal the reference executor (the engine's central correctness contract)."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro import AccordionEngine, EngineConfig, QueryOptions
@@ -187,6 +190,36 @@ def test_integer_sum_is_exact_beyond_float64(catalog):
     )
     assert sorted(engine.execute(grouped).rows) == expected
     assert sorted(reference_result(catalog, grouped).rows()) == expected
+
+
+def test_integer_avg_divides_an_exact_sum_once(catalog):
+    """``avg`` of an INT64 expression is its exact integer sum divided by
+    its count once, at finalisation — within one ulp of the true quotient
+    (one rounding for ``float(sum)``, one for the division).  A float64
+    running sum rounded per addition and landed two ulps off for ``O``
+    and ``P`` here.  Checked against ``fractions.Fraction``, not the
+    oracle, which shares the kernel."""
+    orders = catalog.table("orders")
+    groups: dict[str, list[int]] = {}
+    for status, key, cust in zip(
+        orders.column("o_orderstatus").tolist(),
+        orders.column("o_orderkey").tolist(),
+        orders.column("o_custkey").tolist(),
+    ):
+        groups.setdefault(status, []).append(key * cust * 800000011)
+    assert 2**53 < sum(map(sum, groups.values())) < 2**63
+    sql = (
+        "select o_orderstatus, avg(o_orderkey * o_custkey * 800000011) "
+        "from orders group by o_orderstatus"
+    )
+    for rows in (
+        AccordionEngine(catalog).execute(sql).rows,
+        reference_result(catalog, sql).rows(),
+    ):
+        assert sorted(status for status, _ in rows) == sorted(groups)
+        for status, avg in rows:
+            exact = Fraction(sum(groups[status]), len(groups[status]))
+            assert abs(Fraction(avg) - exact) <= Fraction(math.ulp(avg))
 
 
 def test_ordered_results_preserve_order(catalog, reference_results):

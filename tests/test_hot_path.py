@@ -288,3 +288,39 @@ def test_elastic_capacity_protocol_is_written_once():
                 if "capacity * 2" in body or "resize_period" in body:
                     owners.add(node.name)
     assert owners == {"ElasticCapacity"}
+
+
+# -- one tree protocol, one structural key --------------------------------------
+def test_trees_are_descended_and_keyed_in_one_place():
+    """``repro/tree.py`` is the only module that reflects over dataclass
+    fields; each tree family inherits its one ``children()`` /
+    ``pretty()`` from it; and the second rendering of every node kind —
+    the per-kind key functions and the hand-rolled descents — stays gone
+    (DESIGN.md §20)."""
+    src = Path(repro.__file__).parent
+    sources = {
+        str(path.relative_to(src)): path.read_text(encoding="utf-8")
+        for path in src.rglob("*.py")
+    }
+
+    def mentioning(*needles):
+        return {
+            name for name, text in sources.items() if any(n in text for n in needles)
+        }
+
+    assert mentioning("dataclasses.fields(", "__dataclass_fields__") == {"tree.py"}
+    assert mentioning("def children(", "def pretty(") == {"tree.py"}
+    assert mentioning(
+        "expr_key", "plan_key", "agg_key", "_rebase_value", "_transform_value",
+        "_ast_rebuild", "options_template",
+    ) == set()
+    assert "key=repr" not in sources["sharing/manager.py"]
+    # The plan-shaping options are listed once, on ``PlannerOptions``.
+    assert "broadcast_threshold_rows" not in sources["predict/fingerprint.py"]
+    families = [
+        repro.sql.ast.ExprNode, repro.sql.expressions.BoundExpr,
+        repro.plan.logical.LogicalNode, repro.plan.physical.PNode,
+    ]
+    for family in families:
+        assert family.family is family and family.children is repro.tree.Tree.children
+    assert repro.QueryOptions().fingerprint() == repro.tree.identity(repro.QueryOptions())

@@ -23,10 +23,14 @@ from repro import (
     PoissonArrivals,
 )
 from repro.data import Catalog
+from repro.data.tpch.queries import QUERIES
 from repro.sharing import normalize_logical, plan_residual
+from repro.tree import identity
 from repro.plan.logical_planner import LogicalPlanner
 from repro.plan.optimizer import prune_columns
 from repro.sql.parser import parse
+
+from test_engine_queries import SQL_SHAPES
 
 
 def sharing_engine(catalog, **sharing_kwargs) -> AccordionEngine:
@@ -89,6 +93,255 @@ class TestNormalization:
         # The reverse direction must NOT fold: the narrow carrier has
         # already dropped rows the broad query needs.
         assert plan_residual(broad, narrow) is None
+
+
+# -- identity classes -------------------------------------------------------
+_A = "select l_orderkey from lineitem where "
+#: 19 rewrites of hand-written texts; with the 22 query texts and the 29
+#: ``SQL_SHAPES`` they make the 70 plans whose pairwise key equality was
+#: recorded from ``plan_key`` at the commit that deleted it.
+IDENTITY_VARIANTS = {
+    "conj": _A + "l_quantity < 10 and l_orderkey < 500",
+    "conj_permuted": _A + "l_orderkey < 500 and l_quantity < 10",
+    "conj_flipped": _A + "10 > l_quantity and 500 > l_orderkey",
+    "conj_literal": _A + "l_quantity < 11 and l_orderkey < 500",
+    "conj_output_alias": (
+        "select l_orderkey as k from lineitem "
+        "where l_quantity < 10 and l_orderkey < 500"
+    ),
+    "conj_table_alias": (
+        "select l.l_orderkey from lineitem l "
+        "where l.l_quantity < 10 and l.l_orderkey < 500"
+    ),
+    "eq": (
+        "select o_orderkey from orders, customer "
+        "where o_custkey = c_custkey and c_nationkey = 3"
+    ),
+    "eq_swapped": (
+        "select o_orderkey from orders, customer "
+        "where c_custkey = o_custkey and 3 = c_nationkey"
+    ),
+    "neq": "select n_name from nation where n_regionkey <> 2",
+    "neq_swapped": "select n_name from nation where 2 <> n_regionkey",
+    "in": "select count(*) as c from part where p_size in (1, 5, 9)",
+    "in_permuted": "select count(*) as c from part where p_size in (9, 1, 5)",
+    "in_arity": "select count(*) as c from part where p_size in (1, 5, 9, 11)",
+    "in_values": "select count(*) as c from part where p_size in (2, 6, 10)",
+    "like": "select count(*) as c from part where p_type like '%BRASS'",
+    "like_pattern": "select count(*) as c from part where p_type like '%STEEL'",
+    "case_literal": SQL_SHAPES["case_group_key"].replace("25", "30"),
+    "disj": _A + "l_quantity < 10 or l_orderkey < 500",
+    "disj_permuted": _A + "l_orderkey < 500 or l_quantity < 10",
+}
+IDENTITY_TEXTS = {**QUERIES, **SQL_SHAPES, **IDENTITY_VARIANTS}
+#: The classes with more than one member (every other text is alone),
+#: with literals — the fold / result-cache key — and without — the
+#: template key.  2,415 pairs: 10 and 18 equal.
+RECORDED_CLASSES = {
+    True: [
+        {"conj", "conj_permuted", "conj_flipped", "conj_table_alias"},
+        {"eq", "eq_swapped"},
+        {"neq", "neq_swapped"},
+        {"in", "in_permuted"},
+        {"disj", "disj_permuted"},
+    ],
+    False: [
+        {"case_group_key", "case_literal"},
+        {"conj", "conj_permuted", "conj_flipped", "conj_literal",
+         "conj_table_alias"},
+        {"eq", "eq_swapped"},
+        {"neq", "neq_swapped"},
+        {"in", "in_permuted", "in_values"},
+        {"like", "like_pattern"},
+        {"disj", "disj_permuted"},
+    ],
+}
+
+
+def logical_plan(catalog, sql: str):
+    return prune_columns(LogicalPlanner(catalog).plan(parse(sql)))
+
+
+@pytest.mark.parametrize("literals", [True, False])
+def test_seventy_plans_keep_their_recorded_classes(catalog, literals):
+    assert len(IDENTITY_TEXTS) == 70
+    classes: dict = {}
+    for name, sql in IDENTITY_TEXTS.items():
+        key = identity(logical_plan(catalog, sql), literals)
+        classes.setdefault(key, set()).add(name)
+    shared = [names for names in classes.values() if len(names) > 1]
+    expected = RECORDED_CLASSES[literals]
+    assert sorted(map(sorted, shared)) == sorted(map(sorted, expected))
+
+
+def test_nested_connectives_flatten_into_their_parent():
+    """The binder already flattens what SQL can say; plans built in code
+    (residuals, rewrites) need not."""
+    from repro.pages import ColumnType
+    from repro.sql.expressions import BoolAnd, BoolOr, Comparison, Constant, InputRef
+
+    a, b, c = (
+        Comparison("<", InputRef(i, ColumnType.INT64), Constant(i, ColumnType.INT64))
+        for i in range(3)
+    )
+    assert identity(BoolAnd((a, BoolAnd((b, c))))) == identity(BoolAnd((c, b, a)))
+    assert identity(BoolOr((BoolOr((c, a)), b))) == identity(BoolOr((a, b, c)))
+    assert identity(BoolOr((a, BoolAnd((b, c))))) != identity(BoolOr((a, b, c)))
+
+
+def test_consecutive_filters_are_one_conjunction(catalog):
+    """No SQL text plans a filter directly over a filter today; a plan
+    rewritten in code may."""
+    from repro.plan import LogicalFilter
+
+    plan = logical_plan(catalog, IDENTITY_VARIANTS["conj"])
+    (merged,) = [n for n in plan.walk() if isinstance(n, LogicalFilter)]
+    first, second = merged.predicate.terms
+    stacked = LogicalFilter(LogicalFilter(merged.child, second), first)
+    assert identity(stacked) == identity(merged)
+    assert identity(stacked, literals=False) == identity(merged, literals=False)
+    assert identity(LogicalFilter(merged.child, first)) != identity(merged)
+
+
+_NUMERIC = ["l_orderkey", "l_partkey", "l_suppkey", "l_linenumber",
+            "l_quantity", "l_extendedprice"]
+_TEXT = ["l_returnflag", "l_shipmode", "l_shipinstruct"]
+#: Never drawn: what a leaf's column is replaced by.
+_SPARE = {"like": "l_linestatus", "cmp": "l_discount", "in": "l_discount",
+          "columns": "l_discount"}
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
+_OTHER_OP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "=": "<>", "<>": "="}
+
+
+@st.composite
+def _predicates(draw):
+    """``(leaves, shape)``: 2–5 leaves, each over its own column (so no OR
+    branch shares a conjunct the planner would factor out), under a
+    random AND/OR tree of leaf indexes.  A leaf is ``(kind, column,
+    *rest)``; the first always carries a literal."""
+    numeric = draw(st.permutations(_NUMERIC))
+    text = draw(st.permutations(_TEXT))
+    ops = st.sampled_from(sorted(_FLIP))
+    small = st.integers(min_value=1, max_value=60)
+    leaves = [("cmp", numeric.pop(), draw(ops), draw(small))]
+    for kind in draw(st.lists(
+        st.sampled_from(["cmp", "in", "like", "columns"]), min_size=1, max_size=4
+    )):
+        if kind == "cmp" and numeric:
+            leaves.append((kind, numeric.pop(), draw(ops), draw(small)))
+        elif kind == "in" and numeric:
+            options = draw(st.lists(small, min_size=2, max_size=4, unique=True))
+            leaves.append((kind, numeric.pop(), tuple(options)))
+        elif kind == "like" and text:
+            pattern = draw(st.sampled_from(["A%", "%AIL", "%O%"]))
+            leaves.append((kind, text.pop(), pattern))
+        elif kind == "columns" and len(numeric) > 2:
+            equal = draw(st.sampled_from(["=", "<>"]))
+            leaves.append((kind, numeric.pop(), equal, numeric.pop()))
+
+    def shape(indexes):
+        if len(indexes) == 1:
+            return indexes[0]
+        cut = draw(st.integers(min_value=1, max_value=len(indexes) - 1))
+        connective = draw(st.sampled_from(["and", "or"]))
+        return (connective, [shape(indexes[:cut]), shape(indexes[cut:])])
+
+    return leaves, shape(list(range(len(leaves))))
+
+
+def _render(leaves, shape, rnd=None, q="") -> str:
+    """The predicate as SQL; with ``rnd``, an equivalent rewrite of it:
+    terms shuffled and re-associated, comparisons flipped, ``=`` operands
+    swapped, IN lists permuted."""
+    if isinstance(shape, tuple):
+        connective, terms = shape
+        texts = [_render(leaves, t, rnd, q) for t in terms]
+        if rnd:
+            for i, term in enumerate(terms):
+                nested = isinstance(term, tuple) and term[0] == connective
+                if nested and rnd.random() < 0.5:
+                    texts[i] = texts[i][1:-1]  # (a and b) and c: a and b and c
+            rnd.shuffle(texts)
+        return "(" + f" {connective} ".join(texts) + ")"
+    kind, column, *rest = leaves[shape]
+    column = q + column
+    if kind == "in":
+        options = list(rest[0])
+        if rnd:
+            rnd.shuffle(options)
+        return f"{column} in ({', '.join(map(str, options))})"
+    if kind == "like":
+        return f"{column} like '{rest[0]}'"
+    op, other = rest  # cmp: a literal; columns: another column
+    if kind == "columns":
+        other = q + other
+    if rnd and rnd.random() < 0.5:
+        return f"{other} {_FLIP[op]} {column}"
+    return f"{column} {op} {other}"
+
+
+def _new_literal(leaf):
+    """``leaf`` with one literal changed; ``None`` if it has none."""
+    kind, column, *rest = leaf
+    if kind == "cmp":
+        return (kind, column, rest[0], rest[1] + 100)
+    if kind == "in":
+        return (kind, column, rest[0][:-1] + (max(rest[0]) + 100,))
+    if kind == "like":
+        return (kind, column, rest[0] + "x")
+    return None
+
+
+def _new_structure(leaf):
+    """Variants of ``leaf`` that change what the query *is*: another
+    operator (IN: another arity), another column."""
+    kind, column, *rest = leaf
+    if kind == "in":
+        changed = (kind, column, rest[0] + (max(rest[0]) + 100,))
+    elif kind == "like":
+        changed = ("cmp", column, "=", "'A'")
+    else:
+        changed = (kind, column, _OTHER_OP[rest[0]], rest[1])
+    return [changed, (kind, _SPARE[kind], *rest)]
+
+
+class TestIdentityProperty:
+    @settings(deadline=None)
+    @given(predicate=_predicates(), rnd=st.randoms(use_true_random=False),
+           pick=st.integers(min_value=0, max_value=4))
+    def test_rewrites_keep_identity_and_changes_change_it(
+        self, catalog, predicate, rnd, pick
+    ):
+        leaves, shape = predicate
+
+        def keys(leaves, rnd=None, out="l_orderkey", alias=""):
+            q = f"{alias}." if alias else ""
+            sql = (
+                f"select {out} from lineitem {alias} "
+                f"where {_render(leaves, shape, rnd, q)}"
+            )
+            plan = logical_plan(catalog, sql)
+            return identity(plan), identity(plan, literals=False)
+
+        def replaced(index, leaf):
+            return leaves[:index] + [leaf] + leaves[index + 1:]
+
+        exact, template = keys(leaves)
+        # Equivalent rewrites: same key, both modes.
+        assert keys(leaves, rnd) == (exact, template)
+        assert keys(leaves, rnd, "t.l_orderkey", alias="t") == (exact, template)
+        # One literal: another query of the same template.
+        index = pick % len(leaves)
+        at = index if _new_literal(leaves[index]) else 0
+        relit = keys(replaced(at, _new_literal(leaves[at])), rnd)
+        assert relit[0] != exact and relit[1] == template
+        # Operator / IN arity / column / output name: another template.
+        others = [
+            keys(replaced(index, leaf), rnd) for leaf in _new_structure(leaves[index])
+        ]
+        others.append(keys(leaves, rnd, out="l_orderkey as k"))
+        for other in others:
+            assert other[0] != exact and other[1] != template
 
 
 # -- folding bit-identity ---------------------------------------------------

@@ -3,7 +3,8 @@
 
 A code line is a physical line that carries at least one token other
 than a comment or a docstring (blank lines do not count).  Usage:
-``python tools/code_lines.py src/repro``.
+``python tools/code_lines.py src/repro``; ``--surface`` prints instead the
+three API-surface counts the same entries quote.
 """
 
 import ast
@@ -33,7 +34,23 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def surface() -> str:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    import repro
+    from repro.tree import field_names
+
+    classes = [c for c in vars(repro.config).values() if isinstance(c, type)]
+    config_tree = sum(len(field_names(c) or ()) for c in classes)
+    return (
+        f"config-tree fields: {config_tree}, QueryOptions fields: "
+        f"{len(field_names(repro.QueryOptions))}, repro.__all__: {len(repro.__all__)}"
+    )
+
+
 if __name__ == "__main__":
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/repro")
-    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    print(sum(code_lines(path.read_text(encoding="utf-8")) for path in files))
+    if sys.argv[1:] == ["--surface"]:
+        print(surface())
+    else:
+        root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/repro")
+        files = [root] if root.is_file() else sorted(root.rglob("*.py"))
+        print(sum(code_lines(path.read_text(encoding="utf-8")) for path in files))
