@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -77,6 +78,13 @@ def _merge_identity(kind: np.ufunc, dtype: np.dtype):
     return min_identity(dtype) if kind is _MIN else max_identity(dtype)
 
 
+def _hashable_keys(columns: list) -> list:
+    """One dict key per row of ``columns``: the value itself for a
+    single column, the tuple of values otherwise."""
+    values = [col.tolist() for col in columns]
+    return values[0] if len(values) == 1 else list(zip(*values))
+
+
 def _reduce(kind: np.ufunc, dtype: np.dtype, codes: np.ndarray, values, ngroups: int):
     """One page column reduced to one value per group (``None``: count rows)."""
     if values is None:
@@ -125,7 +133,7 @@ class _HashAggState:
         self._lows: list[int] = []
         self._radices: list[int] | None = []
         self._table = np.zeros(0, dtype=np.int64)
-        self._slots: dict[tuple, int] = {}
+        self._slots: dict = {}
 
     def __len__(self) -> int:
         return self._count
@@ -253,8 +261,8 @@ class _HashAggState:
         """One way, at most once per operator: from here on the
         page-local path, starting from the groups already held."""
         if self._count:
-            keys = [col.tolist() for col in self._key_columns()]
-            self._slots = dict(zip(zip(*keys), range(self._count)))
+            keys = _hashable_keys(self._key_columns())
+            self._slots = dict(zip(keys, range(self._count)))
         self._radices = self._table = None
 
     # -- rows -> slots: the page-local path -------------------------------
@@ -281,20 +289,20 @@ class _HashAggState:
 
     def _dict_slots(self, uniques: list[np.ndarray]) -> np.ndarray:
         """Slot per page-local group (distinct, so fancy indexing merges
-        correctly), new groups assigned."""
+        correctly), new groups assigned — in the ascending key order
+        ``uniques`` comes in.  Python sees the page's groups as one list;
+        the dict is probed and extended from C."""
         slots = self._slots
-        before = len(slots)
-        group_keys = list(zip(*[u.tolist() for u in uniques]))
-        ids = np.empty(len(group_keys), dtype=np.int64)
-        for g, key in enumerate(group_keys):
-            slot = slots.get(key)
-            if slot is None:
-                slot = len(slots)
-                slots[key] = slot
-            ids[g] = slot
-        if len(slots) > before:
-            self._count = len(slots)
-            new = ids >= before
+        keys = _hashable_keys(uniques)
+        ids = np.fromiter(
+            map(slots.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
+        )
+        new = ids < 0
+        count = self._count + int(np.count_nonzero(new))
+        if count > self._count:
+            ids[new] = np.arange(self._count, count)
+            slots.update(zip(compress(keys, new.tolist()), range(self._count, count)))
+            self._count = count
             self._add_groups([col[new] for col in uniques])
         return ids
 

@@ -12,8 +12,10 @@ by code, and the bridge stores ``(sorted_rows, group_starts, group
 dictionaries)``.  Probing maps a whole page of probe keys onto build
 group ids in one vectorized pass — ``searchsorted`` against the sorted
 per-column uniques for numeric keys, one dict lookup per *dictionary
-entry* (not per row) for string keys — then expands matches with ``np.repeat``
-and fancy indexing.  No per-row python loop survives on the numeric path.
+entry* (not per row) for string keys — then pairs matches: one gather
+when no build key occurs twice (and none of the probe columns when every
+row of the page matched), ``np.repeat`` and fancy indexing otherwise.
+No per-row python loop survives on the numeric path.
 
 Out-of-core mode (DESIGN.md §13): when the query's memory budget is
 exceeded while the build side accumulates, the bridge switches to a
@@ -60,7 +62,7 @@ def _dense_int_lut(uniq: np.ndarray) -> tuple[np.ndarray, int] | None:
     stays within 64x the distinct count (selective build filters leave
     sparse-ish key sets) and an absolute entry cap, bounding memory.
     """
-    if len(uniq) == 0 or not np.issubdtype(uniq.dtype, np.integer):
+    if len(uniq) == 0 or uniq.dtype.kind not in "iu":
         return None
     base = int(uniq[0])
     span = int(uniq[-1]) - base + 1
@@ -85,6 +87,8 @@ class _BuildIndex:
         self.sorted_rows = np.zeros(0, dtype=np.int64)
         self.group_starts = np.zeros(1, dtype=np.int64)
         self.group_counts = np.zeros(0, dtype=np.int64)
+        #: No key occurs twice (the PK side of a join): observed, not declared.
+        self.unique = True
         self._col_uniques: list[np.ndarray] = []
         #: Per string key column: probe value -> build column code (-1
         #: for no match), looked up once per probe dictionary entry.
@@ -104,6 +108,7 @@ class _BuildIndex:
             self.sorted_rows = order.astype(np.int64, copy=False)
             self.group_starts = starts
             self.group_counts = counts
+            self.unique = bool(counts.max() == 1)
 
     def _factorize(self, key_cols: list[np.ndarray]) -> np.ndarray:
         """Factorize build keys; returns a dense group code per build row."""
@@ -165,23 +170,8 @@ class _BuildIndex:
     def probe_group_ids(self, key_cols: list[np.ndarray]) -> np.ndarray:
         """Map each probe row to its build group id, or -1 for no match."""
         n = len(key_cols[0]) if key_cols else 0
-        if not key_cols or self.num_groups == 0:
+        if not n or self.num_groups == 0:
             return np.full(n, -1, dtype=np.int64)
-        if (
-            self._identity_comb
-            and self._col_luts[0] is not None
-            and np.issubdtype(key_cols[0].dtype, np.integer)
-        ):
-            # Single dense-int key (the dominant TPC-H case): the LUT
-            # already holds -1 for in-span misses, so one clipped gather
-            # replaces the generic mask/combine machinery below.
-            table, base = self._col_luts[0]
-            rel = key_cols[0].astype(np.int64, copy=False) - base
-            gid = table.take(rel, mode="clip")
-            oob = (rel < 0) | (rel >= len(table))
-            if oob.any():
-                gid = np.where(oob, np.int64(-1), gid)
-            return gid
         if self._fallback_table is not None:
             table = self._fallback_table
             return np.fromiter(
@@ -192,8 +182,7 @@ class _BuildIndex:
                 dtype=np.int64,
                 count=n,
             )
-        valid: np.ndarray | None = None
-        combined = None
+        gid = None
         for col, uniq, lookup, lut, radix in zip(
             key_cols,
             self._col_uniques,
@@ -201,47 +190,53 @@ class _BuildIndex:
             self._col_luts,
             self._radices,
         ):
+            # Per column: its build code, -1 for a value the build lacks.
             if lookup is not None:
                 code = lookup(col)
-                ok = code >= 0
-                code = np.where(ok, code, 0)
-            elif lut is not None and np.issubdtype(col.dtype, np.integer):
-                # Dense integer keys: O(1) direct lookup per row.
+            elif lut is not None and col.dtype.kind in "iu":
+                # Dense integer keys: one clipped gather; the table holds
+                # -1 for in-span misses, and a page rarely leaves the span.
                 table, base = lut
                 rel = col.astype(np.int64, copy=False) - base
-                inside = (rel >= 0) & (rel < len(table))
-                code = table[np.where(inside, rel, 0)]
-                ok = inside & (code >= 0)
-                code = np.where(ok, code, 0)
+                code = table.take(rel, mode="clip")
+                if rel.min() < 0 or rel.max() >= len(table):
+                    code[(rel < 0) | (rel >= len(table))] = -1
             else:
-                pos = np.searchsorted(uniq, col)
-                code = np.minimum(pos, len(uniq) - 1)
-                ok = (pos < len(uniq)) & (uniq[code] == col)
-            valid = ok if valid is None else valid & ok
-            combined = code if combined is None else combined * radix + code
-        if not self._identity_comb:
-            gid = np.searchsorted(self._ucomb, combined)
-            gid = np.minimum(gid, len(self._ucomb) - 1)
-            valid &= self._ucomb[gid] == combined
-        else:
-            gid = combined
-        return np.where(valid, gid, -1)
+                code = np.minimum(np.searchsorted(uniq, col), len(uniq) - 1)
+                code = np.where(uniq[code] == col, code, -1)
+            # Mixed-radix packing; a miss in any column stays negative
+            # (``|`` keeps either sign bit).
+            gid = code if gid is None else np.where(
+                (gid | code) < 0, -1, gid * radix + code
+            )
+        if self._identity_comb:
+            return gid
+        pos = np.minimum(np.searchsorted(self._ucomb, gid), len(self._ucomb) - 1)
+        return np.where(self._ucomb[pos] == gid, pos, -1)
 
     def expand_matches(
         self, gids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR expansion: (probe_rows, build_rows) index pairs for all
-        matches, in probe-row order with build rows ascending per probe."""
-        matched = np.nonzero(gids >= 0)[0]
-        if matched.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """(probe_rows, build_rows) index pairs for all matches, in
+        probe-row order with build rows ascending per probe;
+        ``probe_rows`` is ``None`` for "every row of the page, once".
+
+        A unique build (the PK side) pairs each matched probe row with
+        one build row, so a page costs a gather — and nothing on the
+        probe side when all of it matched; duplicate keys take the CSR
+        expansion.
+        """
+        hit = gids >= 0
+        if self.unique and hit.all():
+            return None, self.sorted_rows[gids]
+        matched = np.flatnonzero(hit)
         mgids = gids[matched]
+        if self.unique:
+            return matched, self.sorted_rows[mgids]
         repeats = self.group_counts[mgids]
         probe_rows = np.repeat(matched, repeats)
-        total = int(repeats.sum())
         ends = np.cumsum(repeats)
-        within = np.arange(total, dtype=np.int64) - np.repeat(ends - repeats, repeats)
+        within = np.arange(len(probe_rows)) - np.repeat(ends - repeats, repeats)
         build_rows = self.sorted_rows[np.repeat(self.group_starts[mgids], repeats) + within]
         return probe_rows, build_rows
 
@@ -292,9 +287,6 @@ class JoinBridge:
 
     def probe_group_ids(self, key_cols: list[np.ndarray]) -> np.ndarray:
         return self.index.probe_group_ids(key_cols)
-
-    def expand_matches(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.index.expand_matches(gids)
 
     # -- build side -------------------------------------------------------
     def register_producer(self) -> None:
@@ -481,9 +473,9 @@ class HashJoinProbeOperator(TransformOperator):
             return [page.mask(mask)], 0.0
 
         probe_rows, build_rows = index.expand_matches(gids)
-        if len(probe_rows) == 0:
+        if len(build_rows) == 0:
             return [], 0.0
-        cpu = self.cpu(len(probe_rows), self.cost.join_probe_row_cost)
+        cpu = self.cpu(len(build_rows), self.cost.join_probe_row_cost)
         out = self._combine(index.build_page, page, probe_rows, build_rows)
         if self._residual_evaluate is not None:
             mask = self._residual_evaluate(out).astype(bool, copy=False)
@@ -496,10 +488,17 @@ class HashJoinProbeOperator(TransformOperator):
         self,
         build_page: Page,
         page: Page,
-        probe_rows: np.ndarray,
+        probe_rows: np.ndarray | None,
         build_rows: np.ndarray,
     ) -> Page:
-        columns = [c[probe_rows] for c in page.columns]
+        """Output page of the matched pairs; with ``probe_rows`` ``None``
+        the probe page's columns pass through as they are (a column is
+        immutable once a page holds it, DESIGN.md §10.1)."""
+        columns = (
+            list(page.columns)
+            if probe_rows is None
+            else [c[probe_rows] for c in page.columns]
+        )
         columns += [c[build_rows] for c in build_page.columns]
         return Page(self.output_schema, columns)
 

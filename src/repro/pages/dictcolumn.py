@@ -45,7 +45,7 @@ def _lazy_gather(
     codes present in the pages that flow, a 3-entry ``l_returnflag``
     dictionary pays once.
     """
-    # ``take`` gathers through int32 codes without widening them first.
+    # ``take`` is the faster gather through int32 codes at page size.
     out = table.take(codes)
     if out.size and out.min() == unset:
         todo = np.unique(codes[out == unset])
@@ -263,12 +263,12 @@ class DictColumn:
         return iter(self.tolist())
 
     def tolist(self) -> list:
-        return self.dictionary.values[self.codes].tolist()
+        return self.dictionary.values.take(self.codes).tolist()
 
     def decode(self) -> np.ndarray:
         """The column as an object array of python strings (the escape
         hatch; per-cell pointer work)."""
-        return self.dictionary.values[self.codes]
+        return self.dictionary.values.take(self.codes)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.decode()
@@ -282,10 +282,12 @@ class DictColumn:
         fixed = self.dictionary.fixed_len
         if fixed is not None:
             return fixed * len(self.codes)
+        # Indexed, not ``take``: this one also sizes whole tables, and
+        # ``take`` widens int32 codes into an int64 temporary first.
         return int(self.dictionary.utf8_len[self.codes].sum())
 
     def hash64(self) -> np.ndarray:
-        return self.dictionary.crc[self.codes]
+        return self.dictionary.crc.take(self.codes)
 
     def test(self, key, fn: Callable[[object], bool]) -> np.ndarray:
         """Row mask of a per-value predicate (LIKE, IN, IS NULL, compare

@@ -4,15 +4,17 @@ equal the reference executor (the engine's central correctness contract)."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro import AccordionEngine, EngineConfig, QueryOptions
 from repro.data.tpch.queries import QUERIES, STANDALONE_BENCHMARK
+from repro.pages import ColumnType, DictColumn, Page, Schema
 from repro.plan import LogicalPlanner, prune_columns
 from repro.reference import execute_reference
 from repro.sql.parser import parse
 
-from conftest import norm_rows
+from conftest import builds_ready, norm_rows, run_until_cond, slow_engine
 
 
 def reference_result(catalog, sql):
@@ -163,6 +165,54 @@ def test_sql_shape_matches_reference(catalog, name):
     assert result.columns == expected.schema.names()
     if name in LIMIT_NEIGHBOURS:
         assert (engine.kernel.events_processed, engine.now) == LIMIT_NEIGHBOURS[name]
+
+
+@pytest.fixture()
+def frozen_pages(monkeypatch):
+    """Every column (a ``DictColumn``'s codes) of every ``Page``
+    constructed is read-only from then on; thawed again afterwards."""
+    init, thaw = Page.__init__, []
+
+    def freezing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for col in self.columns:
+            arr = col.codes if isinstance(col, DictColumn) else col
+            if arr.flags.writeable:
+                arr.flags.writeable = False
+                thaw.append(arr)
+
+    monkeypatch.setattr(Page, "__init__", freezing_init)
+    yield
+    for arr in thaw:
+        arr.flags.writeable = True
+
+
+def test_no_operator_writes_into_a_column_a_page_holds(catalog, frozen_pages, tmp_path):
+    """A column is immutable once a ``Page`` holds it (DESIGN.md §10.1):
+    that is what lets a page hand its column objects on — ``Page.slice``
+    views, a probe page's columns passing through a join that changed
+    nothing about them.  Every text, every shape, a spilling run and a
+    mid-flight DOP switch complete with every page frozen."""
+    column = np.arange(3)
+    Page(Schema.of(("k", ColumnType.INT64)), [column])
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = 7
+    for name, sql in sorted({**QUERIES, **SQL_SHAPES}.items()):
+        assert AccordionEngine(catalog).execute(sql, max_virtual_seconds=1e5).columns, name
+    budgeted = AccordionEngine(
+        catalog,
+        config=EngineConfig().with_memory(query_budget_bytes=200_000, spill_dir=str(tmp_path)),
+    )
+    assert budgeted.execute(QUERIES["Q18"], max_virtual_seconds=1e5).rows
+    assert budgeted.metrics.snapshot()["spill.spills"] > 0
+    engine = slow_engine(catalog)
+    query = engine.submit(
+        QUERIES["Q2J"], QueryOptions(join_distribution="partitioned", initial_stage_dop=2)
+    )
+    run_until_cond(engine, builds_ready(query, 1))
+    assert query.tuning.ap(1, 4) is not None and not query.finished
+    engine.run_until_done(query, 1e6)
+    assert query.result().rows
 
 
 def test_integer_sum_is_exact_beyond_float64(catalog):

@@ -12,7 +12,9 @@ and join/shuffle benchmark templates decode and re-encode nothing.
 """
 
 import ast
+import gc
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +26,12 @@ import repro
 from repro import QueryOptions, TPCH_QUERIES
 from repro.data import Catalog
 from repro.exec import operators
-from repro.exec.operators import aggregation
+from repro.exec.operators import aggregation, join
 from repro.exec.exchange_client import ExchangeClient
 from repro.exec.spill import SpillPartitions
 from repro.exec.splits import SystemSplit
-from repro.pages import DictColumn
+from repro.pages import ColumnType, DictColumn
+from repro.sql.expressions import AggregateCall, InputRef
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q6", "Q5", "Q9", "Q18"])
@@ -234,6 +237,101 @@ def test_partial_aggregation_groups_and_reduces_once(
     # The bound bites: most pages bring no new group.
     assert sum(r["learning"] for r in records) < sum(r["pages"] for r in records) / 2
     assert records == aggregation_work(monkeypatch, catalog, name)
+
+
+# -- hash operators: host work follows what a page changes ------------------------
+#
+# Counts once more.  The page-local regime used to probe its key dict
+# with one Python-level ``dict.get`` per group of the page (Q18: every
+# page brings hundreds of new keys), and every probe page paid the CSR
+# expansion although most builds hold each key once (the PK side).
+def page_local_events(key_columns, distinct):
+    """Python + C calls (``sys.setprofile``) made inside ``accumulate``
+    by each of two page-local pages of ``distinct`` distinct keys, the
+    second sharing half of them with the first."""
+    value = InputRef(key_columns, ColumnType.FLOAT64)
+    state = aggregation._HashAggState(
+        [AggregateCall("sum", value, ColumnType.FLOAT64), AggregateCall("count", None, ColumnType.INT64)]
+    )
+    state._leave_table()
+    rng = np.random.default_rng(distinct)
+    events = []
+    for start in (0, distinct // 2):
+        ids = rng.permutation(np.arange(start, start + distinct))
+        keys = [ids * 7] + [ids % (3 + c) for c in range(1, key_columns)]
+        calls = [0]
+
+        def count(frame, event, arg):
+            calls[0] += event in ("call", "c_call")
+
+        inputs = [rng.normal(size=distinct), None]
+        gc.disable()  # a collection would call hypothesis' gc callback
+        sys.setprofile(count)
+        try:
+            state.accumulate(keys, distinct, inputs)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        events.append(calls[0])
+    assert len(state) == distinct + distinct // 2
+    return events
+
+
+@pytest.mark.parametrize("key_columns", [1, 5])
+def test_page_local_aggregation_never_iterates_groups_in_python(key_columns):
+    small, large = page_local_events(key_columns, 512), page_local_events(key_columns, 4096)
+    # A constant per page (78 single-column, 150 five-column when written),
+    # not one event per group: 8x the keys is the same number of calls.
+    assert max(small + large) <= 250
+    assert max(large) <= max(small) + 16
+
+
+def probe_expansions(monkeypatch, catalog, name):
+    """Run one query; returns what its probes did: pages expanded, the
+    ``np.repeat`` / ``np.cumsum`` calls made from ``expand_matches``
+    (the CSR expansion) and whether each index built held unique keys."""
+    work = {"pages": 0, "repeat": 0, "cumsum": 0, "unique": {}}
+    inside = [False]
+    expand_matches = join._BuildIndex.expand_matches
+
+    def recording_expand(self, gids):
+        work["pages"] += 1
+        work["unique"][id(self)] = self.unique
+        inside[0] = True
+        try:
+            return expand_matches(self, gids)
+        finally:
+            inside[0] = False
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            work[key] += inside[0]
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(join._BuildIndex, "expand_matches", recording_expand)
+    monkeypatch.setattr(np, "repeat", counting(np.repeat, "repeat"))
+    monkeypatch.setattr(np, "cumsum", counting(np.cumsum, "cumsum"))
+    engine = make_engine(catalog, page_row_limit=1024)
+    assert engine.submit(TPCH_QUERIES[name]).result().rows
+    monkeypatch.undo()
+    work["unique"] = sorted(work["unique"].values())
+    return work
+
+
+@pytest.mark.parametrize("name, duplicate_key_builds", [("Q9", 0), ("Q18", 0), ("Q5", 2)])
+def test_probes_of_unique_builds_skip_the_csr_expansion(
+    catalog, monkeypatch, name, duplicate_key_builds
+):
+    work = probe_expansions(monkeypatch, catalog, name)
+    assert work["pages"] >= 20, "the query must exercise its probes"
+    assert work["unique"].count(False) == duplicate_key_builds
+    assert work["unique"].count(True) >= 2
+    # Only pages probing a duplicate-key build expand: 3 repeats + 1 cumsum.
+    assert (work["repeat"] > 0) == (work["cumsum"] > 0) == bool(duplicate_key_builds)
+    assert work["repeat"] == 3 * work["cumsum"] < 3 * work["pages"]
+    assert work == probe_expansions(monkeypatch, catalog, name)
 
 
 # -- one execution path per operator ------------------------------------------

@@ -12,17 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CostModel
 from repro.exec.operators.aggregation import FinalAggOperator, PartialAggOperator
+from repro.exec.operators import join
 from repro.exec.operators.join import (
     HashJoinProbeOperator,
     JoinBridge,
     JoinBuildSink,
+    _BuildIndex,
     _dense_int_lut,
 )
-from repro.pages import ColumnType, DictColumn, Page, Schema
+from repro.pages import ColumnType, DictColumn, Page, Schema, concat_pages
 from repro.plan.logical import JoinType
 from repro.plan.physical import partial_agg_schema
 from repro.sim import SimKernel
-from repro.sql.expressions import AggregateCall, InputRef
+from repro.sql.expressions import AggregateCall, Comparison, InputRef
 from repro.sql.functions import GroupKeyEncoder, group_codes
 
 INT = ColumnType.INT64
@@ -100,9 +102,73 @@ def _dict_join(build_rows, probe_rows, nkeys):
     return inner, semi, anti
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_join_kernels_match_dict_oracle(seed):
-    rng = np.random.default_rng(5000 + seed)
+def _bridge_over(schema, nkeys, build_pages):
+    bridge = JoinBridge(SimKernel(), schema, list(range(nkeys)))
+    sink = JoinBuildSink(COST, bridge)
+    sink.deliver(build_pages)
+    sink.driver_finished()
+    assert bridge.ready
+    return bridge
+
+
+def _radix_split(page, nkeys, fanout):
+    """``page`` cut into ``fanout`` pages by a hash of its key, as a
+    spilled join partitions both sides (NaN keys land anywhere: they
+    match nothing wherever they are)."""
+    part = np.array(
+        [hash(key) % fanout for key in zip(*[c.tolist() for c in page.columns[:nkeys]])],
+        dtype=np.int64,
+    )
+    return [page.mask(part == p) for p in range(fanout)]
+
+
+def _check_joins(schema, nkeys, build_pages, probe_pages, residual=None, fanout=0):
+    """INNER / SEMI / ANTI of the pages against the dict oracle, probed
+    through the bridge's one index or — ``fanout`` > 0 — through one
+    ``_BuildIndex`` per radix partition, as the Grace join builds them.
+    The residual (over the INNER output) filters INNER only: a SEMI /
+    ANTI probe takes none.  Returns ``(unique, probe page, INNER output
+    page | None)`` per probed page."""
+    keys = list(range(nkeys))
+    if fanout:
+        build = concat_pages(schema, build_pages)
+        indexes = [_BuildIndex(part, keys) for part in _radix_split(build, nkeys, fanout)]
+        probed = [
+            (index, part)
+            for page in probe_pages
+            for index, part in zip(indexes, _radix_split(page, nkeys, fanout))
+        ]
+    else:
+        index = _bridge_over(schema, nkeys, build_pages).index
+        probed = [(index, page) for page in probe_pages]
+    bridge = JoinBridge(SimKernel(), schema, keys)  # the operators probe ``index``
+    results, inner_pages = {}, []
+    for jt in (JoinType.INNER, JoinType.SEMI, JoinType.ANTI):
+        inner = jt is JoinType.INNER
+        probe = HashJoinProbeOperator(
+            COST, bridge, jt, keys, residual if inner else None,
+            schema.concat(schema) if inner else schema,
+        )
+        results[jt] = []
+        for index, page in probed:
+            outs, _ = probe._probe_with(index, page)
+            assert len(outs) <= 1 and all(out.num_rows for out in outs)
+            results[jt] += [row for out in outs for row in out.rows()]
+            if inner:
+                inner_pages.append((index.unique, page, outs[0] if outs else None))
+
+    build_rows = [r for p in build_pages for r in p.rows()]
+    probe_rows = [r for p in probe_pages for r in p.rows()]
+    inner, semi, anti = _dict_join(build_rows, probe_rows, nkeys)
+    if residual is not None:
+        inner = [row for row in inner if row[nkeys] < row[len(schema) + nkeys]]
+    assert _norm_rows(results[JoinType.INNER]) == _norm_rows(inner)
+    assert _norm_rows(results[JoinType.SEMI]) == _norm_rows(semi)
+    assert _norm_rows(results[JoinType.ANTI]) == _norm_rows(anti)
+    return inner_pages
+
+
+def _random_join_pages(rng):
     nkeys = int(rng.integers(1, 4))
     key_types = [(INT, DATE, STR, FLT)[i] for i in rng.integers(0, 4, size=nkeys)]
     col_types = key_types + [FLT]  # payload column rides along
@@ -114,39 +180,91 @@ def test_join_kernels_match_dict_oracle(seed):
 
     build_pages = [random_page(60) for _ in range(int(rng.integers(1, 4)))]
     probe_pages = [random_page(80) for _ in range(int(rng.integers(1, 4)))]
+    return _key_schema(col_types), nkeys, build_pages, probe_pages
 
-    schema = _key_schema(col_types)
-    bridge = JoinBridge(SimKernel(), schema, list(range(nkeys)))
-    sink = JoinBuildSink(COST, bridge)
-    sink.deliver(build_pages)
-    sink.driver_finished()
-    assert bridge.ready
 
-    out_schema = schema.concat(schema)
-    results = {}
-    for jt in (JoinType.INNER, JoinType.SEMI, JoinType.ANTI):
-        probe = HashJoinProbeOperator(
-            COST, bridge, jt, list(range(nkeys)), None,
-            out_schema if jt is JoinType.INNER else schema,
+@pytest.mark.parametrize("seed", range(30))
+def test_join_kernels_match_dict_oracle(seed):
+    _check_joins(*_random_join_pages(np.random.default_rng(5000 + seed)))
+
+
+def _shaped_join_pages(rng, key_types, unique, match):
+    """One build page (keys distinct or not) and one probe page whose
+    rows all / partly / never find a build key, or that has no rows.
+    Misses come in every kind the probe tells apart: inside the build's
+    value span, outside it, an unknown word, and — two columns — known
+    values in a pair the build lacks."""
+    pool = [(3 * (j // 4), _WORDS[j % 4])[: len(key_types)] for j in range(16)]
+    pool = list(dict.fromkeys(pool))
+    held, absent = pool[: len(pool) // 2], pool[len(pool) // 2 :]
+    build = [held[i] for i in rng.permutation(len(held))]
+    if not unique:
+        build += [held[i] for i in rng.integers(0, len(held), size=20)]
+    misses = absent + [(k[0] + 1,) + k[1:] for k in held] + [(k[0] + 10**6,) + k[1:] for k in held]
+    if len(key_types) > 1:
+        misses += [(k[0], "zelkova") for k in held] + [(held[0][0], absent[0][1])]
+    draw = {"all": held, "some": held + misses, "none": misses, "empty": []}[match]
+    probe = [draw[i] for i in rng.integers(0, len(draw), size=50)] if draw else []
+
+    def page(keys):
+        columns = [[k[c] for k in keys] for c in range(len(key_types))]
+        return _page(key_types + [FLT], columns + [rng.normal(size=len(keys))])
+
+    return page(build), page(probe)
+
+
+@pytest.mark.parametrize("fanout", [0, 3], ids=["bridge", "grace"])
+@pytest.mark.parametrize("with_residual", [False, True], ids=["plain", "residual"])
+@pytest.mark.parametrize("match", ["all", "some", "none", "empty"])
+@pytest.mark.parametrize("unique", [True, False], ids=["unique", "duplicate"])
+@pytest.mark.parametrize("key_types", [[INT], [INT, STR]], ids=["int", "int+str"])
+def test_join_kernels_match_dict_oracle_by_page_shape(
+    key_types, unique, match, with_residual, fanout
+):
+    """Build shape x probe-page shape x join type x residual, through the
+    bridge and through per-partition indexes; a probe column object
+    reaches the output exactly when nothing about it changed: a unique
+    build, every row of the page matched, no residual to filter them."""
+    rng = np.random.default_rng(len(key_types) * 100 + unique * 10 + fanout)
+    build, probe = _shaped_join_pages(rng, key_types, unique, match)
+    schema, nkeys = build.schema, len(key_types)
+    residual = (
+        Comparison("<", InputRef(nkeys, FLT), InputRef(len(schema) + nkeys, FLT))
+        if with_residual
+        else None
+    )
+    outputs = _check_joins(schema, nkeys, [build], [probe], residual, fanout)
+    for is_unique, page, out in outputs:
+        # A partition of a duplicate-key build need not hold a duplicate.
+        assert is_unique == unique or (fanout and is_unique)
+        if out is None:
+            continue
+        shared = [o is c for o, c in zip(out.columns, page.columns)]
+        assert all(shared) or not any(shared)
+        assert all(shared) == (is_unique and match == "all" and residual is None)
+
+
+def test_join_falls_back_to_a_key_dict_when_packing_would_overflow(monkeypatch):
+    """``_BuildIndex._fallback_table``: the per-row dict path behind
+    composite keys too wide for mixed-radix int64 packing, reached here
+    by shrinking what counts as too wide."""
+    monkeypatch.setattr(join, "_INT64_MAX", 4)
+    fell_back = 0
+    for seed in range(8):
+        schema, nkeys, build_pages, probe_pages = _random_join_pages(
+            np.random.default_rng(5100 + seed)
         )
-        results[jt] = _drain(probe, probe_pages)
-
-    build_rows = [r for p in build_pages for r in p.rows()]
-    probe_rows = [r for p in probe_pages for r in p.rows()]
-    inner, semi, anti = _dict_join(build_rows, probe_rows, nkeys)
-    assert _norm_rows(results[JoinType.INNER]) == _norm_rows(inner)
-    assert _norm_rows(results[JoinType.SEMI]) == _norm_rows(semi)
-    assert _norm_rows(results[JoinType.ANTI]) == _norm_rows(anti)
+        for fanout in (0, 2):
+            _check_joins(schema, nkeys, build_pages, probe_pages, fanout=fanout)
+        index = _bridge_over(schema, nkeys, build_pages).index
+        fell_back += index._fallback_table is not None
+    assert fell_back >= 6
 
 
 def test_float_probe_keys_against_int_build_keys():
     # The dense-int LUT must not truncate fractional probe keys into a
     # false match: 2.5 joins nothing even though floor(2.5)=2 is a build key.
-    schema = _key_schema([INT])
-    bridge = JoinBridge(SimKernel(), schema, [0])
-    sink = JoinBuildSink(COST, bridge)
-    sink.deliver([_page([INT], [[1, 2, 3]])])
-    sink.driver_finished()
+    bridge = _bridge_over(_key_schema([INT]), 1, [_page([INT], [[1, 2, 3]])])
     gids = bridge.probe_group_ids([np.array([2.5, 2.0, -1.0, 3.0])])
     assert gids[0] == -1 and gids[2] == -1
     assert gids[1] >= 0 and gids[3] >= 0
