@@ -5,7 +5,7 @@ from .collector import RuntimeInfoCollector, Snapshot, StageSample
 from .filter import TuningRequestFilter
 from .planner import DopPlan, DopPlanner
 from .whatif import WhatIfEstimate, WhatIfService
-from .progress import probe_scan_stage, remaining_seconds, scan_progress
+from .progress import remaining_seconds
 from .service import ElasticQuery
 from .tuner import DopAutoTuner, TuningUnit, tuning_units
 
@@ -23,8 +23,6 @@ __all__ = [
     "WhatIfEstimate",
     "WhatIfService",
     "find_bottlenecks",
-    "probe_scan_stage",
     "remaining_seconds",
-    "scan_progress",
     "tuning_units",
 ]

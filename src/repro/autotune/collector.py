@@ -31,19 +31,21 @@ class Snapshot:
     nic_utilization: dict[str, float] = field(default_factory=dict)
 
 
+#: Sampling period for runtime info (Section 5.1), virtual seconds.
+COLLECTOR_PERIOD = 0.5
+
+
 class RuntimeInfoCollector:
     def __init__(
         self,
         kernel: SimKernel,
         query: "QueryExecution",
         cluster: Cluster,
-        period: float = 0.5,
         window: int = 64,
     ):
         self.kernel = kernel
         self.query = query
         self.cluster = cluster
-        self.period = period
         self.samples: deque[Snapshot] = deque(maxlen=window)
         #: node key -> [node, mark time, busy-core-seconds mark, NIC-busy
         #: mark]; rebuilt (marks kept) only when a node joined the cluster.
@@ -87,7 +89,7 @@ class RuntimeInfoCollector:
         if self.query.finished:
             self._stopped = True
             return
-        self.kernel.schedule(self.period, self._sample)
+        self.kernel.schedule(COLLECTOR_PERIOD, self._sample)
 
     def stop(self) -> None:
         self._stopped = True

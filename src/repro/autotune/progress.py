@@ -19,12 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
 
 
-def probe_scan_stage(query: "QueryExecution", stage_id: int) -> int | None:
-    """The table-scan stage feeding ``stage_id``'s probe input chain
-    (:meth:`PhysicalPlan.probe_scan` of the query's plan)."""
-    return query.plan.probe_scan(stage_id)
-
-
 def remaining_seconds(
     collector: RuntimeInfoCollector,
     query: "QueryExecution",
@@ -35,7 +29,7 @@ def remaining_seconds(
 
     Returns ``None`` when no rate is observable yet (query just started).
     """
-    scan_id = probe_scan_stage(query, stage_id)
+    scan_id = query.plan.probe_scan(stage_id)
     if scan_id is None:
         return None
     scan_stage = query.stages.get(scan_id)
@@ -49,11 +43,3 @@ def remaining_seconds(
         return None
     return v_remain / r_consume
 
-
-def scan_progress(query: "QueryExecution", stage_id: int) -> float | None:
-    """Fraction of the probe-side scan completed (the progress bars of the
-    Accordion main UI, which show only table-scan stages)."""
-    scan_id = probe_scan_stage(query, stage_id)
-    if scan_id is None:
-        return None
-    return query.stages[scan_id].scan_progress()

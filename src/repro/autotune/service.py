@@ -34,14 +34,11 @@ class ElasticQuery:
         query: "QueryExecution",
         cluster: Cluster,
         scheduler: Scheduler,
-        collector_period: float = 0.5,
         arbiter=None,
     ):
         self.query = query
         self.kernel = query.kernel
-        self.collector = RuntimeInfoCollector(
-            self.kernel, query, cluster, period=collector_period
-        )
+        self.collector = RuntimeInfoCollector(self.kernel, query, cluster)
         self.whatif = WhatIfService(self.collector, query)
         self.filter = TuningRequestFilter(self.whatif)
         self.optimizer = DynamicOptimizer(scheduler)

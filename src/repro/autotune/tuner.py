@@ -25,7 +25,6 @@ from ..errors import TuningRejected
 from .collector import RuntimeInfoCollector
 from .filter import TuningRequestFilter
 from .whatif import WhatIfEstimate, WhatIfService
-from .progress import probe_scan_stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
@@ -53,7 +52,7 @@ def tuning_units(query: "QueryExecution") -> list[TuningUnit]:
         stage = query.stages[stage_id]
         if stage.fragment.dop_fixed or stage.fragment.is_source:
             continue
-        indicator = probe_scan_stage(query, stage_id)
+        indicator = query.plan.probe_scan(stage_id)
         if indicator is not None:
             units.append(TuningUnit(knob_stage=stage_id, indicator_stage=indicator))
     return units
@@ -134,8 +133,9 @@ class DopAutoTuner:
         (the mid-flight constraint change of Figure 30b).
         """
         stage = self.query.stage(stage_id)
-        indicator = stage_id if stage.fragment.is_source else probe_scan_stage(
-            self.query, stage_id
+        indicator = (
+            stage_id if stage.fragment.is_source
+            else self.query.plan.probe_scan(stage_id)
         )
         if indicator is None:
             raise TuningRejected(f"stage {stage_id} has no scan indicator")

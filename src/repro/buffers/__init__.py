@@ -3,15 +3,16 @@
 from .elastic import ElasticPageBuffer, WaiterList
 from .local_exchange import LocalExchange
 from .output import (
-    ConsumerQueue,
+    BroadcastOutputBuffer,
     OutputMode,
     SharedOutputBuffer,
     ShuffleOutputBuffer,
     TaskOutputBuffer,
+    make_output_buffer,
 )
 
 __all__ = [
-    "ConsumerQueue",
+    "BroadcastOutputBuffer",
     "ElasticPageBuffer",
     "LocalExchange",
     "OutputMode",
@@ -19,4 +20,5 @@ __all__ = [
     "ShuffleOutputBuffer",
     "TaskOutputBuffer",
     "WaiterList",
+    "make_output_buffer",
 ]

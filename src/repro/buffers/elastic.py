@@ -11,8 +11,12 @@ A bounded page buffer whose *capacity is controlled by the consumer side*:
   to match the number of pages it actually consumed in the last period, so
   the cached data volume tracks the consumption rate.
 
-The same class backs exchange receive buffers and task output buffers.
-When ``elastic`` is disabled (Presto baseline mode) the capacity is fixed
+:class:`ElasticCapacity` is that protocol, once.  An exchange receive
+buffer (:class:`ElasticPageBuffer`) runs all of it from ``poll``; a task
+output buffer (:mod:`repro.buffers.output`) runs only the periodic resize,
+from the one ``take`` its consumers call — a consumer that finds an output
+buffer empty waits, it does not turn the producer's capacity up.  When
+``elastic`` is disabled (Presto baseline mode) the capacity is fixed
 (default 32 MB worth of pages) and never adjusts.
 """
 
@@ -44,17 +48,15 @@ class WaiterList:
             for fn in waiters:
                 fn()
 
-    def __len__(self) -> int:
-        return len(self._waiters)
-
 
 class ElasticCapacity:
     """The consumer-driven capacity protocol, once, for both buffer kinds.
 
-    Its users differ only in call order, which is part of each one's
-    pinned virtual timing (DESIGN.md §5): a task output buffer counts
-    what a ``take`` removed and *then* resizes, an exchange buffer
-    resizes at the top of ``poll`` and counts the page afterwards.
+    Its users differ in what they call and in what order, which is part
+    of each one's pinned virtual timing (DESIGN.md §5): a task output
+    buffer counts what a ``take`` removed and *then* resizes, and never
+    turns up; an exchange buffer resizes at the top of ``poll``, turns
+    up when it finds nothing, and counts the page afterwards.
     """
 
     #: Trace span the turn-up/resize instants report under (the owning
@@ -137,24 +139,13 @@ class ElasticPageBuffer(ElasticCapacity):
     ):
         super().__init__(kernel, config, name, avg_page_bytes)
         self._queue: deque[Page] = deque()
-        self.total_pages_in = 0
-        self.total_pages_out = 0
-        self.total_rows_out = 0
         self.not_full = WaiterList()
         self.not_empty = WaiterList()
-        self.closed = False
 
     # -- state -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._queue)
-
     @property
     def is_empty(self) -> bool:
         return not self._queue
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._queue) >= self.capacity
 
     @property
     def free_slots(self) -> int:
@@ -162,11 +153,10 @@ class ElasticPageBuffer(ElasticCapacity):
 
     # -- producer side ----------------------------------------------------
     def put(self, page: Page) -> None:
-        """Enqueue unconditionally (producers check ``is_full`` and block
-        themselves; the elastic protocol grows capacity on the consumer
-        side rather than dropping data)."""
+        """Enqueue unconditionally (producers check ``free_slots`` and
+        pause themselves; the elastic protocol grows capacity on the
+        consumer side rather than dropping data)."""
         self._queue.append(page)
-        self.total_pages_in += 1
         self.not_empty.notify_all()
 
     # -- consumer side ----------------------------------------------------
@@ -175,20 +165,11 @@ class ElasticPageBuffer(ElasticCapacity):
         if self.resize_if_due():
             self.not_full.notify_all()
         if not self._queue:
-            if not self.closed and self.turn_up():
+            if self.turn_up():
                 self.not_full.notify_all()
             return None
         page = self._queue.popleft()
-        self.total_pages_out += 1
         if not page.is_end:
-            self.total_rows_out += page.num_rows
             self.consumed(1)
         self.not_full.notify_all()
         return page
-
-    def peek(self) -> Page | None:
-        return self._queue[0] if self._queue else None
-
-    def close(self) -> None:
-        self.closed = True
-        self.not_empty.notify_all()

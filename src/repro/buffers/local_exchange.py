@@ -4,9 +4,8 @@ A local exchange decouples two pipelines inside one task: sink operators
 (tail of the upstream pipeline) push pages in, source operators (head of
 the downstream pipeline) pull pages out.  The structure tracks how many
 sink drivers feed it so it can relay end pages exactly once to each source
-driver when the upstream pipeline completes — and it accepts *end signals*
-from the task to shut down individual source drivers at runtime
-(intra-task DOP decrease, Section 4.3).
+driver when the upstream pipeline completes.  (Intra-task DOP decrease,
+Section 4.3, end-signals the source *driver*: ``Driver.request_end``.)
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ class LocalExchange:
         self._queue: deque[Page] = deque()
         self._producers = 0
         self._producers_finished = 0
-        self._injected_ends = 0
         self.not_empty = WaiterList()
-        self.rows_in = 0
 
     # -- producer side ------------------------------------------------------
     def register_producer(self) -> None:
@@ -43,35 +40,20 @@ class LocalExchange:
         return self._producers > 0 and self._producers_finished >= self._producers
 
     def put(self, page: Page) -> None:
-        if page.is_end:
-            self.producer_finished()
-            return
+        """Enqueue a data page (sinks are never handed end pages; a sink
+        driver that finishes calls ``producer_finished``)."""
         self._queue.append(page)
-        self.rows_in += page.num_rows
-        self.not_empty.notify_all()
-
-    # -- elastic shutdown ----------------------------------------------------
-    def inject_end_signal(self, count: int = 1) -> None:
-        """Ask ``count`` source drivers to shut down (end-page relay game)."""
-        self._injected_ends += count
         self.not_empty.notify_all()
 
     # -- consumer side ----------------------------------------------------
     def poll(self) -> Page | None:
         """Next page for a source operator.
 
-        Returns an end page when (a) a shutdown signal is pending, or
-        (b) all producers finished and the queue drained.  Returns ``None``
-        when the consumer should block and wait.
+        Returns an end page when all producers finished and the queue
+        drained, ``None`` when the consumer should block and wait.
         """
-        if self._injected_ends > 0:
-            self._injected_ends -= 1
-            return Page.end(signal="shutdown")
         if self._queue:
             return self._queue.popleft()
         if self.upstream_done:
             return Page.end()
         return None
-
-    def __len__(self) -> int:
-        return len(self._queue)

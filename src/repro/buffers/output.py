@@ -2,14 +2,12 @@
 
 The redesigned task output buffer owns data distribution, shuffling, and
 parallelism-variation adaptation; the task output *operator* only delivers
-pages.  Two kinds exist (Figure 10):
+pages.  There is one class per distribution (Figure 10), made by
+:func:`make_output_buffer`:
 
-* :class:`SharedOutputBuffer` — a single page queue.  ``GATHER`` and
-  ``ARBITRARY`` modes let any registered consumer pop the next page
-  (work-sharing, used for probe inputs of broadcast joins and gather
-  inputs of single-task stages); ``BROADCAST`` mode fans every page out to
-  all consumers and keeps a page cache so late-joining consumers (tasks
-  created by runtime DOP increases) receive the full stream.
+* :class:`BroadcastOutputBuffer` — every consumer's queue receives every
+  page, and a page cache replays the full stream to late-joining consumers
+  (tasks created by runtime DOP increases).
 
 * :class:`ShuffleOutputBuffer` — hash-partitions pages across a *buffer-ID
   group* using shuffle executors that charge CPU to the owning node (this
@@ -19,14 +17,30 @@ pages.  Two kinds exist (Figure 10):
   group keeps draining, and the old group is closed once the new hash
   table is ready.
 
+* :class:`SharedOutputBuffer` — ``ARBITRARY`` and ``GATHER``: one page
+  queue from which any registered consumer pops the next page
+  (work-sharing, used for probe inputs of broadcast joins and gather
+  inputs of single-task stages).
+
 Buffer IDs equal downstream task sequence numbers, as in Presto.
+
+**The hand-off.**  A consumer knows two calls.  ``take(buffer_id, n)``
+pops up to ``n`` pages, the end page in-line and last; it returns ``[]``
+and changes nothing when there is nothing to take, and an unknown id is a
+``SchedulingError``.  ``wait(buffer_id, wake)``, after an empty ``take``,
+registers the one-shot ``wake`` for the next page or end and returns True
+— or returns False: the id ended and is drained.  A ``take`` that removed
+pages counts them and then resizes the capacity (§4.2.2); an output
+buffer never turns its capacity *up* — only exchange receive buffers do.
+Producers and the control plane use ``put`` / ``is_full`` / ``not_full``,
+``add_consumer`` / ``end_consumer`` and ``when_drained``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,9 +50,6 @@ from ..pages import Page
 from ..sim import CpuPool, SimKernel
 from ..sql.functions import partition_assignments
 from .elastic import ElasticCapacity, WaiterList
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class OutputMode(enum.Enum):
@@ -58,8 +69,8 @@ class ConsumerQueue:
         self.pages: deque[Page] = deque()
         self.ended = False
         self.end_signal: str | None = None
-        #: Callbacks fired when pages arrive or the queue ends (exchange
-        #: clients register here to start fetches).
+        #: Callbacks fired when pages arrive or the queue ends (``wait``
+        #: registers exchange clients here).
         self.on_update = WaiterList()
 
     def push(self, page: Page) -> None:
@@ -77,31 +88,18 @@ class ConsumerQueue:
 
 
 class TaskOutputBuffer:
-    """Common machinery: consumer registry, accounting, producer gating."""
+    """Consumer registry, accounting, producer gating and the hand-off,
+    over one page queue per consumer (broadcast and hash keep it so)."""
 
-    def __init__(
-        self,
-        kernel: SimKernel,
-        config: BufferConfig,
-        mode: OutputMode,
-        cache_pages: bool = False,
-        name: str = "out",
-    ):
+    def __init__(self, kernel: SimKernel, config: BufferConfig, name: str = "out"):
         self.kernel = kernel
         self.config = config
-        self.mode = mode
         self.name = name
         self.consumers: dict[int, ConsumerQueue] = {}
-        self.cache_enabled = cache_pages
-        self.page_cache: list[Page] = []
         self.finished = False
         self.not_full = WaiterList()
-        #: Fired whenever a consumer queue is created (exchange clients
-        #: whose buffer id does not exist yet wait here).
-        self.on_consumer_added = WaiterList()
         self.capacity = ElasticCapacity(kernel, config, name)
         self.rows_out = 0
-        self.pages_out = 0
         self.bytes_out = 0
         #: True once any consumer has taken a data page.  Failure recovery
         #: uses this to decide whether a crashed task may be restarted from
@@ -112,23 +110,18 @@ class TaskOutputBuffer:
 
     # -- consumer management ----------------------------------------------
     def add_consumer(self, buffer_id: int) -> ConsumerQueue:
-        if buffer_id in self.consumers:
-            return self.consumers[buffer_id]
-        queue = ConsumerQueue(buffer_id)
-        self.consumers[buffer_id] = queue
-        self._on_consumer_added(queue)
-        if self.finished and not self._defer_end_on_add():
-            queue.end()
-        self.on_consumer_added.notify_all()
+        """Open a buffer id (idempotent); on a finished buffer the new
+        view ends at once, after whatever ``_open`` replayed into it."""
+        queue = self.consumers.get(buffer_id)
+        if queue is None:
+            queue = self._open(buffer_id)
+            if self.finished:
+                queue.end()
         return queue
 
-    def _defer_end_on_add(self) -> bool:
-        """Hook: shuffle buffers defer ends for consumers added during a
-        group switch until the cache replay drains."""
-        return False
-
-    def _on_consumer_added(self, queue: ConsumerQueue) -> None:
-        """Hook: broadcast replays the page cache to late joiners."""
+    def _open(self, buffer_id: int) -> ConsumerQueue:
+        queue = self.consumers[buffer_id] = ConsumerQueue(buffer_id)
+        return queue
 
     def end_consumer(self, buffer_id: int, signal: str | None = "shutdown") -> None:
         """Elastic shutdown: close one downstream view (paper Section 4.4)."""
@@ -141,12 +134,6 @@ class TaskOutputBuffer:
         consumer task died and a replacement will register under a new id).
         Unlike :meth:`end_consumer` no end page is delivered."""
         self.consumers.pop(buffer_id, None)
-
-    def consumer(self, buffer_id: int) -> ConsumerQueue:
-        try:
-            return self.consumers[buffer_id]
-        except KeyError:
-            raise SchedulingError(f"{self.name}: unknown buffer id {buffer_id}") from None
 
     # -- producer side ----------------------------------------------------
     @property
@@ -169,6 +156,11 @@ class TaskOutputBuffer:
         for queue in self.consumers.values():
             queue.end()
 
+    def when_drained(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once no page is between ``put`` and a consumer's
+        queue: at once here; a shuffle buffer waits for its executors."""
+        fn()
+
     def abort(self) -> None:
         """Discard this buffer (crashed task being restarted, Section 4.4
         analog): all queued and cached pages are dropped and every consumer
@@ -184,7 +176,6 @@ class TaskOutputBuffer:
             )
         self.aborted = True
         self.finished = True
-        self.page_cache.clear()
         self._discard_internal()
         for queue in self.consumers.values():
             # Drop undelivered data; deliver (or redeliver, for queues that
@@ -198,149 +189,155 @@ class TaskOutputBuffer:
             queue.on_update.notify_all()
 
     def _discard_internal(self) -> None:
-        """Hook: drop mode-specific internal queues on abort."""
+        """Hook: drop the class's own queues, caches and lineage on abort."""
 
-    # -- consumer side ------------------------------------------------------
+    # -- consumer side: the hand-off ----------------------------------------
     def take(self, buffer_id: int, max_pages: int) -> list[Page]:
-        """Pop up to ``max_pages`` pages for one downstream task.
-
-        End pages are delivered in-line.  Applies the elastic capacity
-        protocol (turn-up on empty, periodic resize) from the consumer side.
-        """
-        queue = self.consumer(buffer_id)
-        taken: list[Page] = []
-        source = self._source_queue(queue)
-        while source and len(taken) < max_pages:
-            taken.append(source.popleft())
-        if not taken and not queue.ended:
-            if self.capacity.turn_up():
-                self.not_full.notify_all()
+        """Pop up to ``max_pages`` pages for one downstream task, the end
+        page in-line; ``[]``, and nothing changed, when there are none."""
+        try:
+            queue = self.consumers[buffer_id]
+        except KeyError:
+            raise SchedulingError(f"{self.name}: unknown buffer id {buffer_id}") from None
+        taken = self._pop(queue, max_pages)
         if taken:
-            if any(not p.is_end for p in taken):
+            # At most one end page, and it comes last.  Count, then resize.
+            data = len(taken) - taken[-1].is_end
+            if data:
                 self.ever_fetched = True
-            self.capacity.consumed(sum(1 for p in taken if not p.is_end))
+            self.capacity.consumed(data)
             self.capacity.resize_if_due()
             self.not_full.notify_all()
         return taken
 
-    def _source_queue(self, queue: ConsumerQueue) -> deque[Page]:
-        return queue.pages
+    def _pop(self, queue: ConsumerQueue, max_pages: int) -> list[Page]:
+        """The one step of ``take`` a distribution overrides: remove the
+        pages (and keep whatever lineage recovery needs of them)."""
+        pages = queue.pages
+        taken: list[Page] = []
+        while pages and len(taken) < max_pages:
+            taken.append(pages.popleft())
+        return taken
+
+    def wait(self, buffer_id: int, wake: Callable[[], None]) -> bool:
+        """After an empty ``take``: False when the id ended and is drained,
+        else ``wake`` runs once at its next page or end."""
+        queue = self.consumers[buffer_id]
+        if queue.ended and not queue.pages:
+            return False
+        queue.on_update.add(wake)
+        return True
 
     def _account(self, page: Page) -> None:
         self.rows_out += page.num_rows
-        self.pages_out += 1
         self.bytes_out += page.size_bytes
-
-
-class SharedOutputBuffer(TaskOutputBuffer):
-    """GATHER / ARBITRARY / BROADCAST output buffer (one page queue)."""
-
-    def __init__(self, kernel, config, mode: OutputMode, cache_pages=False, name="out"):
-        if mode is OutputMode.HASH:
-            raise ValueError("use ShuffleOutputBuffer for hash distribution")
-        super().__init__(kernel, config, mode, cache_pages, name)
-        self._shared: deque[Page] = deque()
-        #: Failure-recovery lineage: data pages already taken by each
-        #: consumer, so a dead consumer's share can be requeued for its
-        #: replacement (exactly-once under ARBITRARY/GATHER work sharing).
-        self._taken_log: dict[int, list[Page]] = {}
-
-    def _on_consumer_added(self, queue: ConsumerQueue) -> None:
-        if self.mode is OutputMode.BROADCAST:
-            for page in self.page_cache:
-                queue.push(page)
-        if self.mode is OutputMode.GATHER and len(self.consumers) > 1:
-            raise SchedulingError("gather buffer supports exactly one consumer")
-
-    def put(self, page: Page) -> None:
-        if self.aborted:
-            return
-        self._account(page)
-        if self.cache_enabled or self.mode is OutputMode.BROADCAST:
-            # Broadcast always caches so that consumers added later (tasks
-            # spawned by runtime DOP increases) can replay the full stream.
-            self.page_cache.append(page)
-        if self.mode is OutputMode.BROADCAST:
-            for queue in self.consumers.values():
-                if not queue.ended:  # consumer departed via elastic shutdown
-                    queue.push(page)
-        else:
-            self._shared.append(page)
-            for queue in self.consumers.values():
-                queue.on_update.notify_all()
-
-    def _queued_pages(self) -> int:
-        if self.mode is OutputMode.BROADCAST:
-            return super()._queued_pages()
-        return len(self._shared)
-
-    def _source_queue(self, queue: ConsumerQueue) -> deque[Page]:
-        if self.mode is OutputMode.BROADCAST:
-            return queue.pages
-        return self._shared
-
-    def take(self, buffer_id: int, max_pages: int) -> list[Page]:
-        queue = self.consumer(buffer_id)
-        if self.mode is OutputMode.BROADCAST:
-            return super().take(buffer_id, max_pages)
-        taken: list[Page] = []
-        # An elastic shutdown of this consumer takes effect immediately —
-        # the remaining shared pages belong to the surviving consumers.
-        if queue.ended and queue.end_signal == "shutdown":
-            while queue.pages:
-                taken.append(queue.pages.popleft())
-            return taken
-        while self._shared and len(taken) < max_pages:
-            taken.append(self._shared.popleft())
-        # A natural end (task finished) is delivered once the shared queue
-        # has been drained.
-        if queue.ended and queue.pages:
-            if not taken or not self._shared:
-                while queue.pages:
-                    taken.append(queue.pages.popleft())
-        if not taken and not queue.ended:
-            if self.capacity.turn_up():
-                self.not_full.notify_all()
-        if taken:
-            data = [p for p in taken if not p.is_end]
-            if data:
-                self.ever_fetched = True
-                self._taken_log.setdefault(buffer_id, []).extend(data)
-            self.capacity.consumed(len(data))
-            self.capacity.resize_if_due()
-            self.not_full.notify_all()
-        return taken
-
-    def has_data(self, buffer_id: int) -> bool:
-        queue = self.consumers.get(buffer_id)
-        if queue is None:
-            return False
-        if self.mode is OutputMode.BROADCAST:
-            return bool(queue.pages)
-        return bool(self._shared) or bool(queue.pages)
-
-    def _discard_internal(self) -> None:
-        self._shared.clear()
-        self._taken_log.clear()
 
     # -- failure recovery (Section "Fault model & recovery") ---------------
     def requeue_for_retry(self, old_id: int, new_id: int) -> None:
-        """Replace a dead consumer with its respawned task's buffer id.
-
-        ``ARBITRARY``/``GATHER``: pages the dead consumer already took are
-        requeued at the *front* of the shared queue (any consumer may
-        process any page, so exactly-once is preserved).  ``BROADCAST``
-        needs no requeue — the page cache replays the full stream to the
-        replacement on registration."""
-        if self.mode is not OutputMode.BROADCAST:
-            lost = self._taken_log.pop(old_id, [])
-            if lost:
-                self._shared.extendleft(reversed(lost))
+        """Replace a dead consumer with its respawned task's buffer id."""
         self.retire_consumer(old_id)
         self.add_consumer(new_id)
         for queue in self.consumers.values():
             queue.on_update.notify_all()
         self.not_full.notify_all()
+
+
+class BroadcastOutputBuffer(TaskOutputBuffer):
+    """Every consumer receives every page.  Always caches, so consumers
+    added later — DOP increases, respawned tasks — replay the full stream
+    on registration (which is all a retry needs)."""
+
+    def __init__(self, kernel: SimKernel, config: BufferConfig, name: str = "out"):
+        super().__init__(kernel, config, name)
+        self.page_cache: list[Page] = []
+
+    def _open(self, buffer_id: int) -> ConsumerQueue:
+        queue = super()._open(buffer_id)
+        for page in self.page_cache:
+            queue.push(page)
+        return queue
+
+    def put(self, page: Page) -> None:
+        if self.aborted:
+            return
+        self._account(page)
+        self.page_cache.append(page)
+        for queue in self.consumers.values():
+            if not queue.ended:  # consumer departed via elastic shutdown
+                queue.push(page)
+
+    def _discard_internal(self) -> None:
+        self.page_cache.clear()
+
+
+class SharedOutputBuffer(TaskOutputBuffer):
+    """ARBITRARY / GATHER: one page queue shared by the consumers, whose
+    own queues carry only their end page."""
+
+    def __init__(
+        self, kernel: SimKernel, config: BufferConfig, mode: OutputMode, name: str = "out"
+    ):
+        super().__init__(kernel, config, name)
+        self.mode = mode
+        self._shared: deque[Page] = deque()
+        #: Failure-recovery lineage: data pages already taken by each
+        #: consumer, so a dead consumer's share can be requeued for its
+        #: replacement (exactly-once under work sharing).
+        self._taken_log: dict[int, list[Page]] = {}
+
+    def _open(self, buffer_id: int) -> ConsumerQueue:
+        if self.mode is OutputMode.GATHER and self.consumers:
+            raise SchedulingError("gather buffer supports exactly one consumer")
+        return super()._open(buffer_id)
+
+    def put(self, page: Page) -> None:
+        if self.aborted:
+            return
+        self._account(page)
+        self._shared.append(page)
+        for queue in self.consumers.values():
+            queue.on_update.notify_all()
+
+    def _queued_pages(self) -> int:
+        return len(self._shared)
+
+    def take(self, buffer_id: int, max_pages: int) -> list[Page]:
+        queue = self.consumers.get(buffer_id)
+        if queue is not None and queue.end_signal == "shutdown":
+            # An elastic shutdown takes effect at once: the shared pages
+            # belong to the surviving consumers, and the departed one
+            # collects its end page without driving their capacity.
+            taken = list(queue.pages)
+            queue.pages.clear()
+            return taken
+        return super().take(buffer_id, max_pages)
+
+    def _pop(self, queue: ConsumerQueue, max_pages: int) -> list[Page]:
+        shared = self._shared
+        taken: list[Page] = []
+        while shared and len(taken) < max_pages:
+            taken.append(shared.popleft())
+        if taken:
+            self._taken_log.setdefault(queue.buffer_id, []).extend(taken)
+        # A natural end (task finished) is delivered once the shared queue
+        # has been drained.
+        if queue.pages and (not taken or not shared):
+            taken.extend(queue.pages)
+            queue.pages.clear()
+        return taken
+
+    def _discard_internal(self) -> None:
+        self._shared.clear()
+        self._taken_log.clear()
+
+    def requeue_for_retry(self, old_id: int, new_id: int) -> None:
+        """Pages the dead consumer already took are requeued at the
+        *front* of the shared queue (any consumer may process any page, so
+        exactly-once is preserved)."""
+        lost = self._taken_log.pop(old_id, [])
+        if lost:
+            self._shared.extendleft(reversed(lost))
+        super().requeue_for_retry(old_id, new_id)
 
 
 class ShuffleOutputBuffer(TaskOutputBuffer):
@@ -355,23 +352,23 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         self,
         kernel: SimKernel,
         config: BufferConfig,
-        key_positions: list[int],
+        key_positions: Sequence[int],
         cpu: CpuPool,
         cost: CostModel,
         cache_pages: bool = False,
         name: str = "shuffle",
     ):
-        super().__init__(kernel, config, OutputMode.HASH, cache_pages, name)
+        super().__init__(kernel, config, name)
         self.key_positions = list(key_positions)
         self.cpu = cpu
         self.cost = cost
+        #: The intermediate data cache (Section 4.5) a group switch replays.
+        self.cache_enabled = cache_pages
+        self.page_cache: list[Page] = []
         #: The active buffer-ID group: partition index -> buffer id.
         self.group: list[int] = []
         self._pending_shuffles = 0
-        self.shuffled_rows = 0
-        self.on_drained = WaiterList()
-        self._switching = False
-        self._restoring = False
+        self._drained = WaiterList()
         #: Failure-recovery lineage: every sub-page delivered to each
         #: buffer id, replayed when that consumer dies and is respawned.
         self._pushed_log: dict[int, list[Page]] = {}
@@ -380,32 +377,25 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         self._redirects: dict[int, int] = {}
 
     # -- group management (DOP switching, Section 4.5) ----------------------
-    def set_group(self, buffer_ids: list[int]) -> None:
-        """Install the initial buffer-ID group."""
+    def set_group(self, buffer_ids: list[int], replay_cache: bool = False) -> None:
+        """Install a buffer-ID group: the first one, or a *new* one (DOP
+        switching, Section 4.5).
+
+        Future pages are partitioned across the group.  When
+        ``replay_cache`` is set, all cached pages are reshuffled to it
+        (hash-table rebuild from the intermediate data cache), and on a
+        finished buffer its views end only after that replay has landed.
+        A former group's queues are *not* ended here — ``end_group``
+        closes them once the new task group is ready (probe-side switch;
+        see ``repro.cluster.topology.regroup``).
+        """
         self.group = list(buffer_ids)
         for buffer_id in buffer_ids:
-            self.add_consumer(buffer_id)
-
-    def switch_group(self, buffer_ids: list[int], replay_cache: bool = True) -> None:
-        """Install a *new* buffer-ID group (DOP switching, Section 4.5).
-
-        Future pages are partitioned across the new group.  When
-        ``replay_cache`` is set, all cached pages are reshuffled to the new
-        group (hash-table rebuild from the intermediate data cache).  The
-        old group's queues are *not* ended here — ``end_group`` closes
-        them once the new task group is ready (probe-side switch; see
-        ``repro.cluster.topology.regroup``).
-        """
-        self._switching = True
-        try:
-            self.group = list(buffer_ids)
-            for buffer_id in buffer_ids:
-                self.add_consumer(buffer_id)
-            if replay_cache:
-                for page in self.page_cache:
-                    self._schedule_shuffle(page, account=False)
-        finally:
-            self._switching = False
+            if buffer_id not in self.consumers:
+                self._open(buffer_id)
+        if replay_cache:
+            for page in self.page_cache:
+                self._schedule_shuffle(page)
         if self.finished and self._pending_shuffles == 0:
             self._finish_consumers()
 
@@ -416,11 +406,12 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         pages partitioned for the old group before the switch are never
         dropped.
         """
-        if self._pending_shuffles > 0:
-            self.on_drained.add(lambda: self.end_group(buffer_ids, signal))
-            return
-        for buffer_id in buffer_ids:
-            self.end_consumer(buffer_id, signal)
+
+        def close() -> None:
+            for buffer_id in buffer_ids:
+                self.end_consumer(buffer_id, signal)
+
+        self.when_drained(close)
 
     # -- producer ----------------------------------------------------------
     def put(self, page: Page) -> None:
@@ -431,7 +422,7 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
             self.page_cache.append(page)
         self._schedule_shuffle(page)
 
-    def _schedule_shuffle(self, page: Page, account: bool = True) -> None:
+    def _schedule_shuffle(self, page: Page) -> None:
         if not self.group:
             raise InvariantViolation(f"{self.name}: no buffer-ID group installed")
         group = list(self.group)  # bind the group at submission time
@@ -448,7 +439,6 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
 
     def _commit_shuffle(self, page: Page, group: list[int]) -> None:
         n = len(group)
-        self.shuffled_rows += page.num_rows
         if n == 1:
             parts: list[Page] = [page]
         else:
@@ -479,16 +469,18 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         # unblock producers.
         self.not_full.notify_all()
         if self._pending_shuffles == 0:
-            self.on_drained.notify_all()
+            self._drained.notify_all()
             if self.finished:
                 self._finish_consumers()
 
     def _queued_pages(self) -> int:
-        base = super()._queued_pages()
-        return base + self._pending_shuffles
+        return super()._queued_pages() + self._pending_shuffles
 
-    def _defer_end_on_add(self) -> bool:
-        return self._switching or self._restoring
+    def when_drained(self, fn: Callable[[], None]) -> None:
+        if self._pending_shuffles == 0:
+            fn()
+        else:
+            self._drained.add(fn)
 
     def task_finished(self) -> None:
         self.finished = True
@@ -499,11 +491,8 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         for queue in self.consumers.values():
             queue.end()
 
-    def has_data(self, buffer_id: int) -> bool:
-        queue = self.consumers.get(buffer_id)
-        return bool(queue and queue.pages)
-
     def _discard_internal(self) -> None:
+        self.page_cache.clear()
         self._pushed_log.clear()
 
     # -- failure recovery ---------------------------------------------------
@@ -517,15 +506,30 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
         self._redirects[old_id] = new_id
         lost = self._pushed_log.pop(old_id, [])
         self.retire_consumer(old_id)
-        self._restoring = True
-        try:
-            queue = self.add_consumer(new_id)
-            for page in lost:
-                queue.push(page)
-            if lost:
-                self._pushed_log[new_id] = list(lost)
-        finally:
-            self._restoring = False
+        queue = self.consumers.get(new_id) or self._open(new_id)
+        for page in lost:
+            queue.push(page)
+        if lost:
+            self._pushed_log[new_id] = list(lost)
         self.group = [new_id if g == old_id else g for g in self.group]
-        if self.finished and self._pending_shuffles == 0 and not queue.ended:
+        if self.finished and self._pending_shuffles == 0:
             queue.end()
+
+
+def make_output_buffer(
+    kernel: SimKernel,
+    config: BufferConfig,
+    mode: OutputMode,
+    name: str = "out",
+    keys: Sequence[int] = (),
+    cache_pages: bool = False,
+    cpu: CpuPool | None = None,
+    cost: CostModel | None = None,
+) -> TaskOutputBuffer:
+    """The output buffer of one task: the class its distribution names
+    (``keys`` / ``cache_pages`` / ``cpu`` / ``cost`` are the shuffle's)."""
+    if mode is OutputMode.HASH:
+        return ShuffleOutputBuffer(kernel, config, keys, cpu, cost, cache_pages, name)
+    if mode is OutputMode.BROADCAST:
+        return BroadcastOutputBuffer(kernel, config, name)
+    return SharedOutputBuffer(kernel, config, mode, name)

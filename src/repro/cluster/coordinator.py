@@ -196,17 +196,6 @@ class QueryExecution(QueryLifecycle):
         return concat_pages(schema, self.result_pages)
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def elapsed(self) -> float:
-        end = self.finished_at if self.finished_at is not None else self.kernel.now
-        return end - self.submitted_at
-
-    @property
-    def initialization_seconds(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        return self.started_at - self.submitted_at
-
     def task_finished(self, stage: StageExecution, task) -> None:
         if self.state != "running":
             return

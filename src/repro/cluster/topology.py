@@ -243,7 +243,7 @@ def regroup(
     data cache to them (the build-side rebuild); ``retire`` closes the
     former group once partitions already in flight for it have landed."""
     buffer = producer.output_buffer
-    buffer.switch_group(_seqs(members), replay_cache=replay_cache)
+    buffer.set_group(_seqs(members), replay_cache=replay_cache)
     if retire:
         buffer.end_group(_seqs(retire))
     for consumer in members:

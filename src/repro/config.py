@@ -397,8 +397,6 @@ class PredictionConfig(_Fingerprinted):
     pregrant: bool = True
     #: Score placement by dominant-remaining-resource under predictions.
     placement: bool = True
-    #: Cap on any pre-granted per-stage DOP.
-    max_stage_dop: int = 16
 
 
 @dataclass(frozen=True)
@@ -429,10 +427,6 @@ class WorkloadConfig(_Fingerprinted):
 
     #: Maximum queries running concurrently; further submissions queue.
     max_concurrent_queries: int | None = None
-    #: Cap on the summed *planned* task count of admitted queries.
-    max_admitted_cores: int | None = None
-    #: Cap on the summed declared memory of admitted queries.
-    max_admitted_memory_bytes: int | None = None
     #: Queue discipline: ``"fifo"`` or ``"priority"`` (with aging).
     queue_policy: str = "fifo"
     #: Virtual seconds a submission may wait before it is rejected with a
@@ -443,7 +437,7 @@ class WorkloadConfig(_Fingerprinted):
     priority_aging_rate: float = 0.0
     #: Arbitration policy for tuning bids: ``"none"`` (first come, first
     #: served against free cores), ``"fair_share"`` (per-tenant core
-    #: budget), ``"strict_priority"``, or ``"deadline"`` (deadline-aware
+    #: budget), or ``"deadline"`` (deadline-aware
     #: via the what-if service's T_remain, may revoke cores).
     arbitration: str = "fair_share"
     #: Virtual seconds between arbiter rebalance passes.
@@ -488,8 +482,6 @@ class EngineConfig(_Fingerprinted):
     elasticity_enabled: bool = True
     #: Keep build-side intermediate results cached for DOP switching (4.5).
     intermediate_data_cache: bool = True
-    #: Collector sampling period for runtime info (Section 5.1), seconds.
-    collector_period: float = 0.5
     #: Host-performance switch (DESIGN.md §10), **bit-inert**: answers,
     #: virtual timings and event counts are identical with it on or off —
     #: it exists for the identity test and for debugging, not for tuning.

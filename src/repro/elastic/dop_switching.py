@@ -100,11 +100,7 @@ def switch_dop(
             for upstream in child.tasks:
                 regroup(upstream, new_tasks, replay_cache=True)
                 shuffle_pending += 1
-                buffer = upstream.output_buffer
-                if buffer._pending_shuffles == 0:
-                    one_shuffle_drained()
-                else:
-                    buffer.on_drained.add(one_shuffle_drained)
+                upstream.output_buffer.when_drained(one_shuffle_drained)
         for task in new_tasks:
             task.start(task_dop)
 

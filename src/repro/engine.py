@@ -278,8 +278,7 @@ class AccordionEngine:
         """Open a tenant session whose submissions go through admission.
 
         ``priority`` orders the admission queue under the ``"priority"``
-        policy and picks revocation victims under ``"strict_priority"``
-        arbitration; ``deadline`` (virtual seconds from each submission)
+        policy; ``deadline`` (virtual seconds from each submission)
         marks queries the ``"deadline"`` arbiter may grab cores for.
         """
         return self.workload.session(tenant, priority=priority, deadline=deadline)
@@ -300,7 +299,6 @@ class AccordionEngine:
                 execution,
                 self.cluster,
                 self.coordinator.scheduler,
-                collector_period=self.config.collector_period,
                 arbiter=arbiter,
             )
         return execution.elastic

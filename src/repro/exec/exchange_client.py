@@ -9,6 +9,10 @@ natural completion of the upstream task or an elastic shutdown signal.
 The client is *finished* once every known upstream ended and the receive
 buffer drained, at which point exchange source operators observe end
 pages and the relay game begins.
+
+Of an upstream output buffer the client knows ``take(buffer_id, n)`` and,
+when that returns nothing, ``wait(buffer_id, wake)`` — the hand-off
+contract stated in :mod:`repro.buffers.output` — and nothing else.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ class _SplitState:
     def __init__(self, client: "ExchangeClient", split: RemoteSplit):
         self.split = split
         self.fetching = False
-        #: Registered on the upstream queue.  Invariant: a waiting split's
-        #: upstream queue has no data, because every mutation of a consumer
-        #: queue notifies ``on_update`` / ``on_consumer_added``.
+        #: ``wake`` is registered upstream.  Invariant: a waiting split's
+        #: upstream has nothing to take, because whatever gives a consumer
+        #: a page or an end runs its waiters.
         self.waiting = False
         self.ended = False
         self.batch: list[Page] | None = None
@@ -117,15 +121,13 @@ class ExchangeClient:
         self._resume_all()
 
     def _resume_all(self) -> None:
-        """Kick the idle splits, in insertion order, while slots remain."""
-        buffer = self.buffer
-        if buffer.free_slots <= 0:
+        """Kick the idle splits, in insertion order.  (Slots cannot run
+        out on the way: a fetch occupies them when it lands, not now.)"""
+        if self.buffer.free_slots <= 0:
             return
         for state in tuple(self.splits.values()):
             if not (state.fetching or state.waiting or state.ended):
                 self._try_fetch(state)
-                if buffer.free_slots <= 0:
-                    return
 
     def _wake(self, state: _SplitState) -> None:
         state.waiting = False
@@ -141,23 +143,12 @@ class ExchangeClient:
             return
         split = state.split
         upstream_buffer = split.upstream.output_buffer
-        if not upstream_buffer.has_data(split.buffer_id):
-            queue = upstream_buffer.consumers.get(split.buffer_id)
-            if queue is not None and queue.ended and not queue.pages:
-                # Ended and fully drained by us earlier.
-                return
-            if not state.waiting:
-                state.waiting = True
-                if queue is not None:
-                    queue.on_update.add(state.wake)
-                else:
-                    # Our buffer id does not exist yet (e.g. a task group
-                    # being wired during DOP switching): wait for it.
-                    upstream_buffer.on_consumer_added.add(state.wake)
-            return
         batch = upstream_buffer.take(split.buffer_id, min(_FETCH_BATCH, free_slots))
         if not batch:
-            self._try_fetch(state)  # re-register waiter
+            # (A poll made from inside ``_commit_fetch`` can get here first
+            # and leave the split waiting already: one registration.)
+            if not state.waiting:
+                state.waiting = upstream_buffer.wait(split.buffer_id, state.wake)
             return
         state.fetching = True
         state.batch = batch

@@ -405,7 +405,6 @@ class PartialAggOperator(TransformOperator):
         self.group_limit = group_limit
         self.state = _HashAggState(aggregates)
         self._field_inputs = _field_input_evaluator(aggregates)
-        self.rows_in = 0
         self.memory = memory
 
     def process(self, page: Page) -> tuple[list[Page], float]:
@@ -413,7 +412,6 @@ class PartialAggOperator(TransformOperator):
             pages = self._flush()
             cpu = self.cpu(sum(p.num_rows for p in pages), self.cost.partial_agg_row_cost)
             return pages + [page], cpu
-        self.rows_in += page.num_rows
         cpu = self.cpu(page.num_rows, self.cost.partial_agg_row_cost)
         self.state.accumulate(
             [page.columns[k] for k in self.group_keys],
@@ -469,7 +467,6 @@ class FinalAggOperator(TransformOperator):
         self.output_schema = output_schema
         self.row_limit = row_limit
         self.state = _HashAggState(aggregates)
-        self.rows_in = 0
         self.memory = memory
         self.spill: SpillPartitions | None = None
         self._input_schema: Schema | None = None
@@ -483,7 +480,6 @@ class FinalAggOperator(TransformOperator):
                 self.memory.report(0)
             cpu = self.cpu(sum(p.num_rows for p in pages), self.cost.final_agg_row_cost)
             return pages + [page], cpu
-        self.rows_in += page.num_rows
         cpu = self.cpu(page.num_rows, self.cost.final_agg_row_cost)
         if self._input_schema is None:
             self._input_schema = page.schema

@@ -16,13 +16,11 @@ class FilterOperator(TransformOperator):
         super().__init__(cost)
         self.predicate = predicate
         self._evaluate = compile_expression(predicate)
-        self.rows_in = 0
         self.rows_out = 0
 
     def process(self, page: Page) -> tuple[list[Page], float]:
         if page.is_end:
             return [page], 0.0
-        self.rows_in += page.num_rows
         mask = self._evaluate(page).astype(bool, copy=False)
         cpu = self.cpu(page.num_rows, self.cost.filter_row_cost)
         if not mask.any():

@@ -281,10 +281,6 @@ class JoinBridge:
     def build_page(self) -> Page | None:
         return self.index.build_page if self.index is not None else None
 
-    @property
-    def num_groups(self) -> int:
-        return self.index.num_groups if self.index is not None else 0
-
     def probe_group_ids(self, key_cols: list[np.ndarray]) -> np.ndarray:
         return self.index.probe_group_ids(key_cols)
 

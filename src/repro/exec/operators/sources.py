@@ -47,7 +47,6 @@ class ScanSource(SourceOperator):
         self.current: SystemSplit | None = None
         self.offset = 0
         self.rows_scanned = 0
-        self._ended = False
         self._pending_page: Page | None = None
         self._transfer_waiters = WaiterList()
         self._transferring = False
@@ -57,7 +56,6 @@ class ScanSource(SourceOperator):
         #: transfer whose rows were charged but never delivered.
         self._acquired: list[SystemSplit] = []
         self._recorded_rows = 0
-        self._recorded_bytes = 0
         self._inflight: tuple[SystemSplit, int, Page] | None = None
 
     # -- SourceOperator -----------------------------------------------------
@@ -73,7 +71,6 @@ class ScanSource(SourceOperator):
                 self.current = self.feed.acquire(preferred_node=self.node.id)
                 self.offset = 0
                 if self.current is None:
-                    self._ended = True
                     return Page.end(), 0.0
                 self._acquired.append(self.current)
             split = self.current
@@ -85,9 +82,8 @@ class ScanSource(SourceOperator):
                 continue
             break
         self.rows_scanned += page.num_rows
-        self.feed.record_scan(page.num_rows, page.size_bytes)
+        self.feed.record_scan(page.num_rows)
         self._recorded_rows += page.num_rows
-        self._recorded_bytes += page.size_bytes
         storage = self.storage_nodes.get(split.storage_node)
         if storage is not None and storage is not self.node and storage.id != self.node.id:
             self._start_transfer(storage, split, page)
@@ -144,9 +140,8 @@ class ScanSource(SourceOperator):
                 self.offset = start
             else:
                 self.feed.release(split, start)
-            self.feed.record_scan(-page.num_rows, -page.size_bytes)
+            self.feed.record_scan(-page.num_rows)
             self._recorded_rows -= page.num_rows
-            self._recorded_bytes -= page.size_bytes
             self.rows_scanned -= page.num_rows
         if self.current is not None:
             self.feed.release(self.current, self.offset)
@@ -163,10 +158,8 @@ class ScanSource(SourceOperator):
         for split in self._acquired:
             self.feed.release(split, 0)
         self._acquired = []
-        if self._recorded_rows or self._recorded_bytes:
-            self.feed.record_scan(-self._recorded_rows, -self._recorded_bytes)
+        self.feed.record_scan(-self._recorded_rows)
         self._recorded_rows = 0
-        self._recorded_bytes = 0
         self.rows_scanned = 0
 
 

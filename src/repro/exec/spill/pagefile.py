@@ -93,7 +93,6 @@ class SpillReader:
     def __init__(self, path: Path, schema: Schema):
         self.path = Path(path)
         self.schema = schema
-        self.bytes_read = 0
 
     def __iter__(self):
         header_item = _HEADER_DTYPE.itemsize
@@ -109,7 +108,6 @@ class SpillReader:
                     f.read(nbuffers * header_item), dtype=_HEADER_DTYPE
                 ).tolist()
                 buffers = [f.read(size) for size in sizes]
-                self.bytes_read += (2 + nbuffers) * header_item + sum(sizes)
                 yield Page.from_column_buffers(self.schema, num_rows, buffers)
 
     def read_all(self) -> list[Page]:

@@ -74,7 +74,6 @@ class SplitFeed:
         self.total_rows = sum(s.num_rows for s in splits)
         self.total_bytes = sum(s.info.size_bytes for s in splits)
         self.rows_scanned = 0
-        self.bytes_scanned = 0
 
     @property
     def pending_count(self) -> int:
@@ -108,9 +107,8 @@ class SplitFeed:
         )
         self._pending.append(SystemSplit(split.table, remainder))
 
-    def record_scan(self, rows: int, nbytes: int) -> None:
+    def record_scan(self, rows: int) -> None:
         self.rows_scanned += rows
-        self.bytes_scanned += nbytes
 
     @property
     def rows_remaining(self) -> int:

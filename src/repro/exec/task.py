@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..buffers import (
-    LocalExchange,
-    OutputMode,
-    SharedOutputBuffer,
-    ShuffleOutputBuffer,
-    TaskOutputBuffer,
-)
+from ..buffers import LocalExchange, make_output_buffer
 from ..config import EngineConfig
 from ..errors import SchedulingError
 from ..pages import Page
@@ -139,7 +133,17 @@ class Task:
             query_id=query_id,
         )
 
-        self.output_buffer = self._make_output_buffer()
+        output = self.fragment.output
+        self.output_buffer = make_output_buffer(
+            kernel,
+            config.buffers,
+            output.mode,
+            name=f"{self.task_id}.out",
+            keys=output.keys,
+            cache_pages=output.cache and config.intermediate_data_cache,
+            cpu=node.cpu,
+            cost=self.cost,
+        )
         self.exchange_clients: dict[int, ExchangeClient] = {
             child: ExchangeClient(
                 kernel,
@@ -187,25 +191,6 @@ class Task:
         )
         self._memory_handles.append(handle)
         return handle
-
-    # ------------------------------------------------------------------
-    def _make_output_buffer(self) -> TaskOutputBuffer:
-        spec = self.fragment.output
-        cache = spec.cache and self.config.intermediate_data_cache
-        name = f"{self.task_id}.out"
-        if spec.mode is OutputMode.HASH:
-            return ShuffleOutputBuffer(
-                self.kernel,
-                self.config.buffers,
-                key_positions=list(spec.keys),
-                cpu=self.node.cpu,
-                cost=self.cost,
-                cache_pages=cache,
-                name=name,
-            )
-        return SharedOutputBuffer(
-            self.kernel, self.config.buffers, spec.mode, cache_pages=cache, name=name
-        )
 
     # ------------------------------------------------------------------
     # wiring (called by repro.cluster.topology)
@@ -376,16 +361,12 @@ class Task:
         runtime = self._pipeline(driver.pipeline_id)
         runtime.finished_drivers += 1
         if all(p.finished for p in self.pipelines) and not self.finished:
-            self._finish()
+            # A shuffle output buffer may still hold in-flight partitioning
+            # work; the task stays alive (and its stage tunable) until the
+            # shuffle executors drain.
+            self.output_buffer.when_drained(self._finish)
 
     def _finish(self) -> None:
-        # A shuffle output buffer may still hold in-flight partitioning
-        # work; the task stays alive (and its stage tunable) until the
-        # shuffle executors drain.
-        pending = getattr(self.output_buffer, "_pending_shuffles", 0)
-        if pending:
-            self.output_buffer.on_drained.add(self._finish)
-            return
         self.finished = True
         self.finished_at = self.kernel.now
         self.node.task_count -= 1

@@ -26,8 +26,8 @@ Recovery model (DESIGN.md, "Fault model & recovery"):
   ``SharedOutputBuffer`` requeues a dead consumer's taken pages into the
   shared queue; ``ShuffleOutputBuffer`` replays its per-consumer push log
   and redirects in-flight shuffle work to the replacement's buffer id at
-  the dead task's exact hash-partition position; broadcast replays its
-  page cache.
+  the dead task's exact hash-partition position;
+  ``BroadcastOutputBuffer`` replays its page cache.
 
 * **Respawn wiring** is the intra-stage 3-step task-addition path
   (paper Section 4.4, Figure 14) itself —

@@ -47,9 +47,6 @@ class HistoryStore:
     def total_runs(self) -> int:
         return sum(len(v) for v in self._runs.values())
 
-    def runs(self, template: str) -> list[dict]:
-        return list(self._runs.get(template, ()))
-
     # -- prediction ---------------------------------------------------------
     def predict(self, template: str) -> Prediction | None:
         """Served from the first recorded run of a template on."""

@@ -60,10 +60,6 @@ class StageDemand:
             "end": self.end,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageDemand":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class Prediction:

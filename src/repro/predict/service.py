@@ -51,6 +51,8 @@ MEMORY_HEADROOM = 2.0
 #: predicted CPU work within this fraction of the predicted runtime (or
 #: of the deadline, when the deadline is tighter).
 PREGRANT_TARGET_FRACTION = 0.25
+#: Cap on any pre-granted per-stage DOP.
+PREGRANT_MAX_STAGE_DOP = 16
 
 
 class DemandPredictor:
@@ -229,7 +231,7 @@ class DemandPredictor:
                 math.ceil(demand.cpu_seconds / target)
                 if demand.cpu_seconds > 0 else 1
             )
-            dops[demand.stage] = max(1, min(self.config.max_stage_dop, want))
+            dops[demand.stage] = max(1, min(PREGRANT_MAX_STAGE_DOP, want))
         cap = max(1, self.engine.cluster.schedulable_cores())
         while sum(dops.values()) > cap and any(d > 1 for d in dops.values()):
             widest = min(

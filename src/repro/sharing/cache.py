@@ -89,10 +89,6 @@ class ResultCache:
         for key in stale:
             self._drop("invalidate", key, self._entries[key])
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.bytes = 0
-
     def _drop(self, why: str, key: tuple, entry: CacheEntry) -> None:
         """Remove one entry; ``why`` (evict / expire / invalidate) is the
         outcome of the ``cache`` decision recorded for it."""

@@ -53,14 +53,6 @@ class Residual:
     aggregate: tuple[list[int], list[AggregateCall], Schema] | None = None
     post_project: tuple[list[BoundExpr], Schema] | None = None
 
-    @property
-    def identity(self) -> bool:
-        return (
-            self.predicate is None
-            and self.project is None
-            and self.aggregate is None
-        )
-
     def describe(self) -> str:
         parts = []
         if self.predicate is not None:

@@ -53,10 +53,6 @@ class CpuPool:
         self._account()
         return self._busy_integral
 
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
     # -- execution ----------------------------------------------------------
     def submit(self, cost: float, fn: Callable[[], None], priority: float = 0.0) -> None:
         """Queue a work item of known cost; ``fn`` runs after holding a
@@ -181,10 +177,6 @@ class NicQueue:
     def busy_seconds(self) -> float:
         """Cumulative link-busy virtual seconds granted so far."""
         return self._busy_integral
-
-    @property
-    def backlog(self) -> int:
-        return len(self._pending) + (1 if self._active else 0)
 
 
 def transfer(

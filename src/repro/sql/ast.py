@@ -228,5 +228,10 @@ class SelectStatement:
     limit: Optional[int] = None
     distinct: bool = False
 
+    #: By identity: an expression holding a subquery must hash (the binder
+    #: looks every node up in the GROUP BY map) to reach the ``AnalysisError``
+    #: that names its position, where a mutable dataclass has no hash.
+    __hash__ = object.__hash__
+
 
 Node = Union[ExprNode, RelationNode, SelectStatement]

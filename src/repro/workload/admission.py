@@ -137,10 +137,6 @@ class AdmissionController:
     def admitted_cores(self) -> int:
         return sum(sub.cores for sub in self.running if sub.billed)
 
-    @property
-    def admitted_memory(self) -> int:
-        return sum(sub.memory_bytes for sub in self.running if sub.billed)
-
     def _needs_no_resources(self, sub: "Submission") -> bool:
         """True when the sharing layer would serve this submission without
         a new physical execution (fold onto a live carrier, or a result
@@ -168,22 +164,6 @@ class AdmissionController:
             limit = max(1, math.ceil(cfg.max_queries_per_node * nodes))
             if self._billed_running() >= limit:
                 return False
-        admitted_cores = self.admitted_cores
-        if (
-            cfg.max_admitted_cores is not None
-            and admitted_cores + sub.cores > cfg.max_admitted_cores
-            # A query wider than the whole budget could never run at all;
-            # admit it alone rather than deadlocking the queue.
-            and admitted_cores > 0
-        ):
-            return False
-        admitted_memory = self.admitted_memory
-        if (
-            cfg.max_admitted_memory_bytes is not None
-            and admitted_memory + sub.memory_bytes > cfg.max_admitted_memory_bytes
-            and admitted_memory > 0
-        ):
-            return False
         return True
 
     def _admit(self, sub: "Submission") -> None:
@@ -250,24 +230,6 @@ class AdmissionController:
             self.violations.append(
                 f"t={now:.4f}: {billed} running > "
                 f"max_concurrent_queries={cfg.max_concurrent_queries}"
-            )
-        if (
-            cfg.max_admitted_cores is not None
-            and self.admitted_cores > cfg.max_admitted_cores
-            and len(self.running) > 1
-        ):
-            self.violations.append(
-                f"t={now:.4f}: admitted_cores={self.admitted_cores} > "
-                f"max_admitted_cores={cfg.max_admitted_cores}"
-            )
-        if (
-            cfg.max_admitted_memory_bytes is not None
-            and self.admitted_memory > cfg.max_admitted_memory_bytes
-            and len(self.running) > 1
-        ):
-            self.violations.append(
-                f"t={now:.4f}: admitted_memory={self.admitted_memory} > "
-                f"max_admitted_memory_bytes={cfg.max_admitted_memory_bytes}"
             )
 
     # -- observability ------------------------------------------------------

@@ -244,11 +244,6 @@ class ResourceArbiter:
                     self.capacity, len(self.active_tenants())
                 )
                 headroom = budget - self.tenant_usage(tenant)
-            elif self.config.arbitration == "strict_priority":
-                # Cores already held by strictly higher-priority tenants are
-                # untouchable; lower-priority usage is (only) reclaimable via
-                # rebalance revocation, not at bid time.
-                free = min(free, self.capacity - self._usage_at_or_above(query.id))
             granted = current + grantable_units(delta_units, per_unit, free, headroom)
             outcome = (
                 "defer" if granted == current
@@ -301,19 +296,6 @@ class ResourceArbiter:
             free_cores=max(0, self.capacity - self.cluster_usage()),
         )
         entry.memory_bytes = memory_bytes
-
-    def _usage_at_or_above(self, query_id: int) -> int:
-        """Cores held by queries with strictly higher priority than
-        ``query_id`` (anonymous queries have priority 0)."""
-        mine = self.entries[query_id].priority if query_id in self.entries else 0.0
-        total = 0
-        for qid, q in self.engine.coordinator.running.items():
-            if qid == query_id:
-                continue
-            theirs = self.entries[qid].priority if qid in self.entries else 0.0
-            if theirs > mine:
-                total += self.query_cores(q)
-        return total
 
     # -- deadline-aware rebalancing -----------------------------------------
     def _ensure_tick(self) -> None:

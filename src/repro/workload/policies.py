@@ -10,7 +10,7 @@ provable against these functions alone.
 from __future__ import annotations
 
 QUEUE_POLICIES = ("fifo", "priority")
-ARBITRATION_POLICIES = ("none", "fair_share", "strict_priority", "deadline")
+ARBITRATION_POLICIES = ("none", "fair_share", "deadline")
 
 
 def effective_priority(

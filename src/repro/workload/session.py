@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..errors import ExecutionError
 from ..handle import Submission
 from .admission import AdmissionController
 from .arbiter import ResourceArbiter
+from .policies import ARBITRATION_POLICIES, QUEUE_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
@@ -85,6 +87,16 @@ class WorkloadManager:
         self.engine = engine
         self.kernel = engine.kernel
         self.config = engine.config.workload
+        # Both are compared against string literals downstream, where a
+        # misspelt policy would silently behave as the default one.
+        for name, known in (
+            ("queue_policy", QUEUE_POLICIES), ("arbitration", ARBITRATION_POLICIES)
+        ):
+            if getattr(self.config, name) not in known:
+                raise ExecutionError(
+                    f"WorkloadConfig.{name}={getattr(self.config, name)!r}: "
+                    f"expected one of {known}"
+                )
         self.arbiter = ResourceArbiter(self)
         self.admission = AdmissionController(self)
         #: Every session submission, in submission order.

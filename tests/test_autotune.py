@@ -9,7 +9,6 @@ from repro.autotune import (
     RuntimeInfoCollector,
     Snapshot,
     StageSample,
-    probe_scan_stage,
     tuning_units,
 )
 from repro.data.tpch.queries import QUERIES
@@ -216,10 +215,11 @@ def test_samples_equal_a_recount_through_crash_join_and_drain(catalog, monkeypat
 # -- progress -----------------------------------------------------------------
 def test_probe_scan_stage_follows_probe_chain(catalog):
     engine, query, _ = start_q3(catalog)
-    assert probe_scan_stage(query, 1) == 2   # S1 <- lineitem scan
-    assert probe_scan_stage(query, 3) == 4   # S3 <- orders scan
-    assert probe_scan_stage(query, 0) == 2   # stage 0 via S1
-    assert probe_scan_stage(query, 2) == 2   # a scan is its own indicator
+    probe_scan = query.plan.probe_scan
+    assert probe_scan(1) == 2   # S1 <- lineitem scan
+    assert probe_scan(3) == 4   # S3 <- orders scan
+    assert probe_scan(0) == 2   # stage 0 via S1
+    assert probe_scan(2) == 2   # a scan is its own indicator
     engine.run_until_done(query, 1e6)
 
 

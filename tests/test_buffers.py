@@ -8,8 +8,8 @@ from repro.buffers import (
     ElasticPageBuffer,
     LocalExchange,
     OutputMode,
-    SharedOutputBuffer,
     ShuffleOutputBuffer,
+    make_output_buffer,
 )
 from repro.config import BufferConfig, CostModel
 from repro.errors import SchedulingError
@@ -92,9 +92,9 @@ def test_waiters_fire_on_put(kernel):
     assert woken == [True]
 
 
-# -- shared output buffer -----------------------------------------------------
-def make_shared(kernel, mode, cache=False):
-    return SharedOutputBuffer(kernel, elastic_config(), mode, cache_pages=cache)
+# -- broadcast and shared-queue output buffers ---------------------------------
+def make_shared(kernel, mode):
+    return make_output_buffer(kernel, elastic_config(), mode)
 
 
 def test_arbitrary_work_sharing(kernel):
@@ -179,11 +179,26 @@ def test_broadcast_skips_departed_consumers(kernel):
     assert [p.is_end for p in buf.take(1, 10)] == [True]
 
 
-def test_turn_up_counter_on_output_buffer(kernel):
-    buf = make_shared(kernel, OutputMode.ARBITRARY)
+@pytest.mark.parametrize("mode", [OutputMode.ARBITRARY, OutputMode.BROADCAST])
+def test_take_on_an_empty_queue_changes_nothing(kernel, mode):
+    """An output buffer never turns up: an empty ``take`` is ``[]`` with
+    capacity and counter untouched, and ``wait`` then parks the consumer
+    until a page arrives — or says the id ended and is drained."""
+    buf = make_shared(kernel, mode)
     buf.add_consumer(0)
+    kernel.now = 10.0  # a resize would be due, were the take to drive one
     assert buf.take(0, 4) == []
-    assert buf.capacity.turn_up_counter == 1
+    assert (buf.capacity.capacity, buf.capacity.turn_up_counter) == (1, 0)
+    assert not buf.ever_fetched
+    woken = []
+    assert buf.wait(0, lambda: woken.append(True)) is True
+    buf.put(page([1]))
+    assert woken == [True]
+    buf.task_finished()
+    assert [p.is_end for p in buf.take(0, 4)] == [False, True]
+    assert buf.take(0, 4) == [] and buf.wait(0, woken.append) is False
+    with pytest.raises(SchedulingError):
+        buf.take(7, 1)
 
 
 def test_producer_fullness_accounting(kernel):
@@ -261,7 +276,7 @@ def test_shuffle_group_switch_replays_cache(kernel):
     buf.set_group([0, 1])
     buf.put(page(range(50)))
     kernel.run()
-    buf.switch_group([2, 3, 4], replay_cache=True)
+    buf.set_group([2, 3, 4], replay_cache=True)
     kernel.run()
     replayed = 0
     for consumer in (2, 3, 4):
@@ -286,7 +301,7 @@ def test_switch_group_on_finished_buffer_replays_then_ends(kernel):
     buf.put(page(range(10)))
     kernel.run()
     buf.task_finished()
-    buf.switch_group([1, 2], replay_cache=True)
+    buf.set_group([1, 2], replay_cache=True)
     kernel.run()
     total = 0
     for consumer in (1, 2):
@@ -308,12 +323,3 @@ def test_local_exchange_end_after_producers_finish():
     lx.producer_finished()
     assert lx.poll().is_end
 
-
-def test_local_exchange_injected_end_signal():
-    lx = LocalExchange()
-    lx.register_producer()
-    lx.put(page([1]))
-    lx.inject_end_signal()
-    first = lx.poll()
-    assert first.is_end and first.signal == "shutdown"
-    assert lx.poll().num_rows == 1

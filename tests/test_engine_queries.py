@@ -142,6 +142,18 @@ SQL_SHAPES = {
         "select count(*) as c from part "
         "where p_type not like '%BRASS' and p_size in (1, 5, 9)"
     ),
+    "unary_minus_and_plus": (
+        "select -l_quantity as q, +l_linenumber as n, - 2 as k from lineitem "
+        "where -l_discount <= -0.09 and l_orderkey < 100"
+    ),
+    "unary_minus_in_aggregates": (
+        "select sum(-l_quantity) as s, min(- l_extendedprice) as m from lineitem "
+        "where + l_tax > -(-0.07)"
+    ),
+    "boolean_literals": (
+        "select n_name from nation "
+        "where true and not false and (n_nationkey > 20 or false)"
+    ),
 }
 
 #: ``(sim.events_processed, engine.now)`` of the LIMIT shapes that were

@@ -44,6 +44,24 @@ def test_analysis_error_unknown_table(engine):
         engine.execute("select * from no_such_table")
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select count(*) from lineitem "
+        "where l_quantity > 1.5 * (select avg(l_quantity) from lineitem)",
+        "select l_suppkey from lineitem group by l_suppkey "
+        "having sum(l_quantity) > 2 * (select avg(l_quantity) from lineitem)",
+        "select 1 + (select max(l_quantity) from lineitem) as m from nation",
+    ],
+)
+def test_scalar_subquery_inside_arithmetic_is_an_analysis_error(engine, sql):
+    """Only a comparison's whole right-hand side may be a scalar subquery.
+    Anywhere else the binder used to *hash* the node on its way to saying
+    so, and a bare ``TypeError: unhashable type`` escaped the facade."""
+    with pytest.raises(AnalysisError, match="scalar subquery in unsupported position"):
+        engine.execute(sql)
+
+
 def test_frontend_errors_are_typed_accordion_errors():
     for exc_type in (LexError, ParseError, AnalysisError):
         assert issubclass(exc_type, SqlError)

@@ -102,6 +102,15 @@ def test_type_errors():
         bind("k and v")
     with pytest.raises(AnalysisError):
         bind("name like 5") if False else bind("k like 'x%'")
+    for bad in ("not k", "-name", "+ name", "null", "no_such_function(k)"):
+        with pytest.raises(AnalysisError):
+            bind(bad)
+
+
+def test_unary_sign_folds_constants_and_negates_columns():
+    assert bind("- 2.5").value == -2.5 and bind("-(-(3))").value == 3
+    assert bind("+k") == bind("k")
+    assert evaluate("-v + k").tolist() == [-0.5, 4.0, 3.0, -6.0]
 
 
 def test_predicate_must_be_boolean():

@@ -27,7 +27,7 @@ from repro.reference import execute_reference
 from repro.sim import SimKernel
 from repro.sql.parser import parse
 
-from conftest import norm_rows, slow_engine
+from conftest import norm_rows, run_until_cond, slow_engine
 
 #: Upper bound on kernel events for any fault run: generous for the tiny
 #: catalogs below, but low enough that a livelock fails the test quickly.
@@ -212,6 +212,78 @@ def test_recovery_is_visible_in_metrics_report(tiny_catalog):
     report = render_fault_report(query)
     assert "node_failures" in report and "rpc_requests" in report
     assert "node_crash: compute2" in report
+
+
+# -- scan-task recovery with input in flight ------------------------------------
+def scan_sources(task):
+    return [d.source for p in task.pipelines for d in p.drivers]
+
+
+def crash_scan_task(engine, handle, stage_id, when):
+    """Advance until an unfinished task of the scan stage satisfies
+    ``when(task)``, crash it (node kept), and return it."""
+    stage = handle.execution.stages[stage_id]
+    hit = []
+
+    def found() -> bool:
+        hit[:] = [t for t in stage.tasks if not t.finished and when(t)]
+        return bool(hit)
+
+    run_until_cond(engine, found)
+    engine.coordinator.recovery.task_down(handle.execution, stage, hit[0])
+    return hit[0]
+
+
+def page_in_flight(task):
+    return any(s._inflight is not None for s in scan_sources(task))
+
+
+@pytest.mark.parametrize("name", ["Q1", "Q6"])
+def test_stateful_scan_task_restarts_before_first_fetch_and_mid_transfer(
+    tiny_catalog, name
+):
+    """R2 for a scan that is not stateless (scan -> filter -> project ->
+    partial agg in one fragment): the dead task's splits and the feed
+    progress it charged all go back, twice over — once crashed with
+    nothing fetched from it yet, once more with a page in network
+    transfer — and the answer and the feed's books stay exact."""
+    sql = QUERIES[name]
+    expected = reference_rows(tiny_catalog, sql)
+    engine = slow_engine(tiny_catalog)
+    handle = engine.submit(sql)
+    first = crash_scan_task(
+        engine, handle, 1, lambda t: any(s.rows_scanned for s in scan_sources(t))
+    )
+    assert not first.stateless_scan and not first.output_buffer.ever_fetched
+    run_until_cond(engine, lambda: first.replaced_by is not None)
+    assert first.output_buffer.aborted
+    second = crash_scan_task(engine, handle, 1, page_in_flight)
+    assert second is not first
+    engine.run_until_done(handle, max_events=MAX_EVENTS)
+    assert norm_rows(handle.result().rows) == expected
+    stats = engine.metrics.snapshot()
+    assert stats["recovery.tasks_restarted"] == 2 and stats["recovery.tasks_resumed"] == 0
+    feed = handle.execution.stages[1].split_feed
+    assert feed.rows_scanned == feed.total_rows and feed.pending_count == 0
+
+
+def test_stateless_scan_resumes_with_a_page_in_flight(tiny_catalog):
+    """R3 with a page caught mid-transfer: its rows were charged to the
+    feed but never reached an operator, so they are un-charged and re-read
+    by the fresh task — no row lost, none scanned twice."""
+    sql = QUERIES["Q3"]
+    expected = reference_rows(tiny_catalog, sql)
+    engine = slow_engine(tiny_catalog)
+    handle = engine.submit(sql)
+    dead = crash_scan_task(engine, handle, 2, page_in_flight)
+    assert dead.stateless_scan
+    engine.run_until_done(handle, max_events=MAX_EVENTS)
+    assert norm_rows(handle.result().rows) == expected
+    stats = engine.metrics.snapshot()
+    assert stats["recovery.tasks_resumed"] == 1 and stats["recovery.tasks_restarted"] == 0
+    assert not dead.output_buffer.aborted and dead.output_buffer.finished
+    feed = handle.execution.stages[2].split_feed
+    assert feed.rows_scanned == feed.total_rows and feed.pending_count == 0
 
 
 # -- unrecoverable crashes ----------------------------------------------------

@@ -108,13 +108,16 @@ def exchange_work(monkeypatch, catalog, name):
 
     def checking_resume_all(self):
         work["subscriptions"] = max(work["subscriptions"], own_subscriptions(self))
-        # What lets ``_resume_all`` skip waiting splits: every mutation of
-        # a consumer queue notifies, so a registered waiter has no data.
+        # What lets ``_resume_all`` skip waiting splits: whatever gives a
+        # consumer a page or an end runs its waiters, so a registered one
+        # has nothing to take (read off the producer's queues; a ``take``
+        # would remove it).
         for state in self.splits.values():
-            split = state.split
+            upstream = state.split.upstream.output_buffer
+            queue = upstream.consumers[state.split.buffer_id]
             assert not (
-                state.waiting and split.upstream.output_buffer.has_data(split.buffer_id)
-            ), f"{self.name}: waiting on {split.key} although it has data"
+                state.waiting and (queue.pages or getattr(upstream, "_shared", None))
+            ), f"{self.name}: waiting on {state.split.key} although it has data"
         resume_all(self)
 
     def counting_read(self, *args):
@@ -386,6 +389,29 @@ def test_elastic_capacity_protocol_is_written_once():
                 if "capacity * 2" in body or "resize_period" in body:
                     owners.add(node.name)
     assert owners == {"ElasticCapacity"}
+
+
+def test_page_hand_off_protocol_is_owned_by_the_output_buffers():
+    """An exchange client knows ``take`` / ``wait`` and no producer
+    internal; in-flight shuffle work is asked after through
+    ``when_drained``; each distribution is a class, not a ``self.mode``
+    branch (GATHER's single-consumer check is the one test left); and
+    the count-then-resize tail of ``take`` is written once."""
+    src = Path(repro.__file__).parent
+    client = (src / "exec" / "exchange_client.py").read_text(encoding="utf-8")
+    for internal in (".consumers", "queue.pages", "on_update", "on_consumer_added", "has_data"):
+        assert internal not in client, internal
+    assert [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if "_pending_shuffles" in path.read_text(encoding="utf-8")
+    ] == ["buffers/output.py"]
+    output = (src / "buffers" / "output.py").read_text(encoding="utf-8")
+    assert [
+        line.strip() for line in output.splitlines() if "self.mode" in line and "=" not in line
+    ] == ["if self.mode is OutputMode.GATHER and self.consumers:"]
+    assert output.count("capacity.consumed(") == output.count("resize_if_due(") == 1
+    assert "turn_up" not in output.replace("turns its capacity *up*", "")
 
 
 # -- one tree protocol, one structural key --------------------------------------

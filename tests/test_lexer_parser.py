@@ -199,6 +199,8 @@ def test_comparison_operator_aliases():
         "select a from t order",
         "select extract(hour from x) from t",
         "interval 3 day",
+        "interval '3' week",
+        "date 19940101",
     ],
 )
 def test_parse_errors(bad):

@@ -179,9 +179,9 @@ def test_split_feed_progress(gen):
     layout = SplitLayout(catalog, storage_nodes=2)
     feed = SplitFeed([SystemSplit(catalog.table("orders"), s) for s in layout.splits("orders")])
     assert feed.progress == 0.0
-    feed.record_scan(feed.total_rows // 2, 100)
+    feed.record_scan(feed.total_rows // 2)
     assert 0.4 < feed.progress < 0.6
-    feed.record_scan(feed.total_rows, 100)
+    feed.record_scan(feed.total_rows)
     assert feed.progress == 1.0
 
 

@@ -20,6 +20,7 @@ from repro import (
     Workload,
 )
 from repro.config import CostModel
+from repro.errors import ExecutionError
 from repro.workload.policies import (
     effective_priority,
     fair_share_budget,
@@ -174,6 +175,18 @@ def test_admission_caps_concurrency(catalog):
     # FIFO: records were admitted in submission order.
     ids = [r.query_id for r in engine.workload.records]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("arbitration", "fairshare"), ("arbitration", "strict_priority"), ("queue_policy", "lifo")],
+)
+def test_unknown_policy_names_are_rejected_not_defaulted(catalog, field, value):
+    """Policies are compared against literals: a misspelt (or retired) one
+    used to arbitrate silently as ``"none"`` / queue as ``"fifo"``."""
+    engine = workload_engine(catalog, **{field: value})
+    with pytest.raises(ExecutionError, match=f"WorkloadConfig.{field}='{value}'"):
+        engine.session("bi")
 
 
 def test_priority_queue_admits_high_priority_first(catalog):
