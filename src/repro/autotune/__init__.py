@@ -1,11 +1,14 @@
-"""Automatic DOP tuning (paper Section 5)."""
+"""Automatic DOP tuning (paper Section 5).
 
-from .bottleneck import Bottleneck, find_bottlenecks
-from .collector import RuntimeInfoCollector, Snapshot, StageSample
-from .filter import TuningRequestFilter
+The runtime info collector and the estimates read from it are
+:class:`repro.obs.throughput.Sampler`; this package holds the tuner that
+checks and applies requests, the DOP planning module, and the per-query
+handle that ties the two together.
+"""
+
+from ..cluster.stage import StageSample
+from ..obs.throughput import Bottleneck, Snapshot, WhatIfEstimate
 from .planner import DopPlan, DopPlanner
-from .whatif import WhatIfEstimate, WhatIfService
-from .progress import remaining_seconds
 from .service import ElasticQuery
 from .tuner import DopAutoTuner, TuningUnit, tuning_units
 
@@ -15,14 +18,9 @@ __all__ = [
     "DopPlan",
     "DopPlanner",
     "ElasticQuery",
-    "RuntimeInfoCollector",
     "Snapshot",
     "StageSample",
-    "TuningRequestFilter",
     "TuningUnit",
     "WhatIfEstimate",
-    "WhatIfService",
-    "find_bottlenecks",
-    "remaining_seconds",
     "tuning_units",
 ]

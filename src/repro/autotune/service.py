@@ -1,8 +1,9 @@
 """ElasticQuery: the per-query tuning handle (Accordion's controller UI).
 
-Bundles the runtime info collector, what-if service, request filter,
-dynamic optimizer, and auto-tuner for one running query, and exposes the
-paper's notation:
+The §5 loop of one running query is two objects: a cluster-aware
+:class:`~repro.obs.throughput.Sampler` (the runtime info collector and
+every estimate read from it) and the :class:`DopAutoTuner` that checks,
+bids and applies requests.  The handle exposes the paper's notation:
 
 * ``ac(stage, to)``  — add task DOP   ("AC Sn,a,b", Section 6.2)
 * ``ap(stage, to)``  — add stage DOP  ("AP Sn,a,b", Section 6.3)
@@ -15,15 +16,15 @@ from typing import TYPE_CHECKING
 
 from ..cluster.cluster import Cluster
 from ..cluster.scheduler import Scheduler
-from ..elastic import DynamicOptimizer, TuningKind, TuningRequest, TuningResult
-from .bottleneck import Bottleneck, find_bottlenecks
-from .collector import RuntimeInfoCollector
-from .filter import TuningRequestFilter
-from .whatif import WhatIfEstimate, WhatIfService
+from ..elastic import TuningKind, TuningRequest, TuningResult
+from ..obs.throughput import Bottleneck, Sampler, WhatIfEstimate
 from .tuner import DopAutoTuner, TuningUnit, tuning_units
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
+
+#: Sampling period for runtime info (Section 5.1), virtual seconds.
+COLLECTOR_PERIOD = 0.5
 
 
 class ElasticQuery:
@@ -37,18 +38,13 @@ class ElasticQuery:
         arbiter=None,
     ):
         self.query = query
-        self.kernel = query.kernel
-        self.collector = RuntimeInfoCollector(self.kernel, query, cluster)
-        self.whatif = WhatIfService(self.collector, query)
-        self.filter = TuningRequestFilter(self.whatif)
-        self.optimizer = DynamicOptimizer(scheduler)
-        self.arbiter = arbiter
+        self.collector = Sampler(
+            query.kernel, query, COLLECTOR_PERIOD, cluster=cluster, window=64
+        )
         self.tuner = DopAutoTuner(
             query,
             self.collector,
-            self.whatif,
-            self.filter,
-            self.optimizer,
+            scheduler,
             max_stage_dop=max(8, 2 * len(cluster.compute)),
             arbiter=arbiter,
         )
@@ -66,18 +62,15 @@ class ElasticQuery:
         """Reduce stage DOP ("RP Sn,a,b")."""
         return self.tuner.direct(TuningRequest(stage, TuningKind.STAGE_DOP, to))
 
-    set_task_dop = ac
-    set_stage_dop = ap
-
     # -- what-if / introspection --------------------------------------------
     def estimate(self, stage: int, target_dop: int) -> WhatIfEstimate | None:
-        return self.whatif.predict(stage, target_dop)
+        return self.collector.estimate(stage, target_dop)
 
     def remaining_time(self, stage: int) -> float | None:
-        return self.whatif.remaining_time(stage)
+        return self.collector.remaining_time(stage)
 
     def bottlenecks(self) -> list[Bottleneck]:
-        return find_bottlenecks(self.collector, self.query)
+        return self.collector.bottlenecks()
 
     def units(self) -> list[TuningUnit]:
         return tuning_units(self.query)

@@ -1,7 +1,7 @@
 """Coordinator: query lifecycle management.
 
 Parses, analyzes, plans, and schedules queries; collects result pages from
-stage 0; owns the RPC tracker and the per-query throughput tracker.  The
+stage 0; owns the RPC tracker and each query's throughput sampler.  The
 runtime DOP tuning module and the auto-tuner (``repro.elastic``,
 ``repro.autotune``) plug in on top of the structures created here.
 """
@@ -16,7 +16,7 @@ from ..data import Catalog, SplitLayout
 from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
 from ..exec.spill import QueryMemory
 from ..obs.decisions import fault_timeline
-from ..obs.throughput import ThroughputTracker
+from ..obs.throughput import Sampler
 from ..pages import Page, concat_pages
 from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan
@@ -167,7 +167,7 @@ class QueryExecution(QueryLifecycle):
         self.result_rows = 0
         self.started_at: float | None = None
         self.init_requests = 0
-        self.tracker: ThroughputTracker | None = None
+        self.tracker: Sampler | None = None
         #: Demand prediction attached at submission (``repro.predict``);
         #: None when prediction is off or the template has no history.
         self.prediction = None
@@ -463,4 +463,4 @@ class Coordinator:
     def schedule(self, query: QueryExecution) -> None:
         """Place and start ``query``'s initial tasks."""
         self.scheduler.schedule(query)
-        query.tracker = ThroughputTracker(self.kernel, query)
+        query.tracker = Sampler(self.kernel, query)

@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .coordinator import QueryExecution
 
 
-@dataclass
+@dataclass(slots=True)
 class StageSample:
     """One reading of a stage's runtime counters (``StageExecution.sample``)."""
 
@@ -101,7 +101,7 @@ class StageExecution:
         return sum(t.output_buffer.bytes_out for t in self.tasks)
 
     def sample(self) -> StageSample:
-        """Everything a periodic reader (collector, throughput tracker)
+        """Everything the periodic reader (``obs.throughput.Sampler``)
         needs, from one pass over the tasks and no per-task allocation."""
         tasks = self.tasks
         # ``active_group`` without building it: a task joins ``tasks`` and

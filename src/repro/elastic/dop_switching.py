@@ -45,13 +45,8 @@ def switch_dop(
     stage: StageExecution,
     target: int,
     result: TuningResult,
-    on_complete: Callable[[TuningResult], None] | None = None,
 ) -> list[Task]:
     fragment = stage.fragment
-    if not stage.is_partitioned_join:
-        raise TuningRejected(
-            f"stage {stage.id} is not a partitioned hash join", reason="not-partitioned"
-        )
     build_children = [query.stages[c] for c in fragment.build_children]
     probe_children = [
         query.stages[c]
@@ -119,8 +114,6 @@ def switch_dop(
             RPC_UPDATE_LINK * max(1, len(probe_children)), query_id=query.id
         )
         result.completed_at = kernel.now
-        if on_complete is not None:
-            on_complete(result)
 
     def begin() -> None:
         start_build_switch()

@@ -19,12 +19,11 @@ figures) and the state-transfer result:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..cluster.scheduler import Scheduler
 from ..cluster.stage import StageExecution
 from ..cluster.topology import attach_tasks, detach_tasks
-from ..errors import TuningRejected
 from .dop_switching import switch_dop, watch_builds
 from .tuning import TuningKind, TuningRequest, TuningResult
 
@@ -32,51 +31,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
 
 
-class DynamicOptimizer:
-    def __init__(self, scheduler: Scheduler):
-        self.scheduler = scheduler
-        self.kernel = scheduler.kernel
-
-    def apply(
-        self,
-        query: "QueryExecution",
-        request: TuningRequest,
-        on_complete: Callable[[TuningResult], None] | None = None,
-    ) -> TuningResult:
-        stage = query.stage(request.stage)
-        result = TuningResult(request, accepted=True, issued_at=self.kernel.now)
-        self.kernel.decisions.record(
-            "tuning", request.kind.value, query_id=query.id, stage=stage.id,
-            span=stage.trace_span, reason=request.describe(), target=request.target,
-        )
-
-        if request.kind is TuningKind.TASK_DOP:
-            result.details["drivers"] = set_task_dop(stage, request.target)
-            result.completed_at = self.kernel.now
-        elif stage.is_partitioned_join or request.kind is TuningKind.DOP_SWITCH:
-            switch_dop(
-                self.scheduler, query, stage, request.target, result, on_complete
-            )
+def apply_tuning(
+    scheduler: Scheduler, query: "QueryExecution", request: TuningRequest
+) -> TuningResult:
+    """Apply a request the tuner's check step accepted (so its target
+    differs from the stage's current DOP)."""
+    kernel = scheduler.kernel
+    stage = query.stage(request.stage)
+    result = TuningResult(request, accepted=True, issued_at=kernel.now)
+    kernel.decisions.record(
+        "tuning", request.kind.value, query_id=query.id, stage=stage.id,
+        span=stage.trace_span, reason=request.describe(), target=request.target,
+    )
+    if request.kind is TuningKind.TASK_DOP:
+        result.details["drivers"] = _set_task_dop(stage, request.target)
+        result.completed_at = kernel.now
+    elif stage.is_partitioned_join:
+        switch_dop(scheduler, query, stage, request.target, result)
+    else:
+        current = stage.stage_dop
+        if request.target > current:
+            tasks = attach_tasks(scheduler, query, stage, request.target - current)
+            watch_builds(query, stage, tasks)
+            result.details["added"] = [str(t.task_id) for t in tasks]
         else:
-            current = stage.stage_dop
-            if request.target > current:
-                tasks = attach_tasks(
-                    self.scheduler, query, stage, request.target - current
-                )
-                watch_builds(query, stage, tasks)
-                result.details["added"] = [str(t.task_id) for t in tasks]
-            elif request.target < current:
-                # The last tasks of the group go; at least one stays.
-                tasks = stage.active_group[max(1, request.target):]
-                detach_tasks(self.scheduler, query, stage, tasks)
-                result.details["removed"] = [str(t.task_id) for t in tasks]
-            else:
-                raise TuningRejected("stage already at target DOP", reason="noop")
-            result.completed_at = self.kernel.now
-        return result
+            # The last tasks of the group go; at least one stays.
+            tasks = stage.active_group[max(1, request.target):]
+            detach_tasks(scheduler, query, stage, tasks)
+            result.details["removed"] = [str(t.task_id) for t in tasks]
+        result.completed_at = kernel.now
+    return result
 
 
-def set_task_dop(stage: StageExecution, target: int) -> dict[str, int]:
+def _set_task_dop(stage: StageExecution, target: int) -> dict[str, int]:
     """Adjust every active task of ``stage`` to ``target`` drivers on its
     tunable pipelines.  Returns per-task driver deltas."""
     deltas: dict[str, int] = {}

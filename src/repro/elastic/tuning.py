@@ -2,8 +2,8 @@
 
 Requests use the paper's notation: ``AC Sn,a,b`` (add task DOP of stage n
 from a to b), ``AP Sn,a,b`` (add stage DOP), ``RP Sn,a,b`` (reduce stage
-DOP).  The dynamic optimizer classifies each request into one of the
-mechanism types of Figure 9 and Section 4.5.
+DOP).  :func:`~repro.elastic.apply_tuning` classifies each request into
+one of the mechanism types of Figure 9 and Section 4.5.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 class TuningKind(enum.Enum):
     TASK_DOP = "task_dop"        # intra-task: change drivers per pipeline
-    STAGE_DOP = "stage_dop"      # intra-stage: change tasks per stage
-    DOP_SWITCH = "dop_switch"    # partitioned hash join task-group switch
+    STAGE_DOP = "stage_dop"      # intra-stage (a group switch on a partitioned join)
 
 
 @dataclass(frozen=True)

@@ -206,9 +206,9 @@ class AccordionEngine:
 
     def _record(self, sub: Submission) -> None:
         """record: ``sub.execution`` now serves a session query — account
-        it with the arbiter.  Deadline-constrained queries also need a
-        collector/what-if service from the start, so the arbiter's
-        rebalance pass can estimate T_remain."""
+        it with the arbiter.  Deadline-constrained queries also need their
+        tuning sampler from the start, so the arbiter's rebalance pass can
+        estimate T_remain."""
         if sub.tenant is None:
             return
         workload = self.workload

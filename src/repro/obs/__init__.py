@@ -7,9 +7,9 @@ the virtual clock (:mod:`~repro.obs.trace`), Chrome trace-event export
 (:mod:`~repro.obs.metrics`), the decision log every control decision is
 recorded in (:mod:`~repro.obs.decisions`), time series and the report
 and table printers (:mod:`~repro.obs.timeseries`,
-:mod:`~repro.obs.report`).  Per-stage throughput tracking is
-:mod:`repro.obs.throughput`, imported by name: it needs :mod:`repro.sim`,
-whose kernel imports this package.  See DESIGN.md §9.
+:mod:`~repro.obs.report`).  The per-query sampler behind the throughput
+curves and the Section 5 estimates is :mod:`repro.obs.throughput`,
+imported by name.  See DESIGN.md §9.
 """
 
 from .decisions import Decision, DecisionLog

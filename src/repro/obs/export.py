@@ -206,32 +206,24 @@ class QueryTrace:
 
 
 def throughput_counters(tracker) -> list[dict]:
-    """Chrome ``C`` events from a ThroughputTracker's per-stage samples.
+    """Chrome ``C`` events from a query's :class:`~repro.obs.throughput.Sampler`.
 
     Each stage contributes two counter tracks: cumulative output rows and
     the current stage DOP — the raw material behind Figures 23-30."""
     events: list[dict] = []
     if tracker is None:
         return events
-    for stage_id, series in tracker.stages.items():
-        for at, rows in zip(series.rows.times, series.rows.values):
-            events.append(
-                {
-                    "name": f"stage{stage_id} rows",
-                    "ph": "C",
-                    "ts": at * 1e6,
-                    "tid": 0,
-                    "args": {"rows": rows},
-                }
-            )
-        for at, dop in zip(series.dop.times, series.dop.values):
-            events.append(
-                {
-                    "name": f"stage{stage_id} dop",
-                    "ph": "C",
-                    "ts": at * 1e6,
-                    "tid": 0,
-                    "args": {"dop": dop},
-                }
-            )
+    for stage_id in tracker.query.stages:
+        for track, name in (("rows", "rows_out"), ("dop", "stage_dop")):
+            series = tracker.series(stage_id, name)
+            for at, value in zip(series.times, series.values):
+                events.append(
+                    {
+                        "name": f"stage{stage_id} {track}",
+                        "ph": "C",
+                        "ts": at * 1e6,
+                        "tid": 0,
+                        "args": {track: value},
+                    }
+                )
     return events

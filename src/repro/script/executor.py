@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster import QueryExecution, QueryOptions
 from ..autotune import ElasticQuery
+from ..cluster import QueryOptions
 from ..data.tpch.queries import QUERIES
 from ..engine import AccordionEngine
 from ..errors import ScriptError, TuningRejected
+from ..handle import QueryHandle
 from .lang import (
     Command,
     ConstraintCommand,
@@ -37,11 +38,10 @@ class ActionLog:
 
 @dataclass
 class ScriptResult:
-    queries: dict[str, QueryExecution] = field(default_factory=dict)
-    elastics: dict[str, ElasticQuery] = field(default_factory=dict)
+    queries: dict[str, QueryHandle] = field(default_factory=dict)
     actions: list[ActionLog] = field(default_factory=list)
 
-    def query(self, name: str) -> QueryExecution:
+    def query(self, name: str) -> QueryHandle:
         return self.queries[name]
 
     def accepted_actions(self) -> list[ActionLog]:
@@ -98,7 +98,10 @@ class ScriptExecutor:
         options = self._build_options(command.options)
         query = self.engine.submit(sql, options)
         self.result.queries[command.name] = query
-        self.result.elastics[command.name] = query.tuning
+        if self.engine.config.elasticity_enabled:
+            # The query's tuning collector samples from submission on; a
+            # baseline engine has none, and fails only a script that tunes.
+            query.tuning
 
     def _build_options(self, raw: dict[str, str]) -> QueryOptions:
         options = QueryOptions()
@@ -149,15 +152,14 @@ class ScriptExecutor:
         self.engine.kernel.schedule_at(max(command.time, self.engine.now), fire)
 
     # ------------------------------------------------------------------
-    def _query(self, name: str) -> QueryExecution:
+    def _query(self, name: str) -> QueryHandle:
         try:
             return self.result.queries[name]
         except KeyError:
             raise ScriptError(f"unknown query {name!r}") from None
 
     def _elastic(self, name: str) -> ElasticQuery:
-        self._query(name)
-        return self.result.elastics[name]
+        return self._query(name).tuning
 
 
 def run_script(engine: AccordionEngine, script: str) -> ScriptResult:

@@ -2,8 +2,8 @@
 
 The per-query auto-tuner (Section 5) assumes the cluster is its own; with
 many tenants that assumption breaks.  Every tuning request that passes
-the request filter therefore becomes a *bid* — (query, stage, requested
-DOP, predicted benefit from the what-if service) — which the arbiter
+the tuner's check therefore becomes a *bid* — (query, stage, requested
+DOP, predicted benefit from the what-if estimate) — which the arbiter
 grants, trims to the cores actually available, or defers
 (:class:`~repro.errors.TuningRejected` with reason ``arbiter-deferred``).
 
@@ -215,7 +215,7 @@ class ResourceArbiter:
 
     # -- bidding ------------------------------------------------------------
     def arbitrate(
-        self, query: "QueryExecution", request: TuningRequest, whatif
+        self, query: "QueryExecution", request: TuningRequest, sampler
     ) -> TuningRequest:
         """Grant, trim, or defer one filtered tuning request.
 
@@ -251,7 +251,7 @@ class ResourceArbiter:
                 else "trim"
             )
             if granted > current and request.kind is not TuningKind.TASK_DOP:
-                prediction = whatif.predict(request.stage, granted)
+                prediction = sampler.estimate(request.stage, granted)
         self.decisions.record(
             "bid", outcome, query_id=query.id, stage=request.stage, tenant=tenant,
             request=request.kind.value, current=current, requested=request.target,
@@ -347,7 +347,7 @@ class ResourceArbiter:
             stage = query.stages.get(unit.knob_stage)
             if stage is None or stage.finished:
                 continue
-            t_remain = elastic.whatif.remaining_time(unit.knob_stage)
+            t_remain = elastic.remaining_time(unit.knob_stage)
             if t_remain is None:
                 continue
             if slack <= 0:
@@ -396,7 +396,7 @@ class ResourceArbiter:
             elastic = entry.execution.elastic
             if elastic is None:
                 continue
-            if elastic.filter.pins.get(sid, 0.0) > self.kernel.now:
+            if elastic.tuner.pins.get(sid, 0.0) > self.kernel.now:
                 # Already revoked within the pin window; the end-signal
                 # removal is still draining, so the stage DOP has not
                 # caught up yet — do not double-revoke.
@@ -412,7 +412,7 @@ class ResourceArbiter:
             cores = take_units * max(1, stage.task_dop)
             reclaimed += cores
             entry.revoked += take_units
-            elastic.filter.pin(
+            elastic.tuner.pin(
                 sid, self.kernel.now + self.config.revocation_pin_seconds
             )
             self.decisions.record(

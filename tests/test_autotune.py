@@ -1,19 +1,15 @@
-"""Tests for the auto-tuning layer: collector, progress, bottlenecks,
-what-if predictor, request filter, auto-tuner, DOP planner."""
+"""Tests for the auto-tuning layer: the sampler and what is read from it
+(progress, bottlenecks, what-if), the tuner's check step, the auto-tuner,
+the DOP planner."""
 
 import pytest
 
 from repro import ClusterConfig, FaultPlan, NodeCrash, QueryOptions
-from repro.autotune import (
-    DopPlanner,
-    RuntimeInfoCollector,
-    Snapshot,
-    StageSample,
-    tuning_units,
-)
+import repro.autotune.tuner as tuner_module
+from repro.autotune import DopPlanner, Snapshot, StageSample, tuning_units
 from repro.data.tpch.queries import QUERIES
 from repro.errors import TuningRejected
-from repro.obs.throughput import ThroughputTracker
+from repro.obs.throughput import Sampler
 
 from conftest import builds_ready, norm_rows, run_until_cond, slow_engine
 
@@ -65,7 +61,7 @@ def test_cpu_headroom_bounds(catalog):
 
 
 # -- sampling oracle ---------------------------------------------------------
-# ``StageExecution.sample`` reads a stage in one pass and the collector keeps
+# ``StageExecution.sample`` reads a stage in one pass and the sampler keeps
 # its node list between samples.  The recount below is the reference: one
 # plain expression per field over ``stage.tasks``, and the node dict rebuilt
 # per sample.  It stays in the test; ``src/`` has only the one-pass read.
@@ -94,37 +90,33 @@ def recount_stage(stage) -> StageSample:
 
 
 class SamplingOracle:
-    """Checks every collector snapshot and every throughput-tracker point
-    against the recount, at the instant it is taken."""
+    """Checks every snapshot of both samplers — the tuning collector's and
+    the throughput tracker's — against the recount, at the instant it is
+    taken."""
 
     def __init__(self, monkeypatch):
         self.snapshots = self.points = 0
         self.marks: dict[str, tuple[float, float, float]] = {}
-        collect, track = RuntimeInfoCollector._sample, ThroughputTracker._sample
+        sample = Sampler._sample
         oracle = self
 
-        def checked_collect(collector):
-            sampling = not collector._stopped
-            collect(collector)
-            if sampling:
-                oracle.check_snapshot(collector)
+        def checked(sampler):
+            sample(sampler)
+            oracle.check_snapshot(sampler)
 
-        def checked_track(tracker):
-            sampling = not tracker._stopped
-            track(tracker)
-            if sampling:
-                oracle.check_series(tracker)
+        monkeypatch.setattr(Sampler, "_sample", checked)
 
-        monkeypatch.setattr(RuntimeInfoCollector, "_sample", checked_collect)
-        monkeypatch.setattr(ThroughputTracker, "_sample", checked_track)
-
-    def check_snapshot(self, collector) -> None:
-        snap, now = collector.samples[-1], collector.kernel.now
+    def check_snapshot(self, sampler) -> None:
+        snap, now = sampler.samples[-1], sampler.kernel.now
         expected = Snapshot(now)
-        for stage_id, stage in collector.query.stages.items():
+        for stage_id, stage in sampler.query.stages.items():
             expected.stages[stage_id] = recount_stage(stage)
+        if sampler.cluster is None:
+            assert snap == expected
+            self.points += 1
+            return
         nodes = {}
-        for node in collector.cluster.compute + collector.cluster.storage:
+        for node in sampler.cluster.compute + sampler.cluster.storage:
             nodes[f"{node.role}{node.id}"] = node
         for key, node in nodes.items():
             busy, nic_busy = node.cpu.busy_core_seconds(), node.nic.busy_seconds()
@@ -141,21 +133,6 @@ class SamplingOracle:
         # Same node order too: the headroom is a float sum over it.
         assert list(snap.cpu_utilization) == list(expected.cpu_utilization)
         self.snapshots += 1
-
-    def check_series(self, tracker) -> None:
-        now = tracker.kernel.now
-        for stage_id, series in tracker.stages.items():
-            expected = recount_stage(tracker.query.stages[stage_id])
-            assert [
-                (s.times[-1], s.values[-1])
-                for s in (series.rows, series.received, series.dop, series.task_dop)
-            ] == [
-                (now, expected.rows_out),
-                (now, expected.rows_received),
-                (now, expected.stage_dop),
-                (now, expected.task_dop),
-            ]
-        self.points += 1
 
 
 def test_samples_equal_a_recount_through_ac_ap_rp(catalog, monkeypatch):
@@ -202,11 +179,11 @@ def test_samples_equal_a_recount_through_crash_join_and_drain(catalog, monkeypat
     engine.membership.join(1)
     engine.run_until(8.0)
     assert engine.decisions.count("recovery", "respawn") > 0
-    assert "compute3" in collector.latest().cpu_utilization
+    assert "compute3" in collector.samples[-1].cpu_utilization
     engine.membership.drain(engine.cluster.node_by_name("compute1"), timeout=200.0)
     engine.run_until_done(query, 1e6)
     assert any(t.crashed for s in query.stages.values() for t in s.tasks)
-    assert list(collector.latest().cpu_utilization) == [
+    assert list(collector.samples[-1].cpu_utilization) == [
         "compute0", "compute1", "compute2", "compute3",
     ]
     assert oracle.snapshots > 20 and oracle.points > 10
@@ -293,8 +270,8 @@ def test_dop_time_list_monotone_headroom(catalog):
     engine, query, elastic = start_q3(catalog)
     run_until_cond(engine, builds_ready(query, 1))
     engine.run_for(3.0)
-    predictions = elastic.whatif.dop_time_list(1, [1, 2, 4, 8])
-    assert len(predictions) == 4
+    predictions = [elastic.estimate(1, dop) for dop in (1, 2, 4, 8)]
+    assert None not in predictions
     times = [p.t_predicted for p in predictions]
     assert times[0] >= times[-1]  # more DOP never predicts slower
     engine.run_until_done(query, 1e6)
@@ -310,7 +287,7 @@ def test_speedup_capped_by_cpu_headroom(catalog):
     engine.run_until_done(query, 1e6)
 
 
-# -- request filter (behaviours not covered in test_elasticity) -------------------
+# -- the tuner's check step (behaviours not covered in test_elasticity) ----------
 def test_filter_rejects_late_join_tuning(catalog):
     engine, query, elastic = start_q3(catalog)
     engine.run_until(2.0)
@@ -394,6 +371,30 @@ def test_monitor_constraint_change_discards_plan(catalog):
     assert len(markers) == 2
     engine.run_for(3.0)
     assert any(r.request.target > 1 for r in elastic.tuner.applied)
+    engine.run_until_done(query, 1e6)
+
+
+def test_monitor_restart_runs_one_tick_loop(catalog, monkeypatch):
+    """``stop_monitor`` cancels the pending tick, so a restart does not
+    leave the old loop running beside the new one."""
+    engine, query, elastic = start_q3(catalog)
+    ticks = []
+    units = tuner_module.tuning_units
+
+    def counted(q):
+        ticks.append(engine.now)
+        return units(q)
+
+    monkeypatch.setattr(tuner_module, "tuning_units", counted)
+    elastic.start_monitor(period=1.0)
+    engine.run_until(0.2)
+    elastic.stop_monitor()
+    elastic.start_monitor(period=1.0)
+    engine.run_until(4.5)
+    assert ticks == pytest.approx([1.2, 2.2, 3.2, 4.2])
+    elastic.stop_monitor()
+    engine.run_until(6.5)
+    assert len(ticks) == 4
     engine.run_until_done(query, 1e6)
 
 

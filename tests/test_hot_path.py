@@ -414,6 +414,42 @@ def test_page_hand_off_protocol_is_owned_by_the_output_buffers():
     assert "turn_up" not in output.replace("turns its capacity *up*", "")
 
 
+# -- one sampler ------------------------------------------------------------------
+#: ``repro.autotune.__all__`` before the §5 loop became one sampler and one
+#: tuner; the package may only lose names.
+AUTOTUNE_NAMES = {
+    "Bottleneck", "DopAutoTuner", "DopPlan", "DopPlanner", "ElasticQuery",
+    "RuntimeInfoCollector", "Snapshot", "StageSample", "TuningRequestFilter",
+    "TuningUnit", "WhatIfEstimate", "WhatIfService", "find_bottlenecks",
+    "remaining_seconds", "tuning_units",
+}
+
+
+def test_stages_are_sampled_by_one_class():
+    """Outside ``cluster/stage.py`` exactly one class calls
+    ``StageExecution.sample()``: a second periodic stage reader cannot
+    come back unnoticed (DESIGN.md §10.1)."""
+    src = Path(repro.__file__).parent
+    readers = set()
+    for path in sorted(src.rglob("*.py")):
+        rel = str(path.relative_to(src))
+        if rel == "cluster/stage.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sample"
+                    and not node.args
+                    and not node.keywords
+                ):
+                    readers.add(f"{rel}:{cls.name}")
+    assert readers == {"obs/throughput.py:Sampler"}
+    assert set(repro.autotune.__all__) <= AUTOTUNE_NAMES
+
+
 # -- one tree protocol, one structural key --------------------------------------
 def test_trees_are_descended_and_keyed_in_one_place():
     """``repro/tree.py`` is the only module that reflects over dataclass

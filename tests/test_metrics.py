@@ -49,8 +49,8 @@ def test_tracker_collects_per_stage_series(catalog):
     query = engine.submit(QUERIES["Q3"])
     engine.run_until_done(query, 1e6)
     tracker = query.tracker
-    assert set(tracker.stages) == set(query.stages)
-    scan_rows = tracker.stages[2].rows
+    assert set(tracker.samples[-1].stages) == set(query.stages)
+    scan_rows = tracker.series(2, "rows_out")
     assert scan_rows.values[-1] == query.stages[2].rows_out()
     assert scan_rows.values == sorted(scan_rows.values)  # cumulative
     assert len(scan_rows) >= 3
@@ -61,9 +61,9 @@ def test_tracker_stops_at_query_end(catalog):
     query = engine.submit(QUERIES["Q6"])
     engine.run_until_done(query, 1e6)
     engine.run_for(5.0)  # the tracker takes one final sample, then stops
-    n = len(query.tracker.stages[0].rows)
+    n = len(query.tracker.samples)
     engine.run_for(10.0)
-    assert len(query.tracker.stages[0].rows) == n
+    assert len(query.tracker.samples) == n
 
 
 def test_processing_rate_uses_received_for_joins(catalog):

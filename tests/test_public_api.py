@@ -68,6 +68,33 @@ def test_public_surface_is_importable():
     )
 
 
+def readme_block(heading: str) -> str:
+    """The first ``python`` code block after ``heading`` in README.md."""
+    text = (REPO / "README.md").read_text()
+    start = text.index("```python\n", text.index(heading)) + len("```python\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_tuning_blocks_run(catalog):
+    """README's runtime-tuning quickstart, then its deadline block on the
+    same running query, against the tests' catalog: a renamed tuning
+    method fails here, not in a reader's terminal."""
+    tuning = readme_block("### Tuning a query while it runs")
+    deadline = readme_block("### Deadline-driven auto-tuning")
+    tpch = "AccordionEngine.tpch(scale=0.01, config=config)"
+    assert tpch in tuning and tuning.rstrip().endswith("query.result()")
+    body = tuning.replace(tpch, "AccordionEngine(catalog, config=config)")
+    body = body.rstrip()[: -len("query.result()")]
+    namespace = {"catalog": catalog}
+    exec(body + deadline + "query.result()\n", namespace)
+    query, elastic = namespace["query"], namespace["elastic"]
+    assert query.finished
+    assert [r.request.kind.value for r in elastic.tuner.applied][:2] == [
+        "task_dop", "stage_dop",
+    ]
+    assert len(query.tracker.markers_of("constraint")) == 1
+
+
 def test_bench_layer_modules_import_only_exported_names():
     """Tier-1 mirror of ``bench/test_bench.py::
     test_layer_modules_import_only_exported_names``: a name ``bench/``

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ScriptError
+from repro import AccordionEngine, presto_config, prestissimo_config
+from repro.errors import ExecutionError, ScriptError
 from repro.script import parse_script, parse_stage, parse_time, run_script
 from repro.script.lang import (
     ConstraintCommand,
@@ -185,6 +186,17 @@ def test_script_monitor_and_constraint(catalog):
         """,
     )
     assert result.query("q3").finished
+
+
+@pytest.mark.parametrize("config", [presto_config, prestissimo_config])
+def test_baseline_engine_fails_only_a_script_that_tunes(catalog, config):
+    """Presto and Prestissimo have no runtime elasticity: a script that
+    never tunes runs on them, and one that tunes says why it cannot."""
+    engine = AccordionEngine(catalog, config())
+    result = run_script(engine, "submit q Q6\nrun until q done")
+    assert len(result.query("q").result().rows) == 1
+    with pytest.raises(ExecutionError, match="does not support IQRE"):
+        run_script(engine, "submit q3 Q3\nat 1s ap q3 S1 2")
 
 
 def test_duplicate_query_name_rejected(catalog):
