@@ -83,6 +83,8 @@ class ElasticCapacity:
         self.turn_up_counter = 0
         self._consumed_this_period = 0
         self._period_started = kernel.now
+        #: Virtual seconds between resizes; never, with elastic off.
+        self._resize_every = config.resize_period if config.elastic else float("inf")
 
     def turn_up(self) -> bool:
         """The consumer found nothing to take: double the capacity (up to
@@ -102,10 +104,10 @@ class ElasticCapacity:
     def resize_if_due(self) -> bool:
         """Once per ``resize_period``: size the buffer to what was consumed
         in the period that just ended.  True when the capacity grew."""
-        config = self.config
         now = self.kernel.now
-        if not config.elastic or now - self._period_started < config.resize_period:
+        if now - self._period_started < self._resize_every:
             return False
+        config = self.config
         before = self.capacity
         self.capacity = max(
             1,
@@ -138,37 +140,36 @@ class ElasticPageBuffer(ElasticCapacity):
         avg_page_bytes: int = 256 * 1024,
     ):
         super().__init__(kernel, config, name, avg_page_bytes)
-        self._queue: deque[Page] = deque()
+        #: Received pages, oldest first; free slots are ``capacity`` minus
+        #: its length.
+        self.pages: deque[Page] = deque()
         self.not_full = WaiterList()
         self.not_empty = WaiterList()
 
-    # -- state -----------------------------------------------------------
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
-    @property
-    def free_slots(self) -> int:
-        return max(0, self.capacity - len(self._queue))
-
     # -- producer side ----------------------------------------------------
     def put(self, page: Page) -> None:
-        """Enqueue unconditionally (producers check ``free_slots`` and
+        """Enqueue unconditionally (producers check the free slots and
         pause themselves; the elastic protocol grows capacity on the
         consumer side rather than dropping data)."""
-        self._queue.append(page)
+        self.pages.append(page)
         self.not_empty.notify_all()
 
     # -- consumer side ----------------------------------------------------
     def poll(self) -> Page | None:
         """Dequeue one page; adjusts capacity per the elastic protocol."""
-        if self.resize_if_due():
+        # ``resize_if_due``'s own test, made here so a poll between
+        # resizes costs no call.
+        if (
+            self.kernel.now - self._period_started >= self._resize_every
+            and self.resize_if_due()
+        ):
             self.not_full.notify_all()
-        if not self._queue:
+        pages = self.pages
+        if not pages:
             if self.turn_up():
                 self.not_full.notify_all()
             return None
-        page = self._queue.popleft()
+        page = pages.popleft()
         if not page.is_end:
             self.consumed(1)
         self.not_full.notify_all()

@@ -136,16 +136,20 @@ class TaskOutputBuffer:
         self.consumers.pop(buffer_id, None)
 
     # -- producer side ----------------------------------------------------
+    #: Pages between ``put`` and a consumer's queue (a shuffle's executors).
+    _pending_shuffles = 0
+
     @property
     def is_full(self) -> bool:
-        return self._queued_pages() >= self.capacity.capacity
-
-    def _queued_pages(self) -> int:
-        longest = 0
+        """The longest consumer queue, plus the pages on their way to it,
+        holds a capacity's worth."""
+        room = self.capacity.capacity - self._pending_shuffles
+        if room <= 0:
+            return True
         for queue in self.consumers.values():
-            if len(queue.pages) > longest:
-                longest = len(queue.pages)
-        return longest
+            if len(queue.pages) >= room:
+                return True
+        return False
 
     def put(self, page: Page) -> None:
         raise NotImplementedError
@@ -298,8 +302,9 @@ class SharedOutputBuffer(TaskOutputBuffer):
         for queue in self.consumers.values():
             queue.on_update.notify_all()
 
-    def _queued_pages(self) -> int:
-        return len(self._shared)
+    @property
+    def is_full(self) -> bool:
+        return len(self._shared) >= self.capacity.capacity
 
     def take(self, buffer_id: int, max_pages: int) -> list[Page]:
         queue = self.consumers.get(buffer_id)
@@ -472,9 +477,6 @@ class ShuffleOutputBuffer(TaskOutputBuffer):
             self._drained.notify_all()
             if self.finished:
                 self._finish_consumers()
-
-    def _queued_pages(self) -> int:
-        return super()._queued_pages() + self._pending_shuffles
 
     def when_drained(self, fn: Callable[[], None]) -> None:
         if self._pending_shuffles == 0:

@@ -45,6 +45,8 @@ class StageExecution:
         #: Failure recovery: how many times tasks of this stage have been
         #: respawned after a crash (bounded by ``FaultConfig.task_retry_budget``).
         self.retries = 0
+        #: ``(len(tasks), sample)`` once the stage can no longer change.
+        self._final: tuple[int, StageSample] | None = None
         kind = "scan" if fragment.is_source else "intermediate"
         self.trace_span = query.kernel.tracer.begin(
             "stage",
@@ -102,8 +104,17 @@ class StageExecution:
 
     def sample(self) -> StageSample:
         """Everything the periodic reader (``obs.throughput.Sampler``)
-        needs, from one pass over the tasks and no per-task allocation."""
+        needs, from one pass over the tasks and no per-task allocation.
+
+        Once the stage can no longer change — every task finished without
+        crashing (a crashed task's in-flight quanta and fetches still
+        land), every hash table built, and not the root stage (its rows
+        are the query's result rows) — the reading is kept and returned
+        until a task is added."""
         tasks = self.tasks
+        final = self._final
+        if final is not None and final[0] == len(tasks):
+            return final[1]
         # ``active_group`` without building it: a task joins ``tasks`` and
         # the newest group together (``Scheduler.create_task``), so that
         # group is a suffix of ``tasks``.
@@ -111,6 +122,7 @@ class StageExecution:
         rows_out = rows_received = turn_up = stage_dop = task_dop = 0
         build_seconds = 0.0
         finished = bool(tasks)
+        settled = finished and self.fragment.id != 0
         for index, task in enumerate(tasks):
             rows_out += task.output_buffer.rows_out
             for client in task.exchange_clients.values():
@@ -120,15 +132,19 @@ class StageExecution:
                 seconds = bridge.build_seconds
                 if seconds > build_seconds:
                     build_seconds = seconds
+                if bridge.ready_at is None:
+                    settled = False
             if not task.finished:
-                finished = False
+                finished = settled = False
                 if index >= group_start:
                     stage_dop += 1
                     drivers = task.tunable_pipeline.active_drivers
                     if drivers > task_dop:
                         task_dop = drivers
+            elif task.crashed:
+                settled = False
         feed = self.split_feed
-        return StageSample(
+        sample = StageSample(
             rows_out=self.query.result_rows if self.fragment.id == 0 else rows_out,
             rows_received=rows_received,
             exchange_turn_up=turn_up,
@@ -139,6 +155,9 @@ class StageExecution:
             scan_rows_total=feed.total_rows if feed else None,
             max_build_seconds=build_seconds,
         )
+        if settled:
+            self._final = (len(tasks), sample)
+        return sample
 
     def max_build_seconds(self) -> float:
         """Stage T_build = max over its tasks (paper Section 5.2)."""

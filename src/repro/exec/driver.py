@@ -90,6 +90,12 @@ class Driver:
         # Only operators that can ever block (join probes) are polled for
         # readiness each quantum; for most pipelines this list is empty.
         self._waitable = [op for op in transforms if op.may_wait]
+        #: The task output buffer a full sink blocks on (None: never).
+        self._output = sink.buffer
+        #: MLFQ level, recomputed only when ``cpu_time`` reaches the next
+        #: threshold.
+        self._level = 0.0
+        self._next_level_at = _MLFQ_LEVELS[0]
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -104,14 +110,11 @@ class Driver:
     def finished(self) -> bool:
         return self.state is DriverState.FINISHED
 
-    def _priority(self) -> float:
-        return float(bisect_right(_MLFQ_LEVELS, self.cpu_time))
-
     def _enqueue(self) -> None:
         if self.state in (DriverState.QUEUED, DriverState.FINISHED):
             return
         self.state = DriverState.QUEUED
-        self.task.node.cpu.acquire(self._run, priority=self._priority())
+        self.task.node.cpu.acquire(self._run, priority=self._level)
 
     def _block_on(self, waiters) -> tuple[float, None]:
         """A blocked quantum holds its core for the overhead and commits
@@ -179,8 +182,9 @@ class Driver:
                 waiters = op.waits_on()
                 if waiters is not None:
                     return self._block_on(waiters)
-            if self.sink.is_full:
-                return self._block_on(self.sink.waiters())
+            output = self._output
+            if output is not None and output.is_full:
+                return self._block_on(output.not_full)
             page, cost = self.source.poll()
             if page is None:
                 return self._block_on(self.source.waiters())
@@ -190,6 +194,12 @@ class Driver:
         cost += chain_cost + self._quantum_overhead
         cost += self.sink.cost_of(outputs)
         self.cpu_time += cost
+        if self.cpu_time >= self._next_level_at:
+            level = bisect_right(_MLFQ_LEVELS, self.cpu_time)
+            self._level = float(level)
+            self._next_level_at = (
+                _MLFQ_LEVELS[level] if level < len(_MLFQ_LEVELS) else float("inf")
+            )
 
         if self._traced:
             tracer = self._tracer
@@ -227,10 +237,25 @@ class Driver:
         virtual timings are identical with tracing on or off."""
         if page.is_end:
             self._end_seen = True
+        transforms = self.transforms
         profiler = self._profiler
+        if not transforms:
+            return ([] if page.is_end else [page]), 0.0, self._end_seen
+        if len(transforms) == 1 and profiler is None:
+            # The loop below for one operator, without its page lists: a
+            # LIMIT's end page would be dropped from the outputs at once.
+            op = transforms[0]
+            outputs, cost = op.process(page)
+            if op_costs is not None:
+                op_costs.append((self._op_names[0], cost))
+            if op.done_early:
+                self._end_seen = True
+            if self._end_seen:
+                outputs = [p for p in outputs if not p.is_end]
+            return outputs, cost, self._end_seen
         pages = [page]
         cost = 0.0
-        for index, op in enumerate(self.transforms):
+        for index, op in enumerate(transforms):
             next_pages: list[Page] = []
             op_cost = 0.0
             for p in pages:

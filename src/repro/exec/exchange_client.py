@@ -99,7 +99,7 @@ class ExchangeClient:
 
     @property
     def finished(self) -> bool:
-        return bool(self.splits) and not self._open_splits and self.buffer.is_empty
+        return bool(self.splits) and not self._open_splits and not self.buffer.pages
 
     # -- consumer side (exchange source operators) ----------------------
     def poll(self) -> Page | None:
@@ -123,7 +123,8 @@ class ExchangeClient:
     def _resume_all(self) -> None:
         """Kick the idle splits, in insertion order.  (Slots cannot run
         out on the way: a fetch occupies them when it lands, not now.)"""
-        if self.buffer.free_slots <= 0:
+        buffer = self.buffer
+        if len(buffer.pages) >= buffer.capacity:
             return
         for state in tuple(self.splits.values()):
             if not (state.fetching or state.waiting or state.ended):
@@ -138,7 +139,8 @@ class ExchangeClient:
             return
         if state.fetching or state.ended:
             return
-        free_slots = self.buffer.free_slots
+        buffer = self.buffer
+        free_slots = buffer.capacity - len(buffer.pages)
         if free_slots <= 0:
             return
         split = state.split

@@ -72,6 +72,9 @@ class SinkOperator:
     name = "sink"
     #: CPU cost per row absorbed (drivers charge it into the quantum).
     row_cost_attr = "task_output_row_cost"
+    #: The task output buffer behind the sink: its ``is_full`` /
+    #: ``not_full`` gate the driver.  None: the sink never blocks.
+    buffer = None
 
     def __init__(self, cost: CostModel):
         self.cost = cost
@@ -88,14 +91,6 @@ class SinkOperator:
         """Absorb pages (end pages excluded).  Their row cost is already
         charged (:meth:`cost_of`); the driver ignores any return value."""
         raise NotImplementedError
-
-    @property
-    def is_full(self) -> bool:
-        return False
-
-    def waiters(self) -> WaiterList | None:
-        """Where to wait when the sink is full (None = never blocks)."""
-        return None
 
     def driver_finished(self) -> None:
         """Called once when the owning driver completes its end relay."""

@@ -47,7 +47,7 @@ from ...sql.expressions import BoundExpr
 from ..spill import OperatorMemory, SpillPartitions
 from .base import SinkOperator, TransformOperator
 
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 #: Max recursive repartition depth; past it an oversized partition is
 #: processed in memory anyway (fallback guard against key skew).
@@ -55,18 +55,23 @@ SPILL_MAX_DEPTH = 4
 
 
 def _dense_int_lut(uniq: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(value - base) -> column code table for densely packed int keys.
+    """(table, base): ``table[value - base]`` is the column code of a
+    densely packed int key, -1 for none.
 
     TPC-H join keys are near-dense integers, so a direct-address table
     beats a binary search per probe row.  Only built when the value range
     stays within 64x the distinct count (selective build filters leave
-    sparse-ish key sets) and an absolute entry cap, bounding memory.
+    sparse-ish key sets) and an absolute entry cap, bounding memory.  A -1
+    sentinel pads each end, so a clipped ``take`` maps every key outside
+    the span to -1 by itself.
     """
     if len(uniq) == 0 or uniq.dtype.kind not in "iu":
         return None
-    base = int(uniq[0])
-    span = int(uniq[-1]) - base + 1
-    if span > 64 * len(uniq) + 4096 or span > 1 << 22:
+    base = int(uniq[0]) - 1
+    if base < _INT64_MIN or int(uniq[-1]) > _INT64_MAX:
+        return None  # a key or the low pad leaves int64
+    span = int(uniq[-1]) - base + 2
+    if span > 64 * len(uniq) + 4098 or span > (1 << 22) + 2:
         return None
     table = np.full(span, -1, dtype=np.int64)
     table[uniq.astype(np.int64) - base] = np.arange(len(uniq), dtype=np.int64)
@@ -194,13 +199,10 @@ class _BuildIndex:
             if lookup is not None:
                 code = lookup(col)
             elif lut is not None and col.dtype.kind in "iu":
-                # Dense integer keys: one clipped gather; the table holds
-                # -1 for in-span misses, and a page rarely leaves the span.
+                # Dense integer keys: one clipped gather; the padded table
+                # holds -1 for in-span misses and at both ends.
                 table, base = lut
-                rel = col.astype(np.int64, copy=False) - base
-                code = table.take(rel, mode="clip")
-                if rel.min() < 0 or rel.max() >= len(table):
-                    code[(rel < 0) | (rel >= len(table))] = -1
+                code = table.take(col.astype(np.int64, copy=False) - base, mode="clip")
             else:
                 code = np.minimum(np.searchsorted(uniq, col), len(uniq) - 1)
                 code = np.where(uniq[code] == col, code, -1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ...buffers import LocalExchange, TaskOutputBuffer
-from ...buffers.elastic import WaiterList
 from ...config import CostModel
 from ...pages import Page
 from .base import SinkOperator
@@ -24,13 +23,6 @@ class TaskOutputSink(SinkOperator):
     def deliver(self, pages: list[Page]) -> None:
         for page in pages:
             self.buffer.put(page)
-
-    @property
-    def is_full(self) -> bool:
-        return self.buffer.is_full
-
-    def waiters(self) -> WaiterList | None:
-        return self.buffer.not_full
 
 
 class LocalExchangeSink(SinkOperator):

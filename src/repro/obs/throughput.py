@@ -108,13 +108,15 @@ class Sampler:
     def _sample(self) -> None:
         now = self.kernel.now
         snap = Snapshot(now)
+        stages = snap.stages
         for stage_id, stage in self.query.stages.items():
-            snap.stages[stage_id] = stage.sample()
+            stages[stage_id] = stage.sample()
         if self.cluster is not None:
             self._sample_nodes(snap)
         self.samples.append(snap)
         if not self.query.finished:
-            self.kernel.schedule(self.period, self._sample)
+            # Never cancelled: the lean path, in the same total order.
+            self.kernel.post(self.period, self._sample)
 
     def _sample_nodes(self, snap: Snapshot) -> None:
         """Membership is append-only (``Cluster.add_compute``), so the
@@ -126,18 +128,27 @@ class Sampler:
             for node in cluster.compute + cluster.storage:
                 self._nodes[node.name] = known.get(node.name) or [node, None, 0.0, 0.0]
             self._compute_count = len(cluster.compute)
+        cpu_utilization, nic_utilization = snap.cpu_utilization, snap.nic_utilization
         for key, mark in self._nodes.items():
             node, prev_time, prev_busy, prev_nic = mark
-            busy = node.cpu.busy_core_seconds()
-            nic_busy = node.nic.busy_seconds()
+            cpu = node.cpu
+            # ``busy_core_seconds()`` splits the busy integral where it is
+            # read, and those split points are bits of every later
+            # reading; with no core busy the integral is already current.
+            busy = cpu.busy_core_seconds() if cpu.busy else cpu._busy_integral
+            nic_busy = node.nic._busy_integral
             if prev_time is not None:
                 dt = now - prev_time
                 if dt > 0:
-                    snap.cpu_utilization[key] = (busy - prev_busy) / (
-                        dt * node.cpu.cores
-                    )
-                    snap.nic_utilization[key] = min(1.0, (nic_busy - prev_nic) / dt)
-            mark[1:] = now, busy, nic_busy
+                    if busy == prev_busy and nic_busy == prev_nic:
+                        # Idle since the last sample: both quotients are 0.0.
+                        cpu_utilization[key] = nic_utilization[key] = 0.0
+                    else:
+                        cpu_utilization[key] = (busy - prev_busy) / (dt * cpu.cores)
+                        nic_utilization[key] = min(1.0, (nic_busy - prev_nic) / dt)
+            mark[1] = now
+            mark[2] = busy
+            mark[3] = nic_busy
 
     def _span(self, seconds: float) -> tuple[Snapshot, Snapshot] | None:
         """The oldest and the newest sample of the last ``seconds``; None

@@ -59,7 +59,7 @@ class CpuPool:
         core for ``cost`` virtual seconds."""
         if cost < 0:
             raise ValueError("cost must be >= 0")
-        self._push(priority, ("submit", cost, fn))
+        self._push(priority, "submit", cost, fn)
 
     def acquire(
         self,
@@ -73,11 +73,10 @@ class CpuPool:
         and ``commit`` fires when it is released.  Drivers use this so that
         input is consumed only when they are actually scheduled.
         """
-        self._push(priority, ("acquire", 0.0, run))
+        self._push(priority, "acquire", 0.0, run)
 
-    def _push(self, priority: float, item) -> None:
+    def _push(self, priority: float, kind: str, cost: float, fn) -> None:
         if self.halted:
-            kind, _, fn = item
             # Committed data movements ('submit', e.g. shuffle spool writes)
             # still land — task output is spooled to durable storage in the
             # fault model.  Deferred-decision work ('acquire', driver quanta)
@@ -85,7 +84,12 @@ class CpuPool:
             if kind == "submit":
                 fn()
             return
-        heapq.heappush(self._queue, (priority, next(self._seq), item))
+        if self.busy < self.cores and not self._queue:
+            # An idle core and nobody waiting: the heap would hand this
+            # very item straight back (DESIGN.md §10.1).
+            self._start(kind, cost, fn)
+            return
+        heapq.heappush(self._queue, (priority, next(self._seq), (kind, cost, fn)))
         self._grant()
 
     def halt(self) -> None:
@@ -105,18 +109,20 @@ class CpuPool:
         if self.halted:
             return
         while self.busy < self.cores and self._queue:
-            _, _, (kind, cost, fn) = heapq.heappop(self._queue)
-            # The core is taken before an 'acquire' callback runs: a
-            # wake-up inside it re-enters _grant (driver quantum -> buffer
-            # space -> co-located driver -> acquire) and must not be
-            # handed this same core (DESIGN.md §10.1).
-            self._account()
-            self.busy += 1
-            if kind == "acquire":
-                cost, fn = fn()
-                if cost < 0:
-                    raise ValueError("cost must be >= 0")
-            self.kernel.post(cost, self._complete, fn)
+            self._start(*heapq.heappop(self._queue)[2])
+
+    def _start(self, kind: str, cost: float, fn) -> None:
+        # The core is taken before an 'acquire' callback runs: a wake-up
+        # inside it re-enters _push (driver quantum -> buffer space ->
+        # co-located driver -> acquire) and must not be handed this same
+        # core (DESIGN.md §10.1).
+        self._account()
+        self.busy += 1
+        if kind == "acquire":
+            cost, fn = fn()
+            if cost < 0:
+                raise ValueError("cost must be >= 0")
+        self.kernel.post(cost, self._complete, fn)
 
     def _complete(self, fn: Callable[[], None]) -> None:
         self._account()
@@ -124,7 +130,8 @@ class CpuPool:
         try:
             fn()
         finally:
-            self._grant()
+            if self._queue:
+                self._grant()
 
 
 class NicQueue:
@@ -149,14 +156,18 @@ class NicQueue:
     def occupy(self, nbytes: float, fn: Callable[[], None]) -> None:
         """Hold the link for ``nbytes`` worth of time, then call ``fn``."""
         duration = nbytes / self.bytes_per_second
-        self._pending.append((duration, fn))
         self.bytes_transferred += nbytes
-        self._drain()
-
-    def _drain(self) -> None:
-        if self._active or not self._pending:
+        if self._active:
+            self._pending.append((duration, fn))
             return
-        duration, fn = self._pending.popleft()
+        if self._pending:
+            # Called from a completion callback, before the link moved on:
+            # the oldest waiting transfer starts, this one waits.
+            self._pending.append((duration, fn))
+            duration, fn = self._pending.popleft()
+        self._start(duration, fn)
+
+    def _start(self, duration: float, fn: Callable[[], None]) -> None:
         self._active = True
         self._current = fn
         self._busy_integral += duration
@@ -172,7 +183,8 @@ class NicQueue:
         try:
             fn()
         finally:
-            self._drain()
+            if not self._active and self._pending:
+                self._start(*self._pending.popleft())
 
     def busy_seconds(self) -> float:
         """Cumulative link-busy virtual seconds granted so far."""

@@ -4,7 +4,7 @@ the DOP planner."""
 
 import pytest
 
-from repro import ClusterConfig, FaultPlan, NodeCrash, QueryOptions
+from repro import ClusterConfig, FaultPlan, NodeCrash, QueryOptions, TaskCrash
 import repro.autotune.tuner as tuner_module
 from repro.autotune import DopPlanner, Snapshot, StageSample, tuning_units
 from repro.data.tpch.queries import QUERIES
@@ -187,6 +187,81 @@ def test_samples_equal_a_recount_through_crash_join_and_drain(catalog, monkeypat
         "compute0", "compute1", "compute2", "compute3",
     ]
     assert oracle.snapshots > 20 and oracle.points > 10
+
+
+def run_recounting_every_event(engine, query) -> int:
+    """Run ``query`` to the end, checking every stage's ``sample()``
+    against the recount between every two events (a kept finished-stage
+    reading is taken as early as it can be, and read at every later
+    instant).  Returns how many stage readings were kept."""
+
+    def check() -> bool:
+        for stage in query.stages.values():
+            assert stage.sample() == recount_stage(stage), (engine.now, stage.id)
+        return query.finished
+
+    engine.kernel.run(stop_when=check, max_events=2_000_000)
+    return sum(stage._final is not None for stage in query.stages.values())
+
+
+def test_samples_equal_a_recount_through_a_crash_before_a_build(catalog, monkeypatch):
+    """S1's only task dies while it waits for its hash table: until the
+    respawn the stage reads finished, but its build clock still runs, so
+    no finished-stage reading may be kept."""
+    oracle = SamplingOracle(monkeypatch)
+    engine = slow_engine(catalog)
+    engine.inject_faults(FaultPlan(events=(NodeCrash(at=4.0, node="compute1"),)))
+    query = engine.submit(QUERIES["Q3"])
+    assert query.tuning.collector.cluster is not None
+    engine.run_until(4.0)
+    assert not builds_ready(query, 1)()
+    assert run_recounting_every_event(engine, query) >= 4
+    stage = query.stages[1]
+    assert stage.tasks[0].crashed and stage.tasks[0].bridges[0].ready_at is None
+    assert len(stage.tasks) == 2 and not stage.tasks[1].crashed
+    assert oracle.snapshots > 20 and oracle.points > 10
+
+
+@pytest.mark.parametrize(
+    "fault", [NodeCrash(at=20.0, node="storage0"), TaskCrash(at=20.0, stage=2)]
+)
+def test_samples_equal_a_recount_through_a_respawn_of_a_finished_stage(
+    catalog, monkeypatch, fault
+):
+    """The lineitem scan's only task dies: the stage reads finished while
+    the dead task's last quanta still land, then the respawn adds a task.
+    The build-side scans beside it had finished for good and keep their
+    readings."""
+    oracle = SamplingOracle(monkeypatch)
+    engine = slow_engine(catalog)
+    engine.inject_faults(FaultPlan(events=(fault,)))
+    query = engine.submit(QUERIES["Q3"])
+    assert query.tuning.collector.cluster is not None
+    engine.run_until(19.0)
+    assert query.stages[4].finished and not query.stages[2].finished
+    kept = query.stages[4].sample()
+    assert run_recounting_every_event(engine, query) >= 4
+    assert query.stages[4].sample() is kept
+    assert [t.crashed for t in query.stages[2].tasks] == [True, False]
+    assert engine.decisions.count("recovery", "respawn") == 1
+    assert oracle.snapshots > 20 and oracle.points > 10
+
+
+def test_samples_equal_a_recount_while_a_dead_tasks_last_quantum_lands(catalog):
+    """S3's only task dies with its hash table built and a quantum on a
+    core: the stage reads finished, then that quantum still delivers its
+    rows (crashes are quantum-atomic), and only then does recovery give
+    up on the query (its output was already fetched)."""
+    engine = slow_engine(catalog)
+    engine.inject_faults(FaultPlan(events=(TaskCrash(at=5.0, stage=3),)))
+    query = engine.submit(QUERIES["Q3"])
+    engine.run_until(5.0)
+    stage = query.stages[3]
+    assert stage.sample().finished and stage.tasks[0].inflight_quanta
+    rows_at_crash = stage.tasks[0].output_buffer.rows_out
+    run_recounting_every_event(engine, query)
+    assert stage.tasks[0].output_buffer.rows_out > rows_at_crash
+    assert engine.decisions.count("recovery", "unrecoverable") == 1
 
 
 # -- progress -----------------------------------------------------------------

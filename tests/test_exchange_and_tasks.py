@@ -1,6 +1,8 @@
 """Unit tests for the exchange client, task wiring, and driver lifecycle,
 exercised through a minimal two-stage query."""
 
+from bisect import bisect_right
+
 import pytest
 
 from repro import (
@@ -13,6 +15,7 @@ from repro.config import CostModel
 from repro.data.tpch.queries import QUERIES
 from repro.errors import SchedulingError
 from repro.exec import DriverState, TaskId
+from repro.exec.driver import _MLFQ_LEVELS
 
 from conftest import slow_engine
 
@@ -140,17 +143,18 @@ def test_driver_accounting(running_q3):
 def test_mlfq_priority_grows_with_cpu_time(running_q3):
     engine, query = running_q3
     engine.run_until_done(query, 1e6)
-    heavy = max(
-        (
-            d
-            for stage in query.stages.values()
-            for task in stage.tasks
-            for p in task.pipelines
-            for d in p.drivers
-        ),
-        key=lambda d: d.cpu_time,
-    )
-    assert heavy._priority() >= 1.0  # long-running drivers sink levels
+    drivers = [
+        d
+        for stage in query.stages.values()
+        for task in stage.tasks
+        for p in task.pipelines
+        for d in p.drivers
+    ]
+    heavy = max(drivers, key=lambda d: d.cpu_time)
+    assert heavy._level >= 1.0  # long-running drivers sink levels
+    # The cached level is the one the thresholds give.
+    for d in drivers:
+        assert d._level == float(bisect_right(_MLFQ_LEVELS, d.cpu_time))
 
 
 # -- node accounting ---------------------------------------------------------

@@ -13,9 +13,12 @@ and join/shuffle benchmark templates decode and re-encode nothing.
 
 import ast
 import gc
+import heapq
 import inspect
 import sys
+from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from repro.exec.exchange_client import ExchangeClient
 from repro.exec.spill import SpillPartitions
 from repro.exec.splits import SystemSplit
 from repro.pages import ColumnType, DictColumn
+from repro.sim import resources
 from repro.sql.expressions import AggregateCall, InputRef
 
 
@@ -155,6 +159,44 @@ def test_exchange_wakeups_do_bounded_work_per_fetch(
     for top, bottom in (("attempts", "fetches"), ("events", "pages")):
         a, b = small[top] / small[bottom], large[top] / large[bottom]
         assert abs(a - b) < 0.10 * max(a, b), (top, bottom, small, large)
+
+
+# -- idle resources pay no queue ------------------------------------------------
+#
+# A core pool pushes onto its heap only when no core is free or someone is
+# already waiting (otherwise the heap would hand the item straight back),
+# and a link appends to its pending deque only while a transfer holds it.
+class _WatchedPending(deque):
+    def __init__(self, link, appends):
+        super().__init__()
+        self.link, self.appends = link, appends
+
+    def append(self, item):
+        self.appends.append(self.link._active)
+        super().append(item)
+
+
+def test_idle_cores_and_links_are_granted_without_queueing(catalog, monkeypatch):
+    engine = slow_engine(catalog)
+    nodes = engine.cluster.all_nodes()
+    pools = {id(node.cpu._queue): node.cpu for node in nodes}
+    pushes, appends = [], []
+
+    def watched_heappush(heap, item):
+        pool = pools[id(heap)]
+        pushes.append(pool.busy >= pool.cores or bool(heap))
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(
+        resources, "heapq", SimpleNamespace(heappush=watched_heappush, heappop=heapq.heappop)
+    )
+    for node in nodes:
+        node.nic._pending = _WatchedPending(node.nic, appends)
+    # Eight drivers per task: the default DOPs never fill a node's 8 cores.
+    handle = engine.submit(TPCH_QUERIES["Q5"], QueryOptions(initial_task_dop=8))
+    assert handle.result().rows
+    assert pushes and appends, "the query must contend for cores and links"
+    assert all(pushes) and all(appends)
 
 
 # -- partial aggregation: rows reach their slots without page-local groups ----

@@ -90,6 +90,7 @@ def test_satisfied_limit_sends_its_last_page_down_the_rest_of_the_chain():
     from types import SimpleNamespace
 
     from repro.exec.driver import Driver
+    from repro.exec.operators.base import SinkOperator
     from repro.sql.expressions import Arithmetic, Constant
 
     doubled = Schema.of(("dbl", INT))
@@ -98,24 +99,32 @@ def test_satisfied_limit_sends_its_last_page_down_the_rest_of_the_chain():
     task = SimpleNamespace(
         kernel=SimKernel(), cost=COST, node=SimpleNamespace(name="n0"), query_id=None
     )
-    driver = Driver(
-        task, 0, 0, source=None, sink=None,
-        transforms=[
-            LimitOperator(COST, 3),
-            ProjectOperator(
-                COST, [Arithmetic("*", InputRef(0, INT), Constant(2, INT), INT)], doubled
-            ),
-            PartialAggOperator(COST, [], count, agg_schema),
-        ],
+
+    def run(*transforms):
+        driver = Driver(
+            task, 0, 0, source=None, sink=SinkOperator(COST), transforms=list(transforms)
+        )
+        emitted, finished = [], False
+        for page in (kv_page([(1, 0.0), (2, 0.0)]), kv_page([(3, 0.0), (4, 0.0)])):
+            assert not finished
+            pages, _cost, finished = driver._run_chain(page)
+            emitted.extend(pages)
+        assert finished  # the limit ended the driver without an end from the source
+        return emitted
+
+    emitted = run(
+        LimitOperator(COST, 3),
+        ProjectOperator(
+            COST, [Arithmetic("*", InputRef(0, INT), Constant(2, INT), INT)], doubled
+        ),
+        PartialAggOperator(COST, [], count, agg_schema),
     )
-    emitted, finished = [], False
-    for page in (kv_page([(1, 0.0), (2, 0.0)]), kv_page([(3, 0.0), (4, 0.0)])):
-        assert not finished
-        pages, _cost, finished = driver._run_chain(page)
-        emitted.extend(pages)
-    assert finished  # the limit ended the driver without an end from the source
     assert [p.schema for p in emitted] == [agg_schema]
     assert emitted[0].rows() == [(3, 2 + 4 + 6)]
+    # A chain of the limit alone: its last page is delivered, its end is not.
+    emitted = run(LimitOperator(COST, 3))
+    assert [p.is_end for p in emitted] == [False, False]
+    assert [row[0] for p in emitted for row in p.rows()] == [1, 2, 3]
 
 
 # -- aggregation -----------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for the discrete-event kernel and simulated resources."""
 
+import heapq
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -291,3 +295,179 @@ def test_post_rejects_negative_delay():
     k = SimKernel()
     with pytest.raises(ValueError):
         k.post(-0.1, lambda: None)
+
+
+# -- the idle fast paths against the queue-always reference ---------------------
+# ``CpuPool`` grants an idle core, and ``NicQueue`` starts an idle link,
+# without a round-trip through its queue.  The reference classes below are
+# the same resources with the fast path taken out: every item goes through
+# the heap, every transfer through the pending deque.  Random interleavings
+# must complete in the same order, at the same instants, with the same
+# busy-integral bits.
+class HeapPool(CpuPool):
+    def _push(self, priority, kind, cost, fn):
+        if self.halted:
+            if kind == "submit":
+                fn()
+            return
+        heapq.heappush(self._queue, (priority, next(self._seq), (kind, cost, fn)))
+        self._grant()
+
+
+class QueueLink(NicQueue):
+    def occupy(self, nbytes, fn):
+        self._pending.append((nbytes / self.bytes_per_second, fn))
+        self.bytes_transferred += nbytes
+        if not self._active:
+            self._start(*self._pending.popleft())
+
+
+def random_plan(seed: int) -> list[tuple]:
+    """A seeded list of ``(time, op, args)``: work on two pools and three
+    links, nested acquires, work re-queued from completion callbacks (a
+    driver's next quantum), mid-run utilisation reads and one halt."""
+    rng = random.Random(seed)
+    plan = []
+    for i in range(60):
+        at = round(rng.uniform(0.0, 6.0), 2)  # ties on purpose
+        op = rng.choice(["submit", "acquire", "acquire", "nested", "occupy", "transfer", "read"])
+        pool = rng.randrange(2)
+        cost = rng.choice([0.0, 0.25, rng.uniform(0.01, 1.5)])
+        prio = float(rng.randrange(3))
+        ends = (rng.choice([None, 0, 1, 2]), rng.randrange(3))
+        again = rng.choice([0, 0, 1, 3])
+        plan.append((at, op, (i, pool, cost, prio, ends, rng.uniform(1.0, 400.0), again)))
+    plan.append((round(rng.uniform(1.0, 5.0), 2), "halt", (rng.randrange(2),)))
+    return sorted(plan, key=lambda entry: entry[0])
+
+
+def run_plan(plan, pool_cls, link_cls) -> tuple[list, list]:
+    k = SimKernel()
+    pools = [pool_cls(k, 1), pool_cls(k, 3)]
+    links = [link_cls(k, 100.0), link_cls(k, 250.0), link_cls(k, 40.0)]
+    log = []
+
+    def acquirer(label, cost, nested=None, then=None):
+        def run():
+            log.append((f"{label}.granted", k.now))
+            if nested is not None:
+                nested()  # an acquire from inside a granted callback
+            return cost, lambda: finish(label, then)
+
+        return run
+
+    def finish(label, then):
+        log.append((label, k.now))
+        if then is not None:
+            then()  # more work on the same resource, from its completion
+
+    def action(op, args, round_=0):
+        if op == "halt":
+            pools[args[0]].halt()
+            return
+        i, p, cost, prio, (src, dst), nbytes, again = args
+        pool, label = pools[p], f"{op}{i}.{round_}"
+        then = (lambda: action(op, args, round_ + 1)) if round_ < again else None
+        if op == "submit":
+            pool.submit(cost, lambda: finish(label, then), priority=prio)
+        elif op == "acquire":
+            pool.acquire(acquirer(label, cost, then=then), priority=prio)
+        elif op == "nested":
+            inner = acquirer(f"{label}.inner", cost / 2)
+            pool.acquire(
+                acquirer(label, cost, lambda: pool.acquire(inner, priority=prio), then),
+                priority=prio,
+            )
+        elif op == "occupy":
+            links[dst].occupy(nbytes, lambda: finish(label, then))
+        elif op == "transfer":
+            source = None if src is None else links[src]  # src == dst: loopback
+            transfer(k, source, links[dst], nbytes, 0.01, lambda: finish(label, then))
+        else:
+            log.append((label, pool.busy_core_seconds().hex()))
+
+    for at, op, args in plan:
+        k.schedule(at, lambda op=op, args=args: action(op, args))
+
+    def within_cores() -> bool:
+        assert all(0 <= p.busy <= p.cores for p in pools), k.now
+        return False
+
+    k.run(stop_when=within_cores)
+    integrals = [p.busy_core_seconds().hex() for p in pools]
+    integrals += [link.busy_seconds().hex() for link in links]
+    return log, integrals
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_idle_fast_paths_match_the_queue_always_reference(seed):
+    plan = random_plan(seed)
+    fast = run_plan(plan, CpuPool, NicQueue)
+    assert fast == run_plan(plan, HeapPool, QueueLink)
+    log, _ = fast
+    assert any(label.endswith("inner") for label, _ in log)
+
+
+# -- closed forms: the resources are queues whose mean waits are known ----------
+# Poisson arrivals into a ``CpuPool`` of single-quantum exponential jobs are
+# an M/M/c queue, into a ``NicQueue`` of equal transfers an M/D/1 queue.
+# 150,000 jobs after a 2,000-job warm-up put the mean wait within about 2 %
+# of the formula on every seed tried (0-9); the 5 % tolerance is fixed.
+JOBS, WARM_UP, TOLERANCE = 150_000, 2_000, 0.05
+
+
+def erlang_c_mean_wait(lam: float, mu: float, c: int) -> float:
+    a = lam / mu
+    queued = a**c / math.factorial(c) / (1 - a / c)
+    p_wait = queued / (sum(a**i / math.factorial(i) for i in range(c)) + queued)
+    return p_wait / (c * mu - lam)
+
+
+def poisson_arrivals(k: SimKernel, rng: random.Random, lam: float, arrive) -> None:
+    def next_arrival(left: int) -> None:
+        arrive()
+        if left:
+            k.post(rng.expovariate(lam), next_arrival, left - 1)
+
+    k.post(0.0, next_arrival, JOBS - 1)
+
+
+def test_cpu_pool_is_an_m_m_c_queue():
+    lam, mu, cores = 1.4, 1.0, 2
+    k, rng = SimKernel(), random.Random(1)
+    pool, waits = CpuPool(k, cores), []
+
+    def arrive():
+        arrived, service = k.now, rng.expovariate(mu)
+
+        def run():
+            waits.append(k.now - arrived)
+            return service, lambda: None
+
+        pool.acquire(run)
+
+    poisson_arrivals(k, rng, lam, arrive)
+    k.run()
+    mean_wait = sum(waits[WARM_UP:]) / (JOBS - WARM_UP)
+    assert mean_wait == pytest.approx(erlang_c_mean_wait(lam, mu, cores), rel=TOLERANCE)
+    utilisation = pool.busy_core_seconds() / (k.now * cores)
+    assert utilisation == pytest.approx(lam / (mu * cores), rel=TOLERANCE)
+
+
+def test_nic_queue_is_an_m_d_1_queue():
+    lam, bandwidth, nbytes = 1.2, 1000.0, 500.0
+    service = nbytes / bandwidth
+    rho = lam * service
+    k, rng = SimKernel(), random.Random(1)
+    nic, waits = NicQueue(k, bandwidth), []
+
+    def arrive():
+        arrived = k.now
+        nic.occupy(nbytes, lambda: waits.append(k.now - arrived - service))
+
+    poisson_arrivals(k, rng, lam, arrive)
+    k.run()
+    mean_wait = sum(waits[WARM_UP:]) / (JOBS - WARM_UP)
+    # Pollaczek-Khinchine with a deterministic service time.
+    assert mean_wait == pytest.approx(rho * service / (2 * (1 - rho)), rel=TOLERANCE)
+    assert nic.busy_seconds() / k.now == pytest.approx(rho, rel=TOLERANCE)

@@ -274,8 +274,56 @@ def test_float_probe_keys_against_int_build_keys():
 def test_dense_int_lut_declines_sparse_and_nonint_keys():
     assert _dense_int_lut(np.array([0, 10_000_000], dtype=np.int64)) is None
     assert _dense_int_lut(np.array([0.5, 1.5])) is None
+    # The padded table must stay addressable in int64.
+    assert _dense_int_lut(np.array([np.iinfo(np.int64).min, 0])) is None
+    assert _dense_int_lut(np.array([1 << 63, (1 << 63) + 2], dtype=np.uint64)) is None
+    # Padded: one -1 sentinel below the smallest key and one above the largest.
     table, base = _dense_int_lut(np.array([10, 12, 15], dtype=np.int64))
-    assert base == 10 and table[0] == 0 and table[1] == -1 and table[5] == 2
+    assert base == 9 and table.tolist() == [-1, 0, -1, 1, -1, -1, 2, -1]
+
+
+_I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "build, probe",
+    [
+        # Negative keys; probes below the span, at both edges, inside it
+        # (hits and misses), just above and far above it.
+        (
+            np.array([-7, -5, -4, 0, 3], dtype=np.int64),
+            np.array(
+                [_I64.min, -1000, -8, -7, -6, -5, 0, 2, 3, 4, 1000, _I64.max],
+                dtype=np.int64,
+            ),
+        ),
+        (
+            np.array([-7, -5, -4, 0, 3], dtype=np.int64),
+            np.array([-9, -7, 3, 4, 1 << 30], dtype=np.int32),
+        ),
+        # ``uint64`` on either side, up to values that wrap in int64.
+        (
+            np.array([2, 3, 5, 8], dtype=np.uint64),
+            np.array([0, 1, 2, 8, 9, 1 << 63, (1 << 64) - 1], dtype=np.uint64),
+        ),
+        (
+            np.array([2, 3, 5, 8], dtype=np.int64),
+            np.array([0, 1, 2, 8, 9, 1 << 63, (1 << 64) - 1], dtype=np.uint64),
+        ),
+        (
+            np.array([0, 1, 5], dtype=np.uint64),
+            np.array([-3, -1, 0, 1, 5, 6], dtype=np.int64),
+        ),
+    ],
+)
+def test_dense_int_lut_probe_equals_the_searchsorted_path(build, probe):
+    index = _BuildIndex(Page(_key_schema([INT]), [build]), [0])
+    assert index._col_luts[0] is not None
+    lut = index.probe_group_ids([probe])
+    index._col_luts[0] = None
+    expected = index.probe_group_ids([probe])
+    assert lut.tolist() == expected.tolist()
+    assert (expected >= 0).any() and (expected < 0).any()
 
 
 # ---------------------------------------------------------------------------
