@@ -11,8 +11,9 @@ runs with parallelism fixed at 1.
 Both operators keep their running state in :class:`_HashAggState`, which
 stores one growable numpy array per state field and owns the one step
 that takes a page's rows to state slots (DESIGN.md §8): through a table
-indexed by the packed key codes while the keys stay few, through
-page-local groups and a key dict once they do not.  Python never touches
+indexed by the packed key codes while it stays within its bound, through
+a dict of packed codes once it does not, through page-local groups and a
+dict of key tuples for keys that do not pack.  Python never touches
 rows, and on the table path not even groups.
 """
 
@@ -48,6 +49,25 @@ from .base import TransformOperator
 _OBJECT_CELL_BYTES = 24
 #: Estimated dict/bookkeeping overhead per aggregation slot.
 _SLOT_OVERHEAD_BYTES = 64
+#: The slot table may span this many int64 cells per group held (the
+#: bytes a slot is accounted anyway), plus this many per row of the page
+#: that widens it, plus a floor (8 KiB).  A hash partition's first page
+#: spreads its keys over the whole key range (Q18's 4,096 ``l_orderkey``
+#: over 75,000 at SF0.05); a page of a few rows gets a few cells.
+_CELLS_PER_GROUP, _CELLS_PER_ROW, _TABLE_FLOOR = 8, 24, 1024
+#: A table-path page merges into the window of slots between its lowest
+#: and its highest while that spans fewer slots than this per page row
+#: plus a floor (a pass over the window costs less than numbering the
+#: page's groups); into its own groups' slots otherwise.
+_WINDOW_PER_ROW, _WINDOW_FLOOR = 32, 4096
+#: New groups are read back from the table window their codes span while
+#: it is this narrow per new row plus a floor (``group_codes``' own
+#: bincount-or-sort rule), sorted otherwise.
+_SCAN_PER_ROW, _SCAN_FLOOR = 4, 1024
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+#: ``arr.min()`` / ``arr.max()`` without numpy's Python-level wrappers
+#: (called several times on every page).
+_LOWEST, _HIGHEST = np.minimum.reduce, np.maximum.reduce
 
 #: Aggregate over zero rows (engine-wide convention; see reference.py).
 def _empty_value(function: str, result_type: ColumnType):
@@ -85,6 +105,26 @@ def _hashable_keys(columns: list) -> list:
     return values[0] if len(values) == 1 else list(zip(*values))
 
 
+def _packed(values: list, lows: list[int], radices: list[int], num_rows: int):
+    """Mixed-radix ``int64`` code per row of the key ``values`` columns
+    (first column most significant), each digit ``value - low``."""
+    packed = None
+    for digit, low, radix in zip(values, lows, radices):
+        if low:
+            digit = digit - low
+        packed = digit if packed is None else packed * radix + digit
+    return np.zeros(num_rows, dtype=np.int64) if packed is None else packed
+
+
+def _groups_of(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct values ascending, group per row, one row of each group)
+    of an ``int64`` column."""
+    codes, (groups,) = group_codes([values])
+    first = np.empty(len(groups), dtype=np.int64)
+    first[codes] = np.arange(len(codes))
+    return groups, codes, first
+
+
 def _reduce(kind: np.ufunc, dtype: np.dtype, codes: np.ndarray, values, ngroups: int):
     """One page column reduced to one value per group (``None``: count rows)."""
     if values is None:
@@ -98,15 +138,16 @@ class _HashAggState:
     """Columnar aggregation state: key columns + one array per state field.
 
     :meth:`accumulate` is rows → slots → state.  While every key column
-    encodes to a small operator-lifetime integer — a string through its
-    :class:`GroupKeyEncoder`, an integer as ``value - low`` — the
-    mixed-radix packed code indexes ``_table`` (packed code → slot, -1
-    unseen) and a page costs gathers only.  Keys that do not encode, or
-    whose table would outgrow the page that widens it, take the
-    page-local path for the rest of the operator's life: ``group_codes``
-    per page, then ``_slots`` (key tuple → slot) once per page group.
-    Either way a page's new groups get slots in ascending encoded-key
-    order, so both paths emit the same rows in the same order.
+    encodes to an operator-lifetime integer — a string through its
+    :class:`GroupKeyEncoder`, an integer as ``value - low`` — rows pack
+    mixed-radix into one ``int64`` code per row.  The codes index
+    ``_table`` (packed code → slot, -1 unseen) while it stays within its
+    bound, so a page costs gathers only, and key ``_slots`` (packed code
+    → slot) once it does not.  Keys that do not pack (a float, or a
+    product of ranges past ``int64``) are factorized per page and key
+    ``_slots`` by tuple for the rest of the operator's life.  Every way,
+    a page's new groups get slots in ascending encoded-key order, so
+    every regime emits the same rows in the same order.
     """
 
     def __init__(self, aggregates: list[AggregateCall]):
@@ -128,11 +169,12 @@ class _HashAggState:
         self._key_bytes = 0
         #: String key column -> its operator-lifetime code assignment.
         self._encoders: dict[int, GroupKeyEncoder] = {}
-        #: Table path: per key column the subtracted low value and the
-        #: radix; ``_radices`` is ``None`` once the operator left it.
+        #: Packing: per key column the subtracted low value and the radix
+        #: (``_radices`` is ``None`` once the keys stopped packing);
+        #: ``_table`` is ``None`` once the codes moved to ``_slots``.
         self._lows: list[int] = []
         self._radices: list[int] | None = []
-        self._table = np.zeros(0, dtype=np.int64)
+        self._table: np.ndarray | None = np.zeros(0, dtype=np.int64)
         self._slots: dict = {}
 
     def __len__(self) -> int:
@@ -174,12 +216,31 @@ class _HashAggState:
         counts the row)."""
         if not num_rows:
             return
-        slots = None if self._radices is None else self._table_slots(key_cols, num_rows)
-        if slots is not None:
-            self._merge(slots, self._count, slice(0, self._count), inputs)
+        if not key_cols:
+            # Global aggregate: every row falls in the one group.
+            if not self._count:
+                self._count = 1
+                self._add_groups([])
+            return self._merge(np.zeros(num_rows, dtype=np.int64), 1, slice(0, 1), inputs)
+        packed = None if self._radices is None else self._pack(key_cols, num_rows)
+        if packed is None:
+            codes, keys, uniques = self._factorize(key_cols)
+            self._merge(codes, len(keys), self._dict_slots(keys, uniques), inputs)
+        elif self._table is None:
+            groups, codes, first = _groups_of(packed)
+            uniques = [col[first] for col in key_cols]
+            self._merge(codes, len(groups), self._dict_slots(groups.tolist(), uniques), inputs)
         else:
-            codes, uniques = self._factorize(key_cols)
-            self._merge(codes, len(uniques[0]), self._dict_slots(uniques), inputs)
+            slots = self._table_slots(packed, key_cols)
+            if self._count <= num_rows + _WINDOW_FLOOR:
+                # The whole state is a window already: no min/max to take.
+                return self._merge(slots, self._count, slice(0, self._count), inputs)
+            low, high = int(_LOWEST(slots)), int(_HIGHEST(slots))
+            if high - low < _WINDOW_PER_ROW * num_rows + _WINDOW_FLOOR:
+                self._merge(slots - low, high - low + 1, slice(low, high + 1), inputs)
+            else:
+                target, codes, _ = _groups_of(slots)
+                self._merge(codes, len(target), target, inputs)
 
     def _key_columns(self) -> list[np.ndarray]:
         """The key columns of the groups held, in slot order."""
@@ -196,88 +257,128 @@ class _HashAggState:
             encoder = self._encoders[j] = GroupKeyEncoder()
         return encoder.encode(col)
 
-    # -- rows -> slots: the table path ------------------------------------
-    def _table_slots(self, key_cols: list[np.ndarray], num_rows: int):
-        """Slot per row, new groups assigned; ``None`` when the keys do
-        not (or no longer) fit a table."""
-        if not key_cols:
-            # Global aggregate: every row falls in the one group.
-            if not self._count:
-                self._count = 1
-                self._add_groups([])
-            return np.zeros(num_rows, dtype=np.int64)
-        lows, radices, digits = [], [], []
+    # -- rows -> packed codes ---------------------------------------------
+    def _pack(self, key_cols: list[np.ndarray], num_rows: int):
+        """Packed code per row, the packing grown to cover the page first;
+        ``None`` (for good) once the keys stop packing."""
+        digits, ranges = [], []
         for j, col in enumerate(key_cols):
             if isinstance(col, DictColumn):
                 digits.append(self._encode(j, col))
-                low, high = 0, len(self._encoders[j].values) - 1
+                ranges.append((0, len(self._encoders[j].values) - 1))
             elif col.dtype.kind == "i":
                 digits.append(col)
-                low, high = int(col.min()), int(col.max())
-                if self._radices:
-                    low = min(low, self._lows[j])
-                    high = max(high, self._lows[j] + self._radices[j] - 1)
+                ranges.append((int(_LOWEST(col)), int(_HIGHEST(col))))
             else:
-                return self._leave_table()
-            lows.append(low)
-            radices.append(high - low + 1)
-        if radices != self._radices or lows != self._lows:
-            # An encoder learned a value or an integer left its range.  A
-            # rebuild may cost what the page that forces it costs, not more.
-            if math.prod(radices) > 4 * num_rows + 1024:
-                return self._leave_table()
-            self._rebuild_table(lows, radices)
-        packed = None
-        for digit, low, radix in zip(digits, lows, radices):
-            if low:
-                digit = digit - low
-            packed = digit if packed is None else packed * radix + digit
-        table = self._table
-        slots = table.take(packed)
-        if slots.min() < 0:
-            rows = np.flatnonzero(slots < 0)
-            unseen, first = np.unique(packed[rows], return_index=True)
-            table[unseen] = np.arange(self._count, self._count + len(unseen))
-            self._count += len(unseen)
-            self._add_groups([col[rows[first]] for col in key_cols])
-            slots = table.take(packed)
-        return slots
+                return self._stop_packing()
+        if not self._grow(ranges, num_rows):
+            return self._stop_packing()
+        return _packed(digits, self._lows, self._radices, num_rows)
 
-    def _rebuild_table(self, lows: list[int], radices: list[int]) -> None:
-        """Re-address the assigned slots under new lows / radices."""
-        table = np.full(math.prod(radices), -1, dtype=np.int64)
-        if self._count:
-            old = np.flatnonzero(self._table >= 0)
-            slots = self._table[old]
-            packed, weight = 0, 1
-            for j in reversed(range(len(radices))):
-                old, digit = np.divmod(old, self._radices[j])
-                packed = packed + (digit + (self._lows[j] - lows[j])) * weight
-                weight *= radices[j]
-            table[packed] = slots
-        self._table, self._lows, self._radices = table, lows, radices
+    def _grow(self, ranges: list[tuple[int, int]], num_rows: int) -> bool:
+        """Cover the inclusive ``ranges`` (one per key column), unless the
+        packing does already, and re-address the groups held.  A column
+        that escaped its range takes the union, widened by its old width
+        on each side it escaped by, so re-addressing amortises; the exact
+        union is the fallback when that outgrows a bound.  The table is
+        kept while it fits ``_CELLS_PER_GROUP`` cells per group held
+        plus ``_CELLS_PER_ROW`` per page row plus ``_TABLE_FLOOR``.
+        False when not even ``int64`` holds the codes."""
+        if self._radices and all(
+            low <= lo and hi < low + radix
+            for (lo, hi), low, radix in zip(ranges, self._lows, self._radices)
+        ):
+            return True
+        itself = [(lo, hi - lo + 1) for lo, hi in ranges]  # what the first page covers
+        covered = zip(self._lows, self._radices) if self._radices else itself
+        exact, grown = [], []
+        for (lo, hi), (low, radix) in zip(ranges, covered):
+            top = low + radix - 1
+            exact.append((min(lo, low), max(hi, top)))
+            lo = max(lo - radix, _INT64_MIN) if lo < low else low
+            grown.append((lo, min(hi + radix, _INT64_MAX) if hi > top else top))
+        bound = _CELLS_PER_GROUP * self._count + _CELLS_PER_ROW * num_rows + _TABLE_FLOOR
+        for limit in (bound, _INT64_MAX) if self._table is not None else (_INT64_MAX,):
+            for candidate in (grown, exact):
+                radices = [hi - lo + 1 for lo, hi in candidate]
+                if math.prod(radices) <= limit:
+                    self._readdress([lo for lo, _ in candidate], radices, limit == bound)
+                    return True
+        return False
 
-    def _leave_table(self) -> None:
+    def _held(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """(per key column the encoded key values, the slots) of every
+        group held, unpacked from the current packing."""
+        if self._table is not None:
+            codes = np.flatnonzero(self._table >= 0)
+            slots = self._table[codes]
+        else:
+            codes = np.fromiter(self._slots, dtype=np.int64, count=len(self._slots))
+            slots = np.fromiter(self._slots.values(), dtype=np.int64, count=len(codes))
+        values = []
+        for low, radix in zip(reversed(self._lows), reversed(self._radices)):
+            codes, digit = np.divmod(codes, radix)
+            values.append(digit + low)
+        return values[::-1], slots
+
+    def _readdress(self, lows: list[int], radices: list[int], table: bool) -> None:
+        """Move the groups held to the packing ``lows`` / ``radices``, in
+        a table or in ``_slots``."""
+        values, slots = self._held()
+        codes = _packed(values, lows, radices, len(slots))
+        if table:
+            self._table = np.full(math.prod(radices), -1, dtype=np.int64)
+            self._table[codes] = slots
+        else:
+            self._slots = dict(zip(codes.tolist(), slots.tolist()))
+            self._table = None
+        self._lows, self._radices = lows, radices
+
+    def _stop_packing(self) -> None:
         """One way, at most once per operator: from here on the
-        page-local path, starting from the groups already held."""
-        if self._count:
-            keys = _hashable_keys(self._key_columns())
-            self._slots = dict(zip(keys, range(self._count)))
+        page-local path keyed by tuples, starting from the groups held."""
+        values, slots = self._held()
+        self._slots = dict(zip(_hashable_keys(values), slots.tolist()))
         self._radices = self._table = None
 
-    # -- rows -> slots: the page-local path -------------------------------
-    def _factorize(
-        self, key_cols: list[np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """``group_codes`` over operator-lifetime codes for string keys,
-        so the per-page factorization only ever sorts machine ints; the
-        representative unique keys come back as columns over the page's
-        own dictionary."""
+    # -- packed codes -> slots: the table path --------------------------------
+    def _table_slots(self, packed: np.ndarray, key_cols: list[np.ndarray]) -> np.ndarray:
+        """Slot per row, new groups assigned in ascending packed order: the
+        table's cells of unseen codes are marked and read back in order
+        from the window between the lowest and the highest while that is
+        narrow (the table is already the bitmap ``group_codes`` would
+        build), sorted otherwise.  A key's rows all carry one encoded key,
+        so any of them supplies the key chunk."""
+        table = self._table
+        slots = table.take(packed)
+        if _LOWEST(slots) < 0:
+            rows = np.flatnonzero(slots < 0)
+            unseen = packed[rows]
+            low, high = int(_LOWEST(unseen)), int(_HIGHEST(unseen))
+            if high - low < _SCAN_PER_ROW * len(rows) + _SCAN_FLOOR:
+                table[unseen] = -2
+                unseen = np.flatnonzero(table[low : high + 1] == -2) + low
+            else:
+                unseen = _groups_of(unseen)[0]
+            table[unseen] = np.arange(self._count, self._count + len(unseen))
+            slots = table.take(packed)
+            first = np.empty(len(unseen), dtype=np.int64)
+            first[slots[rows] - self._count] = rows
+            self._count += len(unseen)
+            self._add_groups([col[first] for col in key_cols])
+        return slots
+
+    # -- rows -> slots: the page-local paths ----------------------------------
+    def _factorize(self, key_cols: list[np.ndarray]) -> tuple[np.ndarray, list, list]:
+        """``group_codes`` over operator-lifetime codes for string keys:
+        (codes, one dict key per page group, the groups' key columns over
+        the page's own dictionaries)."""
         encoded = [
             self._encode(j, col) if isinstance(col, DictColumn) else col
             for j, col in enumerate(key_cols)
         ]
         codes, uniques = group_codes(encoded)
+        keys = _hashable_keys(uniques)
         for j in self._encoders:
             # Operator code -> a dictionary code of this page carrying it
             # (entries are distinct, so any row of the group will do).
@@ -285,15 +386,14 @@ class _HashAggState:
             entry_of = np.empty(len(self._encoders[j].values), dtype=np.int32)
             entry_of[encoded[j]] = col.codes
             uniques[j] = DictColumn(entry_of[uniques[j]], col.dictionary)
-        return codes, uniques
+        return codes, keys, uniques
 
-    def _dict_slots(self, uniques: list[np.ndarray]) -> np.ndarray:
-        """Slot per page-local group (distinct, so fancy indexing merges
-        correctly), new groups assigned — in the ascending key order
-        ``uniques`` comes in.  Python sees the page's groups as one list;
-        the dict is probed and extended from C."""
+    def _dict_slots(self, keys: list, uniques: list[np.ndarray]) -> np.ndarray:
+        """Slot per page group (``keys`` distinct and ascending, so fancy
+        indexing merges correctly and new groups are assigned in key
+        order).  Python sees the page's groups as one list; the dict is
+        probed and extended from C."""
         slots = self._slots
-        keys = _hashable_keys(uniques)
         ids = np.fromiter(
             map(slots.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
         )
@@ -309,8 +409,9 @@ class _HashAggState:
     # -- slots -> state -----------------------------------------------------
     def _merge(self, codes: np.ndarray, ngroups: int, target, inputs: list) -> None:
         """Reduce each field's input per group — once per distinct
-        (kind, input column), in row order — and add it to the state:
-        ``codes[r]`` is row ``r``'s group, ``target`` the groups' slots."""
+        (kind, input column), in row order — and combine it into the
+        state: ``codes[r]`` is row ``r``'s group, ``target`` the groups'
+        slots (a window of slots as a slice, combined in place)."""
         reduced: dict[tuple, np.ndarray] = {}
         for arr, (kind, dtype), values in zip(self._fields, self.field_specs, inputs):
             if dtype == object:
@@ -320,7 +421,11 @@ class _HashAggState:
             partial = reduced.get(key)
             if partial is None:
                 partial = reduced[key] = _reduce(kind, dtype, codes, values, ngroups)
-            arr[target] = kind(arr[target], partial)
+            if isinstance(target, slice):
+                view = arr[target]
+                kind(view, partial, out=view)
+            else:
+                arr[target] = kind(arr[target], partial)
 
     @staticmethod
     def _merge_strings(arr, kind: np.ufunc, codes, target, values: DictColumn) -> None:
@@ -328,7 +433,8 @@ class _HashAggState:
         group the page does not touch has no string to offer, so slots
         are first narrowed to the ones present."""
         if isinstance(target, slice):
-            target, codes = np.unique(codes, return_inverse=True)
+            present, codes = np.unique(codes, return_inverse=True)
+            target = present + target.start
         reduce, wins = (
             (grouped_min, operator.lt) if kind is _MIN else (grouped_max, operator.gt)
         )
@@ -351,10 +457,10 @@ class _HashAggState:
         self._fields = [np.zeros(0, dtype=dt) for _, dt in self.field_specs]
         self._key_chunks = []
         self._key_bytes = 0
-        if self._radices is None:
+        if self._table is None:
             self._slots = {}
-        else:
-            self._table.fill(-1)
+        else:  # the table's memory goes; the next page packs afresh
+            self._lows, self._radices, self._table = [], [], np.zeros(0, dtype=np.int64)
         return keys, fields
 
 

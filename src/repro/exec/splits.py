@@ -14,6 +14,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,27 +69,41 @@ class RemoteSplit:
 
 
 class SplitFeed:
-    """Unassigned system splits of one table-scan stage."""
+    """Unassigned system splits of one table-scan stage.
+
+    One deque of ``(sequence, split)`` per storage node holding any, in
+    insertion order: a local split is the head of its node's deque, any
+    other the lowest-sequence head, so an acquire never walks the splits.
+    """
 
     def __init__(self, splits: list[SystemSplit]):
-        self._pending: list[SystemSplit] = list(splits)
+        self._queues: dict[int, deque] = {}
+        self._sequence = itertools.count()
+        self.pending_count = 0
+        for split in splits:
+            self._push(split)
         self.total_rows = sum(s.num_rows for s in splits)
         self.total_bytes = sum(s.info.size_bytes for s in splits)
         self.rows_scanned = 0
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
+    def _push(self, split: SystemSplit) -> None:
+        queue = self._queues.setdefault(split.info.storage_node, deque())
+        queue.append((next(self._sequence), split))
+        self.pending_count += 1
 
     def acquire(self, preferred_node: int | None = None) -> SystemSplit | None:
-        """Take one split, preferring splits local to ``preferred_node``."""
-        if not self._pending:
+        """Take one split: the oldest local to ``preferred_node``, else
+        the oldest anywhere."""
+        queue = self._queues.get(preferred_node) or min(
+            self._queues.values(), key=lambda q: q[0], default=None
+        )
+        if queue is None:
             return None
-        if preferred_node is not None:
-            for i, split in enumerate(self._pending):
-                if split.storage_node == preferred_node:
-                    return self._pending.pop(i)
-        return self._pending.pop(0)
+        split = queue.popleft()[1]
+        if not queue:  # an empty node's deque goes (a feed outlives its scan)
+            del self._queues[split.info.storage_node]
+        self.pending_count -= 1
+        return split
 
     def release(self, split: SystemSplit, offset: int) -> None:
         """Return the unread remainder of a split (task shutdown path)."""
@@ -105,7 +121,7 @@ class SplitFeed:
                 / max(1, split.num_rows)
             ),
         )
-        self._pending.append(SystemSplit(split.table, remainder))
+        self._push(SystemSplit(split.table, remainder))
 
     def record_scan(self, rows: int) -> None:
         self.rows_scanned += rows

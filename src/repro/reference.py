@@ -8,6 +8,9 @@ test suite's central invariant (elasticity never changes answers).
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
 from .data import Catalog
@@ -26,13 +29,6 @@ from .plan.logical import (
     LogicalTopN,
 )
 from .sql.expressions import AggregateCall
-from .sql.functions import (
-    group_codes,
-    grouped_count,
-    grouped_max,
-    grouped_min,
-    grouped_sum,
-)
 
 
 def empty_aggregate_value(call: AggregateCall):
@@ -127,23 +123,22 @@ class _Reference:
 
     # -- aggregation -----------------------------------------------------
     def _run_LogicalAggregate(self, node: LogicalAggregate) -> Page:
+        """Grouped with its own code, not the engine's kernels: a dict
+        from key tuple to the group's rows, groups in ascending key
+        order."""
         child = self.run(node.child)
-        keys = [child.columns[k] for k in node.group_keys]
         if not node.group_keys:
-            values = []
-            for agg in node.aggregates:
-                values.append(_global_aggregate(agg, child))
-            return Page.from_rows(node.schema, [tuple(values)])
-
-        if child.num_rows == 0:
-            return Page(node.schema, [f.type.coerce([]) for f in node.schema])
-
-        codes, unique_keys = group_codes(keys)
-        ngroups = len(unique_keys[0]) if unique_keys else 0
-        columns = list(unique_keys)
-        for agg in node.aggregates:
-            columns.append(_grouped_aggregate(agg, child, codes, ngroups))
-        return Page(node.schema, columns)
+            row = tuple(_global_aggregate(agg, child) for agg in node.aggregates)
+            return Page.from_rows(node.schema, [row])
+        groups: dict[tuple, list[int]] = {}
+        for row, key in enumerate(_key_rows(child, node.group_keys)):
+            groups.setdefault(key, []).append(row)
+        keys = sorted(groups)
+        members = [groups[key] for key in keys]
+        columns = [_grouped_aggregate(agg, child, members) for agg in node.aggregates]
+        return Page.from_rows(
+            node.schema, [key + tuple(values) for key, *values in zip(keys, *columns)]
+        )
 
     # -- ordering -----------------------------------------------------------
     def _run_LogicalSort(self, node: LogicalSort) -> Page:
@@ -196,24 +191,21 @@ def _global_aggregate(agg: AggregateCall, page: Page):
     raise ExecutionError(f"unknown aggregate {agg.function}")
 
 
-def _grouped_aggregate(
-    agg: AggregateCall, page: Page, codes: np.ndarray, ngroups: int
-) -> np.ndarray:
-    if agg.function == "count" and agg.arg is None:
-        return grouped_count(codes, ngroups)
-    values = agg.arg.evaluate(page) if agg.arg is not None else None
+def _grouped_aggregate(agg: AggregateCall, page: Page, members: list[list[int]]) -> list:
+    """One value per group (``members``: each group's rows, in row
+    order), over python values: INT64 sums are exact ints, float sums add
+    in row order from zero, as one sequential ``bincount`` does."""
     if agg.function == "count":
-        return grouped_count(codes, ngroups)
+        return [len(rows) for rows in members]
+    values = agg.arg.evaluate(page).tolist()
+    picked = [[values[row] for row in rows] for rows in members]
+    if agg.function in ("min", "max"):
+        return list(map(min if agg.function == "min" else max, picked))
+    sums = [reduce(operator.add, group, 0) for group in picked]
     if agg.function == "sum":
-        return grouped_sum(codes, values, ngroups)
+        return sums
     if agg.function == "avg":
-        sums = grouped_sum(codes, values, ngroups)
-        counts = grouped_count(codes, ngroups)
-        return sums / counts
-    if agg.function == "min":
-        return grouped_min(codes, values, ngroups)
-    if agg.function == "max":
-        return grouped_max(codes, values, ngroups)
+        return [float(total) / len(group) for total, group in zip(sums, picked)]
     raise ExecutionError(f"unknown aggregate {agg.function}")
 
 

@@ -275,49 +275,22 @@ def _pack_int_keys(key_columns: list[np.ndarray]) -> np.ndarray | None:
 
 
 def _factorized_pack(key_columns: list[np.ndarray]) -> np.ndarray:
-    """General multi-column path: factorize per column, then pack codes."""
-    per_col_codes = []
-    per_col_uniques = []
+    """General multi-column path: one ``np.lexsort`` (first column most
+    significant), a new group wherever adjacent sorted rows differ.
+    Equality is ``np.unique``'s — ``-0.0 == 0.0``, every NaN (sorted
+    last) in one group — and nothing is packed, so no span can overflow."""
+    order = np.lexsort(key_columns[::-1])
+    boundary = np.zeros(len(order), dtype=bool)
     for col in key_columns:
-        uniq, inv = np.unique(col, return_inverse=True)
-        per_col_codes.append(inv.astype(np.int64))
-        per_col_uniques.append(uniq)
-    # Mixed-radix packing of the per-column codes.  The radix product is
-    # checked with python (arbitrary-precision) ints first: if it exceeds
-    # int64 the packed codes would silently wrap, so fall back to a
-    # lexsort-based grouping that never multiplies.
-    radix_product = 1
-    for uniq in per_col_uniques:
-        radix_product *= max(1, len(uniq))
-    if radix_product > _INT64_MAX:
-        codes, _ = _lexsort_codes(per_col_codes)
-        return codes
-    combined = per_col_codes[0]
-    for inv, uniq in zip(per_col_codes[1:], per_col_uniques[1:]):
-        combined = combined * len(uniq) + inv
-    _, codes = np.unique(combined, return_inverse=True)
-    return codes.astype(np.int64)
-
-
-def _lexsort_codes(per_col_codes: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Dense group codes via lexsort; overflow-proof multi-column path.
-
-    Produces the same lexicographic group ordering (first column most
-    significant) as the mixed-radix packing, without packing.
-    """
-    n = len(per_col_codes[0])
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    # np.lexsort sorts by the *last* key first, so reverse for col-0-major.
-    order = np.lexsort(tuple(per_col_codes[::-1]))
-    boundary = np.zeros(n, dtype=bool)
-    for col in per_col_codes:
-        sorted_col = col[order]
-        boundary[1:] |= sorted_col[1:] != sorted_col[:-1]
-    gids_sorted = np.cumsum(boundary)
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = gids_sorted
-    return codes, int(gids_sorted[-1]) + 1
+        ordered = col[order]
+        differs = ordered[1:] != ordered[:-1]
+        if ordered.dtype.kind == "f":
+            nan = np.isnan(ordered)
+            differs &= ~(nan[1:] & nan[:-1])
+        boundary[1:] |= differs
+    codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.cumsum(boundary)
+    return codes
 
 
 class GroupKeyEncoder:

@@ -33,7 +33,7 @@ from repro.exec.operators import aggregation, join
 from repro.exec.exchange_client import ExchangeClient
 from repro.exec.spill import SpillPartitions
 from repro.exec.splits import SystemSplit
-from repro.pages import ColumnType, DictColumn
+from repro.pages import ColumnType, DictColumn, Page, Schema
 from repro.sim import resources
 from repro.sql.expressions import AggregateCall, InputRef
 
@@ -252,13 +252,10 @@ def aggregation_work(monkeypatch, catalog, name):
         if len(self) > before:
             count("learning")
 
-    def counting_group_codes(*args):
-        count("group_codes")
-        return group_codes(*args)
-
     monkeypatch.setattr(aggregation.PartialAggOperator, "process", recording_process)
     monkeypatch.setattr(aggregation._HashAggState, "accumulate", recording_accumulate)
-    monkeypatch.setattr(aggregation, "group_codes", counting_group_codes)
+    # Grouping a page's new keys is not a reduction.
+    monkeypatch.setattr(aggregation, "group_codes", counting(group_codes, "group_codes"))
     for kernel in ("grouped_sum", "grouped_count"):
         monkeypatch.setattr(
             aggregation, kernel, counting(getattr(aggregation, kernel), "reductions")
@@ -298,7 +295,7 @@ def page_local_events(key_columns, distinct):
     state = aggregation._HashAggState(
         [AggregateCall("sum", value, ColumnType.FLOAT64), AggregateCall("count", None, ColumnType.INT64)]
     )
-    state._leave_table()
+    state._stop_packing()
     rng = np.random.default_rng(distinct)
     events = []
     for start in (0, distinct // 2):
@@ -329,6 +326,87 @@ def test_page_local_aggregation_never_iterates_groups_in_python(key_columns):
     # not one event per group: 8x the keys is the same number of calls.
     assert max(small + large) <= 250
     assert max(large) <= max(small) + 16
+
+
+def test_a_page_merges_into_a_large_state_at_the_cost_of_the_page(monkeypatch):
+    """A table-path page touching few of many held groups reduces over
+    its own groups: no ``bincount`` / ``np.full`` longer than the page,
+    however many groups the state holds (a pass over ``len(state)`` per
+    field would cost O(groups held) per page)."""
+    v, w = InputRef(1, ColumnType.FLOAT64), InputRef(2, ColumnType.INT64)
+    calls = [
+        AggregateCall("sum", v, ColumnType.FLOAT64), AggregateCall("count", None, ColumnType.INT64),
+        AggregateCall("min", v, ColumnType.FLOAT64), AggregateCall("max", w, ColumnType.INT64),
+        AggregateCall("avg", w, ColumnType.FLOAT64),
+    ]
+    state = aggregation._HashAggState(calls)
+    fields = aggregation._field_input_evaluator(calls)
+    rng = np.random.default_rng(5)
+
+    def page(keys):
+        n = len(keys)
+        return Page(Schema.of(("k", ColumnType.INT64), ("v", ColumnType.FLOAT64), ("w", ColumnType.INT64)),
+                    [keys, rng.normal(size=n), rng.integers(-100, 100, size=n)])
+
+    held = 1 << 16
+    big = page(rng.permutation(held))
+    state.accumulate([big.columns[0]], held, fields(big))
+    lengths = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            lengths.append(len(out))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(np, "bincount", recording(np.bincount))
+    monkeypatch.setattr(np, "full", recording(np.full))
+    small = page(rng.integers(0, held, size=256))
+    state.accumulate([small.columns[0]], 256, fields(small))
+    monkeypatch.undo()
+    assert len(state) == held and state._table is not None
+    assert lengths and max(lengths) <= 4 * 256 + 1024  # a dense page's bincount
+
+
+def test_dense_integer_keys_keep_the_slot_table(catalog, monkeypatch):
+    """Q18's group by ``l_orderkey`` (dense, wider than any one page)
+    stays on the table in both stages; only the five-key group, which
+    carries a float, reaches a key dict."""
+    reached, tables = [], []
+    dict_slots, table_slots = (
+        aggregation._HashAggState._dict_slots, aggregation._HashAggState._table_slots
+    )
+
+    def recording_dict_slots(self, keys, uniques):
+        reached.append(len(uniques))
+        return dict_slots(self, keys, uniques)
+
+    def recording_table_slots(self, packed, key_cols):
+        tables.append(len(key_cols))
+        return table_slots(self, packed, key_cols)
+
+    monkeypatch.setattr(aggregation._HashAggState, "_dict_slots", recording_dict_slots)
+    monkeypatch.setattr(aggregation._HashAggState, "_table_slots", recording_table_slots)
+    assert make_engine(catalog).submit(TPCH_QUERIES["Q18"]).result().rows
+    monkeypatch.undo()
+    assert reached and set(reached) == {5}
+    assert tables.count(1) >= 10
+
+
+def test_the_oracle_groups_with_its_own_code():
+    """``repro.reference`` checks the aggregation kernels by a second
+    route: it imports none of them."""
+    source = (Path(repro.__file__).parent / "reference.py").read_text(encoding="utf-8")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {n for n in imported if n == "group_codes" or n.startswith("grouped_")}
+    assert "sql.functions" not in source
 
 
 def probe_expansions(monkeypatch, catalog, name):

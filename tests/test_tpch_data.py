@@ -1,5 +1,7 @@
 """Tests for the TPC-H generator, catalog, splits, and CSV I/O."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,48 @@ def test_split_feed_release_returns_remainder(gen):
     while (s := feed.acquire()) is not None:
         remaining += s.num_rows
     assert remaining == total - 10
+
+
+class _ScanFeed:
+    """The feed as a list scan (``pop(i)`` of the first local split, else
+    ``pop(0)``): the reference the per-node deques must agree with."""
+
+    release = SplitFeed.release
+
+    def __init__(self, splits):
+        self.pending = list(splits)
+
+    def acquire(self, preferred_node=None):
+        for i, split in enumerate(self.pending):
+            if split.storage_node == preferred_node:
+                return self.pending.pop(i)
+        return self.pending.pop(0) if self.pending else None
+
+    def _push(self, split):
+        self.pending.append(split)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_feed_hands_out_what_a_list_scan_would(gen, seed):
+    catalog = Catalog()
+    catalog.register_all(gen.tables())
+    rng = random.Random(seed)
+    layout = SplitLayout(catalog, storage_nodes=rng.randint(1, 6))
+    splits = [SystemSplit(catalog.table("lineitem"), s) for s in layout.splits("lineitem")]
+    rng.shuffle(splits)
+    feeds = SplitFeed(splits), _ScanFeed(splits)
+    while True:
+        node = rng.choice([None, 7] + list(range(6)))  # 7: no such storage node
+        taken = [feed.acquire(preferred_node=node) for feed in feeds]
+        assert taken[0] == taken[1]
+        if taken[0] is None:
+            break
+        assert feeds[0].pending_count == len(feeds[1].pending)
+        if rng.random() < 0.3:  # a driver shut down part-way through
+            offset = rng.randint(0, taken[0].num_rows)
+            for feed in feeds:
+                feed.release(taken[0], offset)
+    assert feeds[0].pending_count == 0
 
 
 def test_split_feed_progress(gen):

@@ -6,6 +6,8 @@ the columnar two-stage aggregation, and the results are compared against
 naive dict-based oracles with the same semantics as ``repro.reference``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro.plan.logical import JoinType
 from repro.plan.physical import partial_agg_schema
 from repro.sim import SimKernel
 from repro.sql.expressions import AggregateCall, Comparison, InputRef
+from repro.sql import functions
 from repro.sql.functions import GroupKeyEncoder, group_codes
 
 INT = ColumnType.INT64
@@ -423,7 +426,7 @@ def test_grouped_string_min_max_through_operators():
 
 
 # ---------------------------------------------------------------------------
-# rows -> slots: the table path against the page-local path
+# rows -> slots: the table path against the dict regimes
 # ---------------------------------------------------------------------------
 _POOL = ["ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew", "zelkova"]
 _AGG_VALUE_TYPES = [FLT, INT, STR]  # the columns v, w, t after the keys
@@ -440,7 +443,7 @@ def _fresh_dict_column(rng, values):
 def _agg_stream(rng, key_kinds, npages, max_rows, min_rows=0):
     """Pages ``(keys..., v FLOAT, w INT, t STRING)`` whose key domains
     grow along the stream, so values are first seen mid-stream; three
-    such keys stay under 9 * 8 * 8 combinations, within any page's bound."""
+    such keys stay under 9 * 8 * 8 combinations, within the table's floor."""
     key_types = [STR if kind == "dict" else INT for kind in key_kinds]
     schema = _key_schema(key_types + _AGG_VALUE_TYPES)
     pages = []
@@ -454,6 +457,9 @@ def _agg_stream(rng, key_kinds, npages, max_rows, min_rows=0):
                 columns.append(_fresh_dict_column(rng, words))
             elif kind == "small":
                 columns.append(rng.integers(-min(reach, 4), min(reach, 4), size=n))
+            elif kind == "edge":  # down to the lowest int64, a step per page
+                low = np.iinfo(np.int64).min
+                columns.append(low + rng.integers(max(0, 3 - i), 4, size=n))
             else:  # values a table cannot span
                 columns.append(rng.integers(-(10**9), 10**9, size=4)[rng.integers(0, 4, size=n)])
         columns.append(rng.normal(size=n) * 1e6)
@@ -463,9 +469,18 @@ def _agg_stream(rng, key_kinds, npages, max_rows, min_rows=0):
     return schema, pages
 
 
-def _two_stage(schema, nkeys, pages, group_limit, page_local):
-    """Output pages (as row lists) of partial then final aggregation;
-    ``page_local`` forces both operators off the table path up front."""
+#: How rows reach their slots: as the data decides, or forced from the
+#: first page to the dict of packed codes or to the dict of key tuples.
+REGIMES = {
+    "direct": lambda state: None,
+    "packed": lambda state: setattr(state, "_table", None),
+    "tuples": lambda state: state._stop_packing(),
+}
+
+
+def _two_stage(schema, nkeys, pages, group_limit, regime, row_limit=5):
+    """Output pages (as row lists) of partial then final aggregation,
+    both operators' states put in ``regime`` first."""
     v, w, t = (InputRef(nkeys + i, typ) for i, typ in enumerate(_AGG_VALUE_TYPES))
     calls = [
         AggregateCall("sum", v, FLT), AggregateCall("avg", v, FLT),
@@ -481,12 +496,11 @@ def _two_stage(schema, nkeys, pages, group_limit, page_local):
         *[(f"a{i}", call.result_type) for i, call in enumerate(calls)],
     )
     partial = PartialAggOperator(
-        COST, keys, calls, pschema, row_limit=5, group_limit=group_limit
+        COST, keys, calls, pschema, row_limit=row_limit, group_limit=group_limit
     )
-    final = FinalAggOperator(COST, nkeys, calls, out_schema, row_limit=5)
-    if page_local:
-        partial.state._leave_table()
-        final.state._leave_table()
+    final = FinalAggOperator(COST, nkeys, calls, out_schema, row_limit=row_limit)
+    for op in (partial, final):
+        REGIMES[regime](op.state)
     partial_pages = [
         out for page in pages + [Page.end()] for out in partial.process(page)[0]
     ]
@@ -495,54 +509,130 @@ def _two_stage(schema, nkeys, pages, group_limit, page_local):
     return as_rows(partial_pages), as_rows(final_pages), (partial, final)
 
 
+def _assert_regimes_agree(schema, nkeys, pages, group_limit, **kwargs):
+    """Same pages, same rows, same order, floats ``==`` in every regime;
+    returns the direct run's operators."""
+    direct = _two_stage(schema, nkeys, pages, group_limit, "direct", **kwargs)
+    for regime in ("packed", "tuples"):
+        forced = _two_stage(schema, nkeys, pages, group_limit, regime, **kwargs)
+        assert direct[:2] == forced[:2], regime
+    return direct[2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    key_kinds=st.lists(st.sampled_from(["dict", "small", "large"]), min_size=1, max_size=3),
+    key_kinds=st.lists(
+        st.sampled_from(["dict", "small", "large", "edge"]), min_size=1, max_size=3
+    ),
     npages=st.integers(1, 8),
     group_limit=st.integers(2, 40),
 )
 def test_table_path_emits_what_the_page_local_path_emits(
     seed, key_kinds, npages, group_limit
 ):
-    """Same pages, same rows, same order, floats ``==``: how rows reach
-    their slots is invisible downstream (DESIGN.md §8, invariants i-ii)."""
+    """How rows reach their slots is invisible downstream (DESIGN.md §8,
+    invariants 1-2)."""
     schema, pages = _agg_stream(np.random.default_rng(seed), key_kinds, npages, 40)
-    nkeys = len(key_kinds)
-    direct = _two_stage(schema, nkeys, pages, group_limit, page_local=False)
-    forced = _two_stage(schema, nkeys, pages, group_limit, page_local=True)
-    assert direct[0] == forced[0]
-    assert direct[1] == forced[1]
+    ops = _assert_regimes_agree(schema, len(key_kinds), pages, group_limit)
     if "large" not in key_kinds:
-        assert all(op.state._radices is not None for op in direct[2])
+        assert all(op.state._table is not None for op in ops)
+
+
+def _wide_stream(rng, direction, words, npages):
+    """A first page of 4,500 distinct integers, then pages of 1-8 rows:
+    the state holds 1,000x more groups than a page has rows.  A page
+    draws its integers near the top of the range — keys held and keys
+    past it, a narrow window of slots — or from the whole range — slots
+    far apart.  The integer key escapes its range ``up`` or ``down``
+    page after page; a second, word key (``words``) learns its values
+    late."""
+    schema = _key_schema([INT] + [STR] * words + _AGG_VALUE_TYPES)
+    sign = 1 if direction == "up" else -1
+    pages = []
+    for i in range(npages):
+        n = 4500 if i == 0 else int(rng.integers(1, 9))
+        top = 4500 + 40 * i
+        if i == 0:
+            ints = rng.permutation(n)
+        else:
+            ints = rng.integers(top - 60 if rng.integers(2) else 0, top, size=n)
+        columns = [sign * ints]
+        if words:
+            reach = min(2 + i, len(_POOL))
+            columns.append(_fresh_dict_column(rng, [_POOL[j] for j in rng.integers(0, reach, size=n)]))
+        columns.append(rng.normal(size=n) * 1e6)
+        columns.append(rng.integers(-(2**40), 2**40, size=n))
+        columns.append(_fresh_dict_column(rng, [_POOL[j] for j in rng.integers(0, len(_POOL), size=n)]))
+        pages.append(Page(schema, columns))
+    return schema, pages
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    direction=st.sampled_from(["up", "down"]),
+    words=st.integers(0, 1),
+    npages=st.integers(2, 20),
+    group_limit=st.sampled_from([4501, 4530, 10**6]),
+)
+def test_regimes_agree_when_the_state_dwarfs_the_page(
+    seed, direction, words, npages, group_limit
+):
+    """Pages that touch few of many held groups — in a narrow window of
+    slots or far apart — a range growing down or up, flushes in
+    mid-stream and 1-row pages: still one answer."""
+    schema, pages = _wide_stream(np.random.default_rng(seed), direction, words, npages)
+    ops = _assert_regimes_agree(schema, 1 + words, pages, group_limit, row_limit=8192)
+    if group_limit > 10**5 and not words:
+        # Unflushed, the 4,500 groups pay for the table throughout (with
+        # a word column the key space outgrows 8 cells per group).
+        assert all(op.state._table is not None for op in ops)
 
 
 def test_table_path_hands_over_mid_stream_when_the_table_outgrows_its_page():
-    # Words x a widening integer: the table passes 4 * rows + 1024 on the
-    # third page, with groups of the first two already in the state.
+    # Words x a widening integer: the table passes its bound (8 cells per
+    # group plus 24 per page row plus 1,024) on the third page, with
+    # groups of the first two already in the state.
     rng = np.random.default_rng(3)
     schema, pages = _agg_stream(rng, ["dict", "small"], 3, 30, min_rows=25)
     wide = pages[-1]
-    spread = np.arange(wide.num_rows) * 40  # >= 25 rows: span >= 961, x 4 words
+    spread = np.arange(wide.num_rows) * 4000  # >= 25 rows: span >= 96,001, x 4 words
     pages[-1] = Page(schema, [wide.columns[0], spread] + list(wide.columns[2:]))
     v, w, t = (InputRef(2 + i, typ) for i, typ in enumerate(_AGG_VALUE_TYPES))
     calls = [AggregateCall("sum", v, FLT), AggregateCall("min", t, STR)]
     pschema = partial_agg_schema(schema, [0, 1], calls)
 
-    def run(page_local):
+    def run(regime):
         op = PartialAggOperator(COST, [0, 1], calls, pschema)
-        if page_local:
-            op.state._leave_table()
+        REGIMES[regime](op.state)
         left_at = None
         for i, page in enumerate(pages):
             assert op.process(page)[0] == []
-            if left_at is None and op.state._radices is None:
+            if left_at is None and op.state._table is None:
                 left_at = i
         return [out.rows() for out in op.process(Page.end())[0][:-1]], left_at
 
-    direct, left_at = run(page_local=False)
+    direct, left_at = run("direct")
     assert left_at == 2
-    assert direct == run(page_local=True)[0]
+    assert direct == run("packed")[0] == run("tuples")[0]
+
+
+def test_a_few_rows_spread_wide_get_no_large_table():
+    # Ten rows whose two integer keys span 151 x 301 = 45,451 packed codes:
+    # a table would be ~360 KB of scratch no budget sees, so they take the
+    # packed dict (the bound is 8 cells per group + 24 per row + 1,024).
+    schema = _key_schema([INT, INT, FLT])
+    a, b = np.arange(10) % 2 * 150, np.arange(10) % 3 * 150
+    page = Page(schema, [a, b, np.ones(10)])
+    calls = [AggregateCall("sum", InputRef(2, FLT), FLT)]
+    op = PartialAggOperator(COST, [0, 1], calls, partial_agg_schema(schema, [0, 1], calls))
+    op.process(page)
+    assert op.state._table is None and op.state._radices is not None
+    assert sorted(op.process(Page.end())[0][0].rows()) == sorted(
+        (x, y, float(((a == x) & (b == y)).sum()))
+        for x, y in set(zip(a.tolist(), b.tolist()))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +666,62 @@ def test_group_codes_overflow_with_wide_value_spans():
     assert _oracle_codes(key_cols) == codes.tolist()
     for j, uniq in enumerate(uniques):
         np.testing.assert_array_equal(uniq[codes], key_cols[j])
+
+
+def _per_column_pack(key_columns):
+    """Multi-column codes as they were computed before the one lexsort:
+    ``np.unique`` per column, then once more over the mixed-radix packed
+    per-column codes (a lexsort over them past int64)."""
+    codes, uniques = zip(*(
+        (inv.astype(np.int64), uniq)
+        for uniq, inv in (np.unique(col, return_inverse=True) for col in key_columns)
+    ))
+    if math.prod(max(1, len(u)) for u in uniques) > np.iinfo(np.int64).max:
+        order = np.lexsort(codes[::-1])
+        boundary = np.zeros(len(order), dtype=bool)
+        for col in codes:
+            boundary[1:] |= col[order][1:] != col[order][:-1]
+        out = np.empty(len(order), dtype=np.int64)
+        out[order] = np.cumsum(boundary)
+        return out
+    combined = codes[0]
+    for inv, uniq in zip(codes[1:], uniques[1:]):
+        combined = combined * len(uniq) + inv
+    return np.unique(combined, return_inverse=True)[1].astype(np.int64)
+
+
+_NEAR_OVERFLOW = np.array([-(2**63), -(2**63) + 1, -1, 0, 2**62, 2**63 - 2, 2**63 - 1])
+_SIGNED_ZERO_NAN = np.array([-0.0, 0.0, np.nan, -np.nan, 1.5, -np.inf, np.inf])
+
+
+def _random_key_column(rng, kind, n):
+    if kind == "float":
+        return _SIGNED_ZERO_NAN[rng.integers(0, len(_SIGNED_ZERO_NAN), size=n)]
+    if kind == "extreme":
+        return _NEAR_OVERFLOW[rng.integers(0, len(_NEAR_OVERFLOW), size=n)]
+    if kind == "date":
+        return rng.integers(8035, 10591, size=n)  # 1992-01-01 .. 1998-12-31
+    if kind == "dict":
+        return _fresh_dict_column(rng, [_POOL[i] for i in rng.integers(0, 4, size=n)])
+    return rng.integers(-3, 3, size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(
+        st.sampled_from(["float", "extreme", "date", "dict", "small"]), min_size=2, max_size=5
+    ),
+    n=st.integers(0, 60),
+)
+def test_one_lexsort_assigns_the_per_column_codes(seed, kinds, n):
+    """``-0.0 == 0.0``, one NaN group, spans past int64: the one sort
+    numbers groups exactly as per-column factorization did."""
+    rng = np.random.default_rng(seed)
+    columns = [_random_key_column(rng, kind, n) for kind in kinds]
+    got = functions._factorized_pack(columns)
+    assert got.dtype == np.int64
+    assert got.tolist() == _per_column_pack(columns).tolist()
 
 
 def test_group_codes_mixed_string_and_numeric_columns():
