@@ -25,7 +25,7 @@ from repro import (
     ClusterConfig,
     CostModel,
     EngineConfig,
-    MembershipPlan,
+    Plan,
     SpotPreemption,
     TraceArrivals,
     Workload,
@@ -43,7 +43,7 @@ QUERY = (
 TAIL_TIMES = (150.0, 170.0)
 SEED = 13
 #: Seeded mid-burst preemption schedule for the spot runs.
-PREEMPTION_PLAN = MembershipPlan(
+PREEMPTION_PLAN = Plan(
     seed=1,
     events=tuple(
         SpotPreemption(at=t, notice=0.3) for t in (5.0, 9.0, 13.0, 17.0, 21.0)
@@ -69,7 +69,7 @@ def build_engine(catalog, *, nodes, elastic, max_nodes=None, spot=False):
 
 def run_workload(engine, jobs, plan=None):
     if plan is not None:
-        engine.membership.apply_plan(plan)
+        engine.apply(plan)
     workload = Workload(engine, seed=SEED)
     workload.add_tenant(
         "mix", [QUERY], TraceArrivals(times=(0.0,) * jobs + TAIL_TIMES)

@@ -27,7 +27,7 @@ from repro import (
     ClusterConfig,
     CostModel,
     EngineConfig,
-    MembershipPlan,
+    Plan,
     SpotPreemption,
     TraceArrivals,
     Workload,
@@ -57,9 +57,10 @@ def main() -> None:
     catalog = Catalog.tpch(scale=SCALE, seed=SEED)
     engine = build_engine(catalog)
 
-    # Act 2's villain: spot preemptions scheduled on the virtual clock.
-    engine.membership.apply_plan(
-        MembershipPlan(
+    # Act 2's villain: spot preemptions scheduled on the virtual clock
+    # (as script text: ``at 6.0s preempt newest notice=0.3s``, ...).
+    engine.apply(
+        Plan(
             seed=1,
             events=(
                 SpotPreemption(at=6.0, notice=0.3),

@@ -13,8 +13,8 @@ from repro import (
     Catalog,
     CostModel,
     EngineConfig,
-    FaultPlan,
     NodeCrash,
+    Plan,
     TPCH_QUERIES,
 )
 
@@ -41,9 +41,10 @@ def main() -> None:
     # -- run 2: compute1 dies mid-query ----------------------------------
     engine = build_engine(catalog)
     crash_at = clean.elapsed_seconds * 0.4
-    plan = FaultPlan(events=(NodeCrash(at=crash_at, node="compute1"),))
-    engine.inject_faults(plan)
-    print(f"\ninjecting:   {plan.describe()}")
+    plan = Plan(events=(NodeCrash(at=crash_at, node="compute1"),))
+    engine.apply(plan)
+    # The plan is script text too: run_script reads these lines back.
+    print("\ninjecting:\n" + plan.describe())
 
     handle = engine.submit(SQL)
     faulted = handle.result()

@@ -30,14 +30,7 @@ from .config import (
 )
 from .autotune import DopPlanner
 from .buffers import OutputMode
-from .cluster import (
-    ClusterMembership,
-    MembershipPlan,
-    NodeDrain,
-    NodeJoin,
-    QueryOptions,
-    SpotPreemption,
-)
+from .cluster import ClusterMembership, QueryOptions
 from .data import Catalog, SplitLayout, read_csv, write_csv
 from .data.tpch import TPCH_SCHEMAS, TpchGenerator
 from .data.tpch.queries import QUERIES as TPCH_QUERIES, STANDALONE_BENCHMARK
@@ -61,7 +54,6 @@ from .experiments import (
     shuffle_experiment_engine,
     standalone_engine,
 )
-from .faults import FaultInjector, FaultPlan, NodeCrash, RpcOutage, RpcStorm, TaskCrash
 from .handle import QueryHandle, QueryResult
 from .obs import (
     Decision,
@@ -75,6 +67,16 @@ from .obs import (
 )
 from .predict import Prediction, StageDemand
 from .script import ScriptResult, run_script
+from .script.plan import (
+    NodeCrash,
+    NodeDrain,
+    NodeJoin,
+    Plan,
+    RpcOutage,
+    RpcStorm,
+    SpotPreemption,
+    TaskCrash,
+)
 from .sharing import SharingInfo
 from .workload import (
     Autoscaler,
@@ -105,9 +107,6 @@ __all__ = [
     "EngineConfig",
     "ExecutionError",
     "FaultConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "MembershipPlan",
     "MemoryBudgetExceededError",
     "MemoryConfig",
     "MetricsRegistry",
@@ -117,6 +116,7 @@ __all__ = [
     "NodeSpec",
     "OutputMode",
     "ParallelConfig",
+    "Plan",
     "PoissonArrivals",
     "Prediction",
     "PredictionConfig",

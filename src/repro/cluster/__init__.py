@@ -3,13 +3,7 @@ and runtime membership (join / drain / spot preemption)."""
 
 from .cluster import Cluster
 from .coordinator import Coordinator, QueryExecution, QueryOptions
-from .membership import (
-    ClusterMembership,
-    MembershipPlan,
-    NodeDrain,
-    NodeJoin,
-    SpotPreemption,
-)
+from .membership import ClusterMembership
 from .node import Node
 from .rpc import RpcTracker
 from .scheduler import Scheduler
@@ -19,14 +13,10 @@ __all__ = [
     "Cluster",
     "ClusterMembership",
     "Coordinator",
-    "MembershipPlan",
     "Node",
-    "NodeDrain",
-    "NodeJoin",
     "QueryExecution",
     "QueryOptions",
     "RpcTracker",
     "Scheduler",
-    "SpotPreemption",
     "StageExecution",
 ]

@@ -33,16 +33,15 @@ reproducible.  Three operations, all in virtual time:
   preemption notice).  Whatever has not drained when the notice expires
   is killed via the ``NodeCrash`` path and recovered like any failure.
 
-Determinism: membership actions are scheduled on the virtual clock, the
-only randomness in a :class:`MembershipPlan` comes from its seed, and
-the ``membership`` decisions recorded in ``engine.decisions`` are
+Determinism: membership actions are scheduled on the virtual clock, a
+churn plan's only randomness is its seed (``NodeJoin`` / ``NodeDrain`` /
+``SpotPreemption`` events of :class:`repro.Plan`), and the
+``membership`` decisions recorded in ``engine.decisions`` are
 bit-identical across same-seed runs.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..config import ClusterConfig, NodeSpec
@@ -65,105 +64,6 @@ DRAIN_TIMEOUT = 10.0
 DRAIN_POLL = 0.05
 
 
-# -- membership plans (data, mirroring repro.faults.plan) -------------------
-@dataclass(frozen=True)
-class NodeJoin:
-    """Provision ``count`` compute nodes at virtual time ``at``."""
-
-    at: float
-    count: int = 1
-    spot: bool = False
-    kind: str = field(default="node_join", repr=False)
-
-
-@dataclass(frozen=True)
-class NodeDrain:
-    """Gracefully drain a compute node at ``at``.  ``node`` is a name
-    (``compute3``) or ``"newest"`` (the most recently joined node still
-    active at fire time)."""
-
-    at: float
-    node: str = "newest"
-    timeout: float | None = None
-    kind: str = field(default="node_drain", repr=False)
-
-
-@dataclass(frozen=True)
-class SpotPreemption:
-    """Preempt a (spot) node at ``at`` with ``notice`` virtual seconds of
-    warning; undrained work is killed and recovered via lineage replay."""
-
-    at: float
-    node: str = "newest"
-    notice: float = 0.5
-    kind: str = field(default="spot_preemption", repr=False)
-
-
-@dataclass(frozen=True)
-class MembershipPlan:
-    """An ordered, seeded schedule of membership churn (data, not
-    behaviour — :meth:`ClusterMembership.apply_plan` executes it)."""
-
-    seed: int = 0
-    events: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-
-    @property
-    def joins(self) -> list[NodeJoin]:
-        return [e for e in self.events if isinstance(e, NodeJoin)]
-
-    @property
-    def drains(self) -> list[NodeDrain]:
-        return [e for e in self.events if isinstance(e, NodeDrain)]
-
-    @property
-    def preemptions(self) -> list[SpotPreemption]:
-        return [e for e in self.events if isinstance(e, SpotPreemption)]
-
-    def describe(self) -> str:
-        lines = [f"membership plan (seed={self.seed}):"]
-        for event in self.events:
-            lines.append(f"  {event!r}")
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def random(
-        seed: int,
-        *,
-        horizon: float,
-        joins: int = 1,
-        drains: int = 0,
-        preemptions: int = 0,
-        spot: bool = True,
-        notice: float = 0.5,
-    ) -> "MembershipPlan":
-        """A seeded random churn plan within ``[0, horizon]``.
-
-        Draws from ``random.Random(seed)`` in a fixed order (joins, then
-        drains, then preemptions), so the same arguments always produce
-        the same plan.  Drains and preemptions target ``"newest"`` —
-        the most recently joined node — so base capacity survives.
-        """
-        rng = random.Random(seed)
-        events: list = []
-        for _ in range(joins):
-            events.append(
-                NodeJoin(at=rng.uniform(0.0, horizon), spot=spot)
-            )
-        for _ in range(drains):
-            events.append(NodeDrain(at=rng.uniform(0.05, horizon)))
-        for _ in range(preemptions):
-            events.append(
-                SpotPreemption(at=rng.uniform(0.05, horizon), notice=notice)
-            )
-        events.sort(key=lambda e: (e.at, e.kind))
-        return MembershipPlan(seed=seed, events=tuple(events))
-
-
-# -- the membership manager -------------------------------------------------
 class ClusterMembership:
     """Runtime node arrivals and departures for one engine's cluster."""
 
@@ -178,8 +78,8 @@ class ClusterMembership:
         #: Nodes with a join scheduled but not yet active (so autoscaler
         #: policy can count capacity already on the way).
         self.pending_joins = 0
-        #: Nodes added at runtime, in activation order.  ``"newest"`` in a
-        #: churn plan resolves against this list, so the base fleet the
+        #: Nodes added at runtime, in activation order.  A plan's
+        #: ``"newest"`` resolves against this list, so the base fleet the
         #: engine started with is never a drain/preemption target.
         self.joined_nodes: list["Node"] = []
         #: Highest concurrent alive-compute count ever observed.
@@ -343,47 +243,6 @@ class ClusterMembership:
             # completion here; the deadline escalates what is left.
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # plans
-    # ------------------------------------------------------------------
-    def apply_plan(self, plan: MembershipPlan) -> None:
-        """Schedule a churn plan on the virtual clock (like FaultInjector)."""
-        for event in plan.events:
-            at = max(self.kernel.now, event.at)
-            if isinstance(event, NodeJoin):
-                self.kernel.schedule_at(
-                    at, lambda e=event: self.join(e.count, spot=e.spot)
-                )
-            elif isinstance(event, NodeDrain):
-                self.kernel.schedule_at(
-                    at, lambda e=event: self._plan_drain(e)
-                )
-            elif isinstance(event, SpotPreemption):
-                self.kernel.schedule_at(
-                    at, lambda e=event: self._plan_preempt(e)
-                )
-
-    def _resolve(self, name: str) -> "Node | None":
-        if name == "newest":
-            # Only runtime-joined nodes qualify: churn plans shed elastic
-            # capacity, they never eat into the base fleet.
-            active = [n for n in self.joined_nodes if n.state == "active"]
-            if not active:
-                return None
-            return max(active, key=lambda n: (n.provisioned_at, n.id))
-        node = self.cluster.node_by_name(name)
-        return node if node.state == "active" else None
-
-    def _plan_drain(self, event: NodeDrain) -> None:
-        node = self._resolve(event.node)
-        if node is not None and len(self.cluster.schedulable_compute) > 1:
-            self.drain(node, timeout=event.timeout)
-
-    def _plan_preempt(self, event: SpotPreemption) -> None:
-        node = self._resolve(event.node)
-        if node is not None and len(self.cluster.schedulable_compute) > 1:
-            self.preempt(node, notice=event.notice)
 
     # ------------------------------------------------------------------
     # cost model: node-seconds = dollars

@@ -7,10 +7,11 @@ control-plane actions through a virtual RPC clock, so query initialization
 time and tuning-request latency appear in the measurements exactly like in
 the paper.
 
-Fault injection (``repro.faults``) can install a *fault hook* that decides
-the outcome of every individual request: ``"ok"``, ``"fail"`` (the request
-times out and is retried with bounded exponential backoff), or
-``("delay", extra_seconds)``.  A request that exhausts its retry budget
+A *fault hook* decides the outcome of every individual request: ``"ok"``,
+``"fail"`` (the request times out and is retried with bounded exponential
+backoff), or ``("delay", extra_seconds)``.  The RPC windows of applied
+plans (``RpcStorm`` / ``RpcOutage``, :mod:`repro.script.plan`) install
+one.  A request that exhausts its retry budget
 fails the whole control-plane action; the owning query is torn down through
 ``on_action_failed`` instead of hanging the event loop.
 """
@@ -50,6 +51,8 @@ class RpcTracker:
         # unjittered timeline consumes no randomness at all.
         self._jitter_rng = random.Random(self.faults.rpc_jitter_seed)
         self._fault_hook: Callable[[float], object] | None = None
+        #: ``(window, rng)`` for every RPC window armed, in arming order.
+        self._windows: list = []
         #: Called as ``on_action_failed(query_id, message)`` when an action
         #: gives up; wired to query teardown by the coordinator.
         self.on_action_failed: Callable[[int | None, str], None] | None = None
@@ -67,6 +70,21 @@ class RpcTracker:
     def set_fault_hook(self, hook: Callable[[float], object] | None) -> None:
         """Install a per-request outcome hook (see module docstring)."""
         self._fault_hook = hook
+
+    def add_fault_window(self, window, rng: random.Random) -> None:
+        """Arm an ``RpcStorm`` / ``RpcOutage``: a request inside it takes
+        the window's outcome, drawn from ``rng`` (its plan's seed).  The
+        windows of every applied plan stay armed; the first to decide wins."""
+        self._windows.append((window, rng))
+        self._fault_hook = self._window_outcome
+
+    def _window_outcome(self, t: float):
+        for window, rng in self._windows:
+            if window.start <= t < window.stop:
+                outcome = window.outcome(rng)
+                if outcome is not None:
+                    return outcome
+        return "ok"
 
     # -- request accounting ------------------------------------------------
     def after_requests(

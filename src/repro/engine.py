@@ -22,6 +22,7 @@ including cluster topology, split placement, and tracing.
 
 from __future__ import annotations
 
+import random
 from typing import TYPE_CHECKING
 
 from .autotune import ElasticQuery
@@ -35,6 +36,7 @@ from .sim import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .obs import DecisionLog
+    from .script.plan import Plan
     from .workload import Session, WorkloadManager
 
 __all__ = ["AccordionEngine", "QueryHandle", "QueryResult"]
@@ -68,7 +70,6 @@ class AccordionEngine:
             self.kernel, self.cluster, catalog, self.split_layout, config,
             metrics=self.metrics,
         )
-        self.fault_injector = None
         from .cluster.membership import ClusterMembership
 
         #: Runtime node join/leave/preemption (DESIGN.md §12).
@@ -303,23 +304,19 @@ class AccordionEngine:
             )
         return execution.elastic
 
-    # -- fault injection ----------------------------------------------------
-    def inject_faults(self, plan) -> "object":
-        """Arm a :class:`~repro.faults.FaultPlan` against this engine.
+    # -- timed-action plans -------------------------------------------------
+    def apply(self, plan: "Plan") -> None:
+        """Apply a :class:`~repro.Plan` (DESIGN.md §7): its timed events
+        fire at ``max(now, at)`` in plan order, and its RPC windows stay
+        armed beside every earlier plan's, drawing their outcomes from
+        ``random.Random(plan.seed)``.  Injected faults are the ``inject``
+        decisions of :attr:`decisions`.  Tuning lines name a script's
+        queries, so only :func:`~repro.run_script` applies those."""
+        from .script.plan import apply_event
 
-        Returns the :class:`~repro.faults.FaultInjector`; the faults it
-        fires are the ``inject`` decisions of :attr:`decisions`.  Must be
-        called before the affected virtual times are reached.
-        """
-        from .faults import FaultInjector
-
-        self.fault_injector = FaultInjector(self.kernel, self.coordinator, plan)
-        count = self.kernel.decisions.count
-        self.metrics.gauge(
-            "faults.injected",
-            lambda: count("inject", "node_crash") + count("inject", "task_crash"),
-        )
-        return self.fault_injector
+        rng = random.Random(plan.seed)
+        for event in plan.events:
+            apply_event(self, event, rng)
 
     # -- simulation control ----------------------------------------------------
     @property

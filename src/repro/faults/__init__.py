@@ -5,8 +5,9 @@ implies but does not spell out: Accordion runs on cloud VMs where nodes
 die, control-plane RPCs get lost, and tasks crash mid-execution.  The
 fault model is documented in DESIGN.md ("Fault model & recovery"):
 
-* Faults are *planned* (:class:`FaultPlan`) and *injected*
-  (:class:`FaultInjector`) on the simulation's virtual clock, so a given
+* Faults are events of a timed-action plan (:class:`repro.Plan`:
+  ``NodeCrash``, ``TaskCrash``, ``RpcStorm``, ``RpcOutage``) that
+  ``engine.apply`` fires on the simulation's virtual clock, so a given
   seed reproduces a bit-identical fault timeline.
 * Recovery (:class:`RecoveryManager`) blacklists dead nodes, respawns
   crashed tasks through the intra-stage 3-step task-addition path
@@ -16,16 +17,6 @@ fault model is documented in DESIGN.md ("Fault model & recovery"):
   never by hanging the event loop.
 """
 
-from .injector import FaultInjector
-from .plan import FaultPlan, NodeCrash, RpcOutage, RpcStorm, TaskCrash
 from .recovery import RecoveryManager
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "NodeCrash",
-    "RecoveryManager",
-    "RpcOutage",
-    "RpcStorm",
-    "TaskCrash",
-]
+__all__ = ["RecoveryManager"]

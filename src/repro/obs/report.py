@@ -62,9 +62,8 @@ def render_fault_report(target) -> str:
         timelines.append(
             (f"query {execution.id} fault timeline:", execution.fault_history())
         )
-    if engine.fault_injector is not None:
-        injected = fault_timeline(engine.decisions.of(kind="inject"))
-        timelines.append(("injected fault timeline:", injected))
+    injected = fault_timeline(engine.decisions.of(kind="inject"))
+    timelines.append(("injected fault timeline:", injected))
     for title, entries in timelines:
         if entries:
             lines += ["", title]

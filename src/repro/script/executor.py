@@ -1,31 +1,25 @@
 """Script executor: runs experiment scripts against an engine.
 
-Tuning actions are scheduled at their virtual times; rejected requests are
-recorded (with the filter's reason) rather than raised, matching the
-paper's experiments where the coordinator declines late adjustments.
+Untimed steps (``submit``, ``monitor``, ``run``) run as the executor
+reaches them; each ``at`` line goes to the plan applier right there
+(:func:`~repro.script.plan.apply_event`), so it fires at ``max(now,
+at)``.  Rejected tuning requests are recorded (with the filter's reason)
+rather than raised, matching the paper's experiments where the
+coordinator declines late adjustments.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
-from ..autotune import ElasticQuery
 from ..cluster import QueryOptions
 from ..data.tpch.queries import QUERIES
 from ..engine import AccordionEngine
-from ..errors import ScriptError, TuningRejected
+from ..errors import ScriptError
 from ..handle import QueryHandle
-from .lang import (
-    Command,
-    ConstraintCommand,
-    MonitorCommand,
-    RunForCommand,
-    RunUntilDoneCommand,
-    SubmitCommand,
-    TuneCommand,
-    TuneOnceCommand,
-    parse_script,
-)
+from .lang import MonitorCommand, RunForCommand, RunUntilDoneCommand, SubmitCommand, parse_script
+from .plan import apply_event
 
 
 @dataclass
@@ -42,7 +36,13 @@ class ScriptResult:
     actions: list[ActionLog] = field(default_factory=list)
 
     def query(self, name: str) -> QueryHandle:
+        if name not in self.queries:
+            raise ScriptError(f"unknown query {name!r}")
         return self.queries[name]
+
+    def record(self, time: float, description: str, reason: str | None = None) -> None:
+        """Log one tuning action: accepted, or rejected for ``reason``."""
+        self.actions.append(ActionLog(time, description, reason is None, reason or ""))
 
     def accepted_actions(self) -> list[ActionLog]:
         return [a for a in self.actions if a.accepted]
@@ -58,37 +58,20 @@ class ScriptExecutor:
 
     # ------------------------------------------------------------------
     def run(self, script: str) -> ScriptResult:
-        for command in parse_script(script):
-            self._execute(command)
+        plan = parse_script(script)
+        rng = random.Random(plan.seed)
+        for command in plan:
+            if isinstance(command, SubmitCommand):
+                self._submit(command)
+            elif isinstance(command, MonitorCommand):
+                self.result.query(command.query).tuning.start_monitor(command.period)
+            elif isinstance(command, RunForCommand):
+                self.engine.run_for(command.seconds)
+            elif isinstance(command, RunUntilDoneCommand):
+                self.engine.run_until_done(self.result.query(command.query), command.max_seconds)
+            else:
+                apply_event(self.engine, command, rng, self.result)
         return self.result
-
-    # ------------------------------------------------------------------
-    def _execute(self, command: Command) -> None:
-        if isinstance(command, SubmitCommand):
-            self._submit(command)
-        elif isinstance(command, TuneCommand):
-            self._schedule_tuning(command)
-        elif isinstance(command, ConstraintCommand):
-            elastic = self._elastic(command.query)
-            self.engine.kernel.schedule_at(
-                max(command.time, self.engine.now),
-                lambda: elastic.set_constraint(command.stage, command.seconds),
-            )
-        elif isinstance(command, TuneOnceCommand):
-            elastic = self._elastic(command.query)
-            self.engine.kernel.schedule_at(
-                max(command.time, self.engine.now),
-                lambda: elastic.tune_once(command.stage, command.seconds),
-            )
-        elif isinstance(command, MonitorCommand):
-            self._elastic(command.query).start_monitor(command.period)
-        elif isinstance(command, RunForCommand):
-            self.engine.run_for(command.seconds)
-        elif isinstance(command, RunUntilDoneCommand):
-            query = self._query(command.query)
-            self.engine.run_until_done(query, command.max_seconds)
-        else:  # pragma: no cover - parser produces only the above
-            raise ScriptError(f"unhandled command {command!r}")
 
     # ------------------------------------------------------------------
     def _submit(self, command: SubmitCommand) -> None:
@@ -127,39 +110,6 @@ class ScriptExecutor:
                 raise ScriptError(f"unknown submit option {key!r}")
         options.stage_dops = stage_dops
         return options
-
-    # ------------------------------------------------------------------
-    def _schedule_tuning(self, command: TuneCommand) -> None:
-        elastic = self._elastic(command.query)
-
-        def fire() -> None:
-            description = f"{command.verb.upper()} S{command.stage} -> {command.target}"
-            try:
-                if command.verb == "ac":
-                    elastic.ac(command.stage, command.target)
-                elif command.verb == "ap":
-                    elastic.ap(command.stage, command.target)
-                else:
-                    elastic.rp(command.stage, command.target)
-                self.result.actions.append(
-                    ActionLog(self.engine.now, description, accepted=True)
-                )
-            except TuningRejected as exc:
-                self.result.actions.append(
-                    ActionLog(self.engine.now, description, accepted=False, reason=exc.reason)
-                )
-
-        self.engine.kernel.schedule_at(max(command.time, self.engine.now), fire)
-
-    # ------------------------------------------------------------------
-    def _query(self, name: str) -> QueryHandle:
-        try:
-            return self.result.queries[name]
-        except KeyError:
-            raise ScriptError(f"unknown query {name!r}") from None
-
-    def _elastic(self, name: str) -> ElasticQuery:
-        return self._query(name).tuning
 
 
 def run_script(engine: AccordionEngine, script: str) -> ScriptResult:

@@ -9,7 +9,7 @@ from repro import (
     AccordionEngine,
     ClusterConfig,
     EngineConfig,
-    MembershipPlan,
+    Plan,
     SpotPreemption,
     TraceArrivals,
     Workload,
@@ -167,11 +167,11 @@ def run_chaos(catalog, seed: int = 20250807):
     engine = elastic_engine(
         catalog, max_nodes=3, spot=True, autoscale_kwargs={"autoscale_cooldown": 0.5}
     )
-    churn = MembershipPlan.random(
+    churn = Plan.random_churn(
         seed=seed, horizon=8.0, joins=1, preemptions=2, notice=0.3
     )
-    engine.membership.apply_plan(
-        MembershipPlan(
+    engine.apply(
+        Plan(
             seed=seed, events=churn.events + (SpotPreemption(at=6.0, notice=0.3),)
         )
     )

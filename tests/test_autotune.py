@@ -4,7 +4,7 @@ the DOP planner."""
 
 import pytest
 
-from repro import ClusterConfig, FaultPlan, NodeCrash, QueryOptions, TaskCrash
+from repro import ClusterConfig, Plan, NodeCrash, QueryOptions, TaskCrash
 import repro.autotune.tuner as tuner_module
 from repro.autotune import DopPlanner, Snapshot, StageSample, tuning_units
 from repro.data.tpch.queries import QUERIES
@@ -173,7 +173,7 @@ def test_samples_equal_a_recount_through_crash_join_and_drain(catalog, monkeypat
     engine = slow_engine(
         catalog, cluster=ClusterConfig(compute_nodes=3, storage_nodes=2, combined=True)
     )
-    engine.inject_faults(FaultPlan(events=(NodeCrash(at=4.0, node="compute2"),)))
+    engine.apply(Plan(events=(NodeCrash(at=4.0, node="compute2"),)))
     query = engine.submit(QUERIES["Q3"], QueryOptions(initial_stage_dop=3))
     collector = query.tuning.collector
     engine.membership.join(1)
@@ -210,7 +210,7 @@ def test_samples_equal_a_recount_through_a_crash_before_a_build(catalog, monkeyp
     no finished-stage reading may be kept."""
     oracle = SamplingOracle(monkeypatch)
     engine = slow_engine(catalog)
-    engine.inject_faults(FaultPlan(events=(NodeCrash(at=4.0, node="compute1"),)))
+    engine.apply(Plan(events=(NodeCrash(at=4.0, node="compute1"),)))
     query = engine.submit(QUERIES["Q3"])
     assert query.tuning.collector.cluster is not None
     engine.run_until(4.0)
@@ -234,7 +234,7 @@ def test_samples_equal_a_recount_through_a_respawn_of_a_finished_stage(
     readings."""
     oracle = SamplingOracle(monkeypatch)
     engine = slow_engine(catalog)
-    engine.inject_faults(FaultPlan(events=(fault,)))
+    engine.apply(Plan(events=(fault,)))
     query = engine.submit(QUERIES["Q3"])
     assert query.tuning.collector.cluster is not None
     engine.run_until(19.0)
@@ -253,7 +253,7 @@ def test_samples_equal_a_recount_while_a_dead_tasks_last_quantum_lands(catalog):
     rows (crashes are quantum-atomic), and only then does recovery give
     up on the query (its output was already fetched)."""
     engine = slow_engine(catalog)
-    engine.inject_faults(FaultPlan(events=(TaskCrash(at=5.0, stage=3),)))
+    engine.apply(Plan(events=(TaskCrash(at=5.0, stage=3),)))
     query = engine.submit(QUERIES["Q3"])
     engine.run_until(5.0)
     stage = query.stages[3]

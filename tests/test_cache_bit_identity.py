@@ -15,7 +15,7 @@ import pytest
 
 from conftest import TEST_SEED, norm_rows, slow_engine
 
-from repro import FaultPlan, NodeCrash
+from repro import Plan, NodeCrash
 from repro.errors import TuningRejected
 from repro.data import Catalog
 from repro.data.tpch.dataset_cache import clear_dataset_cache
@@ -32,8 +32,8 @@ def run_instrumented(sql: str, caches: bool):
     """One full run; returns everything the simulation determines."""
     catalog = Catalog.tpch(scale=0.005, seed=TEST_SEED, dataset_cache=caches)
     engine = slow_engine(catalog, plan_cache=caches)
-    engine.inject_faults(
-        FaultPlan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
+    engine.apply(
+        Plan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
     )
     handle = engine.submit(sql)
     rng = np.random.default_rng(99)

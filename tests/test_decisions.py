@@ -23,8 +23,7 @@ import pytest
 from repro import (
     AccordionEngine,
     EngineConfig,
-    FaultPlan,
-    MembershipPlan,
+    Plan,
     NodeCrash,
     QueryFailedError,
     RpcStorm,
@@ -138,10 +137,10 @@ def faulted(catalog):
             catalog,
             config=EngineConfig(cost=CostModel().scaled(1000.0), page_row_limit=256),
         )
-        engine.inject_faults(plan)
+        engine.apply(plan)
         return engine, engine.submit(QUERIES["Q3"])
 
-    engine, recovered = submit_under(FaultPlan(seed=42, events=(
+    engine, recovered = submit_under(Plan(seed=42, events=(
         NodeCrash(at=3.5, node="compute2"),
         TaskCrash(at=1.4, stage=2),
         RpcStorm(start=0.0, stop=1e6, failure_rate=0.2),
@@ -151,7 +150,7 @@ def faulted(catalog):
         TaskCrash(at=0.7 + 0.56 * i, stage=2)
         for i in range(FaultConfig().task_retry_budget + 3)
     )
-    failing_engine, failing = submit_under(FaultPlan(
+    failing_engine, failing = submit_under(Plan(
         seed=7, events=crashes + (RpcStorm(start=0.0, stop=1e6, failure_rate=0.1),)
     ))
     with pytest.raises(QueryFailedError) as info:
@@ -165,10 +164,10 @@ def churned(catalog, seed: int = 20250807):
     engine = elastic_engine(
         catalog, max_nodes=3, spot=True, autoscale_kwargs={"autoscale_cooldown": 0.5}
     )
-    churn = MembershipPlan.random(
+    churn = Plan.random_churn(
         seed=seed, horizon=8.0, joins=1, preemptions=2, notice=0.3
     )
-    engine.membership.apply_plan(MembershipPlan(
+    engine.apply(Plan(
         seed=seed, events=churn.events + (SpotPreemption(at=6.0, notice=0.3),)
     ))
     workload = Workload(engine, seed=seed)

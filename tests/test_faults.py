@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     AccordionEngine,
-    FaultPlan,
+    Plan,
     NodeCrash,
     QueryFailedError,
     RpcOutage,
@@ -48,7 +48,7 @@ def reference_rows(catalog, sql):
 def run_with_faults(catalog, sql, plan):
     """Execute ``sql`` under ``plan``; return (engine, query, rows|None)."""
     engine = slow_engine(catalog)
-    engine.inject_faults(plan)
+    engine.apply(plan)
     query = engine.submit(sql)
     engine.run_until_done(query, max_events=MAX_EVENTS)
     return engine, query, norm_rows(query.result().rows)
@@ -63,25 +63,26 @@ def clean_runtime(catalog, sql):
 
 # -- fault plans --------------------------------------------------------------
 def test_fault_plan_is_data():
-    plan = FaultPlan(
+    plan = Plan(
         seed=7,
         events=(
             NodeCrash(at=1.0, node="compute1"),
             RpcStorm(start=0.5, stop=2.0, failure_rate=0.25),
         ),
     )
-    assert len(plan.node_crashes) == 1
-    assert len(plan.rpc_events) == 1
-    assert not plan.task_crashes
-    assert "compute1" in plan.describe()
+    assert plan.describe().splitlines() == [
+        "seed 7",
+        "at 1.0s crash compute1",
+        "at 0.5s storm until 2.0s rate=0.25 delay=0.0s",
+    ]
 
 
 def test_random_fault_plans_are_seed_deterministic():
     kwargs = dict(horizon=20.0, compute_nodes=4, storage_nodes=2, node_crashes=2, storms=1)
-    assert FaultPlan.random(3, **kwargs) == FaultPlan.random(3, **kwargs)
-    assert FaultPlan.random(3, **kwargs) != FaultPlan.random(4, **kwargs)
-    for crash in FaultPlan.random(3, **kwargs).node_crashes:
-        assert crash.node != "coordinator"
+    assert Plan.random_faults(3, **kwargs) == Plan.random_faults(3, **kwargs)
+    assert Plan.random_faults(3, **kwargs) != Plan.random_faults(4, **kwargs)
+    for crash in Plan.random_faults(3, **kwargs).events:
+        assert getattr(crash, "node", None) != "coordinator"
 
 
 # -- RPC tracker --------------------------------------------------------------
@@ -156,7 +157,7 @@ def test_node_crash_mid_q3_recovers_bit_identical(tiny_catalog):
     sql = QUERIES["Q3"]
     expected = reference_rows(tiny_catalog, sql)
     horizon = clean_runtime(tiny_catalog, sql)
-    plan = FaultPlan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
+    plan = Plan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
     engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
     assert rows == expected
     assert engine.metrics.snapshot()["recovery.node_failures"] == 1
@@ -169,7 +170,7 @@ def test_scan_task_crash_resumes_without_replay(tiny_catalog):
     expected = reference_rows(tiny_catalog, sql)
     horizon = clean_runtime(tiny_catalog, sql)
     # Stage ids: 0 root, 1 join+agg, 2 lineitem scan, 3 join, 4/5 scans.
-    plan = FaultPlan(events=(TaskCrash(at=horizon * 0.2, stage=2),))
+    plan = Plan(events=(TaskCrash(at=horizon * 0.2, stage=2),))
     engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
     assert rows == expected
     stats = engine.metrics.snapshot()
@@ -184,7 +185,7 @@ def test_storage_node_crash_reads_through_durable_storage(tiny_catalog):
     sql = QUERIES["Q3"]
     expected = reference_rows(tiny_catalog, sql)
     horizon = clean_runtime(tiny_catalog, sql)
-    plan = FaultPlan(events=(NodeCrash(at=horizon * 0.3, node="storage0"),))
+    plan = Plan(events=(NodeCrash(at=horizon * 0.3, node="storage0"),))
     engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
     assert rows == expected
 
@@ -194,7 +195,7 @@ def test_rpc_storm_is_retried_through(tiny_catalog):
     expected = reference_rows(tiny_catalog, sql)
     # Rate kept low enough that no single request plausibly exhausts its
     # retry budget (0.1**4 per request); the run is seed-deterministic.
-    plan = FaultPlan(
+    plan = Plan(
         seed=11, events=(RpcStorm(start=0.0, stop=1e6, failure_rate=0.1, delay=0.002),)
     )
     engine, query, rows = run_with_faults(tiny_catalog, sql, plan)
@@ -207,7 +208,7 @@ def test_recovery_is_visible_in_metrics_report(tiny_catalog):
 
     sql = QUERIES["Q3"]
     horizon = clean_runtime(tiny_catalog, sql)
-    plan = FaultPlan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
+    plan = Plan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
     engine, query, _ = run_with_faults(tiny_catalog, sql, plan)
     report = render_fault_report(query)
     assert "node_failures" in report and "rpc_requests" in report
@@ -291,8 +292,8 @@ def test_coordinator_crash_fails_query_cleanly(tiny_catalog):
     sql = QUERIES["Q3"]
     horizon = clean_runtime(tiny_catalog, sql)
     engine = slow_engine(tiny_catalog)
-    engine.inject_faults(
-        FaultPlan(events=(NodeCrash(at=horizon * 0.4, node="coordinator"),))
+    engine.apply(
+        Plan(events=(NodeCrash(at=horizon * 0.4, node="coordinator"),))
     )
     query = engine.submit(sql)
     with pytest.raises(QueryFailedError, match="coordinator"):
@@ -303,7 +304,7 @@ def test_coordinator_crash_fails_query_cleanly(tiny_catalog):
 
 def test_rpc_outage_fails_query_instead_of_hanging(tiny_catalog):
     engine = slow_engine(tiny_catalog)
-    engine.inject_faults(FaultPlan(events=(RpcOutage(start=0.0, stop=1e9),)))
+    engine.apply(Plan(events=(RpcOutage(start=0.0, stop=1e9),)))
     query = engine.submit(QUERIES["Q3"])
     with pytest.raises(QueryFailedError, match="control-plane"):
         engine.run_until_done(query, max_events=MAX_EVENTS)
@@ -318,7 +319,7 @@ def test_retry_budget_exhaustion_fails_query(tiny_catalog):
         TaskCrash(at=horizon * (0.1 + 0.08 * i), stage=2) for i in range(budget + 3)
     )
     engine = slow_engine(tiny_catalog)
-    engine.inject_faults(FaultPlan(events=events))
+    engine.apply(Plan(events=events))
     query = engine.submit(sql)
     try:
         engine.run_until_done(query, max_events=MAX_EVENTS)
@@ -333,7 +334,7 @@ def test_retry_budget_exhaustion_fails_query(tiny_catalog):
 
 def test_failed_query_raises_from_result(tiny_catalog):
     engine = slow_engine(tiny_catalog)
-    engine.inject_faults(FaultPlan(events=(NodeCrash(at=0.0, node="coordinator"),)))
+    engine.apply(Plan(events=(NodeCrash(at=0.0, node="coordinator"),)))
     query = engine.submit(QUERIES["Q3"])
     with pytest.raises(QueryFailedError):
         engine.run_until_done(query, max_events=MAX_EVENTS)
@@ -348,7 +349,7 @@ def test_same_seed_same_fault_timeline_and_result(tiny_catalog):
     sql = QUERIES["Q3"]
 
     def run():
-        plan = FaultPlan(
+        plan = Plan(
             seed=42,
             events=(
                 NodeCrash(at=3.0, node="compute1"),
@@ -372,7 +373,7 @@ def test_random_faults_exact_answers_or_clean_failure(tiny_catalog, seed):
     structured QueryFailedError — it never hangs, never returns garbage."""
     sql = QUERIES["Q3"]
     expected = reference_rows(tiny_catalog, sql)
-    plan = FaultPlan.random(
+    plan = Plan.random_faults(
         seed,
         horizon=12.0,
         compute_nodes=4,
@@ -382,7 +383,7 @@ def test_random_faults_exact_answers_or_clean_failure(tiny_catalog, seed):
         storm_failure_rate=0.3,
     )
     engine = slow_engine(tiny_catalog)
-    engine.inject_faults(plan)
+    engine.apply(plan)
     query = engine.submit(sql)
     try:
         engine.run_until_done(query, max_events=MAX_EVENTS)

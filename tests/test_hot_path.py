@@ -604,3 +604,47 @@ def test_trees_are_descended_and_keyed_in_one_place():
     for family in families:
         assert family.family is family and family.children is repro.tree.Tree.children
     assert repro.QueryOptions().fingerprint() == repro.tree.identity(repro.QueryOptions())
+
+
+# -- one timed-action plan, one applier ----------------------------------------------
+#: ``repro.__all__`` before fault plans, churn plans and script ``at`` lines
+#: became one ``Plan``.
+PUBLIC_NAMES_BEFORE_PLAN = {
+    "AccordionEngine", "AccordionError", "Autoscaler", "BufferConfig", "Catalog",
+    "ClosedLoop", "ClusterConfig", "ClusterMembership", "CostModel", "Decision",
+    "DopPlanner", "EVAL_SCALE", "EVAL_SEED", "EngineConfig", "ExecutionError",
+    "FaultConfig", "FaultInjector", "FaultPlan", "MembershipPlan",
+    "MemoryBudgetExceededError", "MemoryConfig", "MetricsRegistry", "NodeCrash",
+    "NodeDrain", "NodeJoin", "NodeSpec", "OutputMode", "ParallelConfig",
+    "PoissonArrivals", "Prediction", "PredictionConfig", "ProfileReport",
+    "QueryCancelledError", "QueryFailedError", "QueryHandle", "QueryOptions",
+    "QueryRejectedError", "QueryResult", "QueryTrace", "RpcOutage", "RpcStorm",
+    "STANDALONE_BENCHMARK", "ScriptResult", "Session", "SharingConfig", "SharingInfo",
+    "SplitLayout", "SpotPreemption", "SqlError", "StageDemand", "TPCH_QUERIES",
+    "TPCH_SCHEMAS", "TaskCrash", "TpchGenerator", "TraceArrivals", "TraceConfig",
+    "Tracer", "TuningRejected", "WorkerCrashedError", "Workload", "WorkloadConfig",
+    "WorkloadReport", "config_fingerprint", "eval_config", "eval_engine",
+    "prestissimo_config", "presto_config", "read_csv", "render_curve_points",
+    "render_series", "render_table", "run_script", "shuffle_experiment_engine",
+    "standalone_engine", "write_csv",
+}
+
+
+def test_timed_actions_have_one_applier():
+    """Only ``repro.script.plan`` schedules a plan's events (DESIGN.md
+    §7): fault recovery, membership and the script executor schedule no
+    instant of their own, and the public surface traded the three plan /
+    injector classes for ``Plan``."""
+    src = Path(repro.__file__).parent
+    files = sorted((src / "faults").rglob("*.py"))
+    files += [src / "cluster" / "membership.py", src / "script" / "executor.py"]
+    assert [
+        str(path.relative_to(src))
+        for path in files
+        if "schedule_at" in path.read_text(encoding="utf-8")
+    ] == []
+    assert len(repro.__all__) == len(set(repro.__all__)) == 73
+    assert set(repro.__all__) ^ PUBLIC_NAMES_BEFORE_PLAN == {
+        "FaultInjector", "FaultPlan", "MembershipPlan", "Plan",
+    }
+    assert "Plan" in repro.__all__

@@ -10,12 +10,14 @@ query still returns exactly the reference rows.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import (
     ClusterConfig,
     FaultConfig,
-    MembershipPlan,
+    Plan,
     NodeDrain,
     NodeJoin,
     QueryOptions,
@@ -246,26 +248,27 @@ def test_preempt_loaded_node_kills_and_recovers(catalog):
 
 # -- membership plans -------------------------------------------------------
 def test_membership_plan_random_is_seed_deterministic():
-    a = MembershipPlan.random(seed=9, horizon=20.0, joins=3, drains=2, preemptions=2)
-    b = MembershipPlan.random(seed=9, horizon=20.0, joins=3, drains=2, preemptions=2)
-    c = MembershipPlan.random(seed=10, horizon=20.0, joins=3, drains=2, preemptions=2)
+    a = Plan.random_churn(seed=9, horizon=20.0, joins=3, drains=2, preemptions=2)
+    b = Plan.random_churn(seed=9, horizon=20.0, joins=3, drains=2, preemptions=2)
+    c = Plan.random_churn(seed=10, horizon=20.0, joins=3, drains=2, preemptions=2)
     assert a.events == b.events
     assert a.events != c.events
-    assert len(a.joins) == 3 and len(a.drains) == 2 and len(a.preemptions) == 2
+    kinds = Counter(type(e) for e in a.events)
+    assert kinds == {NodeJoin: 3, NodeDrain: 2, SpotPreemption: 2}
     assert [e.at for e in a.events] == sorted(e.at for e in a.events)
-    assert "membership plan" in a.describe()
+    assert a.describe().startswith("seed 9\n")
 
 
 def test_apply_plan_runs_scheduled_churn(catalog):
     engine = make_engine(catalog, cluster=SMALL)
-    plan = MembershipPlan(
+    plan = Plan(
         seed=1,
         events=(
             NodeJoin(at=0.5, count=1, spot=True),
             NodeDrain(at=3.0, node="newest"),
         ),
     )
-    engine.membership.apply_plan(plan)
+    engine.apply(plan)
     settle(engine, 10.0)
     assert engine.metrics.snapshot()["cluster.joins"] == 1
     assert engine.metrics.snapshot()["cluster.drains_clean"] == 1
@@ -277,8 +280,8 @@ def test_plan_drain_of_newest_never_targets_base_capacity(catalog):
     """With no joined nodes, "newest" resolves to nothing: the base fleet
     is never drained by a churn plan."""
     engine = make_engine(catalog, cluster=SMALL)
-    engine.membership.apply_plan(
-        MembershipPlan(seed=2, events=(NodeDrain(at=0.5, node="newest"),))
+    engine.apply(
+        Plan(seed=2, events=(NodeDrain(at=0.5, node="newest"),))
     )
     settle(engine)
     assert engine.metrics.snapshot()["cluster.drains_started"] == 0
@@ -288,10 +291,10 @@ def test_plan_drain_of_newest_never_targets_base_capacity(catalog):
 def test_plan_churn_history_is_bit_identical_per_seed(catalog):
     def run(seed):
         engine = slow_engine(catalog, cluster=SMALL)
-        plan = MembershipPlan.random(
+        plan = Plan.random_churn(
             seed=seed, horizon=8.0, joins=2, drains=1, preemptions=1
         )
-        engine.membership.apply_plan(plan)
+        engine.apply(plan)
         query = engine.submit(Q_AGG)
         engine.run_until_done(query, max_events=MAX_EVENTS)
         settle(engine, 30.0)

@@ -9,7 +9,7 @@ from repro import (
     AccordionEngine,
     CostModel,
     EngineConfig,
-    FaultPlan,
+    Plan,
     TPCH_QUERIES,
 )
 from repro.errors import ExecutionError, QueryFailedError, TuningRejected
@@ -160,7 +160,7 @@ def _fingerprint(catalog, seed: int, tracing: bool):
     if tracing:
         config = config.with_tracing(profiling=True)
     engine = AccordionEngine(catalog, config=config)
-    plan = FaultPlan.random(
+    plan = Plan.random_faults(
         seed,
         horizon=10.0,
         compute_nodes=4,
@@ -169,7 +169,7 @@ def _fingerprint(catalog, seed: int, tracing: bool):
         storms=1,
         storm_failure_rate=0.2,
     )
-    engine.inject_faults(plan)
+    engine.apply(plan)
     handle = engine.submit(TPCH_QUERIES["Q3"])
     elastic = handle.tuning
 

@@ -28,7 +28,7 @@ from repro import (
     Catalog,
     CostModel,
     EngineConfig,
-    FaultPlan,
+    Plan,
     NodeCrash,
     PoissonArrivals,
     QueryOptions,
@@ -188,8 +188,8 @@ def run_instrumented(catalog, predictive: bool):
     if predictive:
         config = config.with_prediction()
     engine = AccordionEngine(catalog, config=config)
-    engine.inject_faults(
-        FaultPlan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
+    engine.apply(
+        Plan(seed=11, events=(NodeCrash(at=2.2, node="compute1"),))
     )
     handle = engine.submit(
         "select l_orderkey, sum(l_extendedprice) from lineitem "

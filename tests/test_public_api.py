@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,3 +125,19 @@ def test_pool_transport_bench_probes_round_trips_an_echo_job():
     client = OffloadClient(ParallelConfig(workers=2))
     arrays, values = client.wait(client.submit("_test_echo", [np.arange(8)], {}))
     assert values == {} and arrays[0].tolist() == list(range(8))
+
+
+def test_design_sections_cited_in_the_source_exist():
+    """Every ``DESIGN.md §N`` / ``§N.M`` a module cites names a numbered
+    heading of DESIGN.md, so renumbering the document cannot leave a
+    dangling pointer behind."""
+    headings = set(
+        re.findall(r"^#{2,3} (\d+(?:\.\d+)?)\.? ", (REPO / "DESIGN.md").read_text(), re.M)
+    )
+    cited = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for section in re.findall(r"DESIGN(?:\.md)?\s+§\s*(\d+(?:\.\d+)?)", text):
+            cited.setdefault(section, path.relative_to(REPO).as_posix())
+    assert {"7", "9", "10.1", "12", "20"} <= set(cited)
+    assert {s: where for s, where in cited.items() if s not in headings} == {}

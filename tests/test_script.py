@@ -6,13 +6,13 @@ from repro import AccordionEngine, presto_config, prestissimo_config
 from repro.errors import ExecutionError, ScriptError
 from repro.script import parse_script, parse_stage, parse_time, run_script
 from repro.script.lang import (
-    ConstraintCommand,
+    Constraint,
     MonitorCommand,
     RunForCommand,
     RunUntilDoneCommand,
     SubmitCommand,
-    TuneCommand,
-    TuneOnceCommand,
+    Tune,
+    TuneOnce,
 )
 
 from conftest import norm_rows, slow_engine
@@ -53,11 +53,11 @@ def test_parse_full_script():
     kinds = [type(c) for c in commands]
     assert kinds == [
         SubmitCommand,
-        TuneCommand,
-        TuneCommand,
-        TuneCommand,
-        ConstraintCommand,
-        TuneOnceCommand,
+        Tune,
+        Tune,
+        Tune,
+        Constraint,
+        TuneOnce,
         MonitorCommand,
         RunForCommand,
         RunUntilDoneCommand,

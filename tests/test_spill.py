@@ -13,7 +13,7 @@ import pytest
 from repro import (
     Catalog,
     EngineConfig,
-    FaultPlan,
+    Plan,
     MemoryBudgetExceededError,
     MemoryConfig,
     NodeCrash,
@@ -445,8 +445,8 @@ def test_spill_survives_node_crash_recovery(tiny_catalog, tmp_path):
     assert probe.execution.memory.spills > 0
 
     engine = slow_engine(tiny_catalog, memory=memory)
-    engine.inject_faults(
-        FaultPlan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
+    engine.apply(
+        Plan(events=(NodeCrash(at=horizon * 0.5, node="compute2"),))
     )
     handle = engine.submit(QUERIES["Q3"])
     engine.run_until_done(handle, max_events=5_000_000)

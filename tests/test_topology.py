@@ -15,7 +15,7 @@ import pytest
 
 from repro import (
     ClusterConfig,
-    FaultPlan,
+    Plan,
     NodeCrash,
     QueryOptions,
     RpcOutage,
@@ -92,7 +92,7 @@ def q2j_switch(catalog):
 
 def crash(catalog, stage):
     engine = slow_engine(catalog)
-    engine.inject_faults(FaultPlan(events=(TaskCrash(at=5.0, stage=stage),)))
+    engine.apply(Plan(events=(TaskCrash(at=5.0, stage=stage),)))
     query = engine.submit(QUERIES["Q3"])
     out = measure(engine, query)
     stats = engine.metrics.snapshot()
@@ -112,7 +112,7 @@ def ap_while_producer_crashed(catalog):
     and that producer's respawn: the new task links to the doomed
     producer as it always did, and the respawn links to it in turn."""
     engine = slow_engine(catalog)
-    engine.inject_faults(FaultPlan(events=(TaskCrash(at=2.0, stage=3),)))
+    engine.apply(Plan(events=(TaskCrash(at=2.0, stage=3),)))
     query = engine.submit(QUERIES["Q5"])
     engine.run_until(2.0 + 1e-6)
     (producer,) = query.stages[3].tasks
@@ -131,7 +131,7 @@ def crash_hash_node(catalog, node_name):
         catalog,
         cluster=ClusterConfig(compute_nodes=3, storage_nodes=2, combined=True),
     )
-    engine.inject_faults(FaultPlan(events=(NodeCrash(at=5.0, node=node_name),)))
+    engine.apply(Plan(events=(NodeCrash(at=5.0, node=node_name),)))
     options = QueryOptions(join_distribution="partitioned", initial_stage_dop=2)
     query = engine.submit(QUERIES["Q2J"], options)
     out = measure(engine, query)
@@ -247,7 +247,7 @@ def test_rpc_give_up_during_ap_fails_only_that_query(catalog):
     victim = engine.submit(QUERIES["Q3"])
     bystander = engine.submit(QUERIES["Q3"])
     engine.run_until(2.0)
-    engine.inject_faults(FaultPlan(events=(RpcOutage(start=2.0, stop=4.0),)))
+    engine.apply(Plan(events=(RpcOutage(start=2.0, stop=4.0),)))
     victim.tuning.ap(1, 2)
     engine.run_until_done(bystander, max_events=MAX_EVENTS)
     assert victim.failed
@@ -266,7 +266,7 @@ def test_task_attached_while_the_query_finishes_is_torn_down(catalog):
     run_until_cond(engine, lambda: query.stages[1].finished)
     assert not query.finished
     slow_rpc = RpcStorm(start=engine.now, stop=engine.now + 1.0, failure_rate=0.0, delay=60.0)
-    engine.inject_faults(FaultPlan(events=(slow_rpc,)))
+    engine.apply(Plan(events=(slow_rpc,)))
     from repro.cluster.topology import attach_tasks
 
     (task,) = attach_tasks(engine.coordinator.scheduler, query, query.stages[2])
