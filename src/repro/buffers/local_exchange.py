@@ -57,3 +57,8 @@ class LocalExchange:
         if self.upstream_done:
             return Page.end()
         return None
+
+    def seal(self) -> None:
+        """Retirement: drop the unread pages and the waiters."""
+        self._queue.clear()
+        self.not_empty = WaiterList()

@@ -195,6 +195,13 @@ class TaskOutputBuffer:
     def _discard_internal(self) -> None:
         """Hook: drop the class's own queues, caches and lineage on abort."""
 
+    def seal(self) -> None:
+        """Retirement: drop every page, consumer view and waiter; the
+        counters (``rows_out``, ``bytes_out``, ``ever_fetched``) stay."""
+        self._discard_internal()
+        self.consumers = {}
+        self.not_full = WaiterList()
+
     # -- consumer side: the hand-off ----------------------------------------
     def take(self, buffer_id: int, max_pages: int) -> list[Page]:
         """Pop up to ``max_pages`` pages for one downstream task, the end

@@ -198,6 +198,7 @@ class QueryExecution(QueryLifecycle):
     # -- lifecycle ----------------------------------------------------------
     def task_finished(self, stage: StageExecution, task) -> None:
         if self.state != "running":
+            self._seal_when_idle()
             return
         if stage.finished:
             self.kernel.tracer.end(stage.trace_span)
@@ -292,6 +293,28 @@ class QueryExecution(QueryLifecycle):
                 tracer.end(stage.trace_span)
             tracer.end(self.trace_span, **trace_meta)
         self._fire_done()
+        self._sealing = True
+        self._seal_when_idle()
+
+    #: Set once the completion callbacks have read this execution.
+    _sealing = False
+
+    def _seal_when_idle(self) -> None:
+        """Retirement (DESIGN.md §17): once terminal and once no task runs,
+        holds a core or has a fetch in flight, every task drops its pages
+        and operator state.  A busy task calls back when it idles."""
+        tasks = [task for stage in self.stages.values() for task in stage.tasks]
+        for task in tasks:
+            if not self._sealing or task.sealed or not task.finished:
+                return  # ``_terminate`` or ``task_finished`` calls back
+            if task.inflight_quanta:
+                return task.when_quanta_drained(self._seal_when_idle)
+            for client in task.exchange_clients.values():
+                if client.fetching:
+                    client.on_idle = self._seal_when_idle
+                    return
+        for task in tasks:
+            task.seal()
 
     # -- introspection -----------------------------------------------------
     def progress(self) -> dict[int, float]:

@@ -101,6 +101,23 @@ class ExchangeClient:
     def finished(self) -> bool:
         return bool(self.splits) and not self._open_splits and not self.buffer.pages
 
+    @property
+    def fetching(self) -> bool:
+        """Whether a fetch is in flight."""
+        return any(state.fetching for state in self.splits.values())
+
+    #: Called once, when the last fetch in flight has landed (retirement
+    #: waits on it).
+    on_idle = None
+
+    def seal(self) -> None:
+        """Retirement: drop the received pages, the split states and the
+        waiters.  The split keys stay, so ``finished`` answers as before;
+        a client with unread pages (``finished`` False) keeps no key."""
+        self.splits = {} if self.buffer.pages else dict.fromkeys(self.splits)
+        self.buffer.pages.clear()
+        self.buffer.not_full = self.buffer.not_empty = WaiterList()
+
     # -- consumer side (exchange source operators) ----------------------
     def poll(self) -> Page | None:
         """Next data page, an end page when finished, or ``None`` to block.
@@ -183,3 +200,6 @@ class ExchangeClient:
                 self.buffer.not_empty.notify_all()
         else:
             self._try_fetch(state)
+        if self.on_idle is not None and not self.fetching:
+            on_idle, self.on_idle = self.on_idle, None
+            on_idle()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..buffers import LocalExchange, make_output_buffer
+from ..buffers import LocalExchange, WaiterList, make_output_buffer
 from ..config import EngineConfig
 from ..errors import SchedulingError
 from ..pages import Page
@@ -120,6 +120,8 @@ class Task:
         #: waits for them before sealing the old output spool).
         self.inflight_quanta = 0
         self._drain_callbacks: list = []
+        #: Set by :meth:`seal` once the query retired this task.
+        self.sealed = False
         self.query_id = query_id
         #: Per-query memory accounting; None means unlimited (no budget).
         self.memory = memory
@@ -444,6 +446,23 @@ class Task:
             callbacks, self._drain_callbacks = self._drain_callbacks, []
             for fn in callbacks:
                 fn()
+
+    def seal(self) -> None:
+        """Retirement (DESIGN.md §17): drop every page, operator state and
+        callback this task holds once nothing of its query runs any more.
+        The shells stay, with every counter the samplers, ``describe()``
+        and the demand history read."""
+        for buffer in (self.output_buffer, *self.exchange_clients.values(), *self.local_exchanges):
+            buffer.seal()
+        for bridge in self.bridges:
+            bridge.pages, bridge.index, bridge.on_ready = [], None, WaiterList()
+        # A driver keeps ``cpu_time``, ``quanta`` and its sink, which holds
+        # no state; ``_parked`` is empty once no quantum is in flight.
+        for runtime in self.pipelines:
+            for driver in runtime.drivers:
+                driver.source, driver.transforms, driver._waitable = None, [], []
+        self.collect_output = self.on_finished = self.on_error = None
+        self.sealed = True
 
     # ------------------------------------------------------------------
     # runtime information (task context, Figure 18)

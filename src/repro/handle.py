@@ -422,13 +422,7 @@ class QueryHandle:
         sub = self._submission
         ids = {sub.query_id, sub.execution.id if sub.execution else None}
         end = sub.finished_at if sub.finished else float("inf")
-        return [
-            d for d in self._engine.decisions
-            if d.time <= end and (
-                d.query_id in ids if d.query_id is not None
-                else sub.seq and d.inputs.get("seq") == sub.seq
-            )
-        ]
+        return [d for d in self._engine.decisions.about(ids, sub.seq) if d.time <= end]
 
     def fault_report(self) -> str:
         """Failure/recovery counters and fault timeline for this query."""

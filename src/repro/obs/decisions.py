@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import merge
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,6 +80,11 @@ class DecisionLog:
         self.kernel = kernel
         self._items: list[Decision] = []
         self._counts: Counter = Counter()
+        #: Positions in ``_items`` by ``query_id`` and by ``kind`` (what
+        #: :meth:`of` visits when asked for one), and of the unrouted
+        #: submission decisions by their ``inputs["seq"]``.
+        self._index: dict[str, dict] = {"query_id": {}, "kind": {}}
+        self._by_seq: dict[int, list[int]] = {}
 
     def record(
         self,
@@ -98,6 +104,11 @@ class DecisionLog:
         root span of ``query_id`` (a stage span, a carrier's root)."""
         lane = LANES[kind]
         kernel = self.kernel
+        position = len(self._items)
+        self._index["query_id"].setdefault(query_id, []).append(position)
+        self._index["kind"].setdefault(kind, []).append(position)
+        if query_id is None and "seq" in inputs:
+            self._by_seq.setdefault(inputs["seq"], []).append(position)
         self._items.append(
             Decision(
                 kernel.now, kind, outcome, query_id, stage, tenant, node,
@@ -140,10 +151,25 @@ class DecisionLog:
 
     def of(self, since: int = 0, **where) -> list[Decision]:
         """Decisions from mark ``since`` whose fields equal ``where``
-        (``of(kind="bid", query_id=3)``), in recording order."""
-        items = self._items[since:] if since else self._items
+        (``of(kind="bid", query_id=3)``), in recording order.  From the
+        start, naming a ``query_id`` (or else a ``kind``) visits only its
+        decisions."""
+        key = next((k for k in self._index if k in where), None)
+        if since or key is None:
+            items = self._items[since:]
+        else:
+            items = [self._items[i] for i in self._index[key].get(where[key], [])]
         where = tuple(where.items())
         return [d for d in items if all(getattr(d, k) == v for k, v in where)]
+
+    def about(self, query_ids, seq: int = 0) -> list[Decision]:
+        """Decisions recorded under any of ``query_ids`` or, unrouted,
+        under admission sequence number ``seq`` (0: none), in order."""
+        index = self._index["query_id"]
+        lists = [index.get(q, []) for q in query_ids if q is not None]
+        if seq:
+            lists.append(self._by_seq.get(seq, []))
+        return [self._items[i] for i in merge(*lists)]
 
 
 #: Kinds that make up a query's fault timeline.

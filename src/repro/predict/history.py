@@ -23,11 +23,20 @@ __all__ = ["HistoryStore"]
 HISTORY_VERSION = 1
 
 
+#: The per-stage metrics a prediction averages.
+_STAGE_FIELDS = ("cpu_seconds", "quanta", "peak_memory_bytes", "exchange_bytes",
+                 "rows_out", "tasks", "start", "end")
+
+
 class HistoryStore:
     def __init__(self, history_dir: str | None = None):
         self.history_dir = history_dir
         #: template fingerprint -> list of recorded runs (dicts).
         self._runs: dict[str, list[dict]] = {}
+        #: template fingerprint -> running sums over its runs, added in
+        #: record order from 0 as ``sum()`` adds, so every mean is
+        #: bit-identical to one recomputed over the runs.
+        self._sums: dict[str, dict] = {}
         if history_dir is not None:
             self._load()
 
@@ -36,9 +45,20 @@ class HistoryStore:
         """Append one run; returns how many the template now has."""
         runs = self._runs.setdefault(template, [])
         runs.append(run)
+        self._add(template, run)
         if self.history_dir is not None:
             self.save()
         return len(runs)
+
+    def _add(self, template: str, run: dict) -> None:
+        sums = self._sums.setdefault(template, {"runtime": 0, "peak": 0, "stages": {}})
+        sums["runtime"] += run["runtime"]
+        sums["peak"] += run.get("peak_query_bytes", 0)
+        for stage in run.get("stages", ()):
+            acc = sums["stages"].setdefault(stage["stage"], {"k": 0})
+            acc["k"] += 1
+            for fld in _STAGE_FIELDS:
+                acc[fld] = acc.get(fld, 0) + stage[fld]
 
     def __len__(self) -> int:
         """Templates with at least one recorded run."""
@@ -54,35 +74,19 @@ class HistoryStore:
         if not runs:
             return None
         n = len(runs)
-        runtimes = [r["runtime"] for r in runs]
-        mean = sum(runtimes) / n
-        variance = sum((t - mean) ** 2 for t in runtimes) / n
-        peak = int(round(sum(r.get("peak_query_bytes", 0) for r in runs) / n))
+        sums = self._sums[template]
+        mean = sums["runtime"] / n
+        variance = sum((r["runtime"] - mean) ** 2 for r in runs) / n
+        peak = int(round(sums["peak"] / n))
         # Per-stage mean over the runs that observed the stage (plans are
         # identical within a template, so normally all of them).
-        by_stage: dict[int, list[dict]] = {}
-        for run in runs:
-            for stage in run.get("stages", ()):
-                by_stage.setdefault(stage["stage"], []).append(stage)
         stages = []
-        for sid in sorted(by_stage):
-            obs = by_stage[sid]
-            k = len(obs)
-
-            def mean_of(fld: str) -> float:
-                return sum(o[fld] for o in obs) / k
-
-            stages.append(StageDemand(
-                stage=sid,
-                cpu_seconds=mean_of("cpu_seconds"),
-                quanta=int(round(mean_of("quanta"))),
-                peak_memory_bytes=int(round(mean_of("peak_memory_bytes"))),
-                exchange_bytes=int(round(mean_of("exchange_bytes"))),
-                rows_out=int(round(mean_of("rows_out"))),
-                tasks=int(round(mean_of("tasks"))),
-                start=mean_of("start"),
-                end=mean_of("end"),
-            ))
+        for sid, acc in sorted(sums["stages"].items()):
+            means = {fld: acc[fld] / acc["k"] for fld in _STAGE_FIELDS}
+            stages.append(StageDemand(stage=sid, **{  # counts and bytes round
+                fld: mean if fld in ("cpu_seconds", "start", "end") else int(round(mean))
+                for fld, mean in means.items()
+            }))
         return Prediction(
             template=template,
             samples=n,
@@ -121,3 +125,6 @@ class HistoryStore:
         templates = data.get("templates")
         if isinstance(templates, dict):
             self._runs = {str(k): list(v) for k, v in templates.items()}
+            for template, runs in self._runs.items():
+                for run in runs:
+                    self._add(template, run)

@@ -6,8 +6,10 @@ engines are cheap to build on top of a shared catalog.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import weakref
 
 import pytest
 
@@ -21,9 +23,22 @@ from repro.parallel import shutdown_pools
 TEST_SCALE = 0.005
 TEST_SEED = 777
 
+#: The engines built since the last test ended (``no_litter`` checks them).
+_ENGINES: "weakref.WeakSet[AccordionEngine]" = weakref.WeakSet()
+_engine_init = AccordionEngine.__init__
+
+
+@functools.wraps(_engine_init)
+def _tracked_init(self, *args, **kwargs):
+    _engine_init(self, *args, **kwargs)
+    _ENGINES.add(self)
+
+
+AccordionEngine.__init__ = _tracked_init
+
 
 @pytest.fixture(scope="session", autouse=True)
-def no_litter():
+def no_session_litter():
     """Whatever ran, the session leaves behind no worker process and no
     query spill directory under the default spill root."""
     spill_root = default_spill_root(MemoryConfig())
@@ -32,6 +47,36 @@ def no_litter():
     shutdown_pools()
     assert multiprocessing.active_children() == []
     assert set(spill_root.glob("q*")) <= before
+
+
+@pytest.fixture(autouse=True)
+def no_litter():
+    """Every engine the test built that has no query running holds no
+    task slot, reservation or arbiter entry, and every task of its
+    retired executions is sealed (DESIGN.md §17) once the simulation has
+    run what those tasks still had in flight."""
+    yield
+    engines = list(_ENGINES)
+    _ENGINES.clear()
+    for engine in engines:
+        coordinator = engine.coordinator
+        if coordinator.running:
+            continue
+        tasks = [
+            task
+            for query in coordinator.queries.values()
+            for stage in query.stages.values()
+            for task in stage.tasks
+        ]
+        engine.kernel.run(
+            stop_when=lambda: all(task.sealed for task in tasks),
+            max_events=1_000_000,
+        )
+        assert [t for t in tasks if not t.sealed] == []
+        for node in engine.cluster.all_nodes():
+            assert (node.name, node.task_count, node.reserved_bytes) == (node.name, 0, 0)
+        if engine._workload is not None:
+            assert engine._workload.arbiter.entries == {}
 
 
 @pytest.fixture(scope="session")

@@ -359,6 +359,64 @@ def test_crashed_and_respawned_query_story(tiny_catalog):
     assert engine.decisions.count("inject", "node_crash") == 1
 
 
+def scanned(log, since=0, **where):
+    """``DecisionLog.of`` as a scan over the whole log."""
+    return [
+        d for d in list(log)[since:]
+        if all(getattr(d, k) == v for k, v in where.items())
+    ]
+
+
+def scanned_story(engine, handle):
+    """``QueryHandle.decisions`` as a scan over the engine's whole log."""
+    sub = handle._submission
+    ids = {sub.query_id, sub.execution.id if sub.execution else None}
+    end = sub.finished_at if sub.finished else float("inf")
+    return [
+        d for d in engine.decisions
+        if d.time <= end and (
+            d.query_id in ids if d.query_id is not None
+            else sub.seq and d.inputs.get("seq") == sub.seq
+        )
+    ]
+
+
+def test_indexed_reads_equal_a_scan_of_the_whole_log(catalog, tiny_catalog, tenants):
+    """``of(query_id=…)`` / ``of(kind=…)``, ``handle.decisions()`` and the
+    views on them visit one query's or one kind's entries, and answer the
+    lists a scan of the whole log did, on the three golden scenarios."""
+    engine, runs = tenants
+    recovered_engine, recovered, failing_engine, failing, _ = faulted(tiny_catalog)
+    churned_engine, _ = churned(catalog)
+    cases = [
+        (engine, [h for workload, _ in runs for h in workload.handles]),
+        (recovered_engine, [recovered]),
+        (failing_engine, [failing]),
+        (churned_engine, []),
+    ]
+    for target, handles in cases:
+        log = target.decisions
+        query_ids = {d.query_id for d in log} | {-1}
+        kinds = {d.kind for d in log} | {"unknown"}
+        for since in (0, len(log) // 3, len(log) - 1, len(log)):
+            for query_id in query_ids:
+                assert log.of(since, query_id=query_id) == scanned(
+                    log, since, query_id=query_id
+                )
+            for kind in kinds:
+                assert log.of(since, kind=kind) == scanned(log, since, kind=kind)
+                assert log.of(since, kind=kind, outcome="applied") == scanned(
+                    log, since, kind=kind, outcome="applied"
+                )
+        for query_id in query_ids:
+            for kind in kinds:
+                assert log.of(kind=kind, query_id=query_id) == scanned(
+                    log, kind=kind, query_id=query_id
+                )
+        for handle in handles:
+            assert handle.decisions() == scanned_story(target, handle)
+
+
 # -- (iv) source lint: nothing is written down twice ---------------------------
 #: The 43 hand-kept counter attributes the log replaced.
 DELETED_COUNTERS = {

@@ -335,6 +335,80 @@ def test_history_persists_across_engines(tmp_path, catalog):
     assert prediction.samples == 1
 
 
+def predicted_over_runs(template, runs):
+    """The prediction recomputed over every recorded run (what
+    ``HistoryStore.predict`` computed before it kept running sums)."""
+    from repro.predict.profile import Prediction, StageDemand
+
+    n = len(runs)
+    runtimes = [r["runtime"] for r in runs]
+    mean = sum(runtimes) / n
+    by_stage = {}
+    for run in runs:
+        for stage in run.get("stages", ()):
+            by_stage.setdefault(stage["stage"], []).append(stage)
+
+    def mean_of(obs, fld):
+        return sum(o[fld] for o in obs) / len(obs)
+
+    return Prediction(
+        template=template,
+        samples=n,
+        runtime=mean,
+        variance=sum((t - mean) ** 2 for t in runtimes) / n,
+        peak_memory_bytes=int(round(sum(r.get("peak_query_bytes", 0) for r in runs) / n)),
+        stages=tuple(
+            StageDemand(
+                stage=sid,
+                cpu_seconds=mean_of(obs, "cpu_seconds"),
+                quanta=int(round(mean_of(obs, "quanta"))),
+                peak_memory_bytes=int(round(mean_of(obs, "peak_memory_bytes"))),
+                exchange_bytes=int(round(mean_of(obs, "exchange_bytes"))),
+                rows_out=int(round(mean_of(obs, "rows_out"))),
+                tasks=int(round(mean_of(obs, "tasks"))),
+                start=mean_of(obs, "start"),
+                end=mean_of(obs, "end"),
+            )
+            for sid, obs in sorted(by_stage.items())
+        ),
+    )
+
+
+def test_running_sums_predict_exactly_what_the_runs_average_to(tmp_path):
+    """``predict`` costs one pass (the variance) however many runs are
+    recorded; its means are bit-identical to sums over every run, live
+    and after a persisted round trip."""
+    from repro.predict.history import HistoryStore
+
+    rng = np.random.default_rng(5)
+    store = HistoryStore(history_dir=str(tmp_path))
+    history = {}
+    for _ in range(300):
+        template = f"t{rng.integers(0, 4)}"
+        run = {
+            "runtime": float(rng.lognormal(0.0, 2.0)),
+            "peak_query_bytes": int(rng.integers(0, 1 << 40)),
+            "stages": [
+                {
+                    "stage": sid, "cpu_seconds": float(rng.random() * 1e3),
+                    "quanta": int(rng.integers(0, 1 << 20)),
+                    "peak_memory_bytes": int(rng.integers(0, 1 << 40)),
+                    "exchange_bytes": int(rng.integers(0, 1 << 40)),
+                    "rows_out": int(rng.integers(0, 1 << 30)),
+                    "tasks": int(rng.integers(1, 9)),
+                    "start": float(rng.random()), "end": float(rng.random() * 1e6),
+                }
+                for sid in range(4) if rng.random() < 0.8  # a stage may be absent
+            ],
+        }
+        store.record(template, run)
+        history.setdefault(template, []).append(run)
+        assert store.predict(template) == predicted_over_runs(template, history[template])
+    reloaded = HistoryStore(history_dir=str(tmp_path))
+    for template, runs in history.items():
+        assert reloaded.predict(template) == predicted_over_runs(template, runs)
+
+
 # -- warm history pays off on a workload ------------------------------------
 #: Templated aggregations whose literal varies per tenant and query, with
 #: a total ORDER BY so row order is canonical at any pre-granted DOP.
