@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,14 +10,32 @@ import numpy as np
 from ..pages import DictColumn, Page, Schema
 
 
+class _LazyColumns(Sequence):
+    """A table's columns, each a loader until its first read, which calls
+    the loader and keeps the column in its place."""
+
+    def __init__(self, loaders: "list[Callable[[], np.ndarray | DictColumn]]"):
+        self._columns = list(loaders)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __getitem__(self, i: int):
+        column = self._columns[i]
+        if callable(column):
+            column = self._columns[i] = column()
+        return column
+
+
 @dataclass
 class Table:
-    """A fully materialised table (schema + parallel columns; STRING
-    columns are dictionary-encoded on registration)."""
+    """A table: schema + parallel columns (STRING columns are
+    dictionary-encoded on registration), materialised or loaded per
+    column on first read (:meth:`lazy`)."""
 
     name: str
     schema: Schema
-    columns: "list[np.ndarray | DictColumn]"
+    columns: "Sequence[np.ndarray | DictColumn]"
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.schema):
@@ -31,20 +50,30 @@ class Table:
         lengths = {len(c) for c in self.columns}
         if len(lengths) > 1:
             raise ValueError(f"table {self.name}: ragged columns {lengths}")
+        self.num_rows = len(self.columns[0]) if self.columns else 0
         self._size_cache: int | None = None
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+    @classmethod
+    def lazy(
+        cls, name: str, schema: Schema, loaders: list, num_rows: int, size_bytes: int
+    ) -> "Table":
+        """A table whose column ``i`` is ``loaders[i]()``, called on the
+        column's first read (a scan, :meth:`page`, :meth:`column`).  The
+        caller measured ``num_rows`` and ``size_bytes``, so planning and
+        split partitioning read no column."""
+        table = object.__new__(cls)
+        table.name, table.schema, table.columns = name, schema, _LazyColumns(loaders)
+        table.num_rows, table._size_cache = num_rows, size_bytes
+        return table
 
     @property
     def size_bytes(self) -> int:
-        """Accounted table size, used for split accounting.
+        """Accounted table size (:meth:`Page.size_bytes` of the whole
+        table), used for split accounting.
 
-        Cached: sizing gathers one byte length per string cell over the
-        whole table (see :meth:`Page.size_bytes`) — ~12 ms for SF0.2
-        ``lineitem``, paid by every split-partitioning pass otherwise.
-        Tables are immutable once registered, so one measurement holds.
+        Measured once: it gathers one byte length per string cell, and
+        tables are immutable once registered.  A :meth:`lazy` table is
+        measured by whoever loads it, so sizing it reads no column.
         """
         if self._size_cache is None:
             self._size_cache = self.page(0, self.num_rows).size_bytes

@@ -12,6 +12,9 @@ executes.  Generated data is fully determined by
   variable names a directory, tables are spilled to
   ``tpch-sf<scale>-seed<seed>-f<format>-v<version>.npz`` and later
   processes load instead of generating.  Unset, nothing touches disk.
+  Loading validates every member but keeps none of the columns: each
+  is read from the archive, which the tables hold open, on its first
+  read (``Table.lazy``), so a column no query scans costs no memory.
 
 ``GENERATOR_VERSION`` is part of both keys: bump it whenever
 :class:`~repro.data.tpch.generator.TpchGenerator` changes its output, and
@@ -31,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ...pages import DictColumn
+from ...pages import DictColumn, Page
+from ...pages.page import PAGE_OVERHEAD_BYTES
 from .generator import GENERATOR_VERSION, TpchGenerator
 from .schema import TPCH_SCHEMAS
 from ..table import Table
@@ -86,29 +90,53 @@ def _save(path: Path, tables: dict[str, Table]) -> None:
 
 
 def _load(path: Path) -> dict[str, Table] | None:
+    """The archive's tables, or None when it cannot serve them.
+
+    One pass reads every member in full (so the zip CRC is checked),
+    holding one at a time: each must be a 1-D array (``allow_pickle=False``
+    refuses object arrays) of its table's row count, and string codes
+    must index their dictionary.  The pass builds the dictionaries and
+    measures each table's rows and accounted size; the columns stay in
+    the archive until their first read.
+    """
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            tables: dict[str, Table] = {}
-            for name, schema in TPCH_SCHEMAS.items():
-                columns = []
-                for field in schema:
-                    key = f"{name}::{field.name}"
-                    arr = archive[key]
-                    if field.type.fixed_width is None:
-                        arr = DictColumn(arr, archive[f"{key}::dictionary"].tolist())
-                        if len(arr) and not (
-                            0 <= arr.codes.min() and arr.codes.max() < len(arr.dictionary)
-                        ):
-                            raise ValueError(f"{key}: codes outside the dictionary")
-                    columns.append(arr)
-                tables[name] = Table(name, schema, columns)
-            return tables
+        archive = np.load(path, allow_pickle=False)
     except Exception:
-        # Any load failure is a cache miss (missing or torn archive,
+        return None
+    try:
+        tables: dict[str, Table] = {}
+        for name, schema in TPCH_SCHEMAS.items():
+            rows, size, loaders = None, PAGE_OVERHEAD_BYTES, []
+            for i, field in enumerate(schema):
+                key = f"{name}::{field.name}"
+                column = archive[key]
+                rows = len(column) if rows is None else rows
+                if column.ndim != 1 or len(column) != rows:
+                    raise ValueError(f"{key}: not a column of {rows} rows")
+                dictionary = None
+                if field.type.fixed_width is None:
+                    column = DictColumn(column, archive[f"{key}::dictionary"].tolist())
+                    dictionary, codes = column.dictionary, column.codes
+                    if rows and not (0 <= codes.min() and codes.max() < len(dictionary)):
+                        raise ValueError(f"{key}: codes outside the dictionary")
+                size += Page(schema.select((i,)), [column]).size_bytes - PAGE_OVERHEAD_BYTES
+                loaders.append(_loader(archive, key, dictionary))
+            tables[name] = Table.lazy(name, schema, loaders, rows, size)
+        return tables
+    except Exception:
+        # Any load failure is a cache miss (a torn or corrupt archive,
         # members that are not the arrays this format stores, codes that
         # do not index their dictionary): regenerate instead of failing
         # the caller now or an operator later.
+        archive.close()
         return None
+
+
+def _loader(archive, key: str, dictionary):
+    """Reads member ``key`` (string codes over ``dictionary`` if given)."""
+    if dictionary is None:
+        return lambda: archive[key]
+    return lambda: DictColumn(archive[key], dictionary)
 
 
 def load_tpch_tables(

@@ -280,7 +280,8 @@ class _HashAggState:
         packing does already, and re-address the groups held.  A column
         that escaped its range takes the union, widened by its old width
         on each side it escaped by, so re-addressing amortises; the exact
-        union is the fallback when that outgrows a bound.  The table is
+        union with the keys held (not with the widened packing) is the
+        fallback when that outgrows a bound.  The table is
         kept while it fits ``_CELLS_PER_GROUP`` cells per group held
         plus ``_CELLS_PER_ROW`` per page row plus ``_TABLE_FLOOR``.
         False when not even ``int64`` holds the codes."""
@@ -291,10 +292,11 @@ class _HashAggState:
             return True
         itself = [(lo, hi - lo + 1) for lo, hi in ranges]  # what the first page covers
         covered = zip(self._lows, self._radices) if self._radices else itself
+        held = [(_LOWEST(v), _HIGHEST(v)) for v in self._held()[0]] if self._count else ranges
         exact, grown = [], []
-        for (lo, hi), (low, radix) in zip(ranges, covered):
+        for (lo, hi), (low, radix), (least, most) in zip(ranges, covered, held):
             top = low + radix - 1
-            exact.append((min(lo, low), max(hi, top)))
+            exact.append((min(lo, int(least)), max(hi, int(most))))
             lo = max(lo - radix, _INT64_MIN) if lo < low else low
             grown.append((lo, min(hi + radix, _INT64_MAX) if hi > top else top))
         bound = _CELLS_PER_GROUP * self._count + _CELLS_PER_ROW * num_rows + _TABLE_FLOOR

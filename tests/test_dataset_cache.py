@@ -1,9 +1,19 @@
-"""Dataset cache for generated TPC-H tables: memo, npz roundtrip, keys."""
+"""Dataset cache for generated TPC-H tables: memo, npz roundtrip, keys,
+and what an archive load reads when."""
 
 from __future__ import annotations
 
-import numpy as np
+import gc
+import os
+import struct
+import zipfile
 
+import numpy as np
+import pytest
+from numpy.lib.npyio import NpzFile
+
+from repro import AccordionEngine, QueryOptions
+from repro.data import Catalog, SplitLayout
 from repro.data.tpch.dataset_cache import (
     CACHE_DIR_ENV,
     CACHE_FORMAT,
@@ -12,7 +22,10 @@ from repro.data.tpch.dataset_cache import (
     load_tpch_tables,
 )
 from repro.data.tpch.generator import GENERATOR_VERSION
+from repro.data.tpch.queries import QUERIES
 from repro.pages import DictColumn
+
+from test_engine_queries import SQL_SHAPES
 
 SCALE = 0.001
 SEED = 424242
@@ -142,3 +155,100 @@ def test_torn_archive_falls_back_to_generation(monkeypatch, tmp_path):
     path.write_bytes(b"not an npz archive")
     tables = load_tpch_tables(SCALE, SEED)
     assert "lineitem" in tables  # regenerated despite the corrupt file
+
+
+# ---------------------------------------------------------------------------
+# An archive load validates every member, then reads each column on its
+# first scan.
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def archive_catalog(monkeypatch, tmp_path) -> Catalog:
+    """A catalog served from a freshly written archive."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    clear_dataset_cache()
+    load_tpch_tables(SCALE, SEED)
+    clear_dataset_cache()
+    return Catalog.tpch(SCALE, SEED)
+
+
+@pytest.fixture()
+def archive_reads(monkeypatch) -> list[str]:
+    """Every archive member read from here on, in order."""
+    reads, read = [], NpzFile.__getitem__
+
+    def recording(archive, key):
+        reads.append(key)
+        return read(archive, key)
+
+    monkeypatch.setattr(NpzFile, "__getitem__", recording)
+    return reads
+
+
+def test_archive_columns_load_on_their_first_scan(archive_catalog, archive_reads):
+    """Planning, split partitioning and sizing read no column; Q6 reads
+    the four lineitem columns it scans, once, and nothing else."""
+    engine = AccordionEngine(archive_catalog)
+    for sql in QUERIES.values():
+        engine.coordinator.plan_sql(sql, QueryOptions())
+    assert SplitLayout(archive_catalog, storage_nodes=4).setup_report()
+    assert all(archive_catalog.table(name).size_bytes for name in archive_catalog.names())
+    assert archive_reads == []
+    engine.execute(QUERIES["Q6"])
+    engine.execute(QUERIES["Q6"])
+    assert sorted(archive_reads) == [
+        f"lineitem::{name}"
+        for name in ("l_discount", "l_extendedprice", "l_quantity", "l_shipdate")
+    ]
+
+
+def test_archive_catalog_answers_and_times_like_a_generated_one(archive_catalog):
+    """Every TPC-H text and every SQL shape: the same rows and the same
+    virtual elapsed time whether the columns were generated or loaded."""
+    generated = Catalog.tpch(SCALE, SEED, dataset_cache=False)
+    for name, sql in sorted({**QUERIES, **SQL_SHAPES}.items()):
+        runs = []
+        for catalog in (generated, archive_catalog):
+            handle = AccordionEngine(catalog).submit(sql)
+            runs.append(repr((handle.result(1e5).rows, handle.elapsed)))  # NaN-proof
+        assert runs[0] == runs[1], name
+
+
+def test_a_flipped_data_byte_is_a_miss_at_load(monkeypatch, tmp_path):
+    """The load pass reads every member in full, so the zip CRC catches
+    a corrupt column at load (the archive is regenerated), not when a
+    query first scans it."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    clear_dataset_cache()
+    generated = load_tpch_tables(SCALE, SEED)
+    path = cache_file_path(SCALE, SEED)
+    with zipfile.ZipFile(path) as archive:
+        member = archive.getinfo("lineitem::l_tax.npy")
+    data = bytearray(path.read_bytes())
+    header = member.header_offset
+    name_len, extra_len = struct.unpack("<HH", data[header + 26 : header + 30])
+    data[header + 30 + name_len + extra_len + member.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+    clear_dataset_cache()
+    reloaded = load_tpch_tables(SCALE, SEED)
+    with zipfile.ZipFile(path) as archive:
+        assert archive.testzip() is None  # regenerated and rewritten
+    assert_tables_equal(generated, reloaded)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_reloading_leaves_open_files_flat(monkeypatch, tmp_path):
+    """The tables hold their archive open; dropping them closes it, with
+    no garbage collection needed."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+
+    def reload():
+        clear_dataset_cache()
+        load_tpch_tables(SCALE, SEED)["lineitem"].column("l_tax")
+
+    reload()  # generates and writes the archive
+    reload()  # holds it open
+    gc.collect()  # what earlier tests left in reference cycles
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(20):
+        reload()
+    assert len(os.listdir("/proc/self/fd")) == before

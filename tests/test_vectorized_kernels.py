@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CostModel
 from repro.exec.operators.aggregation import FinalAggOperator, PartialAggOperator
@@ -528,6 +528,10 @@ def _assert_regimes_agree(schema, nkeys, pages, group_limit, **kwargs):
     npages=st.integers(1, 8),
     group_limit=st.integers(2, 40),
 )
+# The final state once widened one key to 24 values and then gave up its
+# table for the union with that widened packing (24 x 17 x 17 cells)
+# while the keys it held span 8 x 9 x 9, under the table's floor.
+@example(seed=0, key_kinds=["small", "dict", "dict"], npages=8, group_limit=2)
 def test_table_path_emits_what_the_page_local_path_emits(
     seed, key_kinds, npages, group_limit
 ):
