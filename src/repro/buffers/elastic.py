@@ -7,7 +7,7 @@ A bounded page buffer whose *capacity is controlled by the consumer side*:
   (and increments the **turn-up counter** — the signal used for runtime
   bottleneck localization, Section 5.1: a stage whose buffers never turn
   up is a computational bottleneck),
-* every ``resize_period`` virtual seconds the consumer re-sizes the buffer
+* every ``RESIZE_PERIOD`` virtual seconds the consumer re-sizes the buffer
   to match the number of pages it actually consumed in the last period, so
   the cached data volume tracks the consumption rate.
 
@@ -28,6 +28,11 @@ from typing import Callable
 from ..config import BufferConfig
 from ..pages import Page
 from ..sim import SimKernel
+
+#: Initial elastic capacity in pages (paper: the size of one page).
+INITIAL_CAPACITY_PAGES = 1
+#: Virtual seconds between consumer-side resize decisions.
+RESIZE_PERIOD = 0.5
 
 
 class WaiterList:
@@ -75,7 +80,7 @@ class ElasticCapacity:
         self.config = config
         self.name = name
         if config.elastic:
-            self.capacity = max(1, config.initial_capacity_pages)
+            self.capacity = INITIAL_CAPACITY_PAGES
         else:
             self.capacity = max(1, config.fixed_capacity_bytes // avg_page_bytes)
         #: Paper Section 5.1: incremented on every consumer-side capacity
@@ -84,7 +89,7 @@ class ElasticCapacity:
         self._consumed_this_period = 0
         self._period_started = kernel.now
         #: Virtual seconds between resizes; never, with elastic off.
-        self._resize_every = config.resize_period if config.elastic else float("inf")
+        self._resize_every = RESIZE_PERIOD if config.elastic else float("inf")
 
     def turn_up(self) -> bool:
         """The consumer found nothing to take: double the capacity (up to
@@ -102,17 +107,15 @@ class ElasticCapacity:
         self._consumed_this_period += pages
 
     def resize_if_due(self) -> bool:
-        """Once per ``resize_period``: size the buffer to what was consumed
+        """Once per ``RESIZE_PERIOD``: size the buffer to what was consumed
         in the period that just ended.  True when the capacity grew."""
         now = self.kernel.now
         if now - self._period_started < self._resize_every:
             return False
-        config = self.config
         before = self.capacity
         self.capacity = max(
-            1,
-            config.initial_capacity_pages,
-            min(config.max_capacity_pages, self._consumed_this_period),
+            INITIAL_CAPACITY_PAGES,
+            min(self.config.max_capacity_pages, self._consumed_this_period),
         )
         self._period_started = now
         self._consumed_this_period = 0

@@ -12,16 +12,16 @@ class Cluster:
     """The simulated cluster (paper Section 6.1: 1 coordinator, 10 storage
     nodes, 10 compute nodes of c5.2xlarge shape by default)."""
 
-    def __init__(self, kernel: SimKernel, config: ClusterConfig, combined: bool = False):
-        """``combined=True`` makes storage and compute the same machines —
-        used for the single-node standalone benchmark (Figure 20)."""
+    def __init__(self, kernel: SimKernel, config: ClusterConfig):
+        """``config.combined`` makes storage and compute the same machines
+        — used for the single-node standalone benchmark (Figure 20)."""
         self.kernel = kernel
         self.config = config
         self.coordinator_node = Node(kernel, 0, config.node, "coordinator")
         self.compute: list[Node] = [
             Node(kernel, i, config.node, "compute") for i in range(config.compute_nodes)
         ]
-        if combined:
+        if config.combined:
             if config.storage_nodes > config.compute_nodes:
                 raise ValueError("combined cluster needs storage_nodes <= compute_nodes")
             self.storage = self.compute[: config.storage_nodes]

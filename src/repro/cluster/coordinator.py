@@ -20,21 +20,34 @@ from ..obs.throughput import Sampler
 from ..pages import Page, concat_pages
 from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan
-from ..plan.physical_planner import PhysicalPlanner, PlannerOptions
+from ..plan.physical_planner import PhysicalPlanner
 from ..sim import SimKernel
-from ..tree import field_names, identity
+from ..tree import identity
 from .cluster import Cluster
 from .rpc import RpcTracker
 from .scheduler import Scheduler
 from .stage import StageExecution
 
 
+#: The options that change *what* plan is built, in the order their
+#: values enter a query's template id (``repro.predict.fingerprint``).
+PLAN_SHAPING = (
+    "join_distribution", "broadcast_threshold_rows", "shuffle_stage_tables",
+    "partial_pushdown",
+)
+
+
 @dataclass
 class QueryOptions:
     """Per-query session options."""
 
+    #: "auto" picks broadcast for small build sides; "partitioned" and
+    #: "broadcast" force the distribution (Presto's join_distribution_type).
     join_distribution: str = "auto"
+    #: In "auto" mode, build sides estimated above this row count use a
+    #: partitioned join.
     broadcast_threshold_rows: float = 1e12
+    #: Tables whose scans get a dedicated downstream shuffle stage (4.6).
     shuffle_stage_tables: frozenset[str] = frozenset()
     #: Initial DOPs (None -> engine defaults).
     initial_stage_dop: int | None = None
@@ -46,17 +59,10 @@ class QueryOptions:
     partial_pushdown: bool = True
 
     def plan_shaping(self) -> dict:
-        """The options that change *what* plan is built: the fields this
-        class shares with :class:`PlannerOptions`.  The DOP hints change
-        only how wide it runs, and the predictor rewrites them at
+        """The :data:`PLAN_SHAPING` options.  The DOP hints change only
+        how wide a plan runs, and the predictor rewrites them at
         pre-grant time, so they are no part of a query's template."""
-        return {name: getattr(self, name) for name in _PLAN_SHAPING}
-
-    def planner_options(self, config: EngineConfig) -> PlannerOptions:
-        return PlannerOptions(
-            intermediate_data_cache=config.intermediate_data_cache,
-            **self.plan_shaping(),
-        )
+        return {name: getattr(self, name) for name in PLAN_SHAPING}
 
     def fingerprint(self) -> tuple:
         """Hashable identity of every option, for plan-cache keys.
@@ -68,11 +74,6 @@ class QueryOptions:
         cache does not special-case this type.
         """
         return identity(self)
-
-
-_PLAN_SHAPING = tuple(
-    name for name in field_names(PlannerOptions) if name in field_names(QueryOptions)
-)
 
 
 class QueryLifecycle:
@@ -431,14 +432,14 @@ class Coordinator:
     ) -> PhysicalPlan:
         """Physical plan for ``sql``; ``prepared`` is its front-end output
         when the caller already holds it."""
-        planner_options = options.planner_options(self.config)
+        elasticity = self.config.elasticity_enabled
         # The schedulable topology is part of the key: a plan cached at N
         # nodes is not reused once membership changes the cluster to M
         # nodes (spurious misses only cost a re-plan, never a wrong plan).
         key = (
             sql,
             options.fingerprint(),
-            planner_options,
+            elasticity,
             self.cluster.topology_fingerprint(),
         )
         if self.config.plan_cache:
@@ -449,7 +450,7 @@ class Coordinator:
             self._plan_cache_misses.add()
         if prepared is None:
             prepared = self.prepare(sql)
-        plan = PhysicalPlanner(self.catalog, planner_options).plan(prepared.logical)
+        plan = PhysicalPlanner(self.catalog, options, elasticity).plan(prepared.logical)
         if self.config.plan_cache:
             PLAN_CACHE.put(self.catalog, key, plan)
         return plan

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..config import ClusterConfig, NodeSpec
+from ..config import NodeSpec
 from ..errors import SchedulingError, TuningRejected
 from ..sim import SimKernel
 from .topology import attach_tasks, detach_tasks
@@ -62,6 +62,13 @@ RPC_NODE_DRAIN = 1
 DRAIN_TIMEOUT = 10.0
 #: Virtual seconds between drain-completion checks.
 DRAIN_POLL = 0.05
+#: Virtual seconds between a join request and the node being usable.
+NODE_JOIN_DELAY = 0.5
+#: Dollars charged per node per virtual second of provisioned time
+#: (node-seconds = dollars).
+COST_PER_NODE_SECOND = 1.0
+#: Price factor for spot nodes.
+SPOT_PRICE_MULTIPLIER = 0.3
 
 
 class ClusterMembership:
@@ -71,7 +78,6 @@ class ClusterMembership:
         self.kernel = kernel
         self.coordinator = coordinator
         self.cluster = coordinator.cluster
-        self.config: ClusterConfig = coordinator.config.cluster
         #: Fired (no args) after every membership change; the workload
         #: layer subscribes to re-pump admission when capacity grows.
         self.on_change: list[Callable[[], None]] = []
@@ -101,7 +107,7 @@ class ClusterMembership:
         for _ in range(count):
             self.pending_joins += 1
             self.kernel.schedule(
-                self.config.node_join_delay,
+                NODE_JOIN_DELAY,
                 lambda: self.coordinator.rpc.after_requests(
                     RPC_NODE_JOIN, lambda: self._activate(spec, spot, on_active)
                 ),
@@ -254,7 +260,7 @@ class ClusterMembership:
 
     def cost_between(self, since: float, until: float | None = None) -> float:
         """Dollars billed for compute in ``[since, until]`` (default: now),
-        at ``cost_per_node_second`` with the spot discount applied."""
+        at ``COST_PER_NODE_SECOND`` with the spot discount applied."""
         end_default = self.kernel.now if until is None else until
         total = 0.0
         for node in self.cluster.compute:
@@ -262,9 +268,9 @@ class ClusterMembership:
             end = node.released_at if node.released_at is not None else end_default
             end = min(end, end_default)
             seconds = max(0.0, end - start)
-            rate = self.config.cost_per_node_second
+            rate = COST_PER_NODE_SECOND
             if node.spot:
-                rate *= self.config.spot_price_multiplier
+                rate *= SPOT_PRICE_MULTIPLIER
             total += seconds * rate
         return total
 

@@ -46,10 +46,6 @@ class RpcTracker:
         #: Requests attributed per query id (65-request Q3 anchor).
         self.query_requests: dict[int, int] = {}
         self._clock = 0.0  # virtual time when the control plane frees up
-        # Seeded backoff jitter (FaultConfig.with_rpc_policy): draws are
-        # made only when jitter > 0 and only in retry order, so the
-        # unjittered timeline consumes no randomness at all.
-        self._jitter_rng = random.Random(self.faults.rpc_jitter_seed)
         self._fault_hook: Callable[[float], object] | None = None
         #: ``(window, rng)`` for every RPC window armed, in arming order.
         self._windows: list = []
@@ -185,10 +181,6 @@ class RpcTracker:
                     faults.rpc_backoff_base
                     * (faults.rpc_backoff_multiplier ** attempt),
                 )
-                if faults.rpc_backoff_jitter > 0.0:
-                    backoff *= 1.0 + (
-                        faults.rpc_backoff_jitter * self._jitter_rng.random()
-                    )
                 t += backoff
                 attempt += 1
         self._clock = max(self._clock, t)

@@ -148,7 +148,7 @@ class Scheduler:
         returns None (least-loaded placement) for stages without a
         prediction."""
         prediction = stage.query.prediction
-        if prediction is None or not self.config.prediction.placement:
+        if prediction is None:
             return None
         demand = prediction.demand(stage.id)
         if demand is None:

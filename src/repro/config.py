@@ -96,16 +96,13 @@ class BufferConfig(_Fingerprinted):
 
     ``elastic=True`` enables the paper's runtime elastic buffer
     (Section 4.2.2): capacity starts at one page and is resized by the
-    consumer side every ``resize_period`` virtual seconds to match the
-    observed consumption rate.  ``elastic=False`` models Presto's fixed
-    32 MB task output buffers (Section 2, challenge 3).
+    consumer side every ``RESIZE_PERIOD`` virtual seconds
+    (:mod:`repro.buffers.elastic`) to match the observed consumption
+    rate.  ``elastic=False`` models Presto's fixed 32 MB task output
+    buffers (Section 2, challenge 3).
     """
 
     elastic: bool = True
-    #: Virtual seconds between consumer-side resize decisions.
-    resize_period: float = 0.5
-    #: Initial capacity in pages (paper: the size of one page).
-    initial_capacity_pages: int = 1
     #: Upper bound on elastic capacity, in pages, to keep memory bounded.
     max_capacity_pages: int = 4096
     #: Fixed capacity (bytes) used when ``elastic`` is False.
@@ -132,50 +129,9 @@ class FaultConfig(_Fingerprinted):
     rpc_backoff_cap: float = 0.2
     #: Geometric growth factor of the retry backoff.
     rpc_backoff_multiplier: float = 2.0
-    #: Seeded backoff jitter: each retry's backoff is stretched by up to
-    #: this fraction, drawn from ``random.Random(rpc_jitter_seed)``.  0
-    #: disables jitter (and consumes no randomness), keeping the retry
-    #: timeline bit-identical to the unjittered one.
-    rpc_backoff_jitter: float = 0.0
-    rpc_jitter_seed: int = 0
     #: How many times the tasks of one stage may be respawned before a
     #: further crash is declared unrecoverable.
     task_retry_budget: int = 3
-    #: Virtual seconds between a node/task death and the coordinator
-    #: noticing it (heartbeat interval).
-    detection_delay: float = 0.05
-
-    def with_rpc_policy(
-        self,
-        *,
-        max_retries: int | None = None,
-        timeout: float | None = None,
-        backoff_base: float | None = None,
-        backoff_cap: float | None = None,
-        backoff_multiplier: float | None = None,
-        jitter: float | None = None,
-        jitter_seed: int | None = None,
-    ) -> "FaultConfig":
-        """Copy with the RPC retry/timeout/backoff policy replaced.
-
-        This is the uniform-config entry point for the knobs the
-        :class:`~repro.cluster.rpc.RpcTracker` consumes; ``None`` keeps
-        the current value.  The jitter is *seeded*: the tracker draws
-        from ``random.Random(jitter_seed)`` in request order, so a
-        jittered retry timeline is still bit-identical across runs.
-        """
-        fields = {
-            "rpc_max_retries": max_retries,
-            "rpc_timeout": timeout,
-            "rpc_backoff_base": backoff_base,
-            "rpc_backoff_cap": backoff_cap,
-            "rpc_backoff_multiplier": backoff_multiplier,
-            "rpc_backoff_jitter": jitter,
-            "rpc_jitter_seed": jitter_seed,
-        }
-        return replace(
-            self, **{k: v for k, v in fields.items() if v is not None}
-        )
 
 
 @dataclass(frozen=True)
@@ -216,8 +172,8 @@ class ClusterConfig(_Fingerprinted):
     # -- membership / autoscaling (repro.cluster.membership) ----------------
     #: Enable the queue/deadline-driven autoscaler in the workload layer.
     autoscale: bool = False
-    #: Autoscaler fleet bounds; ``None`` max means "no upper bound".
-    autoscale_min_nodes: int | None = None
+    #: Autoscaler fleet ceiling; ``None`` means "no upper bound".  The
+    #: floor is the configured ``compute_nodes``.
     autoscale_max_nodes: int | None = None
     #: Scale out when the admission queue depth reaches this.
     autoscale_queue_high: int = 1
@@ -227,16 +183,6 @@ class ClusterConfig(_Fingerprinted):
     autoscale_deadline_slack: float = 5.0
     #: Request spot (preemptible, cheaper) capacity when scaling out.
     autoscale_spot: bool = False
-
-    # -- provisioning timing ------------------------------------------------
-    #: Virtual seconds between a join request and the node being usable.
-    node_join_delay: float = 0.5
-
-    # -- cost model (node-seconds = dollars) --------------------------------
-    #: Dollars charged per node per virtual second of provisioned time.
-    cost_per_node_second: float = 1.0
-    #: Price factor for spot nodes (typically well below 1).
-    spot_price_multiplier: float = 0.3
 
     def with_placement(
         self,
@@ -276,12 +222,10 @@ class ClusterConfig(_Fingerprinted):
 
         ``ClusterConfig(compute_nodes=2).with_autoscaling(
         autoscale_max_nodes=6)`` describes a fleet that starts at 2 nodes
-        and may grow to 6 under queue or deadline pressure.  The min
-        defaults to the configured ``compute_nodes``.
+        and may grow to 6 under queue or deadline pressure; it never
+        drains below its configured ``compute_nodes``.
         """
         kwargs.setdefault("autoscale", True)
-        if kwargs.get("autoscale_min_nodes") is None:
-            kwargs.setdefault("autoscale_min_nodes", self.compute_nodes)
         return replace(self, **kwargs)
 
 
@@ -330,8 +274,6 @@ class SharingConfig(_Fingerprinted):
     """
 
     enabled: bool = False
-    #: Graft compatible concurrent queries onto one shared execution.
-    fold: bool = True
     #: Virtual seconds a *new* carrier waits before dispatching, so
     #: closely-spaced lookalike queries can pile onto it.  0 dispatches
     #: immediately (queries arriving at the same instant still fold).
@@ -395,8 +337,6 @@ class PredictionConfig(_Fingerprinted):
     max_miss_probability: float | None = None
     #: Pre-grant stage DOPs / memory budget from predicted demand.
     pregrant: bool = True
-    #: Score placement by dominant-remaining-resource under predictions.
-    placement: bool = True
 
 
 @dataclass(frozen=True)
@@ -479,9 +419,9 @@ class EngineConfig(_Fingerprinted):
     #: Rows per page produced by scans and operators.
     page_row_limit: int = 4096
     #: Enable intra-query runtime elasticity (the paper's contribution).
+    #: It includes intermediate data caching (Section 4.5): build-side
+    #: pages stay cached so a DOP switch can rebuild hash tables.
     elasticity_enabled: bool = True
-    #: Keep build-side intermediate results cached for DOP switching (4.5).
-    intermediate_data_cache: bool = True
     #: Host-performance switch (DESIGN.md §10), **bit-inert**: answers,
     #: virtual timings and event counts are identical with it on or off —
     #: it exists for the identity test and for debugging, not for tuning.
@@ -585,7 +525,6 @@ def presto_config(base: EngineConfig | None = None) -> EngineConfig:
         cost=base.cost.scaled(2.6),
         buffers=replace(base.buffers, elastic=False),
         elasticity_enabled=False,
-        intermediate_data_cache=False,
         engine_name="presto",
     )
 
@@ -598,6 +537,5 @@ def prestissimo_config(base: EngineConfig | None = None) -> EngineConfig:
         cost=base.cost.scaled(0.95),
         buffers=replace(base.buffers, elastic=False),
         elasticity_enabled=False,
-        intermediate_data_cache=False,
         engine_name="prestissimo",
     )

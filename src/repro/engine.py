@@ -56,9 +56,7 @@ class AccordionEngine:
             self.tracer = NULL_TRACER
         self.kernel.tracer = self.tracer
         self.catalog = catalog
-        self.cluster = Cluster(
-            self.kernel, config.cluster, combined=config.cluster.combined
-        )
+        self.cluster = Cluster(self.kernel, config.cluster)
         self.split_layout = SplitLayout(
             catalog,
             storage_nodes=config.cluster.storage_nodes,

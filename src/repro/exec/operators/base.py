@@ -70,15 +70,15 @@ class SinkOperator:
     """Tail of a pipeline: absorbs pages into buffers/bridges."""
 
     name = "sink"
-    #: CPU cost per row absorbed (drivers charge it into the quantum).
-    row_cost_attr = "task_output_row_cost"
     #: The task output buffer behind the sink: its ``is_full`` /
     #: ``not_full`` gate the driver.  None: the sink never blocks.
     buffer = None
 
-    def __init__(self, cost: CostModel):
+    def __init__(self, cost: CostModel, row_cost: float | None = None):
+        """``row_cost``: CPU seconds per row absorbed, which drivers charge
+        into the quantum (default: the task output operator's)."""
         self.cost = cost
-        self._row_cost = getattr(cost, self.row_cost_attr)
+        self._row_cost = cost.task_output_row_cost if row_cost is None else row_cost
 
     def cost_of(self, pages: list[Page]) -> float:
         """CPU cost of absorbing ``pages`` (charged before delivery)."""

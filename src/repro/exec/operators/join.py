@@ -378,10 +378,9 @@ class JoinBridge:
 
 class JoinBuildSink(SinkOperator):
     name = "hash_join_build"
-    row_cost_attr = "join_build_row_cost"
 
     def __init__(self, cost: CostModel, bridge: JoinBridge):
-        super().__init__(cost)
+        super().__init__(cost, cost.join_build_row_cost)
         self.bridge = bridge
         bridge.register_producer()
 

@@ -27,10 +27,9 @@ class TaskOutputSink(SinkOperator):
 
 class LocalExchangeSink(SinkOperator):
     name = "local_exchange_sink"
-    row_cost_attr = "local_exchange_row_cost"
 
     def __init__(self, cost: CostModel, exchange: LocalExchange):
-        super().__init__(cost)
+        super().__init__(cost, cost.local_exchange_row_cost)
         self.exchange = exchange
         exchange.register_producer()
 

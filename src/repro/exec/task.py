@@ -142,7 +142,7 @@ class Task:
             output.mode,
             name=f"{self.task_id}.out",
             keys=output.keys,
-            cache_pages=output.cache and config.intermediate_data_cache,
+            cache_pages=output.cache,
             cpu=node.cpu,
             cost=self.cost,
         )

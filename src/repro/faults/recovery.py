@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.stage import StageExecution
     from ..exec.task import Task
 
+#: Virtual seconds between a node/task death and the coordinator noticing
+#: it (heartbeat interval).
+DETECTION_DELAY = 0.05
+
 
 class RecoveryManager:
     def __init__(self, coordinator: "Coordinator"):
@@ -68,13 +72,9 @@ class RecoveryManager:
         node.fail()
         self.decisions.record("fault", "node_failed", node=node.name)
         if node.role == "coordinator":
-            self.kernel.schedule(
-                self.config.detection_delay, lambda: self._coordinator_down()
-            )
+            self.kernel.schedule(DETECTION_DELAY, lambda: self._coordinator_down())
             return
-        self.kernel.schedule(
-            self.config.detection_delay, lambda: self._handle_node_down(node)
-        )
+        self.kernel.schedule(DETECTION_DELAY, lambda: self._handle_node_down(node))
 
     def task_down(
         self, query: "QueryExecution", stage: "StageExecution", task: "Task"
@@ -85,7 +85,7 @@ class RecoveryManager:
             return
         task.crash(reason="injected task crash")
         self.kernel.schedule(
-            self.config.detection_delay,
+            DETECTION_DELAY,
             lambda: task.when_quanta_drained(
                 lambda: self.recover_task(query, stage, task)
             ),

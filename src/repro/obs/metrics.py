@@ -47,7 +47,9 @@ class MetricsRegistry:
         """Register ``fn`` to be sampled at snapshot time under ``name``.
 
         ``fn`` takes no arguments and returns a scalar or a dict of
-        scalars (flattened as ``name.key``)."""
+        scalars (flattened as ``name.key``).  What ``fn`` raises,
+        ``snapshot()`` raises: a broken gauge is a bug, not a missing
+        key."""
         self._gauges[name] = fn
 
     def snapshot(self) -> dict:
@@ -56,10 +58,7 @@ class MetricsRegistry:
         for name, counter in self._counters.items():
             out[name] = counter.value
         for name, fn in self._gauges.items():
-            try:
-                value = fn()
-            except Exception:  # a dead gauge must not break the snapshot
-                continue
+            value = fn()
             if isinstance(value, dict):
                 for key, sub in value.items():
                     out[f"{name}.{key}"] = sub

@@ -11,7 +11,7 @@ memos, both bounded per catalog version, remove that work:
   sharing layer's normalized form and the predictor's literal-free
   template fingerprints, each derived at most once per entry.
 * :data:`PLAN_CACHE` maps (SQL text, QueryOptions fingerprint,
-  PlannerOptions, topology) to the physical plan.  The physical plan is
+  elasticity flag, topology) to the physical plan.  The physical plan is
   a pure *descriptor* — tasks instantiate operators from fragments at
   schedule time — so a plan keyed by exactly its inputs can be shared
   across queries **and engines**.

@@ -21,6 +21,7 @@ probe-first depth-first traversal — reproducing e.g. Q3's S1..S5 layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..buffers import OutputMode
 from ..data import Catalog
@@ -59,24 +60,8 @@ from .physical import (
     partial_agg_schema,
 )
 
-
-@dataclass(frozen=True)
-class PlannerOptions:
-    """Session-level physical planning knobs."""
-
-    #: "auto" picks broadcast for small build sides; "partitioned" and
-    #: "broadcast" force the distribution (Presto's join_distribution_type).
-    join_distribution: str = "auto"
-    #: In "auto" mode, build sides estimated above this row count use a
-    #: partitioned join.
-    broadcast_threshold_rows: float = 1e12
-    #: Tables whose scans get a dedicated downstream shuffle stage (4.6).
-    shuffle_stage_tables: frozenset[str] = frozenset()
-    #: Cache build-side pages for hash-table rebuild (intermediate data
-    #: caching, Section 4.5).
-    intermediate_data_cache: bool = True
-    #: Push a partial TopN/Limit into the upstream stage.
-    partial_pushdown: bool = True
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster.coordinator import QueryOptions
 
 
 @dataclass
@@ -95,9 +80,13 @@ class _Draft:
 
 
 class PhysicalPlanner:
-    def __init__(self, catalog: Catalog, options: PlannerOptions | None = None):
+    def __init__(self, catalog: Catalog, options: "QueryOptions", elasticity: bool = True):
+        """Plans under the session's plan-shaping ``options``; with
+        ``elasticity`` on, build sides cache their pages so a DOP switch
+        can rebuild hash tables (intermediate data caching, Section 4.5)."""
         self.catalog = catalog
-        self.options = options or PlannerOptions()
+        self.options = options
+        self.elasticity = elasticity
         self._remote_sources: list[tuple[PRemoteSourceNode, _Draft]] = []
 
     # ------------------------------------------------------------------
@@ -160,7 +149,7 @@ class PhysicalPlanner:
         distribution = self._join_distribution(node)
 
         join_draft = _Draft(root=None)  # type: ignore[arg-type]
-        cache = self.options.intermediate_data_cache
+        cache = self.elasticity
 
         if distribution == "partitioned":
             probe_draft = self._attach_child(

@@ -94,10 +94,9 @@ class SharingManager:
         key = (self._catalog_version, normalized.key, sub.options.fingerprint())
         if self.cache is not None and self.cache.peek(key):
             return Routing("cached", key)
-        if self.config.fold:
-            group, residual = self._find_group(key, normalized)
-            if group is not None:
-                return Routing("folded", key, group, residual)
+        group, residual = self._find_group(key, normalized)
+        if group is not None:
+            return Routing("folded", key, group, residual)
         return Routing("carrier", key)
 
     def serve(self, sub: "Submission") -> bool:
@@ -140,7 +139,7 @@ class SharingManager:
             return True
         group = self.groups[key] = FoldGroup(self, key, normalized, sub)
         group.add(consumer)
-        group.schedule_dispatch(self.config.fold_window if self.config.fold else 0.0)
+        group.schedule_dispatch(self.config.fold_window)
         carrier = group.carrier
         self.decisions.record(
             "sharing", "carrier", query_id=sub.query_id, tenant=sub.tenant,

@@ -1,9 +1,11 @@
 """Admission controller: the admit step of the query lifecycle.
 
 Session submissions join a queue; the controller admits the head — hands
-it back to ``AccordionEngine._launch`` — whenever the configured limits
-(concurrent queries, summed planned cores, summed declared memory) allow
-it, or the sharing layer would serve it without new resources.  Queue
+it back to ``AccordionEngine._launch`` — whenever the configured
+concurrency caps (``max_concurrent_queries``, and
+``max_queries_per_node`` times the schedulable fleet) allow it, or the
+sharing layer would serve it without new resources.  Planned cores are
+reported, not capped.  Queue
 order is FIFO or aged priority (:mod:`repro.workload.policies`); a queue
 timeout rejects the submission with a structured
 :class:`~repro.errors.QueryRejectedError` instead of holding it forever.

@@ -12,7 +12,7 @@ Policy, evaluated every ``PERIOD`` virtual seconds:
 * **Scale in** after ``IDLE_TICKS`` consecutive ticks with an
   empty queue and cluster usage below ``USAGE_LOW`` of
   capacity — gracefully draining the most recently *joined* node (base
-  capacity is never drained), down to ``autoscale_min_nodes``.
+  capacity is never drained), down to the configured ``compute_nodes``.
 
 A cooldown separates consecutive actions so the policy cannot flap.  The
 tick self-terminates when there is nothing to do (idle at minimum size)
@@ -56,8 +56,6 @@ class Autoscaler:
     # ------------------------------------------------------------------
     @property
     def min_nodes(self) -> int:
-        if self.config.autoscale_min_nodes is not None:
-            return self.config.autoscale_min_nodes
         return self.config.compute_nodes
 
     @property

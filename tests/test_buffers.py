@@ -11,6 +11,7 @@ from repro.buffers import (
     ShuffleOutputBuffer,
     make_output_buffer,
 )
+from repro.buffers.elastic import RESIZE_PERIOD
 from repro.config import BufferConfig, CostModel
 from repro.errors import SchedulingError
 from repro.pages import ColumnType, Page, Schema
@@ -60,7 +61,8 @@ def test_no_turn_up_when_nonempty(kernel):
 
 
 def test_periodic_resize_matches_consumption(kernel):
-    buf = ElasticPageBuffer(kernel, elastic_config(resize_period=0.5))
+    buf = ElasticPageBuffer(kernel, elastic_config())
+    assert RESIZE_PERIOD == 0.5
     for _ in range(20):
         buf.put(page([1]))
     for _ in range(10):

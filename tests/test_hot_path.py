@@ -506,7 +506,7 @@ def test_elastic_capacity_protocol_is_written_once():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ClassDef):
                 body = ast.get_source_segment(source, node)
-                if "capacity * 2" in body or "resize_period" in body:
+                if "capacity * 2" in body or "RESIZE_PERIOD" in body:
                     owners.add(node.name)
     assert owners == {"ElasticCapacity"}
 
@@ -595,7 +595,7 @@ def test_trees_are_descended_and_keyed_in_one_place():
         "_ast_rebuild", "options_template",
     ) == set()
     assert "key=repr" not in sources["sharing/manager.py"]
-    # The plan-shaping options are listed once, on ``PlannerOptions``.
+    # The plan-shaping options are listed once, in ``PLAN_SHAPING``.
     assert "broadcast_threshold_rows" not in sources["predict/fingerprint.py"]
     families = [
         repro.sql.ast.ExprNode, repro.sql.expressions.BoundExpr,

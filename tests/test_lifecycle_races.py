@@ -17,6 +17,7 @@ from repro import (
     TraceArrivals,
     Workload,
 )
+from repro.faults.recovery import DETECTION_DELAY
 
 from conftest import make_engine, norm_rows, run_until_cond, slow_engine
 from test_autoscaler import elastic_engine
@@ -41,8 +42,7 @@ def test_cancel_during_recovery_replay(catalog):
     victim = loaded_compute(engine)
     engine.coordinator.recovery.node_down(victim)
     # Cancel after failure detection, while replacement tasks respawn.
-    detection = engine.config.faults.detection_delay
-    engine.kernel.schedule(detection * 2, query.cancel)
+    engine.kernel.schedule(DETECTION_DELAY * 2, query.cancel)
     engine.kernel.run(until=engine.now + 60.0, max_events=MAX_EVENTS)
     assert query.state == "cancelled"
     with pytest.raises(QueryCancelledError):

@@ -1,6 +1,6 @@
 """Elastic cluster membership: join, graceful drain, spot preemption,
-membership plans, the node-seconds cost model, and the RPC retry-policy
-builder.
+membership plans, the node-seconds cost model, and the RPC retry
+policy.
 
 The invariants mirror test_faults.py: membership churn must never change
 answers — a drained or preempted node's work either migrates through the
@@ -23,6 +23,11 @@ from repro import (
     QueryOptions,
     SpotPreemption,
     TPCH_QUERIES as QUERIES,
+)
+from repro.cluster.membership import (
+    COST_PER_NODE_SECOND,
+    NODE_JOIN_DELAY,
+    SPOT_PRICE_MULTIPLIER,
 )
 from repro.cluster.rpc import RpcTracker
 from repro.config import CostModel
@@ -79,12 +84,12 @@ def test_join_takes_provisioning_delay_and_rpc(catalog):
     engine = make_engine(catalog, cluster=SMALL)
     engine.membership.join(1)
     # Before the provisioning delay elapses nothing is active yet.
-    engine.kernel.run(until=engine.now + engine.config.cluster.node_join_delay / 2)
+    engine.kernel.run(until=engine.now + NODE_JOIN_DELAY / 2)
     assert engine.metrics.snapshot()["cluster.joins"] == 0
     settle(engine)
     assert engine.metrics.snapshot()["cluster.joins"] == 1
     join_events = engine.decisions.of(kind="membership", outcome="node_join")
-    assert join_events[0].time >= engine.config.cluster.node_join_delay
+    assert join_events[0].time >= NODE_JOIN_DELAY
 
 
 def test_new_node_is_used_by_later_queries(catalog):
@@ -336,12 +341,11 @@ def test_spot_nodes_bill_at_discount(catalog):
     engine.membership.join(1, spot=True)
     settle(engine, 3.0)
     node = max(engine.cluster.compute, key=lambda n: n.id)
-    cfg = engine.config.cluster
     base_cost = len(engine.cluster.compute) - 1
     expected = (
         base_cost * (engine.now - start)
-        + (engine.now - node.provisioned_at) * cfg.spot_price_multiplier
-    ) * cfg.cost_per_node_second
+        + (engine.now - node.provisioned_at) * SPOT_PRICE_MULTIPLIER
+    ) * COST_PER_NODE_SECOND
     assert engine.membership.cost_between(start) == pytest.approx(expected)
 
 
@@ -362,30 +366,7 @@ def test_topology_change_invalidates_plan_cache_key(catalog):
     assert coordinator._plan_cache_misses.value == misses0 + 1
 
 
-# -- RPC retry-policy builder ----------------------------------------------
-def test_with_rpc_policy_builder_maps_friendly_names():
-    faults = FaultConfig().with_rpc_policy(
-        max_retries=7,
-        timeout=0.9,
-        backoff_base=0.05,
-        backoff_cap=2.5,
-        backoff_multiplier=3.0,
-        jitter=0.25,
-        jitter_seed=42,
-    )
-    assert faults.rpc_max_retries == 7
-    assert faults.rpc_timeout == 0.9
-    assert faults.rpc_backoff_base == 0.05
-    assert faults.rpc_backoff_cap == 2.5
-    assert faults.rpc_backoff_multiplier == 3.0
-    assert faults.rpc_backoff_jitter == 0.25
-    assert faults.rpc_jitter_seed == 42
-    # Untouched fields keep their defaults; the original is unchanged.
-    assert faults.task_retry_budget == FaultConfig().task_retry_budget
-    assert FaultConfig().rpc_backoff_multiplier == 2.0
-    assert FaultConfig().rpc_backoff_jitter == 0.0
-
-
+# -- RPC retry policy -------------------------------------------------------
 def _retry_finish_time(faults: FaultConfig, failures: int = 3) -> float:
     kernel = SimKernel()
     tracker = RpcTracker(kernel, CostModel(), faults=faults)
@@ -394,28 +375,14 @@ def _retry_finish_time(faults: FaultConfig, failures: int = 3) -> float:
     return tracker.after_requests(1, lambda: None)
 
 
-def test_rpc_backoff_jitter_is_seeded_and_deterministic():
-    plain = FaultConfig().with_rpc_policy(max_retries=5)
-    jittered = plain.with_rpc_policy(jitter=0.5, jitter_seed=11)
-    t_plain = _retry_finish_time(plain)
-    t_a = _retry_finish_time(jittered)
-    t_b = _retry_finish_time(jittered)
-    # Same seed: identical timing.  Jitter only ever lengthens backoff.
-    assert t_a == t_b
-    assert t_a > t_plain
-    other_seed = plain.with_rpc_policy(jitter=0.5, jitter_seed=12)
-    assert _retry_finish_time(other_seed) != t_a
-
-
 def test_rpc_backoff_multiplier_shapes_schedule():
-    """With multiplier m and no jitter the k-th retry backs off by
-    base * m**k (capped)."""
-    faults = FaultConfig().with_rpc_policy(
-        max_retries=5,
-        backoff_base=0.1,
-        backoff_cap=10.0,
-        backoff_multiplier=3.0,
-        jitter=0.0,
+    """With multiplier m the k-th retry backs off by base * m**k
+    (capped)."""
+    faults = FaultConfig(
+        rpc_max_retries=5,
+        rpc_backoff_base=0.1,
+        rpc_backoff_cap=10.0,
+        rpc_backoff_multiplier=3.0,
     )
     finish = _retry_finish_time(faults, failures=2)
     expected = (

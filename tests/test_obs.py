@@ -13,6 +13,7 @@ from repro import (
     TPCH_QUERIES,
 )
 from repro.errors import ExecutionError, QueryFailedError, TuningRejected
+from repro.obs import MetricsRegistry
 
 
 def traced_engine(catalog, **trace_kwargs) -> AccordionEngine:
@@ -149,6 +150,20 @@ def test_metrics_snapshot(engine):
     assert snapshot["rpc.total_requests"] >= 1
     assert snapshot["sim.events_processed"] >= 1
     assert snapshot["trace.spans"] == 0
+
+
+def test_metrics_snapshot_raises_what_a_gauge_raises():
+    """A broken gauge is a bug to surface, not keys to drop silently from
+    ``engine.metrics`` and every report built on it."""
+    registry = MetricsRegistry()
+    registry.counter("ok").add()
+
+    def broken():
+        raise ZeroDivisionError("gauge bug")
+
+    registry.gauge("broken", broken)
+    with pytest.raises(ZeroDivisionError, match="gauge bug"):
+        registry.snapshot()
 
 
 # -- inertness: tracing must not change the simulation -----------------------

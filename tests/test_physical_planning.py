@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import QueryOptions
 from repro.buffers import OutputMode
 from repro.data.tpch.queries import QUERIES
 from repro.plan import LogicalPlanner, prune_columns
@@ -14,7 +15,7 @@ from repro.plan.physical import (
     PTaskOutputNode,
     PTopNNode,
 )
-from repro.plan.physical_planner import PhysicalPlanner, PlannerOptions
+from repro.plan.physical_planner import PhysicalPlanner
 from repro.plan.pipelines import fragment_pipelines
 from repro.sql.parser import parse
 
@@ -26,7 +27,7 @@ def lp(catalog):
 
 def phys(catalog, lp, sql, **options):
     logical = prune_columns(lp.plan(parse(sql)))
-    return PhysicalPlanner(catalog, PlannerOptions(**options)).plan(logical)
+    return PhysicalPlanner(catalog, QueryOptions(**options)).plan(logical)
 
 
 def walk_nodes(node):

@@ -17,6 +17,7 @@ The contracts under test (DESIGN.md §16):
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +37,11 @@ from repro import (
     Workload,
 )
 from repro.errors import ExecutionError, TuningRejected
+from repro.data.tpch.queries import QUERIES
 from repro.predict import template_fingerprint
 
 MAX_EVENTS = 5_000_000
+TEMPLATE_GOLDEN = Path(__file__).with_name("template_golden.json")
 TUNING_TIMES = (0.5, 1.0, 1.8)
 
 AGG_SQL = (
@@ -131,6 +134,32 @@ class TestTemplateFingerprint:
             catalog, AGG_SQL.format(lit=10),
             QueryOptions(initial_stage_dop=4, stage_dops={1: 3}),
         ) == base
+
+    def test_template_ids_match_the_recorded_golden(self, tiny_catalog):
+        """Template ids key persisted history, so they must not move when
+        the plan-shaping options are refactored: a reordered, missing or
+        extra plan-shaping name changes every id here."""
+        golden = json.loads(TEMPLATE_GOLDEN.read_text())
+        assert template_ids(tiny_catalog) == golden
+
+
+#: The 19 numbered TPC-H texts, under three plan-shaping option sets.
+TEMPLATE_OPTIONS = {
+    "default": QueryOptions(),
+    "no_pushdown": QueryOptions(partial_pushdown=False),
+    "partitioned": QueryOptions(
+        join_distribution="partitioned", broadcast_threshold_rows=1
+    ),
+}
+
+
+def template_ids(catalog) -> dict:
+    names = [name for name in QUERIES if name[1:].isdigit()]
+    return {
+        label: {name: template_fingerprint(catalog, QUERIES[name], options)
+                for name in names}
+        for label, options in TEMPLATE_OPTIONS.items()
+    }
 
 
 # -- history accumulation ---------------------------------------------------
@@ -472,3 +501,7 @@ def test_warm_history_beats_reactive_on_makespan_and_p99(catalog):
     # 1.92x / 1.93x measured on this catalog.
     assert predictive.horizon < reactive.horizon
     assert overall_p99(predictive) < overall_p99(reactive)
+
+
+if __name__ == "__main__":  # record the template golden (run at the parent)
+    print(json.dumps(template_ids(Catalog.tpch(scale=0.001, seed=TEST_SEED)), indent=1))

@@ -679,13 +679,14 @@ class TestWorkloadIntegration:
 class TestPublicApi:
     def test_with_sharing_builder(self):
         config = EngineConfig().with_sharing(
-            fold=True, result_cache_bytes=1024, cache_ttl=60.0
+            result_cache_bytes=1024, cache_ttl=60.0
         )
         assert config.sharing.enabled
         assert config.sharing.result_cache_bytes == 1024
         assert config.sharing.cache_ttl == 60.0
         assert not EngineConfig().sharing.enabled
-        assert SharingConfig().fold
+        with pytest.raises(TypeError):  # folding cannot be switched off
+            SharingConfig(fold=False)
 
     def test_sharing_config_in_fingerprint(self):
         from repro import config_fingerprint
