@@ -2,7 +2,7 @@
 and runtime membership (join / drain / spot preemption)."""
 
 from .cluster import Cluster
-from .coordinator import Coordinator, QueryExecution, QueryOptions
+from .coordinator import Coordinator, QueryExecution, QueryOptions, QueryRecord
 from .membership import ClusterMembership
 from .node import Node
 from .rpc import RpcTracker
@@ -16,6 +16,7 @@ __all__ = [
     "Node",
     "QueryExecution",
     "QueryOptions",
+    "QueryRecord",
     "RpcTracker",
     "Scheduler",
     "StageExecution",

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..config import EngineConfig
 from ..data import Catalog, SplitLayout
 from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
 from ..exec.spill import QueryMemory
+from ..exec.spill.memory import MemoryRecord
 from ..obs.decisions import fault_timeline
 from ..obs.throughput import Sampler
 from ..pages import Page, concat_pages
@@ -152,6 +154,7 @@ class QueryExecution(QueryLifecycle):
         config: EngineConfig,
         options: QueryOptions,
         metrics=None,
+        on_retired: "Callable[[QueryExecution], None] | None" = None,
     ):
         super().__init__(kernel, "running")
         self.id = query_id
@@ -186,6 +189,10 @@ class QueryExecution(QueryLifecycle):
         self.trace_span = kernel.tracer.begin(
             "query", f"Q{query_id}", node="coordinator", query_id=query_id, sql=sql
         )
+        #: Called once every task has sealed (the coordinator swaps this
+        #: execution for its :class:`QueryRecord`).  Sealed tasks return
+        #: ``_seal_when_idle`` early, so it fires once.
+        self.on_retired = on_retired
 
     # -- results ----------------------------------------------------------
     def collect_output(self, page: Page) -> None:
@@ -316,6 +323,8 @@ class QueryExecution(QueryLifecycle):
                     return
         for task in tasks:
             task.seal()
+        if self.on_retired is not None:
+            self.on_retired(self)
 
     # -- introspection -----------------------------------------------------
     def progress(self) -> dict[int, float]:
@@ -357,6 +366,42 @@ class QueryExecution(QueryLifecycle):
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class StageRecord:
+    """A retired stage, as usage accounting reads it."""
+
+    cpu: float
+
+    def cpu_seconds(self) -> float:
+        return self.cpu
+
+
+@dataclass(frozen=True)
+class QueryRecord:
+    """What the coordinator keeps of a retired execution (DESIGN.md §17):
+    the fields engine-wide readers use — usage accounting reads
+    ``stages[...].cpu_seconds()`` and ``memory.stats()`` — and no task,
+    page or plan.  The execution itself lives as long as a handle (or a
+    :class:`~repro.handle.QueryResult`) holds it."""
+
+    id: int
+    sql: str
+    state: str
+    prediction_error: float | None
+    stages: dict[int, StageRecord]
+    memory: MemoryRecord
+    #: A retired query reserves nothing on any node.
+    reservations = ()
+
+    @classmethod
+    def of(cls, query: QueryExecution) -> "QueryRecord":
+        return cls(
+            query.id, query.sql, query.state, query.prediction_error,
+            {sid: StageRecord(s.cpu_seconds()) for sid, s in query.stages.items()},
+            MemoryRecord(query.memory.stats()),
+        )
+
+
 class Coordinator:
     def __init__(
         self,
@@ -375,8 +420,9 @@ class Coordinator:
         self.rpc = RpcTracker(kernel, config.cost, faults=config.faults)
         self.rpc.on_action_failed = self._action_failed
         self.scheduler = Scheduler(kernel, cluster, config, self.rpc, split_layout)
-        #: Every physical execution ever started, in submission order.
-        self.queries: dict[int, QueryExecution] = {}
+        #: Every physical execution ever started, in submission order; a
+        #: retired one is its :class:`QueryRecord` (DESIGN.md §17).
+        self.queries: dict[int, QueryExecution | QueryRecord] = {}
         #: The unfinished subset of ``queries`` (insertion = id order);
         #: usage accounting iterates this, not the full history.
         self.running: dict[int, QueryExecution] = {}
@@ -407,12 +453,13 @@ class Coordinator:
         return self._plan_cache_misses.value
 
     def _action_failed(self, query_id: int | None, message: str) -> None:
-        """A control-plane action exhausted its RPC retries."""
-        targets = (
-            [self.queries[query_id]]
-            if query_id is not None and query_id in self.queries
-            else list(self.running.values())
-        )
+        """A control-plane action exhausted its RPC retries.  Its give-up
+        fires when the retries run out, which may be after its query
+        ended: a query no longer running has nothing left to fail."""
+        if query_id is None:
+            targets = list(self.running.values())
+        else:
+            targets = [self.running[query_id]] if query_id in self.running else []
         for query in targets:
             self.kernel.decisions.record(
                 "fault", "rpc_gave_up", query_id=query.id, reason=message
@@ -471,7 +518,7 @@ class Coordinator:
         caller may still attach what placement reads (its prediction)."""
         query = QueryExecution(
             next(self._ids), self.kernel, sql, plan, self.config, options,
-            metrics=self.metrics,
+            metrics=self.metrics, on_retired=self._keep_record,
         )
         self.queries[query.id] = self.running[query.id] = query
         query.on_done(self._retire)
@@ -483,6 +530,11 @@ class Coordinator:
         # and cancellation all clean up the per-query spill directory.
         query.memory.cleanup()
         self.scheduler.release(query)
+
+    def _keep_record(self, query: QueryExecution) -> None:
+        """Every task of ``query`` sealed: keep its record in its place
+        (``queries`` keeps creation order), not its graph."""
+        self.queries[query.id] = QueryRecord.of(query)
 
     def schedule(self, query: QueryExecution) -> None:
         """Place and start ``query``'s initial tasks."""

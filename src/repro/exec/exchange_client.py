@@ -103,8 +103,11 @@ class ExchangeClient:
 
     @property
     def fetching(self) -> bool:
-        """Whether a fetch is in flight."""
-        return any(state.fetching for state in self.splits.values())
+        """Whether a fetch is in flight (never, once sealed: the keys
+        left then map to no state)."""
+        return any(
+            state is not None and state.fetching for state in self.splits.values()
+        )
 
     #: Called once, when the last fetch in flight has landed (retirement
     #: waits on it).

@@ -23,6 +23,7 @@ import itertools
 import os
 import shutil
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 from ...config import CostModel, MemoryConfig
@@ -199,3 +200,14 @@ class QueryMemory:
             "spills": self.spills,
             "spilled_bytes": self.spilled_bytes,
         }
+
+
+@dataclass(frozen=True)
+class MemoryRecord:
+    """A retired query's final :meth:`QueryMemory.stats`, as its
+    coordinator record keeps it (DESIGN.md §17)."""
+
+    final: dict
+
+    def stats(self) -> dict:
+        return self.final

@@ -11,6 +11,10 @@ introspection, and fault reporting.  The physical
 :class:`~repro.cluster.coordinator.QueryExecution` serving the query
 stays reachable via ``.execution`` (and attribute delegation) for code
 that pokes at engine internals.
+
+Once the query has retired, the handle is the only path to that
+execution: the engine keeps a frozen record of it and nothing more
+(DESIGN.md §17), so the handle's lifetime is the graph's.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ class Submission(QueryLifecycle):
     ``route`` says how it is served once running: ``unshared`` (its own
     physical execution), ``carrier`` (its execution also serves others),
     ``folded`` (rides a carrier's execution) or ``cached`` (answered from
-    the result cache).  Session submissions double as the workload
-    layer's per-query records (``engine.workload.records``).
+    the result cache).  A session submission is the workload layer's
+    record of its query (``engine.workload.records``) until it is
+    terminal; then a frozen ``SubmissionRecord`` takes its slot.
     """
 
     def __init__(
@@ -184,7 +189,8 @@ class Submission(QueryLifecycle):
 
 
 class QueryHandle:
-    """Live handle to one submitted query (see module docstring).
+    """Live handle to one submitted query (see module docstring); it
+    keeps the query's execution graph alive, the engine does not.
 
     ``state`` is ``"queued"`` while the workload layer's admission
     controller holds the submission; admission moves it to ``"running"``,

@@ -28,7 +28,7 @@ from .runner import (
     Workload,
     WorkloadReport,
 )
-from .session import Session, WorkloadManager
+from .session import Session, SubmissionRecord, WorkloadManager
 
 __all__ = [
     "ANONYMOUS",
@@ -41,6 +41,7 @@ __all__ = [
     "QUEUE_POLICIES",
     "ResourceArbiter",
     "Session",
+    "SubmissionRecord",
     "TenantSpec",
     "TenantStats",
     "TraceArrivals",

@@ -67,7 +67,7 @@ class AdmissionController:
         sub.cores = planned_cores(sub.plan, sub.options)
         if sub.memory_bytes is None:
             sub.memory_bytes = DEFAULT_QUERY_MEMORY_BYTES
-        self.manager.records.append(sub)
+        self.manager.keep(sub)
         self.queue.append(sub)
         self.max_queue_depth = max(self.max_queue_depth, len(self.queue))
         if self.config.queue_timeout is not None:
@@ -88,7 +88,7 @@ class AdmissionController:
         the prediction so the caller can renegotiate (retry with a looser
         deadline or after warming more history)."""
         prediction = sub.prediction
-        self.manager.records.append(sub)
+        self.manager.keep(sub)
         sub._finish(
             "rejected",
             QueryRejectedError(

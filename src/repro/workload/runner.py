@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
     from ..engine import AccordionEngine
     from ..handle import QueryHandle, Submission
+    from .session import SubmissionRecord
 
 
 # -- arrival processes ------------------------------------------------------
@@ -379,8 +380,8 @@ class Workload:
 
     # ------------------------------------------------------------------
     def _report(
-        self, records: list["Submission"], horizon: float, manager,
-        start: float, mark: int,
+        self, records: list["Submission | SubmissionRecord"], horizon: float,
+        manager, start: float, mark: int,
     ) -> WorkloadReport:
         tenants: dict[str, TenantStats] = {}
         for spec in self.specs:

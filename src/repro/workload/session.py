@@ -4,13 +4,15 @@
 its ``submit()`` enters the engine's query lifecycle as a *session*
 submission: it is admitted by the admission controller instead of at
 once, and the execution serving it is registered with the cluster-wide
-resource arbiter.  The manager keeps every session
-:class:`~repro.handle.Submission` in ``records`` — the raw material for
-the workload report and the per-tenant metrics gauges.
+resource arbiter.  The manager keeps a record of every session
+submission in ``records`` — the raw material for the workload report: the
+:class:`~repro.handle.Submission` while it is queued or running, a frozen
+:class:`SubmissionRecord` once it is terminal (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError
@@ -24,6 +26,30 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine import AccordionEngine
     from ..handle import QueryHandle, QueryResult
     from .autoscaler import Autoscaler
+
+
+@dataclass(frozen=True)
+class SubmissionRecord:
+    """A terminal session submission, as the workload report reads it;
+    it holds no execution, so the handle alone decides how long the
+    query's graph lives."""
+
+    query_id: int | None
+    tenant: str
+    state: str
+    latency: float
+    queue_seconds: float | None
+    admitted_at: float | None
+    finished_at: float
+    deadline_at: float | None
+    deadline_met: bool | None
+
+    @classmethod
+    def of(cls, sub: Submission) -> "SubmissionRecord":
+        return cls(
+            sub.query_id, sub.tenant, sub.state, sub.latency, sub.queue_seconds,
+            sub.admitted_at, sub.finished_at, sub.deadline_at, sub.deadline_met,
+        )
 
 
 class Session:
@@ -99,8 +125,9 @@ class WorkloadManager:
                 )
         self.arbiter = ResourceArbiter(self)
         self.admission = AdmissionController(self)
-        #: Every session submission, in submission order.
-        self.records: list[Submission] = []
+        #: Every session submission, in submission order: the live
+        #: submission until it is terminal, then its record.
+        self.records: list[Submission | SubmissionRecord] = []
         #: Queue/deadline-driven fleet sizing (ClusterConfig.autoscale).
         self.autoscaler: "Autoscaler | None" = None
         if engine.config.cluster.autoscale:
@@ -119,3 +146,14 @@ class WorkloadManager:
         self, tenant: str, priority: float = 0.0, deadline: float | None = None
     ) -> Session:
         return Session(self, tenant, priority=priority, deadline=deadline)
+
+    def keep(self, sub: Submission) -> None:
+        """Append ``sub`` to ``records``; its terminal transition puts
+        its :class:`SubmissionRecord` in the same slot."""
+        slot = len(self.records)
+        self.records.append(sub)
+
+        def retire(done: Submission) -> None:
+            self.records[slot] = SubmissionRecord.of(done)
+
+        sub.on_done(retire)

@@ -7,16 +7,22 @@ engines are cheap to build on top of a shared catalog.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import multiprocessing
+import sys
 import weakref
+from types import ModuleType
 
 import pytest
 
 from repro import AccordionEngine, EngineConfig, MemoryConfig
+from repro.cluster import QueryExecution, QueryRecord
 from repro.config import CostModel
 from repro.data import Catalog
 from repro.exec.spill import default_spill_root
+from repro.exec.task import Task
+from repro.pages import Page
 from repro.parallel import shutdown_pools
 
 
@@ -49,12 +55,43 @@ def no_session_litter():
     assert set(spill_root.glob("q*")) <= before
 
 
+def reachable(roots: list, kinds, skip: tuple = ()) -> list:
+    """Objects of ``kinds`` reachable from ``roots`` without passing
+    through an object of ``skip``, a class, a module or a module's
+    globals."""
+    seen = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
+    stack, found = list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kinds):
+            found.append(obj)
+        elif not isinstance(obj, (type, ModuleType, *skip)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def assert_only_records(engine: AccordionEngine) -> None:
+    """Every entry of ``coordinator.queries`` that is not running is the
+    :class:`QueryRecord` its execution left once every task sealed
+    (DESIGN.md §17), and holds no task, page or execution."""
+    coordinator = engine.coordinator
+    for query_id, query in coordinator.queries.items():
+        if query_id in coordinator.running:
+            continue
+        assert isinstance(query, QueryRecord), query.describe()
+        assert reachable([query], (Task, Page, QueryExecution)) == []
+
+
 @pytest.fixture(autouse=True)
 def no_litter():
     """Every engine the test built that has no query running holds no
-    task slot, reservation or arbiter entry, and every task of its
-    retired executions is sealed (DESIGN.md §17) once the simulation has
-    run what those tasks still had in flight."""
+    task slot, reservation or arbiter entry, and keeps only a record of
+    each retired execution — which it does once every task is sealed
+    (DESIGN.md §17), after the simulation has run what those tasks still
+    had in flight."""
     yield
     engines = list(_ENGINES)
     _ENGINES.clear()
@@ -62,17 +99,12 @@ def no_litter():
         coordinator = engine.coordinator
         if coordinator.running:
             continue
-        tasks = [
-            task
-            for query in coordinator.queries.values()
-            for stage in query.stages.values()
-            for task in stage.tasks
-        ]
+        queries = coordinator.queries.values()
         engine.kernel.run(
-            stop_when=lambda: all(task.sealed for task in tasks),
+            stop_when=lambda: all(isinstance(q, QueryRecord) for q in queries),
             max_events=1_000_000,
         )
-        assert [t for t in tasks if not t.sealed] == []
+        assert_only_records(engine)
         for node in engine.cluster.all_nodes():
             assert (node.name, node.task_count, node.reserved_bytes) == (node.name, 0, 0)
         if engine._workload is not None:

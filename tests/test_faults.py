@@ -15,6 +15,7 @@ from repro import (
     Plan,
     NodeCrash,
     QueryFailedError,
+    QueryOptions,
     RpcOutage,
     RpcStorm,
     TaskCrash,
@@ -309,6 +310,27 @@ def test_rpc_outage_fails_query_instead_of_hanging(tiny_catalog):
     with pytest.raises(QueryFailedError, match="control-plane"):
         engine.run_until_done(query, max_events=MAX_EVENTS)
     assert engine.coordinator.rpc.failed_requests >= 1
+
+
+def test_an_rpc_give_up_after_its_query_finished_is_no_fault(tiny_catalog):
+    """An RP's link-update requests time out in an outage and give up
+    only after the query finished (the RP itself does not wait on them):
+    that give-up used to be logged as ``rpc_gave_up`` against the
+    finished query and showed in its fault history."""
+    options = QueryOptions(initial_stage_dop=2)
+    clean = slow_engine(tiny_catalog).submit(QUERIES["Q3"], options)
+    rows = clean.result().rows
+    engine = slow_engine(tiny_catalog)
+    handle = engine.submit(QUERIES["Q3"], options)
+    engine.run_until(clean.execution.finished_at - 0.2)
+    engine.apply(Plan(events=(RpcOutage(start=engine.now, stop=1e9),)))
+    handle.tuning.rp(1, 1)
+    engine.kernel.run(max_events=MAX_EVENTS)
+    assert handle.succeeded and handle.elapsed == clean.elapsed
+    assert engine.coordinator.rpc.failed_requests == 1
+    assert engine.decisions.of(kind="fault", outcome="rpc_gave_up") == []
+    assert handle.fault_history() == []
+    assert norm_rows(handle.result().rows) == norm_rows(rows)
 
 
 def test_retry_budget_exhaustion_fails_query(tiny_catalog):

@@ -291,10 +291,13 @@ class TestPregrant:
 
     def test_placement_reservations_release_on_completion(self, catalog):
         engine = predict_engine(catalog)
-        engine.submit(AGG_SQL.format(lit=10)).result()
-        engine.submit(AGG_SQL.format(lit=20)).result()
+        handles = []
+        for lit in (10, 20):
+            handles.append(engine.submit(AGG_SQL.format(lit=lit)))
+            handles[-1].result()
         assert engine.metrics.snapshot()["predict.drr_placements"] >= 1
-        assert all(q.reservations == [] for q in engine.coordinator.queries.values())
+        assert [h.execution.reservations for h in handles] == [[], []]
+        assert all(not q.reservations for q in engine.coordinator.queries.values())
         assert all(node.reserved_bytes == 0 for node in engine.cluster.compute)
 
 

@@ -1,22 +1,23 @@
 """Retirement (DESIGN.md §17): a finished execution keeps its answer and
-its counters, not its pages.
+its counters, not its pages, and the engine keeps only a record of it.
 
 Once a query is terminal and none of its tasks runs, holds a core or has
 a fetch in flight, every task drops its output buffer's queues, caches
 and lineage, its exchange and local-exchange pages, its hash tables and
-its operators.  ``engine.coordinator.queries`` still holds every
-execution, so these tests walk the object graph from there and find no
-data page but each execution's result pages, and check that a retired
-query's handle answers exactly what it answered the moment it ended.
+its operators; then ``engine.coordinator.queries`` swaps the execution
+for its :class:`~repro.cluster.QueryRecord`.  Only the handles the test
+holds still reach an execution, so these tests walk the object graph
+from them and find no data page but each execution's result pages, and
+check that a retired query's handle answers exactly what it answered the
+moment it ended.
 """
 
 from __future__ import annotations
 
 import gc
-import random
 import sys
 import tracemalloc
-from types import ModuleType
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,16 +27,14 @@ from repro import (
     EngineConfig,
     MemoryConfig,
     Plan,
-    PoissonArrivals,
     QueryFailedError,
     QueryOptions,
     TaskCrash,
     TuningRejected,
-    Workload,
 )
 from repro.cluster import Cluster, Coordinator
 from repro.cluster.node import Node
-from repro.config import CostModel, FaultConfig
+from repro.config import FaultConfig
 from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
 from repro.exec.task import Task
@@ -46,7 +45,13 @@ from repro.sim import SimKernel
 from repro.workload import WorkloadManager
 from repro.workload.arbiter import ResourceArbiter
 
-from conftest import builds_ready, make_engine, run_until_cond, slow_engine
+from conftest import (
+    assert_only_records, builds_ready, make_engine, reachable, run_until_cond,
+    slow_engine,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from soak import CONFIG as SOAK_CONFIG, run_window  # noqa: E402
 
 #: Engine-wide objects: what lives beyond any one execution is not the
 #: execution's to hold (the result cache, the fleet, the event queue).
@@ -57,34 +62,24 @@ ENGINE_WIDE = (
 )
 
 
-def stray_pages(engine) -> list[Page]:
-    """Data pages reachable from ``engine.coordinator.queries`` other than
-    each execution's ``result_pages``, without passing through an
-    engine-wide object, a class or a module's globals."""
-    queries = engine.coordinator.queries
-    allowed = {id(p) for q in queries.values() for p in q.result_pages}
-    seen = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
-    stack = list(queries.values())
-    found = []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Page):
-            if not obj.is_end and id(obj) not in allowed:
-                found.append(obj)
-            continue
-        if isinstance(obj, (type, ModuleType, np.ndarray, *ENGINE_WIDE)):
-            continue
-        stack.extend(gc.get_referents(obj))
-    return found
+def stray_pages(roots: list) -> list[Page]:
+    """Data pages reachable from the executions ``roots`` (what the
+    test's handles hold) other than each one's ``result_pages``, without
+    passing through an engine-wide object."""
+    allowed = {id(p) for q in roots for p in q.result_pages}
+    return [
+        page for page in reachable(roots, Page, skip=(np.ndarray, *ENGINE_WIDE))
+        if not page.is_end and id(page) not in allowed
+    ]
 
 
-def assert_retired(engine) -> None:
+def assert_retired(engine, held: list) -> None:
+    """No query runs, the engine keeps only records, and each execution
+    the test ``held`` is sealed and holds no page but its answer."""
     assert not engine.coordinator.running
-    assert stray_pages(engine) == []
-    for query in engine.coordinator.queries.values():
+    assert_only_records(engine)
+    assert stray_pages(held) == []
+    for query in held:
         for stage in query.stages.values():
             assert all(task.sealed for task in stage.tasks), query.describe()
 
@@ -92,10 +87,9 @@ def assert_retired(engine) -> None:
 # -- (i) no page outlives its query -------------------------------------------
 def test_every_tpch_text_leaves_only_its_answer(catalog):
     engine = make_engine(catalog)
-    for sql in QUERIES.values():
-        engine.execute(sql)
+    results = [engine.execute(sql) for sql in QUERIES.values()]
     assert len(engine.coordinator.queries) == len(QUERIES)
-    assert_retired(engine)
+    assert_retired(engine, [result.query for result in results])
 
 
 def test_a_query_cancelled_mid_flight_drains_then_retires(catalog):
@@ -110,7 +104,7 @@ def test_a_query_cancelled_mid_flight_drains_then_retires(catalog):
     assert not any(t.sealed for t in tasks)
     run_until_cond(engine, lambda: all(t.sealed for t in tasks))
     assert handle.cancelled
-    assert_retired(engine)
+    assert_retired(engine, [handle.execution])
 
 
 def test_a_query_failed_by_its_retry_budget_retires(tiny_catalog):
@@ -123,7 +117,7 @@ def test_a_query_failed_by_its_retry_budget_retires(tiny_catalog):
     with pytest.raises(QueryFailedError, match="retry budget"):
         engine.run_until_done(handle, max_events=5_000_000)
     engine.kernel.run(max_events=5_000_000)
-    assert_retired(engine)
+    assert_retired(engine, [handle.execution])
 
 
 def test_a_switched_partitioned_join_retires(catalog):
@@ -139,7 +133,7 @@ def test_a_switched_partitioned_join_retires(catalog):
     tuning.ap(1, 3)
     handle.result()
     assert len(handle.stages[1].task_groups) == 3
-    assert_retired(engine)
+    assert_retired(engine, [handle.execution])
 
 
 def test_a_spilling_query_retires(catalog, tmp_path):
@@ -147,9 +141,9 @@ def test_a_spilling_query_retires(catalog, tmp_path):
         catalog,
         memory=MemoryConfig(query_budget_bytes=65_536, spill_dir=str(tmp_path)),
     )
-    engine.execute(QUERIES["Q18"])
+    result = engine.execute(QUERIES["Q18"])
     assert engine.metrics.counter("spill.spills").value >= 1
-    assert_retired(engine)
+    assert_retired(engine, [result.query])
 
 
 def test_a_fold_carrier_and_its_folded_consumer_retire(catalog):
@@ -158,7 +152,24 @@ def test_a_fold_carrier_and_its_folded_consumer_retire(catalog):
     carrier, folded = engine.submit_many([sql, sql])
     assert folded.sharing.role == "folded"
     assert folded.result().rows == carrier.result().rows
-    assert_retired(engine)
+    assert_retired(engine, [carrier.execution, folded.execution])
+
+
+def test_a_sealed_exchange_client_has_no_fetch_in_flight(catalog):
+    """Sealing keeps a finished client's split keys with no state
+    behind them; asking such a client whether it fetches used to raise
+    ``AttributeError``."""
+    engine = make_engine(catalog)
+    result = engine.execute(QUERIES["Q3"])
+    clients = [
+        client
+        for stage in result.query.stages.values()
+        for task in stage.tasks
+        for client in task.exchange_clients.values()
+    ]
+    assert any(client.splits for client in clients)
+    assert all(task.sealed for s in result.query.stages.values() for task in s.tasks)
+    assert [client.fetching for client in clients] == [False] * len(clients)
 
 
 # -- (ii) a retired query answers as it did when it ended ---------------------
@@ -224,58 +235,17 @@ def test_a_retired_handle_answers_as_an_unsealed_one(catalog, monkeypatch, endin
 
 
 # -- (iii) a long-lived engine stays flat --------------------------------------
-#: The date literal each template's fresh variant replaces.
-DATED = {
-    "Q1": "1998-12-01", "Q3": "1995-03-15", "Q5": "1994-01-01",
-    "Q6": "1994-01-01", "Q12": "1994-01-01", "Q14": "1995-09-01",
-}
-
-
-def window_texts(rng: random.Random) -> list[str]:
-    """Every template four times, two of them with a fresh date."""
-    texts = []
-    for index in range(24):
-        name = list(DATED)[index % len(DATED)]
-        sql = QUERIES[name]
-        if (index // len(DATED)) % 2:
-            old = DATED[name]
-            new = f"{rng.randint(1993, 1997)}-{old[5:7]}-{rng.randint(1, 28):02d}"
-            sql = sql.replace(old, new)
-        texts.append(sql)
-    rng.shuffle(texts)
-    return texts
-
-
-def run_window(engine, seed: int) -> None:
-    rng = random.Random(seed)
-    texts = window_texts(rng)
-    workload = Workload(engine, seed=seed)
-    for tenant in range(3):
-        workload.add_tenant(
-            f"tenant{tenant}", texts[tenant * 8:(tenant + 1) * 8],
-            PoissonArrivals(rate=2.0, count=8), deadline=20.0,
-        )
-    workload.run()
-    for handle in workload.handles:
-        if handle.succeeded:
-            handle.result()
-
-
 def test_a_long_lived_engine_stays_flat(catalog):
     """``multi_tenant_adhoc``'s engine (deadline arbitration, sharing,
-    prediction; 3 tenants x 8 Poisson arrivals per window) at SF0.005.
-    Before retirement the live heap grew 13.5 MB per window over windows
-    3-8 (this test's own measurement, ``tracemalloc`` after a full
-    collection each window; 2.5 MB with it); the bound is a quarter of
-    that."""
-    config = (
-        EngineConfig(cost=CostModel().scaled(20.0))
-        .with_workload(max_concurrent_queries=4, arbitration="deadline")
-        .with_sharing(fold_window=0.05, cache_ttl=2.0)
-        .with_prediction()
-    )
-    engine = AccordionEngine(catalog, config=config)
-    sizes = []
+    prediction; 3 tenants x 8 Poisson arrivals per window, each window's
+    handles dropped: ``tools/soak.py``) at SF0.005.  Measured over
+    windows 3-8 after a full collection each window: with sealing alone
+    the live heap (``tracemalloc``) grew 2.5 MB and the GC-tracked
+    objects ~12,600 per window, because the engine kept every retired
+    execution; keeping only its record, 0.5 MB and ~2,200 (the decision
+    log and the plan cache).  The bounds are a quarter of the former."""
+    engine = AccordionEngine(catalog, config=SOAK_CONFIG)
+    sizes, objects = [], []
     for window in range(1, 9):
         if window == 3:
             gc.collect()
@@ -284,6 +254,9 @@ def test_a_long_lived_engine_stays_flat(catalog):
         if window >= 3:
             gc.collect()
             sizes.append(tracemalloc.get_traced_memory()[0])
+            objects.append(len(gc.get_objects()))
     tracemalloc.stop()
     per_window = (sizes[-1] - sizes[0]) / (len(sizes) - 1)
-    assert per_window <= 13.5e6 / 4, f"{per_window / 1e6:.2f} MB per window"
+    assert per_window <= 2.5e6 / 4, f"{per_window / 1e6:.2f} MB per window"
+    per_window = (objects[-1] - objects[0]) / (len(objects) - 1)
+    assert per_window <= 12_600 / 4, f"{per_window:.0f} objects per window"

@@ -4,6 +4,10 @@ runner's determinism and bit-identity guarantees."""
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +16,11 @@ from repro import (
     AccordionEngine,
     ClosedLoop,
     EngineConfig,
+    Plan,
     PoissonArrivals,
     QueryOptions,
     QueryRejectedError,
+    RpcStorm,
     TPCH_QUERIES as QUERIES,
     TraceArrivals,
     Workload,
@@ -30,6 +36,11 @@ from repro.workload.policies import (
 )
 
 from conftest import slow_engine
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from soak import CONFIG as SOAK_CONFIG, run_window  # noqa: E402
+
+REPORT_GOLDEN = Path(__file__).with_name("workload_report_golden.json")
 
 
 class Entry:
@@ -446,3 +457,41 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
     expected = isolated.execute(JOIN_COUNT_SQL).rows
     assert rush_rows == expected
     assert batch_rows == expected
+
+
+# -- what a terminal submission leaves behind ---------------------------------
+def stormy_windows(catalog) -> tuple[AccordionEngine, dict]:
+    """Three ``tools/soak.py`` windows on one engine through an RPC storm
+    that fails 9 of the 72 queries: each window's rendered report, and
+    ``(query_id, tenant, state, latency, queue_seconds)`` of every
+    workload record."""
+    engine = AccordionEngine(catalog, config=SOAK_CONFIG)
+    engine.apply(Plan(seed=5, events=(
+        RpcStorm(start=2.0, stop=12.0, failure_rate=0.5),
+    )))
+    reports = [run_window(engine, seed=window).render() for window in (1, 2, 3)]
+    records = [
+        [r.query_id, r.tenant, r.state, r.latency, r.queue_seconds]
+        for r in engine.workload.records
+    ]
+    return engine, {"reports": reports, "records": records}
+
+
+def test_frozen_records_report_what_live_submissions_did(catalog):
+    """The golden was recorded while ``engine.workload.records`` still
+    held the live submissions (``PYTHONPATH=src python
+    tests/test_workload.py > tests/workload_report_golden.json`` on that
+    ``src``, with this file and ``tools/soak.py``): the reports and
+    records read the same, byte for byte, from the frozen records that
+    replace them."""
+    from repro.workload import SubmissionRecord
+
+    engine, observed = stormy_windows(catalog)
+    assert json.dumps(observed, indent=1) + "\n" == REPORT_GOLDEN.read_text()
+    assert all(isinstance(r, SubmissionRecord) for r in engine.workload.records)
+
+
+if __name__ == "__main__":  # record the golden
+    from repro.data import Catalog
+
+    print(json.dumps(stormy_windows(Catalog.tpch(scale=0.005, seed=777))[1], indent=1))
