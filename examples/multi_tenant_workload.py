@@ -50,8 +50,6 @@ def build_engine(catalog: Catalog) -> AccordionEngine:
             queue_policy="priority",
             priority_aging_rate=0.1,
             arbitration="deadline",
-            arbiter_period=1.0,
-            revocation_pin_seconds=5.0,
         )
         .with_tracing()
     )

@@ -16,9 +16,7 @@ from .config import (
     ClusterConfig,
     CostModel,
     EngineConfig,
-    FaultConfig,
     MemoryConfig,
-    NodeSpec,
     ParallelConfig,
     PredictionConfig,
     SharingConfig,
@@ -106,14 +104,12 @@ __all__ = [
     "EVAL_SEED",
     "EngineConfig",
     "ExecutionError",
-    "FaultConfig",
     "MemoryBudgetExceededError",
     "MemoryConfig",
     "MetricsRegistry",
     "NodeCrash",
     "NodeDrain",
     "NodeJoin",
-    "NodeSpec",
     "OutputMode",
     "ParallelConfig",
     "Plan",

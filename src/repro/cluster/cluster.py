@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..config import ClusterConfig
 from ..errors import SchedulingError
 from ..sim import SimKernel
-from .node import Node
+from .node import NODE_CORES, Node
 
 
 class Cluster:
@@ -16,10 +16,9 @@ class Cluster:
         """``config.combined`` makes storage and compute the same machines
         — used for the single-node standalone benchmark (Figure 20)."""
         self.kernel = kernel
-        self.config = config
-        self.coordinator_node = Node(kernel, 0, config.node, "coordinator")
+        self.coordinator_node = Node(kernel, 0, "coordinator")
         self.compute: list[Node] = [
-            Node(kernel, i, config.node, "compute") for i in range(config.compute_nodes)
+            Node(kernel, i, "compute") for i in range(config.compute_nodes)
         ]
         if config.combined:
             if config.storage_nodes > config.compute_nodes:
@@ -27,8 +26,7 @@ class Cluster:
             self.storage = self.compute[: config.storage_nodes]
         else:
             self.storage = [
-                Node(kernel, i, config.node, "storage")
-                for i in range(config.storage_nodes)
+                Node(kernel, i, "storage") for i in range(config.storage_nodes)
             ]
         self.storage_map: dict[int, Node] = {n.id: n for n in self.storage}
 
@@ -41,16 +39,14 @@ class Cluster:
         return min(candidates, key=lambda n: (n.task_count, n.id))
 
     # -- membership ----------------------------------------------------------
-    def add_compute(self, spec=None, spot: bool = False) -> Node:
+    def add_compute(self, spot: bool = False) -> Node:
         """Register a new compute node at runtime (cluster membership).
 
         Node ids keep growing monotonically — a departed node's id is
         never reused, so lineage and trace records stay unambiguous.
         """
         node_id = max((n.id for n in self.compute), default=-1) + 1
-        node = Node(
-            self.kernel, node_id, spec or self.config.node, "compute", spot=spot
-        )
+        node = Node(self.kernel, node_id, "compute", spot=spot)
         self.compute.append(node)
         return node
 
@@ -59,7 +55,7 @@ class Cluster:
         return [n for n in self.compute if n.schedulable]
 
     def schedulable_cores(self) -> int:
-        return sum(n.spec.cores for n in self.schedulable_compute)
+        return NODE_CORES * len(self.schedulable_compute)
 
     def topology_fingerprint(self) -> tuple:
         """Hashable identity of the *schedulable* topology, used in the

@@ -417,7 +417,7 @@ class Coordinator:
         self.catalog = catalog
         self.split_layout = split_layout
         self.config = config
-        self.rpc = RpcTracker(kernel, config.cost, faults=config.faults)
+        self.rpc = RpcTracker(kernel, config.cost)
         self.rpc.on_action_failed = self._action_failed
         self.scheduler = Scheduler(kernel, cluster, config, self.rpc, split_layout)
         #: Every physical execution ever started, in submission order; a
@@ -455,16 +455,18 @@ class Coordinator:
     def _action_failed(self, query_id: int | None, message: str) -> None:
         """A control-plane action exhausted its RPC retries.  Its give-up
         fires when the retries run out, which may be after its query
-        ended: a query no longer running has nothing left to fail."""
+        ended: a query no longer running has nothing left to fail.  An
+        action no query owns (a drain announcement) fails no query; its
+        give-up is only recorded."""
         if query_id is None:
-            targets = list(self.running.values())
-        else:
-            targets = [self.running[query_id]] if query_id in self.running else []
-        for query in targets:
+            self.kernel.decisions.record("fault", "rpc_gave_up", reason=message)
+            return
+        query = self.running.get(query_id)
+        if query is not None:
             self.kernel.decisions.record(
-                "fault", "rpc_gave_up", query_id=query.id, reason=message
+                "fault", "rpc_gave_up", query_id=query_id, reason=message
             )
-            query.fail(QueryFailedError(message, query_id=query.id))
+            query.fail(QueryFailedError(message, query_id=query_id))
 
     # ------------------------------------------------------------------
     def prepare(self, sql: str) -> PreparedQuery:

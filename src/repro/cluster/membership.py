@@ -8,7 +8,8 @@ reproducible.  Three operations, all in virtual time:
   charged to the RPC tracker, a new compute node (CpuPool + NIC) appears
   in the cluster.  Placement (`Cluster.least_loaded_compute`) sees it
   immediately, so in-flight queries can expand onto it via the usual
-  intra-stage task addition (Section 4.4).
+  intra-stage task addition (Section 4.4).  A registration that
+  exhausts its RPC retries adds no node and fails no query.
 
 * **Graceful drain** — the drain state machine::
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..config import NodeSpec
 from ..errors import SchedulingError, TuningRejected
 from ..sim import SimKernel
 from .topology import attach_tasks, detach_tasks
@@ -97,7 +97,6 @@ class ClusterMembership:
     def join(
         self,
         count: int = 1,
-        spec: NodeSpec | None = None,
         spot: bool = False,
         on_active: "Callable[[Node], None] | None" = None,
     ) -> None:
@@ -109,17 +108,16 @@ class ClusterMembership:
             self.kernel.schedule(
                 NODE_JOIN_DELAY,
                 lambda: self.coordinator.rpc.after_requests(
-                    RPC_NODE_JOIN, lambda: self._activate(spec, spot, on_active)
+                    RPC_NODE_JOIN,
+                    lambda: self._activate(spot, on_active),
+                    on_give_up=self._join_failed,
                 ),
             )
 
     def _activate(
-        self,
-        spec: NodeSpec | None,
-        spot: bool,
-        on_active: "Callable[[Node], None] | None" = None,
+        self, spot: bool, on_active: "Callable[[Node], None] | None" = None
     ) -> None:
-        node = self.cluster.add_compute(spec=spec, spot=spot)
+        node = self.cluster.add_compute(spot=spot)
         self.pending_joins -= 1
         self.joined_nodes.append(node)
         self.nodes_peak = max(self.nodes_peak, len(self.cluster.alive_compute))
@@ -129,6 +127,11 @@ class ClusterMembership:
         if on_active is not None:
             on_active(node)
         self._changed()
+
+    def _join_failed(self, message: str) -> None:
+        """The registration RPCs gave up: the node never arrives."""
+        self.pending_joins -= 1
+        self.kernel.decisions.record("membership", "join_failed", reason=message)
 
     # ------------------------------------------------------------------
     # graceful leave

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from ..config import NodeSpec
 from ..sim import CpuPool, NicQueue, SimKernel
+
+# Every node has the paper's c5.2xlarge shape (Section 6.1).
+NODE_CORES = 8
+NODE_MEMORY_BYTES = 16 * 1024**3
+NODE_NIC_GBPS = 10.0
 
 
 class Node:
@@ -25,17 +29,15 @@ class Node:
         self,
         kernel: SimKernel,
         node_id: int,
-        spec: NodeSpec,
         role: str,
         spot: bool = False,
     ):
         self.kernel = kernel
         self.id = node_id
-        self.spec = spec
         self.role = role  # "compute" | "storage" | "coordinator"
-        self.cpu = CpuPool(kernel, spec.cores, name=f"{role}{node_id}.cpu")
+        self.cpu = CpuPool(kernel, NODE_CORES, name=f"{role}{node_id}.cpu")
         self.nic = NicQueue(
-            kernel, spec.nic_bytes_per_second, name=f"{role}{node_id}.nic"
+            kernel, NODE_NIC_GBPS * 1e9 / 8.0, name=f"{role}{node_id}.nic"
         )
         self.task_count = 0
         #: Predicted bytes reserved by tasks the scheduler placed here by
@@ -102,4 +104,4 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self.state == "active" else f", {self.state.upper()}"
-        return f"Node({self.role}{self.id}, cores={self.spec.cores}{state})"
+        return f"Node({self.role}{self.id}, cores={NODE_CORES}{state})"

@@ -8,12 +8,13 @@ time and tuning-request latency appear in the measurements exactly like in
 the paper.
 
 A *fault hook* decides the outcome of every individual request: ``"ok"``,
-``"fail"`` (the request times out and is retried with bounded exponential
+``"fail"`` (the request times out and is retried with exponential
 backoff), or ``("delay", extra_seconds)``.  The RPC windows of applied
 plans (``RpcStorm`` / ``RpcOutage``, :mod:`repro.script.plan`) install
 one.  A request that exhausts its retry budget
-fails the whole control-plane action; the owning query is torn down through
-``on_action_failed`` instead of hanging the event loop.
+fails the whole control-plane action: the action's own ``on_give_up``
+runs if it has one, else ``on_action_failed`` tears down the owning
+query instead of hanging the event loop.
 """
 
 from __future__ import annotations
@@ -21,23 +22,26 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from ..config import CostModel, FaultConfig
+from ..config import CostModel
 from ..sim import SimKernel
 
 #: Outcome of one request attempt, as returned by a fault hook.
 RpcOutcome = "str | tuple[str, float]"
 
+#: Retries of one failed request before its whole action is failed.
+MAX_RETRIES = 3
+#: Virtual seconds before a lost request is declared failed.
+TIMEOUT = 0.05
+#: Backoff before the first retry; each further retry doubles it, so
+#: the three retries back off 0.01, 0.02 and 0.04 s.
+BACKOFF_BASE = 0.01
+BACKOFF_MULTIPLIER = 2.0
+
 
 class RpcTracker:
-    def __init__(
-        self,
-        kernel: SimKernel,
-        cost: CostModel,
-        faults: FaultConfig | None = None,
-    ):
+    def __init__(self, kernel: SimKernel, cost: CostModel):
         self.kernel = kernel
         self.cost = cost
-        self.faults = faults or FaultConfig()
         self.total_requests = 0
         #: Individual request attempts that timed out and were retried.
         self.retried_requests = 0
@@ -50,7 +54,8 @@ class RpcTracker:
         #: ``(window, rng)`` for every RPC window armed, in arming order.
         self._windows: list = []
         #: Called as ``on_action_failed(query_id, message)`` when an action
-        #: gives up; wired to query teardown by the coordinator.
+        #: without an ``on_give_up`` of its own gives up; wired to query
+        #: teardown by the coordinator.
         self.on_action_failed: Callable[[int | None, str], None] | None = None
 
     # -- introspection -----------------------------------------------------
@@ -88,13 +93,15 @@ class RpcTracker:
         count: int,
         fn: Callable[[], None] | None,
         query_id: int | None = None,
+        on_give_up: Callable[[str], None] | None = None,
     ) -> float:
         """Charge ``count`` requests and run ``fn`` (if any) when they
         complete.
 
         Returns the absolute virtual time at which ``fn`` fires (or, under
         fault injection, at which the action gave up; ``fn`` is then never
-        called and ``on_action_failed`` fires instead).
+        called and ``on_give_up(message)`` fires instead, or
+        ``on_action_failed`` when the action has no ``on_give_up``).
         """
         self._count(count, query_id)
         start = max(self.kernel.now, self._clock)
@@ -105,7 +112,7 @@ class RpcTracker:
             if fn is not None:
                 self.kernel.schedule_at(finish, fn)
             return finish
-        return self._faulty_sequence(start, count, fn, query_id)
+        return self._faulty_sequence(start, count, fn, query_id, on_give_up)
 
     def charge(self, count: int, query_id: int | None = None) -> float:
         """Charge requests without a completion callback."""
@@ -142,16 +149,16 @@ class RpcTracker:
         count: int,
         fn: Callable[[], None] | None,
         query_id: int | None,
+        on_give_up: Callable[[str], None] | None,
     ) -> float:
         """Walk ``count`` requests through the fault hook in virtual time.
 
-        Each request retries up to ``rpc_max_retries`` times; a timed-out
-        attempt costs ``rpc_timeout`` plus capped exponential backoff.  The
+        Each request retries up to ``MAX_RETRIES`` times; a timed-out
+        attempt costs ``TIMEOUT`` plus exponential backoff.  The
         walk is computed synchronously from the (deterministic, seeded)
         hook, then the completion — or the give-up — is scheduled at the
         resulting virtual time.
         """
-        faults = self.faults
         t = start
         retried = 0
         for _ in range(count):
@@ -165,23 +172,18 @@ class RpcTracker:
                     t += self.cost.rpc_request_cost + float(outcome[1])
                     break
                 # "fail": the request is lost and times out.
-                t += faults.rpc_timeout
-                if attempt >= faults.rpc_max_retries:
+                t += TIMEOUT
+                if attempt >= MAX_RETRIES:
                     self.failed_requests += 1
                     self._clock = max(self._clock, t)
                     self._trace(
                         start, t, count, query_id, retries=retried, failed=True
                     )
-                    self._abort_action(query_id, t)
+                    self._abort_action(query_id, t, on_give_up)
                     return t
                 self.retried_requests += 1
                 retried += 1
-                backoff = min(
-                    faults.rpc_backoff_cap,
-                    faults.rpc_backoff_base
-                    * (faults.rpc_backoff_multiplier ** attempt),
-                )
-                t += backoff
+                t += BACKOFF_BASE * (BACKOFF_MULTIPLIER ** attempt)
                 attempt += 1
         self._clock = max(self._clock, t)
         self._trace(start, t, count, query_id, retries=retried)
@@ -189,12 +191,16 @@ class RpcTracker:
             self.kernel.schedule_at(t, fn)
         return t
 
-    def _abort_action(self, query_id: int | None, t: float) -> None:
-        callback = self.on_action_failed
-        if callback is None:
+    def _abort_action(
+        self,
+        query_id: int | None,
+        t: float,
+        on_give_up: Callable[[str], None] | None,
+    ) -> None:
+        message = f"control-plane request failed after {MAX_RETRIES} retries"
+        if on_give_up is not None:
+            self.kernel.schedule_at(t, lambda: on_give_up(message))
             return
-        message = (
-            f"control-plane request failed after "
-            f"{self.faults.rpc_max_retries} retries"
-        )
-        self.kernel.schedule_at(t, lambda: callback(query_id, message))
+        callback = self.on_action_failed
+        if callback is not None:
+            self.kernel.schedule_at(t, lambda: callback(query_id, message))

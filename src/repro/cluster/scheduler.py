@@ -16,6 +16,7 @@ from ..exec.splits import SplitFeed, SystemSplit
 from ..exec.task import Task
 from ..sim import SimKernel
 from .cluster import Cluster
+from .node import NODE_CORES, NODE_MEMORY_BYTES
 from .rpc import RpcTracker
 from .stage import StageExecution
 from .topology import RPC_CREATE_TASK, connect_stages, start_after
@@ -157,11 +158,8 @@ class Scheduler:
         best = None
         best_score = None
         for node in sorted(self.cluster.schedulable_compute, key=lambda n: n.id):
-            cpu_frac = (node.task_count + 1) / max(1, node.spec.cores)
-            mem_frac = (
-                (node.reserved_bytes + per_task_bytes)
-                / max(1, node.spec.memory_bytes)
-            )
+            cpu_frac = (node.task_count + 1) / NODE_CORES
+            mem_frac = (node.reserved_bytes + per_task_bytes) / NODE_MEMORY_BYTES
             if mem_frac > 1.0:
                 continue
             score = max(cpu_frac, mem_frac)

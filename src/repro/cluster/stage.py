@@ -43,7 +43,7 @@ class StageExecution:
         self.split_feed: SplitFeed | None = None
         self._next_seq = 0
         #: Failure recovery: how many times tasks of this stage have been
-        #: respawned after a crash (bounded by ``FaultConfig.task_retry_budget``).
+        #: respawned after a crash (bounded by ``TASK_RETRY_BUDGET``).
         self.retries = 0
         #: ``(len(tasks), sample)`` once the stage can no longer change.
         self._final: tuple[int, StageSample] | None = None

@@ -110,44 +110,6 @@ class BufferConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class FaultConfig(_Fingerprinted):
-    """Failure-recovery behaviour (fault injection, ``repro.faults``).
-
-    All delays are virtual seconds.  Retries are bounded so an injected
-    permanent fault surfaces as a structured :class:`QueryFailedError`
-    instead of an unbounded retry loop.
-    """
-
-    #: Max retries for one failed control-plane request before the whole
-    #: action (and the query it belongs to) is failed.
-    rpc_max_retries: int = 3
-    #: Virtual seconds before a lost RPC request is declared failed.
-    rpc_timeout: float = 0.05
-    #: First retry backoff; grows by ``rpc_backoff_multiplier`` per
-    #: attempt, bounded by the cap.
-    rpc_backoff_base: float = 0.01
-    rpc_backoff_cap: float = 0.2
-    #: Geometric growth factor of the retry backoff.
-    rpc_backoff_multiplier: float = 2.0
-    #: How many times the tasks of one stage may be respawned before a
-    #: further crash is declared unrecoverable.
-    task_retry_budget: int = 3
-
-
-@dataclass(frozen=True)
-class NodeSpec(_Fingerprinted):
-    """Hardware description of one simulated node (default: c5.2xlarge)."""
-
-    cores: int = 8
-    memory_bytes: int = 16 * 1024**3
-    nic_gbps: float = 10.0
-
-    @property
-    def nic_bytes_per_second(self) -> float:
-        return self.nic_gbps * 1e9 / 8.0
-
-
-@dataclass(frozen=True)
 class ClusterConfig(_Fingerprinted):
     """Topology of the simulated cluster (paper Section 6.1).
 
@@ -160,7 +122,6 @@ class ClusterConfig(_Fingerprinted):
 
     compute_nodes: int = 10
     storage_nodes: int = 10
-    node: NodeSpec = field(default_factory=NodeSpec)
     #: Run storage and compute on the same nodes (standalone deployments).
     combined: bool = False
     #: Optional per-table split counts, e.g. ``{"orders": 20}``.
@@ -175,12 +136,8 @@ class ClusterConfig(_Fingerprinted):
     #: Autoscaler fleet ceiling; ``None`` means "no upper bound".  The
     #: floor is the configured ``compute_nodes``.
     autoscale_max_nodes: int | None = None
-    #: Scale out when the admission queue depth reaches this.
-    autoscale_queue_high: int = 1
     #: Virtual seconds between two autoscaler actions (join or drain).
     autoscale_cooldown: float = 1.0
-    #: Scale out when a queued query's deadline is closer than this.
-    autoscale_deadline_slack: float = 5.0
     #: Request spot (preemptible, cheaper) capacity when scaling out.
     autoscale_spot: bool = False
 
@@ -328,10 +285,6 @@ class PredictionConfig(_Fingerprinted):
     #: Directory for persisted history (``history.json``); ``None`` keeps
     #: history in memory only (per engine).
     history_dir: str | None = None
-    #: Relative runtime-prediction error tolerated before the
-    #: reprovision trigger fires (0.5 = fire once the query has run 50%
-    #: past its predicted runtime without finishing).
-    error_bound: float = 0.5
     #: Reject at admission when P(deadline miss) from the runtime
     #: estimate + variance exceeds this; ``None`` disables SLO rejection.
     max_miss_probability: float | None = None
@@ -380,10 +333,6 @@ class WorkloadConfig(_Fingerprinted):
     #: budget), or ``"deadline"`` (deadline-aware
     #: via the what-if service's T_remain, may revoke cores).
     arbitration: str = "fair_share"
-    #: Virtual seconds between arbiter rebalance passes.
-    arbiter_period: float = 1.0
-    #: Virtual seconds a revoked stage stays pinned against re-tuning.
-    revocation_pin_seconds: float = 5.0
     #: Dynamic concurrency cap: at most ``ceil(this * schedulable compute
     #: nodes)`` queries run at once, so admission tracks the live cluster
     #: size under autoscaling.  ``None`` disables the dynamic cap.
@@ -397,10 +346,9 @@ class EngineConfig(_Fingerprinted):
     ``EngineConfig`` is the root of the config hierarchy::
 
         EngineConfig
-        ├── cluster:  ClusterConfig (topology, placement; NodeSpec)
+        ├── cluster:  ClusterConfig (topology, placement)
         ├── cost:     CostModel     (virtual-time coefficients)
         ├── buffers:  BufferConfig  (elastic output buffers)
-        ├── faults:   FaultConfig   (retry/recovery behaviour)
         ├── memory:   MemoryConfig  (per-query budget + spilling)
         ├── tracing:  TraceConfig   (observability switches)
         ├── workload: WorkloadConfig (admission + arbitration)
@@ -415,7 +363,6 @@ class EngineConfig(_Fingerprinted):
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cost: CostModel = field(default_factory=CostModel)
     buffers: BufferConfig = field(default_factory=BufferConfig)
-    faults: FaultConfig = field(default_factory=FaultConfig)
     #: Rows per page produced by scans and operators.
     page_row_limit: int = 4096
     #: Enable intra-query runtime elasticity (the paper's contribution).
@@ -460,10 +407,6 @@ class EngineConfig(_Fingerprinted):
         """Return a copy with buffer fields replaced."""
         return replace(self, buffers=replace(self.buffers, **kwargs))
 
-    def with_faults(self, **kwargs) -> "EngineConfig":
-        """Return a copy with fault/recovery fields replaced."""
-        return replace(self, faults=replace(self.faults, **kwargs))
-
     def with_workload(self, **kwargs) -> "EngineConfig":
         """Return a copy with workload fields replaced."""
         return replace(self, workload=replace(self.workload, **kwargs))
@@ -491,12 +434,12 @@ class EngineConfig(_Fingerprinted):
         """Return a copy with demand prediction enabled (plus any
         PredictionConfig fields).
 
-        ``EngineConfig().with_prediction(error_bound=0.3)`` records
-        per-stage demand history under query-template fingerprints and
-        uses it to pre-grant DOP/memory, place tasks by dominant-
-        remaining-resource, and estimate runtimes with variance; the
-        reprovision trigger escalates to the reactive tuner once a query
-        runs 30% past its prediction (DESIGN.md §16).
+        ``EngineConfig().with_prediction()`` records per-stage demand
+        history under query-template fingerprints and uses it to
+        pre-grant DOP/memory, place tasks by dominant-remaining-resource,
+        and estimate runtimes with variance; the reprovision trigger
+        escalates to the reactive tuner once a query runs
+        ``ERROR_BOUND`` (50%) past its prediction (DESIGN.md §16).
         """
         kwargs.setdefault("enabled", True)
         return replace(self, prediction=replace(self.prediction, **kwargs))

@@ -89,6 +89,3 @@ class Table:
 
     def to_page(self) -> Page:
         return self.page(0, self.num_rows)
-
-    def head(self, n: int = 5) -> list[tuple]:
-        return self.page(0, min(n, self.num_rows)).rows()

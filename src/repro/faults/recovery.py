@@ -53,13 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Virtual seconds between a node/task death and the coordinator noticing
 #: it (heartbeat interval).
 DETECTION_DELAY = 0.05
+#: How many times the tasks of one stage may be respawned before a
+#: further crash is declared unrecoverable.
+TASK_RETRY_BUDGET = 3
 
 
 class RecoveryManager:
     def __init__(self, coordinator: "Coordinator"):
         self.coordinator = coordinator
         self.kernel = coordinator.kernel
-        self.config = coordinator.config.faults
         self.decisions = self.kernel.decisions
 
     # ------------------------------------------------------------------
@@ -159,10 +161,10 @@ class RecoveryManager:
     ) -> tuple[str, str]:
         if len(stage.task_groups) > 1 and task not in stage.task_groups[-1]:
             return "unrecoverable", "died mid DOP-switch in a draining group"
-        if stage.retries >= self.config.task_retry_budget:
+        if stage.retries >= TASK_RETRY_BUDGET:
             return (
                 "unrecoverable",
-                f"stage {stage.id} retry budget ({self.config.task_retry_budget}) exhausted",
+                f"stage {stage.id} retry budget ({TASK_RETRY_BUDGET}) exhausted",
             )
         if task.stateless_scan:
             return "resume", "stateless scan"

@@ -86,9 +86,6 @@ class ProfileReport:
     def total_wall_seconds(self) -> float:
         return sum(e.wall_seconds for e in self.entries)
 
-    def top(self, n: int = 10) -> list[OpProfile]:
-        return self.entries[:n]
-
     def by_operator(self) -> dict[str, float]:
         """Wall seconds summed over stages, keyed by operator class."""
         out: dict[str, float] = {}

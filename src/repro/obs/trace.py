@@ -61,10 +61,6 @@ class Span:
     def is_instant(self) -> bool:
         return self.end == self.start
 
-    @property
-    def duration(self) -> float | None:
-        return None if self.end is None else self.end - self.start
-
 
 class NullTracer:
     """Shared no-op tracer installed when tracing and profiling are off.

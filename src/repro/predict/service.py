@@ -16,7 +16,7 @@ Acts at two steps of the query lifecycle (``AccordionEngine._submit`` /
    reprovision trigger.
 
 The reprovision trigger is one cancellable event per predicted query at
-``submitted_at + runtime * (1 + error_bound)``: if the query is still
+``submitted_at + runtime * (1 + ERROR_BOUND)``: if the query is still
 running then, the prediction under-shot by more than the bound and the
 predictor escalates to the *reactive* path — a what-if-guarded DOP bump
 through the standard tuner, arbiter included.
@@ -53,6 +53,10 @@ MEMORY_HEADROOM = 2.0
 PREGRANT_TARGET_FRACTION = 0.25
 #: Cap on any pre-granted per-stage DOP.
 PREGRANT_MAX_STAGE_DOP = 16
+#: Relative runtime-prediction error tolerated before the reprovision
+#: trigger fires (0.5 = fire once the query has run 50% past its
+#: predicted runtime without finishing).
+ERROR_BOUND = 0.5
 
 
 class DemandPredictor:
@@ -139,7 +143,7 @@ class DemandPredictor:
     def _arm_reprovision(
         self, query: "QueryExecution", prediction: Prediction
     ) -> None:
-        fire_in = prediction.runtime * (1.0 + self.config.error_bound)
+        fire_in = prediction.runtime * (1.0 + ERROR_BOUND)
         if fire_in <= 0:
             return
         event = self.kernel.schedule(
@@ -154,7 +158,7 @@ class DemandPredictor:
             return
         self.decisions.record(
             "predict", "reprovision", query_id=query.id,
-            predicted=query.prediction.runtime, error_bound=self.config.error_bound,
+            predicted=query.prediction.runtime, error_bound=ERROR_BOUND,
         )
         try:
             elastic = self.engine._elastic_for(query)

@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Tenant label for queries submitted outside any session.
 ANONYMOUS = "(anonymous)"
+#: Virtual seconds between rebalance passes.
+PERIOD = 1.0
+#: Virtual seconds a revoked stage stays pinned against re-tuning.
+REVOCATION_PIN_SECONDS = 5.0
 
 
 @dataclass
@@ -301,7 +305,7 @@ class ResourceArbiter:
     def _ensure_tick(self) -> None:
         if not self._tick_running:
             self._tick_running = True
-            self.kernel.schedule(self.config.arbiter_period, self._tick)
+            self.kernel.schedule(PERIOD, self._tick)
 
     def _tick(self) -> None:
         live = [e for e in self._sorted_entries() if not e.execution.finished]
@@ -311,7 +315,7 @@ class ResourceArbiter:
             self._tick_running = False
             return
         self._rebalance(live)
-        self.kernel.schedule(self.config.arbiter_period, self._tick)
+        self.kernel.schedule(PERIOD, self._tick)
 
     def _sorted_entries(self) -> list[ArbiterEntry]:
         return [self.entries[qid] for qid in sorted(self.entries)]
@@ -413,7 +417,7 @@ class ResourceArbiter:
             reclaimed += cores
             entry.revoked += take_units
             elastic.tuner.pin(
-                sid, self.kernel.now + self.config.revocation_pin_seconds
+                sid, self.kernel.now + REVOCATION_PIN_SECONDS
             )
             self.decisions.record(
                 "revoke", "applied", query_id=qid, stage=sid, tenant=entry.tenant,

@@ -3,9 +3,9 @@
 Sits between the admission controller and :mod:`repro.cluster.membership`.
 Policy, evaluated every ``PERIOD`` virtual seconds:
 
-* **Scale out** when the admission queue is at least
-  ``autoscale_queue_high`` deep, or any queued query's deadline is closer
-  than ``autoscale_deadline_slack`` — joining up to
+* **Scale out** when the admission queue is at least ``QUEUE_HIGH``
+  deep, or any queued query's deadline is closer than
+  ``DEADLINE_SLACK`` — joining up to
   ``MAX_JOIN_PER_TICK`` nodes (spot when ``autoscale_spot``),
   bounded by ``autoscale_max_nodes`` counting pending joins.
 
@@ -36,6 +36,10 @@ USAGE_LOW = 0.5
 IDLE_TICKS = 2
 #: Max nodes joined per policy tick.
 MAX_JOIN_PER_TICK = 2
+#: Scale out when the admission queue depth reaches this ...
+QUEUE_HIGH = 1
+#: ... or when a queued query's deadline is closer than this (virtual s).
+DEADLINE_SLACK = 5.0
 
 
 class Autoscaler:
@@ -130,12 +134,12 @@ class Autoscaler:
     def _wants_out(self, admission, live: int) -> bool:
         if self.max_nodes is not None and live >= self.max_nodes:
             return False
-        if len(admission.queue) >= self.config.autoscale_queue_high:
+        if len(admission.queue) >= QUEUE_HIGH:
             return True
-        slack = self.config.autoscale_deadline_slack
+        now = self.kernel.now
         for pending in admission.queue:
             deadline_at = pending.deadline_at
-            if deadline_at is not None and deadline_at - self.kernel.now < slack:
+            if deadline_at is not None and deadline_at - now < DEADLINE_SLACK:
                 return True
         return False
 

@@ -15,6 +15,7 @@ from repro import (
     Workload,
 )
 from repro.config import CostModel
+from repro.workload import autoscaler
 
 from conftest import make_engine, norm_rows
 from test_faults import reference_rows
@@ -99,16 +100,11 @@ def test_more_capacity_shortens_makespan(catalog):
     assert report_elastic.horizon < report_static.horizon
 
 
-def test_deadline_pressure_triggers_scale_out(catalog):
+def test_deadline_pressure_triggers_scale_out(catalog, monkeypatch):
     # Queue-depth trigger is effectively off; only deadline slack fires.
-    engine = elastic_engine(
-        catalog,
-        autoscale_kwargs={
-            "autoscale_queue_high": 99,
-            "autoscale_deadline_slack": 1e9,
-        },
-        max_queries_per_node=1.0,
-    )
+    monkeypatch.setattr(autoscaler, "QUEUE_HIGH", 99)
+    monkeypatch.setattr(autoscaler, "DEADLINE_SLACK", 1e9)
+    engine = elastic_engine(catalog, max_queries_per_node=1.0)
     report, _ = run_burst(engine, jobs=4, deadline=30.0)
     assert engine.metrics.snapshot()["autoscaler.scale_outs"] >= 1
     assert report.cluster["joins"] >= 1

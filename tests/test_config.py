@@ -10,16 +10,17 @@ import pytest
 import repro.config
 from repro import AccordionEngine, QueryOptions, TPCH_QUERIES
 from repro.buffers.elastic import INITIAL_CAPACITY_PAGES
+from repro.cluster.node import Node
 from repro.config import (
     BufferConfig,
     ClusterConfig,
     CostModel,
     EngineConfig,
-    NodeSpec,
     ParallelConfig,
     presto_config,
     prestissimo_config,
 )
+from repro.sim import SimKernel
 
 
 def test_cost_multipliers_compose():
@@ -39,8 +40,10 @@ def test_cost_model_is_frozen():
 
 
 def test_node_spec_nic_bandwidth():
-    node = NodeSpec(nic_gbps=10.0)
-    assert node.nic_bytes_per_second == pytest.approx(1.25e9)
+    """Every node has the c5.2xlarge shape: 8 vCPUs and a 10 Gbps NIC."""
+    node = Node(SimKernel(), 0, "compute")
+    assert node.cpu.cores == 8
+    assert node.nic.bytes_per_second == pytest.approx(1.25e9)
 
 
 def test_engine_config_with_cluster():
@@ -84,8 +87,6 @@ def test_cluster_config_defaults_match_paper():
     cluster = ClusterConfig()
     assert cluster.compute_nodes == 10
     assert cluster.storage_nodes == 10
-    assert cluster.node.cores == 8  # c5.2xlarge vCPUs
-    assert cluster.node.nic_gbps == 10.0
 
 
 # -- config hierarchy: builders + fingerprints --------------------------------
@@ -94,14 +95,14 @@ def test_uniform_section_builders():
         EngineConfig()
         .with_cost(cpu_multiplier=3.0)
         .with_buffers(elastic=False)
-        .with_faults(task_retry_budget=7)
+        .with_memory(spill_enabled=False)
         .with_workload(max_concurrent_queries=2, queue_policy="priority")
         .with_cluster(compute_nodes=4)
         .with_tracing()
     )
     assert config.cost.cpu_multiplier == 3.0
     assert not config.buffers.elastic
-    assert config.faults.task_retry_budget == 7
+    assert not config.memory.spill_enabled
     assert config.workload.max_concurrent_queries == 2
     assert config.workload.queue_policy == "priority"
     assert config.cluster.compute_nodes == 4
@@ -112,17 +113,17 @@ def test_uniform_section_builders():
 
 def test_every_section_has_a_fingerprint():
     from repro import WorkloadConfig
-    from repro.config import FaultConfig, TraceConfig
+    from repro.config import MemoryConfig, PredictionConfig, TraceConfig
 
     sections = [
         EngineConfig(),
         ClusterConfig(),
         CostModel(),
         BufferConfig(),
-        FaultConfig(),
+        MemoryConfig(),
         TraceConfig(),
         WorkloadConfig(),
-        NodeSpec(),
+        PredictionConfig(),
     ]
     for section in sections:
         fp = section.fingerprint()
@@ -133,7 +134,7 @@ def test_every_section_has_a_fingerprint():
 def test_fingerprint_changes_with_any_field():
     base = EngineConfig()
     assert base.fingerprint() != base.with_cost(cpu_multiplier=2.0).fingerprint()
-    assert base.fingerprint() != base.with_workload(arbiter_period=2.0).fingerprint()
+    assert base.fingerprint() != base.with_workload(priority_aging_rate=0.5).fingerprint()
     assert (
         base.cluster.fingerprint()
         != base.with_cluster(compute_nodes=3).cluster.fingerprint()
@@ -171,7 +172,7 @@ def test_every_config_field_is_read_somewhere():
         cls for _, cls in inspect.getmembers(repro.config, inspect.isclass)
         if dataclasses.is_dataclass(cls) and cls.__module__ == "repro.config"
     ]
-    assert len(classes) == 12
+    assert len(classes) == 10
     unread = {
         f"{cls.__name__}.{f.name}"
         for cls in classes if cls not in UNREAD_BY_DESIGN

@@ -149,8 +149,6 @@ def deadline_revoke(catalog):
         multiplier=1000.0,
         cluster={"compute_nodes": 2},
         arbitration="deadline",
-        arbiter_period=1.0,
-        revocation_pin_seconds=5.0,
     )
     batch = engine.session("batch").submit(JOIN_COUNT_SQL)
     engine.run_for(2.0)

@@ -33,7 +33,8 @@ from repro import (
     TuningRejected,
     Workload,
 )
-from repro.config import CostModel, FaultConfig
+from repro.config import CostModel
+from repro.faults.recovery import TASK_RETRY_BUDGET
 from repro.data.tpch.queries import QUERIES
 
 from test_autoscaler import Q_AGG, Q_FILTERED, elastic_engine
@@ -73,8 +74,7 @@ def multi_tenant(catalog, tracing: bool = False):
         EngineConfig(cost=CostModel().scaled(1000.0), page_row_limit=256)
         .with_cluster(compute_nodes=2)
         .with_workload(
-            max_concurrent_queries=4, arbitration="deadline", arbiter_period=1.0,
-            revocation_pin_seconds=5.0, queue_timeout=30.0,
+            max_concurrent_queries=4, arbitration="deadline", queue_timeout=30.0,
         )
         .with_sharing(fold_window=0.05, cache_ttl=200.0)
         .with_prediction(max_miss_probability=0.5)
@@ -148,7 +148,7 @@ def faulted(catalog):
     engine.run_until_done(recovered, max_events=MAX_EVENTS)
     crashes = tuple(
         TaskCrash(at=0.7 + 0.56 * i, stage=2)
-        for i in range(FaultConfig().task_retry_budget + 3)
+        for i in range(TASK_RETRY_BUDGET + 3)
     )
     failing_engine, failing = submit_under(Plan(
         seed=7, events=crashes + (RpcStorm(start=0.0, stop=1e6, failure_rate=0.1),)

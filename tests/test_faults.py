@@ -21,8 +21,8 @@ from repro import (
     TaskCrash,
 )
 from repro.cluster.rpc import RpcTracker
-from repro.config import FaultConfig
 from repro.data.tpch.queries import QUERIES
+from repro.faults.recovery import TASK_RETRY_BUDGET
 from repro.plan import LogicalPlanner, prune_columns
 from repro.reference import execute_reference
 from repro.sim import SimKernel
@@ -117,23 +117,20 @@ def test_rpc_anchor_65_requests():
 
 
 def test_rpc_retry_backoff_timing():
-    """A request that fails twice costs 2 timeouts + backoff before the
-    successful attempt; retries are counted."""
+    """A request that fails three times costs 3 timeouts plus every
+    backoff the retry budget allows (0.01, 0.02 and 0.04 s, none capped)
+    before the successful last attempt; retries are counted."""
     from repro.config import CostModel
 
     kernel = SimKernel()
-    faults = FaultConfig()
-    tracker = RpcTracker(kernel, CostModel(), faults=faults)
-    outcomes = iter(["fail", "fail", "ok"])
+    tracker = RpcTracker(kernel, CostModel())
+    outcomes = iter(["fail", "fail", "fail", "ok"])
     tracker.set_fault_hook(lambda t: next(outcomes))
     finish = tracker.after_requests(1, lambda: None)
-    expected = (
-        2 * faults.rpc_timeout
-        + faults.rpc_backoff_base * (1 + 2)
-        + CostModel().rpc_request_cost
+    assert finish == pytest.approx(
+        3 * 0.05 + (0.01 + 0.02 + 0.04) + CostModel().rpc_request_cost
     )
-    assert finish == pytest.approx(expected)
-    assert tracker.retried_requests == 2
+    assert tracker.retried_requests == 3
     assert tracker.failed_requests == 0
 
 
@@ -141,7 +138,7 @@ def test_rpc_gives_up_after_budget():
     from repro.config import CostModel
 
     kernel = SimKernel()
-    tracker = RpcTracker(kernel, CostModel(), faults=FaultConfig())
+    tracker = RpcTracker(kernel, CostModel())
     tracker.set_fault_hook(lambda t: "fail")
     failures = []
     tracker.on_action_failed = lambda qid, msg: failures.append((qid, msg))
@@ -336,9 +333,9 @@ def test_an_rpc_give_up_after_its_query_finished_is_no_fault(tiny_catalog):
 def test_retry_budget_exhaustion_fails_query(tiny_catalog):
     sql = QUERIES["Q3"]
     horizon = clean_runtime(tiny_catalog, sql)
-    budget = FaultConfig().task_retry_budget
     events = tuple(
-        TaskCrash(at=horizon * (0.1 + 0.08 * i), stage=2) for i in range(budget + 3)
+        TaskCrash(at=horizon * (0.1 + 0.08 * i), stage=2)
+        for i in range(TASK_RETRY_BUDGET + 3)
     )
     engine = slow_engine(tiny_catalog)
     engine.apply(Plan(events=events))

@@ -634,7 +634,8 @@ def test_timed_actions_have_one_applier():
     """Only ``repro.script.plan`` schedules a plan's events (DESIGN.md
     §7): fault recovery, membership and the script executor schedule no
     instant of their own, and the public surface traded the three plan /
-    injector classes for ``Plan``."""
+    injector classes for ``Plan`` (and later lost ``FaultConfig`` and
+    ``NodeSpec``, whose fields became module constants)."""
     src = Path(repro.__file__).parent
     files = sorted((src / "faults").rglob("*.py"))
     files += [src / "cluster" / "membership.py", src / "script" / "executor.py"]
@@ -643,8 +644,9 @@ def test_timed_actions_have_one_applier():
         for path in files
         if "schedule_at" in path.read_text(encoding="utf-8")
     ] == []
-    assert len(repro.__all__) == len(set(repro.__all__)) == 73
+    assert len(repro.__all__) == len(set(repro.__all__)) == 71
     assert set(repro.__all__) ^ PUBLIC_NAMES_BEFORE_PLAN == {
         "FaultInjector", "FaultPlan", "MembershipPlan", "Plan",
+        "FaultConfig", "NodeSpec",
     }
     assert "Plan" in repro.__all__

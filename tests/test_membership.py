@@ -1,6 +1,6 @@
 """Elastic cluster membership: join, graceful drain, spot preemption,
-membership plans, the node-seconds cost model, and the RPC retry
-policy.
+membership plans, the node-seconds cost model, and control-plane
+give-ups that no query owns.
 
 The invariants mirror test_faults.py: membership churn must never change
 answers — a drained or preempted node's work either migrates through the
@@ -15,24 +15,23 @@ from collections import Counter
 import pytest
 
 from repro import (
+    AccordionEngine,
     ClusterConfig,
-    FaultConfig,
     Plan,
     NodeDrain,
     NodeJoin,
     QueryOptions,
+    RpcOutage,
     SpotPreemption,
     TPCH_QUERIES as QUERIES,
+    eval_config,
 )
 from repro.cluster.membership import (
     COST_PER_NODE_SECOND,
     NODE_JOIN_DELAY,
     SPOT_PRICE_MULTIPLIER,
 )
-from repro.cluster.rpc import RpcTracker
-from repro.config import CostModel
 from repro.errors import SchedulingError
-from repro.sim import SimKernel
 
 from conftest import make_engine, norm_rows, run_until_cond, slow_engine
 from test_faults import MAX_EVENTS, reference_rows
@@ -366,28 +365,45 @@ def test_topology_change_invalidates_plan_cache_key(catalog):
     assert coordinator._plan_cache_misses.value == misses0 + 1
 
 
-# -- RPC retry policy -------------------------------------------------------
-def _retry_finish_time(faults: FaultConfig, failures: int = 3) -> float:
-    kernel = SimKernel()
-    tracker = RpcTracker(kernel, CostModel(), faults=faults)
-    outcomes = iter(["fail"] * failures + ["ok"])
-    tracker.set_fault_hook(lambda t: next(outcomes))
-    return tracker.after_requests(1, lambda: None)
+# -- control-plane give-ups no query owns -----------------------------------
+def test_a_join_whose_registration_gives_up_fails_no_query(catalog):
+    """A join's registration RPCs belong to no query.  When they give up
+    in an outage, the running query still returns the reference answer,
+    no node arrives, and the pending join is released, so the fleet size
+    the autoscaler counts is right again."""
+    engine = AccordionEngine(
+        catalog, config=eval_config(compute_nodes=2, storage_nodes=2)
+    )
+    registration = 1.0 + NODE_JOIN_DELAY
+    engine.apply(Plan(events=(
+        NodeJoin(at=1.0, count=1),
+        RpcOutage(start=registration, stop=registration + 1.0),
+    )))
+    handle = engine.submit(QUERIES["Q3"])
+    engine.run_until_done(handle, max_events=MAX_EVENTS)
+    assert handle.succeeded and handle.fault_history() == []
+    assert norm_rows(handle.result().rows) == reference_rows(catalog, QUERIES["Q3"])
+    [gave_up] = engine.decisions.of(kind="membership", outcome="join_failed")
+    assert registration < gave_up.time < handle.execution.finished_at
+    assert engine.coordinator.rpc.failed_requests == 1
+    assert engine.decisions.of(kind="fault") == []
+    assert engine.membership.pending_joins == 0
+    assert len(engine.cluster.compute) == 2
 
 
-def test_rpc_backoff_multiplier_shapes_schedule():
-    """With multiplier m the k-th retry backs off by base * m**k
-    (capped)."""
-    faults = FaultConfig(
-        rpc_max_retries=5,
-        rpc_backoff_base=0.1,
-        rpc_backoff_cap=10.0,
-        rpc_backoff_multiplier=3.0,
+def test_an_unowned_rpc_give_up_is_recorded_and_fails_no_query(catalog):
+    """A drain announcement is a request no query owns: its give-up is
+    logged as ``rpc_gave_up`` without a query, and the query running
+    beside it is left alone."""
+    engine = AccordionEngine(
+        catalog, config=eval_config(compute_nodes=2, storage_nodes=2)
     )
-    finish = _retry_finish_time(faults, failures=2)
-    expected = (
-        2 * faults.rpc_timeout
-        + 0.1 * (1 + 3)
-        + CostModel().rpc_request_cost
-    )
-    assert finish == pytest.approx(expected)
+    handle = engine.submit(QUERIES["Q3"])
+    engine.run_until(1.0)
+    engine.apply(Plan(events=(RpcOutage(start=1.0, stop=2.0),)))
+    engine.coordinator.rpc.charge(1)
+    engine.run_until_done(handle, max_events=MAX_EVENTS)
+    assert handle.succeeded and handle.fault_history() == []
+    [gave_up] = engine.decisions.of(kind="fault", outcome="rpc_gave_up")
+    assert gave_up.query_id is None
+    assert gave_up.time < handle.execution.finished_at

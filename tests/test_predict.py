@@ -38,6 +38,7 @@ from repro import (
 )
 from repro.errors import ExecutionError, TuningRejected
 from repro.data.tpch.queries import QUERIES
+import repro.predict.service as predictor
 from repro.predict import template_fingerprint
 
 MAX_EVENTS = 5_000_000
@@ -302,8 +303,9 @@ class TestPregrant:
 
 
 # -- reprovision trigger ----------------------------------------------------
-def test_reprovision_fires_exactly_once_per_breach(catalog):
-    engine = predict_engine(catalog, error_bound=0.01, pregrant=False)
+def test_reprovision_fires_exactly_once_per_breach(catalog, monkeypatch):
+    monkeypatch.setattr(predictor, "ERROR_BOUND", 0.01)
+    engine = predict_engine(catalog, pregrant=False)
     # Warm with a highly selective literal (few rows reach the agg), then
     # run the full-table variant: it must overshoot the predicted runtime
     # by far more than the 1% bound.

@@ -141,3 +141,28 @@ def test_design_sections_cited_in_the_source_exist():
             cited.setdefault(section, path.relative_to(REPO).as_posix())
     assert {"7", "9", "10.1", "12", "20"} <= set(cited)
     assert {s: where for s, where in cited.items() if s not in headings} == {}
+
+
+#: Byte budget of the three long documents together, and of one CHANGES
+#: entry; a full write-up beyond them lives in git history.
+PROSE_BUDGET_BYTES = 250_000
+CHANGES_ENTRY_BYTES = 1_500
+
+
+def test_long_docs_stay_within_their_byte_budget():
+    """DESIGN + EXPERIMENTS + CHANGES stay at or under 250 KB together,
+    and every CHANGES entry (a line starting ``PR <n>``, with its
+    continuation lines) at or under 1.5 KB."""
+    sizes = {
+        name: len((REPO / name).read_bytes())
+        for name in ("DESIGN.md", "EXPERIMENTS.md", "CHANGES.md")
+    }
+    assert sum(sizes.values()) <= PROSE_BUDGET_BYTES, sizes
+    changes = (REPO / "CHANGES.md").read_text(encoding="utf-8")
+    entries = re.split(r"(?m)^(?=PR \d+)", changes)
+    oversized = {
+        entry.split(":", 1)[0]: len(entry.encode())
+        for entry in entries
+        if len(entry.encode()) > CHANGES_ENTRY_BYTES
+    }
+    assert oversized == {}

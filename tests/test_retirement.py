@@ -34,10 +34,10 @@ from repro import (
 )
 from repro.cluster import Cluster, Coordinator
 from repro.cluster.node import Node
-from repro.config import FaultConfig
 from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
 from repro.exec.task import Task
+from repro.faults.recovery import TASK_RETRY_BUDGET
 from repro.obs import DecisionLog, MetricsRegistry, Tracer
 from repro.pages import Page
 from repro.sharing import SharingManager
@@ -108,10 +108,9 @@ def test_a_query_cancelled_mid_flight_drains_then_retires(catalog):
 
 
 def test_a_query_failed_by_its_retry_budget_retires(tiny_catalog):
-    budget = FaultConfig().task_retry_budget
     engine = slow_engine(tiny_catalog)
     engine.apply(Plan(events=tuple(
-        TaskCrash(at=0.7 + 0.56 * i, stage=2) for i in range(budget + 3)
+        TaskCrash(at=0.7 + 0.56 * i, stage=2) for i in range(TASK_RETRY_BUDGET + 3)
     )))
     handle = engine.submit(QUERIES["Q3"])
     with pytest.raises(QueryFailedError, match="retry budget"):

@@ -423,8 +423,6 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
         cluster={"compute_nodes": 2},  # 16 cores
         tracing=True,  # inert: only records the arbiter's instants
         arbitration="deadline",
-        arbiter_period=1.0,
-        revocation_pin_seconds=5.0,
     )
     batch = engine.session("batch").submit(JOIN_COUNT_SQL)
     engine.run_for(2.0)

@@ -32,8 +32,11 @@ def functions(code, skipped):
 
 if __name__ == "__main__":
     argv, into = sys.argv[1:], None
-    if argv[0] == "--into":
+    if argv[:1] == ["--into"] and len(argv) > 1:
         into, argv = Path(argv[1]), argv[2:]
+    if not argv or argv[0] == "--into":
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
     sys.settrace(tracer)
     with contextlib.suppress(SystemExit):
         if argv[0] == "pytest":
