@@ -10,7 +10,8 @@ factors, crossovers) at reduced scale factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .tree import identity
 
@@ -81,11 +82,25 @@ class CostModel(_Fingerprinted):
     #: Multiplier applied to all CPU costs (baselines override this).
     cpu_multiplier: float = 1.0
 
+    def __post_init__(self) -> None:
+        """Every coefficient is finite and >= 0, the multiplier > 0: a bad
+        value fails here, naming its field, instead of as a negative core
+        grant, a NaN clock or a quantum that never ends."""
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            positive = spec.name == "cpu_multiplier"
+            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(
+                    f"CostModel.{spec.name} must be finite and {bound}, got {value!r}"
+                )
+
     def scaled(self, multiplier: float) -> "CostModel":
         """Return a copy with the CPU multiplier composed in.
 
         Multipliers stack: a Presto baseline (2.6x) built on an evaluation
-        calibration (1000x) runs at 2600x.
+        calibration (1000x) runs at 2600x.  The copy is validated like any
+        other (a NaN or non-positive factor raises ``ValueError``).
         """
         return replace(self, cpu_multiplier=self.cpu_multiplier * multiplier)
 

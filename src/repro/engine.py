@@ -355,8 +355,8 @@ class AccordionEngine:
         deadline = self.kernel.now + max_virtual_seconds
         self.kernel.run(
             until=deadline,
-            stop_when=lambda: query.finished,
             max_events=max_events,
+            awaiting=query._submission if isinstance(query, QueryHandle) else query,
         )
         if query.failed:
             raise query.error

@@ -10,14 +10,17 @@ priority level grows with its accumulated CPU time, so fresh drivers
 (e.g. ones just created by an intra-task DOP increase) get cores quickly —
 this is why the paper measures sub-millisecond driver spawn overhead and
 throughput steps within ~110 ms of a tuning action.
+
+A quantum is one frame (DESIGN.md §10.1): when a driver starts it binds
+the step for its shape (:func:`_bind_step`) — its source's ``poll``, the
+source and sink row costs, the output buffer it may block on, its
+transform count, and whether it is traced or profiled.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from bisect import bisect_right
-from collections import deque
 from typing import TYPE_CHECKING
 
 from ..pages import Page
@@ -72,21 +75,16 @@ class Driver:
         self._tracer = task.kernel.tracer
         self._traced = self._tracer.enabled
         self._profiler = self._tracer.profiler if self._tracer.profiling else None
-        self._quantum_overhead = task.cost.quantum_overhead
         # What every traced quantum would otherwise format or chase again.
         self._span_name = f"p{pipeline_id}.d{driver_id}"
         self._node_name = task.node.name
         self._op_names = [type(op).__name__ for op in transforms]
-        # No closure per quantum: the pool gets these two bound methods,
-        # and what a quantum's commit needs parks in ``_parked``.  A FIFO,
-        # not a slot: a blocked quantum still holds its core for the
-        # quantum overhead while a wake-up has already been granted the
-        # next one, so one driver can have several quanta in flight.  They
-        # complete in grant order (only blocked quanta overlap a successor,
-        # and no quantum costs less than theirs).
-        self._run = self._run_quantum
+        #: What the commit of the quantum in flight delivers.  One slot:
+        #: only a blocked quantum overlaps a successor, and a blocked
+        #: quantum commits through ``Task.quantum_done`` with nothing to
+        #: deliver, so at most one quantum in flight ever parks outputs.
+        self._outputs: list[Page] = []
         self._commit = self._commit_quantum
-        self._parked: deque[tuple[list[Page], bool] | None] = deque()
         # Only operators that can ever block (join probes) are polled for
         # readiness each quantum; for most pipelines this list is empty.
         self._waitable = [op for op in transforms if op.may_wait]
@@ -99,6 +97,9 @@ class Driver:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
+        """Bind the step for this driver's shape, then queue for a core."""
+        self._cpu = self.task.node.cpu
+        self._step = _bind_step(self)
         self._enqueue()
 
     def request_end(self) -> None:
@@ -114,118 +115,48 @@ class Driver:
         if self.state in (DriverState.QUEUED, DriverState.FINISHED):
             return
         self.state = DriverState.QUEUED
-        self.task.node.cpu.acquire(self._run, priority=self._level)
-
-    def _block_on(self, waiters) -> tuple[float, None]:
-        """A blocked quantum holds its core for the overhead and commits
-        nothing."""
-        self.state = DriverState.BLOCKED
-        waiters.add(self._wake)
-        return self._quantum_overhead, None
+        self._cpu.acquire(self._step, self._level)
 
     def _wake(self) -> None:
         if self.state is DriverState.BLOCKED:
-            self._enqueue()
+            self.state = DriverState.QUEUED
+            self._cpu.acquire(self._step, self._level)
 
     # -- quantum execution ----------------------------------------------------
-    def _run_quantum(self) -> tuple[float, callable]:
-        """Runs with a core granted; returns (cost, commit).
-
-        Crashed tasks (fault injection) never execute another quantum; an
-        operator exception is trapped and escalated to the task instead of
-        unwinding the event loop."""
-        task = self.task
-        if task.crashed:
-            self.state = DriverState.FINISHED
-            return 0.0, _noop
-        try:
-            cost, parked = self._quantum()
-        except Exception as exc:  # noqa: BLE001 - escalate to the query
-            return self._trap(exc)
-        task.inflight_quanta += 1
-        self._parked.append(parked)
-        return cost, self._commit
+    def _relevel(self) -> None:
+        level = bisect_right(_MLFQ_LEVELS, self.cpu_time)
+        self._level = float(level)
+        self._next_level_at = (
+            _MLFQ_LEVELS[level] if level < len(_MLFQ_LEVELS) else float("inf")
+        )
 
     def _commit_quantum(self) -> None:
-        """Fires when the oldest in-flight quantum releases its core."""
-        parked = self._parked.popleft()
+        """Fires when the quantum that parked ``_outputs`` releases its
+        core: deliver, then finish or queue for the next quantum (on an
+        idle core, ``CpuPool.acquire`` runs it at once), then count the
+        quantum done — ``Task.quantum_done``, inline."""
+        task = self.task
         try:
-            if parked is not None:
-                outputs, finished = parked
-                if outputs:
-                    self.sink.deliver(outputs)
-                if finished:
-                    self._finish()
-                else:
-                    self._enqueue()
+            outputs = self._outputs
+            if outputs:
+                self._outputs = []
+                self.sink.deliver(outputs)
+            if self._end_seen:
+                self._finish()
+            else:
+                self.state = DriverState.QUEUED
+                self._cpu.acquire(self._step, self._level)
         except Exception as exc:  # noqa: BLE001
             self._trap(exc)
         finally:
-            self.task.quantum_done()
+            task.inflight_quanta -= 1
+            if not task.inflight_quanta and task.drain_callbacks:
+                task.drained()
 
     def _trap(self, exc: Exception) -> tuple[float, callable]:
         self.state = DriverState.FINISHED
         self.task.report_error(exc)
         return 0.0, _noop
-
-    def _quantum(self) -> tuple[float, tuple[list[Page], bool] | None]:
-        """One quantum: (cost, what its commit delivers; None if blocked)."""
-        self.state = DriverState.RUNNING
-        self.quanta += 1
-
-        if self.end_requested and not self._end_seen:
-            page: Page | None = Page.end(signal="shutdown")
-            cost = 0.0
-        else:
-            # Block on a not-ready transform (join probe before build done).
-            for op in self._waitable:
-                waiters = op.waits_on()
-                if waiters is not None:
-                    return self._block_on(waiters)
-            output = self._output
-            if output is not None and output.is_full:
-                return self._block_on(output.not_full)
-            page, cost = self.source.poll()
-            if page is None:
-                return self._block_on(self.source.waiters())
-
-        op_costs = [] if self._traced else None
-        outputs, chain_cost, finished = self._run_chain(page, op_costs)
-        cost += chain_cost + self._quantum_overhead
-        cost += self.sink.cost_of(outputs)
-        self.cpu_time += cost
-        if self.cpu_time >= self._next_level_at:
-            level = bisect_right(_MLFQ_LEVELS, self.cpu_time)
-            self._level = float(level)
-            self._next_level_at = (
-                _MLFQ_LEVELS[level] if level < len(_MLFQ_LEVELS) else float("inf")
-            )
-
-        if self._traced:
-            tracer = self._tracer
-            # The quantum occupies a core for [now, now + cost]; record it
-            # as a closed span now that the cost is known.  Operator
-            # sub-spans stack their virtual costs sequentially inside it.
-            now = self.task.kernel.now
-            quantum_span = tracer.complete(
-                "quantum",
-                self._span_name,
-                now,
-                now + cost,
-                parent=self.task.trace_span,
-                node=self._node_name,
-                rows=sum(p.num_rows for p in outputs),
-            )
-            if op_costs:
-                at = now
-                for op_name, op_cost in op_costs:
-                    tracer.complete(
-                        "operator", op_name, at, at + op_cost,
-                        parent=quantum_span, node=self._node_name,
-                    )
-                    at += op_cost
-
-        return cost, (outputs, finished)
 
     def _run_chain(
         self, page: Page, op_costs: list | None = None
@@ -237,45 +168,20 @@ class Driver:
         virtual timings are identical with tracing on or off."""
         if page.is_end:
             self._end_seen = True
-        transforms = self.transforms
         profiler = self._profiler
-        if not transforms:
-            return ([] if page.is_end else [page]), 0.0, self._end_seen
-        if len(transforms) == 1 and profiler is None:
-            # The loop below for one operator, without its page lists: a
-            # LIMIT's end page would be dropped from the outputs at once.
-            op = transforms[0]
-            outputs, cost = op.process(page)
-            if op_costs is not None:
-                op_costs.append((self._op_names[0], cost))
-            if op.done_early:
-                self._end_seen = True
-            if self._end_seen:
-                outputs = [p for p in outputs if not p.is_end]
-            return outputs, cost, self._end_seen
         pages = [page]
         cost = 0.0
-        for index, op in enumerate(transforms):
+        for index, op in enumerate(self.transforms):
             next_pages: list[Page] = []
             op_cost = 0.0
             for p in pages:
-                if profiler is not None:
-                    wall_start = time.perf_counter_ns()
+                if profiler is None:
                     outs, c = op.process(p)
-                    handle = getattr(op, "memory", None)
-                    if handle is None:
-                        bridge = getattr(op, "bridge", None)
-                        handle = getattr(bridge, "memory", None)
-                    profiler.record(
-                        self.task.query_id,
-                        self.task.task_id.stage,
-                        self._op_names[index],
-                        time.perf_counter_ns() - wall_start,
-                        p.num_rows,
-                        peak_bytes=handle.peak_bytes if handle is not None else 0,
-                    )
                 else:
-                    outs, c = op.process(p)
+                    task = self.task
+                    outs, c = profiler.process(
+                        op, p, task.query_id, task.task_id.stage, self._op_names[index]
+                    )
                 cost += c
                 op_cost += c
                 next_pages.extend(outs)
@@ -302,3 +208,99 @@ class Driver:
             shutdown()
         self.sink.driver_finished()
         self.task.driver_finished(self)
+
+
+def _bind_step(d: "Driver"):
+    """The step of ``d``'s shape: a closure that runs one quantum with a
+    core granted and returns ``(cost, commit)``.
+
+    What the shape fixes is bound here once, as ``sql/compiler`` binds an
+    expression: the source's ``poll`` and row cost (scan, exchange or
+    local exchange), the sink's row cost and the output buffer a full
+    sink blocks on, the transform count (none and one inline; longer
+    chains, and every profiled driver, through ``Driver._run_chain``),
+    and the mode.  ``step.shape`` names the chain and mode bound.
+    Crashed tasks (fault injection) never execute another quantum; an
+    operator exception is trapped and escalated to the task instead of
+    unwinding the event loop.
+    """
+    task, cost_model = d.task, d.task.cost
+    poll, source_row_cost, sink_row_cost = d.source.poll, d.source.row_cost, d.sink.row_cost
+    multiplier, overhead = cost_model.cpu_multiplier, cost_model.quantum_overhead
+    waitable, output, traced = d._waitable, d._output, d._traced
+    mode = "profiled" if d._profiler is not None else "traced" if traced else "plain"
+    chained = mode == "profiled" or len(d.transforms) > 1
+    op = None if chained or not d.transforms else d.transforms[0]
+    op_name = d._op_names[0] if op is not None else None
+    wake, release, commit = d._wake, d.task.quantum_done, d._commit
+
+    def step() -> tuple[float, callable]:
+        if task.crashed:
+            d.state = DriverState.FINISHED
+            return 0.0, _noop
+        try:
+            d.state = DriverState.RUNNING
+            d.quanta += 1
+            if d.end_requested and not d._end_seen:
+                page, cost = Page.end(signal="shutdown"), 0.0
+            else:
+                # Block on a not-ready transform (join probe before build
+                # done), a full output buffer, or an empty source.
+                waiters = None
+                for waiting in waitable:
+                    waiters = waiting.waits_on()
+                    if waiters is not None:
+                        break
+                else:
+                    if output is not None and output.is_full:
+                        waiters = output.not_full
+                    else:
+                        page = poll()
+                        if page is None:
+                            waiters = d.source.waiters()
+                if waiters is not None:
+                    # A blocked quantum holds its core for the overhead and
+                    # commits nothing but its release.
+                    d.state = DriverState.BLOCKED
+                    waiters.add(wake)
+                    task.inflight_quanta += 1
+                    return overhead, release
+                cost = page.num_rows * source_row_cost * multiplier
+            if chained:
+                op_costs = [] if traced else None
+                outputs, chain_cost, _finished = d._run_chain(page, op_costs)
+            else:
+                if page.is_end:
+                    d._end_seen = True
+                if op is None:
+                    outputs, chain_cost = [page], 0.0
+                else:
+                    outputs, chain_cost = op.process(page)
+                    if op.done_early:
+                        d._end_seen = True
+                if d._end_seen:
+                    # The end is the commit's to act on, not the sink's.
+                    outputs = [p for p in outputs if not p.is_end]
+            cost += chain_cost + overhead
+            rows = 0
+            for out in outputs:
+                rows += out.num_rows
+            cost += rows * sink_row_cost * multiplier
+            d.cpu_time += cost
+            if d.cpu_time >= d._next_level_at:
+                d._relevel()
+            if traced:
+                if not chained:
+                    op_costs = () if op is None else ((op_name, chain_cost),)
+                now = task.kernel.now
+                d._tracer.quantum(
+                    d._span_name, now, cost, task.trace_span, d._node_name, rows, op_costs
+                )
+        except Exception as exc:  # noqa: BLE001 - escalate to the query
+            return d._trap(exc)
+        d._outputs = outputs
+        task.inflight_quanta += 1
+        return cost, commit
+
+    step.shape = ("chain" if chained else "one" if op else "bare", mode)
+    return step

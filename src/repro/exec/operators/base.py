@@ -53,11 +53,16 @@ class SourceOperator:
     """Head of a pipeline: produces pages from splits/exchanges."""
 
     name = "source"
+    #: CPU seconds per row polled, which drivers charge into the quantum
+    #: (``rows * row_cost * cpu_multiplier``; an end page has no rows).
+    row_cost = 0.0
 
-    def poll(self) -> tuple[Page | None, float]:
-        """Next page and its cpu cost, or ``(None, 0)`` to block.
+    def poll(self) -> Page | None:
+        """Next page, or ``None`` to block.
 
-        Returns an end page exactly once per driver when exhausted.
+        Returns an end page exactly once per driver when exhausted.  The
+        exchange sources bind their queue's own ``poll`` here, so a
+        driver's poll is one call into the buffer.
         """
         raise NotImplementedError
 
@@ -76,20 +81,14 @@ class SinkOperator:
 
     def __init__(self, cost: CostModel, row_cost: float | None = None):
         """``row_cost``: CPU seconds per row absorbed, which drivers charge
-        into the quantum (default: the task output operator's)."""
+        into the quantum before delivery, as ``rows * row_cost *
+        cpu_multiplier`` (default: the task output operator's)."""
         self.cost = cost
-        self._row_cost = cost.task_output_row_cost if row_cost is None else row_cost
-
-    def cost_of(self, pages: list[Page]) -> float:
-        """CPU cost of absorbing ``pages`` (charged before delivery)."""
-        rows = 0
-        for page in pages:
-            rows += page.num_rows
-        return rows * self._row_cost * self.cost.cpu_multiplier
+        self.row_cost = cost.task_output_row_cost if row_cost is None else row_cost
 
     def deliver(self, pages: list[Page]) -> None:
         """Absorb pages (end pages excluded).  Their row cost is already
-        charged (:meth:`cost_of`); the driver ignores any return value."""
+        charged; the driver ignores any return value."""
         raise NotImplementedError
 
     def driver_finished(self) -> None:

@@ -39,6 +39,7 @@ class ScanSource(SourceOperator):
     ):
         self.kernel = kernel
         self.cost = cost
+        self.row_cost = cost.scan_row_cost
         self.feed = feed
         self.node = node
         self.page_rows = page_rows
@@ -59,19 +60,19 @@ class ScanSource(SourceOperator):
         self._inflight: tuple[SystemSplit, int, Page] | None = None
 
     # -- SourceOperator -----------------------------------------------------
-    def poll(self) -> tuple[Page | None, float]:
+    def poll(self) -> Page | None:
         if self._pending_page is not None:
             page, self._pending_page = self._pending_page, None
             self._inflight = None
-            return page, self._page_cost(page)
+            return page
         if self._transferring:
-            return None, 0.0
+            return None
         while True:
             if self.current is None:
                 self.current = self.feed.acquire(preferred_node=self.node.id)
                 self.offset = 0
                 if self.current is None:
-                    return Page.end(), 0.0
+                    return Page.end()
                 self._acquired.append(self.current)
             split = self.current
             page = split.read(self.offset, self.page_rows, self.column_indexes)
@@ -87,11 +88,8 @@ class ScanSource(SourceOperator):
         storage = self.storage_nodes.get(split.storage_node)
         if storage is not None and storage is not self.node and storage.id != self.node.id:
             self._start_transfer(storage, split, page)
-            return None, 0.0
-        return page, self._page_cost(page)
-
-    def _page_cost(self, page: Page) -> float:
-        return page.num_rows * self.cost.scan_row_cost * self.cost.cpu_multiplier
+            return None
+        return page
 
     def _start_transfer(self, storage: "Node", split: SystemSplit, page: Page) -> None:
         self._transferring = True
@@ -170,16 +168,9 @@ class ExchangeSource(SourceOperator):
 
     def __init__(self, cost: CostModel, client: ExchangeClient):
         self.cost = cost
+        self.row_cost = cost.exchange_row_cost
         self.client = client
-
-    def poll(self) -> tuple[Page | None, float]:
-        page = self.client.poll()
-        if page is None:
-            return None, 0.0
-        if page.is_end:
-            return page, 0.0
-        cpu = page.num_rows * self.cost.exchange_row_cost * self.cost.cpu_multiplier
-        return page, cpu
+        self.poll = client.poll
 
     def waiters(self) -> WaiterList:
         return self.client.waiters()
@@ -190,14 +181,9 @@ class LocalExchangeSource(SourceOperator):
 
     def __init__(self, cost: CostModel, exchange: LocalExchange):
         self.cost = cost
+        self.row_cost = cost.local_exchange_row_cost
         self.exchange = exchange
-
-    def poll(self) -> tuple[Page | None, float]:
-        page = self.exchange.poll()
-        if page is None:
-            return None, 0.0
-        cpu = page.num_rows * self.cost.local_exchange_row_cost * self.cost.cpu_multiplier
-        return page, cpu
+        self.poll = exchange.poll
 
     def waiters(self) -> WaiterList:
         return self.exchange.not_empty

@@ -119,7 +119,8 @@ class Task:
         #: quantum-atomic: they deliver even across a crash, so recovery
         #: waits for them before sealing the old output spool).
         self.inflight_quanta = 0
-        self._drain_callbacks: list = []
+        #: What runs once ``inflight_quanta`` drops to 0 (:meth:`drained`).
+        self.drain_callbacks: list = []
         #: Set by :meth:`seal` once the query retired this task.
         self.sealed = False
         self.query_id = query_id
@@ -438,14 +439,20 @@ class Task:
         if self.inflight_quanta == 0:
             fn()
         else:
-            self._drain_callbacks.append(fn)
+            self.drain_callbacks.append(fn)
 
     def quantum_done(self) -> None:
+        """A quantum released its core: the commit of a blocked one (a
+        delivering quantum's commit does the same inline)."""
         self.inflight_quanta -= 1
-        if self.inflight_quanta == 0 and self._drain_callbacks:
-            callbacks, self._drain_callbacks = self._drain_callbacks, []
-            for fn in callbacks:
-                fn()
+        if not self.inflight_quanta and self.drain_callbacks:
+            self.drained()
+
+    def drained(self) -> None:
+        """No quantum holds a core any more: run what waited for that."""
+        callbacks, self.drain_callbacks = self.drain_callbacks, []
+        for fn in callbacks:
+            fn()
 
     def seal(self) -> None:
         """Retirement (DESIGN.md §17): drop every page, operator state and
@@ -457,10 +464,11 @@ class Task:
         for bridge in self.bridges:
             bridge.pages, bridge.index, bridge.on_ready = [], None, WaiterList()
         # A driver keeps ``cpu_time``, ``quanta`` and its sink, which holds
-        # no state; ``_parked`` is empty once no quantum is in flight.
+        # no state; its bound step holds the source and the transforms.
         for runtime in self.pipelines:
             for driver in runtime.drivers:
                 driver.source, driver.transforms, driver._waitable = None, [], []
+                driver._step = None
         self.collect_output = self.on_finished = self.on_error = None
         self.sealed = True
 

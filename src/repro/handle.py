@@ -292,8 +292,7 @@ class QueryHandle:
         if not sub.finished:
             kernel = self._engine.kernel
             until = None if timeout is None else kernel.now + timeout
-            # Checked between every two events: read the field itself.
-            kernel.run(until=until, stop_when=lambda: sub.finished_at is not None)
+            kernel.run(until=until, awaiting=sub)
         return sub.finished
 
     def on_done(self, fn) -> None:

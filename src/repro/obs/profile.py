@@ -15,6 +15,7 @@ inertness contract as tracing; see ``obs.trace``).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .report import render_table
@@ -44,6 +45,25 @@ class Profiler:
 
     def __init__(self):
         self.records: dict[tuple, OpProfile] = {}
+
+    def process(self, op, page, query_id: int | None, stage: int, operator: str):
+        """``op.process(page)``, attributed: its wall time, the page's rows
+        and the peak tracked state of ``op`` (its own memory handle, or
+        its join bridge's)."""
+        wall_start = time.perf_counter_ns()
+        result = op.process(page)
+        handle = getattr(op, "memory", None)
+        if handle is None:
+            handle = getattr(getattr(op, "bridge", None), "memory", None)
+        self.record(
+            query_id,
+            stage,
+            operator,
+            time.perf_counter_ns() - wall_start,
+            page.num_rows,
+            peak_bytes=handle.peak_bytes if handle is not None else 0,
+        )
+        return result
 
     def record(
         self,

@@ -185,6 +185,23 @@ class Tracer:
         )
         return span_id
 
+    def quantum(
+        self, name: str, start: float, cost: float, parent: int, node: str,
+        rows: int, op_costs: list[tuple[str, float]],
+    ) -> None:
+        """Record a driver quantum: a closed span for the core it holds over
+        ``[start, start + cost]``, and inside it one sub-span per operator
+        of ``op_costs`` (``(operator, virtual cost)``), stacked in order."""
+        quantum_span = self.complete(
+            "quantum", name, start, start + cost, parent=parent, node=node, rows=rows
+        )
+        at = start
+        for op_name, op_cost in op_costs:
+            self.complete(
+                "operator", op_name, at, at + op_cost, parent=quantum_span, node=node
+            )
+            at += op_cost
+
     def instant(
         self,
         kind: str,

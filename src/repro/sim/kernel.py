@@ -32,7 +32,6 @@ never grows the heap unboundedly and ``pending`` stays O(1).
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from typing import Callable
 
@@ -88,7 +87,9 @@ class SimKernel:
         #: (time, seq): entries are appended with time == now and a fresh
         #: seq, and ``now`` never decreases.
         self._soon: deque[tuple] = deque()
-        self._seq = itertools.count()
+        #: The next insertion sequence number (a plain int: ``post`` runs
+        #: once per event, and ``next()`` on a counter is a call).
+        self._seq = 0
         self._events_processed = 0
         self._cancelled_in_heap = 0
         #: Observability hook (``repro.obs``).  Every component reaches its
@@ -113,7 +114,9 @@ class SimKernel:
         now = self.now
         if time < now:
             raise ValueError(f"cannot schedule in the past: {time} < {now}")
-        event = Event(time, next(self._seq), fn, kernel=self)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, fn, kernel=self)
         event.in_heap = True
         entry = (time, event.seq, event, fn, _NO_ARG)
         if time == now:
@@ -134,8 +137,9 @@ class SimKernel:
         plus its argument instead of allocating a closure per event."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self.now
-        entry = (now + delay, next(self._seq), None, fn, arg)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = (self.now + delay, seq, None, fn, arg)
         if delay == 0.0:
             self._soon.append(entry)
         else:
@@ -190,9 +194,13 @@ class SimKernel:
         until: float | None = None,
         stop_when: Callable[[], bool] | None = None,
         max_events: int | None = None,
+        awaiting=None,
     ) -> None:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``stop_when()`` becomes true (checked between events).
+        """Run events until the queue drains, ``until`` is reached,
+        ``stop_when()`` becomes true, or ``awaiting`` — a query lifecycle
+        — is terminal (both checked between events).  ``awaiting`` costs no
+        call: its terminal transition stamps ``finished_at``, and the loop
+        reads that field.
 
         When ``until`` is given and the queue drains earlier, the clock is
         advanced to ``until`` so periodic wall-clock measurements stay
@@ -209,6 +217,8 @@ class SimKernel:
         heappop = heapq.heappop
         processed = 0
         while True:
+            if awaiting is not None and awaiting.finished_at is not None:
+                return
             if stop_when is not None and stop_when():
                 return
             if max_events is not None and processed >= max_events:
@@ -218,7 +228,7 @@ class SimKernel:
                     events_processed=self._events_processed,
                 )
             if heap:
-                from_soon = bool(soon) and soon[0] < heap[0]
+                from_soon = soon and soon[0] < heap[0]  # an empty deque is falsy
                 entry = soon[0] if from_soon else heap[0]
             elif soon:
                 from_soon = True

@@ -72,7 +72,23 @@ class CpuPool:
         ``(cost, commit)``; the core is held for ``cost`` virtual seconds
         and ``commit`` fires when it is released.  Drivers use this so that
         input is consumed only when they are actually scheduled.
+
+        An idle core with nobody waiting runs ``run`` at once, in this one
+        frame: :meth:`_push`'s idle branch and :meth:`_start` with its
+        :meth:`_account`, inlined (a driver asks once per quantum,
+        DESIGN.md §10.1).  Everything that queues goes through
+        :meth:`_push`.
         """
+        if self.busy < self.cores and not self._queue and not self.halted:
+            now = self.kernel.now
+            self._busy_integral += self.busy * (now - self._last_change)
+            self._last_change = now
+            self.busy += 1
+            cost, fn = run()
+            if cost < 0:
+                raise ValueError("cost must be >= 0")
+            self.kernel.post(cost, self._complete, fn)
+            return
         self._push(priority, "acquire", 0.0, run)
 
     def _push(self, priority: float, kind: str, cost: float, fn) -> None:
@@ -125,7 +141,9 @@ class CpuPool:
         self.kernel.post(cost, self._complete, fn)
 
     def _complete(self, fn: Callable[[], None]) -> None:
-        self._account()
+        now = self.kernel.now  # _account, inline: once per quantum
+        self._busy_integral += self.busy * (now - self._last_change)
+        self._last_change = now
         self.busy -= 1
         try:
             fn()
@@ -165,7 +183,11 @@ class NicQueue:
             # the oldest waiting transfer starts, this one waits.
             self._pending.append((duration, fn))
             duration, fn = self._pending.popleft()
-        self._start(duration, fn)
+        # _start, inline: an idle link is the common case.
+        self._active = True
+        self._current = fn
+        self._busy_integral += duration
+        self.kernel.post(duration, self._transfer_done)
 
     def _start(self, duration: float, fn: Callable[[], None]) -> None:
         self._active = True

@@ -34,6 +34,30 @@ def test_cost_multipliers_compose():
     assert stacked.scan_row_cost == base.scan_row_cost
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        # Used to escape the event loop as the pool's "cost must be >= 0".
+        (lambda: CostModel(scan_row_cost=-2.0e-7), "scan_row_cost"),
+        # Used to finish Q6 with ``handle.elapsed == nan``.
+        (lambda: CostModel().scaled(float("nan")), "cpu_multiplier"),
+        # Used to never finish and raise ExecutionError after 1e6 virtual s.
+        (lambda: CostModel(quantum_overhead=float("inf")), "quantum_overhead"),
+        (lambda: CostModel().scaled(0.0), "cpu_multiplier"),
+        (lambda: EngineConfig().with_cost(network_latency=-1.0), "network_latency"),
+    ],
+    ids=["negative_row_cost", "nan_multiplier", "inf_overhead", "zero_multiplier", "negative_latency"],
+)
+def test_cost_model_rejects_a_bad_coefficient_when_built(build, field):
+    with pytest.raises(ValueError, match=f"CostModel.{field} must be finite"):
+        build()
+
+
+def test_cost_model_accepts_zero_coefficients():
+    free = CostModel(quantum_overhead=0.0, network_latency=0.0).scaled(1000.0)
+    assert free.quantum_overhead == 0.0 and free.cpu_multiplier == 1000.0
+
+
 def test_cost_model_is_frozen():
     with pytest.raises(Exception):
         CostModel().cpu_multiplier = 5.0  # type: ignore[misc]

@@ -650,3 +650,106 @@ def test_timed_actions_have_one_applier():
         "FaultConfig", "NodeSpec",
     }
     assert "Plan" in repro.__all__
+
+
+# -- the quantum cycle: calls per quantum, and none per event for a wait ---------
+#
+# Counts once more (``sys.setprofile``, Python and C calls alike).  A
+# quantum used to pass through about ten frames of its own (acquire ->
+# push -> start -> run -> quantum -> chain -> sink cost, then complete ->
+# commit -> quantum done -> enqueue), and ``handle.wait`` / ``result()``
+# called a stop predicate before every event (DESIGN.md §10.1).
+
+#: What the dispatch loop calls on its own queues.
+QUEUE_OPS = ("heappop", "popleft")
+
+
+class _Relay(operators.base.TransformOperator):
+    """Hands its page on at no cost: the chain of one transform."""
+
+    def process(self, page):
+        return [page], 0.0
+
+
+def counted_calls(fn, frames=None) -> int:
+    """Calls made while ``fn()`` runs; ``frames(frame, event, arg)``, when
+    given, decides which of them count."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call") and (frames is None or frames(frame, event, arg)):
+            calls[0] += 1
+
+    gc.disable()  # a collection would call hypothesis' gc callback
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls[0]
+
+
+def test_a_quantum_on_an_idle_core_is_a_few_frames():
+    """One steady-state cycle of a plain driver (exchange source, one
+    transform, local exchange sink) on an idle core: the event that
+    commits quantum k also grants, runs and posts quantum k + 1."""
+    from repro.buffers import LocalExchange
+    from repro.config import BufferConfig, CostModel
+    from repro.exec.driver import Driver
+    from repro.exec.operators.sinks import LocalExchangeSink
+    from repro.exec.operators.sources import ExchangeSource
+    from repro.sim import CpuPool, SimKernel
+
+    kernel, cost = SimKernel(), CostModel()
+    client = ExchangeClient(kernel, BufferConfig(), cost, node=None, name="x")
+    page = Page.from_rows(Schema.of(("k", ColumnType.INT64)), [(1,), (2,)])
+    for _ in range(8):
+        client.buffer.put(page)
+    task = SimpleNamespace(
+        kernel=kernel, cost=cost, crashed=False, inflight_quanta=0,
+        drain_callbacks=[], quantum_done=lambda: None,
+        node=SimpleNamespace(name="n0", cpu=CpuPool(kernel, 4)),
+    )
+    driver = Driver(
+        task, 0, 0, ExchangeSource(cost, client), [_Relay(cost)],
+        LocalExchangeSink(cost, LocalExchange("out")),
+    )
+    driver.start()  # quantum 1 runs on the idle core at once
+
+    def next_event():  # its completion is the one pending event
+        kernel.run(until=kernel._heap[0][0])
+
+    for _ in range(2):  # settle the receive buffer's elastic capacity
+        next_event()
+    # Not counted: the loop's own queue pops.
+    loop = kernel.run.__func__.__code__
+    calls = counted_calls(next_event, lambda frame, event, arg: not (
+        event == "c_call" and frame.f_code is loop and arg.__name__ in QUEUE_OPS
+    ))
+    assert driver.quanta == 4 and kernel.events_processed == 3
+    # 38 before the step was bound; 24 when written: the helper, the run,
+    # the pool's release and grant, the commit, the step, the kernel's post
+    # and its push (eight), and the receive buffer's poll, the relay, the
+    # sink's put and what those call.
+    assert calls <= 24, calls
+
+
+def test_waiting_on_a_handle_makes_no_call_but_the_event_callbacks(catalog):
+    engine = make_engine(catalog)
+    handle = engine.submit(TPCH_QUERIES["Q6"])
+    loop = engine.kernel.run.__func__.__code__
+    before = engine.kernel.events_processed
+    # Calls the dispatch loop makes itself: every event's callback (a
+    # Python frame whose caller is the loop, or a builtin it calls), and
+    # the queue pops; before, also one stop predicate per event.
+    calls = counted_calls(
+        handle.wait,
+        lambda frame, event, arg: (
+            frame.f_back is not None and frame.f_back.f_code is loop
+            if event == "call"
+            else frame.f_code is loop and getattr(arg, "__name__", "") not in QUEUE_OPS
+        ),
+    )
+    assert handle.succeeded
+    assert calls == engine.kernel.events_processed - before

@@ -305,6 +305,9 @@ def test_post_rejects_negative_delay():
 # must complete in the same order, at the same instants, with the same
 # busy-integral bits.
 class HeapPool(CpuPool):
+    def acquire(self, run, priority=0.0):
+        self._push(priority, "acquire", 0.0, run)
+
     def _push(self, priority, kind, cost, fn):
         if self.halted:
             if kind == "submit":
