@@ -12,7 +12,7 @@ The walkthrough shows:
 1. ``engine.submit_many`` dispatching a batch inside one fold window —
    one carrier, the lookalikes folded onto it (``QueryHandle.sharing``);
 2. a narrower query folding via a residual filter, and an aggregation
-   folding onto a detail scan via a residual group-by;
+   opening its own group, which its exact repeat folds onto;
 3. a repeat submission answered from the result cache, and
    ``Catalog.register`` invalidating it;
 4. the payoff: effective QPS of a seeded two-tenant burst, sharing off

@@ -22,7 +22,6 @@ from .config import (
     SharingConfig,
     TraceConfig,
     WorkloadConfig,
-    config_fingerprint,
     presto_config,
     prestissimo_config,
 )
@@ -36,7 +35,6 @@ from .engine import AccordionEngine
 from .errors import (
     AccordionError,
     ExecutionError,
-    MemoryBudgetExceededError,
     QueryCancelledError,
     QueryFailedError,
     QueryRejectedError,
@@ -104,7 +102,6 @@ __all__ = [
     "EVAL_SEED",
     "EngineConfig",
     "ExecutionError",
-    "MemoryBudgetExceededError",
     "MemoryConfig",
     "MetricsRegistry",
     "NodeCrash",
@@ -147,7 +144,6 @@ __all__ = [
     "Workload",
     "WorkloadConfig",
     "WorkloadReport",
-    "config_fingerprint",
     "eval_config",
     "eval_engine",
     "presto_config",

@@ -16,19 +16,11 @@ from dataclasses import dataclass, field, fields, replace
 from .tree import identity
 
 
-def config_fingerprint(obj) -> tuple:
-    """Stable, hashable identity of a config object: its
-    :func:`repro.tree.identity`.  Every config class in the
-    ``EngineConfig`` hierarchy — and
-    :class:`~repro.cluster.coordinator.QueryOptions` — exposes this via
-    ``.fingerprint()``; the plan cache keys on it uniformly instead of
-    special-casing individual classes.
-    """
-    return identity(obj)
-
-
 class _Fingerprinted:
-    """Mixin giving every config dataclass a uniform ``fingerprint()``."""
+    """Mixin giving every config dataclass a uniform ``fingerprint()``:
+    its :func:`repro.tree.identity`, which the plan cache and the fold /
+    result-cache keys use (:class:`~repro.cluster.coordinator.QueryOptions`
+    has the same method)."""
 
     def fingerprint(self) -> tuple:
         return identity(self)
@@ -220,10 +212,6 @@ class MemoryConfig(_Fingerprinted):
 
     #: Bytes of operator state one query may hold before spilling.
     query_budget_bytes: int | None = None
-    #: When False, an over-budget operator raises a structured
-    #: :class:`~repro.errors.MemoryBudgetExceededError` instead of
-    #: spilling (strict-reservation deployments).
-    spill_enabled: bool = True
     #: Directory for spill files.  ``None`` resolves to
     #: ``$REPRO_CACHE_DIR/spill`` when the cache dir env var is set, else
     #: a ``repro-spill`` directory under the system temp dir.  Each query
@@ -250,12 +238,9 @@ class SharingConfig(_Fingerprinted):
     #: closely-spaced lookalike queries can pile onto it.  0 dispatches
     #: immediately (queries arriving at the same instant still fold).
     fold_window: float = 0.0
-    #: Result-cache capacity in bytes (LRU eviction); 0 disables the
-    #: cache while keeping folding.
-    result_cache_bytes: int = 64 * 1024 * 1024
-    #: Entry lifetime in virtual seconds; ``None`` means no TTL.  Entries
-    #: are also invalidated whenever ``Catalog.register`` bumps the
-    #: catalog version, TTL or not.
+    #: Result-cache entry lifetime in virtual seconds; ``None`` means no
+    #: TTL.  Entries are also invalidated whenever ``Catalog.register``
+    #: bumps the catalog version, TTL or not.
     cache_ttl: float | None = None
 
 
@@ -303,8 +288,6 @@ class PredictionConfig(_Fingerprinted):
     #: Reject at admission when P(deadline miss) from the runtime
     #: estimate + variance exceeds this; ``None`` disables SLO rejection.
     max_miss_probability: float | None = None
-    #: Pre-grant stage DOPs / memory budget from predicted demand.
-    pregrant: bool = True
 
 
 @dataclass(frozen=True)
@@ -430,10 +413,10 @@ class EngineConfig(_Fingerprinted):
         """Return a copy with sharing enabled (plus any SharingConfig
         fields).
 
-        ``EngineConfig().with_sharing(fold_window=0.05,
-        result_cache_bytes=128 << 20, cache_ttl=60.0)`` folds compatible
-        concurrent queries onto shared executions and answers repeats
-        from a 128 MB result cache with a 60-virtual-second TTL.
+        ``EngineConfig().with_sharing(fold_window=0.05, cache_ttl=60.0)``
+        folds compatible concurrent queries onto shared executions and
+        answers repeats from the result cache (``RESULT_CACHE_BYTES``,
+        64 MB) with a 60-virtual-second TTL.
         """
         kwargs.setdefault("enabled", True)
         return replace(self, sharing=replace(self.sharing, **kwargs))

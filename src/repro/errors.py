@@ -61,31 +61,6 @@ class ExecutionError(AccordionError):
     """Raised when a query fails at runtime inside an operator."""
 
 
-class MemoryBudgetExceededError(ExecutionError):
-    """An operator's tracked bytes exceeded the query's memory budget
-    while spilling was disallowed (``MemoryConfig.spill_enabled=False``).
-
-    With spilling enabled the engine never raises this — the operator
-    switches to the out-of-core path instead.  Carries enough structure
-    for an admission layer to renegotiate: which operator overflowed, how
-    many bytes it tracked, and the budget it broke.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        query_id: int | None = None,
-        operator: str | None = None,
-        tracked_bytes: int = 0,
-        budget_bytes: int = 0,
-    ):
-        super().__init__(message)
-        self.query_id = query_id
-        self.operator = operator
-        self.tracked_bytes = tracked_bytes
-        self.budget_bytes = budget_bytes
-
-
 class OffloadError(ExecutionError):
     """Base class for failures of the ``repro.parallel`` pool transport."""
 

@@ -529,7 +529,7 @@ class PartialAggOperator(TransformOperator):
         out: list[Page] = []
         # Partial state is destructible by design: memory pressure is
         # relieved by flushing downstream early, never by spilling.
-        pressure = self.memory is not None and self.memory.report(
+        pressure = self.memory is not None and self.memory.update(
             self.state.tracked_bytes()
         )
         if len(self.state) > self.group_limit or pressure:
@@ -542,7 +542,7 @@ class PartialAggOperator(TransformOperator):
             return []
         key_cols, field_cols = self.state.drain_columns()
         if self.memory is not None:
-            self.memory.report(0)
+            self.memory.update(0)
         return Page(self.output_schema, key_cols + field_cols).split(self.row_limit)
 
 
@@ -585,20 +585,20 @@ class FinalAggOperator(TransformOperator):
                 return self._grace_finalize(page)
             pages = self._final_pages()
             if self.memory is not None:
-                self.memory.report(0)
+                self.memory.update(0)
             cpu = self.cpu(sum(p.num_rows for p in pages), self.cost.final_agg_row_cost)
             return pages + [page], cpu
         cpu = self.cpu(page.num_rows, self.cost.final_agg_row_cost)
         if self._input_schema is None:
             self._input_schema = page.schema
         self._merge_partial_page(page)
-        if self.memory is not None:
-            if self.num_keys:
-                if self.memory.update(self.state.tracked_bytes()):
-                    cpu += self._spill_state()
-            else:
-                # Single-slot global state: nothing to partition on.
-                self.memory.report(self.state.tracked_bytes())
+        # A single-slot global state (no keys) has nothing to partition on.
+        if (
+            self.memory is not None
+            and self.memory.update(self.state.tracked_bytes())
+            and self.num_keys
+        ):
+            cpu += self._spill_state()
         return [], cpu
 
     def _merge_partial_page(self, page: Page) -> None:

@@ -3,10 +3,24 @@ partial TopN variant pushed into upstream stages)."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...config import CostModel
-from ...pages import Page, Schema, concat_pages
-from ...reference import sort_indices
+from ...pages import DictColumn, Page, Schema, concat_pages
 from .base import TransformOperator
+
+
+def sort_indices(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
+    """Stable multi-key sort; supports mixed asc/desc and string keys."""
+    order = np.arange(page.num_rows)
+    # Apply keys from least to most significant; each pass is stable.
+    for index, ascending in reversed(sort_keys):
+        column = page.columns[index][order]
+        if isinstance(column, DictColumn):
+            column = column.rank_codes()[0]  # integers ordered like the text
+        key = column if ascending else -column
+        order = order[np.argsort(key, kind="stable")]
+    return order
 
 
 class TopNOperator(TransformOperator):

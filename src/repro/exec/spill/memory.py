@@ -28,7 +28,6 @@ from pathlib import Path
 
 from ...config import CostModel, MemoryConfig
 from ...data.tpch.dataset_cache import CACHE_DIR_ENV
-from ...errors import MemoryBudgetExceededError
 
 #: Process-wide sequence making per-query spill directories unique even
 #: across engines (two engines in one process both start query ids at 1).
@@ -58,11 +57,10 @@ class OperatorMemory:
         self.tracked_bytes = 0
         self.peak_bytes = 0
 
-    def report(self, tracked_bytes: int) -> bool:
+    def update(self, tracked_bytes: int) -> bool:
         """Report this operator's current state size; returns True when
-        the query is now over budget.  Never raises — for operators that
-        can shed state without disk (partial aggregation flushes its
-        state downstream instead of spilling)."""
+        the query is now over budget (a join or final aggregation then
+        spills, a partial aggregation flushes its state downstream)."""
         delta = tracked_bytes - self.tracked_bytes
         self.tracked_bytes = tracked_bytes
         if tracked_bytes > self.peak_bytes:
@@ -73,26 +71,6 @@ class OperatorMemory:
             query.peak_bytes = query.total_bytes
         budget = query.budget_bytes
         return budget is not None and query.total_bytes > budget
-
-    def update(self, tracked_bytes: int) -> bool:
-        """Report this operator's current state size.
-
-        Returns True when the query is now over budget and the operator
-        should spill; raises :class:`MemoryBudgetExceededError` instead
-        when spilling is disallowed."""
-        over = self.report(tracked_bytes)
-        query = self.query
-        if over and not query.config.spill_enabled:
-            raise MemoryBudgetExceededError(
-                f"{self.name}: query {query.query_id} tracked "
-                f"{query.total_bytes} bytes > budget "
-                f"{query.budget_bytes} bytes with spilling disabled",
-                query_id=query.query_id,
-                operator=self.name,
-                tracked_bytes=query.total_bytes,
-                budget_bytes=query.budget_bytes,
-            )
-        return over
 
     def release(self) -> None:
         """Drop this operator's contribution (state handed off or freed)."""

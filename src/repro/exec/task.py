@@ -383,7 +383,7 @@ class Task:
         """Return this task's tracked bytes to the query budget (finished
         or crashed tasks no longer hold operator state)."""
         for handle in self._memory_handles:
-            handle.report(0)
+            handle.update(0)
 
     def crash(self, reason: str = "node down") -> None:
         """Kill this task mid-execution (fault injection).

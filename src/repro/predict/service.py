@@ -189,29 +189,28 @@ class DemandPredictor:
         prediction = sub.prediction = self._predict(sub.template, sub)
         if prediction is None:
             return None
-        cfg = self.config
-        if sub.deadline is not None and cfg.max_miss_probability is not None:
+        bound = self.config.max_miss_probability
+        if sub.deadline is not None and bound is not None:
             miss = prediction.miss_probability(sub.deadline)
-            if miss > cfg.max_miss_probability:
+            if miss > bound:
                 self.decisions.record(
                     "predict", "slo_reject", tenant=sub.tenant, seq=sub.seq,
                     miss_probability=miss, deadline=sub.deadline,
                     runtime=prediction.runtime, std=prediction.std,
                 )
                 return miss
-        if cfg.pregrant:
-            options = self.pregrant_options(sub.options, prediction, sub.deadline)
-            if options is not sub.options:
-                sub.options = options
-                self.decisions.record(
-                    "predict", "pregrant", tenant=sub.tenant, seq=sub.seq,
-                    stage_dops=options.stage_dops,
-                )
-            if sub.memory_bytes is None:
-                sub.memory_bytes = max(
-                    MIN_MEMORY_PREGRANT,
-                    int(prediction.peak_memory_bytes * MEMORY_HEADROOM),
-                )
+        options = self.pregrant_options(sub.options, prediction, sub.deadline)
+        if options is not sub.options:
+            sub.options = options
+            self.decisions.record(
+                "predict", "pregrant", tenant=sub.tenant, seq=sub.seq,
+                stage_dops=options.stage_dops,
+            )
+        if sub.memory_bytes is None:
+            sub.memory_bytes = max(
+                MIN_MEMORY_PREGRANT,
+                int(prediction.peak_memory_bytes * MEMORY_HEADROOM),
+            )
         return None
 
     def pregrant_options(

@@ -143,11 +143,11 @@ class _Reference:
     # -- ordering -----------------------------------------------------------
     def _run_LogicalSort(self, node: LogicalSort) -> Page:
         child = self.run(node.child)
-        return child.take(sort_indices(child, node.sort_keys))
+        return child.take(_sorted_rows(child, node.sort_keys))
 
     def _run_LogicalTopN(self, node: LogicalTopN) -> Page:
         child = self.run(node.child)
-        order = sort_indices(child, node.sort_keys)[: node.count]
+        order = _sorted_rows(child, node.sort_keys)[: node.count]
         return child.take(order)
 
     def _run_LogicalLimit(self, node: LogicalLimit) -> Page:
@@ -156,7 +156,7 @@ class _Reference:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers (also used by the distributed operators and tests)
+# helpers
 # ---------------------------------------------------------------------------
 def _key_rows(page: Page, keys: list[int]) -> list[tuple]:
     cols = [page.columns[k].tolist() for k in keys]
@@ -209,14 +209,11 @@ def _grouped_aggregate(agg: AggregateCall, page: Page, members: list[list[int]])
     raise ExecutionError(f"unknown aggregate {agg.function}")
 
 
-def sort_indices(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
-    """Stable multi-key sort; supports mixed asc/desc and string keys."""
-    order = np.arange(page.num_rows)
-    # Apply keys from least to most significant; each pass is stable.
+def _sorted_rows(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
+    """Row order by python ``sorted``: one stable pass per key, least
+    significant first, ``reverse=True`` for DESC (still stable)."""
+    order = list(range(page.num_rows))
     for index, ascending in reversed(sort_keys):
-        column = page.columns[index][order]
-        if isinstance(column, DictColumn):
-            column = column.rank_codes()[0]  # integers ordered like the text
-        key = column if ascending else -column
-        order = order[np.argsort(key, kind="stable")]
-    return order
+        values = page.columns[index].tolist()
+        order = sorted(order, key=values.__getitem__, reverse=not ascending)
+    return np.array(order, dtype=np.int64)

@@ -5,10 +5,10 @@ fingerprint)`` — the same keying discipline as the plan cache, one level
 up: equal keys mean the *answer page* is reusable, so a repeat query
 short-circuits admission, planning, and execution entirely.  The cache
 is per-engine (catalog identity is implied by ownership) and bounded two
-ways: a byte capacity with LRU eviction, and an optional TTL in *virtual*
-seconds (clocks come from the sim kernel, keeping same-seed runs
-byte-identical).  A catalog version bump (``Catalog.register``)
-invalidates every entry from older versions.
+ways: :data:`RESULT_CACHE_BYTES` with LRU eviction, and an optional TTL
+(``SharingConfig.cache_ttl``) in *virtual* seconds (clocks come from the
+sim kernel, keeping same-seed runs byte-identical).  A catalog version
+bump (``Catalog.register``) invalidates every entry from older versions.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..pages import Page
+
+#: Bytes of answer pages one engine's result cache holds (LRU beyond).
+RESULT_CACHE_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -31,9 +34,8 @@ class CacheEntry:
 class ResultCache:
     """LRU + TTL result cache over materialised answer pages."""
 
-    def __init__(self, kernel, capacity_bytes: int, ttl: float | None = None):
+    def __init__(self, kernel, ttl: float | None = None):
         self.kernel = kernel
-        self.capacity_bytes = capacity_bytes
         self.ttl = ttl
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.bytes = 0
@@ -63,16 +65,16 @@ class ResultCache:
 
     def put(self, key: tuple, page: Page, scan_pages: int = 0) -> None:
         size = page.size_bytes
-        if size > self.capacity_bytes:
+        if size > RESULT_CACHE_BYTES:
             self.kernel.decisions.record(
                 "cache", "skip_oversize", size_bytes=size,
-                capacity_bytes=self.capacity_bytes,
+                capacity_bytes=RESULT_CACHE_BYTES,
             )
             return
         old = self._entries.pop(key, None)
         if old is not None:
             self.bytes -= old.size_bytes
-        while self._entries and self.bytes + size > self.capacity_bytes:
+        while self._entries and self.bytes + size > RESULT_CACHE_BYTES:
             evicted_key = next(iter(self._entries))
             self._drop("evict", evicted_key, self._entries[evicted_key])
         self._entries[key] = CacheEntry(

@@ -55,13 +55,7 @@ class SharingManager:
         self.config = engine.config.sharing
         self.coordinator = engine.coordinator
         self.catalog = engine.catalog
-        self.cache: ResultCache | None = None
-        if self.config.result_cache_bytes > 0:
-            self.cache = ResultCache(
-                self.kernel,
-                self.config.result_cache_bytes,
-                ttl=self.config.cache_ttl,
-            )
+        self.cache = ResultCache(self.kernel, ttl=self.config.cache_ttl)
         #: Live fold groups by (catalog version, plan key, options key).
         self.groups: dict[tuple, FoldGroup] = {}
         self._catalog_version = engine.catalog.version
@@ -79,8 +73,7 @@ class SharingManager:
         version = self.catalog.version
         if version != self._catalog_version:
             self._catalog_version = version
-            if self.cache is not None:
-                self.cache.purge_versions_before(version)
+            self.cache.purge_versions_before(version)
 
     # -- the route step ------------------------------------------------------
     def decide(self, sub: "Submission") -> Routing:
@@ -92,7 +85,7 @@ class SharingManager:
         if not normalized.shareable:
             return Routing("unshared")
         key = (self._catalog_version, normalized.key, sub.options.fingerprint())
-        if self.cache is not None and self.cache.peek(key):
+        if self.cache.peek(key):
             return Routing("cached", key)
         group, residual = self._find_group(key, normalized)
         if group is not None:
@@ -112,7 +105,7 @@ class SharingManager:
             return False
         sub.query_id = self.coordinator.next_query_id()
         key = routing.key
-        entry = self.cache.get(key) if self.cache is not None else None
+        entry = self.cache.get(key)
         if entry is not None:
             SharedConsumer(sub, key, entry.scan_pages)
             self.decisions.record(
@@ -173,14 +166,13 @@ class SharingManager:
         group.done = True
         if self.groups.get(group.key) is group:
             del self.groups[group.key]
-        if self.cache is not None:
-            for consumer in group.consumers:
-                if consumer.submission.succeeded:
-                    self.cache.put(
-                        consumer.cache_key,
-                        consumer.submission.page,
-                        scan_pages=consumer.scan_pages,
-                    )
+        for consumer in group.consumers:
+            if consumer.submission.succeeded:
+                self.cache.put(
+                    consumer.cache_key,
+                    consumer.submission.page,
+                    scan_pages=consumer.scan_pages,
+                )
 
     def _on_detach(self, group: FoldGroup, consumer: SharedConsumer) -> None:
         sub = consumer.submission
@@ -204,23 +196,21 @@ class SharingManager:
         folds = counts["sharing", "fold"]
         carriers = counts["sharing", "carrier"]
         hits = counts["sharing", "cache_hit"]
-        out = {
+        return {
             "consumers": carriers + folds + hits,
             "carriers": carriers,
             "folds": folds,
             "unshared": counts["sharing", "unshared"],
             "detaches": counts["sharing", "detach"],
             "cache_hits": hits,
-            # With a cache, every query it did not answer missed it.
-            "cache_misses": carriers + folds if self.cache is not None else 0,
+            # Every query the cache did not answer missed it.
+            "cache_misses": carriers + folds,
             "pages_saved": sum(
                 d.inputs.get("pages_saved", 0) for d in log.of(since, kind="sharing")
             ),
             "active_groups": len(self.groups),
+            "cache_entries": len(self.cache),
+            "cache_bytes": self.cache.bytes,
+            "cache_evictions": counts["cache", "evict"],
+            "cache_invalidations": counts["cache", "invalidate"],
         }
-        if self.cache is not None:
-            out["cache_entries"] = len(self.cache)
-            out["cache_bytes"] = self.cache.bytes
-            out["cache_evictions"] = counts["cache", "evict"]
-            out["cache_invalidations"] = counts["cache", "invalidate"]
-        return out

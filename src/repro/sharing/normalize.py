@@ -10,23 +10,18 @@ and boolean connectives are reordered, which are result-exact under any
 order; arithmetic is not.  Output column *names* are part of the key:
 result schemas are user-visible.
 
-On top of the keys, :func:`decompose` splits a plan into the shared
-*core* (everything below the filter/projection/aggregation crown) plus
-its crown, and :func:`plan_residual` decides whether query B can be
-grafted onto carrier A: B folds when its core matches A's and A's filter
+On top of the keys, :func:`decompose` splits a detail plan into the
+shared *core* (everything below the filter/projection crown) plus its
+crown, and :func:`plan_residual` decides whether query B can be grafted
+onto carrier A: B folds when its core matches A's and A's filter
 conjuncts are a subset of B's, in which case the returned
 :class:`~repro.sharing.residual.Residual` holds B's extra conjuncts and
-final projection/aggregation *rebased onto A's output columns*.
+final projection *rebased onto A's output columns*.
 
-Safety rules (answers must stay bit-identical to an isolated run):
-
-- plans containing ``Limit``/``TopN`` are never shared (ties/prefixes are
-  tuple-order sensitive);
-- residual re-aggregation folds only for *grouped* aggregations with
-  order-insensitive aggregates: ``count``/``min``/``max`` always,
-  ``sum``/``avg`` only over INT64 arguments (float sums depend on
-  accumulation order), and never ``distinct``;
-- everything else falls back to an exact-key fold or no fold.
+Plans containing ``Limit``/``TopN`` are never shared (ties and prefixes
+are tuple-order sensitive).  A plan whose root aggregates (or projects
+an aggregation) has no detail crown: it folds only on an exact key, and
+nothing folds onto it by subsumption.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..pages import ColumnType, Field, Schema
+from ..pages import Field, Schema
 from ..plan.logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -45,7 +40,7 @@ from ..plan.logical import (
     LogicalScan,
     LogicalTopN,
 )
-from ..sql.expressions import AggregateCall, BoolAnd, BoundExpr, InputRef
+from ..sql.expressions import BoolAnd, BoundExpr, InputRef
 from ..tree import identity
 from .residual import Residual
 
@@ -53,10 +48,6 @@ from .residual import Residual
 #: must never collide in a persisted store (``history.json`` buckets
 #: written under an older version are orphaned by design).
 NORMALIZE_VERSION = 2
-
-#: Aggregate functions whose result does not depend on input row order.
-#: ``sum``/``avg`` qualify only over exact (integer) arithmetic.
-_ORDER_FREE_AGGS = ("count", "min", "max", "sum", "avg")
 
 
 def split_conjuncts(predicate: BoundExpr) -> list[BoundExpr]:
@@ -91,20 +82,6 @@ class DetailShape:
 
 
 @dataclass
-class AggShape:
-    """Decomposition of ``[Project_post] Aggregate [Project_pre] [Filter]*
-    core``.  ``group_keys``/``aggregates`` are positions into (exprs
-    over) the pre-projection output, exactly as planned."""
-
-    detail: DetailShape
-    group_keys: list[int]
-    aggregates: list[AggregateCall]
-    agg_schema: Schema
-    post_exprs: list[BoundExpr] | None
-    post_names: list[str] | None
-
-
-@dataclass
 class NormalizedQuery:
     """One query's normalized identity plus its foldable decomposition."""
 
@@ -112,14 +89,20 @@ class NormalizedQuery:
     root: LogicalNode
     #: Whether this plan may participate in sharing at all.
     shareable: bool
-    #: Exactly one of detail/agg is set for decomposable crowns; both are
-    #: None when the root shape is unrecognised (exact folds still work).
+    #: The detail crown; None for unshareable and aggregating plans
+    #: (exact folds still work).
     detail: DetailShape | None
-    agg: AggShape | None
     scan_tables: tuple[str, ...]
 
 
-def _decompose_detail(node: LogicalNode) -> DetailShape:
+def decompose(node: LogicalNode) -> DetailShape | None:
+    """Split the crown of a detail plan; None when the root is an
+    aggregation or a projection of one."""
+    if isinstance(node, LogicalAggregate) or (
+        isinstance(node, LogicalProject)
+        and isinstance(node.child, LogicalAggregate)
+    ):
+        return None
     out_exprs: list[BoundExpr] | None = None
     out_names: list[str] | None = None
     if isinstance(node, LogicalProject):
@@ -141,41 +124,14 @@ def _decompose_detail(node: LogicalNode) -> DetailShape:
     )
 
 
-def decompose(root: LogicalNode) -> tuple[DetailShape | None, AggShape | None]:
-    """Split the crown of a plan into a detail or aggregate shape."""
-    node = root
-    post_exprs: list[BoundExpr] | None = None
-    post_names: list[str] | None = None
-    if isinstance(node, LogicalProject) and isinstance(
-        node.child, LogicalAggregate
-    ):
-        post_exprs = list(node.exprs)
-        post_names = list(node.schema.names())
-        node = node.child
-    if isinstance(node, LogicalAggregate):
-        return None, AggShape(
-            detail=_decompose_detail(node.child),
-            group_keys=list(node.group_keys),
-            aggregates=list(node.aggregates),
-            agg_schema=node.schema,
-            post_exprs=post_exprs,
-            post_names=post_names,
-        )
-    return _decompose_detail(root), None
-
-
 def normalize_logical(root: LogicalNode) -> NormalizedQuery:
     nodes = list(root.walk())
     shareable = not any(isinstance(n, (LogicalTopN, LogicalLimit)) for n in nodes)
-    detail, agg = (None, None)
-    if shareable:
-        detail, agg = decompose(root)
     return NormalizedQuery(
         key=(NORMALIZE_VERSION, identity(root)),
         root=root,
         shareable=shareable,
-        detail=detail,
-        agg=agg,
+        detail=decompose(root) if shareable else None,
         scan_tables=tuple(n.table for n in nodes if isinstance(n, LogicalScan)),
     )
 
@@ -238,39 +194,17 @@ def _combine(conjuncts: list[BoundExpr]) -> BoundExpr | None:
     return BoolAnd(tuple(conjuncts))
 
 
-def _agg_fold_allowed(shape: AggShape) -> bool:
-    if not shape.group_keys:
-        # Global aggregates only fold on exact fingerprint match: an empty
-        # residual stream must still produce the engine's global-agg
-        # answer shape, which the residual evaluator does not reproduce.
-        return False
-    for call in shape.aggregates:
-        if call.distinct or call.function not in _ORDER_FREE_AGGS:
-            return False
-        if call.function in ("sum", "avg") and (
-            call.arg is None or call.arg.type is not ColumnType.INT64
-        ):
-            return False
-    return True
-
-
 def plan_residual(
     b: NormalizedQuery, a: NormalizedQuery
 ) -> Residual | None:
     """Can B be computed from carrier A's output stream?  If so, return
-    the residual operator chain; otherwise ``None``.
+    the residual filter and projection; otherwise ``None``.
 
-    A must expose a detail stream (no aggregation crown — aggregation
-    destroys the rows B would filter).  Exact-equal fingerprints are the
-    caller's fast path and never reach here."""
-    if a.detail is None or not a.shareable or not b.shareable:
-        return None
-    shape = b.detail if b.detail is not None else (
-        b.agg.detail if b.agg is not None else None
-    )
-    if shape is None or shape.core_key != a.detail.core_key:
-        return None
-    if b.agg is not None and not _agg_fold_allowed(b.agg):
+    Both must be detail plans: aggregation destroys the rows B would
+    filter.  Exact-equal fingerprints are the caller's fast path and
+    never reach here."""
+    shape = b.detail
+    if a.detail is None or shape is None or shape.core_key != a.detail.core_key:
         return None
     extra = _residual_conjuncts(shape.conjuncts, a.detail.conjuncts)
     if extra is None:
@@ -291,22 +225,6 @@ def plan_residual(
         Field(name, expr.type)
         for name, expr in zip(shape.out_names, projected)
     )
-    predicate = _combine(rebased_extra)
-    if b.agg is None:
-        return Residual(
-            predicate=predicate, project=(projected, project_schema)
-        )
-    ag = b.agg
-    post = None
-    if ag.post_exprs is not None:
-        post_schema = Schema(
-            Field(name, expr.type)
-            for name, expr in zip(ag.post_names, ag.post_exprs)
-        )
-        post = (list(ag.post_exprs), post_schema)
     return Residual(
-        predicate=predicate,
-        project=(projected, project_schema),
-        aggregate=(list(ag.group_keys), list(ag.aggregates), ag.agg_schema),
-        post_project=post,
+        predicate=_combine(rebased_extra), project=(projected, project_schema)
     )

@@ -109,8 +109,7 @@ class ResourceArbiter:
             base_deadline_at=deadline_at,
         )
         if memory_bytes is not None:
-            # The grant is the budget: operators that outgrow it spill
-            # (or fail, with MemoryConfig.spill_enabled=False).
+            # The grant is the budget: operators that outgrow it spill.
             execution.memory.set_budget(memory_bytes)
         self.entries[execution.id] = entry
         execution.on_done(lambda _exec: self._unregister(_exec.id))

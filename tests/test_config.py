@@ -119,14 +119,14 @@ def test_uniform_section_builders():
         EngineConfig()
         .with_cost(cpu_multiplier=3.0)
         .with_buffers(elastic=False)
-        .with_memory(spill_enabled=False)
+        .with_memory(query_budget_bytes=1 << 20)
         .with_workload(max_concurrent_queries=2, queue_policy="priority")
         .with_cluster(compute_nodes=4)
         .with_tracing()
     )
     assert config.cost.cpu_multiplier == 3.0
     assert not config.buffers.elastic
-    assert not config.memory.spill_enabled
+    assert config.memory.query_budget_bytes == 1 << 20
     assert config.workload.max_concurrent_queries == 2
     assert config.workload.queue_policy == "priority"
     assert config.cluster.compute_nodes == 4
@@ -165,11 +165,12 @@ def test_fingerprint_changes_with_any_field():
     )
 
 
-def test_query_options_fingerprint_uses_config_fingerprint():
-    from repro import QueryOptions, config_fingerprint
+def test_query_options_fingerprint_is_its_identity():
+    from repro import QueryOptions
+    from repro.tree import identity
 
     a = QueryOptions(initial_stage_dop=2)
-    assert a.fingerprint() == config_fingerprint(a)
+    assert a.fingerprint() == identity(a)
     assert a.fingerprint() == QueryOptions(initial_stage_dop=2).fingerprint()
     assert a.fingerprint() != QueryOptions(partial_pushdown=False).fingerprint()
 

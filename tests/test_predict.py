@@ -305,7 +305,7 @@ class TestPregrant:
 # -- reprovision trigger ----------------------------------------------------
 def test_reprovision_fires_exactly_once_per_breach(catalog, monkeypatch):
     monkeypatch.setattr(predictor, "ERROR_BOUND", 0.01)
-    engine = predict_engine(catalog, pregrant=False)
+    engine = predict_engine(catalog)
     # Warm with a highly selective literal (few rows reach the agg), then
     # run the full-table variant: it must overshoot the predicted runtime
     # by far more than the 1% bound.

@@ -7,7 +7,8 @@ import pytest
 from repro.data import Catalog, Table
 from repro.pages import ColumnType, Schema
 from repro.plan import LogicalPlanner, prune_columns
-from repro.reference import execute_reference, sort_indices
+from repro.exec.operators.sorting import sort_indices
+from repro.reference import execute_reference
 from repro.sql.parser import parse
 from repro.pages import Page
 

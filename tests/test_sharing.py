@@ -24,7 +24,7 @@ from repro import (
 )
 from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
-from repro.sharing import normalize_logical, plan_residual
+from repro.sharing import cache as result_cache, normalize_logical, plan_residual
 from repro.tree import identity
 from repro.plan.logical_planner import LogicalPlanner
 from repro.plan.optimizer import prune_columns
@@ -372,6 +372,8 @@ class TestFolding:
         assert h2.result().rows == isolated_rows(catalog, narrow)
 
     def test_residual_aggregation_fold_bit_identical(self, catalog):
+        """An aggregate over a detail carrier's core opens its own group:
+        a residual is only a filter and a projection."""
         engine = sharing_engine(catalog)
         detail = ("select l_returnflag, l_quantity from lineitem "
                   "where l_quantity < 30")
@@ -380,13 +382,13 @@ class TestFolding:
                "group by l_returnflag")
         h1 = engine.submit(detail)
         h2 = engine.submit(agg)
-        assert h2.sharing.role == "folded"
+        assert h2.sharing.role == "carrier"
         assert h1.result().rows == isolated_rows(catalog, detail)
         assert h2.result().rows == isolated_rows(catalog, agg)
 
     def test_residual_integer_sum_is_exact_beyond_float64(self, catalog):
-        """The residual re-aggregation shares ``grouped_sum`` with the
-        engine; both are held to python-int arithmetic, not to each other."""
+        """The aggregate runs its own execution beside the detail carrier,
+        and its INT64 sum is held to python-int arithmetic."""
         engine = sharing_engine(catalog)
         detail = ("select o_orderstatus, o_orderkey, o_custkey from orders "
                   "where o_orderkey > 0")
@@ -394,7 +396,7 @@ class TestFolding:
                "from orders where o_orderkey > 0 group by o_orderstatus")
         engine.submit(detail)
         folded = engine.submit(agg)
-        assert folded.sharing.role == "folded"
+        assert folded.sharing.role == "carrier"
         orders = catalog.table("orders")
         expected: dict = {}
         for status, key, cust in zip(
@@ -534,8 +536,9 @@ class TestResultCache:
         assert h.result().rows == rows
         assert engine.metrics.snapshot()["sharing.cache_invalidations"] >= 1
 
-    def test_capacity_eviction_is_lru(self, catalog):
-        engine = sharing_engine(catalog, result_cache_bytes=100)
+    def test_capacity_eviction_is_lru(self, catalog, monkeypatch):
+        monkeypatch.setattr(result_cache, "RESULT_CACHE_BYTES", 100)
+        engine = sharing_engine(catalog)
         a = "select count(*) from lineitem"
         b = "select count(*) from orders"
         engine.execute(a)
@@ -543,14 +546,6 @@ class TestResultCache:
         assert engine.metrics.snapshot()["sharing.cache_evictions"] >= 1
         h = engine.submit(a)
         assert h.sharing.role == "carrier"
-
-    def test_cache_disabled(self, catalog):
-        engine = sharing_engine(catalog, result_cache_bytes=0)
-        sql = "select count(*) from lineitem"
-        engine.execute(sql)
-        h = engine.submit(sql)
-        assert h.sharing.role == "carrier"
-        assert engine.sharing.cache is None
 
 
 # -- failure propagation ----------------------------------------------------
@@ -678,21 +673,16 @@ class TestWorkloadIntegration:
 # -- public API -------------------------------------------------------------
 class TestPublicApi:
     def test_with_sharing_builder(self):
-        config = EngineConfig().with_sharing(
-            result_cache_bytes=1024, cache_ttl=60.0
-        )
+        config = EngineConfig().with_sharing(cache_ttl=60.0)
         assert config.sharing.enabled
-        assert config.sharing.result_cache_bytes == 1024
         assert config.sharing.cache_ttl == 60.0
         assert not EngineConfig().sharing.enabled
         with pytest.raises(TypeError):  # folding cannot be switched off
             SharingConfig(fold=False)
 
     def test_sharing_config_in_fingerprint(self):
-        from repro import config_fingerprint
-
-        a = config_fingerprint(EngineConfig())
-        b = config_fingerprint(EngineConfig().with_sharing())
+        a = EngineConfig().fingerprint()
+        b = EngineConfig().with_sharing().fingerprint()
         assert a != b
 
     def test_submit_many_without_sharing(self, catalog):

@@ -3,8 +3,7 @@
 The correctness contract of DESIGN.md §13: a query run under a memory
 budget — however tiny — must return bit-identical rows to the in-memory
 run, with the spilling observable through metrics counters, trace spans,
-and operator profiles; with ``spill_enabled=False`` the same pressure
-must instead fail fast with a structured MemoryBudgetExceededError.
+and operator profiles.
 """
 
 import numpy as np
@@ -14,10 +13,9 @@ from repro import (
     Catalog,
     EngineConfig,
     Plan,
-    MemoryBudgetExceededError,
     MemoryConfig,
     NodeCrash,
-    QueryFailedError,
+    QueryCancelledError,
     TuningRejected,
 )
 from repro.config import CostModel
@@ -153,18 +151,6 @@ def test_operator_memory_tracks_peaks_and_budget(tmp_path):
     assert memory.total_bytes == 300
     assert memory.peak_bytes == 1100
     assert b.peak_bytes == 300
-
-
-def test_no_spill_mode_raises_structured_error(tmp_path):
-    memory = budgeted_memory(tmp_path, budget=100, spill_enabled=False)
-    handle = memory.operator("final_agg")
-    with pytest.raises(MemoryBudgetExceededError) as err:
-        handle.update(101)
-    assert err.value.operator == "final_agg"
-    assert err.value.budget_bytes == 100
-    assert err.value.tracked_bytes == 101
-    # report() never raises: partial aggs shed state without disk.
-    assert handle.report(500)
 
 
 def test_default_spill_root_uses_cache_dir(tmp_path, monkeypatch):
@@ -415,22 +401,20 @@ def test_query_spill_directory_cleaned_on_success(catalog, tmp_path, monkeypatch
     assert not spill_root.exists() or list(spill_root.iterdir()) == []
 
 
-def test_no_spill_mode_fails_query_with_structured_cause(catalog, tmp_path):
+def test_query_spill_directory_cleaned_on_cancel(catalog, tmp_path):
+    """A query cancelled after it spilled leaves no spill file either."""
     engine = make_engine(
         catalog,
-        memory=MemoryConfig(
-            query_budget_bytes=TINY_BUDGET,
-            spill_enabled=False,
-            spill_dir=str(tmp_path),
-        ),
+        memory=MemoryConfig(query_budget_bytes=TINY_BUDGET, spill_dir=str(tmp_path)),
     )
     handle = engine.submit(QUERIES["Q18"])
-    with pytest.raises(QueryFailedError) as err:
+    while not handle.finished and handle.execution.memory.spills == 0:
+        engine.run_for(0.01)
+    assert not handle.finished and list(tmp_path.iterdir()) != []
+    handle.cancel()
+    with pytest.raises(QueryCancelledError):
         handle.result()
-    assert isinstance(err.value.cause, MemoryBudgetExceededError)
-    assert err.value.cause.budget_bytes == TINY_BUDGET
-    assert err.value.cause.tracked_bytes > TINY_BUDGET
-    assert list(tmp_path.iterdir()) == []  # failed query cleaned up too
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spill_survives_node_crash_recovery(tiny_catalog, tmp_path):

@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python tools/counts.py [--out COUNTS.json]
     python tools/counts.py --diff BASE_REV
+    python tools/counts.py --check COUNTS.json FRESH.json
 
 The first form runs two sets of texts, each on a fresh engine per text
 over one catalog: ``tpch`` (Q5, Q9, Q18 at SF0.05, default config) and
@@ -28,6 +29,11 @@ committed at ``BASE_REV`` and exits 1 when any layer of either set makes
 more than 2 % more calls, unless the lines this change adds to
 ``CHANGES.md`` name that layer and the cause, as ``[counts] <layer>:
 <cause>``.  A base without ``COUNTS.json`` passes with a note.
+
+The third form checks that the committed file was regenerated: it exits
+1 when any text's ``events`` or ``pages_per_scanned_page`` differ
+between the committed file and a fresh run's.  Neither depends on
+numpy's Python-level calls, so a fresh run on another numpy still agrees.
 """
 
 import argparse
@@ -272,13 +278,42 @@ def diff(base_rev: str) -> int:
     return 1 if failed else 0
 
 
+#: The fields of each text a fresh run must reproduce (``--check``).
+CHECKED = ("events", "pages_per_scanned_page")
+
+
+def check(committed_path: str, fresh_path: str) -> int:
+    """0 when the fresh run agrees with the committed file on
+    :data:`CHECKED` for every text of every set, else 1."""
+
+    def fields(path: str) -> dict:
+        counts = json.loads(Path(path).read_text())
+        return {
+            (set_name, text, field): counts_of_text[field]
+            for set_name, body in counts.items()
+            for text, counts_of_text in body["texts"].items()
+            for field in CHECKED
+        }
+
+    committed, fresh = fields(committed_path), fields(fresh_path)
+    stale = sorted(k for k in committed.keys() | fresh.keys() if committed.get(k) != fresh.get(k))
+    for key in stale:
+        print(f"counts: {' '.join(key)}: {committed.get(key)} committed, {fresh.get(key)} fresh")
+    if stale:
+        print(f"counts: {committed_path} is stale; regenerate it with tools/counts.py")
+    return 1 if stale else 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "COUNTS.json"))
     parser.add_argument("--diff", metavar="BASE_REV")
+    parser.add_argument("--check", nargs=2, metavar=("COMMITTED", "FRESH"))
     args = parser.parse_args()
     if args.diff:
         sys.exit(diff(args.diff))
+    if args.check:
+        sys.exit(check(*args.check))
     counts = run_sets()
     repeated = all(t.pop("repeats") for b in counts.values() for t in b["texts"].values())
     print(render(counts))
