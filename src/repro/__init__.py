@@ -11,78 +11,65 @@ and downstream code should import from ``repro`` directly instead of deep
 module paths (``tools/api_lint.py`` enforces this in CI).
 """
 
-from .config import (
-    BufferConfig,
-    ClusterConfig,
-    CostModel,
-    EngineConfig,
-    MemoryConfig,
-    ParallelConfig,
-    PredictionConfig,
-    SharingConfig,
-    TraceConfig,
-    WorkloadConfig,
-    presto_config,
-    prestissimo_config,
-)
-from .autotune import DopPlanner
-from .buffers import OutputMode
-from .cluster import ClusterMembership, QueryOptions
-from .data import Catalog, SplitLayout, read_csv, write_csv
-from .data.tpch import TPCH_SCHEMAS, TpchGenerator
-from .data.tpch.queries import QUERIES as TPCH_QUERIES, STANDALONE_BENCHMARK
-from .engine import AccordionEngine
-from .errors import (
-    AccordionError,
-    ExecutionError,
-    QueryCancelledError,
-    QueryFailedError,
-    QueryRejectedError,
-    SqlError,
-    TuningRejected,
-    WorkerCrashedError,
-)
-from .experiments import (
-    EVAL_SCALE,
-    EVAL_SEED,
-    eval_config,
-    eval_engine,
-    shuffle_experiment_engine,
-    standalone_engine,
-)
-from .handle import QueryHandle, QueryResult
-from .obs import (
-    Decision,
-    MetricsRegistry,
-    ProfileReport,
-    QueryTrace,
-    Tracer,
-    render_curve_points,
-    render_series,
-    render_table,
-)
-from .predict import Prediction, StageDemand
-from .script import ScriptResult, run_script
-from .script.plan import (
-    NodeCrash,
-    NodeDrain,
-    NodeJoin,
-    Plan,
-    RpcOutage,
-    RpcStorm,
-    SpotPreemption,
-    TaskCrash,
-)
-from .sharing import SharingInfo
-from .workload import (
-    Autoscaler,
-    ClosedLoop,
-    PoissonArrivals,
-    Session,
-    TraceArrivals,
-    Workload,
-    WorkloadReport,
-)
+import importlib
+
+#: Module -> the public names it defines.  A name resolves on first
+#: access (PEP 562), so ``import repro`` loads no subsystem and a program
+#: loads only what it uses (DESIGN.md §4 "Imports follow use").
+_EXPORTS = {
+    "autotune.planner": "DopPlanner",
+    "buffers.output": "OutputMode",
+    "cluster.coordinator": "QueryOptions",
+    "cluster.membership": "ClusterMembership",
+    "config": "BufferConfig ClusterConfig CostModel EngineConfig MemoryConfig "
+    "ParallelConfig PredictionConfig SharingConfig TraceConfig WorkloadConfig "
+    "presto_config prestissimo_config",
+    "data.catalog": "Catalog",
+    "data.csvio": "read_csv write_csv",
+    "data.splits": "SplitLayout",
+    "data.tpch.generator": "TpchGenerator",
+    "data.tpch.queries": "STANDALONE_BENCHMARK TPCH_QUERIES",
+    "data.tpch.schema": "TPCH_SCHEMAS",
+    "engine": "AccordionEngine",
+    "errors": "AccordionError ExecutionError QueryCancelledError "
+    "QueryFailedError QueryRejectedError SqlError TuningRejected "
+    "WorkerCrashedError",
+    "experiments": "EVAL_SCALE EVAL_SEED eval_config eval_engine "
+    "shuffle_experiment_engine standalone_engine",
+    "handle": "QueryHandle QueryResult",
+    "obs.decisions": "Decision",
+    "obs.export": "QueryTrace",
+    "obs.metrics": "MetricsRegistry",
+    "obs.profile": "ProfileReport",
+    "obs.report": "render_curve_points render_series render_table",
+    "obs.trace": "Tracer",
+    "predict.profile": "Prediction StageDemand",
+    "script.executor": "ScriptResult run_script",
+    "script.plan": "NodeCrash NodeDrain NodeJoin Plan RpcOutage RpcStorm "
+    "SpotPreemption TaskCrash",
+    "sharing": "SharingInfo",
+    "workload.autoscaler": "Autoscaler",
+    "workload.runner": "ClosedLoop PoissonArrivals TraceArrivals Workload "
+    "WorkloadReport",
+    "workload.session": "Session",
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}
+#: Public names defined under another name in their module.
+_RENAMED = {"TPCH_QUERIES": "QUERIES"}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = globals()[name] = getattr(module, _RENAMED.get(name, name))
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})
+
 
 __version__ = "1.5.0"
 

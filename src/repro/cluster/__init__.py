@@ -1,9 +1,9 @@
-"""Simulated cluster: nodes, RPC, scheduler, coordinator, stages,
-and runtime membership (join / drain / spot preemption)."""
+"""Simulated cluster: nodes, RPC, scheduler, coordinator, stages, and
+runtime membership (join / drain / spot preemption: :mod:`.membership`,
+imported by name)."""
 
 from .cluster import Cluster
 from .coordinator import Coordinator, QueryExecution, QueryOptions, QueryRecord
-from .membership import ClusterMembership
 from .node import Node
 from .rpc import RpcTracker
 from .scheduler import Scheduler
@@ -11,7 +11,6 @@ from .stage import StageExecution
 
 __all__ = [
     "Cluster",
-    "ClusterMembership",
     "Coordinator",
     "Node",
     "QueryExecution",

@@ -15,8 +15,7 @@ from typing import Callable
 from ..config import EngineConfig
 from ..data import Catalog, SplitLayout
 from ..errors import ExecutionError, QueryCancelledError, QueryFailedError
-from ..exec.spill import QueryMemory
-from ..exec.spill.memory import MemoryRecord
+from ..exec.memory import MemoryRecord, QueryMemory
 from ..obs.decisions import fault_timeline
 from ..obs.throughput import Sampler
 from ..pages import Page, concat_pages

@@ -1,7 +1,8 @@
-"""Data substrate: tables, catalog, splits, CSV I/O, TPC-H generator."""
+"""Data substrate: tables, catalog, splits; CSV I/O (:mod:`.csvio`) and
+the TPC-H generator and dataset cache (:mod:`.tpch`) are imported by
+name."""
 
 from .catalog import Catalog
-from .csvio import read_csv, write_csv
 from .splits import PAPER_SPLIT_SCHEME, SplitLayout, TableSplit
 from .table import Table
 
@@ -11,6 +12,4 @@ __all__ = [
     "SplitLayout",
     "Table",
     "TableSplit",
-    "read_csv",
-    "write_csv",
 ]

@@ -1,13 +1,5 @@
-"""TPC-H schemas, deterministic generator, and benchmark query texts."""
-
-from .generator import TpchGenerator
-from .queries import QUERIES, STANDALONE_BENCHMARK
-from .schema import TPCH_SCHEMAS, row_count
-
-__all__ = [
-    "QUERIES",
-    "STANDALONE_BENCHMARK",
-    "TPCH_SCHEMAS",
-    "TpchGenerator",
-    "row_count",
-]
+"""TPC-H: schemas (:mod:`.schema`), the deterministic generator
+(:mod:`.generator`), the dataset cache that serves generated tables
+(:mod:`.dataset_cache`), and the benchmark query texts (:mod:`.queries`).
+Each is imported by name: loading an archived dataset does not load the
+generator."""

@@ -15,6 +15,9 @@ executes.  Generated data is fully determined by
   Loading validates every member but keeps none of the columns: each
   is read from the archive, which the tables hold open, on its first
   read (``Table.lazy``), so a column no query scans costs no memory.
+  The load pass streams every column member through the zip CRC and
+  decodes only string codes and dictionaries; a first read then copies
+  the member's bytes straight from the file (DESIGN.md §10).
 
 ``GENERATOR_VERSION`` is part of both keys: bump it whenever
 :class:`~repro.data.tpch.generator.TpchGenerator` changes its output, and
@@ -30,13 +33,15 @@ does — pages slice and copy).
 from __future__ import annotations
 
 import os
+import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from ...pages import DictColumn, Page
+from ...pages.dictcolumn import StringDictionary
 from ...pages.page import PAGE_OVERHEAD_BYTES
-from .generator import GENERATOR_VERSION, TpchGenerator
 from .schema import TPCH_SCHEMAS
 from ..table import Table
 
@@ -50,6 +55,16 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Version of the archive layout; part of the file name, so archives in
 #: another layout are never opened.
 CACHE_FORMAT = 2
+#: Version of :class:`~repro.data.tpch.generator.TpchGenerator`'s output,
+#: kept here so that loading an archive never imports the generator.
+GENERATOR_VERSION = 1
+#: Bytes per read when streaming a member through the zip CRC.
+_CHUNK_BYTES = 1 << 18
+#: ``.npy`` format version -> its header reader.
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 def clear_dataset_cache() -> None:
@@ -93,11 +108,13 @@ def _load(path: Path) -> dict[str, Table] | None:
     """The archive's tables, or None when it cannot serve them.
 
     One pass reads every member in full (so the zip CRC is checked),
-    holding one at a time: each must be a 1-D array (``allow_pickle=False``
-    refuses object arrays) of its table's row count, and string codes
-    must index their dictionary.  The pass builds the dictionaries and
-    measures each table's rows and accounted size; the columns stay in
-    the archive until their first read.
+    holding one at a time: each must be a 1-D array (never an object
+    array) of its table's row count, and string codes must index their
+    dictionary.  Only string codes and dictionaries are decoded, to
+    build the dictionaries; a column member is streamed
+    (:func:`_member`).  The pass measures each table's rows and
+    accounted size; the columns stay in the archive until their first
+    read (:func:`_read`).
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -109,18 +126,22 @@ def _load(path: Path) -> dict[str, Table] | None:
             rows, size, loaders = None, PAGE_OVERHEAD_BYTES, []
             for i, field in enumerate(schema):
                 key = f"{name}::{field.name}"
-                column = archive[key]
-                rows = len(column) if rows is None else rows
-                if column.ndim != 1 or len(column) != rows:
+                strings = field.type.fixed_width is None
+                spec, codes = _member(archive, key, decode=strings)
+                length = spec[1]
+                rows = length if rows is None else rows
+                if length != rows:
                     raise ValueError(f"{key}: not a column of {rows} rows")
                 dictionary = None
-                if field.type.fixed_width is None:
-                    column = DictColumn(column, archive[f"{key}::dictionary"].tolist())
-                    dictionary, codes = column.dictionary, column.codes
+                if strings:
+                    dictionary = StringDictionary(archive[f"{key}::dictionary"])
                     if rows and not (0 <= codes.min() and codes.max() < len(dictionary)):
                         raise ValueError(f"{key}: codes outside the dictionary")
-                size += Page(schema.select((i,)), [column]).size_bytes - PAGE_OVERHEAD_BYTES
-                loaders.append(_loader(archive, key, dictionary))
+                    page = Page(schema.select((i,)), [DictColumn(codes, dictionary)])
+                    size += page.size_bytes - PAGE_OVERHEAD_BYTES
+                else:
+                    size += rows * field.type.fixed_width
+                loaders.append(_loader(archive, key, spec, dictionary))
             tables[name] = Table.lazy(name, schema, loaders, rows, size)
         return tables
     except Exception:
@@ -132,11 +153,54 @@ def _load(path: Path) -> dict[str, Table] | None:
         return None
 
 
-def _loader(archive, key: str, dictionary):
+def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
+    """``(dtype, rows, data offset in the file)`` of the stored 1-D member
+    ``key``, from its ``.npy`` header, and its data as an array if
+    ``decode``.  The data bytes are streamed to the end of the member,
+    which checks the zip CRC, and counted; only ``decode`` keeps them."""
+    info = archive.zip.getinfo(f"{key}.npy")
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{key}: a compressed member")
+    with archive.zip.open(info) as member:
+        version = np.lib.format.read_magic(member)
+        shape, _, dtype = _HEADER_READERS[version](member)
+        if dtype.hasobject or len(shape) != 1:
+            raise ValueError(f"{key}: not a 1-D array of plain values")
+        data = np.empty(shape[0], dtype) if decode else None
+        into = memoryview(data).cast("B") if decode else None
+        header, filled = member.tell(), 0
+        while chunk := member.read(_CHUNK_BYTES):
+            if into is not None:
+                into[filled : filled + len(chunk)] = chunk
+            filled += len(chunk)
+    if filled != shape[0] * dtype.itemsize:
+        raise ValueError(f"{key}: data does not match its header")
+    # The member's data follows its local file header, whose name and
+    # extra field lengths sit at bytes 26-29 (``open`` validated it).
+    archive.zip.fp.seek(info.header_offset)
+    name_len, extra_len = struct.unpack("<26xHH", archive.zip.fp.read(30))
+    offset = info.header_offset + 30 + name_len + extra_len + header
+    return (dtype, shape[0], offset), data
+
+
+def _read(archive, key: str, spec: tuple[np.dtype, int, int]) -> np.ndarray:
+    """Member ``key`` (``spec`` as :func:`_member` found it) as an owned,
+    aligned array, its bytes copied straight from the archive file: the
+    load pass checked their CRC, and an archive is only ever replaced
+    whole, never written in place."""
+    dtype, rows, offset = spec
+    column = np.empty(rows, dtype)
+    archive.zip.fp.seek(offset)
+    if archive.zip.fp.readinto(column) != column.nbytes:
+        raise ValueError(f"{key}: the archive is shorter than at load")
+    return column
+
+
+def _loader(archive, key: str, spec: tuple, dictionary):
     """Reads member ``key`` (string codes over ``dictionary`` if given)."""
     if dictionary is None:
-        return lambda: archive[key]
-    return lambda: DictColumn(archive[key], dictionary)
+        return lambda: _read(archive, key, spec)
+    return lambda: DictColumn(_read(archive, key, spec), dictionary)
 
 
 def load_tpch_tables(
@@ -144,7 +208,7 @@ def load_tpch_tables(
 ) -> dict[str, Table]:
     """All eight TPC-H tables at ``(scale, seed)``, cached when allowed."""
     if not cache:
-        return TpchGenerator(scale, seed).tables()
+        return _generate(scale, seed)
     key = (scale, seed, GENERATOR_VERSION)
     tables = _MEMO.get(key)
     if tables is not None:
@@ -155,8 +219,14 @@ def load_tpch_tables(
         if tables is not None:
             _MEMO[key] = tables
             return tables
-    tables = TpchGenerator(scale, seed).tables()
+    tables = _generate(scale, seed)
     _MEMO[key] = tables
     if path is not None:
         _save(path, tables)
     return tables
+
+
+def _generate(scale: float, seed: int) -> dict[str, Table]:
+    from .generator import TpchGenerator
+
+    return TpchGenerator(scale, seed).tables()

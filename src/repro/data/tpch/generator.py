@@ -26,10 +26,8 @@ from .schema import TPCH_SCHEMAS, row_count
 _MIN_ORDER_DATE = date_to_days("1992-01-01")
 _MAX_ORDER_DATE = date_to_days("1998-08-02") - 151
 
-#: Version of the generated output; part of every dataset-cache key
-#: (``repro.data.tpch.dataset_cache``).  Bump whenever any column formula
-#: below changes, so stale caches regenerate instead of serving old bits.
-GENERATOR_VERSION = 1
+# ``dataset_cache.GENERATOR_VERSION`` versions this module's output: bump
+# it whenever a column formula below changes.
 
 
 class TpchGenerator:

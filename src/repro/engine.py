@@ -25,19 +25,23 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .autotune import ElasticQuery
-from .cluster import Cluster, Coordinator, QueryExecution, QueryOptions
+from .cluster.cluster import Cluster
+from .cluster.coordinator import Coordinator, QueryExecution, QueryOptions
 from .config import EngineConfig, presto_config, prestissimo_config
-from .data import Catalog, SplitLayout
+from .data.catalog import Catalog
+from .data.splits import SplitLayout
 from .errors import ExecutionError
 from .handle import QueryHandle, QueryResult, Submission
-from .obs import MetricsRegistry, NULL_TRACER, Tracer
+from .obs.metrics import MetricsRegistry
+from .obs.trace import NULL_TRACER, Tracer
 from .sim import SimKernel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .obs import DecisionLog
+    from .autotune.service import ElasticQuery
+    from .cluster.membership import ClusterMembership
+    from .obs.decisions import DecisionLog
     from .script.plan import Plan
-    from .workload import Session, WorkloadManager
+    from .workload.session import Session, WorkloadManager
 
 __all__ = ["AccordionEngine", "QueryHandle", "QueryResult"]
 
@@ -68,10 +72,7 @@ class AccordionEngine:
             self.kernel, self.cluster, catalog, self.split_layout, config,
             metrics=self.metrics,
         )
-        from .cluster.membership import ClusterMembership
-
-        #: Runtime node join/leave/preemption (DESIGN.md §12).
-        self.membership = ClusterMembership(self.kernel, self.coordinator)
+        self._membership: "ClusterMembership | None" = None
         self._workload: "WorkloadManager | None" = None
         #: Fold detector + result cache (DESIGN.md §14); None when off.
         self.sharing = None
@@ -97,7 +98,7 @@ class AccordionEngine:
             },
         )
         self.metrics.gauge("recovery", self.coordinator.recovery.gauges)
-        self.metrics.gauge("cluster", self.membership.gauges)
+        self.metrics.gauge("cluster", lambda: self.membership.gauges())
         self.metrics.gauge(
             "sim",
             lambda: {
@@ -259,6 +260,16 @@ class AccordionEngine:
 
     # -- multi-tenant workload ---------------------------------------------
     @property
+    def membership(self) -> "ClusterMembership":
+        """Runtime node join/leave/preemption (DESIGN.md §12), created on
+        first use: only nodes it adds change the fleet."""
+        if self._membership is None:
+            from .cluster.membership import ClusterMembership
+
+            self._membership = ClusterMembership(self.kernel, self.coordinator)
+        return self._membership
+
+    @property
     def workload(self) -> "WorkloadManager":
         """The workload layer: admission controller + resource arbiter.
 
@@ -266,7 +277,7 @@ class AccordionEngine:
         configured by ``EngineConfig.workload``.
         """
         if self._workload is None:
-            from .workload import WorkloadManager
+            from .workload.session import WorkloadManager
 
             self._workload = WorkloadManager(self)
         return self._workload
@@ -290,6 +301,8 @@ class AccordionEngine:
                 f"engine mode {self.config.engine_name!r} does not support IQRE"
             )
         if execution.elastic is None:
+            from .autotune.service import ElasticQuery
+
             # Once a workload manager exists, every tuner bids through the
             # cluster-wide arbiter — including queries submitted outside a
             # session (they count as the anonymous tenant).
@@ -358,7 +371,7 @@ class AccordionEngine:
             max_events=max_events,
             awaiting=query._submission if isinstance(query, QueryHandle) else query,
         )
-        if query.failed:
+        if query.failed or query.cancelled:
             raise query.error
         if not query.finished:
             raise ExecutionError(

@@ -1,4 +1,5 @@
-"""Per-query memory accounting: the budget that makes spilling trigger.
+"""Per-query memory accounting: the budget that makes spilling trigger
+(DESIGN.md §13; the spill files themselves are :mod:`repro.exec.spill`).
 
 One :class:`QueryMemory` exists per :class:`QueryExecution`.  Stateful
 operators (join bridges, final aggregations, partial aggregations)
@@ -25,9 +26,14 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ...config import CostModel, MemoryConfig
-from ...data.tpch.dataset_cache import CACHE_DIR_ENV
+from ..config import CostModel, MemoryConfig
+from ..data.tpch.dataset_cache import CACHE_DIR_ENV
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..pages import Schema
+    from .spill import SpillPartitions
 
 #: Process-wide sequence making per-query spill directories unique even
 #: across engines (two engines in one process both start query ids at 1).
@@ -161,6 +167,15 @@ class QueryMemory:
             self._directory = root / f"q{self.query_id}-{next(_SPILL_SEQ)}"
             self._directory.mkdir(parents=True, exist_ok=True)
         return self._directory
+
+    def partitions(
+        self, name: str, schema: "Schema", keys: list[int], level: int = 0
+    ) -> "SpillPartitions":
+        """Fresh radix partitions in this query's spill directory; the
+        spill file I/O (:mod:`repro.exec.spill`) loads with the first."""
+        from .spill import SpillPartitions
+
+        return SpillPartitions(self.spill_directory(), name, schema, keys, level=level)
 
     def cleanup(self) -> None:
         """Remove the query's spill directory (terminal states only —

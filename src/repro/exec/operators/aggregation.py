@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import compress, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,8 +42,11 @@ from ...sql.functions import (
     min_identity,
     partial_fields,
 )
-from ..spill import OperatorMemory, SpillPartitions
+from ..memory import OperatorMemory
 from .base import TransformOperator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..spill import SpillPartitions
 
 #: Accounted bytes per string key cell in state accounting (a flat
 #: estimate; part of the memory model, not of the representation).
@@ -620,12 +624,8 @@ class FinalAggOperator(TransformOperator):
         virtual I/O cost."""
         memory = self.memory
         if self.spill is None:
-            query = memory.query
-            self.spill = SpillPartitions(
-                query.spill_directory(),
-                memory.name,
-                self._input_schema,
-                list(range(self.num_keys)),
+            self.spill = memory.query.partitions(
+                memory.name, self._input_schema, list(range(self.num_keys))
             )
         nbytes = 0
         for pg in self._state_pages():

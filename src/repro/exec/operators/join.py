@@ -33,6 +33,7 @@ spill.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,8 +45,11 @@ from ...pages.dictcolumn import EntryLookup
 from ...plan.logical import JoinType
 from ...sql.compiler import compile_expression
 from ...sql.expressions import BoundExpr
-from ..spill import OperatorMemory, SpillPartitions
+from ..memory import OperatorMemory
 from .base import SinkOperator, TransformOperator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..spill import SpillPartitions
 
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
@@ -315,12 +319,8 @@ class JoinBridge:
     def _enter_spill_mode(self) -> float:
         """Switch to the Grace plan: flush accumulated build pages to
         radix partitions and stop growing the in-memory build."""
-        query = self.memory.query
-        self.build_spill = SpillPartitions(
-            query.spill_directory(),
-            f"{self.name}.build",
-            self.build_schema,
-            self.build_keys,
+        self.build_spill = self.memory.query.partitions(
+            f"{self.name}.build", self.build_schema, self.build_keys
         )
         nbytes = 0
         for page in self.pages:
@@ -522,12 +522,8 @@ class HashJoinProbeOperator(TransformOperator):
         """Route one probe page to the shared radix partitions on disk."""
         bridge = self.bridge
         if bridge.probe_spill is None:
-            query = bridge.memory.query
-            bridge.probe_spill = SpillPartitions(
-                query.spill_directory(),
-                f"{bridge.name}.probe",
-                page.schema,
-                self.probe_keys,
+            bridge.probe_spill = bridge.memory.query.partitions(
+                f"{bridge.name}.probe", page.schema, self.probe_keys
             )
         nbytes = bridge.probe_spill.write_page(page)
         cpu += bridge.memory.spill_written(
@@ -606,10 +602,8 @@ class HashJoinProbeOperator(TransformOperator):
             and level + 1 < SPILL_MAX_DEPTH
             and build_bytes < parent_bytes
         ):
-            directory = memory.query.spill_directory()
             seq = next(bridge._spill_seq)
-            sub_build = SpillPartitions(
-                directory,
+            sub_build = memory.query.partitions(
                 f"{bridge.name}.g{seq}.build",
                 bridge.build_schema,
                 bridge.build_keys,
@@ -622,8 +616,7 @@ class HashJoinProbeOperator(TransformOperator):
             sub_probe = None
             for pg in probe_pages:
                 if sub_probe is None:
-                    sub_probe = SpillPartitions(
-                        directory,
+                    sub_probe = memory.query.partitions(
                         f"{bridge.name}.g{seq}.probe",
                         pg.schema,
                         self.probe_keys,

@@ -1,26 +1,20 @@
-"""Memory-elastic out-of-core execution support (DESIGN.md §13).
+"""Out-of-core execution: the spill files (DESIGN.md §13).
 
-Three layers, bottom up:
+Two layers, bottom up, under the per-query accounting of
+:mod:`repro.exec.memory`, whose first spill loads this package:
 
 * :mod:`pagefile` — append-only columnar spill files written through the
   :meth:`Page.column_buffers` zero-copy path.
 * :mod:`partition` — Grace-style radix partitioning of pages onto spill
   files, level-salted so recursive repartitioning uses fresh hash bits.
-* :mod:`memory` — per-query budget accounting (:class:`QueryMemory`) and
-  the per-operator handles (:class:`OperatorMemory`) that turn "over
-  budget" into "switch to the spill path" inside joins and aggregations.
 """
 
-from .memory import OperatorMemory, QueryMemory, default_spill_root
 from .pagefile import SpillReader, SpillWriter
 from .partition import SpillPartitions, radix_assignments
 
 __all__ = [
-    "OperatorMemory",
-    "QueryMemory",
     "SpillPartitions",
     "SpillReader",
     "SpillWriter",
-    "default_spill_root",
     "radix_assignments",
 ]

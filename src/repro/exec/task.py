@@ -43,7 +43,7 @@ from .splits import RemoteSplit, SplitFeed
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
-    from .spill import QueryMemory
+    from .memory import QueryMemory
 
 
 @dataclass(frozen=True, order=True)

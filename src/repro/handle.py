@@ -28,12 +28,14 @@ from .errors import ExecutionError, QueryCancelledError, QueryFailedError
 from .pages import Page
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .autotune import ElasticQuery
+    from .autotune.service import ElasticQuery
     from .engine import AccordionEngine
-    from .obs import Decision, ProfileReport, QueryTrace
+    from .obs.decisions import Decision
+    from .obs.export import QueryTrace
+    from .obs.profile import ProfileReport
     from .sharing import SharingInfo
     from .sim import SimKernel
-    from .workload import Session
+    from .workload.session import Session
 
 
 @dataclass
@@ -387,7 +389,7 @@ class QueryHandle:
                 "tracing is not enabled; construct the engine with "
                 "EngineConfig().with_tracing()"
             )
-        from .obs import QueryTrace, throughput_counters
+        from .obs.export import QueryTrace, throughput_counters
 
         sub = self._submission
         trace = QueryTrace(tracer, sub.query_id, finished_at=sub.finished_at)

@@ -9,20 +9,13 @@ recorded in (:mod:`~repro.obs.decisions`), time series and the report
 and table printers (:mod:`~repro.obs.timeseries`,
 :mod:`~repro.obs.report`).  The per-query sampler behind the throughput
 curves and the Section 5 estimates is :mod:`repro.obs.throughput`,
-imported by name.  See DESIGN.md §9.
+imported by name.  So are the export, profiling, time-series and report
+modules, which only a traced or profiled run, a report or a printed
+table loads.  See DESIGN.md §9.
 """
 
 from .decisions import Decision, DecisionLog
-from .export import QueryTrace, throughput_counters
 from .metrics import Counter, MetricsRegistry
-from .profile import OpProfile, Profiler, ProfileReport
-from .report import (
-    render_curve_points,
-    render_fault_report,
-    render_series,
-    render_table,
-)
-from .timeseries import TimeSeries
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -32,16 +25,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "NULL_TRACER",
-    "OpProfile",
-    "Profiler",
-    "ProfileReport",
-    "QueryTrace",
     "Span",
-    "TimeSeries",
     "Tracer",
-    "render_curve_points",
-    "render_fault_report",
-    "render_series",
-    "render_table",
-    "throughput_counters",
 ]

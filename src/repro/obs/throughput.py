@@ -33,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.cluster import Cluster
@@ -41,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.stage import StageSample
     from ..sim import SimKernel
     from .decisions import Decision
+    from .timeseries import TimeSeries
 
 
 #: Decision kinds drawn as markers on the throughput curves.
@@ -160,6 +160,8 @@ class Sampler:
     # -- curves (Figures 23-30) -------------------------------------------------
     def series(self, stage_id: int, name: str = "rows_out") -> TimeSeries:
         """One :class:`StageSample` field of ``stage_id`` over the samples."""
+        from .timeseries import TimeSeries
+
         out = TimeSeries(f"stage{stage_id}.{name}")
         for snap in self.samples:
             out.append(snap.time, getattr(snap.stages[stage_id], name))

@@ -20,7 +20,7 @@ from repro import AccordionEngine, EngineConfig, MemoryConfig
 from repro.cluster import QueryExecution, QueryRecord
 from repro.config import CostModel
 from repro.data import Catalog
-from repro.exec.spill import default_spill_root
+from repro.exec.memory import default_spill_root
 from repro.exec.task import Task
 from repro.pages import Page
 from repro.parallel import shutdown_pools

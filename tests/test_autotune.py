@@ -6,10 +6,12 @@ import pytest
 
 from repro import ClusterConfig, Plan, NodeCrash, QueryOptions, TaskCrash
 import repro.autotune.tuner as tuner_module
-from repro.autotune import DopPlanner, Snapshot, StageSample, tuning_units
+from repro.autotune.planner import DopPlanner
+from repro.autotune.tuner import tuning_units
+from repro.cluster.stage import StageSample
 from repro.data.tpch.queries import QUERIES
 from repro.errors import TuningRejected
-from repro.obs.throughput import Sampler
+from repro.obs.throughput import Sampler, Snapshot
 
 from conftest import builds_ready, norm_rows, run_until_cond, slow_engine
 

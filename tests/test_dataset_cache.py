@@ -14,16 +14,18 @@ from numpy.lib.npyio import NpzFile
 
 from repro import AccordionEngine, QueryOptions
 from repro.data import Catalog, SplitLayout
+from repro.data.tpch import dataset_cache
 from repro.data.tpch.dataset_cache import (
     CACHE_DIR_ENV,
     CACHE_FORMAT,
+    GENERATOR_VERSION,
     cache_file_path,
     clear_dataset_cache,
     load_tpch_tables,
 )
-from repro.data.tpch.generator import GENERATOR_VERSION
 from repro.data.tpch.queries import QUERIES
 from repro.pages import DictColumn
+from repro.pages.dictcolumn import StringDictionary
 
 from test_engine_queries import SQL_SHAPES
 
@@ -135,6 +137,83 @@ def test_codes_outside_the_dictionary_are_a_miss(monkeypatch, tmp_path):
         assert_tables_equal(generated, load_tpch_tables(SCALE, SEED))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros((5, 1), dtype=np.int64), np.zeros(4, dtype=np.int64)],
+    ids=["two-dimensional", "short"],
+)
+def test_a_fixed_width_member_of_the_wrong_shape_is_a_miss(monkeypatch, tmp_path, bad):
+    """Fixed-width members are checked from their header without being
+    decoded: one of the wrong shape is still a miss at load."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    clear_dataset_cache()
+    generated = load_tpch_tables(SCALE, SEED)
+    path = cache_file_path(SCALE, SEED)
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays["region::r_regionkey"] = bad
+    np.savez(path, **arrays)
+    clear_dataset_cache()
+    assert_tables_equal(generated, load_tpch_tables(SCALE, SEED))
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive["region::r_regionkey"].shape == (5,)  # rewritten
+
+
+def test_a_compressed_archive_is_a_miss(monkeypatch, tmp_path):
+    """First reads copy a member's bytes straight from the file, so only
+    stored members serve; a compressed archive is regenerated."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    clear_dataset_cache()
+    generated = load_tpch_tables(SCALE, SEED)
+    path = cache_file_path(SCALE, SEED)
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    np.savez_compressed(path, **arrays)
+    clear_dataset_cache()
+    assert_tables_equal(generated, load_tpch_tables(SCALE, SEED))
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+
+@pytest.mark.parametrize("scale", [0.005, 0.01])
+def test_archive_dictionaries_count_their_lengths_exactly(monkeypatch, tmp_path, scale):
+    """Every dictionary of the benchmark's archives is ASCII, so its
+    lengths are counted vectorized; they equal the per-entry UTF-8
+    formula exactly, and so does the shared length."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    clear_dataset_cache()
+    load_tpch_tables(scale, 20250622)  # generates and writes the archive
+    with np.load(cache_file_path(scale, 20250622), allow_pickle=False) as archive:
+        keys = [key for key in archive.files if key.endswith("::dictionary")]
+        assert len(keys) == 29
+        for key in keys:
+            entries = archive[key]
+            fast, formula = StringDictionary(entries), StringDictionary(entries.tolist())
+            assert fast.values.tolist() == formula.values.tolist(), key
+            assert fast.utf8_len.dtype == formula.utf8_len.dtype == np.int64
+            assert np.array_equal(fast.utf8_len, formula.utf8_len), key
+            assert fast.fixed_len == formula.fixed_len, key
+    clear_dataset_cache()
+
+
+@pytest.mark.parametrize(
+    "values, lengths",
+    [
+        (np.array(["café", "naïve", "x"]), [5, 6, 1]),
+        (np.array(["ok", "\U0001F600"]), [2, 4]),
+        (["a", None], [1, 4]),
+        (np.array(["a", None], dtype=object), [1, 4]),
+    ],
+    ids=["non-ascii", "astral", "none", "none-object-array"],
+)
+def test_dictionaries_off_the_fast_path_encode_each_entry(values, lengths):
+    """Non-ASCII text and ``None`` (accounted as ``str(None)``) take the
+    per-entry formula."""
+    dictionary = StringDictionary(values)
+    assert dictionary.utf8_len.tolist() == lengths
+    assert all(type(v) is str or v is None for v in dictionary.values.tolist())
+
+
 def test_cache_path_disabled_without_env(monkeypatch):
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
     assert cache_file_path(SCALE, SEED) is None
@@ -173,14 +252,20 @@ def archive_catalog(monkeypatch, tmp_path) -> Catalog:
 
 @pytest.fixture()
 def archive_reads(monkeypatch) -> list[str]:
-    """Every archive member read from here on, in order."""
-    reads, read = [], NpzFile.__getitem__
+    """Every archive member read from here on, in order: decoded through
+    numpy, or copied straight from the file by a column's first read."""
+    reads, decode, copy = [], NpzFile.__getitem__, dataset_cache._read
 
-    def recording(archive, key):
+    def decoding(archive, key):
         reads.append(key)
-        return read(archive, key)
+        return decode(archive, key)
 
-    monkeypatch.setattr(NpzFile, "__getitem__", recording)
+    def copying(archive, key, spec):
+        reads.append(key)
+        return copy(archive, key, spec)
+
+    monkeypatch.setattr(NpzFile, "__getitem__", decoding)
+    monkeypatch.setattr(dataset_cache, "_read", copying)
     return reads
 
 
@@ -199,6 +284,19 @@ def test_archive_columns_load_on_their_first_scan(archive_catalog, archive_reads
         f"lineitem::{name}"
         for name in ("l_discount", "l_extendedprice", "l_quantity", "l_shipdate")
     ]
+
+
+def test_a_first_read_is_an_owned_copy_of_the_member(archive_catalog):
+    """A column's first read copies the member's bytes straight into an
+    owned, aligned array: numpy's own decode of the member, bit for bit."""
+    lineitem = archive_catalog.table("lineitem")
+    with np.load(cache_file_path(SCALE, SEED), allow_pickle=False) as archive:
+        for field in lineitem.schema:
+            column = lineitem.column(field.name)
+            data = column.codes if isinstance(column, DictColumn) else column
+            assert data.flags.owndata and data.flags.aligned and data.flags.c_contiguous
+            expected = archive[f"lineitem::{field.name}"]
+            assert data.dtype == expected.dtype and np.array_equal(data, expected)
 
 
 def test_archive_catalog_answers_and_times_like_a_generated_one(archive_catalog):

@@ -443,7 +443,7 @@ def test_control_decisions_are_recorded_in_one_place():
         source = path.read_text()
         if "tracer.instant(" in source and not rel.startswith(("obs/", "buffers/")):
             offenders.append(f"{rel}: tracer.instant( outside DecisionLog.record")
-        if "def stats(" in source and rel != "exec/spill/memory.py":
+        if "def stats(" in source and rel != "exec/memory.py":
             offenders.append(f"{rel}: a stats() dict")
         for node in ast.walk(ast.parse(source)):
             targets = (

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import TimeSeries, render_curve_points, render_series, render_table
+from repro.obs.report import render_curve_points, render_series, render_table
+from repro.obs.timeseries import TimeSeries
 from repro.data.tpch.queries import QUERIES
 
 from conftest import slow_engine

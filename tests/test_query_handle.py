@@ -13,7 +13,7 @@ from repro import (
     QueryResult,
     TPCH_QUERIES,
 )
-from repro.obs import render_fault_report
+from repro.obs.report import render_fault_report
 
 from conftest import make_engine, slow_engine
 
@@ -113,6 +113,19 @@ def test_cancel_running_query(catalog):
     handle.cancel()
     engine.run_for(5.0)
     assert handle.wait(timeout=1.0) is True
+
+
+def test_run_until_done_raises_a_cancelled_querys_error(catalog):
+    """The engine's own wait raises the structured cancellation, for the
+    handle and for its execution alike, instead of returning as if the
+    query had finished."""
+    engine = slow_engine(catalog)
+    handle = engine.submit(TPCH_QUERIES["Q3"])
+    engine.run_until(2.0)
+    handle.cancel("changed my mind")
+    for query in (handle, handle.execution):
+        with pytest.raises(QueryCancelledError, match="changed my mind"):
+            engine.run_until_done(query)
 
 
 def test_cancel_is_clean_teardown(catalog):

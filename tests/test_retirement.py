@@ -42,7 +42,7 @@ from repro.obs import DecisionLog, MetricsRegistry, Tracer
 from repro.pages import Page
 from repro.sharing import SharingManager
 from repro.sim import SimKernel
-from repro.workload import WorkloadManager
+from repro.workload.session import WorkloadManager
 from repro.workload.arbiter import ResourceArbiter
 
 from conftest import (

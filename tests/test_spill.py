@@ -23,12 +23,11 @@ from repro.data.tpch.dataset_cache import CACHE_DIR_ENV
 from repro.data.tpch.queries import QUERIES
 from repro.exec.operators.aggregation import FinalAggOperator, PartialAggOperator
 from repro.exec.operators.join import HashJoinProbeOperator, JoinBridge, JoinBuildSink
+from repro.exec.memory import QueryMemory, default_spill_root
 from repro.exec.spill import (
-    QueryMemory,
     SpillPartitions,
     SpillReader,
     SpillWriter,
-    default_spill_root,
     radix_assignments,
 )
 from repro.pages import ColumnType, Page, Schema

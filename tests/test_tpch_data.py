@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.data import Catalog, SplitLayout, read_csv, write_csv
+from repro.data import Catalog, SplitLayout
+from repro.data.csvio import read_csv, write_csv
 from repro.data.splits import PAPER_SPLIT_SCHEME
-from repro.data.tpch import TPCH_SCHEMAS, TpchGenerator, row_count
+from repro.data.tpch.generator import TpchGenerator
+from repro.data.tpch.schema import TPCH_SCHEMAS, row_count
 from repro.errors import AnalysisError
 from repro.exec.splits import SplitFeed, SystemSplit
 from repro.util import date_to_days

@@ -482,7 +482,7 @@ def test_frozen_records_report_what_live_submissions_did(catalog):
     ``src``, with this file and ``tools/soak.py``): the reports and
     records read the same, byte for byte, from the frozen records that
     replace them."""
-    from repro.workload import SubmissionRecord
+    from repro.workload.session import SubmissionRecord
 
     engine, observed = stormy_windows(catalog)
     assert json.dumps(observed, indent=1) + "\n" == REPORT_GOLDEN.read_text()

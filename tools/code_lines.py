@@ -37,6 +37,7 @@ def code_lines(source: str) -> int:
 def surface() -> str:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     import repro
+    import repro.config
     from repro.tree import field_names
 
     classes = [c for c in vars(repro.config).values() if isinstance(c, type)]

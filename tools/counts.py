@@ -17,8 +17,12 @@ attributed to layers by the file that defines the function called
 numpy, the stdlib — counts to the layer that made it.  Per text the file
 records calls, simulated events, calls per layer, tracemalloc's peak
 bytes, the blocks the query left allocated, and pages constructed per
-page scanned.  It prints the table, writes it as JSON and exits 1 if
-the two counted passes of any text differ.  The file is byte-identical
+page scanned.  A third record, ``cold_start``, comes from fresh
+interpreters: the ``repro`` modules, and their source bytes, that
+``import repro`` loads, and then one default-config Q6 over an archived
+SF0.005 dataset (DESIGN.md §4 "Imports follow use").  It prints the
+table, writes it as JSON and exits 1 if the two counted passes of any
+text differ.  The file is byte-identical
 run to run: the tool pins its own hash seed and, with ``setarch -R``,
 its address layout.  Call counts do not depend on either; the
 tracemalloc figures move by a few blocks with the layout, so they repeat
@@ -31,8 +35,9 @@ more than 2 % more calls, unless the lines this change adds to
 <cause>``.  A base without ``COUNTS.json`` passes with a note.
 
 The third form checks that the committed file was regenerated: it exits
-1 when any text's ``events`` or ``pages_per_scanned_page`` differ
-between the committed file and a fresh run's.  Neither depends on
+1 when any text's ``events`` or ``pages_per_scanned_page``, or the
+``cold_start`` record, differ between the committed file and a fresh
+run's, so an eager import that comes back fails it.  Neither depends on
 numpy's Python-level calls, so a fresh run on another numpy still agrees.
 """
 
@@ -45,6 +50,7 @@ import pstats
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -79,7 +85,7 @@ LAYERS = (
     ("exec/operators", ("exec/operators/",)),
     ("driver", ("exec/driver.py", "exec/task.py")),
     ("buffers", ("buffers/", "exec/exchange_client.py")),
-    ("exec/spill", ("exec/spill/",)),
+    ("exec/spill", ("exec/spill/", "exec/memory.py")),
     ("obs", ("obs/",)),
 )
 LAYER_NAMES = tuple(name for name, _ in LAYERS) + ("other",)
@@ -214,9 +220,48 @@ def run_sets() -> dict:
     return counts
 
 
+#: Run in a fresh interpreter: the ``repro`` modules (name -> source
+#: file) loaded after each step.
+COLD_START = """
+import json, sys
+
+def loaded():
+    return {name: module.__file__ for name, module in sorted(sys.modules.items())
+            if name.partition(".")[0] == "repro"}
+
+import repro
+steps = {"import repro": loaded()}
+repro.AccordionEngine(repro.Catalog.tpch(0.005)).execute(repro.TPCH_QUERIES["Q6"])
+steps["default Q6"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def cold_start() -> dict:
+    """Per step of :data:`COLD_START`: the modules loaded and their
+    source bytes.  A first interpreter writes the SF0.005 archive, so the
+    measured one loads the dataset as the benchmark does."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), REPRO_CACHE_DIR=cache)
+        for code in ("import repro; repro.Catalog.tpch(0.005)", COLD_START):
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True,
+            )
+    return {
+        step: {
+            "modules": len(files),
+            "source_bytes": sum(Path(f).stat().st_size for f in files.values()),
+            "names": list(files),
+        }
+        for step, files in json.loads(done.stdout).items()
+    }
+
+
 def render(counts: dict) -> str:
     lines = []
-    for set_name, body in counts.items():
+    for set_name in SETS:
+        body = counts[set_name]
         lines.append(f"-- {set_name}: SF{body['scale']}, {body['config']}")
         for text, t in body["texts"].items():
             lines.append(
@@ -230,6 +275,9 @@ def render(counts: dict) -> str:
         lines.append("  " + ", ".join(
             f"{name} {per:.2f}" for name, per in total["layers_per_event"].items()
         ))
+    lines.append("-- cold start: repro modules loaded in a fresh interpreter")
+    for step, record in counts["cold_start"].items():
+        lines.append(f"{step}: {record['modules']} modules, {record['source_bytes']} B of source")
     return "\n".join(lines)
 
 
@@ -255,7 +303,7 @@ def diff(base_rev: str) -> int:
         if line not in base_changes
     ]
     failed = 0
-    for set_name in sorted(set(base) & set(head)):
+    for set_name in sorted(set(base) & set(head) & set(SETS)):
         old = base[set_name]["total"]["layers"]
         new = head[set_name]["total"]["layers"]
         for layer in LAYER_NAMES:
@@ -284,16 +332,20 @@ CHECKED = ("events", "pages_per_scanned_page")
 
 def check(committed_path: str, fresh_path: str) -> int:
     """0 when the fresh run agrees with the committed file on
-    :data:`CHECKED` for every text of every set, else 1."""
+    :data:`CHECKED` for every text of every set and on the cold start,
+    else 1."""
 
     def fields(path: str) -> dict:
         counts = json.loads(Path(path).read_text())
-        return {
-            (set_name, text, field): counts_of_text[field]
-            for set_name, body in counts.items()
-            for text, counts_of_text in body["texts"].items()
+        found = {
+            (set_name, text, field): counts[set_name]["texts"][text][field]
+            for set_name in SETS
+            for text in counts[set_name]["texts"]
             for field in CHECKED
         }
+        for step, record in counts.get("cold_start", {}).items():
+            found.update({("cold_start", step, k): v for k, v in record.items()})
+        return found
 
     committed, fresh = fields(committed_path), fields(fresh_path)
     stale = sorted(k for k in committed.keys() | fresh.keys() if committed.get(k) != fresh.get(k))
@@ -316,6 +368,7 @@ if __name__ == "__main__":
         sys.exit(check(*args.check))
     counts = run_sets()
     repeated = all(t.pop("repeats") for b in counts.values() for t in b["texts"].values())
+    counts["cold_start"] = cold_start()
     print(render(counts))
     Path(args.out).write_text(json.dumps(counts, indent=1) + "\n")
     if not repeated:

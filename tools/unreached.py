@@ -42,7 +42,8 @@ if __name__ == "__main__":
         if argv[0] == "pytest":
             __import__("pytest").main(argv[1:])
         else:
-            sys.argv = argv
+            # As ``python script.py`` does: the script's directory comes first.
+            sys.argv, sys.path[0] = argv, str(Path(argv[0]).resolve().parent)
             runpy.run_path(argv[0], run_name="__main__")
     sys.settrace(None)
     if into is not None:
