@@ -79,11 +79,11 @@ class QueryOptions:
 
 class QueryLifecycle:
     """The query state machine: ``state``, ``error``, timestamps, and the
-    completion callbacks.  Physical executions and user-visible
-    submissions (:class:`repro.handle.Submission`) both are one, so the
-    terminal transition and ``on_done`` exist exactly once.
+    completion callbacks.  Physical executions and user-visible queries
+    (:class:`repro.handle.QueryHandle`) both are one, so the terminal
+    transition and ``on_done`` exist exactly once.
 
-    ``state`` is one of ``queued`` / ``rejected`` (submissions only),
+    ``state`` is one of ``queued`` / ``rejected`` (handles only),
     ``running``, ``finished``, ``failed``, ``cancelled``.
     """
 

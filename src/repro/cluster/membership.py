@@ -256,25 +256,19 @@ class ClusterMembership:
     # ------------------------------------------------------------------
     # cost model: node-seconds = dollars
     # ------------------------------------------------------------------
-    def node_seconds(self, until: float | None = None) -> float:
-        return sum(
-            n.provisioned_seconds(until) for n in self.cluster.compute
-        )
+    def node_seconds(self, since: float = 0.0) -> float:
+        """Compute node-seconds provisioned from ``since`` to now."""
+        return sum(n.provisioned_seconds(since) for n in self.cluster.compute)
 
-    def cost_between(self, since: float, until: float | None = None) -> float:
-        """Dollars billed for compute in ``[since, until]`` (default: now),
-        at ``COST_PER_NODE_SECOND`` with the spot discount applied."""
-        end_default = self.kernel.now if until is None else until
+    def cost_between(self, since: float) -> float:
+        """Dollars billed for compute from ``since`` to now, at
+        ``COST_PER_NODE_SECOND`` with the spot discount applied."""
         total = 0.0
         for node in self.cluster.compute:
-            start = max(node.provisioned_at, since)
-            end = node.released_at if node.released_at is not None else end_default
-            end = min(end, end_default)
-            seconds = max(0.0, end - start)
             rate = COST_PER_NODE_SECOND
             if node.spot:
                 rate *= SPOT_PRICE_MULTIPLIER
-            total += seconds * rate
+            total += node.provisioned_seconds(since) * rate
         return total
 
     # ------------------------------------------------------------------

@@ -93,14 +93,10 @@ class Node:
         self.released_at = self.kernel.now
         self.cpu.halt()
 
-    def provisioned_seconds(self, until: float | None = None) -> float:
-        """Billable node-seconds accrued by ``until`` (default: now)."""
-        end = self.released_at
-        if end is None:
-            end = self.kernel.now if until is None else until
-        elif until is not None:
-            end = min(end, until)
-        return max(0.0, end - self.provisioned_at)
+    def provisioned_seconds(self, since: float = 0.0) -> float:
+        """Billable node-seconds accrued from ``since`` to now."""
+        end = self.kernel.now if self.released_at is None else self.released_at
+        return max(0.0, end - max(self.provisioned_at, since))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self.state == "active" else f", {self.state.upper()}"

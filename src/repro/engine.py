@@ -31,7 +31,7 @@ from .config import EngineConfig, presto_config, prestissimo_config
 from .data.catalog import Catalog
 from .data.splits import SplitLayout
 from .errors import ExecutionError
-from .handle import QueryHandle, QueryResult, Submission
+from .handle import QueryHandle, QueryResult
 from .obs.metrics import MetricsRegistry
 from .obs.trace import NULL_TRACER, Tracer
 from .sim import SimKernel
@@ -146,79 +146,80 @@ class AccordionEngine:
         the submission may fold onto a concurrent compatible query or be
         answered from the result cache — ``handle.sharing`` says which.
         """
-        return self._submit(Submission(self.kernel, sql, options))
+        return self._submit(QueryHandle(self, sql, options))
 
-    def _submit(self, sub: Submission) -> QueryHandle:
+    def _submit(self, query: QueryHandle) -> QueryHandle:
         """The query lifecycle, first half: prepare -> predict -> admit.
 
         This function and :meth:`_launch` are the only place that orders
         the lifecycle steps (DESIGN.md "Query lifecycle"); every optional
-        subsystem acts on ``sub`` at its step and nowhere else.
+        subsystem acts on ``query`` at its step and nowhere else.
         """
-        handle = QueryHandle(self, sub)
-        # prepare: the front end runs once; later steps read sub.prepared.
-        sub.prepared = self.coordinator.prepare(sub.sql)
+        # prepare: the front end runs once; later steps read query.prepared.
+        query.prepared = self.coordinator.prepare(query.sql)
         predictor = self.predict_service
         if predictor is not None:
-            sub.template = predictor.template_of(sub.prepared, sub.options)
-        if sub.tenant is None:
+            query.template = predictor.template_of(query.prepared, query.options)
+        if query.tenant is None:
             # No session: admitted at once, outside every limit.
-            self._launch(sub)
-            return handle
+            self._launch(query)
+            return query
         admission = self.workload.admission
-        sub.seq = next(admission.seq)
+        query.seq = next(admission.seq)
         # predict: pre-grant stage DOPs and memory from the template's
         # history, or reject on P(deadline miss) before queueing.
         if predictor is not None:
-            miss = predictor.pregrant(sub)
+            miss = predictor.pregrant(query)
             if miss is not None:
-                admission.reject_predicted_miss(sub, miss)
-                return handle
+                admission.reject_predicted_miss(query, miss)
+                return query
         # admit: queue until the query fits the limits or the sharing
         # layer would serve it without new resources; then _launch.
-        sub.plan = self.coordinator.plan_sql(sub.sql, sub.options, sub.prepared)
-        admission.enqueue(sub)
-        return handle
+        query.plan = self.coordinator.plan_sql(query.sql, query.options, query.prepared)
+        admission.enqueue(query)
+        return query
 
-    def _launch(self, sub: Submission) -> None:
+    def _launch(self, query: QueryHandle) -> None:
         """The query lifecycle, second half: route -> start -> record."""
-        sub.state = "running"
-        sub.admitted_at = self.kernel.now
+        query.state = "running"
+        query.admitted_at = self.kernel.now
         # route: cached / folded / carrier are served by the sharing layer
         # (a carrier's group calls _start and _record at dispatch).
-        if self.sharing is not None and self.sharing.serve(sub):
+        if self.sharing is not None and self.sharing.serve(query):
             return
-        sub.execution = self._start(sub)
-        sub.query_id = sub.execution.id
-        sub.execution.on_done(sub.mirror)
-        self._record(sub)
+        query.execution = self._start(query)
+        query.id = query.execution.id
+        query.execution.on_done(query.mirror)
+        self._record(query)
 
-    def _start(self, sub: Submission) -> QueryExecution:
-        """start: create the physical execution of ``sub``'s plan, attach
-        its prediction (placement reads it), then schedule it."""
-        if sub.plan is None:
-            sub.plan = self.coordinator.plan_sql(sub.sql, sub.options, sub.prepared)
-        execution = self.coordinator.create(sub.sql, sub.plan, sub.options)
+    def _start(self, query: QueryHandle) -> QueryExecution:
+        """start: create the physical execution of ``query``'s plan,
+        attach its prediction (placement reads it), then schedule it."""
+        if query.plan is None:
+            query.plan = self.coordinator.plan_sql(
+                query.sql, query.options, query.prepared
+            )
+        execution = self.coordinator.create(query.sql, query.plan, query.options)
         if self.predict_service is not None:
-            self.predict_service.attach(execution, sub.template)
+            self.predict_service.attach(execution, query.template)
         self.coordinator.schedule(execution)
         return execution
 
-    def _record(self, sub: Submission) -> None:
-        """record: ``sub.execution`` now serves a session query — account
-        it with the arbiter.  Deadline-constrained queries also need their
-        tuning sampler from the start, so the arbiter's rebalance pass can
-        estimate T_remain."""
-        if sub.tenant is None:
+    def _record(self, query: QueryHandle) -> None:
+        """record: ``query.execution`` now serves a session query —
+        account it with the arbiter.  Deadline-constrained queries also
+        need their tuning sampler from the start, so the arbiter's
+        rebalance pass can estimate T_remain."""
+        if query.tenant is None:
             return
         workload = self.workload
-        workload.arbiter.adopt(sub)
+        workload.arbiter.adopt(query)
         if (
-            sub.deadline_at is not None
+            query.deadline_at is not None
             and self.config.elasticity_enabled
             and workload.config.arbitration == "deadline"
         ):
-            self._elastic_for(sub.execution)
+            self._elastic_for(query.execution)
 
     def submit_many(
         self, sqls: list[str], options: QueryOptions | None = None
@@ -366,11 +367,7 @@ class AccordionEngine:
         instead of hanging.
         """
         deadline = self.kernel.now + max_virtual_seconds
-        self.kernel.run(
-            until=deadline,
-            max_events=max_events,
-            awaiting=query._submission if isinstance(query, QueryHandle) else query,
-        )
+        self.kernel.run(until=deadline, max_events=max_events, awaiting=query)
         if query.failed or query.cancelled:
             raise query.error
         if not query.finished:

@@ -1,13 +1,15 @@
-"""Submission and QueryHandle: one user-visible query, and its public face.
+"""QueryHandle: one user-visible query, from submit to its terminal state.
 
 Every ``engine.submit(sql)`` / ``Session.submit(sql)`` creates one
-:class:`Submission` — the single per-query object the lifecycle steps in
-``engine.py`` act on (DESIGN.md "Query lifecycle") — and returns the
-:class:`QueryHandle` bound to it.  Everything a user does with a queued,
-running or finished query hangs off the handle: materialising the
-result, runtime DOP tuning (``.tuning``), structured traces and profiles
-from the obs layer (``.trace()`` / ``.profile()``), progress
-introspection, and fault reporting.  The physical
+:class:`QueryHandle` — the single per-query object the lifecycle steps
+in ``engine.py`` act on (DESIGN.md "Query lifecycle") and the one the
+caller gets back.  The admission queue, the workload records, the
+sharing layer's consumers and the arbiter's entries hold this same
+object.  Everything a user does with a queued, running or finished query
+hangs off it: materialising the result, runtime DOP tuning
+(``.tuning``), structured traces and profiles from the obs layer
+(``.trace()`` / ``.profile()``), progress introspection, and fault
+reporting.  The physical
 :class:`~repro.cluster.coordinator.QueryExecution` serving the query
 stays reachable via ``.execution`` (and attribute delegation) for code
 that pokes at engine internals.
@@ -34,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .obs.export import QueryTrace
     from .obs.profile import ProfileReport
     from .sharing import SharingInfo
-    from .sim import SimKernel
     from .workload.session import Session
 
 
@@ -55,44 +56,48 @@ class QueryResult:
         return len(self.rows)
 
 
-class Submission(QueryLifecycle):
-    """One user-visible query, from submit to its terminal state.
+class QueryHandle(QueryLifecycle):
+    """One user-visible query, from submit to its terminal state (see
+    module docstring); it keeps the query's execution graph alive, the
+    engine does not.
 
     ``state`` starts ``queued``; admission moves it to ``running`` (or
     ``rejected`` / ``cancelled`` straight from the queue), and the route
     that serves it moves it to ``finished`` / ``failed`` / ``cancelled``.
+    Handles returned by ``engine.submit()`` are admitted immediately.
     ``route`` says how it is served once running: ``unshared`` (its own
     physical execution), ``carrier`` (its execution also serves others),
     ``folded`` (rides a carrier's execution) or ``cached`` (answered from
-    the result cache).  A session submission is the workload layer's
-    record of its query (``engine.workload.records``) until it is
-    terminal; then a frozen ``SubmissionRecord`` takes its slot.
+    the result cache).  A session query is the workload layer's record
+    of itself (``engine.workload.records``) until it is terminal; then a
+    frozen ``SubmissionRecord`` takes its slot.
     """
 
     def __init__(
         self,
-        kernel: "SimKernel",
+        engine: "AccordionEngine",
         sql: str,
         options: QueryOptions | None = None,
         session: "Session | None" = None,
         deadline: float | None = None,
         memory_bytes: int | None = None,
     ):
-        super().__init__(kernel, "queued")
+        super().__init__(engine.kernel, "queued")
+        self.engine = engine
         self.sql = sql
         self.options = options or QueryOptions()
-        #: ``None`` for submissions made outside any session.
+        #: ``None`` for queries submitted outside any session.
         self.tenant = session.tenant if session is not None else None
         self.priority = session.priority if session is not None else 0.0
         #: Virtual seconds from submission, and the absolute instant.
         self.deadline = deadline
-        self.deadline_at = kernel.now + deadline if deadline is not None else None
+        self.deadline_at = None if deadline is None else self.submitted_at + deadline
         #: Memory grant: declared, pre-granted from a prediction, or the
         #: workload default.
         self.memory_bytes = memory_bytes
         self.admitted_at: float | None = None
         #: Allocated when the query is routed; ``None`` while queued.
-        self.query_id: int | None = None
+        self.id: int | None = None
         self.route = "unshared"
         #: Front-end output (``plan.cache.PreparedQuery``), the physical
         #: plan, and the demand-history template, each computed once.
@@ -101,7 +106,7 @@ class Submission(QueryLifecycle):
         self.template: str | None = None
         #: The predict step's ``repro.Prediction`` (``None`` without
         #: history); the execution carries the one refreshed at start.
-        self.prediction = None
+        self.admission_prediction = None
         #: The physical execution serving this query; ``None`` while
         #: queued, when rejected or cached, and for a carrier still
         #: inside its fold window.
@@ -112,7 +117,7 @@ class Submission(QueryLifecycle):
         #: The answer, for routes that do not own ``execution``'s output.
         self.page: Page | None = None
         self.rows: int | None = None
-        #: Admission bookkeeping; ``seq`` numbers session submissions in
+        #: Admission bookkeeping; ``seq`` numbers session queries in
         #: arrival order (0 outside a session).
         self.seq = 0
         self.cores = 0
@@ -156,7 +161,7 @@ class Submission(QueryLifecycle):
     @property
     def billed(self) -> bool:
         """Whether this query occupies resources of its own: folded and
-        cached submissions ride along and count against no admission cap
+        cached queries ride along and count against no admission cap
         (the carrier already pays for the cores and memory)."""
         return self.route in ("unshared", "carrier")
 
@@ -170,15 +175,15 @@ class Submission(QueryLifecycle):
 
     def fail(self, exc: Exception) -> None:
         if not isinstance(exc, QueryFailedError):
-            exc = QueryFailedError(str(exc), query_id=self.query_id, cause=exc)
+            exc = QueryFailedError(str(exc), query_id=self.id, cause=exc)
         self._finish("failed", exc)
 
     def cancelled_by(self, reason: str) -> None:
         self._finish(
             "cancelled",
             QueryCancelledError(
-                f"query {self.query_id} cancelled: {reason}",
-                query_id=self.query_id,
+                f"query {self.id} cancelled: {reason}",
+                query_id=self.id,
                 reason=reason,
             ),
         )
@@ -189,98 +194,26 @@ class Submission(QueryLifecycle):
             self.rows = execution.result_rows
         self._finish(execution.state, execution.error)
 
-
-class QueryHandle:
-    """Live handle to one submitted query (see module docstring); it
-    keeps the query's execution graph alive, the engine does not.
-
-    ``state`` is ``"queued"`` while the workload layer's admission
-    controller holds the submission; admission moves it to ``"running"``,
-    a queue timeout / policy rejection to the terminal ``"rejected"``.
-    Handles returned by ``engine.submit()`` are admitted immediately.
-    """
-
-    def __init__(self, engine: "AccordionEngine", submission: Submission):
-        self._engine = engine
-        self._submission = submission
-
-    # -- identity / state --------------------------------------------------
-    @property
-    def engine(self) -> "AccordionEngine":
-        return self._engine
-
-    @property
-    def execution(self) -> QueryExecution | None:
-        """The physical execution serving this query (``None`` while
-        queued, when rejected or cached, or inside a fold window)."""
-        return self._submission.execution
-
-    @property
-    def id(self) -> int | None:
-        return self._submission.query_id
-
-    @property
-    def sql(self) -> str:
-        return self._submission.sql
-
-    @property
-    def state(self) -> str:
-        """One of ``queued``, ``rejected``, ``running``, ``finished``,
-        ``failed``, ``cancelled``."""
-        return self._submission.state
-
-    @property
-    def finished(self) -> bool:
-        """Terminal: finished, failed, cancelled, or rejected."""
-        return self._submission.finished
-
-    @property
-    def succeeded(self) -> bool:
-        return self._submission.succeeded
-
-    @property
-    def failed(self) -> bool:
-        """Failed or rejected (cancellation is reported separately)."""
-        return self._submission.failed
-
-    @property
-    def cancelled(self) -> bool:
-        return self._submission.cancelled
-
-    @property
-    def error(self):
-        """The structured error for a rejected/failed/cancelled query."""
-        return self._submission.error
-
-    @property
-    def elapsed(self) -> float:
-        return self._submission.elapsed
-
-    @property
-    def initialization_seconds(self) -> float:
-        return self._submission.initialization_seconds
-
     # -- lifecycle ---------------------------------------------------------
     def cancel(self, reason: str = "cancelled by user") -> None:
         """Cancel this query with clean task teardown.
 
         Running queries receive end signals (Section 4.3/4.4) so stateful
-        operators flush and pipelines drain; queued submissions are
-        removed from the admission queue; a query riding a shared
-        execution detaches from it, and only the last detach cancels the
+        operators flush and pipelines drain; queued queries are removed
+        from the admission queue; a query riding a shared execution
+        detaches from it, and only the last detach cancels the
         execution.  Subsequent ``result()`` / ``wait()`` raise / report
         the structured :class:`~repro.errors.QueryCancelledError`.
         Cancelling a terminal query is a no-op.
         """
-        sub = self._submission
-        if sub.finished:
+        if self.finished:
             return
-        if sub.state == "queued":
-            self._engine.workload.admission.cancel_queued(sub, reason)
-        elif sub.shared is not None:
-            sub.shared.group.detach(sub.shared, reason)
+        if self.state == "queued":
+            self.engine.workload.admission.cancel_queued(self, reason)
+        elif self.shared is not None:
+            self.shared.group.detach(self.shared, reason)
         else:
-            sub.execution.cancel(reason)
+            self.execution.cancel(reason)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Advance the simulation until this query is terminal.
@@ -290,17 +223,10 @@ class QueryHandle:
         does not raise on failure/rejection — inspect ``state`` /
         ``error``.
         """
-        sub = self._submission
-        if not sub.finished:
-            kernel = self._engine.kernel
-            until = None if timeout is None else kernel.now + timeout
-            kernel.run(until=until, awaiting=sub)
-        return sub.finished
-
-    def on_done(self, fn) -> None:
-        """Call ``fn(handle)`` once this query is terminal (admitted or
-        not); fires immediately if it already is."""
-        self._submission.on_done(lambda _sub: fn(self))
+        if not self.finished:
+            until = None if timeout is None else self.kernel.now + timeout
+            self.kernel.run(until=until, awaiting=self)
+        return self.finished
 
     # -- results -----------------------------------------------------------
     def result(self, max_virtual_seconds: float = 1e7) -> QueryResult:
@@ -311,23 +237,31 @@ class QueryHandle:
         did not succeed, and :class:`ExecutionError` if it cannot finish
         within ``max_virtual_seconds``."""
         if not self.finished:
-            self._engine.run_until_done(self, max_virtual_seconds)
+            self.engine.run_until_done(self, max_virtual_seconds)
         return self._materialize()
 
     def _materialize(self) -> QueryResult:
-        sub = self._submission
-        if sub.error is not None:
-            raise sub.error
-        if not sub.finished:
+        if self.error is not None:
+            raise self.error
+        if not self.finished:
             raise ExecutionError(f"{self!r} has not finished")
-        page = sub.page if sub.page is not None else sub.execution.result()
+        page = self.page if self.page is not None else self.execution.result()
         return QueryResult(
             rows=page.rows(),
             columns=page.schema.names(),
-            elapsed_seconds=sub.elapsed,
-            initialization_seconds=sub.initialization_seconds,
-            query=sub.execution,
+            elapsed_seconds=self.elapsed,
+            initialization_seconds=self.initialization_seconds,
+            query=self.execution,
         )
+
+    def _serving(self, purpose: str) -> QueryExecution:
+        """The execution serving this query, or a structured error saying
+        why there is none (queued, rejected, cached, in a fold window)."""
+        if self.execution is None:
+            cached = self.route == "cached"
+            why = "answered from the result cache" if cached else self.state
+            raise ExecutionError(f"{self!r} has no execution to {purpose} ({why})")
+        return self.execution
 
     # -- runtime elasticity ------------------------------------------------
     @property
@@ -339,10 +273,7 @@ class QueryHandle:
         Prestissimo) have elasticity disabled and raise here — and only
         for a query with a live execution: not while queued, for a cached
         answer, or for a carrier still inside its fold window."""
-        execution = self._submission.execution
-        if execution is None:
-            raise ExecutionError(f"{self!r} has no live execution to tune")
-        return self._engine._elastic_for(execution)
+        return self.engine._elastic_for(self._serving("tune"))
 
     # -- prediction --------------------------------------------------------
     @property
@@ -351,39 +282,40 @@ class QueryHandle:
         serving this query — or, before/without one, the prediction the
         admission gate made.  ``None`` when prediction is off or the
         query's template had no history yet."""
-        sub = self._submission
-        if sub.execution is not None:
-            return sub.execution.prediction
-        return sub.prediction
+        if self.execution is not None:
+            return self.execution.prediction
+        return self.admission_prediction
 
     @property
     def prediction_error(self) -> float | None:
         """Relative runtime prediction error ``|observed - predicted| /
         predicted``, populated when the query finishes; ``None`` without
         a prediction or before completion."""
-        execution = self._submission.execution
+        execution = self.execution
         return execution.prediction_error if execution is not None else None
 
     # -- sharing -----------------------------------------------------------
     @property
     def sharing(self) -> "SharingInfo":
-        """How this submission was served by the sharing layer
-        (DESIGN.md §14): its role (``unshared`` / ``carrier`` /
-        ``folded`` / ``cached``), the carrier query id it folded into,
-        whether it was a result-cache hit, and the base-table pages it
-        avoided re-reading.  Always available; reports ``unshared`` when
-        sharing is disabled or the plan was not shareable."""
+        """How this query was served by the sharing layer (DESIGN.md
+        §14): its role (``unshared`` / ``carrier`` / ``folded`` /
+        ``cached``), the carrier query id it folded into, whether it was
+        a result-cache hit, and the base-table pages it avoided
+        re-reading.  Always available; reports ``unshared`` when sharing
+        is disabled or the plan was not shareable."""
         from .sharing import sharing_info
 
-        return sharing_info(self._submission)
+        return sharing_info(self)
 
     # -- observability -----------------------------------------------------
     def trace(self) -> "QueryTrace":
-        """This query's span tree (requires ``EngineConfig.with_tracing()``).
+        """The span tree of the execution serving this query (requires
+        ``EngineConfig.with_tracing()``); a carrier and the queries
+        folded onto it share one tree.
 
         ``trace().to_chrome_json(path)`` writes a Chrome trace-event file
         that loads in Perfetto."""
-        tracer = self._engine.tracer
+        tracer = self.engine.tracer
         if not tracer.enabled:
             raise ExecutionError(
                 "tracing is not enabled; construct the engine with "
@@ -391,33 +323,31 @@ class QueryHandle:
             )
         from .obs.export import QueryTrace, throughput_counters
 
-        sub = self._submission
-        trace = QueryTrace(tracer, sub.query_id, finished_at=sub.finished_at)
-        trace.counters = throughput_counters(
-            sub.execution.tracker if sub.execution is not None else None
-        )
+        execution = self._serving("trace")
+        trace = QueryTrace(tracer, execution.id, finished_at=self.finished_at)
+        trace.counters = throughput_counters(execution.tracker)
         return trace
 
     def profile(self) -> "ProfileReport":
-        """Wall-clock operator attribution for this query (requires
-        ``EngineConfig.with_tracing(profiling=True)``)."""
-        tracer = self._engine.tracer
+        """Wall-clock operator attribution of the execution serving this
+        query (requires ``EngineConfig.with_tracing(profiling=True)``)."""
+        tracer = self.engine.tracer
         if tracer.profiler is None:
             raise ExecutionError(
                 "profiling is not enabled; construct the engine with "
                 "EngineConfig().with_tracing(profiling=True)"
             )
-        return tracer.profiler.report(self.id)
+        return tracer.profiler.report(self._serving("profile").id)
 
     # -- introspection -----------------------------------------------------
     def progress(self) -> dict[int, float]:
         """Scan progress per table-scan stage of the serving execution
         (empty while there is none)."""
-        execution = self._submission.execution
+        execution = self.execution
         return execution.progress() if execution is not None else {}
 
     def progress_bars(self, width: int = 30) -> str:
-        execution = self._submission.execution
+        execution = self.execution
         return execution.progress_bars(width) if execution is not None else ""
 
     def decisions(self) -> "list[Decision]":
@@ -426,10 +356,9 @@ class QueryHandle:
         tuning, faults and recovery — recorded under its own id, under
         the id of the execution serving it, or (before routing gave it an
         id) under its admission sequence number."""
-        sub = self._submission
-        ids = {sub.query_id, sub.execution.id if sub.execution else None}
-        end = sub.finished_at if sub.finished else float("inf")
-        return [d for d in self._engine.decisions.about(ids, sub.seq) if d.time <= end]
+        ids = {self.id, self.execution.id if self.execution else None}
+        end = self.finished_at if self.finished else float("inf")
+        return [d for d in self.engine.decisions.about(ids, self.seq) if d.time <= end]
 
     def fault_report(self) -> str:
         """Failure/recovery counters and fault timeline for this query."""
@@ -438,24 +367,24 @@ class QueryHandle:
         return render_fault_report(self)
 
     def describe(self) -> str:
-        sub = self._submission
-        if sub.shared is not None:
-            return sub.shared.describe()
-        if sub.execution is not None:
-            return sub.execution.describe()
-        return f"query {sub.query_id}: {sub.state}"
+        if self.shared is not None:
+            return self.shared.describe()
+        if self.execution is not None:
+            return self.execution.describe()
+        return f"query {self.id}: {self.state}"
 
     def __repr__(self) -> str:
         return f"QueryHandle(id={self.id}, state={self.state})"
 
     # Engine-internal code and existing tests address QueryExecution fields
     # (``.stages``, ``.tracker``, ``.memory``, ...) directly; delegate
-    # anything QueryHandle does not define itself.
+    # anything QueryHandle does not define itself.  Reads ``__dict__`` so
+    # a lookup before ``execution`` is set cannot recurse.
     def __getattr__(self, name: str):
-        execution = self._submission.execution
+        execution = self.__dict__.get("execution")
         if execution is None:
             raise AttributeError(
                 f"QueryHandle has no attribute {name!r} (query is "
-                f"{self._submission.state}; no execution is bound)"
+                f"{self.__dict__.get('state')}; no execution is bound)"
             )
         return getattr(execution, name)

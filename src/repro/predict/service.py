@@ -36,7 +36,7 @@ from .profile import Prediction
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution, QueryOptions
     from ..engine import AccordionEngine
-    from ..handle import Submission
+    from ..handle import QueryHandle
     from ..plan.cache import PreparedQuery
 
 __all__ = ["DemandPredictor"]
@@ -180,13 +180,13 @@ class DemandPredictor:
                 continue
 
     # -- the predict step ---------------------------------------------------
-    def pregrant(self, sub: "Submission") -> float | None:
+    def pregrant(self, sub: "QueryHandle") -> float | None:
         """Admission-time decision for a session submission.  Returns the
         deadline-miss probability when it exceeds the configured bound
         (the caller rejects); otherwise rewrites ``sub.options`` with any
         pre-granted per-stage DOPs, pre-sizes an undeclared memory grant
         from the predicted peak, and returns None."""
-        prediction = sub.prediction = self._predict(sub.template, sub)
+        prediction = sub.admission_prediction = self._predict(sub.template, sub)
         if prediction is None:
             return None
         bound = self.config.max_miss_probability

@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SharingInfo:
-    """How one submission was served (``QueryHandle.sharing``).
+    """How one query was served (``QueryHandle.sharing``).
 
     ``role`` is ``"unshared"`` (ran its own physical execution outside
     the sharing layer), ``"carrier"`` (ran the physical execution other
@@ -58,15 +58,15 @@ class SharingInfo:
         return self.role
 
 
-def sharing_info(submission) -> SharingInfo:
-    """The :class:`SharingInfo` of one :class:`~repro.handle.Submission`."""
-    shared = submission.shared
+def sharing_info(query) -> SharingInfo:
+    """The :class:`SharingInfo` of one :class:`~repro.handle.QueryHandle`."""
+    shared = query.shared
     if shared is None:
         return SharingInfo()
-    carrier = submission.execution
+    carrier = query.execution
     return SharingInfo(
-        role=submission.route,
+        role=query.route,
         folded_into=carrier.id if carrier is not None else None,
-        cache_hit=submission.route == "cached",
+        cache_hit=query.route == "cached",
         pages_saved=shared.pages_saved,
     )

@@ -4,10 +4,10 @@ A :class:`FoldGroup` owns one *carrier* :class:`QueryExecution` (the
 physical plan that actually runs) and a list of :class:`SharedConsumer`
 records, one per submitted query — including the query that created the
 group.  A consumer holds only what is sharing-specific about its
-:class:`~repro.handle.Submission` (group, residual, pages saved); the
-query's state, callbacks and answer live on the submission, which
-derives its result from the carrier's output page through the
-consumer's :class:`~repro.sharing.residual.Residual`.
+:class:`~repro.handle.QueryHandle` (group, residual, pages saved); the
+query's state, callbacks and answer live on the handle, which derives
+its result from the carrier's output page through the consumer's
+:class:`~repro.sharing.residual.Residual`.
 
 Lifecycle rules (the tentpole's cancellation semantics):
 
@@ -34,19 +34,19 @@ from .residual import Residual, apply_residual
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
-    from ..handle import Submission
+    from ..handle import QueryHandle
     from .manager import SharingManager
 
 
 class SharedConsumer:
-    """The sharing-specific side of one submission served by the sharing
+    """The sharing-specific side of one query served by the sharing
     layer: a carrier (created the group), a folded query (grafted onto an
     existing group), or a cached one (answered from the result cache,
     never in a group)."""
 
     def __init__(
         self,
-        submission: "Submission",
+        submission: "QueryHandle",
         cache_key: tuple,
         scan_pages: int,
         residual: Residual | None = None,
@@ -70,7 +70,7 @@ class SharedConsumer:
             else " (awaiting dispatch)" if sub.route != "cached" else ""
         )
         return (
-            f"query {sub.query_id}: {sub.state} "
+            f"query {sub.id}: {sub.state} "
             f"[{sub.route}{via}, residual: {self.residual.describe()}]"
         )
 
@@ -83,13 +83,13 @@ class FoldGroup:
         manager: "SharingManager",
         key: tuple,
         normalized,
-        lead: "Submission",
+        lead: "QueryHandle",
     ):
         self.manager = manager
         self.kernel = manager.kernel
         self.key = key
         self.normalized = normalized
-        #: The submission whose plan the carrier runs.  Kept on the group:
+        #: The query whose plan the carrier runs.  Kept on the group:
         #: residuals of later grafts reference *this* plan's output, which
         #: stays valid even if the lead detaches before dispatch.
         self.lead = lead
@@ -171,7 +171,7 @@ class FoldGroup:
                     QueryFailedError(
                         f"shared execution Q{execution.id} failed: "
                         f"{execution.error}",
-                        query_id=sub.query_id,
+                        query_id=sub.id,
                         cause=execution.error,
                     )
                 )

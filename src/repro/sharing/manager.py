@@ -35,7 +35,7 @@ from .residual import Residual
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import AccordionEngine
-    from ..handle import Submission
+    from ..handle import QueryHandle
 
 
 class Routing(NamedTuple):
@@ -76,7 +76,7 @@ class SharingManager:
             self.cache.purge_versions_before(version)
 
     # -- the route step ------------------------------------------------------
-    def decide(self, sub: "Submission") -> Routing:
+    def decide(self, sub: "QueryHandle") -> Routing:
         """How ``sub`` would be served right now.  Changes nothing the
         routing itself depends on, so admission may ask before the
         engine acts on the same answer."""
@@ -92,7 +92,7 @@ class SharingManager:
             return Routing("folded", key, group, residual)
         return Routing("carrier", key)
 
-    def serve(self, sub: "Submission") -> bool:
+    def serve(self, sub: "QueryHandle") -> bool:
         """Route ``sub`` and act on it: answer from the cache, graft onto
         a live group, or open a new group.  Returns False for unshared
         plans, which the caller starts itself."""
@@ -103,13 +103,13 @@ class SharingManager:
                 "sharing", "unshared", tenant=sub.tenant, seq=sub.seq
             )
             return False
-        sub.query_id = self.coordinator.next_query_id()
+        sub.id = self.coordinator.next_query_id()
         key = routing.key
         entry = self.cache.get(key)
         if entry is not None:
             SharedConsumer(sub, key, entry.scan_pages)
             self.decisions.record(
-                "sharing", "cache_hit", query_id=sub.query_id, tenant=sub.tenant,
+                "sharing", "cache_hit", query_id=sub.id, tenant=sub.tenant,
                 pages_saved=entry.scan_pages, cached_at=entry.cached_at,
             )
             sub.complete(entry.page)
@@ -122,8 +122,8 @@ class SharingManager:
             group.add(consumer)
             carrier = group.carrier
             self.decisions.record(
-                "sharing", "fold", query_id=sub.query_id, tenant=sub.tenant,
-                span=carrier and carrier.trace_span, lead=group.lead.query_id,
+                "sharing", "fold", query_id=sub.id, tenant=sub.tenant,
+                span=carrier and carrier.trace_span, lead=group.lead.id,
                 pages_saved=scan_pages,
             )
             if carrier is not None:
@@ -135,7 +135,7 @@ class SharingManager:
         group.schedule_dispatch(self.config.fold_window)
         carrier = group.carrier
         self.decisions.record(
-            "sharing", "carrier", query_id=sub.query_id, tenant=sub.tenant,
+            "sharing", "carrier", query_id=sub.id, tenant=sub.tenant,
             span=carrier and carrier.trace_span,
             execution=carrier and carrier.id,
         )
@@ -177,12 +177,9 @@ class SharingManager:
     def _on_detach(self, group: FoldGroup, consumer: SharedConsumer) -> None:
         sub = consumer.submission
         carrier = group.carrier
-        workload = self.engine._workload
-        if workload is not None and carrier is not None:
-            workload.arbiter.unfold_consumer(carrier.id, sub.query_id)
         self.decisions.record(
-            "sharing", "detach", query_id=sub.query_id, tenant=sub.tenant,
-            span=carrier and carrier.trace_span, lead=group.lead.query_id,
+            "sharing", "detach", query_id=sub.id, tenant=sub.tenant,
+            span=carrier and carrier.trace_span, lead=group.lead.id,
             left=len(group.active_consumers),
         )
 

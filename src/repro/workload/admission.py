@@ -25,7 +25,7 @@ from .policies import pick_next
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
-    from ..handle import Submission
+    from ..handle import QueryHandle
     from ..plan.physical import PhysicalPlan
     from .session import WorkloadManager
 
@@ -47,9 +47,9 @@ class AdmissionController:
         self.engine = manager.engine
         self.kernel = manager.engine.kernel
         self.config = manager.config
-        self.queue: list["Submission"] = []
+        self.queue: list["QueryHandle"] = []
         #: Every admitted, still-running session submission.
-        self.running: set["Submission"] = set()
+        self.running: set["QueryHandle"] = set()
         #: Policy-violation log: must stay empty; every entry is a bug.
         self.violations: list[str] = []
         self.decisions = self.kernel.decisions
@@ -61,7 +61,7 @@ class AdmissionController:
         self._pump_scheduled = False
 
     # -- submission ---------------------------------------------------------
-    def enqueue(self, sub: "Submission") -> None:
+    def enqueue(self, sub: "QueryHandle") -> None:
         """Queue ``sub`` (prepared, planned, possibly pre-granted) and
         admit whatever now fits — possibly ``sub`` itself, synchronously."""
         sub.cores = planned_cores(sub.plan, sub.options)
@@ -81,13 +81,13 @@ class AdmissionController:
         if self.manager.autoscaler is not None:
             self.manager.autoscaler.ensure_tick()
 
-    def reject_predicted_miss(self, sub: "Submission", miss: float) -> None:
+    def reject_predicted_miss(self, sub: "QueryHandle", miss: float) -> None:
         """SLO rejection before queueing: the runtime estimate + variance
         says this query cannot plausibly meet its deadline.  The
         submission is terminal immediately; the structured error carries
         the prediction so the caller can renegotiate (retry with a looser
         deadline or after warming more history)."""
-        prediction = sub.prediction
+        prediction = sub.admission_prediction
         self.manager.keep(sub)
         sub._finish(
             "rejected",
@@ -139,7 +139,7 @@ class AdmissionController:
     def admitted_cores(self) -> int:
         return sum(sub.cores for sub in self.running if sub.billed)
 
-    def _needs_no_resources(self, sub: "Submission") -> bool:
+    def _needs_no_resources(self, sub: "QueryHandle") -> bool:
         """True when the sharing layer would serve this submission without
         a new physical execution (fold onto a live carrier, or a result
         cache hit) — such submissions are admitted past the caps because
@@ -149,7 +149,7 @@ class AdmissionController:
             "folded", "cached",
         )
 
-    def _fits(self, sub: "Submission") -> bool:
+    def _fits(self, sub: "QueryHandle") -> bool:
         cfg = self.config
         if (
             cfg.max_concurrent_queries is not None
@@ -168,7 +168,7 @@ class AdmissionController:
                 return False
         return True
 
-    def _admit(self, sub: "Submission") -> None:
+    def _admit(self, sub: "QueryHandle") -> None:
         if sub.timeout_event is not None:
             sub.timeout_event.cancel()
             sub.timeout_event = None
@@ -180,12 +180,12 @@ class AdmissionController:
         sub.on_done(self._released)
         self.engine._launch(sub)
 
-    def _released(self, sub: "Submission") -> None:
+    def _released(self, sub: "QueryHandle") -> None:
         self.running.discard(sub)
         if self.queue:
             self._schedule_pump()
 
-    def _timeout(self, sub: "Submission") -> None:
+    def _timeout(self, sub: "QueryHandle") -> None:
         if sub not in self.queue:
             return
         self.queue.remove(sub)
@@ -206,7 +206,7 @@ class AdmissionController:
         )
         self._check_invariants()
 
-    def cancel_queued(self, sub: "Submission", reason: str) -> None:
+    def cancel_queued(self, sub: "QueryHandle", reason: str) -> None:
         self.queue.remove(sub)
         if sub.timeout_event is not None:
             sub.timeout_event.cancel()

@@ -14,7 +14,7 @@ arbiter *revokes* cores from the least-important over-baseline query —
 the revocation is a Section 4.4 end-signal task removal on the victim,
 whose stage is then pinned against immediate re-tuning.
 
-Determinism: decisions depend only on virtual time, registered entries
+Determinism: decisions depend only on virtual time, adopted entries
 (iterated in query-id order), and counters — never on wall clock or
 unseeded randomness.
 """
@@ -31,6 +31,7 @@ from .policies import fair_share_budget, grantable_units
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution
+    from ..handle import QueryHandle
     from .session import WorkloadManager
 
 #: Tenant label for queries submitted outside any session.
@@ -43,26 +44,39 @@ REVOCATION_PIN_SECONDS = 5.0
 
 @dataclass
 class ArbiterEntry:
-    """Arbiter-side metadata for one registered (session) query."""
+    """Arbiter-side metadata for one adopted (session) execution."""
 
     execution: "QueryExecution"
-    tenant: str
-    priority: float
-    deadline_at: float | None
-    #: Stage id -> stage DOP at registration; anything above this is
+    #: The session queries this execution serves, the one it was adopted
+    #: for first; more than one only when it is shared (DESIGN.md §14).
+    riders: list["QueryHandle"]
+    #: Stage id -> stage DOP at adoption; anything above this is
     #: revocable ("extra") under rebalancing.
     baseline: dict[int, int] = field(default_factory=dict)
     revoked: int = 0
-    #: Memory grant at registration (None -> engine-config budget).
+    #: Memory grant at adoption (None -> engine-config budget).
     memory_bytes: int | None = None
-    #: Registration-time values, restored when the last folded consumer
-    #: detaches (DESIGN.md §14: shared executions are arbitrated at the
-    #: effective priority/deadline of their live consumers).
-    base_priority: float = 0.0
-    base_deadline_at: float | None = None
-    #: consumer query id -> (priority, deadline_at) for every live
-    #: consumer folded onto this (shared) execution.
-    folds: dict[int, tuple] = field(default_factory=dict)
+
+    @property
+    def tenant(self) -> str:
+        return self.riders[0].tenant
+
+    def _live(self) -> list["QueryHandle"]:
+        return [q for q in self.riders if not q.finished] or self.riders[:1]
+
+    @property
+    def priority(self) -> float:
+        """The highest priority among the live riders: a shared run is
+        arbitrated as its most important rider demands."""
+        return max(q.priority for q in self._live())
+
+    @property
+    def deadline_at(self) -> float | None:
+        """The tightest deadline among the live riders."""
+        return min(
+            (q.deadline_at for q in self._live() if q.deadline_at is not None),
+            default=None,
+        )
 
 
 class ResourceArbiter:
@@ -86,98 +100,30 @@ class ResourceArbiter:
         joined node's cores become grantable immediately)."""
         return self.cluster.schedulable_cores()
 
-    # -- registration -------------------------------------------------------
-    def register(
-        self,
-        execution: "QueryExecution",
-        tenant: str,
-        priority: float = 0.0,
-        deadline_at: float | None = None,
-        memory_bytes: int | None = None,
-    ) -> None:
-        entry = ArbiterEntry(
-            execution=execution,
-            tenant=tenant,
-            priority=priority,
-            deadline_at=deadline_at,
-            baseline={
-                sid: stage.stage_dop
-                for sid, stage in execution.stages.items()
-            },
-            memory_bytes=memory_bytes,
-            base_priority=priority,
-            base_deadline_at=deadline_at,
-        )
-        if memory_bytes is not None:
-            # The grant is the budget: operators that outgrow it spill.
-            execution.memory.set_budget(memory_bytes)
-        self.entries[execution.id] = entry
-        execution.on_done(lambda _exec: self._unregister(_exec.id))
-        if self.config.arbitration == "deadline":
-            self._ensure_tick()
-
-    def _unregister(self, query_id: int) -> None:
-        self.entries.pop(query_id, None)
-
-    def adopt(self, sub) -> None:
-        """Account session submission ``sub`` against the execution
-        serving it.  The execution is registered once, under the first
-        session query it serves; every query riding a *shared* execution
-        then folds its own priority / deadline onto the entry, so the
-        execution is arbitrated at the effective values of its most
-        important live consumer and a detach drops only its own claim."""
-        execution = sub.execution
-        if execution.id not in self.entries:
-            self.register(
+    # -- adoption -----------------------------------------------------------
+    def adopt(self, query: "QueryHandle") -> None:
+        """Account session query ``query`` against the execution serving
+        it.  The execution gets its entry under the first session query
+        it serves; every later query riding the same (shared) execution
+        joins that entry's riders, whose live members give the effective
+        priority and deadline, so a detach drops only its own claim."""
+        execution = query.execution
+        entry = self.entries.get(execution.id)
+        if entry is None:
+            entry = self.entries[execution.id] = ArbiterEntry(
                 execution,
-                tenant=sub.tenant,
-                priority=sub.priority,
-                deadline_at=sub.deadline_at,
-                memory_bytes=sub.memory_bytes,
+                riders=[],
+                baseline={
+                    sid: stage.stage_dop for sid, stage in execution.stages.items()
+                },
+                memory_bytes=query.memory_bytes,
             )
-        if sub.shared is not None:
-            self.fold_consumer(
-                execution.id, sub.query_id,
-                priority=sub.priority, deadline_at=sub.deadline_at,
-            )
-
-    # -- shared-execution adoption (DESIGN.md §14) --------------------------
-    def fold_consumer(
-        self,
-        query_id: int,
-        consumer_id: int,
-        priority: float = 0.0,
-        deadline_at: float | None = None,
-    ) -> None:
-        """Account one folded consumer against the shared execution
-        ``query_id``: the entry adopts the *highest* priority and the
-        *tightest* deadline across its live consumers, so revocation
-        victim selection and deadline rebalancing treat the shared run
-        as its most important rider demands."""
-        entry = self.entries.get(query_id)
-        if entry is None:
-            return
-        entry.folds[consumer_id] = (priority, deadline_at)
-        self._recompute_shared(entry)
-
-    def unfold_consumer(self, query_id: int, consumer_id: int) -> None:
-        """A consumer detached (cancelled): drop its priority/deadline
-        claim and recompute the shared execution's effective values."""
-        entry = self.entries.get(query_id)
-        if entry is None:
-            return
-        entry.folds.pop(consumer_id, None)
-        self._recompute_shared(entry)
-
-    def _recompute_shared(self, entry: ArbiterEntry) -> None:
-        if entry.folds:
-            entry.priority = max(p for p, _d in entry.folds.values())
-            deadlines = [d for _p, d in entry.folds.values() if d is not None]
-            entry.deadline_at = min(deadlines) if deadlines else None
-        else:
-            entry.priority = entry.base_priority
-            entry.deadline_at = entry.base_deadline_at
-        if entry.deadline_at is not None and self.config.arbitration == "deadline":
+            if query.memory_bytes is not None:
+                # The grant is the budget: operators that outgrow it spill.
+                execution.memory.set_budget(query.memory_bytes)
+            execution.on_done(lambda done: self.entries.pop(done.id, None))
+        entry.riders.append(query)
+        if self.config.arbitration == "deadline":
             self._ensure_tick()
 
     # -- usage accounting (dynamic, from live structures) -------------------
@@ -310,7 +256,7 @@ class ResourceArbiter:
         live = [e for e in self._sorted_entries() if not e.execution.finished]
         if not live:
             # Self-terminate so drained workloads do not keep the event
-            # loop alive; registration restarts the tick.
+            # loop alive; adoption restarts the tick.
             self._tick_running = False
             return
         self._rebalance(live)

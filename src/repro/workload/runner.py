@@ -20,7 +20,7 @@ from .policies import jain_fairness
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
     from ..engine import AccordionEngine
-    from ..handle import QueryHandle, Submission
+    from ..handle import QueryHandle
     from .session import SubmissionRecord
 
 
@@ -380,7 +380,7 @@ class Workload:
 
     # ------------------------------------------------------------------
     def _report(
-        self, records: list["Submission | SubmissionRecord"], horizon: float,
+        self, records: list["QueryHandle | SubmissionRecord"], horizon: float,
         manager, start: float, mark: int,
     ) -> WorkloadReport:
         tenants: dict[str, TenantStats] = {}
@@ -421,7 +421,7 @@ class Workload:
             "preemptions": fleet["preemptions"],
             "nodes_final": fleet["nodes_schedulable"],
             "nodes_peak": fleet["nodes_peak"],
-            "node_seconds": membership.node_seconds(),
+            "node_seconds": membership.node_seconds(start),
             "cost_dollars": membership.cost_between(start),
         }
         sharing, predict = {}, {}

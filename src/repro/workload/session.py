@@ -2,12 +2,12 @@
 
 ``engine.session(tenant, priority, deadline)`` opens a :class:`Session`;
 its ``submit()`` enters the engine's query lifecycle as a *session*
-submission: it is admitted by the admission controller instead of at
-once, and the execution serving it is registered with the cluster-wide
-resource arbiter.  The manager keeps a record of every session
-submission in ``records`` — the raw material for the workload report: the
-:class:`~repro.handle.Submission` while it is queued or running, a frozen
-:class:`SubmissionRecord` once it is terminal (DESIGN.md §17).
+query: it is admitted by the admission controller instead of at once,
+and the execution serving it is adopted by the cluster-wide resource
+arbiter.  The manager keeps a record of every session query in
+``records`` — the raw material for the workload report: the
+:class:`~repro.handle.QueryHandle` itself while it is queued or running,
+a frozen :class:`SubmissionRecord` once it is terminal (DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError
-from ..handle import Submission
+from ..handle import QueryHandle
 from .admission import AdmissionController
 from .arbiter import ResourceArbiter
 from .policies import ARBITRATION_POLICIES, QUEUE_POLICIES
@@ -24,7 +24,7 @@ from .policies import ARBITRATION_POLICIES, QUEUE_POLICIES
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
     from ..engine import AccordionEngine
-    from ..handle import QueryHandle, QueryResult
+    from ..handle import QueryResult
     from .autoscaler import Autoscaler
 
 
@@ -45,10 +45,10 @@ class SubmissionRecord:
     deadline_met: bool | None
 
     @classmethod
-    def of(cls, sub: Submission) -> "SubmissionRecord":
+    def of(cls, query: QueryHandle) -> "SubmissionRecord":
         return cls(
-            sub.query_id, sub.tenant, sub.state, sub.latency, sub.queue_seconds,
-            sub.admitted_at, sub.finished_at, sub.deadline_at, sub.deadline_met,
+            query.id, query.tenant, query.state, query.latency, query.queue_seconds,
+            query.admitted_at, query.finished_at, query.deadline_at, query.deadline_met,
         )
 
 
@@ -74,7 +74,7 @@ class Session:
         options: "QueryOptions | None" = None,
         deadline: float | None = None,
         memory_bytes: int | None = None,
-    ) -> "QueryHandle":
+    ) -> QueryHandle:
         """Queue a query for admission; returns immediately.
 
         The handle starts in the ``"queued"`` state (possibly admitted
@@ -82,8 +82,8 @@ class Session:
         session default for this query."""
         engine = self.manager.engine
         return engine._submit(
-            Submission(
-                engine.kernel, sql, options, session=self,
+            QueryHandle(
+                engine, sql, options, session=self,
                 deadline=deadline if deadline is not None else self.deadline,
                 memory_bytes=memory_bytes,
             )
@@ -125,9 +125,9 @@ class WorkloadManager:
                 )
         self.arbiter = ResourceArbiter(self)
         self.admission = AdmissionController(self)
-        #: Every session submission, in submission order: the live
-        #: submission until it is terminal, then its record.
-        self.records: list[Submission | SubmissionRecord] = []
+        #: Every session query, in submission order: its handle until it
+        #: is terminal, then its record.
+        self.records: list[QueryHandle | SubmissionRecord] = []
         #: Queue/deadline-driven fleet sizing (ClusterConfig.autoscale).
         self.autoscaler: "Autoscaler | None" = None
         if engine.config.cluster.autoscale:
@@ -147,13 +147,13 @@ class WorkloadManager:
     ) -> Session:
         return Session(self, tenant, priority=priority, deadline=deadline)
 
-    def keep(self, sub: Submission) -> None:
-        """Append ``sub`` to ``records``; its terminal transition puts
+    def keep(self, query: QueryHandle) -> None:
+        """Append ``query`` to ``records``; its terminal transition puts
         its :class:`SubmissionRecord` in the same slot."""
         slot = len(self.records)
-        self.records.append(sub)
+        self.records.append(query)
 
-        def retire(done: Submission) -> None:
+        def retire(done: QueryHandle) -> None:
             self.records[slot] = SubmissionRecord.of(done)
 
-        sub.on_done(retire)
+        query.on_done(retire)

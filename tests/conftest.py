@@ -91,7 +91,8 @@ def no_litter():
     task slot, reservation or arbiter entry, and keeps only a record of
     each retired execution — which it does once every task is sealed
     (DESIGN.md §17), after the simulation has run what those tasks still
-    had in flight."""
+    had in flight.  One with nothing queued either holds no handle: no
+    admitted query, no live workload record, no fold group."""
     yield
     engines = list(_ENGINES)
     _ENGINES.clear()
@@ -107,8 +108,17 @@ def no_litter():
         assert_only_records(engine)
         for node in engine.cluster.all_nodes():
             assert (node.name, node.task_count, node.reserved_bytes) == (node.name, 0, 0)
-        if engine._workload is not None:
-            assert engine._workload.arbiter.entries == {}
+        workload = engine._workload
+        if workload is not None:
+            assert workload.arbiter.entries == {}
+            if workload.admission.queue:
+                continue
+            from repro.workload.session import SubmissionRecord
+
+            assert workload.admission.running == set()
+            assert all(isinstance(r, SubmissionRecord) for r in workload.records)
+        if engine.sharing is not None:
+            assert engine.sharing.groups == {}
 
 
 @pytest.fixture(scope="session")

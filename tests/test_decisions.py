@@ -112,9 +112,8 @@ def multi_tenant(catalog, tracing: bool = False):
 
         def cancel(tenant, state, w=workload):
             for handle in w.handles:
-                sub = handle._submission
-                if sub.tenant == tenant and sub.state == state and (
-                    state == "queued" or sub.route == "folded"
+                if handle.tenant == tenant and handle.state == state and (
+                    state == "queued" or handle.route == "folded"
                 ):
                     handle.cancel("scenario")
                     return
@@ -279,7 +278,7 @@ def story(handle) -> list[tuple[str, str]]:
 
 def handles_of(tenants, window: int, tenant: str):
     _, runs = tenants
-    return [h for h in runs[window][0].handles if h._submission.tenant == tenant]
+    return [h for h in runs[window][0].handles if h.tenant == tenant]
 
 
 def test_folded_consumer_story(tenants):
@@ -369,14 +368,13 @@ def scanned(log, since=0, **where):
 
 def scanned_story(engine, handle):
     """``QueryHandle.decisions`` as a scan over the engine's whole log."""
-    sub = handle._submission
-    ids = {sub.query_id, sub.execution.id if sub.execution else None}
-    end = sub.finished_at if sub.finished else float("inf")
+    ids = {handle.id, handle.execution.id if handle.execution else None}
+    end = handle.finished_at if handle.finished else float("inf")
     return [
         d for d in engine.decisions
         if d.time <= end and (
             d.query_id in ids if d.query_id is not None
-            else sub.seq and d.inputs.get("seq") == sub.seq
+            else handle.seq and d.inputs.get("seq") == handle.seq
         )
     ]
 

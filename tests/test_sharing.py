@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     AccordionEngine,
     EngineConfig,
+    ExecutionError,
     QueryCancelledError,
     QueryFailedError,
     SharingConfig,
@@ -588,21 +589,22 @@ class TestWorkloadIntegration:
     def test_shared_execution_adopts_max_priority_min_deadline(self, catalog):
         config = EngineConfig().with_workload().with_sharing(fold_window=0.5)
         engine = AccordionEngine(catalog, config=config)
-        low = engine.session("etl", priority=0.0)
-        high = engine.session("bi", priority=5.0, deadline=100.0)
-        h1 = low.submit("select sum(l_quantity) from lineitem "
-                        "group by l_orderkey")
-        h2 = high.submit("select sum(l_quantity) from lineitem "
-                         "group by l_orderkey")
+        sql = "select sum(l_quantity) from lineitem group by l_orderkey"
+        h1 = engine.session("etl", priority=0.0).submit(sql)
+        h2 = engine.session("bi", priority=5.0, deadline=100.0).submit(sql)
+        h3 = engine.session("ops", priority=2.0).submit(sql)
         engine.run_for(0.5001)  # just past the fold window
         carrier = h1.execution
         entry = engine.workload.arbiter.entries[carrier.id]
         assert entry.priority == 5.0
         assert entry.deadline_at == 100.0
+        # The query the entry was adopted for detaches first: the riders
+        # still live decide, not the values it was adopted with.
+        h1.cancel("bail")
+        assert (entry.priority, entry.deadline_at) == (5.0, 100.0)
         h2.cancel("bail")
-        assert entry.priority == 0.0
-        assert entry.deadline_at is None
-        assert h1.result().num_rows > 0
+        assert (entry.priority, entry.deadline_at) == (2.0, None)
+        assert h3.result().num_rows > 0
 
     def test_same_seed_workload_reports_byte_identical(self, catalog):
         def run():
@@ -671,6 +673,38 @@ class TestWorkloadIntegration:
 
 
 # -- public API -------------------------------------------------------------
+class TestObservability:
+    @pytest.mark.parametrize("route", ["unshared", "carrier", "folded", "cached"])
+    def test_trace_and_profile_read_the_serving_execution(self, catalog, route):
+        """Spans and profiles are recorded under the execution's id, which
+        a carrier or folded query does not share: a cached answer has no
+        execution, so it says so instead of reporting another query."""
+        config = (EngineConfig().with_sharing(fold_window=0.5)
+                  .with_tracing(profiling=True))
+        engine = AccordionEngine(catalog, config=config)
+        sql = "select sum(l_quantity) from lineitem group by l_orderkey"
+        handles = {"carrier": engine.submit(sql), "folded": engine.submit(sql)}
+        handles["carrier"].result()
+        handles["cached"] = engine.submit(sql)
+        handles["unshared"] = engine.submit(
+            "select l_orderkey from lineitem order by l_orderkey limit 5"
+        )
+        handle = handles[route]
+        handle.result()
+        assert handle.sharing.role == route
+        if route == "cached":
+            for read in (handle.trace, handle.profile):
+                with pytest.raises(ExecutionError, match="result cache"):
+                    read()
+            return
+        serving = handle.execution.id
+        trace = handle.trace()
+        assert trace.query_id == serving and trace.spans_of("task")
+        profile = handle.profile()
+        assert profile.entries
+        assert {e.query_id for e in profile.entries} == {serving}
+
+
 class TestPublicApi:
     def test_with_sharing_builder(self):
         config = EngineConfig().with_sharing(cache_ttl=60.0)

@@ -25,6 +25,7 @@ from repro import (
     TraceArrivals,
     Workload,
 )
+from repro.cluster.membership import COST_PER_NODE_SECOND
 from repro.config import CostModel
 from repro.errors import ExecutionError
 from repro.workload.policies import (
@@ -243,6 +244,9 @@ def test_cancel_queued_submission(catalog):
     session = engine.session("adhoc")
     running = session.submit(COUNT_SQL)
     queued = session.submit(COUNT_SQL)
+    # The queue and the records hold the handle itself, not a copy of it.
+    workload = engine.workload
+    assert workload.admission.queue[0] is queued and workload.records[-1] is queued
     queued.cancel("user closed the tab")
     assert queued.state == "cancelled"
     assert queued.finished and queued.execution is None
@@ -487,6 +491,21 @@ def test_frozen_records_report_what_live_submissions_did(catalog):
     engine, observed = stormy_windows(catalog)
     assert json.dumps(observed, indent=1) + "\n" == REPORT_GOLDEN.read_text()
     assert all(isinstance(r, SubmissionRecord) for r in engine.workload.records)
+
+
+def test_report_node_seconds_cover_the_run_window(catalog):
+    """A report's node-seconds cover its own window, as its cost does:
+    on on-demand nodes at COST_PER_NODE_SECOND they are one figure, the
+    fleet times the window, however long the engine ran before."""
+    engine = workload_engine(catalog)
+    for seed in (1, 2):
+        start = engine.now
+        workload = Workload(engine, seed=seed)
+        workload.add_tenant("bi", [COUNT_SQL], PoissonArrivals(rate=2.0, count=3))
+        cluster = workload.run().cluster
+        fleet = len(engine.cluster.compute) * (engine.now - start)
+        assert cluster["node_seconds"] == pytest.approx(fleet)
+        assert cluster["cost_dollars"] == pytest.approx(fleet * COST_PER_NODE_SECOND)
 
 
 if __name__ == "__main__":  # record the golden
