@@ -10,13 +10,9 @@
    flows into the single-task stage-0 sort.
 """
 
-from dataclasses import replace
-
-import pytest
-
 from repro import AccordionEngine, BufferConfig, CostModel, EngineConfig, QueryOptions, TPCH_QUERIES as QUERIES
 
-from conftest import emit_table, norm_rows, once
+from conftest import norm_rows
 
 
 def engine_with(catalog, buffers=None, page_rows=256, **options):
@@ -28,33 +24,24 @@ def engine_with(catalog, buffers=None, page_rows=256, **options):
     return AccordionEngine(catalog, config=config)
 
 
-def test_ablation_elastic_vs_fixed_buffers(benchmark, small_catalog):
-    def experiment():
-        results = {}
-        configs = {
-            "elastic (1 page start)": BufferConfig(elastic=True),
-            "fixed tiny (4 pages)": BufferConfig(
-                elastic=False, fixed_capacity_bytes=4 * 16 * 1024
-            ),
-            "fixed large (32MB)": BufferConfig(elastic=False),
-        }
-        for label, buffers in configs.items():
-            engine = engine_with(small_catalog, buffers=buffers)
-            result = engine.execute(
-                QUERIES["Q3"],
-                QueryOptions(initial_stage_dop=2, initial_task_dop=2),
-                max_virtual_seconds=1e6,
-            )
-            results[label] = (result.elapsed_seconds, norm_rows(result.rows))
-        return results
-
-    results = once(benchmark, experiment)
-    emit_table(
-        "Ablation: task output / exchange buffer sizing (Q3, virtual seconds)",
-        ["Buffer mode", "Execution time"],
-        [[label, f"{t:.2f}"] for label, (t, _) in results.items()],
-    )
-    benchmark.extra_info["times"] = {k: round(t, 2) for k, (t, _) in results.items()}
+def test_ablation_elastic_vs_fixed_buffers(record, small_catalog):
+    configs = {
+        "elastic (1 page start)": BufferConfig(elastic=True),
+        "fixed tiny (4 pages)": BufferConfig(
+            elastic=False, fixed_capacity_bytes=4 * 16 * 1024
+        ),
+        "fixed large (32MB)": BufferConfig(elastic=False),
+    }
+    results = {}
+    for label, buffers in configs.items():
+        engine = engine_with(small_catalog, buffers=buffers)
+        result = engine.execute(
+            QUERIES["Q3"],
+            QueryOptions(initial_stage_dop=2, initial_task_dop=2),
+            max_virtual_seconds=1e6,
+        )
+        results[label] = (result.elapsed_seconds, norm_rows(result.rows))
+        record("Ablation: buffers", label, "time", result.elapsed_seconds)
 
     rows = [r for _, r in results.values()]
     assert rows[0] == rows[1] == rows[2]
@@ -69,7 +56,7 @@ def test_ablation_elastic_vs_fixed_buffers(benchmark, small_catalog):
     assert tiny_t >= 0.9 * elastic_t
 
 
-def test_ablation_join_distribution(benchmark, small_catalog):
+def test_ablation_join_distribution(record, small_catalog):
     """Broadcast replicates the build side to every join task (more build
     work, no probe reshuffle); partitioned splits the hash table (1/n build
     work per task, but the probe stream must be hash-shuffled).  The
@@ -84,30 +71,14 @@ def test_ablation_join_distribution(benchmark, small_catalog):
         engine.run_until_done(query, 1e6)
         return query
 
-    def experiment():
-        out = {}
-        for mode in ("broadcast", "partitioned"):
-            for dop in (1, 4):
-                query = run(mode, dop)
-                out[(mode, dop)] = (
-                    query.elapsed,
-                    query.stages[1].max_build_seconds(),
-                    norm_rows(query.result().rows),
-                )
-        return out
-
-    results = once(benchmark, experiment)
-    emit_table(
-        "Ablation: Q2J broadcast vs partitioned join (virtual seconds)",
-        ["Distribution", "Stage DOP", "Execution time", "Max T_build"],
-        [
-            [m, d, f"{t:.2f}", f"{b:.2f}"]
-            for (m, d), (t, b, _) in sorted(results.items())
-        ],
-    )
-    benchmark.extra_info["times"] = {
-        f"{m}@{d}": round(t, 2) for (m, d), (t, _, _) in results.items()
-    }
+    results = {}
+    for mode in ("broadcast", "partitioned"):
+        for dop in (1, 4):
+            query = run(mode, dop)
+            t_build = query.stages[1].max_build_seconds()
+            results[(mode, dop)] = (query.elapsed, t_build, norm_rows(query.result().rows))
+            record("Ablation: join", f"{mode} DOP {dop}", "time", query.elapsed)
+            record("Ablation: join", f"{mode} DOP {dop}", "max T_build", t_build)
 
     assert len({tuple(r) for (_, _, r) in results.values()}) == 1  # same answers
     # Per-task hash-table build is much cheaper when partitioned: each of
@@ -121,7 +92,7 @@ def test_ablation_join_distribution(benchmark, small_catalog):
     assert 0.6 < ratio < 1.6
 
 
-def test_ablation_partial_topn_pushdown(benchmark, small_catalog):
+def test_ablation_partial_topn_pushdown(record, small_catalog):
     def walk(node):
         yield node
         for child in node.children():
@@ -144,8 +115,10 @@ def test_ablation_partial_topn_pushdown(benchmark, small_catalog):
             if n.__class__.__name__ == "PTopNNode" and n.partial
         )
 
-    on = once(benchmark, lambda: count_partials(True))
+    on = count_partials(True)
     off = count_partials(False)
+    record("Ablation: TopN", "pushdown on", "partial TopN", on, "", 0)
+    record("Ablation: TopN", "pushdown off", "partial TopN", off, "", 0)
 
     # The optimization must not change the answer.
     results = {}
@@ -156,10 +129,5 @@ def test_ablation_partial_topn_pushdown(benchmark, small_catalog):
             .result(max_virtual_seconds=1e6)
             .rows
         )
-    emit_table(
-        "Ablation: partial TopN pushdown",
-        ["Configuration", "Partial TopN operators"],
-        [["pushdown on", on], ["pushdown off", off]],
-    )
     assert on >= 1 and off == 0
     assert results["on"] == results["off"]

@@ -6,11 +6,7 @@ clearly beat Presto (the C++-vs-Java gap); all three return identical
 results.
 """
 
-import pytest
-
 from repro import STANDALONE_BENCHMARK, standalone_engine
-
-from conftest import emit_table, once
 
 SCALE = 0.005
 MODES = ("accordion", "presto", "prestissimo")
@@ -28,28 +24,13 @@ def _run_all():
     return times, rows
 
 
-def test_fig20_standalone_tpch(benchmark):
-    times, rows = once(benchmark, _run_all)
-
-    table = []
+def test_fig20_standalone_tpch(record):
+    times, rows = _run_all()
     for name in STANDALONE_BENCHMARK:
-        table.append(
-            [
-                name,
-                f"{times['accordion'][name]:.2f}",
-                f"{times['presto'][name]:.2f}",
-                f"{times['prestissimo'][name]:.2f}",
-                f"{times['presto'][name] / times['accordion'][name]:.2f}x",
-            ]
-        )
-    emit_table(
-        "Figure 20: standalone TPC-H (virtual seconds, single node)",
-        ["Query", "Accordion", "Presto", "Prestissimo", "Presto/Accordion"],
-        table,
-    )
-    benchmark.extra_info["times"] = {
-        m: {q: round(t, 3) for q, t in qs.items()} for m, qs in times.items()
-    }
+        for mode in MODES:
+            record("Figure 20", name, mode.capitalize(), times[mode][name])
+        ratio = times["presto"][name] / times["accordion"][name]
+        record("Figure 20", name, "Presto/Accordion", ratio, "×")
 
     for name in STANDALONE_BENCHMARK:
         # Paper shape 1: Presto is distinctly slower than Accordion.

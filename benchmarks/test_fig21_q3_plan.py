@@ -8,7 +8,7 @@ S1<-S2, execution dependency S1<-S3 via the hash build).
 
 from repro import AccordionEngine, QueryOptions, TPCH_QUERIES as QUERIES
 
-from conftest import emit, once
+from conftest import emit
 
 
 def _walk(node):
@@ -17,13 +17,19 @@ def _walk(node):
         yield from _walk(child)
 
 
-def test_fig21_q3_distributed_plan(benchmark, eval_catalog):
+def test_fig21_q3_distributed_plan(record, eval_catalog):
     engine = AccordionEngine(eval_catalog)
 
-    plan = once(
-        benchmark, lambda: engine.coordinator.plan_sql(QUERIES["Q3"], QueryOptions())
-    )
+    plan = engine.coordinator.plan_sql(QUERIES["Q3"], QueryOptions())
     emit("Figure 21: distributed physical plan of Q3", plan.describe())
+    joins = [
+        n
+        for f in plan.fragments.values()
+        for n in _walk(f.root)
+        if n.__class__.__name__ == "PJoinNode"
+    ]
+    record("Figure 21", "Q3", "stages", len(plan.fragments), "", 0)
+    record("Figure 21", "Q3", "joins", len(joins), "", 0)
 
     assert len(plan.fragments) == 6
     assert plan.fragment(0).dop_fixed                      # output stage
@@ -37,12 +43,4 @@ def test_fig21_q3_distributed_plan(benchmark, eval_catalog):
     # Execution dependency: S1's build side comes from the S3 join stage.
     assert s1.build_children == [3]
     assert s3.probe_child == 4 and s3.build_children == [5]
-
-    joins = [
-        n
-        for f in plan.fragments.values()
-        for n in _walk(f.root)
-        if n.__class__.__name__ == "PJoinNode"
-    ]
     assert len(joins) == 2
-    benchmark.extra_info["stages"] = len(plan.fragments)

@@ -10,7 +10,6 @@ larger of the two.
 
 from repro import AccordionEngine, CostModel, EngineConfig, QueryOptions, TPCH_QUERIES as QUERIES, TuningRejected
 
-from conftest import emit_table, once
 
 DOPS = [1, 2, 4, 8]
 RAMP_INTERVAL = 1.5
@@ -61,36 +60,16 @@ def run_incremental(catalog, verb, target):
     return query.elapsed
 
 
-def test_fig22_q3_dop_curves(benchmark, small_catalog):
-    def experiment():
-        intra_stage = {d: run_static(small_catalog, stage_dop=d) for d in DOPS}
-        intra_task = {d: run_static(small_catalog, task_dop=d) for d in DOPS}
-        stage_inc = {d: run_incremental(small_catalog, "ap", d) for d in DOPS[1:]}
-        task_inc = {d: run_incremental(small_catalog, "ac", d) for d in DOPS[1:]}
-        return intra_stage, intra_task, stage_inc, task_inc
-
-    intra_stage, intra_task, stage_inc, task_inc = once(benchmark, experiment)
-
-    rows = []
-    for d in DOPS:
-        rows.append(
-            [
-                d,
-                f"{intra_stage[d]:.1f}",
-                f"{intra_task[d]:.1f}",
-                f"{stage_inc.get(d, float('nan')):.1f}" if d in stage_inc else "-",
-                f"{task_inc.get(d, float('nan')):.1f}" if d in task_inc else "-",
-            ]
-        )
-    emit_table(
-        "Figure 22: Q3 execution time vs parallelism (virtual seconds)",
-        ["DOP", "IntraStage", "IntraTask", "IntraStage-Inc", "IntraTask-Inc"],
-        rows,
-    )
-    benchmark.extra_info.update(
-        intra_stage={str(k): round(v, 2) for k, v in intra_stage.items()},
-        intra_task={str(k): round(v, 2) for k, v in intra_task.items()},
-    )
+def test_fig22_q3_dop_curves(record, small_catalog):
+    intra_stage = {d: run_static(small_catalog, stage_dop=d) for d in DOPS}
+    intra_task = {d: run_static(small_catalog, task_dop=d) for d in DOPS}
+    stage_inc = {d: run_incremental(small_catalog, "ap", d) for d in DOPS[1:]}
+    task_inc = {d: run_incremental(small_catalog, "ac", d) for d in DOPS[1:]}
+    curves = {"IntraStage": intra_stage, "IntraTask": intra_task,
+              "IntraStage-Inc": stage_inc, "IntraTask-Inc": task_inc}
+    for label, times in curves.items():
+        for d, seconds in times.items():
+            record("Figure 22", f"DOP {d}", label, seconds, digits=1)
 
     # Shape 1: higher DOP, faster — monotone (with slack for flattening).
     assert intra_stage[1] > intra_stage[2] > intra_stage[4]

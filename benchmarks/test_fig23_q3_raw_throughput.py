@@ -9,19 +9,14 @@ the long-running computational bottleneck; execution-dependent stages
 
 from repro import AccordionEngine, CostModel, EngineConfig, TPCH_QUERIES as QUERIES
 
-from conftest import emit, emit_stage_curves, once
+from conftest import emit_stage_curves
 
 
-def test_fig23_q3_raw_stage_throughput(benchmark, small_catalog):
+def test_fig23_q3_raw_stage_throughput(record, small_catalog):
     config = EngineConfig(cost=CostModel().scaled(1000.0), page_row_limit=256)
     engine = AccordionEngine(small_catalog, config=config)
-
-    def experiment():
-        query = engine.submit(QUERIES["Q3"])
-        engine.run_until_done(query, 1e6)
-        return query
-
-    query = once(benchmark, experiment)
+    query = engine.submit(QUERIES["Q3"])
+    engine.run_until_done(query, 1e6)
     emit_stage_curves(
         "Figure 23: Q3 raw stage throughput (stage parallelism 1)",
         query,
@@ -30,7 +25,8 @@ def test_fig23_q3_raw_stage_throughput(benchmark, small_catalog):
 
     rates = {s: query.tracker.processing_rate(s) for s in (1, 2, 3, 4)}
     peak = {s: max(r.values, default=0.0) for s, r in rates.items()}
-    benchmark.extra_info["peak_rows_per_s"] = {str(k): round(v) for k, v in peak.items()}
+    for stage_id, rate in peak.items():
+        record("Figure 23", f"S{stage_id}", "peak rate", rate, "rows/s", 0)
 
     # Every plotted stage processed data.
     for stage_id in (1, 2, 3, 4):

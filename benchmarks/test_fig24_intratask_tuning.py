@@ -15,7 +15,7 @@ from repro import (
     run_script,
 )
 
-from conftest import emit, emit_stage_curves, norm_rows, once
+from conftest import emit_stage_curves, norm_rows
 
 SCRIPT = """
 submit q3 Q3 stage_dop=1 task_dop=1
@@ -32,16 +32,9 @@ def make_engine(catalog):
     return AccordionEngine(catalog, config=config)
 
 
-def test_fig24_intra_task_tuning(benchmark, small_catalog):
-    def experiment():
-        untuned = make_engine(small_catalog).execute(
-            QUERIES["Q3"], max_virtual_seconds=1e6
-        )
-        engine = make_engine(small_catalog)
-        result = run_script(engine, SCRIPT)
-        return untuned, result
-
-    untuned, scripted = once(benchmark, experiment)
+def test_fig24_intra_task_tuning(record, small_catalog):
+    untuned = make_engine(small_catalog).execute(QUERIES["Q3"], max_virtual_seconds=1e6)
+    scripted = run_script(make_engine(small_catalog), SCRIPT)
     query = scripted.query("q3")
     reduction = 100.0 * (1 - query.elapsed / untuned.elapsed_seconds)
 
@@ -50,19 +43,10 @@ def test_fig24_intra_task_tuning(benchmark, small_catalog):
         query,
         stages=[1, 2, 3],
     )
-    emit(
-        "Figure 24: outcome",
-        f"untuned: {untuned.elapsed_seconds:.1f}s  tuned: {query.elapsed:.1f}s  "
-        f"reduction: {reduction:.1f}% (paper: 58.42%)\n"
-        + "\n".join(f"  {a.time:.1f}s {a.description} "
-                    f"{'OK' if a.accepted else 'REJECTED ' + a.reason}"
-                    for a in scripted.actions),
-    )
-    benchmark.extra_info.update(
-        untuned_s=round(untuned.elapsed_seconds, 2),
-        tuned_s=round(query.elapsed, 2),
-        reduction_pct=round(reduction, 1),
-    )
+    record("Figure 24", "Q3", "untuned", untuned.elapsed_seconds, digits=1)
+    record("Figure 24", "Q3", "tuned", query.elapsed, digits=1)
+    record("Figure 24", "Q3", "reduction", reduction, "%", 1, paper=58.42)
+    record("Figure 24", "Q3", "accepted", len(scripted.accepted_actions()), "", 0)
 
     # Results identical to the untuned run.
     assert norm_rows(query.result().rows) == norm_rows(untuned.rows)
@@ -83,5 +67,4 @@ def test_fig24_intra_task_tuning(benchmark, small_catalog):
 
     # Driver generation is cheap: each accepted action takes effect without
     # a measurable pause (no rejected actions before CPU saturation).
-    accepted = [a for a in scripted.actions if a.accepted]
-    assert len(accepted) >= 3
+    assert len(scripted.accepted_actions()) >= 3

@@ -18,7 +18,7 @@ from repro import (
     run_script,
 )
 
-from conftest import emit, emit_stage_curves, norm_rows, once
+from conftest import emit_stage_curves, norm_rows
 
 SCRIPTS = {
     "Q1": """
@@ -59,16 +59,9 @@ def make_engine(catalog):
 
 
 @pytest.mark.parametrize("name", ["Q1", "Q3", "Q5", "Q7"])
-def test_fig25_stage_dop_tuning(benchmark, small_catalog, name):
-    def experiment():
-        untuned = make_engine(small_catalog).execute(
-            QUERIES[name], max_virtual_seconds=1e6
-        )
-        engine = make_engine(small_catalog)
-        scripted = run_script(engine, SCRIPTS[name])
-        return untuned, scripted
-
-    untuned, scripted = once(benchmark, experiment)
+def test_fig25_stage_dop_tuning(record, small_catalog, name):
+    untuned = make_engine(small_catalog).execute(QUERIES[name], max_virtual_seconds=1e6)
+    scripted = run_script(make_engine(small_catalog), SCRIPTS[name])
     query = scripted.query("q")
     reduction = 100.0 * (1 - query.elapsed / untuned.elapsed_seconds)
 
@@ -77,21 +70,13 @@ def test_fig25_stage_dop_tuning(benchmark, small_catalog, name):
         query,
         stages=[s for s in (1, 2, 3) if s in query.stages],
     )
-    emit(
-        f"Figure 25 ({name}): outcome",
-        f"untuned {untuned.elapsed_seconds:.1f}s -> tuned {query.elapsed:.1f}s "
-        f"({reduction:.1f}% reduction); init {query.initialization_seconds*1000:.0f}ms\n"
-        + "\n".join(
-            f"  {a.time:.1f}s {a.description} "
-            f"{'OK' if a.accepted else 'REJECTED ' + a.reason}"
-            for a in scripted.actions
-        ),
-    )
-    benchmark.extra_info.update(
-        untuned_s=round(untuned.elapsed_seconds, 2),
-        tuned_s=round(query.elapsed, 2),
-        reduction_pct=round(reduction, 1),
-    )
+    record("Figure 25", name, "untuned", untuned.elapsed_seconds, digits=1)
+    record("Figure 25", name, "tuned", query.elapsed, digits=1)
+    paper = 73.71 if name == "Q3" else None
+    record("Figure 25", name, "reduction", reduction, "%", 1, paper=paper)
+    record("Figure 25", name, "accepted", len(scripted.accepted_actions()), "", 0)
+    record("Figure 25", name, "rejected", len(scripted.rejected_actions()), "", 0)
+    record("Figure 25", name, "init", query.initialization_seconds * 1000, "ms", 0)
 
     # Elasticity never changes the answer.
     assert norm_rows(query.result().rows) == norm_rows(untuned.rows)

@@ -9,7 +9,7 @@ gets *cheaper* as the DOP grows (more nodes share the reshuffle work).
 
 from repro import AccordionEngine, CostModel, EngineConfig, QueryOptions, TPCH_QUERIES as QUERIES, TuningRejected
 
-from conftest import emit, emit_stage_curves, emit_table, norm_rows, once
+from conftest import emit_stage_curves, norm_rows
 
 
 def make_engine(catalog):
@@ -26,89 +26,63 @@ def builds_ready(query):
     return bool(active) and all(b.ready for t in active for b in t.bridges)
 
 
-def test_fig26_table2_dop_switching(benchmark, eval_catalog):
-    def experiment():
-        untuned = make_engine(eval_catalog).execute(
-            QUERIES["Q2J"], options(), max_virtual_seconds=1e6
-        )
+def test_fig26_table2_dop_switching(record, eval_catalog):
+    untuned = make_engine(eval_catalog).execute(
+        QUERIES["Q2J"], options(), max_virtual_seconds=1e6
+    )
 
-        engine = make_engine(eval_catalog)
-        query = engine.submit(QUERIES["Q2J"], options())
-        elastic = query.tuning
-        switches = []
-        rejected = []
-        for target in (4, 6):
-            engine.kernel.run(
-                until=engine.now + 1e5,
-                stop_when=lambda: builds_ready(query) or query.finished,
-            )
-            if query.finished:
-                break
-            try:
-                result = elastic.ap(1, target)
-                engine.kernel.run(
-                    until=engine.now + 1e5,
-                    stop_when=lambda: result.completed_at is not None or query.finished,
-                )
-                switches.append(result)
-            except TuningRejected as exc:
-                rejected.append((target, exc.reason))
-        # A final, late request: let the query get close to done first.
+    engine = make_engine(eval_catalog)
+    query = engine.submit(QUERIES["Q2J"], options())
+    elastic = query.tuning
+    switches = []
+    rejected = []
+    for target in (4, 6):
         engine.kernel.run(
             until=engine.now + 1e5,
-            stop_when=lambda: query.finished
-            or (
-                (r := elastic.remaining_time(1)) is not None
-                and 0 < r < query.stages[1].max_build_seconds()
-            ),
+            stop_when=lambda: builds_ready(query) or query.finished,
         )
-        if not query.finished:
-            try:
-                elastic.ap(1, 8)
-            except TuningRejected as exc:
-                rejected.append((8, exc.reason))
-        engine.run_until_done(query, 1e6)
-        return untuned, query, switches, rejected
-
-    untuned, query, switches, rejected = once(benchmark, experiment)
+        if query.finished:
+            break
+        try:
+            result = elastic.ap(1, target)
+            engine.kernel.run(
+                until=engine.now + 1e5,
+                stop_when=lambda: result.completed_at is not None or query.finished,
+            )
+            switches.append(result)
+        except TuningRejected as exc:
+            rejected.append((target, exc.reason))
+    # A final, late request: let the query get close to done first.
+    engine.kernel.run(
+        until=engine.now + 1e5,
+        stop_when=lambda: query.finished
+        or (
+            (r := elastic.remaining_time(1)) is not None
+            and 0 < r < query.stages[1].max_build_seconds()
+        ),
+    )
+    if not query.finished:
+        try:
+            elastic.ap(1, 8)
+        except TuningRejected as exc:
+            rejected.append((8, exc.reason))
+    engine.run_until_done(query, 1e6)
 
     emit_stage_curves(
         "Figure 26: Q2J stage throughput under DOP switching",
         query,
         stages=[1, 2, 3],
     )
-    emit_table(
-        "Table 2: state transfer details of Q2J (virtual seconds)",
-        ["DOP switching", "Total time", "Shuffle time", "Build time"],
-        [
-            [
-                f"{s.request.target // 2 * 2 - 2 or 2} -> {s.request.target}",
-                f"{s.total_seconds:.2f}",
-                f"{s.shuffle_seconds:.2f}",
-                f"{s.build_seconds:.2f}",
-            ]
-            for s in switches
-        ],
-    )
+    for s in switches:
+        case = f"{s.request.target // 2 * 2 - 2 or 2} → {s.request.target}"
+        record("Table 2", case, "total", s.total_seconds)
+        record("Table 2", case, "shuffle", s.shuffle_seconds)
+        record("Table 2", case, "build", s.build_seconds)
     reduction = 100.0 * (1 - query.elapsed / untuned.elapsed_seconds)
-    emit(
-        "Figure 26: outcome",
-        f"untuned {untuned.elapsed_seconds:.1f}s -> switched {query.elapsed:.1f}s "
-        f"({reduction:.1f}% reduction; paper: 56.16%)\n"
-        f"rejected requests: {rejected}",
-    )
-    benchmark.extra_info.update(
-        reduction_pct=round(reduction, 1),
-        switches=[
-            {
-                "target": s.request.target,
-                "total": round(s.total_seconds, 3),
-                "shuffle": round(s.shuffle_seconds, 3),
-                "build": round(s.build_seconds, 3),
-            }
-            for s in switches
-        ],
-    )
+    record("Figure 26", "Q2J", "untuned", untuned.elapsed_seconds, digits=1)
+    record("Figure 26", "Q2J", "tuned", query.elapsed, digits=1)
+    record("Figure 26", "Q2J", "reduction", reduction, "%", 1, paper=56.16)
+    record("Figure 26", "Q2J", "rejected", len(rejected), "", 0)
 
     # Correctness under switching.
     assert norm_rows(query.result().rows) == norm_rows(untuned.rows)

@@ -17,7 +17,7 @@ from repro import (
     shuffle_experiment_engine,
 )
 
-from conftest import emit, emit_table, norm_rows, once
+from conftest import emit, norm_rows
 
 BASE = dict(join_distribution="partitioned", scan_stage_dop=2, initial_task_dop=6)
 SWEEP = (1, 2, 4, 6, 8)
@@ -31,41 +31,31 @@ def shuffle_options(shuffle_dop):
     )
 
 
-def test_fig27_plan_with_shuffle_stage(benchmark):
+def test_fig27_plan_with_shuffle_stage(record):
     engine = shuffle_experiment_engine()
-    plan = once(
-        benchmark,
-        lambda: engine.coordinator.plan_sql(QUERIES["QSHUFFLE"], shuffle_options(1)),
-    )
+    plan = engine.coordinator.plan_sql(QUERIES["QSHUFFLE"], shuffle_options(1))
     emit("Figure 27: physical plan after adding the shuffle stage", plan.describe())
+    record("Figure 27", "QSHUFFLE", "stages", len(plan.fragments), "", 0)
     shuffle = plan.fragment(2)
     assert shuffle.is_shuffle_stage
     assert shuffle.output.mode is OutputMode.HASH
     assert plan.fragment(3).source_table == "orders"
     assert plan.fragment(3).output.mode is OutputMode.ARBITRARY
-    benchmark.extra_info["stages"] = len(plan.fragments)
 
 
-def test_fig28_shuffle_stage_parallelism_sweep(benchmark):
-    def experiment():
-        times = {}
-        rows = {}
-        for dop in SWEEP:
-            engine = shuffle_experiment_engine()
-            result = engine.execute(
-                QUERIES["QSHUFFLE"], shuffle_options(dop), max_virtual_seconds=1e6
-            )
-            times[dop] = result.elapsed_seconds
-            rows[dop] = norm_rows(result.rows)
-        return times, rows
-
-    times, rows = once(benchmark, experiment)
-    emit_table(
-        "Figure 28: query time vs shuffle-stage DOP (virtual seconds)",
-        ["Shuffle stage DOP", "Execution time", "Speedup vs DOP 1"],
-        [[d, f"{times[d]:.2f}", f"{times[1] / times[d]:.2f}x"] for d in SWEEP],
-    )
-    benchmark.extra_info["times"] = {str(d): round(t, 2) for d, t in times.items()}
+def test_fig28_shuffle_stage_parallelism_sweep(record):
+    times = {}
+    rows = {}
+    for dop in SWEEP:
+        engine = shuffle_experiment_engine()
+        result = engine.execute(
+            QUERIES["QSHUFFLE"], shuffle_options(dop), max_virtual_seconds=1e6
+        )
+        times[dop] = result.elapsed_seconds
+        rows[dop] = norm_rows(result.rows)
+    for dop in SWEEP:
+        record("Figure 28", f"DOP {dop}", "time", times[dop])
+        record("Figure 28", f"DOP {dop}", "speedup", times[1] / times[dop], "×")
 
     # All configurations agree on the answer.
     assert all(rows[d] == rows[1] for d in SWEEP)
@@ -76,43 +66,31 @@ def test_fig28_shuffle_stage_parallelism_sweep(benchmark):
     assert abs(times[8] - times[6]) < 0.35 * times[6]
 
 
-def test_fig28_runtime_shuffle_tuning(benchmark):
+def test_fig28_runtime_shuffle_tuning(record):
     """The paper's actual experiment tunes S2 *during* execution."""
+    engine = shuffle_experiment_engine()
+    query = engine.submit(QUERIES["QSHUFFLE"], shuffle_options(1))
+    elastic = query.tuning
+    applied = []
+    for time, target in ((4.0, 4), (8.0, 8)):
+        engine.kernel.run(until=time, stop_when=lambda: query.finished)
+        if query.finished:
+            break
+        try:
+            elastic.ap(2, target)
+            applied.append(target)
+        except TuningRejected:
+            pass
+    engine.run_until_done(query, 1e6)
+    static = shuffle_experiment_engine().execute(
+        QUERIES["QSHUFFLE"], shuffle_options(1), max_virtual_seconds=1e6
+    )
 
-    def experiment():
-        engine = shuffle_experiment_engine()
-        query = engine.submit(QUERIES["QSHUFFLE"], shuffle_options(1))
-        elastic = query.tuning
-        applied = []
-        for time, target in ((4.0, 4), (8.0, 8)):
-            engine.kernel.run(until=time, stop_when=lambda: query.finished)
-            if query.finished:
-                break
-            try:
-                elastic.ap(2, target)
-                applied.append(target)
-            except TuningRejected:
-                pass
-        engine.run_until_done(query, 1e6)
-
-        static = shuffle_experiment_engine().execute(
-            QUERIES["QSHUFFLE"], shuffle_options(1), max_virtual_seconds=1e6
-        )
-        return query, applied, static
-
-    query, applied, static = once(benchmark, experiment)
     reduction = 100.0 * (1 - query.elapsed / static.elapsed_seconds)
-    emit(
-        "Figure 28: runtime shuffle-stage tuning",
-        f"static DOP 1: {static.elapsed_seconds:.1f}s -> runtime-tuned: "
-        f"{query.elapsed:.1f}s ({reduction:.1f}% reduction; paper: 33.19%)\n"
-        f"applied targets: {applied}",
-    )
-    benchmark.extra_info.update(
-        static_s=round(static.elapsed_seconds, 2),
-        tuned_s=round(query.elapsed, 2),
-        reduction_pct=round(reduction, 1),
-    )
+    case = "1 → " + " → ".join(map(str, applied))
+    record("Figure 28 (runtime)", case, "static", static.elapsed_seconds, digits=1)
+    record("Figure 28 (runtime)", case, "tuned", query.elapsed, digits=1)
+    record("Figure 28 (runtime)", case, "reduction", reduction, "%", 1, paper=33.19)
     assert applied, "at least one shuffle-stage DOP increase must be applied"
     assert norm_rows(query.result().rows) == norm_rows(static.rows)
     assert reduction > 20.0

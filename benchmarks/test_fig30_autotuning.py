@@ -8,8 +8,6 @@ constraint is injected mid-flight (the paper adds "finish S1 within 30 s"
 at ~150 s) and the auto-tuner re-plans.
 """
 
-import pytest
-
 from repro import (
     AccordionEngine,
     CostModel,
@@ -18,8 +16,6 @@ from repro import (
     QueryOptions,
     TPCH_QUERIES as QUERIES,
 )
-
-from conftest import emit, once
 
 
 def make_engine(catalog):
@@ -51,30 +47,20 @@ def run_autotuned(catalog, sql, deadline, midflight=None):
     return query, elastic, dop_plan
 
 
-def summarize(tag, query, elastic, deadline):
-    ups = [r for r in elastic.tuner.applied if "AP" in r.request.describe() or r.request.target > 1]
-    lines = [
-        f"deadline {deadline:.0f}s -> finished at {query.elapsed:.1f}s",
-        "actions: "
-        + (", ".join(
-            f"{r.request.describe()}@{r.issued_at:.0f}s" for r in elastic.tuner.applied
-        ) or "(none)"),
-        f"constraint markers: {len(query.tracker.markers_of('constraint'))}",
-    ]
-    emit(tag, "\n".join(lines))
+def record_run(record, case, query, elastic, deadline):
+    record("Figure 30", case, "deadline", deadline, digits=1)
+    record("Figure 30", case, "finished", query.elapsed, digits=1)
+    record("Figure 30", case, "actions", len(elastic.tuner.applied), "", 0)
+    constraints = len(query.tracker.markers_of("constraint"))
+    record("Figure 30", case, "constraints", constraints, "", 0)
 
 
-def test_fig30a_q2_auto_tuning(benchmark, small_catalog):
+def test_fig30a_q2_auto_tuning(record, small_catalog):
     untuned = make_engine(small_catalog).execute(QUERIES["Q2"], max_virtual_seconds=1e6)
     deadline = untuned.elapsed_seconds * 3  # a comfortably loose target
 
-    query, elastic, dop_plan = once(
-        benchmark, lambda: run_autotuned(small_catalog, QUERIES["Q2"], deadline)
-    )
-    summarize("Figure 30a: Q2 automatic DOP tuning", query, elastic, deadline)
-    benchmark.extra_info.update(
-        deadline_s=round(deadline, 1), finished_s=round(query.elapsed, 1)
-    )
+    query, elastic, dop_plan = run_autotuned(small_catalog, QUERIES["Q2"], deadline)
+    record_run(record, "Q2 (30a)", query, elastic, deadline)
 
     # The deadline was met.
     assert query.elapsed <= deadline
@@ -89,29 +75,18 @@ def test_fig30a_q2_auto_tuning(benchmark, small_catalog):
     assert reductions, "expected RP actions while ahead of schedule"
 
 
-def test_fig30b_q3_auto_tuning_with_midflight_constraint(benchmark, small_catalog):
+def test_fig30b_q3_auto_tuning_with_midflight_constraint(record, small_catalog):
     untuned = make_engine(small_catalog).execute(QUERIES["Q3"], max_virtual_seconds=1e6)
     deadline = untuned.elapsed_seconds * 2.5
 
-    def experiment():
-        return run_autotuned(
-            small_catalog,
-            QUERIES["Q3"],
-            deadline,
-            # A much tighter finish-S1-soon constraint arrives mid-flight.
-            midflight=(deadline * 0.25, 1, untuned.elapsed_seconds * 0.05),
-        )
-
-    query, elastic, dop_plan = once(benchmark, experiment)
-    summarize(
-        "Figure 30b: Q3 automatic DOP tuning (mid-flight constraint)",
-        query,
-        elastic,
+    query, elastic, dop_plan = run_autotuned(
+        small_catalog,
+        QUERIES["Q3"],
         deadline,
+        # A much tighter finish-S1-soon constraint arrives mid-flight.
+        midflight=(deadline * 0.25, 1, untuned.elapsed_seconds * 0.05),
     )
-    benchmark.extra_info.update(
-        deadline_s=round(deadline, 1), finished_s=round(query.elapsed, 1)
-    )
+    record_run(record, "Q3 (30b)", query, elastic, deadline)
 
     assert query.elapsed <= deadline
     # The mid-flight constraint was registered (two markers: initial + new).

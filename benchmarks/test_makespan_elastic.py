@@ -31,7 +31,7 @@ from repro import (
     Workload,
 )
 
-from conftest import emit_table, norm_rows, once
+from conftest import norm_rows
 
 QUERY = (
     "select l_returnflag, count(*), sum(l_quantity) "
@@ -79,67 +79,33 @@ def run_workload(engine, jobs, plan=None):
     return report, rows
 
 
-def test_makespan_and_cost_static_vs_elastic_vs_spot(benchmark, small_catalog):
-    points = [(2, 12), (3, 12)]
-
-    def sweep():
-        results = []
-        for fleet, jobs in points:
-            static, static_rows = run_workload(
-                build_engine(small_catalog, nodes=fleet, elastic=False), jobs
-            )
-            elastic, elastic_rows = run_workload(
-                build_engine(
-                    small_catalog, nodes=1, elastic=True, max_nodes=fleet
-                ),
-                jobs,
-            )
-            spot, spot_rows = run_workload(
-                build_engine(
-                    small_catalog,
-                    nodes=1,
-                    elastic=True,
-                    max_nodes=fleet,
-                    spot=True,
-                ),
-                jobs,
-                plan=PREEMPTION_PLAN,
-            )
-            results.append(
-                {
-                    "fleet": fleet,
-                    "jobs": jobs,
-                    "static": static,
-                    "elastic": elastic,
-                    "spot": spot,
-                    "rows": (static_rows, elastic_rows, spot_rows),
-                }
-            )
-        return results
-
-    results = once(benchmark, sweep)
-
-    table = []
-    for point in results:
+def test_makespan_and_cost_static_vs_elastic_vs_spot(record, small_catalog):
+    results = []
+    for fleet, jobs in [(2, 12), (3, 12)]:
+        static, static_rows = run_workload(
+            build_engine(small_catalog, nodes=fleet, elastic=False), jobs
+        )
+        elastic, elastic_rows = run_workload(
+            build_engine(small_catalog, nodes=1, elastic=True, max_nodes=fleet),
+            jobs,
+        )
+        spot, spot_rows = run_workload(
+            build_engine(
+                small_catalog, nodes=1, elastic=True, max_nodes=fleet, spot=True
+            ),
+            jobs,
+            plan=PREEMPTION_PLAN,
+        )
+        point = {"jobs": jobs, "static": static, "elastic": elastic, "spot": spot,
+                 "rows": (static_rows, elastic_rows, spot_rows)}
+        results.append(point)
         for mode in ("static", "elastic", "spot"):
-            report = point[mode]
-            cluster = report.cluster
-            table.append(
-                [
-                    f"{point['fleet']}x{point['jobs']}",
-                    mode,
-                    f"{report.horizon:.2f}",
-                    f"${cluster['cost_dollars']:.2f}",
-                    cluster["joins"],
-                    cluster["preemptions"],
-                    report.tenants["mix"].completed,
-                ]
-            )
-    emit_table(
-        "Fleet elasticity: makespan and dollars (burst + sparse tail)",
-        ["fleet x jobs", "mode", "makespan_s", "cost", "joins", "preempt", "done"],
-        table,
-    )
+            report, case = point[mode], f"{fleet}x{jobs} {mode}"
+            record("Makespan", case, "makespan", report.horizon)
+            record("Makespan", case, "cost", report.cluster["cost_dollars"], "$")
+            record("Makespan", case, "joins", report.cluster["joins"], "", 0)
+            record("Makespan", case, "preemptions", report.cluster["preemptions"], "", 0)
+            record("Makespan", case, "done", report.tenants["mix"].completed, "", 0)
 
     total = len(TAIL_TIMES)
     for point in results:
@@ -164,38 +130,19 @@ def test_makespan_and_cost_static_vs_elastic_vs_spot(benchmark, small_catalog):
         assert elastic.cluster["joins"] >= 1
         assert elastic.cluster["nodes_final"] == 1
 
-    benchmark.extra_info["points"] = [
-        {
-            "fleet": p["fleet"],
-            "jobs": p["jobs"],
-            "static_cost": p["static"].cluster["cost_dollars"],
-            "elastic_cost": p["elastic"].cluster["cost_dollars"],
-            "spot_cost": p["spot"].cluster["cost_dollars"],
-            "makespan": p["static"].horizon,
-            "spot_preemptions": p["spot"].cluster["preemptions"],
-        }
-        for p in results
-    ]
 
-
-def test_spot_churn_reports_are_byte_identical(benchmark, small_catalog):
+def test_spot_churn_reports_are_byte_identical(small_catalog):
     """Two same-seed spot runs — autoscaler decisions, preemption kills,
     lineage replays and all — render byte-identical workload reports."""
 
-    def run_twice():
-        first, _ = run_workload(
+    first, second = (
+        run_workload(
             build_engine(small_catalog, nodes=1, elastic=True, max_nodes=2, spot=True),
             8,
             plan=PREEMPTION_PLAN,
-        )
-        second, _ = run_workload(
-            build_engine(small_catalog, nodes=1, elastic=True, max_nodes=2, spot=True),
-            8,
-            plan=PREEMPTION_PLAN,
-        )
-        return first, second
-
-    first, second = once(benchmark, run_twice)
+        )[0]
+        for _ in range(2)
+    )
     assert first.render() == second.render()
     assert first.to_dict() == second.to_dict()
     assert first.cluster["preemptions"] >= 1

@@ -7,25 +7,20 @@ check the structural facts (node counts, splits per node, size ordering).
 
 from repro import SplitLayout
 
-from conftest import emit_table, once
 
+def test_table1_partitioning_scheme(record, eval_catalog):
+    layout = SplitLayout(eval_catalog, storage_nodes=10)
+    splits = {t.capitalize(): layout.splits(t) for t in layout.scheme}
+    sizes = {t: eval_catalog.table(t.lower()).size_bytes for t in splits}
+    total = sum(sizes.values())
+    for table, parts in splits.items():
+        nodes = len({s.storage_node for s in parts})
+        record("Table 1", table, "nodes", nodes, "", 0)
+        record("Table 1", table, "splits/node", len(parts) // nodes, "", 0)
+        record("Table 1", table, "size", sizes[table] / 1024, "KB")
+        record("Table 1", table, "share", 100 * sizes[table] / total, "%", 1)
 
-def test_table1_partitioning_scheme(benchmark, eval_catalog):
-    def build():
-        layout = SplitLayout(eval_catalog, storage_nodes=10)
-        for table in layout.scheme:
-            layout.splits(table)
-        return layout
-
-    layout = once(benchmark, build)
-    report = layout.setup_report()
-    emit_table(
-        "Table 1: TPC-H table setup (reduced scale; paper scheme)",
-        ["Table", "Partitioning scheme", "Table size", "Split size"],
-        [[r["table"], r["partitioning"], r["table_size"], r["split_size"]] for r in report],
-    )
-
-    by_table = {r["table"]: r for r in report}
+    by_table = {r["table"]: r for r in layout.setup_report()}
     assert by_table["Nation"]["partitioning"] == "1 node, 1 split/node"
     assert by_table["Region"]["partitioning"] == "1 node, 1 split/node"
     assert by_table["Lineitem"]["partitioning"] == "10 nodes, 7 split/node"
@@ -33,11 +28,7 @@ def test_table1_partitioning_scheme(benchmark, eval_catalog):
         assert by_table[table]["partitioning"] == "10 nodes, 1 split/node"
 
     # Size ordering matches the paper: lineitem > orders > partsupp > ...
-    sizes = {t: eval_catalog.table(t.lower()).size_bytes for t in by_table}
     assert sizes["Lineitem"] > sizes["Orders"] > sizes["Partsupp"]
     assert sizes["Partsupp"] > sizes["Customer"] > sizes["Supplier"]
-    total = sum(sizes.values())
-    benchmark.extra_info["total_bytes"] = total
-    benchmark.extra_info["lineitem_share"] = sizes["Lineitem"] / total
     # Lineitem dominates the database (paper: 74 GB of 107 GB).
     assert 0.5 < sizes["Lineitem"] / total < 0.85

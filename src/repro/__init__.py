@@ -41,7 +41,7 @@ _EXPORTS = {
     "obs.export": "QueryTrace",
     "obs.metrics": "MetricsRegistry",
     "obs.profile": "ProfileReport",
-    "obs.report": "render_curve_points render_series render_table",
+    "obs.report": "render_series render_table",
     "obs.trace": "Tracer",
     "predict.profile": "Prediction StageDemand",
     "script.executor": "ScriptResult run_script",
@@ -136,7 +136,6 @@ __all__ = [
     "presto_config",
     "prestissimo_config",
     "read_csv",
-    "render_curve_points",
     "render_series",
     "render_table",
     "run_script",

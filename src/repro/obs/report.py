@@ -86,15 +86,3 @@ def render_series(series: TimeSeries, width: int = 60, label: str | None = None)
     head = label or series.name
     return f"{head} (peak={peak:.0f}): |{''.join(chars)}|"
 
-
-def render_curve_points(
-    series: TimeSeries, step: float = 5.0, fmt: str = "{:.0f}"
-) -> list[tuple[float, str]]:
-    """Downsample a series to roughly one point per ``step`` seconds."""
-    out = []
-    next_time = series.times[0] if series.times else 0.0
-    for t, v in zip(series.times, series.values):
-        if t >= next_time:
-            out.append((round(t, 2), fmt.format(v)))
-            next_time = t + step
-    return out

@@ -611,8 +611,9 @@ def test_trees_are_descended_and_keyed_in_one_place():
 
 # -- one timed-action plan, one applier ----------------------------------------------
 #: ``repro.__all__`` before fault plans, churn plans and script ``at`` lines
-#: became one ``Plan``, less the two names deleted later with what they
-#: served: the no-spill mode's error and a third fingerprint spelling.
+#: became one ``Plan``, less the three names deleted later with what they
+#: served: the no-spill mode's error, a third fingerprint spelling and a
+#: curve downsampler nothing called.
 PUBLIC_NAMES_BEFORE_PLAN = {
     "AccordionEngine", "AccordionError", "Autoscaler", "BufferConfig", "Catalog",
     "ClosedLoop", "ClusterConfig", "ClusterMembership", "CostModel", "Decision",
@@ -628,8 +629,8 @@ PUBLIC_NAMES_BEFORE_PLAN = {
     "TPCH_SCHEMAS", "TaskCrash", "TpchGenerator", "TraceArrivals", "TraceConfig",
     "Tracer", "TuningRejected", "WorkerCrashedError", "Workload", "WorkloadConfig",
     "WorkloadReport", "eval_config", "eval_engine",
-    "prestissimo_config", "presto_config", "read_csv", "render_curve_points",
-    "render_series", "render_table", "run_script", "shuffle_experiment_engine",
+    "prestissimo_config", "presto_config", "read_csv", "render_series",
+    "render_table", "run_script", "shuffle_experiment_engine",
     "standalone_engine", "write_csv",
 }
 
@@ -648,7 +649,7 @@ def test_timed_actions_have_one_applier():
         for path in files
         if "schedule_at" in path.read_text(encoding="utf-8")
     ] == []
-    assert len(repro.__all__) == len(set(repro.__all__)) == 69
+    assert len(repro.__all__) == len(set(repro.__all__)) == 68
     assert set(repro.__all__) ^ PUBLIC_NAMES_BEFORE_PLAN == {
         "FaultInjector", "FaultPlan", "MembershipPlan", "Plan",
         "FaultConfig", "NodeSpec",

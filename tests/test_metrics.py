@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.report import render_curve_points, render_series, render_table
+from repro.obs.report import render_series, render_table
 from repro.obs.timeseries import TimeSeries
 from repro.data.tpch.queries import QUERIES
 
@@ -110,12 +110,3 @@ def test_render_series():
 
 def test_render_series_empty():
     assert "(empty)" in render_series(TimeSeries("x"))
-
-
-def test_render_curve_points_downsamples():
-    ts = TimeSeries("x")
-    for i in range(100):
-        ts.append(float(i), float(i))
-    points = render_curve_points(ts, step=10.0)
-    assert len(points) == 10
-    assert points[0][0] == 0.0
