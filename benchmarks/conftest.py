@@ -113,12 +113,10 @@ def emit_stage_curves(title: str, query, stages, use_processing_rate=True) -> No
 
 def norm_rows(rows):
     """Rows normalised for comparison: floats to 10 significant digits
-    (parallel aggregation changes summation order, not values)."""
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                float(f"{v:.10g}") if isinstance(v, float) else v for v in row
-            )
-        )
-    return sorted(out)
+    (parallel aggregation changes summation order, not values), rows
+    sorted with a NULL (``None``) below every value of its column."""
+    out = [
+        tuple(float(f"{v:.10g}") if isinstance(v, float) else v for v in row)
+        for row in rows
+    ]
+    return sorted(out, key=lambda row: [(v is not None, v) for v in row])

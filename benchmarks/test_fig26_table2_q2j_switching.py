@@ -97,6 +97,6 @@ def test_fig26_table2_dop_switching(record, eval_catalog):
     # Substantial overall reduction (paper: 56.16%).
     assert reduction > 25.0
     # The late request was rejected by the filter.
-    assert any(reason == "remaining-lt-build" for _, reason in rejected) or query.finished
+    assert any(reason == "remaining-lt-build" for _, reason in rejected), rejected
     # Rebuild markers (yellow dashed lines) recorded for each switch.
     assert len(query.tracker.markers_of("build_ready")) >= 4

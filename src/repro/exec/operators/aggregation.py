@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ...config import CostModel
-from ...pages import ColumnType, DictColumn, Page, Schema
-from ...pages.dictcolumn import concat_columns
+from ...pages import DictColumn, MaskedColumn, Page, Schema
+from ...pages.masked import concat_columns, map_values, split_nulls, with_nulls
 from ...sql.compiler import compile_expressions
-from ...sql.expressions import AggregateCall
+from ...sql.expressions import AggregateCall, CaseWhen, Constant, IsNull
 from ...sql.functions import (
     GroupKeyEncoder,
     group_codes,
@@ -73,24 +73,17 @@ _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 #: (called several times on every page).
 _LOWEST, _HIGHEST = np.minimum.reduce, np.maximum.reduce
 
-#: Aggregate over zero rows (engine-wide convention; see reference.py).
-def _empty_value(function: str, result_type: ColumnType):
-    if function == "count":
-        return 0
-    if function == "sum":
-        return 0 if result_type is ColumnType.INT64 else 0.0
-    return float("nan")
-
-
 #: How a state field combines with an incoming per-group partial array.
 _SUM, _MIN, _MAX = np.add, np.minimum, np.maximum
 
 
 def _field_specs(agg: AggregateCall) -> list[tuple[np.ufunc, np.dtype]]:
-    """(merge kind, storage dtype) per state field of one aggregate call."""
+    """(merge kind, storage dtype) per state field of one aggregate call
+    (a count of non-NULL values, the second field, is summed)."""
     arg_type = agg.arg.type if agg.arg is not None else None
     kind = {"min": _MIN, "max": _MAX}.get(agg.function, _SUM)
-    return [(kind, t.numpy_dtype) for t in partial_fields(agg.function, arg_type)]
+    fields = partial_fields(agg.function, arg_type, agg.skips_nulls)
+    return [(kind if i == 0 else _SUM, t.numpy_dtype) for i, t in enumerate(fields)]
 
 
 def _merge_identity(kind: np.ufunc, dtype: np.dtype):
@@ -198,9 +191,7 @@ class _HashAggState:
         self._key_chunks.append(key_columns)
         for col in key_columns:
             self._key_bytes += (
-                len(col) * _OBJECT_CELL_BYTES
-                if isinstance(col, DictColumn)
-                else col.nbytes
+                len(col) * (_OBJECT_CELL_BYTES if col.dtype == object else col.dtype.itemsize)
             )
         if self._count > self._capacity:
             capacity = max(256, self._capacity * 2, self._count)
@@ -255,22 +246,25 @@ class _HashAggState:
         ]
 
     def _encode(self, j: int, col: DictColumn) -> np.ndarray:
-        """String key column ``j`` as operator-lifetime ``int64`` codes."""
+        """String key column ``j`` as operator-lifetime ``int64`` codes
+        (its NULLs kept)."""
         encoder = self._encoders.get(j)
         if encoder is None:
             encoder = self._encoders[j] = GroupKeyEncoder()
+        if type(col) is MaskedColumn:
+            return MaskedColumn(encoder.encode(col.values), col.valid)
         return encoder.encode(col)
 
     # -- rows -> packed codes ---------------------------------------------
     def _pack(self, key_cols: list[np.ndarray], num_rows: int):
         """Packed code per row, the packing grown to cover the page first;
-        ``None`` (for good) once the keys stop packing."""
+        ``None`` (for good) once the keys stop packing (a NULL key too)."""
         digits, ranges = [], []
         for j, col in enumerate(key_cols):
             if isinstance(col, DictColumn):
                 digits.append(self._encode(j, col))
                 ranges.append((0, len(self._encoders[j].values) - 1))
-            elif col.dtype.kind == "i":
+            elif col.dtype.kind == "i" and type(col) is not MaskedColumn:
                 digits.append(col)
                 ranges.append((int(_LOWEST(col)), int(_HIGHEST(col))))
             else:
@@ -380,7 +374,7 @@ class _HashAggState:
         (codes, one dict key per page group, the groups' key columns over
         the page's own dictionaries)."""
         encoded = [
-            self._encode(j, col) if isinstance(col, DictColumn) else col
+            self._encode(j, col) if col.dtype == object else col
             for j, col in enumerate(key_cols)
         ]
         codes, uniques = group_codes(encoded)
@@ -388,10 +382,10 @@ class _HashAggState:
         for j in self._encoders:
             # Operator code -> a dictionary code of this page carrying it
             # (entries are distinct, so any row of the group will do).
-            col = key_cols[j]
-            entry_of = np.empty(len(self._encoders[j].values), dtype=np.int32)
-            entry_of[encoded[j]] = col.codes
-            uniques[j] = DictColumn(entry_of[uniques[j]], col.dictionary)
+            col, operator_codes = split_nulls(key_cols[j])[0], split_nulls(encoded[j])[0]
+            entry_of = np.zeros(len(self._encoders[j].values), dtype=np.int32)
+            entry_of[operator_codes] = col.codes
+            uniques[j] = map_values(lambda u, c=col: DictColumn(entry_of[u], c.dictionary), uniques[j])
         return codes, keys, uniques
 
     def _dict_slots(self, keys: list, uniques: list[np.ndarray]) -> np.ndarray:
@@ -436,11 +430,13 @@ class _HashAggState:
     @staticmethod
     def _merge_strings(arr, kind: np.ufunc, codes, target, values: DictColumn) -> None:
         """String min/max state holds one python value per group; a
-        group the page does not touch has no string to offer, so slots
-        are first narrowed to the ones present."""
-        if isinstance(target, slice):
-            present, codes = np.unique(codes, return_inverse=True)
-            target = present + target.start
+        group the page does not touch (or touches only with NULLs) has no
+        string to offer, so slots are first narrowed to the ones present."""
+        values, valid = split_nulls(values)
+        if valid is not None:
+            codes, values = codes[valid], values[valid]
+        present, codes = np.unique(codes, return_inverse=True)
+        target = present + target.start if isinstance(target, slice) else target[present]
         reduce, wins = (
             (grouped_min, operator.lt) if kind is _MIN else (grouped_max, operator.gt)
         )
@@ -470,6 +466,17 @@ class _HashAggState:
         return keys, fields
 
 
+def _value_input(agg: AggregateCall):
+    """What a call's value field reads: its argument, a NULL of which
+    reads as the merge's identity (a string, with none, keeps its mask
+    for :meth:`_HashAggState._merge_strings`)."""
+    arg = agg.arg
+    identity = _merge_identity(*_field_specs(agg)[0]) if agg.skips_nulls else None
+    if identity is None:
+        return arg
+    return CaseWhen(((IsNull(arg, negated=True), arg),), Constant(identity, arg.type), arg.type)
+
+
 def _field_input_evaluator(aggregates: list[AggregateCall]):
     """Build ``f(page) -> [input column | None per state field]``
     (``None``: the field counts rows).
@@ -477,14 +484,19 @@ def _field_input_evaluator(aggregates: list[AggregateCall]):
     All argument expressions are compiled jointly, so common
     subexpressions shared between aggregates evaluate once per page, and
     one expression feeding several fields (``sum(x)``, ``avg(x)``) is one
-    column, reduced once.
+    column, reduced once.  An argument that can be NULL is skipped: its
+    value field reads :func:`_value_input`, its count field sums
+    ``x IS NOT NULL``.
     """
     position: dict = {}
     picks: list[int | None] = []
     for agg in aggregates:
         if agg.function != "count":
-            picks.append(position.setdefault(agg.arg, len(position)))
-        if agg.function in ("count", "avg"):
+            picks.append(position.setdefault(_value_input(agg), len(position)))
+        if agg.skips_nulls:
+            counted = IsNull(agg.arg, negated=True)
+            picks.append(position.setdefault(counted, len(position)))
+        elif agg.function in ("count", "avg"):
             picks.append(None)
     if not position:
         return lambda page: picks
@@ -669,24 +681,20 @@ class FinalAggOperator(TransformOperator):
         state = self.state
         if not len(state):
             if self.num_keys == 0:
-                # Global aggregate over empty input still yields one row.
-                row = tuple(
-                    _empty_value(a.function, a.result_type)
-                    for a in state.aggregates
-                )
+                # A global aggregate over no rows still yields one row:
+                # count 0, every other call NULL.
+                row = tuple(0 if a.function == "count" else None for a in state.aggregates)
                 return [Page.from_rows(self.output_schema, [row])]
             return []
         key_cols, field_cols = state.drain_columns()
         columns = list(key_cols)
-        for ai, agg in enumerate(state.aggregates):
-            offset = state.offsets[ai]
+        for agg, offset in zip(state.aggregates, state.offsets):
+            column = field_cols[offset]
             if agg.function == "avg":
-                totals = field_cols[offset]
-                counts = field_cols[offset + 1]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    avg = totals / counts
-                avg = np.where(counts == 0, np.nan, avg)
-                columns.append(avg)
-            else:
-                columns.append(field_cols[offset])
+                    column = column / field_cols[offset + 1]
+            if agg.skips_nulls and agg.function != "count" and column.dtype != object:
+                # No non-NULL value: NULL (a string state holds None already).
+                column = with_nulls(column, field_cols[offset + 1] > 0)
+            columns.append(column)
         return Page(self.output_schema, columns).split(self.row_limit)

@@ -40,7 +40,8 @@ import numpy as np
 from ...buffers.elastic import WaiterList
 from ...config import CostModel
 from ...errors import ExecutionError
-from ...pages import DictColumn, Page, Schema, concat_pages
+from ...pages import DictColumn, MaskedColumn, Page, Schema, concat_pages
+from ...pages.masked import split_nulls, valid_rows
 from ...pages.dictcolumn import EntryLookup
 from ...plan.logical import JoinType
 from ...sql.compiler import compile_expression
@@ -108,6 +109,10 @@ class _BuildIndex:
         self._identity_comb = False
         self._fallback_table: dict[tuple, int] | None = None
         key_cols = [build_page.columns[k] for k in build_keys]
+        valid = valid_rows(key_cols)
+        if valid is not None:  # a NULL key matches nothing: leave its rows out
+            self.build_page = build_page = build_page.mask(valid)
+            key_cols = [build_page.columns[k] for k in build_keys]
         if key_cols and build_page.num_rows:
             codes = self._factorize(key_cols)
             order = np.argsort(codes, kind="stable")
@@ -177,7 +182,12 @@ class _BuildIndex:
         return codes
 
     def probe_group_ids(self, key_cols: list[np.ndarray]) -> np.ndarray:
-        """Map each probe row to its build group id, or -1 for no match."""
+        """Map each probe row to its build group id, or -1 for no match
+        (a NULL key's)."""
+        for col in key_cols:
+            if type(col) is MaskedColumn:
+                gids = self.probe_group_ids([split_nulls(c)[0] for c in key_cols])
+                return np.where(valid_rows(key_cols), gids, -1)
         n = len(key_cols[0]) if key_cols else 0
         if not n or self.num_groups == 0:
             return np.full(n, -1, dtype=np.int64)

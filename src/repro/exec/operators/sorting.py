@@ -7,20 +7,30 @@ import numpy as np
 
 from ...config import CostModel
 from ...pages import DictColumn, Page, Schema, concat_pages
+from ...pages.masked import split_nulls
 from .base import TransformOperator
 
 
 def sort_indices(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
-    """Stable multi-key sort; supports mixed asc/desc and string keys."""
+    """Stable multi-key sort; supports mixed asc/desc and string keys.
+    NULL sorts below every value: first ascending, last descending."""
     order = np.arange(page.num_rows)
     # Apply keys from least to most significant; each pass is stable.
     for index, ascending in reversed(sort_keys):
-        column = page.columns[index][order]
-        if isinstance(column, DictColumn):
-            column = column.rank_codes()[0]  # integers ordered like the text
-        key = column if ascending else -column
-        order = order[np.argsort(key, kind="stable")]
+        for key in _sort_passes(page.columns[index]):
+            key = key[order]
+            order = order[np.argsort(key if ascending else -key, kind="stable")]
     return order
+
+
+def _sort_passes(column) -> tuple:
+    """Integer keys ordered like ``column``, least significant first: its
+    values (a string's ranks); with a NULL, those values with every NULL
+    alike (so NULLs keep their order), then the validity."""
+    column, valid = split_nulls(column)
+    if isinstance(column, DictColumn):
+        column = column.rank_codes()[0]  # integers ordered like the text
+    return (column,) if valid is None else (np.where(valid, column, 0), valid.astype(np.int8))
 
 
 class TopNOperator(TransformOperator):

@@ -211,6 +211,10 @@ class Task:
     # driver management
     # ------------------------------------------------------------------
     def start(self, task_dop: int) -> None:
+        if self.finished:
+            # Torn down before it started: another task's first quantum
+            # already failed the query.
+            return
         for runtime in self.pipelines:
             count = task_dop if runtime.spec.tunable else 1
             for _ in range(max(1, count)):

@@ -1,6 +1,7 @@
 """Columnar page format: schemas, pages and end pages."""
 
 from .dictcolumn import DictColumn
+from .masked import MaskedColumn
 from .page import Page, PageKind, concat_pages
 from .schema import ColumnType, Field, Schema
 
@@ -8,6 +9,7 @@ __all__ = [
     "ColumnType",
     "DictColumn",
     "Field",
+    "MaskedColumn",
     "Page",
     "PageKind",
     "Schema",

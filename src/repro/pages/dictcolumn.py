@@ -10,7 +10,9 @@ Base-table dictionaries are created once by the generator / cache / CSV
 loader and shared by every page sliced from the table, so they keep
 their identity through scans, joins, exchanges and buffers.  Columns
 whose dictionaries differ (constants, CASE outputs, pages read back from
-spill files or worker processes) are merged by :func:`unify`.
+spill files or worker processes) are merged by :func:`unify`.  A dictionary
+holds text only: a NULL cell is the column's validity mask
+(:class:`~repro.pages.MaskedColumn`), never an entry.
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ def _lazy_gather(
 def _utf8_lengths(values: Sequence, listed: list) -> np.ndarray:
     """Accounted UTF-8 byte length of each entry (sizes are the cost
     model's input).  A 1-D fixed-width unicode array (the dataset
-    archive's form, which cannot hold ``None``) whose code points are all
-    ASCII has one byte per character, counted in one vectorized pass;
-    anything else is encoded entry by entry, ``None`` as ``str(None)``,
-    which is what a NULL cell has always been accounted (and hashed) as."""
+    archive's form) whose code points are all ASCII has one byte per
+    character, counted in one vectorized pass; anything else is encoded
+    entry by entry."""
     if (
         isinstance(values, np.ndarray)
         and values.dtype.kind == "U"
@@ -77,7 +78,7 @@ def _utf8_lengths(values: Sequence, listed: list) -> np.ndarray:
 
 
 class StringDictionary:
-    """Immutable set of distinct string values (``None`` allowed once).
+    """Immutable set of distinct string values.
 
     Carries what the engine derives from the text, per entry: accounted
     UTF-8 byte lengths (eager — every page is sized), and lazily the
@@ -86,7 +87,7 @@ class StringDictionary:
     """
 
     __slots__ = (
-        "values", "utf8_len", "fixed_len", "has_none", "_crc", "_order",
+        "values", "utf8_len", "fixed_len", "_crc", "_order",
         "_ranks", "_wire", "_memo",
     )
 
@@ -102,10 +103,9 @@ class StringDictionary:
         distinct = set(listed)
         if len(distinct) != len(listed):
             raise ValueError("dictionary entries must be distinct")
+        if None in distinct:
+            raise ValueError("a dictionary holds no None: a NULL is the column's mask")
         self.values = entries
-        #: ``None`` does not order against text, so a dictionary holding
-        #: it is ranked only over the entries a column uses.
-        self.has_none = None in distinct
         if utf8_len is None:
             utf8_len = _utf8_lengths(values, listed)
         self.utf8_len = utf8_len
@@ -174,19 +174,12 @@ class StringDictionary:
         ).view(bool)
 
     def wire(self) -> tuple[np.ndarray, bytes]:
-        """(``int32`` byte length per entry with -1 for ``None``,
-        concatenated UTF-8 payload) — the serialised dictionary."""
+        """(``int32`` byte length per entry, concatenated UTF-8 payload) —
+        the serialised dictionary."""
         if self._wire is None:
-            encoded = [
-                None if v is None else str(v).encode("utf-8")
-                for v in self.values.tolist()
-            ]
-            lengths = np.fromiter(
-                (-1 if e is None else len(e) for e in encoded),
-                dtype=_INT32,
-                count=len(encoded),
-            )
-            self._wire = lengths, b"".join(e for e in encoded if e is not None)
+            encoded = [str(v).encode("utf-8") for v in self.values.tolist()]
+            lengths = np.fromiter(map(len, encoded), dtype=_INT32, count=len(encoded))
+            self._wire = lengths, b"".join(encoded)
         return self._wire
 
     @classmethod
@@ -194,16 +187,9 @@ class StringDictionary:
         values = np.empty(len(lengths), dtype=object)
         at = 0
         for i, n in enumerate(lengths.tolist()):
-            if n >= 0:
-                values[i] = payload[at : at + n].decode("utf-8")
-                at += n
-        return cls(
-            values, np.where(lengths < 0, len("None"), lengths).astype(np.int64)
-        )
-
-
-def _is_none(value) -> bool:
-    return value is None
+            values[i] = payload[at : at + n].decode("utf-8")
+            at += n
+        return cls(values, lengths.astype(np.int64))
 
 
 @lru_cache(maxsize=256)
@@ -308,40 +294,26 @@ class DictColumn:
         return self.dictionary.crc.take(self.codes)
 
     def test(self, key, fn: Callable[[object], bool]) -> np.ndarray:
-        """Row mask of a per-value predicate (LIKE, IN, IS NULL, compare
-        with a constant), memoised on the dictionary under ``key``."""
+        """Row mask of a per-value predicate (LIKE, IN, compare with a
+        constant), memoised on the dictionary under ``key``."""
         return self.dictionary.test(key, fn, self.codes)
 
-    def is_null(self) -> np.ndarray:
-        return self.test(("isnull",), _is_none)
-
-    def compact(self) -> "DictColumn":
-        """Equal column over a dictionary holding only the entries used."""
-        used, inverse = np.unique(self.codes, return_inverse=True)
-        dictionary = self.dictionary
-        return DictColumn(
-            inverse.astype(_INT32),
-            StringDictionary(dictionary.values[used], dictionary.utf8_len[used]),
-        )
-
     def _trimmed(self) -> "DictColumn":
-        """Self, compacted when the dictionary outsizes the column (work
-        per entry must not exceed work per row)."""
-        return self.compact() if len(self.dictionary) > len(self.codes) else self
+        """Self, or when the dictionary outsizes the column (work per entry
+        must not exceed work per row) an equal column over a dictionary
+        holding only the entries used."""
+        if len(self.dictionary) <= len(self.codes):
+            return self
+        used, inverse = np.unique(self.codes, return_inverse=True)
+        entries = StringDictionary(self.dictionary.values[used], self.dictionary.utf8_len[used])
+        return DictColumn(inverse.astype(_INT32), entries)
 
     def rank_codes(self) -> tuple[np.ndarray, StringDictionary]:
         """``(rank per row, dictionary)``: integers ordered like the
         values, for sorting and grouping; ``dictionary.order[rank]`` is
         the entry code a rank stands for."""
-        # An unused ``None`` entry (CASE seeds one, a NULL-filtered CSV
-        # column keeps one) must not reach the value sort.
-        col = self.compact() if self.dictionary.has_none else self._trimmed()
+        col = self._trimmed()
         return col.dictionary.ranks[col.codes], col.dictionary
-
-    def where(self, mask: np.ndarray, other: "DictColumn") -> "DictColumn":
-        """Rows of ``other`` where ``mask``, of ``self`` elsewhere."""
-        (mine, theirs), dictionary = unify([self, other])
-        return DictColumn(np.where(mask, theirs, mine), dictionary)
 
     # -- comparisons (yield boolean arrays, like ndarray) ----------------------
     def _compare(self, op, other) -> np.ndarray:
@@ -349,7 +321,8 @@ class DictColumn:
             if op is operator.eq or op is operator.ne:
                 (lhs, rhs), _ = unify([self, other])
                 return op(lhs, rhs)
-            ranks, _ = concat_columns([self, other]).rank_codes()
+            codes, dictionary = unify([self, other])
+            ranks, _ = DictColumn(np.concatenate(codes), dictionary).rank_codes()
             return op(ranks[: len(self)], ranks[len(self) :])
         return self.test((op.__name__, other), lambda v: op(v, other))
 
@@ -467,11 +440,3 @@ def unify(columns: Sequence[DictColumn]) -> tuple[list[np.ndarray], StringDictio
         for p, codes in zip(positions, np.split(remap[group.codes], bounds)):
             out[p] = codes
     return out, StringDictionary(list(index), np.concatenate(lengths))
-
-
-def concat_columns(columns: Sequence) -> "np.ndarray | DictColumn":
-    """``np.concatenate`` for page columns of one type."""
-    if isinstance(columns[0], DictColumn):
-        codes, dictionary = unify(columns)
-        return DictColumn(np.concatenate(codes), dictionary)
-    return np.concatenate(columns)

@@ -1,7 +1,8 @@
 """Columnar pages — the unit of data flow between operators and tasks.
 
 A page holds a batch of rows as parallel columns: numpy arrays for the
-fixed-width types, :class:`~repro.pages.DictColumn` for STRING.  Besides
+fixed-width types, :class:`~repro.pages.DictColumn` for STRING; a column
+holding a NULL wraps either in a :class:`~repro.pages.MaskedColumn`.  Besides
 ordinary data pages the engine uses *end pages* (paper Section 4.3):
 
 * ``PageKind.END`` — "no more data will follow"; relayed operator-to-
@@ -18,8 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dictcolumn import DictColumn, concat_columns
-from .schema import Schema
+from .dictcolumn import DictColumn
+from .masked import MaskedColumn, concat_columns, with_nulls
+from .schema import ColumnType, Schema
 
 #: Fixed per-page metadata overhead in bytes.
 PAGE_OVERHEAD_BYTES = 64
@@ -56,8 +58,8 @@ class Page:
             # Invariant: STRING columns are dictionary-encoded.  Operators
             # hand over DictColumns; python values are ingested here.
             for i in schema.string_positions:
-                if type(columns[i]) is not DictColumn:
-                    encoded = DictColumn.from_values(columns[i])
+                if type(columns[i]) is not DictColumn and type(columns[i]) is not MaskedColumn:
+                    encoded = ColumnType.STRING.coerce(columns[i])
                     columns = columns[:i] + (encoded,) + columns[i + 1 :]
         self.columns = columns
         self.kind = kind
@@ -105,7 +107,9 @@ class Page:
         the dictionary encoding holds the strings: fixed-width columns
         cost ``rows * width``; string columns cost an ``int32`` length
         prefix per cell plus the UTF-8 bytes of each cell's text — one
-        gather over the dictionary's per-entry byte lengths.
+        gather over the dictionary's per-entry byte lengths.  A NULL cell
+        is accounted like any other of its column, but a NULL string has
+        no UTF-8 bytes; the validity mask is not accounted.
         """
         if self._size is None:
             n = self.num_rows
@@ -125,17 +129,22 @@ class Page:
         them somewhere).  String columns contribute three
         (:meth:`DictColumn.to_buffers`): the ``int32`` codes, and the
         dictionary as entry lengths + concatenated UTF-8 payload — cached
-        on the dictionary, so a page costs no per-cell work.  Spill files
-        consume this layout; :meth:`from_column_buffers` is the inverse.
+        on the dictionary, so a page costs no per-cell work.  A page with
+        a NULL appends one validity buffer per column (empty where the
+        column has no mask).  Spill files consume this layout;
+        :meth:`from_column_buffers` is the inverse.
         """
         buffers: list = []
-        for col in self.columns:
+        masks = [b""] * len(self.columns)
+        for i, col in enumerate(self.columns):
+            if type(col) is MaskedColumn:
+                masks[i], col = memoryview(np.ascontiguousarray(col.valid)).cast("B"), col.values
             if isinstance(col, DictColumn):
                 buffers.extend(col.to_buffers())
             else:
                 arr = np.ascontiguousarray(col)
                 buffers.append(memoryview(arr).cast("B"))
-        return buffers
+        return buffers + masks if any(masks) else buffers
 
     @classmethod
     def from_column_buffers(
@@ -159,6 +168,11 @@ class Page:
                     np.frombuffer(buffers[cursor], dtype=fld.type.numpy_dtype)
                 )
                 cursor += 1
+        if cursor < len(buffers):
+            columns = [
+                with_nulls(col, np.frombuffer(mask, dtype=bool)) if len(mask) else col
+                for col, mask in zip(columns, buffers[cursor:])
+            ]
         return cls(schema, columns)
 
     # -- row-level views (tests / result collection) ---------------------

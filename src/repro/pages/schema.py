@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dictcolumn import DictColumn
+from .masked import MaskedColumn
 
 
 class ColumnType(enum.Enum):
@@ -36,13 +37,20 @@ class ColumnType(enum.Enum):
         """Bytes per value for fixed-width types, ``None`` for strings."""
         return _FIXED_WIDTHS[self]
 
-    def coerce(self, values: Iterable) -> "np.ndarray | DictColumn":
-        """Build a column of this type from arbitrary values."""
+    def coerce(self, values: Iterable) -> "np.ndarray | DictColumn | MaskedColumn":
+        """Build a column of this type from arbitrary values; ``None``
+        cells are NULLs (the validity mask, over an empty or zero value)."""
+        if isinstance(values, (DictColumn, MaskedColumn)):
+            return values
+        if not isinstance(values, np.ndarray) or values.dtype == object:
+            values = list(values)
+            if None in values:
+                valid = np.array([v is not None for v in values], dtype=bool)
+                filler = "" if self is ColumnType.STRING else 0
+                return MaskedColumn(self.coerce([filler if v is None else v for v in values]), valid)
         if self is ColumnType.STRING:
-            if isinstance(values, DictColumn):
-                return values
             return DictColumn.from_values(values)
-        return np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=self.numpy_dtype)
+        return np.asarray(values, dtype=self.numpy_dtype)
 
     @property
     def is_numeric(self) -> bool:
@@ -65,10 +73,12 @@ _FIXED_WIDTHS = {
 
 @dataclass(frozen=True)
 class Field:
-    """A named, typed column in a schema."""
+    """A named, typed column in a schema; ``nullable`` when a row of it
+    can be NULL (known when the plan is bound)."""
 
     name: str
     type: ColumnType
+    nullable: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{self.name}:{self.type.value}"
@@ -163,4 +173,4 @@ class Schema:
         names = list(names)
         if len(names) != len(self.fields):
             raise ValueError("rename arity mismatch")
-        return Schema(Field(n, f.type) for n, f in zip(names, self.fields))
+        return Schema(Field(n, f.type, f.nullable) for n, f in zip(names, self.fields))

@@ -36,7 +36,7 @@ def remap_expr(expr: BoundExpr, mapping: dict[int, int]) -> BoundExpr:
                 raise PlanningError(
                     f"expression references unmapped column ${node.index} ({node.name})"
                 )
-            return InputRef(mapping[node.index], node.type, node.name)
+            return InputRef(mapping[node.index], node.type, node.name, node.nullable)
         return node
 
     return transform_expr(expr, rewrite)

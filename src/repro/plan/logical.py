@@ -74,7 +74,7 @@ class LogicalProject(LogicalNode):
 
     @classmethod
     def of(cls, child: LogicalNode, exprs: list[BoundExpr], names: list[str]) -> "LogicalProject":
-        schema = Schema(Field(n, e.type) for n, e in zip(names, exprs))
+        schema = Schema(Field(n, e.type, e.nullable) for n, e in zip(names, exprs))
         return cls(child, list(exprs), schema)
 
     def describe(self) -> str:
@@ -129,14 +129,14 @@ class LogicalAggregate(LogicalNode):
         for i, key in enumerate(group_keys):
             base = child_schema.fields[key]
             name = names[i] if names else base.name
-            fields.append(Field(name, base.type))
+            fields.append(Field(name, base.type, base.nullable))
         for j, agg in enumerate(aggregates):
             name = (
                 names[len(group_keys) + j]
                 if names
                 else f"{agg.function}_{len(group_keys) + j}"
             )
-            fields.append(Field(name, agg.result_type))
+            fields.append(Field(name, agg.result_type, agg.output_nullable(bool(group_keys))))
         return cls(child, list(group_keys), list(aggregates), Schema(fields))
 
     def describe(self) -> str:

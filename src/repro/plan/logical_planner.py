@@ -211,6 +211,7 @@ class LogicalPlanner:
                 leaves.append(leaf)
                 pushed[len(leaves) - 1] = []
                 value_col = ext_offset + len(leaf_plan.schema) - 1
+                value_field = leaf_plan.schema.fields[-1]
                 for i, outer_id in enumerate(outer_ids):
                     edges.append(
                         JoinEdge(leaf_of(outer_id), outer_id, len(leaves) - 1, ext_offset + i)
@@ -219,7 +220,7 @@ class LogicalPlanner:
                 residual = Comparison(
                     op,
                     bound_value,
-                    InputRef(value_col, leaf_plan.schema.fields[-1].type, "scalar"),
+                    InputRef(value_col, value_field.type, "scalar", value_field.nullable),
                 )
                 if outer_ids:
                     residuals.append(residual)
@@ -421,7 +422,7 @@ class LogicalPlanner:
             pre_names.append("agg_arg")
             agg = AggregateCall(
                 agg.function,
-                InputRef(len(corr_exprs), agg.arg.type, "agg_arg"),
+                InputRef(len(corr_exprs), agg.arg.type, "agg_arg", agg.arg.nullable),
                 agg.result_type,
             )
         pre_project = LogicalProject.of(tree, pre_exprs, pre_names)
@@ -435,7 +436,7 @@ class LogicalPlanner:
         # item is the bare aggregate).  ``value_expr`` references the
         # aggregation output schema by construction of the binder.
         post_exprs = [
-            InputRef(i, agg_plan.schema.fields[i].type, f"corr_{i}")
+            InputRef(i, agg_plan.schema.fields[i].type, f"corr_{i}", agg_plan.schema.fields[i].nullable)
             for i in range(len(corr_exprs))
         ] + [value_expr]
         agg_plan = LogicalProject.of(
@@ -560,7 +561,7 @@ class LogicalPlanner:
             final_aggs.append(
                 AggregateCall(
                     agg.function,
-                    InputRef(arg_positions[remapped], agg.arg.type, "agg_arg"),
+                    InputRef(arg_positions[remapped], agg.arg.type, "agg_arg", agg.arg.nullable),
                     agg.result_type,
                 )
             )
@@ -591,12 +592,14 @@ class LogicalPlanner:
             # projection below only reads aggregate-output positions, so
             # the extra column is dropped there.
             scalar_col = len(plan.schema)
-            scalar_type = sub_plan.schema.fields[0].type
+            scalar = sub_plan.schema.fields[0]
             plan = LogicalJoin(plan, sub_plan, JoinType.CROSS, [], [])
             plan = LogicalFilter(
                 plan,
                 Comparison(
-                    op, value_bound, InputRef(scalar_col, scalar_type, "scalar")
+                    op,
+                    value_bound,
+                    InputRef(scalar_col, scalar.type, "scalar", scalar.nullable),
                 ),
             )
         names = [_output_name(item, i) for i, item in enumerate(items)]

@@ -326,6 +326,6 @@ def partial_agg_schema(
     fields: list[Field] = [input_schema.fields[k] for k in group_keys]
     for i, agg in enumerate(aggregates):
         arg_type = agg.arg.type if agg.arg is not None else None
-        for j, state_type in enumerate(partial_fields(agg.function, arg_type)):
+        for j, state_type in enumerate(partial_fields(agg.function, arg_type, agg.skips_nulls)):
             fields.append(Field(f"{agg.function}_{i}_{j}", state_type))
     return Schema(fields)

@@ -4,6 +4,12 @@ Evaluates a logical plan directly over whole in-memory tables, with
 straightforward dict-based joins and aggregations.  The distributed engine
 must produce exactly the same rows under *any* DOP tuning schedule — the
 test suite's central invariant (elasticity never changes answers).
+
+NULL follows SQLite, with its own code over python values (``None``):
+aggregates skip it and answer NULL over no value (``count``: 0), a NULL
+join key matches nothing, groups and sorts put NULL first (last when
+descending); expressions are the interpreter's own
+(``BoundExpr.evaluate``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .data import Catalog
 from .errors import ExecutionError
-from .pages import ColumnType, DictColumn, Page, Schema
+from .pages import Page, Schema
 from .plan.logical import (
     JoinType,
     LogicalAggregate,
@@ -29,21 +35,6 @@ from .plan.logical import (
     LogicalTopN,
 )
 from .sql.expressions import AggregateCall
-
-
-def empty_aggregate_value(call: AggregateCall):
-    """Value of an aggregate over zero rows (engine-wide convention).
-
-    Standard SQL yields NULL for sum/avg/min/max over empty input; this
-    engine is NULL-free, so it uses 0 for sums/counts and NaN for the rest
-    (documented deviation, consistent across reference and distributed
-    executors).
-    """
-    if call.function == "count":
-        return 0
-    if call.function == "sum":
-        return 0 if call.result_type is ColumnType.INT64 else 0.0
-    return float("nan")
 
 
 def execute_reference(plan: LogicalNode, catalog: Catalog) -> Page:
@@ -87,7 +78,8 @@ class _Reference:
         build_keys = _key_rows(right, node.right_keys)
         table: dict[tuple, list[int]] = {}
         for i, key in enumerate(build_keys):
-            table.setdefault(key, []).append(i)
+            if None not in key:  # a NULL key matches nothing
+                table.setdefault(key, []).append(i)
 
         probe_keys = _key_rows(left, node.left_keys)
         if node.join_type in (JoinType.SEMI, JoinType.ANTI):
@@ -125,15 +117,12 @@ class _Reference:
     def _run_LogicalAggregate(self, node: LogicalAggregate) -> Page:
         """Grouped with its own code, not the engine's kernels: a dict
         from key tuple to the group's rows, groups in ascending key
-        order."""
+        order; a global aggregate is one group, even of no rows."""
         child = self.run(node.child)
-        if not node.group_keys:
-            row = tuple(_global_aggregate(agg, child) for agg in node.aggregates)
-            return Page.from_rows(node.schema, [row])
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[tuple, list[int]] = {} if node.group_keys else {(): []}
         for row, key in enumerate(_key_rows(child, node.group_keys)):
             groups.setdefault(key, []).append(row)
-        keys = sorted(groups)
+        keys = sorted(groups, key=lambda key: tuple(map(_null_first, key)))
         members = [groups[key] for key in keys]
         columns = [_grouped_aggregate(agg, child, members) for agg in node.aggregates]
         return Page.from_rows(
@@ -171,42 +160,31 @@ def _concat_rows(schema: Schema, left: Page, right: Page, left_idx, right_idx) -
     return Page(schema, columns)
 
 
-def _global_aggregate(agg: AggregateCall, page: Page):
-    if page.num_rows == 0:
-        return empty_aggregate_value(agg)
-    if agg.function == "count":
-        return page.num_rows
-    values = agg.arg.evaluate(page)
-    if isinstance(values, DictColumn):
-        values = values.decode()
-    if agg.function == "sum":
-        total = values.sum()
-        return int(total) if agg.result_type is ColumnType.INT64 else float(total)
-    if agg.function == "avg":
-        return float(values.sum() / page.num_rows)
-    if agg.function == "min":
-        return values.min()
-    if agg.function == "max":
-        return values.max()
-    raise ExecutionError(f"unknown aggregate {agg.function}")
+def _null_first(value) -> tuple:
+    """Sort key ordering NULL below every value."""
+    return value is not None, value
 
 
 def _grouped_aggregate(agg: AggregateCall, page: Page, members: list[list[int]]) -> list:
     """One value per group (``members``: each group's rows, in row
-    order), over python values: INT64 sums are exact ints, float sums add
-    in row order from zero, as one sequential ``bincount`` does."""
-    if agg.function == "count":
+    order), over python values with NULLs skipped: INT64 sums are exact
+    ints, float sums add in row order from zero, as one sequential
+    ``bincount`` does; a group left with no value is NULL (``count``: 0)."""
+    if agg.arg is None:
         return [len(rows) for rows in members]
     values = agg.arg.evaluate(page).tolist()
-    picked = [[values[row] for row in rows] for rows in members]
+    picked = [[values[row] for row in rows if values[row] is not None] for rows in members]
+    if agg.function == "count":
+        return list(map(len, picked))
     if agg.function in ("min", "max"):
-        return list(map(min if agg.function == "min" else max, picked))
-    sums = [reduce(operator.add, group, 0) for group in picked]
-    if agg.function == "sum":
-        return sums
-    if agg.function == "avg":
-        return [float(total) / len(group) for total, group in zip(sums, picked)]
-    raise ExecutionError(f"unknown aggregate {agg.function}")
+        fold = min if agg.function == "min" else max
+    elif agg.function == "sum":
+        fold = lambda group: reduce(operator.add, group, 0)  # noqa: E731
+    elif agg.function == "avg":
+        fold = lambda group: float(reduce(operator.add, group, 0)) / len(group)  # noqa: E731
+    else:
+        raise ExecutionError(f"unknown aggregate {agg.function}")
+    return [fold(group) if group else None for group in picked]
 
 
 def _sorted_rows(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
@@ -214,6 +192,6 @@ def _sorted_rows(page: Page, sort_keys: list[tuple[int, bool]]) -> np.ndarray:
     significant first, ``reverse=True`` for DESC (still stable)."""
     order = list(range(page.num_rows))
     for index, ascending in reversed(sort_keys):
-        values = page.columns[index].tolist()
-        order = sorted(order, key=values.__getitem__, reverse=not ascending)
+        keys = list(map(_null_first, page.columns[index].tolist()))
+        order = sorted(order, key=keys.__getitem__, reverse=not ascending)
     return np.array(order, dtype=np.int64)

@@ -116,7 +116,7 @@ def decompose(node: LogicalNode) -> DetailShape | None:
     core = node
     if out_exprs is None:
         out_exprs = [
-            InputRef(i, f.type, f.name) for i, f in enumerate(core.schema.fields)
+            InputRef(i, f.type, f.name, f.nullable) for i, f in enumerate(core.schema.fields)
         ]
         out_names = core.schema.names()
     return DetailShape(
@@ -159,7 +159,7 @@ def _rebase(expr: BoundExpr, shape: DetailShape) -> BoundExpr:
     for i, out_key in enumerate(shape.out_keys):
         if out_key == key:
             name = expr.name if isinstance(expr, InputRef) else shape.out_names[i]
-            return InputRef(i, expr.type, name)
+            return InputRef(i, expr.type, name, expr.nullable)
     if isinstance(expr, InputRef):
         raise _Unmappable(key)
     return expr.rebuild(lambda child: _rebase(child, shape))
@@ -222,7 +222,7 @@ def plan_residual(
             return None
         projected.append(rebased)
     project_schema = Schema(
-        Field(name, expr.type)
+        Field(name, expr.type, expr.nullable)
         for name, expr in zip(shape.out_names, projected)
     )
     return Residual(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AnalysisError
-from ..pages import ColumnType, Schema
+from ..pages import ColumnType, Field, Schema
 from ..util import add_months, add_years, date_to_days
 from . import ast
 from .expressions import (
@@ -83,23 +83,22 @@ class Scope:
         self.total_columns = total
 
     # -- resolution ----------------------------------------------------------
-    def resolve(self, name: str, qualifier: str | None) -> tuple[int, int, ColumnType, str]:
-        """Resolve a column to ``(levels_up, global_index, type, name)``."""
-        found: list[tuple[int, ColumnType]] = []
+    def resolve(self, name: str, qualifier: str | None) -> tuple[int, int, Field]:
+        """Resolve a column to ``(levels_up, global_index, field)``."""
+        found: list[tuple[int, Field]] = []
         for rel_index, (binding, schema) in enumerate(self.relations):
             if qualifier is not None and binding != qualifier:
                 continue
             if schema.contains(name):
                 local = schema.index_of(name)
-                found.append((self.offsets[rel_index] + local, schema.fields[local].type))
+                found.append((self.offsets[rel_index] + local, schema.fields[local]))
         if len(found) > 1:
             raise AnalysisError(f"ambiguous column reference: {qualifier + '.' if qualifier else ''}{name}")
         if len(found) == 1:
-            index, typ = found[0]
-            return 0, index, typ, name
+            return 0, *found[0]
         if self.outer is not None:
-            levels, index, typ, nm = self.outer.resolve(name, qualifier)
-            return levels + 1, index, typ, nm
+            levels, index, field = self.outer.resolve(name, qualifier)
+            return levels + 1, index, field
         target = f"{qualifier}.{name}" if qualifier else name
         raise AnalysisError(f"column not found: {target}")
 
@@ -136,7 +135,7 @@ class ExpressionBinder:
             index = self.group_expr_map[node]
             # Type comes from re-binding the group expression itself.
             inner = ExpressionBinder(self.scope).bind(node)
-            return InputRef(index, inner.type, name=str(node))
+            return InputRef(index, inner.type, str(node), inner.nullable)
         method = getattr(self, f"_bind_{type(node).__name__}", None)
         if method is None:
             raise AnalysisError(f"unsupported expression: {type(node).__name__}")
@@ -161,7 +160,7 @@ class ExpressionBinder:
         return Constant(node.value, ColumnType.BOOL)
 
     def _bind_NullLiteral(self, node: ast.NullLiteral) -> BoundExpr:
-        raise AnalysisError("NULL literals are not supported (TPC-H data has no NULLs)")
+        raise AnalysisError("NULL literals are not supported (NULL arises from CASE and aggregates)")
 
     def _bind_DateLiteral(self, node: ast.DateLiteral) -> BoundExpr:
         try:
@@ -175,10 +174,10 @@ class ExpressionBinder:
             raise AnalysisError(
                 f"column {node} must appear in GROUP BY or inside an aggregate"
             )
-        levels, index, typ, name = self.scope.resolve(node.name, node.qualifier)
+        levels, index, field = self.scope.resolve(node.name, node.qualifier)
         if levels == 0:
-            return InputRef(index, typ, name)
-        return OuterColumn(levels, index, typ, name)
+            return InputRef(index, field.type, field.name, field.nullable)
+        return OuterColumn(levels, index, field.type, field.name)
 
     # -- operators ----------------------------------------------------------
     def _bind_UnaryOp(self, node: ast.UnaryOp) -> BoundExpr:
@@ -352,11 +351,10 @@ class ExpressionBinder:
             arg_type = arg.type
         call = AggregateCall(node.name, arg, aggregate_result_type(node.name, arg_type))
         # Deduplicate structurally identical aggregate calls.
-        for i, existing in enumerate(self.aggregates):
-            if existing == call:
-                return InputRef(self.agg_offset + i, call.result_type, str(call))
-        self.aggregates.append(call)
-        return InputRef(self.agg_offset + len(self.aggregates) - 1, call.result_type, str(call))
+        if call not in self.aggregates:
+            self.aggregates.append(call)
+        nullable = call.output_nullable(grouped=self.agg_offset > 0)
+        return InputRef(self.agg_offset + self.aggregates.index(call), call.result_type, str(call), nullable)
 
     # -- subqueries (must be consumed by the planner first) ----------------
     def _bind_ScalarSubquery(self, node: ast.ScalarSubquery) -> BoundExpr:

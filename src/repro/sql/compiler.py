@@ -25,7 +25,9 @@ path:
 * **Every other kind by one rule** — the node's *own* ``evaluate`` runs
   over its compiled children (:meth:`_Compiler._build_generic`), so a
   kind's semantics are written once, in ``sql/expressions.py``; folding
-  and sharing still apply below it, and CASE branches stay lazy.
+  and sharing still apply below it, and CASE branches stay lazy.  A node
+  that can yield NULL (``BoundExpr.nullable``) always takes this rule, so
+  NULL semantics live only there and a hot closure never meets a mask.
 
 Compiled evaluators are cached globally, keyed by the (hashable)
 expression trees themselves, so respawned drivers and repeated queries
@@ -166,7 +168,7 @@ class _Compiler:
 
     def _build(self, expr: BoundExpr) -> tuple:
         # Constant pre-folding: no InputRef below means the value is fixed.
-        if not any(isinstance(node, InputRef) for node in expr.walk()):
+        if not expr.nullable and not any(isinstance(node, InputRef) for node in expr.walk()):
             try:
                 return ("const", _fold(expr), expr.type)
             except Exception:
@@ -174,6 +176,8 @@ class _Compiler:
                 # interpreter's behaviour of raising only when a data page
                 # actually flows through the operator.
                 return ("fn", lambda page, memo, _e=expr: _e.evaluate(page))
+        if expr.nullable and not isinstance(expr, InputRef):
+            return self._build_generic(expr)
         builder = getattr(
             self, f"_build_{type(expr).__name__.lower()}", self._build_generic
         )
@@ -188,7 +192,7 @@ class _Compiler:
 
         def positional(child: BoundExpr) -> InputRef:
             fns.append(self.array_fn(child))
-            return InputRef(len(fns) - 1, child.type)
+            return InputRef(len(fns) - 1, child.type, nullable=child.nullable)
 
         shell = expr.rebuild(positional)
         return (

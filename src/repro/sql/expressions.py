@@ -3,25 +3,33 @@
 The analyzer lowers AST expressions to this IR.  Every node knows its
 :class:`~repro.pages.ColumnType` and evaluates against a page to a numpy
 array of ``page.num_rows`` values (a :class:`~repro.pages.DictColumn`
-for STRING).  The engine's data contains no NULLs (TPC-H), so evaluation
-uses two-valued logic; ``IsNull`` exists for completeness and checks for
-``None`` cells in string columns.
+for STRING), wrapped in a :class:`~repro.pages.MaskedColumn` where a row
+is NULL.  Whether a node can yield NULL is known when it is bound
+(:attr:`BoundExpr.nullable`: CASE without ELSE, a global sum/min/max/avg
+and what reads them); a node that cannot evaluates exactly as if NULL did
+not exist.  One that can follows SQLite: an operator with a NULL operand
+gives NULL (:func:`_strict`), AND / OR / NOT use three-valued logic,
+``IS [NOT] NULL`` reads the mask, and a filter keeps only TRUE rows.
 
-String predicates against constants (comparison, ``IN``, ``LIKE``,
-``IS NULL``) run once per dictionary entry and are memoised on the
-dictionary (:meth:`DictColumn.test`); rows only gather the result.
+String predicates against constants (comparison, ``IN``, ``LIKE``) run
+once per dictionary entry and are memoised on the dictionary
+(:meth:`DictColumn.test`); rows only gather the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..pages import ColumnType, DictColumn, Page
+from ..pages import ColumnType, DictColumn, MaskedColumn, Page
+from ..pages.masked import concat_columns, map_values, split_nulls, valid_rows, with_nulls
 from ..tree import Tree, identity
 
 
@@ -37,16 +45,62 @@ class BoundExpr(Tree):
     type: ColumnType
 
     def evaluate(self, page: Page) -> np.ndarray:
+        """This node's column over ``page``.  By default the node is an
+        operator: it computes over its operands' columns (:meth:`compute`),
+        under SQL's rule for an operator (:func:`_strict`) where one can be
+        NULL."""
+        if self.nullable:
+            return _strict(self, page)
+        return self.compute(page)
+
+    def compute(self, page: Page) -> np.ndarray:
         raise NotImplementedError
 
+    @cached_property
+    def nullable(self) -> bool:
+        """Whether a row can evaluate to NULL: by default, when an
+        operand can (NULL in, NULL out)."""
+        return any(child.nullable for child in self.children())
 
-def assign_where(result, mask: np.ndarray, values):
-    """``result[mask] = values[mask]`` for CASE branches; string columns
-    are immutable, so the merged column is returned instead."""
-    if isinstance(result, DictColumn):
-        return result.where(mask, values)
-    result[mask] = values[mask]
-    return result
+    @cached_property
+    def over_values(self) -> "BoundExpr":
+        """This node over positional inputs that stand for its operands'
+        values (what :func:`_strict` evaluates)."""
+        return self.rebuild(lambda child, n=itertools.count(): InputRef(next(n), child.type))
+
+
+def _strict(expr: BoundExpr, page: Page):
+    """``expr`` under SQL's rule for an operator: a row with a NULL
+    operand is NULL.  The node computes over the rows whose operands all
+    hold a value (what lies under a NULL is never computed on: a CAST of
+    it could raise); each NULL row then repeats a neighbour's result
+    under the mask."""
+    operands = [child.evaluate(page) for child in expr.children()]
+    valid = valid_rows(operands)
+    if valid is None:
+        return expr.over_values.compute(SimpleNamespace(columns=operands, num_rows=page.num_rows))
+    if not valid.any():
+        return expr.type.coerce([None] * page.num_rows)
+    columns = [split_nulls(col)[0][valid] for col in operands]
+    out = expr.over_values.compute(SimpleNamespace(columns=columns, num_rows=len(columns[0])))
+    return MaskedColumn(out[np.maximum(np.cumsum(valid) - 1, 0)], valid)
+
+
+def _kleene_or(columns: list):
+    """OR in three-valued logic: TRUE where a column is, else NULL where
+    one is NULL, else FALSE.  AND is NOT OR NOT, as in Kleene's logic."""
+    hit = np.logical_or.reduce([col.astype(bool) for col in columns])
+    known = valid_rows(columns)
+    return with_nulls(hit, None if known is None else hit | known)
+
+
+def _choose(mask: np.ndarray, then, other):
+    """Rows of ``then`` where ``mask``, of ``other`` elsewhere (CASE
+    branches): one gather from both; ``then`` itself without ``other``."""
+    if other is None:
+        return then
+    rows = np.arange(len(mask))
+    return concat_columns([other, then])[np.where(mask, rows + len(mask), rows)]
 
 
 @dataclass(frozen=True)
@@ -56,12 +110,15 @@ class InputRef(BoundExpr):
     index: int
     type: ColumnType
     name: str = ""
+    #: Whether the input column can hold a NULL (its schema field's).
+    nullable: bool = False
 
     def evaluate(self, page: Page) -> np.ndarray:
         return page.columns[self.index]
 
     def identity_key(self, literals: bool) -> tuple:
-        # The name is cosmetic; position + type is the identity.
+        # The name is cosmetic; position + type is the identity (whether
+        # the column can be NULL follows from the plan below it).
         return ("InputRef", self.index, self.type.value)
 
     def __str__(self) -> str:
@@ -104,7 +161,7 @@ class Arithmetic(BoundExpr):
     right: BoundExpr
     type: ColumnType
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         lhs = self.left.evaluate(page)
         rhs = self.right.evaluate(page)
         if self.op == "||":
@@ -128,7 +185,7 @@ class Negate(BoundExpr):
     operand: BoundExpr
     type: ColumnType
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         return -self.operand.evaluate(page)
 
 
@@ -149,7 +206,7 @@ class Comparison(BoundExpr):
     right: BoundExpr
     type: ColumnType = ColumnType.BOOL
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         fn = COMPARISON_FNS.get(self.op)
         if fn is None:
             raise ExecutionError(f"unsupported comparison {self.op}")
@@ -191,10 +248,8 @@ class BoolAnd(BoundExpr):
     identity_key = _connective_key
 
     def evaluate(self, page: Page) -> np.ndarray:
-        result = self.terms[0].evaluate(page).astype(bool, copy=True)
-        for term in self.terms[1:]:
-            result &= term.evaluate(page).astype(bool, copy=False)
-        return result
+        negated = [map_values(np.logical_not, term.evaluate(page)) for term in self.terms]
+        return map_values(np.logical_not, _kleene_or(negated))
 
     def __str__(self) -> str:
         return "(" + " AND ".join(map(str, self.terms)) + ")"
@@ -208,10 +263,7 @@ class BoolOr(BoundExpr):
     identity_key = _connective_key
 
     def evaluate(self, page: Page) -> np.ndarray:
-        result = self.terms[0].evaluate(page).astype(bool, copy=True)
-        for term in self.terms[1:]:
-            result |= term.evaluate(page).astype(bool, copy=False)
-        return result
+        return _kleene_or([term.evaluate(page) for term in self.terms])
 
     def __str__(self) -> str:
         return "(" + " OR ".join(map(str, self.terms)) + ")"
@@ -223,7 +275,7 @@ class BoolNot(BoundExpr):
     type: ColumnType = ColumnType.BOOL
 
     def evaluate(self, page: Page) -> np.ndarray:
-        return ~self.operand.evaluate(page).astype(bool, copy=False)
+        return map_values(np.logical_not, self.operand.evaluate(page))
 
 
 @dataclass(frozen=True)
@@ -232,7 +284,7 @@ class InSet(BoundExpr):
     options: frozenset
     type: ColumnType = ColumnType.BOOL
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         arr = self.value.evaluate(page)
         if isinstance(arr, DictColumn):
             return arr.test(("in", self.options), self.options.__contains__)
@@ -252,7 +304,7 @@ class LikeMatch(BoundExpr):
     negated: bool = False
     type: ColumnType = ColumnType.BOOL
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         from .functions import like_matcher
 
         result = self.value.evaluate(page).test(
@@ -274,13 +326,13 @@ class IsNull(BoundExpr):
     negated: bool = False
     type: ColumnType = ColumnType.BOOL
 
+    nullable = False
+
     def evaluate(self, page: Page) -> np.ndarray:
-        arr = self.value.evaluate(page)
-        if isinstance(arr, DictColumn):
-            result = arr.is_null()
-        else:
-            result = np.zeros(len(arr), dtype=bool)
-        return ~result if self.negated else result
+        valid = valid_rows([self.value.evaluate(page)])
+        if valid is None:  # no row is NULL
+            return np.full(page.num_rows, self.negated)
+        return valid if self.negated else ~valid
 
 
 @dataclass(frozen=True)
@@ -289,23 +341,32 @@ class CaseWhen(BoundExpr):
     default: BoundExpr | None
     type: ColumnType
 
+    @cached_property
+    def nullable(self) -> bool:
+        """Without ELSE a row no branch takes is NULL; a NULL condition
+        takes no branch."""
+        values = [value for _, value in self.whens] + [self.default]
+        return self.default is None or any(v.nullable for v in values)
+
     def evaluate(self, page: Page) -> np.ndarray:
         n = page.num_rows
-        if self.type is ColumnType.STRING:
-            result = DictColumn.constant(None, n)
-        else:
-            result = np.zeros(n, dtype=self.type.numpy_dtype)
+        result = None
         decided = np.zeros(n, dtype=bool)
         for cond, value in self.whens:
             mask = cond.evaluate(page).astype(bool, copy=False) & ~decided
             if mask.any():
-                result = assign_where(result, mask, value.evaluate(page))
+                result = _choose(mask, value.evaluate(page), result)
             decided |= mask
         if self.default is not None:
             rest = ~decided
             if rest.any():
-                result = assign_where(result, rest, self.default.evaluate(page))
-        return result
+                result = _choose(rest, self.default.evaluate(page), result)
+            decided = None
+        if result is None:  # no row took a branch
+            result = self.type.coerce([None] * n)
+        elif self.type is not ColumnType.STRING and result.dtype != self.type.numpy_dtype:
+            result = map_values(lambda v: v.astype(self.type.numpy_dtype), result)
+        return result if decided is None else with_nulls(result, decided)
 
 
 @dataclass(frozen=True)
@@ -314,7 +375,7 @@ class ExtractDatePart(BoundExpr):
     source: BoundExpr
     type: ColumnType = ColumnType.INT64
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         days = self.source.evaluate(page).astype("datetime64[D]")
         if self.unit == "year":
             return days.astype("datetime64[Y]").astype(np.int64) + 1970
@@ -344,7 +405,7 @@ class Cast(BoundExpr):
     value: BoundExpr
     type: ColumnType
 
-    def evaluate(self, page: Page) -> np.ndarray:
+    def compute(self, page: Page) -> np.ndarray:
         return cast_column(self.value.evaluate(page), self.type)
 
 
@@ -364,6 +425,17 @@ class AggregateCall:
     arg: BoundExpr | None
     result_type: ColumnType
     distinct: bool = False
+
+    @cached_property
+    def skips_nulls(self) -> bool:
+        """Whether the argument can be NULL, rows the call then skips."""
+        return self.arg is not None and self.arg.nullable
+
+    def output_nullable(self, grouped: bool) -> bool:
+        """Whether the result can be NULL: sum/min/max/avg of no non-NULL
+        value — a global one over no rows, or one whose argument can be
+        NULL (``count`` is 0 instead)."""
+        return self.function != "count" and (not grouped or self.skips_nulls)
 
     def __str__(self) -> str:
         inner = "*" if self.arg is None else str(self.arg)

@@ -20,8 +20,9 @@ from typing import Callable
 import numpy as np
 
 from ..errors import AnalysisError
-from ..pages import ColumnType, DictColumn
+from ..pages import ColumnType, DictColumn, MaskedColumn
 from ..pages.dictcolumn import EntryLookup
+from ..pages.masked import split_nulls, with_nulls
 
 AGGREGATE_FUNCTIONS = frozenset({"sum", "count", "avg", "min", "max"})
 
@@ -97,19 +98,23 @@ def aggregate_result_type(function: str, arg_type: ColumnType | None) -> ColumnT
     raise AnalysisError(f"unknown aggregate {function}")
 
 
-def partial_fields(function: str, arg_type: ColumnType | None) -> list[ColumnType]:
+def partial_fields(
+    function: str, arg_type: ColumnType | None, skips_nulls: bool = False
+) -> list[ColumnType]:
     """State column types emitted by partial aggregation for one call.
 
     ``avg`` carries (sum, count) and divides once at finalisation — an
     INT64 argument keeps an exact INT64 sum, like ``sum`` of the same
-    expression; everything else carries one value.
+    expression; everything else carries one value.  A sum/min/max whose
+    argument can be NULL also counts its non-NULL values (none: NULL).
     """
     if function == "count":
         return [ColumnType.INT64]
     if function == "avg":
         exact = arg_type is ColumnType.INT64
         return [ColumnType.INT64 if exact else ColumnType.FLOAT64, ColumnType.INT64]
-    return [aggregate_result_type(function, arg_type)]
+    count = [ColumnType.INT64] if skips_nulls else []
+    return [aggregate_result_type(function, arg_type)] + count
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +185,15 @@ def group_codes(key_columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndar
     Returns ``(codes, unique_key_columns)`` where ``codes[i]`` indexes into
     the unique key arrays.  Works for any mix of numeric and string
     columns: a string column is grouped by its value ranks, so groups are
-    numbered in value order like every other type.
+    numbered in value order like every other type.  A numeric column
+    with NULLs groups as (is valid, value or 0): its NULLs form one
+    group, numbered first.
     """
     if not key_columns:
         return np.zeros(0, dtype=np.int64), []
+    for col in key_columns:
+        if type(col) is MaskedColumn:
+            return _group_codes_with_nulls(key_columns)
     ranked = {
         j: col.rank_codes()
         for j, col in enumerate(key_columns)
@@ -215,6 +225,20 @@ def group_codes(key_columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndar
     first_row[codes[::-1]] = order[::-1]
     unique_cols = [col[first_row] for col in key_columns]
     return codes, unique_cols
+
+
+def _group_codes_with_nulls(key_columns: list) -> tuple[np.ndarray, list]:
+    """``group_codes`` where a numeric key column holds a NULL: that
+    column groups as (is valid, value or 0)."""
+    expanded = []
+    for values, valid in map(split_nulls, key_columns):
+        expanded += [values] if valid is None else [valid.astype(np.int64), np.where(valid, values, 0)]
+    codes, uniques = group_codes(expanded)
+    out = []
+    for col in key_columns:
+        valid = uniques.pop(0) == 1 if type(col) is MaskedColumn else None
+        out.append(with_nulls(uniques.pop(0), valid))
+    return codes, out
 
 
 def _int_factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -334,10 +358,13 @@ def hash_columns(columns: list[np.ndarray]) -> np.ndarray:
     n = len(columns[0])
     acc = np.zeros(n, dtype=np.uint64)
     for col in columns:
+        col, valid = (col.values, col.valid) if type(col) is MaskedColumn else (col, None)
         if isinstance(col, DictColumn):
             h = col.hash64()
         else:
             h = col.view(np.uint64) if col.dtype == np.int64 else col.astype(np.float64).view(np.uint64)
+        if valid is not None:  # every NULL hashes alike
+            h = np.where(valid, h, np.uint64(0))
         with np.errstate(over="ignore"):
             acc = (acc ^ h) * _MIX
             acc ^= acc >> np.uint64(29)

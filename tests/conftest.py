@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import math
 import multiprocessing
 import sys
 import weakref
@@ -172,14 +171,10 @@ def builds_ready(query, stage_id: int):
 
 
 def norm_rows(rows, ndigits: int = 4):
-    """Normalise rows for set comparison (round floats, map NaN)."""
-    out = []
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append("nan" if math.isnan(value) else round(value, ndigits))
-            else:
-                cells.append(value)
-        out.append(tuple(cells))
-    return sorted(out)
+    """Normalise rows for set comparison: floats rounded, rows sorted with
+    a NULL (``None``) below every value of its column."""
+    out = [
+        tuple(round(v, ndigits) if isinstance(v, float) else v for v in row)
+        for row in rows
+    ]
+    return sorted(out, key=lambda row: [(v is not None, v) for v in row])

@@ -201,17 +201,17 @@ def test_archive_dictionaries_count_their_lengths_exactly(monkeypatch, tmp_path,
     [
         (np.array(["café", "naïve", "x"]), [5, 6, 1]),
         (np.array(["ok", "\U0001F600"]), [2, 4]),
-        (["a", None], [1, 4]),
-        (np.array(["a", None], dtype=object), [1, 4]),
+        (["a", "é"], [1, 2]),
+        (np.array(["a", "é"], dtype=object), [1, 2]),
     ],
-    ids=["non-ascii", "astral", "none", "none-object-array"],
+    ids=["non-ascii", "astral", "list", "object-array"],
 )
 def test_dictionaries_off_the_fast_path_encode_each_entry(values, lengths):
-    """Non-ASCII text and ``None`` (accounted as ``str(None)``) take the
-    per-entry formula."""
+    """Non-ASCII text, a list and an object array take the per-entry
+    formula."""
     dictionary = StringDictionary(values)
     assert dictionary.utf8_len.tolist() == lengths
-    assert all(type(v) is str or v is None for v in dictionary.values.tolist())
+    assert all(type(v) is str for v in dictionary.values.tolist())
 
 
 def test_cache_path_disabled_without_env(monkeypatch):

@@ -3,7 +3,8 @@
 Every STRING column is dictionary-encoded (DESIGN.md §18).  The oracle
 here is the plain python/object-array semantics the engine had before:
 gathers are list indexing, sizes and hashes are per-cell formulas over
-``str(v).encode("utf-8")``, orderings are python string comparisons.
+``v.encode("utf-8")``, orderings are python string comparisons.  A
+``None`` cell is a NULL: the column's validity mask, never an entry.
 """
 
 import zlib
@@ -12,14 +13,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.exec.spill import SpillReader, SpillWriter
+from repro.exec.operators.sorting import sort_indices
 from repro.pages import (
     ColumnType,
     DictColumn,
+    MaskedColumn,
     Page,
     Schema,
     concat_pages,
 )
-from repro.pages.dictcolumn import concat_columns
+from repro.pages.masked import concat_columns, split_nulls
 from repro.parallel.pagebuf import decode_arrays, encode_arrays, write_buffers
 from repro.sql.functions import group_codes, grouped_max, grouped_min, hash_columns
 
@@ -49,10 +52,11 @@ def page_of(values) -> Page:
 @prop
 @given(columns, st.data())
 def test_take_mask_slice_match_object_array(values, data):
-    col, ref = DictColumn.from_values(values), objects(values)
+    col, ref = STR.coerce(values), objects(values)
     n = len(values)
     assert len(col) == n and col.tolist() == values
-    assert np.asarray(col).tolist() == values  # the __array__ escape hatch
+    if None not in values:
+        assert np.asarray(col).tolist() == values  # the __array__ escape hatch
     indices = np.array(
         data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=20) if n else st.just([])),
         dtype=np.int64,
@@ -76,17 +80,17 @@ def test_take_mask_slice_match_object_array(values, data):
 @given(st.lists(columns, min_size=1, max_size=4), st.data())
 def test_concat_same_and_different_dictionaries(parts, data):
     # Different dictionaries: every part encoded on its own.
-    separate = [DictColumn.from_values(p) for p in parts]
+    separate = [STR.coerce(p) for p in parts]
     flat = [v for p in parts for v in p]
     assert concat_columns(separate).tolist() == flat
     # Same dictionary: slices of one column (what pages of a table are).
-    whole = DictColumn.from_values(flat)
+    whole = STR.coerce(flat)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(flat)), max_size=3)))
     bounds = [0, *cuts, len(flat)]
     pieces = [whole[a:b] for a, b in zip(bounds, bounds[1:])]
     merged = concat_columns(pieces)
     assert merged.tolist() == flat
-    assert merged.dictionary is whole.dictionary
+    assert split_nulls(merged)[0].dictionary is split_nulls(whole)[0].dictionary
     # A mix of both, through the page-level entry point.
     pages = [page_of(p) for p in parts] + [page_of(flat).slice(0, len(parts[0]))]
     merged_page = concat_pages(SCHEMA, pages)
@@ -105,8 +109,8 @@ def test_dictionary_larger_than_column_is_trimmed_on_merge():
 
 # -- accounting --------------------------------------------------------------
 def accounted_size(values) -> int:
-    """The size model: 4-byte length prefix + UTF-8 bytes of ``str(v)``."""
-    return sum(4 + len(str(v).encode("utf-8")) for v in values)
+    """The size model: 4-byte length prefix + UTF-8 bytes (a NULL has none)."""
+    return sum(4 + (0 if v is None else len(v.encode("utf-8"))) for v in values)
 
 
 @prop
@@ -126,11 +130,12 @@ def test_size_bytes_fixed_length_dictionary_shortcut():
 
 
 def per_cell_hash(values) -> list[int]:
-    """``hash_columns`` over one string column, as the per-cell loop."""
+    """``hash_columns`` over one string column, as the per-cell loop (every
+    NULL hashes as 0)."""
     mix = 0x9E3779B97F4A7C15
     out = []
     for v in values:
-        acc = (zlib.crc32(str(v).encode("utf-8")) * mix) % (1 << 64)
+        acc = (0 if v is None else zlib.crc32(v.encode("utf-8")) * mix) % (1 << 64)
         out.append(acc ^ (acc >> 29))
     return out
 
@@ -138,10 +143,10 @@ def per_cell_hash(values) -> list[int]:
 @prop
 @given(columns)
 def test_hash_columns_is_crc32_of_the_text(values):
-    col = DictColumn.from_values(values)
+    col = STR.coerce(values)
     assert hash_columns([col]).tolist() == per_cell_hash(values)
-    # ... whatever the dictionary looks like.
-    padded = DictColumn.from_values(["unused", *values])[1:]
+    # ... whatever the dictionary (or the value under a NULL) looks like.
+    padded = STR.coerce(["unused", *values])[1:]
     assert hash_columns([padded]).tolist() == per_cell_hash(values)
 
 
@@ -177,7 +182,7 @@ def test_spill_write_read_round_trip(tmp_path_factory, parts):
 
 
 @prop
-@given(columns, st.booleans())
+@given(st.lists(texts, max_size=40), st.booleans())
 def test_pagebuf_round_trip(values, copy):
     arrays = [np.arange(len(values)), DictColumn.from_values(values)]
     meta, buffers, total = encode_arrays(arrays)
@@ -235,29 +240,21 @@ def test_comparisons_match_object_array(values, constant, data):
 
 
 @prop
-@given(st.lists(texts, min_size=1, max_size=30), st.data())
-def test_unused_null_entry_does_not_reach_value_ordering(values, data):
-    """``None`` does not order against text.  A dictionary may carry it
-    for rows that are gone (a CASE whose ELSE covered them, NULLs a filter
-    removed): sorting, grouping, MIN/MAX and comparing then behave as if
-    the entry were not there — as the object array without those rows did."""
-    clean = DictColumn.from_values(values)
-    col = DictColumn.constant(None, len(values)).where(np.ones(len(values), bool), clean)
-    assert col.dictionary.has_none and col.tolist() == values
-    assert col.rank_codes()[0].tolist() == clean.rank_codes()[0].tolist()
-    codes, (uniques,) = group_codes([col])
-    assert uniques[codes].tolist() == values
-    groups = np.zeros(len(values), dtype=np.int64)
-    assert grouped_min(groups, col, 1).tolist() == [min(values)]
-    assert grouped_max(groups, col, 1).tolist() == [max(values)]
-    other_values = data.draw(st.lists(texts, min_size=len(values), max_size=len(values)))
-    other = DictColumn.from_values([None] + other_values)[1:]
-    for op in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
-        expected = [getattr(a, op)(b) for a, b in zip(values, other_values)]
-        assert getattr(col, op)(other).tolist() == expected
-        assert getattr(other, op)(col).tolist() == [
-            getattr(b, op)(a) for a, b in zip(values, other_values)
-        ]
+@given(columns, st.booleans())
+def test_string_nulls_are_a_mask_not_an_entry(values, ascending):
+    """A NULL string is the column's validity mask over a dictionary of
+    text only: the dictionary never sees ``None``, and sorting puts every
+    NULL below every value (first ascending, last descending), in row
+    order, whatever text lies under it."""
+    col = STR.coerce(values)
+    codes, valid = split_nulls(col)
+    assert None not in codes.dictionary.values.tolist()
+    assert (valid is None) == (None not in values)
+    assert isinstance(col, MaskedColumn) == (valid is not None)
+    page = Page(Schema.of(("s", STR)), [col])
+    order = sort_indices(page, [(0, ascending)]).tolist()
+    key = lambda i: (values[i] is not None, values[i])  # noqa: E731
+    assert order == sorted(range(len(values)), key=key, reverse=not ascending)
 
 
 def test_predicates_run_once_per_dictionary_entry():
@@ -273,9 +270,8 @@ def test_predicates_run_once_per_dictionary_entry():
     assert first.tolist() == [v.startswith("a") for v in col[:100].tolist()]
     assert again.tolist() == [v.startswith("a") for v in col[100:].tolist()]
     assert sorted(calls) == ["ab", "ac", "b"]
-    # Only entries that occur are evaluated (a NULL entry that a filter
-    # already removed must not reach a string predicate).
-    sparse = DictColumn([1, 1], [None, "ax"])
+    # Only entries that occur are evaluated.
+    calls.clear()
+    sparse = DictColumn([1, 1], ["unused", "ax"])
     assert sparse.test(("like", "a%"), starts_with_a).tolist() == [True, True]
-    assert col.is_null().tolist() == [False] * len(col)
-    assert DictColumn.from_values([None, "a"]).is_null().tolist() == [True, False]
+    assert calls == ["ax"]

@@ -9,7 +9,7 @@ import pytest
 
 from repro import AccordionEngine, EngineConfig, QueryOptions
 from repro.data.tpch.queries import QUERIES, STANDALONE_BENCHMARK
-from repro.pages import ColumnType, DictColumn, Page, Schema
+from repro.pages import ColumnType, DictColumn, MaskedColumn, Page, Schema
 from repro.plan import LogicalPlanner, prune_columns
 from repro.reference import execute_reference
 from repro.sql.parser import parse
@@ -154,6 +154,50 @@ SQL_SHAPES = {
         "select n_name from nation "
         "where true and not false and (n_nationkey > 20 or false)"
     ),
+    # NULL (DESIGN.md §18): sum/min/max/avg over no value, CASE without
+    # ELSE; the answers are pinned in NULL_ANSWERS below.
+    "global_aggs_over_no_rows": (
+        "select min(l_orderkey) as a, max(l_shipdate) as b, min(l_comment) as c, "
+        "sum(l_quantity) as d, sum(l_orderkey) as e, avg(l_quantity) as f "
+        "from lineitem where 1 = 0"
+    ),
+    "case_without_else_aggregates": (
+        "select min(case when l_quantity > 10 then l_quantity end) as lo, "
+        "avg(case when l_quantity > 10 then l_quantity end) as mean, "
+        "count(case when l_quantity > 10 then 'x' end) as n, "
+        "min(case when l_quantity > 10 then 'big' end) as s from lineitem"
+    ),
+    "case_without_else_is_null": (
+        "select count(*) as c from lineitem "
+        "where (case when l_quantity > 10 then l_quantity end) is null"
+    ),
+    "case_without_else_group_key": (
+        "select case when l_quantity > 10 then 'big' end as sz, count(*) as c "
+        "from lineitem group by case when l_quantity > 10 then 'big' end"
+    ),
+    "three_valued_logic": (
+        "select count(*) as c from lineitem where not ("
+        "(case when l_quantity > 10 then l_quantity end) > 20 and l_discount < 0.05) "
+        "or (case when l_tax > 0.04 then l_tax end) < 0.06"
+    ),
+    "null_join_key_matches_nothing": (
+        "select count(*) as c from orders, "
+        "(select case when l_quantity > 45 then l_orderkey end as k from lineitem) t "
+        "where t.k = o_orderkey"
+    ),
+}
+
+#: Pinned answers of the NULL shapes on the test catalog (SF0.005, seed
+#: 777: 30,258 lineitem rows, 24,204 with ``l_quantity > 10``), as SQLite
+#: answers them (``test_null_shapes_match_sqlite``).  At the parent of the
+#: change that gave NULL one representation each was wrong or failed: the
+#: NaN sentinel, CASE's zero seed and ``count(x)`` counting NULLs.
+NULL_ANSWERS = {
+    "global_agg_over_empty_input": [(0, None, None, None)],
+    "global_aggs_over_no_rows": [(None,) * 6],
+    "case_without_else_aggregates": [(11.0, 30.428606841844324, 24204, "big")],
+    "case_without_else_is_null": [(6054,)],
+    "case_without_else_group_key": [(None, 6054), ("big", 24204)],
 }
 
 #: ``(sim.events_processed, engine.now)`` of the LIMIT shapes that were
@@ -175,23 +219,28 @@ def test_sql_shape_matches_reference(catalog, name):
     result = engine.execute(sql, max_virtual_seconds=1e5)
     assert norm_rows(result.rows) == norm_rows(expected.rows())
     assert result.columns == expected.schema.names()
+    if name in NULL_ANSWERS:
+        assert norm_rows(result.rows) == norm_rows(NULL_ANSWERS[name])
     if name in LIMIT_NEIGHBOURS:
         assert (engine.kernel.events_processed, engine.now) == LIMIT_NEIGHBOURS[name]
 
 
 @pytest.fixture()
 def frozen_pages(monkeypatch):
-    """Every column (a ``DictColumn``'s codes) of every ``Page``
-    constructed is read-only from then on; thawed again afterwards."""
+    """Every column (a ``DictColumn``'s codes, a ``MaskedColumn``'s values
+    and mask) of every ``Page`` constructed is read-only from then on;
+    thawed again afterwards."""
     init, thaw = Page.__init__, []
 
     def freezing_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         for col in self.columns:
-            arr = col.codes if isinstance(col, DictColumn) else col
-            if arr.flags.writeable:
-                arr.flags.writeable = False
-                thaw.append(arr)
+            parts = [col.values, col.valid] if isinstance(col, MaskedColumn) else [col]
+            for part in parts:
+                arr = part.codes if isinstance(part, DictColumn) else part
+                if arr.flags.writeable:
+                    arr.flags.writeable = False
+                    thaw.append(arr)
 
     monkeypatch.setattr(Page, "__init__", freezing_init)
     yield
@@ -446,3 +495,96 @@ def test_string_case_result_sorts_reduces_and_compares(tiny_catalog):
     assert run(f"SELECT count(*) AS c FROM lineitem WHERE {_SIZE} >= l_shipmode") == [
         (sum(_size_of(q) >= mode for q, _, _, mode in rows),)
     ]
+
+
+#: Columns the NULL shapes read, per table, for the SQLite copy.
+_SQLITE_COLUMNS = {
+    "lineitem": [
+        "l_orderkey", "l_quantity", "l_shipdate", "l_comment", "l_linenumber",
+        "l_discount", "l_tax",
+    ],
+    "orders": ["o_orderkey"],
+}
+_NULL_SHAPES = [
+    "global_agg_over_empty_input", "global_aggs_over_no_rows",
+    "case_without_else_aggregates", "case_without_else_is_null",
+    "case_without_else_group_key", "three_valued_logic",
+    "null_join_key_matches_nothing",
+]
+
+
+def test_null_shapes_match_sqlite(catalog):
+    """SQLite, an independent oracle, answers every NULL shape as the
+    engine does (dates are day numbers in both)."""
+    import sqlite3
+
+    db = sqlite3.connect(":memory:")
+    for table, names in _SQLITE_COLUMNS.items():
+        columns = [catalog.table(table).column(name).tolist() for name in names]
+        db.execute(f"create table {table} ({', '.join(names)})")
+        marks = ", ".join("?" * len(names))
+        db.executemany(f"insert into {table} values ({marks})", zip(*columns))
+    engine = AccordionEngine(catalog)
+    for name in _NULL_SHAPES:
+        expected = db.execute(SQL_SHAPES[name]).fetchall()
+        got = engine.execute(SQL_SHAPES[name], max_virtual_seconds=1e5).rows
+        assert norm_rows(got) == norm_rows(expected), name
+    # Hash-partitioned at stage DOP 4, every NULL key lands in one
+    # partition and matches nothing there either.
+    sql = SQL_SHAPES["null_join_key_matches_nothing"]
+    options = QueryOptions(join_distribution="partitioned", initial_stage_dop=4)
+    assert engine.execute(sql, options, max_virtual_seconds=1e5).rows == db.execute(sql).fetchall()
+
+
+def test_nulls_sort_first_ascending_and_last_descending(catalog):
+    """ORDER BY a nullable column: NULL below every value, ties (every
+    NULL among them) in the next key's order — on the engine and on the
+    reference."""
+    sql = (
+        "select case when l_quantity > 45 then l_quantity end as q, l_orderkey, "
+        "l_linenumber from lineitem where l_orderkey < 200 "
+        "order by q {}, l_orderkey, l_linenumber"
+    )
+    engine = AccordionEngine(catalog)
+    for direction in ("asc", "desc"):
+        rows = engine.execute(sql.format(direction), max_virtual_seconds=1e5).rows
+        assert rows == reference_result(catalog, sql.format(direction)).rows()
+        nulls = [row[0] is None for row in rows]
+        assert any(nulls) and not all(nulls)
+        assert nulls == sorted(nulls, reverse=direction == "asc")
+
+
+@pytest.mark.parametrize("budget", [None, 60_000])
+def test_a_nullable_group_key_crosses_exchanges_and_spills(catalog, tmp_path, budget):
+    """GROUP BY a string and a numeric CASE without ELSE at stage DOP 4
+    (four tasks' partial states, masked keys and all, cross an exchange)
+    and under a memory budget that spills the final state to partitions
+    hashed on those keys: the DOP-1 answer, every NULL in one group."""
+    sql = (
+        "select case when l_quantity > 10 then 'big' end as sz, "
+        "case when l_quantity > 10 then l_orderkey end as k, count(*) as c, "
+        "sum(case when l_discount > 0.05 then l_quantity end) as s "
+        "from lineitem group by case when l_quantity > 10 then 'big' end, "
+        "case when l_quantity > 10 then l_orderkey end"
+    )
+    baseline = AccordionEngine(catalog).execute(
+        sql, QueryOptions(initial_stage_dop=1), max_virtual_seconds=1e5
+    ).rows
+    assert (None, None, 6054, sum_small_discounted(catalog)) in norm_rows(baseline)
+    config = EngineConfig()
+    if budget is not None:
+        config = config.with_memory(query_budget_bytes=budget, spill_dir=str(tmp_path))
+    engine = AccordionEngine(catalog, config=config)
+    rows = engine.execute(sql, QueryOptions(initial_stage_dop=4), max_virtual_seconds=1e5).rows
+    assert norm_rows(rows) == norm_rows(baseline)
+    if budget is not None:
+        assert engine.metrics.snapshot()["spill.spills"] > 0
+
+
+def sum_small_discounted(catalog) -> float:
+    """``sum(l_quantity)`` of the rows with ``l_quantity <= 10`` and
+    ``l_discount > 0.05``, rounded as ``norm_rows`` rounds."""
+    lineitem = catalog.table("lineitem")
+    quantity = np.asarray(lineitem.column("l_quantity"))
+    discount = np.asarray(lineitem.column("l_discount"))
+    return round(float(quantity[(quantity <= 10) & (discount > 0.05)].sum()), 4)

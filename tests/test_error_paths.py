@@ -83,3 +83,16 @@ def test_unfinished_query_result_raises(engine):
         query._materialize()
     engine.run_until_done(query)
     assert query.result().num_rows >= 1
+
+
+def test_a_failure_in_the_first_quantum_fails_the_query(tiny_catalog):
+    """A cast that raises in the scan stage's first quantum fails the
+    query before the root task starts: the torn-down root task must not
+    start then (it raised ``SchedulingError: no output collector`` out of
+    the simulation).  Nothing leaks (``no_litter``), and the same engine
+    answers its next query."""
+    engine = AccordionEngine(tiny_catalog)
+    with pytest.raises(QueryFailedError, match="invalid literal") as failure:
+        engine.execute("select sum(cast(l_comment as integer)) as s from lineitem")
+    assert isinstance(failure.value.cause, ValueError)
+    assert engine.execute("select count(*) as c from nation").rows == [(25,)]

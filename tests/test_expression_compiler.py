@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.pages import ColumnType, DictColumn, Field, Page, Schema
+from repro.pages import ColumnType, DictColumn, Field, MaskedColumn, Page, Schema
 from repro.sql.compiler import (
     clear_compile_cache,
     compile_expression,
@@ -197,7 +197,10 @@ def assert_bit_identical(expected, got) -> None:
     assert type(got) is type(expected)
     assert got.dtype == expected.dtype
     assert len(got) == len(expected)
-    if isinstance(expected, DictColumn):
+    if isinstance(expected, MaskedColumn):  # a CASE without ELSE
+        assert np.array_equal(got.valid, expected.valid)
+        assert_bit_identical(expected.values, got.values)
+    elif isinstance(expected, DictColumn):
         assert got.tolist() == expected.tolist()
     else:
         assert got.shape == expected.shape

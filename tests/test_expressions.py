@@ -221,3 +221,32 @@ def test_comparison_matches_python_semantics(values):
     page = Page.from_dict(schema, {"x": values})
     bound = ExpressionBinder(Scope([(None, schema)])).bind(parse_expression("x > 5"))
     assert list(bound.evaluate(page)) == [v > 5 for v in values]
+
+
+def test_three_valued_logic_and_null_propagation():
+    """Kleene's truth tables over a NULL (a CASE without ELSE), on the
+    interpreter and on the compiled closure alike: an operator with a NULL
+    operand is NULL, ``IS NULL`` reads the mask, a filter reads NULL as
+    not TRUE."""
+    from repro.sql.compiler import compile_expression
+
+    null = "(case when k > 9 then true end)"  # NULL in every row
+    cases = {
+        f"{null} and false": [False] * 4,
+        f"{null} and true": [None] * 4,
+        f"{null} or true": [True] * 4,
+        f"{null} or false": [None] * 4,
+        f"not {null}": [None] * 4,
+        "(case when k > 2 then k end) + 1 > 3": [None, None, True, True],
+        "(case when k > 2 then k end) is null": [True, True, False, False],
+        "(case when k > 2 then k end) is not null": [False, False, True, True],
+        # Only rows with a value are computed on: no CAST of a NULL raises.
+        "cast((case when k > 9 then name end) as integer) = 1": [None] * 4,
+        "cast((case when k > 2 then k end) as varchar) = '3'": [None, None, True, False],
+    }
+    for sql, expected in cases.items():
+        expr = bind(sql)
+        assert expr.nullable == (" is " not in sql), sql  # known when bound
+        for column in (expr.evaluate(PAGE), compile_expression(expr)(PAGE)):
+            assert list(column.tolist()) == expected, sql
+            assert column.astype(bool).tolist() == [v is True for v in expected], sql

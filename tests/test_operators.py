@@ -186,7 +186,7 @@ def test_global_aggregate_empty_input():
     pschema = partial_agg_schema(KV, [], calls)
     final = FinalAggOperator(COST, 0, calls, Schema.of(("s", FLT), ("c", INT)))
     rows, end = drain(final, [])
-    assert rows == [(0.0, 0)]
+    assert rows == [(None, 0)]  # SQL: sum over no rows is NULL
     assert end
 
 

@@ -1,5 +1,8 @@
 """Unit and property tests for the columnar page layer."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +11,12 @@ from repro.pages import (
     ColumnType,
     DictColumn,
     Field,
+    MaskedColumn,
     Page,
     Schema,
     concat_pages,
 )
+from repro.pages.dictcolumn import StringDictionary
 
 INT = ColumnType.INT64
 STR = ColumnType.STRING
@@ -66,13 +71,17 @@ def test_schema_equality_and_hash():
 
 def test_column_type_coerce_string():
     # Python values come in as a dictionary-encoded column that reads
-    # back as the same values, cell by cell and as a list.
+    # back as the same values, cell by cell and as a list; ``None`` is a
+    # NULL, the validity mask over the dictionary-encoded values.
     col = STR.coerce(["a", "b", "a", None])
-    assert isinstance(col, DictColumn)
+    assert isinstance(col, MaskedColumn) and isinstance(col.values, DictColumn)
     assert list(col) == ["a", "b", "a", None]
     assert [col[i] for i in range(len(col))] == ["a", "b", "a", None]
-    assert len(col.dictionary) == 3
+    assert col.valid.tolist() == [True, True, True, False]
+    assert None not in col.values.dictionary.values.tolist()
     assert STR.coerce(col) is col
+    plain = STR.coerce(["a", "b", "a"])
+    assert isinstance(plain, DictColumn) and len(plain.dictionary) == 2
 
 
 def test_page_encodes_string_columns_on_construction():
@@ -204,3 +213,21 @@ def test_split_preserves_rows_property(values, limit):
     assert [r[0] for p in pages for r in p.rows()] == values
     assert all(0 < p.num_rows <= limit for p in pages)
     assert all(p.num_rows == limit for p in pages[:-1])
+
+
+def test_null_has_one_representation():
+    """NULL is the validity mask and nothing else: no NaN sentinel in the
+    engine's source, and no dictionary holds ``None``."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sentinel = re.compile(r'float\("nan"\)|np\.nan\b')
+    hits = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if sentinel.search(line)
+    ]
+    assert hits == []
+    with pytest.raises(ValueError, match="no None"):
+        StringDictionary(["a", None])
+    with pytest.raises(ValueError, match="no None"):
+        DictColumn.from_values(["a", None])

@@ -52,11 +52,10 @@ def test_codec_string_roundtrip():
     assert out[2].tolist() == strings[::-1].tolist()
 
 
-def test_codec_none_round_trips():
-    # NULL strings (CASE without ELSE) are tagged in the dictionary's
-    # length array, so offloaded jobs see and return them unchanged.
-    out = roundtrip([DictColumn.from_values([None, "a", None, ""])])
-    assert out[0].tolist() == [None, "a", None, ""]
+def test_codec_empty_strings_round_trip():
+    # An empty string is an entry of length 0 like any other.
+    out = roundtrip([DictColumn.from_values(["", "a", "", "b"])])
+    assert out[0].tolist() == ["", "a", "", "b"]
 
 
 def test_codec_empty_arrays():

@@ -72,7 +72,7 @@ def test_global_aggregate(mini_catalog):
 def test_global_aggregate_over_empty_input(mini_catalog):
     rows = run(mini_catalog, "select sum(salary), count(*) from emp where salary > 1e9")
     assert rows[0][1] == 0
-    assert rows[0][0] == 0.0
+    assert rows[0][0] is None  # SQL: sum over no rows is NULL
 
 
 def test_inner_join(mini_catalog):

@@ -434,8 +434,8 @@ _AGG_VALUE_TYPES = [FLT, INT, STR]  # the columns v, w, t after the keys
 
 def _fresh_dict_column(rng, values):
     """``values`` over a dictionary of its own — shuffled entries, an
-    unused ``None`` among them — as a page read back from spill has."""
-    entries = list(dict.fromkeys(values)) + [None]
+    unused one among them — as a page read back from spill has."""
+    entries = list(dict.fromkeys(values)) + ["unused"]
     entries = [entries[i] for i in rng.permutation(len(entries))]
     return DictColumn([entries.index(v) for v in values], entries)
 
