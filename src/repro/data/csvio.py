@@ -11,15 +11,14 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-import numpy as np
-
-from ..pages import ColumnType, DictColumn, Schema
+from ..pages import ColumnType, Schema
 from ..util import date_to_days, days_to_str
 from .table import Table
 
 
 def write_csv(table: Table, path: str | Path, delimiter: str = "|") -> Path:
-    """Write ``table`` to ``path`` (TPC-H style ``|``-separated, no header)."""
+    """Write ``table`` to ``path`` (TPC-H style ``|``-separated, no
+    header); a NULL cell is an empty field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     types = table.schema.types()
@@ -28,7 +27,9 @@ def write_csv(table: Table, path: str | Path, delimiter: str = "|") -> Path:
         for row in zip(*[c.tolist() for c in table.columns]):
             out = []
             for value, typ in zip(row, types):
-                if typ is ColumnType.DATE:
+                if value is None:
+                    out.append("")
+                elif typ is ColumnType.DATE:
                     out.append(days_to_str(value))
                 elif typ is ColumnType.FLOAT64:
                     out.append(f"{value:.2f}")
@@ -38,10 +39,21 @@ def write_csv(table: Table, path: str | Path, delimiter: str = "|") -> Path:
     return path
 
 
+#: Cell text -> value, per column type (STRING cells are kept as text).
+_PARSERS = {
+    ColumnType.DATE: date_to_days,
+    ColumnType.INT64: int,
+    ColumnType.FLOAT64: float,
+    ColumnType.BOOL: lambda v: v in ("1", "true", "True"),
+    ColumnType.STRING: str,
+}
+
+
 def read_csv(
     name: str, schema: Schema, path: str | Path, delimiter: str = "|"
 ) -> Table:
-    """Read a TPC-H style CSV file back into a :class:`Table`."""
+    """Read a TPC-H style CSV file back into a :class:`Table`; an empty
+    field of a nullable field is NULL."""
     raw_columns: list[list] = [[] for _ in schema]
     with Path(path).open(newline="") as fh:
         for row in csv.reader(fh, delimiter=delimiter):
@@ -56,15 +68,7 @@ def read_csv(
 
     columns: list = []
     for field, values in zip(schema, raw_columns):
-        typ = field.type
-        if typ is ColumnType.DATE:
-            columns.append(np.array([date_to_days(v) for v in values], dtype=np.int64))
-        elif typ is ColumnType.INT64:
-            columns.append(np.array([int(v) for v in values], dtype=np.int64))
-        elif typ is ColumnType.FLOAT64:
-            columns.append(np.array([float(v) for v in values], dtype=np.float64))
-        elif typ is ColumnType.BOOL:
-            columns.append(np.array([v in ("1", "true", "True") for v in values], dtype=np.bool_))
-        else:
-            columns.append(DictColumn.from_values(values))
+        parse = _PARSERS[field.type]
+        null = "" if field.nullable else None
+        columns.append(field.type.coerce([None if v == null else parse(v) for v in values]))
     return Table(name, schema, columns)

@@ -2,69 +2,140 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
-from ..pages import DictColumn, Page, Schema
+from ..pages import ColumnType, DictColumn, MaskedColumn, Page, Schema
+
+#: Integer widths a column is stored at when every value fits exactly.
+_WIDTHS = tuple(map(np.dtype, (np.int8, np.int16, np.int32)))
+_INT32 = np.dtype(np.int32)
+#: Rows per step when a column is measured for its width, so a float
+#: column's round-trip check holds no full-width temporary.
+_STEP_ROWS = 1 << 15
 
 
-class _LazyColumns(Sequence):
-    """A table's columns, each a loader until its first read, which calls
-    the loader and keeps the column in its place."""
+def narrowest(values: np.ndarray, floor: np.dtype | None = None) -> np.dtype:
+    """The narrowest of ``int8`` / ``int16`` / ``int32``, and no narrower
+    than ``floor`` (what earlier chunks of the column need), that holds
+    every value exactly: widened back, each has the same bits.  A float
+    qualifies when every value is an integer and none is ``-0.0`` or NaN.
+    Otherwise ``values.dtype``."""
+    dtype = values.dtype
+    if floor is not None and floor == dtype:
+        return dtype
+    if dtype.kind not in "if" or not values.size:
+        return dtype if floor is None else floor
+    lo, hi = values.min(), values.max()
+    for width in _WIDTHS:
+        if width.itemsize >= dtype.itemsize:
+            break
+        if floor is not None and width.itemsize < floor.itemsize:
+            continue
+        if np.iinfo(width).min <= lo and hi <= np.iinfo(width).max:
+            if dtype.kind == "i":
+                return width
+            bits = f"u{dtype.itemsize}"
+            back = values.astype(width).astype(dtype)
+            return width if np.array_equal(back.view(bits), values.view(bits)) else dtype
+    return dtype
 
-    def __init__(self, loaders: "list[Callable[[], np.ndarray | DictColumn]]"):
-        self._columns = list(loaders)
+
+def code_width(entries: int) -> np.dtype:
+    """Width of the codes of a dictionary of ``entries`` entries."""
+    return np.dtype(np.uint8 if entries <= 256 else np.uint16 if entries <= 65536 else np.int32)
+
+
+def stored_strings(codes: np.ndarray, dictionary) -> DictColumn:
+    """A string column as a table stores it, its codes at
+    :func:`code_width` (:meth:`Table.read` widens them for a page)."""
+    col = DictColumn.__new__(DictColumn)
+    col.codes = codes.astype(code_width(len(dictionary)), copy=False)
+    col.dictionary = dictionary
+    return col
+
+
+def _stored(col):
+    """``col`` at its stored width; a column with a NULL is kept as given."""
+    if type(col) is DictColumn:
+        return stored_strings(col.codes, col.dictionary)
+    if type(col) is not np.ndarray:
+        return col
+    width = None
+    for start in range(0, len(col), _STEP_ROWS):
+        width = narrowest(col[start : start + _STEP_ROWS], width)
+    return col if width is None else col.astype(width, copy=False)
+
+
+def _page_dtypes(schema: Schema) -> list:
+    return [_INT32 if f.type is ColumnType.STRING else f.type.numpy_dtype for f in schema]
+
+
+class _Columns(Sequence):
+    """A table's columns at their page dtypes (:attr:`Table.columns`)."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "Table"):
+        self._table = table
 
     def __len__(self) -> int:
-        return len(self._columns)
+        return len(self._table.schema)
 
     def __getitem__(self, i: int):
-        column = self._columns[i]
-        if callable(column):
-            column = self._columns[i] = column()
-        return column
+        return self._table.read(i, 0, self._table.num_rows)
 
 
-@dataclass
 class Table:
-    """A table: schema + parallel columns (STRING columns are
-    dictionary-encoded on registration), materialised or loaded per
-    column on first read (:meth:`lazy`)."""
+    """A table: schema + parallel columns, materialised or loaded per
+    column on first read (:meth:`lazy`).
 
-    name: str
-    schema: Schema
-    columns: "Sequence[np.ndarray | DictColumn]"
+    A column is stored at the narrowest exact width (:func:`narrowest`:
+    integers, dates and integer-valued floats; :func:`code_width`: the
+    codes of a STRING column, which is dictionary-encoded on
+    registration) and widened to its page dtype by :meth:`read`; a
+    column holding a NULL is stored as given.  :attr:`columns` reads
+    whole columns at their page dtypes.  A field whose column holds a
+    NULL is nullable.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.schema):
+    def __init__(self, name: str, schema: Schema, columns: Sequence):
+        if len(columns) != len(schema):
             raise ValueError(
-                f"table {self.name}: {len(self.columns)} columns for "
-                f"{len(self.schema)}-field schema"
+                f"table {name}: {len(columns)} columns for {len(schema)}-field schema"
             )
-        self.columns = list(self.columns)
-        for i in self.schema.string_positions:
-            if not isinstance(self.columns[i], DictColumn):
-                self.columns[i] = DictColumn.from_values(self.columns[i])
-        lengths = {len(c) for c in self.columns}
+        columns = [field.type.coerce(col) for field, col in zip(schema, columns)]
+        lengths = {len(c) for c in columns}
         if len(lengths) > 1:
-            raise ValueError(f"table {self.name}: ragged columns {lengths}")
-        self.num_rows = len(self.columns[0]) if self.columns else 0
+            raise ValueError(f"table {name}: ragged columns {lengths}")
+        if nulls := [i for i, c in enumerate(columns) if type(c) is MaskedColumn]:
+            schema = Schema(
+                replace(f, nullable=True) if i in nulls else f for i, f in enumerate(schema)
+            )
+        self.name, self.schema, self._dtypes = name, schema, _page_dtypes(schema)
+        self.num_rows = len(columns[0]) if columns else 0
+        self._stored = [_stored(col) for col in columns]
         self._size_cache: int | None = None
 
     @classmethod
     def lazy(
         cls, name: str, schema: Schema, loaders: list, num_rows: int, size_bytes: int
     ) -> "Table":
-        """A table whose column ``i`` is ``loaders[i]()``, called on the
-        column's first read (a scan, :meth:`page`, :meth:`column`).  The
-        caller measured ``num_rows`` and ``size_bytes``, so planning and
-        split partitioning read no column."""
+        """A table whose column ``i`` is ``loaders[i]()``, at its stored
+        width, called on the column's first read (a scan, :meth:`page`,
+        :meth:`column`).  The caller measured ``num_rows`` and
+        ``size_bytes``, so planning and split partitioning read no column."""
         table = object.__new__(cls)
-        table.name, table.schema, table.columns = name, schema, _LazyColumns(loaders)
+        table.name, table.schema, table._dtypes = name, schema, _page_dtypes(schema)
+        table._stored, table._loaders = [None] * len(loaders), loaders
         table.num_rows, table._size_cache = num_rows, size_bytes
         return table
+
+    @property
+    def columns(self) -> Sequence:
+        return _Columns(self)
 
     @property
     def size_bytes(self) -> int:
@@ -76,16 +147,30 @@ class Table:
         measured by whoever loads it, so sizing it reads no column.
         """
         if self._size_cache is None:
-            self._size_cache = self.page(0, self.num_rows).size_bytes
+            self._size_cache = Page(self.schema, self._stored).size_bytes
         return self._size_cache
 
-    def column(self, name: str) -> np.ndarray:
+    def read(self, i: int, start: int, stop: int):
+        """Rows [start, stop) of column ``i`` at its page dtype (one
+        ``astype``; a view where the column is stored at that width)."""
+        col = self._stored[i]
+        if col is None:
+            col = self._stored[i] = self._loaders[i]()
+        part = col[start:stop]
+        if type(part) is DictColumn:
+            if part.codes.dtype != _INT32:
+                part.codes = part.codes.astype(_INT32)  # a new column of the slice
+        elif type(part) is np.ndarray and part.dtype != self._dtypes[i]:
+            part = part.astype(self._dtypes[i])
+        return part
+
+    def column(self, name: str) -> "np.ndarray | DictColumn | MaskedColumn":
         return self.columns[self.schema.index_of(name)]
 
     def page(self, start: int, stop: int) -> Page:
-        """A page view over rows [start, stop)."""
+        """A page over rows [start, stop)."""
         stop = min(stop, self.num_rows)
-        return Page(self.schema, [c[start:stop] for c in self.columns])
+        return Page(self.schema, [self.read(i, start, stop) for i in range(len(self.schema))])
 
     def to_page(self) -> Page:
         return self.page(0, self.num_rows)

@@ -15,17 +15,21 @@ executes.  Generated data is fully determined by
   Loading validates every member but keeps none of the columns: each
   is read from the archive, which the tables hold open, on its first
   read (``Table.lazy``), so a column no query scans costs no memory.
-  The load pass streams every column member through the zip CRC and
-  decodes only string codes and dictionaries; a first read then copies
-  the member's bytes straight from the file (DESIGN.md §10).
+  The load pass streams every column member through the zip CRC,
+  measuring the narrowest width that holds its values exactly, and
+  decodes only string codes and dictionary entries, to check them;
+  it builds no dictionary.  A first read copies the member's bytes
+  from the file a chunk at a time, narrowing them to that width, and
+  a string column's first read builds its dictionary (DESIGN.md §10).
 
 ``GENERATOR_VERSION`` is part of both keys: bump it whenever
 :class:`~repro.data.tpch.generator.TpchGenerator` changes its output, and
 stale caches miss instead of serving old bits.  ``CACHE_FORMAT`` versions
-the archive layout the same way: a string column is stored as its
-``int32`` codes plus a fixed-width unicode array of dictionary entries,
-so the archive holds plain arrays only and loads with
-``allow_pickle=False`` (format 1 pickled one python object per cell).
+the archive layout the same way: every column is stored at its page
+dtype, a string column as its ``int32`` codes plus a fixed-width
+unicode array of dictionary entries, so the archive holds plain arrays
+only and loads with ``allow_pickle=False`` (format 1 pickled one python
+object per cell).
 Cache consumers must not mutate the returned arrays (the engine never
 does — pages slice and copy).
 """
@@ -39,11 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ...pages import DictColumn, Page
-from ...pages.dictcolumn import StringDictionary
-from ...pages.page import PAGE_OVERHEAD_BYTES
+from ...pages import DictColumn
+from ...pages.dictcolumn import StringDictionary, utf8_lengths
+from ...pages.page import _STRING_LENGTH_BYTES, PAGE_OVERHEAD_BYTES
 from .schema import TPCH_SCHEMAS
-from ..table import Table
+from ..table import Table, code_width, narrowest, stored_strings
 
 __all__ = ["load_tpch_tables", "clear_dataset_cache", "cache_file_path"]
 
@@ -109,12 +113,14 @@ def _load(path: Path) -> dict[str, Table] | None:
 
     One pass reads every member in full (so the zip CRC is checked),
     holding one at a time: each must be a 1-D array (never an object
-    array) of its table's row count, and string codes must index their
-    dictionary.  Only string codes and dictionaries are decoded, to
-    build the dictionaries; a column member is streamed
-    (:func:`_member`).  The pass measures each table's rows and
-    accounted size; the columns stay in the archive until their first
-    read (:func:`_read`).
+    array) of its table's row count, a dictionary's entries must be
+    distinct unicode strings, and string codes must index their
+    dictionary.  Only string codes and dictionaries are decoded, to check
+    them and to measure the cells' UTF-8 bytes; no dictionary is built.
+    A fixed-width member is streamed (:func:`_member`), which measures
+    its stored width.  The pass measures each table's rows and accounted
+    size; the columns stay in the archive until their first read
+    (:func:`_read`).
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -124,7 +130,7 @@ def _load(path: Path) -> dict[str, Table] | None:
         tables: dict[str, Table] = {}
         for name, schema in TPCH_SCHEMAS.items():
             rows, size, loaders = None, PAGE_OVERHEAD_BYTES, []
-            for i, field in enumerate(schema):
+            for field in schema:
                 key = f"{name}::{field.name}"
                 strings = field.type.fixed_width is None
                 spec, codes = _member(archive, key, decode=strings)
@@ -132,16 +138,18 @@ def _load(path: Path) -> dict[str, Table] | None:
                 rows = length if rows is None else rows
                 if length != rows:
                     raise ValueError(f"{key}: not a column of {rows} rows")
-                dictionary = None
+                entries = None
                 if strings:
-                    dictionary = StringDictionary(archive[f"{key}::dictionary"])
-                    if rows and not (0 <= codes.min() and codes.max() < len(dictionary)):
+                    entries, values = _member(archive, f"{key}::dictionary", decode=True)
+                    if values.dtype.kind != "U" or len(set(values.tolist())) != len(values):
+                        raise ValueError(f"{key}: not a dictionary of distinct strings")
+                    if rows and not (0 <= codes.min() and codes.max() < len(values)):
                         raise ValueError(f"{key}: codes outside the dictionary")
-                    page = Page(schema.select((i,)), [DictColumn(codes, dictionary)])
-                    size += page.size_bytes - PAGE_OVERHEAD_BYTES
+                    spec = spec[:3] + (code_width(len(values)),)
+                    size += rows * _STRING_LENGTH_BYTES + int(utf8_lengths(values)[codes].sum())
                 else:
                     size += rows * field.type.fixed_width
-                loaders.append(_loader(archive, key, spec, dictionary))
+                loaders.append(_loader(archive, key, spec, entries))
             tables[name] = Table.lazy(name, schema, loaders, rows, size)
         return tables
     except Exception:
@@ -154,10 +162,12 @@ def _load(path: Path) -> dict[str, Table] | None:
 
 
 def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
-    """``(dtype, rows, data offset in the file)`` of the stored 1-D member
-    ``key``, from its ``.npy`` header, and its data as an array if
-    ``decode``.  The data bytes are streamed to the end of the member,
-    which checks the zip CRC, and counted; only ``decode`` keeps them."""
+    """``(dtype, rows, data offset in the file, stored width)`` of the
+    stored 1-D member ``key``, from its ``.npy`` header, and its data as
+    an array if ``decode``.  The data bytes are streamed to the end of
+    the member, which checks the zip CRC, and counted; only ``decode``
+    keeps them, and otherwise each chunk narrows the stored width
+    (:func:`~repro.data.table.narrowest`)."""
     info = archive.zip.getinfo(f"{key}.npy")
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"{key}: a compressed member")
@@ -168,10 +178,12 @@ def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
             raise ValueError(f"{key}: not a 1-D array of plain values")
         data = np.empty(shape[0], dtype) if decode else None
         into = memoryview(data).cast("B") if decode else None
-        header, filled = member.tell(), 0
+        header, filled, width = member.tell(), 0, None
         while chunk := member.read(_CHUNK_BYTES):
             if into is not None:
                 into[filled : filled + len(chunk)] = chunk
+            else:
+                width = narrowest(np.frombuffer(chunk, dtype), width)
             filled += len(chunk)
     if filled != shape[0] * dtype.itemsize:
         raise ValueError(f"{key}: data does not match its header")
@@ -180,27 +192,36 @@ def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
     archive.zip.fp.seek(info.header_offset)
     name_len, extra_len = struct.unpack("<26xHH", archive.zip.fp.read(30))
     offset = info.header_offset + 30 + name_len + extra_len + header
-    return (dtype, shape[0], offset), data
+    return (dtype, shape[0], offset, dtype if width is None else width), data
 
 
-def _read(archive, key: str, spec: tuple[np.dtype, int, int]) -> np.ndarray:
+def _read(archive, key: str, spec: tuple) -> np.ndarray:
     """Member ``key`` (``spec`` as :func:`_member` found it) as an owned,
-    aligned array, its bytes copied straight from the archive file: the
-    load pass checked their CRC, and an archive is only ever replaced
-    whole, never written in place."""
-    dtype, rows, offset = spec
-    column = np.empty(rows, dtype)
+    aligned array at its stored width, its bytes copied straight from
+    the archive file a chunk at a time, so no full-width temporary is
+    held: the load pass checked their CRC, and an archive is only ever
+    replaced whole, never written in place."""
+    dtype, rows, offset, stored = spec
+    column = np.empty(rows, stored)
+    chunk = np.empty(max(1, _CHUNK_BYTES // dtype.itemsize), dtype)
     archive.zip.fp.seek(offset)
-    if archive.zip.fp.readinto(column) != column.nbytes:
-        raise ValueError(f"{key}: the archive is shorter than at load")
+    for start in range(0, rows, len(chunk)):
+        part = chunk[: rows - start]
+        if archive.zip.fp.readinto(part) != part.nbytes:
+            raise ValueError(f"{key}: the archive is shorter than at load")
+        column[start : start + len(part)] = part
     return column
 
 
-def _loader(archive, key: str, spec: tuple, dictionary):
-    """Reads member ``key`` (string codes over ``dictionary`` if given)."""
-    if dictionary is None:
+def _loader(archive, key: str, spec: tuple, entries: tuple | None):
+    """Reads member ``key``; string codes (``entries`` is their
+    dictionary member's spec) come with their dictionary, built here."""
+    if entries is None:
         return lambda: _read(archive, key, spec)
-    return lambda: DictColumn(_read(archive, key, spec), dictionary)
+    return lambda: stored_strings(
+        _read(archive, key, spec),
+        StringDictionary(_read(archive, f"{key}::dictionary", entries)),
+    )
 
 
 def load_tpch_tables(

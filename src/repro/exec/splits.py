@@ -46,13 +46,9 @@ class SystemSplit:
         stop = min(start + rows, self.info.row_stop)
         if columns is None:
             return self.table.page(start, stop)
-        # Slice only the columns the scan reads (each slice of a string
-        # column is a new DictColumn; unread ones should cost nothing).
+        # Read only the columns the scan reads: unread ones cost nothing.
         table = self.table
-        return Page(
-            table.schema.select(columns),
-            [table.columns[i][start:stop] for i in columns],
-        )
+        return Page(table.schema.select(columns), [table.read(i, start, stop) for i in columns])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Dictionary-encoded string columns (DESIGN.md §18).
 
 Every STRING column in the engine is a :class:`DictColumn`: ``int32``
-codes into a shared, immutable :class:`StringDictionary`.  Row-level work
-(filtering, gathering, sizing, hashing, grouping) touches only the codes;
-anything that needs the text itself is computed once per dictionary
-*entry* and gathered through the codes.
+codes into a shared, immutable :class:`StringDictionary` (a base table
+stores them narrower and widens them for each page, DESIGN.md §10).
+Row-level work (filtering, gathering, sizing, hashing, grouping) touches
+only the codes; anything that needs the text itself is computed once per
+dictionary *entry* and gathered through the codes.
 
 Base-table dictionaries are created once by the generator / cache / CSV
 loader and shared by every page sliced from the table, so they keep
@@ -56,24 +57,22 @@ def _lazy_gather(
     return out
 
 
-def _utf8_lengths(values: Sequence, listed: list) -> np.ndarray:
+def utf8_lengths(values: Sequence) -> np.ndarray:
     """Accounted UTF-8 byte length of each entry (sizes are the cost
     model's input).  A 1-D fixed-width unicode array (the dataset
-    archive's form) whose code points are all ASCII has one byte per
-    character, counted in one vectorized pass; anything else is encoded
-    entry by entry."""
-    if (
-        isinstance(values, np.ndarray)
-        and values.dtype.kind == "U"
-        and values.ndim == 1
-        and values.flags.c_contiguous
-        and (values.size == 0 or values.view(np.uint32).max() < 0x80)
-    ):
-        return np.strings.str_len(values).astype(np.int64, copy=False)
+    archive's form) is counted vectorized: one byte per character, and
+    one more per code point from 0x80, 0x800 and 0x10000 on; anything
+    else is encoded entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "U" and values.dtype.isnative:
+        lengths = np.strings.str_len(values).astype(np.int64, copy=False)
+        points = np.ascontiguousarray(values).view(np.uint32)
+        if points.size and points.max() >= 0x80:
+            points = points.reshape(len(values), -1)
+            for bound in (0x80, 0x800, 0x10000):
+                lengths += (points >= bound).sum(axis=1)
+        return lengths
     return np.fromiter(
-        (len(str(v).encode("utf-8")) for v in listed),
-        dtype=np.int64,
-        count=len(listed),
+        (len(str(v).encode("utf-8")) for v in values), dtype=np.int64, count=len(values)
     )
 
 
@@ -107,7 +106,7 @@ class StringDictionary:
             raise ValueError("a dictionary holds no None: a NULL is the column's mask")
         self.values = entries
         if utf8_len is None:
-            utf8_len = _utf8_lengths(values, listed)
+            utf8_len = utf8_lengths(values)
         self.utf8_len = utf8_len
         #: Shared byte length when every entry has the same one (flags,
         #: zero-padded names): sizing a page is then a multiplication

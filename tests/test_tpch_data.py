@@ -5,13 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.data import Catalog, SplitLayout
+from repro.data import Catalog, SplitLayout, Table
 from repro.data.csvio import read_csv, write_csv
 from repro.data.splits import PAPER_SPLIT_SCHEME
 from repro.data.tpch.generator import TpchGenerator
 from repro.data.tpch.schema import TPCH_SCHEMAS, row_count
 from repro.errors import AnalysisError
 from repro.exec.splits import SplitFeed, SystemSplit
+from repro.pages import ColumnType, Field, Schema
 from repro.util import date_to_days
 
 
@@ -246,6 +247,24 @@ def test_csv_roundtrip_with_dates_and_floats(tmp_path, gen):
     loaded = read_csv("orders", table.schema, path)
     assert (loaded.column("o_orderdate") == table.column("o_orderdate")).all()
     assert np.allclose(loaded.column("o_totalprice"), table.column("o_totalprice"))
+
+
+def test_csv_roundtrip_with_nulls(tmp_path):
+    """A NULL cell is written as an empty field, and an empty field of a
+    nullable field reads back as NULL, in every column type."""
+    schema = Schema(
+        Field(name, typ, nullable=True)
+        for name, typ in (
+            ("i", ColumnType.INT64), ("f", ColumnType.FLOAT64),
+            ("d", ColumnType.DATE), ("s", ColumnType.STRING),
+        )
+    )
+    rows = [(1, 2.5, 9000, "x"), (None, None, None, None), (3, -1.25, 0, "")]
+    table = Table("t", schema, [f.type.coerce([r[i] for r in rows]) for i, f in enumerate(schema)])
+    path = write_csv(table, tmp_path / "t.tbl")
+    assert path.read_text().splitlines()[1] == "|||"
+    loaded = read_csv("t", schema, path)
+    assert loaded.to_page().rows() == [(1, 2.5, 9000, "x"), (None,) * 4, (3, -1.25, 0, None)]
 
 
 def test_csv_bad_arity_raises(tmp_path, gen):
