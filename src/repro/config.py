@@ -12,70 +12,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-
-from .tree import identity
-
-
-class _Fingerprinted:
-    """Mixin giving every config dataclass a uniform ``fingerprint()``:
-    its :func:`repro.tree.identity`, which the plan cache and the fold /
-    result-cache keys use (:class:`~repro.cluster.coordinator.QueryOptions`
-    has the same method)."""
-
-    def fingerprint(self) -> tuple:
-        return identity(self)
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
-class CostModel(_Fingerprinted):
+class CostModel:
     """Virtual-time cost coefficients for the simulated engine.
 
-    All times are in virtual seconds.  ``cpu_multiplier`` lets baseline
-    engine modes (Presto's Java operators vs. Accordion/Prestissimo's C++
-    vectorized operators) share one executor while exhibiting the paper's
-    Figure 20 performance gap.
+    All times are in virtual seconds.  Two coefficients are settable:
+    ``cpu_multiplier`` lets baseline engine modes (Presto's Java
+    operators vs. Accordion/Prestissimo's C++ vectorized operators) share
+    one executor while exhibiting the paper's Figure 20 performance gap,
+    and stretches virtual runtime for the calibrations; the shuffle
+    experiment (Figures 27/28) sets ``shuffle_row_cost``.  Every other
+    coefficient is a class constant: no workload varies it.
     """
 
     #: CPU seconds charged per row scanned from a CSV split (parse + copy).
-    scan_row_cost: float = 2.0e-7
+    scan_row_cost: ClassVar[float] = 2.0e-7
     #: CPU seconds per row for stateless row transforms (filter/project).
-    filter_row_cost: float = 5.0e-8
-    project_row_cost: float = 1.5e-7
+    filter_row_cost: ClassVar[float] = 5.0e-8
+    project_row_cost: ClassVar[float] = 1.5e-7
     #: CPU seconds per row on the build side of a hash join.
-    join_build_row_cost: float = 1.2e-6
+    join_build_row_cost: ClassVar[float] = 1.2e-6
     #: CPU seconds per probe-side row of a hash join.
-    join_probe_row_cost: float = 1.6e-6
+    join_probe_row_cost: ClassVar[float] = 1.6e-6
     #: CPU seconds per row for partial (pre-)aggregation.
-    partial_agg_row_cost: float = 1.2e-6
+    partial_agg_row_cost: ClassVar[float] = 1.2e-6
     #: CPU seconds per row for final aggregation (merging partials).
-    final_agg_row_cost: float = 8.0e-7
+    final_agg_row_cost: ClassVar[float] = 8.0e-7
     #: CPU seconds per row pushed through sort / topN operators.
-    sort_row_cost: float = 5.0e-7
+    sort_row_cost: ClassVar[float] = 5.0e-7
     #: CPU seconds per row hashed + copied by a shuffle executor.
     shuffle_row_cost: float = 4.0e-7
     #: CPU seconds per row moved through local exchange sink/source.
-    local_exchange_row_cost: float = 3.0e-8
+    local_exchange_row_cost: ClassVar[float] = 3.0e-8
     #: CPU seconds per row delivered by the task output operator.
-    task_output_row_cost: float = 3.0e-8
+    task_output_row_cost: ClassVar[float] = 3.0e-8
     #: CPU seconds per row received by an exchange operator (deserialise).
-    exchange_row_cost: float = 1.2e-7
+    exchange_row_cost: ClassVar[float] = 1.2e-7
     #: Virtual seconds per byte written to a local spill file (sequential
     #: NVMe-class write).  Charged only when an operator actually spills,
     #: so budget-free runs keep bit-identical virtual timings.
-    spill_write_byte_cost: float = 5.0e-10
+    spill_write_byte_cost: ClassVar[float] = 5.0e-10
     #: Virtual seconds per byte read back from a spill file.
-    spill_read_byte_cost: float = 2.5e-10
+    spill_read_byte_cost: ClassVar[float] = 2.5e-10
     #: Fixed CPU seconds charged per driver quantum (scheduling overhead).
-    quantum_overhead: float = 1.0e-5
+    quantum_overhead: ClassVar[float] = 1.0e-5
     #: One RESTful request between coordinator and workers (paper: 1-10 ms).
-    rpc_request_cost: float = 4.8e-3
+    rpc_request_cost: ClassVar[float] = 4.8e-3
     #: Fixed network latency per page transfer.
-    network_latency: float = 2.0e-4
+    network_latency: ClassVar[float] = 2.0e-4
     #: Multiplier applied to all CPU costs (baselines override this).
     cpu_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        """Every coefficient is finite and >= 0, the multiplier > 0: a bad
+        """Each field is finite and >= 0, the multiplier > 0: a bad
         value fails here, naming its field, instead of as a negative core
         grant, a NaN clock or a quantum that never ends."""
         for spec in fields(self):
@@ -98,7 +90,7 @@ class CostModel(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class BufferConfig(_Fingerprinted):
+class BufferConfig:
     """Output/exchange buffer behaviour.
 
     ``elastic=True`` enables the paper's runtime elastic buffer
@@ -117,7 +109,7 @@ class BufferConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class ClusterConfig(_Fingerprinted):
+class ClusterConfig:
     """Topology of the simulated cluster (paper Section 6.1).
 
     The paper uses 1 coordinator + 10 storage + 10 compute nodes.  Tests
@@ -194,7 +186,7 @@ class ClusterConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class MemoryConfig(_Fingerprinted):
+class MemoryConfig:
     """Per-query memory budget and out-of-core (spill) behaviour.
 
     Memory is the engine's second elastic dimension (DESIGN.md §13),
@@ -221,7 +213,7 @@ class MemoryConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class SharingConfig(_Fingerprinted):
+class SharingConfig:
     """Concurrent-query folding + result cache (``repro.sharing``).
 
     Off by default: with ``enabled=False`` every submission runs its own
@@ -245,7 +237,7 @@ class SharingConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class ParallelConfig(_Fingerprinted):
+class ParallelConfig:
     """Worker-pool transport settings (``repro.parallel``).
 
     No engine component reads this: the per-kernel offload it used to
@@ -265,7 +257,7 @@ class ParallelConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class PredictionConfig(_Fingerprinted):
+class PredictionConfig:
     """Learned per-stage resource prediction (``repro.predict``).
 
     Off by default: the engine is purely reactive and bit-identical to
@@ -291,7 +283,7 @@ class PredictionConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class TraceConfig(_Fingerprinted):
+class TraceConfig:
     """Observability switches (``repro.obs``).
 
     Tracing is **inert**: turning it on changes no virtual timing, answer,
@@ -307,7 +299,7 @@ class TraceConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class WorkloadConfig(_Fingerprinted):
+class WorkloadConfig:
     """Multi-tenant workload behaviour (``repro.workload``).
 
     Controls the admission controller sitting in front of
@@ -338,14 +330,14 @@ class WorkloadConfig(_Fingerprinted):
 
 
 @dataclass(frozen=True)
-class EngineConfig(_Fingerprinted):
+class EngineConfig:
     """Top-level engine configuration and feature switches.
 
     ``EngineConfig`` is the root of the config hierarchy::
 
         EngineConfig
         ├── cluster:  ClusterConfig (topology, placement)
-        ├── cost:     CostModel     (virtual-time coefficients)
+        ├── cost:     CostModel     (CPU multiplier, shuffle row cost)
         ├── buffers:  BufferConfig  (elastic output buffers)
         ├── memory:   MemoryConfig  (per-query budget + spilling)
         ├── tracing:  TraceConfig   (observability switches)
@@ -354,8 +346,10 @@ class EngineConfig(_Fingerprinted):
         ├── parallel: ParallelConfig (accepted, read by no component)
         └── prediction: PredictionConfig (learned demand profiles)
 
-    Every node is a frozen dataclass with a stable ``fingerprint()`` and
-    an immutable ``with_<section>(**fields)`` builder on this root class.
+    Every node is a frozen dataclass.  Sections a workload tunes have an
+    immutable ``with_<section>(**fields)`` builder on this root class;
+    ``cost`` and ``buffers`` are replaced whole
+    (``EngineConfig(cost=CostModel().scaled(1000.0))``).
     """
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
@@ -373,8 +367,6 @@ class EngineConfig(_Fingerprinted):
     #: Memoize parse -> analyze -> optimize -> physical plan per
     #: (catalog version, SQL, options) across queries and engines.
     plan_cache: bool = True
-    #: Name used in reports.
-    engine_name: str = "accordion"
     #: Per-query memory budget and out-of-core spilling (DESIGN.md §13).
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     #: Observability (tracing/profiling) switches; off by default.
@@ -396,14 +388,6 @@ class EngineConfig(_Fingerprinted):
         """Return a copy with tracing enabled (plus any TraceConfig fields)."""
         kwargs.setdefault("enabled", True)
         return replace(self, tracing=replace(self.tracing, **kwargs))
-
-    def with_cost(self, **kwargs) -> "EngineConfig":
-        """Return a copy with cost-model fields replaced."""
-        return replace(self, cost=replace(self.cost, **kwargs))
-
-    def with_buffers(self, **kwargs) -> "EngineConfig":
-        """Return a copy with buffer fields replaced."""
-        return replace(self, buffers=replace(self.buffers, **kwargs))
 
     def with_workload(self, **kwargs) -> "EngineConfig":
         """Return a copy with workload fields replaced."""
@@ -466,7 +450,6 @@ def presto_config(base: EngineConfig | None = None) -> EngineConfig:
         cost=base.cost.scaled(2.6),
         buffers=replace(base.buffers, elastic=False),
         elasticity_enabled=False,
-        engine_name="presto",
     )
 
 
@@ -478,5 +461,4 @@ def prestissimo_config(base: EngineConfig | None = None) -> EngineConfig:
         cost=base.cost.scaled(0.95),
         buffers=replace(base.buffers, elastic=False),
         elasticity_enabled=False,
-        engine_name="prestissimo",
     )

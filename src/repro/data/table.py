@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..errors import ExecutionError
 from ..pages import ColumnType, DictColumn, MaskedColumn, Page, Schema
 
 #: Integer widths a column is stored at when every value fits exactly.
@@ -126,7 +127,10 @@ class Table:
         """A table whose column ``i`` is ``loaders[i]()``, at its stored
         width, called on the column's first read (a scan, :meth:`page`,
         :meth:`column`).  The caller measured ``num_rows`` and
-        ``size_bytes``, so planning and split partitioning read no column."""
+        ``size_bytes``, so planning and split partitioning read no column.
+        A loader that returns a NULL under a non-nullable field fails the
+        read with :class:`ExecutionError`: plans bound the field as
+        NULL-free."""
         table = object.__new__(cls)
         table.name, table.schema, table._dtypes = name, schema, _page_dtypes(schema)
         table._stored, table._loaders = [None] * len(loaders), loaders
@@ -155,7 +159,13 @@ class Table:
         ``astype``; a view where the column is stored at that width)."""
         col = self._stored[i]
         if col is None:
-            col = self._stored[i] = self._loaders[i]()
+            col = self._loaders[i]()
+            if type(col) is MaskedColumn and not self.schema.fields[i].nullable:
+                raise ExecutionError(
+                    f"table {self.name}: column {self.schema.fields[i].name} "
+                    "holds a NULL under a non-nullable field"
+                )
+            self._stored[i] = col
         part = col[start:stop]
         if type(part) is DictColumn:
             if part.codes.dtype != _INT32:

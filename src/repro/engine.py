@@ -298,9 +298,7 @@ class AccordionEngine:
     def _elastic_for(self, execution: QueryExecution) -> ElasticQuery:
         """The runtime DOP tuning interface behind ``QueryHandle.tuning``."""
         if not self.config.elasticity_enabled:
-            raise ExecutionError(
-                f"engine mode {self.config.engine_name!r} does not support IQRE"
-            )
+            raise ExecutionError("an engine without elasticity does not support IQRE")
         if execution.elastic is None:
             from .autotune.service import ElasticQuery
 

@@ -52,8 +52,7 @@ _PER_CATALOG_LIMIT = 256
 class PlanCache:
     """Process-wide per-catalog-version memo, shared by all engines."""
 
-    def __init__(self, limit: int = _PER_CATALOG_LIMIT):
-        self.limit = limit
+    def __init__(self):
         # catalog -> (version, {key: plan})
         self._store: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -71,7 +70,7 @@ class PlanCache:
             slot = (catalog.version, {})
             self._store[catalog] = slot
         entries = slot[1]
-        if len(entries) >= self.limit:
+        if len(entries) >= _PER_CATALOG_LIMIT:
             entries.clear()
         entries[key] = plan
 

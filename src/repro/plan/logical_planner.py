@@ -26,11 +26,11 @@ from ..sql import ast
 from ..sql.analyzer import ExpressionBinder, OuterColumn, Scope, split_conjuncts
 from ..sql.expressions import (
     AggregateCall,
-    BoolAnd,
     BoolOr,
     BoundExpr,
     Comparison,
     InputRef,
+    conjoin,
 )
 from ..sql.functions import AGGREGATE_FUNCTIONS
 from .expr_utils import input_refs, remap_expr
@@ -281,7 +281,7 @@ class LogicalPlanner:
             conjuncts = pushed.get(i, [])
             if conjuncts:
                 local_map = {g: p for p, g in enumerate(leaf.globals())}
-                predicate = _and_all([remap_expr(c, local_map) for c in conjuncts])
+                predicate = conjoin([remap_expr(c, local_map) for c in conjuncts])
                 plan = LogicalFilter(plan, predicate)
             plans.append(plan)
             estimates.append(estimate_rows(plan, self.catalog))
@@ -299,7 +299,7 @@ class LogicalPlanner:
             if ready:
                 mapping = {g: p for p, g in enumerate(layout)}
                 tree = LogicalFilter(
-                    tree, _and_all([remap_expr(r, mapping) for r in ready])
+                    tree, conjoin([remap_expr(r, mapping) for r in ready])
                 )
                 for r in ready:
                     pending.remove(r)
@@ -538,11 +538,7 @@ class LogicalPlanner:
                     )
                 else:
                     plain_having.append(post_binder.bind_predicate(conjunct))
-        having_expr: BoundExpr | None = None
-        if len(plain_having) == 1:
-            having_expr = plain_having[0]
-        elif plain_having:
-            having_expr = BoolAnd(tuple(plain_having))
+        having_expr = conjoin(plain_having)
 
         # Pre-projection: group keys first, then (deduplicated) agg args.
         pre_exprs: list[BoundExpr] = [remap_expr(g, mapping) for g in group_bound]
@@ -630,18 +626,6 @@ class LogicalPlanner:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-def _and_all(exprs: list[BoundExpr]) -> BoundExpr:
-    if len(exprs) == 1:
-        return exprs[0]
-    flat: list[BoundExpr] = []
-    for e in exprs:
-        if isinstance(e, BoolAnd):
-            flat.extend(e.terms)
-        else:
-            flat.append(e)
-    return BoolAnd(tuple(flat))
-
-
 def _aggregate_calls(node: ast.ExprNode) -> list[ast.FunctionCall]:
     """Aggregate calls in ``node`` (a subquery's are its own, not these)."""
     return [

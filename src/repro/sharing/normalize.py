@@ -40,7 +40,7 @@ from ..plan.logical import (
     LogicalScan,
     LogicalTopN,
 )
-from ..sql.expressions import BoolAnd, BoundExpr, InputRef
+from ..sql.expressions import BoundExpr, InputRef, conjoin, split_conjuncts
 from ..tree import identity
 from .residual import Residual
 
@@ -48,13 +48,6 @@ from .residual import Residual
 #: must never collide in a persisted store (``history.json`` buckets
 #: written under an older version are orphaned by design).
 NORMALIZE_VERSION = 2
-
-
-def split_conjuncts(predicate: BoundExpr) -> list[BoundExpr]:
-    """A filter predicate as a flat list of AND-ed conjuncts."""
-    if isinstance(predicate, BoolAnd):
-        return [c for term in predicate.terms for c in split_conjuncts(term)]
-    return [predicate]
 
 
 # -- shape decomposition -----------------------------------------------------
@@ -186,14 +179,6 @@ def _residual_conjuncts(
     return residual
 
 
-def _combine(conjuncts: list[BoundExpr]) -> BoundExpr | None:
-    if not conjuncts:
-        return None
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return BoolAnd(tuple(conjuncts))
-
-
 def plan_residual(
     b: NormalizedQuery, a: NormalizedQuery
 ) -> Residual | None:
@@ -226,5 +211,5 @@ def plan_residual(
         for name, expr in zip(shape.out_names, projected)
     )
     return Residual(
-        predicate=_combine(rebased_extra), project=(projected, project_schema)
+        predicate=conjoin(rebased_extra), project=(projected, project_schema)
     )

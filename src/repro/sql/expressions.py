@@ -255,6 +255,24 @@ class BoolAnd(BoundExpr):
         return "(" + " AND ".join(map(str, self.terms)) + ")"
 
 
+def split_conjuncts(predicate: BoundExpr) -> list[BoundExpr]:
+    """A filter predicate as a flat list of AND-ed conjuncts."""
+    if isinstance(predicate, BoolAnd):
+        return [c for term in predicate.terms for c in split_conjuncts(term)]
+    return [predicate]
+
+
+def conjoin(conjuncts: list[BoundExpr]) -> BoundExpr | None:
+    """The AND of ``conjuncts``: ``None`` for none, a lone conjunct as
+    it is, else one ``BoolAnd`` with the terms of any ``BoolAnd``
+    conjunct spliced in."""
+    if len(conjuncts) < 2:
+        return conjuncts[0] if conjuncts else None
+    return BoolAnd(tuple(
+        t for c in conjuncts for t in (c.terms if isinstance(c, BoolAnd) else (c,))
+    ))
+
+
 @dataclass(frozen=True)
 class BoolOr(BoundExpr):
     terms: tuple[BoundExpr, ...]

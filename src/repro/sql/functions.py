@@ -214,9 +214,7 @@ def group_codes(key_columns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndar
             return codes, [uniques]
         uniques, codes = np.unique(col, return_inverse=True)
         return codes.astype(np.int64), [uniques]
-    codes = _pack_int_keys(key_columns)
-    if codes is None:
-        codes = _factorized_pack(key_columns)
+    codes = _factorized_pack(key_columns)
     ngroups = int(codes.max()) + 1 if len(codes) else 0
     # Map group codes back to one representative row per group (reverse
     # pass keeps the first occurrence in row order).
@@ -265,42 +263,10 @@ def _int_factorize(col: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return remap[shifted], uniques
 
 
-def _pack_int_keys(key_columns: list[np.ndarray]) -> np.ndarray | None:
-    """All-integer fast path: pack (value - min) columns mixed-radix.
-
-    Skips the per-column ``np.unique`` calls entirely — one min/max scan
-    per column plus a single unique over the packed keys.  The group
-    ordering (lexicographic by column value) is identical to the
-    factorized path.  Returns ``None`` when a column is non-integer or
-    the value spans would overflow int64.
-    """
-    if not all(col.dtype.kind in "iu" for col in key_columns):
-        return None
-    n = len(key_columns[0])
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    bases = [int(col.min()) for col in key_columns]
-    spans = [int(col.max()) - base + 1 for col, base in zip(key_columns, bases)]
-    span_product = 1
-    for span in spans:
-        span_product *= span
-    if span_product > _INT64_MAX:
-        return None
-    packed = key_columns[0].astype(np.int64, copy=True)
-    packed -= bases[0]
-    for col, base, span in zip(key_columns[1:], bases[1:], spans[1:]):
-        packed *= span
-        packed += col.astype(np.int64, copy=False) - base
-    fast = _int_factorize(packed)
-    if fast is not None:
-        return fast[0]
-    _, codes = np.unique(packed, return_inverse=True)
-    return codes.astype(np.int64)
-
-
 def _factorized_pack(key_columns: list[np.ndarray]) -> np.ndarray:
-    """General multi-column path: one ``np.lexsort`` (first column most
-    significant), a new group wherever adjacent sorted rows differ.
+    """The multi-column path: one ``np.lexsort`` (first column most
+    significant), a new group wherever adjacent sorted rows differ, so
+    groups are numbered in lexicographic key order.
     Equality is ``np.unique``'s — ``-0.0 == 0.0``, every NaN (sorted
     last) in one group — and nothing is packed, so no span can overflow."""
     order = np.lexsort(key_columns[::-1])

@@ -20,33 +20,35 @@ from repro.config import (
     presto_config,
     prestissimo_config,
 )
+from repro.experiments import eval_config
 from repro.sim import SimKernel
 
 
 def test_cost_multipliers_compose():
-    base = CostModel()
+    base = CostModel(shuffle_row_cost=1.0e-7)
     assert base.cpu_multiplier == 1.0
     scaled = base.scaled(100.0)
     assert scaled.cpu_multiplier == 100.0
     stacked = scaled.scaled(2.6)
     assert stacked.cpu_multiplier == pytest.approx(260.0)
-    # Non-multiplier fields are preserved.
-    assert stacked.scan_row_cost == base.scan_row_cost
+    # The other field is preserved.
+    assert stacked.shuffle_row_cost == base.shuffle_row_cost
 
 
 @pytest.mark.parametrize(
     "build, field",
     [
         # Used to escape the event loop as the pool's "cost must be >= 0".
-        (lambda: CostModel(scan_row_cost=-2.0e-7), "scan_row_cost"),
+        (lambda: CostModel(shuffle_row_cost=-2.0e-7), "shuffle_row_cost"),
         # Used to finish Q6 with ``handle.elapsed == nan``.
         (lambda: CostModel().scaled(float("nan")), "cpu_multiplier"),
-        # Used to never finish and raise ExecutionError after 1e6 virtual s.
-        (lambda: CostModel(quantum_overhead=float("inf")), "quantum_overhead"),
+        # An infinite cost used to never finish (ExecutionError after 1e6
+        # virtual s).
+        (lambda: CostModel(shuffle_row_cost=float("inf")), "shuffle_row_cost"),
         (lambda: CostModel().scaled(0.0), "cpu_multiplier"),
-        (lambda: EngineConfig().with_cost(network_latency=-1.0), "network_latency"),
+        (lambda: eval_config(shuffle_row_cost=-1.0), "shuffle_row_cost"),
     ],
-    ids=["negative_row_cost", "nan_multiplier", "inf_overhead", "zero_multiplier", "negative_latency"],
+    ids=["negative_row_cost", "nan_multiplier", "inf_row_cost", "zero_multiplier", "negative_eval_override"],
 )
 def test_cost_model_rejects_a_bad_coefficient_when_built(build, field):
     with pytest.raises(ValueError, match=f"CostModel.{field} must be finite"):
@@ -54,8 +56,20 @@ def test_cost_model_rejects_a_bad_coefficient_when_built(build, field):
 
 
 def test_cost_model_accepts_zero_coefficients():
-    free = CostModel(quantum_overhead=0.0, network_latency=0.0).scaled(1000.0)
-    assert free.quantum_overhead == 0.0 and free.cpu_multiplier == 1000.0
+    free = CostModel(shuffle_row_cost=0.0).scaled(1000.0)
+    assert free.shuffle_row_cost == 0.0 and free.cpu_multiplier == 1000.0
+
+
+def test_fixed_coefficients_are_constants_not_fields():
+    """Only ``cpu_multiplier`` and ``shuffle_row_cost`` are settable; the
+    other coefficients are class constants no constructor or evaluation
+    override can set."""
+    assert [f.name for f in dataclasses.fields(CostModel)] == ["shuffle_row_cost", "cpu_multiplier"]
+    assert CostModel().scaled(3.0).network_latency == CostModel.network_latency == 2.0e-4
+    with pytest.raises(TypeError):
+        CostModel(network_latency=0.0)
+    with pytest.raises(TypeError):
+        eval_config(quantum_overhead=0.0)
 
 
 def test_cost_model_is_frozen():
@@ -81,7 +95,6 @@ def test_engine_config_with_cluster():
 def test_presto_config_shape(tiny_catalog):
     base = EngineConfig(cost=CostModel().scaled(100.0))
     presto = presto_config(base)
-    assert presto.engine_name == "presto"
     assert not presto.elasticity_enabled
     assert not presto.buffers.elastic
     # Intermediate data caching goes with elasticity: no build side caches.
@@ -95,7 +108,6 @@ def test_presto_config_shape(tiny_catalog):
 
 def test_prestissimo_config_shape():
     pr = prestissimo_config()
-    assert pr.engine_name == "prestissimo"
     assert not pr.elasticity_enabled
     assert 0.5 < pr.cost.cpu_multiplier < 1.5
 
@@ -113,19 +125,15 @@ def test_cluster_config_defaults_match_paper():
     assert cluster.storage_nodes == 10
 
 
-# -- config hierarchy: builders + fingerprints --------------------------------
+# -- config hierarchy: builders + options fingerprint ------------------------
 def test_uniform_section_builders():
     config = (
         EngineConfig()
-        .with_cost(cpu_multiplier=3.0)
-        .with_buffers(elastic=False)
         .with_memory(query_budget_bytes=1 << 20)
         .with_workload(max_concurrent_queries=2, queue_policy="priority")
         .with_cluster(compute_nodes=4)
         .with_tracing()
     )
-    assert config.cost.cpu_multiplier == 3.0
-    assert not config.buffers.elastic
     assert config.memory.query_budget_bytes == 1 << 20
     assert config.workload.max_concurrent_queries == 2
     assert config.workload.queue_policy == "priority"
@@ -133,36 +141,6 @@ def test_uniform_section_builders():
     assert config.tracing.enabled
     # Builders never mutate their receiver.
     assert EngineConfig().workload.max_concurrent_queries is None
-
-
-def test_every_section_has_a_fingerprint():
-    from repro import WorkloadConfig
-    from repro.config import MemoryConfig, PredictionConfig, TraceConfig
-
-    sections = [
-        EngineConfig(),
-        ClusterConfig(),
-        CostModel(),
-        BufferConfig(),
-        MemoryConfig(),
-        TraceConfig(),
-        WorkloadConfig(),
-        PredictionConfig(),
-    ]
-    for section in sections:
-        fp = section.fingerprint()
-        assert isinstance(fp, tuple) and hash(fp) is not None
-        assert fp == type(section)().fingerprint()  # deterministic
-
-
-def test_fingerprint_changes_with_any_field():
-    base = EngineConfig()
-    assert base.fingerprint() != base.with_cost(cpu_multiplier=2.0).fingerprint()
-    assert base.fingerprint() != base.with_workload(priority_aging_rate=0.5).fingerprint()
-    assert (
-        base.cluster.fingerprint()
-        != base.with_cluster(compute_nodes=3).cluster.fingerprint()
-    )
 
 
 def test_query_options_fingerprint_is_its_identity():
@@ -173,6 +151,13 @@ def test_query_options_fingerprint_is_its_identity():
     assert a.fingerprint() == identity(a)
     assert a.fingerprint() == QueryOptions(initial_stage_dop=2).fingerprint()
     assert a.fingerprint() != QueryOptions(partial_pushdown=False).fingerprint()
+
+
+def _config_classes() -> list[type]:
+    return [
+        cls for _, cls in inspect.getmembers(repro.config, inspect.isclass)
+        if dataclasses.is_dataclass(cls) and cls.__module__ == "repro.config"
+    ]
 
 
 #: Config classes whose fields no engine component reads on purpose:
@@ -193,10 +178,7 @@ def test_every_config_field_is_read_somewhere():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    classes = [
-        cls for _, cls in inspect.getmembers(repro.config, inspect.isclass)
-        if dataclasses.is_dataclass(cls) and cls.__module__ == "repro.config"
-    ]
+    classes = _config_classes()
     assert len(classes) == 10
     unread = {
         f"{cls.__name__}.{f.name}"
@@ -204,3 +186,49 @@ def test_every_config_field_is_read_somewhere():
         for f in dataclasses.fields(cls) if f.name not in reads
     }
     assert unread == set()
+
+
+#: Fields no program sets, only tests, each with why it stays.
+SET_ONLY_BY_TESTS = {
+    "WorkloadConfig.queue_timeout": "drives the decisions golden's queue that times out",
+    "PredictionConfig.history_dir": "a deployment path",
+    "QueryOptions.broadcast_threshold_rows": "in PLAN_SHAPING: removing it changes every template id",
+    "ParallelConfig.max_retries": "the class goes whole once bench/ stops constructing it",
+}
+
+
+def _set_names(roots: list[Path]) -> set[str]:
+    """Names the code under ``roots`` sets: keyword arguments (calls,
+    ``replace`` and builders), literal keys written to a mapping
+    (``kwargs["k"] = v``, ``kwargs.setdefault("k", v)``) and attribute
+    stores (``options.k = v``; not ``self.k = v``, which sets an
+    attribute of the class being written, not of a config)."""
+    names = set()
+    for path in (p for root in roots for p in root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword):
+                names.add(node.arg)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if getattr(node.value, "id", None) != "self":
+                    names.add(node.attr)
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.slice, ast.Constant):
+                    names.add(node.slice.value)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault":
+                if node.args and isinstance(node.args[0], ast.Constant):
+                    names.add(node.args[0].value)
+    return names
+
+
+def test_every_knob_has_a_setter():
+    """No knob only tests turn: every field of the config tree and of
+    ``QueryOptions`` is set somewhere under ``src/``, ``bench/``,
+    ``benchmarks/`` or ``examples/``, or is in ``SET_ONLY_BY_TESTS``."""
+    repo = Path(__file__).resolve().parent.parent
+    set_names = _set_names([repo / d for d in ("src", "bench", "benchmarks", "examples")])
+    unset = {
+        f"{cls.__name__}.{f.name}"
+        for cls in [*_config_classes(), QueryOptions]
+        for f in dataclasses.fields(cls) if f.name not in set_names
+    }
+    assert unset == set(SET_ONLY_BY_TESTS)

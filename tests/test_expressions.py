@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from repro.errors import AnalysisError
 from repro.pages import ColumnType, Page, Schema
 from repro.sql.analyzer import ExpressionBinder, OuterColumn, Scope, split_conjuncts
-from repro.sql.expressions import Constant, InputRef
+from repro.sql.expressions import BoolAnd, Constant, InputRef, conjoin
 from repro.sql.parser import parse_expression
 from repro.util import date_to_days
 
@@ -198,6 +198,17 @@ def test_cast():
 def test_split_conjuncts():
     parts = split_conjuncts(parse_expression("a = 1 and b = 2 and (c = 3 or d = 4)"))
     assert len(parts) == 3
+
+
+def test_conjoin_builds_one_flat_and():
+    k, between, v = bind("k = 1"), bind("k2 between 10 and 30"), bind("v > 0")
+    assert isinstance(between, BoolAnd)
+    assert conjoin([]) is None
+    assert conjoin([between]) is between
+    both = conjoin([k, between, v])
+    assert both.terms == (k, *between.terms, v)
+    assert both.evaluate(PAGE).tolist() == [True, False, False, False]
+    assert conjoin([bind("k2 > 10"), v]).evaluate(PAGE).tolist() == [False, False, False, True]
 
 
 def test_aggregate_outside_context_rejected():

@@ -147,25 +147,30 @@ def test_group_codes_multi_column():
     assert len(set(zip(uniques[0].tolist(), uniques[1].tolist()))) == len(uniques[0])
 
 
+_KEY = st.one_of(st.none(), st.integers(-3, 5))
+
+
 @given(
-    st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=100
+    st.integers(2, 3).flatmap(
+        lambda width: st.tuples(
+            st.booleans(),
+            st.lists(st.tuples(*[_KEY] * width), min_size=1, max_size=100),
+        )
     )
 )
-def test_group_codes_property(pairs):
-    a = np.array([p[0] for p in pairs], dtype=np.int64)
-    b = np.array([p[1] for p in pairs], dtype=np.int64)
-    codes, uniques = group_codes([a, b])
-    # Same pair -> same code; different pair -> different code.
-    seen: dict[tuple, int] = {}
-    for pair, code in zip(pairs, codes.tolist()):
-        if pair in seen:
-            assert seen[pair] == code
-        else:
-            seen[pair] = code
-    assert len(set(codes.tolist())) == len(seen)
-    # Unique arrays reconstruct the original pairs.
-    assert list(zip(uniques[0][codes].tolist(), uniques[1][codes].tolist())) == pairs
+def test_group_codes_property(nullable_rows):
+    """Over two or three integer key columns, with and without NULL keys:
+    equal keys share a code, and codes number the groups in ascending
+    lexicographic key order (NULL first in its column)."""
+    nullable, rows = nullable_rows
+    if not nullable:
+        rows = [tuple(0 if v is None else v for v in row) for row in rows]
+    columns = [INT.coerce([row[j] for row in rows]) for j in range(len(rows[0]))]
+    codes, uniques = group_codes(columns)
+    order = sorted(set(rows), key=lambda row: [(v is not None, v or 0) for v in row])
+    assert codes.tolist() == [order.index(row) for row in rows]
+    # Unique arrays reconstruct the original rows.
+    assert list(zip(*(u[codes].tolist() for u in uniques))) == rows
 
 
 # -- hashing / partitioning -----------------------------------------------------

@@ -139,7 +139,7 @@ def test_fresh_literal_submission_runs_front_end_once(monkeypatch):
 
 
 def test_text_keyed_memos_stay_bounded():
-    from repro.plan.cache import FRONT_END
+    from repro.plan.cache import _PER_CATALOG_LIMIT, FRONT_END
 
     catalog = fresh_catalog()
     engine = full_stack_engine(catalog)
@@ -148,11 +148,11 @@ def test_text_keyed_memos_stay_bounded():
         session.submit(
             f"select count(*) from nation where n_nationkey < {literal}"
         ).result()
-    assert 0 < FRONT_END.entries(catalog) <= FRONT_END.limit
-    assert 0 < PLAN_CACHE.entries(catalog) <= PLAN_CACHE.limit
+    assert 0 < FRONT_END.entries(catalog) <= _PER_CATALOG_LIMIT
+    assert 0 < PLAN_CACHE.entries(catalog) <= _PER_CATALOG_LIMIT
     # Nothing per-engine remembers one entry per distinct text either.
     for owner in (engine, engine.sharing, engine.predict_service,
                   engine.workload.admission, engine.workload.arbiter):
         for name, value in vars(owner).items():
             if isinstance(value, (dict, set)):
-                assert len(value) <= FRONT_END.limit, (type(owner).__name__, name)
+                assert len(value) <= _PER_CATALOG_LIMIT, (type(owner).__name__, name)

@@ -714,11 +714,6 @@ class TestPublicApi:
         with pytest.raises(TypeError):  # folding cannot be switched off
             SharingConfig(fold=False)
 
-    def test_sharing_config_in_fingerprint(self):
-        a = EngineConfig().fingerprint()
-        b = EngineConfig().with_sharing().fingerprint()
-        assert a != b
-
     def test_submit_many_without_sharing(self, catalog):
         engine = AccordionEngine(catalog)
         h1, h2 = engine.submit_many(["select count(*) from nation"] * 2)

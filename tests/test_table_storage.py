@@ -12,7 +12,8 @@ from repro.data.table import narrowest
 from repro.data.tpch import dataset_cache
 from repro.data.tpch.dataset_cache import CACHE_DIR_ENV, clear_dataset_cache, load_tpch_tables
 from repro.data.tpch.queries import QUERIES
-from repro.pages import ColumnType, DictColumn, MaskedColumn, Schema
+from repro.errors import ExecutionError
+from repro.pages import ColumnType, DictColumn, Field, MaskedColumn, Schema
 
 INT, FLT, STR, DATE = ColumnType.INT64, ColumnType.FLOAT64, ColumnType.STRING, ColumnType.DATE
 
@@ -163,6 +164,22 @@ def test_a_base_table_holds_a_null_string(given):
     assert engine.execute("select count(s), min(s), max(s) from t").rows == [(2, "x", "y")]
     rows = engine.execute("select s, sum(k) from t group by s").rows
     assert sorted(rows, key=repr) == sorted([("x", 1), (None, 2), ("y", 3)], key=repr)
+
+
+def test_a_lazy_null_under_a_non_nullable_field_fails_its_first_read():
+    """Plans bind a non-nullable field as NULL-free (``count(s)`` would
+    count the NULL), so a loader returning a NULL under one fails the
+    column's first read, naming table and column; a nullable field
+    reads the same column."""
+    column = STR.coerce(["x", None, "y"])
+    table = Table.lazy("t", Schema.of(("s", STR)), [lambda: column], 3, 30)
+    catalog = Catalog()
+    catalog.register(table)
+    with pytest.raises(ExecutionError, match="table t: column s holds a NULL"):
+        AccordionEngine(catalog).execute("select count(s), count(*) from t")
+    assert table._stored == [None]
+    nullable = Table.lazy("t", Schema([Field("s", STR, True)]), [lambda: column], 3, 30)
+    assert nullable.to_page().rows() == [("x",), (None,), ("y",)]
 
 
 def test_q1_and_q6_store_29_bytes_a_row_of_lineitem(monkeypatch, tmp_path):
