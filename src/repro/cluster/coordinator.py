@@ -24,6 +24,7 @@ from ..plan.physical import PhysicalPlan
 from ..plan.physical_planner import PhysicalPlanner
 from ..sim import SimKernel
 from ..tree import identity
+from ..util import RetiredRing
 from .cluster import Cluster
 from .rpc import RpcTracker
 from .scheduler import Scheduler
@@ -95,6 +96,13 @@ class QueryLifecycle:
         self.finished_at: float | None = None
         self.failed_at: float | None = None
         self._done_callbacks: list = []
+        #: The decision streams this query keeps (DESIGN.md §17).
+        self._decision_streams: list = []
+
+    def own_decisions(self, **key) -> None:
+        """Keep the decisions recorded from now on under ``query_id=`` or
+        ``seq=``: they live as long as this object does."""
+        self._decision_streams.append(self.kernel.decisions.own(**key))
 
     @property
     def finished(self) -> bool:
@@ -157,6 +165,7 @@ class QueryExecution(QueryLifecycle):
     ):
         super().__init__(kernel, "running")
         self.id = query_id
+        self.own_decisions(query_id=query_id)
         self.sql = sql
         self.plan = plan
         self.config = config
@@ -419,9 +428,11 @@ class Coordinator:
         self.rpc = RpcTracker(kernel, config.cost)
         self.rpc.on_action_failed = self._action_failed
         self.scheduler = Scheduler(kernel, cluster, config, self.rpc, split_layout)
-        #: Every physical execution ever started, in submission order; a
-        #: retired one is its :class:`QueryRecord` (DESIGN.md §17).
+        #: Every physical execution not yet retired, then the newest
+        #: ``RETAINED_QUERIES`` retired ones as their :class:`QueryRecord`,
+        #: in submission order (DESIGN.md §17).
         self.queries: dict[int, QueryExecution | QueryRecord] = {}
+        self._retired = RetiredRing(self.queries, self.rpc.query_requests)
         #: The unfinished subset of ``queries`` (insertion = id order);
         #: usage accounting iterates this, not the full history.
         self.running: dict[int, QueryExecution] = {}
@@ -450,6 +461,14 @@ class Coordinator:
     @property
     def plan_cache_misses(self) -> int:
         return self._plan_cache_misses.value
+
+    @property
+    def retired_dropped(self) -> int:
+        """Retired queries whose records left ``queries`` (the oldest
+        past ``RETAINED_QUERIES``): while 0, ``queries`` holds every
+        execution this coordinator started, and a position in it stays
+        the same query."""
+        return self._retired.dropped
 
     def _action_failed(self, query_id: int | None, message: str) -> None:
         """A control-plane action exhausted its RPC retries.  Its give-up
@@ -534,8 +553,9 @@ class Coordinator:
 
     def _keep_record(self, query: QueryExecution) -> None:
         """Every task of ``query`` sealed: keep its record in its place
-        (``queries`` keeps creation order), not its graph."""
-        self.queries[query.id] = QueryRecord.of(query)
+        (``queries`` keeps creation order), not its graph, while it is
+        among the newest retired."""
+        self._retired.retire(query.id, QueryRecord.of(query))
 
     def schedule(self, query: QueryExecution) -> None:
         """Place and start ``query``'s initial tasks."""

@@ -47,7 +47,8 @@ class RpcTracker:
         self.retried_requests = 0
         #: Requests that exhausted the retry budget (each fails an action).
         self.failed_requests = 0
-        #: Requests attributed per query id (65-request Q3 anchor).
+        #: Requests attributed per query id (65-request Q3 anchor), for
+        #: the queries ``coordinator.queries`` keeps (DESIGN.md §17).
         self.query_requests: dict[int, int] = {}
         self._clock = 0.0  # virtual time when the control plane frees up
         self._fault_hook: Callable[[float], object] | None = None

@@ -14,8 +14,8 @@ query object: ``.result()`` materialises, ``.tuning`` tunes DOPs while
 the simulation advances (``engine.run_for`` / ``engine.run_until_done``),
 ``.trace()`` / ``.profile()`` expose the obs layer, ``.decisions()``
 lists every control decision taken about the query
-(``engine.decisions`` is the whole stream), and ``.fault_report()``
-summarises failure recovery.  One
+(``engine.decisions`` is the stream of every query still held), and
+``.fault_report()`` summarises failure recovery.  One
 :class:`~repro.config.EngineConfig` fully describes a deployment,
 including cluster topology, split placement, and tracing.
 """
@@ -166,6 +166,7 @@ class AccordionEngine:
             return query
         admission = self.workload.admission
         query.seq = next(admission.seq)
+        query.own_decisions(seq=query.seq)
         # predict: pre-grant stage DOPs and memory from the template's
         # history, or reject on P(deadline miss) before queueing.
         if predictor is not None:
@@ -335,8 +336,9 @@ class AccordionEngine:
 
     @property
     def decisions(self) -> "DecisionLog":
-        """Every control decision this engine has taken, in order
-        (DESIGN.md §9 "Decision log"); ``QueryHandle.decisions()`` is the
+        """The control decisions of every query still held and the latest
+        fleet-level ones, in order, with lifetime counters (DESIGN.md §9
+        "Decision log", §17); ``QueryHandle.decisions()`` is the
         per-query filter."""
         return self.kernel.decisions
 

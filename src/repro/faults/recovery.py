@@ -220,16 +220,15 @@ class RecoveryManager:
         """``recovery.*`` in ``engine.metrics`` and the counter table of
         ``fault_report()``, counted from the decision log."""
         log = self.decisions
-        respawns = log.of(kind="recovery", outcome="respawn")
-        resumed = sum(d.inputs["mode"] == "resume" for d in respawns)
+        respawned = log.count("recovery", "respawn")
+        resumed = log.tally("recovery", "resume")
         return {
             "node_failures": log.count("fault", "node_failed"),
-            "tasks_crashed": log.count("inject", "task_crash") + sum(
-                d.inputs["tasks_lost"] for d in log.of(kind="fault", outcome="node_down")
-            ),
-            "tasks_respawned": len(respawns),
+            # ``tasks_lost`` is an input of ``node_down`` alone.
+            "tasks_crashed": log.count("inject", "task_crash") + log.tally("fault"),
+            "tasks_respawned": respawned,
             "tasks_resumed": resumed,
-            "tasks_restarted": len(respawns) - resumed,
+            "tasks_restarted": respawned - resumed,
             # Recovery fails a query right after recording one of these.
             "queries_failed": log.count("recovery", "unrecoverable")
             + log.count("recovery", "respawn_failed")

@@ -29,6 +29,7 @@ four kinds in the decision log:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -94,7 +95,9 @@ class Sampler:
         window: int | None = None,
     ):
         self.kernel = kernel
-        self.query = query
+        #: Weak: a tick still in the kernel's queue must not keep a
+        #: retired query alive (DESIGN.md §17).
+        self._query = weakref.ref(query)
         self.period = period
         self.cluster = cluster
         self.samples: deque[Snapshot] = deque(maxlen=window)
@@ -104,17 +107,25 @@ class Sampler:
         self._compute_count = -1
         self._sample()
 
+    @property
+    def query(self) -> "QueryExecution | None":
+        """The sampled query; ``None`` once nothing else holds it."""
+        return self._query()
+
     # -- sampling -------------------------------------------------------------
     def _sample(self) -> None:
+        query = self._query()
+        if query is None:
+            return  # retired and dropped: nobody can read a sample
         now = self.kernel.now
         snap = Snapshot(now)
         stages = snap.stages
-        for stage_id, stage in self.query.stages.items():
+        for stage_id, stage in query.stages.items():
             stages[stage_id] = stage.sample()
         if self.cluster is not None:
             self._sample_nodes(snap)
         self.samples.append(snap)
-        if not self.query.finished:
+        if not query.finished:
             # Never cancelled: the lean path, in the same total order.
             self.kernel.post(self.period, self._sample)
 

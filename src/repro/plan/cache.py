@@ -19,7 +19,8 @@ memos, both bounded per catalog version, remove that work:
 Catalogs carry a monotonically increasing ``version`` bumped by
 ``register()``, so registering/replacing a table invalidates everything
 cached against the older version.  Entries are held per catalog in a
-``WeakKeyDictionary`` — dropping the catalog drops its plans.
+``WeakKeyDictionary`` — dropping the catalog drops its plans — in a
+:class:`~repro.util.LruMemo` of ``_PER_CATALOG_LIMIT`` entries.
 
 ``EngineConfig.plan_cache=False`` bypasses both memos; hit/miss counts
 of the physical cache surface per engine through ``engine.metrics``
@@ -36,6 +37,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ..sql.parser import parse
+from ..util import LruMemo
 from .logical_planner import LogicalPlanner
 from .optimizer import prune_columns
 
@@ -44,9 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sharing.normalize import NormalizedQuery
     from .logical import LogicalNode
 
-#: Per-catalog bound on cached plans; far above any real working set, it
-#: only guards against unbounded growth from generated-SQL loops.
-_PER_CATALOG_LIMIT = 256
+#: Per-catalog bound on cached entries, least recently used out first:
+#: the ``multi_tenant_adhoc`` benchmark's working set.  Its one-off
+#: literal texts never hit again; the templates that repeat stay.
+_PER_CATALOG_LIMIT = 64
 
 
 class PlanCache:
@@ -67,12 +70,9 @@ class PlanCache:
         if slot is None or slot[0] != catalog.version:
             # First entry for this catalog version: stale-version plans
             # (catalog changed since they were built) are dropped here.
-            slot = (catalog.version, {})
+            slot = (catalog.version, LruMemo(_PER_CATALOG_LIMIT))
             self._store[catalog] = slot
-        entries = slot[1]
-        if len(entries) >= _PER_CATALOG_LIMIT:
-            entries.clear()
-        entries[key] = plan
+        slot[1].put(key, plan)
 
     def entries(self, catalog: "Catalog") -> int:
         """Number of live cached plans for ``catalog`` (introspection)."""

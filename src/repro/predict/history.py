@@ -1,9 +1,10 @@
 """Trace-history store: recorded runs -> demand profiles (DESIGN.md §16).
 
-One store per engine, keyed by template fingerprint.  Each recorded run
-is a plain dict (runtime, query peak bytes, per-stage metrics); the
-aggregate prediction is the per-metric mean over runs with population
-variance on the runtime.  Serialization is canonical JSON
+One store per engine, keyed by template fingerprint.  A recorded run is
+a plain dict (runtime, query peak bytes, per-stage metrics); the store
+keeps, per template, the running sums of those metrics and one float per
+run, its runtime: the prediction is the per-metric mean over runs with
+population variance on the runtime.  Serialization is canonical JSON
 (``sort_keys=True``) so same-seed accumulation is byte-identical across
 runs — the history file can itself be diffed in CI.  ``history_dir``
 persists the store to ``history.json`` after every record; ``None``
@@ -19,8 +20,9 @@ from .profile import Prediction, StageDemand
 
 __all__ = ["HistoryStore"]
 
-#: Bump when the run schema changes; old files are discarded, not migrated.
-HISTORY_VERSION = 1
+#: Bump when the stored schema changes; old files are discarded, not
+#: migrated.  2: running sums + runtimes per template, no per-run dicts.
+HISTORY_VERSION = 2
 
 
 #: The per-stage metrics a prediction averages.
@@ -31,27 +33,23 @@ _STAGE_FIELDS = ("cpu_seconds", "quanta", "peak_memory_bytes", "exchange_bytes",
 class HistoryStore:
     def __init__(self, history_dir: str | None = None):
         self.history_dir = history_dir
-        #: template fingerprint -> list of recorded runs (dicts).
-        self._runs: dict[str, list[dict]] = {}
-        #: template fingerprint -> running sums over its runs, added in
-        #: record order from 0 as ``sum()`` adds, so every mean is
-        #: bit-identical to one recomputed over the runs.
-        self._sums: dict[str, dict] = {}
+        #: template fingerprint -> ``{"runtimes": [...], "sums": {...}}``:
+        #: each run's runtime (the variance's second pass reads them) and
+        #: the running sums over its runs, added in record order from 0 as
+        #: ``sum()`` adds, so every mean is bit-identical to one
+        #: recomputed over the runs.
+        self._templates: dict[str, dict] = {}
         if history_dir is not None:
             self._load()
 
     # -- recording ----------------------------------------------------------
     def record(self, template: str, run: dict) -> int:
-        """Append one run; returns how many the template now has."""
-        runs = self._runs.setdefault(template, [])
-        runs.append(run)
-        self._add(template, run)
-        if self.history_dir is not None:
-            self.save()
-        return len(runs)
-
-    def _add(self, template: str, run: dict) -> None:
-        sums = self._sums.setdefault(template, {"runtime": 0, "peak": 0, "stages": {}})
+        """Add one run; returns how many the template now has."""
+        entry = self._templates.setdefault(template, {
+            "runtimes": [], "sums": {"runtime": 0, "peak": 0, "stages": {}},
+        })
+        entry["runtimes"].append(run["runtime"])
+        sums = entry["sums"]
         sums["runtime"] += run["runtime"]
         sums["peak"] += run.get("peak_query_bytes", 0)
         for stage in run.get("stages", ()):
@@ -59,24 +57,27 @@ class HistoryStore:
             acc["k"] += 1
             for fld in _STAGE_FIELDS:
                 acc[fld] = acc.get(fld, 0) + stage[fld]
+        if self.history_dir is not None:
+            self.save()
+        return len(entry["runtimes"])
 
     def __len__(self) -> int:
         """Templates with at least one recorded run."""
-        return len(self._runs)
+        return len(self._templates)
 
     def total_runs(self) -> int:
-        return sum(len(v) for v in self._runs.values())
+        return sum(len(e["runtimes"]) for e in self._templates.values())
 
     # -- prediction ---------------------------------------------------------
     def predict(self, template: str) -> Prediction | None:
         """Served from the first recorded run of a template on."""
-        runs = self._runs.get(template)
-        if not runs:
+        entry = self._templates.get(template)
+        if entry is None:
             return None
-        n = len(runs)
-        sums = self._sums[template]
+        runtimes, sums = entry["runtimes"], entry["sums"]
+        n = len(runtimes)
         mean = sums["runtime"] / n
-        variance = sum((r["runtime"] - mean) ** 2 for r in runs) / n
+        variance = sum((r - mean) ** 2 for r in runtimes) / n
         peak = int(round(sums["peak"] / n))
         # Per-stage mean over the runs that observed the stage (plans are
         # identical within a template, so normally all of them).
@@ -100,7 +101,7 @@ class HistoryStore:
     def to_json(self) -> str:
         """Canonical serialization: byte-identical for identical history."""
         return json.dumps(
-            {"version": HISTORY_VERSION, "templates": self._runs},
+            {"version": HISTORY_VERSION, "templates": self._templates},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -124,7 +125,8 @@ class HistoryStore:
             return
         templates = data.get("templates")
         if isinstance(templates, dict):
-            self._runs = {str(k): list(v) for k, v in templates.items()}
-            for template, runs in self._runs.items():
-                for run in runs:
-                    self._add(template, run)
+            for template, entry in templates.items():
+                sums = entry["sums"]
+                # JSON keys are strings; stage ids are ints.
+                sums["stages"] = {int(k): v for k, v in sums["stages"].items()}
+                self._templates[str(template)] = entry

@@ -25,6 +25,8 @@ through the standard tuner, arbiter included.
 from __future__ import annotations
 
 import math
+import weakref
+from bisect import bisect_left
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -66,6 +68,10 @@ class DemandPredictor:
         self.config = engine.config.prediction
         self.store = HistoryStore(self.config.history_dir)
         self.decisions = self.kernel.decisions
+        #: The log mark of each template's first recorded run, ascending:
+        #: the templates a window added, however many of its decisions
+        #: were freed since.
+        self._first_runs: list[int] = []
 
     # -- templates ----------------------------------------------------------
     def template_of(
@@ -133,6 +139,8 @@ class DemandPredictor:
             "peak_query_bytes": query.memory.peak_bytes,
             "stages": stages,
         })
+        if runs == 1:
+            self._first_runs.append(len(self.decisions))
         self.decisions.record(
             "history", "recorded", query_id=query.id,
             template=query.prediction_template, runs=runs, runtime=runtime,
@@ -146,15 +154,16 @@ class DemandPredictor:
         fire_in = prediction.runtime * (1.0 + ERROR_BOUND)
         if fire_in <= 0:
             return
-        event = self.kernel.schedule(
-            fire_in, lambda: self._check_reprovision(query)
-        )
+        # Weak: the cancelled event stays queued until its time comes, and
+        # must not keep the retired query alive until then.
+        ref = weakref.ref(query)
+        event = self.kernel.schedule(fire_in, lambda: self._check_reprovision(ref()))
         query.on_done(lambda _q, e=event: e.cancel())
 
-    def _check_reprovision(self, query: "QueryExecution") -> None:
+    def _check_reprovision(self, query: "QueryExecution | None") -> None:
         """The query outran its prediction by more than the error bound:
         hand control back to the reactive tuner with a DOP escalation."""
-        if query.finished:
+        if query is None or query.finished:
             return
         self.decisions.record(
             "predict", "reprovision", query_id=query.id,
@@ -257,14 +266,17 @@ class DemandPredictor:
         (``predict.*`` in ``engine.metrics``).  ``templates`` / ``runs``
         are the history a window added; the lifetime read is the store
         itself, which may have been loaded from ``history_dir``."""
-        lifetime = since is None
         counts = self.decisions.counts(since or 0)
-        recorded = self.decisions.of(since or 0, kind="history")
+        if since is None:
+            templates, runs = len(self.store), self.store.total_runs()
+        else:
+            firsts = self._first_runs
+            templates = len(firsts) - bisect_left(firsts, since)
+            runs = counts["history", "recorded"]
         return {
-            "templates": len(self.store) if lifetime
-            else sum(d.inputs["runs"] == 1 for d in recorded),
-            "runs": self.store.total_runs() if lifetime else len(recorded),
-            "recorded": len(recorded),
+            "templates": templates,
+            "runs": runs,
+            "recorded": counts["history", "recorded"],
             "predictions": counts["predict", "served"],
             "pregrants": counts["predict", "pregrant"],
             "drr_placements": counts["placement", "drr"],

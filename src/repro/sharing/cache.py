@@ -7,8 +7,10 @@ short-circuits admission, planning, and execution entirely.  The cache
 is per-engine (catalog identity is implied by ownership) and bounded two
 ways: :data:`RESULT_CACHE_BYTES` with LRU eviction, and an optional TTL
 (``SharingConfig.cache_ttl``) in *virtual* seconds (clocks come from the
-sim kernel, keeping same-seed runs byte-identical).  A catalog version
-bump (``Catalog.register``) invalidates every entry from older versions.
+sim kernel, keeping same-seed runs byte-identical).  An expired entry
+never hits again, so an insert past :data:`RESULT_CACHE_SWEEP` entries
+drops the expired ones.  A catalog version bump
+(``Catalog.register``) invalidates every entry from older versions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from ..pages import Page
 
 #: Bytes of answer pages one engine's result cache holds (LRU beyond).
 RESULT_CACHE_BYTES = 64 * 1024 * 1024
+#: Entries past which an insert first drops the expired ones (a TTL hides
+#: an entry; without this the answer to a text that never comes back
+#: stays until the byte bound).  A live entry leaves only at the byte
+#: bound, so no mix of texts thrashes the cache.
+RESULT_CACHE_SWEEP = 64
 
 
 @dataclass
@@ -74,6 +81,14 @@ class ResultCache:
         old = self._entries.pop(key, None)
         if old is not None:
             self.bytes -= old.size_bytes
+        if self.ttl is not None and len(self._entries) >= RESULT_CACHE_SWEEP:
+            # Time only moves on: drop each expired entry as a get of it
+            # would.
+            now = self.kernel.now
+            for stale in [
+                k for k, e in self._entries.items() if now - e.cached_at > self.ttl
+            ]:
+                self._drop("expire", stale, self._entries[stale])
         while self._entries and self.bytes + size > RESULT_CACHE_BYTES:
             evicted_key = next(iter(self._entries))
             self._drop("evict", evicted_key, self._entries[evicted_key])

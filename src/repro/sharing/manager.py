@@ -104,6 +104,7 @@ class SharingManager:
             )
             return False
         sub.id = self.coordinator.next_query_id()
+        sub.own_decisions(query_id=sub.id)
         key = routing.key
         entry = self.cache.get(key)
         if entry is not None:
@@ -202,9 +203,7 @@ class SharingManager:
             "cache_hits": hits,
             # Every query the cache did not answer missed it.
             "cache_misses": carriers + folds,
-            "pages_saved": sum(
-                d.inputs.get("pages_saved", 0) for d in log.of(since, kind="sharing")
-            ),
+            "pages_saved": log.tally("sharing", since=since),
             "active_groups": len(self.groups),
             "cache_entries": len(self.cache),
             "cache_bytes": self.cache.bytes,

@@ -46,6 +46,7 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..pages import ColumnType, DictColumn, Page
+from ..util import LruMemo
 from .expressions import (
     COMPARISON_FNS,
     Arithmetic,
@@ -317,11 +318,12 @@ class _Compiler:
 
 
 #: Global compile caches; expression trees are frozen/hashable, so they
-#: key their own compiled closures.  Bounded: the working set is the
-#: handful of expressions in the active query mix.
-_EXPR_CACHE: dict[BoundExpr, Callable[[Page], np.ndarray]] = {}
-_LIST_CACHE: dict[tuple, Callable[[Page], list]] = {}
-_CACHE_LIMIT = 1024
+#: key their own compiled closures.  Bounded, least recently used out
+#: first: the working set is the handful of expressions in the active
+#: query mix (the plan cache's size), and fresh literals pass through.
+_CACHE_LIMIT = 64
+_EXPR_CACHE: LruMemo = LruMemo(_CACHE_LIMIT)
+_LIST_CACHE: LruMemo = LruMemo(_CACHE_LIMIT)
 
 
 def clear_compile_cache() -> None:
@@ -343,9 +345,7 @@ def compile_expression(expr: BoundExpr) -> Callable[[Page], np.ndarray]:
         def evaluator(page: Page, _f=root, _slots=slots) -> np.ndarray:
             return _f(page, [None] * _slots)
 
-    if len(_EXPR_CACHE) >= _CACHE_LIMIT:
-        _EXPR_CACHE.clear()
-    _EXPR_CACHE[expr] = evaluator
+    _EXPR_CACHE.put(expr, evaluator)
     return evaluator
 
 
@@ -369,7 +369,5 @@ def compile_expressions(exprs: Sequence[BoundExpr]) -> Callable[[Page], list]:
         memo = [None] * _slots if _slots else None
         return [fn(page, memo) for fn in _fns]
 
-    if len(_LIST_CACHE) >= _CACHE_LIMIT:
-        _LIST_CACHE.clear()
-    _LIST_CACHE[key] = evaluator
+    _LIST_CACHE.put(key, evaluator)
     return evaluator

@@ -1,4 +1,6 @@
-"""Small shared utilities (date <-> epoch-day conversion, formatting).
+"""Small shared utilities (date <-> epoch-day conversion, formatting,
+the bounded memo every text-keyed cache uses, the ring of retired
+queries every engine-wide per-query table keeps).
 
 TPC-H date columns are stored as int64 days since 1970-01-01 so that all
 date arithmetic stays vectorized; these helpers convert at the boundaries
@@ -8,6 +10,7 @@ date arithmetic stays vectorized; these helpers convert at the boundaries
 from __future__ import annotations
 
 import datetime as _dt
+from collections import deque
 
 _EPOCH = _dt.date(1970, 1, 1)
 
@@ -67,3 +70,60 @@ def format_bytes(nbytes: float) -> str:
             return f"{value:.2f}{unit}"
         value /= 1024
     raise AssertionError("unreachable")
+
+
+class LruMemo(dict):
+    """A memo of at most ``limit`` entries that evicts its least recently
+    used one: :meth:`get` makes a hit the most recent, and :meth:`put`
+    past the limit drops the oldest (dict order is recency order)."""
+
+    __slots__ = ("limit",)
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def get(self, key):
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value
+        return value
+
+    def put(self, key, value) -> None:
+        self.pop(key, None)
+        while len(self) >= self.limit:
+            del self[next(iter(self))]
+        self[key] = value
+
+
+#: Retired queries each engine-wide per-query table keeps, newest last
+#: (DESIGN.md §17): ``coordinator.queries`` and ``engine.workload.records``
+#: hold every live query and these.  At least 256: the benchmark slices
+#: ``coordinator.queries`` by position once per window, and one process
+#: at the benchmark's run length starts at most ~220 executions, so none
+#: may leave before it is read (``tests/test_retirement.py`` checks it).
+RETAINED_QUERIES = 256
+
+
+class RetiredRing:
+    """The retired entries of an insertion-ordered ``table``: each one
+    swaps in its record in place, and past :data:`RETAINED_QUERIES` the
+    oldest retired entry leaves the table, and its key every table of
+    ``also`` (what else is kept per query under the same key).
+    ``dropped`` counts the entries that left."""
+
+    def __init__(self, table: dict, *also: dict):
+        self.table = table
+        self.also = also
+        self.dropped = 0
+        self._keys: deque = deque()
+
+    def retire(self, key, record) -> None:
+        self.table[key] = record
+        self._keys.append(key)
+        if len(self._keys) > RETAINED_QUERIES:
+            oldest = self._keys.popleft()
+            del self.table[oldest]
+            for table in self.also:
+                table.pop(oldest, None)
+            self.dropped += 1

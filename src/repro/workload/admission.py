@@ -240,17 +240,20 @@ class AdmissionController:
         from log mark ``since`` (``workload.*`` in ``engine.metrics``,
         ``WorkloadReport.admission``)."""
         counts = self.decisions.counts(since)
-        rejected = self.decisions.of(since, kind="admission", outcome="rejected")
-        timeouts = sum(d.reason == "queue-timeout" for d in rejected)
+        rejected = counts["admission", "rejected"]
+        # The other rejections are the predictor's, each recorded first
+        # as its ``slo_reject``: the queue turned away the rest.
+        predicted = counts["predict", "slo_reject"]
+        timeouts = rejected - predicted
         return {
             "queue_depth": len(self.queue),
             "max_queue_depth": self.max_queue_depth,
             "running": len(self.running),
             "running_billed": self._billed_running(),
             "admitted_cores": self.admitted_cores,
-            "submitted": counts["admission", "queued"] + len(rejected) - timeouts,
+            "submitted": counts["admission", "queued"] + predicted,
             "admitted": counts["admission", "admitted"],
-            "rejected": len(rejected),
+            "rejected": rejected,
             "timeouts": timeouts,
             "cancelled_queued": counts["admission", "cancelled_queued"],
             "violations": len(self.violations),

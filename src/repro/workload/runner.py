@@ -21,7 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
     from ..engine import AccordionEngine
     from ..handle import QueryHandle
-    from .session import SubmissionRecord
 
 
 # -- arrival processes ------------------------------------------------------
@@ -293,9 +292,9 @@ class Workload:
         specs, two runs produce byte-identical ``render()`` output."""
         start = self.kernel.now
         manager = self.engine.workload
-        baseline_records = len(manager.records)
+        first = len(self.handles)
         #: Every count in the report is taken from this log mark on.
-        mark = len(self.engine.decisions)
+        mark = self.engine.decisions.mark()
         for index, spec in enumerate(self.specs):
             session = manager.session(
                 spec.name, priority=spec.priority, deadline=spec.deadline
@@ -317,9 +316,7 @@ class Workload:
             self.kernel.run(
                 until=deadline, stop_when=lambda: manager.autoscaler.settled
             )
-        return self._report(
-            manager.records[baseline_records:], horizon, manager, start, mark
-        )
+        return self._report(self.handles[first:], horizon, manager, start, mark)
 
     # ------------------------------------------------------------------
     def _launch(self, spec: TenantSpec, session, index: int) -> None:
@@ -380,13 +377,13 @@ class Workload:
 
     # ------------------------------------------------------------------
     def _report(
-        self, records: list["QueryHandle | SubmissionRecord"], horizon: float,
+        self, handles: list["QueryHandle"], horizon: float,
         manager, start: float, mark: int,
     ) -> WorkloadReport:
         tenants: dict[str, TenantStats] = {}
         for spec in self.specs:
             tenants.setdefault(spec.name, TenantStats(tenant=spec.name))
-        for record in records:
+        for record in handles:
             stats = tenants.setdefault(
                 record.tenant, TenantStats(tenant=record.tenant)
             )

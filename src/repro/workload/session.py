@@ -4,10 +4,10 @@
 its ``submit()`` enters the engine's query lifecycle as a *session*
 query: it is admitted by the admission controller instead of at once,
 and the execution serving it is adopted by the cluster-wide resource
-arbiter.  The manager keeps a record of every session query in
-``records`` — the raw material for the workload report: the
-:class:`~repro.handle.QueryHandle` itself while it is queued or running,
-a frozen :class:`SubmissionRecord` once it is terminal (DESIGN.md §17).
+arbiter.  The manager keeps a record of session queries in ``records``:
+the :class:`~repro.handle.QueryHandle` itself while it is queued or
+running, a frozen :class:`SubmissionRecord` once it is terminal, for the
+newest ``RETAINED_QUERIES`` of those (DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError
 from ..handle import QueryHandle
+from ..util import RetiredRing
 from .admission import AdmissionController
 from .arbiter import ResourceArbiter
 from .policies import ARBITRATION_POLICIES, QUEUE_POLICIES
@@ -125,9 +126,10 @@ class WorkloadManager:
                 )
         self.arbiter = ResourceArbiter(self)
         self.admission = AdmissionController(self)
-        #: Every session query, in submission order: its handle until it
-        #: is terminal, then its record.
-        self.records: list[QueryHandle | SubmissionRecord] = []
+        #: Admission ``seq`` -> every live session query's handle, then the
+        #: newest ``RETAINED_QUERIES`` terminal ones' records.
+        self._records: dict[int, QueryHandle | SubmissionRecord] = {}
+        self._retired = RetiredRing(self._records)
         #: Queue/deadline-driven fleet sizing (ClusterConfig.autoscale).
         self.autoscaler: "Autoscaler | None" = None
         if engine.config.cluster.autoscale:
@@ -147,13 +149,17 @@ class WorkloadManager:
     ) -> Session:
         return Session(self, tenant, priority=priority, deadline=deadline)
 
+    @property
+    def records(self) -> list[QueryHandle | SubmissionRecord]:
+        """Session queries in submission order: each live one's handle,
+        then the newest ``RETAINED_QUERIES`` terminal ones' records
+        (DESIGN.md §17)."""
+        return list(self._records.values())
+
     def keep(self, query: QueryHandle) -> None:
         """Append ``query`` to ``records``; its terminal transition puts
         its :class:`SubmissionRecord` in the same slot."""
-        slot = len(self.records)
-        self.records.append(query)
-
-        def retire(done: QueryHandle) -> None:
-            self.records[slot] = SubmissionRecord.of(done)
-
-        query.on_done(retire)
+        self._records[query.seq] = query
+        query.on_done(
+            lambda done: self._retired.retire(done.seq, SubmissionRecord.of(done))
+        )

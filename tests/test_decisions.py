@@ -36,6 +36,7 @@ from repro import (
 from repro.config import CostModel
 from repro.faults.recovery import TASK_RETRY_BUDGET
 from repro.data.tpch.queries import QUERIES
+from repro.sim import SimKernel
 
 from test_autoscaler import Q_AGG, Q_FILTERED, elastic_engine
 
@@ -159,7 +160,9 @@ def faulted(catalog):
 
 def churned(catalog, seed: int = 20250807):
     """``test_autoscaler.run_chaos``: an autoscaled spot fleet under a
-    seeded churn plan plus one pinned preemption."""
+    seeded churn plan plus one pinned preemption.  Returns the engine,
+    the report and the workload, whose handles keep their queries'
+    decisions (DESIGN.md §17)."""
     engine = elastic_engine(
         catalog, max_nodes=3, spot=True, autoscale_kwargs={"autoscale_cooldown": 0.5}
     )
@@ -172,7 +175,7 @@ def churned(catalog, seed: int = 20250807):
     workload = Workload(engine, seed=seed)
     workload.add_tenant("a", [Q_AGG, Q_FILTERED], TraceArrivals(times=(0.0,) * 6))
     workload.add_tenant("b", [Q_FILTERED, Q_AGG], TraceArrivals(times=(2.0,) * 4))
-    return engine, workload.run()
+    return engine, workload.run(), workload
 
 
 # -- what the goldens pin -----------------------------------------------------
@@ -214,7 +217,7 @@ def observe(catalog, tiny_catalog) -> dict:
     out["faulted.failing.report"] = failing.fault_report()
     out["faulted.failing.history"] = error.fault_history
     out["faulted.failing.snapshot"] = snapshot_of(failing_engine)
-    engine, report = churned(catalog)
+    engine, report, _ = churned(catalog)
     out["churned.render"] = report.render()
     out["churned.counts"] = report_counts(report)
     out["churned.snapshot"] = snapshot_of(engine)
@@ -358,8 +361,38 @@ def test_crashed_and_respawned_query_story(tiny_catalog):
     assert engine.decisions.count("inject", "node_crash") == 1
 
 
+def test_counts_from_a_mark_are_exact_whatever_was_freed(monkeypatch):
+    """Counts and tallies from a :meth:`DecisionLog.mark` come from the
+    counters, so decisions that left the ring of unowned ones (or with
+    their query's handle) still count, and a fleet-level injection stays
+    listed for the fault report.  A bare position carries no counters."""
+    from repro.obs import decisions
+
+    monkeypatch.setattr(decisions, "FLEET_DECISIONS", 1)
+    log = SimKernel().decisions
+    log.record("cache", "evict")
+    mark = log.mark()
+    log.record("inject", "node_crash", node="compute1", reason="compute1")
+    for pages in (3, 4):
+        log.record("sharing", "cache_hit", pages_saved=pages)
+    for _ in range(3):
+        log.record("cache", "evict")
+    assert len(list(log)) == 2  # the injection and the newest eviction
+    assert log.counts(mark) == Counter({
+        ("cache", "evict"): 3, ("sharing", "cache_hit"): 2,
+        ("inject", "node_crash"): 1,
+    })
+    assert log.tally("sharing", since=mark) == 7
+    assert log.counts()["cache", "evict"] == 4
+    assert [d.outcome for d in log.of(kind="inject")] == ["node_crash"]
+    with pytest.raises(TypeError, match="mark"):
+        log.counts(len(log) - 1)
+
+
 def scanned(log, since=0, **where):
-    """``DecisionLog.of`` as a scan over the whole log."""
+    """``DecisionLog.of`` as a scan over the whole log (a mark counts
+    every decision ever recorded: a position in ``list(log)`` while the
+    log holds them all)."""
     return [
         d for d in list(log)[since:]
         if all(getattr(d, k) == v for k, v in where.items())
@@ -385,15 +418,16 @@ def test_indexed_reads_equal_a_scan_of_the_whole_log(catalog, tiny_catalog, tena
     lists a scan of the whole log did, on the three golden scenarios."""
     engine, runs = tenants
     recovered_engine, recovered, failing_engine, failing, _ = faulted(tiny_catalog)
-    churned_engine, _ = churned(catalog)
+    churned_engine, _, churned_workload = churned(catalog)
     cases = [
         (engine, [h for workload, _ in runs for h in workload.handles]),
         (recovered_engine, [recovered]),
         (failing_engine, [failing]),
-        (churned_engine, []),
+        (churned_engine, churned_workload.handles),
     ]
     for target, handles in cases:
         log = target.decisions
+        assert len(list(log)) == len(log)  # every handle held: nothing freed
         query_ids = {d.query_id for d in log} | {-1}
         kinds = {d.kind for d in log} | {"unknown"}
         for since in (0, len(log) // 3, len(log) - 1, len(log)):

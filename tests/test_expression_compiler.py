@@ -377,6 +377,24 @@ def test_list_cache_keys_on_expression_tuple():
     assert compile_expressions(exprs[:1]) is not compile_expressions(exprs)
 
 
+def test_compile_memos_keep_a_hot_entry_through_a_flood_of_fresh_literals():
+    """Past their limit the memos drop the least recently used entry: an
+    expression the active mix keeps compiling stays, however many
+    one-off literals pass through (a clear-all dropped it too)."""
+    from repro.sql.compiler import _CACHE_LIMIT, _EXPR_CACHE, _LIST_CACHE
+
+    clear_compile_cache()
+    hot = Comparison("<", InputRef(0, INT), Constant(-1, INT))
+    single, joint = compile_expression(hot), compile_expressions([hot])
+    for literal in range(3 * _CACHE_LIMIT):
+        fresh = Comparison("<", InputRef(0, INT), Constant(literal, INT))
+        compile_expression(fresh)
+        compile_expressions([fresh])
+        assert compile_expression(hot) is single
+        assert compile_expressions([hot]) is joint
+    assert len(_EXPR_CACHE) == len(_LIST_CACHE) == _CACHE_LIMIT
+
+
 def test_isnull_sees_none_cells():
     schema = Schema((Field("s", STR),))
     values = np.empty(4, dtype=object)

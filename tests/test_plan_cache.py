@@ -156,3 +156,24 @@ def test_text_keyed_memos_stay_bounded():
         for name, value in vars(owner).items():
             if isinstance(value, (dict, set)):
                 assert len(value) <= _PER_CATALOG_LIMIT, (type(owner).__name__, name)
+
+
+def test_text_keyed_memos_keep_the_hot_texts_through_one_off_literals():
+    """Both text-keyed memos drop their least recently used entry at the
+    limit: a template that keeps coming back stays cached while more
+    one-off literal texts than the limit pass through (a clear-all at
+    the limit re-planned it after every flood)."""
+    from repro.plan.cache import _PER_CATALOG_LIMIT, FRONT_END, prepare
+
+    catalog = fresh_catalog()
+    engine = make_engine(catalog)
+    hot = "select count(*) from region"
+    engine.execute(hot)
+    prepared = prepare(catalog, hot)
+    flood = 3 * _PER_CATALOG_LIMIT
+    for literal in range(flood):
+        engine.execute(f"select count(*) from nation where n_nationkey < {literal}")
+        engine.execute(hot)
+    assert FRONT_END.entries(catalog) == PLAN_CACHE.entries(catalog) == _PER_CATALOG_LIMIT
+    assert prepare(catalog, hot) is prepared
+    assert counters(engine) == (flood, 1 + flood)

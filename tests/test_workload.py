@@ -330,9 +330,10 @@ def test_second_window_report_counts_only_its_own_window(catalog):
         catalog, multiplier=1000.0, cluster={"compute_nodes": 2},
         max_concurrent_queries=3, arbitration="fair_share",
     )
-    windows = []
+    windows, workloads = [], []  # a query's decisions live with its handle
     for _ in range(2):
         workload = Workload(engine, seed=5)
+        workloads.append(workload)
         workload.add_tenant("etl", [JOIN_COUNT_SQL], TraceArrivals(times=(0.0,)))
         workload.add_tenant(
             "bi", [QUERIES["Q6"], COUNT_SQL], PoissonArrivals(rate=0.5, count=6)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Soak: does a long-lived engine stay flat as it serves windows of queries?
 
-    PYTHONPATH=src python tools/soak.py
+    PYTHONPATH=src python tools/soak.py [WINDOWS]
 
 One engine with the ``multi_tenant_adhoc`` benchmark's configuration
 (deadline arbitration, sharing, prediction; 20x costs) serves ``WINDOWS``
-windows of 3 tenants x 8 Poisson arrivals over TPC-H at ``SCALE``.  Each
+(default 30) windows of 3 tenants x 8 Poisson arrivals over TPC-H at
+``SCALE``.  Each
 window deals six templates four times, two of them with a fresh date
 literal, then materialises every answer and drops the handles, as a client that is done
 with its queries would.  After a full collection, each window prints its
@@ -39,9 +40,11 @@ WINDOWS = 30
 #: Windows before the slopes start: the plan and result caches fill.
 WARMUP = 3
 #: GC-tracked objects a window may add after warm-up.  An engine that
-#: kept every retired execution added ~11,900; one that keeps records
-#: adds ~1,000.
-MAX_OBJECT_SLOPE = 3000
+#: kept every retired execution added ~11,900; one that kept a record of
+#: every query, its decisions and its history ~1,000; one whose
+#: per-query detail leaves with the handles ~75, while its rings of
+#: retired queries (``RETAINED_QUERIES``) fill.
+MAX_OBJECT_SLOPE = 100
 
 #: The ``multi_tenant_adhoc`` benchmark's engine configuration.
 CONFIG = (
@@ -107,13 +110,13 @@ def slope(values: list[float]) -> float:
     return num / sum((i - mean_x) ** 2 for i in range(n))
 
 
-def soak() -> list[tuple[float, float, int]]:
+def soak(windows: int = WINDOWS) -> list[tuple[float, float, int]]:
     """``(host ms, RSS MB, GC objects)`` after each window, printed as
     they come."""
     engine = AccordionEngine(Catalog.tpch(scale=SCALE), config=CONFIG)
     rows = []
     print(f"{'window':>6} {'host_ms':>8} {'rss_mb':>8} {'objects':>9}")
-    for window in range(1, WINDOWS + 1):
+    for window in range(1, windows + 1):
         start = time.perf_counter()
         run_window(engine, seed=window)
         host_ms = (time.perf_counter() - start) * 1e3
@@ -124,8 +127,8 @@ def soak() -> list[tuple[float, float, int]]:
     return rows
 
 
-def main() -> int:
-    rows = soak()[WARMUP:]
+def main(argv: list[str]) -> int:
+    rows = soak(int(argv[0]) if argv else WINDOWS)[WARMUP:]
     host, rss, objects = (slope([row[i] for row in rows]) for i in range(3))
     median_ms = sorted(row[0] for row in rows)[len(rows) // 2]
     print(
@@ -138,4 +141,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
