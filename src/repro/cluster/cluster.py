@@ -57,15 +57,6 @@ class Cluster:
     def schedulable_cores(self) -> int:
         return NODE_CORES * len(self.schedulable_compute)
 
-    def topology_fingerprint(self) -> tuple:
-        """Hashable identity of the *schedulable* topology, used in the
-        plan-cache key: a plan produced against N nodes must not be
-        reused verbatim once the cluster scales to M nodes."""
-        return (
-            tuple(sorted(n.id for n in self.schedulable_compute)),
-            tuple(sorted(n.id for n in self.alive_storage)),
-        )
-
     # -- fault injection -----------------------------------------------------
     @property
     def alive_compute(self) -> list[Node]:

@@ -19,11 +19,10 @@ from ..exec.memory import MemoryRecord, QueryMemory
 from ..obs.decisions import fault_timeline
 from ..obs.throughput import Sampler
 from ..pages import Page, concat_pages
-from ..plan.cache import PLAN_CACHE, PreparedQuery, prepare
+from ..plan.cache import PreparedQuery, prepare
 from ..plan.physical import PhysicalPlan
 from ..plan.physical_planner import PhysicalPlanner
 from ..sim import SimKernel
-from ..tree import identity
 from ..util import RetiredRing
 from .cluster import Cluster
 from .rpc import RpcTracker
@@ -31,8 +30,8 @@ from .scheduler import Scheduler
 from .stage import StageExecution
 
 
-#: The options that change *what* plan is built, in the order their
-#: values enter a query's template id (``repro.predict.fingerprint``).
+#: The options the physical planner reads, in the order their values
+#: enter a query's template id (``PreparedQuery.template``).
 PLAN_SHAPING = (
     "join_distribution", "broadcast_threshold_rows", "shuffle_stage_tables",
     "partial_pushdown",
@@ -60,22 +59,12 @@ class QueryOptions:
     #: Push partial aggregations / partial topN below the shuffle.
     partial_pushdown: bool = True
 
-    def plan_shaping(self) -> dict:
-        """The :data:`PLAN_SHAPING` options.  The DOP hints change only
-        how wide a plan runs, and the predictor rewrites them at
-        pre-grant time, so they are no part of a query's template."""
-        return {name: getattr(self, name) for name in PLAN_SHAPING}
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity of every option, for plan-cache keys.
-
-        Options differing in *any* field miss the cache — including the
-        DOP hints, which do not change the produced plan; a spurious miss
-        only costs a re-plan and never serves a wrong plan.  The same
-        :func:`repro.tree.identity` as every config class, so the plan
-        cache does not special-case this type.
-        """
-        return identity(self)
+    def shaping(self) -> tuple:
+        """The :data:`PLAN_SHAPING` option values.  The DOP hints change
+        only how wide a plan runs (the scheduler reads them), and the
+        predictor rewrites them at pre-grant time, so they key neither a
+        cached plan nor a query's template."""
+        return tuple(getattr(self, name) for name in PLAN_SHAPING)
 
 
 class QueryLifecycle:
@@ -498,28 +487,21 @@ class Coordinator:
         prepared: PreparedQuery | None = None,
     ) -> PhysicalPlan:
         """Physical plan for ``sql``; ``prepared`` is its front-end output
-        when the caller already holds it."""
+        when the caller already holds it.  Plans hang off the prepared
+        entry, keyed by exactly what the planner reads."""
+        if prepared is None:
+            prepared = self.prepare(sql)
         elasticity = self.config.elasticity_enabled
-        # The schedulable topology is part of the key: a plan cached at N
-        # nodes is not reused once membership changes the cluster to M
-        # nodes (spurious misses only cost a re-plan, never a wrong plan).
-        key = (
-            sql,
-            options.fingerprint(),
-            elasticity,
-            self.cluster.topology_fingerprint(),
-        )
+        key = (options.shaping(), elasticity)
         if self.config.plan_cache:
-            plan = PLAN_CACHE.get(self.catalog, key)
+            plan = prepared.plans.get(key)
             if plan is not None:
                 self._plan_cache_hits.add()
                 return plan
             self._plan_cache_misses.add()
-        if prepared is None:
-            prepared = self.prepare(sql)
         plan = PhysicalPlanner(self.catalog, options, elasticity).plan(prepared.logical)
         if self.config.plan_cache:
-            PLAN_CACHE.put(self.catalog, key, plan)
+            prepared.plans[key] = plan
         return plan
 
     def next_query_id(self) -> int:

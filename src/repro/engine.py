@@ -159,7 +159,7 @@ class AccordionEngine:
         query.prepared = self.coordinator.prepare(query.sql)
         predictor = self.predict_service
         if predictor is not None:
-            query.template = predictor.template_of(query.prepared, query.options)
+            query.template = query.prepared.template(query.options.shaping())
         if query.tenant is None:
             # No session: admitted at once, outside every limit.
             self._launch(query)

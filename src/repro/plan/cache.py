@@ -1,42 +1,44 @@
-"""Engine-level plan caches: the front-end memo and the physical plan cache.
+"""The engine-level front-end memo: one prepared entry per query text.
 
-Every ``engine.execute()`` used to re-lex, re-parse, re-analyze, and
-re-plan its SQL even when the same query ran moments earlier (benchmarks
-repeat each query; the auto-tuner and tests re-submit constantly).  Two
-memos, both bounded per catalog version, remove that work:
+:func:`prepare` is *the* front end (parse -> analyze -> prune) and the
+only caller of ``parse`` on the submission path.  Its memo,
+:data:`FRONT_END`, maps SQL text to a :class:`PreparedQuery`: the pruned
+logical plan and everything keyed by the query, each derived at most
+once per entry (DESIGN.md §20):
 
-* :func:`prepare` is *the* front end (parse -> analyze -> prune) and the
-  only caller of ``parse`` on the submission path.  Its memo maps SQL
-  text to a :class:`PreparedQuery` — the pruned logical plan, plus the
-  sharing layer's normalized form and the predictor's literal-free
-  template fingerprints, each derived at most once per entry.
-* :data:`PLAN_CACHE` maps (SQL text, QueryOptions fingerprint,
-  elasticity flag, topology) to the physical plan.  The physical plan is
-  a pure *descriptor* — tasks instantiate operators from fragments at
-  schedule time — so a plan keyed by exactly its inputs can be shared
-  across queries **and engines**.
+* ``key`` — the fold and result-cache key (``repro.sharing``);
+* ``template(shaping)`` — the literal-free template id the predictor
+  keeps demand history under (``repro.predict``);
+* ``plans`` — the physical plans, keyed by what the physical planner
+  reads: the plan-shaping options and the elasticity flag.  A plan is a
+  pure *descriptor* — the scheduler reads the DOP hints and the
+  topology, and tasks instantiate operators from fragments — so one
+  plan serves every query **and engine** with that key.
 
 Catalogs carry a monotonically increasing ``version`` bumped by
-``register()``, so registering/replacing a table invalidates everything
-cached against the older version.  Entries are held per catalog in a
-``WeakKeyDictionary`` — dropping the catalog drops its plans — in a
+``register()``, so registering/replacing a table invalidates every
+entry prepared against the older version.  Entries are held per catalog
+in a ``WeakKeyDictionary`` — dropping the catalog drops its plans — in a
 :class:`~repro.util.LruMemo` of ``_PER_CATALOG_LIMIT`` entries.
 
-``EngineConfig.plan_cache=False`` bypasses both memos; hit/miss counts
-of the physical cache surface per engine through ``engine.metrics``
-(``plan_cache.hits`` / ``plan_cache.misses``).  Caching is bit-inert: a
-cached plan is the same object the planner would rebuild, and the
-identity test in ``tests/test_plan_cache.py`` pins answers, virtual
-timings, and event counts with the cache on vs off.
+``EngineConfig.plan_cache=False`` bypasses the memo and the plans;
+hit/miss counts of the plans surface per engine through
+``engine.metrics`` (``plan_cache.hits`` / ``plan_cache.misses``).
+Caching is bit-inert: a cached plan is the same object the planner
+would rebuild, and the identity test in ``tests/test_plan_cache.py``
+pins answers, virtual timings, and event counts with the cache on vs
+off.
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ..sql.parser import parse
+from ..tree import identity
 from ..util import LruMemo
 from .logical_planner import LogicalPlanner
 from .optimizer import prune_columns
@@ -45,18 +47,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..data import Catalog
     from ..sharing.normalize import NormalizedQuery
     from .logical import LogicalNode
+    from .physical import PhysicalPlan
 
 #: Per-catalog bound on cached entries, least recently used out first:
 #: the ``multi_tenant_adhoc`` benchmark's working set.  Its one-off
 #: literal texts never hit again; the templates that repeat stay.
 _PER_CATALOG_LIMIT = 64
 
+#: Bump when the identity rules change: keys from different rule versions
+#: must never collide in a persisted store (``history.json`` buckets
+#: written under an older version are orphaned by design).
+IDENTITY_VERSION = 2
+
 
 class PlanCache:
     """Process-wide per-catalog-version memo, shared by all engines."""
 
     def __init__(self):
-        # catalog -> (version, {key: plan})
+        # catalog -> (version, {key: entry})
         self._store: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def get(self, catalog: "Catalog", key):
@@ -65,40 +73,42 @@ class PlanCache:
             return None
         return slot[1].get(key)
 
-    def put(self, catalog: "Catalog", key, plan) -> None:
+    def put(self, catalog: "Catalog", key, entry) -> None:
         slot = self._store.get(catalog)
         if slot is None or slot[0] != catalog.version:
-            # First entry for this catalog version: stale-version plans
+            # First entry for this catalog version: stale-version entries
             # (catalog changed since they were built) are dropped here.
             slot = (catalog.version, LruMemo(_PER_CATALOG_LIMIT))
             self._store[catalog] = slot
-        slot[1].put(key, plan)
+        slot[1].put(key, entry)
 
     def entries(self, catalog: "Catalog") -> int:
-        """Number of live cached plans for ``catalog`` (introspection)."""
+        """Number of live cached entries for ``catalog`` (introspection)."""
         slot = self._store.get(catalog)
         if slot is None or slot[0] != catalog.version:
             return 0
         return len(slot[1])
 
-    def clear(self) -> None:
-        self._store.clear()
 
-
-#: The process-wide physical-plan cache used by every Coordinator.
-PLAN_CACHE = PlanCache()
 #: SQL text -> :class:`PreparedQuery`, behind :func:`prepare`.
 FRONT_END = PlanCache()
 
 
 class PreparedQuery:
-    """Front-end output for one SQL text."""
+    """The one entry for a SQL text at one catalog version."""
 
-    def __init__(self, logical: "LogicalNode"):
+    def __init__(self, version: int, logical: "LogicalNode"):
+        self.version = version
         #: The pruned logical plan.
         self.logical = logical
-        #: options template -> template fingerprint (``repro.predict``).
-        self.templates: dict[tuple, str] = {}
+        #: ``(options.shaping(), elasticity)`` -> physical plan.
+        self.plans: dict[tuple, "PhysicalPlan"] = {}
+        self._templates: dict[tuple, str] = {}
+
+    @cached_property
+    def key(self) -> tuple:
+        """The fold and result-cache key: equal keys, equal answers."""
+        return (IDENTITY_VERSION, identity(self.logical))
 
     @cached_property
     def normalized(self) -> "NormalizedQuery":
@@ -106,6 +116,26 @@ class PreparedQuery:
         from ..sharing.normalize import normalize_logical
 
         return normalize_logical(self.logical)
+
+    def template(self, shaping: tuple) -> str:
+        """Stable hex template id under the plan-shaping option values
+        ``shaping`` (``QueryOptions.shaping()``; DESIGN.md §16).  Texts
+        differing only in literal values share it: ``literals=False``
+        leaves a typed hole where a constant stood.  The catalog version
+        and ``shaping`` keep schema or option changes apart; the DOP
+        hints are no part of it, so a pre-granted re-run records into
+        the template its prediction came from."""
+        template = self._templates.get(shaping)
+        if template is None:
+            key = (
+                self.version,
+                IDENTITY_VERSION,
+                identity(self.logical, literals=False),
+                identity(shaping),
+            )
+            template = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+            self._templates[shaping] = template
+        return template
 
 
 def prepare(catalog: "Catalog", sql: str, memo: bool = True) -> PreparedQuery:
@@ -115,7 +145,8 @@ def prepare(catalog: "Catalog", sql: str, memo: bool = True) -> PreparedQuery:
         prepared = FRONT_END.get(catalog, sql)
         if prepared is not None:
             return prepared
-    prepared = PreparedQuery(prune_columns(LogicalPlanner(catalog).plan(parse(sql))))
+    logical = prune_columns(LogicalPlanner(catalog).plan(parse(sql)))
+    prepared = PreparedQuery(catalog.version, logical)
     if memo:
         FRONT_END.put(catalog, sql, prepared)
     return prepared

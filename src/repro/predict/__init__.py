@@ -13,10 +13,9 @@ Enable with ``EngineConfig().with_prediction()``; the user surface is
 ``QueryHandle.prediction`` / ``QueryHandle.prediction_error``.
 """
 
-from .fingerprint import template_fingerprint
 from .history import HistoryStore
 from .profile import Prediction, StageDemand
-from .service import DemandPredictor
+from .service import DemandPredictor, template_fingerprint
 
 __all__ = [
     "DemandPredictor",

@@ -31,17 +31,17 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError, TuningRejected
-from .fingerprint import prepared_fingerprint
+from ..plan.cache import prepare
 from .history import HistoryStore
 from .profile import Prediction
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryExecution, QueryOptions
     from ..engine import AccordionEngine
+    from ..data import Catalog
     from ..handle import QueryHandle
-    from ..plan.cache import PreparedQuery
 
-__all__ = ["DemandPredictor"]
+__all__ = ["DemandPredictor", "template_fingerprint"]
 
 #: Memory pre-grants never go below this (tiny queries still need room
 #: for pages in flight and accounting slack).
@@ -61,6 +61,13 @@ PREGRANT_MAX_STAGE_DOP = 16
 ERROR_BOUND = 0.5
 
 
+def template_fingerprint(
+    catalog: "Catalog", sql: str, options: "QueryOptions"
+) -> str:
+    """Stable hex template id for ``sql`` under ``options``."""
+    return prepare(catalog, sql).template(options.shaping())
+
+
 class DemandPredictor:
     def __init__(self, engine: "AccordionEngine"):
         self.engine = engine
@@ -74,11 +81,6 @@ class DemandPredictor:
         self._first_runs: list[int] = []
 
     # -- templates ----------------------------------------------------------
-    def template_of(
-        self, prepared: "PreparedQuery", options: "QueryOptions"
-    ) -> str:
-        return prepared_fingerprint(self.engine.catalog, prepared, options)
-
     def _predict(self, template: str, sub=None) -> Prediction | None:
         prediction = self.store.predict(template)
         if prediction is not None:
@@ -96,7 +98,7 @@ class DemandPredictor:
         from ..cluster.coordinator import QueryOptions
 
         prepared = self.engine.coordinator.prepare(sql)
-        return self._predict(self.template_of(prepared, options or QueryOptions()))
+        return self._predict(prepared.template((options or QueryOptions()).shaping()))
 
     # -- the start step -----------------------------------------------------
     def attach(self, query: "QueryExecution", template: str) -> None:

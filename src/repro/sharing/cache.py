@@ -1,8 +1,8 @@
-"""Fingerprint-keyed result cache (DESIGN.md §14).
+"""Key-addressed result cache (DESIGN.md §14).
 
-Keys are ``(catalog version, normalized plan fingerprint, QueryOptions
-fingerprint)`` — the same keying discipline as the plan cache, one level
-up: equal keys mean the *answer page* is reusable, so a repeat query
+Keys are ``(catalog version, PreparedQuery.key, identity(options))`` —
+the fold key, one per query text: equal keys mean the *answer page* is
+reusable, so a repeat query
 short-circuits admission, planning, and execution entirely.  The cache
 is per-engine (catalog identity is implied by ownership) and bounded two
 ways: :data:`RESULT_CACHE_BYTES` with LRU eviction, and an optional TTL

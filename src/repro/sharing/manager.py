@@ -4,13 +4,14 @@ With ``EngineConfig.sharing.enabled`` the engine's submission sequence
 (``AccordionEngine._launch``) hands every admitted query to
 :meth:`SharingManager.serve`.  :meth:`SharingManager.decide` — the one
 routing decision, also consulted by admission to let queries that need
-no new resources past the caps — picks, from the query's normalized
-plan (:mod:`repro.sharing.normalize`):
+no new resources past the caps — picks, from the query's prepared entry
+(its fold key ``PreparedQuery.key`` and normalized plan,
+:mod:`repro.sharing.normalize`):
 
 1. **cached** — the result cache holds a live entry for (catalog version,
-   plan fingerprint, options fingerprint): answer synchronously, no
-   physical execution at all;
-2. **folded** — a live :class:`FoldGroup` has an exactly-equal fingerprint,
+   fold key, ``identity(options)``): answer synchronously, no physical
+   execution at all;
+2. **folded** — a live :class:`FoldGroup` has an exactly-equal key,
    or one of the live groups' carriers *subsumes* this plan
    (:func:`plan_residual`): graft a consumer onto it — base-table pages
    are read once for the whole group (scan sharing falls out of running
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from ..tree import identity
 from .cache import ResultCache
 from .fold import FoldGroup, SharedConsumer
 from .normalize import NormalizedQuery, plan_residual
@@ -56,7 +58,7 @@ class SharingManager:
         self.coordinator = engine.coordinator
         self.catalog = engine.catalog
         self.cache = ResultCache(self.kernel, ttl=self.config.cache_ttl)
-        #: Live fold groups by (catalog version, plan key, options key).
+        #: Live fold groups by (catalog version, fold key, options key).
         self.groups: dict[tuple, FoldGroup] = {}
         self._catalog_version = engine.catalog.version
         self.decisions = self.kernel.decisions
@@ -84,7 +86,7 @@ class SharingManager:
         normalized = sub.prepared.normalized
         if not normalized.shareable:
             return Routing("unshared")
-        key = (self._catalog_version, normalized.key, sub.options.fingerprint())
+        key = (self._catalog_version, sub.prepared.key, identity(sub.options))
         if self.cache.peek(key):
             return Routing("cached", key)
         group, residual = self._find_group(key, normalized)

@@ -1,14 +1,14 @@
 """Plan normalization and subplan subsumption for concurrent-query folding.
 
 The fold detector (DESIGN.md §14) never compares SQL text: it compares
-the :func:`~repro.tree.identity` of logical plans — conjuncts/disjuncts
-sorted, ``=``/``<>`` operands ordered, ``>``/``>=`` rewritten as flipped
-``<``/``<=``, consecutive ``Filter`` nodes merged — so two textually
-different but semantically identical plans produce the same key across
-runs and processes (no ``id()``/hash-seed leakage).  Only comparisons
-and boolean connectives are reordered, which are result-exact under any
-order; arithmetic is not.  Output column *names* are part of the key:
-result schemas are user-visible.
+the :func:`~repro.tree.identity` of logical plans (``PreparedQuery.key``)
+— conjuncts/disjuncts sorted, ``=``/``<>`` operands ordered, ``>``/``>=``
+rewritten as flipped ``<``/``<=``, consecutive ``Filter`` nodes merged —
+so two textually different but semantically identical plans produce the
+same key across runs and processes (no ``id()``/hash-seed leakage).
+Only comparisons and boolean connectives are reordered, which are
+result-exact under any order; arithmetic is not.  Output column *names*
+are part of the key: result schemas are user-visible.
 
 On top of the keys, :func:`decompose` splits a detail plan into the
 shared *core* (everything below the filter/projection crown) plus its
@@ -44,11 +44,6 @@ from ..sql.expressions import BoundExpr, InputRef, conjoin, split_conjuncts
 from ..tree import identity
 from .residual import Residual
 
-#: Bump when the identity rules change: keys from different rule versions
-#: must never collide in a persisted store (``history.json`` buckets
-#: written under an older version are orphaned by design).
-NORMALIZE_VERSION = 2
-
 
 # -- shape decomposition -----------------------------------------------------
 @dataclass
@@ -76,10 +71,9 @@ class DetailShape:
 
 @dataclass
 class NormalizedQuery:
-    """One query's normalized identity plus its foldable decomposition."""
+    """One query's foldable decomposition (its key is
+    ``PreparedQuery.key``)."""
 
-    key: tuple
-    root: LogicalNode
     #: Whether this plan may participate in sharing at all.
     shareable: bool
     #: The detail crown; None for unshareable and aggregating plans
@@ -121,8 +115,6 @@ def normalize_logical(root: LogicalNode) -> NormalizedQuery:
     nodes = list(root.walk())
     shareable = not any(isinstance(n, (LogicalTopN, LogicalLimit)) for n in nodes)
     return NormalizedQuery(
-        key=(NORMALIZE_VERSION, identity(root)),
-        root=root,
         shareable=shareable,
         detail=decompose(root) if shareable else None,
         scan_tables=tuple(n.table for n in nodes if isinstance(n, LogicalScan)),

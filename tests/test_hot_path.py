@@ -598,15 +598,20 @@ def test_trees_are_descended_and_keyed_in_one_place():
         "_ast_rebuild", "options_template",
     ) == set()
     assert "key=repr" not in sources["sharing/manager.py"]
-    # The plan-shaping options are listed once, in ``PLAN_SHAPING``.
-    assert "broadcast_threshold_rows" not in sources["predict/fingerprint.py"]
+    # The plan-shaping options are listed once, in ``PLAN_SHAPING``, and
+    # read by the planner alone; every key of a query is derived on its
+    # prepared entry.
+    assert mentioning("partial_pushdown") == {
+        "cluster/coordinator.py", "plan/physical_planner.py",
+    }
+    assert mentioning("IDENTITY_VERSION", "hashlib") == {"plan/cache.py"}
     families = [
         repro.sql.ast.ExprNode, repro.sql.expressions.BoundExpr,
         repro.plan.logical.LogicalNode, repro.plan.physical.PNode,
     ]
     for family in families:
         assert family.family is family and family.children is repro.tree.Tree.children
-    assert repro.QueryOptions().fingerprint() == repro.tree.identity(repro.QueryOptions())
+    assert mentioning("def fingerprint(", "topology_fingerprint") == set()
 
 
 # -- one timed-action plan, one applier ----------------------------------------------

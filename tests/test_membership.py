@@ -348,21 +348,26 @@ def test_spot_nodes_bill_at_discount(catalog):
     assert engine.membership.cost_between(start) == pytest.approx(expected)
 
 
-# -- plan cache topology key ------------------------------------------------
-def test_topology_change_invalidates_plan_cache_key(catalog):
-    engine = make_engine(catalog, cluster=SMALL)
-    coordinator = engine.coordinator
-    fp_before = engine.cluster.topology_fingerprint()
-    engine.execute(QUERIES["Q6"])
-    hits0 = coordinator._plan_cache_hits.value
-    misses0 = coordinator._plan_cache_misses.value
-    engine.execute(QUERIES["Q6"])  # same topology: a hit
-    assert coordinator._plan_cache_hits.value == hits0 + 1
-    engine.membership.join(1)
-    settle(engine)
-    assert engine.cluster.topology_fingerprint() != fp_before
-    engine.execute(QUERIES["Q6"])  # changed topology: keyed apart
-    assert coordinator._plan_cache_misses.value == misses0 + 1
+# -- plans and topology -----------------------------------------------------
+def test_a_node_join_keeps_the_cached_plan(catalog):
+    """The planner reads no topology: after a node joins, Q6 reuses its
+    cached plan, and answers and runs as on an engine that never caches,
+    through the same join."""
+    runs = {}
+    for plan_cache in (True, False):
+        engine = make_engine(catalog, cluster=SMALL, plan_cache=plan_cache)
+        coordinator = engine.coordinator
+        engine.execute(QUERIES["Q6"])
+        engine.membership.join(1)
+        settle(engine)
+        counts = coordinator.plan_cache_hits, coordinator.plan_cache_misses
+        runs[plan_cache] = engine.execute(QUERIES["Q6"])
+        hits = coordinator.plan_cache_hits - counts[0]
+        misses = coordinator.plan_cache_misses - counts[1]
+        assert (hits, misses) == ((1, 0) if plan_cache else (0, 0))
+    cached, cold = runs[True], runs[False]
+    assert norm_rows(cached.rows) == norm_rows(cold.rows)
+    assert cached.elapsed_seconds == cold.elapsed_seconds
 
 
 # -- control-plane give-ups no query owns -----------------------------------

@@ -7,7 +7,7 @@ from conftest import TEST_SEED, make_engine, norm_rows
 from repro import AccordionEngine, EngineConfig, QueryOptions
 from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
-from repro.plan.cache import PLAN_CACHE
+from repro.plan.cache import FRONT_END
 
 
 def fresh_catalog() -> Catalog:
@@ -15,6 +15,12 @@ def fresh_catalog() -> Catalog:
     identity, so sharing the session fixture would leak entries between
     tests.  Tables come from the dataset memo, so this is cheap."""
     return Catalog.tpch(scale=0.001, seed=TEST_SEED)
+
+
+def cached_plans(catalog, sql: str) -> int:
+    """Plans cached on ``sql``'s prepared entry (0 when it has none)."""
+    prepared = FRONT_END.get(catalog, sql)
+    return 0 if prepared is None else len(prepared.plans)
 
 
 def counters(engine) -> tuple[int, int]:
@@ -29,7 +35,7 @@ def test_repeated_query_hits_cache():
     assert counters(engine) == (0, 1)
     engine.execute(QUERIES["Q1"])
     assert counters(engine) == (1, 1)
-    assert PLAN_CACHE.entries(catalog) == 1
+    assert cached_plans(catalog, QUERIES["Q1"]) == 1
     # The per-engine counters surface through the metrics registry.
     snapshot = engine.metrics.snapshot()
     assert snapshot["plan_cache.hits"] == 1
@@ -40,25 +46,34 @@ def test_catalog_registration_invalidates():
     catalog = fresh_catalog()
     engine = make_engine(catalog)
     engine.execute(QUERIES["Q1"])
-    assert PLAN_CACHE.entries(catalog) == 1
+    assert cached_plans(catalog, QUERIES["Q1"]) == 1
     # Re-registering any table bumps the catalog version: every plan built
     # against the old version must miss from now on.
     catalog.register(catalog.table("nation"))
-    assert PLAN_CACHE.entries(catalog) == 0
+    assert cached_plans(catalog, QUERIES["Q1"]) == 0
     engine.execute(QUERIES["Q1"])
     assert counters(engine) == (0, 2)
 
 
-def test_differing_options_miss():
+def test_only_plan_shaping_options_key_a_plan():
+    """A DOP-hint-only change reuses the cached plan (the scheduler reads
+    the hints, the planner does not); ``partial_pushdown=False`` plans
+    anew.  Each answers and runs as on an engine that never caches."""
     catalog = fresh_catalog()
     engine = make_engine(catalog)
-    engine.execute(QUERIES["Q3"], QueryOptions())
-    engine.execute(QUERIES["Q3"], QueryOptions(initial_stage_dop=2))
-    # Same SQL, different options: both are misses and both are cached.
-    assert counters(engine) == (0, 2)
-    assert PLAN_CACHE.entries(catalog) == 2
-    engine.execute(QUERIES["Q3"], QueryOptions(initial_stage_dop=2))
-    assert counters(engine) == (1, 2)
+    baseline = make_engine(catalog, plan_cache=False)
+    sql = QUERIES["Q3"]
+    for options, expected in (
+        (QueryOptions(), (0, 1)),
+        (QueryOptions(initial_stage_dop=2), (1, 1)),
+        (QueryOptions(partial_pushdown=False), (1, 2)),
+    ):
+        result = engine.execute(sql, options)
+        assert counters(engine) == expected
+        cold = baseline.execute(sql, options)
+        assert norm_rows(result.rows) == norm_rows(cold.rows)
+        assert result.elapsed_seconds == cold.elapsed_seconds
+    assert cached_plans(catalog, sql) == 2
 
 
 def test_cross_engine_reuse_over_same_catalog():
@@ -82,7 +97,7 @@ def test_plan_cache_disabled_bypasses():
     engine.execute(QUERIES["Q1"])
     engine.execute(QUERIES["Q1"])
     assert counters(engine) == (0, 0)
-    assert PLAN_CACHE.entries(catalog) == 0
+    assert cached_plans(catalog, QUERIES["Q1"]) == 0
 
 
 def test_cached_plan_gives_identical_answers():
@@ -149,7 +164,9 @@ def test_text_keyed_memos_stay_bounded():
             f"select count(*) from nation where n_nationkey < {literal}"
         ).result()
     assert 0 < FRONT_END.entries(catalog) <= _PER_CATALOG_LIMIT
-    assert 0 < PLAN_CACHE.entries(catalog) <= _PER_CATALOG_LIMIT
+    # Plans live on the entries: one per text, whatever DOPs it was granted.
+    entries = FRONT_END._store[catalog][1].values()
+    assert {len(prepared.plans) for prepared in entries} == {1}
     # Nothing per-engine remembers one entry per distinct text either.
     for owner in (engine, engine.sharing, engine.predict_service,
                   engine.workload.admission, engine.workload.arbiter):
@@ -159,10 +176,11 @@ def test_text_keyed_memos_stay_bounded():
 
 
 def test_text_keyed_memos_keep_the_hot_texts_through_one_off_literals():
-    """Both text-keyed memos drop their least recently used entry at the
-    limit: a template that keeps coming back stays cached while more
-    one-off literal texts than the limit pass through (a clear-all at
-    the limit re-planned it after every flood)."""
+    """The front-end memo drops its least recently used entry, and the
+    entry's plans with it, at the limit: a template that keeps coming
+    back stays cached while more one-off literal texts than the limit
+    pass through (a clear-all at the limit re-planned it after every
+    flood)."""
     from repro.plan.cache import _PER_CATALOG_LIMIT, FRONT_END, prepare
 
     catalog = fresh_catalog()
@@ -174,6 +192,6 @@ def test_text_keyed_memos_keep_the_hot_texts_through_one_off_literals():
     for literal in range(flood):
         engine.execute(f"select count(*) from nation where n_nationkey < {literal}")
         engine.execute(hot)
-    assert FRONT_END.entries(catalog) == PLAN_CACHE.entries(catalog) == _PER_CATALOG_LIMIT
-    assert prepare(catalog, hot) is prepared
+    assert FRONT_END.entries(catalog) == _PER_CATALOG_LIMIT
+    assert prepare(catalog, hot) is prepared and len(prepared.plans) == 1
     assert counters(engine) == (flood, 1 + flood)

@@ -128,19 +128,44 @@ def test_pool_transport_bench_probes_round_trips_an_echo_job():
 
 
 def test_design_sections_cited_in_the_source_exist():
-    """Every ``DESIGN.md §N`` / ``§N.M`` a module cites names a numbered
-    heading of DESIGN.md, so renumbering the document cannot leave a
-    dangling pointer behind."""
+    """Every ``DESIGN.md §N`` / ``§N.M`` a module, test, tool or figure
+    test cites names a numbered heading of DESIGN.md, so renumbering the
+    document cannot leave a dangling pointer behind."""
     headings = set(
         re.findall(r"^#{2,3} (\d+(?:\.\d+)?)\.? ", (REPO / "DESIGN.md").read_text(), re.M)
     )
     cited = {}
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        for section in re.findall(r"DESIGN(?:\.md)?\s+§\s*(\d+(?:\.\d+)?)", text):
-            cited.setdefault(section, path.relative_to(REPO).as_posix())
+    for root in ("src/repro", "tests", "tools", "benchmarks"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for section in re.findall(r"DESIGN(?:\.md)?\s+§\s*(\d+(?:\.\d+)?)", text):
+                cited.setdefault(section, path.relative_to(REPO).as_posix())
     assert {"7", "9", "10.1", "12", "20"} <= set(cited)
     assert {s: where for s, where in cited.items() if s not in headings} == {}
+
+
+def test_every_package_and_module_is_in_the_module_map():
+    """DESIGN.md §4's module map names every package under ``src/repro``
+    (``name/``) and every module in it, so a package added or a module
+    deleted shows up there."""
+    design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+    section = design[design.index("## 4. Module map"):design.index("## 5. ")]
+    block = section.split("```")[1]
+    words = set(re.findall(r"\w+", block))
+    src = REPO / "src" / "repro"
+    missing = []
+    for package in sorted(p.parent for p in src.rglob("__init__.py")):
+        name = package.relative_to(src).as_posix()
+        if package != src and not re.search(rf"(^|\s){package.name}/", block, re.M):
+            missing.append(f"{name}/")
+        missing += [
+            f"{name}/{p.name}" for p in package.glob("*.py")
+            if p.stem != "__init__" and p.stem not in words
+        ]
+    assert missing == []
+    listed = set(re.findall(r"(\w+)\.py", block))
+    modules = {p.stem for p in src.rglob("*.py")}
+    assert listed - modules == set()
 
 
 #: Byte budget of the three long documents together, and of one CHANGES

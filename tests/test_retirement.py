@@ -241,8 +241,8 @@ def test_a_retired_handle_answers_as_an_unsealed_one(catalog, monkeypatch, endin
 @pytest.fixture
 def small_bounds(monkeypatch):
     """Every bounded structure an engine keeps across queries at one
-    entry: the rings of retired queries and of fleet decisions, the plan,
-    front-end, compile and result caches.  They fill in a window, so a
+    entry: the rings of retired queries and of fleet decisions, the
+    front-end (plans included), compile and result caches.  They fill in a window, so a
     window more shows only what grows with the queries served."""
     from repro import util
     from repro.obs import decisions
@@ -257,8 +257,7 @@ def small_bounds(monkeypatch):
         monkeypatch.setattr(module, name, 1)
     for memo in (compiler._EXPR_CACHE, compiler._LIST_CACHE):
         monkeypatch.setattr(memo, "limit", 1)
-    for memo in (cache.PLAN_CACHE, cache.FRONT_END):
-        monkeypatch.setattr(memo, "_store", type(memo._store)())
+    monkeypatch.setattr(cache.FRONT_END, "_store", type(cache.FRONT_END._store)())
 
 
 def test_a_long_lived_engine_stays_flat(tiny_catalog, small_bounds):

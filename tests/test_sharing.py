@@ -9,8 +9,11 @@ query returns exactly the rows an isolated run returns.
 
 from __future__ import annotations
 
+from datetime import date, timedelta
+from decimal import Decimal
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import (
     AccordionEngine,
@@ -22,14 +25,18 @@ from repro import (
     SharingInfo,
     Workload,
     PoissonArrivals,
+    QueryOptions,
 )
 from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
 from repro.sharing import cache as result_cache, normalize_logical, plan_residual
 from repro.tree import identity
+from repro.plan.cache import prepare
 from repro.plan.logical_planner import LogicalPlanner
 from repro.plan.optimizer import prune_columns
+from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
+from repro.sql.tokens import TokenType
 
 from test_engine_queries import SQL_SHAPES
 
@@ -43,6 +50,11 @@ def isolated_rows(catalog, sql: str):
     return AccordionEngine(catalog).execute(sql).rows
 
 
+def fold_key(catalog, sql: str) -> tuple:
+    """The fold / result-cache key of ``sql``."""
+    return prepare(catalog, sql, memo=False).key
+
+
 def normalize(catalog, sql: str):
     logical = prune_columns(LogicalPlanner(catalog).plan(parse(sql)))
     return normalize_logical(logical)
@@ -51,27 +63,27 @@ def normalize(catalog, sql: str):
 # -- normalization ----------------------------------------------------------
 class TestNormalization:
     def test_conjunct_order_is_canonical(self, catalog):
-        a = normalize(catalog,
-                      "select l_orderkey from lineitem "
-                      "where l_quantity < 10 and l_orderkey < 500")
-        b = normalize(catalog,
-                      "select l_orderkey from lineitem "
-                      "where l_orderkey < 500 and l_quantity < 10")
-        assert a.key == b.key
+        a = fold_key(catalog,
+                     "select l_orderkey from lineitem "
+                     "where l_quantity < 10 and l_orderkey < 500")
+        b = fold_key(catalog,
+                     "select l_orderkey from lineitem "
+                     "where l_orderkey < 500 and l_quantity < 10")
+        assert a == b
 
     def test_flipped_comparison_is_canonical(self, catalog):
-        a = normalize(catalog,
-                      "select l_orderkey from lineitem where l_quantity < 10")
-        b = normalize(catalog,
-                      "select l_orderkey from lineitem where 10 > l_quantity")
-        assert a.key == b.key
+        a = fold_key(catalog,
+                     "select l_orderkey from lineitem where l_quantity < 10")
+        b = fold_key(catalog,
+                     "select l_orderkey from lineitem where 10 > l_quantity")
+        assert a == b
 
     def test_different_predicates_do_not_collide(self, catalog):
-        a = normalize(catalog,
-                      "select l_orderkey from lineitem where l_quantity < 10")
-        b = normalize(catalog,
-                      "select l_orderkey from lineitem where l_quantity < 11")
-        assert a.key != b.key
+        a = fold_key(catalog,
+                     "select l_orderkey from lineitem where l_quantity < 10")
+        b = fold_key(catalog,
+                     "select l_orderkey from lineitem where l_quantity < 11")
+        assert a != b
 
     def test_limit_and_topn_not_shareable(self, catalog):
         limited = normalize(catalog, "select l_orderkey from lineitem limit 5")
@@ -344,6 +356,84 @@ class TestIdentityProperty:
         others.append(keys(leaves, rnd, out="l_orderkey as k"))
         for other in others:
             assert other[0] != exact and other[1] != template
+
+
+# -- literal rewrites of whole query texts -------------------------------------
+#: The 19 numbered TPC-H texts and the hand-written shapes.
+REWRITTEN_TEXTS = {
+    **{name: sql for name, sql in QUERIES.items() if name[1:].isdigit()},
+    **SQL_SHAPES,
+}
+
+
+def literal_spans(sql: str) -> dict:
+    """Each distinct ``(kind, value)`` literal of ``sql`` -> where it
+    stands.  A LIMIT count is no literal of the plan: it is structure,
+    part of the template."""
+    spans: dict = {}
+    tokens = tokenize(sql)
+    for before, token in zip([None, *tokens], tokens):
+        def after(word):
+            return before is not None and before.matches_keyword(word)
+
+        if token.type is TokenType.NUMBER and not after("LIMIT"):
+            kind, end = "number", token.position + len(token.value)
+        elif token.type is TokenType.STRING:
+            kind = "date" if after("DATE") else "interval" if after("INTERVAL") else "string"
+            end = sql.index("'", token.position + 1) + 1
+        else:
+            continue
+        spans.setdefault((kind, token.value), []).append((token.position, end))
+    return spans
+
+
+def spelled(kind: str, value: str, delta: int) -> str:
+    """``value`` moved by ``delta``; 0 respells a number ("010") and
+    leaves any other literal as it was."""
+    if kind == "number":
+        if delta == 0:
+            return "0" + value
+        if "." in value:
+            places = len(value.split(".")[1])
+            return str(Decimal(value) + Decimal(delta).scaleb(-places))
+        return str(int(value) + delta)
+    if kind == "date":
+        return f"'{date.fromisoformat(value) + timedelta(days=delta)}'"
+    if kind == "interval":
+        return f"'{int(value) + delta}'"
+    pad = "Z" * delta
+    return f"'{pad}{value}'" if value.endswith("%") else f"'{value}{pad}'"
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(REWRITTEN_TEXTS)),
+       pick=st.integers(min_value=0, max_value=99),
+       delta=st.integers(min_value=0, max_value=40))
+def test_literal_rewrites_keep_the_template_and_move_the_fold_key(
+    catalog, name, pick, delta
+):
+    """Every occurrence of one literal of a query text moved by
+    ``delta``: the template id stays, and the fold key changes exactly
+    when the value does.  Pairs class as before the prepared entry
+    became the one identity: all 560 rewrites at deltas 0, 1, 7 and 40
+    kept the template id and fold key they had then."""
+    sql = REWRITTEN_TEXTS[name]
+    spans = literal_spans(sql)
+    assume(spans)
+    kind, value = literal = sorted(spans)[pick % len(spans)]
+    new = spelled(kind, value, delta)
+    # A value moved onto another literal's merges two parameters.
+    assume(delta == 0 or new.strip("'") not in {v for k, v in spans if k == kind})
+    pieces, last = [], 0
+    for start, end in spans[literal]:
+        pieces += [sql[last:start], new]
+        last = end
+    base, rewrite = (
+        prepare(catalog, text, memo=False) for text in (sql, "".join(pieces) + sql[last:])
+    )
+    shaping = QueryOptions().shaping()
+    assert rewrite.template(shaping) == base.template(shaping)
+    assert (rewrite.key != base.key) == (delta != 0)
 
 
 # -- folding bit-identity ---------------------------------------------------
