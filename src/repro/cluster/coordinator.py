@@ -33,8 +33,7 @@ from .stage import StageExecution
 #: The options the physical planner reads, in the order their values
 #: enter a query's template id (``PreparedQuery.template``).
 PLAN_SHAPING = (
-    "join_distribution", "broadcast_threshold_rows", "shuffle_stage_tables",
-    "partial_pushdown",
+    "join_distribution", "shuffle_stage_tables", "partial_pushdown",
 )
 
 
@@ -42,12 +41,10 @@ PLAN_SHAPING = (
 class QueryOptions:
     """Per-query session options."""
 
-    #: "auto" picks broadcast for small build sides; "partitioned" and
-    #: "broadcast" force the distribution (Presto's join_distribution_type).
+    #: "auto" picks broadcast for small build sides (below the planner's
+    #: ``BROADCAST_THRESHOLD_ROWS``); "partitioned" and "broadcast" force
+    #: the distribution (Presto's join_distribution_type).
     join_distribution: str = "auto"
-    #: In "auto" mode, build sides estimated above this row count use a
-    #: partitioned join.
-    broadcast_threshold_rows: float = 1e12
     #: Tables whose scans get a dedicated downstream shuffle stage (4.6).
     shuffle_stage_tables: frozenset[str] = frozenset()
     #: Initial DOPs (None -> engine defaults).

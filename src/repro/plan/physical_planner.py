@@ -63,6 +63,9 @@ from .physical import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.coordinator import QueryOptions
 
+#: With ``join_distribution="auto"``, build sides estimated above this
+#: row count use a partitioned join: at 1e12 rows, in effect never.
+BROADCAST_THRESHOLD_ROWS = 1e12
 
 @dataclass
 class _Draft:
@@ -218,7 +221,7 @@ class PhysicalPlanner:
         if mode in ("partitioned", "broadcast"):
             return mode
         build_rows = estimate_rows(node.right, self.catalog)
-        if build_rows > self.options.broadcast_threshold_rows:
+        if build_rows > BROADCAST_THRESHOLD_ROWS:
             return "partitioned"
         return "broadcast"
 

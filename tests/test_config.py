@@ -191,7 +191,6 @@ def test_every_config_field_is_read_somewhere():
 SET_ONLY_BY_TESTS = {
     "WorkloadConfig.queue_timeout": "drives the decisions golden's queue that times out",
     "PredictionConfig.history_dir": "a deployment path",
-    "QueryOptions.broadcast_threshold_rows": "in PLAN_SHAPING: removing it changes every template id",
     "ParallelConfig.max_retries": "the class goes whole once bench/ stops constructing it",
 }
 

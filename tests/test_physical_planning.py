@@ -15,6 +15,7 @@ from repro.plan.physical import (
     PTaskOutputNode,
     PTopNNode,
 )
+from repro.plan import physical_planner
 from repro.plan.physical_planner import PhysicalPlanner
 from repro.plan.pipelines import fragment_pipelines
 from repro.sql.parser import parse
@@ -142,8 +143,8 @@ def test_shuffle_stage_insertion(catalog, lp):
     assert scan.output.mode is OutputMode.ARBITRARY
 
 
-def test_auto_distribution_threshold(catalog, lp):
-    small = phys(catalog, lp, QUERIES["Q2J"], broadcast_threshold_rows=1e12)
+def test_auto_distribution_threshold(catalog, lp, monkeypatch):
+    small = phys(catalog, lp, QUERIES["Q2J"])
     joins = [
         n
         for f in small.fragments.values()
@@ -151,7 +152,8 @@ def test_auto_distribution_threshold(catalog, lp):
         if isinstance(n, PJoinNode)
     ]
     assert joins[0].distribution == "broadcast"
-    large = phys(catalog, lp, QUERIES["Q2J"], broadcast_threshold_rows=1)
+    monkeypatch.setattr(physical_planner, "BROADCAST_THRESHOLD_ROWS", 1)
+    large = phys(catalog, lp, QUERIES["Q2J"])
     joins = [
         n
         for f in large.fragments.values()

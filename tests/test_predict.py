@@ -148,9 +148,7 @@ class TestTemplateFingerprint:
 TEMPLATE_OPTIONS = {
     "default": QueryOptions(),
     "no_pushdown": QueryOptions(partial_pushdown=False),
-    "partitioned": QueryOptions(
-        join_distribution="partitioned", broadcast_threshold_rows=1
-    ),
+    "partitioned": QueryOptions(join_distribution="partitioned"),
 }
 
 
