@@ -165,6 +165,9 @@ class QueryExecution(QueryLifecycle):
         self.result_rows = 0
         self.started_at: float | None = None
         self.init_requests = 0
+        #: Control-plane requests charged to this query, copied from the
+        #: RPC tracker when it retires: the tracker's ring forgets it.
+        self.rpc_requests: int | None = None
         self.tracker: Sampler | None = None
         #: Demand prediction attached at submission (``repro.predict``);
         #: None when prediction is off or the template has no history.
@@ -534,6 +537,7 @@ class Coordinator:
         """Every task of ``query`` sealed: keep its record in its place
         (``queries`` keeps creation order), not its graph, while it is
         among the newest retired."""
+        query.rpc_requests = self.rpc.requests_for(query.id)
         self._retired.retire(query.id, QueryRecord.of(query))
 
     def schedule(self, query: QueryExecution) -> None:

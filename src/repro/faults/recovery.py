@@ -217,8 +217,8 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def gauges(self) -> dict:
-        """``recovery.*`` in ``engine.metrics`` and the counter table of
-        ``fault_report()``, counted from the decision log."""
+        """``recovery.*`` in ``engine.metrics``, counted from the decision
+        log; ``fault_report()`` counts one query's decisions alike."""
         log = self.decisions
         respawned = log.count("recovery", "respawn")
         resumed = log.tally("recovery", "resume")

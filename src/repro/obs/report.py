@@ -6,6 +6,7 @@ these helpers keep the formatting consistent.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from .timeseries import TimeSeries
@@ -34,10 +35,9 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def render_fault_report(target) -> str:
     """Failure/retry counters for one query (pass its ``QueryHandle``).
 
-    Combines the recovery counters, the RPC tracker's retry/failure
-    totals (engine-wide plus this query's share), the query's own fault
-    timeline, and — when faults were injected — the injected timeline:
-    three views of the engine's decision log.
+    Combines the recovery counters over the query's own decisions, its
+    RPC request count, its fault timeline and the faults injected while
+    it ran: views of the decision log that a later query does not move.
     """
     from ..handle import QueryHandle
     from ..obs.decisions import fault_timeline
@@ -48,21 +48,28 @@ def render_fault_report(target) -> str:
         )
     engine = target.engine
     execution = target.execution
-    recovery = engine.coordinator.recovery
-    rpc = engine.coordinator.rpc
-    rows = list(recovery.gauges().items())
-    rows.append(("rpc_requests", rpc.total_requests))
-    rows.append(("rpc_retried", rpc.retried_requests))
-    rows.append(("rpc_failed", rpc.failed_requests))
+    own = target.decisions()
+    rows = list(_recovery_counts(own).items())
     if execution is not None:
-        rows.append((f"rpc_requests_q{execution.id}", rpc.requests_for(execution.id)))
+        requests = execution.rpc_requests
+        if requests is None:
+            requests = engine.coordinator.rpc.requests_for(execution.id)
+        rows.append((f"rpc_requests_q{execution.id}", requests))
     lines = [render_table(["counter", "value"], rows)]
     timelines = []
     if execution is not None:
         timelines.append(
             (f"query {execution.id} fault timeline:", execution.fault_history())
         )
-    injected = fault_timeline(engine.decisions.of(kind="inject"))
+    # A fleet-level injection (a node crash) belongs to the report of
+    # every query it could touch: those running when it fired.
+    end = target.finished_at if target.finished_at is not None else float("inf")
+    mine = {id(d) for d in own}
+    injected = fault_timeline(
+        d for d in engine.decisions.of(kind="inject")
+        if id(d) in mine
+        or (d.query_id is None and target.submitted_at <= d.time < end)
+    )
     timelines.append(("injected fault timeline:", injected))
     for title, entries in timelines:
         if entries:
@@ -71,6 +78,29 @@ def render_fault_report(target) -> str:
                 f"  t={e['t']:.3f}s  {e['kind']}: {e['detail']}" for e in entries
             ]
     return "\n".join(lines)
+
+
+def _recovery_counts(decisions) -> dict:
+    """``RecoveryManager.gauges()``'s counters over one query's decisions:
+    a node failure counts where it cost the query tasks (``node_down``),
+    and ``queries_failed`` is 0 or 1."""
+    count = Counter()
+    lost = resumed = 0
+    for d in decisions:
+        count[d.kind, d.outcome] += 1
+        lost += d.inputs.get("tasks_lost", 0)
+        resumed += d.kind == "recovery" and d.inputs.get("mode") == "resume"
+    respawned = count["recovery", "respawn"]
+    return {
+        "node_failures": count["fault", "node_down"],
+        "tasks_crashed": count["inject", "task_crash"] + lost,
+        "tasks_respawned": respawned,
+        "tasks_resumed": resumed,
+        "tasks_restarted": respawned - resumed,
+        "queries_failed": count["recovery", "unrecoverable"]
+        + count["recovery", "respawn_failed"]
+        + count["fault", "node_crash"],
+    }
 
 
 def render_series(series: TimeSeries, width: int = 60, label: str | None = None) -> str:

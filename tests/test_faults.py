@@ -213,6 +213,30 @@ def test_recovery_is_visible_in_metrics_report(tiny_catalog):
     assert "node_crash: compute2" in report
 
 
+def test_a_fault_report_is_its_querys_own(tiny_catalog):
+    """A held handle's report counts its own recovery, its own RPC
+    requests and the faults injected while it ran, so a later faulted
+    query on the same engine leaves it byte-equal."""
+    sql = QUERIES["Q3"]
+    horizon = clean_runtime(tiny_catalog, sql)
+    engine, held, _ = run_with_faults(tiny_catalog, sql, Plan(seed=3, events=(
+        NodeCrash(at=horizon * 0.5, node="compute2"),
+        TaskCrash(at=horizon * 0.2, stage=2),
+        RpcStorm(start=0.0, stop=1e6, failure_rate=0.2),
+    )))
+    before = held.fault_report()
+    assert "tasks_respawned | 2" in before and "node_crash: compute2" in before
+    now = engine.now
+    engine.apply(Plan(seed=4, events=(
+        NodeCrash(at=now + horizon * 0.5, node="compute1"),
+        TaskCrash(at=now + horizon * 0.2, stage=2),
+    )))
+    later = engine.submit(sql)
+    engine.run_until_done(later, max_events=MAX_EVENTS)
+    assert "node_crash: compute1" in later.fault_report()
+    assert held.fault_report() == before
+
+
 # -- scan-task recovery with input in flight ------------------------------------
 def scan_sources(task):
     return [d.source for p in task.pipelines for d in p.drivers]

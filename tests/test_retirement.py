@@ -305,12 +305,11 @@ def test_no_execution_outlives_a_window_whose_handles_were_dropped(tiny_catalog)
 
 # -- (iv) what a long-lived engine keeps of each query -------------------------
 def test_a_held_handle_answers_alike_after_300_later_queries(tiny_catalog):
-    """A query's decisions and profile live with its handle, so a handle
-    kept across 300 later session queries answers as it did when its
-    query ended, while the engine keeps at most ``RETAINED_QUERIES``
-    records of retired queries and a template's history grows by one
-    float per run.  ``fault_report()``'s counter table is engine-wide
-    (every later query adds RPC requests); its query's lines stay."""
+    """A query's decisions, profile and fault report live with its
+    handle, so a handle kept across 300 later session queries answers as
+    it did when its query ended, while the engine keeps at most
+    ``RETAINED_QUERIES`` records of retired queries and a template's
+    history grows by one float per run."""
     engine = AccordionEngine(
         tiny_catalog,
         config=EngineConfig().with_tracing(enabled=False, profiling=True)
@@ -322,8 +321,7 @@ def test_a_held_handle_answers_alike_after_300_later_queries(tiny_catalog):
     held.result()
 
     def answers() -> tuple:
-        report = held.fault_report()
-        return held.decisions(), held.profile(), report[report.index("query "):]
+        return held.decisions(), held.profile(), held.fault_report()
 
     before = answers()
     assert ("inject", "task_crash") in [(d.kind, d.outcome) for d in before[0]]
