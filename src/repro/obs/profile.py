@@ -5,8 +5,8 @@ The virtual clock explains *simulated* performance; this module explains
 driver wraps every operator ``process()``/``poll()`` call in a
 ``time.perf_counter_ns()`` pair and attributes the elapsed wall time to
 ``(query, stage, operator class)``.  The resulting report points perf
-work (like the PR 2 kernel vectorization) at the hottest operator
-directly, instead of spelunking a cProfile dump.
+work at the hottest operator directly, instead of spelunking a cProfile
+dump.
 
 Profiling is observational only: it reads the host clock but never the
 virtual clock, so virtual timings and answers are unaffected (the same
