@@ -14,8 +14,9 @@ The traffic a dead-path or dead-knob audit reads, merged into one file:
 the ``measure`` child of each judged workload plus ``spill_budgeted``
 (``bench/run.py --child measure --quick --spawned-at 0 --workload W``),
 the ten ``examples/*.py`` and ``pytest benchmarks``.  It leaves 2,176
-of 13,537 traced lines unreached (2,199 of 13,584 before the fixed cost
-coefficients and ``group_codes``' integer packing went).
+of 13,652 traced lines unreached, 294 of them in ``repro.parallel``
+(2,186 of 13,628 before a fault report counted its own query's
+decisions).
 """
 import ast, collections, contextlib, json, runpy, sys
 from pathlib import Path
