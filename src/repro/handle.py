@@ -3,9 +3,9 @@
 Every ``engine.submit(sql)`` / ``Session.submit(sql)`` creates one
 :class:`QueryHandle` — the single per-query object the lifecycle steps
 in ``engine.py`` act on (DESIGN.md "Query lifecycle") and the one the
-caller gets back.  The admission queue, the workload records, the
-sharing layer's consumers and the arbiter's entries hold this same
-object.  Everything a user does with a queued, running or finished query
+caller gets back.  The admission queue, the sharing layer's consumers
+and the arbiter's entries hold this same object while the query is
+queued or running.  Everything a user does with a queued, running or finished query
 hangs off it: materialising the result, runtime DOP tuning
 (``.tuning``), structured traces and profiles from the obs layer
 (``.trace()`` / ``.profile()``), progress introspection, and fault
@@ -68,9 +68,8 @@ class QueryHandle(QueryLifecycle):
     ``route`` says how it is served once running: ``unshared`` (its own
     physical execution), ``carrier`` (its execution also serves others),
     ``folded`` (rides a carrier's execution) or ``cached`` (answered from
-    the result cache).  A session query is the workload layer's record
-    of itself (``engine.workload.records``) until it is terminal; then a
-    frozen ``SubmissionRecord`` takes its slot.
+    the result cache).  Once it is terminal, only the caller holds it:
+    the engine's one per-query table is ``coordinator.queries``.
     """
 
     def __init__(

@@ -96,9 +96,9 @@ class LruMemo(dict):
         self[key] = value
 
 
-#: Retired queries each engine-wide per-query table keeps, newest last
-#: (DESIGN.md §17): ``coordinator.queries`` and ``engine.workload.records``
-#: hold every live query and these.  At least 256: the benchmark slices
+#: Retired queries the engine-wide per-query table keeps, newest last
+#: (DESIGN.md §17): ``coordinator.queries`` holds every live query and
+#: these.  At least 256: the benchmark slices
 #: ``coordinator.queries`` by position once per window, and one process
 #: at the benchmark's run length starts at most ~220 executions, so none
 #: may leave before it is read (``tests/test_retirement.py`` checks it).

@@ -4,20 +4,17 @@
 its ``submit()`` enters the engine's query lifecycle as a *session*
 query: it is admitted by the admission controller instead of at once,
 and the execution serving it is adopted by the cluster-wide resource
-arbiter.  The manager keeps a record of session queries in ``records``:
-the :class:`~repro.handle.QueryHandle` itself while it is queued or
-running, a frozen :class:`SubmissionRecord` once it is terminal, for the
-newest ``RETAINED_QUERIES`` of those (DESIGN.md §17).
+arbiter.  The manager keeps no per-query table of its own: the caller
+holds each session query's handle, and ``coordinator.queries`` is the
+engine's one per-query table (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ExecutionError
 from ..handle import QueryHandle
-from ..util import RetiredRing
 from .admission import AdmissionController
 from .arbiter import ResourceArbiter
 from .policies import ARBITRATION_POLICIES, QUEUE_POLICIES
@@ -27,30 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine import AccordionEngine
     from ..handle import QueryResult
     from .autoscaler import Autoscaler
-
-
-@dataclass(frozen=True)
-class SubmissionRecord:
-    """A terminal session submission, as the workload report reads it;
-    it holds no execution, so the handle alone decides how long the
-    query's graph lives."""
-
-    query_id: int | None
-    tenant: str
-    state: str
-    latency: float
-    queue_seconds: float | None
-    admitted_at: float | None
-    finished_at: float
-    deadline_at: float | None
-    deadline_met: bool | None
-
-    @classmethod
-    def of(cls, query: QueryHandle) -> "SubmissionRecord":
-        return cls(
-            query.id, query.tenant, query.state, query.latency, query.queue_seconds,
-            query.admitted_at, query.finished_at, query.deadline_at, query.deadline_met,
-        )
 
 
 class Session:
@@ -108,7 +81,7 @@ class Session:
 
 
 class WorkloadManager:
-    """Per-engine workload layer: admission + arbitration + records."""
+    """Per-engine workload layer: admission + arbitration."""
 
     def __init__(self, engine: "AccordionEngine"):
         self.engine = engine
@@ -126,10 +99,6 @@ class WorkloadManager:
                 )
         self.arbiter = ResourceArbiter(self)
         self.admission = AdmissionController(self)
-        #: Admission ``seq`` -> every live session query's handle, then the
-        #: newest ``RETAINED_QUERIES`` terminal ones' records.
-        self._records: dict[int, QueryHandle | SubmissionRecord] = {}
-        self._retired = RetiredRing(self._records)
         #: Queue/deadline-driven fleet sizing (ClusterConfig.autoscale).
         self.autoscaler: "Autoscaler | None" = None
         if engine.config.cluster.autoscale:
@@ -149,17 +118,3 @@ class WorkloadManager:
     ) -> Session:
         return Session(self, tenant, priority=priority, deadline=deadline)
 
-    @property
-    def records(self) -> list[QueryHandle | SubmissionRecord]:
-        """Session queries in submission order: each live one's handle,
-        then the newest ``RETAINED_QUERIES`` terminal ones' records
-        (DESIGN.md §17)."""
-        return list(self._records.values())
-
-    def keep(self, query: QueryHandle) -> None:
-        """Append ``query`` to ``records``; its terminal transition puts
-        its :class:`SubmissionRecord` in the same slot."""
-        self._records[query.seq] = query
-        query.on_done(
-            lambda done: self._retired.retire(done.seq, SubmissionRecord.of(done))
-        )

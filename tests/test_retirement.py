@@ -19,6 +19,7 @@ import importlib
 import json
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -331,17 +332,16 @@ def test_a_held_handle_answers_alike_after_300_later_queries(tiny_catalog):
     first.result()
     entry = engine.predict_service.store._templates[first.template]
     shape = json.dumps(entry["sums"], sort_keys=True).count(":")
-    first_id = first.id
-    del first
+    first_id, first = first.id, weakref.ref(first)
     for literal in range(1, 300):
         session.submit(sql.format(literal % 25)).result()
     gc.collect()
     assert answers() == before
     running = len(engine.coordinator.running)
     assert len(engine.coordinator.queries) <= RETAINED_QUERIES + running
-    assert len(engine.workload.records) <= RETAINED_QUERIES + running
     assert len(engine.coordinator.rpc.query_requests) <= RETAINED_QUERIES + running
-    assert first_id not in [r.query_id for r in engine.workload.records]
+    # Nothing in the engine holds a terminal session query's handle.
+    assert first() is None
     assert first_id not in engine.coordinator.queries
     assert engine.coordinator.retired_dropped == 301 - RETAINED_QUERIES
     assert len(entry["runtimes"]) == 300

@@ -184,8 +184,8 @@ def test_admission_caps_concurrency(catalog):
     assert admission.violations == []
     assert engine.metrics.snapshot()["workload.admitted"] == 3
     assert engine.metrics.snapshot()["workload.queue_depth"] == 0
-    # FIFO: records were admitted in submission order.
-    ids = [r.query_id for r in engine.workload.records]
+    # FIFO: the handles were admitted in submission order.
+    ids = [h.id for h in handles]
     assert ids == sorted(ids)
 
 
@@ -214,8 +214,8 @@ def test_priority_queue_admits_high_priority_first(catalog):
         handle.result()
     # Query ids are assigned at admission, so id order is admission order.
     order = [
-        r.tenant
-        for r in sorted(engine.workload.records, key=lambda r: r.query_id)
+        h.tenant
+        for h in sorted((first, queued_low, queued_high), key=lambda h: h.id)
     ]
     assert order == ["low", "high", "low"]
     assert engine.workload.admission.violations == []
@@ -244,9 +244,8 @@ def test_cancel_queued_submission(catalog):
     session = engine.session("adhoc")
     running = session.submit(COUNT_SQL)
     queued = session.submit(COUNT_SQL)
-    # The queue and the records hold the handle itself, not a copy of it.
-    workload = engine.workload
-    assert workload.admission.queue[0] is queued and workload.records[-1] is queued
+    # The queue holds the handle itself, not a copy of it.
+    assert engine.workload.admission.queue[0] is queued
     queued.cancel("user closed the tab")
     assert queued.state == "cancelled"
     assert queued.finished and queued.execution is None
@@ -257,13 +256,14 @@ def test_cancel_queued_submission(catalog):
 
 def test_session_execute_and_records(catalog):
     engine = workload_engine(catalog)
-    result = engine.session("bi").execute(COUNT_SQL)
-    assert result.num_rows == 1
-    (record,) = engine.workload.records
-    assert record.tenant == "bi"
-    assert record.state == "finished"
-    assert record.queue_seconds == 0.0
-    assert record.latency is not None and record.latency > 0
+    session = engine.session("bi")
+    assert session.execute(COUNT_SQL).num_rows == 1
+    handle = session.submit(COUNT_SQL)
+    assert handle.result().num_rows == 1
+    assert handle.tenant == "bi"
+    assert handle.state == "finished"
+    assert handle.queue_seconds == 0.0
+    assert handle.latency is not None and handle.latency > 0
 
 
 # -- the workload runner ------------------------------------------------------
@@ -442,7 +442,7 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
 
     stats = engine.metrics.snapshot()
     assert stats["arbiter.revocations"] >= 1, "deadline rebalance never revoked"
-    assert engine.workload.records[0].tenant == "batch"
+    assert (batch.seq, rush.seq) == (1, 2)
     # Every revocation and deadline grant leaves its trace instant
     # (DESIGN "Observability"), attributed to the query it acted on.
     instants = engine.kernel.tracer.spans_of("workload")
@@ -463,35 +463,34 @@ def test_deadline_rebalance_revokes_cores_and_answers_stay_exact(catalog):
 
 
 # -- what a terminal submission leaves behind ---------------------------------
-def stormy_windows(catalog) -> tuple[AccordionEngine, dict]:
+def stormy_windows(catalog) -> dict:
     """Three ``tools/soak.py`` windows on one engine through an RPC storm
     that fails 9 of the 72 queries: each window's rendered report, and
     ``(query_id, tenant, state, latency, queue_seconds)`` of every
-    workload record."""
+    submission, from the handles in submission order."""
     engine = AccordionEngine(catalog, config=SOAK_CONFIG)
     engine.apply(Plan(seed=5, events=(
         RpcStorm(start=2.0, stop=12.0, failure_rate=0.5),
     )))
-    reports = [run_window(engine, seed=window).render() for window in (1, 2, 3)]
-    records = [
-        [r.query_id, r.tenant, r.state, r.latency, r.queue_seconds]
-        for r in engine.workload.records
+    handles: list = []
+    reports = [
+        run_window(engine, seed=window, keep=handles).render() for window in (1, 2, 3)
     ]
-    return engine, {"reports": reports, "records": records}
+    records = [
+        [h.id, h.tenant, h.state, h.latency, h.queue_seconds] for h in handles
+    ]
+    return {"reports": reports, "records": records}
 
 
 def test_frozen_records_report_what_live_submissions_did(catalog):
-    """The golden was recorded while ``engine.workload.records`` still
-    held the live submissions (``PYTHONPATH=src python
+    """The golden was recorded while the workload layer still held the
+    live submissions in a table of its own (``PYTHONPATH=src python
     tests/test_workload.py > tests/workload_report_golden.json`` on that
-    ``src``, with this file and ``tools/soak.py``): the reports and
-    records read the same, byte for byte, from the frozen records that
-    replace them."""
-    from repro.workload.session import SubmissionRecord
-
-    engine, observed = stormy_windows(catalog)
+    ``src``, with this file and ``tools/soak.py``): the reports, and the
+    records read from the terminal handles, read the same byte for
+    byte."""
+    observed = stormy_windows(catalog)
     assert json.dumps(observed, indent=1) + "\n" == REPORT_GOLDEN.read_text()
-    assert all(isinstance(r, SubmissionRecord) for r in engine.workload.records)
 
 
 def test_report_node_seconds_cover_the_run_window(catalog):
@@ -512,4 +511,4 @@ def test_report_node_seconds_cover_the_run_window(catalog):
 if __name__ == "__main__":  # record the golden
     from repro.data import Catalog
 
-    print(json.dumps(stormy_windows(Catalog.tpch(scale=0.005, seed=777))[1], indent=1))
+    print(json.dumps(stormy_windows(Catalog.tpch(scale=0.005, seed=777)), indent=1))

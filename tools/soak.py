@@ -76,9 +76,11 @@ def window_texts(rng: random.Random) -> list[str]:
     return texts
 
 
-def run_window(engine: AccordionEngine, seed: int) -> WorkloadReport:
-    """One window: 3 tenants x 8 Poisson arrivals, every answer read,
-    no handle kept."""
+def run_window(
+    engine: AccordionEngine, seed: int, keep: list | None = None
+) -> WorkloadReport:
+    """One window: 3 tenants x 8 Poisson arrivals, every answer read; the
+    window's handles go to ``keep`` when given, else none is kept."""
     texts = window_texts(random.Random(seed))
     workload = Workload(engine, seed=seed)
     for tenant in range(3):
@@ -90,6 +92,8 @@ def run_window(engine: AccordionEngine, seed: int) -> WorkloadReport:
     for handle in workload.handles:
         if handle.succeeded:
             handle.result()
+    if keep is not None:
+        keep.extend(workload.handles)
     return report
 
 
