@@ -230,25 +230,17 @@ class QueryExecution(QueryLifecycle):
         ``[{"t", "kind", "detail"}]`` (a view of the decision log)."""
         return fault_timeline(self.kernel.decisions.of(query_id=self.id))
 
-    def fail(self, exc: Exception) -> None:
-        """Terminal failure: record a structured error, fire completion
-        callbacks, and quiesce every running task so the event loop drains
-        (a failed query must never hang the simulation)."""
+    def fail(self, error: QueryFailedError) -> None:
+        """Terminal failure: complete ``error`` with this query's id and
+        fault history, fire completion callbacks, and quiesce every
+        running task so the event loop drains (a failed query must never
+        hang the simulation)."""
         if self.state != "running":
             return
-        if isinstance(exc, QueryFailedError):
-            error = exc
-            if error.query_id is None:
-                error.query_id = self.id
-            if not error.fault_history:
-                error.fault_history = self.fault_history()
-        else:
-            error = QueryFailedError(
-                str(exc),
-                query_id=self.id,
-                fault_history=self.fault_history(),
-                cause=exc,
-            )
+        if error.query_id is None:
+            error.query_id = self.id
+        if not error.fault_history:
+            error.fault_history = self.fault_history()
         self._terminate("failed", error, failed=True, error=str(error))
 
     def cancel(self, reason: str = "cancelled") -> None:

@@ -63,10 +63,3 @@ class MetricsRegistry:
             else:
                 out[name] = value
         return out
-
-    def render(self) -> str:
-        from .report import render_table
-
-        snap = self.snapshot()
-        rows = [(key, snap[key]) for key in sorted(snap)]
-        return render_table(["metric", "value"], rows)

@@ -23,13 +23,6 @@ class LogicalNode(Tree):
 
     schema: Schema
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__.removeprefix("Logical")
-
-    def describe(self) -> str:
-        return self.name
-
 
 @dataclass
 class LogicalScan(LogicalNode):
@@ -38,9 +31,6 @@ class LogicalScan(LogicalNode):
     #: Positions of the selected columns within the base table schema
     #: (projection pruning narrows this).
     column_indexes: tuple[int, ...]
-
-    def describe(self) -> str:
-        return f"Scan[{self.table}]({', '.join(self.schema.names())})"
 
 
 @dataclass
@@ -62,9 +52,6 @@ class LogicalFilter(LogicalNode):
             conjuncts, child = conjuncts + child[1], child[2]
         return ("LogicalFilter", tuple(sorted(conjuncts)), child)
 
-    def describe(self) -> str:
-        return f"Filter[{self.predicate}]"
-
 
 @dataclass
 class LogicalProject(LogicalNode):
@@ -76,10 +63,6 @@ class LogicalProject(LogicalNode):
     def of(cls, child: LogicalNode, exprs: list[BoundExpr], names: list[str]) -> "LogicalProject":
         schema = Schema(Field(n, e.type, e.nullable) for n, e in zip(names, exprs))
         return cls(child, list(exprs), schema)
-
-    def describe(self) -> str:
-        cols = ", ".join(f"{n}={e}" for n, e in zip(self.schema.names(), self.exprs))
-        return f"Project[{cols}]"
 
 
 @dataclass
@@ -98,13 +81,6 @@ class LogicalJoin(LogicalNode):
         if self.join_type in (JoinType.SEMI, JoinType.ANTI):
             return self.left.schema
         return self.left.schema.concat(self.right.schema)
-
-    def describe(self) -> str:
-        keys = ", ".join(
-            f"${l}=${r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        extra = f" residual={self.residual}" if self.residual is not None else ""
-        return f"Join[{self.join_type.value} on {keys or 'TRUE'}{extra}]"
 
 
 @dataclass
@@ -139,11 +115,6 @@ class LogicalAggregate(LogicalNode):
             fields.append(Field(name, agg.result_type, agg.output_nullable(bool(group_keys))))
         return cls(child, list(group_keys), list(aggregates), Schema(fields))
 
-    def describe(self) -> str:
-        keys = ", ".join(f"${k}" for k in self.group_keys)
-        aggs = ", ".join(map(str, self.aggregates))
-        return f"Aggregate[keys=({keys}) aggs=({aggs})]"
-
 
 @dataclass
 class LogicalSort(LogicalNode):
@@ -154,10 +125,6 @@ class LogicalSort(LogicalNode):
     @property
     def schema(self) -> Schema:
         return self.child.schema
-
-    def describe(self) -> str:
-        keys = ", ".join(f"${i}{'' if asc else ' desc'}" for i, asc in self.sort_keys)
-        return f"Sort[{keys}]"
 
 
 @dataclass
@@ -170,10 +137,6 @@ class LogicalTopN(LogicalNode):
     def schema(self) -> Schema:
         return self.child.schema
 
-    def describe(self) -> str:
-        keys = ", ".join(f"${i}{'' if asc else ' desc'}" for i, asc in self.sort_keys)
-        return f"TopN[{self.count} by {keys}]"
-
 
 @dataclass
 class LogicalLimit(LogicalNode):
@@ -183,9 +146,6 @@ class LogicalLimit(LogicalNode):
     @property
     def schema(self) -> Schema:
         return self.child.schema
-
-    def describe(self) -> str:
-        return f"Limit[{self.count}]"
 
 
 #: Pre-order traversal of a logical plan, as a function: ``walk(plan)``.

@@ -27,13 +27,6 @@ class PNode(Tree):
 
     schema: Schema
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__.removeprefix("P").removesuffix("Node")
-
-    def describe(self) -> str:
-        return self.name
-
 
 @dataclass
 class PScanNode(PNode):

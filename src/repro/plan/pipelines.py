@@ -80,13 +80,6 @@ class PipelineSpec:
     #: pipelines, Section 4.1).
     tunable: bool = True
 
-    def describe(self) -> str:
-        parts = [self.source.kind]
-        parts += [t.name for t in self.transforms]
-        parts.append(self.sink.kind)
-        flag = "" if self.tunable else " (fixed)"
-        return f"pipeline {self.id}: " + " -> ".join(parts) + flag
-
 
 @dataclass
 class FragmentLayout:
@@ -98,9 +91,6 @@ class FragmentLayout:
     local_exchanges: int = 0
     #: child fragment id -> schema, for exchange client creation.
     exchange_children: dict[int, Schema] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        return "\n".join(p.describe() for p in self.pipelines)
 
 
 def fragment_pipelines(fragment: PlanFragment) -> FragmentLayout:

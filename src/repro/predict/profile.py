@@ -47,19 +47,6 @@ class StageDemand:
         duration = self.duration
         return self.cpu_seconds / duration if duration > 0 else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "cpu_seconds": self.cpu_seconds,
-            "quanta": self.quanta,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "exchange_bytes": self.exchange_bytes,
-            "rows_out": self.rows_out,
-            "tasks": self.tasks,
-            "start": self.start,
-            "end": self.end,
-        }
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -119,13 +106,3 @@ class Prediction:
                 f"exchange {d.exchange_bytes} B, {d.tasks} tasks"
             )
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "template": self.template,
-            "samples": self.samples,
-            "runtime": self.runtime,
-            "variance": self.variance,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "stages": [d.to_dict() for d in self.stages],
-        }
