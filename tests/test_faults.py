@@ -21,6 +21,7 @@ from repro import (
     TaskCrash,
 )
 from repro.cluster.rpc import RpcTracker
+from repro.data import Catalog
 from repro.data.tpch.queries import QUERIES
 from repro.faults.recovery import TASK_RETRY_BUDGET
 from repro.plan import LogicalPlanner, prune_columns
@@ -322,6 +323,25 @@ def test_coordinator_crash_fails_query_cleanly(tiny_catalog):
         engine.run_until_done(query, max_events=MAX_EVENTS)
     assert query.failed and query.finished
     assert query.error.fault_history
+
+
+def test_a_crash_of_every_compute_node_fails_the_respawn():
+    """With no compute node left, recovery cannot place the replacement
+    task: the query fails with the scheduler's reason, after one
+    ``respawn_failed`` decision."""
+    engine = AccordionEngine(Catalog.tpch(scale=0.01, seed=777))
+    engine.apply(Plan(events=tuple(
+        NodeCrash(at=0.01, node=f"compute{i}") for i in range(10)
+    )))
+    query = engine.submit(QUERIES["Q3"])
+    message = "cannot respawn task3_0: no schedulable compute nodes left in the cluster"
+    with pytest.raises(QueryFailedError) as info:
+        engine.run_until_done(query, max_events=MAX_EVENTS)
+    assert str(info.value) == message
+    assert [
+        (d.outcome, d.stage, d.reason) for d in engine.decisions.of(kind="recovery")
+    ] == [("respawn_failed", 3, "no schedulable compute nodes left in the cluster")]
+    assert query.failed and query.error is info.value
 
 
 def test_rpc_outage_fails_query_instead_of_hanging(tiny_catalog):
