@@ -4,8 +4,9 @@ Submits TPC-H Q3 at minimal parallelism, then plays the role of the user
 at Accordion's controller UI (paper Figure 2):
 
 1. inspect the runtime bottleneck localization,
-2. ask the what-if service what a DOP change would buy,
-3. apply intra-task ("AC") and intra-stage ("AP") adjustments mid-query,
+2. add drivers inside a stage's tasks mid-query (intra-task, "AC"),
+3. ask the what-if service what more tasks for a stage would buy, then
+   add them (intra-stage, "AP"),
 4. watch per-stage throughput respond — all without pausing the query.
 
     python examples/runtime_tuning.py
@@ -38,11 +39,6 @@ def main() -> None:
     for b in elastic.bottlenecks():
         print(f"  stage {b.stage}: {b.kind} ({b.detail})")
 
-    # What would raising stage 1 to DOP 4 buy us?
-    prediction = elastic.estimate(1, 4)
-    if prediction:
-        print(f"\nWhat-if: {prediction.describe()}")
-
     # Intra-task tuning first: more drivers inside the existing tasks.
     print("\nAC S3 -> 2 (add drivers to the orders-side join task)")
     try:
@@ -50,7 +46,16 @@ def main() -> None:
     except TuningRejected as exc:
         print(f"  rejected: {exc}")
 
-    engine.run_for(3.0)
+    # What would raising stage 1 to DOP 4 buy us?  The estimate needs the
+    # stage's lineitem scan running, which waits for its join build: step
+    # until the what-if service answers.
+    estimate = elastic.estimate(1, 4)
+    while estimate is None and not query.finished:
+        engine.run_for(1.0)
+        estimate = elastic.estimate(1, 4)
+    if estimate is None:
+        raise RuntimeError("the what-if service never answered for S1 -> 4")
+    print(f"\nWhat-if at t={engine.now:.0f}s: {estimate.describe()}")
 
     # Intra-stage tuning: spawn new tasks; hash tables rebuild from the
     # intermediate data cache while the old tasks keep probing.
