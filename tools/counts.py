@@ -22,11 +22,15 @@ interpreters: the ``repro`` modules, and their source bytes, that
 ``import repro`` loads, and then one default-config Q6 over an archived
 SF0.005 dataset (DESIGN.md §4 "Imports follow use").  It prints the
 table, writes it as JSON and exits 1 if the two counted passes of any
-text differ.  The file is byte-identical
-run to run: the tool pins its own hash seed and, with ``setarch -R``,
-its address layout.  Call counts do not depend on either; the
-tracemalloc figures move by a few blocks with the layout, so they repeat
-exactly only for the same command line and environment.
+text differ.  The file is byte-identical run to run: the counting runs
+in a fresh interpreter with hash seed 0, under ``setarch -R`` (no
+address-space randomisation) where it exists, started with one fixed
+argv and with its standard streams on pipes and ``/dev/null`` whatever
+the command line and its redirections, and hands its JSON back on
+stdout.  Call counts depend on none of this; the tracemalloc figures
+move by a few blocks with the argv's bytes and the kind of file each
+stream is, and with the environment, so they repeat exactly for one
+checkout and environment, with or without ``--out``.
 
 The second form is the gate: it diffs ``COUNTS.json`` against the one
 committed at ``BASE_REV`` and exits 1 when any layer of either set makes
@@ -54,26 +58,6 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-
-def pinned() -> bool:
-    """Whether this process runs with hash seed 0 and, where ``setarch``
-    can turn it off, without address-space randomisation: an object's
-    ``id`` orders its sets, and the order moves a few allocations."""
-    try:
-        fixed_layout = int(Path("/proc/self/personality").read_text(), 16) & 0x0040000
-    except (OSError, ValueError):
-        fixed_layout = True
-    return os.environ.get("PYTHONHASHSEED") == "0" and bool(
-        fixed_layout or shutil.which("setarch") is None
-    )
-
-
-if not pinned():
-    os.environ["PYTHONHASHSEED"] = "0"
-    argv = [sys.executable, *sys.argv]
-    if shutil.which("setarch"):
-        argv = [shutil.which("setarch"), platform.machine(), "-R", *argv]
-    os.execv(argv[0], argv)
 
 ROOT = Path(__file__).resolve().parent.parent
 #: The layers, first match wins, as path prefixes under ``src/repro/``.
@@ -258,6 +242,39 @@ def cold_start() -> dict:
     }
 
 
+def measure() -> int:
+    """Count in this interpreter: the table to stderr, the JSON to
+    stdout; 1 if two counted passes of one text differ."""
+    counts = run_sets()
+    repeated = all(t.pop("repeats") for b in counts.values() for t in b["texts"].values())
+    counts["cold_start"] = cold_start()
+    print(render(counts), file=sys.stderr)
+    sys.stdout.write(json.dumps(counts, indent=1) + "\n")
+    if not repeated:
+        print("counts: two counted passes of one text differ", file=sys.stderr)
+    return int(not repeated)
+
+
+def measure_pinned(out: str) -> int:
+    """:func:`measure` in a fresh interpreter with hash seed 0 and, where
+    ``setarch`` can turn it off, no address-space randomisation (an
+    object's ``id`` orders its sets, and the order moves a few
+    allocations), started with the same argv and standard streams
+    whatever this command line was; its table is printed, its JSON goes
+    to ``out``."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--measure"]
+    if shutil.which("setarch"):
+        argv = [shutil.which("setarch"), platform.machine(), "-R", *argv]
+    child = subprocess.run(
+        argv, env=dict(os.environ, PYTHONHASHSEED="0"), stdin=subprocess.DEVNULL,
+        capture_output=True, text=True,
+    )
+    print(child.stderr, end="")
+    if child.stdout:
+        Path(out).write_text(child.stdout)
+    return child.returncode
+
+
 def render(counts: dict) -> str:
     lines = []
     for set_name in SETS:
@@ -361,16 +378,10 @@ if __name__ == "__main__":
     parser.add_argument("--out", default=str(ROOT / "COUNTS.json"))
     parser.add_argument("--diff", metavar="BASE_REV")
     parser.add_argument("--check", nargs=2, metavar=("COMMITTED", "FRESH"))
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.diff:
         sys.exit(diff(args.diff))
     if args.check:
         sys.exit(check(*args.check))
-    counts = run_sets()
-    repeated = all(t.pop("repeats") for b in counts.values() for t in b["texts"].values())
-    counts["cold_start"] = cold_start()
-    print(render(counts))
-    Path(args.out).write_text(json.dumps(counts, indent=1) + "\n")
-    if not repeated:
-        print("counts: two counted passes of one text differ")
-    sys.exit(not repeated)
+    sys.exit(measure() if args.measure else measure_pinned(args.out))
