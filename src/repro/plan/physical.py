@@ -27,6 +27,12 @@ class PNode(Tree):
 
     schema: Schema
 
+    @property
+    def name(self) -> str:
+        """The node kind (``Scan``, ``Filter``, ...): the layer probes of
+        ``bench/probes.py`` select plan nodes by it."""
+        return type(self).__name__.removeprefix("P").removesuffix("Node")
+
 
 @dataclass
 class PScanNode(PNode):
