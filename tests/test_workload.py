@@ -472,10 +472,11 @@ def stormy_windows(catalog) -> dict:
     engine.apply(Plan(seed=5, events=(
         RpcStorm(start=2.0, stop=12.0, failure_rate=0.5),
     )))
-    handles: list = []
-    reports = [
-        run_window(engine, seed=window, keep=handles).render() for window in (1, 2, 3)
-    ]
+    reports, handles = [], []
+    for window in (1, 2, 3):
+        report, window_handles = run_window(engine, seed=window)
+        reports.append(report.render())
+        handles += window_handles
     records = [
         [h.id, h.tenant, h.state, h.latency, h.queue_seconds] for h in handles
     ]

@@ -76,11 +76,10 @@ def window_texts(rng: random.Random) -> list[str]:
     return texts
 
 
-def run_window(
-    engine: AccordionEngine, seed: int, keep: list | None = None
-) -> WorkloadReport:
-    """One window: 3 tenants x 8 Poisson arrivals, every answer read; the
-    window's handles go to ``keep`` when given, else none is kept."""
+def run_window(engine: AccordionEngine, seed: int) -> tuple[WorkloadReport, list]:
+    """One window: 3 tenants x 8 Poisson arrivals, every answer read.
+    Returns the report and the window's handles; a caller that drops them
+    keeps no handle."""
     texts = window_texts(random.Random(seed))
     workload = Workload(engine, seed=seed)
     for tenant in range(3):
@@ -92,9 +91,7 @@ def run_window(
     for handle in workload.handles:
         if handle.succeeded:
             handle.result()
-    if keep is not None:
-        keep.extend(workload.handles)
-    return report
+    return report, workload.handles
 
 
 def rss_mb() -> float:
