@@ -48,7 +48,9 @@ def main() -> None:
 
     # What would raising stage 1 to DOP 4 buy us?  The estimate needs the
     # stage's lineitem scan running, which waits for its join build: step
-    # until the what-if service answers.
+    # until the what-if service answers.  Its first answer reads the scan
+    # rate over the seconds just before the scan started, so T_remain is
+    # far too large until that rate settles.
     estimate = elastic.estimate(1, 4)
     while estimate is None and not query.finished:
         engine.run_for(1.0)
@@ -56,6 +58,8 @@ def main() -> None:
     if estimate is None:
         raise RuntimeError("the what-if service never answered for S1 -> 4")
     print(f"\nWhat-if at t={engine.now:.0f}s: {estimate.describe()}")
+    print("  (the lineitem scan only just started: its rate, and so "
+          "T_remain, has not settled)")
 
     # Intra-stage tuning: spawn new tasks; hash tables rebuild from the
     # intermediate data cache while the old tasks keep probing.
