@@ -183,6 +183,21 @@ def test_describe_renders(catalog, lp):
     assert "Stage 0" in text and "TableScan[lineitem]" in text
 
 
+def test_node_names_are_the_kinds_the_bench_probes_select(catalog, lp):
+    """``bench/probes.py`` finds its operators in a plan by ``PNode.name``
+    and recurses through the kinds that carry pages up to them."""
+    names = {
+        node.name
+        for sql in (QUERIES["Q1"], QUERIES["Q3"], QUERIES["Q6"])
+        for fragment in phys(catalog, lp, sql).fragments.values()
+        for node in walk_nodes(fragment.root)
+    }
+    assert names >= {
+        "Scan", "Filter", "Project", "PartialAgg", "FinalAgg", "Join",
+        "RemoteSource", "LocalExchange", "TaskOutput",
+    }
+
+
 # -- pipelines -----------------------------------------------------------------
 def test_join_fragment_pipelines(catalog, lp):
     plan = phys(catalog, lp, QUERIES["Q3"])
