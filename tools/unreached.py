@@ -11,15 +11,17 @@ the lines reached into a JSON file, so several runs report their union.
 Stdlib only; not a CI gate — tier-1 under the tracer takes minutes.
 
 The traffic a dead-path or dead-knob audit reads, merged into one file:
-the ``measure`` child of each judged workload plus ``spill_budgeted``
-(``bench/run.py --child measure --quick --spawned-at 0 --workload W``),
-the ten ``examples/*.py`` and ``pytest benchmarks``.  It leaves 2,119
-of 13,549 traced lines unreached, 294 of them in ``repro.parallel``; with
-tier-1 merged on top (``--into hits.json pytest -q tests``), 452, 98 of
-them in ``repro.parallel``.  Before the workload layer's own query-record
-ring, the logical-plan and pipeline printers, ``MetricsRegistry.render``,
+the ``measure`` and the ``trace`` child of each judged workload plus
+``spill_budgeted`` (``bench/run.py --child measure --quick --spawned-at 0
+--workload W``, then ``--child trace``: its layer probes select plan nodes
+by ``PNode.name`` and time ``repro.parallel``), the ten ``examples/*.py``
+and ``pytest benchmarks``.  It leaves 1,887 of 13,552 traced lines
+unreached, 146 of them in ``repro.parallel``; with tier-1 merged on top
+(``--into hits.json pytest -q tests``), 447, 98 of them in
+``repro.parallel``.  Before the workload layer's own query-record ring,
+the logical-plan and pipeline printers, ``MetricsRegistry.render``,
 ``QueryExecution.fail``'s raw-exception branch and the ``to_dict`` of
-predictions went, the figures were 2,176 and 494 (98) of 13,652.
+predictions went, the same traffic left 1,943 and 490 (98) of 13,652.
 Outside ``repro.parallel``, no function tier-1 leaves wholly unreached
 is more than an abstract base method, a ``__repr__``, the null tracer,
 or a printer with a reader.
