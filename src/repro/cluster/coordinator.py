@@ -168,6 +168,9 @@ class QueryExecution(QueryLifecycle):
         #: Control-plane requests charged to this query, copied from the
         #: RPC tracker when it retires: the tracker's ring forgets it.
         self.rpc_requests: int | None = None
+        #: Its operator profile rows, moved off the profiler when it
+        #: retires (None until then, or when profiling is off).
+        self.profile_rows: list | None = None
         self.tracker: Sampler | None = None
         #: Demand prediction attached at submission (``repro.predict``);
         #: None when prediction is off or the template has no history.
@@ -530,6 +533,8 @@ class Coordinator:
         (``queries`` keeps creation order), not its graph, while it is
         among the newest retired."""
         query.rpc_requests = self.rpc.requests_for(query.id)
+        if (profiler := self.kernel.tracer.profiler) is not None:
+            query.profile_rows = profiler.retire(query.id)
         self._retired.retire(query.id, QueryRecord.of(query))
 
     def schedule(self, query: QueryExecution) -> None:

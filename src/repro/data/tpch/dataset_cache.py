@@ -15,12 +15,14 @@ executes.  Generated data is fully determined by
   Loading validates every member but keeps none of the columns: each
   is read from the archive, which the tables hold open, on its first
   read (``Table.lazy``), so a column no query scans costs no memory.
-  The load pass streams every column member through the zip CRC,
-  measuring the narrowest width that holds its values exactly, and
-  decodes only string codes and dictionary entries, to check them;
-  it builds no dictionary.  A first read copies the member's bytes
-  from the file a chunk at a time, narrowing them to that width, and
-  a string column's first read builds its dictionary (DESIGN.md §10).
+  The load pass streams every column member through the zip CRC a
+  chunk at a time, measuring the narrowest form that holds its values
+  exactly (an integer width, of the values or of their hundredths), or
+  checking string codes against their dictionary and counting them;
+  it decodes only dictionary entries and builds no dictionary.  A
+  first read copies the member's bytes from the file a chunk at a
+  time, encoding them in that form, and a string column's first read
+  builds its dictionary (DESIGN.md §10).
 
 ``GENERATOR_VERSION`` is part of both keys: bump it whenever
 :class:`~repro.data.tpch.generator.TpchGenerator` changes its output, and
@@ -47,7 +49,7 @@ from ...pages import DictColumn
 from ...pages.dictcolumn import StringDictionary, utf8_lengths
 from ...pages.page import _STRING_LENGTH_BYTES, PAGE_OVERHEAD_BYTES
 from .schema import TPCH_SCHEMAS
-from ..table import Table, code_width, narrowest, stored_strings
+from ..table import Table, code_width, encode, measure, stored_form, stored_strings
 
 __all__ = ["load_tpch_tables", "clear_dataset_cache", "cache_file_path"]
 
@@ -111,15 +113,16 @@ def _save(path: Path, tables: dict[str, Table]) -> None:
 def _load(path: Path) -> dict[str, Table] | None:
     """The archive's tables, or None when it cannot serve them.
 
-    One pass reads every member in full (so the zip CRC is checked),
-    holding one at a time: each must be a 1-D array (never an object
-    array) of its table's row count, a dictionary's entries must be
-    distinct unicode strings, and string codes must index their
-    dictionary.  Only string codes and dictionaries are decoded, to check
-    them and to measure the cells' UTF-8 bytes; no dictionary is built.
-    A fixed-width member is streamed (:func:`_member`), which measures
-    its stored width.  The pass measures each table's rows and accounted
-    size; the columns stay in the archive until their first read
+    One pass reads every member in full (so the zip CRC is checked):
+    each must be a 1-D array (never an object array) of its table's row
+    count, a dictionary's entries must be distinct unicode strings, and
+    string codes must index their dictionary.  Only dictionaries are
+    decoded, one at a time; no dictionary is built.  A column member is
+    streamed a chunk at a time (:func:`_member`): fixed-width values are
+    measured for their stored form, string codes are checked and counted
+    per entry, so the cells' UTF-8 bytes are the counts times the entry
+    lengths.  The pass measures each table's rows and accounted size;
+    the columns stay in the archive until their first read
     (:func:`_read`).
     """
     try:
@@ -129,28 +132,33 @@ def _load(path: Path) -> dict[str, Table] | None:
     try:
         tables: dict[str, Table] = {}
         for name, schema in TPCH_SCHEMAS.items():
-            rows, size, loaders = None, PAGE_OVERHEAD_BYTES, []
+            rows, size, loaders, scales = None, PAGE_OVERHEAD_BYTES, [], []
             for field in schema:
                 key = f"{name}::{field.name}"
-                strings = field.type.fixed_width is None
-                spec, codes = _member(archive, key, decode=strings)
-                length = spec[1]
-                rows = length if rows is None else rows
-                if length != rows:
-                    raise ValueError(f"{key}: not a column of {rows} rows")
                 entries = None
-                if strings:
-                    entries, values = _member(archive, f"{key}::dictionary", decode=True)
-                    if values.dtype.kind != "U" or len(set(values.tolist())) != len(values):
+                if field.type.fixed_width is None:
+                    entries, values = _member(archive, f"{key}::dictionary")
+                    if values.dtype.kind != "U":
+                        raise ValueError(f"{key}: not a dictionary of strings")
+                    lengths = utf8_lengths(values)
+                    values.sort()  # in place: distinct when no two neighbours are equal
+                    if (values[1:] == values[:-1]).any():
                         raise ValueError(f"{key}: not a dictionary of distinct strings")
-                    if rows and not (0 <= codes.min() and codes.max() < len(values)):
-                        raise ValueError(f"{key}: codes outside the dictionary")
-                    spec = spec[:3] + (code_width(len(values)),)
-                    size += rows * _STRING_LENGTH_BYTES + int(utf8_lengths(values)[codes].sum())
+                    entries += (values.dtype, 1.0)
+                    del values
+                    spec, counts = _member(archive, key, _counted, np.zeros_like(lengths))
+                    spec += (code_width(len(lengths)), 1.0)
+                    size += spec[1] * _STRING_LENGTH_BYTES + int(counts @ lengths)
                 else:
-                    size += rows * field.type.fixed_width
+                    spec, widths = _member(archive, key, measure)
+                    spec += stored_form(widths, spec[0])
+                    size += spec[1] * field.type.fixed_width
+                rows = spec[1] if rows is None else rows
+                if spec[1] != rows:
+                    raise ValueError(f"{key}: not a column of {rows} rows")
                 loaders.append(_loader(archive, key, spec, entries))
-            tables[name] = Table.lazy(name, schema, loaders, rows, size)
+                scales.append(spec[4])
+            tables[name] = Table.lazy(name, schema, loaders, rows, size, scales)
         return tables
     except Exception:
         # Any load failure is a cache miss (a torn or corrupt archive,
@@ -161,13 +169,13 @@ def _load(path: Path) -> dict[str, Table] | None:
         return None
 
 
-def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
-    """``(dtype, rows, data offset in the file, stored width)`` of the
-    stored 1-D member ``key``, from its ``.npy`` header, and its data as
-    an array if ``decode``.  The data bytes are streamed to the end of
-    the member, which checks the zip CRC, and counted; only ``decode``
-    keeps them, and otherwise each chunk narrows the stored width
-    (:func:`~repro.data.table.narrowest`)."""
+def _member(archive, key: str, fold=None, acc=None) -> tuple[tuple, object]:
+    """``(dtype, rows, data offset in the file)`` of the stored 1-D
+    member ``key``, from its ``.npy`` header, and its data as an array,
+    or, given ``fold``, ``acc`` folded over the data a chunk at a time
+    (``acc = fold(chunk, acc)``; only the array is kept).  The data bytes
+    are streamed to the end of the member, which checks the zip CRC, and
+    counted."""
     info = archive.zip.getinfo(f"{key}.npy")
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"{key}: a compressed member")
@@ -176,14 +184,14 @@ def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
         shape, _, dtype = _HEADER_READERS[version](member)
         if dtype.hasobject or len(shape) != 1:
             raise ValueError(f"{key}: not a 1-D array of plain values")
-        data = np.empty(shape[0], dtype) if decode else None
-        into = memoryview(data).cast("B") if decode else None
-        header, filled, width = member.tell(), 0, None
+        data = np.empty(shape[0], dtype) if fold is None else None
+        into = memoryview(data).cast("B") if fold is None else None
+        header, filled = member.tell(), 0
         while chunk := member.read(_CHUNK_BYTES):
             if into is not None:
                 into[filled : filled + len(chunk)] = chunk
             else:
-                width = narrowest(np.frombuffer(chunk, dtype), width)
+                acc = fold(np.frombuffer(chunk, dtype), acc)
             filled += len(chunk)
     if filled != shape[0] * dtype.itemsize:
         raise ValueError(f"{key}: data does not match its header")
@@ -192,16 +200,26 @@ def _member(archive, key: str, decode: bool) -> tuple[tuple, np.ndarray | None]:
     archive.zip.fp.seek(info.header_offset)
     name_len, extra_len = struct.unpack("<26xHH", archive.zip.fp.read(30))
     offset = info.header_offset + 30 + name_len + extra_len + header
-    return (dtype, shape[0], offset, dtype if width is None else width), data
+    return (dtype, shape[0], offset), data if fold is None else acc
+
+
+def _counted(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``counts`` (one per dictionary entry) plus those of a chunk of
+    string codes, each of which must index the dictionary."""
+    if not (0 <= codes.min() and codes.max() < len(counts)):
+        raise ValueError("codes outside the dictionary")
+    counts += np.bincount(codes, minlength=len(counts))
+    return counts
 
 
 def _read(archive, key: str, spec: tuple) -> np.ndarray:
-    """Member ``key`` (``spec`` as :func:`_member` found it) as an owned,
-    aligned array at its stored width, its bytes copied straight from
-    the archive file a chunk at a time, so no full-width temporary is
-    held: the load pass checked their CRC, and an archive is only ever
-    replaced whole, never written in place."""
-    dtype, rows, offset, stored = spec
+    """Member ``key`` (``spec``: as :func:`_member` found it, then its
+    stored width and scale) as an owned, aligned array in its stored
+    form, its bytes copied straight from the archive file and encoded a
+    chunk at a time, so no full-width temporary is held: the load pass
+    checked their CRC, and an archive is only ever replaced whole, never
+    written in place."""
+    dtype, rows, offset, stored, scale = spec
     column = np.empty(rows, stored)
     chunk = np.empty(max(1, _CHUNK_BYTES // dtype.itemsize), dtype)
     archive.zip.fp.seek(offset)
@@ -209,7 +227,7 @@ def _read(archive, key: str, spec: tuple) -> np.ndarray:
         part = chunk[: rows - start]
         if archive.zip.fp.readinto(part) != part.nbytes:
             raise ValueError(f"{key}: the archive is shorter than at load")
-        column[start : start + len(part)] = part
+        column[start : start + len(part)] = encode(part, scale)
     return column
 
 

@@ -59,27 +59,34 @@ _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 SPILL_MAX_DEPTH = 4
 
 
-def _dense_int_lut(uniq: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(table, base): ``table[value - base]`` is the column code of a
-    densely packed int key, -1 for none.
+def _dense_int_lut(values: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(table, base): ``table[value - base]`` is the column code (the rank
+    among the distinct values) of a densely packed int key, -1 for none.
 
     TPC-H join keys are near-dense integers, so a direct-address table
-    beats a binary search per probe row.  Only built when the value range
-    stays within 64x the distinct count (selective build filters leave
-    sparse-ish key sets) and an absolute entry cap, bounding memory.  A -1
-    sentinel pads each end, so a clipped ``take`` maps every key outside
-    the span to -1 by itself.
+    beats a binary search per probe row, and numbering the build keys
+    through it (a presence bitmap and its ``cumsum``) beats
+    ``np.unique``'s sort.  ``values`` may repeat and come in any order.
+    Only built when the value range stays within 64x the distinct count
+    (selective build filters leave sparse-ish key sets) and an absolute
+    entry cap, bounding memory.  A -1 sentinel pads each end, so a
+    clipped ``take`` maps every key outside the span to -1 by itself.
     """
-    if len(uniq) == 0 or uniq.dtype.kind not in "iu":
+    if len(values) == 0 or values.dtype.kind not in "iu":
         return None
-    base = int(uniq[0]) - 1
-    if base < _INT64_MIN or int(uniq[-1]) > _INT64_MAX:
+    base, top = int(values.min()) - 1, int(values.max())
+    if base < _INT64_MIN or top > _INT64_MAX:
         return None  # a key or the low pad leaves int64
-    span = int(uniq[-1]) - base + 2
-    if span > 64 * len(uniq) + 4098 or span > (1 << 22) + 2:
+    span = top - base + 2
+    if span > 64 * len(values) + 4098 or span > (1 << 22) + 2:
         return None
-    table = np.full(span, -1, dtype=np.int64)
-    table[uniq.astype(np.int64) - base] = np.arange(len(uniq), dtype=np.int64)
+    present = np.zeros(span, dtype=bool)
+    present[values.astype(np.int64, copy=False) - base] = True
+    table = np.cumsum(present, dtype=np.int64)
+    if span > 64 * int(table[-1]) + 4098:
+        return None
+    table -= 1
+    table[~present] = -1
     return table, base
 
 
@@ -115,7 +122,13 @@ class _BuildIndex:
             key_cols = [build_page.columns[k] for k in build_keys]
         if key_cols and build_page.num_rows:
             codes = self._factorize(key_cols)
-            order = np.argsort(codes, kind="stable")
+            if self.num_groups == len(codes):  # no key twice: the order inverts codes
+                order = np.empty(len(codes), dtype=np.int64)
+                order[codes] = np.arange(len(codes))
+            elif self.num_groups <= 1 << 16:  # numpy radix-sorts 16-bit keys
+                order = np.argsort(codes.astype(np.uint16), kind="stable")
+            else:
+                order = np.argsort(codes, kind="stable")
             counts = np.bincount(codes, minlength=self.num_groups).astype(np.int64)
             starts = np.zeros(self.num_groups + 1, dtype=np.int64)
             np.cumsum(counts, out=starts[1:])
@@ -128,7 +141,7 @@ class _BuildIndex:
         """Factorize build keys; returns a dense group code per build row."""
         per_col_codes: list[np.ndarray] = []
         for col in key_cols:
-            lookup = None
+            lookup = lut = None
             if isinstance(col, DictColumn):
                 # Factorize the value ranks: same order as the values.
                 ranks, dictionary = col.rank_codes()
@@ -143,12 +156,16 @@ class _BuildIndex:
                     ),
                     unset=-2,
                 )
+            elif (lut := _dense_int_lut(col)) is not None:
+                table, base = lut
+                inv = table[col.astype(np.int64, copy=False) - base]
+                uniq = (np.flatnonzero(table >= 0) + base).astype(col.dtype)
             else:
                 uniq, inv = np.unique(col, return_inverse=True)
             self._col_uniques.append(uniq)
             self._radices.append(max(1, len(uniq)))
             self._col_lookups.append(lookup)
-            self._col_luts.append(_dense_int_lut(uniq))
+            self._col_luts.append(lut)
             per_col_codes.append(inv.astype(np.int64))
         radix_product = 1
         for r in self._radices:

@@ -336,7 +336,8 @@ class QueryHandle(QueryLifecycle):
                 "profiling is not enabled; construct the engine with "
                 "EngineConfig().with_tracing(profiling=True)"
             )
-        return tracer.profiler.report(self._serving("profile").id)
+        execution = self._serving("profile")
+        return tracer.profiler.report(execution.id, execution.profile_rows)
 
     # -- introspection -----------------------------------------------------
     def progress(self) -> dict[int, float]:

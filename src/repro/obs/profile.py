@@ -41,10 +41,17 @@ class OpProfile:
 
 
 class Profiler:
-    """Registry of per-operator wall-clock samples."""
+    """Registry of per-operator wall-clock samples.
+
+    ``records`` holds the rows of queries that have not retired; a
+    retiring query's rows leave with its execution (:meth:`retire`) and
+    fold into ``retired_ns``, so the engine-wide :meth:`report` still
+    counts them while ``records`` stays as large as the running set."""
 
     def __init__(self):
         self.records: dict[tuple, OpProfile] = {}
+        #: Wall nanoseconds per operator class of every retired query.
+        self.retired_ns: dict[str, int] = {}
 
     def process(self, op, page, query_id: int | None, stage: int, operator: str):
         """``op.process(page)``, attributed: its wall time, the page's rows
@@ -84,15 +91,22 @@ class Profiler:
         if peak_bytes > entry.peak_bytes:
             entry.peak_bytes = peak_bytes
 
-    def report(self, query_id: int | None = None) -> "ProfileReport":
-        """Entries for one query (or everything), hottest first."""
-        entries = [
-            e
-            for e in self.records.values()
-            if query_id is None or e.query_id == query_id
-        ]
-        entries.sort(key=lambda e: e.wall_ns, reverse=True)
-        return ProfileReport(entries=entries, query_id=query_id)
+    def retire(self, query_id: int) -> list[OpProfile]:
+        """Removes ``query_id``'s rows, folding their wall time into
+        ``retired_ns``; returns them (its execution keeps them)."""
+        rows = [self.records.pop(k) for k in [k for k in self.records if k[0] == query_id]]
+        for e in rows:
+            self.retired_ns[e.operator] = self.retired_ns.get(e.operator, 0) + e.wall_ns
+        return rows
+
+    def report(self, query_id: int | None = None, rows: list | None = None) -> "ProfileReport":
+        """Entries for one query (its retired ``rows`` when given) or,
+        with the retired totals, for everything; hottest first."""
+        if rows is None:
+            rows = [e for e in self.records.values() if query_id is None or e.query_id == query_id]
+        entries = sorted(rows, key=lambda e: e.wall_ns, reverse=True)
+        retired = dict(self.retired_ns) if query_id is None else {}
+        return ProfileReport(entries=entries, query_id=query_id, retired_ns=retired)
 
 
 @dataclass
@@ -101,17 +115,21 @@ class ProfileReport:
 
     entries: list[OpProfile] = field(default_factory=list)
     query_id: int | None = None
+    #: Wall nanoseconds per operator class of retired queries, whose
+    #: rows are not among ``entries`` (an engine-wide report's).
+    retired_ns: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_wall_seconds(self) -> float:
-        return sum(e.wall_seconds for e in self.entries)
+        return sum(self.by_operator().values())
 
     def by_operator(self) -> dict[str, float]:
-        """Wall seconds summed over stages, keyed by operator class."""
-        out: dict[str, float] = {}
+        """Wall seconds summed over stages (and retired queries), keyed
+        by operator class."""
+        out = dict(self.retired_ns)
         for entry in self.entries:
-            out[entry.operator] = out.get(entry.operator, 0.0) + entry.wall_seconds
-        return out
+            out[entry.operator] = out.get(entry.operator, 0) + entry.wall_ns
+        return {name: ns / 1e9 for name, ns in out.items()}
 
     def render(self, limit: int = 15) -> str:
         total = self.total_wall_seconds or 1.0

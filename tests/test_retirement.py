@@ -349,6 +349,31 @@ def test_a_held_handle_answers_alike_after_300_later_queries(tiny_catalog):
     assert json.dumps(entry["sums"], sort_keys=True).count(":") == shape
 
 
+def test_profile_rows_leave_the_profiler_with_their_query(tiny_catalog):
+    """With profiling on, a retired query's operator rows move to its
+    execution: over 300 queries the profiler's ``records`` stay flat, and
+    its engine-wide per-operator totals are the running sum of every
+    query's own profile."""
+    engine = AccordionEngine(
+        tiny_catalog, config=EngineConfig().with_tracing(enabled=False, profiling=True)
+    )
+    profiler = engine.tracer.profiler
+    sql = "select n_regionkey, count(*) from nation where n_nationkey < {} group by n_regionkey"
+    running: dict[str, int] = {}
+    sizes = []
+    for literal in range(300):
+        handle = engine.submit(sql.format(literal % 25 + 1))
+        handle.result()
+        for entry in handle.profile().entries:
+            running[entry.operator] = running.get(entry.operator, 0) + entry.wall_ns
+        sizes.append(len(profiler.records))
+        if literal in (0, 299):
+            assert profiler.report().by_operator() == {
+                name: ns / 1e9 for name, ns in running.items()
+            }
+    assert handle.profile().entries and max(sizes) == sizes[0] <= 20
+
+
 def test_a_ring_counts_the_records_that_left(monkeypatch):
     """Past ``RETAINED_QUERIES`` the oldest retired key leaves the table
     and every companion table, and ``dropped`` counts it."""

@@ -3,12 +3,16 @@ to the page dtype by ``Table.read`` (DESIGN.md §10)."""
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AccordionEngine
 from repro.data import Catalog, Table
-from repro.data.table import narrowest
+from repro.data.table import _STEP_ROWS, HUNDREDTHS, measure, narrowest, stored_form
 from repro.data.tpch import dataset_cache
 from repro.data.tpch.dataset_cache import CACHE_DIR_ENV, clear_dataset_cache, load_tpch_tables
 from repro.data.tpch.queries import QUERIES
@@ -26,6 +30,25 @@ def stored(table: Table, name: str):
 
 def bits(data: np.ndarray) -> np.ndarray:
     return data.view(np.int64) if data.dtype == np.float64 else data
+
+
+def table_of(values: np.ndarray, source: str) -> Table:
+    """A one-column table of ``values``: generated (registered in
+    memory), or loaded as the dataset cache loads an archive member,
+    measured and encoded a 256 KiB chunk at a time (and read once)."""
+    typ = FLT if values.dtype.kind == "f" else INT
+    if source == "generated":
+        return Table("t", Schema.of(("x", typ)), [values])
+    buffer = io.BytesIO()
+    np.savez(buffer, x=values)
+    buffer.seek(0)
+    archive = np.load(buffer, allow_pickle=False)
+    spec, widths = dataset_cache._member(archive, "x", measure)
+    spec += stored_form(widths, spec[0])
+    column = dataset_cache._read(archive, "x", spec)
+    table = Table.lazy("t", Schema.of(("x", typ)), [lambda: column], len(values), 0, [spec[4]])
+    table.read(0, 0, 0)
+    return table
 
 
 def assert_reads_are_canonical(table: Table, canonical: list, rng) -> None:
@@ -83,7 +106,7 @@ def test_every_tpch_column_reads_back_bit_for_bit(monkeypatch, tmp_path, source)
     [
         np.array([1.0, -0.0, 2.0]),
         np.array([1.0, np.nan, 2.0]),
-        np.array([1.0, 2.5, 3.0]),
+        np.array([1.0, 2.125, 3.0]),
         np.array([1.0, np.inf, 3.0]),
         np.array([1.0, 2.0**40]),
         np.array([0, 2**31], dtype=np.int64),
@@ -118,14 +141,94 @@ def test_integer_exact_columns_take_their_narrowest_width(values, width):
     assert column.dtype == typ.numpy_dtype and column.tolist() == values
 
 
+SOURCES = pytest.mark.parametrize("source", ["generated", "archive"])
+
+
+@SOURCES
+@pytest.mark.parametrize(
+    "values, width",
+    [
+        ([0.01, -1.28, 1.27], np.int8),
+        ([0.5, 327.67, -327.68], np.int16),
+        ([0.99, 327.68], np.int32),
+        ([21474836.47, -21474836.48], np.int32),
+    ],
+)
+def test_hundredths_take_their_narrowest_width(source, values, width):
+    """A FLOAT64 column of hundredths is stored as ``k`` (the value
+    times 100) at the narrowest width, and reads back bit for bit."""
+    values = np.array(values)
+    table = table_of(values, source)
+    assert table.column("x").dtype == np.float64
+    assert stored(table, "x").dtype == width
+    assert np.array_equal(stored(table, "x"), np.rint(values * HUNDREDTHS))
+    assert np.array_equal(bits(table.column("x")), bits(values))
+    assert np.array_equal(bits(table.read(0, 1, len(values))), bits(values[1:]))
+
+
+@SOURCES
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.25, -0.0],
+        [0.25, np.nan],
+        [0.25, np.inf],
+        [0.25, -np.inf],
+        [0.25, 0.1 + 0.2],
+        [0.25, 1e-3],
+        [0.25, 2**31 / HUNDREDTHS],
+    ],
+    ids=["negative-zero", "nan", "inf", "minus-inf", "sum", "thousandth", "beyond-int32"],
+)
+def test_floats_that_are_not_hundredths_stay_full_width(source, values):
+    values = np.array(values)
+    table = table_of(values, source)
+    assert stored(table, "x").dtype == np.float64
+    assert np.array_equal(bits(table.column("x")), bits(values))
+
+
+@SOURCES
+def test_a_later_chunk_that_is_not_hundredths_keeps_the_column_full_width(source):
+    """The first chunk (``_STEP_ROWS`` rows generated, 256 KiB from an
+    archive) is exact in hundredths, a later one is not."""
+    assert _STEP_ROWS * 8 == 1 << 18 == dataset_cache._CHUNK_BYTES
+    values = np.full(_STEP_ROWS + 10, 0.25)
+    assert stored(table_of(values, source), "x").dtype == np.int8
+    values[-1] = 0.125
+    table = table_of(values, source)
+    assert stored(table, "x").dtype == np.float64
+    assert np.array_equal(bits(table.column("x")), bits(values))
+
+
+@SOURCES
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=50),
+    integral=st.booleans(),
+)
+def test_hundredths_read_back_bit_for_bit(source, k, integral):
+    """Any column of hundredths is stored at the narrowest width of its
+    ``k``, or of its integers when every value is one (``float64`` past
+    ``int32``), and reads back bit for bit."""
+    k = np.array(k, dtype=np.int64) * (100 if integral else 1)
+    values = k / HUNDREDTHS
+    width = narrowest(k if (k % 100).any() else k // 100)
+    table = table_of(values, source)
+    assert stored(table, "x").dtype == (np.float64 if width == np.int64 else width)
+    assert np.array_equal(bits(table.column("x")), bits(values))
+    start = len(values) // 2
+    assert np.array_equal(bits(table.read(0, start, len(values))), bits(values[start:]))
+
+
 def test_the_width_covers_every_chunk():
     """A column measured chunk by chunk takes the width its widest chunk
-    needs, and a float chunk that is not integer-exact keeps it whole."""
+    needs, and a float chunk that is not exact in hundredths keeps it
+    whole."""
     values = np.zeros(1 << 17, dtype=np.int64)
     values[-1] = 1000
     assert stored(Table("t", Schema.of(("x", INT)), [values]), "x").dtype == np.int16
     floats = np.ones(1 << 17)
-    floats[-1] = 0.5
+    floats[-1] = 0.125
     assert stored(Table("t", Schema.of(("x", FLT)), [floats]), "x").dtype == np.float64
     assert narrowest(np.array([1, 2]), np.dtype(np.int32)) == np.int32
     assert narrowest(np.array([], dtype=np.int64)) == np.int64
@@ -182,9 +285,10 @@ def test_a_lazy_null_under_a_non_nullable_field_fails_its_first_read():
     assert nullable.to_page().rows() == [("x",), (None,), ("y",)]
 
 
-def test_q1_and_q6_store_29_bytes_a_row_of_lineitem(monkeypatch, tmp_path):
+def test_q1_and_q6_store_11_bytes_a_row_of_lineitem(monkeypatch, tmp_path):
     """After Q1 and Q6 on an archive catalog at SF0.01, lineitem holds
-    exactly their seven columns: 29 bytes a row (48 at full width)."""
+    exactly their seven columns: 11 bytes a row (48 at full width; 29
+    with prices, discounts and taxes stored as ``float64``)."""
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     clear_dataset_cache()
     load_tpch_tables(0.01, 777)
@@ -203,7 +307,7 @@ def test_q1_and_q6_store_29_bytes_a_row_of_lineitem(monkeypatch, tmp_path):
         "l_quantity", "l_extendedprice", "l_discount", "l_tax",
         "l_returnflag", "l_linestatus", "l_shipdate",
     ])
-    assert sum(loaded.values()) == 29 * lineitem.num_rows
+    assert sum(loaded.values()) == 11 * lineitem.num_rows
     clear_dataset_cache()
 
 

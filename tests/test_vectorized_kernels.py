@@ -285,6 +285,42 @@ def test_dense_int_lut_declines_sparse_and_nonint_keys():
     assert base == 9 and table.tolist() == [-1, 0, -1, 1, -1, -1, 2, -1]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.integers(-3, 200_000), min_size=1, max_size=300),
+    spread=st.sampled_from([1, 7, 5_000]),
+    repeat=st.booleans(),
+)
+def test_a_build_index_numbers_its_keys_as_a_sort_would(keys, spread, repeat):
+    """Numbering an integer key column through the dense table (no sort),
+    inverting the codes of a unique build and radix-sorting 16-bit codes
+    give the index that ``np.unique`` and a stable ``argsort`` of int64
+    codes give, bit for bit: uniques, table, row order and groups."""
+    col = np.array(keys, dtype=np.int64) * spread
+    if repeat:
+        col = np.concatenate([col, col[::2]])
+    index = _BuildIndex(Page(_key_schema([INT]), [col]), [0])
+    uniq, inv = np.unique(col, return_inverse=True)
+    order = np.argsort(inv.astype(np.int64), kind="stable")
+    counts = np.bincount(inv)
+    assert index._col_uniques[0].dtype == uniq.dtype
+    assert np.array_equal(index._col_uniques[0], uniq)
+    assert index.sorted_rows.dtype == np.int64 and np.array_equal(index.sorted_rows, order)
+    assert np.array_equal(index.group_counts, counts)
+    assert np.array_equal(index.group_starts[1:], np.cumsum(counts))
+    assert index.unique == bool(counts.max() == 1)
+    lut = index._col_luts[0]
+    base = int(uniq[0]) - 1
+    span = int(uniq[-1]) - base + 2
+    if span > 64 * len(uniq) + 4098 or span > (1 << 22) + 2:
+        assert lut is None
+    else:
+        table = np.full(span, -1, dtype=np.int64)
+        table[uniq - base] = np.arange(len(uniq))
+        assert lut[1] == base and lut[0].dtype == np.int64
+        assert np.array_equal(lut[0], table)
+
+
 _I64 = np.iinfo(np.int64)
 
 

@@ -20,7 +20,9 @@ bytes, the blocks the query left allocated, and pages constructed per
 page scanned.  A third record, ``cold_start``, comes from fresh
 interpreters: the ``repro`` modules, and their source bytes, that
 ``import repro`` loads, and then one default-config Q6 over an archived
-SF0.005 dataset (DESIGN.md §4 "Imports follow use").  It prints the
+SF0.005 dataset (DESIGN.md §4 "Imports follow use"), with the bytes of
+the columns the catalog stores after it (``stored_bytes``, DESIGN.md §10
+"Stored widths").  It prints the
 table, writes it as JSON and exits 1 if the two counted passes of any
 text differ.  The file is byte-identical run to run: the counting runs
 in a fresh interpreter with hash seed 0, under ``setarch -R`` (no
@@ -41,7 +43,8 @@ more than 2 % more calls, unless the lines this change adds to
 The third form checks that the committed file was regenerated: it exits
 1 when any text's ``events`` or ``pages_per_scanned_page``, or the
 ``cold_start`` record, differ between the committed file and a fresh
-run's, so an eager import that comes back fails it.  Neither depends on
+run's, so an eager import that comes back, or a column that falls back
+to full width, fails it.  Neither depends on
 numpy's Python-level calls, so a fresh run on another numpy still agrees.
 """
 
@@ -205,7 +208,8 @@ def run_sets() -> dict:
 
 
 #: Run in a fresh interpreter: the ``repro`` modules (name -> source
-#: file) loaded after each step.
+#: file) loaded after each step, and the bytes of the columns the
+#: catalog stores (string codes for a string column) after the query.
 COLD_START = """
 import json, sys
 
@@ -215,16 +219,23 @@ def loaded():
 
 import repro
 steps = {"import repro": loaded()}
-repro.AccordionEngine(repro.Catalog.tpch(0.005)).execute(repro.TPCH_QUERIES["Q6"])
+catalog = repro.Catalog.tpch(0.005)
+repro.AccordionEngine(catalog).execute(repro.TPCH_QUERIES["Q6"])
 steps["default Q6"] = loaded()
-print(json.dumps(steps))
+stored = sum(
+    getattr(col, "codes", col).nbytes
+    for name in catalog.names() for col in catalog.table(name)._stored if col is not None
+)
+print(json.dumps({"steps": steps, "stored_bytes": stored}))
 """
 
 
 def cold_start() -> dict:
     """Per step of :data:`COLD_START`: the modules loaded and their
-    source bytes.  A first interpreter writes the SF0.005 archive, so the
-    measured one loads the dataset as the benchmark does."""
+    source bytes, and after the query the catalog's stored column bytes
+    (``stored_bytes``: a column that falls back to full width moves it).
+    A first interpreter writes the SF0.005 archive, so the measured one
+    loads the dataset as the benchmark does."""
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), REPRO_CACHE_DIR=cache)
         for code in ("import repro; repro.Catalog.tpch(0.005)", COLD_START):
@@ -232,14 +243,17 @@ def cold_start() -> dict:
                 [sys.executable, "-c", code], env=env, capture_output=True,
                 text=True, check=True,
             )
-    return {
+    found = json.loads(done.stdout)
+    record = {
         step: {
             "modules": len(files),
             "source_bytes": sum(Path(f).stat().st_size for f in files.values()),
             "names": list(files),
         }
-        for step, files in json.loads(done.stdout).items()
+        for step, files in found["steps"].items()
     }
+    record["default Q6"]["stored_bytes"] = found["stored_bytes"]
+    return record
 
 
 def measure() -> int:
@@ -294,7 +308,10 @@ def render(counts: dict) -> str:
         ))
     lines.append("-- cold start: repro modules loaded in a fresh interpreter")
     for step, record in counts["cold_start"].items():
-        lines.append(f"{step}: {record['modules']} modules, {record['source_bytes']} B of source")
+        stored = f", {record['stored_bytes']} B of columns stored" if "stored_bytes" in record else ""
+        lines.append(
+            f"{step}: {record['modules']} modules, {record['source_bytes']} B of source{stored}"
+        )
     return "\n".join(lines)
 
 
